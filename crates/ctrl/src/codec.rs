@@ -103,12 +103,6 @@ impl<'a> Enc<'a> {
         self.buf.extend_from_slice(v.as_bytes());
     }
 
-    /// Appends pre-encoded bytes verbatim (no length prefix) — the
-    /// columnar encoder splices pooled column bodies with this.
-    pub fn raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
     pub fn opt_f64(&mut self, v: Option<f64>) {
         match v {
             None => self.u8(0),
@@ -1098,18 +1092,6 @@ pub(crate) mod columnar {
         ("stages", T_RSTAGE),
     ];
 
-    fn put_u32(buf: &mut Vec<u8>, v: u32) {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_u64(buf: &mut Vec<u8>, v: u64) {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_f64(buf: &mut Vec<u8>, v: f64) {
-        buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
     fn stage_kind_tag(kind: StageKind) -> u8 {
         match kind {
             StageKind::BoundsCrossed => 0,
@@ -1129,48 +1111,44 @@ pub(crate) mod columnar {
         }
     }
 
-    /// A circular buffer viewed as its (up to two) contiguous runs,
-    /// oldest first — how rings and deques are borrowed for encoding
-    /// without materializing a session-sized temporary.
-    pub(crate) type RingHalves<'a, T> = (&'a [T], &'a [T]);
-
-    /// The delay-FIFO source of one encoded row. The shard keeps the FIFO
-    /// head inline in the pend columns with the tail spilled to a
-    /// `VecDeque`; a `SessionCheckpoint` keeps one flat list. Both feed
-    /// the same `pend` column.
-    pub(crate) enum PendRows<'a> {
-        /// Inline head + the spill deque's two contiguous halves.
-        Split {
-            head: Option<(u64, f64)>,
-            spill: RingHalves<'a, (u64, f64)>,
-        },
-        /// A checkpoint's flat pending list.
-        Flat(&'a [(usize, f64)]),
+    /// How one cell of a column lands in a frame body: integers
+    /// little-endian, `f64` as raw IEEE-754 bits, a pair as its halves in
+    /// order, a stage record as `start, end (u64::MAX = open), kind`.
+    pub(crate) trait Cell {
+        fn put(self, out: &mut Vec<u8>);
     }
 
-    /// One session row's identity and ragged state, borrowed from
-    /// wherever it lives (slab columns or a `SessionCheckpoint`) — the
-    /// shared input of the shard checkpoint path and the single-session
-    /// migration path. The 22 fixed scalar cells are *not* here: they
-    /// stream column-major via [`ColumnSink::put_f64_col`] /
-    /// [`ColumnSink::put_u64_col`] straight from the shard's per-field
-    /// columns (or per cell, for the one-row migration path). Rings are
-    /// `(first, second)` contiguous halves so the encoder never
-    /// materializes a session-sized temporary.
-    pub(crate) struct RowRef<'a> {
-        pub key: u64,
-        pub tenant: &'a Arc<str>,
-        /// `F_*` bits; the encoder's caller masks `F_DIRTY` out.
-        pub flags: u32,
-        /// Owning group id; `u64::MAX` for dedicated sessions.
-        pub group: u64,
-        /// Raw pool member id; 0 for dedicated sessions.
-        pub member: u64,
-        pub hull: &'a [(f64, f64)],
-        pub high: RingHalves<'a, f64>,
-        pub recent: RingHalves<'a, (f64, f64)>,
-        pub pend: PendRows<'a>,
-        pub stages: &'a [StageRecord],
+    impl Cell for u32 {
+        fn put(self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&self.to_le_bytes());
+        }
+    }
+
+    impl Cell for u64 {
+        fn put(self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&self.to_le_bytes());
+        }
+    }
+
+    impl Cell for f64 {
+        fn put(self, out: &mut Vec<u8>) {
+            self.to_bits().put(out);
+        }
+    }
+
+    impl<A: Cell, B: Cell> Cell for (A, B) {
+        fn put(self, out: &mut Vec<u8>) {
+            self.0.put(out);
+            self.1.put(out);
+        }
+    }
+
+    impl Cell for &StageRecord {
+        fn put(self, out: &mut Vec<u8>) {
+            (self.start as u64).put(out);
+            self.end.map_or(u64::MAX, |e| e as u64).put(out);
+            out.push(stage_kind_tag(self.kind));
+        }
     }
 
     /// Everything frame-scoped the encoder needs beyond the rows.
@@ -1188,185 +1166,85 @@ pub(crate) mod columnar {
         pub u_o: f64,
     }
 
-    /// The pooled column encoder: one buffer per column, reused across
-    /// frames, so steady-state encoding allocates nothing once the
-    /// buffers have grown to the working set.
+    /// Bytes of the fixed header fields, version byte through `u_o`.
+    const HEADER_LEN: usize = 1 + 1 + 8 + 4 + 4 + 8 + 8 + 8 + 8 + 8;
+    /// Bytes of one column's schema entry around its name: the name's
+    /// length prefix, type tag, width, cell count, body length.
+    const SCHEMA_ENTRY_LEN: usize = 4 + 1 + 4 + 4 + 4;
+
+    /// Total run length of each ragged column over a frame's rows, in
+    /// schema order: hull, high, recent, pend, stages. Every per-row run
+    /// length is itself a column (`*_len`), so the size pass only sums.
+    pub(crate) type RaggedTotals = [usize; 5];
+
+    /// The frame writer's reusable scratch. A frame is written in two
+    /// passes over its source. The caller's size pass registers each row
+    /// ([`ColumnSink::push_row`]) and totals the ragged run lengths;
+    /// [`ColumnSink::start`] then allocates the output once, at the exact
+    /// frame length, and the caller streams every column in schema order
+    /// straight into it ([`FrameFill::col`]). Nothing frame-sized
+    /// survives between frames: the scratch is eight bytes per row, the
+    /// tenant table, and the pre-encoded tail sections.
+    #[derive(Default)]
     pub(crate) struct ColumnSink {
-        bufs: Vec<Vec<u8>>,
-        rows: u32,
+        /// The source slot of each row, in row order.
+        rows: Vec<u32>,
+        /// The interned tenant index of each row.
+        tenant_ids: Vec<u32>,
         /// Per-frame tenant string table, in first-appearance order (the
         /// deterministic interning order; the map is lookup only).
         tenants: Vec<Arc<str>>,
         tenant_idx: HashMap<Arc<str>, u32>,
+        /// Groups, tombstones and the retired delta, encoded ahead of the
+        /// allocation because their length is only known once written.
+        tail: Vec<u8>,
     }
 
     impl ColumnSink {
-        pub(crate) fn new() -> Self {
-            ColumnSink {
-                bufs: (0..NCOLS).map(|_| Vec::new()).collect(),
-                rows: 0,
-                tenants: Vec::new(),
-                tenant_idx: HashMap::new(),
-            }
-        }
-
-        /// Resets for a new frame, keeping every buffer's allocation.
+        /// Resets for a new frame, keeping the scratch allocations.
         pub(crate) fn begin(&mut self) {
-            for b in &mut self.bufs {
-                b.clear();
-            }
-            self.rows = 0;
+            self.rows.clear();
+            self.tenant_ids.clear();
             self.tenants.clear();
             self.tenant_idx.clear();
         }
 
-        fn intern(&mut self, tenant: &Arc<str>) -> u32 {
-            if let Some(&i) = self.tenant_idx.get(tenant.as_ref() as &str) {
-                return i;
-            }
-            let i = u32::try_from(self.tenants.len()).expect("tenant table fits a u32");
-            self.tenants.push(Arc::clone(tenant));
-            self.tenant_idx.insert(Arc::clone(tenant), i);
-            i
-        }
-
-        /// Appends one session row's identity and ragged columns; the
-        /// fixed scalar columns stream separately
-        /// ([`ColumnSink::put_f64_col`] and friends), one column at a
-        /// time.
-        pub(crate) fn push_row(&mut self, r: &RowRef<'_>) {
-            self.rows += 1;
-            let tenant = self.intern(r.tenant);
-            put_u64(&mut self.bufs[C_KEY], r.key);
-            put_u32(&mut self.bufs[C_TENANT], tenant);
-            put_u32(&mut self.bufs[C_FLAGS], r.flags);
-            put_u64(&mut self.bufs[C_GROUP], r.group);
-            put_u64(&mut self.bufs[C_MEMBER], r.member);
-            put_u32(&mut self.bufs[C_HULL_LEN], r.hull.len() as u32);
-            for &(x, y) in r.hull {
-                put_f64(&mut self.bufs[C_HULL], x);
-                put_f64(&mut self.bufs[C_HULL], y);
-            }
-            put_u32(
-                &mut self.bufs[C_HIGH_LEN],
-                (r.high.0.len() + r.high.1.len()) as u32,
-            );
-            for &a in r.high.0.iter().chain(r.high.1) {
-                put_f64(&mut self.bufs[C_HIGH], a);
-            }
-            put_u32(
-                &mut self.bufs[C_RECENT_LEN],
-                (r.recent.0.len() + r.recent.1.len()) as u32,
-            );
-            for &(a, b) in r.recent.0.iter().chain(r.recent.1) {
-                put_f64(&mut self.bufs[C_RECENT], a);
-                put_f64(&mut self.bufs[C_RECENT], b);
-            }
-            match r.pend {
-                PendRows::Split { head, spill } => {
-                    let n = usize::from(head.is_some()) + spill.0.len() + spill.1.len();
-                    put_u32(&mut self.bufs[C_PEND_LEN], n as u32);
-                    for &(t, b) in head.iter().chain(spill.0).chain(spill.1) {
-                        put_u64(&mut self.bufs[C_PEND], t);
-                        put_f64(&mut self.bufs[C_PEND], b);
-                    }
+        /// Size pass: registers the next row, living at `slot` of the
+        /// caller's columns and owned by `tenant`.
+        pub(crate) fn push_row(&mut self, slot: u32, tenant: &Arc<str>) {
+            let id = match self.tenant_idx.get(tenant.as_ref() as &str) {
+                Some(&id) => id,
+                None => {
+                    let id = u32::try_from(self.tenants.len()).expect("tenant table fits a u32");
+                    self.tenants.push(Arc::clone(tenant));
+                    self.tenant_idx.insert(Arc::clone(tenant), id);
+                    id
                 }
-                PendRows::Flat(pending) => {
-                    put_u32(&mut self.bufs[C_PEND_LEN], pending.len() as u32);
-                    for &(t, b) in pending {
-                        put_u64(&mut self.bufs[C_PEND], t as u64);
-                        put_f64(&mut self.bufs[C_PEND], b);
-                    }
-                }
-            }
-            put_u32(&mut self.bufs[C_STAGE_LEN], r.stages.len() as u32);
-            for rec in r.stages {
-                put_u64(&mut self.bufs[C_STAGES], rec.start as u64);
-                put_u64(
-                    &mut self.bufs[C_STAGES],
-                    rec.end.map_or(u64::MAX, |e| e as u64),
-                );
-                self.bufs[C_STAGES].push(stage_kind_tag(rec.kind));
-            }
+            };
+            self.rows.push(slot);
+            self.tenant_ids.push(id);
         }
 
-        /// Streams `src[i]` for every listed slot into fixed column
-        /// `col` — the shard's column-major scalar encode: one
-        /// sequential append pass per column, straight from the
-        /// per-field slab column, no per-row gather through a packed
-        /// record.
-        pub(crate) fn put_f64_col(&mut self, col: usize, src: &[f64], idx: &[u32]) {
-            debug_assert_eq!(SPECS[col].1, T_F64);
-            let buf = &mut self.bufs[col];
-            buf.reserve(idx.len() * 8);
-            for &i in idx {
-                buf.extend_from_slice(&src[i as usize].to_bits().to_le_bytes());
-            }
-        }
-
-        /// [`ColumnSink::put_f64_col`] for a u64 column.
-        pub(crate) fn put_u64_col(&mut self, col: usize, src: &[u64], idx: &[u32]) {
-            debug_assert_eq!(SPECS[col].1, T_U64);
-            let buf = &mut self.bufs[col];
-            buf.reserve(idx.len() * 8);
-            for &i in idx {
-                buf.extend_from_slice(&src[i as usize].to_le_bytes());
-            }
-        }
-
-        /// Appends one f64 cell to fixed column `col` — the one-row
-        /// migration frame's scalar path.
-        pub(crate) fn put_f64_cell(&mut self, col: usize, v: f64) {
-            debug_assert_eq!(SPECS[col].1, T_F64);
-            put_f64(&mut self.bufs[col], v);
-        }
-
-        /// Appends one u64 cell to fixed column `col`.
-        pub(crate) fn put_u64_cell(&mut self, col: usize, v: u64) {
-            debug_assert_eq!(SPECS[col].1, T_U64);
-            put_u64(&mut self.bufs[col], v);
-        }
-
-        /// Assembles the frame: header, tenant table, schema + column
-        /// bodies, groups, tombstones, retired delta. Appends to `out`.
-        pub(crate) fn finish(
-            &self,
+        /// Ends the size pass: sizes the frame from the registered rows,
+        /// `ragged` and the tail sections, makes `out` (cleared first)
+        /// exactly that long in one allocation, and writes everything up
+        /// to the first column. The caller then fills all [`NCOLS`]
+        /// columns in schema order and calls [`FrameFill::finish`].
+        pub(crate) fn start<'a>(
+            &'a mut self,
             hdr: &FrameHeader,
+            ragged: RaggedTotals,
             groups: &[GroupCheckpoint],
             tombstones: &[u64],
             retired: &[SessionMetrics],
-            out: &mut Vec<u8>,
-        ) {
+            out: &'a mut Vec<u8>,
+        ) -> FrameFill<'a> {
             debug_assert!(
                 hdr.kind != KIND_GENESIS || tombstones.is_empty(),
                 "a genesis frame carries no tombstones"
             );
-            let mut e = Enc::new(out);
-            e.u8(FRAME_VERSION);
-            e.u8(hdr.kind);
-            e.u64(hdr.ticks);
-            e.u32(self.rows);
-            e.u32(hdr.w);
-            e.f64(hdr.cost.per_bandwidth_tick);
-            e.f64(hdr.cost.per_change);
-            e.f64(hdr.b_max);
-            e.u64(hdr.d_o);
-            e.f64(hdr.u_o);
-            e.len(self.tenants.len());
-            for t in &self.tenants {
-                e.str(t.as_ref());
-            }
-            e.u32(NCOLS as u32);
-            for (i, &(name, ty)) in SPECS.iter().enumerate() {
-                let body = &self.bufs[i];
-                let width = type_width(ty);
-                e.str(name);
-                e.u8(ty);
-                e.u32(width);
-                e.u32((body.len() / width as usize) as u32);
-                e.u32(u32::try_from(body.len()).expect("column body fits a u32"));
-                e.raw(body);
-            }
+            self.tail.clear();
+            let mut e = Enc::new(&mut self.tail);
             e.len(groups.len());
             for g in groups {
                 checkpoint::enc_group(g, &mut e);
@@ -1379,6 +1257,105 @@ pub(crate) mod columnar {
             for m in retired {
                 encode_session_metrics(m, &mut e);
             }
+            let tenant_table: usize = self.tenants.iter().map(|t| 4 + t.len()).sum();
+            let columns: usize = (0..NCOLS)
+                .map(|col| {
+                    SCHEMA_ENTRY_LEN + SPECS[col].0.len() + body_len(col, self.rows.len(), &ragged)
+                })
+                .sum();
+            let len = HEADER_LEN + 4 + tenant_table + 4 + columns + self.tail.len();
+            out.clear();
+            out.reserve_exact(len);
+            let mut e = Enc::new(out);
+            e.u8(FRAME_VERSION);
+            e.u8(hdr.kind);
+            e.u64(hdr.ticks);
+            e.len(self.rows.len());
+            e.u32(hdr.w);
+            e.f64(hdr.cost.per_bandwidth_tick);
+            e.f64(hdr.cost.per_change);
+            e.f64(hdr.b_max);
+            e.u64(hdr.d_o);
+            e.f64(hdr.u_o);
+            e.len(self.tenants.len());
+            for t in &self.tenants {
+                e.str(t.as_ref());
+            }
+            e.u32(NCOLS as u32);
+            FrameFill {
+                out,
+                rows: &self.rows,
+                tenant_ids: &self.tenant_ids,
+                ragged,
+                tail: &self.tail,
+                next: 0,
+                len,
+            }
+        }
+    }
+
+    /// Body bytes of column `col` in a frame of `rows` rows: one cell per
+    /// row for a fixed column, the summed run lengths for a ragged one.
+    fn body_len(col: usize, rows: usize, ragged: &RaggedTotals) -> usize {
+        let ty = SPECS[col].1;
+        let cells = if ty >= T_RF64 {
+            ragged[(col - C_HULL) / 2]
+        } else {
+            rows
+        };
+        cells * type_width(ty) as usize
+    }
+
+    /// The fill pass of one frame: the exactly-sized output plus what the
+    /// size pass recorded. Obtained from [`ColumnSink::start`].
+    #[must_use = "a frame is complete only after `finish`"]
+    pub(crate) struct FrameFill<'a> {
+        out: &'a mut Vec<u8>,
+        /// The registered rows' source slots, in row order.
+        pub rows: &'a [u32],
+        /// The registered rows' tenant-table indices.
+        tenant_ids: &'a [u32],
+        ragged: RaggedTotals,
+        tail: &'a [u8],
+        /// The next column [`FrameFill::col`] must be given.
+        next: usize,
+        /// The frame length the size pass arrived at.
+        len: usize,
+    }
+
+    impl FrameFill<'_> {
+        /// Writes column `col` — its schema entry, then `cells` appended
+        /// in order. Columns must arrive in schema order and carry
+        /// exactly the cells the size pass announced.
+        pub(crate) fn col<C: Cell>(&mut self, col: usize, cells: impl IntoIterator<Item = C>) {
+            assert_eq!(col, self.next, "columns are filled in schema order");
+            self.next += 1;
+            let (name, ty) = SPECS[col];
+            let width = type_width(ty);
+            let body = u32::try_from(body_len(col, self.rows.len(), &self.ragged))
+                .expect("column body fits a u32");
+            let mut e = Enc::new(self.out);
+            e.str(name);
+            e.u8(ty);
+            e.u32(width);
+            e.u32(body / width);
+            e.u32(body);
+            let filled = self.out.len() + body as usize;
+            cells.into_iter().for_each(|c| c.put(self.out));
+            assert_eq!(self.out.len(), filled, "column `{name}` vs the size pass");
+        }
+
+        /// Writes the `tenant` column: each row's index into the tenant
+        /// table the size pass interned.
+        pub(crate) fn tenant_col(&mut self) {
+            self.col(C_TENANT, self.tenant_ids.iter().copied());
+        }
+
+        /// Appends the tail sections; the frame is complete.
+        pub(crate) fn finish(self) {
+            assert_eq!(self.next, NCOLS, "every column was filled");
+            self.out.extend_from_slice(self.tail);
+            assert_eq!(self.out.len(), self.len, "frame length vs the size pass");
         }
     }
 
@@ -1597,15 +1574,10 @@ pub(crate) mod columnar {
     }
 
     /// Encodes one session checkpoint as a standalone single-row genesis
-    /// frame — the v2 migration blob. Same sink, same column layout, same
-    /// decode path as a full shard frame: a quiesced session is just a
-    /// one-session column slice.
-    pub(crate) fn encode_session_frame(
-        cp: &SessionCheckpoint,
-        sink: &mut ColumnSink,
-        out: &mut Vec<u8>,
-    ) {
-        sink.begin();
+    /// frame — the v2 migration blob. Same writer, same column layout,
+    /// same decode path as a full shard frame: a quiesced session is just
+    /// a one-session column slice.
+    pub(crate) fn encode_session_frame(cp: &SessionCheckpoint, out: &mut Vec<u8>) {
         let m = &cp.meter;
         let mut flags = F_LIVE;
         if cp.leaving {
@@ -1653,25 +1625,10 @@ pub(crate) mod columnar {
                 high = &high_t.window;
             }
         }
-        sink.push_row(&RowRef {
-            key: cp.key,
-            tenant: &cp.tenant,
-            flags,
-            group,
-            member,
-            hull,
-            high: (high, &[]),
-            recent: (&m.recent, &[]),
-            pend: PendRows::Flat(&m.delay.pending),
-            stages,
-        });
-        for (j, &v) in f64s.iter().enumerate() {
-            sink.put_f64_cell(C_F64 + j, v);
-        }
-        for (j, &v) in u64s.iter().enumerate() {
-            sink.put_u64_cell(C_U64 + j, v);
-        }
-        sink.finish(
+        let (recent, pend) = (&m.recent, &m.delay.pending);
+        let mut sink = ColumnSink::default();
+        sink.push_row(0, &cp.tenant);
+        let mut f = sink.start(
             &FrameHeader {
                 kind: KIND_GENESIS,
                 ticks: 0,
@@ -1681,11 +1638,40 @@ pub(crate) mod columnar {
                 d_o,
                 u_o,
             },
+            [
+                hull.len(),
+                high.len(),
+                recent.len(),
+                pend.len(),
+                stages.len(),
+            ],
             &[],
             &[],
             &[],
             out,
         );
+        f.col(C_KEY, [cp.key]);
+        f.tenant_col();
+        f.col(C_FLAGS, [flags]);
+        f.col(C_GROUP, [group]);
+        f.col(C_MEMBER, [member]);
+        for (j, v) in f64s.into_iter().enumerate() {
+            f.col(C_F64 + j, [v]);
+        }
+        for (j, v) in u64s.into_iter().enumerate() {
+            f.col(C_U64 + j, [v]);
+        }
+        f.col(C_HULL_LEN, [hull.len() as u32]);
+        f.col(C_HULL, hull.iter().copied());
+        f.col(C_HIGH_LEN, [high.len() as u32]);
+        f.col(C_HIGH, high.iter().copied());
+        f.col(C_RECENT_LEN, [recent.len() as u32]);
+        f.col(C_RECENT, recent.iter().copied());
+        f.col(C_PEND_LEN, [pend.len() as u32]);
+        f.col(C_PEND, pend.iter().map(|&(t, b)| (t as u64, b)));
+        f.col(C_STAGE_LEN, [stages.len() as u32]);
+        f.col(C_STAGES, stages);
+        f.finish();
     }
 
     /// Materializes the [`SessionCheckpoint`] of a single-row migration

@@ -60,13 +60,6 @@ pub struct ServiceConfig {
     /// disables checkpointing *and* the in-driver journal, so a failed
     /// shard cannot be recovered and is marked down on its first fault.
     pub checkpoint_every: u64,
-    /// Genesis cadence of the columnar checkpoint chain: every
-    /// `checkpoint_full_every`-th checkpoint is a full-population genesis
-    /// frame; the frames between carry only sessions dirtied since the
-    /// previous frame. `1` makes every checkpoint a genesis (no
-    /// incremental chain). Bounds both the driver's retained chain and
-    /// the restore replay to `checkpoint_full_every` frames.
-    pub checkpoint_full_every: u64,
     /// How many times the supervisor restarts one shard before declaring
     /// it permanently down.
     pub max_restarts: u32,
@@ -107,7 +100,6 @@ impl ServiceConfig {
             cost: CostModel::with_change_price(1.0),
             exec: ExecMode::Threaded,
             checkpoint_every: 64,
-            checkpoint_full_every: 8,
             max_restarts: 3,
             shard_timeout_ms: 2000,
             pipeline_depth: 4,
@@ -158,7 +150,6 @@ pub struct ServiceConfigBuilder {
     cost: CostModel,
     exec: ExecMode,
     checkpoint_every: u64,
-    checkpoint_full_every: u64,
     max_restarts: u32,
     shard_timeout_ms: u64,
     pipeline_depth: u32,
@@ -225,14 +216,6 @@ impl ServiceConfigBuilder {
     /// Default 64.
     pub fn checkpoint_every(mut self, ticks: u64) -> Self {
         self.checkpoint_every = ticks;
-        self
-    }
-
-    /// Sets how many checkpoints pass between full genesis frames (the
-    /// ones in between are dirty-only incrementals). `1` disables
-    /// incremental checkpointing. Default 8.
-    pub fn checkpoint_full_every(mut self, frames: u64) -> Self {
-        self.checkpoint_full_every = frames;
         self
     }
 
@@ -311,11 +294,6 @@ impl ServiceConfigBuilder {
                 "pipeline depth must be at least 1".into(),
             ));
         }
-        if self.checkpoint_full_every == 0 {
-            return Err(CtrlError::InvalidService(
-                "checkpoint_full_every must be at least 1".into(),
-            ));
-        }
         if self.kernel_threads == 0 {
             return Err(CtrlError::InvalidService(
                 "kernel threads must be at least 1".into(),
@@ -356,7 +334,6 @@ impl ServiceConfigBuilder {
             cost: self.cost,
             exec: self.exec,
             checkpoint_every: self.checkpoint_every,
-            checkpoint_full_every: self.checkpoint_full_every,
             max_restarts: self.max_restarts,
             shard_timeout_ms: self.shard_timeout_ms,
             pipeline_depth: self.pipeline_depth,

@@ -100,7 +100,7 @@ impl CheckpointProbe {
     pub fn new(cfg: &ServiceConfig) -> Self {
         CheckpointProbe {
             state: ShardState::new(0, cfg),
-            sink: columnar::ColumnSink::new(),
+            sink: columnar::ColumnSink::default(),
             next_key: 0,
             churn_cursor: 0,
             tenants: (0..PROBE_TENANTS)
@@ -222,6 +222,18 @@ mod tests {
         assert!(rows >= 93, "a metered tick dirties every live session");
         mirror.apply(&frame).unwrap();
         assert_eq!(mirror.ticks(), 7);
+
+        // A genesis resets a mirror wherever it stands: the one that
+        // followed the chain and one that never saw it land together.
+        probe.churn(4);
+        probe.tick(2);
+        probe.encode(true, &mut frame);
+        let mut behind = CheckpointMirror::new(&cfg);
+        for m in [&mut mirror, &mut behind] {
+            m.apply(&frame).unwrap();
+            assert_eq!(m.ticks(), 9);
+            assert_eq!(m.live_sessions(), probe.live_sessions());
+        }
     }
 
     #[test]

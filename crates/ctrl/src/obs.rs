@@ -39,14 +39,14 @@ pub(crate) struct CtrlMetrics {
     pub shard_checkpoints: Vec<Counter>,
     /// `cdba_ctrl_checkpoint_bytes_total{shard}`, indexed by shard.
     pub shard_checkpoint_bytes: Vec<Counter>,
-    /// `cdba_ctrl_checkpoint_encoded_sessions_total{kind="full"}` —
-    /// sessions carried by genesis (full-population) frames.
-    pub checkpoint_full_sessions: Counter,
-    /// `cdba_ctrl_checkpoint_encoded_sessions_total{kind="dirty"}` —
-    /// sessions carried by incremental (dirty-only) frames.
-    pub checkpoint_dirty_sessions: Counter,
+    /// `cdba_ctrl_checkpoint_retained_bytes{shard}`, indexed by shard —
+    /// the one frame the supervisor holds for recovery.
+    pub shard_checkpoint_retained: Vec<Gauge>,
+    /// `cdba_ctrl_checkpoint_encoded_sessions_total` — session rows
+    /// carried by accepted checkpoint frames.
+    pub checkpoint_sessions: Counter,
     /// `cdba_ctrl_restore_seconds` — wall-clock seconds per shard
-    /// restore (chain apply + journal replay).
+    /// restore (frame apply + journal replay).
     pub restore_seconds: Histogram,
     /// `cdba_ctrl_shard_sessions{shard}`, indexed by shard.
     pub shard_sessions: Vec<Gauge>,
@@ -120,20 +120,18 @@ impl CtrlMetrics {
                 "cdba_ctrl_checkpoint_bytes_total",
                 "Binary-encoded checkpoint payload bytes accepted by the driver",
             ),
-            checkpoint_full_sessions: registry.counter_with(
-                "cdba_ctrl_checkpoint_encoded_sessions_total",
-                "Session rows carried by accepted checkpoint frames, by frame kind",
-                &[("kind", "full")],
+            shard_checkpoint_retained: per_shard_gauge(
+                "cdba_ctrl_checkpoint_retained_bytes",
+                "Bytes of the one checkpoint frame the driver retains for recovery",
             ),
-            checkpoint_dirty_sessions: registry.counter_with(
+            checkpoint_sessions: registry.counter(
                 "cdba_ctrl_checkpoint_encoded_sessions_total",
-                "Session rows carried by accepted checkpoint frames, by frame kind",
-                &[("kind", "dirty")],
+                "Session rows carried by accepted checkpoint frames",
             ),
             restore_seconds: registry.histogram(
                 "cdba_ctrl_restore_seconds",
                 "Wall-clock seconds spent rebuilding a shard from its checkpoint \
-                 chain plus journal replay",
+                 frame plus journal replay",
                 RESTORE_BOUNDS,
             ),
             shard_sessions: per_shard_gauge(

@@ -22,10 +22,11 @@
 //! service; the driver also treats a worker that stalls past
 //! [`ServiceConfig::shard_timeout_ms`] (a full event queue, or a missing
 //! snapshot reply) as failed. A failed shard is restarted from its last
-//! periodic [`ShardCheckpoint`](crate::shard::ShardCheckpoint) (taken
-//! every [`ServiceConfig::checkpoint_every`] ticks) by replaying the
-//! driver's journal of events sent since that checkpoint — the journal is
-//! trimmed on every checkpoint receipt, which is what keeps it bounded.
+//! periodic [`ShardCheckpoint`](crate::shard::ShardCheckpoint) (a full
+//! frame taken every [`ServiceConfig::checkpoint_every`] ticks; the
+//! driver retains only the latest) by replaying the driver's journal of
+//! events sent since that checkpoint — the journal is trimmed on every
+//! checkpoint receipt, which is what keeps it bounded.
 //! Each incarnation of a worker gets a fresh *epoch*; messages stamped
 //! with a superseded epoch are discarded, so a hung worker that wakes up
 //! after being replaced cannot corrupt anything. Once a shard exhausts
@@ -36,6 +37,7 @@
 //! per-shard health, are surfaced in the [`ServiceSnapshot`].
 
 use crate::admission::AdmissionController;
+use crate::codec::columnar::KIND_GENESIS;
 use crate::config::{ExecMode, ServiceConfig};
 use crate::fault::FaultPlan;
 use crate::meter::SessionMetrics;
@@ -232,18 +234,15 @@ struct ShardSup {
     /// Replayable events sent since the last accepted checkpoint, in send
     /// order. Trimmed on every checkpoint receipt.
     journal: Vec<ReplayEvent>,
-    /// Replayable events covered by the chain tip (i.e. sent before
+    /// Replayable events covered by the retained frame (i.e. sent before
     /// `journal[0]`).
     journal_base: u64,
-    /// The retained columnar checkpoint chain: a genesis frame followed
-    /// by the incremental frames since it, in emission order. Recovery
-    /// applies the whole chain, then replays the journal. A genesis
-    /// receipt resets the chain, which is what bounds its length to the
-    /// configured genesis cadence.
-    chain: Vec<ShardCheckpoint>,
-    /// Frames ever pushed onto `chain` (a genesis reset does not rewind
-    /// it) — the cursor space checkpoint subscribers resume from. The
-    /// chain always holds frames `frames_seq - chain.len()..frames_seq`.
+    /// The latest accepted checkpoint: one full-population frame that
+    /// supersedes every earlier one. Recovery applies it, then replays
+    /// the journal. `None` until the first checkpoint is accepted.
+    frame: Option<ShardCheckpoint>,
+    /// Frames ever accepted — the cursor space checkpoint subscribers
+    /// resume from. The retained frame is number `frames_seq - 1`.
     frames_seq: u64,
     /// Live sessions placed on this shard, for least-loaded placement.
     live: usize,
@@ -261,11 +260,17 @@ impl ShardSup {
             last_failure: None,
             journal: Vec::new(),
             journal_base: 0,
-            chain: Vec::new(),
+            frame: None,
             frames_seq: 0,
             live: 0,
             inflight: 0,
         }
+    }
+
+    /// Makes `cp` the retained frame, dropping the one it supersedes.
+    fn retain(&mut self, cp: ShardCheckpoint) {
+        self.frame = Some(cp);
+        self.frames_seq += 1;
     }
 }
 
@@ -290,7 +295,6 @@ fn spawn_worker(
         cancel: cancel.clone(),
         msgs: msgs.clone(),
         checkpoint_every: cfg.checkpoint_every,
-        full_every: cfg.checkpoint_full_every,
         events_base,
         fault,
     };
@@ -307,7 +311,7 @@ fn spawn_worker(
 /// A resume cursor plus the retained columnar checkpoint frames past a
 /// subscriber's cursor, each frame as `(kind, bytes)` — the return shape
 /// of [`ControlPlane::checkpoint_frames_since`].
-pub type CheckpointFrames = (u64, Vec<(u8, Arc<[u8]>)>);
+pub type CheckpointFrames = (u64, Vec<(u8, Arc<Vec<u8>>)>);
 
 /// The sharded multi-tenant allocation service. See the module docs.
 pub struct ControlPlane {
@@ -319,8 +323,10 @@ pub struct ControlPlane {
     /// Out-of-band worker→driver channel (threaded mode only).
     msgs: Option<(Sender<WorkerMsg>, Receiver<WorkerMsg>)>,
     sups: Vec<ShardSup>,
-    /// Handles of superseded workers, joined at shutdown. A hung worker
-    /// cannot be joined at restart time without blocking the driver.
+    /// Handles of superseded workers not yet seen to exit. A hung worker
+    /// cannot be joined at restart time without blocking the driver, so
+    /// each recovery joins the ones that have finished and shutdown joins
+    /// the rest.
     graveyard: Vec<JoinHandle<()>>,
     events_replayed: u64,
     next_key: u64,
@@ -523,8 +529,8 @@ impl ControlPlane {
     /// ([`ExecMode::Adaptive`] only). Each shard's state moves into its
     /// worker *bitwise* — no encode/decode round trip — so results are
     /// unaffected; each supervisor gets a fresh epoch, an empty journal,
-    /// and (when recovery is enabled) a checkpoint seeded from the state
-    /// being handed over, so a worker that fails before its first periodic
+    /// and (when recovery is enabled) a checkpoint of the state being
+    /// handed over, so a worker that fails before its first periodic
     /// checkpoint still recovers to the escalation point.
     fn escalate_to_threaded(&mut self) {
         let states = match std::mem::replace(
@@ -541,7 +547,7 @@ impl ControlPlane {
         };
         let (msg_tx, msg_rx) = unbounded();
         let mut workers = Vec::with_capacity(self.cfg.shards);
-        let mut sink = crate::codec::columnar::ColumnSink::new();
+        let mut sink = crate::codec::columnar::ColumnSink::default();
         for (s, mut state) in states.into_iter().enumerate() {
             let sup = &mut self.sups[s];
             sup.epoch += 1;
@@ -550,24 +556,15 @@ impl ControlPlane {
             sup.inflight = 0;
             let epoch = sup.epoch;
             if self.cfg.checkpoint_every > 0 {
-                // Seed the chain with a genesis frame of the state being
-                // handed over; the worker's incrementals chain onto it.
                 let mut bytes = Vec::new();
-                let sessions = state.encode_columnar(
-                    crate::codec::columnar::KIND_GENESIS,
-                    &mut sink,
-                    &mut bytes,
-                );
-                sup.chain.clear();
-                sup.chain.push(ShardCheckpoint {
+                let sessions = state.encode_columnar(KIND_GENESIS, &mut sink, &mut bytes);
+                sup.retain(ShardCheckpoint {
                     shard: s as u64,
                     epoch,
                     events_applied: 0,
-                    kind: crate::codec::columnar::KIND_GENESIS,
                     sessions,
-                    bytes: bytes.into(),
+                    bytes: Arc::new(bytes),
                 });
-                sup.frames_seq += 1;
             }
             match spawn_worker(s, epoch, state, 0, &self.cfg, None, &msg_tx) {
                 Ok(worker) => workers.push(Some(worker)),
@@ -669,14 +666,8 @@ impl ControlPlane {
             (cp.events_applied.saturating_sub(sup.journal_base) as usize).min(sup.journal.len());
         sup.journal.drain(..covered);
         sup.journal_base = cp.events_applied;
-        // A genesis frame supersedes everything before it; an incremental
-        // extends the chain it was emitted against.
-        let (kind, sessions) = (cp.kind, cp.sessions);
-        if kind == crate::codec::columnar::KIND_GENESIS {
-            sup.chain.clear();
-        }
-        sup.chain.push(cp);
-        sup.frames_seq += 1;
+        let sessions = cp.sessions;
+        sup.retain(cp);
         if let Some(m) = &self.obs {
             if let Some(counter) = m.shard_checkpoints.get(shard) {
                 counter.inc();
@@ -684,11 +675,10 @@ impl ControlPlane {
             if let Some(counter) = m.shard_checkpoint_bytes.get(shard) {
                 counter.add(payload_bytes);
             }
-            if kind == crate::codec::columnar::KIND_GENESIS {
-                m.checkpoint_full_sessions.add(sessions);
-            } else {
-                m.checkpoint_dirty_sessions.add(sessions);
+            if let Some(gauge) = m.shard_checkpoint_retained.get(shard) {
+                gauge.set(payload_bytes as f64);
             }
+            m.checkpoint_sessions.add(sessions);
         }
         if self.trace.is_some() {
             self.trace_push(
@@ -702,7 +692,15 @@ impl ControlPlane {
     /// Cancels and retires `shard`'s current worker, if any. The handle
     /// goes to the graveyard: a hung worker only observes the cancel flag
     /// once its stall ends, so joining here would block the driver.
+    /// Earlier retirees that have exited by now are joined on the way.
     fn retire_worker(&mut self, shard: usize) {
+        let (exited, parked) = std::mem::take(&mut self.graveyard)
+            .into_iter()
+            .partition(JoinHandle::is_finished);
+        self.graveyard = parked;
+        for handle in exited {
+            let _ = handle.join();
+        }
         if let Backend::Threaded { workers } = &mut self.backend {
             if let Some(old) = workers[shard].take() {
                 old.cancel.store(true, Ordering::Release);
@@ -749,24 +747,22 @@ impl ControlPlane {
         sup.epoch += 1;
         let epoch = sup.epoch;
         let events_base = sup.journal_base + sup.journal.len() as u64;
-        let chain = sup.chain.clone();
+        let frame = sup.frame.as_ref().map(|cp| Arc::clone(&cp.bytes));
         let journal = sup.journal.clone();
         let cfg = self.cfg.clone();
         // The replay runs on the driver thread; guard it so a poison event
         // that deterministically panics the shard cannot take the driver
-        // down with it. The guard also covers decoding the checkpoint
-        // chain's binary payloads: a malformed payload downs the shard,
-        // not the driver.
+        // down with it. The guard also covers decoding the retained
+        // frame: a malformed payload downs the shard, not the driver.
         let restore_started = std::time::Instant::now();
         let rebuilt = catch_unwind(AssertUnwindSafe(|| {
             let mut state = ShardState::new(shard as u64, &cfg);
-            let mut scratch = crate::shard::ApplyScratch::default();
-            for cp in &chain {
-                let frame = crate::codec::columnar::parse(&cp.bytes)
+            if let Some(bytes) = &frame {
+                let frame = crate::codec::columnar::parse(bytes)
                     .expect("retained checkpoint frame must parse");
                 state
-                    .apply_frame(&frame, &mut scratch)
-                    .expect("retained checkpoint chain must apply");
+                    .apply_frame(&frame, &mut crate::shard::ApplyScratch::default())
+                    .expect("retained checkpoint frame must apply");
             }
             for ev in &journal {
                 state.handle_event(ev.to_event());
@@ -823,7 +819,7 @@ impl ControlPlane {
     }
 
     /// Forces `shard` through the full recovery path — retire its worker,
-    /// rebuild from the retained checkpoint chain plus a journal replay,
+    /// rebuild from the retained checkpoint frame plus a journal replay,
     /// spawn a fresh epoch — exactly as if the worker had failed. An
     /// operator uses this to rotate a worker in place (or a harness to
     /// exercise restore determinism); it counts against the restart
@@ -852,11 +848,11 @@ impl ControlPlane {
         self.recover(shard, "operator-requested restart".into())
     }
 
-    /// The columnar checkpoint frames accepted for `shard` since `cursor`
-    /// (a value returned by a previous call; 0 for "from the beginning"),
-    /// oldest first, plus the cursor to resume from. A subscriber that
-    /// fell behind the retained chain gets the whole chain instead — its
-    /// first frame is a genesis, which resets the subscriber's
+    /// The retained checkpoint frame of `shard` if it was accepted after
+    /// `cursor` (a value returned by a previous call; 0 for "from the
+    /// beginning"), plus the cursor to resume from. Only the latest frame
+    /// is retained, so a subscriber any number of frames behind gets that
+    /// one — a genesis, which resets the subscriber's
     /// [`crate::CheckpointMirror`] cleanly. Inline mode emits no
     /// checkpoints, so the cursor stays 0 and the list empty.
     ///
@@ -876,12 +872,10 @@ impl ControlPlane {
         }
         self.drain_worker_msgs();
         let sup = &self.sups[shard];
-        let base = sup.frames_seq - sup.chain.len() as u64;
-        let skip = cursor.saturating_sub(base).min(sup.chain.len() as u64) as usize;
-        let frames = sup.chain[skip..]
-            .iter()
-            .map(|cp| (cp.kind, Arc::clone(&cp.bytes)))
-            .collect();
+        let frames = match &sup.frame {
+            Some(cp) if cursor < sup.frames_seq => vec![(KIND_GENESIS, Arc::clone(&cp.bytes))],
+            _ => Vec::new(),
+        };
         Ok((sup.frames_seq, frames))
     }
 
@@ -1188,10 +1182,9 @@ impl ControlPlane {
             .lock()
             .release(&placement.tenant, self.cfg.dedicated_envelope());
         // A migration blob is a one-session columnar genesis frame — the
-        // same frame format (and decoder) the checkpoint chain uses.
+        // same frame format (and decoder) the shard checkpoints use.
         let mut blob = Vec::new();
-        let mut sink = crate::codec::columnar::ColumnSink::new();
-        crate::codec::columnar::encode_session_frame(&cp, &mut sink, &mut blob);
+        crate::codec::columnar::encode_session_frame(&cp, &mut blob);
         self.sync_membership_gauges();
         if self.trace.is_some() {
             self.trace_push(
@@ -2099,6 +2092,25 @@ mod tests {
 
     /// A single shard gains nothing from a worker thread, so adaptive mode
     /// never escalates there regardless of measured cost.
+    /// Superseded workers are joined once they have exited, not hoarded
+    /// until shutdown: however many restarts, the graveyard holds at most
+    /// the worker retired last.
+    #[test]
+    fn restarts_reap_exited_workers() {
+        let mut plane = ControlPlane::new(config(1, ExecMode::Threaded));
+        let key = plane.admit("acme").unwrap();
+        for t in 0..3u64 {
+            plane.tick(&[(key, t as f64)]).unwrap();
+            plane.restart_shard(0).unwrap();
+            // A cancelled worker exits as soon as it sees its queue
+            // closed; wait for that so the next restart finds it done.
+            while !plane.graveyard.iter().all(JoinHandle::is_finished) {
+                std::thread::yield_now();
+            }
+            assert_eq!(plane.graveyard.len(), 1, "after restart {t}");
+        }
+    }
+
     #[test]
     fn adaptive_single_shard_never_escalates() {
         let mut service = ControlPlane::new(config(1, ExecMode::Adaptive));

@@ -222,16 +222,15 @@ pub(crate) struct ShardFailure {
     pub reason: String,
 }
 
-/// One periodic checkpoint frame of one shard, shipped to the driver so a
-/// restarted worker can resume from the retained chain instead of
-/// replaying the whole history.
+/// One periodic checkpoint of one shard, shipped to the driver so a
+/// restarted worker can resume from it instead of replaying the whole
+/// history.
 ///
-/// The state travels as one columnar frame ([`crate::codec::columnar`]):
-/// a genesis frame carries every live session, an incremental frame only
-/// the sessions dirtied since the previous frame. The worker encodes into
-/// pooled column buffers it reuses across frames, so the steady-state
-/// cost per checkpoint is one O(dirty) encode pass plus one `Arc<[u8]>`
-/// copy — not a full-population serialization.
+/// The state travels as one full-population columnar frame
+/// ([`columnar::KIND_GENESIS`]), so each checkpoint supersedes the one
+/// before it and the driver retains exactly one. The worker writes the
+/// frame into a single allocation of its exact length and ships that
+/// allocation; it keeps nothing frame-sized between captures.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardCheckpoint {
     /// The checkpointing shard.
@@ -240,17 +239,14 @@ pub(crate) struct ShardCheckpoint {
     pub epoch: u64,
     /// Replayable events applied when the checkpoint was taken. The
     /// driver trims its journal to this point: recovery restores the
-    /// chain and replays only the journal suffix past this count.
+    /// frame and replays only the journal suffix past this count.
     pub events_applied: u64,
-    /// [`columnar::KIND_GENESIS`] or [`columnar::KIND_INCREMENTAL`]; the
-    /// driver resets its retained chain on every genesis.
-    pub kind: u8,
-    /// Session rows the frame carries (the whole population for a
-    /// genesis, the dirty set for an incremental) — observability only.
+    /// Session rows the frame carries — observability only.
     pub sessions: u64,
     /// The frame payload ([`columnar::parse`] +
-    /// [`ShardState::apply_frame`] restore it).
-    pub bytes: Arc<[u8]>,
+    /// [`ShardState::apply_frame`] restore it), shared with checkpoint
+    /// subscribers rather than copied.
+    pub bytes: Arc<Vec<u8>>,
 }
 
 /// A restorable snapshot of one session entry.
@@ -1088,18 +1084,6 @@ impl Columns {
         views
     }
 
-    /// Collects slot `i`'s entries of a time-major ring into a `Vec`,
-    /// oldest first.
-    fn ring_to_vec<T: Copy>(&self, ring: &[T], i: usize, w: usize, head: u32, len: u32) -> Vec<T> {
-        (0..len as usize)
-            .map(|j| {
-                let idx = head as usize + j;
-                let q = if idx >= w { idx - w } else { idx };
-                ring[q * self.ring_cap + i]
-            })
-            .collect()
-    }
-
     /// The meter state of slot `i`, in checkpoint form.
     fn meter_checkpoint(&self, i: usize, cost: CostModel, w: usize) -> MeterCheckpoint {
         let mut pending = Vec::with_capacity(self.pend_len[i] as usize);
@@ -1117,13 +1101,13 @@ impl Columns {
                 max_delay: self.max_delay[i] as usize,
                 max_delay_exact: self.max_delay_exact[i],
             },
-            recent: self.ring_to_vec(
+            recent: ring_run(
                 &self.recent_ring,
+                (self.ring_cap, w),
+                (&self.recent_head, &self.recent_len),
                 i,
-                w,
-                self.recent_head[i],
-                self.recent_len[i],
-            ),
+            )
+            .collect(),
             window_arrived: self.window_arrived[i],
             window_allocated: self.window_allocated[i],
             min_windowed_utilization: if self.min_util[i].is_nan() {
@@ -1162,13 +1146,13 @@ impl Columns {
                 u_o: cfg.u_o,
                 w: cfg.w,
                 grace: cfg.b_max,
-                window: self.ring_to_vec(
+                window: ring_run(
                     &self.high_ring,
+                    (self.ring_cap, cfg.w),
+                    (&self.high_head, &self.high_len),
                     i,
-                    cfg.w,
-                    self.high_head[i],
-                    self.high_len[i],
-                ),
+                )
+                .collect(),
                 window_sum: self.high_window_sum[i],
                 min_window_sum: if self.high_min_window_sum[i].is_infinite() {
                     None
@@ -1214,25 +1198,26 @@ impl Columns {
     }
 }
 
-/// Gathers slot `i`'s entries of a time-major ring into `out`, oldest
-/// first — the encoder reuses one scratch buffer per ring across rows
-/// (a slot's entries are `ring_cap` apart, so there is no contiguous
-/// run to borrow; the bytes emitted are identical either way).
-fn gather_ring<T: Copy>(
-    ring: &[T],
-    cap: usize,
+/// Column `src` read at each listed slot, in list order — a fixed
+/// column's cells for the checkpoint writer.
+fn at_slots<'a, T: Copy>(src: &'a [T], slots: &'a [u32]) -> impl Iterator<Item = T> + 'a {
+    slots.iter().map(move |&i| src[i as usize])
+}
+
+/// Slot `i`'s entries of a time-major ring, oldest first (they sit `cap`
+/// apart, so there is no contiguous run to borrow).
+fn ring_run<'a, T: Copy>(
+    ring: &'a [T],
+    (cap, w): (usize, usize),
+    (heads, lens): (&[u32], &[u32]),
     i: usize,
-    w: usize,
-    head: u32,
-    len: u32,
-    out: &mut Vec<T>,
-) {
-    out.clear();
-    out.extend((0..len as usize).map(|j| {
-        let idx = head as usize + j;
+) -> impl Iterator<Item = T> + 'a {
+    let head = heads[i] as usize;
+    (0..lens[i] as usize).map(move |j| {
+        let idx = head + j;
         let q = if idx >= w { idx - w } else { idx };
         ring[q * cap + i]
-    }));
+    })
 }
 
 /// Stage-open dedicated slots: the tracker/hull/decide passes run over
@@ -1842,24 +1827,7 @@ impl ShardState {
             .iter()
             .map(|(slot, e)| self.session_checkpoint_at(slot, e))
             .collect();
-        let mut groups: Vec<GroupCheckpoint> = self
-            .groups
-            .iter()
-            .map(|(_, g)| {
-                let mut members: Vec<(u64, u64)> = g
-                    .by_member
-                    .iter()
-                    .map(|&(member, key, _)| (member.raw(), key))
-                    .collect();
-                members.sort_unstable();
-                GroupCheckpoint {
-                    group: g.group,
-                    pool: g.pool.checkpoint(),
-                    members,
-                }
-            })
-            .collect();
-        groups.sort_unstable_by_key(|g| g.group);
+        let groups = self.group_checkpoints();
         ShardStateCheckpoint {
             sessions,
             groups,
@@ -1904,111 +1872,9 @@ impl ShardState {
         state
     }
 
-    /// Encodes a columnar checkpoint frame ([`columnar::KIND_GENESIS`]
-    /// captures every live session; [`columnar::KIND_INCREMENTAL`] only
-    /// the sessions dirtied since the previous frame), appends it to
-    /// `out`, and advances the emission bookkeeping: dirty bits clear,
-    /// the tombstone list drains, and the retired cursor moves up.
-    /// Returns the number of session rows encoded.
-    pub(crate) fn encode_columnar(
-        &mut self,
-        kind: u8,
-        sink: &mut columnar::ColumnSink,
-        out: &mut Vec<u8>,
-    ) -> u64 {
-        sink.begin();
-        let w = self.window;
-        let mut encoded = 0u64;
-        {
-            let ShardState { sessions, cols, .. } = self;
-            // Identity + ragged state go row-at-a-time (they interleave
-            // per-slot variable-length runs); the encoded slot list they
-            // produce then drives one sequential append pass per fixed
-            // scalar column, streaming each per-field column directly.
-            let mut rows: Vec<u32> = Vec::new();
-            let (mut high_scratch, mut recent_scratch) = (Vec::new(), Vec::new());
-            for (slot, e) in sessions.iter() {
-                let i = slot.index as usize;
-                if kind == columnar::KIND_INCREMENTAL && cols.flags[i] & F_DIRTY == 0 {
-                    continue;
-                }
-                encoded += 1;
-                rows.push(i as u32);
-                let (group, member) = match &e.kind {
-                    SessionKind::Dedicated => (u64::MAX, 0),
-                    SessionKind::Pooled { group, member } => (*group, member.raw()),
-                };
-                gather_ring(
-                    &cols.high_ring,
-                    cols.ring_cap,
-                    i,
-                    w,
-                    cols.high_head[i],
-                    cols.high_len[i],
-                    &mut high_scratch,
-                );
-                gather_ring(
-                    &cols.recent_ring,
-                    cols.ring_cap,
-                    i,
-                    w,
-                    cols.recent_head[i],
-                    cols.recent_len[i],
-                    &mut recent_scratch,
-                );
-                sink.push_row(&columnar::RowRef {
-                    key: e.key,
-                    tenant: &e.tenant,
-                    flags: cols.flags[i] & !F_DIRTY,
-                    group,
-                    member,
-                    hull: &cols.hull[i],
-                    high: (&high_scratch, &[]),
-                    recent: (&recent_scratch, &[]),
-                    pend: columnar::PendRows::Split {
-                        head: (cols.pend_len[i] > 0)
-                            .then_some((cols.pend_tick[i], cols.pend_bits[i])),
-                        spill: cols.pend_spill[i].as_slices(),
-                    },
-                    stages: cols.stages[i].records(),
-                });
-            }
-            let f64_cols: [&[f64]; 16] = [
-                &cols.shadow_backlog,
-                &cols.current_alloc,
-                &cols.peak_alloc,
-                &cols.total_arrived,
-                &cols.total_served,
-                &cols.total_allocated,
-                &cols.window_arrived,
-                &cols.window_allocated,
-                &cols.backlog,
-                &cols.b_on,
-                &cols.low_total,
-                &cols.low_low,
-                &cols.high_window_sum,
-                &cols.high_min_window_sum,
-                &cols.min_util,
-                &cols.max_delay_exact,
-            ];
-            for (j, src) in f64_cols.into_iter().enumerate() {
-                sink.put_f64_col(columnar::C_F64 + j, src, &rows);
-            }
-            let u64_cols: [&[u64]; 6] = [
-                &cols.alg_tick,
-                &cols.stage_ticks,
-                &cols.meter_ticks,
-                &cols.changes,
-                &cols.delay_tick,
-                &cols.max_delay,
-            ];
-            for (j, src) in u64_cols.into_iter().enumerate() {
-                sink.put_u64_col(columnar::C_U64 + j, src, &rows);
-            }
-        }
-        // Group state is tiny relative to the session columns, so every
-        // frame rewrites it wholesale (sorted by id, like
-        // [`ShardState::checkpoint`]) — apply never has to merge it.
+    /// Every group's state, sorted by id (members by pool id) — identical
+    /// event histories list identically.
+    fn group_checkpoints(&self) -> Vec<GroupCheckpoint> {
         let mut groups: Vec<GroupCheckpoint> = self
             .groups
             .iter()
@@ -2027,16 +1893,59 @@ impl ShardState {
             })
             .collect();
         groups.sort_unstable_by_key(|g| g.group);
-        let hdr = columnar::FrameHeader {
+        groups
+    }
+
+    /// Encodes a columnar checkpoint frame ([`columnar::KIND_GENESIS`]
+    /// captures every live session; [`columnar::KIND_INCREMENTAL`] only
+    /// the sessions dirtied since the previous frame) into `out`
+    /// (cleared first; allocated once at the frame's exact length when it
+    /// has no capacity yet), and advances the emission bookkeeping: dirty
+    /// bits clear, the tombstone list drains, and the retired cursor
+    /// moves up. Returns the number of session rows encoded.
+    pub(crate) fn encode_columnar(
+        &mut self,
+        kind: u8,
+        sink: &mut columnar::ColumnSink,
+        out: &mut Vec<u8>,
+    ) -> u64 {
+        use columnar::*;
+        let ShardState { sessions, cols, .. } = &*self;
+        let encoded = || {
+            sessions.iter().filter(|(slot, _)| {
+                kind == KIND_GENESIS || cols.flags[slot.index as usize] & F_DIRTY != 0
+            })
+        };
+        let pooled = |e: &SessionEntry| match e.kind {
+            SessionKind::Dedicated => (u64::MAX, 0),
+            SessionKind::Pooled { group, member } => (group, member.raw()),
+        };
+        // Size pass: the encoded slot list, the tenant table, and the
+        // ragged totals — every run length is already a column.
+        sink.begin();
+        let mut ragged: RaggedTotals = [0; 5];
+        for (slot, e) in encoded() {
+            let i = slot.index as usize;
+            sink.push_row(slot.index, &e.tenant);
+            ragged[0] += cols.hull[i].len();
+            ragged[1] += cols.high_len[i] as usize;
+            ragged[2] += cols.recent_len[i] as usize;
+            ragged[3] += cols.pend_len[i] as usize;
+            ragged[4] += cols.stages[i].records().len();
+        }
+        // Group state is tiny relative to the session columns, so every
+        // frame rewrites it wholesale — apply never has to merge it.
+        let groups = self.group_checkpoints();
+        let hdr = FrameHeader {
             kind,
             ticks: self.ticks,
-            w: w as u32,
+            w: self.window as u32,
             cost: self.cost,
             b_max: self.single_cfg.b_max,
             d_o: self.single_cfg.d_o as u64,
             u_o: self.single_cfg.u_o,
         };
-        let (tombs, retired): (&[u64], &[SessionMetrics]) = if kind == columnar::KIND_GENESIS {
+        let (tombs, retired): (&[u64], &[SessionMetrics]) = if kind == KIND_GENESIS {
             (&[], &self.retired)
         } else {
             (
@@ -2044,8 +1953,78 @@ impl ShardState {
                 &self.retired[self.retired_base..],
             )
         };
-        sink.finish(&hdr, &groups, tombs, retired, out);
-        // The chain now covers everything up to this instant.
+        // Fill pass: one sequential run per column, straight from the
+        // per-field slab columns.
+        let mut f = sink.start(&hdr, ragged, &groups, tombs, retired, out);
+        let (rows, ring) = (f.rows, (cols.ring_cap, self.window));
+        f.col(C_KEY, at_slots(&cols.keys, rows));
+        f.tenant_col();
+        f.col(C_FLAGS, at_slots(&cols.flags, rows).map(|b| b & !F_DIRTY));
+        f.col(C_GROUP, encoded().map(|(_, e)| pooled(e).0));
+        f.col(C_MEMBER, encoded().map(|(_, e)| pooled(e).1));
+        let f64_cols: [&[f64]; 16] = [
+            &cols.shadow_backlog,
+            &cols.current_alloc,
+            &cols.peak_alloc,
+            &cols.total_arrived,
+            &cols.total_served,
+            &cols.total_allocated,
+            &cols.window_arrived,
+            &cols.window_allocated,
+            &cols.backlog,
+            &cols.b_on,
+            &cols.low_total,
+            &cols.low_low,
+            &cols.high_window_sum,
+            &cols.high_min_window_sum,
+            &cols.min_util,
+            &cols.max_delay_exact,
+        ];
+        for (j, src) in f64_cols.into_iter().enumerate() {
+            f.col(C_F64 + j, at_slots(src, rows));
+        }
+        let u64_cols: [&[u64]; 6] = [
+            &cols.alg_tick,
+            &cols.stage_ticks,
+            &cols.meter_ticks,
+            &cols.changes,
+            &cols.delay_tick,
+            &cols.max_delay,
+        ];
+        for (j, src) in u64_cols.into_iter().enumerate() {
+            f.col(C_U64 + j, at_slots(src, rows));
+        }
+        let slots = || rows.iter().map(|&i| i as usize);
+        f.col(C_HULL_LEN, slots().map(|i| cols.hull[i].len() as u32));
+        f.col(C_HULL, slots().flat_map(|i| cols.hull[i].iter().copied()));
+        f.col(C_HIGH_LEN, at_slots(&cols.high_len, rows));
+        let high = (&cols.high_head[..], &cols.high_len[..]);
+        f.col(
+            C_HIGH,
+            slots().flat_map(|i| ring_run(&cols.high_ring, ring, high, i)),
+        );
+        f.col(C_RECENT_LEN, at_slots(&cols.recent_len, rows));
+        let recent = (&cols.recent_head[..], &cols.recent_len[..]);
+        f.col(
+            C_RECENT,
+            slots().flat_map(|i| ring_run(&cols.recent_ring, ring, recent, i)),
+        );
+        f.col(C_PEND_LEN, at_slots(&cols.pend_len, rows));
+        // The FIFO head lives inline in the pend columns, the rest in the
+        // spill deque; both feed the one `pend` column.
+        let pend = slots().flat_map(|i| {
+            let head = (cols.pend_len[i] > 0).then_some((cols.pend_tick[i], cols.pend_bits[i]));
+            head.into_iter().chain(cols.pend_spill[i].iter().copied())
+        });
+        f.col(C_PEND, pend);
+        f.col(
+            C_STAGE_LEN,
+            slots().map(|i| cols.stages[i].records().len() as u32),
+        );
+        f.col(C_STAGES, slots().flat_map(|i| cols.stages[i].records()));
+        f.finish();
+        let encoded = rows.len() as u64;
+        // The frame now covers everything up to this instant.
         for f in &mut self.cols.flags[..self.sessions.slot_bound()] {
             if *f & F_LIVE != 0 {
                 *f &= !F_DIRTY;
@@ -2064,7 +2043,7 @@ impl ShardState {
     /// `0..n` in row order, like [`ShardState::restore`]); an incremental
     /// frame removes the tombstoned keys, overwrites/inserts the carried
     /// rows, and appends the retired suffix. Restored slots are *not*
-    /// marked dirty: the chain being applied already covers them.
+    /// marked dirty: the frames being applied already cover them.
     ///
     /// # Errors
     ///
@@ -2470,10 +2449,10 @@ impl ShardState {
             return; // only dedicated sessions migrate
         }
         self.insert_restored(cp);
-        // A migrated-in session is new to this shard's checkpoint chain;
+        // A migrated-in session is new to this shard's checkpoint stream;
         // a crash restore ([`ShardState::restore`]) deliberately does
         // *not* set the bit — restored state is already captured by the
-        // chain being restored from.
+        // frames being restored from.
         if let Some(slot) = self.index.get(cp.key) {
             self.cols.flags[slot.index as usize] |= F_DIRTY;
         }
@@ -2885,9 +2864,6 @@ pub(crate) struct WorkerCtx {
     pub msgs: crossbeam::channel::Sender<WorkerMsg>,
     /// Checkpoint cadence in ticks (0 = never).
     pub checkpoint_every: u64,
-    /// Genesis cadence in checkpoints (every `full_every`-th emission is
-    /// a full frame; always ≥ 1).
-    pub full_every: u64,
     /// Replayable events already applied to the state at spawn (the
     /// journal replay baseline).
     pub events_base: u64,
@@ -2918,11 +2894,9 @@ pub(crate) fn run_worker(
     state.epoch = ctx.epoch;
     let mut events_applied = ctx.events_base;
     let mut fault = ctx.fault;
-    // Checkpoint encode buffer and pooled column sink, reused across
-    // captures: steady-state checkpointing allocates only the shipped
-    // `Arc<[u8]>`.
-    let mut cp_buf: Vec<u8> = Vec::new();
-    let mut cp_sink = columnar::ColumnSink::new();
+    // The writer's row scratch, reused across captures; the frame itself
+    // is allocated per capture and shipped, never held here.
+    let mut cp_sink = columnar::ColumnSink::default();
     while let Ok(event) = rx.recv() {
         if ctx.cancel.load(Ordering::Acquire) {
             return;
@@ -2973,25 +2947,19 @@ pub(crate) fn run_worker(
                     && ctx.checkpoint_every > 0
                     && state.ticks().is_multiple_of(ctx.checkpoint_every)
                 {
-                    // The genesis cadence keys on the shard clock, not a
-                    // per-worker counter, so it is stable across restarts
-                    // (a replacement worker's incrementals chain onto the
-                    // frames the driver already holds).
-                    let emit_no = state.ticks() / ctx.checkpoint_every;
-                    let kind = if ctx.full_every <= 1 || emit_no.is_multiple_of(ctx.full_every) {
-                        columnar::KIND_GENESIS
-                    } else {
-                        columnar::KIND_INCREMENTAL
-                    };
-                    cp_buf.clear();
-                    let sessions = state.encode_columnar(kind, &mut cp_sink, &mut cp_buf);
+                    // Always a full frame: a metered tick dirties every
+                    // live session and captures sit on tick boundaries,
+                    // so a dirty-only frame would carry the same rows —
+                    // and a full one supersedes whatever the driver holds.
+                    let mut bytes = Vec::new();
+                    let sessions =
+                        state.encode_columnar(columnar::KIND_GENESIS, &mut cp_sink, &mut bytes);
                     let _ = ctx.msgs.send(WorkerMsg::Checkpoint(ShardCheckpoint {
                         shard: state.shard,
                         epoch: ctx.epoch,
                         events_applied,
-                        kind,
                         sessions,
-                        bytes: cp_buf.as_slice().into(),
+                        bytes: Arc::new(bytes),
                     }));
                 }
             }
@@ -3640,6 +3608,45 @@ mod tests {
         assert_eq!(moved, stayed, "migration is bitwise-invisible");
     }
 
+    /// The journal and the dirty bitmap must agree. Applying a frame
+    /// rebuilds rows *without* dirty bits (the frame covers them), so
+    /// every journaled mutation replayed on top must re-dirty the rows it
+    /// touches — otherwise the rebuilt shard's next dirty-only frame omits
+    /// them and a follower holding the same genesis diverges.
+    #[test]
+    fn journal_replay_re_dirties_rows_for_the_next_incremental() {
+        let mut sink = columnar::ColumnSink::default();
+        let mut scratch = ApplyScratch::default();
+        let mut buf = Vec::new();
+        let (mut live, mut rebuilt, mut follower) = (shard(), shard(), shard());
+        for key in 0..6 {
+            live.join_dedicated(key, "acme".into());
+        }
+        let arrivals: Vec<(u64, f64)> = (0..6).map(|k| (k, 2.0 + k as f64)).collect();
+        for _ in 0..5 {
+            live.tick(&arrivals);
+        }
+        live.encode_columnar(columnar::KIND_GENESIS, &mut sink, &mut buf);
+        for s in [&mut rebuilt, &mut follower] {
+            let frame = columnar::parse(&buf).unwrap();
+            s.apply_frame(&frame, &mut scratch).unwrap();
+        }
+        // The journal suffix: a leave/join swap, no tick — two rows.
+        let join = ReplayEvent::JoinDedicated {
+            key: 6,
+            tenant: "globex".into(),
+        };
+        for ev in [ReplayEvent::Leave { key: 1 }, join] {
+            live.handle_event(ev.to_event());
+            rebuilt.handle_event(ev.to_event());
+        }
+        let rows = rebuilt.encode_columnar(columnar::KIND_INCREMENTAL, &mut sink, &mut buf);
+        assert_eq!(rows, 2, "exactly the replayed mutations' rows travel");
+        let frame = columnar::parse(&buf).unwrap();
+        follower.apply_frame(&frame, &mut scratch).unwrap();
+        assert_eq!(canonical_bytes(&follower), canonical_bytes(&live));
+    }
+
     #[test]
     fn checkpoint_binary_roundtrip_restores_bitwise() {
         let mut s = shard();
@@ -3961,12 +3968,12 @@ mod tests {
         #[test]
         fn columnar_chain_matches_full_checkpoint(
             ops in proptest::collection::vec(op_strategy(), 1..40),
-            full_every in 1u64..5,
+            genesis_every in 1u64..5,
         ) {
             let cfg = shard_cfg();
             let mut live = ShardState::new(0, &cfg);
             let mut mirror = ShardState::new(0, &cfg);
-            let mut sink = columnar::ColumnSink::new();
+            let mut sink = columnar::ColumnSink::default();
             let mut scratch = ApplyScratch::default();
             let mut buf = Vec::new();
             let mut keys: Vec<u64> = Vec::new();
@@ -4007,7 +4014,7 @@ mod tests {
                         }
                     }
                 }
-                let kind = if (frame_no as u64).is_multiple_of(full_every) {
+                let kind = if (frame_no as u64).is_multiple_of(genesis_every) {
                     columnar::KIND_GENESIS
                 } else {
                     columnar::KIND_INCREMENTAL
@@ -4025,7 +4032,7 @@ mod tests {
             // the single-row column slice.
             for s in &live.checkpoint().sessions {
                 buf.clear();
-                columnar::encode_session_frame(s, &mut sink, &mut buf);
+                columnar::encode_session_frame(s, &mut buf);
                 let frame = columnar::parse(&buf).expect("migration frame parses");
                 let rt = columnar::session_from_frame(&frame).expect("migration frame lands");
                 let (mut a, mut b) = (Vec::new(), Vec::new());

@@ -44,7 +44,7 @@ pub const MAGIC: [u8; 4] = *b"CDBG";
 /// [`ErrorCode::Draining`]).
 /// Version 5 adds the checkpoint subscription frames
 /// ([`Frame::CheckpointDeltaBin`] / [`Frame::CheckpointDeltaBinOk`]):
-/// a cursor-chained pull of the columnar checkpoint frames the driver
+/// a cursor-chained pull of the columnar checkpoint frame the driver
 /// retains for one shard, which a
 /// [`CheckpointMirror`](cdba_ctrl::CheckpointMirror) replays into a
 /// passive replica.
@@ -312,19 +312,19 @@ pub enum Frame {
         /// The session checkpoint blob, verbatim from the revoke.
         bytes: Vec<u8>,
     },
-    /// Pull the columnar checkpoint frames retained for one shard since
-    /// `cursor` (v5). The first request uses cursor 0; every reply
-    /// carries the cursor to resume from, so a subscriber polls its way
-    /// along the chain and pays only for frames it has not seen.
+    /// Pull the columnar checkpoint frame retained for one shard if it
+    /// is newer than `cursor` (v5). The first request uses cursor 0;
+    /// every reply carries the cursor to resume from, so a subscriber
+    /// that polls pays only for a frame it has not seen.
     CheckpointDeltaBin {
         /// Request id.
         id: u64,
-        /// The shard whose checkpoint chain to read.
+        /// The shard whose checkpoints to read.
         shard: u32,
-        /// The cursor from the previous reply (0 from the beginning). A
-        /// cursor older than the retained chain is answered with the
-        /// whole chain, whose first frame is a genesis — applying it
-        /// resets the subscriber's mirror cleanly.
+        /// The cursor from the previous reply (0 from the beginning).
+        /// The driver retains only the latest frame, a genesis, so a
+        /// subscriber any distance behind is answered with that one —
+        /// applying it resets the subscriber's mirror cleanly.
         cursor: u64,
     },
     /// Put the process in draining mode (v4): new joins are refused with

@@ -363,9 +363,9 @@ impl ServiceCore {
         }
     }
 
-    /// Answers a checkpoint pull: the columnar frames retained for
-    /// `shard` past the subscriber's cursor, verbatim (`Arc`-shared with
-    /// the driver's chain until the wire encode copies them out).
+    /// Answers a checkpoint pull: the columnar frame retained for
+    /// `shard` if it is past the subscriber's cursor, verbatim
+    /// (`Arc`-shared with the driver until the wire encode copies it out).
     fn checkpoint_delta_bin(&mut self, id: u64, shard: u32, cursor: u64) -> Frame {
         match self.plane.checkpoint_frames_since(shard as usize, cursor) {
             Ok((cursor, frames)) => Frame::CheckpointDeltaBinOk {

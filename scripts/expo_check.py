@@ -21,15 +21,19 @@ Diff — assert that two scrapes agree on every series under a prefix::
 
     expo_check.py diff clean.prom faulted.prom --prefix cdba_ctrl_ \\
         --ignore cdba_ctrl_shard_restarts_total \\
-        --ignore cdba_ctrl_journal_events_replayed_total
+        --ignore cdba_ctrl_journal_events_replayed_total \\
+        --ignore cdba_ctrl_checkpoint
 
   Used by CI to prove the deterministic control-plane series (ticks,
   admissions, signalling cost, ...) are identical between a clean run
   and a fault-injected one — recovery must be invisible in the
   metrics, exactly as it is in ``invariant_view()``. Series whose name
   starts with any ``--ignore`` prefix (restart/replay/checkpoint
-  bookkeeping, which legitimately differs) are excluded. Exits 1 on
-  any value mismatch or series present on only one side.
+  bookkeeping, which legitimately differs — ``cdba_ctrl_checkpoint``
+  covers the ``checkpoints``/``checkpoint_bytes``/
+  ``checkpoint_encoded_sessions`` counters and the per-shard
+  ``checkpoint_retained_bytes`` gauge) are excluded. Exits 1 on any
+  value mismatch or series present on only one side.
 """
 
 import argparse

@@ -108,16 +108,16 @@ fn kill_before_any_checkpoint_recovers_via_journal_alone() {
     assert!(faulted.events_replayed > 0);
 }
 
-/// The journal and the dirty bitmap must agree. Chain replay rebuilds a
-/// killed shard *without* setting dirty bits (restored rows are clean by
-/// construction), so every journaled mutation replayed on top must
-/// re-dirty the rows it touches — otherwise the replacement worker's next
-/// incremental checkpoint silently omits them and a *second* restore
-/// diverges. The second restore is forced mid-run with
-/// [`ControlPlane::restart_shard`], and the final snapshot must stay
-/// bitwise-identical to the clean run.
+/// Two restores with journaled churn between them. The first rebuild
+/// replays a leave/admit swap out of the journal; the replacement
+/// worker's next checkpoint is then cut from that replayed state, and a
+/// second restore — forced mid-run with [`ControlPlane::restart_shard`] —
+/// starts from exactly that checkpoint. The final snapshot must stay
+/// bitwise-identical to the clean run. (That replay also re-dirties the
+/// rows it touches, for dirty-only frames, is pinned at shard level:
+/// `shard::tests::journal_replay_re_dirties_rows_for_the_next_incremental`.)
 #[test]
-fn journal_replay_re_dirties_sessions_for_the_next_incremental() {
+fn two_restores_across_journaled_churn_lose_no_mutation() {
     fn run(fault: Option<FaultPlan>, restart_at: Option<u64>) -> ServiceSnapshot {
         let mut builder = ServiceConfig::builder(4096.0)
             .session_b_max(B_MAX)
@@ -127,9 +127,6 @@ fn journal_replay_re_dirties_sessions_for_the_next_incremental() {
             .shards(2)
             .exec(ExecMode::Threaded)
             .checkpoint_every(16)
-            // Emissions: incr@16, incr@32, genesis@48, incr@64, incr@80,
-            // genesis@96, incr@112.
-            .checkpoint_full_every(3)
             .max_restarts(3);
         if let Some(plan) = fault {
             builder = builder.fault(plan);
@@ -140,9 +137,8 @@ fn journal_replay_re_dirties_sessions_for_the_next_incremental() {
             live.push(service.admit(["acme", "globex"][i % 2]).unwrap());
         }
         for t in 0..TICKS {
-            // Between-checkpoint churn right after incr@64: the swap sits
-            // in the journal the rebuild replays, and its replay must
-            // re-dirty the touched rows for incr@80 to carry them.
+            // Churn right after the tick-64 checkpoint: the swap sits in
+            // the journal the rebuild replays.
             if t == 65 {
                 let gone = live.remove(0);
                 service.leave(gone).unwrap();
@@ -165,15 +161,14 @@ fn journal_replay_re_dirties_sessions_for_the_next_incremental() {
 
     let clean = run(None, None);
     // Kill shard 1 when it is about to process tick 66: the retained
-    // chain is [genesis@48, incr@64] and the journal holds the tick-65
-    // swap. At tick 90 the rebuilt shard — whose incr@80 was encoded from
-    // a journal-replayed state — is restored a second time from that very
-    // incremental.
+    // frame is the tick-64 one and the journal holds the tick-65 swap. At
+    // tick 90 the rebuilt shard is restored a second time, from the
+    // tick-80 frame its replacement worker cut.
     let faulted = run(Some(FaultPlan::kill(1, 66)), Some(90));
     assert_eq!(
         clean.invariant_view(),
         faulted.invariant_view(),
-        "a checkpoint chain crossing two restores must lose no mutation"
+        "checkpoints crossing two restores must lose no mutation"
     );
     assert_eq!(
         faulted.restarts, 2,
@@ -182,6 +177,96 @@ fn journal_replay_re_dirties_sessions_for_the_next_incremental() {
     assert!(faulted.events_replayed > 0);
     assert!(faulted.health[1].healthy, "the shard came back twice");
     assert_eq!(clean.restarts, 0);
+}
+
+/// The supervisor holds one checkpoint frame per shard, however many it
+/// has accepted: pulling "from the beginning" after every tick of ten
+/// checkpoint intervals never yields more than the latest frame.
+#[test]
+fn supervisor_retains_one_frame_per_shard() {
+    let mut service = ControlPlane::new(config(None));
+    let keys: Vec<u64> = (0..6).map(|_| service.admit("acme").unwrap()).collect();
+    for t in 0..160u64 {
+        let arrivals: Vec<(u64, f64)> = keys.iter().map(|&k| (k, ((t + k) % 4) as f64)).collect();
+        service.tick(&arrivals).unwrap();
+        for shard in 0..2 {
+            let (cursor, frames) = service.checkpoint_frames_since(shard, 0).unwrap();
+            assert_eq!(frames.len() as u64, cursor.min(1), "shard {shard}");
+        }
+    }
+    service.snapshot().unwrap(); // every emitted frame is accepted by now
+    for shard in 0..2 {
+        let (cursor, frames) = service.checkpoint_frames_since(shard, 0).unwrap();
+        assert_eq!(cursor, 10, "ten intervals, ten accepted frames");
+        assert_eq!(frames.len(), 1);
+        // Caught up at the cursor; one frame behind gets the latest.
+        let (_, caught_up) = service.checkpoint_frames_since(shard, cursor).unwrap();
+        assert!(caught_up.is_empty());
+        let (_, behind) = service.checkpoint_frames_since(shard, cursor - 1).unwrap();
+        assert_eq!(behind.len(), 1);
+    }
+    service.shutdown();
+}
+
+/// A forced restart anywhere in the checkpoint cycle is invisible: 0, 1,
+/// 32 and 63 ticks past an accepted checkpoint, and once straight after
+/// dispatching a checkpoint tick — the old worker's frame is then still
+/// in flight and arrives stamped with a superseded epoch.
+#[test]
+fn restart_anywhere_in_the_checkpoint_cycle_is_invisible() {
+    const EVERY: u64 = 64;
+    fn run(restart: Option<(u64, bool)>) -> ServiceSnapshot {
+        let cfg = ServiceConfig::builder(65_536.0)
+            .session_b_max(B_MAX)
+            .group_b_o(B_O)
+            .offline_delay(D_O)
+            .window(2 * D_O)
+            .shards(1)
+            .exec(ExecMode::Threaded)
+            .pipeline_depth(4)
+            .checkpoint_every(EVERY)
+            .build()
+            .unwrap();
+        let mut service = ControlPlane::new(cfg);
+        let mut live: Vec<u64> = (0..400).map(|_| service.admit("acme").unwrap()).collect();
+        live.extend(service.admit_group("initech", 3).unwrap());
+        for t in 0..3 * EVERY + 8 {
+            if t == EVERY + 5 {
+                service.leave(live.remove(0)).unwrap();
+                live.push(service.admit("globex").unwrap());
+            }
+            if let Some((at, synced)) = restart {
+                if t == at {
+                    if synced {
+                        // A Collect round trip: the worker has emitted,
+                        // and the driver accepted, every frame so far.
+                        service.snapshot().unwrap();
+                    }
+                    service.restart_shard(0).expect("operator restart");
+                }
+            }
+            let arrivals: Vec<(u64, f64)> = live
+                .iter()
+                .enumerate()
+                .map(|(i, &key)| (key, ((t + 3 * i as u64) % 5) as f64))
+                .collect();
+            service.tick(&arrivals).unwrap();
+        }
+        let snapshot = service.snapshot().expect("no shard is permanently down");
+        service.shutdown();
+        snapshot
+    }
+
+    let clean = run(None);
+    for (past, synced) in [(0, true), (1, true), (32, true), (63, true), (0, false)] {
+        let restarted = run(Some((2 * EVERY + past, synced)));
+        assert_eq!(
+            clean.invariant_view(),
+            restarted.invariant_view(),
+            "restart {past} ticks past a checkpoint (synced: {synced})"
+        );
+        assert_eq!(restarted.restarts, 1);
+    }
 }
 
 #[test]

@@ -753,10 +753,12 @@ fn subscriber_dropped_mid_batch_leaves_no_stuck_push_state() {
 }
 
 /// Wire-v5 checkpoint subscription: a client pulls the retained columnar
-/// frame chain over TCP and replays it into a passive
-/// [`CheckpointMirror`], then resumes from the returned cursor and gets
-/// only the frames emitted since. A cursor older than the retained chain
-/// resyncs from the genesis frame the chain starts with.
+/// frame over TCP and replays it into a passive [`CheckpointMirror`],
+/// then resumes from the returned cursor and gets the newer frame once
+/// there is one. The driver retains only the latest frame, so a
+/// subscriber any distance behind is served that genesis and resets
+/// cleanly on it. (Multi-frame chains with sparse incrementals are a
+/// mirror-level matter: `mirror::tests`.)
 #[test]
 fn checkpoint_delta_bin_feeds_a_passive_mirror() {
     let spec = small_spec();
@@ -766,7 +768,6 @@ fn checkpoint_delta_bin_feeds_a_passive_mirror() {
         .cost(CostModel::with_change_price(1.0))
         .exec(ExecMode::Threaded)
         .checkpoint_every(8)
-        .checkpoint_full_every(2)
         .build()
         .expect("valid test config");
     let mirror_cfg = cfg.clone();
@@ -782,32 +783,33 @@ fn checkpoint_delta_bin_feeds_a_passive_mirror() {
     }
     // A snapshot round-trips a Collect through each worker, which the
     // worker processes after any checkpoint it emitted — so the frames
-    // from ticks 8 and 16 are drainable once this returns.
+    // from ticks 8 and 16 are accepted once this returns.
     client.snapshot().expect("sync snapshot");
 
-    // checkpoint_every=8, full_every=2: tick 8 emits an incremental,
-    // tick 16 a genesis that resets the chain — so the first pull sees
-    // exactly one genesis frame.
+    // Two frames were accepted; only the tick-16 one is retained.
     let (cursor, frames) = client.checkpoint_delta_bin(0, 0).expect("first pull");
-    assert_eq!(frames.len(), 1, "genesis emission reset the chain");
-    assert_eq!(frames[0].0, 0, "chain starts with a genesis frame");
+    assert_eq!(cursor, 2);
+    assert_eq!(
+        frames.len(),
+        1,
+        "the tick-16 frame superseded the tick-8 one"
+    );
+    assert_eq!(frames[0].0, 0, "every retained frame is a genesis");
     let mut mirror = CheckpointMirror::new(&mirror_cfg);
-    for (_, bytes) in &frames {
-        mirror.apply(bytes).expect("frame applies");
-    }
-    assert_eq!(mirror.ticks(), 16, "mirror is at the genesis tick");
+    mirror.apply(&frames[0].1).expect("frame applies");
+    assert_eq!(mirror.ticks(), 16);
     assert_eq!(mirror.live_sessions(), 10);
 
-    // Eight more ticks emit one incremental (tick 24); resuming from the
-    // cursor fetches only that frame and advances the mirror.
+    // Eight more ticks emit the tick-24 frame; resuming from the cursor
+    // fetches it and the mirror resets onto it.
     for _ in 0..8 {
         client.tick(&[(keys[1], 1.0)]).expect("tick");
     }
     client.snapshot().expect("sync snapshot");
     let (cursor2, frames) = client.checkpoint_delta_bin(0, cursor).expect("resume pull");
-    assert_eq!(frames.len(), 1, "only the new frame since the cursor");
-    assert_eq!(frames[0].0, 1, "the new frame is an incremental");
-    mirror.apply(&frames[0].1).expect("incremental applies");
+    assert_eq!(cursor2, cursor + 1);
+    assert_eq!(frames.len(), 1, "the one frame since the cursor");
+    mirror.apply(&frames[0].1).expect("newer genesis applies");
     assert_eq!(mirror.ticks(), 24);
     assert_eq!(mirror.live_sessions(), 10);
 
@@ -816,15 +818,13 @@ fn checkpoint_delta_bin_feeds_a_passive_mirror() {
     assert_eq!(cursor3, cursor2);
     assert!(frames.is_empty(), "no frames when caught up");
 
-    // A cursor older than the retained chain gets the whole chain, which
-    // starts with a genesis — a stale mirror resyncs from scratch.
+    // A subscriber three frames behind is served the same single genesis
+    // and lands where the up-to-date mirror is.
     let (_, frames) = client.checkpoint_delta_bin(0, 0).expect("stale pull");
-    assert_eq!(frames.len(), 2);
-    assert_eq!(frames[0].0, 0, "resync starts at the genesis frame");
+    assert_eq!(frames.len(), 1);
+    assert_eq!(frames[0].0, 0, "resync is a genesis frame");
     let mut resync = CheckpointMirror::new(&mirror_cfg);
-    for (_, bytes) in &frames {
-        resync.apply(bytes).expect("resync frame applies");
-    }
+    resync.apply(&frames[0].1).expect("resync frame applies");
     assert_eq!(resync.ticks(), mirror.ticks());
     assert_eq!(resync.live_sessions(), mirror.live_sessions());
 

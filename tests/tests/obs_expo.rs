@@ -223,23 +223,27 @@ fn golden_registry() -> Registry {
             )
             .add(shard + 1);
     }
-    for (kind, sessions) in [("full", 1000), ("dirty", 37)] {
-        registry
-            .counter_with(
-                "cdba_ctrl_checkpoint_encoded_sessions_total",
-                "Session rows carried by accepted checkpoint frames, by frame kind",
-                &[("kind", kind)],
-            )
-            .add(sessions);
-    }
+    registry
+        .counter(
+            "cdba_ctrl_checkpoint_encoded_sessions_total",
+            "Session rows carried by accepted checkpoint frames",
+        )
+        .add(1000);
+    registry
+        .gauge_with(
+            "cdba_ctrl_checkpoint_retained_bytes",
+            "Bytes of the one checkpoint frame the driver retains for recovery",
+            &[("shard", "0")],
+        )
+        .set(422_000.0);
     let restore = registry.histogram(
         "cdba_ctrl_restore_seconds",
         "Wall-clock seconds spent rebuilding a shard from its checkpoint \
-         chain plus journal replay",
+         frame plus journal replay",
         &[0.001, 0.01, 0.1, 1.0, 10.0],
     );
     restore.observe(0.0004); // journal-only restore
-    restore.observe(0.23); // genesis-chain replay
+    restore.observe(0.23); // frame apply + journal replay
     registry
         .gauge(
             "cdba_ctrl_signalling_cost",
