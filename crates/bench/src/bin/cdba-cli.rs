@@ -1078,6 +1078,9 @@ fn relay_conn(down: std::net::TcpStream, backend: &str) {
     let Ok(up) = std::net::TcpStream::connect(backend) else {
         return;
     };
+    // `io::copy` forwards a frame in 8 KiB writes; under Nagle every write
+    // after the first waits out the peer's delayed ACK (~40 ms a frame).
+    let _ = (down.set_nodelay(true), up.set_nodelay(true));
     let (Ok(down_read), Ok(up_read)) = (down.try_clone(), up.try_clone()) else {
         return;
     };

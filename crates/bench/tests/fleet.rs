@@ -5,7 +5,10 @@
 use cdba_bench::replay::{run_replay, ReplaySpec, ReplayTarget};
 use cdba_ctrl::{ControlPlane, ExecMode};
 use cdba_fleet::{Fleet, FleetConfig, FleetError, LeastLoaded};
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
+use std::process::{Command, Stdio};
+use std::time::Instant;
 
 /// Small single-shard inline children so each test run stays in the
 /// hundreds of milliseconds.
@@ -164,4 +167,59 @@ fn fleet_replay_matches_the_in_process_invariant_view_across_a_migration() {
     let fleet_view = target.fleet.snapshot().expect("snapshot").invariant_view();
 
     assert_eq!(inline_view, fleet_view);
+}
+
+/// A frame larger than `io::copy`'s 8 KiB buffer crosses the relay as
+/// several writes; without `TCP_NODELAY` on the relay's sockets each one
+/// after the first sits out Nagle against the peer's delayed ACK — a
+/// ~40 ms stall on every such frame. 1,024 arrivals make a 16 KiB
+/// `TickSync`.
+#[test]
+fn relay_forwards_a_16_kib_frame_without_a_nagle_stall() {
+    const SESSIONS: usize = 1024;
+    let service = cdba_ctrl::ServiceConfig::builder(SESSIONS as f64 * 16.0)
+        .session_b_max(16.0)
+        .exec(ExecMode::Inline)
+        .build()
+        .expect("valid config");
+    let server = cdba_gateway::GatewayServer::start(service, Default::default()).expect("gateway");
+    let mut relay = Command::new(env!("CARGO_BIN_EXE_cdba-cli"))
+        .arg("relay")
+        .args(["--backends", &server.local_addr().to_string()])
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("relay spawns");
+    let mut line = String::new();
+    BufReader::new(relay.stdout.take().expect("piped"))
+        .read_line(&mut line)
+        .expect("relay announces its port");
+    let via = line
+        .split("listening on ")
+        .nth(1)
+        .and_then(|rest| rest.split(' ').next())
+        .expect("listen line names the local address");
+
+    let mut client = cdba_gateway::Client::connect(via).expect("client connects through the relay");
+    let arrivals: Vec<(u64, f64)> = (0..SESSIONS)
+        .map(|_| (client.join("acme").expect("join"), 1.0))
+        .collect();
+    let mut rtt_ms: Vec<f64> = (0..20)
+        .map(|_| {
+            let sent = Instant::now();
+            client.tick_sync(&arrivals, SESSIONS as u32).expect("tick");
+            sent.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    rtt_ms.sort_by(f64::total_cmp);
+    client.goodbye().expect("goodbye");
+    let _ = relay.kill();
+    let _ = relay.wait();
+    server.shutdown().expect("shutdown");
+    assert!(
+        rtt_ms[10] < 10.0,
+        "median relayed tick took {:.1} ms: {rtt_ms:?}",
+        rtt_ms[10]
+    );
 }

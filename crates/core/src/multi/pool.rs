@@ -187,6 +187,13 @@ impl SessionPool {
         &self.stages
     }
 
+    /// Drops the stage log's closed records, keeping their count
+    /// ([`StageLog::forget_closed`]): a pool that runs indefinitely calls
+    /// this so its log does not grow with uptime.
+    pub fn forget_closed_stages(&mut self) {
+        self.stages.forget_closed();
+    }
+
     /// Membership changes (joins + leaves) so far.
     pub fn membership_changes(&self) -> usize {
         self.membership_changes

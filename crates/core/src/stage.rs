@@ -35,8 +35,16 @@ pub struct StageRecord {
 }
 
 /// An append-only log of stages.
+///
+/// The proofs need only the *count* of completed stages, so a long-running
+/// owner may drop closed records with [`StageLog::forget_closed`]; the log
+/// then carries their count in `forgotten` and memory stops following
+/// uptime. Nothing in this crate forgets — the reference algorithms and
+/// every test over [`StageLog::records`] see full history.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StageLog {
+    /// Completed stages whose records [`StageLog::forget_closed`] dropped.
+    forgotten: usize,
     records: Vec<StageRecord>,
 }
 
@@ -75,49 +83,75 @@ impl StageLog {
         last.kind = kind;
     }
 
-    /// All records, in order.
+    /// The retained records, in order: every stage since the last
+    /// [`StageLog::forget_closed`] (all of them if it was never called).
     pub fn records(&self) -> &[StageRecord] {
         &self.records
     }
 
-    /// Rebuilds a log from exported records (e.g. a decoded checkpoint).
-    /// The records are taken verbatim; ordering is the caller's contract.
-    pub fn from_records(records: Vec<StageRecord>) -> Self {
-        StageLog { records }
+    /// Rebuilds a log from exported parts (e.g. a decoded checkpoint):
+    /// the count of forgotten completed stages and the retained records,
+    /// taken verbatim; ordering is the caller's contract.
+    pub fn from_parts(forgotten: usize, records: Vec<StageRecord>) -> Self {
+        StageLog { forgotten, records }
     }
 
-    /// Replaces the log's contents in place, keeping the existing
-    /// allocation — the restore path for columnar checkpoint decode,
-    /// which must not allocate per session when the target is warm.
-    /// The records are taken verbatim; ordering is the caller's contract.
-    pub fn restore_from_iter(&mut self, records: impl Iterator<Item = StageRecord>) {
+    /// Drops every closed record, keeping their count — the log shrinks to
+    /// at most the open stage. The dropped records' kinds go with them, so
+    /// this is only for logs that never close a stage as
+    /// [`StageKind::BudgetChanged`] ([`StageLog::certified`] counts every
+    /// forgotten stage as certified).
+    pub fn forget_closed(&mut self) {
+        let open = self.records.pop_if(|r| r.end.is_none());
+        debug_assert!(
+            self.records
+                .iter()
+                .all(|r| r.kind != StageKind::BudgetChanged),
+            "forgetting an uncertified stage"
+        );
+        self.forgotten += self.records.len();
         self.records.clear();
-        self.records.extend(records);
+        self.records.extend(open);
+    }
+
+    /// Completed stages no longer in [`StageLog::records`].
+    pub fn forgotten(&self) -> usize {
+        self.forgotten
+    }
+
+    /// Start tick of the open stage, if one is open.
+    pub fn open_start(&self) -> Option<usize> {
+        self.records
+            .last()
+            .filter(|r| r.end.is_none())
+            .map(|r| r.start)
     }
 
     /// Number of *completed* stages — the offline-change lower bound
     /// certificate (each completed stage forces ≥ 1 offline change).
     pub fn completed(&self) -> usize {
-        self.records.iter().filter(|r| r.end.is_some()).count()
+        self.forgotten + self.records.iter().filter(|r| r.end.is_some()).count()
     }
 
     /// Number of completed stages that carry an offline-change certificate
     /// (excludes [`StageKind::BudgetChanged`] local stages).
     pub fn certified(&self) -> usize {
-        self.records
-            .iter()
-            .filter(|r| r.end.is_some() && r.kind != StageKind::BudgetChanged)
-            .count()
+        self.forgotten
+            + self
+                .records
+                .iter()
+                .filter(|r| r.end.is_some() && r.kind != StageKind::BudgetChanged)
+                .count()
     }
 
     /// Total number of stages including an open one.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.forgotten + self.records.len()
     }
 
     /// `true` if no stage was ever opened.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len() == 0
     }
 }
 
@@ -147,6 +181,29 @@ mod tests {
         log.close(9, StageKind::RegularOverflow);
         assert_eq!(log.completed(), 2);
         assert_eq!(log.certified(), 1);
+    }
+
+    #[test]
+    fn forgetting_keeps_the_counts_and_the_open_stage() {
+        let mut log = StageLog::new();
+        log.open(0);
+        log.close(5, StageKind::BoundsCrossed);
+        log.open(7);
+        log.close(9, StageKind::RegularOverflow);
+        log.open(9);
+        let full = log.clone();
+        log.forget_closed();
+        assert_eq!(log.records().len(), 1);
+        assert_eq!(log.forgotten(), 2);
+        for l in [&full, &log] {
+            assert_eq!((l.completed(), l.certified(), l.len()), (2, 2, 3));
+            assert_eq!(l.open_start(), Some(9));
+        }
+        log.close(12, StageKind::BoundsCrossed);
+        log.forget_closed();
+        assert_eq!((log.completed(), log.open_start()), (3, None));
+        assert!(log.records().is_empty() && !log.is_empty());
+        assert_eq!(log, StageLog::from_parts(3, Vec::new()));
     }
 
     #[test]

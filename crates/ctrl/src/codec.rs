@@ -19,6 +19,7 @@
 
 use crate::meter::SessionMetrics;
 use crate::metrics::{GlobalMetrics, ServiceSnapshot, ShardHealth, ShardMetrics};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -292,9 +293,19 @@ pub fn encode_session_metrics(m: &SessionMetrics, e: &mut Enc<'_>) {
 ///
 /// Any [`CodecError`] raised by a malformed fragment.
 pub fn decode_session_metrics(d: &mut Dec<'_>) -> Result<SessionMetrics, CodecError> {
+    session_metrics_with(d, Arc::from)
+}
+
+/// [`decode_session_metrics`] with the tenant handle made by `tenant` —
+/// a table decode interns there, so a hundred thousand rows of a dozen
+/// tenants share a dozen allocations.
+fn session_metrics_with<'a>(
+    d: &mut Dec<'a>,
+    tenant: impl FnOnce(&'a str) -> Arc<str>,
+) -> Result<SessionMetrics, CodecError> {
     Ok(SessionMetrics {
         session: d.u64()?,
-        tenant: Arc::from(d.str()?.as_str()),
+        tenant: tenant(d.str_ref()?),
         shard: d.u64()?,
         ticks: d.u64()?,
         changes: d.u64()?,
@@ -444,7 +455,7 @@ pub fn decode_snapshot(payload: &[u8]) -> Result<ServiceSnapshot, CodecError> {
 /// # Errors
 ///
 /// Any [`CodecError`] raised by a malformed fragment.
-pub fn decode_snapshot_fragment(d: &mut Dec<'_>) -> Result<ServiceSnapshot, CodecError> {
+pub fn decode_snapshot_fragment<'a>(d: &mut Dec<'a>) -> Result<ServiceSnapshot, CodecError> {
     let ticks = d.u64()?;
     let shards = d.u64()?;
     let admitted = d.u64()?;
@@ -464,8 +475,11 @@ pub fn decode_snapshot_fragment(d: &mut Dec<'_>) -> Result<ServiceSnapshot, Code
     }
     let n = d.len(8)?;
     let mut sessions = Vec::with_capacity(n);
+    let mut tenants: HashMap<&'a str, Arc<str>> = HashMap::new();
     for _ in 0..n {
-        sessions.push(decode_session_metrics(d)?);
+        sessions.push(session_metrics_with(d, |name| {
+            Arc::clone(tenants.entry(name).or_insert_with(|| Arc::from(name)))
+        })?);
     }
     Ok(ServiceSnapshot {
         ticks,
@@ -591,6 +605,7 @@ pub(crate) mod checkpoint {
 
     fn enc_stage_log(log: &StageLog, e: &mut Enc<'_>) {
         let records = log.records();
+        e.usize(log.forgotten());
         e.len(records.len());
         for r in records {
             e.usize(r.start);
@@ -605,6 +620,7 @@ pub(crate) mod checkpoint {
     }
 
     fn dec_stage_log(d: &mut Dec<'_>) -> Result<StageLog, CodecError> {
+        let forgotten = d.usize()?;
         let n = d.len(10)?;
         let mut records = Vec::with_capacity(n);
         for _ in 0..n {
@@ -622,7 +638,7 @@ pub(crate) mod checkpoint {
             };
             records.push(StageRecord { start, end, kind });
         }
-        Ok(StageLog::from_records(records))
+        Ok(StageLog::from_parts(forgotten, records))
     }
 
     fn enc_low(t: &LowTrackerState, e: &mut Enc<'_>) {
@@ -889,6 +905,7 @@ pub(crate) mod checkpoint {
             encode_session_metrics(m, &mut e);
         }
         e.u64(cp.ticks);
+        e.u64(cp.stages_retired);
     }
 
     /// Decodes a shard checkpoint payload.
@@ -919,6 +936,7 @@ pub(crate) mod checkpoint {
             groups,
             retired: Arc::new(retired),
             ticks: d.u64()?,
+            stages_retired: d.u64()?,
         };
         d.finish()?;
         Ok(cp)
@@ -947,7 +965,7 @@ pub(crate) mod checkpoint {
 }
 
 // ---------------------------------------------------------------------------
-// Columnar checkpoint frames (v2): schema-described struct-of-arrays.
+// Columnar checkpoint frames (v3): schema-described struct-of-arrays.
 // ---------------------------------------------------------------------------
 
 pub(crate) mod columnar {
@@ -959,15 +977,18 @@ pub(crate) mod columnar {
     //! (genesis = every live session, incremental = only sessions dirtied
     //! since the previous frame), the shard clock and row count, the
     //! shard-uniform configuration (window, pricing, algorithm parameters
-    //! — one copy per frame instead of one per session), a tenant string
+    //! — one copy per frame instead of one per session), the count of
+    //! stages completed by since-retired sessions, a tenant string
     //! table, then the column set. Every column is self-describing
     //! (`name, type, width, count, body length`), so a decoder can skip
     //! columns it does not know and reject bodies whose byte length
     //! disagrees with their cell count *before* touching any state.
     //! Fixed-width columns carry one cell per row; ragged columns
-    //! (tracker hulls, window rings, delay spills, stage logs) carry the
-    //! rows' runs concatenated in row order, with a sibling `*_len`
-    //! fixed column giving each row's run length. Ring columns are
+    //! (tracker hulls, window rings, delay spills) carry the rows' runs
+    //! concatenated in row order, with a sibling `*_len` fixed column
+    //! giving each row's run length. Stage history is two fixed columns
+    //! (completed count, open-stage start), so a frame's size follows the
+    //! population, not how long the sessions have run. Ring columns are
     //! normalized to head = 0 on encode, so no cursor columns travel.
     //! After the columns: the group section (always the *full* group set
     //! — group state is tiny and rewriting it wholesale keeps apply
@@ -983,18 +1004,16 @@ pub(crate) mod columnar {
     use super::*;
     use crate::meter::MeterCheckpoint;
     use crate::shard::{
-        GroupCheckpoint, SessionCheckpoint, F_DEDICATED, F_LEAVING, F_LIVE, F_STAGE_OPEN,
+        stage_log, GroupCheckpoint, SessionCheckpoint, F_DEDICATED, F_LEAVING, F_LIVE, F_STAGE_OPEN,
     };
     use cdba_analysis::cost::CostModel;
     use cdba_core::bounds::{HighTrackerState, LowTrackerState};
     use cdba_core::config::SingleConfig;
     use cdba_core::single::SingleCheckpoint;
-    use cdba_core::stage::{StageKind, StageLog, StageRecord};
     use cdba_sim::streaming::DelayTrackerState;
-    use std::collections::HashMap;
 
     /// Version byte leading every columnar frame.
-    pub(crate) const FRAME_VERSION: u8 = 2;
+    pub(crate) const FRAME_VERSION: u8 = 3;
     /// Frame kind: every live session, full retired list, no tombstones.
     pub(crate) const KIND_GENESIS: u8 = 0;
     /// Frame kind: only sessions dirtied since the previous frame.
@@ -1012,16 +1031,12 @@ pub(crate) mod columnar {
     pub(crate) const T_RPAIR: u8 = 4;
     /// Ragged cell type: a run of `(u64, f64)` delay-FIFO entries.
     pub(crate) const T_RPEND: u8 = 5;
-    /// Ragged cell type: a run of stage records
-    /// (`start u64, end u64 (u64::MAX = open), kind u8`).
-    pub(crate) const T_RSTAGE: u8 = 6;
 
     /// Bytes per cell for each type tag.
     pub(crate) const fn type_width(ty: u8) -> u32 {
         match ty {
             T_U32 => 4,
             T_RPAIR | T_RPEND => 16,
-            T_RSTAGE => 17,
             _ => 8, // T_U64 | T_F64 | T_RF64
         }
     }
@@ -1037,18 +1052,16 @@ pub(crate) mod columnar {
     pub(crate) const C_MEMBER: usize = 4;
     /// First of the 16 `HotState` f64 scalar columns (declaration order).
     pub(crate) const C_F64: usize = 5;
-    /// First of the 6 `HotState` u64 counter columns (declaration order).
+    /// First of the 8 `HotState` u64 counter columns (declaration order).
     pub(crate) const C_U64: usize = 21;
-    pub(crate) const C_HULL_LEN: usize = 27;
-    pub(crate) const C_HULL: usize = 28;
-    pub(crate) const C_HIGH_LEN: usize = 29;
-    pub(crate) const C_HIGH: usize = 30;
-    pub(crate) const C_RECENT_LEN: usize = 31;
-    pub(crate) const C_RECENT: usize = 32;
-    pub(crate) const C_PEND_LEN: usize = 33;
-    pub(crate) const C_PEND: usize = 34;
-    pub(crate) const C_STAGE_LEN: usize = 35;
-    pub(crate) const C_STAGES: usize = 36;
+    pub(crate) const C_HULL_LEN: usize = 29;
+    pub(crate) const C_HULL: usize = 30;
+    pub(crate) const C_HIGH_LEN: usize = 31;
+    pub(crate) const C_HIGH: usize = 32;
+    pub(crate) const C_RECENT_LEN: usize = 33;
+    pub(crate) const C_RECENT: usize = 34;
+    pub(crate) const C_PEND_LEN: usize = 35;
+    pub(crate) const C_PEND: usize = 36;
     pub(crate) const NCOLS: usize = 37;
 
     /// The canonical schema: `(name, type)` per column index.
@@ -1080,6 +1093,8 @@ pub(crate) mod columnar {
         ("changes", T_U64),
         ("delay_tick", T_U64),
         ("max_delay", T_U64),
+        ("stages_completed", T_U64),
+        ("stage_open_start", T_U64),
         ("hull_len", T_U32),
         ("hull", T_RPAIR),
         ("high_len", T_U32),
@@ -1088,32 +1103,11 @@ pub(crate) mod columnar {
         ("recent", T_RPAIR),
         ("pend_len", T_U32),
         ("pend", T_RPEND),
-        ("stage_len", T_U32),
-        ("stages", T_RSTAGE),
     ];
-
-    fn stage_kind_tag(kind: StageKind) -> u8 {
-        match kind {
-            StageKind::BoundsCrossed => 0,
-            StageKind::RegularOverflow => 1,
-            StageKind::GlobalBoundsCrossed => 2,
-            StageKind::BudgetChanged => 3,
-        }
-    }
-
-    fn stage_kind_from_tag(tag: u8) -> StageKind {
-        match tag {
-            0 => StageKind::BoundsCrossed,
-            1 => StageKind::RegularOverflow,
-            2 => StageKind::GlobalBoundsCrossed,
-            3 => StageKind::BudgetChanged,
-            t => unreachable!("stage tag {t} survived parse validation"),
-        }
-    }
 
     /// How one cell of a column lands in a frame body: integers
     /// little-endian, `f64` as raw IEEE-754 bits, a pair as its halves in
-    /// order, a stage record as `start, end (u64::MAX = open), kind`.
+    /// order.
     pub(crate) trait Cell {
         fn put(self, out: &mut Vec<u8>);
     }
@@ -1143,19 +1137,13 @@ pub(crate) mod columnar {
         }
     }
 
-    impl Cell for &StageRecord {
-        fn put(self, out: &mut Vec<u8>) {
-            (self.start as u64).put(out);
-            self.end.map_or(u64::MAX, |e| e as u64).put(out);
-            out.push(stage_kind_tag(self.kind));
-        }
-    }
-
     /// Everything frame-scoped the encoder needs beyond the rows.
     pub(crate) struct FrameHeader {
         pub kind: u8,
         /// The shard clock at capture.
         pub ticks: u64,
+        /// Stages completed by sessions and groups retired before capture.
+        pub stages_retired: u64,
         /// The shared meter/tracker window `W`.
         pub w: u32,
         pub cost: CostModel,
@@ -1167,15 +1155,15 @@ pub(crate) mod columnar {
     }
 
     /// Bytes of the fixed header fields, version byte through `u_o`.
-    const HEADER_LEN: usize = 1 + 1 + 8 + 4 + 4 + 8 + 8 + 8 + 8 + 8;
+    const HEADER_LEN: usize = 1 + 1 + 8 + 4 + 4 + 8 + 8 + 8 + 8 + 8 + 8;
     /// Bytes of one column's schema entry around its name: the name's
     /// length prefix, type tag, width, cell count, body length.
     const SCHEMA_ENTRY_LEN: usize = 4 + 1 + 4 + 4 + 4;
 
     /// Total run length of each ragged column over a frame's rows, in
-    /// schema order: hull, high, recent, pend, stages. Every per-row run
+    /// schema order: hull, high, recent, pend. Every per-row run
     /// length is itself a column (`*_len`), so the size pass only sums.
-    pub(crate) type RaggedTotals = [usize; 5];
+    pub(crate) type RaggedTotals = [usize; 4];
 
     /// The frame writer's reusable scratch. A frame is written in two
     /// passes over its source. The caller's size pass registers each row
@@ -1277,6 +1265,7 @@ pub(crate) mod columnar {
             e.f64(hdr.b_max);
             e.u64(hdr.d_o);
             e.f64(hdr.u_o);
+            e.u64(hdr.stages_retired);
             e.len(self.tenants.len());
             for t in &self.tenants {
                 e.str(t.as_ref());
@@ -1373,12 +1362,13 @@ pub(crate) mod columnar {
     /// and column bodies borrowed zero-copy from the payload, and the
     /// (small) eagerly decoded group/tombstone/retired sections. All
     /// *structural* invariants hold — version/kind/type tags are known,
-    /// every body length equals `count × width`, stage-kind bytes are in
-    /// domain — but nothing row-semantic has been checked yet; that is
-    /// the applier's job, against the target shard.
+    /// every body length equals `count × width` — but nothing
+    /// row-semantic has been checked yet; that is the applier's job,
+    /// against the target shard.
     pub(crate) struct RawFrame<'a> {
         pub kind: u8,
         pub ticks: u64,
+        pub stages_retired: u64,
         pub rows: u32,
         pub w: u32,
         pub cost: CostModel,
@@ -1448,26 +1438,14 @@ pub(crate) mod columnar {
         (le8(c.body, i * 16), f64::from_bits(le8(c.body, i * 16 + 8)))
     }
 
-    /// Cell `i` of a `T_RSTAGE` column (tag validity guaranteed by
-    /// [`parse`]).
-    pub(crate) fn stage_at(c: &RawColumn<'_>, i: usize) -> StageRecord {
-        let off = i * 17;
-        let end = le8(c.body, off + 8);
-        StageRecord {
-            start: le8(c.body, off) as usize,
-            end: (end != u64::MAX).then_some(end as usize),
-            kind: stage_kind_from_tag(c.body[off + 16]),
-        }
-    }
-
     /// Parses and structurally validates a columnar frame. Zero-copy for
     /// the column bodies and string table; the group/tombstone/retired
     /// tail sections (small, frame-scoped) decode eagerly.
     ///
     /// # Errors
     ///
-    /// [`CodecError::BadVersion`] for a non-v2 payload, [`CodecError::BadTag`]
-    /// for an unknown kind/type/stage tag, [`CodecError::BadLength`] for a
+    /// [`CodecError::BadVersion`] for a non-v3 payload, [`CodecError::BadTag`]
+    /// for an unknown kind/type tag, [`CodecError::BadLength`] for a
     /// width or body-length mismatch, and any cursor error for truncation
     /// or trailing bytes.
     pub(crate) fn parse(payload: &[u8]) -> Result<RawFrame<'_>, CodecError> {
@@ -1490,6 +1468,7 @@ pub(crate) mod columnar {
         let b_max = d.f64()?;
         let d_o = d.u64()?;
         let u_o = d.f64()?;
+        let stages_retired = d.u64()?;
         let n = d.len(4)?;
         let mut strings = Vec::with_capacity(n);
         for _ in 0..n {
@@ -1500,7 +1479,7 @@ pub(crate) mod columnar {
         for _ in 0..ncols {
             let name = d.str_ref()?;
             let ty = d.u8()?;
-            if ty > T_RSTAGE {
+            if ty > T_RPEND {
                 return Err(CodecError::BadTag(ty));
             }
             let width = d.u32()?;
@@ -1513,13 +1492,6 @@ pub(crate) mod columnar {
                 return Err(CodecError::BadLength(body_len as u64));
             }
             let body = d.bytes(body_len)?;
-            if ty == T_RSTAGE {
-                for cell in body.chunks_exact(17) {
-                    if cell[16] > 3 {
-                        return Err(CodecError::BadTag(cell[16]));
-                    }
-                }
-            }
             cols.push(RawColumn {
                 name,
                 ty,
@@ -1546,6 +1518,7 @@ pub(crate) mod columnar {
         Ok(RawFrame {
             kind,
             ticks,
+            stages_retired,
             rows,
             w,
             cost,
@@ -1574,7 +1547,7 @@ pub(crate) mod columnar {
     }
 
     /// Encodes one session checkpoint as a standalone single-row genesis
-    /// frame — the v2 migration blob. Same writer, same column layout,
+    /// frame — the migration blob. Same writer, same column layout,
     /// same decode path as a full shard frame: a quiesced session is just
     /// a one-session column slice.
     pub(crate) fn encode_session_frame(cp: &SessionCheckpoint, out: &mut Vec<u8>) {
@@ -1596,14 +1569,13 @@ pub(crate) mod columnar {
         f64s[13] = f64::INFINITY; // grace sentinel when no stage travels
         f64s[14] = m.min_windowed_utilization.unwrap_or(f64::NAN);
         f64s[15] = m.delay.max_delay_exact;
-        let mut u64s = [0u64; 6];
+        let mut u64s = [0u64; 8];
         u64s[2] = m.ticks;
         u64s[3] = m.changes;
         u64s[4] = m.delay.tick as u64;
         u64s[5] = m.delay.max_delay as u64;
         let mut hull: &[(f64, f64)] = &[];
         let mut high: &[f64] = &[];
-        let mut stages: &[StageRecord] = &[];
         let (mut b_max, mut d_o, mut u_o) = (0.0f64, 0u64, 0.0f64);
         if let Some(alg) = &cp.dedicated {
             flags |= F_DEDICATED;
@@ -1613,7 +1585,8 @@ pub(crate) mod columnar {
             f64s[8] = alg.backlog;
             f64s[9] = alg.b_on;
             u64s[0] = alg.tick as u64;
-            stages = alg.stages.records();
+            u64s[6] = alg.stages.completed() as u64;
+            u64s[7] = alg.stages.open_start().unwrap_or(0) as u64;
             if let (Some(low), Some(high_t)) = (&alg.stage_low, &alg.stage_high) {
                 flags |= F_STAGE_OPEN;
                 u64s[1] = low.ticks as u64;
@@ -1632,19 +1605,14 @@ pub(crate) mod columnar {
             &FrameHeader {
                 kind: KIND_GENESIS,
                 ticks: 0,
+                stages_retired: 0,
                 w: m.window as u32,
                 cost: m.cost,
                 b_max,
                 d_o,
                 u_o,
             },
-            [
-                hull.len(),
-                high.len(),
-                recent.len(),
-                pend.len(),
-                stages.len(),
-            ],
+            [hull.len(), high.len(), recent.len(), pend.len()],
             &[],
             &[],
             &[],
@@ -1669,13 +1637,11 @@ pub(crate) mod columnar {
         f.col(C_RECENT, recent.iter().copied());
         f.col(C_PEND_LEN, [pend.len() as u32]);
         f.col(C_PEND, pend.iter().map(|&(t, b)| (t as u64, b)));
-        f.col(C_STAGE_LEN, [stages.len() as u32]);
-        f.col(C_STAGES, stages);
         f.finish();
     }
 
     /// Materializes the [`SessionCheckpoint`] of a single-row migration
-    /// frame, so the v2 import path feeds the exact `validate()` /
+    /// frame, so the import path feeds the exact `validate()` /
     /// `conforms()` gauntlet the v1 blob path established. Rejects frames
     /// that are not a pure one-session slice.
     ///
@@ -1712,7 +1678,7 @@ pub(crate) mod columnar {
         for (j, v) in f64s.iter_mut().enumerate() {
             *v = f64_at(f.fixed(C_F64 + j)?, 0);
         }
-        let mut u64s = [0u64; 6];
+        let mut u64s = [0u64; 8];
         for (j, v) in u64s.iter_mut().enumerate() {
             *v = u64_at(f.fixed(C_U64 + j)?, 0);
         }
@@ -1729,7 +1695,6 @@ pub(crate) mod columnar {
         let (high_n, high_c) = ragged(C_HIGH_LEN, C_HIGH)?;
         let (recent_n, recent_c) = ragged(C_RECENT_LEN, C_RECENT)?;
         let (pend_n, pend_c) = ragged(C_PEND_LEN, C_PEND)?;
-        let (stage_n, stage_c) = ragged(C_STAGE_LEN, C_STAGES)?;
         if high_n > w || recent_n > w {
             return Err("columnar.ring");
         }
@@ -1768,6 +1733,7 @@ pub(crate) mod columnar {
                 w,
             };
             let open = flags & F_STAGE_OPEN != 0;
+            let stages = stage_log(u64s[6], open.then_some(u64s[7]));
             let stage_low = if open {
                 Some(LowTrackerState {
                     d_o: cfg.d_o,
@@ -1799,9 +1765,7 @@ pub(crate) mod columnar {
                 stage_high,
                 b_on: f64s[9],
                 tick: u64s[0] as usize,
-                stages: StageLog::from_records(
-                    (0..stage_n).map(|j| stage_at(stage_c, j)).collect(),
-                ),
+                stages,
             })
         } else {
             None

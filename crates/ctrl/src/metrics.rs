@@ -174,7 +174,9 @@ impl ServiceSnapshot {
             restarts,
             events_replayed,
         } = counters;
-        sessions.sort_by_key(|m| m.session);
+        // Keys are unique, so the unstable sort is the same permutation —
+        // without the stable sort's half-table scratch allocation.
+        sessions.sort_unstable_by_key(|m| m.session);
         let global = GlobalMetrics::fold(&sessions);
         let mut per_shard: Vec<ShardMetrics> = (0..shards)
             .map(|shard| ShardMetrics {

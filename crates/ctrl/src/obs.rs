@@ -58,6 +58,8 @@ pub(crate) struct CtrlMetrics {
     pub available_budget: Gauge,
     /// `cdba_ctrl_alloc_changes` (snapshot-derived).
     pub changes: Gauge,
+    /// `cdba_ctrl_stages_completed_total` (snapshot-derived).
+    pub stages_completed: Gauge,
     /// `cdba_ctrl_signalling_cost` (snapshot-derived).
     pub signalling_cost: Gauge,
     /// `cdba_ctrl_bandwidth_cost` (snapshot-derived).
@@ -155,6 +157,12 @@ impl CtrlMetrics {
                 "cdba_ctrl_alloc_changes",
                 "Total allocation changes (RESET and stage signals) as of the last \
                  snapshot fold — the signalling count the paper minimizes",
+            ),
+            stages_completed: registry.gauge(
+                "cdba_ctrl_stages_completed_total",
+                "Stages completed by dedicated sessions and pooled groups, live and \
+                 retired, as of the last snapshot fold; each certifies one offline \
+                 change, so alloc_changes over this is the live online/certified ratio",
             ),
             signalling_cost: registry.gauge(
                 "cdba_ctrl_signalling_cost",

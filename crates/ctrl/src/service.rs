@@ -44,7 +44,8 @@ use crate::meter::SessionMetrics;
 use crate::metrics::{ServiceSnapshot, ShardHealth, SnapshotCounters};
 use crate::obs::CtrlMetrics;
 use crate::shard::{
-    panic_reason, run_worker, Event, ReplayEvent, ShardCheckpoint, ShardState, WorkerCtx, WorkerMsg,
+    panic_reason, run_worker, Event, ReplayEvent, ShardCheckpoint, ShardReport, ShardState,
+    WorkerCtx, WorkerMsg,
 };
 use crate::CtrlError;
 use cdba_obs::{Registry, TraceEvent, TraceKind, TraceRing};
@@ -1277,9 +1278,8 @@ impl ControlPlane {
     /// when no shard could take the session. Admission is rolled back on
     /// a failed delivery, exactly like [`ControlPlane::admit`].
     pub fn import_session(&mut self, blob: &[u8]) -> Result<u64, CtrlError> {
-        // Current exporters emit columnar (v2) one-session frames; the v1
-        // session codec is still accepted so blobs exported by an older
-        // build keep migrating in.
+        // Exporters emit one-session columnar frames; anything else is
+        // tried as a row-oriented v1 session blob.
         let mut cp = match blob.first() {
             Some(&crate::codec::columnar::FRAME_VERSION) => {
                 let frame = crate::codec::columnar::parse(blob).map_err(|err| {
@@ -1486,15 +1486,28 @@ impl ControlPlane {
     /// once; a second miss marks it permanently down. Collection therefore
     /// never blocks past `2 × shard_timeout_ms` and never errors — lost
     /// shards degrade to `health: down`, exactly like the tick path.
-    fn collect_sessions(&mut self) -> Vec<SessionMetrics> {
-        let mut sessions = Vec::new();
-        if let Backend::Inline(states) = &mut self.backend {
-            for state in states.iter_mut() {
-                let report = state.report();
-                sessions.extend(report.retired.iter().cloned());
+    ///
+    /// Returns the metrics and the shards' summed certified-stage count.
+    fn collect_sessions(&mut self) -> (Vec<SessionMetrics>, u64) {
+        // The first report's live vector *becomes* the collection (it was
+        // sized to take its shard's retired list too), so a one-shard
+        // snapshot holds one copy of the session table, not two. Order is
+        // free: assembly sorts by key.
+        fn absorb((sessions, stages): &mut (Vec<SessionMetrics>, u64), report: ShardReport) {
+            if sessions.is_empty() {
+                *sessions = report.live;
+            } else {
                 sessions.extend(report.live);
             }
-            return sessions;
+            sessions.extend(report.retired.iter().cloned());
+            *stages += report.stages_completed;
+        }
+        let mut gathered = (Vec::new(), 0);
+        if let Backend::Inline(states) = &mut self.backend {
+            for state in states.iter_mut() {
+                absorb(&mut gathered, state.report());
+            }
+            return gathered;
         }
         self.drain_worker_msgs();
         let timeout = Duration::from_millis(self.cfg.shard_timeout_ms);
@@ -1563,8 +1576,7 @@ impl ControlPlane {
                 // The reply proves every previously dispatched event was
                 // applied (the queue is FIFO).
                 self.sups[shard].inflight = 0;
-                sessions.extend(report.retired.iter().cloned());
-                sessions.extend(report.live);
+                absorb(&mut gathered, report);
             }
             if pending.is_empty() {
                 break;
@@ -1592,7 +1604,7 @@ impl ControlPlane {
                 }
             }
         }
-        sessions
+        gathered
     }
 
     /// Collects a full metrics snapshot. In threaded mode this
@@ -1626,7 +1638,10 @@ impl ControlPlane {
                 return Ok(cached.clone());
             }
         }
-        let sessions = self.collect_sessions();
+        // Stale: release it before its successor is assembled, so the two
+        // session tables never coexist on this side.
+        self.snapshot_cache = None;
+        let (sessions, stages_completed) = self.collect_sessions();
         let (admitted, rejected) = {
             let admission = self.admission.lock();
             (admission.admitted(), admission.rejected())
@@ -1659,6 +1674,7 @@ impl ControlPlane {
         // same values once recovered.
         if let Some(m) = &self.obs {
             m.changes.set(snapshot.global.changes as f64);
+            m.stages_completed.set(stages_completed as f64);
             m.signalling_cost.set(snapshot.global.signalling_cost);
             m.bandwidth_cost.set(snapshot.global.bandwidth_cost);
             m.max_delay.set(snapshot.global.max_delay as f64);

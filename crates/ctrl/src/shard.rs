@@ -41,7 +41,7 @@ use cdba_analysis::cost::CostModel;
 use cdba_core::config::{MultiConfig, SingleConfig};
 use cdba_core::multi::pool::{PoolCheckpoint, SessionId as PoolSessionId, SessionPool};
 use cdba_core::single::{crossed, SingleCheckpoint};
-use cdba_core::stage::{StageKind, StageLog};
+use cdba_core::stage::StageLog;
 use cdba_core::{
     bounds::{HighTrackerState, LowTrackerState},
     next_power_of_two,
@@ -135,6 +135,9 @@ pub(crate) struct ShardReport {
     pub retired: Arc<Vec<SessionMetrics>>,
     /// Metrics of live sessions at their current totals, in slot order.
     pub live: Vec<SessionMetrics>,
+    /// Stages completed on this shard so far, by dedicated sessions and
+    /// pooled groups, live and retired — each certifies ≥ 1 offline change.
+    pub stages_completed: u64,
 }
 
 /// A replayable control event, as the driver journals it. Everything but
@@ -454,6 +457,8 @@ pub(crate) struct ShardStateCheckpoint {
     pub retired: Arc<Vec<SessionMetrics>>,
     /// Ticks the shard has processed.
     pub ticks: u64,
+    /// Stages completed by sessions and groups that have since retired.
+    pub stages_retired: u64,
 }
 
 enum SessionKind {
@@ -638,6 +643,13 @@ struct Columns {
     backlog: Vec<f64>,
     /// Ticks the algorithm has processed.
     alg_tick: Vec<u64>,
+    /// Stages completed so far — the offline-change certificate count.
+    /// The paper's algorithm forgets at every RESET and its proof needs
+    /// only this count, so stage history is this and the next column, not
+    /// a per-session log.
+    stages_completed: Vec<u64>,
+    /// Tick the open stage started at (0 while in RESET).
+    stage_open_start: Vec<u64>,
     // -- meter flow phase --
     /// Meter shadow link-queue backlog.
     shadow_backlog: Vec<f64>,
@@ -704,8 +716,6 @@ struct Columns {
     /// most one pending entry (served each tick), so the spill deque is
     /// cold; only a backlogged session touches it.
     pend_spill: Vec<VecDeque<(u64, f64)>>,
-    /// Stage transition log (touched only on open/close).
-    stages: Vec<StageLog>,
 }
 
 impl Columns {
@@ -728,6 +738,8 @@ impl Columns {
         self.b_on.resize(bound, 0.0);
         self.backlog.resize(bound, 0.0);
         self.alg_tick.resize(bound, 0);
+        self.stages_completed.resize(bound, 0);
+        self.stage_open_start.resize(bound, 0);
         self.shadow_backlog.resize(bound, 0.0);
         self.current_alloc.resize(bound, 0.0);
         self.changes.resize(bound, 0);
@@ -767,7 +779,6 @@ impl Columns {
             self.ring_cap = new_cap;
         }
         self.pend_spill.resize_with(bound, VecDeque::new);
-        self.stages.resize_with(bound, StageLog::new);
     }
 
     /// Resets every scalar column of slot `i` to the vacant-slot state:
@@ -785,6 +796,8 @@ impl Columns {
         self.b_on[i] = 0.0;
         self.backlog[i] = 0.0;
         self.alg_tick[i] = 0;
+        self.stages_completed[i] = 0;
+        self.stage_open_start[i] = 0;
         self.shadow_backlog[i] = 0.0;
         self.current_alloc[i] = 0.0;
         self.changes[i] = 0;
@@ -815,16 +828,12 @@ impl Columns {
         self.flags[i] = F_LIVE | F_DIRTY;
         self.hull[i].clear();
         self.pend_spill[i].clear();
-        self.stages[i] = StageLog::new();
     }
 
     /// Gives slot `i` a fresh dedicated allocator — `SingleSession::new`
     /// over the columns: stage 0 opens immediately with fresh trackers
     /// (which the vacant-slot scalars already encode).
     fn init_dedicated(&mut self, i: usize) {
-        let mut stages = StageLog::new();
-        stages.open(0);
-        self.stages[i] = stages;
         self.flags[i] |= F_DEDICATED | F_STAGE_OPEN;
     }
 
@@ -880,57 +889,53 @@ impl Columns {
             self.pend_bits[i] = bits;
             self.pend_spill[i].extend(d.pending[1..].iter().map(|&(t, b)| (t as u64, b)));
         }
-        match &cp.dedicated {
-            Some(alg) => {
-                assert_eq!(
-                    &alg.cfg, cfg,
-                    "imported algorithm config must match the service's"
-                );
-                self.flags[i] |= F_DEDICATED;
-                self.backlog[i] = alg.backlog;
-                self.b_on[i] = alg.b_on;
-                self.alg_tick[i] = alg.tick as u64;
-                match (&alg.stage_low, &alg.stage_high) {
-                    (Some(low), Some(high)) => {
-                        assert!(
-                            low.d_o == cfg.d_o
-                                && high.u_o == cfg.u_o
-                                && high.w == w
-                                && high.grace == cfg.b_max,
-                            "imported stage trackers must match the service config"
-                        );
-                        assert_eq!(low.ticks, high.ticks, "stage trackers advance in lockstep");
-                        assert!(
-                            high.window.len() <= w,
-                            "window holds {} entries but w is {w}",
-                            high.window.len()
-                        );
-                        assert!(
-                            high.ticks >= high.window.len(),
-                            "{} ticks cannot have filled {} window entries",
-                            high.ticks,
-                            high.window.len()
-                        );
-                        self.flags[i] |= F_STAGE_OPEN;
-                        self.stage_ticks[i] = low.ticks as u64;
-                        self.low_total[i] = low.total;
-                        self.low_low[i] = low.low;
-                        self.hull[i].extend_from_slice(&low.hull);
-                        for (j, &a) in high.window.iter().enumerate() {
-                            self.high_ring[j * self.ring_cap + i] = a;
-                        }
-                        self.high_len[i] = high.window.len() as u32;
-                        self.high_window_sum[i] = high.window_sum;
-                        self.high_min_window_sum[i] = high.min_window_sum.unwrap_or(f64::INFINITY);
+        if let Some(alg) = &cp.dedicated {
+            assert_eq!(
+                &alg.cfg, cfg,
+                "imported algorithm config must match the service's"
+            );
+            self.flags[i] |= F_DEDICATED;
+            self.backlog[i] = alg.backlog;
+            self.b_on[i] = alg.b_on;
+            self.alg_tick[i] = alg.tick as u64;
+            match (&alg.stage_low, &alg.stage_high) {
+                (Some(low), Some(high)) => {
+                    assert!(
+                        low.d_o == cfg.d_o
+                            && high.u_o == cfg.u_o
+                            && high.w == w
+                            && high.grace == cfg.b_max,
+                        "imported stage trackers must match the service config"
+                    );
+                    assert_eq!(low.ticks, high.ticks, "stage trackers advance in lockstep");
+                    assert!(
+                        high.window.len() <= w,
+                        "window holds {} entries but w is {w}",
+                        high.window.len()
+                    );
+                    assert!(
+                        high.ticks >= high.window.len(),
+                        "{} ticks cannot have filled {} window entries",
+                        high.ticks,
+                        high.window.len()
+                    );
+                    self.flags[i] |= F_STAGE_OPEN;
+                    self.stage_ticks[i] = low.ticks as u64;
+                    self.low_total[i] = low.total;
+                    self.low_low[i] = low.low;
+                    self.hull[i].extend_from_slice(&low.hull);
+                    for (j, &a) in high.window.iter().enumerate() {
+                        self.high_ring[j * self.ring_cap + i] = a;
                     }
-                    (None, None) => {}
-                    _ => panic!("checkpoint carries exactly one of the two stage trackers"),
+                    self.high_len[i] = high.window.len() as u32;
+                    self.high_window_sum[i] = high.window_sum;
+                    self.high_min_window_sum[i] = high.min_window_sum.unwrap_or(f64::INFINITY);
                 }
-                self.stages[i] = alg.stages.clone();
+                (None, None) => {}
+                _ => panic!("checkpoint carries exactly one of the two stage trackers"),
             }
-            None => {
-                self.stages[i] = StageLog::new();
-            }
+            self.stages_completed[i] = alg.stages.completed() as u64;
+            self.stage_open_start[i] = alg.stages.open_start().unwrap_or(0) as u64;
         }
     }
 
@@ -940,7 +945,6 @@ impl Columns {
         self.keys[i] = 0;
         self.hull[i] = Vec::new();
         self.pend_spill[i] = VecDeque::new();
-        self.stages[i] = StageLog::new();
     }
 
     /// Splits slots `[0, ends.last())` into one [`ChunkView`] per entry
@@ -1006,6 +1010,8 @@ impl Columns {
             b_on,
             backlog,
             alg_tick,
+            stages_completed,
+            stage_open_start,
             shadow_backlog,
             current_alloc,
             changes,
@@ -1027,7 +1033,6 @@ impl Columns {
             min_util,
             hull,
             pend_spill,
-            stages,
         );
         let mut views = Vec::with_capacity(ends.len());
         let mut lo = 0usize;
@@ -1054,6 +1059,8 @@ impl Columns {
                 b_on: carve!(b_on, n),
                 backlog: carve!(backlog, n),
                 alg_tick: carve!(alg_tick, n),
+                stages_completed: carve!(stages_completed, n),
+                stage_open_start: carve!(stage_open_start, n),
                 shadow_backlog: carve!(shadow_backlog, n),
                 current_alloc: carve!(current_alloc, n),
                 changes: carve!(changes, n),
@@ -1077,7 +1084,6 @@ impl Columns {
                 high_ring: high_rows.next().expect("one ring carve per chunk"),
                 recent_ring: recent_rows.next().expect("one ring carve per chunk"),
                 pend_spill: carve!(pend_spill, n),
-                stages: carve!(stages, n),
             });
             lo = hi;
         }
@@ -1132,6 +1138,10 @@ impl Columns {
             "slot holds algorithm state"
         );
         let open = self.flags[i] & F_STAGE_OPEN != 0;
+        let stages = stage_log(
+            self.stages_completed[i],
+            open.then_some(self.stage_open_start[i]),
+        );
         SingleCheckpoint {
             cfg: cfg.clone(),
             backlog: self.backlog[i],
@@ -1163,7 +1173,7 @@ impl Columns {
             }),
             b_on: self.b_on[i],
             tick: self.alg_tick[i] as usize,
-            stages: self.stages[i].clone(),
+            stages,
         }
     }
 
@@ -1196,6 +1206,16 @@ impl Columns {
             bandwidth_cost: self.total_allocated[i] * cost.per_bandwidth_tick,
         }
     }
+}
+
+/// The row form of the two stage columns: a log that has forgotten its
+/// `completed` closed stages and holds the open one, if any.
+pub(crate) fn stage_log(completed: u64, open_start: Option<u64>) -> StageLog {
+    let mut log = StageLog::from_parts(completed as usize, Vec::new());
+    if let Some(start) = open_start {
+        log.open(start as usize);
+    }
+    log
 }
 
 /// Column `src` read at each listed slot, in list order — a fixed
@@ -1244,6 +1264,8 @@ struct ChunkView<'a> {
     b_on: &'a mut [f64],
     backlog: &'a mut [f64],
     alg_tick: &'a mut [u64],
+    stages_completed: &'a mut [u64],
+    stage_open_start: &'a mut [u64],
     shadow_backlog: &'a mut [f64],
     current_alloc: &'a mut [f64],
     changes: &'a mut [u64],
@@ -1267,7 +1289,6 @@ struct ChunkView<'a> {
     high_ring: Vec<&'a mut [f64]>,
     recent_ring: Vec<&'a mut [(f64, f64)]>,
     pend_spill: &'a mut [VecDeque<(u64, f64)>],
-    stages: &'a mut [StageLog],
 }
 
 /// One step of the shadow link queue plus the metering totals —
@@ -1426,7 +1447,8 @@ impl ChunkView<'_> {
                 };
                 if crossed(l, hi) {
                     // Certificate fired: end the stage, enter RESET.
-                    self.stages[j].close(self.alg_tick[j] as usize, StageKind::BoundsCrossed);
+                    self.stages_completed[j] += 1;
+                    self.stage_open_start[j] = 0;
                     self.flags[j] &= !F_STAGE_OPEN;
                     self.b_on[j] = p.b_max;
                     p.b_max
@@ -1453,7 +1475,7 @@ impl ChunkView<'_> {
                 // RESET complete: the next tick starts a new stage with
                 // fresh trackers (cursors and sentinels re-armed in
                 // place).
-                self.stages[j].open(self.alg_tick[j] as usize + 1);
+                self.stage_open_start[j] = self.alg_tick[j] + 1;
                 self.flags[j] |= F_STAGE_OPEN;
                 self.hull[j].clear();
                 self.stage_ticks[j] = 0;
@@ -1773,6 +1795,9 @@ pub(crate) struct ShardState {
     /// Copy-on-retire: shared with outstanding reports and checkpoints; a
     /// retirement while shared clones once, then appends in place.
     retired: Arc<Vec<SessionMetrics>>,
+    /// Stages completed by sessions and groups that have since retired;
+    /// with the live columns and pools, the shard's certified-stage count.
+    stages_retired: u64,
     ticks: u64,
     /// Keys removed (retired or forgotten) since the last checkpoint
     /// frame was encoded — the tombstone list of the next incremental.
@@ -1800,6 +1825,7 @@ impl ShardState {
             scratch: SweepScratch::default(),
             cols: Columns::default(),
             retired: Arc::new(Vec::new()),
+            stages_retired: 0,
             ticks: 0,
             removed_since_checkpoint: Vec::new(),
             retired_base: 0,
@@ -1833,6 +1859,7 @@ impl ShardState {
             groups,
             retired: Arc::clone(&self.retired),
             ticks: self.ticks,
+            stages_retired: self.stages_retired,
         }
     }
 
@@ -1869,6 +1896,7 @@ impl ShardState {
         state.retired = Arc::clone(&cp.retired);
         state.retired_base = state.retired.len();
         state.ticks = cp.ticks;
+        state.stages_retired = cp.stages_retired;
         state
     }
 
@@ -1923,7 +1951,7 @@ impl ShardState {
         // Size pass: the encoded slot list, the tenant table, and the
         // ragged totals — every run length is already a column.
         sink.begin();
-        let mut ragged: RaggedTotals = [0; 5];
+        let mut ragged: RaggedTotals = [0; 4];
         for (slot, e) in encoded() {
             let i = slot.index as usize;
             sink.push_row(slot.index, &e.tenant);
@@ -1931,7 +1959,6 @@ impl ShardState {
             ragged[1] += cols.high_len[i] as usize;
             ragged[2] += cols.recent_len[i] as usize;
             ragged[3] += cols.pend_len[i] as usize;
-            ragged[4] += cols.stages[i].records().len();
         }
         // Group state is tiny relative to the session columns, so every
         // frame rewrites it wholesale — apply never has to merge it.
@@ -1939,6 +1966,7 @@ impl ShardState {
         let hdr = FrameHeader {
             kind,
             ticks: self.ticks,
+            stages_retired: self.stages_retired,
             w: self.window as u32,
             cost: self.cost,
             b_max: self.single_cfg.b_max,
@@ -1983,13 +2011,15 @@ impl ShardState {
         for (j, src) in f64_cols.into_iter().enumerate() {
             f.col(C_F64 + j, at_slots(src, rows));
         }
-        let u64_cols: [&[u64]; 6] = [
+        let u64_cols: [&[u64]; 8] = [
             &cols.alg_tick,
             &cols.stage_ticks,
             &cols.meter_ticks,
             &cols.changes,
             &cols.delay_tick,
             &cols.max_delay,
+            &cols.stages_completed,
+            &cols.stage_open_start,
         ];
         for (j, src) in u64_cols.into_iter().enumerate() {
             f.col(C_U64 + j, at_slots(src, rows));
@@ -2017,11 +2047,6 @@ impl ShardState {
             head.into_iter().chain(cols.pend_spill[i].iter().copied())
         });
         f.col(C_PEND, pend);
-        f.col(
-            C_STAGE_LEN,
-            slots().map(|i| cols.stages[i].records().len() as u32),
-        );
-        f.col(C_STAGES, slots().flat_map(|i| cols.stages[i].records()));
         f.finish();
         let encoded = rows.len() as u64;
         // The frame now covers everything up to this instant.
@@ -2053,7 +2078,7 @@ impl ShardState {
         f: &columnar::RawFrame<'_>,
         scratch: &mut ApplyScratch,
     ) -> Result<(), &'static str> {
-        use crate::codec::columnar::{f64_at, pair_at, pend_at, stage_at, u32_at, u64_at};
+        use crate::codec::columnar::{f64_at, pair_at, pend_at, u32_at, u64_at};
         let w = self.window;
         // ---- validate: nothing below this block may touch state ----
         if f.w as usize != w {
@@ -2082,8 +2107,8 @@ impl ShardState {
         for j in 0..16 {
             f64_cs.push(f.fixed(columnar::C_F64 + j)?);
         }
-        let mut u64_cs = Vec::with_capacity(6);
-        for j in 0..6 {
+        let mut u64_cs = Vec::with_capacity(8);
+        for j in 0..8 {
             u64_cs.push(f.fixed(columnar::C_U64 + j)?);
         }
         let hull_len_c = f.fixed(columnar::C_HULL_LEN)?;
@@ -2094,8 +2119,6 @@ impl ShardState {
         let recent_c = f.col(columnar::C_RECENT)?;
         let pend_len_c = f.fixed(columnar::C_PEND_LEN)?;
         let pend_c = f.col(columnar::C_PEND)?;
-        let stage_len_c = f.fixed(columnar::C_STAGE_LEN)?;
-        let stage_c = f.col(columnar::C_STAGES)?;
         // Ragged bodies must account for exactly the sum of the per-row
         // run lengths — a mismatched cursor would smear rows together.
         for (len_c, body_c) in [
@@ -2103,7 +2126,6 @@ impl ShardState {
             (high_len_c, high_c),
             (recent_len_c, recent_c),
             (pend_len_c, pend_c),
-            (stage_len_c, stage_c),
         ] {
             let total: u64 = (0..rows).map(|r| u64::from(u32_at(len_c, r))).sum();
             if total != u64::from(body_c.count) {
@@ -2245,8 +2267,8 @@ impl ShardState {
             }
         }
         let frame_tenants: Vec<Arc<str>> = f.strings.iter().map(|&s| Arc::from(s)).collect();
-        let (mut hull_off, mut high_off, mut recent_off, mut pend_off, mut stage_off) =
-            (0usize, 0usize, 0usize, 0usize, 0usize);
+        let (mut hull_off, mut high_off, mut recent_off, mut pend_off) =
+            (0usize, 0usize, 0usize, 0usize);
         for r in 0..rows {
             let key = u64_at(key_c, r);
             let flags = u32_at(flags_c, r);
@@ -2279,7 +2301,6 @@ impl ShardState {
             let high_n = u32_at(high_len_c, r) as usize;
             let recent_n = u32_at(recent_len_c, r) as usize;
             let pend_n = u32_at(pend_len_c, r) as usize;
-            let stage_n = u32_at(stage_len_c, r) as usize;
             let cols = &mut self.cols;
             // Every scalar not carried by the frame lands at its vacant
             // value (arrived 0, heads 0, pend head 0/0.0).
@@ -2308,6 +2329,8 @@ impl ShardState {
             cols.changes[i] = u64_at(u64_cs[3], r);
             cols.delay_tick[i] = u64_at(u64_cs[4], r);
             cols.max_delay[i] = u64_at(u64_cs[5], r);
+            cols.stages_completed[i] = u64_at(u64_cs[6], r);
+            cols.stage_open_start[i] = u64_at(u64_cs[7], r);
             // Rings land at head = 0, exactly how the encoder read them.
             for j in 0..high_n {
                 cols.high_ring[j * cols.ring_cap + i] = f64_at(high_c, high_off + j);
@@ -2329,13 +2352,10 @@ impl ShardState {
                 cols.pend_bits[i] = b0;
                 spill.extend((1..pend_n).map(|j| pend_at(pend_c, pend_off + j)));
             }
-            cols.stages[i]
-                .restore_from_iter((0..stage_n).map(|j| stage_at(stage_c, stage_off + j)));
             hull_off += hull_n;
             high_off += high_n;
             recent_off += recent_n;
             pend_off += pend_n;
-            stage_off += stage_n;
         }
         // Groups: full overwrite from the frame, every member validated
         // above to resolve.
@@ -2366,6 +2386,7 @@ impl ShardState {
         }
         retired.extend(f.retired.iter().cloned());
         self.ticks = f.ticks;
+        self.stages_retired = f.stages_retired;
         self.retired_base = self.retired.len();
         self.removed_since_checkpoint.clear();
         Ok(())
@@ -2645,6 +2666,9 @@ impl ShardState {
                     }
                 }
                 let allocs = group.pool.tick();
+                // Only the count of completed stages is ever read back,
+                // so the pool's log must not grow with uptime.
+                group.pool.forget_closed_stages();
                 // Pool member ids come from one monotone counter and both
                 // the pool's slot order and `by_member` preserve join
                 // order, so the allocation output and the membership are
@@ -2796,11 +2820,14 @@ impl ShardState {
                 };
                 if now_empty {
                     self.group_index.remove(group);
-                    self.groups.remove(gslot);
+                    if let Some(g) = self.groups.remove(gslot) {
+                        self.stages_retired += g.pool.stage_log().completed() as u64;
+                    }
                 }
             }
         }
         let i = slot.index as usize;
+        self.stages_retired += self.cols.stages_completed[i];
         let metrics = self
             .cols
             .metrics(i, entry.key, entry.tenant, self.shard, self.cost);
@@ -2810,7 +2837,9 @@ impl ShardState {
     }
 
     pub(crate) fn report(&self) -> ShardReport {
-        let mut live = Vec::with_capacity(self.sessions.len());
+        // Room for the retired list too: the collector appends it to this
+        // vector in place.
+        let mut live = Vec::with_capacity(self.sessions.len() + self.retired.len());
         live.extend(self.sessions.iter().map(|(slot, e)| {
             self.cols.metrics(
                 slot.index as usize,
@@ -2820,11 +2849,16 @@ impl ShardState {
                 self.cost,
             )
         }));
+        // Vacant and pooled slots rest at zero, so the column sums whole.
+        let live_stages: u64 = self.cols.stages_completed.iter().sum();
+        let pools = self.groups.iter();
+        let pool_stages: usize = pools.map(|(_, g)| g.pool.stage_log().completed()).sum();
         ShardReport {
             shard: self.shard,
             epoch: self.epoch,
             retired: Arc::clone(&self.retired),
             live,
+            stages_completed: self.stages_retired + live_stages + pool_stages as u64,
         }
     }
 
@@ -3019,6 +3053,7 @@ mod reference {
         groups: Slab<RefGroup>,
         group_index: KeyMap,
         retired: Arc<Vec<SessionMetrics>>,
+        stages_retired: u64,
         scratch: Vec<f64>,
         ticks: u64,
     }
@@ -3036,6 +3071,7 @@ mod reference {
                 groups: Slab::new(),
                 group_index: KeyMap::new(),
                 retired: Arc::new(Vec::new()),
+                stages_retired: 0,
                 scratch: Vec::new(),
                 ticks: 0,
             }
@@ -3212,9 +3248,14 @@ mod reference {
                     };
                     if now_empty {
                         self.group_index.remove(group);
-                        self.groups.remove(gslot);
+                        if let Some(g) = self.groups.remove(gslot) {
+                            self.stages_retired += g.pool.stage_log().completed() as u64;
+                        }
                     }
                 }
+            }
+            if let RefKind::Dedicated(alg) = &entry.kind {
+                self.stages_retired += alg.stage_log().completed() as u64;
             }
             Arc::make_mut(&mut self.retired).push(entry.meter.metrics(
                 entry.key,
@@ -3235,27 +3276,73 @@ mod reference {
                 epoch: 0,
                 retired: Arc::clone(&self.retired),
                 live,
+                stages_completed: 0, // the oracle is compared on its checkpoint
             }
+        }
+
+        fn session_checkpoint(e: &RefEntry) -> SessionCheckpoint {
+            let (dedicated, pooled) = match &e.kind {
+                RefKind::Dedicated(alg) => (Some(alg.checkpoint()), None),
+                RefKind::Pooled { group, member } => (None, Some((*group, member.raw()))),
+            };
+            SessionCheckpoint {
+                key: e.key,
+                tenant: e.tenant.clone(),
+                meter: e.meter.checkpoint(),
+                leaving: e.leaving,
+                dedicated,
+                pooled,
+            }
+        }
+
+        /// Applies one of the plain lifecycle events.
+        pub(crate) fn handle(&mut self, ev: &ReplayEvent) {
+            match ev {
+                ReplayEvent::JoinDedicated { key, tenant } => {
+                    self.join_dedicated(*key, tenant.clone())
+                }
+                ReplayEvent::JoinGroup {
+                    group,
+                    tenant,
+                    members,
+                } => self.join_group(*group, tenant.clone(), members),
+                ReplayEvent::Leave { key } => self.leave(*key),
+                ReplayEvent::Tick { arrivals } => self.tick(arrivals),
+                ReplayEvent::Forget { .. } | ReplayEvent::Import { .. } => {
+                    unreachable!("the reference migrates natively, see `migrate`")
+                }
+            }
+        }
+
+        /// Migration on the reference objects: capture a dedicated
+        /// session (full stage history and all), drop it without
+        /// retiring, and re-create it under `new_key`.
+        pub(crate) fn migrate(&mut self, key: u64, new_key: u64) {
+            let Some(slot) = self.index.get(key) else {
+                return;
+            };
+            let entry = self.sessions.get(slot).expect("indexed slot is live");
+            if !matches!(entry.kind, RefKind::Dedicated(_)) {
+                return;
+            }
+            let cp = Self::session_checkpoint(entry);
+            self.index.remove(key);
+            self.sessions.remove(slot);
+            let alg = SingleSession::restore(cp.dedicated.as_ref().expect("dedicated"));
+            self.push_session(RefEntry {
+                key: new_key,
+                tenant: cp.tenant,
+                meter: SignallingMeter::restore(&cp.meter),
+                leaving: cp.leaving,
+                kind: RefKind::Dedicated(Box::new(alg)),
+            });
         }
 
         pub(crate) fn checkpoint(&self) -> ShardStateCheckpoint {
             let sessions = self
                 .sessions
                 .iter()
-                .map(|(_, e)| {
-                    let (dedicated, pooled) = match &e.kind {
-                        RefKind::Dedicated(alg) => (Some(alg.checkpoint()), None),
-                        RefKind::Pooled { group, member } => (None, Some((*group, member.raw()))),
-                    };
-                    SessionCheckpoint {
-                        key: e.key,
-                        tenant: e.tenant.clone(),
-                        meter: e.meter.checkpoint(),
-                        leaving: e.leaving,
-                        dedicated,
-                        pooled,
-                    }
-                })
+                .map(|(_, e)| Self::session_checkpoint(e))
                 .collect();
             let mut groups: Vec<GroupCheckpoint> = self
                 .groups
@@ -3280,6 +3367,7 @@ mod reference {
                 groups,
                 retired: Arc::clone(&self.retired),
                 ticks: self.ticks,
+                stages_retired: self.stages_retired,
             }
         }
     }
@@ -3741,6 +3829,19 @@ mod tests {
         Ticks(u8, u8),
     }
 
+    /// [`Op`] plus the state-moving operations only the kernel-vs-reference
+    /// lockstep interprets.
+    #[derive(Debug, Clone)]
+    enum LockstepOp {
+        Plain(Op),
+        /// Export → forget → import of one session under a fresh key.
+        Migrate(usize),
+        /// A checkpoint capture: encode a genesis frame, trim the journal.
+        Capture,
+        /// A crash recovery: fresh shard ← last frame + journal replay.
+        Recover,
+    }
+
     fn op_strategy() -> impl Strategy<Value = Op> {
         (0u8..9u8, 0usize..32usize, 1u8..=6u8, 0u8..=255u8).prop_map(|(class, idx, n, seed)| {
             match class {
@@ -3750,6 +3851,103 @@ mod tests {
                 _ => Op::Ticks(n, seed),
             }
         })
+    }
+
+    fn lockstep_op_strategy() -> impl Strategy<Value = LockstepOp> {
+        (0u8..12u8, 0usize..32usize, op_strategy()).prop_map(|(class, idx, op)| match class {
+            0 => LockstepOp::Migrate(idx),
+            1 => LockstepOp::Capture,
+            2 => LockstepOp::Recover,
+            _ => LockstepOp::Plain(op),
+        })
+    }
+
+    /// What a lifecycle script carries from op to op: the keys issued so
+    /// far and the clocks its arrival pattern runs on.
+    #[derive(Default)]
+    struct Script {
+        keys: Vec<u64>,
+        next_key: u64,
+        next_group: u64,
+        tick_no: u64,
+    }
+
+    impl Script {
+        fn pick(&self, i: usize) -> Option<u64> {
+            (!self.keys.is_empty()).then(|| self.keys[i % self.keys.len()])
+        }
+
+        /// The replayable events `op` stands for (`Ticks(n, _)` is `n` of
+        /// them). Arrivals name every key ever issued — retired and
+        /// draining ones included, which a kernel must ignore — and every
+        /// other five-tick block is silent: a full window of zeros drives
+        /// `high` to 0, so the next arrival fires the certificate and two
+        /// scripts in three cross a RESET.
+        fn events(&mut self, op: &Op) -> Vec<ReplayEvent> {
+            match *op {
+                Op::JoinDedicated => {
+                    let key = self.next_key;
+                    self.keys.push(key);
+                    self.next_key += 1;
+                    let tenant = "acme".into();
+                    vec![ReplayEvent::JoinDedicated { key, tenant }]
+                }
+                Op::JoinGroup(n) => {
+                    let members: Arc<[u64]> = (self.next_key..self.next_key + n as u64).collect();
+                    self.keys.extend_from_slice(&members);
+                    self.next_key += n as u64;
+                    self.next_group += 1;
+                    vec![ReplayEvent::JoinGroup {
+                        group: self.next_group - 1,
+                        tenant: "globex".into(),
+                        members,
+                    }]
+                }
+                Op::Leave(i) => self
+                    .pick(i)
+                    .map(|key| ReplayEvent::Leave { key })
+                    .into_iter()
+                    .collect(),
+                Op::Ticks(n, seed) => (0..n)
+                    .map(|_| {
+                        let t = self.tick_no;
+                        self.tick_no += 1;
+                        let silent = (t / 5) % 2 == 1;
+                        let bits = |j: usize| match (seed as u64 + t * 31 + j as u64 * 7) % 5 {
+                            _ if silent => 0.0,
+                            lcg => lcg as f64 * 0.75,
+                        };
+                        let arrivals = self.keys.iter().enumerate();
+                        ReplayEvent::Tick {
+                            arrivals: arrivals.map(|(j, &k)| (k, bits(j))).collect(),
+                        }
+                    })
+                    .collect(),
+            }
+        }
+    }
+
+    /// A shard's full state with everything placement- and history-
+    /// dependent normalized away, v1-encoded: sessions and retired
+    /// metrics key-sorted (a recovery compacts slots, so later joins and
+    /// same-tick retirements may order differently), closed stage records
+    /// forgotten (the reference algorithms keep full history; the kernel
+    /// keeps the count and the open stage's start, which is exactly what
+    /// survives `forget_closed`).
+    fn canonical_forgetful_bytes(mut cp: ShardStateCheckpoint) -> Vec<u8> {
+        cp.sessions.sort_by_key(|s| s.key);
+        for s in &mut cp.sessions {
+            if let Some(alg) = &mut s.dedicated {
+                alg.stages.forget_closed();
+            }
+        }
+        for g in &mut cp.groups {
+            g.pool.stages.forget_closed();
+        }
+        Arc::make_mut(&mut cp.retired).sort_by_key(|m| m.session);
+        let mut out = Vec::new();
+        crate::codec::checkpoint::encode(&cp, &mut out);
+        out
     }
 
     /// Hull-and-query pairs for the `hull_max_slope` oracle test, three
@@ -3830,60 +4028,20 @@ mod tests {
                 ShardState::new(0, &cfg)
             };
             let mut shards = [mk(1), mk(2), mk(4)];
-            let mut keys: Vec<u64> = Vec::new();
-            let mut next_key = 0u64;
-            let mut next_group = 0u64;
-            let mut tick_no = 0u64;
-            for op in &ops {
-                match op {
-                    Op::JoinDedicated => {
-                        for s in &mut shards {
-                            s.join_dedicated(next_key, "acme".into());
-                        }
-                        keys.push(next_key);
-                        next_key += 1;
-                    }
-                    Op::JoinGroup(n) => {
-                        let members: Vec<u64> = (0..*n as u64).map(|j| next_key + j).collect();
-                        for s in &mut shards {
-                            s.join_group(next_group, "globex".into(), &members);
-                        }
-                        keys.extend_from_slice(&members);
-                        next_key += *n as u64;
-                        next_group += 1;
-                    }
-                    Op::Leave(i) => {
-                        if !keys.is_empty() {
-                            let key = keys[i % keys.len()];
-                            for s in &mut shards {
-                                s.leave(key);
-                            }
-                        }
-                    }
-                    Op::Ticks(n, seed) => {
-                        for _ in 0..*n {
-                            let arrivals: Vec<(u64, f64)> = keys
-                                .iter()
-                                .enumerate()
-                                .map(|(j, &k)| {
-                                    let lcg = (*seed as u64 + tick_no * 31 + j as u64 * 7) % 5;
-                                    (k, lcg as f64 * 0.75)
-                                })
-                                .collect();
-                            for s in &mut shards {
-                                s.tick(&arrivals);
-                            }
-                            tick_no += 1;
-                            let enc = |s: &ShardState| {
-                                let mut out = Vec::new();
-                                crate::codec::checkpoint::encode(&s.checkpoint(), &mut out);
-                                out
-                            };
-                            let base = enc(&shards[0]);
-                            prop_assert_eq!(&base, &enc(&shards[1]));
-                            prop_assert_eq!(&base, &enc(&shards[2]));
-                        }
-                    }
+            let mut script = Script::default();
+            let enc = |s: &ShardState| {
+                let mut out = Vec::new();
+                crate::codec::checkpoint::encode(&s.checkpoint(), &mut out);
+                out
+            };
+            for ev in ops.iter().flat_map(|op| script.events(op)) {
+                for s in &mut shards {
+                    s.handle_event(ev.to_event());
+                }
+                if matches!(ev, ReplayEvent::Tick { .. }) {
+                    let base = enc(&shards[0]);
+                    prop_assert_eq!(&base, &enc(&shards[1]));
+                    prop_assert_eq!(&base, &enc(&shards[2]));
                 }
             }
         }
@@ -3893,68 +4051,87 @@ mod tests {
         /// shards' binary-encoded checkpoints must be byte-identical —
         /// i.e. every per-session float (backlogs, tracker hulls, window
         /// sums, metric totals) matches bitwise, not just approximately.
+        /// The encoding carries each stage log as (completed count, open
+        /// record) — see [`canonical_forgetful_bytes`] — so the same
+        /// equality holds the kernel's `stages_completed` /
+        /// `stage_open_start` columns to the reference algorithm's
+        /// `StageLog`. The kernel side is additionally moved around the
+        /// way production moves it — session migration (export → forget →
+        /// import), checkpoint capture, and crash recovery from the last
+        /// frame plus a journal replay — none of which may show.
         #[test]
         fn soa_kernel_matches_entry_based_reference(
-            ops in proptest::collection::vec(op_strategy(), 1..40)
+            ops in proptest::collection::vec(lockstep_op_strategy(), 1..48)
         ) {
             let cfg = shard_cfg();
             let mut soa = ShardState::new(0, &cfg);
             let mut oracle = reference::RefShard::new(0, &cfg);
-            let mut keys: Vec<u64> = Vec::new();
-            let mut next_key = 0u64;
-            let mut next_group = 0u64;
-            let mut tick_no = 0u64;
+            let mut sink = columnar::ColumnSink::default();
+            let mut scratch = ApplyScratch::default();
+            // The supervisor's recovery state: the last captured frame and
+            // the replayable events applied since.
+            let mut frame = Vec::new();
+            soa.encode_columnar(columnar::KIND_GENESIS, &mut sink, &mut frame);
+            let mut journal: Vec<ReplayEvent> = Vec::new();
+            let mut script = Script::default();
+            let apply = |soa: &mut ShardState, journal: &mut Vec<ReplayEvent>, ev: ReplayEvent| {
+                soa.handle_event(ev.to_event());
+                journal.push(ev);
+            };
             for op in &ops {
                 match op {
-                    Op::JoinDedicated => {
-                        soa.join_dedicated(next_key, "acme".into());
-                        oracle.join_dedicated(next_key, "acme".into());
-                        keys.push(next_key);
-                        next_key += 1;
-                    }
-                    Op::JoinGroup(n) => {
-                        let members: Vec<u64> = (0..*n as u64).map(|j| next_key + j).collect();
-                        soa.join_group(next_group, "globex".into(), &members);
-                        oracle.join_group(next_group, "globex".into(), &members);
-                        keys.extend_from_slice(&members);
-                        next_key += *n as u64;
-                        next_group += 1;
-                    }
-                    Op::Leave(i) => {
-                        if !keys.is_empty() {
-                            let key = keys[i % keys.len()];
-                            soa.leave(key);
-                            oracle.leave(key);
+                    LockstepOp::Plain(op) => {
+                        for ev in script.events(op) {
+                            let ticked = matches!(ev, ReplayEvent::Tick { .. });
+                            oracle.handle(&ev);
+                            apply(&mut soa, &mut journal, ev);
+                            if ticked {
+                                prop_assert_eq!(
+                                    canonical_forgetful_bytes(soa.checkpoint()),
+                                    canonical_forgetful_bytes(oracle.checkpoint())
+                                );
+                            }
                         }
                     }
-                    Op::Ticks(n, seed) => {
-                        for _ in 0..*n {
-                            // Arrivals for every key ever issued — retired
-                            // and draining keys included, which both
-                            // kernels must ignore identically.
-                            let arrivals: Vec<(u64, f64)> = keys
-                                .iter()
-                                .enumerate()
-                                .map(|(j, &k)| {
-                                    let lcg = (*seed as u64 + tick_no * 31 + j as u64 * 7) % 5;
-                                    (k, lcg as f64 * 0.75)
-                                })
-                                .collect();
-                            soa.tick(&arrivals);
-                            oracle.tick(&arrivals);
-                            tick_no += 1;
-                            let mut a = Vec::new();
-                            let mut b = Vec::new();
-                            crate::codec::checkpoint::encode(&soa.checkpoint(), &mut a);
-                            crate::codec::checkpoint::encode(&oracle.checkpoint(), &mut b);
-                            prop_assert_eq!(a, b);
+                    LockstepOp::Migrate(i) => {
+                        // Pooled members and retired keys do not export.
+                        let exported = script.pick(*i).and_then(|key| soa.checkpoint_session(key));
+                        let Some(mut cp) = exported else {
+                            continue;
+                        };
+                        let (key, new_key) = (cp.key, script.next_key);
+                        cp.key = new_key;
+                        oracle.migrate(key, new_key);
+                        apply(&mut soa, &mut journal, ReplayEvent::Forget { key });
+                        apply(&mut soa, &mut journal, ReplayEvent::Import { cp: Arc::new(cp) });
+                        script.keys.push(new_key);
+                        script.next_key += 1;
+                    }
+                    LockstepOp::Capture => {
+                        soa.encode_columnar(columnar::KIND_GENESIS, &mut sink, &mut frame);
+                        journal.clear();
+                    }
+                    LockstepOp::Recover => {
+                        let mut rebuilt = ShardState::new(0, &cfg);
+                        let parsed = columnar::parse(&frame).expect("own frames parse");
+                        rebuilt.apply_frame(&parsed, &mut scratch).expect("own frames apply");
+                        for ev in &journal {
+                            rebuilt.handle_event(ev.to_event());
                         }
+                        soa = rebuilt;
                     }
                 }
             }
+            let by_key = |mut v: Vec<SessionMetrics>| {
+                v.sort_by_key(|m| m.session);
+                v
+            };
             let (soa_report, oracle_report) = (soa.report(), oracle.report());
-            prop_assert_eq!(soa_report.live, oracle_report.live);
-            prop_assert_eq!(soa_report.retired.as_ref(), oracle_report.retired.as_ref());
+            prop_assert_eq!(by_key(soa_report.live), by_key(oracle_report.live));
+            prop_assert_eq!(
+                by_key(soa_report.retired.to_vec()),
+                by_key(oracle_report.retired.to_vec())
+            );
         }
 
         /// The columnar chain against the full v1 codec: a mirror shard
@@ -3976,43 +4153,10 @@ mod tests {
             let mut sink = columnar::ColumnSink::default();
             let mut scratch = ApplyScratch::default();
             let mut buf = Vec::new();
-            let mut keys: Vec<u64> = Vec::new();
-            let mut next_key = 0u64;
-            let mut next_group = 0u64;
-            let mut tick_no = 0u64;
+            let mut script = Script::default();
             for (frame_no, op) in ops.iter().enumerate() {
-                match op {
-                    Op::JoinDedicated => {
-                        live.join_dedicated(next_key, "acme".into());
-                        keys.push(next_key);
-                        next_key += 1;
-                    }
-                    Op::JoinGroup(n) => {
-                        let members: Vec<u64> = (0..*n as u64).map(|j| next_key + j).collect();
-                        live.join_group(next_group, "globex".into(), &members);
-                        keys.extend_from_slice(&members);
-                        next_key += *n as u64;
-                        next_group += 1;
-                    }
-                    Op::Leave(i) => {
-                        if !keys.is_empty() {
-                            live.leave(keys[i % keys.len()]);
-                        }
-                    }
-                    Op::Ticks(n, seed) => {
-                        for _ in 0..*n {
-                            let arrivals: Vec<(u64, f64)> = keys
-                                .iter()
-                                .enumerate()
-                                .map(|(j, &k)| {
-                                    let lcg = (*seed as u64 + tick_no * 31 + j as u64 * 7) % 5;
-                                    (k, lcg as f64 * 0.75)
-                                })
-                                .collect();
-                            live.tick(&arrivals);
-                            tick_no += 1;
-                        }
-                    }
+                for ev in script.events(op) {
+                    live.handle_event(ev.to_event());
                 }
                 let kind = if (frame_no as u64).is_multiple_of(genesis_every) {
                     columnar::KIND_GENESIS

@@ -134,6 +134,8 @@ pub struct Client {
     /// The last snapshot received via [`Client::snapshot_delta`] and its
     /// sequence number: the baseline the next delta applies on top of.
     baseline: Option<(u64, ServiceSnapshot)>,
+    /// The outgoing frame's wire bytes, reused across requests.
+    wbuf: Vec<u8>,
 }
 
 impl Client {
@@ -180,6 +182,7 @@ impl Client {
             next_id: 1,
             pending_events: VecDeque::new(),
             baseline: None,
+            wbuf: Vec::new(),
         };
         client.write(&Frame::Hello {
             magic: proto::MAGIC,
@@ -195,8 +198,10 @@ impl Client {
     }
 
     fn write(&mut self, frame: &Frame) -> Result<(), ClientError> {
+        self.wbuf.clear();
+        proto::encode_into(frame, &mut self.wbuf);
         self.stream
-            .write_all(&proto::encode(frame))
+            .write_all(&self.wbuf)
             .map_err(|e| ClientError::Io(format!("write: {e}")))
     }
 
@@ -224,8 +229,17 @@ impl Client {
                 .to_string(),
             ));
         }
-        let mut body = vec![0u8; declared];
-        self.read_exact(&mut body).map_err(ClientError::from)?;
+        let mut body = Vec::new();
+        while body.len() < declared {
+            match proto::read_body_step(&mut self.stream, &mut body, declared) {
+                Ok(0) => return Err(ReadError::Closed.into()),
+                Ok(_) => {}
+                Err(e) => match Self::read_error(e, true) {
+                    Some(e) => return Err(e.into()),
+                    None => continue,
+                },
+            }
+        }
         proto::decode_payload(bytes::Bytes::from(body))
             .map_err(|e| ClientError::Protocol(e.to_string()))
             .map(Some)
@@ -237,16 +251,23 @@ impl Client {
             match self.stream.read(&mut buf[filled..]) {
                 Ok(0) => return Err(ReadError::Closed),
                 Ok(n) => filled += n,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    return Err(ReadError::Timeout {
-                        any_read: filled > 0,
-                    });
+                Err(e) => {
+                    if let Some(e) = Self::read_error(e, filled > 0) {
+                        return Err(e);
+                    }
                 }
-                Err(e) => return Err(ReadError::Other(e.to_string())),
             }
         }
         Ok(())
+    }
+
+    /// Classifies a failed socket read; `None` means retry (interrupted).
+    fn read_error(e: std::io::Error, any_read: bool) -> Option<ReadError> {
+        match e.kind() {
+            ErrorKind::Interrupted => None,
+            ErrorKind::WouldBlock | ErrorKind::TimedOut => Some(ReadError::Timeout { any_read }),
+            _ => Some(ReadError::Other(e.to_string())),
+        }
     }
 
     /// Sends a request and blocks for the reply with the matching id,

@@ -28,6 +28,7 @@ use cdba_ctrl::codec::{
     decode_snapshot_fragment, encode_global_metrics, encode_session_metrics, encode_shard_health,
     encode_shard_metrics, encode_snapshot_fragment, CodecError, Dec, Enc, CODEC_VERSION,
 };
+use cdba_ctrl::ServiceSnapshot;
 
 /// Encodes the wire counters (fixed-width, field order = struct order).
 fn encode_wire(w: &WireSnapshot, e: &mut Enc<'_>) {
@@ -97,11 +98,29 @@ fn decode_wire(d: &mut Dec<'_>) -> Result<WireSnapshot, CodecError> {
 /// Encodes a full gateway snapshot as one binary body.
 pub fn encode_gateway_snapshot(snap: &GatewaySnapshot) -> Vec<u8> {
     let mut buf = Vec::new();
-    let mut e = Enc::new(&mut buf);
-    e.u8(CODEC_VERSION);
-    encode_snapshot_fragment(&snap.service, &mut e);
-    encode_wire(&snap.wire, &mut e);
+    encode_snapshot_parts(&snap.service, &snap.wire, &mut buf);
     buf
+}
+
+/// Appends [`encode_gateway_snapshot`]'s body to `buf`, from the two
+/// halves borrowed separately: the server encodes from the control
+/// plane's shared snapshot, without first copying it into a
+/// [`GatewaySnapshot`], into whatever buffer the body is sent from. Room
+/// is reserved up front — 109 fixed bytes and the tenant name per
+/// session, a page for everything else — because doubling into a ~10 MB
+/// body (100k sessions) holds half as much again in superseded buffers.
+pub(crate) fn encode_snapshot_parts(
+    service: &ServiceSnapshot,
+    wire: &WireSnapshot,
+    buf: &mut Vec<u8>,
+) {
+    let sessions = service.sessions.iter();
+    let hint: usize = sessions.map(|m| 109 + m.tenant.len()).sum();
+    buf.reserve(hint + 4096);
+    let mut e = Enc::new(buf);
+    e.u8(CODEC_VERSION);
+    encode_snapshot_fragment(service, &mut e);
+    encode_wire(wire, &mut e);
 }
 
 /// Decodes a binary gateway snapshot body.

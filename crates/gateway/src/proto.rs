@@ -19,7 +19,7 @@
 //! element count + elements. Both are validated against the remaining
 //! payload before allocation, so a hostile length cannot balloon memory.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use std::fmt;
 
 /// The protocol magic, sent in [`Frame::Hello`].
@@ -57,6 +57,32 @@ pub const MIN_VERSION: u8 = 1;
 /// Raised from `1 << 20` with wire v3: a 100k-session binary snapshot is
 /// ~14 MiB, and the JSON form of the same snapshot is larger still.
 pub const MAX_FRAME: usize = 1 << 26;
+
+/// The most one body read asks a socket for — and so the most memory a
+/// peer commits on the reader by sending only a length prefix.
+const BODY_READ_STEP: usize = 256 * 1024;
+
+/// Reads the next piece of a `declared`-byte frame body onto the end of
+/// `body`, returning the bytes read (0: the peer closed). The buffer
+/// grows with the bytes actually received — by at most doubling and never
+/// past `declared` — so a bare header declaring [`MAX_FRAME`] costs one
+/// read step instead of 64 MiB, and a whole body ends at its exact size.
+pub(crate) fn read_body_step(
+    stream: &mut impl std::io::Read,
+    body: &mut Vec<u8>,
+    declared: usize,
+) -> std::io::Result<usize> {
+    let at = body.len();
+    let left = declared - at;
+    if body.capacity() == at {
+        body.reserve_exact(left.min(at.max(BODY_READ_STEP)));
+    }
+    let window = left.min(BODY_READ_STEP).min(body.capacity() - at);
+    body.resize(at + window, 0);
+    let got = stream.read(&mut body[at..]);
+    body.truncate(at + got.as_ref().map_or(0, |&n| n));
+    got
+}
 
 /// The request id used by server-push frames and by errors raised before a
 /// request id could be parsed.
@@ -574,12 +600,12 @@ const K_DRAIN: u8 = 0x42;
 const K_CHECKPOINT_DELTA_BIN: u8 = 0x43;
 const K_CHECKPOINT_DELTA_BIN_OK: u8 = 0x2E;
 
-fn put_string(buf: &mut BytesMut, s: &str) {
+fn put_string(buf: &mut Vec<u8>, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
 
-fn put_arrivals(buf: &mut BytesMut, arrivals: &[(u64, f64)]) {
+fn put_arrivals(buf: &mut Vec<u8>, arrivals: &[(u64, f64)]) {
     buf.put_u32_le(arrivals.len() as u32);
     for &(key, bits) in arrivals {
         buf.put_u64_le(key);
@@ -587,14 +613,26 @@ fn put_arrivals(buf: &mut BytesMut, arrivals: &[(u64, f64)]) {
     }
 }
 
-fn put_bytes(buf: &mut BytesMut, bytes: &[u8]) {
+fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
     buf.put_u32_le(bytes.len() as u32);
     buf.put_slice(bytes);
 }
 
 /// Encodes one frame to its full wire form (length prefix + payload).
 pub fn encode(frame: &Frame) -> Bytes {
-    let mut payload = BytesMut::with_capacity(64);
+    let mut wire = Vec::new();
+    encode_into(frame, &mut wire);
+    Bytes::from(wire)
+}
+
+/// Appends one frame's full wire form (length prefix + payload) to `out`
+/// — a connection's write buffer, so a frame's bytes are written once,
+/// where they are sent from. The prefix is reserved up front and patched
+/// once the payload's length is known.
+pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) {
+    let prefix = out.len();
+    out.put_u32_le(0);
+    let payload = out;
     match frame {
         Frame::Hello { magic, version } => {
             payload.put_u8(K_HELLO);
@@ -608,12 +646,12 @@ pub fn encode(frame: &Frame) -> Bytes {
         Frame::Join { id, tenant } => {
             payload.put_u8(K_JOIN);
             payload.put_u64_le(*id);
-            put_string(&mut payload, tenant);
+            put_string(payload, tenant);
         }
         Frame::JoinGroup { id, tenant, size } => {
             payload.put_u8(K_JOIN_GROUP);
             payload.put_u64_le(*id);
-            put_string(&mut payload, tenant);
+            put_string(payload, tenant);
             payload.put_u32_le(*size);
         }
         Frame::Leave { id, key } => {
@@ -624,16 +662,16 @@ pub fn encode(frame: &Frame) -> Bytes {
         Frame::Stage { id, arrivals } => {
             payload.put_u8(K_STAGE);
             payload.put_u64_le(*id);
-            put_arrivals(&mut payload, arrivals);
+            put_arrivals(payload, arrivals);
         }
         Frame::Tick { id, arrivals } => {
             payload.put_u8(K_TICK);
             payload.put_u64_le(*id);
-            put_arrivals(&mut payload, arrivals);
+            put_arrivals(payload, arrivals);
         }
         Frame::StageNoAck { arrivals } => {
             payload.put_u8(K_STAGE_NOACK);
-            put_arrivals(&mut payload, arrivals);
+            put_arrivals(payload, arrivals);
         }
         Frame::TickSync {
             id,
@@ -643,7 +681,7 @@ pub fn encode(frame: &Frame) -> Bytes {
             payload.put_u8(K_TICK_SYNC);
             payload.put_u64_le(*id);
             payload.put_u32_le(*min_staged);
-            put_arrivals(&mut payload, arrivals);
+            put_arrivals(payload, arrivals);
         }
         Frame::SnapshotDelta { id } => {
             payload.put_u8(K_SNAPSHOT_DELTA);
@@ -681,7 +719,7 @@ pub fn encode(frame: &Frame) -> Bytes {
             payload.put_u8(K_LEASE_GRANT);
             payload.put_u64_le(*id);
             payload.put_u64_le(*epoch);
-            put_bytes(&mut payload, bytes);
+            put_bytes(payload, bytes);
         }
         Frame::Drain { id } => {
             payload.put_u8(K_DRAIN);
@@ -700,7 +738,7 @@ pub fn encode(frame: &Frame) -> Bytes {
             payload.put_u32_le(frames.len() as u32);
             for (kind, bytes) in frames {
                 payload.put_u8(*kind);
-                put_bytes(&mut payload, bytes);
+                put_bytes(payload, bytes);
             }
         }
         Frame::Goodbye { id } => {
@@ -737,7 +775,7 @@ pub fn encode(frame: &Frame) -> Bytes {
         Frame::SnapshotOk { id, json } => {
             payload.put_u8(K_SNAPSHOT_OK);
             payload.put_u64_le(*id);
-            put_string(&mut payload, json);
+            put_string(payload, json);
         }
         Frame::SnapshotDeltaOk {
             id,
@@ -749,12 +787,12 @@ pub fn encode(frame: &Frame) -> Bytes {
             payload.put_u64_le(*id);
             payload.put_u64_le(*seq);
             payload.put_u8(u8::from(*full));
-            put_string(&mut payload, json);
+            put_string(payload, json);
         }
         Frame::SnapshotBinOk { id, bytes } => {
             payload.put_u8(K_SNAPSHOT_BIN_OK);
             payload.put_u64_le(*id);
-            put_bytes(&mut payload, bytes);
+            put_bytes(payload, bytes);
         }
         Frame::SnapshotDeltaBinOk {
             id,
@@ -766,13 +804,13 @@ pub fn encode(frame: &Frame) -> Bytes {
             payload.put_u64_le(*id);
             payload.put_u64_le(*seq);
             payload.put_u8(u8::from(*full));
-            put_bytes(&mut payload, bytes);
+            put_bytes(payload, bytes);
         }
         Frame::LeaseRevoked { id, epoch, bytes } => {
             payload.put_u8(K_LEASE_REVOKED);
             payload.put_u64_le(*id);
             payload.put_u64_le(*epoch);
-            put_bytes(&mut payload, bytes);
+            put_bytes(payload, bytes);
         }
         Frame::LeaseGranted { id, key } => {
             payload.put_u8(K_LEASE_GRANTED);
@@ -818,13 +856,26 @@ pub fn encode(frame: &Frame) -> Bytes {
             payload.put_u8(K_ERROR);
             payload.put_u64_le(*id);
             payload.put_u8(code.to_u8());
-            put_string(&mut payload, message);
+            put_string(payload, message);
         }
     }
-    let mut wire = BytesMut::with_capacity(4 + payload.len());
-    wire.put_u32_le(payload.len() as u32);
-    wire.put_slice(&payload.freeze());
-    wire.freeze()
+    let len = (payload.len() - prefix - 4) as u32;
+    payload[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// [`encode_into`] for a frame whose payload ends in its blob (every
+/// snapshot and lease body), given with the blob empty: `fill` appends the
+/// blob in place, so a multi-megabyte body is written once, where it is
+/// sent from, instead of into a vector the frame then copies out of.
+pub fn encode_into_with_blob(frame: &Frame, out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) {
+    let prefix = out.len();
+    encode_into(frame, out);
+    let blob = out.len();
+    fill(out);
+    let blob_len = (out.len() - blob) as u32;
+    out[blob - 4..blob].copy_from_slice(&blob_len.to_le_bytes());
+    let len = (out.len() - prefix - 4) as u32;
+    out[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 struct Reader {
@@ -896,6 +947,12 @@ impl Reader {
     fn bytes(&mut self) -> Result<Vec<u8>, ProtoError> {
         let len = self.u32()? as usize;
         self.need(len)?;
+        if len == self.buf.remaining() {
+            // The blob is the payload's tail (every snapshot and lease
+            // body is): hand the payload buffer itself on instead of
+            // copying a multi-megabyte body out of it.
+            return Ok(Vec::from(std::mem::take(&mut self.buf)));
+        }
         let mut raw = vec![0u8; len];
         self.buf.copy_to_slice(&mut raw);
         Ok(raw)
@@ -1133,6 +1190,7 @@ pub fn reply_id(frame: &Frame) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
 
     fn roundtrip(frame: Frame) {
         let wire = encode(&frame);

@@ -15,7 +15,7 @@
 //! so an idle gateway costs ~0 CPU while a saturated one never sleeps.
 
 use crate::proto::{self, ErrorCode, Frame, ProtoError, MAX_FRAME, PUSH_ID};
-use crate::service::{Outbox, ServiceCore};
+use crate::service::{Outbox, Reply, ServiceCore};
 use crate::stats::WireStats;
 use crate::{GatewayError, GatewaySnapshot};
 use cdba_ctrl::ServiceConfig;
@@ -207,8 +207,8 @@ impl Drop for GatewayServer {
 struct FrameAccum {
     head: [u8; 4],
     head_filled: usize,
+    /// The body bytes received so far.
     body: Vec<u8>,
-    body_filled: usize,
     /// When the first byte of the in-flight frame arrived.
     started: Option<Instant>,
 }
@@ -234,19 +234,17 @@ impl FrameAccum {
             head: [0; 4],
             head_filled: 0,
             body: Vec::new(),
-            body_filled: 0,
             started: None,
         }
     }
 
     fn mid_frame(&self) -> bool {
-        self.head_filled > 0 || self.body_filled > 0
+        self.head_filled > 0
     }
 
     fn reset(&mut self) {
         self.head_filled = 0;
         self.body = Vec::new();
-        self.body_filled = 0;
         self.started = None;
     }
 
@@ -277,21 +275,16 @@ impl FrameAccum {
                                 declared: declared as u64,
                             });
                         }
-                        self.body = vec![0; declared];
-                        self.body_filled = 0;
                         continue;
                     }
                     Err(e) => return Self::classify(e),
                 }
             }
-            if self.body_filled < self.body.len() {
-                let filled = self.body_filled;
-                match stream.read(&mut self.body[filled..]) {
+            let declared = u32::from_le_bytes(self.head) as usize;
+            if self.body.len() < declared {
+                match proto::read_body_step(stream, &mut self.body, declared) {
                     Ok(0) => return Step::ClosedMidFrame,
-                    Ok(n) => {
-                        self.body_filled += n;
-                        continue;
-                    }
+                    Ok(_) => continue,
                     Err(e) => return Self::classify(e),
                 }
             }
@@ -312,6 +305,9 @@ impl FrameAccum {
         }
     }
 }
+
+/// The write-buffer capacity a connection keeps between flushes.
+const OUTBUF_KEEP: usize = 64 * 1024;
 
 /// One connection's state inside the core.
 struct Conn {
@@ -346,7 +342,7 @@ impl Conn {
     }
 
     fn queue(&mut self, stats: &WireStats, frame: &Frame) {
-        self.outbuf.extend_from_slice(&proto::encode(frame));
+        proto::encode_into(frame, &mut self.outbuf);
         stats.frames_out.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -370,7 +366,13 @@ impl Conn {
             }
         }
         if self.sent > 0 {
-            self.outbuf.clear();
+            if self.outbuf.capacity() > OUTBUF_KEEP {
+                // A multi-megabyte reply went out; its buffer is not
+                // this connection's steady state.
+                self.outbuf = Vec::new();
+            } else {
+                self.outbuf.clear();
+            }
             self.sent = 0;
         }
         self.write_stalled = None;
@@ -748,9 +750,22 @@ impl Core {
             return;
         }
         let out = std::mem::take(&mut self.out);
-        for (conn_id, frame) in out {
-            if let Some(conn) = self.conns.get_mut(&conn_id) {
-                conn.queue(&self.stats, &frame);
+        for (conn_id, reply) in out {
+            let Some(conn) = self.conns.get_mut(&conn_id) else {
+                continue;
+            };
+            match reply {
+                Reply::Frame(frame) => conn.queue(&self.stats, &frame),
+                // Already wire bytes: they become the write buffer itself
+                // unless something is queued ahead of them.
+                Reply::Wire(bytes) => {
+                    if conn.outbuf.is_empty() {
+                        conn.outbuf = bytes;
+                    } else {
+                        conn.outbuf.extend_from_slice(&bytes);
+                    }
+                    self.stats.frames_out.fetch_add(1, Ordering::Relaxed);
+                }
             }
         }
     }

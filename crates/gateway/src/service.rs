@@ -20,17 +20,31 @@
 
 use crate::codec;
 use crate::delta;
-use crate::proto::{ErrorCode, EventBody, Frame, PUSH_ID};
-use crate::stats::WireStats;
+use crate::proto::{self, ErrorCode, EventBody, Frame, PUSH_ID};
+use crate::stats::{WireSnapshot, WireStats};
 use crate::GatewaySnapshot;
 use cdba_ctrl::{ControlPlane, CtrlError, ServiceConfig, ServiceSnapshot};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Frames the service core wants delivered, each to a specific
+/// What the service core wants delivered to a connection: a frame to
+/// encode into its write buffer, or a reply already in wire form — a
+/// snapshot is encoded once, straight into the bytes that are sent.
+pub(crate) enum Reply {
+    Frame(Frame),
+    Wire(Vec<u8>),
+}
+
+impl From<Frame> for Reply {
+    fn from(frame: Frame) -> Self {
+        Reply::Frame(frame)
+    }
+}
+
+/// Replies the service core wants delivered, each to a specific
 /// connection's write buffer.
-pub(crate) type Outbox = Vec<(u64, Frame)>;
+pub(crate) type Outbox = Vec<(u64, Reply)>;
 
 /// A [`Frame::TickSync`] commit waiting for more staged arrivals.
 struct ParkedTick {
@@ -149,11 +163,11 @@ impl ServiceCore {
                 if version < 2 {
                     out.push((
                         conn,
-                        Frame::Error {
+                        Reply::Frame(Frame::Error {
                             id: PUSH_ID,
                             code: ErrorCode::Proto,
                             message: "stage-no-ack requires protocol version 2".into(),
-                        },
+                        }),
                     ));
                 } else {
                     self.stage_noack(conn, &arrivals, out);
@@ -195,7 +209,10 @@ impl ServiceCore {
                         message: "snapshot-bin requires protocol version 3".into(),
                     })
                 } else {
-                    Some(self.snapshot_bin_frame(id))
+                    let reply = self.snapshot_bin_reply(id);
+                    self.record_latency(started);
+                    out.push((conn, reply));
+                    return;
                 }
             }
             Frame::SnapshotDeltaBin { id } => {
@@ -272,7 +289,7 @@ impl ServiceCore {
         };
         if let Some(frame) = reply {
             self.record_latency(started);
-            out.push((conn, frame));
+            out.push((conn, frame.into()));
         }
     }
 
@@ -485,7 +502,7 @@ impl ServiceCore {
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 self.try_release_parked(out);
             }
-            Err(e) => out.push((conn, Self::with_id(e, PUSH_ID))),
+            Err(e) => out.push((conn, Self::with_id(e, PUSH_ID).into())),
         }
     }
 
@@ -570,7 +587,7 @@ impl ServiceCore {
         let parked = self.parked.take().expect("checked above");
         let frame = self.commit(parked.id, out);
         self.record_latency(parked.since);
-        out.push((parked.conn, frame));
+        out.push((parked.conn, frame.into()));
     }
 
     /// Fails a parked commit that has waited longer than `timeout`
@@ -588,7 +605,7 @@ impl ServiceCore {
         self.record_latency(parked.since);
         out.push((
             parked.conn,
-            Frame::Error {
+            Reply::Frame(Frame::Error {
                 id: parked.id,
                 code: ErrorCode::Timeout,
                 message: format!(
@@ -596,7 +613,7 @@ impl ServiceCore {
                     self.pending.len(),
                     parked.min_staged
                 ),
-            },
+            }),
         ));
     }
 
@@ -635,11 +652,11 @@ impl ServiceCore {
             if sub.batch <= 1 {
                 out.push((
                     conn,
-                    Frame::Event {
+                    Reply::Frame(Frame::Event {
                         tick: event.tick,
                         changes: event.changes,
                         signalling_cost: event.signalling_cost,
-                    },
+                    }),
                 ));
                 continue;
             }
@@ -650,21 +667,36 @@ impl ServiceCore {
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 out.push((
                     conn,
-                    Frame::EventBatch {
+                    Reply::Frame(Frame::EventBatch {
                         events: std::mem::take(&mut sub.buffered),
-                    },
+                    }),
                 ));
             }
         }
     }
 
-    fn gateway_snapshot(&mut self) -> Result<(Arc<ServiceSnapshot>, GatewaySnapshot), CtrlError> {
+    /// The two halves of a [`GatewaySnapshot`], the service half still
+    /// shared with the control plane's cache: the binary replies encode
+    /// straight from it, and only the JSON replies pay for an owned copy.
+    fn gateway_snapshot(&mut self) -> Result<(Arc<ServiceSnapshot>, WireSnapshot), CtrlError> {
         let service = self.plane.snapshot_shared()?;
+        Ok((service, self.stats.snapshot()))
+    }
+
+    fn snapshot_json(
+        id: u64,
+        service: &ServiceSnapshot,
+        wire: WireSnapshot,
+    ) -> Result<String, Frame> {
         let snap = GatewaySnapshot {
-            service: (*service).clone(),
-            wire: self.stats.snapshot(),
+            service: service.clone(),
+            wire,
         };
-        Ok((service, snap))
+        snap.to_json_string().map_err(|e| Frame::Error {
+            id,
+            code: ErrorCode::Ctrl,
+            message: format!("snapshot serialisation failed: {e}"),
+        })
     }
 
     fn snapshot_frame(&mut self, id: u64) -> Frame {
@@ -672,30 +704,34 @@ impl ServiceCore {
             .full_snapshots
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         match self.gateway_snapshot() {
-            Ok((_, snap)) => match snap.to_json_string() {
+            Ok((service, wire)) => match Self::snapshot_json(id, &service, wire) {
                 Ok(json) => Frame::SnapshotOk { id, json },
-                Err(e) => Frame::Error {
-                    id,
-                    code: ErrorCode::Ctrl,
-                    message: format!("snapshot serialisation failed: {e}"),
-                },
+                Err(e) => e,
             },
             Err(e) => ctrl_error(id, &e),
         }
     }
 
     /// The v3 sibling of [`Self::snapshot_frame`]: same snapshot, binary
-    /// body.
-    fn snapshot_bin_frame(&mut self, id: u64) -> Frame {
+    /// body — encoded from the shared snapshot directly into the reply's
+    /// wire bytes, which become the connection's write buffer.
+    fn snapshot_bin_reply(&mut self, id: u64) -> Reply {
         self.stats
             .full_snapshots
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         match self.gateway_snapshot() {
-            Ok((_, snap)) => Frame::SnapshotBinOk {
-                id,
-                bytes: codec::encode_gateway_snapshot(&snap),
-            },
-            Err(e) => ctrl_error(id, &e),
+            Ok((service, wire)) => {
+                let head = Frame::SnapshotBinOk {
+                    id,
+                    bytes: Vec::new(),
+                };
+                let mut out = Vec::new();
+                proto::encode_into_with_blob(&head, &mut out, |body| {
+                    codec::encode_snapshot_parts(&service, &wire, body)
+                });
+                Reply::Wire(out)
+            }
+            Err(e) => ctrl_error(id, &e).into(),
         }
     }
 
@@ -717,14 +753,14 @@ impl ServiceCore {
         } else {
             self.stats.full_snapshots.fetch_add(1, o);
         }
-        let (service, snap) = match self.gateway_snapshot() {
+        let (service, wire) = match self.gateway_snapshot() {
             Ok(pair) => pair,
             Err(e) => return ctrl_error(id, &e),
         };
         let reply = match self.baselines.get(&conn) {
             Some(base) => {
                 let seq = base.seq + 1;
-                let body = delta::diff(&base.snapshot, base.seq, &service, seq, snap.wire);
+                let body = delta::diff(&base.snapshot, base.seq, &service, seq, wire);
                 match body_codec {
                     BodyCodec::Binary => Frame::SnapshotDeltaBinOk {
                         id,
@@ -752,20 +788,20 @@ impl ServiceCore {
                     id,
                     seq: 1,
                     full: true,
-                    bytes: codec::encode_gateway_snapshot(&snap),
+                    bytes: {
+                        let mut body = Vec::new();
+                        codec::encode_snapshot_parts(&service, &wire, &mut body);
+                        body
+                    },
                 },
-                BodyCodec::Json => match snap.to_json_string() {
+                BodyCodec::Json => match Self::snapshot_json(id, &service, wire) {
                     Ok(json) => Frame::SnapshotDeltaOk {
                         id,
                         seq: 1,
                         full: true,
                         json,
                     },
-                    Err(e) => Frame::Error {
-                        id,
-                        code: ErrorCode::Ctrl,
-                        message: format!("snapshot serialisation failed: {e}"),
-                    },
+                    Err(e) => e,
                 },
             },
         };

@@ -1,1 +1,78 @@
-//! Integration test crate for the cdba workspace; all content lives in `tests/`.
+//! Integration test crate for the cdba workspace; the suites live in
+//! `tests/`. Shared here: [`LiveBytesAlloc`], for the suites that assert
+//! on heap size rather than behaviour, and the [`fnv1a`] digest the
+//! golden-bytes suites pin.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// 64-bit FNV-1a of `bytes`.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// A global allocator that tracks the bytes currently allocated and their
+/// high-water mark. It is process-global, so a test file that installs it
+/// (`#[global_allocator] static A: LiveBytesAlloc = LiveBytesAlloc::new();`)
+/// holds exactly one `#[test]`.
+pub struct LiveBytesAlloc {
+    live: AtomicUsize,
+    peak: AtomicUsize,
+}
+
+impl LiveBytesAlloc {
+    #[allow(clippy::new_without_default)]
+    pub const fn new() -> Self {
+        LiveBytesAlloc {
+            live: AtomicUsize::new(0),
+            peak: AtomicUsize::new(0),
+        }
+    }
+
+    /// Bytes allocated and not yet freed.
+    pub fn live(&self) -> usize {
+        self.live.load(Ordering::Relaxed)
+    }
+
+    /// Restarts the high-water mark at the current live size.
+    pub fn reset_peak(&self) {
+        self.peak.store(self.live(), Ordering::Relaxed);
+    }
+
+    /// The most bytes live at once since the last [`Self::reset_peak`].
+    pub fn peak(&self) -> usize {
+        self.peak.load(Ordering::Relaxed)
+    }
+
+    fn grew(&self, by: usize) {
+        let now = self.live.fetch_add(by, Ordering::Relaxed) + by;
+        self.peak.fetch_max(now, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every call defers to `System` with the caller's own arguments;
+// the counters are relaxed atomics that influence no allocation.
+unsafe impl GlobalAlloc for LiveBytesAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        self.grew(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        self.grew(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        self.live.fetch_sub(layout.size(), Ordering::Relaxed);
+        self.grew(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        self.live.fetch_sub(layout.size(), Ordering::Relaxed);
+        System.dealloc(ptr, layout)
+    }
+}

@@ -1,20 +1,101 @@
 //! Golden bytes of the columnar frame writer.
 //!
-//! The writer was rebuilt from per-column buffers plus a concatenating
-//! finish into a size pass, one exact allocation, and a fill pass. The
-//! frame format did not change, so for a fixed join/leave/tick script
-//! every frame kind must come out byte-for-byte as the old encoder
-//! produced it. The digests below were taken from that encoder before
-//! the rewrite; they cover a dense genesis, a sparse incremental (rows,
+//! For a fixed join/leave/tick script every frame kind must come out
+//! byte-for-byte as pinned: a dense genesis, a sparse incremental (rows,
 //! tombstones and a retired suffix), a worker-emitted genesis with a
 //! pooled group, and a one-row migration frame.
+//!
+//! The digests were re-pinned once, when frame v3 replaced the ragged
+//! `stage_len`/`stages` columns (a 17-byte record per stage a session
+//! ever ran) with the fixed `stages_completed`/`stage_open_start`
+//! columns. The v2 lengths are kept beside them and every frame is held
+//! to the length identity between the two schemas, computed from the
+//! frame's own contents — so the stage columns (and the pool's stage
+//! log, bounded the same way) are provably the only thing that moved.
 
 use cdba_ctrl::{CheckpointProbe, ControlPlane, ExecMode, ServiceConfig, ServiceConfigBuilder};
+use cdba_integration::fnv1a;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
+/// What [`v2_len`] needs of a v3 frame, read by walking the documented
+/// layout: header, tenant table, self-describing columns, group section.
+struct Walk<'a> {
+    buf: &'a [u8],
+    at: usize,
+}
+
+impl Walk<'_> {
+    fn u8(&mut self) -> u8 {
+        self.at += 1;
+        self.buf[self.at - 1]
+    }
+
+    fn u32(&mut self) -> u32 {
+        self.at += 4;
+        u32::from_le_bytes(self.buf[self.at - 4..self.at].try_into().unwrap())
+    }
+
+    fn u64(&mut self) -> u64 {
+        self.at += 8;
+        u64::from_le_bytes(self.buf[self.at - 8..self.at].try_into().unwrap())
+    }
+
+    fn str(&mut self) -> String {
+        let n = self.u32() as usize;
+        self.at += n;
+        String::from_utf8(self.buf[self.at - n..self.at].to_vec()).unwrap()
+    }
+}
+
+/// The length the v2 encoder gave the frame `v3` now encodes: per row the
+/// 4-byte `stage_len` cell instead of two 8-byte cells, 17 bytes per
+/// stage record (one per completed stage plus the open one), 17 fewer
+/// bytes of column names, no 8-byte retired-stage count in the header,
+/// and per pooled group a stage log without the 8-byte forgotten count
+/// but with its closed records (18 bytes each).
+fn v2_len(v3: &[u8]) -> usize {
+    const F_STAGE_OPEN: u32 = 8;
+    let mut w = Walk { buf: v3, at: 0 };
+    assert_eq!(w.u8(), 3, "frame version");
+    w.at += 1 + 8; // kind, ticks
+    let rows = w.u32() as usize;
+    w.at += 4 + 6 * 8; // w, cost ×2, b_max, d_o, u_o, stages_retired
+    for _ in 0..w.u32() {
+        w.str();
+    }
+    let (mut completed, mut open) = (0u64, 0u64);
+    for _ in 0..w.u32() {
+        let name = w.str();
+        w.at += 1 + 4; // type, width
+        let (count, body) = (w.u32(), w.u32() as usize);
+        match name.as_str() {
+            "stages_completed" => completed = (0..count).map(|_| w.u64()).sum(),
+            "flags" => {
+                open = (0..count)
+                    .map(|_| u64::from(w.u32() & F_STAGE_OPEN != 0))
+                    .sum()
+            }
+            _ => w.at += body,
+        }
+    }
+    let mut group_delta = 0i64;
+    for _ in 0..w.u32() {
+        w.at += 8 + 3 * 8; // group id; pool k, b_o, d_o
+        w.at += w.u32() as usize * 41; // slots
+        w.at += w.u32() as usize * 16; // pending
+        w.at += 3 * 8; // next_id, tick, phase_anchor
+        let forgotten = w.u64() as i64;
+        group_delta += 18 * forgotten - 8;
+        for _ in 0..w.u32() {
+            w.at += 8; // start
+            w.at += if w.u8() == 1 { 8 } else { 0 }; // end
+            w.at += 1; // kind
+        }
+        w.at += 8; // membership_changes
+        w.at += w.u32() as usize * 16; // members
+    }
+    let records = (completed + open) as i64;
+    let rows = rows as i64;
+    (v3.len() as i64 + 4 * rows + 17 * records - 16 * rows - 17 - 8 + group_delta) as usize
 }
 
 fn builder() -> ServiceConfigBuilder {
@@ -67,9 +148,10 @@ fn probe_frames_match_the_pinned_encoder_bytes() {
     );
     assert_eq!(
         (genesis.len(), fnv1a(&genesis)),
-        (25959, 13857754811519261468),
+        (25729, 5482621478610822418),
         "genesis"
     );
+    assert_eq!(v2_len(&genesis), 25959, "genesis vs the v2 schema");
 
     // Between-tick churn: exactly the six churned rows travel.
     probe.churn(6);
@@ -78,9 +160,10 @@ fn probe_frames_match_the_pinned_encoder_bytes() {
     assert_eq!(sparse.capacity(), sparse.len());
     assert_eq!(
         (rows, sparse.len(), fnv1a(&sparse)),
-        (6, 4215, 9347229334749887425),
+        (6, 4210, 4851411260549745964),
         "sparse incremental"
     );
+    assert_eq!(v2_len(&sparse), 4215, "sparse incremental vs the v2 schema");
 
     // A reused buffer is refilled in place. The ticks retire drained
     // leavers, so this frame carries tombstones and a retired suffix.
@@ -88,9 +171,10 @@ fn probe_frames_match_the_pinned_encoder_bytes() {
     let rows = probe.encode(false, &mut sparse);
     assert_eq!(
         (rows, sparse.len(), fnv1a(&sparse)),
-        (45, 24806, 17390956524031255846),
+        (45, 24606, 7937048438536350701),
         "dense incremental"
     );
+    assert_eq!(v2_len(&sparse), 24806, "dense incremental vs the v2 schema");
 }
 
 #[test]
@@ -110,16 +194,18 @@ fn worker_genesis_and_migration_frames_match_the_pinned_encoder_bytes() {
     assert_eq!(*kind, 0);
     assert_eq!(
         (genesis.len(), fnv1a(genesis)),
-        (5689, 227520499245461859),
+        (5674, 17927961569003828009),
         "worker genesis at tick 16"
     );
+    assert_eq!(v2_len(genesis), 5689, "worker genesis vs the v2 schema");
 
     let blob = service.export_session(live[2]).unwrap();
     assert_eq!(blob.capacity(), blob.len());
     assert_eq!(
         (blob.len(), fnv1a(&blob)),
-        (1589, 5624299062710012432),
+        (1609, 16060290946037241993),
         "migration frame"
     );
+    assert_eq!(v2_len(&blob), 1589, "migration frame vs the v2 schema");
     service.shutdown();
 }

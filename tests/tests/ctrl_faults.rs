@@ -60,13 +60,38 @@ fn replay(mut service: ControlPlane) -> ServiceSnapshot {
     snapshot
 }
 
+/// A control plane reporting into its own registry, and the value of the
+/// certified-stage gauge once the replay's final snapshot has folded it.
+fn metered(cfg: ServiceConfig) -> (ControlPlane, impl Fn() -> f64) {
+    let registry = cdba_obs::Registry::new();
+    let mut service = ControlPlane::new(cfg);
+    service.attach_metrics(&registry);
+    let stages = move || {
+        let text = registry.render();
+        let line = text
+            .lines()
+            .find(|l| l.starts_with("cdba_ctrl_stages_completed_total "))
+            .expect("the stage gauge is exported");
+        line.rsplit(' ').next().unwrap().parse().unwrap()
+    };
+    (service, stages)
+}
+
 #[test]
 fn killed_shard_recovers_from_checkpoint_bitwise() {
-    let clean = replay(ControlPlane::new(config(None)));
+    let (service, clean_stages) = metered(config(None));
+    let clean = replay(service);
     // Kill shard 1 when it is about to process tick 50: past the tick-48
     // checkpoint, so recovery must combine the checkpoint with a journal
     // replay of everything since.
-    let faulted = replay(ControlPlane::new(config(Some(FaultPlan::kill(1, 50)))));
+    let (service, faulted_stages) = metered(config(Some(FaultPlan::kill(1, 50))));
+    let faulted = replay(service);
+    assert!(clean_stages() > 0.0, "the replay completes stages");
+    assert_eq!(
+        clean_stages(),
+        faulted_stages(),
+        "live columns, pools and the retired count all survive a restart"
+    );
 
     assert_eq!(
         clean.invariant_view(),

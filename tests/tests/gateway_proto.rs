@@ -8,6 +8,7 @@ use cdba_gateway::proto::{
     self, decode, decode_payload, encode, ErrorCode, EventBody, Frame, ProtoError, MAX_FRAME,
 };
 use cdba_gateway::stats::LatencyHistogram;
+use cdba_integration::fnv1a;
 use proptest::prelude::*;
 
 fn arb_string() -> impl Strategy<Value = String> {
@@ -277,4 +278,174 @@ fn hostile_collection_counts_cannot_allocate_past_the_payload() {
     payload.put_u64_le(1);
     payload.put_u32_le(u32::MAX);
     assert_eq!(decode_payload(payload.freeze()), Err(ProtoError::Truncated));
+}
+
+/// One frame of every kind the protocol defines, with fixed contents.
+fn one_of_every_kind() -> Vec<Frame> {
+    let arrivals = vec![(3u64, 1.5f64), (9, 0.0), (70_000, 1e-3)];
+    let blob: Vec<u8> = (0u16..300).map(|b| (b % 251) as u8).collect();
+    vec![
+        Frame::Hello {
+            magic: proto::MAGIC,
+            version: proto::VERSION,
+        },
+        Frame::HelloOk { version: 3 },
+        Frame::Join {
+            id: 1,
+            tenant: "acme".into(),
+        },
+        Frame::JoinGroup {
+            id: 2,
+            tenant: "globex".into(),
+            size: 4,
+        },
+        Frame::Leave { id: 3, key: 42 },
+        Frame::Stage {
+            id: 4,
+            arrivals: arrivals.clone(),
+        },
+        Frame::Tick {
+            id: 5,
+            arrivals: vec![],
+        },
+        Frame::StageNoAck {
+            arrivals: arrivals.clone(),
+        },
+        Frame::TickSync {
+            id: 6,
+            arrivals,
+            min_staged: 7,
+        },
+        Frame::SnapshotDelta { id: 8 },
+        Frame::Snapshot { id: 9 },
+        Frame::SnapshotBin { id: 10 },
+        Frame::SnapshotDeltaBin { id: 11 },
+        Frame::Subscribe { id: 12, every: 64 },
+        Frame::SubscribeBatch {
+            id: 13,
+            every: 8,
+            batch: 16,
+        },
+        Frame::LeaseRevoke { id: 14, key: 42 },
+        Frame::LeaseGrant {
+            id: 15,
+            epoch: 3,
+            bytes: blob.clone(),
+        },
+        Frame::CheckpointDeltaBin {
+            id: 16,
+            shard: 1,
+            cursor: 12,
+        },
+        Frame::Drain { id: 17 },
+        Frame::Goodbye { id: 18 },
+        Frame::Joined { id: 1, key: 42 },
+        Frame::GroupJoined {
+            id: 2,
+            members: vec![1, 2, 3, 4],
+        },
+        Frame::LeaveOk { id: 3 },
+        Frame::StageOk { id: 4, staged: 3 },
+        Frame::TickOk { id: 5, tick: 99 },
+        Frame::SnapshotOk {
+            id: 9,
+            json: "{\"ticks\":1}".into(),
+        },
+        Frame::SnapshotBinOk {
+            id: 10,
+            bytes: blob.clone(),
+        },
+        Frame::SnapshotDeltaBinOk {
+            id: 11,
+            seq: 5,
+            full: true,
+            bytes: blob.clone(),
+        },
+        Frame::SnapshotDeltaOk {
+            id: 8,
+            seq: 3,
+            full: false,
+            json: "{\"baseline_seq\":2}".into(),
+        },
+        Frame::LeaseRevoked {
+            id: 14,
+            epoch: 2,
+            bytes: blob.clone(),
+        },
+        Frame::LeaseGranted { id: 15, key: 5 },
+        Frame::CheckpointDeltaBinOk {
+            id: 16,
+            cursor: 14,
+            frames: vec![(0, blob), (1, vec![])],
+        },
+        Frame::DrainOk {
+            id: 17,
+            keys: vec![1, 4, 9],
+        },
+        Frame::SubscribeOk { id: 12 },
+        Frame::GoodbyeOk { id: 18 },
+        Frame::Event {
+            tick: 100,
+            changes: 12,
+            signalling_cost: 12.5,
+        },
+        Frame::EventBatch {
+            events: vec![
+                EventBody {
+                    tick: 101,
+                    changes: 13,
+                    signalling_cost: 13.5,
+                },
+                EventBody {
+                    tick: 102,
+                    changes: 14,
+                    signalling_cost: -0.0,
+                },
+            ],
+        },
+        Frame::Error {
+            id: 19,
+            code: ErrorCode::Draining,
+            message: "process is draining".into(),
+        },
+    ]
+}
+
+/// `encode_into` appends a frame's wire form to a buffer that may
+/// already hold others; `encode` is a wrapper over it. The pinned digest
+/// is of the bytes the two-buffer encoder it replaced (payload built
+/// apart, then copied behind its length prefix) produced for the same
+/// frames, so the wire did not move.
+#[test]
+fn encode_into_appends_the_pinned_wire_bytes_of_every_frame_kind() {
+    let frames = one_of_every_kind();
+    assert_eq!(frames.len(), 38, "one frame per kind");
+    let (mut each, mut appended) = (Vec::new(), Vec::new());
+    for frame in &frames {
+        each.extend_from_slice(&encode(frame));
+        proto::encode_into(frame, &mut appended);
+    }
+    assert_eq!(appended, each);
+    assert_eq!((each.len(), fnv1a(&each)), (2487, 12140186587367040901));
+
+    // A blob written in place behind its frame's head is the same bytes.
+    for frame in frames {
+        let (head, blob) = match frame.clone() {
+            Frame::SnapshotBinOk { id, bytes } => {
+                (Frame::SnapshotBinOk { id, bytes: vec![] }, bytes)
+            }
+            Frame::LeaseRevoked { id, epoch, bytes } => (
+                Frame::LeaseRevoked {
+                    id,
+                    epoch,
+                    bytes: vec![],
+                },
+                bytes,
+            ),
+            _ => continue,
+        };
+        let mut in_place = vec![0xAA]; // appended behind what is already queued
+        proto::encode_into_with_blob(&head, &mut in_place, |out| out.extend_from_slice(&blob));
+        assert_eq!(in_place[1..], encode(&frame)[..]);
+    }
 }

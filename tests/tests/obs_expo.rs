@@ -250,6 +250,12 @@ fn golden_registry() -> Registry {
             "Cost under the \\ pricing\nline two",
         )
         .set(19.5);
+    registry
+        .gauge(
+            "cdba_ctrl_stages_completed_total",
+            "Stages completed, each certifying one offline change",
+        )
+        .set(7.0);
     let h = registry.histogram(
         "cdba_gateway_request_latency_us",
         "Request latency",
@@ -316,6 +322,7 @@ fn gateway_metrics_endpoint_serves_ctrl_and_gateway_series() {
         "cdba_ctrl_ticks_total",
         "cdba_ctrl_live_sessions",
         "cdba_ctrl_signalling_cost",
+        "cdba_ctrl_stages_completed_total",
         "cdba_gateway_frames_total",
         "cdba_gateway_request_latency_us_count",
     ] {
