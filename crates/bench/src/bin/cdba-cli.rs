@@ -110,8 +110,8 @@ usage: cdba-cli <command> [options]
            [--summary FILE] [--fault SHARD@TICK:<kill|hang:MS|delay:MS>]
            [--checkpoint-every N] [--max-restarts R] [--shard-timeout-ms MS]
            [--kernel-threads K]
-  gateway  [--addr HOST:PORT] [--workers N] [--service-queue N]
-           [--idle-timeout-ms MS] [--metrics-addr HOST:PORT]
+  gateway  [--addr HOST:PORT] [--workers N] [--idle-timeout-ms MS]
+           [--metrics-addr HOST:PORT]
            + every `serve` service/workload flag (the workload flags fix
            the default --budget so a `client` replay admits exactly like
            `serve`); --metrics-addr serves GET /metrics (Prometheus text)
@@ -651,7 +651,6 @@ fn gateway(args: &[String]) -> CliResult {
             .cloned()
             .unwrap_or_else(|| "127.0.0.1:4411".into()),
         workers: get_parse(&flags, "workers", defaults.workers)?,
-        service_queue: get_parse(&flags, "service-queue", defaults.service_queue)?,
         idle_timeout_ms: get_parse(&flags, "idle-timeout-ms", defaults.idle_timeout_ms)?,
         metrics_addr: flags.get("metrics-addr").cloned(),
         ..defaults
@@ -827,7 +826,6 @@ fn fleet_child_args(spec: &ReplaySpec, flags: &HashMap<String, String>) -> Vec<S
         "shard-timeout-ms",
         "kernel-threads",
         "workers",
-        "service-queue",
         "idle-timeout-ms",
     ] {
         if let Some(value) = flags.get(key) {

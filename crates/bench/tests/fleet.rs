@@ -223,3 +223,64 @@ fn relay_forwards_a_16_kib_frame_without_a_nagle_stall() {
         rtt_ms[10]
     );
 }
+
+/// `Fleet::snapshot` fetches every child's table through the binary
+/// snapshot codec. At 2,000 sessions over two processes behind a relay
+/// the merged snapshot still carries the in-process run's invariant view
+/// bit for bit — and returns in milliseconds, where the JSON path it
+/// replaced took ~0.8 ms a session.
+#[test]
+fn fleet_snapshot_is_binary_fast_and_matches_in_process_at_2k_sessions() {
+    const SESSIONS: usize = 2_000;
+    let spec = ReplaySpec {
+        sessions: SESSIONS,
+        pool_frac: 0.0,
+        ..ReplaySpec::default()
+    };
+    let service = spec
+        .service_builder(spec.default_budget())
+        .exec(ExecMode::Inline)
+        .build()
+        .expect("service config");
+    let mut plane = ControlPlane::new(service);
+    let sessions = SESSIONS.to_string();
+    let cfg = config(
+        2,
+        1,
+        &[
+            "--sessions",
+            &sessions,
+            "--pool-frac",
+            "0",
+            "--shards",
+            "1",
+            "--exec",
+            "inline",
+        ],
+    );
+    let mut fleet = Fleet::start(cfg, Box::new(LeastLoaded)).expect("fleet starts");
+
+    let mut arrivals = Vec::with_capacity(SESSIONS);
+    for i in 0..SESSIONS {
+        let tenant = ["alpha", "beta", "gamma"][i % 3];
+        let key = plane.admit(tenant).expect("admit");
+        assert_eq!(fleet.admit(tenant).expect("fleet admit"), key);
+        arrivals.push((key, (i % 5) as f64 * 0.5));
+    }
+    for _ in 0..20 {
+        plane.tick(&arrivals).expect("tick");
+        fleet.tick(&arrivals).expect("fleet tick");
+    }
+
+    let polled = Instant::now();
+    let merged = fleet.snapshot().expect("fleet snapshot");
+    let took = polled.elapsed();
+    let inline = plane.snapshot().expect("snapshot");
+    plane.shutdown();
+    assert_eq!(merged.sessions.len(), SESSIONS);
+    assert_eq!(merged.invariant_view(), inline.invariant_view());
+    assert!(
+        took.as_millis() < 200,
+        "a {SESSIONS}-session fleet snapshot took {took:?}"
+    );
+}

@@ -19,7 +19,7 @@
 
 use crate::meter::SessionMetrics;
 use crate::metrics::{GlobalMetrics, ServiceSnapshot, ShardHealth, ShardMetrics};
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -140,21 +140,40 @@ impl<'a> Enc<'a> {
     }
 }
 
-/// Binary decoder: a cursor over a payload slice.
+/// Binary decoder: a cursor over a payload slice — or over the part of a
+/// payload that has arrived so far ([`Dec::partial`]).
 pub struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Payload bytes that exist past the end of `buf` but have not arrived.
+    beyond: usize,
+    starved: bool,
 }
 
 impl<'a> Dec<'a> {
-    /// Wraps a payload.
+    /// Wraps a whole payload.
     pub fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
+        Self::partial(buf, 0)
+    }
+
+    /// Wraps the front of a payload whose last `beyond` bytes have not
+    /// arrived. Every length check counts them, so a value decodes, or is
+    /// refused, exactly as from the whole payload; a read that runs into
+    /// them fails with [`CodecError::Eof`] and sets [`Dec::starved`]:
+    /// "retry with more bytes", not "truncated".
+    pub fn partial(buf: &'a [u8], beyond: usize) -> Self {
+        Dec {
+            buf,
+            pos: 0,
+            beyond,
+            starved: false,
+        }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         let end = self.pos.checked_add(n).ok_or(CodecError::Eof)?;
         if end > self.buf.len() {
+            self.starved = end - self.buf.len() <= self.beyond;
             return Err(CodecError::Eof);
         }
         let s = &self.buf[self.pos..end];
@@ -162,9 +181,15 @@ impl<'a> Dec<'a> {
         Ok(s)
     }
 
-    /// Bytes not yet consumed.
+    /// Payload bytes not yet consumed, arrived or not.
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.buf.len() - self.pos + self.beyond
+    }
+
+    /// Whether the last [`CodecError::Eof`] only ran into bytes that have
+    /// not arrived (see [`Dec::partial`]).
+    pub fn starved(&self) -> bool {
+        self.starved
     }
 
     /// Fails unless every byte was consumed.
@@ -287,25 +312,44 @@ pub fn encode_session_metrics(m: &SessionMetrics, e: &mut Enc<'_>) {
     e.f64(m.bandwidth_cost);
 }
 
-/// Decodes one session's metrics.
+/// The fewest bytes [`encode_session_metrics`] writes for one row: an
+/// empty tenant name and no windowed utilisation.
+pub const SESSION_METRICS_MIN_LEN: usize = 93;
+
+/// The exact number of bytes [`encode_session_metrics`] writes for `m`.
+pub fn session_metrics_len(m: &SessionMetrics) -> usize {
+    SESSION_METRICS_MIN_LEN + m.tenant.len() + 8 * usize::from(m.windowed_utilization.is_some())
+}
+
+/// The tenant handles of one decode: a hundred thousand rows of a dozen
+/// tenants share a dozen allocations, which outlive the bytes the rows
+/// were decoded from.
+#[derive(Default)]
+pub struct TenantInterner(HashSet<Arc<str>>);
+
+/// Decodes one session's metrics, its tenant handle shared through
+/// `tenants`.
 ///
 /// # Errors
 ///
 /// Any [`CodecError`] raised by a malformed fragment.
-pub fn decode_session_metrics(d: &mut Dec<'_>) -> Result<SessionMetrics, CodecError> {
-    session_metrics_with(d, Arc::from)
-}
-
-/// [`decode_session_metrics`] with the tenant handle made by `tenant` —
-/// a table decode interns there, so a hundred thousand rows of a dozen
-/// tenants share a dozen allocations.
-fn session_metrics_with<'a>(
-    d: &mut Dec<'a>,
-    tenant: impl FnOnce(&'a str) -> Arc<str>,
+pub fn decode_session_metrics(
+    d: &mut Dec<'_>,
+    tenants: &mut TenantInterner,
 ) -> Result<SessionMetrics, CodecError> {
+    let session = d.u64()?;
+    let name = d.str_ref()?;
+    let tenant = match tenants.0.get(name) {
+        Some(known) => Arc::clone(known),
+        None => {
+            let fresh: Arc<str> = Arc::from(name);
+            tenants.0.insert(Arc::clone(&fresh));
+            fresh
+        }
+    };
     Ok(SessionMetrics {
-        session: d.u64()?,
-        tenant: tenant(d.str_ref()?),
+        session,
+        tenant,
         shard: d.u64()?,
         ticks: d.u64()?,
         changes: d.u64()?,
@@ -404,16 +448,11 @@ pub fn decode_shard_health(d: &mut Dec<'_>) -> Result<ShardHealth, CodecError> {
     })
 }
 
-/// Encodes a full service snapshot as a self-contained versioned payload.
-pub fn encode_snapshot(snap: &ServiceSnapshot, buf: &mut Vec<u8>) {
-    let mut e = Enc::new(buf);
-    e.u8(CODEC_VERSION);
-    encode_snapshot_fragment(snap, &mut e);
-}
-
-/// Encodes a snapshot without the version byte, for embedding inside a
-/// larger payload that already carries one.
-pub fn encode_snapshot_fragment(snap: &ServiceSnapshot, e: &mut Enc<'_>) {
+/// Encodes a service snapshot up to its session rows — counters, totals,
+/// per-shard tables and the row count. No version byte: the embedding
+/// payload carries one, and follows this with [`encode_session_metrics`]
+/// per row, a run of rows at a time if it likes.
+pub fn encode_snapshot_head(snap: &ServiceSnapshot, e: &mut Enc<'_>) {
     e.u64(snap.ticks);
     e.u64(snap.shards);
     e.u64(snap.admitted);
@@ -430,32 +469,17 @@ pub fn encode_snapshot_fragment(snap: &ServiceSnapshot, e: &mut Enc<'_>) {
         encode_shard_health(h, e);
     }
     e.len(snap.sessions.len());
-    for m in &snap.sessions {
-        encode_session_metrics(m, e);
-    }
 }
 
-/// Decodes a self-contained snapshot payload (version byte + no trailing
-/// bytes).
+/// Decodes what [`encode_snapshot_head`] wrote: the snapshot with its
+/// session table empty but reserved, and the number of rows
+/// ([`decode_session_metrics`]) that follow.
 ///
 /// # Errors
 ///
-/// Any [`CodecError`] raised by a malformed payload.
-pub fn decode_snapshot(payload: &[u8]) -> Result<ServiceSnapshot, CodecError> {
-    let mut d = Dec::new(payload);
-    d.version()?;
-    let snap = decode_snapshot_fragment(&mut d)?;
-    d.finish()?;
-    Ok(snap)
-}
-
-/// Decodes a snapshot fragment (no version byte, trailing bytes allowed —
-/// the embedding payload owns them).
-///
-/// # Errors
-///
-/// Any [`CodecError`] raised by a malformed fragment.
-pub fn decode_snapshot_fragment<'a>(d: &mut Dec<'a>) -> Result<ServiceSnapshot, CodecError> {
+/// Any [`CodecError`] raised by a malformed fragment; a row count the
+/// remaining payload could not hold is [`CodecError::BadLength`].
+pub fn decode_snapshot_head(d: &mut Dec<'_>) -> Result<(ServiceSnapshot, usize), CodecError> {
     let ticks = d.u64()?;
     let shards = d.u64()?;
     let admitted = d.u64()?;
@@ -473,15 +497,8 @@ pub fn decode_snapshot_fragment<'a>(d: &mut Dec<'a>) -> Result<ServiceSnapshot, 
     for _ in 0..n {
         health.push(decode_shard_health(d)?);
     }
-    let n = d.len(8)?;
-    let mut sessions = Vec::with_capacity(n);
-    let mut tenants: HashMap<&'a str, Arc<str>> = HashMap::new();
-    for _ in 0..n {
-        sessions.push(session_metrics_with(d, |name| {
-            Arc::clone(tenants.entry(name).or_insert_with(|| Arc::from(name)))
-        })?);
-    }
-    Ok(ServiceSnapshot {
+    let rows = d.len(SESSION_METRICS_MIN_LEN)?;
+    let snap = ServiceSnapshot {
         ticks,
         shards,
         admitted,
@@ -491,8 +508,9 @@ pub fn decode_snapshot_fragment<'a>(d: &mut Dec<'a>) -> Result<ServiceSnapshot, 
         global,
         per_shard,
         health,
-        sessions,
-    })
+        sessions: Vec::with_capacity(rows),
+    };
+    Ok((snap, rows))
 }
 
 // ---------------------------------------------------------------------------
@@ -928,8 +946,9 @@ pub(crate) mod checkpoint {
         }
         let n = d.len(8)?;
         let mut retired = Vec::with_capacity(n);
+        let mut tenants = TenantInterner::default();
         for _ in 0..n {
-            retired.push(decode_session_metrics(&mut d)?);
+            retired.push(decode_session_metrics(&mut d, &mut tenants)?);
         }
         let cp = ShardStateCheckpoint {
             sessions,
@@ -1011,6 +1030,7 @@ pub(crate) mod columnar {
     use cdba_core::config::SingleConfig;
     use cdba_core::single::SingleCheckpoint;
     use cdba_sim::streaming::DelayTrackerState;
+    use std::collections::HashMap;
 
     /// Version byte leading every columnar frame.
     pub(crate) const FRAME_VERSION: u8 = 3;
@@ -1511,8 +1531,9 @@ pub(crate) mod columnar {
         }
         let n = d.len(8)?;
         let mut retired = Vec::with_capacity(n);
+        let mut tenants = TenantInterner::default();
         for _ in 0..n {
-            retired.push(decode_session_metrics(&mut d)?);
+            retired.push(decode_session_metrics(&mut d, &mut tenants)?);
         }
         d.finish()?;
         Ok(RawFrame {
@@ -1884,6 +1905,29 @@ mod tests {
             a.global.total_arrived.to_bits(),
             b.global.total_arrived.to_bits()
         );
+    }
+
+    /// A snapshot as a self-contained payload: version byte, head, rows.
+    fn encode_snapshot(snap: &ServiceSnapshot, buf: &mut Vec<u8>) {
+        let mut e = Enc::new(buf);
+        e.u8(CODEC_VERSION);
+        encode_snapshot_head(snap, &mut e);
+        for m in &snap.sessions {
+            encode_session_metrics(m, &mut e);
+        }
+    }
+
+    fn decode_snapshot(payload: &[u8]) -> Result<ServiceSnapshot, CodecError> {
+        let mut d = Dec::new(payload);
+        d.version()?;
+        let (mut snap, rows) = decode_snapshot_head(&mut d)?;
+        let mut tenants = TenantInterner::default();
+        for _ in 0..rows {
+            snap.sessions
+                .push(decode_session_metrics(&mut d, &mut tenants)?);
+        }
+        d.finish()?;
+        Ok(snap)
     }
 
     #[test]

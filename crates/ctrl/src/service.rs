@@ -347,12 +347,9 @@ pub struct ControlPlane {
     /// The shared empty arrival batch, so idle shards tick without a fresh
     /// allocation.
     empty_batch: Arc<[(u64, f64)]>,
-    /// Bumped on every mutation that can change a snapshot; the snapshot
-    /// cache is valid only while its stamp matches.
-    generation: u64,
-    /// The last assembled snapshot, stamped with the generation it
-    /// captured.
-    snapshot_cache: Option<(u64, Arc<ServiceSnapshot>)>,
+    /// The last assembled snapshot, until the next mutation that can
+    /// change one ([`Self::mutated`]).
+    snapshot_cache: Option<Arc<ServiceSnapshot>>,
     /// Pre-resolved metric handles; `None` until
     /// [`ControlPlane::attach_metrics`]. Every hook is one branch when
     /// unattached.
@@ -429,7 +426,6 @@ impl ControlPlane {
             seen_stamp: 0,
             adaptive,
             empty_batch: Arc::from(Vec::new()),
-            generation: 0,
             snapshot_cache: None,
             obs: None,
             trace: None,
@@ -580,7 +576,7 @@ impl ControlPlane {
         self.backend = Backend::Threaded { workers };
         self.msgs = Some((msg_tx, msg_rx));
         self.adaptive = None;
-        self.generation += 1;
+        self.mutated();
     }
 
     /// Whether the service is currently running on worker threads.
@@ -722,7 +718,7 @@ impl ControlPlane {
     /// replay itself panics (a deterministic poison event); the shard is
     /// marked permanently down in all three cases.
     fn recover(&mut self, shard: usize, reason: String) -> Result<(), CtrlError> {
-        self.generation += 1;
+        self.mutated();
         self.retire_worker(shard);
         let max_restarts = u64::from(self.cfg.max_restarts);
         let sup = &mut self.sups[shard];
@@ -942,7 +938,7 @@ impl ControlPlane {
     /// cover the envelope; [`CtrlError::ShardDown`] when no shard could
     /// take the session.
     pub fn admit(&mut self, tenant: &str) -> Result<u64, CtrlError> {
-        self.generation += 1;
+        self.mutated();
         let envelope = self.cfg.dedicated_envelope();
         if let Err(refused) = self.admission.lock().request(tenant, envelope) {
             if let Some(m) = &self.obs {
@@ -1009,7 +1005,7 @@ impl ControlPlane {
                 "pooled groups need at least 2 sessions, got {size}"
             )));
         }
-        self.generation += 1;
+        self.mutated();
         let envelope = self.cfg.group_envelope();
         if let Err(refused) = self.admission.lock().request(tenant, envelope) {
             if let Some(m) = &self.obs {
@@ -1083,7 +1079,7 @@ impl ControlPlane {
     /// [`CtrlError::ShardDown`] if the session's shard is permanently down
     /// (the session then stays registered and keeps its envelope).
     pub fn leave(&mut self, key: u64) -> Result<(), CtrlError> {
-        self.generation += 1;
+        self.mutated();
         let (shard, kind) = {
             let placement = self
                 .placements
@@ -1154,7 +1150,7 @@ impl ControlPlane {
     /// during the export (the session then stays registered and keeps its
     /// envelope).
     pub fn export_session(&mut self, key: u64) -> Result<Vec<u8>, CtrlError> {
-        self.generation += 1;
+        self.mutated();
         let (shard, kind) = {
             let placement = self
                 .placements
@@ -1248,7 +1244,7 @@ impl ControlPlane {
                 if round == 0 {
                     let _ = self.recover(shard, failure.into());
                 } else {
-                    self.generation += 1;
+                    self.mutated();
                     self.retire_worker(shard);
                     let sup = &mut self.sups[shard];
                     sup.healthy = false;
@@ -1307,7 +1303,7 @@ impl ControlPlane {
         cp.validate()
             .and_then(|()| cp.conforms(&self.cfg))
             .map_err(|field| CtrlError::InvalidCheckpoint { field })?;
-        self.generation += 1;
+        self.mutated();
         let envelope = self.cfg.dedicated_envelope();
         let tenant = cp.tenant.clone();
         self.admission
@@ -1399,7 +1395,7 @@ impl ControlPlane {
                 self.routes[shard].push((key, bits));
             }
         }
-        self.generation += 1;
+        self.mutated();
         // Inline fallback: run every shard's tick on this thread straight
         // from the reused route buffers — no events, no journal, no
         // allocations on the hot path. Adaptive mode times the loop and
@@ -1595,7 +1591,7 @@ impl ControlPlane {
                         "snapshot reply stalled past the shard timeout".into(),
                     );
                 } else {
-                    self.generation += 1;
+                    self.mutated();
                     self.retire_worker(shard);
                     let sup = &mut self.sups[shard];
                     sup.healthy = false;
@@ -1623,24 +1619,25 @@ impl ControlPlane {
         Ok(self.snapshot_shared()?.as_ref().clone())
     }
 
+    /// Called by every operation that can change a snapshot: the cached
+    /// one is unreachable from here on, so it is released now, not at the
+    /// next poll (a 100k-session table is 11.5 MB).
+    fn mutated(&mut self) {
+        self.snapshot_cache = None;
+    }
+
     /// Like [`ControlPlane::snapshot`], but returns a shared handle and
     /// caches the assembled snapshot: repeated calls without an
-    /// intervening mutation (admit, leave, tick, recovery) are free — the
-    /// cache is stamped with a generation counter that every mutating
-    /// operation bumps.
+    /// intervening mutation (admit, leave, tick, recovery) are free, and
+    /// the first such mutation drops the cache.
     ///
     /// # Errors
     ///
     /// As [`ControlPlane::snapshot`].
     pub fn snapshot_shared(&mut self) -> Result<Arc<ServiceSnapshot>, CtrlError> {
-        if let Some((stamp, cached)) = &self.snapshot_cache {
-            if *stamp == self.generation {
-                return Ok(cached.clone());
-            }
+        if let Some(cached) = &self.snapshot_cache {
+            return Ok(cached.clone());
         }
-        // Stale: release it before its successor is assembled, so the two
-        // session tables never coexist on this side.
-        self.snapshot_cache = None;
         let (sessions, stages_completed) = self.collect_sessions();
         let (admitted, rejected) = {
             let admission = self.admission.lock();
@@ -1680,9 +1677,9 @@ impl ControlPlane {
             m.max_delay.set(snapshot.global.max_delay as f64);
             m.snapshot_tick.set(snapshot.ticks as f64);
         }
-        // Collection may itself have recovered or downed shards (bumping
-        // the generation); stamp with the value the assembly observed.
-        self.snapshot_cache = Some((self.generation, snapshot.clone()));
+        // Collection may itself have recovered or downed shards; the
+        // assembly observed the result, so it is cached all the same.
+        self.snapshot_cache = Some(snapshot.clone());
         Ok(snapshot)
     }
 

@@ -782,7 +782,7 @@ impl Fleet {
         let mut restarts = 0u64;
         let mut events_replayed = 0u64;
         for proc in 0..self.procs.len() {
-            let snap = self.with_proc(proc, |c| c.snapshot())?;
+            let snap = self.with_proc(proc, |c| c.snapshot_bin())?;
             let svc = snap.service;
             admitted += svc.admitted;
             rejected += svc.rejected;

@@ -136,6 +136,9 @@ pub struct Client {
     baseline: Option<(u64, ServiceSnapshot)>,
     /// The outgoing frame's wire bytes, reused across requests.
     wbuf: Vec<u8>,
+    /// The body of the last [`Frame::SnapshotBinOk`] read, decoded as it
+    /// arrived; the frame itself is handed on with its blob empty.
+    polled: Option<Result<GatewaySnapshot, cdba_ctrl::codec::CodecError>>,
 }
 
 impl Client {
@@ -183,11 +186,13 @@ impl Client {
             pending_events: VecDeque::new(),
             baseline: None,
             wbuf: Vec::new(),
+            polled: None,
         };
-        client.write(&Frame::Hello {
+        let hello = Frame::Hello {
             magic: proto::MAGIC,
             version: proto::VERSION,
-        })?;
+        };
+        client.write(&hello, None)?;
         match client.read_frame()? {
             Frame::HelloOk { .. } => Ok(client),
             Frame::Error { code, message, .. } => Err(ClientError::Server { code, message }),
@@ -197,9 +202,15 @@ impl Client {
         }
     }
 
-    fn write(&mut self, frame: &Frame) -> Result<(), ClientError> {
+    /// Sends `frame`. With `arrivals`, `frame` is one that carries a batch,
+    /// given with its own list empty: the batch is encoded straight from
+    /// the caller's slice, not copied into a frame to be read once.
+    fn write(&mut self, frame: &Frame, arrivals: Option<&[(u64, f64)]>) -> Result<(), ClientError> {
         self.wbuf.clear();
-        proto::encode_into(frame, &mut self.wbuf);
+        match arrivals {
+            Some(arrivals) => proto::encode_arrivals_into(frame, arrivals, &mut self.wbuf),
+            None => proto::encode_into(frame, &mut self.wbuf),
+        }
         self.stream
             .write_all(&self.wbuf)
             .map_err(|e| ClientError::Io(format!("write: {e}")))
@@ -212,7 +223,9 @@ impl Client {
     }
 
     /// Reads one frame; with `none_on_timeout`, a timeout before the
-    /// first byte yields `Ok(None)` instead of an error.
+    /// first byte yields `Ok(None)` instead of an error. A
+    /// [`Frame::SnapshotBinOk`] is not read whole: once its head is in,
+    /// the body is decoded as it arrives, into [`Self::polled`].
     fn read_frame_opt(&mut self, none_on_timeout: bool) -> Result<Option<Frame>, ClientError> {
         let mut head = [0u8; 4];
         match self.read_exact(&mut head) {
@@ -238,6 +251,14 @@ impl Client {
                     Some(e) => return Err(e.into()),
                     None => continue,
                 },
+            }
+            if let Some((id, blob_len)) = proto::snapshot_bin_ok_head(&body, declared) {
+                let read = &body[proto::SNAPSHOT_BIN_OK_HEAD..];
+                let decoded = codec::read_gateway_snapshot(&mut read.chain(&self.stream), blob_len)
+                    .map_err(|e| Self::read_error(e, true).unwrap_or(ReadError::Closed))?;
+                self.polled = Some(decoded);
+                let bytes = Vec::new();
+                return Ok(Some(Frame::SnapshotBinOk { id, bytes }));
             }
         }
         proto::decode_payload(bytes::Bytes::from(body))
@@ -265,6 +286,7 @@ impl Client {
     fn read_error(e: std::io::Error, any_read: bool) -> Option<ReadError> {
         match e.kind() {
             ErrorKind::Interrupted => None,
+            ErrorKind::UnexpectedEof => Some(ReadError::Closed),
             ErrorKind::WouldBlock | ErrorKind::TimedOut => Some(ReadError::Timeout { any_read }),
             _ => Some(ReadError::Other(e.to_string())),
         }
@@ -273,9 +295,19 @@ impl Client {
     /// Sends a request and blocks for the reply with the matching id,
     /// buffering any events that arrive first.
     fn request(&mut self, make: impl FnOnce(u64) -> Frame) -> Result<Frame, ClientError> {
+        self.request_with(None, make)
+    }
+
+    /// [`Self::request`], the frame's arrivals given apart (see
+    /// [`Self::write`]).
+    fn request_with(
+        &mut self,
+        arrivals: Option<&[(u64, f64)]>,
+        make: impl FnOnce(u64) -> Frame,
+    ) -> Result<Frame, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        self.write(&make(id))?;
+        self.write(&make(id), arrivals)?;
         loop {
             match self.read_frame()? {
                 Frame::Event {
@@ -453,9 +485,9 @@ impl Client {
     /// [`ClientError::Server`] when validation rejects the batch (the
     /// previously staged arrivals stay buffered).
     pub fn stage(&mut self, arrivals: &[(u64, f64)]) -> Result<u32, ClientError> {
-        match self.request(|id| Frame::Stage {
+        match self.request_with(Some(arrivals), |id| Frame::Stage {
             id,
-            arrivals: arrivals.to_vec(),
+            arrivals: Vec::new(),
         })? {
             Frame::StageOk { staged, .. } => Ok(staged),
             other => Err(ClientError::Protocol(format!(
@@ -473,9 +505,9 @@ impl Client {
     /// [`ClientError::Server`] when validation or the control plane
     /// rejects the tick.
     pub fn tick(&mut self, arrivals: &[(u64, f64)]) -> Result<u64, ClientError> {
-        match self.request(|id| Frame::Tick {
+        match self.request_with(Some(arrivals), |id| Frame::Tick {
             id,
-            arrivals: arrivals.to_vec(),
+            arrivals: Vec::new(),
         })? {
             Frame::TickOk { tick, .. } => Ok(tick),
             other => Err(ClientError::Protocol(format!(
@@ -495,9 +527,10 @@ impl Client {
     /// [`ClientError::Io`] on write failure only; validation failures are
     /// deferred as described.
     pub fn stage_noack(&mut self, arrivals: &[(u64, f64)]) -> Result<(), ClientError> {
-        self.write(&Frame::StageNoAck {
-            arrivals: arrivals.to_vec(),
-        })
+        let head = Frame::StageNoAck {
+            arrivals: Vec::new(),
+        };
+        self.write(&head, Some(arrivals))
     }
 
     /// Stages `arrivals`, then commits the batch tick once at least
@@ -517,9 +550,9 @@ impl Client {
         arrivals: &[(u64, f64)],
         min_staged: u32,
     ) -> Result<u64, ClientError> {
-        match self.request(|id| Frame::TickSync {
+        match self.request_with(Some(arrivals), |id| Frame::TickSync {
             id,
-            arrivals: arrivals.to_vec(),
+            arrivals: Vec::new(),
             min_staged,
         })? {
             Frame::TickOk { tick, .. } => Ok(tick),
@@ -599,7 +632,10 @@ impl Client {
     /// [`ClientError::Codec`] when the binary body does not decode.
     pub fn snapshot_bin(&mut self) -> Result<GatewaySnapshot, ClientError> {
         match self.request(|id| Frame::SnapshotBin { id })? {
-            Frame::SnapshotBinOk { bytes, .. } => codec::decode_gateway_snapshot(&bytes)
+            Frame::SnapshotBinOk { .. } => self
+                .polled
+                .take()
+                .expect("the frame reader decodes the body of every snapshot-bin-ok")
                 .map_err(|e| ClientError::Codec(e.to_string())),
             other => Err(ClientError::Protocol(format!(
                 "expected snapshot-bin-ok: {other:?}"

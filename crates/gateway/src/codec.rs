@@ -9,6 +9,12 @@
 //! [`cdba_ctrl::codec`] so the service section shares its layout (and
 //! its hostile-input guards) with the control plane's checkpoints.
 //!
+//! A full snapshot has one encoder ([`SnapshotStream`]) and one decoder,
+//! each driven from a slice ([`encode_gateway_snapshot`],
+//! [`decode_gateway_snapshot`]) or a socket (a connection's write buffer
+//! refilled a run of rows at a time; [`read_gateway_snapshot`]), so neither
+//! side of a poll holds the body in one piece.
+//!
 //! Layouts (after the leading codec-version byte):
 //!
 //! ```text
@@ -25,10 +31,13 @@ use crate::stats::{LatencyBucket, WireSnapshot};
 use crate::GatewaySnapshot;
 use cdba_ctrl::codec::{
     decode_global_metrics, decode_session_metrics, decode_shard_health, decode_shard_metrics,
-    decode_snapshot_fragment, encode_global_metrics, encode_session_metrics, encode_shard_health,
-    encode_shard_metrics, encode_snapshot_fragment, CodecError, Dec, Enc, CODEC_VERSION,
+    decode_snapshot_head, encode_global_metrics, encode_session_metrics, encode_shard_health,
+    encode_shard_metrics, encode_snapshot_head, session_metrics_len, CodecError, Dec, Enc,
+    TenantInterner, CODEC_VERSION,
 };
 use cdba_ctrl::ServiceSnapshot;
+use std::io::{self, ErrorKind, Read};
+use std::ops::Deref;
 
 /// Encodes the wire counters (fixed-width, field order = struct order).
 fn encode_wire(w: &WireSnapshot, e: &mut Enc<'_>) {
@@ -102,25 +111,141 @@ pub fn encode_gateway_snapshot(snap: &GatewaySnapshot) -> Vec<u8> {
     buf
 }
 
-/// Appends [`encode_gateway_snapshot`]'s body to `buf`, from the two
-/// halves borrowed separately: the server encodes from the control
-/// plane's shared snapshot, without first copying it into a
-/// [`GatewaySnapshot`], into whatever buffer the body is sent from. Room
-/// is reserved up front — 109 fixed bytes and the tenant name per
-/// session, a page for everything else — because doubling into a ~10 MB
-/// body (100k sessions) holds half as much again in superseded buffers.
+/// Appends [`encode_gateway_snapshot`]'s body to `buf`, its two halves
+/// borrowed separately: one refill, which reserves the exact length.
 pub(crate) fn encode_snapshot_parts(
     service: &ServiceSnapshot,
     wire: &WireSnapshot,
     buf: &mut Vec<u8>,
 ) {
-    let sessions = service.sessions.iter();
-    let hint: usize = sessions.map(|m| 109 + m.tenant.len()).sum();
-    buf.reserve(hint + 4096);
-    let mut e = Enc::new(buf);
-    e.u8(CODEC_VERSION);
-    encode_snapshot_fragment(service, &mut e);
-    encode_wire(wire, &mut e);
+    SnapshotStream::new(service, wire).refill(buf, usize::MAX);
+}
+
+/// The encoder of a full gateway snapshot body, resumable between session
+/// rows: a size pass fixes the body's length up front (a frame head needs
+/// it), then [`SnapshotStream::refill`] appends a bounded run at a time.
+/// `S` is how the snapshot is held — borrowed for a one-shot encode, the
+/// control plane's shared handle for a reply that outlives its request.
+pub struct SnapshotStream<S> {
+    service: S,
+    /// The next session row to encode.
+    next: usize,
+    /// Version byte and everything ahead of the rows; empty once sent.
+    head: Vec<u8>,
+    /// The wire counters, which follow the last row.
+    tail: Vec<u8>,
+    /// Body bytes not yet appended.
+    left: usize,
+}
+
+impl<S: Deref<Target = ServiceSnapshot>> SnapshotStream<S> {
+    /// Starts a body over `service` and the wire counters `wire`.
+    pub fn new(service: S, wire: &WireSnapshot) -> Self {
+        let (mut head, mut tail) = (vec![CODEC_VERSION], Vec::new());
+        encode_snapshot_head(&service, &mut Enc::new(&mut head));
+        encode_wire(wire, &mut Enc::new(&mut tail));
+        let rows: usize = service.sessions.iter().map(session_metrics_len).sum();
+        let left = head.len() + rows + tail.len();
+        Self {
+            service,
+            next: 0,
+            head,
+            tail,
+            left,
+        }
+    }
+
+    /// Body bytes yet to append: on a fresh stream, the body's length.
+    pub fn left(&self) -> usize {
+        self.left
+    }
+
+    /// Appends the next run of the body to `out`: whole rows (and, behind
+    /// the last, the tail) while the run stays within `budget` bytes, but
+    /// always at least one, so any budget makes progress. Returns whether
+    /// the body is now complete.
+    pub fn refill(&mut self, out: &mut Vec<u8>, budget: usize) -> bool {
+        let start = out.len();
+        out.reserve(budget.min(self.left));
+        out.append(&mut self.head);
+        let sessions = &self.service.sessions;
+        let done = loop {
+            let row = sessions.get(self.next);
+            let unit = row.map_or(self.tail.len(), session_metrics_len);
+            if out.len() > start && out.len() - start + unit > budget {
+                break false;
+            }
+            match row {
+                Some(row) => encode_session_metrics(row, &mut Enc::new(out)),
+                None => {
+                    out.append(&mut self.tail);
+                    break true;
+                }
+            }
+            self.next += 1;
+        };
+        self.left -= out.len() - start;
+        debug_assert!(!done || self.left == 0, "size pass and fill pass disagree");
+        done
+    }
+}
+
+/// The decoder of a full gateway snapshot body, resumable wherever the
+/// bytes received so far end; rows go straight into the final table.
+#[derive(Default)]
+struct SnapshotDecoder {
+    /// `None` until the head is decoded; then the snapshot, its table
+    /// filling row by row, and the rows still to come.
+    service: Option<(ServiceSnapshot, usize)>,
+    tenants: TenantInterner,
+    /// `None` until the body is decoded to its last byte.
+    wire: Option<WireSnapshot>,
+}
+
+impl SnapshotDecoder {
+    /// Decodes the whole values at the front of `buf` — the body from
+    /// where the last call stopped, `beyond` more bytes still to arrive —
+    /// and returns the bytes they took. With `beyond == 0` the body
+    /// completes or fails.
+    fn feed(&mut self, buf: &[u8], beyond: usize) -> Result<usize, CodecError> {
+        let mut d = Dec::partial(buf, beyond);
+        let mut used = 0;
+        while self.wire.is_none() {
+            match self.step(&mut d) {
+                Ok(()) => used = buf.len() + beyond - d.remaining(),
+                Err(CodecError::Eof) if d.starved() => break,
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(used)
+    }
+
+    /// Decodes the next value: the head, one row, or the wire counters.
+    fn step(&mut self, d: &mut Dec<'_>) -> Result<(), CodecError> {
+        let Some((service, rows_left)) = &mut self.service else {
+            d.version()?;
+            self.service = Some(decode_snapshot_head(d)?);
+            return Ok(());
+        };
+        if *rows_left > 0 {
+            let row = decode_session_metrics(d, &mut self.tenants)?;
+            service.sessions.push(row);
+            *rows_left -= 1;
+            return Ok(());
+        }
+        let wire = decode_wire(d)?;
+        d.finish()?;
+        self.wire = Some(wire);
+        Ok(())
+    }
+
+    fn finish(self) -> GatewaySnapshot {
+        let whole = "a whole body completes or fails";
+        GatewaySnapshot {
+            service: self.service.expect(whole).0,
+            wire: self.wire.expect(whole),
+        }
+    }
 }
 
 /// Decodes a binary gateway snapshot body.
@@ -130,12 +255,62 @@ pub(crate) fn encode_snapshot_parts(
 /// [`CodecError`] on a version mismatch, truncation, hostile lengths,
 /// or trailing bytes.
 pub fn decode_gateway_snapshot(payload: &[u8]) -> Result<GatewaySnapshot, CodecError> {
-    let mut d = Dec::new(payload);
-    d.version()?;
-    let service = decode_snapshot_fragment(&mut d)?;
-    let wire = decode_wire(&mut d)?;
-    d.finish()?;
-    Ok(GatewaySnapshot { service, wire })
+    let mut decoder = SnapshotDecoder::default();
+    decoder.feed(payload, 0)?;
+    Ok(decoder.finish())
+}
+
+/// The buffer a streamed body is decoded through: a read worth its system
+/// call, still in cache when its rows are decoded.
+const READ_BUF: usize = 64 * 1024;
+
+/// [`decode_gateway_snapshot`] over the next `len` bytes of `src`, read
+/// through one bounded buffer. A body that does not decode (the inner
+/// error) is still read to its end, so `src` is left at the next frame.
+///
+/// # Errors
+///
+/// The outer error is `src`'s own: the body was not read to its end.
+pub fn read_gateway_snapshot(
+    src: &mut impl Read,
+    len: usize,
+) -> io::Result<Result<GatewaySnapshot, CodecError>> {
+    let mut decoder = SnapshotDecoder::default();
+    let mut buf = vec![0u8; READ_BUF.min(len)];
+    // Body bytes sitting in `buf`, and body bytes `src` still holds.
+    let (mut held, mut unread) = (0, len);
+    loop {
+        match decoder.feed(&buf[..held], unread) {
+            Ok(used) => {
+                buf.copy_within(used..held, 0);
+                held -= used;
+            }
+            Err(e) => {
+                let rest = &mut src.take(unread as u64);
+                let short = io::copy(rest, &mut io::sink())? < unread as u64;
+                return if short {
+                    Err(ErrorKind::UnexpectedEof.into())
+                } else {
+                    Ok(Err(e))
+                };
+            }
+        }
+        if unread == 0 {
+            return Ok(Ok(decoder.finish()));
+        }
+        if held == buf.len() {
+            // One value outgrew the buffer (a long tenant name): grow it,
+            // never past what the body still has.
+            buf.resize((2 * held).min(held + unread), 0);
+        }
+        let want = (buf.len() - held).min(unread);
+        match src.read(&mut buf[held..held + want]) {
+            Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
+            Ok(got) => (held, unread) = (held + got, unread - got),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
 }
 
 /// Encodes a delta-snapshot body as one binary body.
@@ -201,8 +376,9 @@ pub fn decode_delta_body(payload: &[u8]) -> Result<SnapshotDeltaBody, CodecError
     }
     let n = d.len(8 * 4)?;
     let mut changed_sessions = Vec::with_capacity(n);
+    let mut tenants = TenantInterner::default();
     for _ in 0..n {
-        changed_sessions.push(decode_session_metrics(&mut d)?);
+        changed_sessions.push(decode_session_metrics(&mut d, &mut tenants)?);
     }
     let n = d.len(8)?;
     let mut removed_sessions = Vec::with_capacity(n);

@@ -863,19 +863,49 @@ pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) {
     payload[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
 }
 
+/// [`encode_into`] for the four frames whose payload ends in arrivals
+/// ([`Frame::Stage`], [`Frame::Tick`], [`Frame::StageNoAck`],
+/// [`Frame::TickSync`]), given with their own list empty: `arrivals` goes
+/// in its place straight from the caller's slice, so a client does not
+/// copy a batch into a frame only to have it read once.
+pub fn encode_arrivals_into(frame: &Frame, arrivals: &[(u64, f64)], out: &mut Vec<u8>) {
+    let prefix = out.len();
+    encode_into(frame, out);
+    debug_assert!(out.ends_with(&[0; 4]), "the frame ends in an empty list");
+    out.truncate(out.len() - 4); // that list's count
+    put_arrivals(out, arrivals);
+    let len = (out.len() - prefix - 4) as u32;
+    out[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
+}
+
 /// [`encode_into`] for a frame whose payload ends in its blob (every
-/// snapshot and lease body), given with the blob empty: `fill` appends the
-/// blob in place, so a multi-megabyte body is written once, where it is
-/// sent from, instead of into a vector the frame then copies out of.
-pub fn encode_into_with_blob(frame: &Frame, out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) {
+/// snapshot and lease body), given with the blob empty: the frame is
+/// written up to where the blob starts, its lengths already counting the
+/// `blob_len` bytes the caller sends behind it — so a multi-megabyte body
+/// never has to exist in one piece on the sending side.
+pub fn encode_blob_head(frame: &Frame, blob_len: usize, out: &mut Vec<u8>) {
     let prefix = out.len();
     encode_into(frame, out);
     let blob = out.len();
-    fill(out);
-    let blob_len = (out.len() - blob) as u32;
-    out[blob - 4..blob].copy_from_slice(&blob_len.to_le_bytes());
-    let len = (out.len() - prefix - 4) as u32;
+    out[blob - 4..blob].copy_from_slice(&(blob_len as u32).to_le_bytes());
+    let len = (blob - prefix - 4 + blob_len) as u32;
     out[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// The payload bytes of a [`Frame::SnapshotBinOk`] ahead of its blob:
+/// kind, request id, blob length.
+pub(crate) const SNAPSHOT_BIN_OK_HEAD: usize = 1 + 8 + 4;
+
+/// Reads the front of a `declared`-byte payload, as much of it as has
+/// arrived, as the head of a [`Frame::SnapshotBinOk`]: the request id it
+/// echoes and the length of the blob that is the rest of the payload.
+/// `None` for any other frame, and for one yet shorter than the head.
+pub(crate) fn snapshot_bin_ok_head(front: &[u8], declared: usize) -> Option<(u64, usize)> {
+    let head = front.get(..SNAPSHOT_BIN_OK_HEAD)?;
+    let id = u64::from_le_bytes(head[1..9].try_into().expect("8 bytes"));
+    let blob_len = u32::from_le_bytes(head[9..].try_into().expect("4 bytes")) as usize;
+    (head[0] == K_SNAPSHOT_BIN_OK && SNAPSHOT_BIN_OK_HEAD + blob_len == declared)
+        .then_some((id, blob_len))
 }
 
 struct Reader {

@@ -14,11 +14,12 @@
 //! The loop backs off when idle (a few busy passes, then short sleeps),
 //! so an idle gateway costs ~0 CPU while a saturated one never sleeps.
 
+use crate::codec::SnapshotStream;
 use crate::proto::{self, ErrorCode, Frame, ProtoError, MAX_FRAME, PUSH_ID};
 use crate::service::{Outbox, Reply, ServiceCore};
 use crate::stats::WireStats;
 use crate::{GatewayError, GatewaySnapshot};
-use cdba_ctrl::ServiceConfig;
+use cdba_ctrl::{ServiceConfig, ServiceSnapshot};
 use cdba_obs::{MetricsServer, Registry, TraceRing};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -43,9 +44,6 @@ pub struct GatewayConfig {
     pub workers: usize,
     /// Additional connection capacity on top of `workers`.
     pub accept_backlog: usize,
-    /// Retained for configuration compatibility with the worker-pool
-    /// server; the evented core dispatches inline and has no queue.
-    pub service_queue: usize,
     /// Poll backoff ceiling in milliseconds: how long the idle core may
     /// sleep between passes, which bounds how stale accept/idle/shutdown
     /// handling can get. Not a per-read deadline.
@@ -73,7 +71,6 @@ impl Default for GatewayConfig {
             addr: "127.0.0.1:0".into(),
             workers: 8,
             accept_backlog: 16,
-            service_queue: 256,
             read_timeout_ms: 25,
             write_timeout_ms: 2_000,
             idle_timeout_ms: 30_000,
@@ -309,6 +306,11 @@ impl FrameAccum {
 /// The write-buffer capacity a connection keeps between flushes.
 const OUTBUF_KEEP: usize = 64 * 1024;
 
+/// How much of a streamed snapshot body a connection encodes ahead of its
+/// socket: enough that a refill is worth its write call, and all a peer
+/// that stops reading can make the server hold for it.
+const STREAM_REFILL: usize = 256 * 1024;
+
 /// One connection's state inside the core.
 struct Conn {
     stream: TcpStream,
@@ -316,6 +318,12 @@ struct Conn {
     /// Encoded frames waiting for the socket; `sent` bytes already went.
     outbuf: Vec<u8>,
     sent: usize,
+    /// The [`Frame::SnapshotBinOk`] body `outbuf` ends inside of, if any,
+    /// and when its request arrived.
+    in_flight: Option<(SnapshotStream<Arc<ServiceSnapshot>>, Instant)>,
+    /// Frames queued while a body is in flight, in wire form: they follow
+    /// it.
+    behind: Vec<u8>,
     /// Since when the write buffer has been non-empty without progress.
     write_stalled: Option<Instant>,
     hello_done: bool,
@@ -333,6 +341,8 @@ impl Conn {
             accum: FrameAccum::new(),
             outbuf: Vec::new(),
             sent: 0,
+            in_flight: None,
+            behind: Vec::new(),
             write_stalled: None,
             hello_done: false,
             version: proto::VERSION,
@@ -342,45 +352,91 @@ impl Conn {
     }
 
     fn queue(&mut self, stats: &WireStats, frame: &Frame) {
-        proto::encode_into(frame, &mut self.outbuf);
+        let buf = match self.in_flight {
+            Some(_) => &mut self.behind,
+            None => &mut self.outbuf,
+        };
+        proto::encode_into(frame, buf);
         stats.frames_out.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Writes as much buffered output as the socket accepts. Returns
-    /// `false` when the connection is dead (hard error or stalled past
-    /// `write_timeout`).
-    fn flush(&mut self, write_timeout: Duration) -> bool {
-        while self.sent < self.outbuf.len() {
-            match self.stream.write(&self.outbuf[self.sent..]) {
-                Ok(0) => return false,
-                Ok(n) => {
-                    self.sent += n;
-                    self.write_stalled = None;
-                }
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    let stalled = *self.write_stalled.get_or_insert_with(Instant::now);
-                    return stalled.elapsed() < write_timeout;
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return false,
-            }
+    /// Queues a [`Frame::SnapshotBinOk`]: its head and the first run of
+    /// `body` now, the rest as [`Self::flush`] drains the socket. Never
+    /// called with a body in flight — a connection's requests are not
+    /// read until its body has gone out.
+    fn queue_snapshot(
+        &mut self,
+        stats: &WireStats,
+        id: u64,
+        body: SnapshotStream<Arc<ServiceSnapshot>>,
+        started: Instant,
+    ) {
+        let head = Frame::SnapshotBinOk {
+            id,
+            bytes: Vec::new(),
+        };
+        proto::encode_blob_head(&head, body.left(), &mut self.outbuf);
+        stats.frames_out.fetch_add(1, Ordering::Relaxed);
+        self.in_flight = Some((body, started));
+        self.refill(stats);
+    }
+
+    /// Appends the next run of the body in flight to the write buffer;
+    /// with its last run go the request's latency sample and the frames
+    /// that waited. The connection was active until then.
+    fn refill(&mut self, stats: &WireStats) {
+        let Some((body, started)) = &mut self.in_flight else {
+            return;
+        };
+        if body.refill(&mut self.outbuf, STREAM_REFILL) {
+            stats.latency.record_since(*started);
+            self.outbuf.append(&mut self.behind);
+            self.in_flight = None;
+            self.last_activity = Instant::now();
         }
-        if self.sent > 0 {
-            if self.outbuf.capacity() > OUTBUF_KEEP {
-                // A multi-megabyte reply went out; its buffer is not
-                // this connection's steady state.
-                self.outbuf = Vec::new();
-            } else {
-                self.outbuf.clear();
+    }
+
+    /// Writes as much buffered output as the socket accepts, refilling
+    /// the buffer from a body in flight each time it drains. Returns
+    /// whether any byte went out, or `None` when the connection is dead
+    /// (hard error or stalled past `write_timeout`).
+    fn flush(&mut self, stats: &WireStats, write_timeout: Duration) -> Option<bool> {
+        let mut wrote = false;
+        loop {
+            while self.sent < self.outbuf.len() {
+                match self.stream.write(&self.outbuf[self.sent..]) {
+                    Ok(0) => return None,
+                    Ok(n) => {
+                        self.sent += n;
+                        self.write_stalled = None;
+                        wrote = true;
+                    }
+                    Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                        let stalled = *self.write_stalled.get_or_insert_with(Instant::now);
+                        return (stalled.elapsed() < write_timeout).then_some(wrote);
+                    }
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(_) => return None,
+                }
             }
+            self.outbuf.clear();
             self.sent = 0;
+            if self.in_flight.is_none() {
+                break;
+            }
+            self.refill(stats);
+        }
+        if self.outbuf.capacity() > OUTBUF_KEEP {
+            // A body's runs went out; their buffer is not this
+            // connection's steady state.
+            self.outbuf = Vec::new();
         }
         self.write_stalled = None;
-        true
+        Some(wrote)
     }
 
     fn flushed(&self) -> bool {
-        self.sent >= self.outbuf.len()
+        self.sent >= self.outbuf.len() && self.in_flight.is_none()
     }
 }
 
@@ -485,7 +541,7 @@ impl Core {
                     message: "gateway shutting down".into(),
                 };
                 conn.queue(&self.stats, &frame);
-                let _ = conn.flush(write_timeout);
+                let _ = conn.flush(&self.stats, write_timeout);
             }
             self.close_conn(conn_id);
         }
@@ -551,11 +607,17 @@ impl Core {
             let Some(conn) = self.conns.get_mut(&conn_id) else {
                 return (progressed, false);
             };
-            if !conn.flush(write_timeout) {
-                return (true, true);
+            match conn.flush(&self.stats, write_timeout) {
+                None => return (true, true),
+                Some(wrote) => progressed |= wrote,
             }
             if conn.closing {
                 return (progressed, conn.flushed());
+            }
+            if conn.in_flight.is_some() {
+                // Its next request waits in the socket until the body is
+                // out, so a connection has one body in flight at most.
+                return (progressed, false);
             }
             match conn.accum.step(&mut conn.stream) {
                 Step::Frame(frame) => {
@@ -756,15 +818,8 @@ impl Core {
             };
             match reply {
                 Reply::Frame(frame) => conn.queue(&self.stats, &frame),
-                // Already wire bytes: they become the write buffer itself
-                // unless something is queued ahead of them.
-                Reply::Wire(bytes) => {
-                    if conn.outbuf.is_empty() {
-                        conn.outbuf = bytes;
-                    } else {
-                        conn.outbuf.extend_from_slice(&bytes);
-                    }
-                    self.stats.frames_out.fetch_add(1, Ordering::Relaxed);
+                Reply::Snapshot { id, body, started } => {
+                    conn.queue_snapshot(&self.stats, id, body, started);
                 }
             }
         }

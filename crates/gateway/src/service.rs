@@ -18,22 +18,28 @@
 //! [`Frame::TickSync`] commit released by another connection's
 //! [`Frame::StageNoAck`]).
 
-use crate::codec;
+use crate::codec::{self, SnapshotStream};
 use crate::delta;
-use crate::proto::{self, ErrorCode, EventBody, Frame, PUSH_ID};
+use crate::proto::{ErrorCode, EventBody, Frame, PUSH_ID};
 use crate::stats::{WireSnapshot, WireStats};
 use crate::GatewaySnapshot;
 use cdba_ctrl::{ControlPlane, CtrlError, ServiceConfig, ServiceSnapshot};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// What the service core wants delivered to a connection: a frame to
-/// encode into its write buffer, or a reply already in wire form — a
-/// snapshot is encoded once, straight into the bytes that are sent.
+/// encode into its write buffer, or a [`Frame::SnapshotBinOk`] whose body
+/// the connection encodes from the shared snapshot a run of rows at a
+/// time, as its socket drains.
 pub(crate) enum Reply {
     Frame(Frame),
-    Wire(Vec<u8>),
+    Snapshot {
+        id: u64,
+        body: SnapshotStream<Arc<ServiceSnapshot>>,
+        /// When the request arrived.
+        started: Instant,
+    },
 }
 
 impl From<Frame> for Reply {
@@ -83,27 +89,33 @@ struct Sub {
 pub(crate) struct ServiceCore {
     plane: ControlPlane,
     stats: Arc<WireStats>,
-    /// session key → owning connection.
-    owners: HashMap<u64, u64>,
-    /// connection → its sessions in join order (drained in order on close).
-    owned: HashMap<u64, Vec<u64>>,
+    /// session key → owning connection, direct-mapped: the plane issues
+    /// keys densely and ascending (as `slab::KeyMap` and its own duplicate
+    /// check assume), so this is 8 bytes per key ever issued and grows
+    /// only by keys the plane returned. 0 is "no owner" (connection ids
+    /// start at 1); [`STAGED`] marks a key with an arrival in `pending`.
+    slots: Vec<u64>,
     /// Arrivals staged for the next committed tick, across connections.
     pending: Vec<(u64, f64)>,
-    pending_keys: HashSet<u64>,
     /// connection → its subscription.
     subs: HashMap<u64, Sub>,
     /// At most one count-gated tick commit may be parked at a time.
     parked: Option<ParkedTick>,
     /// Per-connection delta-snapshot baselines.
     baselines: HashMap<u64, Baseline>,
-    /// session key → lease epoch (v4). Joins start at epoch 0; a
-    /// migrated-in session resumes at whatever epoch its
-    /// [`Frame::LeaseGrant`] carried (the orchestrator bumps it per hop).
+    /// session key → lease epoch (v4), non-zero epochs only: a join is
+    /// epoch 0 by definition; a migrated-in session resumes at whatever
+    /// epoch its [`Frame::LeaseGrant`] carried (the orchestrator bumps it
+    /// per hop).
     leases: HashMap<u64, u64>,
     /// Set by [`Frame::Drain`]: new joins are refused with
     /// [`ErrorCode::Draining`] while existing sessions keep ticking.
     draining: bool,
 }
+
+/// The bit of a [`ServiceCore::slots`] entry that says the key has an
+/// arrival staged; the rest is the owning connection.
+const STAGED: u64 = 1 << 63;
 
 fn ctrl_error(id: u64, e: &CtrlError) -> Frame {
     Frame::Error {
@@ -118,10 +130,8 @@ impl ServiceCore {
         Self {
             plane: ControlPlane::new(service),
             stats,
-            owners: HashMap::new(),
-            owned: HashMap::new(),
+            slots: Vec::new(),
             pending: Vec::new(),
-            pending_keys: HashSet::new(),
             subs: HashMap::new(),
             parked: None,
             baselines: HashMap::new(),
@@ -209,9 +219,7 @@ impl ServiceCore {
                         message: "snapshot-bin requires protocol version 3".into(),
                     })
                 } else {
-                    let reply = self.snapshot_bin_reply(id);
-                    self.record_latency(started);
-                    out.push((conn, reply));
+                    out.push((conn, self.snapshot_bin_reply(id, started)));
                     return;
                 }
             }
@@ -288,14 +296,9 @@ impl ServiceCore {
             }
         };
         if let Some(frame) = reply {
-            self.record_latency(started);
+            self.stats.latency.record_since(started);
             out.push((conn, frame.into()));
         }
-    }
-
-    fn record_latency(&self, started: Instant) {
-        let micros = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        self.stats.latency.record(micros);
     }
 
     fn draining_error(id: u64) -> Frame {
@@ -312,9 +315,7 @@ impl ServiceCore {
         }
         match self.plane.admit(tenant) {
             Ok(key) => {
-                self.owners.insert(key, conn);
-                self.owned.entry(conn).or_default().push(key);
-                self.leases.insert(key, 0);
+                self.own(key, conn);
                 Frame::Joined { id, key }
             }
             Err(e) => ctrl_error(id, &e),
@@ -328,9 +329,7 @@ impl ServiceCore {
         match self.plane.admit_group(tenant, size as usize) {
             Ok(members) => {
                 for &key in &members {
-                    self.owners.insert(key, conn);
-                    self.owned.entry(conn).or_default().push(key);
-                    self.leases.insert(key, 0);
+                    self.own(key, conn);
                 }
                 Frame::GroupJoined { id, members }
             }
@@ -343,15 +342,9 @@ impl ServiceCore {
     /// plus the lease epoch back to the caller. First half of a live
     /// migration; a failed export leaves the session untouched.
     fn lease_revoke(&mut self, conn: u64, id: u64, key: u64) -> Frame {
-        match self.owners.get(&key) {
-            Some(&owner) if owner != conn => {
-                return Frame::Error {
-                    id,
-                    code: ErrorCode::NotOwner,
-                    message: format!("session {key} is owned by another connection"),
-                };
-            }
-            _ => {}
+        let owner = self.slot(key) & !STAGED;
+        if owner != 0 && owner != conn {
+            return Self::not_owner(id, key);
         }
         match self.plane.export_session(key) {
             Ok(bytes) => {
@@ -371,9 +364,10 @@ impl ServiceCore {
     fn lease_grant(&mut self, conn: u64, id: u64, epoch: u64, bytes: &[u8]) -> Frame {
         match self.plane.import_session(bytes) {
             Ok(key) => {
-                self.owners.insert(key, conn);
-                self.owned.entry(conn).or_default().push(key);
-                self.leases.insert(key, epoch);
+                self.own(key, conn);
+                if epoch != 0 {
+                    self.leases.insert(key, epoch);
+                }
                 Frame::LeaseGranted { id, key }
             }
             Err(e) => ctrl_error(id, &e),
@@ -407,15 +401,9 @@ impl ServiceCore {
     }
 
     fn leave(&mut self, conn: u64, id: u64, key: u64) -> Frame {
-        match self.owners.get(&key) {
-            Some(&owner) if owner != conn => {
-                return Frame::Error {
-                    id,
-                    code: ErrorCode::NotOwner,
-                    message: format!("session {key} is owned by another connection"),
-                };
-            }
-            _ => {}
+        let owner = self.slot(key) & !STAGED;
+        if owner != 0 && owner != conn {
+            return Self::not_owner(id, key);
         }
         match self.plane.leave(key) {
             Ok(()) => {
@@ -426,51 +414,69 @@ impl ServiceCore {
         }
     }
 
-    fn forget_session(&mut self, key: u64) {
-        if let Some(conn) = self.owners.remove(&key) {
-            if let Some(keys) = self.owned.get_mut(&conn) {
-                keys.retain(|&k| k != key);
-            }
+    /// `key`'s slot — its owner and [`STAGED`] bit — or 0 when no session
+    /// of this gateway has the key, whatever a client sent for one.
+    fn slot(&self, key: u64) -> u64 {
+        let at = usize::try_from(key).ok();
+        at.and_then(|at| self.slots.get(at)).copied().unwrap_or(0)
+    }
+
+    /// Records `conn` as the owner of `key`, a key the plane just issued.
+    fn own(&mut self, key: u64, conn: u64) {
+        let at = usize::try_from(key).expect("an issued key indexes memory");
+        if self.slots.len() <= at {
+            self.slots.resize(at + 1, 0);
         }
+        self.slots[at] = conn;
+    }
+
+    fn not_owner(id: u64, key: u64) -> Frame {
+        Frame::Error {
+            id,
+            code: ErrorCode::NotOwner,
+            message: format!("session {key} is owned by another connection"),
+        }
+    }
+
+    fn forget_session(&mut self, key: u64) {
         self.leases.remove(&key);
-        if self.pending_keys.remove(&key) {
+        let slot = self.slot(key);
+        if slot & STAGED != 0 {
             self.pending.retain(|&(k, _)| k != key);
+        }
+        if slot != 0 {
+            self.slots[key as usize] = 0;
         }
     }
 
     /// Validates and buffers arrivals; all-or-nothing so a rejected batch
-    /// leaves the pending tick untouched.
+    /// leaves the pending tick untouched. One slot per arrival: the
+    /// [`STAGED`] bit set on the way is also what catches a key listed
+    /// twice, within this batch or across batches.
     fn stage_arrivals(&mut self, conn: u64, arrivals: &[(u64, f64)]) -> Result<(), Frame> {
         let id = 0; // caller rewrites the id on the error frame
-        let mut batch_keys = HashSet::new();
-        for &(key, bits) in arrivals {
-            match self.owners.get(&key) {
-                None => {
-                    return Err(ctrl_error(id, &CtrlError::UnknownSession(key)));
-                }
-                Some(&owner) if owner != conn => {
-                    return Err(Frame::Error {
-                        id,
-                        code: ErrorCode::NotOwner,
-                        message: format!("session {key} is owned by another connection"),
-                    });
-                }
-                Some(_) => {}
+        for (i, &(key, bits)) in arrivals.iter().enumerate() {
+            let slot = self.slot(key);
+            let refused = if slot == 0 {
+                ctrl_error(id, &CtrlError::UnknownSession(key))
+            } else if slot & !STAGED != conn {
+                Self::not_owner(id, key)
+            } else if !bits.is_finite() || bits < 0.0 {
+                ctrl_error(id, &CtrlError::InvalidArrival { session: key, bits })
+            } else if slot & STAGED != 0 {
+                ctrl_error(id, &CtrlError::DuplicateArrival(key))
+            } else {
+                // A non-zero slot is in the table, so the key indexes it.
+                self.slots[key as usize] = slot | STAGED;
+                continue;
+            };
+            // Every arrival ahead of the refused one was staged just now.
+            for &(staged, _) in &arrivals[..i] {
+                self.slots[staged as usize] &= !STAGED;
             }
-            if !bits.is_finite() || bits < 0.0 {
-                return Err(ctrl_error(
-                    id,
-                    &CtrlError::InvalidArrival { session: key, bits },
-                ));
-            }
-            if self.pending_keys.contains(&key) || !batch_keys.insert(key) {
-                return Err(ctrl_error(id, &CtrlError::DuplicateArrival(key)));
-            }
+            return Err(refused);
         }
-        for &(key, bits) in arrivals {
-            self.pending_keys.insert(key);
-            self.pending.push((key, bits));
-        }
+        self.pending.extend_from_slice(arrivals);
         Ok(())
     }
 
@@ -509,16 +515,20 @@ impl ServiceCore {
     /// Commits the pending batch: ascending key order, then subscription
     /// events, regardless of which connection staged what, when.
     fn commit(&mut self, id: u64, out: &mut Outbox) -> Frame {
-        self.pending.sort_by_key(|&(k, _)| k);
-        let batch = std::mem::take(&mut self.pending);
-        self.pending_keys.clear();
-        let frame = match self.plane.tick(&batch) {
+        // Keys are unique, so the unstable sort gives the one order there
+        // is, without a scratch half the batch's size.
+        self.pending.sort_unstable_by_key(|&(k, _)| k);
+        for &(key, _) in &self.pending {
+            self.slots[key as usize] &= !STAGED;
+        }
+        let frame = match self.plane.tick(&self.pending) {
             Ok(()) => Frame::TickOk {
                 id,
                 tick: self.plane.ticks(),
             },
             Err(e) => ctrl_error(id, &e),
         };
+        self.pending.clear();
         if matches!(frame, Frame::TickOk { .. }) {
             self.push_events(out);
         }
@@ -586,7 +596,7 @@ impl ServiceCore {
         }
         let parked = self.parked.take().expect("checked above");
         let frame = self.commit(parked.id, out);
-        self.record_latency(parked.since);
+        self.stats.latency.record_since(parked.since);
         out.push((parked.conn, frame.into()));
     }
 
@@ -602,7 +612,7 @@ impl ServiceCore {
             return;
         }
         let parked = self.parked.take().expect("checked above");
-        self.record_latency(parked.since);
+        self.stats.latency.record_since(parked.since);
         out.push((
             parked.conn,
             Reply::Frame(Frame::Error {
@@ -713,25 +723,23 @@ impl ServiceCore {
     }
 
     /// The v3 sibling of [`Self::snapshot_frame`]: same snapshot, binary
-    /// body — encoded from the shared snapshot directly into the reply's
-    /// wire bytes, which become the connection's write buffer.
-    fn snapshot_bin_reply(&mut self, id: u64) -> Reply {
+    /// body — not encoded here, but streamed by the connection from the
+    /// control plane's shared snapshot, which also takes the latency
+    /// sample, once the last rows are queued.
+    fn snapshot_bin_reply(&mut self, id: u64, started: Instant) -> Reply {
         self.stats
             .full_snapshots
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         match self.gateway_snapshot() {
-            Ok((service, wire)) => {
-                let head = Frame::SnapshotBinOk {
-                    id,
-                    bytes: Vec::new(),
-                };
-                let mut out = Vec::new();
-                proto::encode_into_with_blob(&head, &mut out, |body| {
-                    codec::encode_snapshot_parts(&service, &wire, body)
-                });
-                Reply::Wire(out)
+            Ok((service, wire)) => Reply::Snapshot {
+                id,
+                body: SnapshotStream::new(service, &wire),
+                started,
+            },
+            Err(e) => {
+                self.stats.latency.record_since(started);
+                ctrl_error(id, &e).into()
             }
-            Err(e) => ctrl_error(id, &e).into(),
         }
     }
 
@@ -852,15 +860,18 @@ impl ServiceCore {
         if self.parked.as_ref().is_some_and(|p| p.conn == conn) {
             self.parked = None;
         }
-        let keys = self.owned.remove(&conn).unwrap_or_default();
-        for key in keys {
-            self.owners.remove(&key);
-            self.leases.remove(&key);
-            if self.pending_keys.remove(&key) {
-                self.pending.retain(|&(k, _)| k != key);
+        // One walk in ascending key order, which is join order. The
+        // closed connection's slots end up 0, so one pass over `pending`
+        // then drops exactly its staged arrivals.
+        for key in 0..self.slots.len() {
+            if self.slots[key] & !STAGED == conn {
+                self.slots[key] = 0;
+                self.leases.remove(&(key as u64));
+                let _ = self.plane.leave(key as u64);
             }
-            let _ = self.plane.leave(key);
         }
+        let slots = &self.slots;
+        self.pending.retain(|&(k, _)| slots[k as usize] != 0);
         // Removing staged arrivals can only lower the staged count, so a
         // parked threshold cannot newly fire here; a parked commit now
         // starved of its peers is failed by `expire_parked`.
@@ -875,5 +886,165 @@ impl ServiceCore {
         let wire = self.stats.snapshot();
         self.plane.shutdown();
         Ok(GatewaySnapshot { service, wire })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cdba_ctrl::ExecMode;
+    use cdba_obs::{TraceKind, TraceRing};
+    use std::time::Duration;
+
+    fn request(core: &mut ServiceCore, conn: u64, frame: Frame) -> Vec<Frame> {
+        let mut out = Outbox::new();
+        core.handle(conn, crate::proto::VERSION, frame, &mut out);
+        out.into_iter()
+            .map(|(to, reply)| match reply {
+                Reply::Frame(frame) => {
+                    assert_eq!(to, conn);
+                    frame
+                }
+                Reply::Snapshot { .. } => panic!("no poll in these tests"),
+            })
+            .collect()
+    }
+
+    /// Closing a connection that owns 50k sessions, 18k of them with an
+    /// arrival staged, is one walk of the owner table and one pass over
+    /// the staged batch: its sessions leave in join order, the other
+    /// connection's interleaved keys and staged arrivals stay, and none
+    /// of it is quadratic. (The owner list it replaced was scanned per
+    /// leave, and the staged batch once per staged key.)
+    #[test]
+    fn closing_a_big_connection_releases_in_join_order_in_one_pass() {
+        const MINE: u64 = 50_000;
+        const STAGED: usize = 18_000;
+        let service = ServiceConfig::builder(2e6)
+            .exec(ExecMode::Inline)
+            .build()
+            .expect("valid config");
+        let mut core = ServiceCore::new(service, Arc::new(WireStats::new()));
+        let trace = Arc::new(TraceRing::new(1 << 17));
+        core.plane.attach_trace(Arc::clone(&trace));
+
+        // Connection 2 owns every 10th key, so the two interleave.
+        let (mut mine, mut theirs) = (Vec::new(), Vec::new());
+        while (mine.len() as u64) < MINE {
+            let conn = if (mine.len() + theirs.len()) % 10 == 9 {
+                2
+            } else {
+                1
+            };
+            let id = 1;
+            let tenant = "acme".into();
+            match request(&mut core, conn, Frame::Join { id, tenant })[..] {
+                [Frame::Joined { key, .. }] if conn == 1 => mine.push(key),
+                [Frame::Joined { key, .. }] => theirs.push(key),
+                ref other => panic!("expected joined, got {other:?}"),
+            }
+        }
+        let stage = |keys: &[u64]| Frame::StageNoAck {
+            arrivals: keys.iter().map(|&k| (k, 1.0)).collect(),
+        };
+        assert!(request(&mut core, 1, stage(&mine[..STAGED / 2])).is_empty());
+        assert!(request(&mut core, 2, stage(&theirs[..100])).is_empty());
+        assert!(request(&mut core, 1, stage(&mine[STAGED / 2..STAGED])).is_empty());
+        trace.drain();
+
+        let closing = Instant::now();
+        core.conn_closed(1);
+        let took = closing.elapsed();
+        let limit = Duration::from_millis(if cfg!(debug_assertions) { 1_000 } else { 50 });
+        assert!(took < limit, "closing took {took:?}");
+
+        let left: Vec<u64> = trace
+            .drain()
+            .iter()
+            .filter(|e| e.kind == TraceKind::Leave)
+            .map(|e| e.session.expect("a leave names its session"))
+            .collect();
+        assert_eq!(left, mine, "every session of the connection, in join order");
+
+        // The other connection's batch is intact: committing it needs
+        // exactly its 100 arrivals, and its keys are still its own.
+        let tick = Frame::TickSync {
+            id: 7,
+            arrivals: vec![(theirs[100], 1.0)],
+            min_staged: 101,
+        };
+        assert_eq!(
+            request(&mut core, 2, tick),
+            [Frame::TickOk { id: 7, tick: 1 }]
+        );
+        let gone = request(&mut core, 2, stage(&mine[..1]));
+        assert!(matches!(&gone[..], [Frame::Error { message, .. }] if message.contains("unknown")));
+        core.finish().expect("final snapshot");
+    }
+
+    /// Staging is all-or-nothing and names the first offence in the order
+    /// unknown key, foreign key, invalid bits, duplicate — with a key no
+    /// session ever had costing nothing.
+    #[test]
+    fn a_refused_batch_stages_nothing_and_errors_keep_their_order() {
+        let service = ServiceConfig::builder(1024.0)
+            .exec(ExecMode::Inline)
+            .build()
+            .expect("valid config");
+        let mut core = ServiceCore::new(service, Arc::new(WireStats::new()));
+        let mut join = |conn| {
+            let id = 1;
+            let tenant = "acme".into();
+            match request(&mut core, conn, Frame::Join { id, tenant })[..] {
+                [Frame::Joined { key, .. }] => key,
+                ref other => panic!("expected joined, got {other:?}"),
+            }
+        };
+        let (a, b, foreign) = (join(1), join(1), join(2));
+        fn refused(core: &mut ServiceCore, arrivals: &[(u64, f64)]) -> (ErrorCode, String) {
+            let arrivals = arrivals.to_vec();
+            match request(core, 1, Frame::Stage { id: 9, arrivals }).pop() {
+                Some(Frame::Error {
+                    id: 9,
+                    code,
+                    message,
+                }) => (code, message),
+                other => panic!("expected a refusal, got {other:?}"),
+            }
+        }
+        let hostile = u64::MAX - 1;
+        for (batch, code, needle) in [
+            (
+                vec![(a, 1.0), (hostile, -1.0), (foreign, 1.0)],
+                ErrorCode::Ctrl,
+                "unknown",
+            ),
+            (
+                vec![(a, 1.0), (foreign, f64::NAN), (a, 1.0)],
+                ErrorCode::NotOwner,
+                "owned by",
+            ),
+            (
+                vec![(a, 1.0), (b, -1.0), (a, 1.0)],
+                ErrorCode::Ctrl,
+                "invalid",
+            ),
+            (vec![(a, 1.0), (b, 1.0), (a, 1.0)], ErrorCode::Ctrl, "twice"),
+        ] {
+            let (got, message) = refused(&mut core, &batch);
+            assert_eq!(got, code, "{message}");
+            assert!(message.contains(needle), "{message}");
+        }
+        assert_eq!(core.slots.len(), 3, "a hostile key allocates nothing");
+        // Nothing of the refused batches stayed staged.
+        let arrivals = vec![(a, 1.0), (b, 2.0)];
+        assert_eq!(
+            request(&mut core, 1, Frame::Stage { id: 3, arrivals }),
+            [Frame::StageOk { id: 3, staged: 2 }]
+        );
+        let (code, message) = refused(&mut core, &[(b, 1.0)]);
+        assert_eq!(code, ErrorCode::Ctrl);
+        assert!(message.contains("twice"), "across batches too: {message}");
+        core.finish().expect("final snapshot");
     }
 }

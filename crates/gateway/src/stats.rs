@@ -75,6 +75,11 @@ impl LatencyHistogram {
         self.buckets[bucket_index(micros)].fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records the time since `started` as one sample.
+    pub fn record_since(&self, started: std::time::Instant) {
+        self.record(started.elapsed().as_micros().min(u64::MAX as u128) as u64);
+    }
+
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()

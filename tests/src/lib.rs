@@ -16,7 +16,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// A global allocator that tracks the bytes currently allocated and their
 /// high-water mark. It is process-global, so a test file that installs it
 /// (`#[global_allocator] static A: LiveBytesAlloc = LiveBytesAlloc::new();`)
-/// holds exactly one `#[test]`.
+/// holds exactly one `#[test]`, or runs its tests one at a time behind a
+/// lock (`gateway_stream.rs`).
 pub struct LiveBytesAlloc {
     live: AtomicUsize,
     peak: AtomicUsize,

@@ -428,7 +428,8 @@ fn encode_into_appends_the_pinned_wire_bytes_of_every_frame_kind() {
     assert_eq!(appended, each);
     assert_eq!((each.len(), fnv1a(&each)), (2487, 12140186587367040901));
 
-    // A blob written in place behind its frame's head is the same bytes.
+    // A head written for a blob that follows it, then the blob, is the
+    // same bytes.
     for frame in frames {
         let (head, blob) = match frame.clone() {
             Frame::SnapshotBinOk { id, bytes } => {
@@ -445,7 +446,42 @@ fn encode_into_appends_the_pinned_wire_bytes_of_every_frame_kind() {
             _ => continue,
         };
         let mut in_place = vec![0xAA]; // appended behind what is already queued
-        proto::encode_into_with_blob(&head, &mut in_place, |out| out.extend_from_slice(&blob));
+        proto::encode_blob_head(&head, blob.len(), &mut in_place);
+        in_place.extend_from_slice(&blob);
         assert_eq!(in_place[1..], encode(&frame)[..]);
+    }
+}
+
+/// The four frames that carry arrivals encode straight from a borrowed
+/// slice to the bytes `encode_into` makes of the owned list.
+#[test]
+fn arrivals_encode_from_a_slice_to_the_same_bytes() {
+    let arrivals = [(3u64, 1.5f64), (9, 0.0), (70_000, 1e-3), (u64::MAX, -0.0)];
+    let frames = |arrivals: Vec<(u64, f64)>| {
+        [
+            Frame::Stage {
+                id: 4,
+                arrivals: arrivals.clone(),
+            },
+            Frame::Tick {
+                id: 5,
+                arrivals: arrivals.clone(),
+            },
+            Frame::StageNoAck {
+                arrivals: arrivals.clone(),
+            },
+            Frame::TickSync {
+                id: 6,
+                arrivals,
+                min_staged: 7,
+            },
+        ]
+    };
+    for batch in [&arrivals[..], &arrivals[..1], &[]] {
+        for (owned, head) in frames(batch.to_vec()).iter().zip(&frames(Vec::new())) {
+            let mut from_slice = vec![0xAA];
+            proto::encode_arrivals_into(head, batch, &mut from_slice);
+            assert_eq!(from_slice[1..], encode(owned)[..], "{owned:?}");
+        }
     }
 }
