@@ -45,9 +45,12 @@ pub(crate) struct CtrlMetrics {
     /// `cdba_ctrl_checkpoint_encoded_sessions_total` — session rows
     /// carried by accepted checkpoint frames.
     pub checkpoint_sessions: Counter,
-    /// `cdba_ctrl_restore_seconds` — wall-clock seconds per shard
-    /// restore (frame apply + journal replay).
+    /// `cdba_ctrl_restore_seconds` — wall-clock seconds the driver was
+    /// blocked per shard restore (reclaim + frame apply + journal replay).
     pub restore_seconds: Histogram,
+    /// `cdba_ctrl_parked_workers` — superseded workers not yet seen to
+    /// exit. A restart that parks one restores into a second column set.
+    pub parked_workers: Gauge,
     /// `cdba_ctrl_shard_sessions{shard}`, indexed by shard.
     pub shard_sessions: Vec<Gauge>,
     /// `cdba_ctrl_live_sessions`.
@@ -132,9 +135,15 @@ impl CtrlMetrics {
             ),
             restore_seconds: registry.histogram(
                 "cdba_ctrl_restore_seconds",
-                "Wall-clock seconds spent rebuilding a shard from its checkpoint \
-                 frame plus journal replay",
+                "Wall-clock seconds the driver spent restarting a shard: reclaiming \
+                 the retired worker's state, applying the checkpoint frame, \
+                 replaying the journal",
                 RESTORE_BOUNDS,
+            ),
+            parked_workers: registry.gauge(
+                "cdba_ctrl_parked_workers",
+                "Superseded shard workers that had not exited when they were \
+                 retired (hung); each cost its restart a second column set",
             ),
             shard_sessions: per_shard_gauge(
                 "cdba_ctrl_shard_sessions",

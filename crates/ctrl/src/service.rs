@@ -213,11 +213,28 @@ struct GroupInfo {
     envelope: f64,
 }
 
-/// One live worker incarnation of a threaded shard.
+/// How often a retiring supervisor looks at an exiting worker's handle.
+const RECLAIM_POLL: Duration = Duration::from_micros(100);
+
+/// One live worker incarnation of a threaded shard. Joining the handle
+/// yields the state the worker ran on.
 struct Worker {
     tx: Sender<Event>,
-    handle: JoinHandle<()>,
+    handle: JoinHandle<ShardState>,
     cancel: Arc<AtomicBool>,
+}
+
+/// What the supervisor knows about a worker it retires, which decides
+/// whether the retiree's state is waited for.
+#[derive(Clone, Copy, PartialEq)]
+enum Retiring {
+    /// It reported a failure, its queue disconnected, or the operator
+    /// asked: it leaves its loop at the cancel flag or the closed queue,
+    /// at the latest after the event it is applying.
+    Exiting,
+    /// It missed a deadline and may be hung: waiting could block the
+    /// driver for as long as the hang lasts.
+    Silent,
 }
 
 /// The driver's supervision record for one shard.
@@ -324,11 +341,11 @@ pub struct ControlPlane {
     /// Out-of-band worker→driver channel (threaded mode only).
     msgs: Option<(Sender<WorkerMsg>, Receiver<WorkerMsg>)>,
     sups: Vec<ShardSup>,
-    /// Handles of superseded workers not yet seen to exit. A hung worker
-    /// cannot be joined at restart time without blocking the driver, so
-    /// each recovery joins the ones that have finished and shutdown joins
-    /// the rest.
-    graveyard: Vec<JoinHandle<()>>,
+    /// Handles of superseded workers that had not exited when they were
+    /// retired — hung ones, in practice. Joining one at restart time would
+    /// block the driver, so it joins those that have finished whenever it
+    /// next drains worker messages, and shutdown joins the rest.
+    graveyard: Vec<JoinHandle<ShardState>>,
     events_replayed: u64,
     next_key: u64,
     next_group: u64,
@@ -591,6 +608,9 @@ impl ControlPlane {
     /// failure. Recovery errors are not propagated here — the failed shard
     /// is marked down and the caller's own health check surfaces it.
     fn drain_worker_msgs(&mut self) {
+        if !self.graveyard.is_empty() {
+            self.reap_parked();
+        }
         loop {
             let msg = match &self.msgs {
                 Some((_, rx)) => match rx.try_recv() {
@@ -617,7 +637,7 @@ impl ControlPlane {
             WorkerMsg::Failure(failure) => {
                 let shard = failure.shard as usize;
                 if self.sups[shard].epoch == failure.epoch {
-                    let _ = self.recover(shard, failure.reason);
+                    let _ = self.recover(shard, Retiring::Exiting, failure.reason);
                 }
             }
         }
@@ -638,7 +658,11 @@ impl ControlPlane {
         while self.sups[shard].healthy && self.sups[shard].inflight >= depth {
             let remaining = deadline.saturating_duration_since(std::time::Instant::now());
             if remaining.is_zero() {
-                return self.recover(shard, "tick pipeline stalled past the shard timeout".into());
+                return self.recover(
+                    shard,
+                    Retiring::Silent,
+                    "tick pipeline stalled past the shard timeout".into(),
+                );
             }
             let msg = match &self.msgs {
                 Some((_, rx)) => match rx.recv_timeout(remaining) {
@@ -659,10 +683,16 @@ impl ControlPlane {
         if sup.epoch != cp.epoch {
             return; // stale: a superseded worker's parting checkpoint
         }
-        let covered =
-            (cp.events_applied.saturating_sub(sup.journal_base) as usize).min(sup.journal.len());
+        let held = sup.journal.len();
+        let covered = (cp.events_applied.saturating_sub(sup.journal_base) as usize).min(held);
         sup.journal.drain(..covered);
         sup.journal_base = cp.events_applied;
+        // `drain` keeps capacity, and an admission burst (100k joins before
+        // the first checkpoint) would otherwise set it for life. Twice what
+        // the journal held leaves a steady interval room without regrowth.
+        if sup.journal.capacity() > 4 * held {
+            sup.journal.shrink_to(2 * held);
+        }
         let sessions = cp.sessions;
         sup.retain(cp);
         if let Some(m) = &self.obs {
@@ -686,11 +716,9 @@ impl ControlPlane {
         }
     }
 
-    /// Cancels and retires `shard`'s current worker, if any. The handle
-    /// goes to the graveyard: a hung worker only observes the cancel flag
-    /// once its stall ends, so joining here would block the driver.
-    /// Earlier retirees that have exited by now are joined on the way.
-    fn retire_worker(&mut self, shard: usize) {
+    /// Joins the parked workers that have exited by now, which also frees
+    /// the state each handed back.
+    fn reap_parked(&mut self) {
         let (exited, parked) = std::mem::take(&mut self.graveyard)
             .into_iter()
             .partition(JoinHandle::is_finished);
@@ -698,18 +726,50 @@ impl ControlPlane {
         for handle in exited {
             let _ = handle.join();
         }
+        if let Some(m) = &self.obs {
+            m.parked_workers.set(self.graveyard.len() as f64);
+        }
+    }
+
+    /// Cancels and retires `shard`'s current worker, if any, and hands back
+    /// the state it ran on when the worker has exited. An
+    /// [`Retiring::Exiting`] worker is waited for, bounded by the shard
+    /// timeout; a [`Retiring::Silent`] one is not — a hung worker only
+    /// observes the cancel flag once its stall ends. Whatever has not
+    /// exited is parked in the graveyard.
+    fn retire_worker(&mut self, shard: usize, how: Retiring) -> Option<ShardState> {
+        let mut retiree = None;
         if let Backend::Threaded { workers } = &mut self.backend {
             if let Some(old) = workers[shard].take() {
                 old.cancel.store(true, Ordering::Release);
                 drop(old.tx);
-                self.graveyard.push(old.handle);
+                if how == Retiring::Exiting {
+                    let deadline =
+                        Instant::now() + Duration::from_millis(self.cfg.shard_timeout_ms);
+                    while !old.handle.is_finished() && Instant::now() < deadline {
+                        std::thread::sleep(RECLAIM_POLL);
+                    }
+                }
+                if old.handle.is_finished() {
+                    // A worker that died outside its panic guard has no
+                    // state to give; the restore then starts fresh.
+                    retiree = old.handle.join().ok();
+                } else {
+                    self.graveyard.push(old.handle);
+                }
             }
         }
+        self.reap_parked();
+        retiree
     }
 
-    /// Restarts `shard` after a failure: rebuild its state from the last
-    /// checkpoint plus a journal replay, then spawn a fresh-epoch worker.
-    /// Restarted workers never re-arm the injected fault.
+    /// Restarts `shard` after a failure: retire the worker, reclaim its
+    /// state when it has exited, and restore *into* that state — emptied
+    /// first ([`ShardState::recycle`]; a fresh one when there is nothing to
+    /// reclaim), then the retained checkpoint frame, then the journal
+    /// suffix — so a restart allocates nothing that scales with the
+    /// population. A fresh-epoch worker takes the result. Restarted
+    /// workers never re-arm the injected fault.
     ///
     /// # Errors
     ///
@@ -717,9 +777,11 @@ impl ControlPlane {
     /// (`checkpoint_every = 0`), the restart budget is exhausted, or the
     /// replay itself panics (a deterministic poison event); the shard is
     /// marked permanently down in all three cases.
-    fn recover(&mut self, shard: usize, reason: String) -> Result<(), CtrlError> {
+    fn recover(&mut self, shard: usize, how: Retiring, reason: String) -> Result<(), CtrlError> {
         self.mutated();
-        self.retire_worker(shard);
+        // Everything the driver is blocked for: reclaim, apply, replay.
+        let restore_started = Instant::now();
+        let retiree = self.retire_worker(shard, how);
         let max_restarts = u64::from(self.cfg.max_restarts);
         let sup = &mut self.sups[shard];
         sup.last_failure = Some(reason.clone());
@@ -745,28 +807,23 @@ impl ControlPlane {
         let epoch = sup.epoch;
         let events_base = sup.journal_base + sup.journal.len() as u64;
         let frame = sup.frame.as_ref().map(|cp| Arc::clone(&cp.bytes));
-        let journal = sup.journal.clone();
-        let cfg = self.cfg.clone();
+        // Taken for the replay and put back after it, not copied.
+        let journal = std::mem::take(&mut sup.journal);
+        let cfg = &self.cfg;
         // The replay runs on the driver thread; guard it so a poison event
         // that deterministically panics the shard cannot take the driver
-        // down with it. The guard also covers decoding the retained
-        // frame: a malformed payload downs the shard, not the driver.
-        let restore_started = std::time::Instant::now();
+        // down with it. The guard also covers emptying the retiree and
+        // decoding the retained frame: a malformed payload downs the
+        // shard, not the driver.
         let rebuilt = catch_unwind(AssertUnwindSafe(|| {
-            let mut state = ShardState::new(shard as u64, &cfg);
-            if let Some(bytes) = &frame {
-                let frame = crate::codec::columnar::parse(bytes)
-                    .expect("retained checkpoint frame must parse");
-                state
-                    .apply_frame(&frame, &mut crate::shard::ApplyScratch::default())
-                    .expect("retained checkpoint frame must apply");
-            }
-            for ev in &journal {
-                state.handle_event(ev.to_event());
-            }
-            state
+            retiree
+                .map(ShardState::recycle)
+                .unwrap_or_else(|| ShardState::new(shard as u64, cfg))
+                .rebuild(frame.as_ref().map(|bytes| bytes.as_slice()), &journal)
         }));
         let restore_seconds = restore_started.elapsed().as_secs_f64();
+        let replayed = journal.len() as u64;
+        self.sups[shard].journal = journal;
         let state = match rebuilt {
             Ok(state) => state,
             Err(payload) => {
@@ -777,7 +834,7 @@ impl ControlPlane {
                 return Err(CtrlError::ShardDown { shard, reason: why });
             }
         };
-        self.events_replayed += journal.len() as u64;
+        self.events_replayed += replayed;
         let msg_tx = self
             .msgs
             .as_ref()
@@ -802,7 +859,7 @@ impl ControlPlane {
             if let Some(counter) = m.shard_restarts.get(shard) {
                 counter.inc();
             }
-            m.events_replayed.add(journal.len() as u64);
+            m.events_replayed.add(replayed);
             m.restore_seconds.observe(restore_seconds);
         }
         if self.trace.is_some() {
@@ -842,7 +899,11 @@ impl ControlPlane {
         if !self.sups[shard].healthy {
             return Err(self.down_error(shard));
         }
-        self.recover(shard, "operator-requested restart".into())
+        self.recover(
+            shard,
+            Retiring::Exiting,
+            "operator-requested restart".into(),
+        )
     }
 
     /// The retained checkpoint frame of `shard` if it was accepted after
@@ -907,9 +968,11 @@ impl ControlPlane {
         };
         match sent {
             Ok(()) => Ok(()),
-            Err(SendTimeoutError::Timeout(_)) => {
-                self.recover(shard, "event queue stalled past the shard timeout".into())
-            }
+            Err(SendTimeoutError::Timeout(_)) => self.recover(
+                shard,
+                Retiring::Silent,
+                "event queue stalled past the shard timeout".into(),
+            ),
             Err(SendTimeoutError::Disconnected(_)) => {
                 // The worker's failure report, if it made one, is already
                 // in the message channel (it is sent before the worker
@@ -920,7 +983,11 @@ impl ControlPlane {
                 } else if self.sups[shard].epoch != epoch {
                     Ok(()) // the drain already restarted the shard
                 } else {
-                    self.recover(shard, "worker terminated without a failure report".into())
+                    self.recover(
+                        shard,
+                        Retiring::Exiting,
+                        "worker terminated without a failure report".into(),
+                    )
                 }
             }
         }
@@ -1224,7 +1291,7 @@ impl ControlPlane {
                     .tx
                     .send_timeout(Event::ExportSession { key, reply }, timeout)
             };
-            let failure = match sent {
+            let (how, failure) = match sent {
                 Ok(()) => match rx.recv_timeout(timeout) {
                     Ok(cp) => {
                         // The reply proves every previously dispatched
@@ -1232,20 +1299,27 @@ impl ControlPlane {
                         self.sups[shard].inflight = 0;
                         return Ok(cp);
                     }
-                    Err(_) => "session export stalled past the shard timeout",
+                    Err(_) => (
+                        Retiring::Silent,
+                        "session export stalled past the shard timeout",
+                    ),
                 },
-                Err(SendTimeoutError::Timeout(_)) => "event queue stalled past the shard timeout",
-                Err(SendTimeoutError::Disconnected(_)) => {
-                    "worker terminated without a failure report"
-                }
+                Err(SendTimeoutError::Timeout(_)) => (
+                    Retiring::Silent,
+                    "event queue stalled past the shard timeout",
+                ),
+                Err(SendTimeoutError::Disconnected(_)) => (
+                    Retiring::Exiting,
+                    "worker terminated without a failure report",
+                ),
             };
             self.drain_worker_msgs();
             if self.sups[shard].epoch == epoch {
                 if round == 0 {
-                    let _ = self.recover(shard, failure.into());
+                    let _ = self.recover(shard, how, failure.into());
                 } else {
                     self.mutated();
-                    self.retire_worker(shard);
+                    self.retire_worker(shard, Retiring::Silent);
                     let sup = &mut self.sups[shard];
                     sup.healthy = false;
                     sup.inflight = 0;
@@ -1533,8 +1607,11 @@ impl ControlPlane {
                 match sent {
                     Ok(()) => pending.push((shard, epoch)),
                     Err(SendTimeoutError::Timeout(_)) => {
-                        let _ = self
-                            .recover(shard, "event queue stalled past the shard timeout".into());
+                        let _ = self.recover(
+                            shard,
+                            Retiring::Silent,
+                            "event queue stalled past the shard timeout".into(),
+                        );
                     }
                     Err(SendTimeoutError::Disconnected(_)) => {
                         // The worker's failure report, if any, is already in
@@ -1544,6 +1621,7 @@ impl ControlPlane {
                         if self.sups[shard].epoch == epoch {
                             let _ = self.recover(
                                 shard,
+                                Retiring::Exiting,
                                 "worker terminated without a failure report".into(),
                             );
                         }
@@ -1588,11 +1666,12 @@ impl ControlPlane {
                 if round == 0 {
                     let _ = self.recover(
                         shard,
+                        Retiring::Silent,
                         "snapshot reply stalled past the shard timeout".into(),
                     );
                 } else {
                     self.mutated();
-                    self.retire_worker(shard);
+                    self.retire_worker(shard, Retiring::Silent);
                     let sup = &mut self.sups[shard];
                     sup.healthy = false;
                     sup.inflight = 0;
@@ -2103,11 +2182,11 @@ mod tests {
         );
     }
 
-    /// A single shard gains nothing from a worker thread, so adaptive mode
-    /// never escalates there regardless of measured cost.
-    /// Superseded workers are joined once they have exited, not hoarded
-    /// until shutdown: however many restarts, the graveyard holds at most
-    /// the worker retired last.
+    /// A worker that is known to be exiting is joined by the restart that
+    /// retires it (its state is the restore target), so operator restarts
+    /// park nothing. Only a worker retired for silence is parked: the
+    /// recovery does not wait for it, restores into a fresh state just as
+    /// invisibly, and the first recovery after it exits reaps it.
     #[test]
     fn restarts_reap_exited_workers() {
         let mut plane = ControlPlane::new(config(1, ExecMode::Threaded));
@@ -2115,15 +2194,106 @@ mod tests {
         for t in 0..3u64 {
             plane.tick(&[(key, t as f64)]).unwrap();
             plane.restart_shard(0).unwrap();
-            // A cancelled worker exits as soon as it sees its queue
-            // closed; wait for that so the next restart finds it done.
-            while !plane.graveyard.iter().all(JoinHandle::is_finished) {
-                std::thread::yield_now();
-            }
-            assert_eq!(plane.graveyard.len(), 1, "after restart {t}");
+            assert!(plane.graveyard.is_empty(), "after restart {t}");
         }
+        plane.shutdown();
+
+        const TIMEOUT_MS: u64 = 200;
+        let run = |fault: Option<FaultPlan>| {
+            let mut builder = ServiceConfig::builder(1024.0)
+                .session_b_max(16.0)
+                .offline_delay(4)
+                .window(4)
+                .exec(ExecMode::Threaded)
+                .checkpoint_every(8)
+                .shard_timeout_ms(TIMEOUT_MS);
+            if let Some(plan) = fault {
+                builder = builder.fault(plan);
+            }
+            let mut plane = ControlPlane::new(builder.build().unwrap());
+            let key = plane.admit("acme").unwrap();
+            for t in 0..50u64 {
+                let started = Instant::now();
+                plane.tick(&[(key, (t % 3) as f64)]).unwrap();
+                if plane.restarts() == 1 && plane.graveyard.len() == 1 {
+                    // The tick that detected the hang: one time-out to
+                    // notice the silence, and no second one waiting for a
+                    // worker that cannot answer.
+                    let blocked = started.elapsed();
+                    assert!(
+                        blocked < Duration::from_millis(TIMEOUT_MS * 3 / 2),
+                        "recovery from a hang blocked the driver for {blocked:?}"
+                    );
+                }
+            }
+            let view = plane.snapshot().unwrap().invariant_view();
+            (plane, view)
+        };
+        let (clean, clean_view) = run(None);
+        clean.shutdown();
+        let (mut hung, hung_view) = run(Some(FaultPlan::hang(0, 30, 4 * TIMEOUT_MS)));
+        assert_eq!(hung.restarts(), 1);
+        assert_eq!(hung.graveyard.len(), 1, "the hung worker is parked");
+        assert_eq!(clean_view, hung_view, "a fresh restore target shows");
+        while !hung.graveyard.iter().all(JoinHandle::is_finished) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        hung.restart_shard(0).unwrap();
+        assert!(hung.graveyard.is_empty(), "the next recovery reaps it");
+        hung.shutdown();
     }
 
+    /// An admission burst does not set the journal's footprint for life:
+    /// the first trim that finds the capacity far above what the journal
+    /// held gives it back, and the smaller journal still replays bitwise.
+    #[test]
+    fn journal_capacity_follows_the_checkpoint_interval() {
+        const EVERY: u64 = 16;
+        let run = |restart: bool| {
+            let cfg = ServiceConfig::builder(4096.0 * 16.0)
+                .session_b_max(16.0)
+                .offline_delay(4)
+                .window(4)
+                .exec(ExecMode::Threaded)
+                .checkpoint_every(EVERY)
+                .build()
+                .unwrap();
+            let mut plane = ControlPlane::new(cfg);
+            let keys: Vec<u64> = (0..4096).map(|_| plane.admit("acme").unwrap()).collect();
+            let tick = |plane: &mut ControlPlane, t: u64| {
+                let batch: Vec<(u64, f64)> =
+                    keys.iter().map(|&k| (k, ((k + t) % 4) as f64)).collect();
+                plane.tick(&batch).unwrap();
+            };
+            for t in 0..2 * EVERY {
+                tick(&mut plane, t);
+            }
+            // The snapshot reply is behind the second checkpoint in the
+            // worker's queue; the drain after it takes that checkpoint in.
+            drop(plane.snapshot().unwrap());
+            plane.drain_worker_msgs();
+            let sup = &plane.sups[0];
+            assert_eq!(sup.frames_seq, 2, "two checkpoints accepted");
+            assert!(
+                sup.journal.capacity() <= 4 * EVERY as usize,
+                "journal capacity {} after a 4,096-join burst and two trims",
+                sup.journal.capacity()
+            );
+            for t in 2 * EVERY..3 * EVERY {
+                if restart && t == 2 * EVERY + EVERY / 2 {
+                    plane.restart_shard(0).unwrap();
+                }
+                tick(&mut plane, t);
+            }
+            let view = plane.snapshot().unwrap().invariant_view();
+            plane.shutdown();
+            view
+        };
+        assert_eq!(run(false), run(true), "replay from the shrunk journal");
+    }
+
+    /// A single shard gains nothing from a worker thread, so adaptive mode
+    /// never escalates there regardless of measured cost.
     #[test]
     fn adaptive_single_shard_never_escalates() {
         let mut service = ControlPlane::new(config(1, ExecMode::Adaptive));

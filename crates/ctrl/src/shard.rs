@@ -718,6 +718,35 @@ struct Columns {
     pend_spill: Vec<VecDeque<(u64, f64)>>,
 }
 
+/// Walks every scalar column of a [`Columns`] with its vacant-slot value
+/// (zeros, with the grace `+∞` and none-yet `NaN` sentinels armed):
+/// `$body` runs once per column with `$col` bound to the column and
+/// `$vacant` to that value. The one list behind growing, resetting and
+/// recycling, so the three cannot disagree (`touched` is a work list, not
+/// a column, and is not here). The order is the order `grow_to` allocates
+/// in, which is heap layout and shows in peak RSS: append, do not reorder.
+macro_rules! scalar_columns {
+    ($cols:expr, |$col:ident, $vacant:ident| $body:expr) => {
+        scalar_columns!(@each $cols, $col, $vacant, $body;
+            arrived 0.0, flags 0, keys 0, stage_ticks 0, low_total 0.0,
+            high_window_sum 0.0, high_min_window_sum f64::INFINITY,
+            high_head 0, high_len 0, low_low 0.0, b_on 0.0, backlog 0.0,
+            alg_tick 0, stages_completed 0, stage_open_start 0,
+            shadow_backlog 0.0, current_alloc 0.0, changes 0,
+            peak_alloc 0.0, total_arrived 0.0, total_served 0.0,
+            total_allocated 0.0, pend_tick 0, pend_bits 0.0, pend_len 0,
+            delay_tick 0, max_delay 0, max_delay_exact 0.0, meter_ticks 0,
+            window_arrived 0.0, window_allocated 0.0, recent_head 0,
+            recent_len 0, min_util f64::NAN)
+    };
+    (@each $cols:expr, $col:ident, $vacant:ident, $body:expr; $($field:ident $value:expr),+) => {
+        $({
+            let ($col, $vacant) = (&mut $cols.$field, $value);
+            $body;
+        })+
+    };
+}
+
 impl Columns {
     /// Extends every column to cover `bound` slots (rings grow by whole
     /// `W`-sized strides; existing ring contents are append-stable).
@@ -725,41 +754,12 @@ impl Columns {
         if self.flags.len() >= bound {
             return;
         }
-        self.arrived.resize(bound, 0.0);
-        self.flags.resize(bound, 0);
-        self.keys.resize(bound, 0);
-        self.stage_ticks.resize(bound, 0);
-        self.low_total.resize(bound, 0.0);
-        self.high_window_sum.resize(bound, 0.0);
-        self.high_min_window_sum.resize(bound, f64::INFINITY);
-        self.high_head.resize(bound, 0);
-        self.high_len.resize(bound, 0);
-        self.low_low.resize(bound, 0.0);
-        self.b_on.resize(bound, 0.0);
-        self.backlog.resize(bound, 0.0);
-        self.alg_tick.resize(bound, 0);
-        self.stages_completed.resize(bound, 0);
-        self.stage_open_start.resize(bound, 0);
-        self.shadow_backlog.resize(bound, 0.0);
-        self.current_alloc.resize(bound, 0.0);
-        self.changes.resize(bound, 0);
-        self.peak_alloc.resize(bound, 0.0);
-        self.total_arrived.resize(bound, 0.0);
-        self.total_served.resize(bound, 0.0);
-        self.total_allocated.resize(bound, 0.0);
-        self.pend_tick.resize(bound, 0);
-        self.pend_bits.resize(bound, 0.0);
-        self.pend_len.resize(bound, 0);
-        self.delay_tick.resize(bound, 0);
-        self.max_delay.resize(bound, 0);
-        self.max_delay_exact.resize(bound, 0.0);
-        self.meter_ticks.resize(bound, 0);
-        self.window_arrived.resize(bound, 0.0);
-        self.window_allocated.resize(bound, 0.0);
-        self.recent_head.resize(bound, 0);
-        self.recent_len.resize(bound, 0);
-        self.min_util.resize(bound, f64::NAN);
-        self.hull.resize_with(bound, Vec::new);
+        scalar_columns!(self, |col, vacant| col.resize(bound, vacant));
+        // A recycled store keeps its inner hull and spill allocations, so
+        // these two may already be longer than `bound`: grow, never cut.
+        if self.hull.len() < bound {
+            self.hull.resize_with(bound, Vec::new);
+        }
         if bound > self.ring_cap {
             // Time-major rings re-lay out on growth (every row shifts),
             // so the capacity doubles to amortize; surviving rows copy
@@ -778,53 +778,37 @@ impl Columns {
             self.recent_ring = recent;
             self.ring_cap = new_cap;
         }
-        self.pend_spill.resize_with(bound, VecDeque::new);
+        if self.pend_spill.len() < bound {
+            self.pend_spill.resize_with(bound, VecDeque::new);
+        }
     }
 
-    /// Resets every scalar column of slot `i` to the vacant-slot state:
-    /// zeros, with the grace (`+∞`) and none-yet (`NaN`) sentinels armed.
+    /// Empties the store, keeping allocations only: every scalar column
+    /// goes to length 0, so [`Columns::grow_to`] re-arms each slot exactly
+    /// as it does in a fresh store; inner hulls and spill deques are
+    /// cleared in place; the rings keep their arena and `ring_cap` (a
+    /// ring cell is only read under a cursor that was written first).
+    /// Nothing that was *in* a column survives, so a store torn mid-event
+    /// is worth exactly as much as a fresh one.
+    fn recycle(&mut self) {
+        scalar_columns!(self, |col, _vacant| col.clear());
+        self.touched.clear();
+        self.hull.iter_mut().for_each(Vec::clear);
+        self.pend_spill.iter_mut().for_each(VecDeque::clear);
+    }
+
+    /// Resets every scalar column of slot `i` to the vacant-slot state.
     fn reset_scalars(&mut self, i: usize) {
-        self.arrived[i] = 0.0;
-        self.flags[i] = 0;
-        self.stage_ticks[i] = 0;
-        self.low_total[i] = 0.0;
-        self.high_window_sum[i] = 0.0;
-        self.high_min_window_sum[i] = f64::INFINITY;
-        self.high_head[i] = 0;
-        self.high_len[i] = 0;
-        self.low_low[i] = 0.0;
-        self.b_on[i] = 0.0;
-        self.backlog[i] = 0.0;
-        self.alg_tick[i] = 0;
-        self.stages_completed[i] = 0;
-        self.stage_open_start[i] = 0;
-        self.shadow_backlog[i] = 0.0;
-        self.current_alloc[i] = 0.0;
-        self.changes[i] = 0;
-        self.peak_alloc[i] = 0.0;
-        self.total_arrived[i] = 0.0;
-        self.total_served[i] = 0.0;
-        self.total_allocated[i] = 0.0;
-        self.pend_tick[i] = 0;
-        self.pend_bits[i] = 0.0;
-        self.pend_len[i] = 0;
-        self.delay_tick[i] = 0;
-        self.max_delay[i] = 0;
-        self.max_delay_exact[i] = 0.0;
-        self.meter_ticks[i] = 0;
-        self.window_arrived[i] = 0.0;
-        self.window_allocated[i] = 0.0;
-        self.recent_head[i] = 0;
-        self.recent_len[i] = 0;
-        self.min_util[i] = f64::NAN;
+        scalar_columns!(self, |col, vacant| col[i] = vacant);
     }
 
-    /// Initializes slot `i` for a fresh session (meter state as
+    /// Initializes slot `i` for a fresh session `key` (meter state as
     /// `SignallingMeter::new`; dedicated slots additionally get their
     /// allocator state via [`Columns::init_dedicated`]). The ring regions
     /// need no clearing: their cursors reset and writes precede reads.
-    fn init_fresh(&mut self, i: usize) {
+    fn init_fresh(&mut self, i: usize, key: u64) {
         self.reset_scalars(i);
+        self.keys[i] = key;
         self.flags[i] = F_LIVE | F_DIRTY;
         self.hull[i].clear();
         self.pend_spill[i].clear();
@@ -860,6 +844,7 @@ impl Columns {
         self.reset_scalars(i);
         self.hull[i].clear();
         self.pend_spill[i].clear();
+        self.keys[i] = cp.key;
         self.flags[i] = F_LIVE;
         if cp.leaving {
             self.flags[i] |= F_LEAVING;
@@ -942,7 +927,6 @@ impl Columns {
     /// Releases a vacated slot's heavy state; the next occupant re-inits.
     fn clear_slot(&mut self, i: usize) {
         self.reset_scalars(i);
-        self.keys[i] = 0;
         self.hull[i] = Vec::new();
         self.pend_spill[i] = VecDeque::new();
     }
@@ -1832,6 +1816,51 @@ impl ShardState {
         }
     }
 
+    /// Turns a retired worker's state into a restore target: allocations
+    /// are kept (columns, ring arenas, slab and key tables, the kernel
+    /// pool and its scratch, whose lists every sweep clears before use),
+    /// contents are not — the retiree may have been torn mid-event by the
+    /// very panic that retired it, so everything a fresh state starts
+    /// without is emptied here and rebuilt by the restore through the
+    /// same `grow_to`/`insert_entry` calls a fresh state takes.
+    pub(crate) fn recycle(mut self) -> Self {
+        self.epoch = 0;
+        self.sessions.clear();
+        self.index.clear();
+        self.groups.clear();
+        self.group_index.clear();
+        self.cols.recycle();
+        match Arc::get_mut(&mut self.retired) {
+            Some(retired) => retired.clear(),
+            None => self.retired = Arc::default(), // still held by a report
+        }
+        self.stages_retired = 0;
+        self.ticks = 0;
+        self.removed_since_checkpoint.clear();
+        self.retired_base = 0;
+        self
+    }
+
+    /// The supervisor's restore, into an empty state (fresh or recycled):
+    /// the retained checkpoint frame, if one was ever accepted, then the
+    /// journal since it.
+    ///
+    /// # Panics
+    ///
+    /// On a frame that does not parse or apply, and on a poison event —
+    /// the supervisor runs this under `catch_unwind`.
+    pub(crate) fn rebuild(mut self, frame: Option<&[u8]>, journal: &[ReplayEvent]) -> Self {
+        if let Some(bytes) = frame {
+            let frame = columnar::parse(bytes).expect("retained checkpoint frame must parse");
+            self.apply_frame(&frame, &mut ApplyScratch::default())
+                .expect("retained checkpoint frame must apply");
+        }
+        for ev in journal {
+            self.handle_event(ev.to_event());
+        }
+        self
+    }
+
     /// Live sessions on this shard.
     pub(crate) fn live_sessions(&self) -> usize {
         self.sessions.len()
@@ -2490,7 +2519,8 @@ impl ShardState {
         }
     }
 
-    /// Places an identity entry and grows the columns to cover its slot.
+    /// Places an identity entry and grows the columns to cover its slot,
+    /// which the caller then writes (key included).
     fn insert_entry(
         &mut self,
         key: u64,
@@ -2506,7 +2536,6 @@ impl ShardState {
         });
         self.index.insert(key, slot);
         self.cols.grow_to(self.sessions.slot_bound(), self.window);
-        self.cols.keys[slot.index as usize] = key;
         slot
     }
 
@@ -2528,7 +2557,7 @@ impl ShardState {
     fn join_dedicated(&mut self, key: u64, tenant: Arc<str>) {
         let slot = self.insert_entry(key, tenant, false, SessionKind::Dedicated);
         let i = slot.index as usize;
-        self.cols.init_fresh(i);
+        self.cols.init_fresh(i, key);
         self.cols.init_dedicated(i);
     }
 
@@ -2561,7 +2590,7 @@ impl ShardState {
                 false,
                 SessionKind::Pooled { group, member },
             );
-            self.cols.init_fresh(slot.index as usize);
+            self.cols.init_fresh(slot.index as usize, key);
             self.groups
                 .get_mut(gslot)
                 .expect("group slot just placed")
@@ -2919,12 +2948,14 @@ pub(crate) fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
 /// The supervised worker loop of one threaded shard: apply events until
 /// shutdown, disconnection, or cancellation; catch panics and report them
 /// as [`ShardFailure`]; ship a [`ShardCheckpoint`] every
-/// `checkpoint_every` ticks; host the injected fault, if any.
+/// `checkpoint_every` ticks; host the injected fault, if any. Every exit
+/// hands the state back through the join handle, so the supervisor can
+/// restore the replacement into the allocations this worker retires.
 pub(crate) fn run_worker(
     mut state: ShardState,
     rx: crossbeam::channel::Receiver<Event>,
     ctx: WorkerCtx,
-) {
+) -> ShardState {
     state.epoch = ctx.epoch;
     let mut events_applied = ctx.events_base;
     let mut fault = ctx.fault;
@@ -2932,11 +2963,8 @@ pub(crate) fn run_worker(
     // is allocated per capture and shipped, never held here.
     let mut cp_sink = columnar::ColumnSink::default();
     while let Ok(event) = rx.recv() {
-        if ctx.cancel.load(Ordering::Acquire) {
-            return;
-        }
-        if matches!(event, Event::Shutdown) {
-            return;
+        if ctx.cancel.load(Ordering::Acquire) || matches!(event, Event::Shutdown) {
+            break;
         }
         let is_tick = matches!(event, Event::Tick { .. });
         // Read-only events never enter the journal, so they must not
@@ -2955,7 +2983,7 @@ pub(crate) fn run_worker(
                     // so, leave the event unapplied — the supervisor already
                     // replayed it into the replacement.
                     if ctx.cancel.load(Ordering::Acquire) {
-                        return;
+                        break;
                     }
                 }
             }
@@ -2998,17 +3026,20 @@ pub(crate) fn run_worker(
                 }
             }
             Err(payload) => {
-                // The state may be torn mid-event; abandon it and let the
-                // supervisor rebuild from the last checkpoint + journal.
+                // The state may be torn mid-event: its contents are worth
+                // nothing, and the supervisor rebuilds from the last
+                // checkpoint + journal — into this state's allocations,
+                // emptied first ([`ShardState::recycle`]).
                 let _ = ctx.msgs.send(WorkerMsg::Failure(ShardFailure {
                     shard: state.shard,
                     epoch: ctx.epoch,
                     reason: panic_reason(payload),
                 }));
-                return;
+                break;
             }
         }
     }
+    state
 }
 
 #[cfg(test)]
@@ -3927,6 +3958,31 @@ mod tests {
         }
     }
 
+    /// Leaves `state` the way a panic in the middle of an event could: a
+    /// scalar column cut short, a slab entry no index knows, arrivals
+    /// staged and never un-scattered, flags longer than their columns and
+    /// live bits on slots nothing occupies.
+    fn tear(state: &mut ShardState) {
+        let cols = &mut state.cols;
+        cols.low_total.truncate(cols.low_total.len() / 2);
+        if let Some(a) = cols.arrived.first_mut() {
+            *a = 7.0;
+            cols.touched.push(0);
+        }
+        cols.flags.push(0);
+        for f in &mut cols.flags {
+            if *f & F_LIVE == 0 {
+                *f = F_LIVE | F_DEDICATED | F_STAGE_OPEN | F_LEAVING;
+            }
+        }
+        state.sessions.insert(SessionEntry {
+            key: u64::MAX,
+            tenant: "torn".into(),
+            leaving: true,
+            kind: SessionKind::Dedicated,
+        });
+    }
+
     /// A shard's full state with everything placement- and history-
     /// dependent normalized away, v1-encoded: sessions and retired
     /// metrics key-sorted (a recovery compacts slots, so later joins and
@@ -4011,7 +4067,9 @@ mod tests {
         /// The kernel-thread knob is bitwise-invisible at the shard
         /// level: the chunked parallel sweep at 2 and 4 threads must
         /// produce byte-identical binary checkpoints to the sequential
-        /// sweep after every tick of a random lifecycle script.
+        /// sweep after every tick of a random lifecycle script — also
+        /// across captures and restores into the recycled state, which
+        /// keeps its kernel pool.
         #[test]
         fn kernel_thread_count_is_bitwise_invisible(
             ops in proptest::collection::vec(op_strategy(), 1..40)
@@ -4034,14 +4092,39 @@ mod tests {
                 crate::codec::checkpoint::encode(&s.checkpoint(), &mut out);
                 out
             };
-            for ev in ops.iter().flat_map(|op| script.events(op)) {
-                for s in &mut shards {
-                    s.handle_event(ev.to_event());
+            let mut sink = columnar::ColumnSink::default();
+            let mut frame: Option<Vec<u8>> = None;
+            let mut journal: Vec<ReplayEvent> = Vec::new();
+            for (i, op) in ops.iter().enumerate() {
+                for ev in script.events(op) {
+                    for s in &mut shards {
+                        s.handle_event(ev.to_event());
+                    }
+                    if matches!(ev, ReplayEvent::Tick { .. }) {
+                        let base = enc(&shards[0]);
+                        prop_assert_eq!(&base, &enc(&shards[1]));
+                        prop_assert_eq!(&base, &enc(&shards[2]));
+                    }
+                    journal.push(ev);
                 }
-                if matches!(ev, ReplayEvent::Tick { .. }) {
-                    let base = enc(&shards[0]);
-                    prop_assert_eq!(&base, &enc(&shards[1]));
-                    prop_assert_eq!(&base, &enc(&shards[2]));
+                if i % 5 == 2 {
+                    let [k1, k2, k4] = shards.each_mut().map(|s| {
+                        let mut bytes = Vec::new();
+                        s.encode_columnar(columnar::KIND_GENESIS, &mut sink, &mut bytes);
+                        bytes
+                    });
+                    prop_assert_eq!(&k1, &k2);
+                    prop_assert_eq!(&k1, &k4);
+                    frame = Some(k1);
+                    journal.clear();
+                }
+                if i % 7 == 6 {
+                    shards = shards.map(|mut s| {
+                        if i % 14 == 6 {
+                            tear(&mut s);
+                        }
+                        s.recycle().rebuild(frame.as_deref(), &journal)
+                    });
                 }
             }
         }
@@ -4067,12 +4150,12 @@ mod tests {
             let mut soa = ShardState::new(0, &cfg);
             let mut oracle = reference::RefShard::new(0, &cfg);
             let mut sink = columnar::ColumnSink::default();
-            let mut scratch = ApplyScratch::default();
-            // The supervisor's recovery state: the last captured frame and
-            // the replayable events applied since.
-            let mut frame = Vec::new();
-            soa.encode_columnar(columnar::KIND_GENESIS, &mut sink, &mut frame);
+            // The supervisor's recovery state: the last captured frame
+            // (none until the first capture, when the journal runs from
+            // genesis) and the replayable events applied since.
+            let mut frame: Option<Vec<u8>> = None;
             let mut journal: Vec<ReplayEvent> = Vec::new();
+            let mut recoveries = 0usize;
             let mut script = Script::default();
             let apply = |soa: &mut ShardState, journal: &mut Vec<ReplayEvent>, ev: ReplayEvent| {
                 soa.handle_event(ev.to_event());
@@ -4108,17 +4191,28 @@ mod tests {
                         script.next_key += 1;
                     }
                     LockstepOp::Capture => {
-                        soa.encode_columnar(columnar::KIND_GENESIS, &mut sink, &mut frame);
+                        let bytes = frame.get_or_insert_with(Vec::new);
+                        soa.encode_columnar(columnar::KIND_GENESIS, &mut sink, bytes);
                         journal.clear();
                     }
                     LockstepOp::Recover => {
-                        let mut rebuilt = ShardState::new(0, &cfg);
-                        let parsed = columnar::parse(&frame).expect("own frames parse");
-                        rebuilt.apply_frame(&parsed, &mut scratch).expect("own frames apply");
-                        for ev in &journal {
-                            rebuilt.handle_event(ev.to_event());
+                        // Into the retired state itself, recycled, on every
+                        // other recovery (torn first on every fourth);
+                        // into a fresh state otherwise.
+                        if recoveries.is_multiple_of(4) {
+                            tear(&mut soa);
                         }
-                        soa = rebuilt;
+                        let target = if recoveries.is_multiple_of(2) {
+                            soa.recycle()
+                        } else {
+                            ShardState::new(0, &cfg)
+                        };
+                        soa = target.rebuild(frame.as_deref(), &journal);
+                        recoveries += 1;
+                        prop_assert_eq!(
+                            canonical_forgetful_bytes(soa.checkpoint()),
+                            canonical_forgetful_bytes(oracle.checkpoint())
+                        );
                     }
                 }
             }

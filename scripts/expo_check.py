@@ -22,6 +22,7 @@ Diff — assert that two scrapes agree on every series under a prefix::
     expo_check.py diff clean.prom faulted.prom --prefix cdba_ctrl_ \\
         --ignore cdba_ctrl_shard_restarts_total \\
         --ignore cdba_ctrl_journal_events_replayed_total \\
+        --ignore cdba_ctrl_restore_seconds \\
         --ignore cdba_ctrl_checkpoint
 
   Used by CI to prove the deterministic control-plane series (ticks,
@@ -29,7 +30,9 @@ Diff — assert that two scrapes agree on every series under a prefix::
   and a fault-injected one — recovery must be invisible in the
   metrics, exactly as it is in ``invariant_view()``. Series whose name
   starts with any ``--ignore`` prefix (restart/replay/checkpoint
-  bookkeeping, which legitimately differs — ``cdba_ctrl_checkpoint``
+  bookkeeping, which legitimately differs — ``cdba_ctrl_restore_seconds``
+  is a histogram of zero restores on one side and one on the other, so
+  its count, sum and buckets all move; ``cdba_ctrl_checkpoint``
   covers the ``checkpoints``/``checkpoint_bytes``/
   ``checkpoint_encoded_sessions`` counters and the per-shard
   ``checkpoint_retained_bytes`` gauge) are excluded. Exits 1 on any

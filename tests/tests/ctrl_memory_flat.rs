@@ -13,35 +13,49 @@
 //! (With a per-session stage log — 32 bytes of heap and 17 of frame per
 //! stage ever run — the heap grew 5× and the frame 6.7× over this run.)
 //! Nor does a poll leave anything behind: the live heap after a poll and
-//! one more tick is, to the byte, the heap before the poll.
+//! one more tick is, to the byte, the heap before the poll. Nor does a
+//! restart cost a second copy of the state: the supervisor restores into
+//! the column set the retired worker hands back, so the heap's peak while
+//! a shard restarts stays within a quarter of one column set of where it
+//! stood, and eight restarts leave it where two did — whether the operator
+//! asked for the restart or the worker was killed.
 //!
 //! The counting allocator is process-global, so this file holds exactly
 //! one `#[test]`.
 
-use cdba_ctrl::{ControlPlane, ExecMode, ServiceConfig};
+use cdba_ctrl::{ControlPlane, ExecMode, FaultPlan, ServiceConfig};
 use cdba_integration::LiveBytesAlloc;
 
 #[global_allocator]
 static HEAP: LiveBytesAlloc = LiveBytesAlloc::new();
 
 const DEDICATED: usize = 192;
+/// The restart phase's population: big enough that a column set dwarfs
+/// everything else a restart allocates.
+const DEDICATED_RESTARTS: usize = 2048;
 const GROUPS: usize = 16;
 const CHECKPOINT_EVERY: u64 = 128;
+const RESTARTS: usize = 8;
+/// How far past a checkpoint each restart lands: the journal suffix.
+const PAST_CHECKPOINT: u64 = 32;
 
-fn cfg(exec: ExecMode) -> ServiceConfig {
-    let builder = ServiceConfig::builder(65_536.0)
+fn cfg(exec: ExecMode, fault: Option<FaultPlan>) -> ServiceConfig {
+    let mut builder = ServiceConfig::builder(65_536.0)
         .session_b_max(16.0)
         .group_b_o(8.0)
         .offline_delay(4)
         .window(8)
         .shards(1)
         .exec(exec);
-    match exec {
-        ExecMode::Threaded => builder.checkpoint_every(CHECKPOINT_EVERY),
-        _ => builder,
+    if exec == ExecMode::Threaded {
+        builder = builder
+            .checkpoint_every(CHECKPOINT_EVERY)
+            .max_restarts(RESTARTS as u32);
     }
-    .build()
-    .expect("valid config")
+    if let Some(plan) = fault {
+        builder = builder.fault(plan);
+    }
+    builder.build().expect("valid config")
 }
 
 /// Sixteen ticks of traffic, sixteen of silence: a full window of zeros
@@ -62,9 +76,13 @@ fn batch(keys: &[u64], t: u64) -> Vec<(u64, f64)> {
         .collect()
 }
 
-/// A plane with the test's population, and its keys.
-fn populated(exec: ExecMode) -> (ControlPlane, Vec<u64>) {
-    let mut plane = ControlPlane::new(cfg(exec));
+/// A plane with `dedicated` sessions and the pooled groups, and its keys.
+fn populated(
+    exec: ExecMode,
+    dedicated: usize,
+    fault: Option<FaultPlan>,
+) -> (ControlPlane, Vec<u64>) {
+    let mut plane = ControlPlane::new(cfg(exec, fault));
     let mut keys = Vec::new();
     for g in 0..GROUPS {
         keys.extend(
@@ -73,7 +91,7 @@ fn populated(exec: ExecMode) -> (ControlPlane, Vec<u64>) {
                 .expect("group"),
         );
     }
-    for i in 0..DEDICATED {
+    for i in 0..dedicated {
         keys.push(
             plane
                 .admit(["acme", "globex", "initech"][i % 3])
@@ -87,7 +105,7 @@ fn populated(exec: ExecMode) -> (ControlPlane, Vec<u64>) {
 /// and 4,096 plus (threaded only) the retained frame's length after the
 /// first and the 32nd checkpoint.
 fn run(exec: ExecMode) -> ([usize; 2], Option<[usize; 2]>) {
-    let (mut plane, keys) = populated(exec);
+    let (mut plane, keys) = populated(exec, DEDICATED, None);
     let threaded = exec == ExecMode::Threaded;
     let (mut heap, mut frames) = (Vec::new(), Vec::new());
     for t in 0..4096u64 {
@@ -113,7 +131,7 @@ fn run(exec: ExecMode) -> ([usize; 2], Option<[usize; 2]>) {
 /// The live heap of an inline plane (whose ticks allocate nothing) that
 /// has never been polled, and after its first poll and one more tick.
 fn poll_then_tick() -> [usize; 2] {
-    let (mut plane, keys) = populated(ExecMode::Inline);
+    let (mut plane, keys) = populated(ExecMode::Inline, DEDICATED, None);
     for t in 0..320u64 {
         plane.tick(&batch(&keys, t)).expect("tick");
     }
@@ -123,6 +141,60 @@ fn poll_then_tick() -> [usize; 2] {
     let polled = HEAP.live();
     plane.shutdown();
     [unpolled, polled]
+}
+
+/// What one column set of the restart population weighs: the live heap of
+/// an inline plane (one shard state, no journal, no frame) holding it.
+fn column_set() -> usize {
+    let base = HEAP.live();
+    let (mut plane, keys) = populated(ExecMode::Inline, DEDICATED_RESTARTS, None);
+    for t in 0..PAST_CHECKPOINT {
+        plane.tick(&batch(&keys, t)).expect("tick");
+    }
+    let set = HEAP.live() - base;
+    plane.shutdown();
+    set
+}
+
+/// Eight restarts of a threaded, checkpointing plane, each
+/// `PAST_CHECKPOINT` ticks after a checkpoint; the first is an injected
+/// kill when `kill`, the rest (or all) are operator restarts. Arrivals
+/// repeat every 32 ticks, so every checkpoint cycle asks the same
+/// capacities of the buffers a restart keeps. Per restart: how far the
+/// live heap peaked above where it stood while the shard was rebuilt, and
+/// where it stood afterwards, polled at the same phase.
+fn restarts(kill: bool) -> Vec<(usize, usize)> {
+    let kill_at = CHECKPOINT_EVERY + PAST_CHECKPOINT;
+    let fault = kill.then(|| FaultPlan::kill(0, kill_at));
+    let (mut plane, keys) = populated(ExecMode::Threaded, DEDICATED_RESTARTS, fault);
+    let mut samples = Vec::new();
+    let mut t = 0u64;
+    for n in 1..=RESTARTS {
+        while t < n as u64 * CHECKPOINT_EVERY + PAST_CHECKPOINT {
+            plane.tick(&batch(&keys, t % 32)).expect("tick");
+            t += 1;
+        }
+        let before = HEAP.live();
+        HEAP.reset_peak();
+        if kill && n == 1 {
+            // The worker dies applying tick `kill_at`; the driver learns
+            // of it at one of the next dispatches and recovers there.
+            while plane.restarts() == 0 {
+                plane.tick(&batch(&keys, t % 32)).expect("tick");
+                t += 1;
+            }
+        } else {
+            plane.restart_shard(0).expect("restart");
+        }
+        let peak = HEAP.peak();
+        assert_eq!(plane.restarts(), n as u64);
+        // Synchronise with the new worker, so every sample sees the plane
+        // holding the same things: one polled table, nothing in flight.
+        drop(plane.snapshot().expect("snapshot"));
+        samples.push((peak.saturating_sub(before), HEAP.live()));
+    }
+    plane.shutdown();
+    samples
 }
 
 fn within(a: usize, b: usize, pct: usize) -> bool {
@@ -153,4 +225,37 @@ fn heap_and_retained_frame_are_flat_in_uptime() {
         unpolled, polled,
         "live heap before a poll, and after that poll and a tick"
     );
+    // A restart restores into the state it retires: frame-parse scratch
+    // and a worker's fittings on top, never a second column set; and what
+    // it keeps has stopped growing by the second restart.
+    let set = column_set();
+    // Reporting the injected panic under `RUST_BACKTRACE` symbolises a
+    // backtrace: megabytes of heap that are the hook's, not the
+    // recovery's. Every other panic still reports.
+    let report = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let payload = info.payload().downcast_ref::<&str>();
+        if !payload.is_some_and(|msg| msg.starts_with("injected fault")) {
+            report(info);
+        }
+    }));
+    for kill in [false, true] {
+        let samples = restarts(kill);
+        for (n, &(rise, _)) in samples.iter().enumerate() {
+            assert!(
+                rise < set / 4,
+                "kill={kill}: restart {} raised the live heap by {rise} bytes; \
+                 a column set is {set}",
+                n + 1
+            );
+        }
+        // The worker-to-driver queue keeps the capacity of its deepest
+        // backlog, which is timing and worth a few hundred bytes; a
+        // restart that kept anything of the state would show as kilobytes.
+        let (second, last) = (samples[1].1, samples[RESTARTS - 1].1);
+        assert!(
+            last <= second + set / 1000,
+            "kill={kill}: live heap {second} after restart 2, {last} after restart {RESTARTS}"
+        );
+    }
 }

@@ -236,14 +236,22 @@ fn golden_registry() -> Registry {
             &[("shard", "0")],
         )
         .set(422_000.0);
+    registry
+        .gauge(
+            "cdba_ctrl_parked_workers",
+            "Superseded shard workers that had not exited when they were \
+             retired (hung); each cost its restart a second column set",
+        )
+        .set(1.0);
     let restore = registry.histogram(
         "cdba_ctrl_restore_seconds",
-        "Wall-clock seconds spent rebuilding a shard from its checkpoint \
-         frame plus journal replay",
+        "Wall-clock seconds the driver spent restarting a shard: reclaiming \
+         the retired worker's state, applying the checkpoint frame, \
+         replaying the journal",
         &[0.001, 0.01, 0.1, 1.0, 10.0],
     );
     restore.observe(0.0004); // journal-only restore
-    restore.observe(0.23); // frame apply + journal replay
+    restore.observe(0.23); // reclaim + frame apply + journal replay
     registry
         .gauge(
             "cdba_ctrl_signalling_cost",
