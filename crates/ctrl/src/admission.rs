@@ -10,6 +10,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Why a join was rejected.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,14 +60,25 @@ impl fmt::Display for AdmissionError {
 
 impl std::error::Error for AdmissionError {}
 
+/// What the controller holds per tenant. The entry carries its own name
+/// so a grant can hand the interned `Arc` back from the one lookup.
+#[derive(Debug, Clone)]
+struct TenantEntry {
+    name: Arc<str>,
+    committed: f64,
+    /// `None`: governed by the default quota.
+    quota: Option<f64>,
+}
+
 /// Tracks committed bandwidth envelopes service-wide and per tenant.
 #[derive(Debug, Clone)]
 pub struct AdmissionController {
     budget: f64,
     default_quota: f64,
     committed: f64,
-    quotas: HashMap<String, f64>,
-    per_tenant: HashMap<String, f64>,
+    /// Tenants holding capacity or a quota override; one `Arc<str>` per
+    /// distinct tenant, shared with everything that names the tenant.
+    tenants: HashMap<Arc<str>, TenantEntry>,
     admitted: u64,
     rejected: u64,
 }
@@ -79,8 +91,7 @@ impl AdmissionController {
             budget,
             default_quota,
             committed: 0.0,
-            quotas: HashMap::new(),
-            per_tenant: HashMap::new(),
+            tenants: HashMap::new(),
             admitted: 0,
             rejected: 0,
         }
@@ -88,14 +99,25 @@ impl AdmissionController {
 
     /// Overrides one tenant's quota.
     pub fn set_quota(&mut self, tenant: &str, quota: f64) {
-        self.quotas.insert(tenant.to_string(), quota);
+        self.intern(tenant, 0.0).quota = Some(quota);
+    }
+
+    /// The entry of `tenant`, which starts being tracked — with `committed`
+    /// to its name — if the controller has not seen it (or forgot it).
+    fn intern(&mut self, tenant: &str, committed: f64) -> &mut TenantEntry {
+        let name: Arc<str> = tenant.into();
+        self.tenants.entry(name.clone()).or_insert(TenantEntry {
+            name,
+            committed,
+            quota: None,
+        })
     }
 
     /// The quota governing `tenant`.
     pub fn quota(&self, tenant: &str) -> f64 {
-        self.quotas
+        self.tenants
             .get(tenant)
-            .copied()
+            .and_then(|entry| entry.quota)
             .unwrap_or(self.default_quota)
     }
 
@@ -106,7 +128,9 @@ impl AdmissionController {
 
     /// Bandwidth committed to `tenant`.
     pub fn committed_to(&self, tenant: &str) -> f64 {
-        self.per_tenant.get(tenant).copied().unwrap_or(0.0)
+        self.tenants
+            .get(tenant)
+            .map_or(0.0, |entry| entry.committed)
     }
 
     /// Joins admitted so far.
@@ -128,6 +152,13 @@ impl AdmissionController {
     /// [`AdmissionError::InvalidDemand`], [`AdmissionError::BudgetExhausted`]
     /// or [`AdmissionError::QuotaExceeded`].
     pub fn request(&mut self, tenant: &str, demand: f64) -> Result<(), AdmissionError> {
+        self.grant(tenant, demand).map(drop)
+    }
+
+    /// [`AdmissionController::request`], handing back the tenant's interned
+    /// name: one table lookup, and no allocation for a tenant already
+    /// holding capacity.
+    pub(crate) fn grant(&mut self, tenant: &str, demand: f64) -> Result<Arc<str>, AdmissionError> {
         if !demand.is_finite() || demand <= 0.0 {
             self.rejected += 1;
             return Err(AdmissionError::InvalidDemand(demand));
@@ -140,8 +171,12 @@ impl AdmissionController {
                 available: self.available(),
             });
         }
-        let used = self.committed_to(tenant);
-        let quota = self.quota(tenant);
+        let mut entry = self.tenants.get_mut(tenant);
+        let used = entry.as_ref().map_or(0.0, |e| e.committed);
+        let quota = entry
+            .as_ref()
+            .and_then(|e| e.quota)
+            .unwrap_or(self.default_quota);
         if used + demand > quota + slack {
             self.rejected += 1;
             return Err(AdmissionError::QuotaExceeded {
@@ -150,10 +185,16 @@ impl AdmissionController {
                 available: (quota - used).max(0.0),
             });
         }
+        let name = match &mut entry {
+            Some(entry) => {
+                entry.committed += demand;
+                entry.name.clone()
+            }
+            None => self.intern(tenant, demand).name.clone(),
+        };
         self.committed += demand;
-        *self.per_tenant.entry(tenant.to_string()).or_insert(0.0) += demand;
         self.admitted += 1;
-        Ok(())
+        Ok(name)
     }
 
     /// Undoes a just-granted [`AdmissionController::request`] whose join
@@ -169,10 +210,10 @@ impl AdmissionController {
     pub fn release(&mut self, tenant: &str, demand: f64) {
         let demand = demand.max(0.0);
         self.committed = (self.committed - demand).max(0.0);
-        if let Some(used) = self.per_tenant.get_mut(tenant) {
-            *used = (*used - demand).max(0.0);
-            if *used <= 0.0 {
-                self.per_tenant.remove(tenant);
+        if let Some(entry) = self.tenants.get_mut(tenant) {
+            entry.committed = (entry.committed - demand).max(0.0);
+            if entry.committed <= 0.0 && entry.quota.is_none() {
+                self.tenants.remove(tenant);
             }
         }
     }

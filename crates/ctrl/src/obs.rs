@@ -33,6 +33,10 @@ pub(crate) struct CtrlMetrics {
     pub leaves: Counter,
     /// `cdba_ctrl_journal_events_replayed_total`.
     pub events_replayed: Counter,
+    /// `cdba_ctrl_shard_deliveries_total{shard}`, indexed by shard: event
+    /// batches sent to the shard's worker. Against the admitted, leave and
+    /// tick counters it is the live events-per-wake-up ratio.
+    pub shard_deliveries: Vec<Counter>,
     /// `cdba_ctrl_shard_restarts_total{shard}`, indexed by shard.
     pub shard_restarts: Vec<Counter>,
     /// `cdba_ctrl_checkpoints_total{shard}`, indexed by shard.
@@ -112,6 +116,10 @@ impl CtrlMetrics {
             events_replayed: registry.counter(
                 "cdba_ctrl_journal_events_replayed_total",
                 "Journal events replayed into restarted shard workers",
+            ),
+            shard_deliveries: per_shard_counter(
+                "cdba_ctrl_shard_deliveries_total",
+                "Event batches sent to the shard's worker (threaded executor)",
             ),
             shard_restarts: per_shard_counter(
                 "cdba_ctrl_shard_restarts_total",

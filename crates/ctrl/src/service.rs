@@ -5,12 +5,13 @@
 //! ([`ControlPlane::admit`] / [`ControlPlane::admit_group`]), feed
 //! arrivals with [`ControlPlane::tick`], and read back a
 //! [`ServiceSnapshot`] at any point. Under [`ExecMode::Threaded`] each
-//! shard is a worker thread fed over a bounded channel (ticks pipeline
-//! until the channel fills, which applies backpressure to the driver);
-//! under [`ExecMode::Inline`] the same shard code runs on the calling
-//! thread. Sessions are placed on the least-loaded healthy shard (lowest
-//! index on ties), a pooled group always lands whole on one shard, and
-//! per-session dynamics are independent of placement — so snapshots'
+//! shard is a worker thread fed over a bounded channel: control events
+//! travel in batches of up to 64, flushed by the next tick or read, and
+//! ticks pipeline until the channel fills, which applies backpressure to
+//! the driver; under [`ExecMode::Inline`] the same shard code runs on the
+//! calling thread. Sessions are placed on the least-loaded healthy shard
+//! (lowest index on ties), a pooled group always lands whole on one shard,
+//! and per-session dynamics are independent of placement — so snapshots'
 //! placement-invariant parts are *identical* across shard counts and
 //! execution modes.
 //!
@@ -45,7 +46,7 @@ use crate::metrics::{ServiceSnapshot, ShardHealth, SnapshotCounters};
 use crate::obs::CtrlMetrics;
 use crate::shard::{
     panic_reason, run_worker, Event, ReplayEvent, ShardCheckpoint, ShardReport, ShardState,
-    WorkerCtx, WorkerMsg,
+    WorkerCtx, WorkerMsg, CONTROL_BATCH,
 };
 use crate::CtrlError;
 use cdba_obs::{Registry, TraceEvent, TraceKind, TraceRing};
@@ -59,7 +60,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Events a worker shard can buffer before the driver blocks. Bounded so a
-/// slow shard applies backpressure instead of ballooning memory.
+/// slow shard applies backpressure instead of ballooning memory. The bound
+/// is on events, not messages: the queue holds this many divided by the
+/// most one message carries ([`CONTROL_BATCH`]).
 const SHARD_QUEUE: usize = 256;
 
 /// Ticks [`ExecMode::Adaptive`] observes before it may escalate — enough
@@ -262,6 +265,11 @@ struct ShardSup {
     /// Frames ever accepted — the cursor space checkpoint subscribers
     /// resume from. The retained frame is number `frames_seq - 1`.
     frames_seq: u64,
+    /// Dispatched (and, with recovery on, journaled) events not yet sent
+    /// to the worker, in dispatch order; at most [`CONTROL_BATCH`]. Sent as
+    /// one message by [`ControlPlane::flush`]; dropped by a recovery, whose
+    /// journal replay applies them.
+    outbox: Vec<ReplayEvent>,
     /// Live sessions placed on this shard, for least-loaded placement.
     live: usize,
     /// Ticks dispatched to the current worker incarnation but not yet
@@ -280,6 +288,7 @@ impl ShardSup {
             journal_base: 0,
             frame: None,
             frames_seq: 0,
+            outbox: Vec::new(),
             live: 0,
             inflight: 0,
         }
@@ -306,7 +315,7 @@ fn spawn_worker(
     fault: Option<FaultPlan>,
     msgs: &Sender<WorkerMsg>,
 ) -> Result<Worker, CtrlError> {
-    let (tx, rx) = bounded(SHARD_QUEUE);
+    let (tx, rx) = bounded(SHARD_QUEUE / CONTROL_BATCH);
     let cancel = Arc::new(AtomicBool::new(false));
     let ctx = WorkerCtx {
         epoch,
@@ -785,9 +794,11 @@ impl ControlPlane {
         let max_restarts = u64::from(self.cfg.max_restarts);
         let sup = &mut self.sups[shard];
         sup.last_failure = Some(reason.clone());
-        // The replay below applies every journaled tick on this thread;
-        // nothing dispatched to the old worker is outstanding any more.
+        // The replay below applies every journaled event on this thread,
+        // the undelivered ones included; nothing dispatched to the old
+        // worker is outstanding any more.
         sup.inflight = 0;
+        sup.outbox.clear();
         if self.cfg.checkpoint_every == 0 {
             sup.healthy = false;
             return Err(CtrlError::ShardDown {
@@ -937,9 +948,12 @@ impl ControlPlane {
         Ok((sup.frames_seq, frames))
     }
 
-    /// Delivers one replayable event to `shard`, journaling it first so a
-    /// worker failure between journal and delivery is recovered by replay.
-    /// A successful recovery therefore counts as delivery.
+    /// Hands one replayable event to `shard`: applied on the spot inline;
+    /// journaled and queued in the shard's outbox when threaded, which goes
+    /// out once it holds [`CONTROL_BATCH`] events or a tick (a tick is
+    /// always the last event of its batch). A worker failure between
+    /// journal and delivery is recovered by replay, so a successful
+    /// recovery counts as delivery.
     ///
     /// # Errors
     ///
@@ -947,27 +961,65 @@ impl ControlPlane {
     /// permanently down.
     fn dispatch(&mut self, shard: usize, ev: ReplayEvent) -> Result<(), CtrlError> {
         if let Backend::Inline(states) = &mut self.backend {
-            states[shard].handle_event(ev.to_event());
+            states[shard].apply(ev);
             return Ok(());
         }
+        if !self.sups[shard].healthy {
+            return Err(self.down_error(shard));
+        }
+        let sup = &mut self.sups[shard];
+        if self.cfg.checkpoint_every > 0 {
+            sup.journal.push(ev.clone());
+        }
+        let due = matches!(ev, ReplayEvent::Tick { .. }) || sup.outbox.len() + 1 >= CONTROL_BATCH;
+        sup.outbox.push(ev);
+        if due {
+            self.flush(shard)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Sends `shard`'s outbox to its worker as one message — the only way
+    /// a replayable event reaches a worker. Every operation that waits on
+    /// the worker (collect, export) flushes first, so a reply always
+    /// reflects everything dispatched before it. No-op inline.
+    ///
+    /// # Errors
+    ///
+    /// As [`ControlPlane::dispatch`].
+    fn flush(&mut self, shard: usize) -> Result<(), CtrlError> {
         self.drain_worker_msgs();
         if !self.sups[shard].healthy {
             return Err(self.down_error(shard));
         }
-        if self.cfg.checkpoint_every > 0 {
-            self.sups[shard].journal.push(ev.clone());
+        // Empty, too, when the drain above recovered the shard: the replay
+        // applied what was waiting here.
+        if self.sups[shard].outbox.is_empty() {
+            return Ok(());
         }
-        let timeout = Duration::from_millis(self.cfg.shard_timeout_ms);
-        let epoch = self.sups[shard].epoch;
-        let sent = {
-            let Backend::Threaded { workers } = &self.backend else {
-                unreachable!("inline handled above")
-            };
-            let worker = workers[shard].as_ref().expect("healthy shard has a worker");
-            worker.tx.send_timeout(ev.to_event(), timeout)
+        let Backend::Threaded { workers } = &self.backend else {
+            unreachable!("the inline backend queues nothing")
         };
-        match sent {
-            Ok(()) => Ok(()),
+        let sup = &mut self.sups[shard];
+        let epoch = sup.epoch;
+        // The next batch is most often as long as this one: a lone tick in
+        // the steady state, a full batch during an admission burst.
+        let next = Vec::with_capacity(sup.outbox.len());
+        let batch = Event::Batch(std::mem::replace(&mut sup.outbox, next));
+        let worker = workers[shard].as_ref().expect("healthy shard has a worker");
+        let timeout = Duration::from_millis(self.cfg.shard_timeout_ms);
+        match worker.tx.send_timeout(batch, timeout) {
+            Ok(()) => {
+                if let Some(counter) = self
+                    .obs
+                    .as_ref()
+                    .and_then(|m| m.shard_deliveries.get(shard))
+                {
+                    counter.inc();
+                }
+                Ok(())
+            }
             Err(SendTimeoutError::Timeout(_)) => self.recover(
                 shard,
                 Retiring::Silent,
@@ -993,6 +1045,21 @@ impl ControlPlane {
         }
     }
 
+    /// Passes a join through admission control. The grant comes back as
+    /// the tenant's interned name — the one `Arc` the placement, the
+    /// journal entry and the shard's session entry all share.
+    fn grant(&mut self, tenant: &str, envelope: f64) -> Result<Arc<str>, CtrlError> {
+        self.admission
+            .lock()
+            .grant(tenant, envelope)
+            .map_err(|refused| {
+                if let Some(m) = &self.obs {
+                    m.rejected.inc();
+                }
+                CtrlError::Admission(refused)
+            })
+    }
+
     /// Admits a dedicated session for `tenant`, running the single-session
     /// algorithm under the configured `(B_A, D_O, U_O, W)`. The admission
     /// envelope is `B_A`. If the join cannot be delivered to any shard,
@@ -1007,12 +1074,7 @@ impl ControlPlane {
     pub fn admit(&mut self, tenant: &str) -> Result<u64, CtrlError> {
         self.mutated();
         let envelope = self.cfg.dedicated_envelope();
-        if let Err(refused) = self.admission.lock().request(tenant, envelope) {
-            if let Some(m) = &self.obs {
-                m.rejected.inc();
-            }
-            return Err(CtrlError::Admission(refused));
-        }
+        let tenant_shared = self.grant(tenant, envelope)?;
         let Some(shard) = self.place() else {
             self.admission.lock().rollback(tenant, envelope);
             return Err(CtrlError::ShardDown {
@@ -1021,7 +1083,6 @@ impl ControlPlane {
             });
         };
         let key = self.next_key;
-        let tenant_shared: Arc<str> = tenant.into();
         let join = ReplayEvent::JoinDedicated {
             key,
             tenant: tenant_shared.clone(),
@@ -1074,12 +1135,7 @@ impl ControlPlane {
         }
         self.mutated();
         let envelope = self.cfg.group_envelope();
-        if let Err(refused) = self.admission.lock().request(tenant, envelope) {
-            if let Some(m) = &self.obs {
-                m.rejected.inc();
-            }
-            return Err(CtrlError::Admission(refused));
-        }
+        let tenant_shared = self.grant(tenant, envelope)?;
         let Some(shard) = self.place() else {
             self.admission.lock().rollback(tenant, envelope);
             return Err(CtrlError::ShardDown {
@@ -1089,7 +1145,6 @@ impl ControlPlane {
         };
         let group = self.next_group;
         let members: Arc<[u64]> = (0..size as u64).map(|i| self.next_key + i).collect();
-        let tenant_shared: Arc<str> = tenant.into();
         let join = ReplayEvent::JoinGroup {
             group,
             tenant: tenant_shared.clone(),
@@ -1276,10 +1331,7 @@ impl ControlPlane {
         }
         let timeout = Duration::from_millis(self.cfg.shard_timeout_ms);
         for round in 0..2u32 {
-            self.drain_worker_msgs();
-            if !self.sups[shard].healthy {
-                return Err(self.down_error(shard));
-            }
+            self.flush(shard)?;
             let epoch = self.sups[shard].epoch;
             let (reply, rx) = bounded(1);
             let sent = {
@@ -1379,11 +1431,12 @@ impl ControlPlane {
             .map_err(|field| CtrlError::InvalidCheckpoint { field })?;
         self.mutated();
         let envelope = self.cfg.dedicated_envelope();
-        let tenant = cp.tenant.clone();
-        self.admission
+        let tenant = self
+            .admission
             .lock()
-            .request(&tenant, envelope)
+            .grant(&cp.tenant, envelope)
             .map_err(CtrlError::Admission)?;
+        cp.tenant = tenant.clone();
         let Some(shard) = self.place() else {
             self.admission.lock().rollback(&tenant, envelope);
             return Err(CtrlError::ShardDown {
@@ -1579,7 +1632,6 @@ impl ControlPlane {
             }
             return gathered;
         }
-        self.drain_worker_msgs();
         let timeout = Duration::from_millis(self.cfg.shard_timeout_ms);
         let mut collected = vec![false; self.cfg.shards];
         for round in 0..2 {
@@ -1588,7 +1640,8 @@ impl ControlPlane {
             let (reply, rx) = unbounded();
             let mut pending: Vec<(usize, u64)> = Vec::new();
             for shard in 0..self.cfg.shards {
-                if collected[shard] || !self.sups[shard].healthy {
+                // The flush fails exactly when the shard is (now) down.
+                if collected[shard] || self.flush(shard).is_err() {
                     continue;
                 }
                 let epoch = self.sups[shard].epoch;

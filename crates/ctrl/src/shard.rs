@@ -3,7 +3,7 @@
 //!
 //! One [`ShardState`] owns every session placed on it. Both execution
 //! backends — the inline deterministic fallback and the per-shard worker
-//! threads — drive the *same* [`ShardState::handle_event`] code path, so
+//! threads — drive the *same* [`ShardState::apply`] code path, so
 //! the two modes cannot diverge. Sessions never interact across shards
 //! (a pooled group lives wholly on one shard), which is what makes the
 //! service's metrics invariant under the shard count.
@@ -54,15 +54,69 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// A control event delivered to one shard. Within a shard, events apply in
-/// send order (the channels are FIFO), which is all the ordering the
-/// executor needs.
-///
-/// Payloads are `Arc`-shared with the driver's journal: delivering an
-/// event costs a refcount bump, not a deep clone of tenants, member lists,
-/// or arrival batches.
+/// One message on a threaded shard's queue. Within a shard, messages —
+/// and the events inside a batch — apply in send order (the channels are
+/// FIFO), which is all the ordering the executor needs.
 #[derive(Debug)]
 pub(crate) enum Event {
+    /// Replayable events, in dispatch order: whatever the driver's outbox
+    /// held at its flush (at most [`CONTROL_BATCH`]). A lone event is a
+    /// batch of one; there is no other way in for a [`ReplayEvent`].
+    Batch(Vec<ReplayEvent>),
+    /// Report all metrics (live and retired sessions) back.
+    Collect {
+        /// Where to send the report.
+        reply: crossbeam::channel::Sender<ShardReport>,
+    },
+    /// Capture one session's restorable state (read-only, like
+    /// [`Event::Collect`]) for a live migration. `None` if the key is not
+    /// live on this shard or the session is pooled.
+    ExportSession {
+        /// The session to capture.
+        key: u64,
+        /// Where to send the captured state.
+        reply: crossbeam::channel::Sender<Option<SessionCheckpoint>>,
+    },
+    /// Stop the worker loop.
+    Shutdown,
+}
+
+/// Replayable events the driver holds back per shard before it sends them
+/// as one [`Event::Batch`]; a sync point (a tick, a collect, an export)
+/// flushes earlier. One worker wake-up then serves up to this many events.
+pub(crate) const CONTROL_BATCH: usize = 64;
+
+/// One shard's answer to [`Event::Collect`].
+///
+/// Retired metrics are shared with the shard's accumulator (`Arc`), so a
+/// steady-state report allocates proportionally to the *live* session
+/// count only.
+#[derive(Debug, Clone)]
+pub(crate) struct ShardReport {
+    /// The reporting shard.
+    pub shard: u64,
+    /// Epoch of the worker that produced the report (0 inline). The driver
+    /// discards reports from superseded workers.
+    pub epoch: u64,
+    /// Metrics of retired sessions, frozen at retirement.
+    pub retired: Arc<Vec<SessionMetrics>>,
+    /// Metrics of live sessions at their current totals, in slot order.
+    pub live: Vec<SessionMetrics>,
+    /// Stages completed on this shard so far, by dedicated sessions and
+    /// pooled groups, live and retired — each certifies ≥ 1 offline change.
+    pub stages_completed: u64,
+}
+
+/// A control event that mutates shard state — everything but the
+/// read-only `Collect`/`ExportSession`. The driver journals each one and
+/// delivers it in an [`Event::Batch`]; the inline backend and the recovery
+/// replay apply it directly ([`ShardState::apply`]).
+///
+/// Payloads are `Arc`-shared between the journal entry and the delivered
+/// copy: journaling costs a refcount bump, not a deep clone of tenants,
+/// member lists, or arrival batches.
+#[derive(Debug, Clone)]
+pub(crate) enum ReplayEvent {
     /// Place a dedicated session running the single-session algorithm.
     JoinDedicated {
         /// Service-wide session key.
@@ -90,20 +144,6 @@ pub(crate) enum Event {
         /// `(key, bits)` arrivals for this tick; sessions not listed get 0.
         arrivals: Arc<[(u64, f64)]>,
     },
-    /// Report all metrics (live and retired sessions) back.
-    Collect {
-        /// Where to send the report.
-        reply: crossbeam::channel::Sender<ShardReport>,
-    },
-    /// Capture one session's restorable state (read-only, like
-    /// [`Event::Collect`]) for a live migration. `None` if the key is not
-    /// live on this shard or the session is pooled.
-    ExportSession {
-        /// The session to capture.
-        key: u64,
-        /// Where to send the captured state.
-        reply: crossbeam::channel::Sender<Option<SessionCheckpoint>>,
-    },
     /// Remove a migrated-away session *without* retiring its metrics —
     /// the session lives on elsewhere and its meter travelled with it.
     Forget {
@@ -115,102 +155,6 @@ pub(crate) enum Event {
         /// The captured state (key already rewritten to this service's).
         cp: Arc<SessionCheckpoint>,
     },
-    /// Stop the worker loop.
-    Shutdown,
-}
-
-/// One shard's answer to [`Event::Collect`].
-///
-/// Retired metrics are shared with the shard's accumulator (`Arc`), so a
-/// steady-state report allocates proportionally to the *live* session
-/// count only.
-#[derive(Debug, Clone)]
-pub(crate) struct ShardReport {
-    /// The reporting shard.
-    pub shard: u64,
-    /// Epoch of the worker that produced the report (0 inline). The driver
-    /// discards reports from superseded workers.
-    pub epoch: u64,
-    /// Metrics of retired sessions, frozen at retirement.
-    pub retired: Arc<Vec<SessionMetrics>>,
-    /// Metrics of live sessions at their current totals, in slot order.
-    pub live: Vec<SessionMetrics>,
-    /// Stages completed on this shard so far, by dedicated sessions and
-    /// pooled groups, live and retired — each certifies ≥ 1 offline change.
-    pub stages_completed: u64,
-}
-
-/// A replayable control event, as the driver journals it. Everything but
-/// `Collect`/`Shutdown` — exactly the events that mutate shard state.
-///
-/// Journal entries share their payload allocations with the delivered
-/// [`Event`], so journaling costs a refcount bump per event.
-#[derive(Debug, Clone)]
-pub(crate) enum ReplayEvent {
-    /// See [`Event::JoinDedicated`].
-    JoinDedicated {
-        /// Service-wide session key.
-        key: u64,
-        /// Owning tenant.
-        tenant: Arc<str>,
-    },
-    /// See [`Event::JoinGroup`].
-    JoinGroup {
-        /// Service-wide group id.
-        group: u64,
-        /// Owning tenant.
-        tenant: Arc<str>,
-        /// Member keys in join order.
-        members: Arc<[u64]>,
-    },
-    /// See [`Event::Leave`].
-    Leave {
-        /// The session to drain.
-        key: u64,
-    },
-    /// See [`Event::Tick`].
-    Tick {
-        /// `(key, bits)` arrivals for the tick.
-        arrivals: Arc<[(u64, f64)]>,
-    },
-    /// See [`Event::Forget`].
-    Forget {
-        /// The session to remove without retiring.
-        key: u64,
-    },
-    /// See [`Event::Import`].
-    Import {
-        /// The captured state to re-create the session from.
-        cp: Arc<SessionCheckpoint>,
-    },
-}
-
-impl ReplayEvent {
-    /// The executor event this journal entry replays as. Payloads are
-    /// shared, not copied.
-    pub(crate) fn to_event(&self) -> Event {
-        match self {
-            ReplayEvent::JoinDedicated { key, tenant } => Event::JoinDedicated {
-                key: *key,
-                tenant: tenant.clone(),
-            },
-            ReplayEvent::JoinGroup {
-                group,
-                tenant,
-                members,
-            } => Event::JoinGroup {
-                group: *group,
-                tenant: tenant.clone(),
-                members: members.clone(),
-            },
-            ReplayEvent::Leave { key } => Event::Leave { key: *key },
-            ReplayEvent::Tick { arrivals } => Event::Tick {
-                arrivals: arrivals.clone(),
-            },
-            ReplayEvent::Forget { key } => Event::Forget { key: *key },
-            ReplayEvent::Import { cp } => Event::Import { cp: cp.clone() },
-        }
-    }
 }
 
 /// A typed worker-failure report: the worker panicked (organically or via
@@ -748,8 +692,9 @@ macro_rules! scalar_columns {
 }
 
 impl Columns {
-    /// Extends every column to cover `bound` slots (rings grow by whole
-    /// `W`-sized strides; existing ring contents are append-stable).
+    /// Extends every column to cover `bound` slots, each new one in the
+    /// vacant-slot state (rings grow by whole `W`-sized strides; existing
+    /// ring contents are append-stable).
     fn grow_to(&mut self, bound: usize, w: usize) {
         if self.flags.len() >= bound {
             return;
@@ -806,8 +751,12 @@ impl Columns {
     /// `SignallingMeter::new`; dedicated slots additionally get their
     /// allocator state via [`Columns::init_dedicated`]). The ring regions
     /// need no clearing: their cursors reset and writes precede reads.
-    fn init_fresh(&mut self, i: usize, key: u64) {
-        self.reset_scalars(i);
+    /// `vacant` says [`Columns::grow_to`] has just filled the slot with
+    /// the vacant-slot state, so the reset would write every column twice.
+    fn init_fresh(&mut self, i: usize, key: u64, vacant: bool) {
+        if !vacant {
+            self.reset_scalars(i);
+        }
         self.keys[i] = key;
         self.flags[i] = F_LIVE | F_DIRTY;
         self.hull[i].clear();
@@ -1856,7 +1805,7 @@ impl ShardState {
                 .expect("retained checkpoint frame must apply");
         }
         for ev in journal {
-            self.handle_event(ev.to_event());
+            self.apply(ev.clone());
         }
         self
     }
@@ -2322,7 +2271,7 @@ impl ShardState {
                         }
                     };
                     let tenant = Arc::clone(&frame_tenants[u32_at(tenant_c, r) as usize]);
-                    self.insert_entry(key, tenant, leaving, kind)
+                    self.insert_entry(key, tenant, leaving, kind).0
                 }
             };
             let i = slot.index as usize;
@@ -2421,27 +2370,21 @@ impl ShardState {
         Ok(())
     }
 
-    pub(crate) fn handle_event(&mut self, event: Event) {
+    /// Applies one replayable event — the single entry point every
+    /// execution path (worker batch, inline dispatch, recovery replay)
+    /// goes through.
+    pub(crate) fn apply(&mut self, event: ReplayEvent) {
         match event {
-            Event::JoinDedicated { key, tenant } => self.join_dedicated(key, tenant),
-            Event::JoinGroup {
+            ReplayEvent::JoinDedicated { key, tenant } => self.join_dedicated(key, tenant),
+            ReplayEvent::JoinGroup {
                 group,
                 tenant,
                 members,
             } => self.join_group(group, tenant, &members),
-            Event::Leave { key } => self.leave(key),
-            Event::Tick { arrivals } => self.tick(&arrivals),
-            Event::Collect { reply } => {
-                // The service may already have dropped the receiver (e.g. a
-                // torn-down snapshot); losing the report is then harmless.
-                let _ = reply.send(self.report());
-            }
-            Event::ExportSession { key, reply } => {
-                let _ = reply.send(self.checkpoint_session(key));
-            }
-            Event::Forget { key } => self.forget(key),
-            Event::Import { cp } => self.import(&cp),
-            Event::Shutdown => {}
+            ReplayEvent::Leave { key } => self.leave(key),
+            ReplayEvent::Tick { arrivals } => self.tick(&arrivals),
+            ReplayEvent::Forget { key } => self.forget(key),
+            ReplayEvent::Import { cp } => self.import(&cp),
         }
     }
 
@@ -2520,14 +2463,15 @@ impl ShardState {
     }
 
     /// Places an identity entry and grows the columns to cover its slot,
-    /// which the caller then writes (key included).
+    /// which the caller then writes (key included). Also says whether the
+    /// slot is one the growth just filled with the vacant-slot state.
     fn insert_entry(
         &mut self,
         key: u64,
         tenant: Arc<str>,
         leaving: bool,
         kind: SessionKind,
-    ) -> SlotId {
+    ) -> (SlotId, bool) {
         let slot = self.sessions.insert(SessionEntry {
             key,
             tenant,
@@ -2535,8 +2479,9 @@ impl ShardState {
             kind,
         });
         self.index.insert(key, slot);
+        let vacant = slot.index as usize >= self.cols.flags.len();
         self.cols.grow_to(self.sessions.slot_bound(), self.window);
-        slot
+        (slot, vacant)
     }
 
     /// Re-creates one session from its checkpoint, bitwise.
@@ -2549,15 +2494,15 @@ impl ShardState {
             },
             _ => panic!("session checkpoint must be exactly one of dedicated or pooled"),
         };
-        let slot = self.insert_entry(cp.key, cp.tenant.clone(), cp.leaving, kind);
+        let (slot, _) = self.insert_entry(cp.key, cp.tenant.clone(), cp.leaving, kind);
         self.cols
             .restore_slot(slot.index as usize, cp, &self.single_cfg);
     }
 
     fn join_dedicated(&mut self, key: u64, tenant: Arc<str>) {
-        let slot = self.insert_entry(key, tenant, false, SessionKind::Dedicated);
+        let (slot, vacant) = self.insert_entry(key, tenant, false, SessionKind::Dedicated);
         let i = slot.index as usize;
-        self.cols.init_fresh(i, key);
+        self.cols.init_fresh(i, key, vacant);
         self.cols.init_dedicated(i);
     }
 
@@ -2584,13 +2529,13 @@ impl ShardState {
             }
         }
         for (key, member) in joined {
-            let slot = self.insert_entry(
+            let (slot, vacant) = self.insert_entry(
                 key,
                 tenant.clone(),
                 false,
                 SessionKind::Pooled { group, member },
             );
-            self.cols.init_fresh(slot.index as usize, key);
+            self.cols.init_fresh(slot.index as usize, key, vacant);
             self.groups
                 .get_mut(gslot)
                 .expect("group slot just placed")
@@ -2945,101 +2890,141 @@ pub(crate) fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The supervised worker loop of one threaded shard: apply events until
+/// The supervised worker loop of one threaded shard: serve messages until
 /// shutdown, disconnection, or cancellation; catch panics and report them
-/// as [`ShardFailure`]; ship a [`ShardCheckpoint`] every
-/// `checkpoint_every` ticks; host the injected fault, if any. Every exit
-/// hands the state back through the join handle, so the supervisor can
-/// restore the replacement into the allocations this worker retires.
+/// as [`ShardFailure`]. Every exit hands the state back through the join
+/// handle, so the supervisor can restore the replacement into the
+/// allocations this worker retires.
 pub(crate) fn run_worker(
-    mut state: ShardState,
+    state: ShardState,
     rx: crossbeam::channel::Receiver<Event>,
     ctx: WorkerCtx,
 ) -> ShardState {
-    state.epoch = ctx.epoch;
-    let mut events_applied = ctx.events_base;
-    let mut fault = ctx.fault;
-    // The writer's row scratch, reused across captures; the frame itself
-    // is allocated per capture and shipped, never held here.
-    let mut cp_sink = columnar::ColumnSink::default();
+    let mut worker = WorkerLoop {
+        events_applied: ctx.events_base,
+        fault: ctx.fault,
+        cp_sink: columnar::ColumnSink::default(),
+        state,
+        ctx,
+    };
+    worker.state.epoch = worker.ctx.epoch;
     while let Ok(event) = rx.recv() {
-        if ctx.cancel.load(Ordering::Acquire) || matches!(event, Event::Shutdown) {
-            break;
-        }
-        let is_tick = matches!(event, Event::Tick { .. });
-        // Read-only events never enter the journal, so they must not
-        // advance the applied-events count the checkpoint trim keys on.
-        let replayable = !matches!(event, Event::Collect { .. } | Event::ExportSession { .. });
-        // Fault injection: fires when the worker is about to process the
-        // planned tick, then disarms.
-        let mut inject_kill = false;
-        if is_tick && fault.is_some_and(|p| state.ticks() >= p.at_tick) {
-            let plan = fault.take().expect("checked above");
-            match plan.kind {
-                FaultKind::Kill => inject_kill = true,
-                FaultKind::Hang { millis } | FaultKind::Delay { millis } => {
-                    std::thread::sleep(std::time::Duration::from_millis(millis));
-                    // A hung worker may have been replaced while asleep; if
-                    // so, leave the event unapplied — the supervisor already
-                    // replayed it into the replacement.
-                    if ctx.cancel.load(Ordering::Acquire) {
-                        break;
-                    }
-                }
-            }
-        }
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if inject_kill {
-                panic!("injected fault: kill");
-            }
-            state.handle_event(event);
-        }));
-        match outcome {
-            Ok(()) => {
-                if replayable {
-                    events_applied += 1;
-                }
-                if is_tick {
-                    let _ = ctx.msgs.send(WorkerMsg::TickAck {
-                        shard: state.shard,
-                        epoch: ctx.epoch,
-                    });
-                }
-                if is_tick
-                    && ctx.checkpoint_every > 0
-                    && state.ticks().is_multiple_of(ctx.checkpoint_every)
-                {
-                    // Always a full frame: a metered tick dirties every
-                    // live session and captures sit on tick boundaries,
-                    // so a dirty-only frame would carry the same rows —
-                    // and a full one supersedes whatever the driver holds.
-                    let mut bytes = Vec::new();
-                    let sessions =
-                        state.encode_columnar(columnar::KIND_GENESIS, &mut cp_sink, &mut bytes);
-                    let _ = ctx.msgs.send(WorkerMsg::Checkpoint(ShardCheckpoint {
-                        shard: state.shard,
-                        epoch: ctx.epoch,
-                        events_applied,
-                        sessions,
-                        bytes: Arc::new(bytes),
-                    }));
-                }
-            }
+        match catch_unwind(AssertUnwindSafe(|| worker.serve(event))) {
+            Ok(true) => {}
+            Ok(false) => break,
             Err(payload) => {
                 // The state may be torn mid-event: its contents are worth
                 // nothing, and the supervisor rebuilds from the last
                 // checkpoint + journal — into this state's allocations,
                 // emptied first ([`ShardState::recycle`]).
-                let _ = ctx.msgs.send(WorkerMsg::Failure(ShardFailure {
-                    shard: state.shard,
-                    epoch: ctx.epoch,
+                let _ = worker.ctx.msgs.send(WorkerMsg::Failure(ShardFailure {
+                    shard: worker.state.shard,
+                    epoch: worker.ctx.epoch,
                     reason: panic_reason(payload),
                 }));
                 break;
             }
         }
     }
-    state
+    worker.state
+}
+
+/// One worker incarnation: the state it runs on and what it counts.
+struct WorkerLoop {
+    state: ShardState,
+    ctx: WorkerCtx,
+    /// Replayable events applied, the count the checkpoint trim keys on.
+    /// Read-only messages never enter the journal and never advance it.
+    events_applied: u64,
+    fault: Option<FaultPlan>,
+    /// The writer's row scratch, reused across captures; the frame itself
+    /// is allocated per capture and shipped, never held here.
+    cp_sink: columnar::ColumnSink,
+}
+
+impl WorkerLoop {
+    /// Whether the supervisor has superseded this worker.
+    fn cancelled(&self) -> bool {
+        self.ctx.cancel.load(Ordering::Acquire)
+    }
+
+    /// Serves one message; `false` ends the loop. A batch applies in
+    /// order, every tick in it acked and — every `checkpoint_every` ticks
+    /// — followed by a shipped [`ShardCheckpoint`]; the injected fault, if
+    /// any, fires in front of its tick.
+    fn serve(&mut self, event: Event) -> bool {
+        if self.cancelled() {
+            return false;
+        }
+        let batch = match event {
+            Event::Batch(batch) => batch,
+            Event::Collect { reply } => {
+                // The service may already have dropped the receiver (e.g. a
+                // torn-down snapshot); losing the report is then harmless.
+                let _ = reply.send(self.state.report());
+                return true;
+            }
+            Event::ExportSession { key, reply } => {
+                let _ = reply.send(self.state.checkpoint_session(key));
+                return true;
+            }
+            Event::Shutdown => return false,
+        };
+        for event in batch {
+            // A retired worker stops at the event it is applying, not at
+            // the end of the batch it found it in.
+            if self.cancelled() {
+                return false;
+            }
+            let is_tick = matches!(event, ReplayEvent::Tick { .. });
+            // Fault injection: fires when the worker is about to process
+            // the planned tick, then disarms.
+            if is_tick && self.fault.is_some_and(|p| self.state.ticks() >= p.at_tick) {
+                match self.fault.take().expect("checked above").kind {
+                    FaultKind::Kill => panic!("injected fault: kill"),
+                    FaultKind::Hang { millis } | FaultKind::Delay { millis } => {
+                        std::thread::sleep(std::time::Duration::from_millis(millis));
+                        // A hung worker may have been replaced while asleep;
+                        // if so, leave the event unapplied — the supervisor
+                        // already replayed it into the replacement.
+                        if self.cancelled() {
+                            return false;
+                        }
+                    }
+                }
+            }
+            self.state.apply(event);
+            self.events_applied += 1;
+            if !is_tick {
+                continue;
+            }
+            let _ = self.ctx.msgs.send(WorkerMsg::TickAck {
+                shard: self.state.shard,
+                epoch: self.ctx.epoch,
+            });
+            let every = self.ctx.checkpoint_every;
+            if every > 0 && self.state.ticks().is_multiple_of(every) {
+                // Always a full frame: a metered tick dirties every live
+                // session and captures sit on tick boundaries, so a
+                // dirty-only frame would carry the same rows — and a full
+                // one supersedes whatever the driver holds.
+                let mut bytes = Vec::new();
+                let sessions = self.state.encode_columnar(
+                    columnar::KIND_GENESIS,
+                    &mut self.cp_sink,
+                    &mut bytes,
+                );
+                let _ = self.ctx.msgs.send(WorkerMsg::Checkpoint(ShardCheckpoint {
+                    shard: self.state.shard,
+                    epoch: self.ctx.epoch,
+                    events_applied: self.events_applied,
+                    sessions,
+                    bytes: Arc::new(bytes),
+                }));
+            }
+        }
+        true
+    }
 }
 
 #[cfg(test)]
@@ -3557,20 +3542,20 @@ mod tests {
     #[test]
     fn dedicated_lifecycle_joins_ticks_retires() {
         let mut s = shard();
-        s.handle_event(Event::JoinDedicated {
+        s.apply(ReplayEvent::JoinDedicated {
             key: 7,
             tenant: "acme".into(),
         });
         for _ in 0..8 {
-            s.handle_event(Event::Tick {
+            s.apply(ReplayEvent::Tick {
                 arrivals: vec![(7, 2.0)].into(),
             });
         }
         assert_eq!(s.live(), 1);
-        s.handle_event(Event::Leave { key: 7 });
+        s.apply(ReplayEvent::Leave { key: 7 });
         // Zero-arrival ticks drain the shadow queue, then the slot retires.
         for _ in 0..32 {
-            s.handle_event(Event::Tick {
+            s.apply(ReplayEvent::Tick {
                 arrivals: vec![].into(),
             });
         }
@@ -3588,13 +3573,13 @@ mod tests {
     #[test]
     fn group_members_share_one_pool() {
         let mut s = shard();
-        s.handle_event(Event::JoinGroup {
+        s.apply(ReplayEvent::JoinGroup {
             group: 1,
             tenant: "acme".into(),
             members: vec![10, 11].into(),
         });
         for _ in 0..12 {
-            s.handle_event(Event::Tick {
+            s.apply(ReplayEvent::Tick {
                 arrivals: vec![(10, 1.0), (11, 1.0)].into(),
             });
         }
@@ -3605,17 +3590,17 @@ mod tests {
             assert!(m.total_allocated > 0.0, "pool served {m:?}");
         }
         // One member leaves; the pool drains it and the shard retires it.
-        s.handle_event(Event::Leave { key: 10 });
+        s.apply(ReplayEvent::Leave { key: 10 });
         for _ in 0..32 {
-            s.handle_event(Event::Tick {
+            s.apply(ReplayEvent::Tick {
                 arrivals: vec![(11, 1.0)].into(),
             });
         }
         assert_eq!(s.live(), 1);
         assert_eq!(s.groups.len(), 1);
-        s.handle_event(Event::Leave { key: 11 });
+        s.apply(ReplayEvent::Leave { key: 11 });
         for _ in 0..32 {
-            s.handle_event(Event::Tick {
+            s.apply(ReplayEvent::Tick {
                 arrivals: vec![].into(),
             });
         }
@@ -3626,23 +3611,23 @@ mod tests {
     #[test]
     fn unknown_keys_are_ignored() {
         let mut s = shard();
-        s.handle_event(Event::Tick {
+        s.apply(ReplayEvent::Tick {
             arrivals: vec![(99, 5.0)].into(),
         });
-        s.handle_event(Event::Leave { key: 99 });
+        s.apply(ReplayEvent::Leave { key: 99 });
         assert_eq!(s.live(), 0);
     }
 
     #[test]
     fn retired_slots_are_reused_and_reports_share_the_retired_list() {
         let mut s = shard();
-        s.handle_event(Event::JoinDedicated {
+        s.apply(ReplayEvent::JoinDedicated {
             key: 0,
             tenant: "acme".into(),
         });
-        s.handle_event(Event::Leave { key: 0 }); // never ticked: drained, retires at once
+        s.apply(ReplayEvent::Leave { key: 0 }); // never ticked: drained, retires at once
         assert_eq!(s.live(), 0);
-        s.handle_event(Event::JoinDedicated {
+        s.apply(ReplayEvent::JoinDedicated {
             key: 1,
             tenant: "acme".into(),
         });
@@ -3661,7 +3646,7 @@ mod tests {
         assert_eq!(r1.live.len(), 1);
         // A retirement after a report was taken must not mutate the shared
         // list the earlier report still holds (copy-on-retire).
-        s.handle_event(Event::Leave { key: 1 });
+        s.apply(ReplayEvent::Leave { key: 1 });
         assert_eq!(r1.retired.len(), 1, "earlier report is unaffected");
         assert_eq!(s.report().retired.len(), 2);
     }
@@ -3670,17 +3655,17 @@ mod tests {
     fn export_forget_import_moves_a_session_bitwise() {
         let mut src = shard();
         let mut dst = shard();
-        src.handle_event(Event::JoinDedicated {
+        src.apply(ReplayEvent::JoinDedicated {
             key: 3,
             tenant: "acme".into(),
         });
-        src.handle_event(Event::JoinGroup {
+        src.apply(ReplayEvent::JoinGroup {
             group: 0,
             tenant: "globex".into(),
             members: vec![4, 5].into(),
         });
         for t in 0..24u64 {
-            src.handle_event(Event::Tick {
+            src.apply(ReplayEvent::Tick {
                 arrivals: vec![(3, (t % 3) as f64), (4, 1.0), (5, 2.0)].into(),
             });
         }
@@ -3690,34 +3675,34 @@ mod tests {
         let mut cp = src.checkpoint_session(3).expect("dedicated exports");
         // Move it: forget at the source (no retired metrics left behind),
         // import at the destination under a fresh key.
-        src.handle_event(Event::Forget { key: 3 });
+        src.apply(ReplayEvent::Forget { key: 3 });
         assert_eq!(src.live(), 2);
         assert_eq!(src.report().retired.len(), 0, "forget must not retire");
         cp.key = 7;
-        src.handle_event(Event::Tick {
+        src.apply(ReplayEvent::Tick {
             arrivals: vec![(4, 1.0), (5, 1.0)].into(),
         });
-        dst.handle_event(Event::Import { cp: Arc::new(cp) });
+        dst.apply(ReplayEvent::Import { cp: Arc::new(cp) });
         assert_eq!(dst.live(), 1);
         // A twin that never migrated, driven through the same arrival
         // history under key 7, stays bitwise identical to the migrated
         // session.
         let mut twin_ref = shard();
-        twin_ref.handle_event(Event::JoinDedicated {
+        twin_ref.apply(ReplayEvent::JoinDedicated {
             key: 7,
             tenant: "acme".into(),
         });
         for t in 0..24u64 {
-            twin_ref.handle_event(Event::Tick {
+            twin_ref.apply(ReplayEvent::Tick {
                 arrivals: vec![(7, (t % 3) as f64)].into(),
             });
         }
         for t in 0..16u64 {
             let bits = ((t + 1) % 4) as f64;
-            dst.handle_event(Event::Tick {
+            dst.apply(ReplayEvent::Tick {
                 arrivals: vec![(7, bits)].into(),
             });
-            twin_ref.handle_event(Event::Tick {
+            twin_ref.apply(ReplayEvent::Tick {
                 arrivals: vec![(7, bits)].into(),
             });
         }
@@ -3756,8 +3741,8 @@ mod tests {
             tenant: "globex".into(),
         };
         for ev in [ReplayEvent::Leave { key: 1 }, join] {
-            live.handle_event(ev.to_event());
-            rebuilt.handle_event(ev.to_event());
+            live.apply(ev.clone());
+            rebuilt.apply(ev.clone());
         }
         let rows = rebuilt.encode_columnar(columnar::KIND_INCREMENTAL, &mut sink, &mut buf);
         assert_eq!(rows, 2, "exactly the replayed mutations' rows travel");
@@ -3769,23 +3754,23 @@ mod tests {
     #[test]
     fn checkpoint_binary_roundtrip_restores_bitwise() {
         let mut s = shard();
-        s.handle_event(Event::JoinDedicated {
+        s.apply(ReplayEvent::JoinDedicated {
             key: 0,
             tenant: "acme".into(),
         });
-        s.handle_event(Event::JoinGroup {
+        s.apply(ReplayEvent::JoinGroup {
             group: 0,
             tenant: "globex".into(),
             members: vec![1, 2].into(),
         });
         for t in 0..20u64 {
-            s.handle_event(Event::Tick {
+            s.apply(ReplayEvent::Tick {
                 arrivals: vec![(0, (t % 3) as f64), (1, 1.0), (2, 2.0)].into(),
             });
         }
-        s.handle_event(Event::Leave { key: 1 });
+        s.apply(ReplayEvent::Leave { key: 1 });
         for _ in 0..8 {
-            s.handle_event(Event::Tick {
+            s.apply(ReplayEvent::Tick {
                 arrivals: vec![(0, 1.0), (2, 2.0)].into(),
             });
         }
@@ -3801,10 +3786,10 @@ mod tests {
         // identical to the original under further events.
         for _ in 0..16 {
             let arrivals: Arc<[(u64, f64)]> = vec![(0, 2.0), (2, 1.0)].into();
-            s.handle_event(Event::Tick {
+            s.apply(ReplayEvent::Tick {
                 arrivals: arrivals.clone(),
             });
-            twin.handle_event(Event::Tick { arrivals });
+            twin.apply(ReplayEvent::Tick { arrivals });
         }
         assert_eq!(twin.checkpoint(), s.checkpoint());
     }
@@ -3812,12 +3797,12 @@ mod tests {
     #[test]
     fn checkpoint_validation_rejects_out_of_domain_floats() {
         let mut s = shard();
-        s.handle_event(Event::JoinDedicated {
+        s.apply(ReplayEvent::JoinDedicated {
             key: 0,
             tenant: "acme".into(),
         });
         for t in 0..12u64 {
-            s.handle_event(Event::Tick {
+            s.apply(ReplayEvent::Tick {
                 arrivals: vec![(0, (t % 4) as f64)].into(),
             });
         }
@@ -4098,7 +4083,7 @@ mod tests {
             for (i, op) in ops.iter().enumerate() {
                 for ev in script.events(op) {
                     for s in &mut shards {
-                        s.handle_event(ev.to_event());
+                        s.apply(ev.clone());
                     }
                     if matches!(ev, ReplayEvent::Tick { .. }) {
                         let base = enc(&shards[0]);
@@ -4158,7 +4143,7 @@ mod tests {
             let mut recoveries = 0usize;
             let mut script = Script::default();
             let apply = |soa: &mut ShardState, journal: &mut Vec<ReplayEvent>, ev: ReplayEvent| {
-                soa.handle_event(ev.to_event());
+                soa.apply(ev.clone());
                 journal.push(ev);
             };
             for op in &ops {
@@ -4250,7 +4235,7 @@ mod tests {
             let mut script = Script::default();
             for (frame_no, op) in ops.iter().enumerate() {
                 for ev in script.events(op) {
-                    live.handle_event(ev.to_event());
+                    live.apply(ev.clone());
                 }
                 let kind = if (frame_no as u64).is_multiple_of(genesis_every) {
                     columnar::KIND_GENESIS

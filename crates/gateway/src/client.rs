@@ -124,6 +124,13 @@ impl From<proto::EventBody> for TickEvent {
     }
 }
 
+/// The last field of an outgoing frame, borrowed from the caller instead
+/// of copied into the frame (see [`Client::write`]).
+enum Apart<'a> {
+    Arrivals(&'a [(u64, f64)]),
+    Tenant(&'a str),
+}
+
 /// A blocking gateway client over one TCP connection.
 #[derive(Debug)]
 pub struct Client {
@@ -202,13 +209,17 @@ impl Client {
         }
     }
 
-    /// Sends `frame`. With `arrivals`, `frame` is one that carries a batch,
-    /// given with its own list empty: the batch is encoded straight from
-    /// the caller's slice, not copied into a frame to be read once.
-    fn write(&mut self, frame: &Frame, arrivals: Option<&[(u64, f64)]>) -> Result<(), ClientError> {
+    /// Sends `frame`. With `apart`, `frame` is one whose payload ends in
+    /// a batch or a tenant, given with that field empty: it is encoded
+    /// straight from the caller's borrow, not copied into a frame to be
+    /// read once.
+    fn write(&mut self, frame: &Frame, apart: Option<Apart<'_>>) -> Result<(), ClientError> {
         self.wbuf.clear();
-        match arrivals {
-            Some(arrivals) => proto::encode_arrivals_into(frame, arrivals, &mut self.wbuf),
+        match apart {
+            Some(Apart::Arrivals(arrivals)) => {
+                proto::encode_arrivals_into(frame, arrivals, &mut self.wbuf)
+            }
+            Some(Apart::Tenant(tenant)) => proto::encode_tenant_into(frame, tenant, &mut self.wbuf),
             None => proto::encode_into(frame, &mut self.wbuf),
         }
         self.stream
@@ -298,16 +309,16 @@ impl Client {
         self.request_with(None, make)
     }
 
-    /// [`Self::request`], the frame's arrivals given apart (see
+    /// [`Self::request`], the frame's last field given apart (see
     /// [`Self::write`]).
     fn request_with(
         &mut self,
-        arrivals: Option<&[(u64, f64)]>,
+        apart: Option<Apart<'_>>,
         make: impl FnOnce(u64) -> Frame,
     ) -> Result<Frame, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        self.write(&make(id), arrivals)?;
+        self.write(&make(id), apart)?;
         loop {
             match self.read_frame()? {
                 Frame::Event {
@@ -349,9 +360,9 @@ impl Client {
     /// [`ClientError::Server`] with [`ErrorCode::Ctrl`] when admission
     /// refuses the join.
     pub fn join(&mut self, tenant: &str) -> Result<u64, ClientError> {
-        match self.request(|id| Frame::Join {
+        match self.request_with(Some(Apart::Tenant(tenant)), |id| Frame::Join {
             id,
-            tenant: tenant.to_string(),
+            tenant: String::new(),
         })? {
             Frame::Joined { key, .. } => Ok(key),
             other => Err(ClientError::Protocol(format!("expected joined: {other:?}"))),
@@ -485,7 +496,7 @@ impl Client {
     /// [`ClientError::Server`] when validation rejects the batch (the
     /// previously staged arrivals stay buffered).
     pub fn stage(&mut self, arrivals: &[(u64, f64)]) -> Result<u32, ClientError> {
-        match self.request_with(Some(arrivals), |id| Frame::Stage {
+        match self.request_with(Some(Apart::Arrivals(arrivals)), |id| Frame::Stage {
             id,
             arrivals: Vec::new(),
         })? {
@@ -505,7 +516,7 @@ impl Client {
     /// [`ClientError::Server`] when validation or the control plane
     /// rejects the tick.
     pub fn tick(&mut self, arrivals: &[(u64, f64)]) -> Result<u64, ClientError> {
-        match self.request_with(Some(arrivals), |id| Frame::Tick {
+        match self.request_with(Some(Apart::Arrivals(arrivals)), |id| Frame::Tick {
             id,
             arrivals: Vec::new(),
         })? {
@@ -530,7 +541,7 @@ impl Client {
         let head = Frame::StageNoAck {
             arrivals: Vec::new(),
         };
-        self.write(&head, Some(arrivals))
+        self.write(&head, Some(Apart::Arrivals(arrivals)))
     }
 
     /// Stages `arrivals`, then commits the batch tick once at least
@@ -550,7 +561,7 @@ impl Client {
         arrivals: &[(u64, f64)],
         min_staged: u32,
     ) -> Result<u64, ClientError> {
-        match self.request_with(Some(arrivals), |id| Frame::TickSync {
+        match self.request_with(Some(Apart::Arrivals(arrivals)), |id| Frame::TickSync {
             id,
             arrivals: Vec::new(),
             min_staged,

@@ -869,11 +869,23 @@ pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) {
 /// in its place straight from the caller's slice, so a client does not
 /// copy a batch into a frame only to have it read once.
 pub fn encode_arrivals_into(frame: &Frame, arrivals: &[(u64, f64)], out: &mut Vec<u8>) {
+    encode_tail_into(frame, out, |out| put_arrivals(out, arrivals));
+}
+
+/// The same for [`Frame::Join`], whose payload ends in the tenant: given
+/// with an empty one, `tenant` is written from the caller's `&str`.
+pub fn encode_tenant_into(frame: &Frame, tenant: &str, out: &mut Vec<u8>) {
+    encode_tail_into(frame, out, |out| put_string(out, tenant));
+}
+
+/// Encodes `frame`, whose payload ends in an empty list or string, with
+/// what `put_tail` writes in that place.
+fn encode_tail_into(frame: &Frame, out: &mut Vec<u8>, put_tail: impl FnOnce(&mut Vec<u8>)) {
     let prefix = out.len();
     encode_into(frame, out);
-    debug_assert!(out.ends_with(&[0; 4]), "the frame ends in an empty list");
-    out.truncate(out.len() - 4); // that list's count
-    put_arrivals(out, arrivals);
+    debug_assert!(out.ends_with(&[0; 4]), "the frame ends in an empty tail");
+    out.truncate(out.len() - 4); // that tail's count
+    put_tail(out);
     let len = (out.len() - prefix - 4) as u32;
     out[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
 }

@@ -21,7 +21,7 @@ use crate::stats::WireStats;
 use crate::{GatewayError, GatewaySnapshot};
 use cdba_ctrl::{ServiceConfig, ServiceSnapshot};
 use cdba_obs::{MetricsServer, Registry, TraceRing};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -453,7 +453,8 @@ struct Core {
     stats: Arc<WireStats>,
     stop: Arc<AtomicBool>,
     cfg: GatewayConfig,
-    conns: HashMap<u64, Conn>,
+    /// Open connections by id; ordered, because they are served in id order.
+    conns: BTreeMap<u64, Conn>,
     next_conn: u64,
     out: Outbox,
 }
@@ -472,7 +473,7 @@ impl Core {
             stats,
             stop,
             cfg,
-            conns: HashMap::new(),
+            conns: BTreeMap::new(),
             next_conn: 1,
             out: Outbox::new(),
         }
@@ -496,16 +497,19 @@ impl Core {
             let mut progressed = false;
             progressed |= self.accept_pass();
 
-            let mut ids: Vec<u64> = self.conns.keys().copied().collect();
-            ids.sort_unstable();
+            // Ascending connection id, walked off the ordered map itself:
+            // a pass allocates nothing (closes are deferred to `dead`, so
+            // the walk never loses its place).
             let mut dead: Vec<u64> = Vec::new();
-            for conn_id in ids {
+            let mut next = self.conns.keys().next().copied();
+            while let Some(conn_id) = next {
                 let (advance, closed) =
                     self.conn_pass(conn_id, write_timeout, request_timeout, idle);
                 progressed |= advance;
                 if closed {
                     dead.push(conn_id);
                 }
+                next = self.conns.range(conn_id + 1..).next().map(|(&id, _)| id);
             }
             self.service.expire_parked(request_timeout, &mut self.out);
             self.drain_outbox();
@@ -531,8 +535,7 @@ impl Core {
 
         // Shutdown: tell every open connection, flush best-effort, then
         // release their sessions in connection order.
-        let mut ids: Vec<u64> = self.conns.keys().copied().collect();
-        ids.sort_unstable();
+        let ids: Vec<u64> = self.conns.keys().copied().collect();
         for conn_id in ids {
             if let Some(conn) = self.conns.get_mut(&conn_id) {
                 let frame = Frame::Error {

@@ -21,6 +21,7 @@ Diff — assert that two scrapes agree on every series under a prefix::
 
     expo_check.py diff clean.prom faulted.prom --prefix cdba_ctrl_ \\
         --ignore cdba_ctrl_shard_restarts_total \\
+        --ignore cdba_ctrl_shard_deliveries_total \\
         --ignore cdba_ctrl_journal_events_replayed_total \\
         --ignore cdba_ctrl_restore_seconds \\
         --ignore cdba_ctrl_checkpoint
@@ -32,7 +33,8 @@ Diff — assert that two scrapes agree on every series under a prefix::
   starts with any ``--ignore`` prefix (restart/replay/checkpoint
   bookkeeping, which legitimately differs — ``cdba_ctrl_restore_seconds``
   is a histogram of zero restores on one side and one on the other, so
-  its count, sum and buckets all move; ``cdba_ctrl_checkpoint``
+  its count, sum and buckets all move; a batch the replay applied is one
+  ``cdba_ctrl_shard_deliveries_total`` never counted; ``cdba_ctrl_checkpoint``
   covers the ``checkpoints``/``checkpoint_bytes``/
   ``checkpoint_encoded_sessions`` counters and the per-shard
   ``checkpoint_retained_bytes`` gauge) are excluded. Exits 1 on any

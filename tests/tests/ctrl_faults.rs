@@ -10,6 +10,7 @@
 //! apart.
 
 use cdba_ctrl::{ControlPlane, CtrlError, ExecMode, FaultPlan, ServiceConfig, ServiceSnapshot};
+use std::time::{Duration, Instant};
 
 const B_MAX: f64 = 16.0;
 const B_O: f64 = 8.0;
@@ -319,6 +320,134 @@ fn hung_shard_is_detected_and_replaced() {
     assert_eq!(snapshot.ticks, 50);
     let session = &snapshot.sessions[0];
     assert_eq!(session.ticks, 50, "no tick was lost to the hang");
+    service.shutdown();
+}
+
+/// A threaded shard holds dispatched events back in an outbox until a
+/// sync point. This script leaves one non-empty when the disturbance
+/// lands — five admits and a leave after tick `LAST`, fewer than a batch,
+/// nothing flushed — and counts what the journal must hold by then (no
+/// checkpoint precedes tick 16, so the journal is everything dispatched).
+/// `disturb` runs with that count, between the burst and the next tick.
+fn replay_with_pending_outbox(
+    fault: Option<FaultPlan>,
+    mut disturb: impl FnMut(&mut ControlPlane, u64),
+) -> ServiceSnapshot {
+    const LAST: u64 = 9;
+    let mut builder = ServiceConfig::builder(4096.0)
+        .session_b_max(B_MAX)
+        .offline_delay(D_O)
+        .window(2 * D_O)
+        .shards(1)
+        .exec(ExecMode::Threaded)
+        .checkpoint_every(16);
+    if let Some(plan) = fault {
+        builder = builder.fault(plan);
+    }
+    let mut service = ControlPlane::new(builder.build().unwrap());
+    let mut live: Vec<u64> = (0..6).map(|_| service.admit("acme").unwrap()).collect();
+    let mut journaled = live.len() as u64;
+    for t in 0..40u64 {
+        if t == LAST {
+            // A sync: every earlier tick is acked, so the tick after the
+            // disturbance is dispatched without waiting on the pipeline.
+            service.snapshot().unwrap();
+        }
+        if t == LAST + 1 {
+            live.extend((0..5).map(|_| service.admit("globex").unwrap()));
+            service.leave(live.remove(0)).unwrap();
+            journaled += 6;
+            disturb(&mut service, journaled);
+        }
+        let arrivals: Vec<(u64, f64)> = live
+            .iter()
+            .map(|&key| (key, ((t + key) % 4) as f64))
+            .collect();
+        service.tick(&arrivals).unwrap();
+        journaled += 1;
+        if t == LAST + 1 && fault.is_some() {
+            // This tick's flush found the failure report; the replay took
+            // the journal as it stood, this tick included.
+            assert_eq!(service.restarts(), 1, "the kill is discovered here");
+            assert_eq!(service.events_replayed(), journaled);
+        }
+    }
+    let snapshot = service.snapshot().unwrap();
+    service.shutdown();
+    let keys: Vec<u64> = snapshot.sessions.iter().map(|m| m.session).collect();
+    assert_eq!(keys, (0..11).collect::<Vec<u64>>(), "each session once");
+    snapshot
+}
+
+/// A worker that dies with events still in the driver's outbox, and an
+/// operator restart issued over a non-empty outbox: the journal replay
+/// applies the undelivered events, the outbox is dropped rather than sent
+/// after it, and the run is bitwise the undisturbed one.
+#[test]
+fn undelivered_outbox_is_replayed_exactly_once() {
+    let clean = replay_with_pending_outbox(None, |_, _| {});
+    assert_eq!(clean.restarts, 0);
+    // The worker dies on tick 9; by the time the burst is in the outbox
+    // its failure report is waiting for the next flush.
+    let pause = |_: &mut ControlPlane, _| std::thread::sleep(Duration::from_millis(50));
+    let killed = replay_with_pending_outbox(Some(FaultPlan::kill(0, 9)), pause);
+    assert_eq!(clean.invariant_view(), killed.invariant_view());
+    assert_eq!(killed.restarts, 1);
+    let restarted = replay_with_pending_outbox(None, |service, journaled| {
+        service.restart_shard(0).unwrap();
+        assert_eq!(service.events_replayed(), journaled);
+    });
+    assert_eq!(clean.invariant_view(), restarted.invariant_view());
+    assert_eq!(restarted.restarts, 1);
+}
+
+/// Admits keep arriving while the worker hangs. What the driver can get
+/// ahead by is bounded in events: one outbox (64) plus the shard queue
+/// (256). The admit that would exceed it blocks for the shard timeout —
+/// once — and the recovery it triggers takes every admit so far with it.
+#[test]
+fn hung_worker_bounds_what_the_driver_runs_ahead_by() {
+    const TIMEOUT_MS: u64 = 200;
+    const ADMITS: usize = 400;
+    let cfg = ServiceConfig::builder((ADMITS + 1) as f64 * B_MAX)
+        .session_b_max(B_MAX)
+        .offline_delay(D_O)
+        .window(2 * D_O)
+        .shards(1)
+        .exec(ExecMode::Threaded)
+        .checkpoint_every(8)
+        .shard_timeout_ms(TIMEOUT_MS)
+        .fault(FaultPlan::hang(0, 5, 4 * TIMEOUT_MS))
+        .build()
+        .unwrap();
+    let mut service = ControlPlane::new(cfg);
+    let first = service.admit("acme").unwrap();
+    for t in 0..6u64 {
+        service.tick(&[(first, (t % 3) as f64)]).unwrap();
+    }
+    let mut ahead = 0;
+    for _ in 0..ADMITS {
+        let started = Instant::now();
+        service.admit("acme").unwrap();
+        let blocked = started.elapsed();
+        assert!(
+            blocked < Duration::from_millis(TIMEOUT_MS * 3 / 2),
+            "an admit blocked the driver for {blocked:?}"
+        );
+        if service.restarts() == 0 {
+            ahead += 1;
+        }
+    }
+    assert_eq!(service.restarts(), 1, "the full queue exposed the hang");
+    assert!(ahead <= 64 + 256, "{ahead} admits ahead of a hung worker");
+    service.tick(&[(first, 1.0)]).unwrap();
+    let snapshot = service.snapshot().unwrap();
+    assert_eq!(snapshot.sessions.len(), ADMITS + 1);
+    assert!(snapshot
+        .sessions
+        .iter()
+        .all(|m| m.ticks == 7 || m.ticks == 1));
+    assert!(snapshot.health[0].healthy);
     service.shutdown();
 }
 

@@ -18,7 +18,7 @@ fn config(
     pipeline_depth: u32,
     fault: Option<FaultPlan>,
 ) -> ServiceConfig {
-    let mut builder = ServiceConfig::builder(4096.0)
+    let mut builder = ServiceConfig::builder(16384.0)
         .session_b_max(16.0)
         .group_b_o(8.0)
         .offline_delay(4)
@@ -35,7 +35,10 @@ fn config(
 
 /// Drives a deterministic churn workload derived from `seed`: a mix of
 /// dedicated sessions and one pooled group, a mid-run leave/admit swap,
-/// and LCG-generated arrivals. Returns the placement-invariant view.
+/// two control bursts between ticks — one that fits a shard's 64-event
+/// outbox and one that overflows it on every shard (admits, then leaves
+/// of some of the sessions just admitted) — and LCG-generated arrivals.
+/// Returns the placement-invariant view.
 fn run_churn(
     mut service: ControlPlane,
     seed: u64,
@@ -58,6 +61,19 @@ fn run_churn(
             let gone = live.remove((next() as usize) % live.len());
             service.leave(gone).unwrap();
             live.push(service.admit("acme").unwrap());
+        }
+        let burst = match t {
+            t if t == TICKS / 4 => 5 + next() as usize % 40,
+            t if t == 3 * TICKS / 4 => 260 + next() as usize % 20,
+            _ => 0,
+        };
+        for i in 0..burst {
+            let key = service.admit(["acme", "globex"][i % 2]).unwrap();
+            if i % 4 == 3 {
+                service.leave(key).unwrap();
+            } else {
+                live.push(key);
+            }
         }
         let arrivals: Vec<(u64, f64)> =
             live.iter().map(|&key| (key, (next() % 5) as f64)).collect();
@@ -96,6 +112,12 @@ proptest! {
             sessions,
         );
         prop_assert_eq!(&reference, &threaded1);
+        let threaded1_deep = run_churn(
+            ControlPlane::new(config(1, ExecMode::Threaded, 4, None)),
+            seed,
+            sessions,
+        );
+        prop_assert_eq!(&reference, &threaded1_deep);
         let threaded4_deep = run_churn(
             ControlPlane::new(config(4, ExecMode::Threaded, 4, None)),
             seed,

@@ -211,3 +211,92 @@ fn admission_is_exact_under_churn() {
     assert_eq!(snapshot.admitted, 3 + 50);
     assert_eq!(snapshot.rejected, 1);
 }
+
+/// Control events wait in a per-shard outbox on the threaded executor,
+/// and every operation that reads shard state flushes it first: an
+/// `admit` followed at once by an export, a leave or a snapshot sees the
+/// session exactly as the inline executor — which applies on the spot —
+/// does, and a group admitted right before a tick gets that tick's
+/// arrivals on all four members.
+#[test]
+fn sync_points_see_every_event_dispatched_before_them() {
+    let run = |exec: ExecMode| {
+        let mut plane = ControlPlane::new(config(1, exec));
+        let exported = plane.admit("acme").unwrap();
+        let blob = plane.export_session(exported).expect("the shard knows it");
+        let left = plane.admit("acme").unwrap();
+        plane.leave(left).unwrap();
+        let kept = plane.admit("globex").unwrap();
+        let polled = plane.snapshot_shared().unwrap();
+        let keys: Vec<u64> = polled.sessions.iter().map(|m| m.session).collect();
+        assert_eq!(keys, [left, kept], "{exec:?}: left retired, kept live");
+        let group = plane.admit_group("initech", 4).unwrap();
+        let arrivals: Vec<(u64, f64)> = group.iter().map(|&k| (k, 2.0)).collect();
+        plane.tick(&arrivals).unwrap();
+        let ticked = plane.snapshot().unwrap();
+        for key in &group {
+            let member = ticked.sessions.iter().find(|m| m.session == *key).unwrap();
+            assert_eq!(
+                (member.ticks, member.total_arrived),
+                (1, 2.0),
+                "{exec:?}: member {key} missed the tick behind its join"
+            );
+        }
+        plane.shutdown();
+        (blob, polled.invariant_view(), ticked.invariant_view())
+    };
+    assert_eq!(run(ExecMode::Inline), run(ExecMode::Threaded));
+}
+
+/// The count behind the batching claim, read off the live series: 10,000
+/// admits and the tick that flushes the last of them reach the worker in
+/// at most 10,000 / 64 + 2 messages, and a steady-state tick with no
+/// control events is exactly one message per shard.
+#[test]
+fn control_events_reach_a_worker_in_batches() {
+    const ADMITS: usize = 10_000;
+    let registry = cdba_obs::Registry::new();
+    let deliveries = |shard: usize| -> usize {
+        let series = format!("cdba_ctrl_shard_deliveries_total{{shard=\"{shard}\"}} ");
+        let text = registry.render();
+        let line = text.lines().find(|l| l.starts_with(&series));
+        line.expect("exported")
+            .rsplit(' ')
+            .next()
+            .unwrap()
+            .parse()
+            .unwrap()
+    };
+    let cfg = ServiceConfig::builder(ADMITS as f64 * B_MAX)
+        .session_b_max(B_MAX)
+        .offline_delay(D_O)
+        .window(W)
+        .exec(ExecMode::Threaded)
+        .checkpoint_every(64)
+        .build()
+        .unwrap();
+    let mut plane = ControlPlane::new(cfg);
+    plane.attach_metrics(&registry);
+    let keys: Vec<u64> = (0..ADMITS).map(|_| plane.admit("acme").unwrap()).collect();
+    assert!(deliveries(0) >= ADMITS / 64, "a full outbox goes out");
+    plane.tick(&[(keys[0], 1.0)]).unwrap();
+    let after_burst = deliveries(0);
+    assert!(after_burst <= ADMITS / 64 + 2, "{after_burst} deliveries");
+    assert_eq!(plane.snapshot_shared().unwrap().sessions.len(), ADMITS);
+    plane.tick(&[(keys[1], 1.0)]).unwrap();
+    assert_eq!(
+        deliveries(0),
+        after_burst + 1,
+        "a lone tick is a batch of one"
+    );
+    plane.shutdown();
+
+    let mut plane = ControlPlane::new(config(3, ExecMode::Threaded));
+    plane.attach_metrics(&registry);
+    let before: Vec<usize> = (0..3).map(deliveries).collect();
+    plane.tick(&[]).unwrap();
+    for (shard, before) in before.iter().enumerate() {
+        assert_eq!(deliveries(shard), before + 1, "shard {shard}");
+    }
+    plane.shutdown();
+}

@@ -484,4 +484,14 @@ fn arrivals_encode_from_a_slice_to_the_same_bytes() {
             assert_eq!(from_slice[1..], encode(owned)[..], "{owned:?}");
         }
     }
+    // A join's tenant goes the same way, from the caller's `&str`.
+    for tenant in ["acme", "", "tenant-with-a-näme"] {
+        let join = |tenant: &str| Frame::Join {
+            id: 8,
+            tenant: tenant.into(),
+        };
+        let mut from_str = vec![0xAA];
+        proto::encode_tenant_into(&join(""), tenant, &mut from_str);
+        assert_eq!(from_str[1..], encode(&join(tenant))[..], "{tenant:?}");
+    }
 }
