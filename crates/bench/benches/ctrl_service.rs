@@ -5,6 +5,7 @@
 //! fixed batch of ticks (the service is built outside the timed loop, so
 //! admissions and thread spawns are not measured). Throughput is reported
 //! in session-ticks: sessions × ticks advanced per iteration.
+//! `admit_cold_100k` times what that leaves out: the admissions.
 
 use cdba_ctrl::{ControlPlane, ExecMode, ServiceConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -70,5 +71,28 @@ fn ctrl_service(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, ctrl_service);
+/// Admission as a cold burst: a fresh plane per iteration takes 100k
+/// joins one `admit` at a time and one empty tick (the threaded
+/// executor's sync point), so what is timed is the kernel state growing
+/// from nothing — the cost `ctrl_service` above builds outside its loop.
+fn admit_cold_100k(c: &mut Criterion) {
+    const SESSIONS: usize = 100_000;
+    let mut group = c.benchmark_group("admit_cold_100k");
+    group.throughput(Throughput::Elements(SESSIONS as u64));
+    for (name, exec) in [
+        ("inline", ExecMode::Inline),
+        ("threaded", ExecMode::Threaded),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let (mut service, _) = service(SESSIONS, 1, exec);
+                service.tick(&[]).expect("an empty tick");
+                service
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, ctrl_service, admit_cold_100k);
 criterion_main!(benches);

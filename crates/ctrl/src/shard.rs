@@ -641,21 +641,12 @@ struct Columns {
     // -- side columns (variable-size per-slot state) --
     /// Low tracker: lower convex hull vertices `(x, P[x])` per slot.
     hull: Vec<Vec<(f64, f64)>>,
-    /// High-tracker window rings, *time-major*: ring position `q` of
-    /// slot `i` lives at `high_ring[q·ring_cap + i]`, under the slot's
-    /// `high_head`/`high_len` cursors. Sessions that joined together
-    /// advance their cursors in lockstep, so a tick's ring traffic
-    /// lands on one densely shared row (8 bytes per slot) instead of
-    /// dragging a `W`-stride cache line per slot through the sweep —
-    /// the layout exists for that access pattern.
-    high_ring: Vec<f64>,
-    /// Meter `(arrivals, allocation)` rings, time-major like
-    /// `high_ring` under `recent_head`/`recent_len`.
-    recent_ring: Vec<(f64, f64)>,
-    /// Slots-per-row capacity of the two time-major rings (grown
-    /// geometrically: a row insert on growth costs O(W·slots), so
-    /// doubling amortizes it to O(W) per join).
-    ring_cap: usize,
+    /// High-tracker window rings, under the slot's `high_head`/`high_len`
+    /// cursors.
+    high_ring: SlotRing<f64>,
+    /// Meter `(arrivals, allocation)` rings, under
+    /// `recent_head`/`recent_len`.
+    recent_ring: SlotRing<(f64, f64)>,
     /// Delay-FIFO entries past the inline head. Steady traffic keeps at
     /// most one pending entry (served each tick), so the spill deque is
     /// cold; only a backlogged session touches it.
@@ -693,8 +684,8 @@ macro_rules! scalar_columns {
 
 impl Columns {
     /// Extends every column to cover `bound` slots, each new one in the
-    /// vacant-slot state (rings grow by whole `W`-sized strides; existing
-    /// ring contents are append-stable).
+    /// vacant-slot state. Reached from every join, frame apply and tick:
+    /// at a covered population it is this one length compare.
     fn grow_to(&mut self, bound: usize, w: usize) {
         if self.flags.len() >= bound {
             return;
@@ -705,24 +696,8 @@ impl Columns {
         if self.hull.len() < bound {
             self.hull.resize_with(bound, Vec::new);
         }
-        if bound > self.ring_cap {
-            // Time-major rings re-lay out on growth (every row shifts),
-            // so the capacity doubles to amortize; surviving rows copy
-            // over verbatim — append-stable, like the scalar resizes.
-            let new_cap = bound.max(self.ring_cap * 2);
-            let mut high = vec![0.0f64; new_cap * w];
-            let mut recent = vec![(0.0f64, 0.0f64); new_cap * w];
-            for q in 0..w {
-                let (old, new) = (q * self.ring_cap, q * new_cap);
-                high[new..new + self.ring_cap]
-                    .copy_from_slice(&self.high_ring[old..old + self.ring_cap]);
-                recent[new..new + self.ring_cap]
-                    .copy_from_slice(&self.recent_ring[old..old + self.ring_cap]);
-            }
-            self.high_ring = high;
-            self.recent_ring = recent;
-            self.ring_cap = new_cap;
-        }
+        self.high_ring.grow_to(bound, w);
+        self.recent_ring.grow_to(bound, w);
         if self.pend_spill.len() < bound {
             self.pend_spill.resize_with(bound, VecDeque::new);
         }
@@ -731,8 +706,8 @@ impl Columns {
     /// Empties the store, keeping allocations only: every scalar column
     /// goes to length 0, so [`Columns::grow_to`] re-arms each slot exactly
     /// as it does in a fresh store; inner hulls and spill deques are
-    /// cleared in place; the rings keep their arena and `ring_cap` (a
-    /// ring cell is only read under a cursor that was written first).
+    /// cleared in place; the rings keep their blocks (a ring cell is only
+    /// read under a cursor that was written first).
     /// Nothing that was *in* a column survives, so a store torn mid-event
     /// is worth exactly as much as a fresh one.
     fn recycle(&mut self) {
@@ -809,9 +784,7 @@ impl Columns {
         self.meter_ticks[i] = m.ticks;
         self.changes[i] = m.changes;
         self.min_util[i] = m.min_windowed_utilization.unwrap_or(f64::NAN);
-        for (j, &pair) in m.recent.iter().enumerate() {
-            self.recent_ring[j * self.ring_cap + i] = pair;
-        }
+        self.recent_ring.land(i, m.recent.iter().copied());
         self.recent_len[i] = m.recent.len() as u32;
         let d = &m.delay;
         self.delay_tick[i] = d.tick as u64;
@@ -858,9 +831,7 @@ impl Columns {
                     self.low_total[i] = low.total;
                     self.low_low[i] = low.low;
                     self.hull[i].extend_from_slice(&low.hull);
-                    for (j, &a) in high.window.iter().enumerate() {
-                        self.high_ring[j * self.ring_cap + i] = a;
-                    }
+                    self.high_ring.land(i, high.window.iter().copied());
                     self.high_len[i] = high.window.len() as u32;
                     self.high_window_sum[i] = high.window_sum;
                     self.high_min_window_sum[i] = high.min_window_sum.unwrap_or(f64::INFINITY);
@@ -882,39 +853,13 @@ impl Columns {
 
     /// Splits slots `[0, ends.last())` into one [`ChunkView`] per entry
     /// of `ends` (ascending, non-empty): view `c` covers slots
-    /// `[ends[c-1], ends[c])`, with each time-major ring row sliced to
-    /// the matching slot range. The views borrow disjoint regions of
-    /// every column, so they can be swept concurrently.
+    /// `[ends[c-1], ends[c])`, with the ring blocks' rows cut to the
+    /// matching slot range. The views borrow disjoint regions of every
+    /// column, so they can be swept concurrently.
     fn chunk_views(&mut self, ends: &[usize], w: usize) -> Vec<ChunkView<'_>> {
         let bound = *ends.last().expect("at least one chunk");
-        // The rings carve row-by-row: chunk `c` gets row `q`'s subrange
-        // for its slots, for every `q`.
-        fn carve_ring_rows<'a, T>(
-            ring: &'a mut [T],
-            cap: usize,
-            w: usize,
-            ends: &[usize],
-        ) -> Vec<Vec<&'a mut [T]>> {
-            let mut per_chunk: Vec<Vec<&'a mut [T]>> =
-                ends.iter().map(|_| Vec::with_capacity(w)).collect();
-            let mut rest = ring;
-            for _ in 0..w {
-                let (mut row, tail) = rest.split_at_mut(cap);
-                rest = tail;
-                let mut lo = 0usize;
-                for (c, &hi) in ends.iter().enumerate() {
-                    let (seg, keep) = row.split_at_mut(hi - lo);
-                    per_chunk[c].push(seg);
-                    row = keep;
-                    lo = hi;
-                }
-            }
-            per_chunk
-        }
-        let mut high_rows =
-            carve_ring_rows(&mut self.high_ring, self.ring_cap, w, ends).into_iter();
-        let mut recent_rows =
-            carve_ring_rows(&mut self.recent_ring, self.ring_cap, w, ends).into_iter();
+        let mut high_rows = self.high_ring.carve(ends, w).into_iter();
+        let mut recent_rows = self.recent_ring.carve(ends, w).into_iter();
         // Shrinking-cursor slices over each column; `carve!` peels the
         // next chunk's window off the front.
         macro_rules! cursors {
@@ -1040,13 +985,10 @@ impl Columns {
                 max_delay: self.max_delay[i] as usize,
                 max_delay_exact: self.max_delay_exact[i],
             },
-            recent: ring_run(
-                &self.recent_ring,
-                (self.ring_cap, w),
-                (&self.recent_head, &self.recent_len),
-                i,
-            )
-            .collect(),
+            recent: self
+                .recent_ring
+                .run(w, (&self.recent_head, &self.recent_len), i)
+                .collect(),
             window_arrived: self.window_arrived[i],
             window_allocated: self.window_allocated[i],
             min_windowed_utilization: if self.min_util[i].is_nan() {
@@ -1089,13 +1031,10 @@ impl Columns {
                 u_o: cfg.u_o,
                 w: cfg.w,
                 grace: cfg.b_max,
-                window: ring_run(
-                    &self.high_ring,
-                    (self.ring_cap, cfg.w),
-                    (&self.high_head, &self.high_len),
-                    i,
-                )
-                .collect(),
+                window: self
+                    .high_ring
+                    .run(cfg.w, (&self.high_head, &self.high_len), i)
+                    .collect(),
                 window_sum: self.high_window_sum[i],
                 min_window_sum: if self.high_min_window_sum[i].is_infinite() {
                     None
@@ -1157,20 +1096,127 @@ fn at_slots<'a, T: Copy>(src: &'a [T], slots: &'a [u32]) -> impl Iterator<Item =
     slots.iter().map(move |&i| src[i as usize])
 }
 
-/// Slot `i`'s entries of a time-major ring, oldest first (they sit `cap`
-/// apart, so there is no contiguous run to borrow).
-fn ring_run<'a, T: Copy>(
-    ring: &'a [T],
-    (cap, w): (usize, usize),
-    (heads, lens): (&[u32], &[u32]),
-    i: usize,
-) -> impl Iterator<Item = T> + 'a {
-    let head = heads[i] as usize;
-    (0..lens[i] as usize).map(move |j| {
-        let idx = head + j;
-        let q = if idx >= w { idx - w } else { idx };
-        ring[q * cap + i]
-    })
+/// Slots per ring block. Tests run with a block of 8, so the bitwise
+/// oracles cross block edges at their everyday populations.
+#[cfg(not(test))]
+const RING_BLOCK: usize = 4096;
+#[cfg(test)]
+const RING_BLOCK: usize = 8;
+
+/// Cells from one ring position of a block to the next: the block's
+/// slots and one cache line of `f64`s. At a stride of exactly
+/// `RING_BLOCK` cells a slot's `W` cells sit 32 KiB apart, all in one L1
+/// set, and landing a 100k-session frame ran 60 ms against 45.
+const RING_ROW: usize = RING_BLOCK + 8;
+
+/// One `W`-entry ring per slot, stored in zero-allocated blocks of
+/// [`RING_BLOCK`] slots. A block is *time-major inside itself*: ring
+/// position `q` of slot `i` lives at
+/// `blocks[i / RING_BLOCK][q·RING_ROW + i % RING_BLOCK]`. Sessions that
+/// joined together advance their cursors in lockstep, so a tick's ring
+/// traffic lands on one densely shared row segment per block (8 bytes per
+/// slot) instead of dragging a `W`-stride cache line per slot through the
+/// sweep — the layout exists for that access pattern. Growth appends a
+/// block; a cell, once placed, never moves.
+#[derive(Default)]
+struct SlotRing<T> {
+    blocks: Vec<Box<[T]>>,
+}
+
+impl<T: Copy + Default> SlotRing<T> {
+    /// Appends blocks until `bound` slots are covered; never shrinks.
+    fn grow_to(&mut self, bound: usize, w: usize) {
+        while self.blocks.len() * RING_BLOCK < bound {
+            self.blocks
+                .push(vec![T::default(); RING_ROW * w].into_boxed_slice());
+        }
+    }
+
+    /// Lands `entries` (at most `w`) as slot `i`'s ring, oldest at
+    /// position 0 — the form a restore leaves a ring in, head 0.
+    fn land(&mut self, i: usize, entries: impl IntoIterator<Item = T>) {
+        let (block, at) = (&mut self.blocks[i / RING_BLOCK], i % RING_BLOCK);
+        let cells = block[at..].iter_mut().step_by(RING_ROW);
+        cells.zip(entries).for_each(|(cell, v)| *cell = v);
+    }
+
+    /// Slot `i`'s entries, oldest first (they sit [`RING_ROW`] apart,
+    /// so there is no contiguous run to borrow).
+    fn run<'a>(
+        &'a self,
+        w: usize,
+        (heads, lens): (&[u32], &[u32]),
+        i: usize,
+    ) -> impl Iterator<Item = T> + 'a {
+        let (block, at) = (&self.blocks[i / RING_BLOCK], i % RING_BLOCK);
+        let head = heads[i] as usize;
+        (0..lens[i] as usize).map(move |j| {
+            let idx = head + j;
+            let q = if idx >= w { idx - w } else { idx };
+            block[q * RING_ROW + at]
+        })
+    }
+
+    /// Splits slots `[0, ends.last())` into one [`RingRows`] per entry of
+    /// `ends` (the chunk grid of [`Columns::chunk_views`]): every block
+    /// row is cut at the chunk edges that fall inside the block, and each
+    /// chunk takes its segments block by block, `w` rows per block.
+    fn carve(&mut self, ends: &[usize], w: usize) -> Vec<RingRows<'_, T>> {
+        let mut blocks = self.blocks.iter_mut();
+        let mut rows: Vec<&mut [T]> = Vec::with_capacity(w);
+        let mut left = 0usize; // slots of the current block not yet handed out
+        let mut lo = 0usize;
+        ends.iter()
+            .map(|&hi| {
+                let first = lo % RING_BLOCK;
+                let mut mine = Vec::with_capacity(((first + hi - lo) / RING_BLOCK + 1) * w);
+                let mut need = hi - lo;
+                while need > 0 {
+                    if left == 0 {
+                        let block = blocks.next().expect("the rings cover every slot");
+                        rows.clear();
+                        let whole = block.chunks_exact_mut(RING_ROW);
+                        rows.extend(whole.map(|row| &mut row[..RING_BLOCK]));
+                        left = RING_BLOCK;
+                    }
+                    let n = need.min(left);
+                    for row in &mut rows {
+                        let (seg, rest) = std::mem::take(row).split_at_mut(n);
+                        mine.push(seg);
+                        *row = rest;
+                    }
+                    need -= n;
+                    left -= n;
+                }
+                lo = hi;
+                RingRows {
+                    rows: mine,
+                    first,
+                    w,
+                }
+            })
+            .collect()
+    }
+}
+
+/// One chunk's share of a [`SlotRing`]: the row segments of every block
+/// the chunk's slots fall in, `rows[b·w + q]` being row `q` of the
+/// chunk's `b`-th block. A chunk may begin mid-block (`first` slots into
+/// it), so its first segments are shorter than the rest.
+struct RingRows<'a, T> {
+    rows: Vec<&'a mut [T]>,
+    first: usize,
+    w: usize,
+}
+
+impl<T> RingRows<'_, T> {
+    /// Ring position `q` of chunk-local slot `j`.
+    #[inline(always)]
+    fn cell(&mut self, q: usize, j: usize) -> &mut T {
+        let k = self.first + j;
+        let b = k / RING_BLOCK;
+        &mut self.rows[b * self.w + q][k - (b * RING_BLOCK).max(self.first)]
+    }
 }
 
 /// Stage-open dedicated slots: the tracker/hull/decide passes run over
@@ -1179,9 +1225,9 @@ const OPEN: u32 = F_DEDICATED | F_STAGE_OPEN;
 
 /// A mutable window over one chunk of every column — the unit of work
 /// the sweep passes (and the kernel worker pool) operate on. Slot
-/// indices inside a view are chunk-local; the time-major rings arrive
-/// as `w` row slices covering the chunk's slots, so ring position `q`
-/// of local slot `j` is `ring[q][j]`.
+/// indices inside a view are chunk-local; the rings arrive as
+/// [`RingRows`], so ring position `q` of local slot `j` is
+/// `ring.cell(q, j)`.
 struct ChunkView<'a> {
     w: usize,
     arrived: &'a [f64],
@@ -1219,8 +1265,8 @@ struct ChunkView<'a> {
     recent_len: &'a mut [u32],
     min_util: &'a mut [f64],
     hull: &'a mut [Vec<(f64, f64)>],
-    high_ring: Vec<&'a mut [f64]>,
-    recent_ring: Vec<&'a mut [(f64, f64)]>,
+    high_ring: RingRows<'a, f64>,
+    recent_ring: RingRows<'a, (f64, f64)>,
     pend_spill: &'a mut [VecDeque<(u64, f64)>],
 }
 
@@ -1313,13 +1359,13 @@ impl ChunkView<'_> {
             // joined together share a cursor position, so these row
             // accesses stream one dense row, not a line per slot.
             if (self.high_len[j] as usize) < p.w {
-                self.high_ring[self.high_len[j] as usize][j] = a2;
+                *self.high_ring.cell(self.high_len[j] as usize, j) = a2;
                 self.high_len[j] += 1;
                 self.high_window_sum[j] += a2;
             } else {
                 let idx = self.high_head[j] as usize;
-                let old = self.high_ring[idx][j];
-                self.high_ring[idx][j] = a2;
+                let cell = self.high_ring.cell(idx, j);
+                let old = std::mem::replace(cell, a2);
                 self.high_head[j] = if idx + 1 == p.w { 0 } else { (idx + 1) as u32 };
                 self.high_window_sum[j] += a2;
                 self.high_window_sum[j] -= old;
@@ -1549,14 +1595,14 @@ impl ChunkView<'_> {
             let (arrivals, allocation) = (arr[k], alloc[k]);
             self.meter_ticks[j] += 1;
             if (self.recent_len[j] as usize) < w {
-                self.recent_ring[self.recent_len[j] as usize][j] = (arrivals, allocation);
+                *self.recent_ring.cell(self.recent_len[j] as usize, j) = (arrivals, allocation);
                 self.recent_len[j] += 1;
                 self.window_arrived[j] += arrivals;
                 self.window_allocated[j] += allocation;
             } else {
                 let idx2 = self.recent_head[j] as usize;
-                let (a0, b0) = self.recent_ring[idx2][j];
-                self.recent_ring[idx2][j] = (arrivals, allocation);
+                let cell = self.recent_ring.cell(idx2, j);
+                let (a0, b0) = std::mem::replace(cell, (arrivals, allocation));
                 self.recent_head[j] = if idx2 + 1 == w { 0 } else { (idx2 + 1) as u32 };
                 self.window_arrived[j] += arrivals;
                 self.window_allocated[j] += allocation;
@@ -1766,7 +1812,7 @@ impl ShardState {
     }
 
     /// Turns a retired worker's state into a restore target: allocations
-    /// are kept (columns, ring arenas, slab and key tables, the kernel
+    /// are kept (columns, ring blocks, slab and key tables, the kernel
     /// pool and its scratch, whose lists every sweep clears before use),
     /// contents are not — the retiree may have been torn mid-event by the
     /// very panic that retired it, so everything a fresh state starts
@@ -1962,7 +2008,7 @@ impl ShardState {
         // Fill pass: one sequential run per column, straight from the
         // per-field slab columns.
         let mut f = sink.start(&hdr, ragged, &groups, tombs, retired, out);
-        let (rows, ring) = (f.rows, (cols.ring_cap, self.window));
+        let (rows, w) = (f.rows, self.window);
         f.col(C_KEY, at_slots(&cols.keys, rows));
         f.tenant_col();
         f.col(C_FLAGS, at_slots(&cols.flags, rows).map(|b| b & !F_DIRTY));
@@ -2007,15 +2053,12 @@ impl ShardState {
         f.col(C_HULL, slots().flat_map(|i| cols.hull[i].iter().copied()));
         f.col(C_HIGH_LEN, at_slots(&cols.high_len, rows));
         let high = (&cols.high_head[..], &cols.high_len[..]);
-        f.col(
-            C_HIGH,
-            slots().flat_map(|i| ring_run(&cols.high_ring, ring, high, i)),
-        );
+        f.col(C_HIGH, slots().flat_map(|i| cols.high_ring.run(w, high, i)));
         f.col(C_RECENT_LEN, at_slots(&cols.recent_len, rows));
         let recent = (&cols.recent_head[..], &cols.recent_len[..]);
         f.col(
             C_RECENT,
-            slots().flat_map(|i| ring_run(&cols.recent_ring, ring, recent, i)),
+            slots().flat_map(|i| cols.recent_ring.run(w, recent, i)),
         );
         f.col(C_PEND_LEN, at_slots(&cols.pend_len, rows));
         // The FIFO head lives inline in the pend columns, the rest in the
@@ -2310,13 +2353,11 @@ impl ShardState {
             cols.stages_completed[i] = u64_at(u64_cs[6], r);
             cols.stage_open_start[i] = u64_at(u64_cs[7], r);
             // Rings land at head = 0, exactly how the encoder read them.
-            for j in 0..high_n {
-                cols.high_ring[j * cols.ring_cap + i] = f64_at(high_c, high_off + j);
-            }
+            cols.high_ring
+                .land(i, (0..high_n).map(|j| f64_at(high_c, high_off + j)));
             cols.high_len[i] = high_n as u32;
-            for j in 0..recent_n {
-                cols.recent_ring[j * cols.ring_cap + i] = pair_at(recent_c, recent_off + j);
-            }
+            cols.recent_ring
+                .land(i, (0..recent_n).map(|j| pair_at(recent_c, recent_off + j)));
             cols.recent_len[i] = recent_n as u32;
             let hull = &mut cols.hull[i];
             hull.clear();
@@ -3418,6 +3459,8 @@ mod tests {
     #[test]
     #[ignore = "manual perf probe: cargo test --release -p cdba-ctrl kernel_throughput -- --ignored --nocapture"]
     fn kernel_throughput_probe() {
+        // Test builds run 8-slot ring blocks, so the two ring passes read
+        // slower here than in production; the other passes are unaffected.
         let n: usize = 100_000;
         let cfg = ServiceConfig::builder(n as f64 * 16.0)
             .session_b_max(16.0)
@@ -4059,24 +4102,8 @@ mod tests {
         fn kernel_thread_count_is_bitwise_invisible(
             ops in proptest::collection::vec(op_strategy(), 1..40)
         ) {
-            let mk = |threads: usize| {
-                let cfg = ServiceConfig::builder(1024.0)
-                    .session_b_max(16.0)
-                    .group_b_o(8.0)
-                    .offline_delay(4)
-                    .window(4)
-                    .kernel_threads(threads)
-                    .build()
-                    .unwrap();
-                ShardState::new(0, &cfg)
-            };
-            let mut shards = [mk(1), mk(2), mk(4)];
+            let mut shards = [1, 2, 4].map(threaded_shard);
             let mut script = Script::default();
-            let enc = |s: &ShardState| {
-                let mut out = Vec::new();
-                crate::codec::checkpoint::encode(&s.checkpoint(), &mut out);
-                out
-            };
             let mut sink = columnar::ColumnSink::default();
             let mut frame: Option<Vec<u8>> = None;
             let mut journal: Vec<ReplayEvent> = Vec::new();
@@ -4086,9 +4113,9 @@ mod tests {
                         s.apply(ev.clone());
                     }
                     if matches!(ev, ReplayEvent::Tick { .. }) {
-                        let base = enc(&shards[0]);
-                        prop_assert_eq!(&base, &enc(&shards[1]));
-                        prop_assert_eq!(&base, &enc(&shards[2]));
+                        let base = v1_bytes(&shards[0]);
+                        prop_assert_eq!(&base, &v1_bytes(&shards[1]));
+                        prop_assert_eq!(&base, &v1_bytes(&shards[2]));
                     }
                     journal.push(ev);
                 }
@@ -4264,6 +4291,175 @@ mod tests {
                 prop_assert_eq!(a, b);
             }
         }
+    }
+
+    fn threaded_shard(threads: usize) -> ShardState {
+        let cfg = ServiceConfig::builder(1024.0)
+            .session_b_max(16.0)
+            .group_b_o(8.0)
+            .offline_delay(4)
+            .window(4)
+            .kernel_threads(threads)
+            .build()
+            .unwrap();
+        ShardState::new(0, &cfg)
+    }
+
+    fn v1_bytes(state: &ShardState) -> Vec<u8> {
+        let mut out = Vec::new();
+        crate::codec::checkpoint::encode(&state.checkpoint(), &mut out);
+        out
+    }
+
+    /// Where a ring's blocks sit: a block that moved, went or came shows.
+    fn block_addrs(state: &ShardState) -> Vec<usize> {
+        let rings = &state.cols;
+        let high = rings.high_ring.blocks.iter().map(|b| b.as_ptr() as usize);
+        let recent = rings.recent_ring.blocks.iter().map(|b| b.as_ptr() as usize);
+        high.chain(recent).collect()
+    }
+
+    /// Populations one short of a ring block, exactly one, one past it and
+    /// one reaching into a third, each swept by 1 to 4 kernel threads — at
+    /// 9 slots and 2 threads the chunk edge is slot 4, at 8 and 3 they are
+    /// 2 and 5: inside a block, as production's always are — against the
+    /// entry-based reference after every tick. The script wraps the `W` = 4
+    /// rings several times, meters a pooled group through the gather path,
+    /// and reuses a retired slot.
+    #[test]
+    fn block_edges_and_chunk_edges_inside_blocks_are_bitwise_invisible() {
+        for n in [
+            RING_BLOCK - 1,
+            RING_BLOCK,
+            RING_BLOCK + 1,
+            2 * RING_BLOCK + 3,
+        ] {
+            let mut shards = [1, 2, 3, 4].map(threaded_shard);
+            let mut oracle = reference::RefShard::new(0, &shard_cfg());
+            let mut script = Script::default();
+            let joins = std::iter::repeat_n(Op::JoinDedicated, n - 3);
+            let rest = [
+                Op::JoinGroup(3),
+                Op::Ticks(6, 3),
+                Op::Leave(n / 2),
+                Op::Ticks(6, 5),
+                Op::Ticks(6, 11),
+                Op::JoinDedicated,
+                Op::Ticks(6, 7),
+            ];
+            for op in joins.chain(rest) {
+                for ev in script.events(&op) {
+                    oracle.handle(&ev);
+                    for s in &mut shards {
+                        s.apply(ev.clone());
+                    }
+                    if matches!(ev, ReplayEvent::Tick { .. }) {
+                        let base = v1_bytes(&shards[0]);
+                        for s in &shards[1..] {
+                            assert_eq!(base, v1_bytes(s), "{n} slots");
+                        }
+                        assert_eq!(
+                            canonical_forgetful_bytes(shards[0].checkpoint()),
+                            canonical_forgetful_bytes(oracle.checkpoint()),
+                            "{n} slots"
+                        );
+                    }
+                }
+            }
+            let blocks = n.div_ceil(RING_BLOCK);
+            assert_eq!(block_addrs(&shards[0]).len(), 2 * blocks, "{n} slots");
+        }
+    }
+
+    /// A restore into a recycled store that holds fewer ring blocks than
+    /// the frame needs, and into one that holds more — torn first or not —
+    /// lands exactly where a restore into a fresh state does, keeps every
+    /// block the donor had where it was, and runs on identically.
+    #[test]
+    fn restores_into_recycled_stores_holding_fewer_and_more_blocks() {
+        // A history of `n` sessions: the state, its last frame and the
+        // journal since.
+        let history = |n: usize| {
+            let mut state = threaded_shard(2);
+            let mut script = Script::default();
+            let mut run = |state: &mut ShardState, ops: &[Op]| {
+                let evs: Vec<ReplayEvent> = ops.iter().flat_map(|op| script.events(op)).collect();
+                evs.iter().for_each(|ev| state.apply(ev.clone()));
+                evs
+            };
+            let joins = vec![Op::JoinDedicated; n];
+            run(&mut state, &joins);
+            run(&mut state, &[Op::Ticks(6, 1), Op::Ticks(3, 2)]);
+            let mut frame = Vec::new();
+            let mut sink = columnar::ColumnSink::default();
+            state.encode_columnar(columnar::KIND_GENESIS, &mut sink, &mut frame);
+            let journal = run(
+                &mut state,
+                &[Op::Leave(1), Op::Ticks(4, 9), Op::JoinDedicated],
+            );
+            let after = script.events(&Op::Ticks(6, 4));
+            (state, frame, journal, after)
+        };
+        let (small, big) = (RING_BLOCK - 1, 3 * RING_BLOCK + 1);
+        for (donor_n, frame_n) in [(small, big), (big, small)] {
+            for torn in [false, true] {
+                let (mut donor, ..) = history(donor_n);
+                let (_, frame, journal, after) = history(frame_n);
+                let held = block_addrs(&donor);
+                if torn {
+                    tear(&mut donor);
+                }
+                let mut restored = donor.recycle().rebuild(Some(&frame), &journal);
+                let mut fresh = threaded_shard(2).rebuild(Some(&frame), &journal);
+                assert_eq!(v1_bytes(&restored), v1_bytes(&fresh));
+                let now = block_addrs(&restored);
+                let (high, recent) = now.split_at(now.len() / 2);
+                let (held_high, held_recent) = held.split_at(held.len() / 2);
+                let blocks = donor_n
+                    .max(restored.sessions.slot_bound())
+                    .div_ceil(RING_BLOCK);
+                assert_eq!(high.len(), blocks, "donor {donor_n}, frame {frame_n}");
+                assert_eq!(&high[..held_high.len()], held_high);
+                assert_eq!(&recent[..held_recent.len()], held_recent);
+                for ev in after {
+                    restored.apply(ev.clone());
+                    fresh.apply(ev);
+                    assert_eq!(v1_bytes(&restored), v1_bytes(&fresh));
+                }
+            }
+        }
+    }
+
+    /// `Columns::grow_to` runs on every tick; at a steady population, and
+    /// through a leave and a join that reuses the slot, it must leave the
+    /// ring blocks alone — same count, same addresses.
+    #[test]
+    fn steady_population_never_touches_the_ring_blocks() {
+        let mut s = shard();
+        let mut script = Script::default();
+        let mut run = |s: &mut ShardState, op: Op| {
+            for ev in script.events(&op) {
+                s.apply(ev);
+            }
+        };
+        for _ in 0..=RING_BLOCK {
+            run(&mut s, Op::JoinDedicated);
+        }
+        let blocks = block_addrs(&s);
+        assert_eq!(blocks.len(), 4, "two blocks per ring");
+        for _ in 0..200 {
+            run(&mut s, Op::Ticks(5, 1));
+        }
+        assert_eq!(s.ticks(), 1_000);
+        let bound = s.sessions.slot_bound();
+        run(&mut s, Op::Leave(2));
+        run(&mut s, Op::Ticks(6, 1));
+        run(&mut s, Op::Ticks(6, 1));
+        assert_eq!(s.live(), RING_BLOCK, "the leaver has drained and retired");
+        run(&mut s, Op::JoinDedicated);
+        run(&mut s, Op::Ticks(6, 1));
+        assert_eq!(s.sessions.slot_bound(), bound, "the join reused the slot");
+        assert_eq!(block_addrs(&s), blocks);
     }
 
     /// Both shards' full state, key-sorted and v1-encoded: the bitwise

@@ -219,7 +219,15 @@ impl Trace {
         // excess_over(peak) == 0 ≤ peak·delay, so `hi` is always feasible.
         for _ in 0..100 {
             let mid = 0.5 * (lo + hi);
-            if self.excess_over(mid) <= mid * delay as f64 {
+            // `excess_over(mid) ≤ mid·delay`, answered at the first run
+            // past the limit: the maximum can only be larger.
+            let limit = mid * delay as f64;
+            let mut run = 0.0f64;
+            let feasible = self.arrivals.iter().all(|&a| {
+                run = (run + a - mid).max(0.0);
+                run <= limit
+            });
+            if feasible {
                 hi = mid;
             } else {
                 lo = mid;

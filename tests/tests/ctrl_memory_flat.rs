@@ -18,7 +18,9 @@
 //! the column set the retired worker hands back, so the heap's peak while
 //! a shard restarts stays within a quarter of one column set of where it
 //! stood, and eight restarts leave it where two did — whether the operator
-//! asked for the restart or the worker was killed.
+//! asked for the restart or the worker was killed. Nor does growing cost
+//! one: the window rings grow by appended blocks, so 4,097 admissions
+//! never hold a byte more than they keep, bar kilobytes in flight.
 //!
 //! The counting allocator is process-global, so this file holds exactly
 //! one `#[test]`.
@@ -40,7 +42,7 @@ const RESTARTS: usize = 8;
 const PAST_CHECKPOINT: u64 = 32;
 
 fn cfg(exec: ExecMode, fault: Option<FaultPlan>) -> ServiceConfig {
-    let mut builder = ServiceConfig::builder(65_536.0)
+    let mut builder = ServiceConfig::builder(131_072.0)
         .session_b_max(16.0)
         .group_b_o(8.0)
         .offline_delay(4)
@@ -197,6 +199,26 @@ fn restarts(kill: bool) -> Vec<(usize, usize)> {
     samples
 }
 
+/// How far the heap peaked above where 4,097 admissions, one at a time,
+/// leave it: the garbage of growing the kernel's state across a ring-block
+/// edge (4,096 slots). The export is the sync point — a threaded worker
+/// has applied every join before it answers — and a one-row reply, where
+/// a collect's table would be larger than what is being looked for.
+fn admission_garbage(exec: ExecMode) -> usize {
+    let mut plane = ControlPlane::new(cfg(exec, None));
+    HEAP.reset_peak();
+    let first = plane.admit("acme").expect("admit");
+    for i in 1..=4096 {
+        plane
+            .admit(["acme", "globex", "initech"][i % 3])
+            .expect("admit");
+    }
+    drop(plane.export_session(first).expect("export"));
+    let garbage = HEAP.peak() - HEAP.live();
+    plane.shutdown();
+    garbage
+}
+
 fn within(a: usize, b: usize, pct: usize) -> bool {
     a.abs_diff(b) * 100 <= a.min(b) * pct
 }
@@ -217,6 +239,20 @@ fn heap_and_retained_frame_are_flat_in_uptime() {
                 "{exec:?}: retained frame went {first} -> {last} bytes over 32 checkpoints"
             );
         }
+    }
+    // Growth appends a ring block and moves nothing, so no second copy of
+    // any ring is ever alive. What is left is the export's reply and, on
+    // the threaded executor, the event batches in flight (320 events of
+    // under 64 bytes at most): 1.7 KB measured, bounded here at 64 KiB — a
+    // twelfth of the 768 KiB (4,096 slots x 8 ticks x 24 B) that a ring
+    // re-laid out on growth retires at the 4,097th join, which is what
+    // this read (475 KB inline, 656 KB threaded) before rings were blocks.
+    for exec in [ExecMode::Inline, ExecMode::Threaded] {
+        let garbage = admission_garbage(exec);
+        assert!(
+            garbage <= 64 << 10,
+            "{exec:?}: 4,097 admissions peaked {garbage} bytes above what they keep"
+        );
     }
     // A polled table is released by the next mutation, not held until the
     // next poll (31 KB here, 11.5 MB at 100k sessions).

@@ -11,6 +11,33 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
         .prop_map(|v| Trace::new(v).expect("valid arrivals"))
 }
 
+fn arb_short_trace() -> impl Strategy<Value = Trace> {
+    proptest::collection::vec(0.0f64..50.0, 1..40).prop_map(|v| Trace::new(v).unwrap())
+}
+
+/// `Trace::demand_bound` as it was before its bisection predicate learnt
+/// to stop at the first run past the limit: every probe scans the whole
+/// trace with `excess_over`.
+fn demand_bound_full_scan(trace: &Trace, delay: usize) -> f64 {
+    if trace.total() == 0.0 {
+        return 0.0;
+    }
+    let mut lo = 0.0f64;
+    let mut hi = trace.peak().max(trace.mean_rate()).max(1e-12);
+    for _ in 0..100 {
+        let mid = 0.5 * (lo + hi);
+        if trace.excess_over(mid) <= mid * delay as f64 {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+        if hi - lo <= 1e-9 * hi.max(1.0) {
+            break;
+        }
+    }
+    hi
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -49,8 +76,7 @@ proptest! {
 
     #[test]
     fn feasibility_matches_claim9_definition(
-        trace in proptest::collection::vec(0.0f64..50.0, 1..40)
-            .prop_map(|v| Trace::new(v).unwrap()),
+        trace in arb_short_trace(),
         b in 0.5f64..20.0,
         d in 0usize..10,
     ) {
@@ -94,6 +120,21 @@ proptest! {
             prop_assert!((direct - via_cumulative).abs() < 1e-9);
         } else {
             prop_assert_eq!(direct, 0.0);
+        }
+    }
+
+    /// The early exit cannot change a probe's answer (the maximum run is
+    /// past the limit as soon as one run is), so the bisection walks the
+    /// same path to the same bits.
+    #[test]
+    fn demand_bound_matches_full_scan_oracle(long in arb_trace(), short in arb_short_trace()) {
+        for trace in [&long, &short] {
+            for d in [1usize, 4, 8, 64] {
+                prop_assert_eq!(
+                    trace.demand_bound(d).to_bits(),
+                    demand_bound_full_scan(trace, d).to_bits()
+                );
+            }
         }
     }
 
