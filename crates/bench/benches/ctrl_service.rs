@@ -5,7 +5,9 @@
 //! fixed batch of ticks (the service is built outside the timed loop, so
 //! admissions and thread spawns are not measured). Throughput is reported
 //! in session-ticks: sessions × ticks advanced per iteration.
-//! `admit_cold_100k` times what that leaves out: the admissions.
+//! `admit_cold_100k` times what that leaves out: the admissions — until
+//! `admit` has returned for the last of them; `admit_then_sync_100k` until
+//! a shard has applied them, which no amount of deferral shortens.
 
 use cdba_ctrl::{ControlPlane, ExecMode, ServiceConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -71,22 +73,21 @@ fn ctrl_service(c: &mut Criterion) {
     group.finish();
 }
 
-/// Admission as a cold burst: a fresh plane per iteration takes 100k
-/// joins one `admit` at a time and one empty tick (the threaded
-/// executor's sync point), so what is timed is the kernel state growing
-/// from nothing — the cost `ctrl_service` above builds outside its loop.
-fn admit_cold_100k(c: &mut Criterion) {
-    const SESSIONS: usize = 100_000;
-    let mut group = c.benchmark_group("admit_cold_100k");
-    group.throughput(Throughput::Elements(SESSIONS as u64));
+const COLD_SESSIONS: usize = 100_000;
+
+/// One cold-burst row per executor: `finish` runs on the freshly admitted
+/// plane inside the timed iteration.
+fn cold_burst(c: &mut Criterion, name: &str, finish: fn(&mut ControlPlane)) {
+    let mut group = c.benchmark_group(name);
+    group.throughput(Throughput::Elements(COLD_SESSIONS as u64));
     for (name, exec) in [
         ("inline", ExecMode::Inline),
         ("threaded", ExecMode::Threaded),
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                let (mut service, _) = service(SESSIONS, 1, exec);
-                service.tick(&[]).expect("an empty tick");
+                let (mut service, _) = service(COLD_SESSIONS, 1, exec);
+                finish(&mut service);
                 service
             })
         });
@@ -94,5 +95,26 @@ fn admit_cold_100k(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, ctrl_service, admit_cold_100k);
+/// Admission as a cold burst: a fresh plane per iteration takes 100k
+/// joins one `admit` at a time and dispatches one empty tick. On the
+/// threaded executor that tick is pipelined — it returns once it is sent,
+/// not once it is applied — so this row times the driver: how long the
+/// caller of `admit` is held, with the kernel state growing from nothing
+/// beside it. Inline, the two are the same thing.
+fn admit_cold_100k(c: &mut Criterion) {
+    cold_burst(c, "admit_cold_100k", |service| {
+        service.tick(&[]).expect("an empty tick");
+    });
+}
+
+/// The same burst up to a real sync point: `snapshot_shared` returns only
+/// after the shard has applied every join. The row deferral cannot
+/// flatter — work moved off the driver still has to finish inside it.
+fn admit_then_sync_100k(c: &mut Criterion) {
+    cold_burst(c, "admit_then_sync_100k", |service| {
+        black_box(service.snapshot_shared().expect("a healthy plane"));
+    });
+}
+
+criterion_group!(benches, ctrl_service, admit_cold_100k, admit_then_sync_100k);
 criterion_main!(benches);

@@ -115,7 +115,7 @@ impl CheckpointProbe {
         for _ in 0..sessions {
             let key = self.next_key;
             self.next_key += 1;
-            self.state.apply(ReplayEvent::JoinDedicated {
+            self.state.apply(&ReplayEvent::JoinDedicated {
                 key,
                 tenant: Arc::clone(&self.tenants[key as usize % PROBE_TENANTS]),
             });
@@ -133,7 +133,7 @@ impl CheckpointProbe {
             .map(|k| (k, 8.0))
             .collect();
         for _ in 0..n {
-            self.state.apply(ReplayEvent::Tick {
+            self.state.apply(&ReplayEvent::Tick {
                 arrivals: Arc::clone(&arrivals),
             });
         }
@@ -150,7 +150,7 @@ impl CheckpointProbe {
             }
             let key = self.churn_cursor;
             self.churn_cursor += 1;
-            self.state.apply(ReplayEvent::Leave { key });
+            self.state.apply(&ReplayEvent::Leave { key });
         }
     }
 

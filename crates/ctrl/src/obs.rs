@@ -37,6 +37,10 @@ pub(crate) struct CtrlMetrics {
     /// batches sent to the shard's worker. Against the admitted, leave and
     /// tick counters it is the live events-per-wake-up ratio.
     pub shard_deliveries: Vec<Counter>,
+    /// `cdba_ctrl_shard_lag_events{shard}`, indexed by shard: events
+    /// dispatched to the shard less its worker's watermark. Set by a
+    /// scrape-time collector, not by the driver.
+    pub shard_lag: Vec<Gauge>,
     /// `cdba_ctrl_shard_restarts_total{shard}`, indexed by shard.
     pub shard_restarts: Vec<Counter>,
     /// `cdba_ctrl_checkpoints_total{shard}`, indexed by shard.
@@ -120,6 +124,11 @@ impl CtrlMetrics {
             shard_deliveries: per_shard_counter(
                 "cdba_ctrl_shard_deliveries_total",
                 "Event batches sent to the shard's worker (threaded executor)",
+            ),
+            shard_lag: per_shard_gauge(
+                "cdba_ctrl_shard_lag_events",
+                "Events dispatched to the shard and not yet applied by its worker, \
+                 read at scrape (threaded executor; 0 after any sync point)",
             ),
             shard_restarts: per_shard_counter(
                 "cdba_ctrl_shard_restarts_total",

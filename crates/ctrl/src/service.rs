@@ -5,24 +5,27 @@
 //! ([`ControlPlane::admit`] / [`ControlPlane::admit_group`]), feed
 //! arrivals with [`ControlPlane::tick`], and read back a
 //! [`ServiceSnapshot`] at any point. Under [`ExecMode::Threaded`] each
-//! shard is a worker thread fed over a bounded channel: control events
-//! travel in batches of up to 64, flushed by the next tick or read, and
-//! ticks pipeline until the channel fills, which applies backpressure to
-//! the driver; under [`ExecMode::Inline`] the same shard code runs on the
-//! calling thread. Sessions are placed on the least-loaded healthy shard
-//! (lowest index on ties), a pooled group always lands whole on one shard,
-//! and per-session dynamics are independent of placement — so snapshots'
-//! placement-invariant parts are *identical* across shard counts and
-//! execution modes.
+//! shard is a worker thread fed over a FIFO channel that never blocks the
+//! driver: control events travel as sealed journal segments — sent every
+//! 64 events to an idle worker, in blocks of 4,096 to a busy one, and by
+//! the next tick or read at the latest — and ticks pipeline up to
+//! [`ServiceConfig::pipeline_depth`] ahead of their acks, which is the
+//! backpressure on the driver; under [`ExecMode::Inline`] the same shard
+//! code runs on the calling thread. Sessions are placed on the
+//! least-loaded healthy shard (lowest index on ties), a pooled group always
+//! lands whole on one shard, and per-session dynamics are independent of
+//! placement — so snapshots' placement-invariant parts are *identical*
+//! across shard counts and execution modes.
 //!
 //! # Supervision and crash recovery
 //!
 //! The driver doubles as the shard supervisor. Each threaded worker runs
 //! under `catch_unwind` and reports panics as typed
 //! [`ShardFailure`](crate::shard::ShardFailure)s instead of poisoning the
-//! service; the driver also treats a worker that stalls past
-//! [`ServiceConfig::shard_timeout_ms`] (a full event queue, or a missing
-//! snapshot reply) as failed. A failed shard is restarted from its last
+//! service; the driver also treats a worker as failed when it is silent
+//! for [`ServiceConfig::shard_timeout_ms`] — events or a reply pending and
+//! its watermark of applied events not moving; a backlog that shrinks is
+//! slowness, however long. A failed shard is restarted from its last
 //! periodic [`ShardCheckpoint`](crate::shard::ShardCheckpoint) (a full
 //! frame taken every [`ServiceConfig::checkpoint_every`] ticks; the
 //! driver retains only the latest) by replaying the driver's journal of
@@ -45,25 +48,19 @@ use crate::meter::SessionMetrics;
 use crate::metrics::{ServiceSnapshot, ShardHealth, SnapshotCounters};
 use crate::obs::CtrlMetrics;
 use crate::shard::{
-    panic_reason, run_worker, Event, ReplayEvent, ShardCheckpoint, ShardReport, ShardState,
-    WorkerCtx, WorkerMsg, CONTROL_BATCH,
+    panic_reason, run_worker, Event, ReplayEvent, Segment, ShardCheckpoint, ShardReport,
+    ShardState, WorkerCtx, WorkerMsg, CONTROL_BATCH, JOURNAL_BLOCK,
 };
 use crate::CtrlError;
 use cdba_obs::{Registry, TraceEvent, TraceKind, TraceRing};
-use crossbeam::channel::{bounded, unbounded, Receiver, SendTimeoutError, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Events a worker shard can buffer before the driver blocks. Bounded so a
-/// slow shard applies backpressure instead of ballooning memory. The bound
-/// is on events, not messages: the queue holds this many divided by the
-/// most one message carries ([`CONTROL_BATCH`]).
-const SHARD_QUEUE: usize = 256;
 
 /// Ticks [`ExecMode::Adaptive`] observes before it may escalate — enough
 /// for the EWMA to settle past start-up noise.
@@ -222,9 +219,36 @@ const RECLAIM_POLL: Duration = Duration::from_micros(100);
 /// One live worker incarnation of a threaded shard. Joining the handle
 /// yields the state the worker ran on.
 struct Worker {
+    /// Unbounded. With recovery enabled what is queued here is already
+    /// held by the journal, so a bound would save nothing and only stall
+    /// the driver. With `checkpoint_every = 0` nothing else holds it: the
+    /// driver's lead over a slow worker is then memory only the worker
+    /// frees — accepted for a configuration that has given up recovery,
+    /// and visible as `cdba_ctrl_shard_lag_events`.
     tx: Sender<Event>,
     handle: JoinHandle<ShardState>,
     cancel: Arc<AtomicBool>,
+}
+
+/// What a metrics scrape reads a shard's lag from, without the driver.
+struct LagProbe {
+    /// Replayable events dispatched to the shard so far.
+    dispatched: AtomicU64,
+    /// The current worker's watermark ([`WorkerCtx::applied`]), swapped at
+    /// every spawn rather than shared with a successor: a retired worker
+    /// may still finish — and publish — the event it was applying. The one
+    /// handle the driver keeps; [`ControlPlane::patience`] reads it too.
+    applied: Mutex<Arc<AtomicU64>>,
+}
+
+impl LagProbe {
+    /// Events dispatched and not yet applied.
+    fn lag(&self) -> u64 {
+        let applied = self.applied.lock().load(Ordering::Relaxed);
+        self.dispatched
+            .load(Ordering::Relaxed)
+            .saturating_sub(applied)
+    }
 }
 
 /// What the supervisor knows about a worker it retires, which decides
@@ -252,12 +276,32 @@ struct ShardSup {
     restarts: u64,
     /// Most recent failure reason, if any.
     last_failure: Option<String>,
-    /// Replayable events sent since the last accepted checkpoint, in send
-    /// order. Trimmed on every checkpoint receipt.
-    journal: Vec<ReplayEvent>,
-    /// Replayable events covered by the retained frame (i.e. sent before
+    /// Replayable events sealed since the last accepted checkpoint, in
+    /// dispatch order — the only place one is stored. A segment is sealed
+    /// at a tick at the latest, and the worker is sent that same
+    /// allocation, so a checkpoint (taken after a tick) always falls on a
+    /// segment edge and a trim drops whole segments. Empty with recovery
+    /// disabled: a sealed segment then belongs to the worker alone.
+    journal: VecDeque<Segment>,
+    /// The journal's open end: events dispatched but not yet sealed —
+    /// [`CONTROL_BATCH`] at most in front of an idle worker,
+    /// [`JOURNAL_BLOCK`] in front of a busy one. [`ControlPlane::flush`]
+    /// seals and sends it; a recovery seals it without sending, having
+    /// replayed it.
+    tail: Vec<ReplayEvent>,
+    /// Replayable events covered by the retained frame (i.e. sealed before
     /// `journal[0]`).
     journal_base: u64,
+    /// Replayable events sealed so far: each reached the current worker
+    /// in a segment, or the state it started from in a replay.
+    sealed: u64,
+    /// The worker's watermark when the driver last read it, and when it
+    /// was last seen to have moved — the silence clock every wait on the
+    /// worker runs on.
+    seen_applied: u64,
+    moved_at: Instant,
+    /// The scrape-side view of this shard's lag.
+    probe: Arc<LagProbe>,
     /// The latest accepted checkpoint: one full-population frame that
     /// supersedes every earlier one. Recovery applies it, then replays
     /// the journal. `None` until the first checkpoint is accepted.
@@ -265,11 +309,6 @@ struct ShardSup {
     /// Frames ever accepted — the cursor space checkpoint subscribers
     /// resume from. The retained frame is number `frames_seq - 1`.
     frames_seq: u64,
-    /// Dispatched (and, with recovery on, journaled) events not yet sent
-    /// to the worker, in dispatch order; at most [`CONTROL_BATCH`]. Sent as
-    /// one message by [`ControlPlane::flush`]; dropped by a recovery, whose
-    /// journal replay applies them.
-    outbox: Vec<ReplayEvent>,
     /// Live sessions placed on this shard, for least-loaded placement.
     live: usize,
     /// Ticks dispatched to the current worker incarnation but not yet
@@ -284,11 +323,18 @@ impl ShardSup {
             healthy: true,
             restarts: 0,
             last_failure: None,
-            journal: Vec::new(),
+            journal: VecDeque::new(),
+            tail: Vec::new(),
             journal_base: 0,
+            sealed: 0,
+            seen_applied: 0,
+            moved_at: Instant::now(),
+            probe: Arc::new(LagProbe {
+                dispatched: AtomicU64::new(0),
+                applied: Mutex::default(),
+            }),
             frame: None,
             frames_seq: 0,
-            outbox: Vec::new(),
             live: 0,
             inflight: 0,
         }
@@ -299,6 +345,23 @@ impl ShardSup {
         self.frame = Some(cp);
         self.frames_seq += 1;
     }
+
+    /// Seals the open tail into a segment and returns it for sending;
+    /// `None` when nothing is open. With `keep` (recovery enabled) the
+    /// segment also joins the journal until a checkpoint covers it.
+    fn seal(&mut self, keep: bool) -> Option<Segment> {
+        if self.tail.is_empty() {
+            return None;
+        }
+        let segment = Arc::new(std::mem::take(&mut self.tail));
+        self.sealed += segment.len() as u64;
+        if keep {
+            self.journal.push_back(Arc::clone(&segment));
+        } else {
+            self.journal_base = self.sealed;
+        }
+        Some(segment)
+    }
 }
 
 enum Backend {
@@ -306,23 +369,28 @@ enum Backend {
     Threaded { workers: Vec<Option<Worker>> },
 }
 
+/// Spawns the worker of `sup`'s current epoch on `state`, which holds
+/// everything sealed so far, and starts its supervision record: the
+/// silence clock and the scrape-side watermark.
 fn spawn_worker(
     shard: usize,
-    epoch: u64,
+    sup: &mut ShardSup,
     state: ShardState,
-    events_base: u64,
     cfg: &ServiceConfig,
     fault: Option<FaultPlan>,
     msgs: &Sender<WorkerMsg>,
 ) -> Result<Worker, CtrlError> {
-    let (tx, rx) = bounded(SHARD_QUEUE / CONTROL_BATCH);
+    let (tx, rx) = unbounded();
     let cancel = Arc::new(AtomicBool::new(false));
+    let applied = Arc::new(AtomicU64::new(sup.sealed));
+    let epoch = sup.epoch;
     let ctx = WorkerCtx {
         epoch,
         cancel: cancel.clone(),
         msgs: msgs.clone(),
         checkpoint_every: cfg.checkpoint_every,
-        events_base,
+        events_base: sup.sealed,
+        applied: applied.clone(),
         fault,
     };
     let handle = std::thread::Builder::new()
@@ -332,6 +400,9 @@ fn spawn_worker(
             shard,
             reason: e.to_string(),
         })?;
+    sup.seen_applied = sup.sealed;
+    sup.moved_at = Instant::now();
+    *sup.probe.applied.lock() = applied;
     Ok(Worker { tx, handle, cancel })
 }
 
@@ -410,15 +481,8 @@ impl ControlPlane {
                     // A failed spawn degrades like any other shard fault:
                     // the shard starts permanently down instead of
                     // aborting the whole service.
-                    match spawn_worker(
-                        s,
-                        0,
-                        ShardState::new(s as u64, &cfg),
-                        0,
-                        &cfg,
-                        fault,
-                        &msg_tx,
-                    ) {
+                    let state = ShardState::new(s as u64, &cfg);
+                    match spawn_worker(s, sup, state, &cfg, fault, &msg_tx) {
                         Ok(worker) => workers.push(Some(worker)),
                         Err(err) => {
                             sup.healthy = false;
@@ -463,7 +527,19 @@ impl ControlPlane {
     /// kernel is untouched); snapshot-derived gauges (signalling cost,
     /// change count, max delay) refresh whenever a snapshot is assembled.
     pub fn attach_metrics(&mut self, registry: &Registry) {
-        self.obs = Some(CtrlMetrics::register(registry, self.cfg.shards));
+        let metrics = CtrlMetrics::register(registry, self.cfg.shards);
+        let lags: Vec<(Arc<LagProbe>, cdba_obs::Gauge)> = self
+            .sups
+            .iter()
+            .map(|sup| Arc::clone(&sup.probe))
+            .zip(metrics.shard_lag.iter().cloned())
+            .collect();
+        registry.register_collector(move || {
+            for (probe, gauge) in &lags {
+                gauge.set(probe.lag() as f64);
+            }
+        });
+        self.obs = Some(metrics);
         self.sync_membership_gauges();
     }
 
@@ -589,7 +665,7 @@ impl ControlPlane {
                     bytes: Arc::new(bytes),
                 });
             }
-            match spawn_worker(s, epoch, state, 0, &self.cfg, None, &msg_tx) {
+            match spawn_worker(s, sup, state, &self.cfg, None, &msg_tx) {
                 Ok(worker) => workers.push(Some(worker)),
                 Err(err) => {
                     // Degrade exactly like a failed spawn at start-up.
@@ -656,16 +732,12 @@ impl ControlPlane {
     /// than [`ServiceConfig::pipeline_depth`] dispatched-but-unacked ticks.
     /// Worker messages that arrive while waiting (acks, checkpoints,
     /// failures) are applied as they land, so a failure surfaces here as a
-    /// recovery rather than a stall. A shard that produces neither an ack
-    /// nor a failure within the shard timeout is restarted.
+    /// recovery rather than a stall. A shard that is silent for the shard
+    /// timeout ([`ControlPlane::patience`]) is restarted.
     fn await_pipeline_slot(&mut self, shard: usize) -> Result<(), CtrlError> {
         let depth = u64::from(self.cfg.pipeline_depth);
-        if !self.sups[shard].healthy || self.sups[shard].inflight < depth {
-            return Ok(());
-        }
-        let deadline = std::time::Instant::now() + Duration::from_millis(self.cfg.shard_timeout_ms);
         while self.sups[shard].healthy && self.sups[shard].inflight >= depth {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
+            let remaining = self.patience(shard, Instant::now());
             if remaining.is_zero() {
                 return self.recover(
                     shard,
@@ -692,16 +764,20 @@ impl ControlPlane {
         if sup.epoch != cp.epoch {
             return; // stale: a superseded worker's parting checkpoint
         }
-        let held = sup.journal.len();
-        let covered = (cp.events_applied.saturating_sub(sup.journal_base) as usize).min(held);
-        sup.journal.drain(..covered);
-        sup.journal_base = cp.events_applied;
-        // `drain` keeps capacity, and an admission burst (100k joins before
-        // the first checkpoint) would otherwise set it for life. Twice what
-        // the journal held leaves a steady interval room without regrowth.
-        if sup.journal.capacity() > 4 * held {
-            sup.journal.shrink_to(2 * held);
+        // Whole segments only, each freed as it goes: what an admission
+        // burst leaves behind is the deque's ring of pointers, not events.
+        while let Some(segment) = sup.journal.front() {
+            let edge = sup.journal_base + segment.len() as u64;
+            if edge > cp.events_applied {
+                break;
+            }
+            sup.journal_base = edge;
+            sup.journal.pop_front();
         }
+        debug_assert_eq!(
+            sup.journal_base, cp.events_applied,
+            "a checkpoint follows a tick, and a tick ends its segment"
+        );
         let sessions = cp.sessions;
         sup.retain(cp);
         if let Some(m) = &self.obs {
@@ -795,10 +871,10 @@ impl ControlPlane {
         let sup = &mut self.sups[shard];
         sup.last_failure = Some(reason.clone());
         // The replay below applies every journaled event on this thread,
-        // the undelivered ones included; nothing dispatched to the old
-        // worker is outstanding any more.
+        // the open tail included — sealed here, and never sent; nothing
+        // dispatched to the old worker is outstanding any more.
         sup.inflight = 0;
-        sup.outbox.clear();
+        sup.seal(self.cfg.checkpoint_every > 0);
         if self.cfg.checkpoint_every == 0 {
             sup.healthy = false;
             return Err(CtrlError::ShardDown {
@@ -815,11 +891,9 @@ impl ControlPlane {
         }
         sup.restarts += 1;
         sup.epoch += 1;
-        let epoch = sup.epoch;
-        let events_base = sup.journal_base + sup.journal.len() as u64;
-        let frame = sup.frame.as_ref().map(|cp| Arc::clone(&cp.bytes));
-        // Taken for the replay and put back after it, not copied.
-        let journal = std::mem::take(&mut sup.journal);
+        let replayed = sup.sealed - sup.journal_base;
+        let frame = sup.frame.as_ref().map(|cp| cp.bytes.as_slice());
+        let journal = sup.journal.iter().flat_map(|segment| segment.iter());
         let cfg = &self.cfg;
         // The replay runs on the driver thread; guard it so a poison event
         // that deterministically panics the shard cannot take the driver
@@ -830,11 +904,9 @@ impl ControlPlane {
             retiree
                 .map(ShardState::recycle)
                 .unwrap_or_else(|| ShardState::new(shard as u64, cfg))
-                .rebuild(frame.as_ref().map(|bytes| bytes.as_slice()), &journal)
+                .rebuild(frame, journal)
         }));
         let restore_seconds = restore_started.elapsed().as_secs_f64();
-        let replayed = journal.len() as u64;
-        self.sups[shard].journal = journal;
         let state = match rebuilt {
             Ok(state) => state,
             Err(payload) => {
@@ -852,8 +924,8 @@ impl ControlPlane {
             .expect("threaded mode has a message channel")
             .0
             .clone();
-        let worker = match spawn_worker(shard, epoch, state, events_base, &self.cfg, None, &msg_tx)
-        {
+        let sup = &mut self.sups[shard];
+        let worker = match spawn_worker(shard, sup, state, &self.cfg, None, &msg_tx) {
             Ok(worker) => worker,
             Err(err) => {
                 let sup = &mut self.sups[shard];
@@ -949,11 +1021,12 @@ impl ControlPlane {
     }
 
     /// Hands one replayable event to `shard`: applied on the spot inline;
-    /// journaled and queued in the shard's outbox when threaded, which goes
-    /// out once it holds [`CONTROL_BATCH`] events or a tick (a tick is
-    /// always the last event of its batch). A worker failure between
-    /// journal and delivery is recovered by replay, so a successful
-    /// recovery counts as delivery.
+    /// appended to the open tail of the shard's journal when threaded. A
+    /// tick seals and sends the tail (a tick is always the last event of
+    /// its segment); every [`CONTROL_BATCH`]-th control event looks at the
+    /// worker ([`ControlPlane::flush`]). A worker failure between journal
+    /// and delivery is recovered by replay, so a successful recovery counts
+    /// as delivery.
     ///
     /// # Errors
     ///
@@ -961,87 +1034,113 @@ impl ControlPlane {
     /// permanently down.
     fn dispatch(&mut self, shard: usize, ev: ReplayEvent) -> Result<(), CtrlError> {
         if let Backend::Inline(states) = &mut self.backend {
-            states[shard].apply(ev);
+            states[shard].apply(&ev);
             return Ok(());
         }
         if !self.sups[shard].healthy {
             return Err(self.down_error(shard));
         }
         let sup = &mut self.sups[shard];
-        if self.cfg.checkpoint_every > 0 {
-            sup.journal.push(ev.clone());
-        }
-        let due = matches!(ev, ReplayEvent::Tick { .. }) || sup.outbox.len() + 1 >= CONTROL_BATCH;
-        sup.outbox.push(ev);
-        if due {
-            self.flush(shard)
+        let sync = matches!(ev, ReplayEvent::Tick { .. });
+        sup.tail.push(ev);
+        let open = sup.tail.len();
+        sup.probe
+            .dispatched
+            .store(sup.sealed + open as u64, Ordering::Relaxed);
+        if sync || open.is_multiple_of(CONTROL_BATCH) {
+            self.flush(shard, sync)
         } else {
             Ok(())
         }
     }
 
-    /// Sends `shard`'s outbox to its worker as one message — the only way
-    /// a replayable event reaches a worker. Every operation that waits on
-    /// the worker (collect, export) flushes first, so a reply always
-    /// reflects everything dispatched before it. No-op inline.
+    /// How much longer the driver waits on `shard`'s worker as of `now`:
+    /// the shard timeout less the time the worker's watermark has stood
+    /// still. A look that finds the watermark moved restarts the clock, so
+    /// what is timed is silence — a worker behind by a million joins is
+    /// slow, one that applies nothing for the whole timeout is hung.
+    fn patience(&mut self, shard: usize, now: Instant) -> Duration {
+        let sup = &mut self.sups[shard];
+        let applied = sup.probe.applied.lock().load(Ordering::Relaxed);
+        if applied != sup.seen_applied {
+            sup.seen_applied = applied;
+            sup.moved_at = now;
+        }
+        Duration::from_millis(self.cfg.shard_timeout_ms)
+            .saturating_sub(now.saturating_duration_since(sup.moved_at))
+    }
+
+    /// Seals `shard`'s open journal tail and sends the segment to its
+    /// worker — the only way a replayable event reaches a worker, and it
+    /// never blocks. A `sync` point (a tick, a collect, an export) sends
+    /// whatever is open, so a reply always reflects everything dispatched
+    /// before it. Between sync points the tail goes to a worker that has
+    /// applied everything sent so far; one still busy is sent nothing
+    /// until a [`JOURNAL_BLOCK`] has gathered — it has work, and a burst
+    /// then costs a few large segments instead of a thousand small ones.
+    /// This is also where a hung worker is found out while nothing waits
+    /// on it: events sent, and none applied for the shard timeout,
+    /// restarts the shard. No-op inline.
     ///
     /// # Errors
     ///
     /// As [`ControlPlane::dispatch`].
-    fn flush(&mut self, shard: usize) -> Result<(), CtrlError> {
+    fn flush(&mut self, shard: usize, sync: bool) -> Result<(), CtrlError> {
         self.drain_worker_msgs();
         if !self.sups[shard].healthy {
             return Err(self.down_error(shard));
         }
-        // Empty, too, when the drain above recovered the shard: the replay
-        // applied what was waiting here.
-        if self.sups[shard].outbox.is_empty() {
+        let now = Instant::now();
+        let patience = self.patience(shard, now);
+        let sup = &mut self.sups[shard];
+        let idle = sup.seen_applied == sup.sealed;
+        if idle {
+            // Caught up is idle, not silent: the clock starts with the
+            // work about to be sent (or the reply about to be asked for).
+            sup.moved_at = now;
+        } else if patience.is_zero() {
+            return self.recover(
+                shard,
+                Retiring::Silent,
+                "worker applied nothing for the shard timeout with events pending".into(),
+            );
+        } else if !sync && sup.tail.len() < JOURNAL_BLOCK {
             return Ok(());
         }
+        // Nothing open, too, when the drain above recovered the shard: the
+        // replay applied what was waiting here.
+        let Some(segment) = sup.seal(self.cfg.checkpoint_every > 0) else {
+            return Ok(());
+        };
+        let epoch = sup.epoch;
         let Backend::Threaded { workers } = &self.backend else {
             unreachable!("the inline backend queues nothing")
         };
-        let sup = &mut self.sups[shard];
-        let epoch = sup.epoch;
-        // The next batch is most often as long as this one: a lone tick in
-        // the steady state, a full batch during an admission burst.
-        let next = Vec::with_capacity(sup.outbox.len());
-        let batch = Event::Batch(std::mem::replace(&mut sup.outbox, next));
         let worker = workers[shard].as_ref().expect("healthy shard has a worker");
-        let timeout = Duration::from_millis(self.cfg.shard_timeout_ms);
-        match worker.tx.send_timeout(batch, timeout) {
-            Ok(()) => {
-                if let Some(counter) = self
-                    .obs
-                    .as_ref()
-                    .and_then(|m| m.shard_deliveries.get(shard))
-                {
-                    counter.inc();
-                }
-                Ok(())
+        if worker.tx.send(Event::Batch(segment)).is_ok() {
+            if let Some(counter) = self
+                .obs
+                .as_ref()
+                .and_then(|m| m.shard_deliveries.get(shard))
+            {
+                counter.inc();
             }
-            Err(SendTimeoutError::Timeout(_)) => self.recover(
+            return Ok(());
+        }
+        // Disconnected. The worker's failure report, if it made one, is
+        // already in the message channel (it is sent before the worker
+        // drops its event receiver) — draining recovers the shard.
+        self.drain_worker_msgs();
+        if !self.sups[shard].healthy {
+            Err(self.down_error(shard))
+        } else if self.sups[shard].epoch != epoch {
+            Ok(()) // the drain already restarted the shard
+        } else {
+            self.recover(
                 shard,
-                Retiring::Silent,
-                "event queue stalled past the shard timeout".into(),
-            ),
-            Err(SendTimeoutError::Disconnected(_)) => {
-                // The worker's failure report, if it made one, is already
-                // in the message channel (it is sent before the worker
-                // drops its event receiver) — draining recovers the shard.
-                self.drain_worker_msgs();
-                if !self.sups[shard].healthy {
-                    Err(self.down_error(shard))
-                } else if self.sups[shard].epoch != epoch {
-                    Ok(()) // the drain already restarted the shard
-                } else {
-                    self.recover(
-                        shard,
-                        Retiring::Exiting,
-                        "worker terminated without a failure report".into(),
-                    )
-                }
-            }
+                Retiring::Exiting,
+                "worker terminated without a failure report".into(),
+            )
         }
     }
 
@@ -1318,9 +1417,9 @@ impl ControlPlane {
 
     /// Captures `key`'s checkpoint from its shard. Read-only (like the
     /// snapshot path): not journaled, and the reply synchronizes the
-    /// shard. A shard that stalls is restarted and retried once, exactly
-    /// like [`ControlPlane::collect_sessions`]; a second miss marks it
-    /// permanently down.
+    /// shard. A shard that goes silent is restarted and retried once,
+    /// exactly like [`ControlPlane::collect_sessions`]; a second miss marks
+    /// it permanently down.
     fn capture_session(
         &mut self,
         shard: usize,
@@ -1329,9 +1428,8 @@ impl ControlPlane {
         if let Backend::Inline(states) = &mut self.backend {
             return Ok(states[shard].checkpoint_session(key));
         }
-        let timeout = Duration::from_millis(self.cfg.shard_timeout_ms);
         for round in 0..2u32 {
-            self.flush(shard)?;
+            self.flush(shard, true)?;
             let epoch = self.sups[shard].epoch;
             let (reply, rx) = bounded(1);
             let sent = {
@@ -1339,28 +1437,30 @@ impl ControlPlane {
                     unreachable!("inline handled above")
                 };
                 let worker = workers[shard].as_ref().expect("healthy shard has a worker");
-                worker
-                    .tx
-                    .send_timeout(Event::ExportSession { key, reply }, timeout)
+                worker.tx.send(Event::ExportSession { key, reply })
             };
             let (how, failure) = match sent {
-                Ok(()) => match rx.recv_timeout(timeout) {
-                    Ok(cp) => {
-                        // The reply proves every previously dispatched
-                        // event was applied (the queue is FIFO).
-                        self.sups[shard].inflight = 0;
-                        return Ok(cp);
+                Ok(()) => loop {
+                    let remaining = self.patience(shard, Instant::now());
+                    match rx.recv_timeout(remaining) {
+                        Ok(cp) => {
+                            // The reply proves every previously dispatched
+                            // event was applied (the queue is FIFO).
+                            self.sups[shard].inflight = 0;
+                            return Ok(cp);
+                        }
+                        // Look again: a backlog ahead of the request may
+                        // be shrinking.
+                        Err(RecvTimeoutError::Timeout) if !remaining.is_zero() => {}
+                        Err(_) => {
+                            break (
+                                Retiring::Silent,
+                                "session export stalled past the shard timeout",
+                            )
+                        }
                     }
-                    Err(_) => (
-                        Retiring::Silent,
-                        "session export stalled past the shard timeout",
-                    ),
                 },
-                Err(SendTimeoutError::Timeout(_)) => (
-                    Retiring::Silent,
-                    "event queue stalled past the shard timeout",
-                ),
-                Err(SendTimeoutError::Disconnected(_)) => (
+                Err(_) => (
                     Retiring::Exiting,
                     "worker terminated without a failure report",
                 ),
@@ -1549,11 +1649,11 @@ impl ControlPlane {
             }
             return Ok(());
         }
-        // Threaded: fan the batches out to every healthy shard. Sends are
-        // non-blocking in the steady state — the pipeline-depth gate in
-        // `dispatch_tick` keeps each worker queue far below its capacity —
-        // so tick N+1's dispatch overlaps tick N's execution on every
-        // shard at once, up to the configured depth.
+        // Threaded: fan the batches out to every healthy shard. Sends never
+        // block — the pipeline-depth gate in `dispatch_tick` is what keeps
+        // the driver from running ahead — so tick N+1's dispatch overlaps
+        // tick N's execution on every shard at once, up to the configured
+        // depth.
         let mut first_err = None;
         for shard in 0..self.cfg.shards {
             if !self.sups[shard].healthy {
@@ -1601,14 +1701,64 @@ impl ControlPlane {
         delivered
     }
 
+    /// The fan-in of [`ControlPlane::collect_sessions`]: hands `take` the
+    /// reports of the `pending` `(shard, epoch)` requests as they land,
+    /// until every awaited shard reported or every one still awaited has
+    /// gone silent ([`ControlPlane::patience`]); those are what is left in
+    /// `pending`. A shard that a later shard's flush found failed (its
+    /// drain takes in any shard's failure report) is no longer awaited: it
+    /// has a new worker, or none, and the old one's reply will not come.
+    fn await_reports(
+        &mut self,
+        rx: &Receiver<ShardReport>,
+        pending: &mut Vec<(usize, u64)>,
+        mut take: impl FnMut(usize, ShardReport),
+    ) {
+        loop {
+            pending.retain(|&(shard, epoch)| {
+                let sup = &self.sups[shard];
+                sup.healthy && sup.epoch == epoch
+            });
+            let now = Instant::now();
+            let Some(remaining) = pending
+                .iter()
+                .map(|&(shard, _)| self.patience(shard, now))
+                .max()
+            else {
+                return;
+            };
+            if remaining.is_zero() {
+                return;
+            }
+            let report = match rx.recv_timeout(remaining) {
+                Ok(report) => report,
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => return, // every pending worker died
+            };
+            let Some(at) = pending
+                .iter()
+                .position(|&(shard, epoch)| shard as u64 == report.shard && epoch == report.epoch)
+            else {
+                continue; // a superseded worker's stale reply
+            };
+            let (shard, _) = pending.swap_remove(at);
+            // The reply proves every previously dispatched event was
+            // applied (the queue is FIFO).
+            self.sups[shard].inflight = 0;
+            take(shard, report);
+        }
+    }
+
     /// Collects every shard's session metrics. Inline shards report
     /// directly; threaded shards are collected fan-out/fan-in — one
     /// `Collect` is broadcast to every healthy shard, then replies are
-    /// gathered off a shared channel as they land, bounded by the shard
-    /// timeout. A shard that misses the deadline is restarted and retried
-    /// once; a second miss marks it permanently down. Collection therefore
-    /// never blocks past `2 × shard_timeout_ms` and never errors — lost
-    /// shards degrade to `health: down`, exactly like the tick path.
+    /// gathered off a shared channel as they land, for as long as some
+    /// awaited shard is not silent ([`ControlPlane::patience`]). A shard
+    /// silent for the shard timeout is restarted and retried once; a
+    /// second miss marks it permanently down. Collection therefore never
+    /// waits out more than `2 × shard_timeout_ms` of silence and never
+    /// errors — lost shards degrade to `health: down`, exactly like the
+    /// tick path.
     ///
     /// Returns the metrics and the shards' summed certified-stage count.
     fn collect_sessions(&mut self) -> (Vec<SessionMetrics>, u64) {
@@ -1632,7 +1782,6 @@ impl ControlPlane {
             }
             return gathered;
         }
-        let timeout = Duration::from_millis(self.cfg.shard_timeout_ms);
         let mut collected = vec![false; self.cfg.shards];
         for round in 0..2 {
             // Fan-out: broadcast Collect to every healthy uncollected
@@ -1641,7 +1790,7 @@ impl ControlPlane {
             let mut pending: Vec<(usize, u64)> = Vec::new();
             for shard in 0..self.cfg.shards {
                 // The flush fails exactly when the shard is (now) down.
-                if collected[shard] || self.flush(shard).is_err() {
+                if collected[shard] || self.flush(shard, true).is_err() {
                     continue;
                 }
                 let epoch = self.sups[shard].epoch;
@@ -1650,70 +1799,37 @@ impl ControlPlane {
                         unreachable!("inline handled above")
                     };
                     let worker = workers[shard].as_ref().expect("healthy shard has a worker");
-                    worker.tx.send_timeout(
-                        Event::Collect {
-                            reply: reply.clone(),
-                        },
-                        timeout,
-                    )
+                    worker.tx.send(Event::Collect {
+                        reply: reply.clone(),
+                    })
                 };
-                match sent {
-                    Ok(()) => pending.push((shard, epoch)),
-                    Err(SendTimeoutError::Timeout(_)) => {
-                        let _ = self.recover(
-                            shard,
-                            Retiring::Silent,
-                            "event queue stalled past the shard timeout".into(),
-                        );
-                    }
-                    Err(SendTimeoutError::Disconnected(_)) => {
-                        // The worker's failure report, if any, is already in
-                        // the message channel; draining recovers the shard
-                        // for the next round.
-                        self.drain_worker_msgs();
-                        if self.sups[shard].epoch == epoch {
-                            let _ = self.recover(
-                                shard,
-                                Retiring::Exiting,
-                                "worker terminated without a failure report".into(),
-                            );
-                        }
-                    }
+                if sent.is_ok() {
+                    pending.push((shard, epoch));
+                    continue;
+                }
+                // Disconnected. The worker's failure report, if any, is
+                // already in the message channel; draining recovers the
+                // shard for the next round.
+                self.drain_worker_msgs();
+                if self.sups[shard].epoch == epoch {
+                    let _ = self.recover(
+                        shard,
+                        Retiring::Exiting,
+                        "worker terminated without a failure report".into(),
+                    );
                 }
             }
             drop(reply);
-            // Fan-in: take replies as they land until every pending shard
-            // reported or the deadline passes.
-            let deadline = std::time::Instant::now() + timeout;
-            while !pending.is_empty() {
-                let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-                if remaining.is_zero() {
-                    break;
-                }
-                let Ok(report) = rx.recv_timeout(remaining) else {
-                    break; // timeout, or every pending worker died
-                };
-                let Some(at) = pending.iter().position(|&(shard, epoch)| {
-                    shard as u64 == report.shard && epoch == report.epoch
-                }) else {
-                    continue; // a superseded worker's stale reply
-                };
-                let (shard, _) = pending.swap_remove(at);
+            self.await_reports(&rx, &mut pending, |shard, report| {
                 collected[shard] = true;
-                // The reply proves every previously dispatched event was
-                // applied (the queue is FIFO).
-                self.sups[shard].inflight = 0;
                 absorb(&mut gathered, report);
-            }
-            if pending.is_empty() {
-                break;
-            }
+            });
             // Stragglers: restart and retry on the first round; give up on
             // the second — stop burning restarts on a shard that cannot
             // even report.
             for (shard, epoch) in pending {
                 self.drain_worker_msgs();
-                if self.sups[shard].epoch != epoch {
+                if !self.sups[shard].healthy || self.sups[shard].epoch != epoch {
                     continue; // the drain already handled a reported failure
                 }
                 if round == 0 {
@@ -1730,6 +1846,10 @@ impl ControlPlane {
                     sup.inflight = 0;
                     sup.last_failure = Some("snapshot failed twice despite recovery".into());
                 }
+            }
+            // A shard restarted during this round has not reported yet.
+            if (0..self.cfg.shards).all(|s| collected[s] || !self.sups[s].healthy) {
+                break;
             }
         }
         gathered
@@ -1825,12 +1945,10 @@ impl ControlPlane {
         if let Backend::Threaded { workers } = &mut self.backend {
             for slot in workers.iter_mut() {
                 if let Some(worker) = slot.take() {
-                    // The cancel flag covers a worker whose queue is too
-                    // full to take the shutdown event.
+                    // The cancel flag stops a worker with a backlog ahead
+                    // of the shutdown event.
                     worker.cancel.store(true, Ordering::Release);
-                    let _ = worker
-                        .tx
-                        .send_timeout(Event::Shutdown, Duration::from_millis(10));
+                    let _ = worker.tx.send(Event::Shutdown);
                     drop(worker.tx);
                     self.graveyard.push(worker.handle);
                 }
@@ -2297,8 +2415,10 @@ mod tests {
     }
 
     /// An admission burst does not set the journal's footprint for life:
-    /// the first trim that finds the capacity far above what the journal
-    /// held gives it back, and the smaller journal still replays bitwise.
+    /// a trim drops whole segments, each its own allocation, so what the
+    /// burst leaves behind is the deque's ring of pointers — no capacity
+    /// to give back, hence no shrink step — and the trimmed journal still
+    /// replays bitwise.
     #[test]
     fn journal_capacity_follows_the_checkpoint_interval() {
         const EVERY: u64 = 16;
@@ -2327,9 +2447,13 @@ mod tests {
             plane.drain_worker_msgs();
             let sup = &plane.sups[0];
             assert_eq!(sup.frames_seq, 2, "two checkpoints accepted");
+            let held: usize = sup.journal.iter().map(|segment| segment.len()).sum();
+            let footprint = held * std::mem::size_of::<ReplayEvent>()
+                + sup.journal.capacity() * std::mem::size_of::<Segment>();
             assert!(
-                sup.journal.capacity() <= 4 * EVERY as usize,
-                "journal capacity {} after a 4,096-join burst and two trims",
+                footprint <= 4 * EVERY as usize * std::mem::size_of::<ReplayEvent>(),
+                "{held} events in a ring of {} segments ({footprint} bytes) after a \
+                 4,096-join burst and two trims",
                 sup.journal.capacity()
             );
             for t in 2 * EVERY..3 * EVERY {
@@ -2342,7 +2466,112 @@ mod tests {
             plane.shutdown();
             view
         };
-        assert_eq!(run(false), run(true), "replay from the shrunk journal");
+        assert_eq!(run(false), run(true), "replay from the trimmed journal");
+    }
+
+    /// A checkpoint's `events_applied` is always a segment edge: a tick
+    /// seals its segment, and a recovery seals the tail it replayed
+    /// without sending it, so the worker that follows counts from an edge
+    /// too. The trim's `debug_assert` is live in this build; the equalities
+    /// below say the same where it is not.
+    #[test]
+    fn checkpoints_land_on_segment_edges() {
+        const EVERY: u64 = 4;
+        let cfg = ServiceConfig::builder(4096.0 * 16.0)
+            .session_b_max(16.0)
+            .offline_delay(4)
+            .window(4)
+            .exec(ExecMode::Threaded)
+            .checkpoint_every(EVERY)
+            .build()
+            .unwrap();
+        let mut plane = ControlPlane::new(cfg);
+        for t in 0..6 * EVERY {
+            if t % 3 == 0 {
+                // More than one look at the worker's worth: one segment or
+                // two ahead of the tick, as the worker keeps up, and the
+                // tick seals whatever is open.
+                for _ in 0..CONTROL_BATCH + 6 {
+                    plane.admit("acme").unwrap();
+                }
+            }
+            if t == 2 * EVERY + 1 {
+                plane.admit("globex").unwrap();
+                assert!(!plane.sups[0].tail.is_empty(), "an open tail");
+                plane.restart_shard(0).unwrap();
+                let sup = &plane.sups[0];
+                assert!(sup.tail.is_empty(), "sealed by the recovery");
+                assert_eq!(sup.seen_applied, sup.sealed, "replayed, not sent");
+            }
+            plane.tick(&[]).unwrap();
+            // The reply is behind every checkpoint so far in the worker's
+            // queue; the drain after it takes them in.
+            drop(plane.snapshot().unwrap());
+            plane.drain_worker_msgs();
+            let sup = &plane.sups[0];
+            let held: u64 = sup.journal.iter().map(|s| s.len() as u64).sum();
+            assert_eq!(sup.journal_base + held, sup.sealed, "tick {t}");
+            if let Some(cp) = &sup.frame {
+                assert_eq!(cp.events_applied, sup.journal_base, "tick {t}");
+            }
+        }
+        assert_eq!(plane.sups[0].frames_seq, 6, "one checkpoint per interval");
+        assert_eq!(plane.restarts(), 1);
+        plane.shutdown();
+    }
+
+    /// A snapshot's fan-out flushes shard after shard, and every flush
+    /// first takes in whatever any worker has reported — so a shard already
+    /// asked for its report can be found dead, and with no restart budget
+    /// go down, before the fan-in starts. The fan-in stops awaiting it: it
+    /// neither looks for the worker the shard no longer has nor waits out
+    /// the timeout for a reply that cannot come. Both ways to lose the
+    /// worker — no budget, recovery disabled — and the restart that
+    /// replaces it.
+    #[test]
+    fn fan_in_stops_awaiting_a_shard_lost_during_the_fan_out() {
+        let cfg = |every: u64, restarts: u32| {
+            ServiceConfig::builder(1024.0)
+                .session_b_max(16.0)
+                .offline_delay(4)
+                .window(4)
+                .shards(2)
+                .exec(ExecMode::Threaded)
+                .checkpoint_every(every)
+                .max_restarts(restarts)
+                .build()
+                .unwrap()
+        };
+        for (every, restarts, survives) in [(8, 0, false), (0, 3, false), (8, 3, true)] {
+            let mut plane = ControlPlane::new(cfg(every, restarts));
+            let keys: Vec<u64> = (0..4).map(|_| plane.admit("acme").unwrap()).collect();
+            let arrivals: Vec<(u64, f64)> = keys.iter().map(|&k| (k, 1.0)).collect();
+            plane.tick(&arrivals).unwrap();
+            // Shard 0's share of a fan-out …
+            plane.flush(0, true).unwrap();
+            let (reply, rx) = unbounded();
+            let mut pending = vec![(0, plane.sups[0].epoch)];
+            // … and what shard 1's flush then finds in the message channel.
+            plane.apply_worker_msg(WorkerMsg::Failure(crate::shard::ShardFailure {
+                shard: 0,
+                epoch: plane.sups[0].epoch,
+                reason: "injected".into(),
+            }));
+            assert_eq!(plane.sups[0].healthy, survives);
+            let started = Instant::now();
+            plane.await_reports(&rx, &mut pending, |shard, _| {
+                panic!("shard {shard} was asked nothing")
+            });
+            assert!(pending.is_empty(), "shard 0 is not a straggler");
+            assert!(started.elapsed() < Duration::from_millis(plane.cfg.shard_timeout_ms));
+            drop(reply);
+            // The snapshot degrades, or sees the restarted shard, in full.
+            let snapshot = plane.snapshot().expect("never an error");
+            assert_eq!(snapshot.health[0].healthy, survives);
+            assert!(snapshot.health[1].healthy);
+            assert_eq!(snapshot.sessions.len(), if survives { 4 } else { 2 });
+            plane.shutdown();
+        }
     }
 
     /// A single shard gains nothing from a worker thread, so adaptive mode

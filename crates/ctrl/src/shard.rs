@@ -51,7 +51,7 @@ use cdba_traffic::EPS;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One message on a threaded shard's queue. Within a shard, messages —
@@ -59,10 +59,10 @@ use std::sync::Arc;
 /// FIFO), which is all the ordering the executor needs.
 #[derive(Debug)]
 pub(crate) enum Event {
-    /// Replayable events, in dispatch order: whatever the driver's outbox
-    /// held at its flush (at most [`CONTROL_BATCH`]). A lone event is a
-    /// batch of one; there is no other way in for a [`ReplayEvent`].
-    Batch(Vec<ReplayEvent>),
+    /// Replayable events, in dispatch order: one sealed segment of the
+    /// driver's journal, shared with it rather than copied. A lone event
+    /// is a batch of one; there is no other way in for a [`ReplayEvent`].
+    Batch(Segment),
     /// Report all metrics (live and retired sessions) back.
     Collect {
         /// Where to send the report.
@@ -81,10 +81,24 @@ pub(crate) enum Event {
     Shutdown,
 }
 
-/// Replayable events the driver holds back per shard before it sends them
-/// as one [`Event::Batch`]; a sync point (a tick, a collect, an export)
-/// flushes earlier. One worker wake-up then serves up to this many events.
+/// A sealed run of the driver's journal: the buffer the events were
+/// dispatched into, moved behind an `Arc` — sealing copies nothing, and the
+/// journal and the worker's queue hold the one allocation.
+pub(crate) type Segment = Arc<Vec<ReplayEvent>>;
+
+/// Replayable events the driver's journal collects per shard before it
+/// looks at the worker: one that has applied everything sent is sent these
+/// at once, as one [`Event::Batch`] and one wake-up; a sync point (a tick,
+/// a collect, an export) seals earlier.
 pub(crate) const CONTROL_BATCH: usize = 64;
+
+/// Replayable events an open segment grows to while the worker is still
+/// busy with earlier ones — there is no hurry to send it more. An admission
+/// burst is then journaled in blocks of 192 KiB rather than 3 KiB crumbs:
+/// past the allocator's mapping threshold, so the checkpoint that trims
+/// them returns them to the OS instead of leaving holes under whatever was
+/// allocated since.
+pub(crate) const JOURNAL_BLOCK: usize = 4096;
 
 /// One shard's answer to [`Event::Collect`].
 ///
@@ -109,12 +123,13 @@ pub(crate) struct ShardReport {
 
 /// A control event that mutates shard state — everything but the
 /// read-only `Collect`/`ExportSession`. The driver journals each one and
-/// delivers it in an [`Event::Batch`]; the inline backend and the recovery
-/// replay apply it directly ([`ShardState::apply`]).
+/// delivers the journal segment it lands in as an [`Event::Batch`]; the
+/// inline backend and the recovery replay apply it directly
+/// ([`ShardState::apply`]).
 ///
-/// Payloads are `Arc`-shared between the journal entry and the delivered
-/// copy: journaling costs a refcount bump, not a deep clone of tenants,
-/// member lists, or arrival batches.
+/// An event is stored once, in the journal, and applied by reference:
+/// the shard takes what it keeps (a tenant name) with a refcount bump, not
+/// a deep clone of tenants, member lists, or arrival batches.
 #[derive(Debug, Clone)]
 pub(crate) enum ReplayEvent {
     /// Place a dedicated session running the single-session algorithm.
@@ -1844,14 +1859,18 @@ impl ShardState {
     ///
     /// On a frame that does not parse or apply, and on a poison event —
     /// the supervisor runs this under `catch_unwind`.
-    pub(crate) fn rebuild(mut self, frame: Option<&[u8]>, journal: &[ReplayEvent]) -> Self {
+    pub(crate) fn rebuild<'a>(
+        mut self,
+        frame: Option<&[u8]>,
+        journal: impl IntoIterator<Item = &'a ReplayEvent>,
+    ) -> Self {
         if let Some(bytes) = frame {
             let frame = columnar::parse(bytes).expect("retained checkpoint frame must parse");
             self.apply_frame(&frame, &mut ApplyScratch::default())
                 .expect("retained checkpoint frame must apply");
         }
         for ev in journal {
-            self.apply(ev.clone());
+            self.apply(ev);
         }
         self
     }
@@ -2414,18 +2433,18 @@ impl ShardState {
     /// Applies one replayable event — the single entry point every
     /// execution path (worker batch, inline dispatch, recovery replay)
     /// goes through.
-    pub(crate) fn apply(&mut self, event: ReplayEvent) {
+    pub(crate) fn apply(&mut self, event: &ReplayEvent) {
         match event {
-            ReplayEvent::JoinDedicated { key, tenant } => self.join_dedicated(key, tenant),
+            ReplayEvent::JoinDedicated { key, tenant } => self.join_dedicated(*key, tenant.clone()),
             ReplayEvent::JoinGroup {
                 group,
                 tenant,
                 members,
-            } => self.join_group(group, tenant, &members),
-            ReplayEvent::Leave { key } => self.leave(key),
-            ReplayEvent::Tick { arrivals } => self.tick(&arrivals),
-            ReplayEvent::Forget { key } => self.forget(key),
-            ReplayEvent::Import { cp } => self.import(&cp),
+            } => self.join_group(*group, tenant.clone(), members),
+            ReplayEvent::Leave { key } => self.leave(*key),
+            ReplayEvent::Tick { arrivals } => self.tick(arrivals),
+            ReplayEvent::Forget { key } => self.forget(*key),
+            ReplayEvent::Import { cp } => self.import(cp),
         }
     }
 
@@ -2916,6 +2935,12 @@ pub(crate) struct WorkerCtx {
     /// Replayable events already applied to the state at spawn (the
     /// journal replay baseline).
     pub events_base: u64,
+    /// The watermark: `events_base` plus the events this worker has
+    /// applied, stored after each one. The supervisor reads it to tell a
+    /// slow worker (it moves) from a hung one (it does not) and to report
+    /// the shard's lag. It publishes no other data — everything else
+    /// reaches the driver over a channel — so `Relaxed` on both sides.
+    pub applied: Arc<AtomicU64>,
     /// Armed fault, if this worker is the sabotage target. Only initial
     /// (epoch-0) workers ever get one, so a fault fires at most once.
     pub fault: Option<FaultPlan>,
@@ -3011,7 +3036,7 @@ impl WorkerLoop {
             }
             Event::Shutdown => return false,
         };
-        for event in batch {
+        for event in batch.iter() {
             // A retired worker stops at the event it is applying, not at
             // the end of the batch it found it in.
             if self.cancelled() {
@@ -3036,6 +3061,9 @@ impl WorkerLoop {
             }
             self.state.apply(event);
             self.events_applied += 1;
+            self.ctx
+                .applied
+                .store(self.events_applied, Ordering::Relaxed);
             if !is_tick {
                 continue;
             }
@@ -3585,20 +3613,20 @@ mod tests {
     #[test]
     fn dedicated_lifecycle_joins_ticks_retires() {
         let mut s = shard();
-        s.apply(ReplayEvent::JoinDedicated {
+        s.apply(&ReplayEvent::JoinDedicated {
             key: 7,
             tenant: "acme".into(),
         });
         for _ in 0..8 {
-            s.apply(ReplayEvent::Tick {
+            s.apply(&ReplayEvent::Tick {
                 arrivals: vec![(7, 2.0)].into(),
             });
         }
         assert_eq!(s.live(), 1);
-        s.apply(ReplayEvent::Leave { key: 7 });
+        s.apply(&ReplayEvent::Leave { key: 7 });
         // Zero-arrival ticks drain the shadow queue, then the slot retires.
         for _ in 0..32 {
-            s.apply(ReplayEvent::Tick {
+            s.apply(&ReplayEvent::Tick {
                 arrivals: vec![].into(),
             });
         }
@@ -3616,13 +3644,13 @@ mod tests {
     #[test]
     fn group_members_share_one_pool() {
         let mut s = shard();
-        s.apply(ReplayEvent::JoinGroup {
+        s.apply(&ReplayEvent::JoinGroup {
             group: 1,
             tenant: "acme".into(),
             members: vec![10, 11].into(),
         });
         for _ in 0..12 {
-            s.apply(ReplayEvent::Tick {
+            s.apply(&ReplayEvent::Tick {
                 arrivals: vec![(10, 1.0), (11, 1.0)].into(),
             });
         }
@@ -3633,17 +3661,17 @@ mod tests {
             assert!(m.total_allocated > 0.0, "pool served {m:?}");
         }
         // One member leaves; the pool drains it and the shard retires it.
-        s.apply(ReplayEvent::Leave { key: 10 });
+        s.apply(&ReplayEvent::Leave { key: 10 });
         for _ in 0..32 {
-            s.apply(ReplayEvent::Tick {
+            s.apply(&ReplayEvent::Tick {
                 arrivals: vec![(11, 1.0)].into(),
             });
         }
         assert_eq!(s.live(), 1);
         assert_eq!(s.groups.len(), 1);
-        s.apply(ReplayEvent::Leave { key: 11 });
+        s.apply(&ReplayEvent::Leave { key: 11 });
         for _ in 0..32 {
-            s.apply(ReplayEvent::Tick {
+            s.apply(&ReplayEvent::Tick {
                 arrivals: vec![].into(),
             });
         }
@@ -3654,23 +3682,23 @@ mod tests {
     #[test]
     fn unknown_keys_are_ignored() {
         let mut s = shard();
-        s.apply(ReplayEvent::Tick {
+        s.apply(&ReplayEvent::Tick {
             arrivals: vec![(99, 5.0)].into(),
         });
-        s.apply(ReplayEvent::Leave { key: 99 });
+        s.apply(&ReplayEvent::Leave { key: 99 });
         assert_eq!(s.live(), 0);
     }
 
     #[test]
     fn retired_slots_are_reused_and_reports_share_the_retired_list() {
         let mut s = shard();
-        s.apply(ReplayEvent::JoinDedicated {
+        s.apply(&ReplayEvent::JoinDedicated {
             key: 0,
             tenant: "acme".into(),
         });
-        s.apply(ReplayEvent::Leave { key: 0 }); // never ticked: drained, retires at once
+        s.apply(&ReplayEvent::Leave { key: 0 }); // never ticked: drained, retires at once
         assert_eq!(s.live(), 0);
-        s.apply(ReplayEvent::JoinDedicated {
+        s.apply(&ReplayEvent::JoinDedicated {
             key: 1,
             tenant: "acme".into(),
         });
@@ -3689,7 +3717,7 @@ mod tests {
         assert_eq!(r1.live.len(), 1);
         // A retirement after a report was taken must not mutate the shared
         // list the earlier report still holds (copy-on-retire).
-        s.apply(ReplayEvent::Leave { key: 1 });
+        s.apply(&ReplayEvent::Leave { key: 1 });
         assert_eq!(r1.retired.len(), 1, "earlier report is unaffected");
         assert_eq!(s.report().retired.len(), 2);
     }
@@ -3698,17 +3726,17 @@ mod tests {
     fn export_forget_import_moves_a_session_bitwise() {
         let mut src = shard();
         let mut dst = shard();
-        src.apply(ReplayEvent::JoinDedicated {
+        src.apply(&ReplayEvent::JoinDedicated {
             key: 3,
             tenant: "acme".into(),
         });
-        src.apply(ReplayEvent::JoinGroup {
+        src.apply(&ReplayEvent::JoinGroup {
             group: 0,
             tenant: "globex".into(),
             members: vec![4, 5].into(),
         });
         for t in 0..24u64 {
-            src.apply(ReplayEvent::Tick {
+            src.apply(&ReplayEvent::Tick {
                 arrivals: vec![(3, (t % 3) as f64), (4, 1.0), (5, 2.0)].into(),
             });
         }
@@ -3718,34 +3746,34 @@ mod tests {
         let mut cp = src.checkpoint_session(3).expect("dedicated exports");
         // Move it: forget at the source (no retired metrics left behind),
         // import at the destination under a fresh key.
-        src.apply(ReplayEvent::Forget { key: 3 });
+        src.apply(&ReplayEvent::Forget { key: 3 });
         assert_eq!(src.live(), 2);
         assert_eq!(src.report().retired.len(), 0, "forget must not retire");
         cp.key = 7;
-        src.apply(ReplayEvent::Tick {
+        src.apply(&ReplayEvent::Tick {
             arrivals: vec![(4, 1.0), (5, 1.0)].into(),
         });
-        dst.apply(ReplayEvent::Import { cp: Arc::new(cp) });
+        dst.apply(&ReplayEvent::Import { cp: Arc::new(cp) });
         assert_eq!(dst.live(), 1);
         // A twin that never migrated, driven through the same arrival
         // history under key 7, stays bitwise identical to the migrated
         // session.
         let mut twin_ref = shard();
-        twin_ref.apply(ReplayEvent::JoinDedicated {
+        twin_ref.apply(&ReplayEvent::JoinDedicated {
             key: 7,
             tenant: "acme".into(),
         });
         for t in 0..24u64 {
-            twin_ref.apply(ReplayEvent::Tick {
+            twin_ref.apply(&ReplayEvent::Tick {
                 arrivals: vec![(7, (t % 3) as f64)].into(),
             });
         }
         for t in 0..16u64 {
             let bits = ((t + 1) % 4) as f64;
-            dst.apply(ReplayEvent::Tick {
+            dst.apply(&ReplayEvent::Tick {
                 arrivals: vec![(7, bits)].into(),
             });
-            twin_ref.apply(ReplayEvent::Tick {
+            twin_ref.apply(&ReplayEvent::Tick {
                 arrivals: vec![(7, bits)].into(),
             });
         }
@@ -3784,8 +3812,8 @@ mod tests {
             tenant: "globex".into(),
         };
         for ev in [ReplayEvent::Leave { key: 1 }, join] {
-            live.apply(ev.clone());
-            rebuilt.apply(ev.clone());
+            live.apply(&ev);
+            rebuilt.apply(&ev);
         }
         let rows = rebuilt.encode_columnar(columnar::KIND_INCREMENTAL, &mut sink, &mut buf);
         assert_eq!(rows, 2, "exactly the replayed mutations' rows travel");
@@ -3797,23 +3825,23 @@ mod tests {
     #[test]
     fn checkpoint_binary_roundtrip_restores_bitwise() {
         let mut s = shard();
-        s.apply(ReplayEvent::JoinDedicated {
+        s.apply(&ReplayEvent::JoinDedicated {
             key: 0,
             tenant: "acme".into(),
         });
-        s.apply(ReplayEvent::JoinGroup {
+        s.apply(&ReplayEvent::JoinGroup {
             group: 0,
             tenant: "globex".into(),
             members: vec![1, 2].into(),
         });
         for t in 0..20u64 {
-            s.apply(ReplayEvent::Tick {
+            s.apply(&ReplayEvent::Tick {
                 arrivals: vec![(0, (t % 3) as f64), (1, 1.0), (2, 2.0)].into(),
             });
         }
-        s.apply(ReplayEvent::Leave { key: 1 });
+        s.apply(&ReplayEvent::Leave { key: 1 });
         for _ in 0..8 {
-            s.apply(ReplayEvent::Tick {
+            s.apply(&ReplayEvent::Tick {
                 arrivals: vec![(0, 1.0), (2, 2.0)].into(),
             });
         }
@@ -3829,10 +3857,10 @@ mod tests {
         // identical to the original under further events.
         for _ in 0..16 {
             let arrivals: Arc<[(u64, f64)]> = vec![(0, 2.0), (2, 1.0)].into();
-            s.apply(ReplayEvent::Tick {
+            s.apply(&ReplayEvent::Tick {
                 arrivals: arrivals.clone(),
             });
-            twin.apply(ReplayEvent::Tick { arrivals });
+            twin.apply(&ReplayEvent::Tick { arrivals });
         }
         assert_eq!(twin.checkpoint(), s.checkpoint());
     }
@@ -3840,12 +3868,12 @@ mod tests {
     #[test]
     fn checkpoint_validation_rejects_out_of_domain_floats() {
         let mut s = shard();
-        s.apply(ReplayEvent::JoinDedicated {
+        s.apply(&ReplayEvent::JoinDedicated {
             key: 0,
             tenant: "acme".into(),
         });
         for t in 0..12u64 {
-            s.apply(ReplayEvent::Tick {
+            s.apply(&ReplayEvent::Tick {
                 arrivals: vec![(0, (t % 4) as f64)].into(),
             });
         }
@@ -4110,7 +4138,7 @@ mod tests {
             for (i, op) in ops.iter().enumerate() {
                 for ev in script.events(op) {
                     for s in &mut shards {
-                        s.apply(ev.clone());
+                        s.apply(&ev);
                     }
                     if matches!(ev, ReplayEvent::Tick { .. }) {
                         let base = v1_bytes(&shards[0]);
@@ -4170,7 +4198,7 @@ mod tests {
             let mut recoveries = 0usize;
             let mut script = Script::default();
             let apply = |soa: &mut ShardState, journal: &mut Vec<ReplayEvent>, ev: ReplayEvent| {
-                soa.apply(ev.clone());
+                soa.apply(&ev);
                 journal.push(ev);
             };
             for op in &ops {
@@ -4262,7 +4290,7 @@ mod tests {
             let mut script = Script::default();
             for (frame_no, op) in ops.iter().enumerate() {
                 for ev in script.events(op) {
-                    live.apply(ev.clone());
+                    live.apply(&ev);
                 }
                 let kind = if (frame_no as u64).is_multiple_of(genesis_every) {
                     columnar::KIND_GENESIS
@@ -4351,7 +4379,7 @@ mod tests {
                 for ev in script.events(&op) {
                     oracle.handle(&ev);
                     for s in &mut shards {
-                        s.apply(ev.clone());
+                        s.apply(&ev);
                     }
                     if matches!(ev, ReplayEvent::Tick { .. }) {
                         let base = v1_bytes(&shards[0]);
@@ -4384,7 +4412,7 @@ mod tests {
             let mut script = Script::default();
             let mut run = |state: &mut ShardState, ops: &[Op]| {
                 let evs: Vec<ReplayEvent> = ops.iter().flat_map(|op| script.events(op)).collect();
-                evs.iter().for_each(|ev| state.apply(ev.clone()));
+                evs.iter().for_each(|ev| state.apply(ev));
                 evs
             };
             let joins = vec![Op::JoinDedicated; n];
@@ -4422,8 +4450,8 @@ mod tests {
                 assert_eq!(&high[..held_high.len()], held_high);
                 assert_eq!(&recent[..held_recent.len()], held_recent);
                 for ev in after {
-                    restored.apply(ev.clone());
-                    fresh.apply(ev);
+                    restored.apply(&ev);
+                    fresh.apply(&ev);
                     assert_eq!(v1_bytes(&restored), v1_bytes(&fresh));
                 }
             }
@@ -4439,7 +4467,7 @@ mod tests {
         let mut script = Script::default();
         let mut run = |s: &mut ShardState, op: Op| {
             for ev in script.events(&op) {
-                s.apply(ev);
+                s.apply(&ev);
             }
         };
         for _ in 0..=RING_BLOCK {

@@ -241,9 +241,10 @@ fn heap_and_retained_frame_are_flat_in_uptime() {
         }
     }
     // Growth appends a ring block and moves nothing, so no second copy of
-    // any ring is ever alive. What is left is the export's reply and, on
-    // the threaded executor, the event batches in flight (320 events of
-    // under 64 bytes at most): 1.7 KB measured, bounded here at 64 KiB — a
+    // any ring is ever alive. What is left is the export's reply — and on
+    // the threaded executor nothing more: a sealed journal segment is the
+    // buffer its events were dispatched into, moved, never copied, and it
+    // is kept: 1.7 KB measured on both, bounded here at 64 KiB — a
     // twelfth of the 768 KiB (4,096 slots x 8 ticks x 24 B) that a ring
     // re-laid out on growth retires at the 4,097th join, which is what
     // this read (475 KB inline, 656 KB threaded) before rings were blocks.

@@ -6,6 +6,7 @@
 //! HTTP end to end.
 
 use cdba_bench::replay::{run_replay, ReplaySpec};
+use cdba_ctrl::{ControlPlane, ExecMode, FaultPlan, ServiceConfig};
 use cdba_gateway::client::Client;
 use cdba_gateway::{GatewayConfig, GatewayServer};
 use cdba_obs::Registry;
@@ -355,6 +356,51 @@ fn gateway_metrics_endpoint_serves_ctrl_and_gateway_series() {
 
     client.goodbye().expect("clean goodbye");
     server.shutdown().expect("graceful shutdown");
+}
+
+/// `cdba_ctrl_shard_lag_events` is read at scrape, from the worker's own
+/// watermark: while a worker sits in a tolerated delay (half a second, so
+/// that a busy host still scrapes inside it) the joins behind it neither
+/// block nor go unnoticed, and any sync point brings the gauge back to 0.
+#[test]
+fn shard_lag_shows_a_burst_behind_a_slow_worker_and_clears_at_a_sync_point() {
+    let registry = Registry::new();
+    let lag = || -> f64 {
+        let text = registry.render();
+        check_exposition(&text);
+        let line = text
+            .lines()
+            .find(|l| l.starts_with("cdba_ctrl_shard_lag_events{shard=\"0\"} "))
+            .expect("the lag gauge is exported");
+        line.rsplit(' ').next().unwrap().parse().unwrap()
+    };
+    let cfg = ServiceConfig::builder(4096.0)
+        .session_b_max(16.0)
+        .offline_delay(4)
+        .window(8)
+        .exec(ExecMode::Threaded)
+        .checkpoint_every(8)
+        .fault(FaultPlan::delay(0, 0, 500))
+        .build()
+        .expect("valid config");
+    let mut plane = ControlPlane::new(cfg);
+    plane.attach_metrics(&registry);
+    assert_eq!(lag(), 0.0, "nothing dispatched yet");
+    let first = plane.admit("acme").expect("admit");
+    // The worker stalls in front of this tick, with 100 joins behind it in
+    // the open tail: a busy worker is sent nothing until a block gathers.
+    plane.tick(&[(first, 1.0)]).expect("tick");
+    for _ in 0..100 {
+        plane.admit("acme").expect("admit");
+    }
+    let behind = lag();
+    assert!(
+        (101.0..=102.0).contains(&behind),
+        "the tick and 100 joins are unapplied, read {behind}"
+    );
+    assert_eq!(plane.snapshot().expect("snapshot").sessions.len(), 101);
+    assert_eq!(lag(), 0.0, "a reply means everything before it is applied");
+    plane.shutdown();
 }
 
 /// One blocking HTTP/1.1 GET against the metrics listener; returns the
