@@ -35,24 +35,36 @@ pub fn is_feasible(trace: &Trace, bandwidth: f64, delay: usize) -> bool {
 ///
 /// # Errors
 ///
-/// Returns [`TraceError::InvalidParameter`] if `bandwidth` is not strictly
-/// positive or the trace carries no bits (nothing to scale against).
+/// Returns [`TraceError::InvalidParameter`] if `bandwidth` is not finite
+/// and strictly positive.
 pub fn scale_to_feasible(trace: &Trace, bandwidth: f64, delay: usize) -> Result<Trace, TraceError> {
+    trace.scale(feasible_factor(trace, bandwidth, delay)?)
+}
+
+/// The factor that makes `trace` `(bandwidth, delay)`-feasible: 1 if it
+/// already is, else just below `bandwidth / demand_bound(delay)`.
+///
+/// # Errors
+///
+/// Returns [`TraceError::InvalidParameter`] if `bandwidth` is not finite
+/// and strictly positive.
+pub(crate) fn feasible_factor(
+    trace: &Trace,
+    bandwidth: f64,
+    delay: usize,
+) -> Result<f64, TraceError> {
     if !bandwidth.is_finite() || bandwidth <= 0.0 {
         return Err(TraceError::InvalidParameter(format!(
             "bandwidth {bandwidth}"
         )));
     }
     let demand = trace.demand_bound(delay);
-    if demand <= 0.0 {
-        return Ok(trace.clone());
-    }
     if demand <= bandwidth {
-        return Ok(trace.clone());
+        return Ok(1.0);
     }
     // Shave slightly below the exact factor so the bisection error in
     // demand_bound cannot leave the result marginally infeasible.
-    trace.scale(bandwidth / demand * (1.0 - 1e-9))
+    Ok(bandwidth / demand * (1.0 - 1e-9))
 }
 
 /// How [`shape_to_feasible`] disposes of non-conformant bits.
@@ -123,6 +135,7 @@ pub fn shape_to_feasible(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MultiTrace;
 
     #[test]
     fn scale_makes_feasible_and_is_maximal() {
@@ -132,6 +145,28 @@ mod tests {
         // Maximality: scaling up by 2% breaks feasibility.
         let s2 = s.scale(1.02).unwrap();
         assert!(!is_feasible(&s2, 5.0, 3));
+    }
+
+    #[test]
+    fn both_scalers_reject_an_invalid_bandwidth() {
+        let t = Trace::new(vec![4.0, 0.0, 2.0]).unwrap();
+        let m = MultiTrace::new(vec![t.clone(), t.clone()]).unwrap();
+        for b in [f64::NAN, 0.0, -1.0, f64::INFINITY] {
+            assert!(
+                matches!(
+                    scale_to_feasible(&t, b, 2),
+                    Err(TraceError::InvalidParameter(_))
+                ),
+                "single, bandwidth {b}"
+            );
+            assert!(
+                matches!(
+                    m.scale_to_feasible(b, 2),
+                    Err(TraceError::InvalidParameter(_))
+                ),
+                "multi, bandwidth {b}"
+            );
+        }
     }
 
     #[test]

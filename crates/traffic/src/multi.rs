@@ -88,15 +88,10 @@ impl MultiTrace {
     ///
     /// # Errors
     ///
-    /// Propagates [`TraceError::InvalidParameter`] from the scaler.
+    /// Returns [`TraceError::InvalidParameter`] if `bandwidth` is not finite
+    /// and strictly positive.
     pub fn scale_to_feasible(&self, bandwidth: f64, delay: usize) -> Result<Self, TraceError> {
-        let agg = self.aggregate();
-        let demand = agg.demand_bound(delay);
-        let factor = if demand > bandwidth {
-            bandwidth / demand * (1.0 - 1e-9)
-        } else {
-            1.0
-        };
+        let factor = conditioner::feasible_factor(&self.aggregate(), bandwidth, delay)?;
         let sessions = self
             .sessions
             .iter()

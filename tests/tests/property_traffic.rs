@@ -2,9 +2,17 @@
 //! codec roundtrips, trace arithmetic, and the Claim 9 feasibility
 //! predicate.
 
+use cdba_bench::replay::{workload_kind, ReplaySpec};
 use cdba_traffic::conditioner::{self, ShapeMode};
 use cdba_traffic::{codec, MultiTrace, Trace};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// The traffic models a `ReplaySpec` can name.
+const MODELS: [&str; 7] = [
+    "cbr", "poisson", "onoff", "mmpp", "pareto", "video", "spike",
+];
 
 fn arb_trace() -> impl Strategy<Value = Trace> {
     proptest::collection::vec(0.0f64..500.0, 1..200)
@@ -15,8 +23,20 @@ fn arb_short_trace() -> impl Strategy<Value = Trace> {
     proptest::collection::vec(0.0f64..50.0, 1..40).prop_map(|v| Trace::new(v).unwrap())
 }
 
-/// `Trace::demand_bound` as it was before its bisection predicate learnt
-/// to stop at the first run past the limit: every probe scans the whole
+/// A model row and the fraction of its demand bound to condition it to.
+fn arb_model_row() -> impl Strategy<Value = (Trace, f64)> {
+    (0..MODELS.len(), 0..u64::MAX, 1usize..300, 0.05f64..0.95).prop_map(
+        |(model, seed, len, fraction)| {
+            let kind = workload_kind(MODELS[model]).unwrap();
+            let row = kind
+                .generate(&mut StdRng::seed_from_u64(seed), len)
+                .unwrap();
+            (row, fraction)
+        },
+    )
+}
+
+/// `Trace::demand_bound` as a plain bisection: every probe scans the whole
 /// trace with `excess_over`.
 fn demand_bound_full_scan(trace: &Trace, delay: usize) -> f64 {
     if trace.total() == 0.0 {
@@ -123,13 +143,23 @@ proptest! {
         }
     }
 
-    /// The early exit cannot change a probe's answer (the maximum run is
-    /// past the limit as soon as one run is), so the bisection walks the
-    /// same path to the same bits.
+    /// Neither the solved density nor the early exit changes a probe's
+    /// answer, so the bisection walks the same path to the same bits. The
+    /// third input is the harness's shape: a row conditioned to a bound
+    /// and doubled, whose probes land closest to the density.
     #[test]
-    fn demand_bound_matches_full_scan_oracle(long in arb_trace(), short in arb_short_trace()) {
-        for trace in [&long, &short] {
-            for d in [1usize, 4, 8, 64] {
+    fn demand_bound_matches_full_scan_oracle(
+        long in arb_trace(), short in arb_short_trace(), model_row in arb_model_row(),
+    ) {
+        let (row, fraction) = model_row;
+        for d in [1usize, 4, 8, 64, 1000] {
+            let mut traces = vec![long.clone(), short.clone()];
+            let bound = row.demand_bound(d);
+            if bound > 0.0 {
+                let scaled = conditioner::scale_to_feasible(&row, fraction * bound, d).unwrap();
+                traces.push(scaled.concat(&scaled));
+            }
+            for trace in &traces {
                 prop_assert_eq!(
                     trace.demand_bound(d).to_bits(),
                     demand_bound_full_scan(trace, d).to_bits()
@@ -144,6 +174,36 @@ proptest! {
         if bound > 0.0 {
             prop_assert!(conditioner::is_feasible(&trace, bound * 1.001, d));
             prop_assert!(!conditioner::is_feasible(&trace, bound * 0.98, d));
+        }
+    }
+}
+
+/// Every bank a `ReplaySpec` draws at stackbench's two periods, row by row
+/// and doubled as the harness doubles it. Seeds 0 and 9 hold rows whose
+/// probes land inside the band `demand_bound` scans.
+#[test]
+fn demand_bound_matches_full_scan_oracle_on_replay_banks() {
+    for model in MODELS {
+        for ticks in [32u64, 2048] {
+            for seed in [0, 9] {
+                let spec = ReplaySpec {
+                    sessions: 64,
+                    ticks,
+                    seed,
+                    model: model.into(),
+                    ..ReplaySpec::default()
+                };
+                for (r, row) in spec.bank().unwrap().sessions().iter().enumerate() {
+                    for trace in [row.clone(), row.concat(row)] {
+                        assert_eq!(
+                            trace.demand_bound(spec.d_o).to_bits(),
+                            demand_bound_full_scan(&trace, spec.d_o).to_bits(),
+                            "{model}, {ticks} ticks, seed {seed}, row {r}, {} ticks long",
+                            trace.len()
+                        );
+                    }
+                }
+            }
         }
     }
 }
