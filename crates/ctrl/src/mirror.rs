@@ -300,4 +300,139 @@ mod tests {
             .apply(&frame)
             .expect("the intact frame still applies after the failed one");
     }
+
+    /// `frame` with each `(column, cell, bits)` written over that 8-byte
+    /// cell.
+    fn poisoned(frame: &[u8], cells: &[(usize, usize, u64)]) -> Vec<u8> {
+        let parsed = columnar::parse(frame).unwrap();
+        let offsets: Vec<usize> = cells
+            .iter()
+            .map(|&(col, cell, _)| {
+                let body = parsed.col(col).unwrap().body;
+                body.as_ptr() as usize - frame.as_ptr() as usize + 8 * cell
+            })
+            .collect();
+        let mut evil = frame.to_vec();
+        for (&at, &(_, _, bits)) in offsets.iter().zip(cells) {
+            evil[at..at + 8].copy_from_slice(&bits.to_le_bytes());
+        }
+        evil
+    }
+
+    /// The kernel stores no high window, algorithm clock, delay clock or
+    /// stage start: it derives them from the meter's clock and ring. A
+    /// frame or lease blob whose copies disagree with that source is
+    /// refused with a typed field before anything is written — by a
+    /// mirror, by a recovering shard, and by a lease import.
+    #[test]
+    fn derived_columns_that_disagree_with_their_source_are_refused() {
+        use columnar::{C_HIGH, C_U64};
+        let cfg = cfg();
+        let mut live = ShardState::new(0, &cfg);
+        for key in 0..3 {
+            live.apply(&ReplayEvent::JoinDedicated {
+                key,
+                tenant: "acme".into(),
+            });
+        }
+        live.apply(&ReplayEvent::JoinGroup {
+            group: 0,
+            tenant: "acme".into(),
+            members: vec![3, 4].into(),
+        });
+        // Key 2's burst ends its stage with a backlog to drain: a RESET row.
+        for bits in [1.0, 1.0, 1.0, 1.0, 1.0, 100.0, 1.0] {
+            let arrivals: Vec<(u64, f64)> = (0..5)
+                .map(|k| (k, [1.0, bits][(k == 2) as usize]))
+                .collect();
+            live.apply(&ReplayEvent::Tick {
+                arrivals: arrivals.into(),
+            });
+        }
+        let mut frame = Vec::new();
+        live.encode_columnar(
+            columnar::KIND_GENESIS,
+            &mut columnar::ColumnSink::default(),
+            &mut frame,
+        );
+        let cell = |col: usize, row: usize| {
+            let parsed = columnar::parse(&frame).unwrap();
+            columnar::u64_at(parsed.col(col).unwrap(), row)
+        };
+        // Row 0 (key 0) is mid-stage with a full window; row 2 is in
+        // RESET; row 3 is pooled. Key 0 leaves as a one-row lease blob.
+        let clock = cell(C_U64 + 2, 0);
+        let open = |row: usize| {
+            let parsed = columnar::parse(&frame).unwrap();
+            let flags = columnar::u32_at(parsed.col(columnar::C_FLAGS).unwrap(), row);
+            flags & crate::shard::F_STAGE_OPEN != 0
+        };
+        assert!(open(0) && cell(C_U64 + 1, 0) >= cfg.w as u64 && !open(2));
+        let both = [
+            (vec![(C_HIGH, 0, cell(C_HIGH, 0) ^ 1)], "columnar.high"),
+            (
+                vec![(C_U64 + 1, 0, 2), (C_U64 + 7, 0, clock - 2)],
+                "columnar.high_len",
+            ),
+            (vec![(C_U64 + 4, 0, clock + 1)], "columnar.clocks"),
+            (vec![(C_U64, 0, clock + 1)], "columnar.clocks"),
+            (
+                vec![(C_U64 + 7, 0, cell(C_U64 + 7, 0) + 1)],
+                "columnar.stage_start",
+            ),
+        ];
+        let frame_only = [
+            (vec![(C_U64, 3, clock)], "columnar.clocks"),
+            (vec![(C_U64 + 7, 2, 1)], "columnar.stage_start"),
+        ];
+        let mut mirror = CheckpointMirror::new(&cfg);
+        mirror.apply(&frame).unwrap();
+        let held = mirror.state.checkpoint();
+        for (cells, want) in both.iter().chain(&frame_only) {
+            let evil = poisoned(&frame, cells);
+            let err = mirror.apply(&evil).unwrap_err();
+            assert!(matches!(err, CtrlError::InvalidCheckpoint { field } if field == *want));
+            assert_eq!(
+                mirror.state.checkpoint(),
+                held,
+                "{want}: the mirror was written"
+            );
+            let mut recovering = ShardState::new(0, &cfg).recycle();
+            let parsed = columnar::parse(&evil).unwrap();
+            let refused = recovering.apply_frame(&parsed, &mut ApplyScratch::default());
+            assert_eq!(refused, Err(*want));
+            assert_eq!(
+                recovering.live_sessions(),
+                0,
+                "{want}: recovery was written"
+            );
+        }
+        mirror
+            .apply(&frame)
+            .expect("the intact frame still applies");
+
+        let mut plane = crate::ControlPlane::new(cfg.clone());
+        let key = plane.admit("acme").unwrap();
+        for _ in 0..7 {
+            plane.tick(&[(key, 1.0)]).unwrap();
+        }
+        let blob = plane.export_session(key).unwrap();
+        let window = columnar::parse(&blob).unwrap().col(C_HIGH).unwrap().count;
+        assert_eq!(window, 4, "the lease carries a full window");
+        let budget = plane.available_budget();
+        for (cells, want) in &both {
+            let err = plane.import_session(&poisoned(&blob, cells)).unwrap_err();
+            assert!(
+                matches!(err, CtrlError::InvalidCheckpoint { .. }),
+                "{want}: {err}"
+            );
+            assert_eq!(
+                (plane.live_sessions(), plane.available_budget()),
+                (0, budget)
+            );
+        }
+        plane
+            .import_session(&blob)
+            .expect("the intact blob imports");
+    }
 }

@@ -1494,7 +1494,8 @@ impl ControlPlane {
     /// [`CtrlError::InvalidService`] for a malformed blob or one that is
     /// not a dedicated session; [`CtrlError::InvalidCheckpoint`] for a
     /// blob that decodes structurally but carries an out-of-domain value
-    /// (a non-finite or negative float, an impossible tracker shape);
+    /// (a non-finite or negative float, an impossible tracker shape, a
+    /// clock or high window that disagrees with the meter's);
     /// [`CtrlError::Admission`] when the budget
     /// or tenant quota cannot cover the envelope; [`CtrlError::ShardDown`]
     /// when no shard could take the session. Admission is rolled back on
@@ -1527,7 +1528,7 @@ impl ControlPlane {
         // shard-wide parameter block, not per-session config copies).
         // Reject both before admission.
         cp.validate()
-            .and_then(|()| cp.conforms(&self.cfg))
+            .and_then(|()| cp.conforms(&self.cfg.single_config(), self.cfg.cost))
             .map_err(|field| CtrlError::InvalidCheckpoint { field })?;
         self.mutated();
         let envelope = self.cfg.dedicated_envelope();

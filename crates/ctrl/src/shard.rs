@@ -16,9 +16,9 @@
 //! A tick is then a few linear passes over the columns — scatter the
 //! batched arrivals, step each pooled group, step each dedicated session —
 //! instead of a pointer chase through boxed per-session objects. The
-//! variable-size pieces (the low/high stage trackers, the delay tracker,
-//! the utilization window) stay per-slot objects in side columns; the
-//! float-op order inside the kernel replicates `SingleSession::on_tick`
+//! variable-size pieces (the lower hull, the delay FIFO's spill, the
+//! window ring the meter and the high tracker share) sit in side columns;
+//! the float-op order inside the kernel replicates `SingleSession::on_tick`
 //! and `SignallingMeter::record` exactly, so the columnar kernel is
 //! bitwise-identical to the entry-based one it replaced (the `reference`
 //! module keeps the old kernel as the lockstep oracle).
@@ -234,7 +234,12 @@ impl SessionCheckpoint {
     /// a shard: every `f64` must be finite (non-negative where the domain
     /// requires it) and the tracker shapes must be internally consistent,
     /// i.e. exactly the states `HighTracker::restore` and friends would
-    /// otherwise reject by panicking. Returns the first offending field.
+    /// otherwise reject by panicking. And what the kernel derives rather
+    /// than stores must agree with its source: the delay tracker and the
+    /// algorithm run on the meter's clock, an open stage started at that
+    /// clock less its ticks, and its high window is the newest
+    /// `min(stage ticks, W)` arrivals of the meter's ring, bit for bit.
+    /// Returns the first offending field.
     ///
     /// Worker-produced checkpoints satisfy this by construction; only
     /// blobs crossing a trust boundary (fleet migration import) pay the
@@ -264,6 +269,9 @@ impl SessionCheckpoint {
         }
         if m.recent.iter().any(|&(a, b)| !nn(a) || !nn(b)) {
             return Err("meter.recent");
+        }
+        if m.delay.tick as u64 != m.ticks {
+            return Err("meter.delay.tick");
         }
         if !m.window_arrived.is_finite() || !m.window_allocated.is_finite() {
             return Err("meter.window_sums");
@@ -303,6 +311,14 @@ impl SessionCheckpoint {
             if !nn(alg.b_on) {
                 return Err("alg.b_on");
             }
+            if alg.tick as u64 != m.ticks {
+                return Err("alg.tick");
+            }
+            let start = |h: &HighTrackerState| m.ticks.checked_sub(h.ticks as u64);
+            if alg.stages.open_start().map(|s| Some(s as u64)) != alg.stage_high.as_ref().map(start)
+            {
+                return Err("alg.stages");
+            }
             match (&alg.stage_low, &alg.stage_high) {
                 (Some(low), Some(high)) => {
                     if low.d_o == 0 {
@@ -327,17 +343,17 @@ impl SessionCheckpoint {
                     if !(high.grace.is_finite() && high.grace > 0.0) {
                         return Err("alg.stage_high.grace");
                     }
-                    if high.window.len() > high.w || high.window.iter().any(|&a| !nn(a)) {
-                        return Err("alg.stage_high.window");
-                    }
                     if !nn(high.window_sum) {
                         return Err("alg.stage_high.window_sum");
                     }
                     if high.min_window_sum.is_some_and(|s| !nn(s)) {
                         return Err("alg.stage_high.min_window_sum");
                     }
-                    if high.ticks < high.window.len() {
-                        return Err("alg.stage_high.ticks");
+                    let n = high.ticks.min(m.window);
+                    let suffix = m.recent[m.recent.len().saturating_sub(n)..].iter();
+                    let window = high.window.iter().map(|a| a.to_bits());
+                    if high.window.len() != n || !suffix.map(|p| p.0.to_bits()).eq(window) {
+                        return Err("alg.stage_high.window");
                     }
                 }
                 (None, None) => {}
@@ -357,17 +373,20 @@ impl SessionCheckpoint {
     /// block instead of per-session config copies and would apply the
     /// service's parameters regardless, so a non-conforming blob is
     /// rejected here with a typed error instead.
-    pub(crate) fn conforms(&self, cfg: &ServiceConfig) -> Result<(), &'static str> {
-        let single = cfg.single_config();
+    pub(crate) fn conforms(
+        &self,
+        single: &SingleConfig,
+        cost: CostModel,
+    ) -> Result<(), &'static str> {
         let m = &self.meter;
-        if m.window != cfg.w {
+        if m.window != single.w {
             return Err("meter.window differs from the service window");
         }
-        if m.cost != cfg.cost {
+        if m.cost != cost {
             return Err("meter.cost differs from the service pricing");
         }
         if let Some(alg) = &self.dedicated {
-            if alg.cfg != single {
+            if alg.cfg != *single {
                 return Err("alg.cfg differs from the service config");
             }
             if let (Some(low), Some(high)) = (&alg.stage_low, &alg.stage_high) {
@@ -578,20 +597,18 @@ struct Columns {
     /// without walking the identity slab.
     keys: Vec<u64>,
     // -- tracker-push phase --
-    /// Stage ticks consumed — the low and high trackers open together
-    /// and advance in lockstep, so one counter serves both (imports are
-    /// validated to agree).
+    /// Stage ticks consumed (0 with no stage open) — the low and high
+    /// trackers open together and advance in lockstep, so one counter
+    /// serves both (imports are validated to agree). The open stage
+    /// started at `meter_ticks` less this, and the high tracker's window
+    /// is the last `min(this, W)` arrivals of the meter ring.
     stage_ticks: Vec<u64>,
     /// Low tracker: total bits arrived this stage.
     low_total: Vec<f64>,
-    /// High tracker: running sum of the window ring.
+    /// High tracker: running sum of its window.
     high_window_sum: Vec<f64>,
     /// High tracker: minimum full-window sum (`+∞` while in grace).
     high_min_window_sum: Vec<f64>,
-    /// High-tracker window ring: oldest-entry index.
-    high_head: Vec<u32>,
-    /// High-tracker window ring: occupancy (≤ `W`).
-    high_len: Vec<u32>,
     // -- hull-query phase --
     /// Low tracker: running-max `low`.
     low_low: Vec<f64>,
@@ -600,15 +617,10 @@ struct Columns {
     b_on: Vec<f64>,
     /// Dedicated link-queue backlog (`SingleSession`'s `BitQueue`).
     backlog: Vec<f64>,
-    /// Ticks the algorithm has processed.
-    alg_tick: Vec<u64>,
     /// Stages completed so far — the offline-change certificate count.
     /// The paper's algorithm forgets at every RESET and its proof needs
-    /// only this count, so stage history is this and the next column, not
-    /// a per-session log.
+    /// only this count and the open stage's start, not a per-session log.
     stages_completed: Vec<u64>,
-    /// Tick the open stage started at (0 while in RESET).
-    stage_open_start: Vec<u64>,
     // -- meter flow phase --
     /// Meter shadow link-queue backlog.
     shadow_backlog: Vec<f64>,
@@ -632,14 +644,13 @@ struct Columns {
     /// Delay FIFO occupancy, counting the inline head; entries past the
     /// head live in the `pend_spill` column.
     pend_len: Vec<u32>,
-    /// Ticks the delay tracker has consumed.
-    delay_tick: Vec<u64>,
     /// Maximum whole-tick FIFO delay observed.
     max_delay: Vec<u64>,
     /// Maximum exact (fractional) FIFO delay observed.
     max_delay_exact: Vec<f64>,
     // -- utilization-window phase --
-    /// Ticks metered.
+    /// Ticks metered: the session's one clock. The delay tracker and the
+    /// algorithm (pooled slots have none) advance on every metered tick.
     meter_ticks: Vec<u64>,
     /// Rolling sum of windowed arrivals.
     window_arrived: Vec<f64>,
@@ -656,11 +667,9 @@ struct Columns {
     // -- side columns (variable-size per-slot state) --
     /// Low tracker: lower convex hull vertices `(x, P[x])` per slot.
     hull: Vec<Vec<(f64, f64)>>,
-    /// High-tracker window rings, under the slot's `high_head`/`high_len`
-    /// cursors.
-    high_ring: SlotRing<f64>,
     /// Meter `(arrivals, allocation)` rings, under
-    /// `recent_head`/`recent_len`.
+    /// `recent_head`/`recent_len`; the arrival halves are also the high
+    /// tracker's window.
     recent_ring: SlotRing<(f64, f64)>,
     /// Delay-FIFO entries past the inline head. Steady traffic keeps at
     /// most one pending entry (served each tick), so the spill deque is
@@ -680,12 +689,11 @@ macro_rules! scalar_columns {
         scalar_columns!(@each $cols, $col, $vacant, $body;
             arrived 0.0, flags 0, keys 0, stage_ticks 0, low_total 0.0,
             high_window_sum 0.0, high_min_window_sum f64::INFINITY,
-            high_head 0, high_len 0, low_low 0.0, b_on 0.0, backlog 0.0,
-            alg_tick 0, stages_completed 0, stage_open_start 0,
+            low_low 0.0, b_on 0.0, backlog 0.0, stages_completed 0,
             shadow_backlog 0.0, current_alloc 0.0, changes 0,
             peak_alloc 0.0, total_arrived 0.0, total_served 0.0,
             total_allocated 0.0, pend_tick 0, pend_bits 0.0, pend_len 0,
-            delay_tick 0, max_delay 0, max_delay_exact 0.0, meter_ticks 0,
+            max_delay 0, max_delay_exact 0.0, meter_ticks 0,
             window_arrived 0.0, window_allocated 0.0, recent_head 0,
             recent_len 0, min_util f64::NAN)
     };
@@ -711,7 +719,6 @@ impl Columns {
         if self.hull.len() < bound {
             self.hull.resize_with(bound, Vec::new);
         }
-        self.high_ring.grow_to(bound, w);
         self.recent_ring.grow_to(bound, w);
         if self.pend_spill.len() < bound {
             self.pend_spill.resize_with(bound, VecDeque::new);
@@ -764,22 +771,24 @@ impl Columns {
     ///
     /// # Panics
     ///
-    /// Panics if the checkpoint does not conform to the shard's
-    /// configuration. The migration import path pre-validates at the
-    /// service boundary ([`SessionCheckpoint::validate`]), turning
+    /// Panics if the checkpoint fails [`SessionCheckpoint::validate`] or
+    /// does not conform to the shard's configuration. The migration
+    /// import path runs the same checks at the service boundary, turning
     /// hostile blobs into typed errors before they get here; crash
     /// recovery restores the shard's own checkpoints, which conform by
     /// construction. A panic here therefore means a corrupted recovery
     /// payload, and degrades to a downed shard under `catch_unwind`.
-    fn restore_slot(&mut self, i: usize, cp: &SessionCheckpoint, cfg: &SingleConfig) {
-        let w = cfg.w;
+    fn restore_slot(
+        &mut self,
+        i: usize,
+        cp: &SessionCheckpoint,
+        cfg: &SingleConfig,
+        cost: CostModel,
+    ) {
+        if let Err(field) = cp.validate().and_then(|()| cp.conforms(cfg, cost)) {
+            panic!("checkpoint rejected on restore: {field}");
+        }
         let m = &cp.meter;
-        assert_eq!(m.window, w, "meter window must match the service window");
-        assert!(
-            m.recent.len() <= w,
-            "recent holds {} entries but the window is {w}",
-            m.recent.len()
-        );
         self.reset_scalars(i);
         self.hull[i].clear();
         self.pend_spill[i].clear();
@@ -802,7 +811,6 @@ impl Columns {
         self.recent_ring.land(i, m.recent.iter().copied());
         self.recent_len[i] = m.recent.len() as u32;
         let d = &m.delay;
-        self.delay_tick[i] = d.tick as u64;
         self.max_delay[i] = d.max_delay as u64;
         self.max_delay_exact[i] = d.max_delay_exact;
         self.pend_len[i] = d.pending.len() as u32;
@@ -812,50 +820,19 @@ impl Columns {
             self.pend_spill[i].extend(d.pending[1..].iter().map(|&(t, b)| (t as u64, b)));
         }
         if let Some(alg) = &cp.dedicated {
-            assert_eq!(
-                &alg.cfg, cfg,
-                "imported algorithm config must match the service's"
-            );
             self.flags[i] |= F_DEDICATED;
             self.backlog[i] = alg.backlog;
             self.b_on[i] = alg.b_on;
-            self.alg_tick[i] = alg.tick as u64;
-            match (&alg.stage_low, &alg.stage_high) {
-                (Some(low), Some(high)) => {
-                    assert!(
-                        low.d_o == cfg.d_o
-                            && high.u_o == cfg.u_o
-                            && high.w == w
-                            && high.grace == cfg.b_max,
-                        "imported stage trackers must match the service config"
-                    );
-                    assert_eq!(low.ticks, high.ticks, "stage trackers advance in lockstep");
-                    assert!(
-                        high.window.len() <= w,
-                        "window holds {} entries but w is {w}",
-                        high.window.len()
-                    );
-                    assert!(
-                        high.ticks >= high.window.len(),
-                        "{} ticks cannot have filled {} window entries",
-                        high.ticks,
-                        high.window.len()
-                    );
-                    self.flags[i] |= F_STAGE_OPEN;
-                    self.stage_ticks[i] = low.ticks as u64;
-                    self.low_total[i] = low.total;
-                    self.low_low[i] = low.low;
-                    self.hull[i].extend_from_slice(&low.hull);
-                    self.high_ring.land(i, high.window.iter().copied());
-                    self.high_len[i] = high.window.len() as u32;
-                    self.high_window_sum[i] = high.window_sum;
-                    self.high_min_window_sum[i] = high.min_window_sum.unwrap_or(f64::INFINITY);
-                }
-                (None, None) => {}
-                _ => panic!("checkpoint carries exactly one of the two stage trackers"),
+            if let (Some(low), Some(high)) = (&alg.stage_low, &alg.stage_high) {
+                self.flags[i] |= F_STAGE_OPEN;
+                self.stage_ticks[i] = low.ticks as u64;
+                self.low_total[i] = low.total;
+                self.low_low[i] = low.low;
+                self.hull[i].extend_from_slice(&low.hull);
+                self.high_window_sum[i] = high.window_sum;
+                self.high_min_window_sum[i] = high.min_window_sum.unwrap_or(f64::INFINITY);
             }
             self.stages_completed[i] = alg.stages.completed() as u64;
-            self.stage_open_start[i] = alg.stages.open_start().unwrap_or(0) as u64;
         }
     }
 
@@ -873,7 +850,6 @@ impl Columns {
     /// column, so they can be swept concurrently.
     fn chunk_views(&mut self, ends: &[usize], w: usize) -> Vec<ChunkView<'_>> {
         let bound = *ends.last().expect("at least one chunk");
-        let mut high_rows = self.high_ring.carve(ends, w).into_iter();
         let mut recent_rows = self.recent_ring.carve(ends, w).into_iter();
         // Shrinking-cursor slices over each column; `carve!` peels the
         // next chunk's window off the front.
@@ -897,14 +873,10 @@ impl Columns {
             low_total,
             high_window_sum,
             high_min_window_sum,
-            high_head,
-            high_len,
             low_low,
             b_on,
             backlog,
-            alg_tick,
             stages_completed,
-            stage_open_start,
             shadow_backlog,
             current_alloc,
             changes,
@@ -915,7 +887,6 @@ impl Columns {
             pend_tick,
             pend_bits,
             pend_len,
-            delay_tick,
             max_delay,
             max_delay_exact,
             meter_ticks,
@@ -946,14 +917,10 @@ impl Columns {
                 low_total: carve!(low_total, n),
                 high_window_sum: carve!(high_window_sum, n),
                 high_min_window_sum: carve!(high_min_window_sum, n),
-                high_head: carve!(high_head, n),
-                high_len: carve!(high_len, n),
                 low_low: carve!(low_low, n),
                 b_on: carve!(b_on, n),
                 backlog: carve!(backlog, n),
-                alg_tick: carve!(alg_tick, n),
                 stages_completed: carve!(stages_completed, n),
-                stage_open_start: carve!(stage_open_start, n),
                 shadow_backlog: carve!(shadow_backlog, n),
                 current_alloc: carve!(current_alloc, n),
                 changes: carve!(changes, n),
@@ -964,7 +931,6 @@ impl Columns {
                 pend_tick: carve!(pend_tick, n),
                 pend_bits: carve!(pend_bits, n),
                 pend_len: carve!(pend_len, n),
-                delay_tick: carve!(delay_tick, n),
                 max_delay: carve!(max_delay, n),
                 max_delay_exact: carve!(max_delay_exact, n),
                 meter_ticks: carve!(meter_ticks, n),
@@ -974,13 +940,28 @@ impl Columns {
                 recent_len: carve!(recent_len, n),
                 min_util: carve!(min_util, n),
                 hull: carve!(hull, n),
-                high_ring: high_rows.next().expect("one ring carve per chunk"),
                 recent_ring: recent_rows.next().expect("one ring carve per chunk"),
                 pend_spill: carve!(pend_spill, n),
             });
             lo = hi;
         }
         views
+    }
+
+    /// The tick slot `i`'s open stage started at; `None` while none is.
+    fn stage_start(&self, i: usize) -> Option<u64> {
+        let open = self.flags[i] & F_STAGE_OPEN != 0;
+        open.then(|| self.meter_ticks[i] - self.stage_ticks[i])
+    }
+
+    /// Slot `i`'s high-tracker window, oldest first: the newest
+    /// `min(stage ticks, W)` arrivals of its meter ring — none without an
+    /// open stage, where `stage_ticks` rests at 0.
+    fn high_window(&self, i: usize, w: usize) -> impl ExactSizeIterator<Item = f64> + '_ {
+        let n = (self.stage_ticks[i] as usize).min(w);
+        let cursors = (&self.recent_head[..], &self.recent_len[..]);
+        let ring = self.recent_ring.run(w, cursors, i);
+        ring.skip(self.recent_len[i] as usize - n).map(|(a, _)| a)
     }
 
     /// The meter state of slot `i`, in checkpoint form.
@@ -996,7 +977,7 @@ impl Columns {
             shadow_backlog: self.shadow_backlog[i],
             delay: DelayTrackerState {
                 pending,
-                tick: self.delay_tick[i] as usize,
+                tick: self.meter_ticks[i] as usize,
                 max_delay: self.max_delay[i] as usize,
                 max_delay_exact: self.max_delay_exact[i],
             },
@@ -1028,10 +1009,7 @@ impl Columns {
             "slot holds algorithm state"
         );
         let open = self.flags[i] & F_STAGE_OPEN != 0;
-        let stages = stage_log(
-            self.stages_completed[i],
-            open.then_some(self.stage_open_start[i]),
-        );
+        let stages = stage_log(self.stages_completed[i], self.stage_start(i));
         SingleCheckpoint {
             cfg: cfg.clone(),
             backlog: self.backlog[i],
@@ -1046,10 +1024,7 @@ impl Columns {
                 u_o: cfg.u_o,
                 w: cfg.w,
                 grace: cfg.b_max,
-                window: self
-                    .high_ring
-                    .run(cfg.w, (&self.high_head, &self.high_len), i)
-                    .collect(),
+                window: self.high_window(i, cfg.w).collect(),
                 window_sum: self.high_window_sum[i],
                 min_window_sum: if self.high_min_window_sum[i].is_infinite() {
                     None
@@ -1059,7 +1034,7 @@ impl Columns {
                 ticks: self.stage_ticks[i] as usize,
             }),
             b_on: self.b_on[i],
-            tick: self.alg_tick[i] as usize,
+            tick: self.meter_ticks[i] as usize,
             stages,
         }
     }
@@ -1162,7 +1137,7 @@ impl<T: Copy + Default> SlotRing<T> {
         w: usize,
         (heads, lens): (&[u32], &[u32]),
         i: usize,
-    ) -> impl Iterator<Item = T> + 'a {
+    ) -> impl ExactSizeIterator<Item = T> + 'a {
         let (block, at) = (&self.blocks[i / RING_BLOCK], i % RING_BLOCK);
         let head = heads[i] as usize;
         (0..lens[i] as usize).map(move |j| {
@@ -1252,14 +1227,10 @@ struct ChunkView<'a> {
     low_total: &'a mut [f64],
     high_window_sum: &'a mut [f64],
     high_min_window_sum: &'a mut [f64],
-    high_head: &'a mut [u32],
-    high_len: &'a mut [u32],
     low_low: &'a mut [f64],
     b_on: &'a mut [f64],
     backlog: &'a mut [f64],
-    alg_tick: &'a mut [u64],
     stages_completed: &'a mut [u64],
-    stage_open_start: &'a mut [u64],
     shadow_backlog: &'a mut [f64],
     current_alloc: &'a mut [f64],
     changes: &'a mut [u64],
@@ -1270,7 +1241,6 @@ struct ChunkView<'a> {
     pend_tick: &'a mut [u64],
     pend_bits: &'a mut [f64],
     pend_len: &'a mut [u32],
-    delay_tick: &'a mut [u64],
     max_delay: &'a mut [u64],
     max_delay_exact: &'a mut [f64],
     meter_ticks: &'a mut [u64],
@@ -1280,7 +1250,6 @@ struct ChunkView<'a> {
     recent_len: &'a mut [u32],
     min_util: &'a mut [f64],
     hull: &'a mut [Vec<(f64, f64)>],
-    high_ring: RingRows<'a, f64>,
     recent_ring: RingRows<'a, (f64, f64)>,
     pend_spill: &'a mut [VecDeque<(u64, f64)>],
 }
@@ -1347,10 +1316,14 @@ struct SweepScratch {
 
 impl ChunkView<'_> {
     /// The tracker-push pass over the stage-open slots: the
-    /// `HullLowTracker` point push and the `HighTracker` ring push,
+    /// `HullLowTracker` point push and the `HighTracker` window push,
     /// same float-op order as `SingleSession::on_tick`. The hull
     /// *query* is hoisted into [`ChunkView::pass_hull_query`], so this
-    /// pass is straight-line ring arithmetic.
+    /// pass is straight-line arithmetic.
+    /// A full high window evicts the meter ring's oldest cell, read here
+    /// before [`ChunkView::pass_meter_window`] overwrites it later in
+    /// the same tick: [`ChunkView::sweep`] runs this pass first in every
+    /// chunk, and the pooled slots metered before the sweep are never open.
     fn pass_track(&mut self, open: &[u32], open_arr: &[f64], p: &KernelParams) {
         for (&j, &arrivals) in open.iter().zip(open_arr) {
             let j = j as usize;
@@ -1368,21 +1341,14 @@ impl ChunkView<'_> {
                 (self.stage_ticks[j] as f64, self.low_total[j]),
             );
             self.low_total[j] += a2;
-            // High push: circular window of the last W arrivals. The
-            // running sum adds the new entry before subtracting the
-            // evicted one, exactly as the VecDeque form did. Slots that
-            // joined together share a cursor position, so these row
-            // accesses stream one dense row, not a line per slot.
-            if (self.high_len[j] as usize) < p.w {
-                *self.high_ring.cell(self.high_len[j] as usize, j) = a2;
-                self.high_len[j] += 1;
-                self.high_window_sum[j] += a2;
-            } else {
-                let idx = self.high_head[j] as usize;
-                let cell = self.high_ring.cell(idx, j);
-                let old = std::mem::replace(cell, a2);
-                self.high_head[j] = if idx + 1 == p.w { 0 } else { (idx + 1) as u32 };
-                self.high_window_sum[j] += a2;
+            // High push: the running sum adds the new entry before
+            // subtracting the evicted one, as the VecDeque form did. The
+            // ring's unclamped arrival is `a2`'s bits: arrivals are
+            // validated non-negative and scattered onto +0.0. Cohorts
+            // share a ring cursor, so the eviction reads one dense row.
+            self.high_window_sum[j] += a2;
+            if self.stage_ticks[j] as usize >= p.w {
+                let (old, _) = *self.recent_ring.cell(self.recent_head[j] as usize, j);
                 self.high_window_sum[j] -= old;
                 if self.high_window_sum[j] < 0.0 {
                     self.high_window_sum[j] = 0.0; // float-noise guard
@@ -1395,7 +1361,7 @@ impl ChunkView<'_> {
             // fields, so folding it into this pass (ahead of the hull
             // query it used to follow) cannot move a bit of either
             // tracker.
-            if self.high_len[j] as usize == p.w {
+            if self.stage_ticks[j] as usize >= p.w {
                 self.high_min_window_sum[j] =
                     self.high_min_window_sum[j].min(self.high_window_sum[j]);
             }
@@ -1440,10 +1406,17 @@ impl ChunkView<'_> {
                     self.high_min_window_sum[j] / p.high_denom
                 };
                 if crossed(l, hi) {
-                    // Certificate fired: end the stage, enter RESET.
+                    // Certificate fired: end the stage, enter RESET. The
+                    // dead trackers go vacant now, as a restore without
+                    // trackers lands them: one state, one encoding.
                     self.stages_completed[j] += 1;
-                    self.stage_open_start[j] = 0;
                     self.flags[j] &= !F_STAGE_OPEN;
+                    self.hull[j].clear();
+                    self.stage_ticks[j] = 0;
+                    self.low_total[j] = 0.0;
+                    self.low_low[j] = 0.0;
+                    self.high_window_sum[j] = 0.0;
+                    self.high_min_window_sum[j] = f64::INFINITY;
                     self.b_on[j] = p.b_max;
                     p.b_max
                 } else {
@@ -1467,21 +1440,11 @@ impl ChunkView<'_> {
             self.backlog[j] = backlog;
             if self.flags[j] & F_STAGE_OPEN == 0 && backlog <= EPS {
                 // RESET complete: the next tick starts a new stage with
-                // fresh trackers (cursors and sentinels re-armed in
-                // place).
-                self.stage_open_start[j] = self.alg_tick[j] + 1;
+                // the fresh trackers a RESET slot already holds. It
+                // starts at the meter clock this tick ends on.
                 self.flags[j] |= F_STAGE_OPEN;
-                self.hull[j].clear();
-                self.stage_ticks[j] = 0;
-                self.low_total[j] = 0.0;
-                self.low_low[j] = 0.0;
-                self.high_head[j] = 0;
-                self.high_len[j] = 0;
-                self.high_window_sum[j] = 0.0;
-                self.high_min_window_sum[j] = f64::INFINITY;
                 self.b_on[j] = 0.0;
             }
-            self.alg_tick[j] += 1;
             alloc_out.push(alloc);
         }
     }
@@ -1553,13 +1516,16 @@ impl ChunkView<'_> {
     fn pass_meter_fifo(&mut self, idx: &[u32], arr: &[f64], served: &[f64]) {
         for (k, &j) in idx.iter().enumerate() {
             let j = j as usize;
+            // The delay tracker runs on the meter clock, which
+            // `pass_meter_window` advances after this pass.
+            let now = self.meter_ticks[j];
             let arrivals = arr[k];
             if arrivals > EPS {
                 if self.pend_len[j] == 0 {
-                    self.pend_tick[j] = self.delay_tick[j];
+                    self.pend_tick[j] = now;
                     self.pend_bits[j] = arrivals;
                 } else {
-                    self.pend_spill[j].push_back((self.delay_tick[j], arrivals));
+                    self.pend_spill[j].push_back((now, arrivals));
                 }
                 self.pend_len[j] += 1;
             }
@@ -1570,14 +1536,12 @@ impl ChunkView<'_> {
                 self.pend_bits[j] -= take;
                 left -= take;
                 if self.pend_bits[j] <= EPS {
-                    self.max_delay[j] =
-                        self.max_delay[j].max(self.delay_tick[j] - self.pend_tick[j]);
+                    self.max_delay[j] = self.max_delay[j].max(now - self.pend_tick[j]);
                     // The entry completes after the fraction of this
                     // tick's service consumed so far (see
                     // `OnlineDelayTracker`).
                     let consumed = ((total - left) / total).clamp(0.0, 1.0);
-                    let exact =
-                        ((self.delay_tick[j] - self.pend_tick[j]) as f64 - 1.0 + consumed).max(0.0);
+                    let exact = ((now - self.pend_tick[j]) as f64 - 1.0 + consumed).max(0.0);
                     self.max_delay_exact[j] = self.max_delay_exact[j].max(exact);
                     self.pend_len[j] -= 1;
                     if self.pend_len[j] > 0 {
@@ -1592,11 +1556,10 @@ impl ChunkView<'_> {
             // A still-pending head already implies at least this much
             // delay.
             if self.pend_len[j] > 0 {
-                self.max_delay[j] = self.max_delay[j].max(self.delay_tick[j] - self.pend_tick[j]);
+                self.max_delay[j] = self.max_delay[j].max(now - self.pend_tick[j]);
                 self.max_delay_exact[j] =
-                    self.max_delay_exact[j].max((self.delay_tick[j] - self.pend_tick[j]) as f64);
+                    self.max_delay_exact[j].max((now - self.pend_tick[j]) as f64);
             }
-            self.delay_tick[j] += 1;
         }
     }
 
@@ -1999,7 +1962,7 @@ impl ShardState {
             let i = slot.index as usize;
             sink.push_row(slot.index, &e.tenant);
             ragged[0] += cols.hull[i].len();
-            ragged[1] += cols.high_len[i] as usize;
+            ragged[1] += cols.high_window(i, self.window).len();
             ragged[2] += cols.recent_len[i] as usize;
             ragged[3] += cols.pend_len[i] as usize;
         }
@@ -2054,25 +2017,24 @@ impl ShardState {
         for (j, src) in f64_cols.into_iter().enumerate() {
             f.col(C_F64 + j, at_slots(src, rows));
         }
-        let u64_cols: [&[u64]; 8] = [
-            &cols.alg_tick,
-            &cols.stage_ticks,
-            &cols.meter_ticks,
-            &cols.changes,
-            &cols.delay_tick,
-            &cols.max_delay,
-            &cols.stages_completed,
-            &cols.stage_open_start,
-        ];
-        for (j, src) in u64_cols.into_iter().enumerate() {
-            f.col(C_U64 + j, at_slots(src, rows));
-        }
+        // The algorithm's clock (0 on a pooled row), the delay tracker's,
+        // the stage start and the high window derive from the meter's
+        // clock and ring.
         let slots = || rows.iter().map(|&i| i as usize);
+        let alg_tick = |i: usize| cols.meter_ticks[i] * u64::from(cols.flags[i] & F_DEDICATED != 0);
+        f.col(C_U64, slots().map(alg_tick));
+        f.col(C_U64 + 1, at_slots(&cols.stage_ticks, rows));
+        f.col(C_U64 + 2, at_slots(&cols.meter_ticks, rows));
+        f.col(C_U64 + 3, at_slots(&cols.changes, rows));
+        f.col(C_U64 + 4, at_slots(&cols.meter_ticks, rows));
+        f.col(C_U64 + 5, at_slots(&cols.max_delay, rows));
+        f.col(C_U64 + 6, at_slots(&cols.stages_completed, rows));
+        f.col(C_U64 + 7, slots().map(|i| cols.stage_start(i).unwrap_or(0)));
         f.col(C_HULL_LEN, slots().map(|i| cols.hull[i].len() as u32));
         f.col(C_HULL, slots().flat_map(|i| cols.hull[i].iter().copied()));
-        f.col(C_HIGH_LEN, at_slots(&cols.high_len, rows));
-        let high = (&cols.high_head[..], &cols.high_len[..]);
-        f.col(C_HIGH, slots().flat_map(|i| cols.high_ring.run(w, high, i)));
+        let high_len = |i: usize| cols.high_window(i, w).len() as u32;
+        f.col(C_HIGH_LEN, slots().map(high_len));
+        f.col(C_HIGH, slots().flat_map(|i| cols.high_window(i, w)));
         f.col(C_RECENT_LEN, at_slots(&cols.recent_len, rows));
         let recent = (&cols.recent_head[..], &cols.recent_len[..]);
         f.col(
@@ -2174,6 +2136,7 @@ impl ShardState {
         }
         const KNOWN: u32 = F_LIVE | F_DEDICATED | F_LEAVING | F_STAGE_OPEN;
         scratch.keys.clear();
+        let (mut high_off, mut recent_off) = (0usize, 0usize);
         for r in 0..rows {
             // The key index is direct-mapped — one table slot per key up
             // to the maximum — so an astronomical key in a hostile frame
@@ -2181,7 +2144,7 @@ impl ShardState {
             if u64_at(key_c, r) >= MAX_FRAME_KEY {
                 return Err("columnar.key");
             }
-            if u32_at(high_len_c, r) as usize > w || u32_at(recent_len_c, r) as usize > w {
+            if u32_at(recent_len_c, r) as usize > w {
                 return Err("columnar.ring");
             }
             let flags = u32_at(flags_c, r);
@@ -2197,6 +2160,32 @@ impl ShardState {
             if u32_at(tenant_c, r) as usize >= f.strings.len() {
                 return Err("columnar.tenant");
             }
+            // What the kernel derives must agree with its source, as in
+            // `SessionCheckpoint::validate`; a row with no open stage has
+            // start 0 and no live window (whatever it carries is dropped).
+            let clock = u64_at(u64_cs[2], r);
+            if u64_at(u64_cs[0], r) != if dedicated { clock } else { 0 }
+                || u64_at(u64_cs[4], r) != clock
+            {
+                return Err("columnar.clocks");
+            }
+            let (open, stage) = (flags & F_STAGE_OPEN != 0, u64_at(u64_cs[1], r));
+            if clock.checked_sub(if open { stage } else { clock }) != Some(u64_at(u64_cs[7], r)) {
+                return Err("columnar.stage_start");
+            }
+            let high_n = u32_at(high_len_c, r) as usize;
+            let recent_n = u32_at(recent_len_c, r) as usize;
+            if open && stage.min(w as u64) != high_n as u64 {
+                return Err("columnar.high_len");
+            }
+            let skip = recent_off + recent_n.saturating_sub(high_n);
+            let arrivals = (0..high_n).map(|j| pair_at(recent_c, skip + j).0.to_bits());
+            let window = (0..high_n).map(|j| f64_at(high_c, high_off + j).to_bits());
+            if open && (high_n > recent_n || !arrivals.eq(window)) {
+                return Err("columnar.high");
+            }
+            high_off += high_n;
+            recent_off += recent_n;
             scratch.keys.push((u64_at(key_c, r), r as u32));
         }
         scratch.keys.sort_unstable();
@@ -2307,8 +2296,7 @@ impl ShardState {
             }
         }
         let frame_tenants: Vec<Arc<str>> = f.strings.iter().map(|&s| Arc::from(s)).collect();
-        let (mut hull_off, mut high_off, mut recent_off, mut pend_off) =
-            (0usize, 0usize, 0usize, 0usize);
+        let (mut hull_off, mut recent_off, mut pend_off) = (0usize, 0usize, 0usize);
         for r in 0..rows {
             let key = u64_at(key_c, r);
             let flags = u32_at(flags_c, r);
@@ -2338,12 +2326,12 @@ impl ShardState {
             };
             let i = slot.index as usize;
             let hull_n = u32_at(hull_len_c, r) as usize;
-            let high_n = u32_at(high_len_c, r) as usize;
             let recent_n = u32_at(recent_len_c, r) as usize;
             let pend_n = u32_at(pend_len_c, r) as usize;
             let cols = &mut self.cols;
             // Every scalar not carried by the frame lands at its vacant
-            // value (arrived 0, heads 0, pend head 0/0.0).
+            // value (arrived 0, heads 0, pend head 0/0.0), and so do the
+            // trackers of a row with no open stage.
             cols.reset_scalars(i);
             cols.keys[i] = key;
             cols.flags[i] = flags;
@@ -2357,30 +2345,26 @@ impl ShardState {
             cols.window_allocated[i] = f64_at(f64_cs[7], r);
             cols.backlog[i] = f64_at(f64_cs[8], r);
             cols.b_on[i] = f64_at(f64_cs[9], r);
-            cols.low_total[i] = f64_at(f64_cs[10], r);
-            cols.low_low[i] = f64_at(f64_cs[11], r);
-            cols.high_window_sum[i] = f64_at(f64_cs[12], r);
-            cols.high_min_window_sum[i] = f64_at(f64_cs[13], r);
             cols.min_util[i] = f64_at(f64_cs[14], r);
             cols.max_delay_exact[i] = f64_at(f64_cs[15], r);
-            cols.alg_tick[i] = u64_at(u64_cs[0], r);
-            cols.stage_ticks[i] = u64_at(u64_cs[1], r);
             cols.meter_ticks[i] = u64_at(u64_cs[2], r);
             cols.changes[i] = u64_at(u64_cs[3], r);
-            cols.delay_tick[i] = u64_at(u64_cs[4], r);
             cols.max_delay[i] = u64_at(u64_cs[5], r);
             cols.stages_completed[i] = u64_at(u64_cs[6], r);
-            cols.stage_open_start[i] = u64_at(u64_cs[7], r);
-            // Rings land at head = 0, exactly how the encoder read them.
-            cols.high_ring
-                .land(i, (0..high_n).map(|j| f64_at(high_c, high_off + j)));
-            cols.high_len[i] = high_n as u32;
+            // The ring lands at head = 0, exactly how the encoder read it.
             cols.recent_ring
                 .land(i, (0..recent_n).map(|j| pair_at(recent_c, recent_off + j)));
             cols.recent_len[i] = recent_n as u32;
             let hull = &mut cols.hull[i];
             hull.clear();
-            hull.extend((0..hull_n).map(|j| pair_at(hull_c, hull_off + j)));
+            if flags & F_STAGE_OPEN != 0 {
+                cols.stage_ticks[i] = u64_at(u64_cs[1], r);
+                cols.low_total[i] = f64_at(f64_cs[10], r);
+                cols.low_low[i] = f64_at(f64_cs[11], r);
+                cols.high_window_sum[i] = f64_at(f64_cs[12], r);
+                cols.high_min_window_sum[i] = f64_at(f64_cs[13], r);
+                hull.extend((0..hull_n).map(|j| pair_at(hull_c, hull_off + j)));
+            }
             let spill = &mut cols.pend_spill[i];
             spill.clear();
             cols.pend_len[i] = pend_n as u32;
@@ -2391,7 +2375,6 @@ impl ShardState {
                 spill.extend((1..pend_n).map(|j| pend_at(pend_c, pend_off + j)));
             }
             hull_off += hull_n;
-            high_off += high_n;
             recent_off += recent_n;
             pend_off += pend_n;
         }
@@ -2556,7 +2539,7 @@ impl ShardState {
         };
         let (slot, _) = self.insert_entry(cp.key, cp.tenant.clone(), cp.leaving, kind);
         self.cols
-            .restore_slot(slot.index as usize, cp, &self.single_cfg);
+            .restore_slot(slot.index as usize, cp, &self.single_cfg, self.cost);
     }
 
     fn join_dedicated(&mut self, key: u64, tenant: Arc<str>) {
@@ -3463,6 +3446,7 @@ mod tests {
     use super::*;
     use crate::config::ServiceConfig;
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     fn shard() -> ShardState {
         ShardState::new(0, &shard_cfg())
@@ -3914,6 +3898,10 @@ mod tests {
         JoinGroup(usize),
         Leave(usize),
         Ticks(u8, u8),
+        /// One tick of 100 bits for every key: `low` jumps past the
+        /// `B_A` = 16 that bounds `high`, and the 84 bits left queued keep
+        /// the RESET open for several ticks.
+        Burst,
     }
 
     /// [`Op`] plus the state-moving operations only the kernel-vs-reference
@@ -4010,6 +3998,11 @@ mod tests {
                         }
                     })
                     .collect(),
+                Op::Burst => {
+                    self.tick_no += 1;
+                    let arrivals = self.keys.iter().map(|&k| (k, 100.0)).collect();
+                    vec![ReplayEvent::Tick { arrivals }]
+                }
             }
         }
     }
@@ -4169,103 +4162,13 @@ mod tests {
             }
         }
 
-        /// The columnar kernel against the retained entry-based kernel:
-        /// after every tick of a random join/leave/arrival script, the two
-        /// shards' binary-encoded checkpoints must be byte-identical —
-        /// i.e. every per-session float (backlogs, tracker hulls, window
-        /// sums, metric totals) matches bitwise, not just approximately.
-        /// The encoding carries each stage log as (completed count, open
-        /// record) — see [`canonical_forgetful_bytes`] — so the same
-        /// equality holds the kernel's `stages_completed` /
-        /// `stage_open_start` columns to the reference algorithm's
-        /// `StageLog`. The kernel side is additionally moved around the
-        /// way production moves it — session migration (export → forget →
-        /// import), checkpoint capture, and crash recovery from the last
-        /// frame plus a journal replay — none of which may show.
+        /// The columnar kernel against the retained entry-based kernel,
+        /// through [`lockstep`].
         #[test]
         fn soa_kernel_matches_entry_based_reference(
             ops in proptest::collection::vec(lockstep_op_strategy(), 1..48)
         ) {
-            let cfg = shard_cfg();
-            let mut soa = ShardState::new(0, &cfg);
-            let mut oracle = reference::RefShard::new(0, &cfg);
-            let mut sink = columnar::ColumnSink::default();
-            // The supervisor's recovery state: the last captured frame
-            // (none until the first capture, when the journal runs from
-            // genesis) and the replayable events applied since.
-            let mut frame: Option<Vec<u8>> = None;
-            let mut journal: Vec<ReplayEvent> = Vec::new();
-            let mut recoveries = 0usize;
-            let mut script = Script::default();
-            let apply = |soa: &mut ShardState, journal: &mut Vec<ReplayEvent>, ev: ReplayEvent| {
-                soa.apply(&ev);
-                journal.push(ev);
-            };
-            for op in &ops {
-                match op {
-                    LockstepOp::Plain(op) => {
-                        for ev in script.events(op) {
-                            let ticked = matches!(ev, ReplayEvent::Tick { .. });
-                            oracle.handle(&ev);
-                            apply(&mut soa, &mut journal, ev);
-                            if ticked {
-                                prop_assert_eq!(
-                                    canonical_forgetful_bytes(soa.checkpoint()),
-                                    canonical_forgetful_bytes(oracle.checkpoint())
-                                );
-                            }
-                        }
-                    }
-                    LockstepOp::Migrate(i) => {
-                        // Pooled members and retired keys do not export.
-                        let exported = script.pick(*i).and_then(|key| soa.checkpoint_session(key));
-                        let Some(mut cp) = exported else {
-                            continue;
-                        };
-                        let (key, new_key) = (cp.key, script.next_key);
-                        cp.key = new_key;
-                        oracle.migrate(key, new_key);
-                        apply(&mut soa, &mut journal, ReplayEvent::Forget { key });
-                        apply(&mut soa, &mut journal, ReplayEvent::Import { cp: Arc::new(cp) });
-                        script.keys.push(new_key);
-                        script.next_key += 1;
-                    }
-                    LockstepOp::Capture => {
-                        let bytes = frame.get_or_insert_with(Vec::new);
-                        soa.encode_columnar(columnar::KIND_GENESIS, &mut sink, bytes);
-                        journal.clear();
-                    }
-                    LockstepOp::Recover => {
-                        // Into the retired state itself, recycled, on every
-                        // other recovery (torn first on every fourth);
-                        // into a fresh state otherwise.
-                        if recoveries.is_multiple_of(4) {
-                            tear(&mut soa);
-                        }
-                        let target = if recoveries.is_multiple_of(2) {
-                            soa.recycle()
-                        } else {
-                            ShardState::new(0, &cfg)
-                        };
-                        soa = target.rebuild(frame.as_deref(), &journal);
-                        recoveries += 1;
-                        prop_assert_eq!(
-                            canonical_forgetful_bytes(soa.checkpoint()),
-                            canonical_forgetful_bytes(oracle.checkpoint())
-                        );
-                    }
-                }
-            }
-            let by_key = |mut v: Vec<SessionMetrics>| {
-                v.sort_by_key(|m| m.session);
-                v
-            };
-            let (soa_report, oracle_report) = (soa.report(), oracle.report());
-            prop_assert_eq!(by_key(soa_report.live), by_key(oracle_report.live));
-            prop_assert_eq!(
-                by_key(soa_report.retired.to_vec()),
-                by_key(oracle_report.retired.to_vec())
-            );
+            lockstep(1, &ops)?;
         }
 
         /// The columnar chain against the full v1 codec: a mirror shard
@@ -4321,6 +4224,108 @@ mod tests {
         }
     }
 
+    /// Drives `ops` through a columnar shard swept by `threads` kernel
+    /// threads and through the retained entry-based kernel: after every
+    /// tick the two shards' binary-encoded checkpoints must be
+    /// byte-identical — every per-session float (backlogs, tracker hulls
+    /// and windows, metric totals) bitwise, not approximately. The
+    /// encoding carries each stage log as (completed count, open record)
+    /// — see [`canonical_forgetful_bytes`] — so the same equality holds
+    /// the kernel's derived stage start to the reference's `StageLog`,
+    /// and its derived high window to the reference's `HighTracker`. The
+    /// kernel side is additionally moved around the way production moves
+    /// it — migration as a lease blob (export → forget → import),
+    /// checkpoint capture, and crash recovery from the last frame plus a
+    /// journal replay — none of which may show. Returns the kernel shard.
+    fn lockstep(threads: usize, ops: &[LockstepOp]) -> Result<ShardState, TestCaseError> {
+        let mut soa = threaded_shard(threads);
+        let mut oracle = reference::RefShard::new(0, &shard_cfg());
+        let mut sink = columnar::ColumnSink::default();
+        // The supervisor's recovery state: the last captured frame
+        // (none until the first capture, when the journal runs from
+        // genesis) and the replayable events applied since.
+        let mut frame: Option<Vec<u8>> = None;
+        let mut journal: Vec<ReplayEvent> = Vec::new();
+        let mut recoveries = 0usize;
+        let mut script = Script::default();
+        let apply = |soa: &mut ShardState, journal: &mut Vec<ReplayEvent>, ev: ReplayEvent| {
+            soa.apply(&ev);
+            journal.push(ev);
+        };
+        for op in ops {
+            match op {
+                LockstepOp::Plain(op) => {
+                    for ev in script.events(op) {
+                        let ticked = matches!(ev, ReplayEvent::Tick { .. });
+                        oracle.handle(&ev);
+                        apply(&mut soa, &mut journal, ev);
+                        if ticked {
+                            prop_assert_eq!(
+                                canonical_forgetful_bytes(soa.checkpoint()),
+                                canonical_forgetful_bytes(oracle.checkpoint())
+                            );
+                        }
+                    }
+                }
+                LockstepOp::Migrate(i) => {
+                    // Pooled members and retired keys do not export.
+                    let exported = script.pick(*i).and_then(|key| soa.checkpoint_session(key));
+                    let Some(cp) = exported else {
+                        continue;
+                    };
+                    // As a lease blob: one frame row, validated on import.
+                    let mut blob = Vec::new();
+                    columnar::encode_session_frame(&cp, &mut blob);
+                    let row = columnar::parse(&blob).expect("a lease blob parses");
+                    let mut leased = columnar::session_from_frame(&row).expect("it lands");
+                    let (key, new_key) = (cp.key, script.next_key);
+                    leased.key = new_key;
+                    oracle.migrate(key, new_key);
+                    apply(&mut soa, &mut journal, ReplayEvent::Forget { key });
+                    let cp = Arc::new(leased);
+                    apply(&mut soa, &mut journal, ReplayEvent::Import { cp });
+                    script.keys.push(new_key);
+                    script.next_key += 1;
+                }
+                LockstepOp::Capture => {
+                    let bytes = frame.get_or_insert_with(Vec::new);
+                    soa.encode_columnar(columnar::KIND_GENESIS, &mut sink, bytes);
+                    journal.clear();
+                }
+                LockstepOp::Recover => {
+                    // Into the retired state itself, recycled, on every
+                    // other recovery (torn first on every fourth);
+                    // into a fresh state otherwise.
+                    if recoveries.is_multiple_of(4) {
+                        tear(&mut soa);
+                    }
+                    let target = if recoveries.is_multiple_of(2) {
+                        soa.recycle()
+                    } else {
+                        threaded_shard(threads)
+                    };
+                    soa = target.rebuild(frame.as_deref(), &journal);
+                    recoveries += 1;
+                    prop_assert_eq!(
+                        canonical_forgetful_bytes(soa.checkpoint()),
+                        canonical_forgetful_bytes(oracle.checkpoint())
+                    );
+                }
+            }
+        }
+        let by_key = |mut v: Vec<SessionMetrics>| {
+            v.sort_by_key(|m| m.session);
+            v
+        };
+        let (soa_report, oracle_report) = (soa.report(), oracle.report());
+        prop_assert_eq!(by_key(soa_report.live), by_key(oracle_report.live));
+        prop_assert_eq!(
+            by_key(soa_report.retired.to_vec()),
+            by_key(oracle_report.retired.to_vec())
+        );
+        Ok(soa)
+    }
+
     fn threaded_shard(threads: usize) -> ShardState {
         let cfg = ServiceConfig::builder(1024.0)
             .session_b_max(16.0)
@@ -4339,63 +4344,59 @@ mod tests {
         out
     }
 
-    /// Where a ring's blocks sit: a block that moved, went or came shows.
+    /// Where the ring's blocks sit: a block that moved, went or came shows.
     fn block_addrs(state: &ShardState) -> Vec<usize> {
-        let rings = &state.cols;
-        let high = rings.high_ring.blocks.iter().map(|b| b.as_ptr() as usize);
-        let recent = rings.recent_ring.blocks.iter().map(|b| b.as_ptr() as usize);
-        high.chain(recent).collect()
+        let ring = &state.cols.recent_ring;
+        ring.blocks.iter().map(|b| b.as_ptr() as usize).collect()
     }
 
     /// Populations one short of a ring block, exactly one, one past it and
     /// one reaching into a third, each swept by 1 to 4 kernel threads — at
     /// 9 slots and 2 threads the chunk edge is slot 4, at 8 and 3 they are
-    /// 2 and 5: inside a block, as production's always are — against the
-    /// entry-based reference after every tick. The script wraps the `W` = 4
-    /// rings several times, meters a pooled group through the gather path,
-    /// and reuses a retired slot.
+    /// 2 and 5: inside a block, as production's always are — in
+    /// [`lockstep`] with the entry-based reference. The script wraps the
+    /// `W` = 4 ring several times, meters a pooled group through the
+    /// gather path, and reuses a retired slot. A burst holds every
+    /// dedicated session in RESET for several ticks; one is leased and
+    /// the shard recovered from a frame in the middle of it, and again a
+    /// few ticks into the next stages, while windows are partly filled.
     #[test]
     fn block_edges_and_chunk_edges_inside_blocks_are_bitwise_invisible() {
+        use LockstepOp::*;
         for n in [
             RING_BLOCK - 1,
             RING_BLOCK,
             RING_BLOCK + 1,
             2 * RING_BLOCK + 3,
         ] {
-            let mut shards = [1, 2, 3, 4].map(threaded_shard);
-            let mut oracle = reference::RefShard::new(0, &shard_cfg());
-            let mut script = Script::default();
-            let joins = std::iter::repeat_n(Op::JoinDedicated, n - 3);
-            let rest = [
-                Op::JoinGroup(3),
-                Op::Ticks(6, 3),
-                Op::Leave(n / 2),
-                Op::Ticks(6, 5),
-                Op::Ticks(6, 11),
-                Op::JoinDedicated,
-                Op::Ticks(6, 7),
-            ];
-            for op in joins.chain(rest) {
-                for ev in script.events(&op) {
-                    oracle.handle(&ev);
-                    for s in &mut shards {
-                        s.apply(&ev);
-                    }
-                    if matches!(ev, ReplayEvent::Tick { .. }) {
-                        let base = v1_bytes(&shards[0]);
-                        for s in &shards[1..] {
-                            assert_eq!(base, v1_bytes(s), "{n} slots");
-                        }
-                        assert_eq!(
-                            canonical_forgetful_bytes(shards[0].checkpoint()),
-                            canonical_forgetful_bytes(oracle.checkpoint()),
-                            "{n} slots"
-                        );
-                    }
-                }
+            let joins = std::iter::repeat_n(Plain(Op::JoinDedicated), n - 3);
+            let ops: Vec<LockstepOp> = joins
+                .chain([
+                    Plain(Op::JoinGroup(3)),
+                    Plain(Op::Ticks(6, 3)),
+                    Plain(Op::Leave(n / 2)),
+                    Plain(Op::Ticks(6, 5)),
+                    Plain(Op::Burst),
+                    Plain(Op::Ticks(2, 9)),
+                    Migrate(0),
+                    Capture,
+                    Plain(Op::Ticks(1, 9)),
+                    Recover,
+                    Plain(Op::Ticks(6, 11)),
+                    Capture,
+                    Recover,
+                    Migrate(1),
+                    Plain(Op::Ticks(6, 11)),
+                    Plain(Op::JoinDedicated),
+                    Plain(Op::Ticks(6, 7)),
+                ])
+                .collect();
+            let shards = [1, 2, 3, 4].map(|threads| lockstep(threads, &ops).unwrap());
+            for s in &shards[1..] {
+                assert_eq!(v1_bytes(&shards[0]), v1_bytes(s), "{n} slots");
             }
-            let blocks = n.div_ceil(RING_BLOCK);
-            assert_eq!(block_addrs(&shards[0]).len(), 2 * blocks, "{n} slots");
+            let blocks = shards[0].sessions.slot_bound().div_ceil(RING_BLOCK);
+            assert_eq!(block_addrs(&shards[0]).len(), blocks, "{n} slots");
         }
     }
 
@@ -4441,14 +4442,11 @@ mod tests {
                 let mut fresh = threaded_shard(2).rebuild(Some(&frame), &journal);
                 assert_eq!(v1_bytes(&restored), v1_bytes(&fresh));
                 let now = block_addrs(&restored);
-                let (high, recent) = now.split_at(now.len() / 2);
-                let (held_high, held_recent) = held.split_at(held.len() / 2);
                 let blocks = donor_n
                     .max(restored.sessions.slot_bound())
                     .div_ceil(RING_BLOCK);
-                assert_eq!(high.len(), blocks, "donor {donor_n}, frame {frame_n}");
-                assert_eq!(&high[..held_high.len()], held_high);
-                assert_eq!(&recent[..held_recent.len()], held_recent);
+                assert_eq!(now.len(), blocks, "donor {donor_n}, frame {frame_n}");
+                assert_eq!(&now[..held.len()], held);
                 for ev in after {
                     restored.apply(&ev);
                     fresh.apply(&ev);
@@ -4474,7 +4472,7 @@ mod tests {
             run(&mut s, Op::JoinDedicated);
         }
         let blocks = block_addrs(&s);
-        assert_eq!(blocks.len(), 4, "two blocks per ring");
+        assert_eq!(blocks.len(), 2, "two ring blocks");
         for _ in 0..200 {
             run(&mut s, Op::Ticks(5, 1));
         }

@@ -77,3 +77,32 @@ unsafe impl GlobalAlloc for LiveBytesAlloc {
         System.dealloc(ptr, layout)
     }
 }
+
+/// The body of the column named `name` in a columnar checkpoint frame,
+/// found by walking the frame's documented layout: the fixed header, the
+/// tenant table, then the self-describing columns.
+pub fn frame_column<'a>(frame: &'a [u8], name: &str) -> &'a [u8] {
+    let u32_at = |at: usize| u32::from_le_bytes(frame[at..at + 4].try_into().unwrap()) as usize;
+    // Version, kind, clock, rows, W, two prices, B_max, D_O, U_O and the
+    // retired stage count.
+    let mut at = 66;
+    let tenants = u32_at(at);
+    at += 4;
+    for _ in 0..tenants {
+        at += 4 + u32_at(at);
+    }
+    let columns = u32_at(at);
+    at += 4;
+    for _ in 0..columns {
+        let len = u32_at(at);
+        let this = &frame[at + 4..at + 4 + len];
+        at += 4 + len + 1 + 4 + 4; // name, type tag, width, cell count
+        let body = u32_at(at);
+        at += 4;
+        if this == name.as_bytes() {
+            return &frame[at..at + body];
+        }
+        at += body;
+    }
+    panic!("the frame has no column `{name}`")
+}

@@ -10,6 +10,7 @@
 //! apart.
 
 use cdba_ctrl::{ControlPlane, CtrlError, ExecMode, FaultPlan, ServiceConfig, ServiceSnapshot};
+use cdba_integration::frame_column;
 use std::time::{Duration, Instant};
 
 const B_MAX: f64 = 16.0;
@@ -794,5 +795,53 @@ fn corrupted_migration_blobs_never_panic_the_importer() {
             // fails the test.
             let _ = dst.import_session(&evil);
         }
+    }
+}
+
+/// One logical state has one encoding. A session a few ticks into a
+/// RESET that a burst keeps open (84 bits queued at `B_A` = 16), leased out
+/// and straight back in, must come out of every later checkpoint frame
+/// byte for byte as the same session ticked straight through, leased only
+/// before its first tick so that both carry the same key: a RESET holds
+/// no tracker state, however the session got there.
+#[test]
+fn a_reset_encodes_the_same_whether_ticked_through_or_leased() {
+    let frames = |lease_at: u64| {
+        let cfg = ServiceConfig::builder(4096.0)
+            .session_b_max(B_MAX)
+            .offline_delay(D_O)
+            .window(D_O)
+            .shards(1)
+            .exec(ExecMode::Threaded)
+            .checkpoint_every(1)
+            .build()
+            .unwrap();
+        let mut plane = ControlPlane::new(cfg);
+        let mut key = plane.admit("acme").unwrap();
+        let mut frames = Vec::new();
+        for t in 0..24u64 {
+            if t == lease_at {
+                let blob = plane.export_session(key).unwrap();
+                key = plane.import_session(&blob).unwrap();
+            }
+            let bits = if t == 6 { 100.0 } else { 1.0 };
+            plane.tick(&[(key, bits)]).unwrap();
+            // The snapshot's reply queues behind this tick's frame.
+            plane.snapshot().unwrap();
+            let (_, retained) = plane.checkpoint_frames_since(0, 0).unwrap();
+            frames.push(retained.last().unwrap().1.to_vec());
+        }
+        plane.shutdown();
+        frames
+    };
+    let (straight, leased) = (frames(0), frames(9));
+    const F_STAGE_OPEN: u8 = 8;
+    for (t, frame) in straight.iter().enumerate().skip(6) {
+        let open = frame_column(frame, "flags")[0] & F_STAGE_OPEN != 0;
+        assert!(t > 8 || !open, "the session is in RESET after tick {t}");
+        assert!(
+            t < 9 || *frame == leased[t],
+            "the frames after tick {t} differ"
+        );
     }
 }

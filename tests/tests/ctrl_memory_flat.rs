@@ -19,8 +19,10 @@
 //! a shard restarts stays within a quarter of one column set of where it
 //! stood, and eight restarts leave it where two did — whether the operator
 //! asked for the restart or the worker was killed. Nor does growing cost
-//! one: the window rings grow by appended blocks, so 4,097 admissions
-//! never hold a byte more than they keep, bar kilobytes in flight.
+//! one: the window ring grows by appended blocks, so 4,097 admissions
+//! never hold a byte more than they keep, bar kilobytes in flight. Nor
+//! does a session keep its window twice: a column set stays under a
+//! ceiling per dedicated session that a second window ring would cross.
 //!
 //! The counting allocator is process-global, so this file holds exactly
 //! one `#[test]`.
@@ -266,6 +268,16 @@ fn heap_and_retained_frame_are_flat_in_uptime() {
     // and a worker's fittings on top, never a second column set; and what
     // it keeps has stopped growing by the second restart.
     let set = column_set();
+    // One window per session: the high tracker reads its `W` arrivals
+    // from the meter's ring, and the meter's clock is the only one. A
+    // second ring (8·W = 64 B a session), its two cursors and the three
+    // columns kept in step with the meter's clock (32 B) would cross this
+    // ceiling: 1,281 B per dedicated session measured, 1,474 B with them.
+    let per_session = set / DEDICATED_RESTARTS;
+    assert!(
+        per_session <= 1_376,
+        "a dedicated session's column set weighs {per_session} B"
+    );
     // Reporting the injected panic under `RUST_BACKTRACE` symbolises a
     // backtrace: megabytes of heap that are the hook's, not the
     // recovery's. Every other panic still reports.

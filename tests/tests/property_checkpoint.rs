@@ -6,6 +6,7 @@
 //! never a half-applied frame.
 
 use cdba_ctrl::{CheckpointMirror, CheckpointProbe, CtrlError, ServiceConfig};
+use cdba_integration::frame_column;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -162,4 +163,21 @@ fn named_schema_attacks_map_to_typed_fields() {
             .unwrap_or_else(|e| panic!("{what}: {e}"));
         assert_eq!(field, want, "{what} mapped to the wrong field");
     }
+}
+
+/// A frame as the v3 writer emitted it before RESET rows dropped their
+/// dead window (`golden/reset_window.frame`: one shard, four dedicated
+/// sessions and a pooled pair, cut at tick 9 while a burst at tick 6
+/// still holds session 0 in RESET). Row 0 carries the four arrivals its
+/// closed stage ended on and that stage's tick count; the frame stays
+/// valid, and the dead tracker state is dropped on apply.
+#[test]
+fn a_reset_row_carrying_its_dead_window_still_applies() {
+    let frame: &[u8] = include_bytes!("golden/reset_window.frame");
+    let cell = |name: &str| u32::from_le_bytes(frame_column(frame, name)[..4].try_into().unwrap());
+    assert_eq!(cell("flags"), 3, "row 0 is a dedicated session in RESET");
+    assert_eq!(cell("high_len"), 4, "... that carries a window");
+    let mut mirror = CheckpointMirror::new(&cfg());
+    assert_eq!(mirror.apply(frame).expect("the frame applies"), 6);
+    assert_eq!((mirror.ticks(), mirror.live_sessions()), (9, 6));
 }
