@@ -984,7 +984,7 @@ pub(crate) mod checkpoint {
 }
 
 // ---------------------------------------------------------------------------
-// Columnar checkpoint frames (v3): schema-described struct-of-arrays.
+// Columnar checkpoint frames (v4): schema-described struct-of-arrays.
 // ---------------------------------------------------------------------------
 
 pub(crate) mod columnar {
@@ -1003,12 +1003,24 @@ pub(crate) mod columnar {
     //! columns it does not know and reject bodies whose byte length
     //! disagrees with their cell count *before* touching any state.
     //! Fixed-width columns carry one cell per row; ragged columns
-    //! (tracker hulls, window rings, delay spills) carry the rows' runs
-    //! concatenated in row order, with a sibling `*_len` fixed column
-    //! giving each row's run length. Stage history is two fixed columns
-    //! (completed count, open-stage start), so a frame's size follows the
-    //! population, not how long the sessions have run. Ring columns are
-    //! normalized to head = 0 on encode, so no cursor columns travel.
+    //! (tracker hulls, window arrivals, allocation runs, delay spills)
+    //! carry the rows' runs concatenated in row order, with a sibling
+    //! `*_len` fixed column giving each row's run length. Ring columns
+    //! are normalized to head = 0 on encode, so no cursor columns travel.
+    //!
+    //! A frame carries only what the kernel cannot derive. Stage history
+    //! is two fixed columns (completed count, open-stage ticks), so a
+    //! frame's size follows the population, not how long the sessions
+    //! have run. The meter's clock is the only clock: the algorithm's and
+    //! the delay tracker's equal it, and an open stage started at it less
+    //! the stage's ticks. The high tracker's window is the newest
+    //! `min(stage ticks, W)` cells of `recent`, the meter's arrivals. The
+    //! ring's allocation half is piecewise constant (the paper's objective
+    //! keeps changes rare), so it travels as `alloc_runs`: maximal
+    //! `(ticks, value)` runs that tile the row's `recent_len` cells. A
+    //! pooled row names no group: its `(group, member)` is where the
+    //! group section lists its key.
+    //!
     //! After the columns: the group section (always the *full* group set
     //! — group state is tiny and rewriting it wholesale keeps apply
     //! trivially idempotent per frame), the tombstone list (keys removed
@@ -1031,9 +1043,13 @@ pub(crate) mod columnar {
     use cdba_core::single::SingleCheckpoint;
     use cdba_sim::streaming::DelayTrackerState;
     use std::collections::HashMap;
+    use std::ops::Range;
 
-    /// Version byte leading every columnar frame.
-    pub(crate) const FRAME_VERSION: u8 = 3;
+    /// Version byte leading every columnar frame. Frames live in memory,
+    /// in wire-v5 mirror streams and in lease blobs, all written by the
+    /// same binary that reads them, so an older version is refused
+    /// (`columnar.version`), not translated.
+    pub(crate) const FRAME_VERSION: u8 = 4;
     /// Frame kind: every live session, full retired list, no tombstones.
     pub(crate) const KIND_GENESIS: u8 = 0;
     /// Frame kind: only sessions dirtied since the previous frame.
@@ -1045,11 +1061,12 @@ pub(crate) mod columnar {
     pub(crate) const T_F64: u8 = 1;
     /// Cell type: `u32`, little-endian.
     pub(crate) const T_U32: u8 = 2;
-    /// Ragged cell type: a run of `f64`s (the high-tracker ring).
+    /// Ragged cell type: a run of `f64`s (the meter's windowed arrivals).
     pub(crate) const T_RF64: u8 = 3;
-    /// Ragged cell type: a run of `(f64, f64)` pairs (hull, recent ring).
+    /// Ragged cell type: a run of `(f64, f64)` pairs (the low hull).
     pub(crate) const T_RPAIR: u8 = 4;
-    /// Ragged cell type: a run of `(u64, f64)` delay-FIFO entries.
+    /// Ragged cell type: a run of `(u64, f64)` cells (delay-FIFO entries,
+    /// allocation runs).
     pub(crate) const T_RPEND: u8 = 5;
 
     /// Bytes per cell for each type tag.
@@ -1068,29 +1085,26 @@ pub(crate) mod columnar {
     pub(crate) const C_KEY: usize = 0;
     pub(crate) const C_TENANT: usize = 1;
     pub(crate) const C_FLAGS: usize = 2;
-    pub(crate) const C_GROUP: usize = 3;
-    pub(crate) const C_MEMBER: usize = 4;
     /// First of the 16 `HotState` f64 scalar columns (declaration order).
-    pub(crate) const C_F64: usize = 5;
-    /// First of the 8 `HotState` u64 counter columns (declaration order).
-    pub(crate) const C_U64: usize = 21;
-    pub(crate) const C_HULL_LEN: usize = 29;
-    pub(crate) const C_HULL: usize = 30;
-    pub(crate) const C_HIGH_LEN: usize = 31;
-    pub(crate) const C_HIGH: usize = 32;
-    pub(crate) const C_RECENT_LEN: usize = 33;
-    pub(crate) const C_RECENT: usize = 34;
-    pub(crate) const C_PEND_LEN: usize = 35;
-    pub(crate) const C_PEND: usize = 36;
-    pub(crate) const NCOLS: usize = 37;
+    pub(crate) const C_F64: usize = 3;
+    /// First of the 5 `HotState` u64 counter columns (declaration order:
+    /// stage ticks, meter ticks, changes, max delay, stages completed).
+    pub(crate) const C_U64: usize = 19;
+    pub(crate) const C_HULL_LEN: usize = 24;
+    pub(crate) const C_HULL: usize = 25;
+    pub(crate) const C_RECENT_LEN: usize = 26;
+    pub(crate) const C_RECENT: usize = 27;
+    pub(crate) const C_RUNS_LEN: usize = 28;
+    pub(crate) const C_RUNS: usize = 29;
+    pub(crate) const C_PEND_LEN: usize = 30;
+    pub(crate) const C_PEND: usize = 31;
+    pub(crate) const NCOLS: usize = 32;
 
     /// The canonical schema: `(name, type)` per column index.
     pub(crate) const SPECS: [(&str, u8); NCOLS] = [
         ("key", T_U64),
         ("tenant", T_U32),
         ("flags", T_U32),
-        ("group", T_U64),
-        ("member", T_U64),
         ("shadow_backlog", T_F64),
         ("current_alloc", T_F64),
         ("peak_alloc", T_F64),
@@ -1107,23 +1121,70 @@ pub(crate) mod columnar {
         ("high_min_window_sum", T_F64),
         ("min_util", T_F64),
         ("max_delay_exact", T_F64),
-        ("alg_tick", T_U64),
         ("stage_ticks", T_U64),
         ("meter_ticks", T_U64),
         ("changes", T_U64),
-        ("delay_tick", T_U64),
         ("max_delay", T_U64),
         ("stages_completed", T_U64),
-        ("stage_open_start", T_U64),
         ("hull_len", T_U32),
         ("hull", T_RPAIR),
-        ("high_len", T_U32),
-        ("high", T_RF64),
         ("recent_len", T_U32),
-        ("recent", T_RPAIR),
+        ("recent", T_RF64),
+        ("alloc_runs_len", T_U32),
+        ("alloc_runs", T_RPEND),
         ("pend_len", T_U32),
         ("pend", T_RPEND),
     ];
+
+    /// The maximal runs of bit-equal `values`, oldest first, as
+    /// `(ticks, value)` cells: the `alloc_runs` form of a ring's
+    /// allocation half.
+    pub(crate) fn runs(values: impl IntoIterator<Item = f64>) -> impl Iterator<Item = (u64, f64)> {
+        let mut values = values.into_iter().peekable();
+        std::iter::from_fn(move || {
+            let v = values.next()?;
+            let mut ticks = 1u64;
+            while values.next_if(|x| x.to_bits() == v.to_bits()).is_some() {
+                ticks += 1;
+            }
+            Some((ticks, v))
+        })
+    }
+
+    /// Cells `cells` of an `alloc_runs` column expanded back to one value
+    /// per tick, oldest first.
+    pub(crate) fn expand_runs<'a>(
+        c: &'a RawColumn<'_>,
+        cells: Range<usize>,
+    ) -> impl Iterator<Item = f64> + 'a {
+        cells.flat_map(move |j| {
+            let (ticks, v) = pend_at(c, j);
+            std::iter::repeat_n(v, ticks as usize)
+        })
+    }
+
+    /// Checks that cells `cells` of an `alloc_runs` column tile a ring of
+    /// `len` entries the one way the encoder does: every run non-empty,
+    /// no two neighbours equal, the lengths summing to `len`.
+    pub(crate) fn check_runs(
+        c: &RawColumn<'_>,
+        cells: Range<usize>,
+        len: usize,
+    ) -> Result<(), &'static str> {
+        let (mut total, mut prev) = (0u64, None);
+        for j in cells {
+            let (ticks, v) = pend_at(c, j);
+            total = total.saturating_add(ticks);
+            if ticks == 0 || prev == Some(v.to_bits()) || total > len as u64 {
+                return Err("columnar.runs");
+            }
+            prev = Some(v.to_bits());
+        }
+        if total != len as u64 {
+            return Err("columnar.runs");
+        }
+        Ok(())
+    }
 
     /// How one cell of a column lands in a frame body: integers
     /// little-endian, `f64` as raw IEEE-754 bits, a pair as its halves in
@@ -1181,17 +1242,18 @@ pub(crate) mod columnar {
     const SCHEMA_ENTRY_LEN: usize = 4 + 1 + 4 + 4 + 4;
 
     /// Total run length of each ragged column over a frame's rows, in
-    /// schema order: hull, high, recent, pend. Every per-row run
-    /// length is itself a column (`*_len`), so the size pass only sums.
+    /// schema order: hull, recent, alloc runs, pend. The size pass sums
+    /// the per-row lengths it also writes as the `*_len` columns.
     pub(crate) type RaggedTotals = [usize; 4];
 
     /// The frame writer's reusable scratch. A frame is written in two
     /// passes over its source. The caller's size pass registers each row
-    /// ([`ColumnSink::push_row`]) and totals the ragged run lengths;
+    /// ([`ColumnSink::push_row`], with its count of allocation runs) and
+    /// totals the ragged run lengths;
     /// [`ColumnSink::start`] then allocates the output once, at the exact
     /// frame length, and the caller streams every column in schema order
     /// straight into it ([`FrameFill::col`]). Nothing frame-sized
-    /// survives between frames: the scratch is eight bytes per row, the
+    /// survives between frames: the scratch is twelve bytes per row, the
     /// tenant table, and the pre-encoded tail sections.
     #[derive(Default)]
     pub(crate) struct ColumnSink {
@@ -1199,6 +1261,8 @@ pub(crate) mod columnar {
         rows: Vec<u32>,
         /// The interned tenant index of each row.
         tenant_ids: Vec<u32>,
+        /// The allocation runs of each row, counted by the size pass.
+        runs: Vec<u32>,
         /// Per-frame tenant string table, in first-appearance order (the
         /// deterministic interning order; the map is lookup only).
         tenants: Vec<Arc<str>>,
@@ -1213,13 +1277,15 @@ pub(crate) mod columnar {
         pub(crate) fn begin(&mut self) {
             self.rows.clear();
             self.tenant_ids.clear();
+            self.runs.clear();
             self.tenants.clear();
             self.tenant_idx.clear();
         }
 
         /// Size pass: registers the next row, living at `slot` of the
-        /// caller's columns and owned by `tenant`.
-        pub(crate) fn push_row(&mut self, slot: u32, tenant: &Arc<str>) {
+        /// caller's columns, owned by `tenant`, its allocation history
+        /// `runs` runs long.
+        pub(crate) fn push_row(&mut self, slot: u32, tenant: &Arc<str>, runs: u32) {
             let id = match self.tenant_idx.get(tenant.as_ref() as &str) {
                 Some(&id) => id,
                 None => {
@@ -1231,6 +1297,7 @@ pub(crate) mod columnar {
             };
             self.rows.push(slot);
             self.tenant_ids.push(id);
+            self.runs.push(runs);
         }
 
         /// Ends the size pass: sizes the frame from the registered rows,
@@ -1295,6 +1362,7 @@ pub(crate) mod columnar {
                 out,
                 rows: &self.rows,
                 tenant_ids: &self.tenant_ids,
+                runs: &self.runs,
                 ragged,
                 tail: &self.tail,
                 next: 0,
@@ -1324,6 +1392,8 @@ pub(crate) mod columnar {
         pub rows: &'a [u32],
         /// The registered rows' tenant-table indices.
         tenant_ids: &'a [u32],
+        /// The registered rows' allocation-run counts.
+        runs: &'a [u32],
         ragged: RaggedTotals,
         tail: &'a [u8],
         /// The next column [`FrameFill::col`] must be given.
@@ -1358,6 +1428,12 @@ pub(crate) mod columnar {
         /// table the size pass interned.
         pub(crate) fn tenant_col(&mut self) {
             self.col(C_TENANT, self.tenant_ids.iter().copied());
+        }
+
+        /// Writes the `alloc_runs_len` column: each row's run count as the
+        /// size pass registered it.
+        pub(crate) fn runs_len_col(&mut self) {
+            self.col(C_RUNS_LEN, self.runs.iter().copied());
         }
 
         /// Appends the tail sections; the frame is complete.
@@ -1464,7 +1540,7 @@ pub(crate) mod columnar {
     ///
     /// # Errors
     ///
-    /// [`CodecError::BadVersion`] for a non-v3 payload, [`CodecError::BadTag`]
+    /// [`CodecError::BadVersion`] for a non-v4 payload, [`CodecError::BadTag`]
     /// for an unknown kind/type tag, [`CodecError::BadLength`] for a
     /// width or body-length mismatch, and any cursor error for truncation
     /// or trailing bytes.
@@ -1567,17 +1643,21 @@ pub(crate) mod columnar {
         }
     }
 
-    /// Encodes one session checkpoint as a standalone single-row genesis
-    /// frame — the migration blob. Same writer, same column layout,
-    /// same decode path as a full shard frame: a quiesced session is just
-    /// a one-session column slice.
+    /// Encodes one dedicated session's checkpoint as a standalone
+    /// single-row genesis frame — the migration blob. Same writer, same
+    /// column layout, same decode path as a full shard frame: a quiesced
+    /// session is just a one-session column slice. Only dedicated
+    /// sessions migrate; a pooled one has no group section to name it.
     pub(crate) fn encode_session_frame(cp: &SessionCheckpoint, out: &mut Vec<u8>) {
         let m = &cp.meter;
-        let mut flags = F_LIVE;
+        let alg = cp
+            .dedicated
+            .as_ref()
+            .expect("only dedicated sessions travel as lease frames");
+        let mut flags = F_LIVE | F_DEDICATED;
         if cp.leaving {
             flags |= F_LEAVING;
         }
-        let (group, member) = cp.pooled.map_or((u64::MAX, 0), |p| p);
         let mut f64s = [0.0f64; 16];
         f64s[0] = m.shadow_backlog;
         f64s[1] = m.current_alloc;
@@ -1587,41 +1667,31 @@ pub(crate) mod columnar {
         f64s[5] = m.total_allocated;
         f64s[6] = m.window_arrived;
         f64s[7] = m.window_allocated;
+        f64s[8] = alg.backlog;
+        f64s[9] = alg.b_on;
         f64s[13] = f64::INFINITY; // grace sentinel when no stage travels
         f64s[14] = m.min_windowed_utilization.unwrap_or(f64::NAN);
         f64s[15] = m.delay.max_delay_exact;
-        let mut u64s = [0u64; 8];
-        u64s[2] = m.ticks;
-        u64s[3] = m.changes;
-        u64s[4] = m.delay.tick as u64;
-        u64s[5] = m.delay.max_delay as u64;
+        let mut u64s = [0u64; 5];
+        u64s[1] = m.ticks;
+        u64s[2] = m.changes;
+        u64s[3] = m.delay.max_delay as u64;
+        u64s[4] = alg.stages.completed() as u64;
         let mut hull: &[(f64, f64)] = &[];
-        let mut high: &[f64] = &[];
-        let (mut b_max, mut d_o, mut u_o) = (0.0f64, 0u64, 0.0f64);
-        if let Some(alg) = &cp.dedicated {
-            flags |= F_DEDICATED;
-            b_max = alg.cfg.b_max;
-            d_o = alg.cfg.d_o as u64;
-            u_o = alg.cfg.u_o;
-            f64s[8] = alg.backlog;
-            f64s[9] = alg.b_on;
-            u64s[0] = alg.tick as u64;
-            u64s[6] = alg.stages.completed() as u64;
-            u64s[7] = alg.stages.open_start().unwrap_or(0) as u64;
-            if let (Some(low), Some(high_t)) = (&alg.stage_low, &alg.stage_high) {
-                flags |= F_STAGE_OPEN;
-                u64s[1] = low.ticks as u64;
-                f64s[10] = low.total;
-                f64s[11] = low.low;
-                f64s[12] = high_t.window_sum;
-                f64s[13] = high_t.min_window_sum.unwrap_or(f64::INFINITY);
-                hull = &low.hull;
-                high = &high_t.window;
-            }
+        if let (Some(low), Some(high)) = (&alg.stage_low, &alg.stage_high) {
+            flags |= F_STAGE_OPEN;
+            u64s[0] = low.ticks as u64;
+            f64s[10] = low.total;
+            f64s[11] = low.low;
+            f64s[12] = high.window_sum;
+            f64s[13] = high.min_window_sum.unwrap_or(f64::INFINITY);
+            hull = &low.hull;
         }
         let (recent, pend) = (&m.recent, &m.delay.pending);
+        let allocs = || recent.iter().map(|p| p.1);
+        let n_runs = runs(allocs()).count();
         let mut sink = ColumnSink::default();
-        sink.push_row(0, &cp.tenant);
+        sink.push_row(0, &cp.tenant, n_runs as u32);
         let mut f = sink.start(
             &FrameHeader {
                 kind: KIND_GENESIS,
@@ -1629,11 +1699,11 @@ pub(crate) mod columnar {
                 stages_retired: 0,
                 w: m.window as u32,
                 cost: m.cost,
-                b_max,
-                d_o,
-                u_o,
+                b_max: alg.cfg.b_max,
+                d_o: alg.cfg.d_o as u64,
+                u_o: alg.cfg.u_o,
             },
-            [hull.len(), high.len(), recent.len(), pend.len()],
+            [hull.len(), recent.len(), n_runs, pend.len()],
             &[],
             &[],
             &[],
@@ -1642,8 +1712,6 @@ pub(crate) mod columnar {
         f.col(C_KEY, [cp.key]);
         f.tenant_col();
         f.col(C_FLAGS, [flags]);
-        f.col(C_GROUP, [group]);
-        f.col(C_MEMBER, [member]);
         for (j, v) in f64s.into_iter().enumerate() {
             f.col(C_F64 + j, [v]);
         }
@@ -1652,10 +1720,10 @@ pub(crate) mod columnar {
         }
         f.col(C_HULL_LEN, [hull.len() as u32]);
         f.col(C_HULL, hull.iter().copied());
-        f.col(C_HIGH_LEN, [high.len() as u32]);
-        f.col(C_HIGH, high.iter().copied());
         f.col(C_RECENT_LEN, [recent.len() as u32]);
-        f.col(C_RECENT, recent.iter().copied());
+        f.col(C_RECENT, recent.iter().map(|p| p.0));
+        f.runs_len_col();
+        f.col(C_RUNS, runs(allocs()));
         f.col(C_PEND_LEN, [pend.len() as u32]);
         f.col(C_PEND, pend.iter().map(|&(t, b)| (t as u64, b)));
         f.finish();
@@ -1663,8 +1731,11 @@ pub(crate) mod columnar {
 
     /// Materializes the [`SessionCheckpoint`] of a single-row migration
     /// frame, so the import path feeds the exact `validate()` /
-    /// `conforms()` gauntlet the v1 blob path established. Rejects frames
-    /// that are not a pure one-session slice.
+    /// `conforms()` gauntlet the v1 blob path established. What the
+    /// frame does not carry is derived as the kernel derives it: both
+    /// clocks from the meter's, the stage start and the high window from
+    /// the stage's ticks. Rejects frames that are not a pure one-session
+    /// dedicated slice.
     ///
     /// # Errors
     ///
@@ -1688,10 +1759,8 @@ pub(crate) mod columnar {
         if flags & !KNOWN != 0 || flags & F_LIVE == 0 {
             return Err("columnar.flags");
         }
-        let group = u64_at(f.fixed(C_GROUP)?, 0);
-        let dedicated = flags & F_DEDICATED != 0;
-        if dedicated != (group == u64::MAX) || (!dedicated && flags & F_STAGE_OPEN != 0) {
-            return Err("columnar.flags");
+        if flags & F_DEDICATED == 0 {
+            return Err("columnar.migration");
         }
         let tenant_i = u32_at(f.fixed(C_TENANT)?, 0) as usize;
         let tenant: Arc<str> = Arc::from(*f.strings.get(tenant_i).ok_or("columnar.tenant")?);
@@ -1699,7 +1768,7 @@ pub(crate) mod columnar {
         for (j, v) in f64s.iter_mut().enumerate() {
             *v = f64_at(f.fixed(C_F64 + j)?, 0);
         }
-        let mut u64s = [0u64; 8];
+        let mut u64s = [0u64; 5];
         for (j, v) in u64s.iter_mut().enumerate() {
             *v = u64_at(f.fixed(C_U64 + j)?, 0);
         }
@@ -1713,12 +1782,50 @@ pub(crate) mod columnar {
                 Ok((n, c))
             };
         let (hull_n, hull_c) = ragged(C_HULL_LEN, C_HULL)?;
-        let (high_n, high_c) = ragged(C_HIGH_LEN, C_HIGH)?;
         let (recent_n, recent_c) = ragged(C_RECENT_LEN, C_RECENT)?;
+        let (runs_n, runs_c) = ragged(C_RUNS_LEN, C_RUNS)?;
         let (pend_n, pend_c) = ragged(C_PEND_LEN, C_PEND)?;
-        if high_n > w || recent_n > w {
+        if recent_n > w {
             return Err("columnar.ring");
         }
+        check_runs(runs_c, 0..runs_n, recent_n)?;
+        let (stage_ticks, clock) = (u64s[0], u64s[1]);
+        let open = flags & F_STAGE_OPEN != 0;
+        let window = (stage_ticks as usize).min(w);
+        if open && (stage_ticks > clock || window > recent_n) {
+            return Err("columnar.stage");
+        }
+        let recent: Vec<(f64, f64)> = (0..recent_n)
+            .map(|j| f64_at(recent_c, j))
+            .zip(expand_runs(runs_c, 0..runs_n))
+            .collect();
+        let cfg = SingleConfig {
+            b_max: f.b_max,
+            d_o: f.d_o as usize,
+            u_o: f.u_o,
+            w,
+        };
+        let (stage_low, stage_high) = if open {
+            let low = LowTrackerState {
+                d_o: cfg.d_o,
+                hull: (0..hull_n).map(|j| pair_at(hull_c, j)).collect(),
+                ticks: stage_ticks as usize,
+                total: f64s[10],
+                low: f64s[11],
+            };
+            let high = HighTrackerState {
+                u_o: cfg.u_o,
+                w,
+                grace: cfg.b_max,
+                window: recent[recent_n - window..].iter().map(|p| p.0).collect(),
+                window_sum: f64s[12],
+                min_window_sum: (!f64s[13].is_infinite()).then_some(f64s[13]),
+                ticks: stage_ticks as usize,
+            };
+            (Some(low), Some(high))
+        } else {
+            (None, None)
+        };
         let meter = MeterCheckpoint {
             cost: f.cost,
             window: w,
@@ -1730,74 +1837,38 @@ pub(crate) mod columnar {
                         (t as usize, b)
                     })
                     .collect(),
-                tick: u64s[4] as usize,
-                max_delay: u64s[5] as usize,
+                tick: clock as usize,
+                max_delay: u64s[3] as usize,
                 max_delay_exact: f64s[15],
             },
-            recent: (0..recent_n).map(|j| pair_at(recent_c, j)).collect(),
+            recent,
             window_arrived: f64s[6],
             window_allocated: f64s[7],
             min_windowed_utilization: (!f64s[14].is_nan()).then_some(f64s[14]),
             current_alloc: f64s[1],
-            ticks: u64s[2],
-            changes: u64s[3],
+            ticks: clock,
+            changes: u64s[2],
             peak_allocation: f64s[2],
             total_arrived: f64s[3],
             total_served: f64s[4],
             total_allocated: f64s[5],
         };
-        let dedicated = if dedicated {
-            let cfg = SingleConfig {
-                b_max: f.b_max,
-                d_o: f.d_o as usize,
-                u_o: f.u_o,
-                w,
-            };
-            let open = flags & F_STAGE_OPEN != 0;
-            let stages = stage_log(u64s[6], open.then_some(u64s[7]));
-            let stage_low = if open {
-                Some(LowTrackerState {
-                    d_o: cfg.d_o,
-                    hull: (0..hull_n).map(|j| pair_at(hull_c, j)).collect(),
-                    ticks: u64s[1] as usize,
-                    total: f64s[10],
-                    low: f64s[11],
-                })
-            } else {
-                None
-            };
-            let stage_high = if open {
-                Some(HighTrackerState {
-                    u_o: cfg.u_o,
-                    w,
-                    grace: cfg.b_max,
-                    window: (0..high_n).map(|j| f64_at(high_c, j)).collect(),
-                    window_sum: f64s[12],
-                    min_window_sum: (!f64s[13].is_infinite()).then_some(f64s[13]),
-                    ticks: u64s[1] as usize,
-                })
-            } else {
-                None
-            };
-            Some(SingleCheckpoint {
-                cfg,
-                backlog: f64s[8],
-                stage_low,
-                stage_high,
-                b_on: f64s[9],
-                tick: u64s[0] as usize,
-                stages,
-            })
-        } else {
-            None
+        let dedicated = SingleCheckpoint {
+            stages: stage_log(u64s[4], open.then(|| clock - stage_ticks)),
+            cfg,
+            backlog: f64s[8],
+            stage_low,
+            stage_high,
+            b_on: f64s[9],
+            tick: clock as usize,
         };
         Ok(SessionCheckpoint {
             key: u64_at(f.fixed(C_KEY)?, 0),
             tenant,
             meter,
             leaving: flags & F_LEAVING != 0,
-            dedicated,
-            pooled: (group != u64::MAX).then_some((group, u64_at(f.fixed(C_MEMBER)?, 0))),
+            dedicated: Some(dedicated),
+            pooled: None,
         })
     }
 }

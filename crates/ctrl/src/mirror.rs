@@ -34,6 +34,7 @@ use std::sync::Arc;
 pub struct CheckpointMirror {
     state: ShardState,
     scratch: ApplyScratch,
+    sink: columnar::ColumnSink,
 }
 
 impl CheckpointMirror {
@@ -45,6 +46,7 @@ impl CheckpointMirror {
         CheckpointMirror {
             state: ShardState::new(0, cfg),
             scratch: ApplyScratch::default(),
+            sink: columnar::ColumnSink::default(),
         }
     }
 
@@ -65,6 +67,15 @@ impl CheckpointMirror {
             .apply_frame(&parsed, &mut self.scratch)
             .map_err(|field| CtrlError::InvalidCheckpoint { field })?;
         Ok(u64::from(rows))
+    }
+
+    /// Encodes the replica as one genesis frame into `out` (cleared
+    /// first), returning its row count. Apply is bitwise, so right after
+    /// a genesis is applied the frame is that genesis byte for byte.
+    pub fn encode(&mut self, out: &mut Vec<u8>) -> u64 {
+        out.clear();
+        self.state
+            .encode_columnar(columnar::KIND_GENESIS, &mut self.sink, out)
     }
 
     /// Ticks the mirrored shard has processed (as of the last frame).
@@ -301,32 +312,39 @@ mod tests {
             .expect("the intact frame still applies after the failed one");
     }
 
-    /// `frame` with each `(column, cell, bits)` written over that 8-byte
-    /// cell.
-    fn poisoned(frame: &[u8], cells: &[(usize, usize, u64)]) -> Vec<u8> {
+    /// `frame` with each `(column, byte offset, bytes)` written over that
+    /// column's body.
+    fn poisoned(frame: &[u8], edits: &[(usize, usize, &[u8])]) -> Vec<u8> {
         let parsed = columnar::parse(frame).unwrap();
-        let offsets: Vec<usize> = cells
-            .iter()
-            .map(|&(col, cell, _)| {
-                let body = parsed.col(col).unwrap().body;
-                body.as_ptr() as usize - frame.as_ptr() as usize + 8 * cell
-            })
-            .collect();
         let mut evil = frame.to_vec();
-        for (&at, &(_, _, bits)) in offsets.iter().zip(cells) {
-            evil[at..at + 8].copy_from_slice(&bits.to_le_bytes());
+        for &(col, at, bytes) in edits {
+            let body = parsed.col(col).unwrap().body;
+            let at = body.as_ptr() as usize - frame.as_ptr() as usize + at;
+            evil[at..at + bytes.len()].copy_from_slice(bytes);
         }
         evil
     }
 
-    /// The kernel stores no high window, algorithm clock, delay clock or
-    /// stage start: it derives them from the meter's clock and ring. A
-    /// frame or lease blob whose copies disagree with that source is
-    /// refused with a typed field before anything is written — by a
-    /// mirror, by a recovering shard, and by a lease import.
+    /// `frame` with its one occurrence of `from` replaced by `to`.
+    fn swapped(frame: &[u8], from: &[u8], to: &[u8]) -> Vec<u8> {
+        let at = frame.windows(from.len()).position(|w| w == from).unwrap();
+        assert!(!frame[at + 1..].windows(from.len()).any(|w| w == from));
+        let mut evil = frame.to_vec();
+        evil[at..at + to.len()].copy_from_slice(to);
+        evil
+    }
+
+    /// A frame carries nothing the kernel derives, so all that is left to
+    /// refuse is state that cannot exist: an open stage that outlasts the
+    /// session's clock, allocation runs that do not tile the ring (a
+    /// zero-length run, lengths that miss `recent_len`), a group member
+    /// naming a dedicated or an absent row, a pooled row no group names,
+    /// and a frame of another version. Each is refused with a typed field
+    /// before anything is written — by a mirror, by a recovering shard,
+    /// and (the cases a one-row lease can carry) by a lease import.
     #[test]
-    fn derived_columns_that_disagree_with_their_source_are_refused() {
-        use columnar::{C_HIGH, C_U64};
+    fn impossible_rows_and_foreign_versions_are_refused_typed() {
+        use columnar::{C_FLAGS, C_RECENT, C_RUNS, C_U64};
         let cfg = cfg();
         let mut live = ShardState::new(0, &cfg);
         for key in 0..3 {
@@ -340,11 +358,8 @@ mod tests {
             tenant: "acme".into(),
             members: vec![3, 4].into(),
         });
-        // Key 2's burst ends its stage with a backlog to drain: a RESET row.
-        for bits in [1.0, 1.0, 1.0, 1.0, 1.0, 100.0, 1.0] {
-            let arrivals: Vec<(u64, f64)> = (0..5)
-                .map(|k| (k, [1.0, bits][(k == 2) as usize]))
-                .collect();
+        for _ in 0..7 {
+            let arrivals: Vec<(u64, f64)> = (0..5).map(|k| (k, 1.0)).collect();
             live.apply(&ReplayEvent::Tick {
                 arrivals: arrivals.into(),
             });
@@ -355,52 +370,55 @@ mod tests {
             &mut columnar::ColumnSink::default(),
             &mut frame,
         );
-        let cell = |col: usize, row: usize| {
+        let clock = {
             let parsed = columnar::parse(&frame).unwrap();
-            columnar::u64_at(parsed.col(col).unwrap(), row)
+            columnar::u64_at(parsed.col(C_U64 + 1).unwrap(), 0)
         };
-        // Row 0 (key 0) is mid-stage with a full window; row 2 is in
-        // RESET; row 3 is pooled. Key 0 leaves as a one-row lease blob.
-        let clock = cell(C_U64 + 2, 0);
-        let open = |row: usize| {
-            let parsed = columnar::parse(&frame).unwrap();
-            let flags = columnar::u32_at(parsed.col(columnar::C_FLAGS).unwrap(), row);
-            flags & crate::shard::F_STAGE_OPEN != 0
+        let refusal = |state: &mut ShardState, bytes: &[u8]| {
+            let parsed = columnar::parse(bytes).map_err(|e| columnar::error_field(&e))?;
+            state.apply_frame(&parsed, &mut ApplyScratch::default())
         };
-        assert!(open(0) && cell(C_U64 + 1, 0) >= cfg.w as u64 && !open(2));
-        let both = [
-            (vec![(C_HIGH, 0, cell(C_HIGH, 0) ^ 1)], "columnar.high"),
-            (
-                vec![(C_U64 + 1, 0, 2), (C_U64 + 7, 0, clock - 2)],
-                "columnar.high_len",
-            ),
-            (vec![(C_U64 + 4, 0, clock + 1)], "columnar.clocks"),
-            (vec![(C_U64, 0, clock + 1)], "columnar.clocks"),
-            (
-                vec![(C_U64 + 7, 0, cell(C_U64 + 7, 0) + 1)],
-                "columnar.stage_start",
-            ),
+        // Row 0 (key 0) is mid-stage, one constant-allocation run long;
+        // rows 3 and 4 are the pooled pair.
+        let too_long = (clock + 1).to_le_bytes();
+        let row_cases: [(usize, usize, &[u8], &str); 3] = [
+            (C_U64, 0, &too_long, "columnar.stage"),
+            (C_RUNS, 0, &0u64.to_le_bytes(), "columnar.runs"),
+            (C_RUNS, 0, &5u64.to_le_bytes(), "columnar.runs"),
         ];
-        let frame_only = [
-            (vec![(C_U64, 3, clock)], "columnar.clocks"),
-            (vec![(C_U64 + 7, 2, 1)], "columnar.stage_start"),
-        ];
+        let member = live.checkpoint().groups[0].members[0];
+        assert_eq!(member.1, 3);
+        let pair = |key: u64| [member.0.to_le_bytes(), key.to_le_bytes()].concat();
+        let mut cases: Vec<(Vec<u8>, &str)> = row_cases
+            .iter()
+            .map(|&(col, at, bytes, want)| (poisoned(&frame, &[(col, at, bytes)]), want))
+            .collect();
+        cases.push((swapped(&frame, &pair(3), &pair(0)), "columnar.groups"));
+        cases.push((swapped(&frame, &pair(3), &pair(99)), "columnar.groups"));
+        let pooled_flags = crate::shard::F_LIVE.to_le_bytes();
+        cases.push((
+            poisoned(&frame, &[(C_FLAGS, 0, &pooled_flags)]),
+            "columnar.groups",
+        ));
+        let mut v3 = frame.clone();
+        v3[0] = 3;
+        cases.push((v3, "columnar.version"));
         let mut mirror = CheckpointMirror::new(&cfg);
         mirror.apply(&frame).unwrap();
         let held = mirror.state.checkpoint();
-        for (cells, want) in both.iter().chain(&frame_only) {
-            let evil = poisoned(&frame, cells);
-            let err = mirror.apply(&evil).unwrap_err();
-            assert!(matches!(err, CtrlError::InvalidCheckpoint { field } if field == *want));
+        for (evil, want) in &cases {
+            let err = mirror.apply(evil).unwrap_err();
+            assert!(
+                matches!(err, CtrlError::InvalidCheckpoint { field } if field == *want),
+                "{want}: {err}"
+            );
             assert_eq!(
                 mirror.state.checkpoint(),
                 held,
                 "{want}: the mirror was written"
             );
             let mut recovering = ShardState::new(0, &cfg).recycle();
-            let parsed = columnar::parse(&evil).unwrap();
-            let refused = recovering.apply_frame(&parsed, &mut ApplyScratch::default());
-            assert_eq!(refused, Err(*want));
+            assert_eq!(refusal(&mut recovering, evil), Err(*want));
             assert_eq!(
                 recovering.live_sessions(),
                 0,
@@ -417,13 +435,19 @@ mod tests {
             plane.tick(&[(key, 1.0)]).unwrap();
         }
         let blob = plane.export_session(key).unwrap();
-        let window = columnar::parse(&blob).unwrap().col(C_HIGH).unwrap().count;
+        let window = columnar::parse(&blob).unwrap().col(C_RECENT).unwrap().count;
         assert_eq!(window, 4, "the lease carries a full window");
         let budget = plane.available_budget();
-        for (cells, want) in &both {
-            let err = plane.import_session(&poisoned(&blob, cells)).unwrap_err();
+        let mut v3 = blob.clone();
+        v3[0] = 3;
+        let leases = row_cases
+            .iter()
+            .map(|&(col, at, bytes, want)| (poisoned(&blob, &[(col, at, bytes)]), want))
+            .chain([(v3, "columnar.version")]);
+        for (evil, want) in leases {
+            let err = plane.import_session(&evil).unwrap_err();
             assert!(
-                matches!(err, CtrlError::InvalidCheckpoint { .. }),
+                matches!(err, CtrlError::InvalidCheckpoint { field } if field == want),
                 "{want}: {err}"
             );
             assert_eq!(

@@ -1491,9 +1491,11 @@ impl ControlPlane {
     ///
     /// # Errors
     ///
-    /// [`CtrlError::InvalidService`] for a malformed blob or one that is
-    /// not a dedicated session; [`CtrlError::InvalidCheckpoint`] for a
-    /// blob that decodes structurally but carries an out-of-domain value
+    /// [`CtrlError::InvalidService`] for a malformed v1 blob or one that
+    /// is not a dedicated session; [`CtrlError::InvalidCheckpoint`] for a
+    /// frame that is truncated, of another frame version
+    /// (`columnar.version`) or not a one-session dedicated slice, and for
+    /// a blob that decodes structurally but carries an out-of-domain value
     /// (a non-finite or negative float, an impossible tracker shape, a
     /// clock or high window that disagrees with the meter's);
     /// [`CtrlError::Admission`] when the budget
@@ -1501,10 +1503,13 @@ impl ControlPlane {
     /// when no shard could take the session. Admission is rolled back on
     /// a failed delivery, exactly like [`ControlPlane::admit`].
     pub fn import_session(&mut self, blob: &[u8]) -> Result<u64, CtrlError> {
-        // Exporters emit one-session columnar frames; anything else is
-        // tried as a row-oriented v1 session blob.
+        // Exporters emit one-session columnar frames; a row-oriented v1
+        // session blob says so in its first byte. Anything else is a
+        // frame, and one of another frame version is refused typed.
         let mut cp = match blob.first() {
-            Some(&crate::codec::columnar::FRAME_VERSION) => {
+            Some(&crate::codec::CODEC_VERSION) => crate::codec::checkpoint::decode_session(blob)
+                .map_err(|err| CtrlError::InvalidService(format!("bad migration blob: {err}")))?,
+            _ => {
                 let frame = crate::codec::columnar::parse(blob).map_err(|err| {
                     CtrlError::InvalidCheckpoint {
                         field: crate::codec::columnar::error_field(&err),
@@ -1513,8 +1518,6 @@ impl ControlPlane {
                 crate::codec::columnar::session_from_frame(&frame)
                     .map_err(|field| CtrlError::InvalidCheckpoint { field })?
             }
-            _ => crate::codec::checkpoint::decode_session(blob)
-                .map_err(|err| CtrlError::InvalidService(format!("bad migration blob: {err}")))?,
         };
         if cp.dedicated.is_none() || cp.pooled.is_some() {
             return Err(CtrlError::InvalidService(

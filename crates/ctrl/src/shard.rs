@@ -1722,6 +1722,9 @@ pub(crate) struct ApplyScratch {
     keys: Vec<(u64, u32)>,
     /// The frame's tombstones, sorted.
     tombs: Vec<u64>,
+    /// `(row, group, member)` of each pooled row the group section names,
+    /// sorted by row.
+    members: Vec<(u32, u64, u64)>,
 }
 
 /// The per-shard session store and tick loop.
@@ -1950,20 +1953,23 @@ impl ShardState {
                 kind == KIND_GENESIS || cols.flags[slot.index as usize] & F_DIRTY != 0
             })
         };
-        let pooled = |e: &SessionEntry| match e.kind {
-            SessionKind::Dedicated => (u64::MAX, 0),
-            SessionKind::Pooled { group, member } => (group, member.raw()),
+        let w = self.window;
+        let ring = |i: usize| {
+            let cursors = (&cols.recent_head[..], &cols.recent_len[..]);
+            cols.recent_ring.run(w, cursors, i)
         };
-        // Size pass: the encoded slot list, the tenant table, and the
-        // ragged totals — every run length is already a column.
+        let allocs = move |i: usize| ring(i).map(|(_, b)| b);
+        // Size pass: the encoded slot list, the tenant table, each row's
+        // allocation runs, and the ragged totals.
         sink.begin();
         let mut ragged: RaggedTotals = [0; 4];
         for (slot, e) in encoded() {
             let i = slot.index as usize;
-            sink.push_row(slot.index, &e.tenant);
+            let n_runs = runs(allocs(i)).count();
+            sink.push_row(slot.index, &e.tenant, n_runs as u32);
             ragged[0] += cols.hull[i].len();
-            ragged[1] += cols.high_window(i, self.window).len();
-            ragged[2] += cols.recent_len[i] as usize;
+            ragged[1] += cols.recent_len[i] as usize;
+            ragged[2] += n_runs;
             ragged[3] += cols.pend_len[i] as usize;
         }
         // Group state is tiny relative to the session columns, so every
@@ -1990,12 +1996,10 @@ impl ShardState {
         // Fill pass: one sequential run per column, straight from the
         // per-field slab columns.
         let mut f = sink.start(&hdr, ragged, &groups, tombs, retired, out);
-        let (rows, w) = (f.rows, self.window);
+        let rows = f.rows;
         f.col(C_KEY, at_slots(&cols.keys, rows));
         f.tenant_col();
         f.col(C_FLAGS, at_slots(&cols.flags, rows).map(|b| b & !F_DIRTY));
-        f.col(C_GROUP, encoded().map(|(_, e)| pooled(e).0));
-        f.col(C_MEMBER, encoded().map(|(_, e)| pooled(e).1));
         let f64_cols: [&[f64]; 16] = [
             &cols.shadow_backlog,
             &cols.current_alloc,
@@ -2017,30 +2021,23 @@ impl ShardState {
         for (j, src) in f64_cols.into_iter().enumerate() {
             f.col(C_F64 + j, at_slots(src, rows));
         }
-        // The algorithm's clock (0 on a pooled row), the delay tracker's,
-        // the stage start and the high window derive from the meter's
-        // clock and ring.
+        let u64_cols: [&[u64]; 5] = [
+            &cols.stage_ticks,
+            &cols.meter_ticks,
+            &cols.changes,
+            &cols.max_delay,
+            &cols.stages_completed,
+        ];
+        for (j, src) in u64_cols.into_iter().enumerate() {
+            f.col(C_U64 + j, at_slots(src, rows));
+        }
         let slots = || rows.iter().map(|&i| i as usize);
-        let alg_tick = |i: usize| cols.meter_ticks[i] * u64::from(cols.flags[i] & F_DEDICATED != 0);
-        f.col(C_U64, slots().map(alg_tick));
-        f.col(C_U64 + 1, at_slots(&cols.stage_ticks, rows));
-        f.col(C_U64 + 2, at_slots(&cols.meter_ticks, rows));
-        f.col(C_U64 + 3, at_slots(&cols.changes, rows));
-        f.col(C_U64 + 4, at_slots(&cols.meter_ticks, rows));
-        f.col(C_U64 + 5, at_slots(&cols.max_delay, rows));
-        f.col(C_U64 + 6, at_slots(&cols.stages_completed, rows));
-        f.col(C_U64 + 7, slots().map(|i| cols.stage_start(i).unwrap_or(0)));
         f.col(C_HULL_LEN, slots().map(|i| cols.hull[i].len() as u32));
         f.col(C_HULL, slots().flat_map(|i| cols.hull[i].iter().copied()));
-        let high_len = |i: usize| cols.high_window(i, w).len() as u32;
-        f.col(C_HIGH_LEN, slots().map(high_len));
-        f.col(C_HIGH, slots().flat_map(|i| cols.high_window(i, w)));
         f.col(C_RECENT_LEN, at_slots(&cols.recent_len, rows));
-        let recent = (&cols.recent_head[..], &cols.recent_len[..]);
-        f.col(
-            C_RECENT,
-            slots().flat_map(|i| cols.recent_ring.run(w, recent, i)),
-        );
+        f.col(C_RECENT, slots().flat_map(|i| ring(i).map(|(a, _)| a)));
+        f.runs_len_col();
+        f.col(C_RUNS, slots().flat_map(|i| runs(allocs(i))));
         f.col(C_PEND_LEN, at_slots(&cols.pend_len, rows));
         // The FIFO head lives inline in the pend columns, the rest in the
         // spill deque; both feed the one `pend` column.
@@ -2080,7 +2077,7 @@ impl ShardState {
         f: &columnar::RawFrame<'_>,
         scratch: &mut ApplyScratch,
     ) -> Result<(), &'static str> {
-        use crate::codec::columnar::{f64_at, pair_at, pend_at, u32_at, u64_at};
+        use columnar::*;
         let w = self.window;
         // ---- validate: nothing below this block may touch state ----
         if f.w as usize != w {
@@ -2095,38 +2092,36 @@ impl ShardState {
         {
             return Err("columnar.cfg");
         }
-        let genesis = f.kind == columnar::KIND_GENESIS;
+        let genesis = f.kind == KIND_GENESIS;
         if genesis && !f.tombstones.is_empty() {
             return Err("columnar.tombstones");
         }
         let rows = f.rows as usize;
-        let key_c = f.fixed(columnar::C_KEY)?;
-        let tenant_c = f.fixed(columnar::C_TENANT)?;
-        let flags_c = f.fixed(columnar::C_FLAGS)?;
-        let group_c = f.fixed(columnar::C_GROUP)?;
-        let member_c = f.fixed(columnar::C_MEMBER)?;
+        let key_c = f.fixed(C_KEY)?;
+        let tenant_c = f.fixed(C_TENANT)?;
+        let flags_c = f.fixed(C_FLAGS)?;
         let mut f64_cs = Vec::with_capacity(16);
         for j in 0..16 {
-            f64_cs.push(f.fixed(columnar::C_F64 + j)?);
+            f64_cs.push(f.fixed(C_F64 + j)?);
         }
-        let mut u64_cs = Vec::with_capacity(8);
-        for j in 0..8 {
-            u64_cs.push(f.fixed(columnar::C_U64 + j)?);
+        let mut u64_cs = Vec::with_capacity(5);
+        for j in 0..5 {
+            u64_cs.push(f.fixed(C_U64 + j)?);
         }
-        let hull_len_c = f.fixed(columnar::C_HULL_LEN)?;
-        let hull_c = f.col(columnar::C_HULL)?;
-        let high_len_c = f.fixed(columnar::C_HIGH_LEN)?;
-        let high_c = f.col(columnar::C_HIGH)?;
-        let recent_len_c = f.fixed(columnar::C_RECENT_LEN)?;
-        let recent_c = f.col(columnar::C_RECENT)?;
-        let pend_len_c = f.fixed(columnar::C_PEND_LEN)?;
-        let pend_c = f.col(columnar::C_PEND)?;
+        let hull_len_c = f.fixed(C_HULL_LEN)?;
+        let hull_c = f.col(C_HULL)?;
+        let recent_len_c = f.fixed(C_RECENT_LEN)?;
+        let recent_c = f.col(C_RECENT)?;
+        let runs_len_c = f.fixed(C_RUNS_LEN)?;
+        let runs_c = f.col(C_RUNS)?;
+        let pend_len_c = f.fixed(C_PEND_LEN)?;
+        let pend_c = f.col(C_PEND)?;
         // Ragged bodies must account for exactly the sum of the per-row
         // run lengths — a mismatched cursor would smear rows together.
         for (len_c, body_c) in [
             (hull_len_c, hull_c),
-            (high_len_c, high_c),
             (recent_len_c, recent_c),
+            (runs_len_c, runs_c),
             (pend_len_c, pend_c),
         ] {
             let total: u64 = (0..rows).map(|r| u64::from(u32_at(len_c, r))).sum();
@@ -2135,8 +2130,9 @@ impl ShardState {
             }
         }
         const KNOWN: u32 = F_LIVE | F_DEDICATED | F_LEAVING | F_STAGE_OPEN;
+        let dedicated = |r: usize| u32_at(flags_c, r) & F_DEDICATED != 0;
         scratch.keys.clear();
-        let (mut high_off, mut recent_off) = (0usize, 0usize);
+        let (mut runs_off, mut pooled_rows) = (0usize, 0usize);
         for r in 0..rows {
             // The key index is direct-mapped — one table slot per key up
             // to the maximum — so an astronomical key in a hostile frame
@@ -2144,48 +2140,32 @@ impl ShardState {
             if u64_at(key_c, r) >= MAX_FRAME_KEY {
                 return Err("columnar.key");
             }
-            if u32_at(recent_len_c, r) as usize > w {
+            let recent_n = u32_at(recent_len_c, r) as usize;
+            if recent_n > w {
                 return Err("columnar.ring");
             }
             let flags = u32_at(flags_c, r);
             if flags & !KNOWN != 0 || flags & F_LIVE == 0 {
                 return Err("columnar.flags");
             }
-            let dedicated = flags & F_DEDICATED != 0;
-            if dedicated != (u64_at(group_c, r) == u64::MAX)
-                || (!dedicated && flags & F_STAGE_OPEN != 0)
-            {
+            let open = flags & F_STAGE_OPEN != 0;
+            if !dedicated(r) && open {
                 return Err("columnar.flags");
             }
             if u32_at(tenant_c, r) as usize >= f.strings.len() {
                 return Err("columnar.tenant");
             }
-            // What the kernel derives must agree with its source, as in
-            // `SessionCheckpoint::validate`; a row with no open stage has
-            // start 0 and no live window (whatever it carries is dropped).
-            let clock = u64_at(u64_cs[2], r);
-            if u64_at(u64_cs[0], r) != if dedicated { clock } else { 0 }
-                || u64_at(u64_cs[4], r) != clock
-            {
-                return Err("columnar.clocks");
+            // An open stage started at the meter's clock less its ticks,
+            // and its high window is the ring's newest `min(ticks, W)`
+            // arrivals: both must exist.
+            let stage = u64_at(u64_cs[0], r);
+            if open && (stage > u64_at(u64_cs[1], r) || stage.min(w as u64) > recent_n as u64) {
+                return Err("columnar.stage");
             }
-            let (open, stage) = (flags & F_STAGE_OPEN != 0, u64_at(u64_cs[1], r));
-            if clock.checked_sub(if open { stage } else { clock }) != Some(u64_at(u64_cs[7], r)) {
-                return Err("columnar.stage_start");
-            }
-            let high_n = u32_at(high_len_c, r) as usize;
-            let recent_n = u32_at(recent_len_c, r) as usize;
-            if open && stage.min(w as u64) != high_n as u64 {
-                return Err("columnar.high_len");
-            }
-            let skip = recent_off + recent_n.saturating_sub(high_n);
-            let arrivals = (0..high_n).map(|j| pair_at(recent_c, skip + j).0.to_bits());
-            let window = (0..high_n).map(|j| f64_at(high_c, high_off + j).to_bits());
-            if open && (high_n > recent_n || !arrivals.eq(window)) {
-                return Err("columnar.high");
-            }
-            high_off += high_n;
-            recent_off += recent_n;
+            let runs_n = u32_at(runs_len_c, r) as usize;
+            columnar::check_runs(runs_c, runs_off..runs_off + runs_n, recent_n)?;
+            runs_off += runs_n;
+            pooled_rows += usize::from(!dedicated(r));
             scratch.keys.push((u64_at(key_c, r), r as u32));
         }
         scratch.keys.sort_unstable();
@@ -2195,30 +2175,16 @@ impl ShardState {
         scratch.tombs.clear();
         scratch.tombs.extend_from_slice(&f.tombstones);
         scratch.tombs.sort_unstable();
-        for &(key, r) in &scratch.keys {
-            if scratch.tombs.binary_search(&key).is_ok() {
-                return Err("columnar.keys"); // a row cannot also be removed
-            }
-            if !genesis {
-                // An incremental row overwriting a live session must keep
-                // its kind — sessions never convert in place.
-                if let Some(e) = self.index.get(key).and_then(|s| self.sessions.get(s)) {
-                    let row_group = u64_at(group_c, r as usize);
-                    let stable = match &e.kind {
-                        SessionKind::Dedicated => row_group == u64::MAX,
-                        SessionKind::Pooled { group, member } => {
-                            row_group == *group && u64_at(member_c, r as usize) == member.raw()
-                        }
-                    };
-                    if !stable {
-                        return Err("columnar.kind");
-                    }
-                }
-            }
-        }
         if !f.groups.windows(2).all(|g| g[0].group < g[1].group) {
             return Err("columnar.groups");
         }
+        // A row carries no group: the group section names its pooled
+        // rows. Every listed member must resolve to a session that is
+        // live after the frame applies — a pooled row of the frame, or
+        // (for an incremental) a resident of exactly this (group, member)
+        // that is not tombstoned — and every pooled row must be listed
+        // exactly once, or the rebuilt pool would silently drop it.
+        scratch.members.clear();
         for g in &f.groups {
             // Group ids feed the same direct-mapped index as session keys.
             if g.group >= MAX_FRAME_KEY {
@@ -2228,16 +2194,13 @@ impl ShardState {
                 return Err("columnar.groups");
             }
             for &(member, key) in &g.members {
-                // Every listed member must resolve to a session that is
-                // live after the frame applies, pooled into exactly this
-                // (group, member) — from the frame's rows, or (for an
-                // incremental) already on the shard and not tombstoned.
                 match scratch.keys.binary_search_by_key(&key, |&(k, _)| k) {
                     Ok(pos) => {
-                        let r = scratch.keys[pos].1 as usize;
-                        if u64_at(group_c, r) != g.group || u64_at(member_c, r) != member {
+                        let r = scratch.keys[pos].1;
+                        if dedicated(r as usize) {
                             return Err("columnar.groups");
                         }
+                        scratch.members.push((r, g.group, member));
                     }
                     Err(_) => {
                         if genesis || scratch.tombs.binary_search(&key).is_ok() {
@@ -2258,22 +2221,33 @@ impl ShardState {
                 }
             }
         }
-        for r in 0..rows {
-            // ... and conversely, every pooled row must be listed by its
-            // group, or the rebuilt pool would silently drop it.
-            let group = u64_at(group_c, r);
-            if group == u64::MAX {
-                continue;
+        scratch.members.sort_unstable();
+        if scratch.members.len() != pooled_rows
+            || scratch.members.windows(2).any(|p| p[0].0 == p[1].0)
+        {
+            return Err("columnar.groups");
+        }
+        for &(key, r) in &scratch.keys {
+            if scratch.tombs.binary_search(&key).is_ok() {
+                return Err("columnar.keys"); // a row cannot also be removed
             }
-            let Ok(gi) = f.groups.binary_search_by_key(&group, |g| g.group) else {
-                return Err("columnar.groups");
-            };
-            let members = &f.groups[gi].members;
-            let listed = members
-                .binary_search_by_key(&u64_at(member_c, r), |&(m, _)| m)
-                .is_ok_and(|pos| members[pos].1 == u64_at(key_c, r));
-            if !listed {
-                return Err("columnar.groups");
+            if !genesis {
+                // An incremental row overwriting a live session must keep
+                // its kind — sessions never convert in place.
+                if let Some(e) = self.index.get(key).and_then(|s| self.sessions.get(s)) {
+                    let named = scratch.members.binary_search_by_key(&r, |m| m.0);
+                    let stable = match (&e.kind, named) {
+                        (SessionKind::Dedicated, Err(_)) => dedicated(r as usize),
+                        (SessionKind::Pooled { group, member }, Ok(pos)) => {
+                            let (_, g, m) = scratch.members[pos];
+                            g == *group && m == member.raw()
+                        }
+                        _ => false,
+                    };
+                    if !stable {
+                        return Err("columnar.kind");
+                    }
+                }
             }
         }
         // ---- mutate: infallible from here on ----
@@ -2296,12 +2270,23 @@ impl ShardState {
             }
         }
         let frame_tenants: Vec<Arc<str>> = f.strings.iter().map(|&s| Arc::from(s)).collect();
-        let (mut hull_off, mut recent_off, mut pend_off) = (0usize, 0usize, 0usize);
+        // The pooled rows in row order, each with its (group, member).
+        let mut named = scratch.members.iter();
+        let (mut hull_off, mut recent_off) = (0usize, 0usize);
+        let (mut runs_off, mut pend_off) = (0usize, 0usize);
         for r in 0..rows {
             let key = u64_at(key_c, r);
             let flags = u32_at(flags_c, r);
-            let group = u64_at(group_c, r);
             let leaving = flags & F_LEAVING != 0;
+            let kind = if flags & F_DEDICATED != 0 {
+                SessionKind::Dedicated
+            } else {
+                let &(_, group, member) = named.next().expect("validated: pooled rows are listed");
+                SessionKind::Pooled {
+                    group,
+                    member: PoolSessionId::from_raw(member),
+                }
+            };
             let slot = match self.index.get(key) {
                 Some(slot) => {
                     let e = self
@@ -2312,14 +2297,6 @@ impl ShardState {
                     slot
                 }
                 None => {
-                    let kind = if group == u64::MAX {
-                        SessionKind::Dedicated
-                    } else {
-                        SessionKind::Pooled {
-                            group,
-                            member: PoolSessionId::from_raw(u64_at(member_c, r)),
-                        }
-                    };
                     let tenant = Arc::clone(&frame_tenants[u32_at(tenant_c, r) as usize]);
                     self.insert_entry(key, tenant, leaving, kind).0
                 }
@@ -2327,6 +2304,7 @@ impl ShardState {
             let i = slot.index as usize;
             let hull_n = u32_at(hull_len_c, r) as usize;
             let recent_n = u32_at(recent_len_c, r) as usize;
+            let runs_n = u32_at(runs_len_c, r) as usize;
             let pend_n = u32_at(pend_len_c, r) as usize;
             let cols = &mut self.cols;
             // Every scalar not carried by the frame lands at its vacant
@@ -2347,18 +2325,20 @@ impl ShardState {
             cols.b_on[i] = f64_at(f64_cs[9], r);
             cols.min_util[i] = f64_at(f64_cs[14], r);
             cols.max_delay_exact[i] = f64_at(f64_cs[15], r);
-            cols.meter_ticks[i] = u64_at(u64_cs[2], r);
-            cols.changes[i] = u64_at(u64_cs[3], r);
-            cols.max_delay[i] = u64_at(u64_cs[5], r);
-            cols.stages_completed[i] = u64_at(u64_cs[6], r);
-            // The ring lands at head = 0, exactly how the encoder read it.
-            cols.recent_ring
-                .land(i, (0..recent_n).map(|j| pair_at(recent_c, recent_off + j)));
+            cols.meter_ticks[i] = u64_at(u64_cs[1], r);
+            cols.changes[i] = u64_at(u64_cs[2], r);
+            cols.max_delay[i] = u64_at(u64_cs[3], r);
+            cols.stages_completed[i] = u64_at(u64_cs[4], r);
+            // The ring lands at head = 0, exactly how the encoder read it,
+            // its allocation runs expanded in place.
+            let arrivals = (0..recent_n).map(|j| f64_at(recent_c, recent_off + j));
+            let allocs = columnar::expand_runs(runs_c, runs_off..runs_off + runs_n);
+            cols.recent_ring.land(i, arrivals.zip(allocs));
             cols.recent_len[i] = recent_n as u32;
             let hull = &mut cols.hull[i];
             hull.clear();
             if flags & F_STAGE_OPEN != 0 {
-                cols.stage_ticks[i] = u64_at(u64_cs[1], r);
+                cols.stage_ticks[i] = u64_at(u64_cs[0], r);
                 cols.low_total[i] = f64_at(f64_cs[10], r);
                 cols.low_low[i] = f64_at(f64_cs[11], r);
                 cols.high_window_sum[i] = f64_at(f64_cs[12], r);
@@ -2376,6 +2356,7 @@ impl ShardState {
             }
             hull_off += hull_n;
             recent_off += recent_n;
+            runs_off += runs_n;
             pend_off += pend_n;
         }
         // Groups: full overwrite from the frame, every member validated
@@ -4209,9 +4190,9 @@ mod tests {
             // The v1 restore of the mirrored state is equivalent too.
             let restored = ShardState::restore(0, &cfg, &mirror.checkpoint());
             prop_assert_eq!(canonical_bytes(&live), canonical_bytes(&restored));
-            // Migration frames: every session round-trips bitwise through
-            // the single-row column slice.
-            for s in &live.checkpoint().sessions {
+            // Migration frames: every dedicated session (the ones that
+            // migrate) round-trips bitwise through the single-row slice.
+            for s in live.checkpoint().sessions.iter().filter(|s| s.dedicated.is_some()) {
                 buf.clear();
                 columnar::encode_session_frame(s, &mut buf);
                 let frame = columnar::parse(&buf).expect("migration frame parses");

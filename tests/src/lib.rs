@@ -78,10 +78,19 @@ unsafe impl GlobalAlloc for LiveBytesAlloc {
     }
 }
 
-/// The body of the column named `name` in a columnar checkpoint frame,
-/// found by walking the frame's documented layout: the fixed header, the
-/// tenant table, then the self-describing columns.
-pub fn frame_column<'a>(frame: &'a [u8], name: &str) -> &'a [u8] {
+/// One column of a columnar checkpoint frame: its name, cell width, and
+/// where its schema entry starts and its body lies.
+struct Span<'a> {
+    name: &'a [u8],
+    width: usize,
+    entry: usize,
+    body: std::ops::Range<usize>,
+}
+
+/// Walks a columnar checkpoint frame's documented layout — the fixed
+/// header, the tenant table, then the self-describing columns — and
+/// returns where the columns start, each column, and where they end.
+fn spans(frame: &[u8]) -> (usize, Vec<Span<'_>>, usize) {
     let u32_at = |at: usize| u32::from_le_bytes(frame[at..at + 4].try_into().unwrap()) as usize;
     // Version, kind, clock, rows, W, two prices, B_max, D_O, U_O and the
     // retired stage count.
@@ -93,16 +102,83 @@ pub fn frame_column<'a>(frame: &'a [u8], name: &str) -> &'a [u8] {
     }
     let columns = u32_at(at);
     at += 4;
+    let start = at;
+    let mut spans = Vec::with_capacity(columns);
     for _ in 0..columns {
         let len = u32_at(at);
-        let this = &frame[at + 4..at + 4 + len];
-        at += 4 + len + 1 + 4 + 4; // name, type tag, width, cell count
-        let body = u32_at(at);
-        at += 4;
-        if this == name.as_bytes() {
-            return &frame[at..at + body];
-        }
-        at += body;
+        let name = &frame[at + 4..at + 4 + len];
+        let width = u32_at(at + 4 + len + 1);
+        let body_at = at + 4 + len + 1 + 4 + 4 + 4; // name, type tag, width, count, length
+        let body = body_at..body_at + u32_at(body_at - 4);
+        spans.push(Span {
+            name,
+            width,
+            entry: at,
+            body: body.clone(),
+        });
+        at = body.end;
     }
-    panic!("the frame has no column `{name}`")
+    (start, spans, at)
+}
+
+/// The body of the column named `name` in a columnar checkpoint frame.
+pub fn frame_column<'a>(frame: &'a [u8], name: &str) -> &'a [u8] {
+    let (_, spans, _) = spans(frame);
+    let span = spans.iter().find(|s| s.name == name.as_bytes());
+    &frame[span
+        .unwrap_or_else(|| panic!("the frame has no column `{name}`"))
+        .body
+        .clone()]
+}
+
+/// `frame` re-laid with the named columns' bodies replaced, their cell
+/// counts and body lengths following: a frame as a hostile or a
+/// hand-built writer would produce it.
+pub fn with_columns(frame: &[u8], bodies: &[(&str, &[u8])]) -> Vec<u8> {
+    let (start, spans, end) = spans(frame);
+    let mut out = frame[..start].to_vec();
+    for s in &spans {
+        let replaced = bodies.iter().find(|(name, _)| name.as_bytes() == s.name);
+        let body = replaced.map_or(&frame[s.body.clone()], |b| b.1);
+        out.extend_from_slice(&frame[s.entry..s.body.start - 8]);
+        out.extend_from_slice(&((body.len() / s.width) as u32).to_le_bytes());
+        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        out.extend_from_slice(body);
+    }
+    out.extend_from_slice(&frame[end..]);
+    out
+}
+
+/// Where each `(member, key)` cell of a frame's group section lies, with
+/// its two values, in frame order — found by walking the group encoding
+/// (id; pool `k`, `b_o`, `d_o`; slots; pending; next id, tick, phase
+/// anchor; stage log; membership changes; members).
+pub fn group_members(frame: &[u8]) -> Vec<(usize, u64, u64)> {
+    let u32_at = |at: usize| u32::from_le_bytes(frame[at..at + 4].try_into().unwrap()) as usize;
+    let u64_at = |at: usize| u64::from_le_bytes(frame[at..at + 8].try_into().unwrap());
+    let (_, _, mut at) = spans(frame);
+    let mut members = Vec::new();
+    let groups = u32_at(at);
+    at += 4;
+    for _ in 0..groups {
+        at += 8 + 3 * 8;
+        at += 4 + u32_at(at) * 41;
+        at += 4 + u32_at(at) * 16;
+        at += 3 * 8 + 8; // next id, tick, phase anchor; forgotten stages
+        let closed = u32_at(at);
+        at += 4;
+        for _ in 0..closed {
+            at += 8;
+            at += 1 + if frame[at] == 1 { 8 } else { 0 };
+            at += 1;
+        }
+        at += 8;
+        let n = u32_at(at);
+        at += 4;
+        for _ in 0..n {
+            members.push((at, u64_at(at), u64_at(at + 8)));
+            at += 16;
+        }
+    }
+    members
 }

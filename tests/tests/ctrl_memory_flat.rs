@@ -23,6 +23,8 @@
 //! never hold a byte more than they keep, bar kilobytes in flight. Nor
 //! does a session keep its window twice: a column set stays under a
 //! ceiling per dedicated session that a second window ring would cross.
+//! Nor does the retained frame carry what the kernel derives: it stays
+//! under a ceiling per dedicated session that frame v3 crosses.
 //!
 //! The counting allocator is process-global, so this file holds exactly
 //! one `#[test]`.
@@ -239,6 +241,16 @@ fn heap_and_retained_frame_are_flat_in_uptime() {
             assert!(
                 within(first, last, 2),
                 "{exec:?}: retained frame went {first} -> {last} bytes over 32 checkpoints"
+            );
+            // A frame carries only what the kernel cannot derive: no high
+            // window, clock or group copies, the allocation history as
+            // runs. Over the dedicated sessions (the pooled rows and group
+            // section ride along) that is 438 B each measured; frame v3,
+            // which carried them, weighed 620 B.
+            let per_session = last / DEDICATED;
+            assert!(
+                per_session <= 500,
+                "the retained frame weighs {per_session} B per dedicated session"
             );
         }
     }

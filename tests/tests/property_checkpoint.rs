@@ -1,14 +1,19 @@
 //! Hostile-schema tests of the columnar checkpoint decode path, driven
 //! end-to-end through the public [`CheckpointMirror`] /
 //! [`CheckpointProbe`] API: whatever bytes arrive — truncated, bit-flipped,
-//! schema-corrupted — the mirror either applies them or returns a typed
-//! [`CtrlError::InvalidCheckpoint`] with nothing written. Never a panic,
-//! never a half-applied frame.
+//! schema-corrupted, of another frame version — the mirror either applies
+//! them or returns a typed [`CtrlError::InvalidCheckpoint`] with nothing
+//! written. Never a panic, never a half-applied frame. And what it does
+//! apply it holds bitwise: a genesis re-encodes to its own bytes, whatever
+//! allocation history its rows carry and with pooled groups in it.
 
-use cdba_ctrl::{CheckpointMirror, CheckpointProbe, CtrlError, ServiceConfig};
-use cdba_integration::frame_column;
+use cdba_ctrl::{
+    CheckpointMirror, CheckpointProbe, ControlPlane, CtrlError, ExecMode, ServiceConfig,
+};
+use cdba_integration::{frame_column, group_members, with_columns};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use std::sync::OnceLock;
 
 fn cfg() -> ServiceConfig {
     ServiceConfig::builder(4096.0)
@@ -18,6 +23,79 @@ fn cfg() -> ServiceConfig {
         .window(4)
         .build()
         .expect("valid test config")
+}
+
+/// Dedicated sessions in [`grouped`]'s frame: its first rows.
+const DEDICATED: usize = 4;
+
+/// A worker's genesis frame at tick 16 with pooled groups in it: four
+/// dedicated sessions and two groups of three under varied arrivals (the
+/// pooled members' overload drives their groups' pools), the shard
+/// emitting a frame every 8 ticks.
+fn grouped() -> &'static [u8] {
+    static FRAME: OnceLock<Vec<u8>> = OnceLock::new();
+    FRAME.get_or_init(|| {
+        let threaded = ServiceConfig::builder(4096.0)
+            .session_b_max(16.0)
+            .group_b_o(8.0)
+            .offline_delay(4)
+            .window(4)
+            .shards(1)
+            .exec(ExecMode::Threaded)
+            .checkpoint_every(8)
+            .build()
+            .expect("valid test config");
+        let mut plane = ControlPlane::new(threaded);
+        let mut keys: Vec<u64> = (0..DEDICATED)
+            .map(|i| plane.admit(["acme", "globex"][i % 2]).unwrap())
+            .collect();
+        keys.extend(plane.admit_group("initech", 3).unwrap());
+        keys.extend(plane.admit_group("umbrella", 3).unwrap());
+        for t in 0..16u64 {
+            let arrivals: Vec<(u64, f64)> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| (k, ((t * 7 + 3 * i as u64) % 11) as f64))
+                .collect();
+            plane.tick(&arrivals).unwrap();
+        }
+        // The snapshot's Collect is answered after the tick-16 frame.
+        plane.snapshot().unwrap();
+        let (_, frames) = plane.checkpoint_frames_since(0, 0).unwrap();
+        let frame = frames.last().expect("a retained frame").1.to_vec();
+        plane.shutdown();
+        frame
+    })
+}
+
+/// A column's `u32` cells.
+fn u32s(frame: &[u8], name: &str) -> Vec<u32> {
+    let body = frame_column(frame, name);
+    body.chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+        .collect()
+}
+
+/// The `alloc_runs` body of the maximal runs of `allocs` (one list per
+/// row), and its `alloc_runs_len` body.
+fn runs_columns(allocs: &[Vec<f64>]) -> (Vec<u8>, Vec<u8>) {
+    let (mut runs, mut lens) = (Vec::new(), Vec::new());
+    for row in allocs {
+        let mut n = 0u32;
+        for (j, &v) in row.iter().enumerate() {
+            if j > 0 && row[j - 1].to_bits() == v.to_bits() {
+                let at = runs.len() - 16;
+                let ticks = u64::from_le_bytes(runs[at..at + 8].try_into().unwrap());
+                runs[at..at + 8].copy_from_slice(&(ticks + 1).to_le_bytes());
+            } else {
+                runs.extend_from_slice(&1u64.to_le_bytes());
+                runs.extend_from_slice(&v.to_le_bytes());
+                n += 1;
+            }
+        }
+        lens.extend_from_slice(&n.to_le_bytes());
+    }
+    (runs, lens)
 }
 
 /// A mirror primed with a genesis frame, plus a valid incremental frame
@@ -68,30 +146,45 @@ fn assert_rejected_untouched(
     Ok(field)
 }
 
+/// Cutting a frame anywhere — inside the header, a column body, or the
+/// trailing sections — is a typed rejection that writes nothing: every
+/// section is length-described, so a short buffer can never masquerade
+/// as a complete frame. Every offset of a sparse incremental and of a
+/// genesis with pooled groups.
+#[test]
+fn truncation_anywhere_is_rejected_typed() {
+    let (mut mirror, frame) = primed();
+    for cut in 0..frame.len() {
+        assert_rejected_untouched(&mut mirror, &frame, &frame[..cut]).unwrap();
+    }
+    let mut mirror = CheckpointMirror::new(&cfg());
+    let frame = grouped();
+    mirror.apply(frame).expect("the grouped genesis applies");
+    for cut in 0..frame.len() {
+        assert_rejected_untouched(&mut mirror, frame, &frame[..cut]).unwrap();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Cutting the frame anywhere — inside the header, a column body, or
-    /// the trailing sections — is a typed rejection that writes nothing:
-    /// every section is length-described, so a short buffer can never
-    /// masquerade as a complete frame.
-    #[test]
-    fn truncation_anywhere_is_rejected_typed(cut in 0usize..4096) {
-        let (mut mirror, frame) = primed();
-        let cut = cut % frame.len();
-        assert_rejected_untouched(&mut mirror, &frame, &frame[..cut])?;
-    }
 
     /// Any single-byte corruption either still applies (a benign flip in
     /// a float payload) or is rejected typed with the mirror untouched —
     /// the decoder never panics and never tears state, wherever the flip
-    /// lands.
+    /// lands, in a sparse incremental or in a genesis with pooled groups.
     #[test]
     fn single_byte_corruption_never_panics_or_tears(
         at in 0usize..4096,
         mask in 1u8..=255,
+        grouped_frame in 0u8..2,
     ) {
-        let (mut mirror, frame) = primed();
+        let (mut mirror, frame) = if grouped_frame == 1 {
+            let mut mirror = CheckpointMirror::new(&cfg());
+            mirror.apply(grouped()).expect("the grouped genesis applies");
+            (mirror, grouped().to_vec())
+        } else {
+            primed()
+        };
         let mut evil = frame.clone();
         let at = at % evil.len();
         evil[at] ^= mask;
@@ -116,6 +209,107 @@ proptest! {
                 )));
             }
         }
+    }
+
+    /// Whatever allocation history a row carries — one constant, a change
+    /// every tick (the run-length worst case), or values drawn from four
+    /// levels — a genesis with pooled groups applies to a fresh mirror and
+    /// to a warm one, and the mirror re-encodes it to the same bytes.
+    #[test]
+    fn genesis_round_trips_bitwise_under_any_allocation_history(
+        rows in proptest::collection::vec(
+            (0u8..3, proptest::collection::vec(0u8..4, 4)),
+            10,
+        ),
+    ) {
+        let base = grouped();
+        let lens = u32s(base, "recent_len");
+        prop_assert_eq!(lens.len(), rows.len());
+        let levels = [0.0, 4.0, 8.0, 16.0];
+        let allocs: Vec<Vec<f64>> = rows
+            .iter()
+            .zip(&lens)
+            .map(|((shape, draws), &n)| {
+                (0..n as usize)
+                    .map(|j| match shape {
+                        0 => levels[draws[0] as usize],
+                        1 => levels[draws[0] as usize] + (j % 2) as f64 * 0.5,
+                        _ => levels[draws[j] as usize],
+                    })
+                    .collect()
+            })
+            .collect();
+        let (runs, runs_len) = runs_columns(&allocs);
+        let frame = with_columns(base, &[("alloc_runs", &runs), ("alloc_runs_len", &runs_len)]);
+        let mut mirror = CheckpointMirror::new(&cfg());
+        let mut out = Vec::new();
+        for _ in 0..2 {
+            prop_assert_eq!(mirror.apply(&frame).map_err(|e| e.to_string()), Ok(10));
+            prop_assert_eq!(mirror.encode(&mut out), 10);
+            prop_assert!(out == frame, "the re-encoded genesis differs");
+        }
+    }
+}
+
+/// Frames that are well formed cell by cell but describe a state that
+/// cannot exist, each refused with its own typed field and the mirror
+/// untouched: allocation runs that miss `recent_len` or have a zero
+/// length, a group member naming a dedicated row or no row at all, and
+/// a pooled row that no group names.
+#[test]
+fn impossible_v4_frames_are_refused_typed() {
+    let frame = grouped();
+    let mut mirror = CheckpointMirror::new(&cfg());
+    mirror.apply(frame).expect("the grouped genesis applies");
+    let runs = frame_column(frame, "alloc_runs");
+    let mut runs_len = frame_column(frame, "alloc_runs_len").to_vec();
+    let mut cases: Vec<(&str, Vec<u8>)> = Vec::new();
+
+    let mut long = runs.to_vec();
+    let ticks = u64::from_le_bytes(long[..8].try_into().unwrap());
+    long[..8].copy_from_slice(&(ticks + 1).to_le_bytes());
+    cases.push((
+        "runs past recent_len",
+        with_columns(frame, &[("alloc_runs", &long)]),
+    ));
+
+    let mut empty = [0u64.to_le_bytes(), 8.0f64.to_le_bytes()].concat();
+    empty.extend_from_slice(runs);
+    runs_len[..4].copy_from_slice(&(u32s(frame, "alloc_runs_len")[0] + 1).to_le_bytes());
+    let zero = with_columns(
+        frame,
+        &[("alloc_runs", &empty), ("alloc_runs_len", &runs_len)],
+    );
+    cases.push(("a zero-length run", zero));
+
+    let keys: Vec<u64> = frame_column(frame, "key")
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+        .collect();
+    let (at, _, pooled_key) = group_members(frame)[0];
+    assert!(!keys[..DEDICATED].contains(&pooled_key));
+    let renamed = |key: u64| {
+        let mut evil = frame.to_vec();
+        evil[at + 8..at + 16].copy_from_slice(&key.to_le_bytes());
+        evil
+    };
+    cases.push(("a member naming a dedicated row", renamed(keys[0])));
+    cases.push(("a member naming no row", renamed(1 << 20)));
+
+    let mut flags = frame_column(frame, "flags").to_vec();
+    flags[..4].copy_from_slice(&1u32.to_le_bytes()); // live, not dedicated
+    let orphan = with_columns(frame, &[("flags", &flags)]);
+    cases.push(("a pooled row in no group", orphan));
+
+    for (what, evil) in cases {
+        let field = assert_rejected_untouched(&mut mirror, frame, &evil)
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        let want = if what.contains("run") {
+            "columnar.runs"
+        } else {
+            "columnar.groups"
+        };
+        assert_eq!(field, want, "{what} mapped to the wrong field");
     }
 }
 
@@ -165,19 +359,24 @@ fn named_schema_attacks_map_to_typed_fields() {
     }
 }
 
-/// A frame as the v3 writer emitted it before RESET rows dropped their
-/// dead window (`golden/reset_window.frame`: one shard, four dedicated
-/// sessions and a pooled pair, cut at tick 9 while a burst at tick 6
-/// still holds session 0 in RESET). Row 0 carries the four arrivals its
-/// closed stage ended on and that stage's tick count; the frame stays
-/// valid, and the dead tracker state is dropped on apply.
+/// A frame as the v3 writer emitted it (`golden/reset_window.frame`: one
+/// shard, four dedicated sessions and a pooled pair at tick 9, with the
+/// high-window, clock and group columns v4 dropped). Frames are written
+/// and read by the same binary, so there is no v3 decoder: the frame is
+/// refused as `columnar.version`, and the mirror keeps the state it had.
 #[test]
-fn a_reset_row_carrying_its_dead_window_still_applies() {
-    let frame: &[u8] = include_bytes!("golden/reset_window.frame");
-    let cell = |name: &str| u32::from_le_bytes(frame_column(frame, name)[..4].try_into().unwrap());
-    assert_eq!(cell("flags"), 3, "row 0 is a dedicated session in RESET");
-    assert_eq!(cell("high_len"), 4, "... that carries a window");
-    let mut mirror = CheckpointMirror::new(&cfg());
-    assert_eq!(mirror.apply(frame).expect("the frame applies"), 6);
-    assert_eq!((mirror.ticks(), mirror.live_sessions()), (9, 6));
+fn a_v3_frame_is_refused_typed_with_the_shard_untouched() {
+    let v3: &[u8] = include_bytes!("golden/reset_window.frame");
+    assert_eq!(v3[0], 3, "the fixture is a v3 frame");
+    let (mut mirror, frame) = primed();
+    let field = assert_rejected_untouched(&mut mirror, &frame, v3).unwrap();
+    assert_eq!(field, "columnar.version");
+    let mut empty = CheckpointMirror::new(&cfg());
+    assert!(matches!(
+        empty.apply(v3),
+        Err(CtrlError::InvalidCheckpoint {
+            field: "columnar.version"
+        })
+    ));
+    assert_eq!((empty.ticks(), empty.live_sessions()), (0, 0));
 }
