@@ -50,12 +50,8 @@ fn write_report() -> Result<(), String> {
     let checkpoint = matrix::run_checkpoint_matrix(matrix::CHECKPOINT_SESSIONS_AXIS, |row| {
         println!(
             "checkpoint × {:>7} sessions: encode {:.1} ms, restore {:.1} ms \
-             (warm {:.1} ms), {:.1} B/dirty-session",
-            row.sessions,
-            row.encode_ms,
-            row.restore_ms,
-            row.restore_warm_ms,
-            row.bytes_per_dirty_session
+             (warm {:.1} ms), {} B",
+            row.sessions, row.encode_ms, row.restore_ms, row.restore_warm_ms, row.checkpoint_bytes
         );
     });
     let report = matrix::matrix_report(&rows, &checkpoint);

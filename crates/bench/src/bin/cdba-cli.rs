@@ -142,8 +142,8 @@ usage: cdba-cli <command> [options]
            [--out BENCH_ctrl.json]
            measures the in-process tick matrix (every exec/shards/depth
            case over each session population) plus the columnar
-           checkpoint axis (genesis encode, dirty-only incremental,
-           chain restore) and writes the machine-readable report the CI
+           checkpoint axis (frame encode, cold and warm restore,
+           frame bytes) and writes the machine-readable report the CI
            bench gate reads; a run restricted with --sessions skips the
            checkpoint axis unless --checkpoint-sessions names one
   bench-gateway [--ticks T] [--sessions N] [--out FILE]
@@ -1413,12 +1413,8 @@ fn bench_ctrl(args: &[String]) -> CliResult {
     let checkpoint = matrix::run_checkpoint_matrix(&checkpoint_list, |row| {
         println!(
             "checkpoint × {:>7} sessions: encode {:.1} ms, restore {:.1} ms \
-             (warm {:.1} ms), {:.1} B/dirty-session",
-            row.sessions,
-            row.encode_ms,
-            row.restore_ms,
-            row.restore_warm_ms,
-            row.bytes_per_dirty_session
+             (warm {:.1} ms), {} B",
+            row.sessions, row.encode_ms, row.restore_ms, row.restore_warm_ms, row.checkpoint_bytes
         );
     });
     let report = matrix::matrix_report(&rows, &checkpoint);

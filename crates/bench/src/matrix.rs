@@ -279,17 +279,9 @@ pub fn run_matrix(
 
 /// The population axis of the committed checkpoint rows. It runs an
 /// order of magnitude past the tick matrix because the columnar codec's
-/// claims are about scale: a 1M-session genesis encode and chain restore
-/// must stay inside the CI wall-clock ceiling, and the bytes an
-/// incremental spends per dirty session must not move with population.
+/// claims are about scale: a 1M-session frame must encode and restore
+/// inside the CI wall-clock ceiling.
 pub const CHECKPOINT_SESSIONS_AXIS: &[usize] = &[10_000, 100_000, 1_000_000];
-
-/// Sessions dirtied *between ticks* before the measured incremental
-/// encode. Fixed across the population axis on purpose: a dirty-only
-/// columnar encode does O(dirty) work, so
-/// `checkpoint_bytes_per_dirty_session` must come out
-/// population-independent — the property the CI gate pins.
-pub const CHECKPOINT_DIRTY_SESSIONS: usize = 1_024;
 
 /// One measured checkpoint cell, ready to serialize into the
 /// `checkpoint` section of `BENCH_ctrl.json`.
@@ -297,26 +289,20 @@ pub const CHECKPOINT_DIRTY_SESSIONS: usize = 1_024;
 pub struct CheckpointMeasurement {
     /// Session population on the probe shard.
     pub sessions: usize,
-    /// Rows dirtied before the measured incremental encode.
-    pub dirty_sessions: usize,
-    /// Wall-clock milliseconds for a warm full-population genesis encode.
+    /// Wall-clock milliseconds for a warm full-population frame encode.
     pub encode_ms: f64,
-    /// Wall-clock milliseconds for the dirty-only incremental encode.
-    pub dirty_encode_ms: f64,
-    /// Wall-clock milliseconds to rebuild a fresh mirror from the
-    /// genesis + incremental chain. Cold: dominated by first-touch page
-    /// faults on the mirror's slab, so it scales with the host's memory
-    /// subsystem as much as with the codec.
+    /// Wall-clock milliseconds to rebuild a fresh mirror from the frame.
+    /// Cold: dominated by first-touch page faults on the mirror's slab,
+    /// so it scales with the host's memory subsystem as much as with the
+    /// codec.
     pub restore_ms: f64,
-    /// Wall-clock milliseconds to re-apply the genesis frame onto the
+    /// Wall-clock milliseconds to re-apply the frame onto the
     /// already-populated mirror — the steady-state decode into
     /// preallocated columns, with zero per-session heap allocation. This
     /// is the codec's own speed, free of the cold slab's fault noise.
     pub restore_warm_ms: f64,
-    /// Genesis frame size in bytes.
+    /// Frame size in bytes: deterministic codec output.
     pub checkpoint_bytes: usize,
-    /// Incremental frame bytes divided by the rows it carries.
-    pub bytes_per_dirty_session: f64,
 }
 
 impl CheckpointMeasurement {
@@ -324,13 +310,10 @@ impl CheckpointMeasurement {
     pub fn to_json(&self) -> serde_json::Value {
         serde_json::json!({
             "sessions": self.sessions,
-            "dirty_sessions": self.dirty_sessions,
             "checkpoint_encode_ms": self.encode_ms,
-            "dirty_encode_ms": self.dirty_encode_ms,
             "restore_ms": self.restore_ms,
             "restore_warm_ms": self.restore_warm_ms,
             "checkpoint_bytes": self.checkpoint_bytes,
-            "checkpoint_bytes_per_dirty_session": self.bytes_per_dirty_session,
         })
     }
 }
@@ -349,12 +332,9 @@ pub fn checkpoint_config(sessions: usize) -> ServiceConfig {
 }
 
 /// Measures one checkpoint cell: populate a probe shard, meter a few
-/// ticks of history into the rings, then time a warm genesis encode, a
-/// dirty-only incremental encode (`dirty` rows churned between ticks —
-/// the mutation pattern incrementals exist for; a metered tick dirties
-/// the whole population), and a fresh-mirror restore of the two-frame
-/// chain.
-pub fn measure_checkpoint(sessions: usize, dirty: usize) -> CheckpointMeasurement {
+/// ticks of history into the rings, then time a warm frame encode, a
+/// fresh-mirror restore and a warm re-apply.
+pub fn measure_checkpoint(sessions: usize) -> CheckpointMeasurement {
     let cfg = checkpoint_config(sessions);
     let mut probe = CheckpointProbe::new(&cfg);
     probe.populate(sessions);
@@ -366,40 +346,25 @@ pub fn measure_checkpoint(sessions: usize, dirty: usize) -> CheckpointMeasuremen
     let started = Instant::now();
     let rows = probe.encode(true, black_box(&mut genesis));
     let encode_ms = started.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(rows as usize, sessions, "genesis carries the population");
-
-    let dirty = dirty.min(sessions);
-    probe.churn(dirty);
-    let mut incr = Vec::new();
-    let started = Instant::now();
-    let dirty_rows = probe.encode(false, black_box(&mut incr));
-    let dirty_encode_ms = started.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(
-        dirty_rows as usize, dirty,
-        "an incremental carries exactly the dirtied rows"
-    );
+    assert_eq!(rows as usize, sessions, "a frame carries the population");
 
     let mut mirror = CheckpointMirror::new(&cfg);
     let started = Instant::now();
-    mirror.apply(&genesis).expect("genesis frame applies");
-    mirror.apply(&incr).expect("incremental frame applies");
+    mirror.apply(&genesis).expect("the frame applies");
     let restore_ms = started.elapsed().as_secs_f64() * 1e3;
     // Warm pass: the mirror's slab is already sized, so this is the
     // decode alone — no per-session allocation, no first-touch faults.
     let started = Instant::now();
-    mirror.apply(&genesis).expect("warm genesis re-applies");
+    mirror.apply(&genesis).expect("the frame re-applies warm");
     let restore_warm_ms = started.elapsed().as_secs_f64() * 1e3;
     assert_eq!(mirror.live_sessions(), sessions);
 
     CheckpointMeasurement {
         sessions,
-        dirty_sessions: dirty,
         encode_ms,
-        dirty_encode_ms,
         restore_ms,
         restore_warm_ms,
         checkpoint_bytes: genesis.len(),
-        bytes_per_dirty_session: incr.len() as f64 / dirty as f64,
     }
 }
 
@@ -411,7 +376,7 @@ pub fn run_checkpoint_matrix(
     sessions_list
         .iter()
         .map(|&sessions| {
-            let row = measure_checkpoint(sessions, CHECKPOINT_DIRTY_SESSIONS);
+            let row = measure_checkpoint(sessions);
             progress(&row);
             row
         })
@@ -495,35 +460,11 @@ mod tests {
         assert_eq!(row.sessions, 8);
         assert_eq!(row.ticks, 16);
         assert!(row.ticks_per_sec > 0.0);
-        let ckpt = measure_checkpoint(8, 4);
+        let ckpt = measure_checkpoint(8);
         let doc = matrix_report(std::slice::from_ref(&row), std::slice::from_ref(&ckpt));
         let body = serde_json::to_string(&doc).expect("report renders");
         assert!(body.contains("\"label\":\"inline/s1\""), "body: {body}");
         assert!(body.contains("\"sessions\":8"), "body: {body}");
-        assert!(
-            body.contains("\"checkpoint_bytes_per_dirty_session\""),
-            "body: {body}"
-        );
-    }
-
-    /// The tentpole's economy claim at test scale: the bytes an
-    /// incremental spends per dirty session must not move with the
-    /// population it is cut from (CI re-pins this at 10k → 1M).
-    #[test]
-    fn incremental_bytes_per_dirty_session_ignore_population() {
-        let small = measure_checkpoint(512, 64);
-        let large = measure_checkpoint(4_096, 64);
-        assert_eq!(small.dirty_sessions, 64);
-        assert_eq!(large.dirty_sessions, 64);
-        let ratio = large.bytes_per_dirty_session / small.bytes_per_dirty_session;
-        assert!(
-            (0.9..=1.1).contains(&ratio),
-            "an 8× population moved bytes/dirty-session by {ratio:.3}× \
-             (small {:.1}, large {:.1})",
-            small.bytes_per_dirty_session,
-            large.bytes_per_dirty_session,
-        );
-        // And a genesis is population-proportional, as it must be.
-        assert!(large.checkpoint_bytes > 4 * small.checkpoint_bytes);
+        assert!(body.contains("\"checkpoint_bytes\""), "body: {body}");
     }
 }

@@ -993,8 +993,8 @@ pub(crate) mod columnar {
     //!
     //! A frame is: version byte ([`FRAME_VERSION`], distinct from the v1
     //! [`CODEC_VERSION`] so the two formats self-select), a kind byte
-    //! (genesis = every live session, incremental = only sessions dirtied
-    //! since the previous frame), the shard clock and row count, the
+    //! (always [`KIND_GENESIS`]: every frame carries every live session
+    //! and supersedes the one before it), the shard clock and row count, the
     //! shard-uniform configuration (window, pricing, algorithm parameters
     //! — one copy per frame instead of one per session), the count of
     //! stages completed by since-retired sessions, a tenant string
@@ -1021,12 +1021,9 @@ pub(crate) mod columnar {
     //! pooled row names no group: its `(group, member)` is where the
     //! group section lists its key.
     //!
-    //! After the columns: the group section (always the *full* group set
-    //! — group state is tiny and rewriting it wholesale keeps apply
-    //! trivially idempotent per frame), the tombstone list (keys removed
-    //! since the previous frame; must be empty in a genesis frame), and
-    //! the retired-metrics delta (the suffix appended since the previous
-    //! frame; genesis carries the full list).
+    //! After the columns: the group section (the full group set), a
+    //! tombstone count that is always zero, and the full retired-metrics
+    //! list.
     //!
     //! `f64` cells are raw IEEE-754 bits, so the hot-state sentinels
     //! (`+∞` for "still in grace", `NaN` for "no utilization minimum
@@ -1050,10 +1047,9 @@ pub(crate) mod columnar {
     /// same binary that reads them, so an older version is refused
     /// (`columnar.version`), not translated.
     pub(crate) const FRAME_VERSION: u8 = 4;
-    /// Frame kind: every live session, full retired list, no tombstones.
+    /// The one frame kind: every live session, full retired list, no
+    /// tombstones. The decoder refuses any other kind byte.
     pub(crate) const KIND_GENESIS: u8 = 0;
-    /// Frame kind: only sessions dirtied since the previous frame.
-    pub(crate) const KIND_INCREMENTAL: u8 = 1;
 
     /// Cell type: `u64`, little-endian.
     pub(crate) const T_U64: u8 = 0;
@@ -1220,7 +1216,6 @@ pub(crate) mod columnar {
 
     /// Everything frame-scoped the encoder needs beyond the rows.
     pub(crate) struct FrameHeader {
-        pub kind: u8,
         /// The shard clock at capture.
         pub ticks: u64,
         /// Stages completed by sessions and groups retired before capture.
@@ -1267,8 +1262,9 @@ pub(crate) mod columnar {
         /// deterministic interning order; the map is lookup only).
         tenants: Vec<Arc<str>>,
         tenant_idx: HashMap<Arc<str>, u32>,
-        /// Groups, tombstones and the retired delta, encoded ahead of the
-        /// allocation because their length is only known once written.
+        /// Groups, the empty tombstone list and the retired list, encoded
+        /// ahead of the allocation because their length is only known
+        /// once written.
         tail: Vec<u8>,
     }
 
@@ -1310,24 +1306,16 @@ pub(crate) mod columnar {
             hdr: &FrameHeader,
             ragged: RaggedTotals,
             groups: &[GroupCheckpoint],
-            tombstones: &[u64],
             retired: &[SessionMetrics],
             out: &'a mut Vec<u8>,
         ) -> FrameFill<'a> {
-            debug_assert!(
-                hdr.kind != KIND_GENESIS || tombstones.is_empty(),
-                "a genesis frame carries no tombstones"
-            );
             self.tail.clear();
             let mut e = Enc::new(&mut self.tail);
             e.len(groups.len());
             for g in groups {
                 checkpoint::enc_group(g, &mut e);
             }
-            e.len(tombstones.len());
-            for &k in tombstones {
-                e.u64(k);
-            }
+            e.len(0); // tombstones
             e.len(retired.len());
             for m in retired {
                 encode_session_metrics(m, &mut e);
@@ -1343,7 +1331,7 @@ pub(crate) mod columnar {
             out.reserve_exact(len);
             let mut e = Enc::new(out);
             e.u8(FRAME_VERSION);
-            e.u8(hdr.kind);
+            e.u8(KIND_GENESIS);
             e.u64(hdr.ticks);
             e.len(self.rows.len());
             e.u32(hdr.w);
@@ -1456,13 +1444,12 @@ pub(crate) mod columnar {
 
     /// A structurally validated frame: header fields, the tenant table
     /// and column bodies borrowed zero-copy from the payload, and the
-    /// (small) eagerly decoded group/tombstone/retired sections. All
+    /// (small) eagerly decoded group and retired sections. All
     /// *structural* invariants hold — version/kind/type tags are known,
-    /// every body length equals `count × width` — but nothing
-    /// row-semantic has been checked yet; that is the applier's job,
-    /// against the target shard.
+    /// the tombstone list is empty, every body length equals `count ×
+    /// width` — but nothing row-semantic has been checked yet; that is
+    /// the applier's job.
     pub(crate) struct RawFrame<'a> {
-        pub kind: u8,
         pub ticks: u64,
         pub stages_retired: u64,
         pub rows: u32,
@@ -1474,7 +1461,6 @@ pub(crate) mod columnar {
         pub strings: Vec<&'a str>,
         pub cols: Vec<RawColumn<'a>>,
         pub groups: Vec<GroupCheckpoint>,
-        pub tombstones: Vec<u64>,
         pub retired: Vec<SessionMetrics>,
     }
 
@@ -1535,24 +1521,25 @@ pub(crate) mod columnar {
     }
 
     /// Parses and structurally validates a columnar frame. Zero-copy for
-    /// the column bodies and string table; the group/tombstone/retired
-    /// tail sections (small, frame-scoped) decode eagerly.
+    /// the column bodies and string table; the group and retired tail
+    /// sections (small, frame-scoped) decode eagerly.
     ///
     /// # Errors
     ///
     /// [`CodecError::BadVersion`] for a non-v4 payload, [`CodecError::BadTag`]
-    /// for an unknown kind/type tag, [`CodecError::BadLength`] for a
-    /// width or body-length mismatch, and any cursor error for truncation
-    /// or trailing bytes.
+    /// for a kind other than [`KIND_GENESIS`] or an unknown type tag,
+    /// [`CodecError::BadLength`] for a width or body-length mismatch or a
+    /// non-empty tombstone list, and any cursor error for truncation or
+    /// trailing bytes.
     pub(crate) fn parse(payload: &[u8]) -> Result<RawFrame<'_>, CodecError> {
         let mut d = Dec::new(payload);
         match d.u8()? {
             FRAME_VERSION => {}
             v => return Err(CodecError::BadVersion(v)),
         }
-        let kind = d.u8()?;
-        if kind > KIND_INCREMENTAL {
-            return Err(CodecError::BadTag(kind));
+        match d.u8()? {
+            KIND_GENESIS => {}
+            kind => return Err(CodecError::BadTag(kind)),
         }
         let ticks = d.u64()?;
         let rows = d.u32()?;
@@ -1600,10 +1587,9 @@ pub(crate) mod columnar {
         for _ in 0..n {
             groups.push(checkpoint::dec_group(&mut d)?);
         }
-        let n = d.len(8)?;
-        let mut tombstones = Vec::with_capacity(n);
-        for _ in 0..n {
-            tombstones.push(d.u64()?);
+        match d.len(8)? {
+            0 => {}
+            tombstones => return Err(CodecError::BadLength(tombstones as u64)),
         }
         let n = d.len(8)?;
         let mut retired = Vec::with_capacity(n);
@@ -1613,7 +1599,6 @@ pub(crate) mod columnar {
         }
         d.finish()?;
         Ok(RawFrame {
-            kind,
             ticks,
             stages_retired,
             rows,
@@ -1625,7 +1610,6 @@ pub(crate) mod columnar {
             strings,
             cols,
             groups,
-            tombstones,
             retired,
         })
     }
@@ -1644,7 +1628,7 @@ pub(crate) mod columnar {
     }
 
     /// Encodes one dedicated session's checkpoint as a standalone
-    /// single-row genesis frame — the migration blob. Same writer, same
+    /// single-row frame — the migration blob. Same writer, same
     /// column layout, same decode path as a full shard frame: a quiesced
     /// session is just a one-session column slice. Only dedicated
     /// sessions migrate; a pooled one has no group section to name it.
@@ -1694,7 +1678,6 @@ pub(crate) mod columnar {
         sink.push_row(0, &cp.tenant, n_runs as u32);
         let mut f = sink.start(
             &FrameHeader {
-                kind: KIND_GENESIS,
                 ticks: 0,
                 stages_retired: 0,
                 w: m.window as u32,
@@ -1704,7 +1687,6 @@ pub(crate) mod columnar {
                 u_o: alg.cfg.u_o,
             },
             [hull.len(), recent.len(), n_runs, pend.len()],
-            &[],
             &[],
             &[],
             out,
@@ -1742,12 +1724,7 @@ pub(crate) mod columnar {
     /// A typed `columnar.*` field name, suitable for
     /// `CtrlError::InvalidCheckpoint`.
     pub(crate) fn session_from_frame(f: &RawFrame<'_>) -> Result<SessionCheckpoint, &'static str> {
-        if f.kind != KIND_GENESIS
-            || f.rows != 1
-            || !f.groups.is_empty()
-            || !f.tombstones.is_empty()
-            || !f.retired.is_empty()
-        {
+        if f.rows != 1 || !f.groups.is_empty() || !f.retired.is_empty() {
             return Err("columnar.migration");
         }
         let w = f.w as usize;

@@ -4,10 +4,10 @@
 //!
 //! * [`CheckpointMirror`] — a passive replica of one shard, fed the same
 //!   columnar frames the driver retains (over the wire, from a file, or
-//!   straight from a bench harness). A genesis frame resets it; an
-//!   incremental extends it. Frames land in the mirror's preallocated
-//!   slab columns — after the first genesis at a given population, a
-//!   warm re-apply performs no per-session heap allocation.
+//!   straight from a bench harness). Every frame carries the whole shard
+//!   and replaces whatever the mirror held. Frames land in the mirror's
+//!   preallocated slab columns — after the first frame at a given
+//!   population, a warm re-apply performs no per-session heap allocation.
 //! * [`CheckpointProbe`] — a self-contained shard driver for benchmarks:
 //!   populate, tick, churn, and encode checkpoint frames without spinning
 //!   up a [`crate::ControlPlane`], its threads, or its channels. The
@@ -50,8 +50,8 @@ impl CheckpointMirror {
         }
     }
 
-    /// Applies one columnar frame (genesis or incremental), returning the
-    /// number of session rows it carried.
+    /// Applies one columnar frame, returning the number of session rows
+    /// it carried.
     ///
     /// # Errors
     ///
@@ -69,13 +69,12 @@ impl CheckpointMirror {
         Ok(u64::from(rows))
     }
 
-    /// Encodes the replica as one genesis frame into `out` (cleared
-    /// first), returning its row count. Apply is bitwise, so right after
-    /// a genesis is applied the frame is that genesis byte for byte.
+    /// Encodes the replica as one frame into `out` (cleared first),
+    /// returning its row count. Apply is bitwise, so right after a frame
+    /// is applied this is that frame byte for byte.
     pub fn encode(&mut self, out: &mut Vec<u8>) -> u64 {
         out.clear();
-        self.state
-            .encode_columnar(columnar::KIND_GENESIS, &mut self.sink, out)
+        self.state.encode_columnar(&mut self.sink, out)
     }
 
     /// Ticks the mirrored shard has processed (as of the last frame).
@@ -120,8 +119,7 @@ impl CheckpointProbe {
         }
     }
 
-    /// Joins `sessions` fresh dedicated sessions (each starts dirty, as
-    /// in the live path).
+    /// Joins `sessions` fresh dedicated sessions.
     pub fn populate(&mut self, sessions: usize) {
         for _ in 0..sessions {
             let key = self.next_key;
@@ -136,9 +134,7 @@ impl CheckpointProbe {
     /// Advances the shard `n` ticks, every not-yet-churned session
     /// receiving arrivals (so each carries backlog and a later
     /// [`CheckpointProbe::churn`] marks it leaving instead of retiring it
-    /// on the spot). A tick dirties the whole live population regardless
-    /// — the meter's clocks and window sums advance on every session —
-    /// exactly like production.
+    /// on the spot).
     pub fn tick(&mut self, n: usize) {
         let arrivals: Arc<[(u64, f64)]> = (self.churn_cursor..self.next_key)
             .map(|k| (k, 8.0))
@@ -150,10 +146,8 @@ impl CheckpointProbe {
         }
     }
 
-    /// Dirties exactly `k` sessions *without* advancing the clock, by
-    /// marking the oldest `k` live sessions as leaving — the scenario an
-    /// incremental checkpoint is built for (between-tick mutations touch
-    /// a few rows, not the population).
+    /// Marks the oldest `k` not-yet-churned sessions as leaving, without
+    /// advancing the clock: between-tick churn.
     pub fn churn(&mut self, k: usize) {
         for _ in 0..k {
             if self.churn_cursor >= self.next_key {
@@ -165,18 +159,13 @@ impl CheckpointProbe {
         }
     }
 
-    /// Encodes a checkpoint frame into `out` (cleared first), returning
-    /// the number of session rows encoded. `full` selects a genesis
-    /// frame; otherwise only rows dirtied since the last encode are
-    /// carried. Either way the dirty bits are cleared, as on the worker.
-    pub fn encode(&mut self, full: bool, out: &mut Vec<u8>) -> u64 {
+    /// Encodes the probe shard's checkpoint frame into `out` (cleared
+    /// first), returning the number of session rows encoded: every live
+    /// session, as a worker ships it. `_full` is ignored, since every
+    /// frame is full; it stays because stackbench's harness passes it.
+    pub fn encode(&mut self, _full: bool, out: &mut Vec<u8>) -> u64 {
         out.clear();
-        let kind = if full {
-            columnar::KIND_GENESIS
-        } else {
-            columnar::KIND_INCREMENTAL
-        };
-        self.state.encode_columnar(kind, &mut self.sink, out)
+        self.state.encode_columnar(&mut self.sink, out)
     }
 
     /// Live sessions on the probe shard.
@@ -219,31 +208,31 @@ mod tests {
         assert_eq!(mirror.live_sessions(), 100);
         assert_eq!(mirror.ticks(), 6);
 
-        // Between-tick churn dirties exactly the churned rows; the
-        // incremental carries them and nothing else.
+        // Between-tick churn marks sessions leaving; every frame still
+        // carries every live session, whatever the flag says.
         probe.churn(7);
-        let rows = probe.encode(false, &mut frame);
-        assert_eq!(rows, 7, "incremental carries only the churned rows");
-        assert_eq!(mirror.apply(&frame).unwrap(), 7);
+        let full = frame.clone();
+        assert_eq!(probe.encode(false, &mut frame), 100);
+        let mut again = Vec::new();
+        probe.encode(true, &mut again);
+        assert_eq!(frame, again, "the flag changes nothing");
+        assert_ne!(frame, full, "the churned rows are leaving");
+        assert_eq!(mirror.apply(&frame).unwrap(), 100);
         assert_eq!(mirror.live_sessions(), 100, "leaving sessions stay live");
 
-        // A tick dirties the whole population again.
-        probe.tick(1);
-        let rows = probe.encode(false, &mut frame);
-        assert!(rows >= 93, "a metered tick dirties every live session");
-        mirror.apply(&frame).unwrap();
-        assert_eq!(mirror.ticks(), 7);
-
-        // A genesis resets a mirror wherever it stands: the one that
-        // followed the chain and one that never saw it land together.
+        // A frame resets a mirror wherever it stands: the one that
+        // followed every frame and one that saw none land together, and
+        // re-encode the frame byte for byte.
         probe.churn(4);
-        probe.tick(2);
+        probe.tick(3);
         probe.encode(true, &mut frame);
         let mut behind = CheckpointMirror::new(&cfg);
         for m in [&mut mirror, &mut behind] {
             m.apply(&frame).unwrap();
             assert_eq!(m.ticks(), 9);
             assert_eq!(m.live_sessions(), probe.live_sessions());
+            m.encode(&mut again);
+            assert_eq!(again, frame);
         }
     }
 
@@ -274,9 +263,8 @@ mod tests {
             par.tick(5);
             seq.churn(3);
             par.churn(3);
-            let full = round == 0;
-            seq.encode(full, &mut frame_seq);
-            par.encode(full, &mut frame_par);
+            seq.encode(true, &mut frame_seq);
+            par.encode(true, &mut frame_par);
             assert_eq!(
                 frame_seq, frame_par,
                 "round {round}: parallel sweep changed the frame bytes"
@@ -299,7 +287,7 @@ mod tests {
         mirror.apply(&frame).unwrap();
 
         probe.churn(3);
-        probe.encode(false, &mut frame);
+        probe.encode(true, &mut frame);
         let err = mirror.apply(&frame[..frame.len() - 1]).unwrap_err();
         assert!(
             matches!(err, CtrlError::InvalidCheckpoint { field } if field.starts_with("columnar.")),
@@ -365,11 +353,7 @@ mod tests {
             });
         }
         let mut frame = Vec::new();
-        live.encode_columnar(
-            columnar::KIND_GENESIS,
-            &mut columnar::ColumnSink::default(),
-            &mut frame,
-        );
+        live.encode_columnar(&mut columnar::ColumnSink::default(), &mut frame);
         let clock = {
             let parsed = columnar::parse(&frame).unwrap();
             columnar::u64_at(parsed.col(C_U64 + 1).unwrap(), 0)

@@ -647,7 +647,7 @@ impl ControlPlane {
         let (msg_tx, msg_rx) = unbounded();
         let mut workers = Vec::with_capacity(self.cfg.shards);
         let mut sink = crate::codec::columnar::ColumnSink::default();
-        for (s, mut state) in states.into_iter().enumerate() {
+        for (s, state) in states.into_iter().enumerate() {
             let sup = &mut self.sups[s];
             sup.epoch += 1;
             sup.journal.clear();
@@ -656,7 +656,7 @@ impl ControlPlane {
             let epoch = sup.epoch;
             if self.cfg.checkpoint_every > 0 {
                 let mut bytes = Vec::new();
-                let sessions = state.encode_columnar(KIND_GENESIS, &mut sink, &mut bytes);
+                let sessions = state.encode_columnar(&mut sink, &mut bytes);
                 sup.retain(ShardCheckpoint {
                     shard: s as u64,
                     epoch,

@@ -188,11 +188,11 @@ pub(crate) struct ShardFailure {
 /// restarted worker can resume from it instead of replaying the whole
 /// history.
 ///
-/// The state travels as one full-population columnar frame
-/// ([`columnar::KIND_GENESIS`]), so each checkpoint supersedes the one
-/// before it and the driver retains exactly one. The worker writes the
-/// frame into a single allocation of its exact length and ships that
-/// allocation; it keeps nothing frame-sized between captures.
+/// The state travels as one full-population columnar frame, so each
+/// checkpoint supersedes the one before it and the driver retains
+/// exactly one. The worker writes the frame into a single allocation of
+/// its exact length and ships that allocation; it keeps nothing
+/// frame-sized between captures.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardCheckpoint {
     /// The checkpointing shard.
@@ -466,8 +466,8 @@ struct GroupEntry {
 }
 
 /// Slot flags packed into the `flags` column. Crate-visible because the
-/// columnar checkpoint codec encodes the flags column verbatim (minus
-/// [`F_DIRTY`]) and validates decoded frames against these bits.
+/// columnar checkpoint codec encodes the flags column verbatim and
+/// validates decoded frames against these bits.
 pub(crate) const F_LIVE: u32 = 1;
 /// The slot runs the single-session algorithm (vs a pooled member).
 pub(crate) const F_DEDICATED: u32 = 2;
@@ -476,14 +476,6 @@ pub(crate) const F_LEAVING: u32 = 4;
 /// The bounds trackers are active — the columnar form of the algorithm's
 /// `Mode::Stage` (clear during a RESET).
 pub(crate) const F_STAGE_OPEN: u32 = 8;
-/// The slot mutated since the last checkpoint frame was encoded. Set by
-/// every mutation path (join, tick, leave, import), cleared when a
-/// columnar checkpoint captures the slot, and masked out of the encoded
-/// flags column — the bit is emission bookkeeping, not session state.
-/// Note a tick dirties *every* live session (the meter's clocks, rings,
-/// and window sums all advance), so dirty-only frames pay off on the
-/// churn between ticks, not within a ticking interval.
-const F_DIRTY: u32 = 16;
 
 /// Upper bound on the session and group keys a checkpoint frame may
 /// carry. The driver issues keys from one monotone counter and the
@@ -755,7 +747,7 @@ impl Columns {
             self.reset_scalars(i);
         }
         self.keys[i] = key;
-        self.flags[i] = F_LIVE | F_DIRTY;
+        self.flags[i] = F_LIVE;
         self.hull[i].clear();
         self.pend_spill[i].clear();
     }
@@ -1621,9 +1613,6 @@ impl ChunkView<'_> {
             };
             s.ded.push(j as u32);
             s.ded_arr.push(a);
-            // Every metered tick mutates the slot (clocks, rings,
-            // window sums), so list membership is exactly dirtiness.
-            self.flags[j] = f | F_DIRTY;
             // Capture stage-open membership before the decide pass can
             // close or reopen stages: matches the fused kernel, which
             // read the flag once at the top of the slot's step.
@@ -1715,13 +1704,11 @@ impl Drop for KernelPool {
 }
 
 /// Reusable scratch for [`ShardState::apply_frame`]'s validation pass, so
-/// applying a long incremental chain allocates the key tables once.
+/// a mirror re-applying frame after frame allocates the key tables once.
 #[derive(Default)]
 pub(crate) struct ApplyScratch {
     /// `(key, row)` of the frame being validated, sorted by key.
     keys: Vec<(u64, u32)>,
-    /// The frame's tombstones, sorted.
-    tombs: Vec<u64>,
     /// `(row, group, member)` of each pooled row the group section names,
     /// sorted by row.
     members: Vec<(u32, u64, u64)>,
@@ -1759,12 +1746,6 @@ pub(crate) struct ShardState {
     /// with the live columns and pools, the shard's certified-stage count.
     stages_retired: u64,
     ticks: u64,
-    /// Keys removed (retired or forgotten) since the last checkpoint
-    /// frame was encoded — the tombstone list of the next incremental.
-    removed_since_checkpoint: Vec<u64>,
-    /// How many `retired` entries the last checkpoint frame already
-    /// carried; the next incremental ships only the suffix past this.
-    retired_base: usize,
 }
 
 impl ShardState {
@@ -1787,8 +1768,6 @@ impl ShardState {
             retired: Arc::new(Vec::new()),
             stages_retired: 0,
             ticks: 0,
-            removed_since_checkpoint: Vec::new(),
-            retired_base: 0,
         }
     }
 
@@ -1812,8 +1791,6 @@ impl ShardState {
         }
         self.stages_retired = 0;
         self.ticks = 0;
-        self.removed_since_checkpoint.clear();
-        self.retired_base = 0;
         self
     }
 
@@ -1903,7 +1880,6 @@ impl ShardState {
             state.group_index.insert(g.group, gslot);
         }
         state.retired = Arc::clone(&cp.retired);
-        state.retired_base = state.retired.len();
         state.ticks = cp.ticks;
         state.stages_retired = cp.stages_retired;
         state
@@ -1933,26 +1909,17 @@ impl ShardState {
         groups
     }
 
-    /// Encodes a columnar checkpoint frame ([`columnar::KIND_GENESIS`]
-    /// captures every live session; [`columnar::KIND_INCREMENTAL`] only
-    /// the sessions dirtied since the previous frame) into `out`
-    /// (cleared first; allocated once at the frame's exact length when it
-    /// has no capacity yet), and advances the emission bookkeeping: dirty
-    /// bits clear, the tombstone list drains, and the retired cursor
-    /// moves up. Returns the number of session rows encoded.
+    /// Encodes the shard as one columnar checkpoint frame — every live
+    /// session, every group, the full retired list — into `out` (cleared
+    /// first; allocated once at the frame's exact length when it has no
+    /// capacity yet). Returns the number of session rows encoded.
     pub(crate) fn encode_columnar(
-        &mut self,
-        kind: u8,
+        &self,
         sink: &mut columnar::ColumnSink,
         out: &mut Vec<u8>,
     ) -> u64 {
         use columnar::*;
-        let ShardState { sessions, cols, .. } = &*self;
-        let encoded = || {
-            sessions.iter().filter(|(slot, _)| {
-                kind == KIND_GENESIS || cols.flags[slot.index as usize] & F_DIRTY != 0
-            })
-        };
+        let cols = &self.cols;
         let w = self.window;
         let ring = |i: usize| {
             let cursors = (&cols.recent_head[..], &cols.recent_len[..]);
@@ -1963,7 +1930,7 @@ impl ShardState {
         // allocation runs, and the ragged totals.
         sink.begin();
         let mut ragged: RaggedTotals = [0; 4];
-        for (slot, e) in encoded() {
+        for (slot, e) in self.sessions.iter() {
             let i = slot.index as usize;
             let n_runs = runs(allocs(i)).count();
             sink.push_row(slot.index, &e.tenant, n_runs as u32);
@@ -1972,11 +1939,8 @@ impl ShardState {
             ragged[2] += n_runs;
             ragged[3] += cols.pend_len[i] as usize;
         }
-        // Group state is tiny relative to the session columns, so every
-        // frame rewrites it wholesale — apply never has to merge it.
         let groups = self.group_checkpoints();
         let hdr = FrameHeader {
-            kind,
             ticks: self.ticks,
             stages_retired: self.stages_retired,
             w: self.window as u32,
@@ -1985,21 +1949,13 @@ impl ShardState {
             d_o: self.single_cfg.d_o as u64,
             u_o: self.single_cfg.u_o,
         };
-        let (tombs, retired): (&[u64], &[SessionMetrics]) = if kind == KIND_GENESIS {
-            (&[], &self.retired)
-        } else {
-            (
-                &self.removed_since_checkpoint,
-                &self.retired[self.retired_base..],
-            )
-        };
         // Fill pass: one sequential run per column, straight from the
         // per-field slab columns.
-        let mut f = sink.start(&hdr, ragged, &groups, tombs, retired, out);
+        let mut f = sink.start(&hdr, ragged, &groups, &self.retired, out);
         let rows = f.rows;
         f.col(C_KEY, at_slots(&cols.keys, rows));
         f.tenant_col();
-        f.col(C_FLAGS, at_slots(&cols.flags, rows).map(|b| b & !F_DIRTY));
+        f.col(C_FLAGS, at_slots(&cols.flags, rows));
         let f64_cols: [&[f64]; 16] = [
             &cols.shadow_backlog,
             &cols.current_alloc,
@@ -2047,27 +2003,15 @@ impl ShardState {
         });
         f.col(C_PEND, pend);
         f.finish();
-        let encoded = rows.len() as u64;
-        // The frame now covers everything up to this instant.
-        for f in &mut self.cols.flags[..self.sessions.slot_bound()] {
-            if *f & F_LIVE != 0 {
-                *f &= !F_DIRTY;
-            }
-        }
-        self.removed_since_checkpoint.clear();
-        self.retired_base = self.retired.len();
-        encoded
+        rows.len() as u64
     }
 
     /// Applies one parsed columnar frame. Validation runs in full before
     /// any mutation — a hostile frame yields a typed `columnar.*` field
     /// with the shard untouched; once mutation starts, nothing can fail.
     ///
-    /// A genesis frame replaces the whole population (slots compact to
-    /// `0..n` in row order, like [`ShardState::restore`]); an incremental
-    /// frame removes the tombstoned keys, overwrites/inserts the carried
-    /// rows, and appends the retired suffix. Restored slots are *not*
-    /// marked dirty: the frames being applied already cover them.
+    /// The frame replaces the whole population: slots compact to `0..n`
+    /// in row order, like [`ShardState::restore`].
     ///
     /// # Errors
     ///
@@ -2091,10 +2035,6 @@ impl ShardState {
             || f.u_o.to_bits() != cfg.u_o.to_bits()
         {
             return Err("columnar.cfg");
-        }
-        let genesis = f.kind == KIND_GENESIS;
-        if genesis && !f.tombstones.is_empty() {
-            return Err("columnar.tombstones");
         }
         let rows = f.rows as usize;
         let key_c = f.fixed(C_KEY)?;
@@ -2170,20 +2110,15 @@ impl ShardState {
         }
         scratch.keys.sort_unstable();
         if scratch.keys.windows(2).any(|p| p[0].0 == p[1].0) {
-            return Err("columnar.keys"); // overlapping dirty rows
+            return Err("columnar.keys"); // one key, two rows
         }
-        scratch.tombs.clear();
-        scratch.tombs.extend_from_slice(&f.tombstones);
-        scratch.tombs.sort_unstable();
         if !f.groups.windows(2).all(|g| g[0].group < g[1].group) {
             return Err("columnar.groups");
         }
         // A row carries no group: the group section names its pooled
-        // rows. Every listed member must resolve to a session that is
-        // live after the frame applies — a pooled row of the frame, or
-        // (for an incremental) a resident of exactly this (group, member)
-        // that is not tombstoned — and every pooled row must be listed
-        // exactly once, or the rebuilt pool would silently drop it.
+        // rows. Every listed member must resolve to a pooled row of the
+        // frame, and every pooled row must be listed exactly once, or the
+        // rebuilt pool would silently drop it.
         scratch.members.clear();
         for g in &f.groups {
             // Group ids feed the same direct-mapped index as session keys.
@@ -2194,31 +2129,15 @@ impl ShardState {
                 return Err("columnar.groups");
             }
             for &(member, key) in &g.members {
-                match scratch.keys.binary_search_by_key(&key, |&(k, _)| k) {
-                    Ok(pos) => {
-                        let r = scratch.keys[pos].1;
-                        if dedicated(r as usize) {
-                            return Err("columnar.groups");
-                        }
-                        scratch.members.push((r, g.group, member));
-                    }
-                    Err(_) => {
-                        if genesis || scratch.tombs.binary_search(&key).is_ok() {
-                            return Err("columnar.groups");
-                        }
-                        let resident = self
-                            .index
-                            .get(key)
-                            .and_then(|s| self.sessions.get(s))
-                            .is_some_and(|e| {
-                                matches!(&e.kind, SessionKind::Pooled { group, member: m }
-                                    if *group == g.group && m.raw() == member)
-                            });
-                        if !resident {
-                            return Err("columnar.groups");
-                        }
-                    }
+                let pos = scratch
+                    .keys
+                    .binary_search_by_key(&key, |&(k, _)| k)
+                    .map_err(|_| "columnar.groups")?;
+                let r = scratch.keys[pos].1;
+                if dedicated(r as usize) {
+                    return Err("columnar.groups");
                 }
+                scratch.members.push((r, g.group, member));
             }
         }
         scratch.members.sort_unstable();
@@ -2227,48 +2146,13 @@ impl ShardState {
         {
             return Err("columnar.groups");
         }
-        for &(key, r) in &scratch.keys {
-            if scratch.tombs.binary_search(&key).is_ok() {
-                return Err("columnar.keys"); // a row cannot also be removed
-            }
-            if !genesis {
-                // An incremental row overwriting a live session must keep
-                // its kind — sessions never convert in place.
-                if let Some(e) = self.index.get(key).and_then(|s| self.sessions.get(s)) {
-                    let named = scratch.members.binary_search_by_key(&r, |m| m.0);
-                    let stable = match (&e.kind, named) {
-                        (SessionKind::Dedicated, Err(_)) => dedicated(r as usize),
-                        (SessionKind::Pooled { group, member }, Ok(pos)) => {
-                            let (_, g, m) = scratch.members[pos];
-                            g == *group && m == member.raw()
-                        }
-                        _ => false,
-                    };
-                    if !stable {
-                        return Err("columnar.kind");
-                    }
-                }
-            }
-        }
         // ---- mutate: infallible from here on ----
-        if genesis {
-            self.index.clear();
-            self.sessions.clear();
-            self.group_index.clear();
-            self.groups.clear();
-            self.sessions.reserve(rows);
-            self.cols.grow_to(rows, w);
-        } else {
-            for &key in &f.tombstones {
-                // Unknown keys are fine: the removal may have raced a
-                // retirement this shard already processed.
-                if let Some(slot) = self.index.remove(key) {
-                    if self.sessions.remove(slot).is_some() {
-                        self.cols.clear_slot(slot.index as usize);
-                    }
-                }
-            }
-        }
+        self.index.clear();
+        self.sessions.clear();
+        self.group_index.clear();
+        self.groups.clear();
+        self.sessions.reserve(rows);
+        self.cols.grow_to(rows, w);
         let frame_tenants: Vec<Arc<str>> = f.strings.iter().map(|&s| Arc::from(s)).collect();
         // The pooled rows in row order, each with its (group, member).
         let mut named = scratch.members.iter();
@@ -2287,21 +2171,8 @@ impl ShardState {
                     member: PoolSessionId::from_raw(member),
                 }
             };
-            let slot = match self.index.get(key) {
-                Some(slot) => {
-                    let e = self
-                        .sessions
-                        .get_mut(slot)
-                        .expect("the index maps only to live slots");
-                    e.leaving = leaving;
-                    slot
-                }
-                None => {
-                    let tenant = Arc::clone(&frame_tenants[u32_at(tenant_c, r) as usize]);
-                    self.insert_entry(key, tenant, leaving, kind).0
-                }
-            };
-            let i = slot.index as usize;
+            let tenant = Arc::clone(&frame_tenants[u32_at(tenant_c, r) as usize]);
+            let i = self.insert_entry(key, tenant, leaving, kind).0.index as usize;
             let hull_n = u32_at(hull_len_c, r) as usize;
             let recent_n = u32_at(recent_len_c, r) as usize;
             let runs_n = u32_at(runs_len_c, r) as usize;
@@ -2359,10 +2230,7 @@ impl ShardState {
             runs_off += runs_n;
             pend_off += pend_n;
         }
-        // Groups: full overwrite from the frame, every member validated
-        // above to resolve.
-        self.group_index.clear();
-        self.groups.clear();
+        // Groups, every member validated above to resolve.
         for g in &f.groups {
             let by_member = g
                 .members
@@ -2383,14 +2251,10 @@ impl ShardState {
             self.group_index.insert(g.group, gslot);
         }
         let retired = Arc::make_mut(&mut self.retired);
-        if genesis {
-            retired.clear();
-        }
+        retired.clear();
         retired.extend(f.retired.iter().cloned());
         self.ticks = f.ticks;
         self.stages_retired = f.stages_retired;
-        self.retired_base = self.retired.len();
-        self.removed_since_checkpoint.clear();
         Ok(())
     }
 
@@ -2454,7 +2318,6 @@ impl ShardState {
         // Only dedicated sessions are exported, so no group bookkeeping.
         if self.sessions.remove(slot).is_some() {
             self.cols.clear_slot(slot.index as usize);
-            self.removed_since_checkpoint.push(key);
         }
     }
 
@@ -2466,13 +2329,6 @@ impl ShardState {
             return; // only dedicated sessions migrate
         }
         self.insert_restored(cp);
-        // A migrated-in session is new to this shard's checkpoint stream;
-        // a crash restore ([`ShardState::restore`]) deliberately does
-        // *not* set the bit — restored state is already captured by the
-        // frames being restored from.
-        if let Some(slot) = self.index.get(cp.key) {
-            self.cols.flags[slot.index as usize] |= F_DIRTY;
-        }
     }
 
     /// The shard-uniform kernel parameters, derived from the service
@@ -2579,7 +2435,7 @@ impl ShardState {
             return;
         }
         entry.leaving = true;
-        self.cols.flags[slot.index as usize] |= F_LEAVING | F_DIRTY;
+        self.cols.flags[slot.index as usize] |= F_LEAVING;
         let pooled = match &entry.kind {
             SessionKind::Pooled { group, member } => Some((*group, *member)),
             // Nothing to tell the allocator; the session now receives zero
@@ -2691,16 +2547,11 @@ impl ShardState {
                     let (_, _, slot) = group.by_member[mi];
                     mi += 1;
                     let i = slot.index as usize;
-                    let f = cols.flags[i];
-                    let arrived = if f & F_LEAVING != 0 {
+                    let arrived = if cols.flags[i] & F_LEAVING != 0 {
                         0.0
                     } else {
                         cols.arrived[i]
                     };
-                    // Every metered tick mutates the slot, so gather
-                    // membership is exactly dirtiness (skipped retiring
-                    // members are not metered and not dirtied).
-                    cols.flags[i] = f | F_DIRTY;
                     scratch.grp.push(i as u32);
                     scratch.grp_arr.push(arrived);
                     scratch.grp_alloc.push(alloc);
@@ -2831,7 +2682,6 @@ impl ShardState {
             .metrics(i, entry.key, entry.tenant, self.shard, self.cost);
         self.cols.clear_slot(i);
         Arc::make_mut(&mut self.retired).push(metrics);
-        self.removed_since_checkpoint.push(key);
     }
 
     pub(crate) fn report(&self) -> ShardReport {
@@ -3037,16 +2887,8 @@ impl WorkerLoop {
             });
             let every = self.ctx.checkpoint_every;
             if every > 0 && self.state.ticks().is_multiple_of(every) {
-                // Always a full frame: a metered tick dirties every live
-                // session and captures sit on tick boundaries, so a
-                // dirty-only frame would carry the same rows — and a full
-                // one supersedes whatever the driver holds.
                 let mut bytes = Vec::new();
-                let sessions = self.state.encode_columnar(
-                    columnar::KIND_GENESIS,
-                    &mut self.cp_sink,
-                    &mut bytes,
-                );
+                let sessions = self.state.encode_columnar(&mut self.cp_sink, &mut bytes);
                 let _ = self.ctx.msgs.send(WorkerMsg::Checkpoint(ShardCheckpoint {
                     shard: self.state.shard,
                     epoch: self.ctx.epoch,
@@ -3748,45 +3590,6 @@ mod tests {
         assert_eq!(moved, stayed, "migration is bitwise-invisible");
     }
 
-    /// The journal and the dirty bitmap must agree. Applying a frame
-    /// rebuilds rows *without* dirty bits (the frame covers them), so
-    /// every journaled mutation replayed on top must re-dirty the rows it
-    /// touches — otherwise the rebuilt shard's next dirty-only frame omits
-    /// them and a follower holding the same genesis diverges.
-    #[test]
-    fn journal_replay_re_dirties_rows_for_the_next_incremental() {
-        let mut sink = columnar::ColumnSink::default();
-        let mut scratch = ApplyScratch::default();
-        let mut buf = Vec::new();
-        let (mut live, mut rebuilt, mut follower) = (shard(), shard(), shard());
-        for key in 0..6 {
-            live.join_dedicated(key, "acme".into());
-        }
-        let arrivals: Vec<(u64, f64)> = (0..6).map(|k| (k, 2.0 + k as f64)).collect();
-        for _ in 0..5 {
-            live.tick(&arrivals);
-        }
-        live.encode_columnar(columnar::KIND_GENESIS, &mut sink, &mut buf);
-        for s in [&mut rebuilt, &mut follower] {
-            let frame = columnar::parse(&buf).unwrap();
-            s.apply_frame(&frame, &mut scratch).unwrap();
-        }
-        // The journal suffix: a leave/join swap, no tick — two rows.
-        let join = ReplayEvent::JoinDedicated {
-            key: 6,
-            tenant: "globex".into(),
-        };
-        for ev in [ReplayEvent::Leave { key: 1 }, join] {
-            live.apply(&ev);
-            rebuilt.apply(&ev);
-        }
-        let rows = rebuilt.encode_columnar(columnar::KIND_INCREMENTAL, &mut sink, &mut buf);
-        assert_eq!(rows, 2, "exactly the replayed mutations' rows travel");
-        let frame = columnar::parse(&buf).unwrap();
-        follower.apply_frame(&frame, &mut scratch).unwrap();
-        assert_eq!(canonical_bytes(&follower), canonical_bytes(&live));
-    }
-
     #[test]
     fn checkpoint_binary_roundtrip_restores_bitwise() {
         let mut s = shard();
@@ -4124,7 +3927,7 @@ mod tests {
                 if i % 5 == 2 {
                     let [k1, k2, k4] = shards.each_mut().map(|s| {
                         let mut bytes = Vec::new();
-                        s.encode_columnar(columnar::KIND_GENESIS, &mut sink, &mut bytes);
+                        s.encode_columnar(&mut sink, &mut bytes);
                         bytes
                     });
                     prop_assert_eq!(&k1, &k2);
@@ -4152,10 +3955,9 @@ mod tests {
             lockstep(1, &ops)?;
         }
 
-        /// The columnar chain against the full v1 codec: a mirror shard
-        /// fed only (genesis + dirty incremental) frames must stay
-        /// bitwise-identical to the live shard it mirrors, session for
-        /// session. Slot placement may diverge (the mirror compacts in
+        /// The columnar frames against the full v1 codec: a mirror shard
+        /// re-fed a frame after every step must stay bitwise-identical to
+        /// the live shard it mirrors, session for session. Slot placement may diverge (the mirror compacts in
         /// frame-row order), so both sides are compared through their
         /// key-sorted canonical checkpoints — still a per-float bitwise
         /// comparison, just order-insensitive. Every dedicated session is
@@ -4163,7 +3965,6 @@ mod tests {
         #[test]
         fn columnar_chain_matches_full_checkpoint(
             ops in proptest::collection::vec(op_strategy(), 1..40),
-            genesis_every in 1u64..5,
         ) {
             let cfg = shard_cfg();
             let mut live = ShardState::new(0, &cfg);
@@ -4172,17 +3973,12 @@ mod tests {
             let mut scratch = ApplyScratch::default();
             let mut buf = Vec::new();
             let mut script = Script::default();
-            for (frame_no, op) in ops.iter().enumerate() {
+            for op in &ops {
                 for ev in script.events(op) {
                     live.apply(&ev);
                 }
-                let kind = if (frame_no as u64).is_multiple_of(genesis_every) {
-                    columnar::KIND_GENESIS
-                } else {
-                    columnar::KIND_INCREMENTAL
-                };
                 buf.clear();
-                live.encode_columnar(kind, &mut sink, &mut buf);
+                live.encode_columnar(&mut sink, &mut buf);
                 let frame = columnar::parse(&buf).expect("own frames parse");
                 mirror.apply_frame(&frame, &mut scratch).expect("own frames apply");
                 prop_assert_eq!(canonical_bytes(&live), canonical_bytes(&mirror));
@@ -4270,7 +4066,7 @@ mod tests {
                 }
                 LockstepOp::Capture => {
                     let bytes = frame.get_or_insert_with(Vec::new);
-                    soa.encode_columnar(columnar::KIND_GENESIS, &mut sink, bytes);
+                    soa.encode_columnar(&mut sink, bytes);
                     journal.clear();
                 }
                 LockstepOp::Recover => {
@@ -4402,7 +4198,7 @@ mod tests {
             run(&mut state, &[Op::Ticks(6, 1), Op::Ticks(3, 2)]);
             let mut frame = Vec::new();
             let mut sink = columnar::ColumnSink::default();
-            state.encode_columnar(columnar::KIND_GENESIS, &mut sink, &mut frame);
+            state.encode_columnar(&mut sink, &mut frame);
             let journal = run(
                 &mut state,
                 &[Op::Leave(1), Op::Ticks(4, 9), Op::JoinDedicated],
@@ -4470,7 +4266,7 @@ mod tests {
     }
 
     /// Both shards' full state, key-sorted and v1-encoded: the bitwise
-    /// yardstick for chain-vs-full comparisons (slot order is placement,
+    /// yardstick for frame-vs-full comparisons (slot order is placement,
     /// not state).
     fn canonical_bytes(state: &ShardState) -> Vec<u8> {
         let mut cp = state.checkpoint();

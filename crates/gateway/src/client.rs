@@ -464,12 +464,12 @@ impl Client {
         }
     }
 
-    /// Pulls the columnar checkpoint frames retained for `shard` since
-    /// `cursor` (v5): returns the cursor to resume from and the frames,
-    /// oldest first, each as `(kind, payload)` with kind 0 a genesis and
-    /// kind 1 an incremental. Feed the payloads in order to a
-    /// [`cdba_ctrl::CheckpointMirror`] built with the server's service
-    /// config to maintain a passive replica of the shard.
+    /// Pulls the columnar checkpoint frame retained for `shard` if it is
+    /// newer than `cursor` (v5): returns the cursor to resume from and at
+    /// most one frame, as `(kind, payload)` with kind always 0 (a
+    /// genesis). Feed the payload to a [`cdba_ctrl::CheckpointMirror`]
+    /// built with the server's service config to maintain a passive
+    /// replica of the shard.
     ///
     /// # Errors
     ///

@@ -465,9 +465,9 @@ pub enum Frame {
         /// Cursor to pass on the next pull; equal to the request's
         /// cursor when no new frames were retained.
         cursor: u64,
-        /// The frames since the request's cursor, oldest first: the
-        /// frame kind (0 genesis, 1 incremental) and the columnar
-        /// payload, verbatim as the shard worker emitted it.
+        /// The retained frame, if it is newer than the request's cursor:
+        /// the frame kind (always 0, a genesis) and the columnar payload,
+        /// verbatim as the shard worker emitted it.
         frames: Vec<(u8, Vec<u8>)>,
     },
     /// Response to [`Frame::Drain`] (v4).

@@ -140,9 +140,7 @@ fn kill_before_any_checkpoint_recovers_via_journal_alone() {
 /// worker's next checkpoint is then cut from that replayed state, and a
 /// second restore — forced mid-run with [`ControlPlane::restart_shard`] —
 /// starts from exactly that checkpoint. The final snapshot must stay
-/// bitwise-identical to the clean run. (That replay also re-dirties the
-/// rows it touches, for dirty-only frames, is pinned at shard level:
-/// `shard::tests::journal_replay_re_dirties_rows_for_the_next_incremental`.)
+/// bitwise-identical to the clean run.
 #[test]
 fn two_restores_across_journaled_churn_lose_no_mutation() {
     fn run(fault: Option<FaultPlan>, restart_at: Option<u64>) -> ServiceSnapshot {

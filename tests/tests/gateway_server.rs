@@ -757,8 +757,7 @@ fn subscriber_dropped_mid_batch_leaves_no_stuck_push_state() {
 /// then resumes from the returned cursor and gets the newer frame once
 /// there is one. The driver retains only the latest frame, so a
 /// subscriber any distance behind is served that genesis and resets
-/// cleanly on it. (Multi-frame chains with sparse incrementals are a
-/// mirror-level matter: `mirror::tests`.)
+/// cleanly on it.
 #[test]
 fn checkpoint_delta_bin_feeds_a_passive_mirror() {
     let spec = small_spec();

@@ -98,8 +98,8 @@ fn runs_columns(allocs: &[Vec<f64>]) -> (Vec<u8>, Vec<u8>) {
     (runs, lens)
 }
 
-/// A mirror primed with a genesis frame, plus a valid incremental frame
-/// (6 dirty rows) ready to be poisoned.
+/// A mirror primed with a probe's frame, plus the probe's next frame
+/// (six sessions churned to leaving in between) ready to be poisoned.
 fn primed() -> (CheckpointMirror, Vec<u8>) {
     let cfg = cfg();
     let mut probe = CheckpointProbe::new(&cfg);
@@ -108,9 +108,9 @@ fn primed() -> (CheckpointMirror, Vec<u8>) {
     probe.populate(24);
     probe.tick(5);
     probe.encode(true, &mut frame);
-    mirror.apply(&frame).expect("genesis applies");
+    mirror.apply(&frame).expect("the first frame applies");
     probe.churn(6);
-    probe.encode(false, &mut frame);
+    probe.encode(true, &mut frame);
     (mirror, frame)
 }
 
@@ -149,8 +149,8 @@ fn assert_rejected_untouched(
 /// Cutting a frame anywhere — inside the header, a column body, or the
 /// trailing sections — is a typed rejection that writes nothing: every
 /// section is length-described, so a short buffer can never masquerade
-/// as a complete frame. Every offset of a sparse incremental and of a
-/// genesis with pooled groups.
+/// as a complete frame. Every offset of a probe's frame and of a genesis
+/// with pooled groups.
 #[test]
 fn truncation_anywhere_is_rejected_typed() {
     let (mut mirror, frame) = primed();
@@ -171,7 +171,7 @@ proptest! {
     /// Any single-byte corruption either still applies (a benign flip in
     /// a float payload) or is rejected typed with the mirror untouched —
     /// the decoder never panics and never tears state, wherever the flip
-    /// lands, in a sparse incremental or in a genesis with pooled groups.
+    /// lands, in a probe's frame or in a genesis with pooled groups.
     #[test]
     fn single_byte_corruption_never_panics_or_tears(
         at in 0usize..4096,
@@ -314,10 +314,10 @@ fn impossible_v4_frames_are_refused_typed() {
 }
 
 /// The named hostile mutations from the schema's threat model, each built
-/// from a valid incremental frame and each required to fail with its own
-/// typed field: a truncated header, a row-count that disagrees with the
-/// column bodies, an unknown column type tag, and overlapping dirty rows
-/// (the same key twice in one frame).
+/// from a valid frame and each required to fail with its own typed field:
+/// a truncated header, a frame kind other than genesis, a row-count that
+/// disagrees with the column bodies, an unknown column type tag, the same
+/// key on two rows, and a tombstone (a genesis lists none).
 #[test]
 fn named_schema_attacks_map_to_typed_fields() {
     // Header layout: version u8, kind u8, ticks u64, rows u32 — the rows
@@ -340,6 +340,9 @@ fn named_schema_attacks_map_to_typed_fields() {
         "columnar.truncated",
     ));
     let mut evil = frame.clone();
+    evil[1] = 1; // the kind byte
+    cases.push(("a frame kind other than genesis", evil, "columnar.type"));
+    let mut evil = frame.clone();
     let rows = u32::from_le_bytes(evil[10..14].try_into().unwrap());
     assert!(rows >= 2, "the poisoning below needs at least two rows");
     evil[10..14].copy_from_slice(&(rows + 1).to_le_bytes());
@@ -350,7 +353,15 @@ fn named_schema_attacks_map_to_typed_fields() {
     let mut evil = frame.clone();
     let first_key = evil[body_at..body_at + 8].to_vec();
     evil[body_at + 8..body_at + 16].copy_from_slice(&first_key);
-    cases.push(("overlapping dirty rows", evil, "columnar.keys"));
+    cases.push(("one key on two rows", evil, "columnar.keys"));
+    // The tail: no groups, the tombstone count, nothing retired.
+    let tail = frame.len() - 12;
+    assert_eq!(frame[tail..], [0; 12], "a probe frame with an empty tail");
+    let mut evil = frame[..tail + 4].to_vec();
+    evil.extend_from_slice(&1u32.to_le_bytes());
+    evil.extend_from_slice(&first_key);
+    evil.extend_from_slice(&0u32.to_le_bytes());
+    cases.push(("a tombstone", evil, "columnar.count"));
 
     for (what, evil, want) in cases {
         let field = assert_rejected_untouched(&mut mirror, &frame, &evil)
