@@ -1003,7 +1003,7 @@ pub(crate) mod columnar {
     //! columns it does not know and reject bodies whose byte length
     //! disagrees with their cell count *before* touching any state.
     //! Fixed-width columns carry one cell per row; ragged columns
-    //! (tracker hulls, window arrivals, allocation runs, delay spills)
+    //! (tracker hulls, window arrivals, allocation runs, delay FIFOs)
     //! carry the rows' runs concatenated in row order, with a sibling
     //! `*_len` fixed column giving each row's run length. Ring columns
     //! are normalized to head = 0 on encode, so no cursor columns travel.
@@ -1019,7 +1019,11 @@ pub(crate) mod columnar {
     //! keeps changes rare), so it travels as `alloc_runs`: maximal
     //! `(ticks, value)` runs that tile the row's `recent_len` cells. A
     //! pooled row names no group: its `(group, member)` is where the
-    //! group section lists its key.
+    //! group section lists its key. `pend` is the whole delay FIFO, but
+    //! the kernel holds only its head and the entries the window has
+    //! evicted: the entries behind the head that `recent` covers must be
+    //! its arrivals `> EPS`, tick for tick and bit for bit, or the frame is
+    //! refused as `columnar.pend` (`meter::pending_agrees`).
     //!
     //! After the columns: the group section (the full group set), a
     //! tombstone count that is always zero, and the full retired-metrics

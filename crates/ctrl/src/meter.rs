@@ -39,6 +39,44 @@ pub(crate) fn delay_ticks(exact: f64) -> u64 {
     }
 }
 
+/// Whether a delay FIFO can be held as the kernel holds it: its head,
+/// then the entries older than the meter's window, then the window's own
+/// arrivals. `pending` is the FIFO oldest first, `ticks` the meter's
+/// clock, and `recent` the window's arrivals oldest first, which are
+/// ticks `ticks − recent.len() ..`. Only the head is ever partly served,
+/// so every entry behind it that the window covers must be exactly the
+/// window's arrivals `> EPS` newer than the head, tick for tick and bit
+/// for bit. Entries older than the window must follow the head in
+/// strictly ascending tick order, and no entry may be from the future.
+pub(crate) fn pending_agrees(
+    pending: impl Iterator<Item = (u64, f64)>,
+    ticks: u64,
+    recent: impl ExactSizeIterator<Item = f64>,
+) -> bool {
+    let Some(start) = ticks.checked_sub(recent.len() as u64) else {
+        return false;
+    };
+    let mut pending = pending.peekable();
+    let Some((head, _)) = pending.next() else {
+        return true;
+    };
+    if head >= ticks {
+        return false;
+    }
+    let mut last = head;
+    while let Some((t, _)) = pending.next_if(|&(t, _)| t < start) {
+        if t <= last {
+            return false;
+        }
+        last = t;
+    }
+    let window = (start..).zip(recent);
+    let queued = window.filter(|&(t, a)| t > head && a > EPS);
+    pending
+        .map(|(t, b)| (t, b.to_bits()))
+        .eq(queued.map(|(t, a)| (t, a.to_bits())))
+}
+
 /// The metered totals of one session, exported in snapshots.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionMetrics {
@@ -388,6 +426,28 @@ mod tests {
         }
         assert_eq!(m.metrics(1, "t".into(), 0), twin.metrics(1, "t".into(), 0));
         assert_eq!(m.backlog().to_bits(), twin.backlog().to_bits());
+    }
+
+    #[test]
+    fn a_fifo_agrees_with_its_window_only_as_the_kernel_holds_it() {
+        // Clock 10: the window holds ticks 6..10, arrivals 0, 3, 0, 5.
+        let recent = [0.0, 3.0, 0.0, 5.0];
+        let fits = |p: &[(u64, f64)]| pending_agrees(p.iter().copied(), 10, recent.into_iter());
+        assert!(fits(&[]));
+        assert!(fits(&[(9, 1.5)]), "a partly served head");
+        assert!(fits(&[(2, 0.5), (4, 7.0), (7, 3.0), (9, 5.0)]));
+        assert!(fits(&[(7, 0.25), (9, 5.0)]));
+        assert!(!fits(&[(2, 0.5), (4, 7.0), (9, 5.0)]), "skips tick 7");
+        assert!(!fits(&[(2, 0.5), (7, 3.5), (9, 5.0)]), "tick 7 disagrees");
+        assert!(
+            !fits(&[(4, 0.5), (2, 7.0), (7, 3.0), (9, 5.0)]),
+            "behind the head, yet older"
+        );
+        assert!(!fits(&[(10, 1.0)]), "from the future");
+        assert!(
+            !pending_agrees([].into_iter(), 3, recent.into_iter()),
+            "more window than clock"
+        );
     }
 
     #[test]

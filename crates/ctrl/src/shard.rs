@@ -16,12 +16,13 @@
 //! A tick is then a few linear passes over the columns — scatter the
 //! batched arrivals, step each pooled group, step each dedicated session —
 //! instead of a pointer chase through boxed per-session objects. The
-//! variable-size pieces (the lower hull, the delay FIFO's spill, the
-//! window ring the meter and the high tracker share) sit in side columns;
-//! the float-op order inside the kernel replicates `SingleSession::on_tick`
-//! and `SignallingMeter::record` exactly, so the columnar kernel is
-//! bitwise-identical to the entry-based one it replaced (the `reference`
-//! module keeps the old kernel as the lockstep oracle).
+//! variable-size pieces (the lower hull, the window ring that the meter,
+//! the high tracker and the delay FIFO share, and the FIFO's cold spill)
+//! sit in side columns; the float-op order inside the kernel replicates
+//! `SingleSession::on_tick` and `SignallingMeter::record` exactly, so the
+//! columnar kernel is bitwise-identical to the entry-based one it
+//! replaced (the `reference` module keeps the old kernel as the lockstep
+//! oracle).
 //!
 //! Threaded workers are supervised: [`run_worker`] catches panics
 //! (reporting a typed [`ShardFailure`] instead of dying silently),
@@ -237,9 +238,10 @@ impl SessionCheckpoint {
     /// otherwise reject by panicking. And what the kernel derives rather
     /// than stores must agree with its source: the delay tracker and the
     /// algorithm run on the meter's clock, an open stage started at that
-    /// clock less its ticks, and its high window is the newest
-    /// `min(stage ticks, W)` arrivals of the meter's ring, bit for bit.
-    /// Returns the first offending field.
+    /// clock less its ticks, its high window is the newest
+    /// `min(stage ticks, W)` arrivals of the meter's ring, and the delay
+    /// FIFO's entries behind its head that the ring covers are the ring's
+    /// arrivals, bit for bit. Returns the first offending field.
     ///
     /// Worker-produced checkpoints satisfy this by construction; only
     /// blobs crossing a trust boundary (fleet migration import) pay the
@@ -264,7 +266,7 @@ impl SessionCheckpoint {
         if m.delay.pending.iter().any(|&(_, bits)| !nn(bits)) {
             return Err("meter.delay.pending");
         }
-        if m.recent.len() > m.window {
+        if m.recent.len() > m.window || m.recent.len() as u64 > m.ticks {
             return Err("meter.recent");
         }
         if m.recent.iter().any(|&(a, b)| !nn(a) || !nn(b)) {
@@ -272,6 +274,10 @@ impl SessionCheckpoint {
         }
         if m.delay.tick as u64 != m.ticks {
             return Err("meter.delay.tick");
+        }
+        let pending = m.delay.pending.iter().map(|&(t, b)| (t as u64, b));
+        if !crate::meter::pending_agrees(pending, m.ticks, m.recent.iter().map(|p| p.0)) {
+            return Err("meter.delay.pending");
         }
         if !m.window_arrived.is_finite() || !m.window_allocated.is_finite() {
             return Err("meter.window_sums");
@@ -560,8 +566,9 @@ fn hull_max_slope(hull: &[(f64, f64)], q: (f64, f64)) -> f64 {
 /// session-tick is the sum of the phase working sets — roughly half the
 /// packed-record layout this replaces, which dragged all 256 bytes of a
 /// slot through the cache on every pass whether the pass read them or
-/// not. There are no per-session heap objects, no `Option` discriminants,
-/// and no per-slot configuration (every session on a shard runs the
+/// not. The one per-session heap object is the lower hull; the delay
+/// FIFO's cold spill allocates only for an entry older than the window.
+/// There is no per-slot configuration (every session on a shard runs the
 /// shard's [`KernelParams`]; imports are validated to conform at the
 /// service boundary).
 ///
@@ -633,8 +640,10 @@ struct Columns {
     pend_tick: Vec<u64>,
     /// Unserved bits of the delay FIFO's head entry.
     pend_bits: Vec<f64>,
-    /// Delay FIFO occupancy, counting the inline head; entries past the
-    /// head live in the `pend_spill` column.
+    /// Delay FIFO occupancy, counting the inline head. Only the head is
+    /// ever partly served, so the entries behind it are arrivals as they
+    /// came: the `pend_spill` entries, then every window arrival
+    /// `> EPS` newer than the head ([`Columns::pending`]).
     pend_len: Vec<u32>,
     /// Maximum whole-tick FIFO delay observed.
     max_delay: Vec<u64>,
@@ -663,19 +672,26 @@ struct Columns {
     /// `recent_head`/`recent_len`; the arrival halves are also the high
     /// tracker's window.
     recent_ring: SlotRing<(f64, f64)>,
-    /// Delay-FIFO entries past the inline head. Steady traffic keeps at
-    /// most one pending entry (served each tick), so the spill deque is
-    /// cold; only a backlogged session touches it.
-    pend_spill: Vec<VecDeque<(u64, f64)>>,
+    /// Delay-FIFO entries behind the head that the window evicted while
+    /// they were still queued, oldest first; `None` while there are none
+    /// (a held spill is never empty). An entry outlives the window only if
+    /// its delay exceeds `W`, and the paper bounds every delay by
+    /// `2·D_O ≤ W` on feasible traffic, so this column allocates only
+    /// under overload or a window shorter than `2·D_O`.
+    pend_spill: Vec<Spill>,
 }
 
-/// Walks every scalar column of a [`Columns`] with its vacant-slot value
-/// (zeros, with the grace `+∞` and none-yet `NaN` sentinels armed):
-/// `$body` runs once per column with `$col` bound to the column and
-/// `$vacant` to that value. The one list behind growing, resetting and
-/// recycling, so the three cannot disagree (`touched` is a work list, not
-/// a column, and is not here). The order is the order `grow_to` allocates
-/// in, which is heap layout and shows in peak RSS: append, do not reorder.
+/// One slot's cold delay-FIFO spill: 8 bytes while empty.
+type Spill = Option<Box<VecDeque<(u64, f64)>>>;
+
+/// Walks every fixed-width column of a [`Columns`] — the scalars and the
+/// spill handle — with its vacant-slot value (zeros, with the grace `+∞`
+/// and none-yet `NaN` sentinels armed, and no spill): `$body` runs once
+/// per column with `$col` bound to the column and `$vacant` to that
+/// value. The one list behind growing, resetting and recycling, so the
+/// three cannot disagree (`touched` is a work list, not a column, and is
+/// not here). The order is the order `grow_to` allocates in, which is
+/// heap layout and shows in peak RSS: append, do not reorder.
 macro_rules! scalar_columns {
     ($cols:expr, |$col:ident, $vacant:ident| $body:expr) => {
         scalar_columns!(@each $cols, $col, $vacant, $body;
@@ -687,7 +703,7 @@ macro_rules! scalar_columns {
             total_allocated 0.0, pend_tick 0, pend_bits 0.0, pend_len 0,
             max_delay 0, max_delay_exact 0.0, meter_ticks 0,
             window_arrived 0.0, window_allocated 0.0, recent_head 0,
-            recent_len 0, min_util f64::NAN)
+            recent_len 0, min_util f64::NAN, pend_spill Spill::None)
     };
     (@each $cols:expr, $col:ident, $vacant:ident, $body:expr; $($field:ident $value:expr),+) => {
         $({
@@ -706,29 +722,26 @@ impl Columns {
             return;
         }
         scalar_columns!(self, |col, vacant| col.resize(bound, vacant));
-        // A recycled store keeps its inner hull and spill allocations, so
-        // these two may already be longer than `bound`: grow, never cut.
+        // A recycled store keeps its inner hull allocations, so this
+        // column may already be longer than `bound`: grow, never cut.
         if self.hull.len() < bound {
             self.hull.resize_with(bound, Vec::new);
         }
         self.recent_ring.grow_to(bound, w);
-        if self.pend_spill.len() < bound {
-            self.pend_spill.resize_with(bound, VecDeque::new);
-        }
     }
 
-    /// Empties the store, keeping allocations only: every scalar column
-    /// goes to length 0, so [`Columns::grow_to`] re-arms each slot exactly
-    /// as it does in a fresh store; inner hulls and spill deques are
-    /// cleared in place; the rings keep their blocks (a ring cell is only
-    /// read under a cursor that was written first).
+    /// Empties the store, keeping allocations only: every fixed-width
+    /// column goes to length 0 (dropping any spill), so
+    /// [`Columns::grow_to`] re-arms each slot exactly as it does in a
+    /// fresh store; inner hulls are cleared in place; the rings keep their
+    /// blocks (a ring cell is only read under a cursor that was written
+    /// first).
     /// Nothing that was *in* a column survives, so a store torn mid-event
     /// is worth exactly as much as a fresh one.
     fn recycle(&mut self) {
         scalar_columns!(self, |col, _vacant| col.clear());
         self.touched.clear();
         self.hull.iter_mut().for_each(Vec::clear);
-        self.pend_spill.iter_mut().for_each(VecDeque::clear);
     }
 
     /// Resets every scalar column of slot `i` to the vacant-slot state.
@@ -749,7 +762,6 @@ impl Columns {
         self.keys[i] = key;
         self.flags[i] = F_LIVE;
         self.hull[i].clear();
-        self.pend_spill[i].clear();
     }
 
     /// Gives slot `i` a fresh dedicated allocator — `SingleSession::new`
@@ -783,7 +795,6 @@ impl Columns {
         let m = &cp.meter;
         self.reset_scalars(i);
         self.hull[i].clear();
-        self.pend_spill[i].clear();
         self.keys[i] = cp.key;
         self.flags[i] = F_LIVE;
         if cp.leaving {
@@ -805,12 +816,7 @@ impl Columns {
         let d = &m.delay;
         self.max_delay[i] = d.max_delay as u64;
         self.max_delay_exact[i] = d.max_delay_exact;
-        self.pend_len[i] = d.pending.len() as u32;
-        if let Some(&(t0, bits)) = d.pending.first() {
-            self.pend_tick[i] = t0 as u64;
-            self.pend_bits[i] = bits;
-            self.pend_spill[i].extend(d.pending[1..].iter().map(|&(t, b)| (t as u64, b)));
-        }
+        self.land_pending(i, d.pending.iter().map(|&(t, b)| (t as u64, b)));
         if let Some(alg) = &cp.dedicated {
             self.flags[i] |= F_DEDICATED;
             self.backlog[i] = alg.backlog;
@@ -828,11 +834,30 @@ impl Columns {
         }
     }
 
+    /// Lands slot `i`'s delay FIFO, oldest first, after its clock and
+    /// ring have landed: the head inline, the entries older than the
+    /// window in the spill. The rest are the window's own arrivals, which
+    /// the ring already holds ([`crate::meter::pending_agrees`] is the
+    /// check every import and frame passes first).
+    fn land_pending(&mut self, i: usize, pending: impl ExactSizeIterator<Item = (u64, f64)>) {
+        self.pend_len[i] = pending.len() as u32;
+        let start = self.meter_ticks[i] - u64::from(self.recent_len[i]);
+        let mut pending = pending.peekable();
+        if let Some((t0, bits)) = pending.next() {
+            self.pend_tick[i] = t0;
+            self.pend_bits[i] = bits;
+        }
+        let mut spill = VecDeque::new();
+        while let Some(entry) = pending.next_if(|&(t, _)| t < start) {
+            spill.push_back(entry);
+        }
+        self.pend_spill[i] = (!spill.is_empty()).then(|| Box::new(spill));
+    }
+
     /// Releases a vacated slot's heavy state; the next occupant re-inits.
     fn clear_slot(&mut self, i: usize) {
         self.reset_scalars(i);
         self.hull[i] = Vec::new();
-        self.pend_spill[i] = VecDeque::new();
     }
 
     /// Splits slots `[0, ends.last())` into one [`ChunkView`] per entry
@@ -952,17 +977,31 @@ impl Columns {
     fn high_window(&self, i: usize, w: usize) -> impl ExactSizeIterator<Item = f64> + '_ {
         let n = (self.stage_ticks[i] as usize).min(w);
         let cursors = (&self.recent_head[..], &self.recent_len[..]);
-        let ring = self.recent_ring.run(w, cursors, i);
-        ring.skip(self.recent_len[i] as usize - n).map(|(a, _)| a)
+        let from = self.recent_len[i] as usize - n;
+        self.recent_ring.run(w, cursors, i, from).map(|(a, _)| a)
+    }
+
+    /// Slot `i`'s delay FIFO between ticks, oldest first: the head, the
+    /// spill, then every ring arrival `> EPS` newer than the head — ring
+    /// position `p` holds tick `meter_ticks − recent_len + p`.
+    fn pending(&self, i: usize, w: usize) -> impl Iterator<Item = (u64, f64)> + '_ {
+        let len = self.recent_len[i] as usize;
+        let start = self.meter_ticks[i] - len as u64;
+        let head = (self.pend_len[i] > 0).then(|| (self.pend_tick[i], self.pend_bits[i]));
+        let spill = self.pend_spill[i].iter().flat_map(|s| s.iter().copied());
+        // With no head, nothing is queued behind one.
+        let from = head.map_or(len, |(t0, _)| (t0 + 1).saturating_sub(start) as usize);
+        let cursors = (&self.recent_head[..], &self.recent_len[..]);
+        let ring = (start + from as u64..).zip(self.recent_ring.run(w, cursors, i, from));
+        let newer = ring.filter_map(|(t, (a, _))| (a > EPS).then_some((t, a)));
+        head.into_iter().chain(spill).chain(newer)
     }
 
     /// The meter state of slot `i`, in checkpoint form.
     fn meter_checkpoint(&self, i: usize, cost: CostModel, w: usize) -> MeterCheckpoint {
         let mut pending = Vec::with_capacity(self.pend_len[i] as usize);
-        if self.pend_len[i] > 0 {
-            pending.push((self.pend_tick[i] as usize, self.pend_bits[i]));
-            pending.extend(self.pend_spill[i].iter().map(|&(t, b)| (t as usize, b)));
-        }
+        pending.extend(self.pending(i, w).map(|(t, b)| (t as usize, b)));
+        debug_assert_eq!(pending.len(), self.pend_len[i] as usize);
         MeterCheckpoint {
             cost,
             window: w,
@@ -975,7 +1014,7 @@ impl Columns {
             },
             recent: self
                 .recent_ring
-                .run(w, (&self.recent_head, &self.recent_len), i)
+                .run(w, (&self.recent_head, &self.recent_len), i, 0)
                 .collect(),
             window_arrived: self.window_arrived[i],
             window_allocated: self.window_allocated[i],
@@ -1122,17 +1161,19 @@ impl<T: Copy + Default> SlotRing<T> {
         cells.zip(entries).for_each(|(cell, v)| *cell = v);
     }
 
-    /// Slot `i`'s entries, oldest first (they sit [`RING_ROW`] apart,
-    /// so there is no contiguous run to borrow).
+    /// Slot `i`'s entries from the `from`-th oldest on, oldest first
+    /// (they sit [`RING_ROW`] apart, so there is no contiguous run to
+    /// borrow).
     fn run<'a>(
         &'a self,
         w: usize,
         (heads, lens): (&[u32], &[u32]),
         i: usize,
+        from: usize,
     ) -> impl ExactSizeIterator<Item = T> + 'a {
         let (block, at) = (&self.blocks[i / RING_BLOCK], i % RING_BLOCK);
         let head = heads[i] as usize;
-        (0..lens[i] as usize).map(move |j| {
+        (from..lens[i] as usize).map(move |j| {
             let idx = head + j;
             let q = if idx >= w { idx - w } else { idx };
             block[q * RING_ROW + at]
@@ -1243,7 +1284,7 @@ struct ChunkView<'a> {
     min_util: &'a mut [f64],
     hull: &'a mut [Vec<(f64, f64)>],
     recent_ring: RingRows<'a, (f64, f64)>,
-    pend_spill: &'a mut [VecDeque<(u64, f64)>],
+    pend_spill: &'a mut [Spill],
 }
 
 /// One step of the shadow link queue plus the metering totals —
@@ -1503,7 +1544,8 @@ impl ChunkView<'_> {
     }
 
     /// The FIFO delay-tracker pass (`OnlineDelayTracker::push`): the
-    /// head entry lives inline in the columns; older entries spill.
+    /// head entry lives inline in the columns, and the entries behind it
+    /// are the spill's and the window's arrivals ([`ChunkView::next_pending`]).
     /// Data-dependent drain loop, so it stays its own scalar pass.
     fn pass_meter_fifo(&mut self, idx: &[u32], arr: &[f64], served: &[f64]) {
         for (k, &j) in idx.iter().enumerate() {
@@ -1513,11 +1555,11 @@ impl ChunkView<'_> {
             let now = self.meter_ticks[j];
             let arrivals = arr[k];
             if arrivals > EPS {
+                // Behind a head, the entry is this tick's ring cell, which
+                // `pass_meter_window` writes later in the tick.
                 if self.pend_len[j] == 0 {
                     self.pend_tick[j] = now;
                     self.pend_bits[j] = arrivals;
-                } else {
-                    self.pend_spill[j].push_back((now, arrivals));
                 }
                 self.pend_len[j] += 1;
             }
@@ -1537,9 +1579,7 @@ impl ChunkView<'_> {
                     self.max_delay_exact[j] = self.max_delay_exact[j].max(exact);
                     self.pend_len[j] -= 1;
                     if self.pend_len[j] > 0 {
-                        let (t0, bits) = self.pend_spill[j]
-                            .pop_front()
-                            .expect("len counts the spill");
+                        let (t0, bits) = self.next_pending(j, now, arrivals);
                         self.pend_tick[j] = t0;
                         self.pend_bits[j] = bits;
                     }
@@ -1555,14 +1595,43 @@ impl ChunkView<'_> {
         }
     }
 
+    /// The delay-FIFO entry behind local slot `j`'s head, which has just
+    /// completed at tick `now` with more entries queued: the spill's
+    /// oldest, else the first window arrival `> EPS` newer than the head,
+    /// else this tick's `arrivals`, not yet in the ring. The window holds
+    /// ticks `now − recent_len ..` at positions `0 ..` from its head.
+    fn next_pending(&mut self, j: usize, now: u64, arrivals: f64) -> (u64, f64) {
+        if let Some(spill) = &mut self.pend_spill[j] {
+            let next = spill.pop_front().expect("a held spill is not empty");
+            if spill.is_empty() {
+                self.pend_spill[j] = None;
+            }
+            return next;
+        }
+        let (w, len) = (self.w, self.recent_len[j] as usize);
+        let first = (self.pend_tick[j] + 1 + len as u64).saturating_sub(now) as usize;
+        for p in first..len {
+            let q = self.recent_head[j] as usize + p;
+            let (a, _) = *self.recent_ring.cell(if q >= w { q - w } else { q }, j);
+            if a > EPS {
+                return (now - (len - p) as u64, a);
+            }
+        }
+        debug_assert!(arrivals > EPS, "the FIFO counts an entry it does not hold");
+        (now, arrivals)
+    }
+
     /// The utilization-window pass: the rolling `recent` ring and the
     /// windowed-minimum merge. The running sums add the new pair before
-    /// subtracting the evicted one, as the VecDeque form did.
+    /// subtracting the evicted one, as the VecDeque form did. An evicted
+    /// arrival the delay FIFO still queues behind its head moves to the
+    /// slot's spill before its cell is overwritten.
     fn pass_meter_window(&mut self, idx: &[u32], arr: &[f64], alloc: &[f64]) {
         let w = self.w;
         for (k, &j) in idx.iter().enumerate() {
             let j = j as usize;
             let (arrivals, allocation) = (arr[k], alloc[k]);
+            let now = self.meter_ticks[j];
             self.meter_ticks[j] += 1;
             if (self.recent_len[j] as usize) < w {
                 *self.recent_ring.cell(self.recent_len[j] as usize, j) = (arrivals, allocation);
@@ -1573,6 +1642,12 @@ impl ChunkView<'_> {
                 let idx2 = self.recent_head[j] as usize;
                 let cell = self.recent_ring.cell(idx2, j);
                 let (a0, b0) = std::mem::replace(cell, (arrivals, allocation));
+                // The evicted cell is tick `now − W`; queued behind the
+                // head means newer than it (the FIFO is in tick order).
+                if a0 > EPS && self.pend_len[j] > 0 && self.pend_tick[j] + (w as u64) < now {
+                    let spill = self.pend_spill[j].get_or_insert_with(Default::default);
+                    spill.push_back((now - w as u64, a0));
+                }
                 self.recent_head[j] = if idx2 + 1 == w { 0 } else { (idx2 + 1) as u32 };
                 self.window_arrived[j] += arrivals;
                 self.window_allocated[j] += allocation;
@@ -1923,7 +1998,7 @@ impl ShardState {
         let w = self.window;
         let ring = |i: usize| {
             let cursors = (&cols.recent_head[..], &cols.recent_len[..]);
-            cols.recent_ring.run(w, cursors, i)
+            cols.recent_ring.run(w, cursors, i, 0)
         };
         let allocs = move |i: usize| ring(i).map(|(_, b)| b);
         // Size pass: the encoded slot list, the tenant table, each row's
@@ -1995,13 +2070,8 @@ impl ShardState {
         f.runs_len_col();
         f.col(C_RUNS, slots().flat_map(|i| runs(allocs(i))));
         f.col(C_PEND_LEN, at_slots(&cols.pend_len, rows));
-        // The FIFO head lives inline in the pend columns, the rest in the
-        // spill deque; both feed the one `pend` column.
-        let pend = slots().flat_map(|i| {
-            let head = (cols.pend_len[i] > 0).then_some((cols.pend_tick[i], cols.pend_bits[i]));
-            head.into_iter().chain(cols.pend_spill[i].iter().copied())
-        });
-        f.col(C_PEND, pend);
+        // The full FIFO travels: head, spill and the window's arrivals.
+        f.col(C_PEND, slots().flat_map(|i| cols.pending(i, w)));
         f.finish();
         rows.len() as u64
     }
@@ -2073,6 +2143,7 @@ impl ShardState {
         let dedicated = |r: usize| u32_at(flags_c, r) & F_DEDICATED != 0;
         scratch.keys.clear();
         let (mut runs_off, mut pooled_rows) = (0usize, 0usize);
+        let (mut recent_off, mut pend_off) = (0usize, 0usize);
         for r in 0..rows {
             // The key index is direct-mapped — one table slot per key up
             // to the maximum — so an astronomical key in a hostile frame
@@ -2081,9 +2152,20 @@ impl ShardState {
                 return Err("columnar.key");
             }
             let recent_n = u32_at(recent_len_c, r) as usize;
-            if recent_n > w {
+            let clock = u64_at(u64_cs[1], r);
+            if recent_n > w || recent_n as u64 > clock {
                 return Err("columnar.ring");
             }
+            // Only the FIFO's head is held apart from the window: the
+            // entries behind it that the window covers are its arrivals.
+            let pend_n = u32_at(pend_len_c, r) as usize;
+            let pending = (pend_off..pend_off + pend_n).map(|j| pend_at(pend_c, j));
+            let recent = (recent_off..recent_off + recent_n).map(|j| f64_at(recent_c, j));
+            if !crate::meter::pending_agrees(pending, clock, recent) {
+                return Err("columnar.pend");
+            }
+            recent_off += recent_n;
+            pend_off += pend_n;
             let flags = u32_at(flags_c, r);
             if flags & !KNOWN != 0 || flags & F_LIVE == 0 {
                 return Err("columnar.flags");
@@ -2099,7 +2181,7 @@ impl ShardState {
             // and its high window is the ring's newest `min(ticks, W)`
             // arrivals: both must exist.
             let stage = u64_at(u64_cs[0], r);
-            if open && (stage > u64_at(u64_cs[1], r) || stage.min(w as u64) > recent_n as u64) {
+            if open && (stage > clock || stage.min(w as u64) > recent_n as u64) {
                 return Err("columnar.stage");
             }
             let runs_n = u32_at(runs_len_c, r) as usize;
@@ -2216,15 +2298,7 @@ impl ShardState {
                 cols.high_min_window_sum[i] = f64_at(f64_cs[13], r);
                 hull.extend((0..hull_n).map(|j| pair_at(hull_c, hull_off + j)));
             }
-            let spill = &mut cols.pend_spill[i];
-            spill.clear();
-            cols.pend_len[i] = pend_n as u32;
-            if pend_n > 0 {
-                let (t0, b0) = pend_at(pend_c, pend_off);
-                cols.pend_tick[i] = t0;
-                cols.pend_bits[i] = b0;
-                spill.extend((1..pend_n).map(|j| pend_at(pend_c, pend_off + j)));
-            }
+            cols.land_pending(i, (pend_off..pend_off + pend_n).map(|j| pend_at(pend_c, j)));
             hull_off += hull_n;
             recent_off += recent_n;
             runs_off += runs_n;
@@ -4263,6 +4337,93 @@ mod tests {
         run(&mut s, Op::Ticks(6, 1));
         assert_eq!(s.sessions.slot_bound(), bound, "the join reused the slot");
         assert_eq!(block_addrs(&s), blocks);
+    }
+
+    /// A window shorter than `2·D_O` (`W` = 4 < 8) and a dedicated session
+    /// offered 24 bits a tick against `B_A` = 16 keep FIFO entries queued
+    /// after the window has moved past them, so those entries live in the
+    /// cold spill (a pooled pair, also pressed hard, rides along through
+    /// the gather path). The kernel must match the entry-based reference
+    /// on every tick all the same; a frame taken while entries sit in the
+    /// spill lands them there again, and the shard it lands in runs on as
+    /// the uninterrupted one does, bit for bit. Once everything has
+    /// drained, no spill is held.
+    #[test]
+    fn fifo_entries_older_than_the_window_spill_and_stay_bitwise() {
+        let cfg = shard_cfg();
+        let mut soa = ShardState::new(0, &cfg);
+        let mut oracle = reference::RefShard::new(0, &cfg);
+        let mut events = vec![
+            ReplayEvent::JoinDedicated {
+                key: 0,
+                tenant: "acme".into(),
+            },
+            ReplayEvent::JoinDedicated {
+                key: 1,
+                tenant: "acme".into(),
+            },
+            ReplayEvent::JoinGroup {
+                group: 0,
+                tenant: "globex".into(),
+                members: vec![2, 3].into(),
+            },
+        ];
+        events.extend((0..64u64).map(|t| {
+            let on = |bits: f64| if t < 20 { bits } else { 0.0 };
+            let arrivals = vec![
+                (0, on(24.0)),
+                (1, (t % 3) as f64),
+                (2, on(12.0)),
+                (3, on(12.0)),
+            ];
+            ReplayEvent::Tick {
+                arrivals: arrivals.into(),
+            }
+        }));
+        // Entries held in spills, over all slots.
+        let spilled = |s: &ShardState| {
+            s.cols
+                .pend_spill
+                .iter()
+                .flatten()
+                .map(|p| p.len())
+                .sum::<usize>()
+        };
+        let mut mirror: Option<ShardState> = None;
+        for ev in &events {
+            oracle.handle(ev);
+            soa.apply(ev);
+            if let Some(m) = &mut mirror {
+                m.apply(ev);
+                assert_eq!(canonical_bytes(&soa), canonical_bytes(m));
+            }
+            assert_eq!(
+                canonical_forgetful_bytes(soa.checkpoint()),
+                canonical_forgetful_bytes(oracle.checkpoint())
+            );
+            if mirror.is_none() && spilled(&soa) >= 3 {
+                let mut frame = Vec::new();
+                soa.encode_columnar(&mut columnar::ColumnSink::default(), &mut frame);
+                let mut landed = ShardState::new(0, &cfg);
+                let parsed = columnar::parse(&frame).unwrap();
+                landed
+                    .apply_frame(&parsed, &mut ApplyScratch::default())
+                    .unwrap();
+                assert_eq!(spilled(&landed), spilled(&soa), "the frame lands the spill");
+                assert_eq!(canonical_bytes(&soa), canonical_bytes(&landed));
+                mirror = Some(landed);
+            }
+        }
+        assert!(
+            mirror.is_some(),
+            "three entries outlived the window at once"
+        );
+        let max_delay = soa.report().live.iter().map(|m| m.max_delay).max();
+        assert!(max_delay > Some(cfg.w as u64), "delay {max_delay:?}");
+        assert!(
+            soa.cols.pend_spill.iter().all(Option::is_none),
+            "a drained FIFO holds no spill"
+        );
     }
 
     /// Both shards' full state, key-sorted and v1-encoded: the bitwise

@@ -13,14 +13,16 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// A global allocator that tracks the bytes currently allocated and their
-/// high-water mark. It is process-global, so a test file that installs it
+/// A global allocator that tracks the bytes currently allocated, their
+/// high-water mark, and the heap blocks they sit in. It is
+/// process-global, so a test file that installs it
 /// (`#[global_allocator] static A: LiveBytesAlloc = LiveBytesAlloc::new();`)
 /// holds exactly one `#[test]`, or runs its tests one at a time behind a
 /// lock (`gateway_stream.rs`).
 pub struct LiveBytesAlloc {
     live: AtomicUsize,
     peak: AtomicUsize,
+    blocks: AtomicUsize,
 }
 
 impl LiveBytesAlloc {
@@ -29,12 +31,18 @@ impl LiveBytesAlloc {
         LiveBytesAlloc {
             live: AtomicUsize::new(0),
             peak: AtomicUsize::new(0),
+            blocks: AtomicUsize::new(0),
         }
     }
 
     /// Bytes allocated and not yet freed.
     pub fn live(&self) -> usize {
         self.live.load(Ordering::Relaxed)
+    }
+
+    /// Heap blocks allocated and not yet freed (a reallocation moves one).
+    pub fn blocks(&self) -> usize {
+        self.blocks.load(Ordering::Relaxed)
     }
 
     /// Restarts the high-water mark at the current live size.
@@ -47,6 +55,11 @@ impl LiveBytesAlloc {
         self.peak.load(Ordering::Relaxed)
     }
 
+    fn allocated(&self, size: usize) {
+        self.blocks.fetch_add(1, Ordering::Relaxed);
+        self.grew(size);
+    }
+
     fn grew(&self, by: usize) {
         let now = self.live.fetch_add(by, Ordering::Relaxed) + by;
         self.peak.fetch_max(now, Ordering::Relaxed);
@@ -57,12 +70,12 @@ impl LiveBytesAlloc {
 // the counters are relaxed atomics that influence no allocation.
 unsafe impl GlobalAlloc for LiveBytesAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.grew(layout.size());
+        self.allocated(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        self.grew(layout.size());
+        self.allocated(layout.size());
         System.alloc_zeroed(layout)
     }
 
@@ -74,6 +87,7 @@ unsafe impl GlobalAlloc for LiveBytesAlloc {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         self.live.fetch_sub(layout.size(), Ordering::Relaxed);
+        self.blocks.fetch_sub(1, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 }

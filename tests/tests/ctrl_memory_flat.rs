@@ -22,7 +22,9 @@
 //! one: the window ring grows by appended blocks, so 4,097 admissions
 //! never hold a byte more than they keep, bar kilobytes in flight. Nor
 //! does a session keep its window twice: a column set stays under a
-//! ceiling per dedicated session that a second window ring would cross.
+//! ceiling per dedicated session that a second window ring, or a delay
+//! FIFO that copies the window's arrivals into a deque, would cross, and
+//! a feasible dedicated session holds one heap block, its lower hull.
 //! Nor does the retained frame carry what the kernel derives: it stays
 //! under a ceiling per dedicated session that frame v3 crosses.
 //!
@@ -149,15 +151,16 @@ fn poll_then_tick() -> [usize; 2] {
     [unpolled, polled]
 }
 
-/// What one column set of the restart population weighs: the live heap of
-/// an inline plane (one shard state, no journal, no frame) holding it.
-fn column_set() -> usize {
-    let base = HEAP.live();
-    let (mut plane, keys) = populated(ExecMode::Inline, DEDICATED_RESTARTS, None);
+/// What one column set of `dedicated` sessions and the pooled groups
+/// weighs: the live heap bytes and blocks of an inline plane (one shard
+/// state, no journal, no frame) holding it, a full traffic period in.
+fn column_set(dedicated: usize) -> (usize, usize) {
+    let (base, base_blocks) = (HEAP.live(), HEAP.blocks());
+    let (mut plane, keys) = populated(ExecMode::Inline, dedicated, None);
     for t in 0..PAST_CHECKPOINT {
         plane.tick(&batch(&keys, t)).expect("tick");
     }
-    let set = HEAP.live() - base;
+    let set = (HEAP.live() - base, HEAP.blocks() - base_blocks);
     plane.shutdown();
     set
 }
@@ -279,16 +282,28 @@ fn heap_and_retained_frame_are_flat_in_uptime() {
     // A restart restores into the state it retires: frame-parse scratch
     // and a worker's fittings on top, never a second column set; and what
     // it keeps has stopped growing by the second restart.
-    let set = column_set();
+    let (set, blocks) = column_set(DEDICATED_RESTARTS);
     // One window per session: the high tracker reads its `W` arrivals
-    // from the meter's ring, and the meter's clock is the only one. A
-    // second ring (8·W = 64 B a session), its two cursors and the three
-    // columns kept in step with the meter's clock (32 B) would cross this
-    // ceiling: 1,281 B per dedicated session measured, 1,474 B with them.
+    // from the meter's ring, the meter's clock is the only one, and the
+    // delay FIFO keeps only its head — the entries behind it are the
+    // ring's arrivals. 1,167 B per dedicated session measured. A per-slot
+    // FIFO deque (a 32 B header where the spill handle takes 8, and the
+    // capacity it keeps once the FIFO has held two entries) crosses this
+    // ceiling at 1,281 B; a second ring and its clocks reached 1,474 B.
     let per_session = set / DEDICATED_RESTARTS;
     assert!(
-        per_session <= 1_376,
+        per_session <= 1_225,
         "a dedicated session's column set weighs {per_session} B"
+    );
+    // Feasible traffic at `W` = 2·D_O queues no bit past the window, so
+    // the FIFO never spills: each dedicated session adds one heap block,
+    // its lower hull. (A per-slot deque made that two.)
+    let (_, half_blocks) = column_set(DEDICATED_RESTARTS / 2);
+    assert_eq!(
+        blocks - half_blocks,
+        DEDICATED_RESTARTS / 2,
+        "heap blocks held by {} more dedicated sessions",
+        DEDICATED_RESTARTS / 2
     );
     // Reporting the injected panic under `RUST_BACKTRACE` symbolises a
     // backtrace: megabytes of heap that are the hook's, not the

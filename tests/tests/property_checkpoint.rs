@@ -254,8 +254,10 @@ proptest! {
 /// Frames that are well formed cell by cell but describe a state that
 /// cannot exist, each refused with its own typed field and the mirror
 /// untouched: allocation runs that miss `recent_len` or have a zero
-/// length, a group member naming a dedicated row or no row at all, and
-/// a pooled row that no group names.
+/// length, a group member naming a dedicated row or no row at all, a
+/// pooled row that no group names, and a delay FIFO whose entries behind
+/// the head disagree with the window's arrivals or come from the future —
+/// the last refused in a lease blob too.
 #[test]
 fn impossible_v4_frames_are_refused_typed() {
     let frame = grouped();
@@ -301,16 +303,68 @@ fn impossible_v4_frames_are_refused_typed() {
     let orphan = with_columns(frame, &[("flags", &flags)]);
     cases.push(("a pooled row in no group", orphan));
 
+    // Row 0's FIFO queues its head and two arrivals behind it, the newest
+    // from the last tick: the window's own cell.
+    assert_eq!(u32s(frame, "pend_len")[0], 3);
+    let pend = frame_column(frame, "pend");
+    let mut bits = pend.to_vec();
+    let newest = f64::from_le_bytes(bits[40..48].try_into().unwrap());
+    bits[40..48].copy_from_slice(&(newest + 0.5).to_le_bytes());
+    cases.push((
+        "a queued arrival the window disagrees with",
+        with_columns(frame, &[("pend", &bits)]),
+    ));
+    let mut ticks = pend.to_vec();
+    ticks[32..40].copy_from_slice(&16u64.to_le_bytes()); // the frame's own clock
+    cases.push((
+        "a queued arrival from the future",
+        with_columns(frame, &[("pend", &ticks)]),
+    ));
+
     for (what, evil) in cases {
         let field = assert_rejected_untouched(&mut mirror, frame, &evil)
             .unwrap_or_else(|e| panic!("{what}: {e}"));
         let want = if what.contains("run") {
             "columnar.runs"
+        } else if what.contains("queued") {
+            "columnar.pend"
         } else {
             "columnar.groups"
         };
         assert_eq!(field, want, "{what} mapped to the wrong field");
     }
+
+    // A lease carries the same FIFO, and its import is refused the same
+    // way, before admission: a session offered 24 bits a tick against
+    // `B_A` = 16 queues arrivals behind its head.
+    let mut plane = ControlPlane::new(cfg());
+    let key = plane.admit("acme").unwrap();
+    for _ in 0..6 {
+        plane.tick(&[(key, 24.0)]).unwrap();
+    }
+    let lease = plane.export_session(key).unwrap();
+    let queued = u32s(&lease, "pend_len")[0] as usize;
+    assert!(queued >= 2, "{queued} queued entries");
+    let mut bits = frame_column(&lease, "pend").to_vec();
+    let at = (queued - 1) * 16 + 8;
+    bits[at..at + 8].copy_from_slice(&23.0f64.to_le_bytes());
+    let evil = with_columns(&lease, &[("pend", &bits)]);
+    let mut mirror = CheckpointMirror::new(&cfg());
+    mirror.apply(&lease).expect("a lease is a one-row frame");
+    let field = assert_rejected_untouched(&mut mirror, &lease, &evil).unwrap();
+    assert_eq!(field, "columnar.pend");
+    let budget = plane.available_budget();
+    assert!(matches!(
+        plane.import_session(&evil),
+        Err(CtrlError::InvalidCheckpoint {
+            field: "meter.delay.pending"
+        })
+    ));
+    assert_eq!(plane.available_budget(), budget, "nothing was admitted");
+    plane
+        .import_session(&lease)
+        .expect("the intact lease imports");
+    plane.shutdown();
 }
 
 /// The named hostile mutations from the schema's threat model, each built

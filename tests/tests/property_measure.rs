@@ -160,6 +160,65 @@ fn boundary_service_exactness() {
     assert_eq!(oracle_max_delay(&trace, &served), Some(1));
 }
 
+/// The control plane's delay meter against the per-bit oracle above, with
+/// bits queued longer than the meter's window: `W` = 4 < 2·D_O = 8, and
+/// one session offered 24 bits a tick against `B_A` = 16 for 20 ticks.
+/// The per-tick service is read back from the metered totals (integer
+/// arrivals and power-of-two allocations keep them exact). Once every
+/// bit has drained, the reported maximum delay must be the oracle's. A
+/// threaded plane restarted from a checkpoint taken while those bits were
+/// queued must report every session exactly as the inline plane does.
+#[test]
+fn control_plane_delay_matches_the_oracle_past_the_window() {
+    use cdba_ctrl::{ControlPlane, ExecMode, ServiceConfig};
+    let cfg = |exec: ExecMode| {
+        ServiceConfig::builder(1024.0)
+            .session_b_max(16.0)
+            .group_b_o(8.0)
+            .offline_delay(4)
+            .window(4)
+            .shards(1)
+            .exec(exec)
+            .checkpoint_every(8)
+            .build()
+            .expect("valid config")
+    };
+    let mut inline = ControlPlane::new(cfg(ExecMode::Inline));
+    let mut threaded = ControlPlane::new(cfg(ExecMode::Threaded));
+    let (hot, calm) = (inline.admit("acme").unwrap(), inline.admit("acme").unwrap());
+    assert_eq!(threaded.admit("acme").unwrap(), hot);
+    assert_eq!(threaded.admit("acme").unwrap(), calm);
+    let (mut arrivals, mut served) = (Vec::new(), Vec::new());
+    let mut total = 0.0;
+    for t in 0..48u64 {
+        let bits = if t < 20 { 24.0 } else { 0.0 };
+        let batch = [(hot, bits), (calm, (t % 3) as f64)];
+        inline.tick(&batch).unwrap();
+        threaded.tick(&batch).unwrap();
+        if t == 18 {
+            // The tick-16 frame holds bits queued longer than the window
+            // (in the spill); the restart lands it, then replays 16..=18.
+            threaded.restart_shard(0).unwrap();
+        }
+        let snap = inline.snapshot().unwrap();
+        let now = snap.sessions.iter().find(|m| m.session == hot).unwrap();
+        arrivals.push(bits);
+        served.push(now.total_served - total);
+        total = now.total_served;
+    }
+    let snap = inline.snapshot().unwrap();
+    let hot_metrics = snap.sessions.iter().find(|m| m.session == hot).unwrap();
+    let trace = Trace::new(arrivals).unwrap();
+    let oracle = oracle_max_delay(&trace, &served).expect("every bit drained");
+    assert!(oracle > 4, "delay {oracle} stays inside the window");
+    assert_eq!(hot_metrics.max_delay, oracle as u64);
+    let restarted = threaded.snapshot().unwrap();
+    assert_eq!(restarted.restarts, 1);
+    assert_eq!(restarted.sessions, snap.sessions);
+    inline.shutdown();
+    threaded.shutdown();
+}
+
 /// Allocator trait object sanity used by this suite.
 #[test]
 fn playback_is_an_allocator_object() {
