@@ -11,7 +11,7 @@
 //! cdba-cli offline       --trace t.cdba [--bandwidth 64] [--delay 8]
 //! cdba-cli serve         --sessions 100 [--shards 4] [--ticks 100000] [--json snap.json]
 //! cdba-cli gateway       --addr 127.0.0.1:4411 [--sessions 100] [--shards 4] ...
-//! cdba-cli client        --addr 127.0.0.1:4411 --sessions 100 [--ticks 100000] [--json snap.json] [--delta yes] [--codec binary]
+//! cdba-cli client        --addr 127.0.0.1:4411 --sessions 100 [--ticks 100000] [--json snap.json]
 //! cdba-cli fleet         [--ctrl-procs 2] [--gateways 2] [--placement p2c] [--json snap.json]
 //! cdba-cli relay         --backends HOST:PORT,HOST:PORT
 //! cdba-cli bench-gateway [--ticks 2000] [--connections 1,4,16,32,64] [--out BENCH_gateway.json]
@@ -24,7 +24,7 @@
 //! placement-invariant view — to one taken in-process. `fleet` replays it
 //! once more across a multi-process fleet (`cdba-fleet`): M `gateway`
 //! children behind N `relay` children, sessions placed by a pluggable
-//! policy and live-migrated over the wire-v4 lease frames — and the
+//! policy and live-migrated over the gateway's lease frames — and the
 //! assembled fleet snapshot is *still* bitwise-identical in its invariant
 //! view, including under a forced drain-and-migrate and a `--fault` kill
 //! of one ctrl process.
@@ -116,13 +116,10 @@ usage: cdba-cli <command> [options]
            the default --budget so a `client` replay admits exactly like
            `serve`); --metrics-addr serves GET /metrics (Prometheus text)
            and GET /trace (JSON lines) on a dedicated plain-HTTP listener
-  client   [--addr HOST:PORT] [--json FILE] [--delta yes]
-           [--codec json|binary] + every `serve` workload flag: replays
-           the same deterministic churn workload over the wire and writes
-           the same snapshot JSON as `serve`; --delta yes polls wire-v2
-           delta snapshots and reconstructs the final snapshot from the
-           diff; --codec binary fetches wire-v3 binary bodies instead of
-           JSON (the decoded snapshot is identical either way)
+  client   [--addr HOST:PORT] [--json FILE] + every `serve` workload
+           flag: replays the same deterministic churn workload over the
+           wire, polls the final snapshot as a binary body, and writes the
+           same snapshot JSON as `serve`
   fleet    [--ctrl-procs 2] [--gateways 2] [--placement p2c|least-loaded|round-robin]
            [--drain PROC|none] [--drain-at TICK] [--fault PROC@TICK:kill]
            [--metrics-addr HOST:PORT] (serves the orchestrator's
@@ -675,10 +672,8 @@ fn gateway(args: &[String]) -> CliResult {
 /// `client`: replay the deterministic churn workload over the gateway
 /// wire and report the same snapshot JSON as `serve`. With equal workload
 /// flags, the written snapshot's placement-invariant view is
-/// bitwise-identical to the in-process run's — including when `--delta
-/// yes` fetches the final state as a wire-v2 delta against a pre-replay
-/// baseline and reconstructs it client-side, and when `--codec binary`
-/// fetches wire-v3 binary bodies instead of JSON.
+/// bitwise-identical to the in-process run's: the final state crosses
+/// the wire as a binary body and becomes JSON only here.
 fn client(args: &[String]) -> CliResult {
     let flags = parse_flags(args)?;
     let spec = replay_spec_from_flags(&flags)?;
@@ -687,30 +682,10 @@ fn client(args: &[String]) -> CliResult {
         .get("addr")
         .cloned()
         .unwrap_or_else(|| "127.0.0.1:4411".into());
-    let delta_mode = flags.get("delta").map(String::as_str) == Some("yes");
-    let binary = match flags.get("codec").map(String::as_str) {
-        None | Some("json") => false,
-        Some("binary") => true,
-        Some(other) => return Err(format!("unknown --codec {other} (json|binary)")),
-    };
     let mut client =
         Client::connect_with(addr.as_str(), ClientConfig::default()).map_err(|e| e.to_string())?;
-    if delta_mode {
-        // Establish the delta baseline before the replay so the final
-        // poll diffs across the whole run's churn.
-        if binary {
-            client.snapshot_delta_bin().map_err(|e| e.to_string())?;
-        } else {
-            client.snapshot_delta().map_err(|e| e.to_string())?;
-        }
-    }
     let outcome = run_replay(&mut client, &spec)?;
-    let snap = match (delta_mode, binary) {
-        (true, true) => client.snapshot_delta_bin().map_err(|e| e.to_string())?,
-        (true, false) => client.snapshot_delta().map_err(|e| e.to_string())?,
-        (false, true) => client.snapshot_bin().map_err(|e| e.to_string())?,
-        (false, false) => client.snapshot().map_err(|e| e.to_string())?,
-    };
+    let snap = client.snapshot_bin().map_err(|e| e.to_string())?;
     client.goodbye().map_err(|e| e.to_string())?;
 
     println!(
@@ -743,12 +718,6 @@ fn client(args: &[String]) -> CliResult {
         snap.wire.latency_p50_us,
         snap.wire.latency_p99_us,
     );
-    if delta_mode {
-        println!(
-            "snapshots: {} full, {} delta (final state reconstructed from the delta)",
-            snap.wire.full_snapshots, snap.wire.delta_snapshots,
-        );
-    }
     if let Some(path) = flags.get("json") {
         std::fs::write(path, snap.service.to_json_string())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -1164,7 +1133,7 @@ fn bench_fleet(args: &[String]) -> CliResult {
 /// list of connection counts against an in-process gateway, writing a
 /// machine-readable JSON report.
 ///
-/// One driver thread owns every connection — the wire v2 signalling-lean
+/// One driver thread owns every connection — the signalling-lean
 /// pattern: staging connections send unacknowledged `StageNoAck` frames
 /// (one write, zero reads) and the committing connection sends a
 /// count-gated `TickSync`, so a whole multi-connection tick costs one

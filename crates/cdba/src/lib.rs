@@ -151,7 +151,7 @@ mod tests {
         let mut client = Client::connect(server.local_addr()).unwrap();
         let key = client.join("tenant").unwrap();
         client.tick(&[(key, 2.0)]).unwrap();
-        let snapshot: GatewaySnapshot = client.snapshot().unwrap();
+        let snapshot: GatewaySnapshot = client.snapshot_bin().unwrap();
         assert_eq!(snapshot.service.ticks, 1);
         client.goodbye().unwrap();
         server.shutdown().unwrap();

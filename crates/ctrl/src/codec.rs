@@ -514,23 +514,22 @@ pub fn decode_snapshot_head(d: &mut Dec<'_>) -> Result<(ServiceSnapshot, usize),
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint family v1 — the row-oriented reference codec. The columnar
-// module below replaced it on the worker/driver and migration paths; it
-// is retained as the independent oracle the lockstep proptests compare
-// against, and as the legacy decode path for v1 migration blobs.
+// Checkpoint family v1 — the row-oriented reference codec, test-only: the
+// columnar module below is the one session-state encoding the program
+// writes and reads; this is the independent oracle the lockstep tests
+// canonicalize through. It shares only the group section with columnar.
 // ---------------------------------------------------------------------------
 
-#[cfg_attr(not(test), allow(dead_code))]
+#[cfg(test)]
 pub(crate) mod checkpoint {
+    use super::columnar::{dec_group, dec_stage_log, enc_group, enc_stage_log};
     use super::*;
     use crate::meter::MeterCheckpoint;
-    use crate::shard::{GroupCheckpoint, SessionCheckpoint, ShardStateCheckpoint};
+    use crate::shard::{SessionCheckpoint, ShardStateCheckpoint};
     use cdba_analysis::cost::CostModel;
     use cdba_core::bounds::{HighTrackerState, LowTrackerState};
-    use cdba_core::config::{MultiConfig, SingleConfig};
-    use cdba_core::multi::pool::{PoolCheckpoint, SlotCheckpoint};
+    use cdba_core::config::SingleConfig;
     use cdba_core::single::SingleCheckpoint;
-    use cdba_core::stage::{StageKind, StageLog, StageRecord};
     use cdba_sim::streaming::DelayTrackerState;
 
     fn enc_cost(c: &CostModel, e: &mut Enc<'_>) {
@@ -619,44 +618,6 @@ pub(crate) mod checkpoint {
             total_served: d.f64()?,
             total_allocated: d.f64()?,
         })
-    }
-
-    fn enc_stage_log(log: &StageLog, e: &mut Enc<'_>) {
-        let records = log.records();
-        e.usize(log.forgotten());
-        e.len(records.len());
-        for r in records {
-            e.usize(r.start);
-            e.opt_u64(r.end.map(|x| x as u64));
-            e.u8(match r.kind {
-                StageKind::BoundsCrossed => 0,
-                StageKind::RegularOverflow => 1,
-                StageKind::GlobalBoundsCrossed => 2,
-                StageKind::BudgetChanged => 3,
-            });
-        }
-    }
-
-    fn dec_stage_log(d: &mut Dec<'_>) -> Result<StageLog, CodecError> {
-        let forgotten = d.usize()?;
-        let n = d.len(10)?;
-        let mut records = Vec::with_capacity(n);
-        for _ in 0..n {
-            let start = d.usize()?;
-            let end = match d.opt_u64()? {
-                None => None,
-                Some(v) => Some(usize::try_from(v).map_err(|_| CodecError::BadLength(v))?),
-            };
-            let kind = match d.u8()? {
-                0 => StageKind::BoundsCrossed,
-                1 => StageKind::RegularOverflow,
-                2 => StageKind::GlobalBoundsCrossed,
-                3 => StageKind::BudgetChanged,
-                t => return Err(CodecError::BadTag(t)),
-            };
-            records.push(StageRecord { start, end, kind });
-        }
-        Ok(StageLog::from_parts(forgotten, records))
     }
 
     fn enc_low(t: &LowTrackerState, e: &mut Enc<'_>) {
@@ -774,65 +735,6 @@ pub(crate) mod checkpoint {
         })
     }
 
-    fn enc_pool(cp: &PoolCheckpoint, e: &mut Enc<'_>) {
-        e.usize(cp.cfg.k);
-        e.f64(cp.cfg.b_o);
-        e.usize(cp.cfg.d_o);
-        e.len(cp.slots.len());
-        for s in &cp.slots {
-            e.u64(s.id);
-            e.f64(s.br);
-            e.f64(s.bo);
-            e.f64(s.qr_backlog);
-            e.f64(s.qo_backlog);
-            e.bool(s.leaving);
-        }
-        e.len(cp.pending.len());
-        for &(slot, bits) in &cp.pending {
-            e.usize(slot);
-            e.f64(bits);
-        }
-        e.u64(cp.next_id);
-        e.usize(cp.tick);
-        e.usize(cp.phase_anchor);
-        enc_stage_log(&cp.stages, e);
-        e.usize(cp.membership_changes);
-    }
-
-    fn dec_pool(d: &mut Dec<'_>) -> Result<PoolCheckpoint, CodecError> {
-        let k = d.usize()?;
-        let b_o = d.f64()?;
-        let d_o = d.usize()?;
-        let cfg = MultiConfig { k, b_o, d_o };
-        let n = d.len(41)?;
-        let mut slots = Vec::with_capacity(n);
-        for _ in 0..n {
-            slots.push(SlotCheckpoint {
-                id: d.u64()?,
-                br: d.f64()?,
-                bo: d.f64()?,
-                qr_backlog: d.f64()?,
-                qo_backlog: d.f64()?,
-                leaving: d.bool()?,
-            });
-        }
-        let n = d.len(16)?;
-        let mut pending = Vec::with_capacity(n);
-        for _ in 0..n {
-            pending.push((d.usize()?, d.f64()?));
-        }
-        Ok(PoolCheckpoint {
-            cfg,
-            slots,
-            pending,
-            next_id: d.u64()?,
-            tick: d.usize()?,
-            phase_anchor: d.usize()?,
-            stages: dec_stage_log(d)?,
-            membership_changes: d.usize()?,
-        })
-    }
-
     fn enc_session(cp: &SessionCheckpoint, e: &mut Enc<'_>) {
         e.u64(cp.key);
         e.str(&cp.tenant);
@@ -877,31 +779,6 @@ pub(crate) mod checkpoint {
             leaving,
             dedicated,
             pooled,
-        })
-    }
-
-    pub(crate) fn enc_group(cp: &GroupCheckpoint, e: &mut Enc<'_>) {
-        e.u64(cp.group);
-        enc_pool(&cp.pool, e);
-        e.len(cp.members.len());
-        for &(member, key) in &cp.members {
-            e.u64(member);
-            e.u64(key);
-        }
-    }
-
-    pub(crate) fn dec_group(d: &mut Dec<'_>) -> Result<GroupCheckpoint, CodecError> {
-        let group = d.u64()?;
-        let pool = dec_pool(d)?;
-        let n = d.len(16)?;
-        let mut members = Vec::with_capacity(n);
-        for _ in 0..n {
-            members.push((d.u64()?, d.u64()?));
-        }
-        Ok(GroupCheckpoint {
-            group,
-            pool,
-            members,
         })
     }
 
@@ -961,25 +838,12 @@ pub(crate) mod checkpoint {
         Ok(cp)
     }
 
-    /// Encodes one session's checkpoint as a standalone payload — the
-    /// migration blob a live session travels between processes as.
+    /// Encodes one session's checkpoint as a standalone payload, so a
+    /// test can compare two sessions byte for byte.
     pub(crate) fn encode_session(cp: &SessionCheckpoint, buf: &mut Vec<u8>) {
         let mut e = Enc::new(buf);
         e.u8(CODEC_VERSION);
         enc_session(cp, &mut e);
-    }
-
-    /// Decodes a standalone session-checkpoint payload.
-    ///
-    /// # Errors
-    ///
-    /// Any [`CodecError`] raised by a malformed payload.
-    pub(crate) fn decode_session(payload: &[u8]) -> Result<SessionCheckpoint, CodecError> {
-        let mut d = Dec::new(payload);
-        d.version()?;
-        let cp = dec_session(&mut d)?;
-        d.finish()?;
-        Ok(cp)
     }
 }
 
@@ -991,8 +855,7 @@ pub(crate) mod columnar {
     //! The columnar checkpoint codec: shard state as schema-described
     //! struct-of-arrays columns mirroring the kernel's `HotState` layout.
     //!
-    //! A frame is: version byte ([`FRAME_VERSION`], distinct from the v1
-    //! [`CODEC_VERSION`] so the two formats self-select), a kind byte
+    //! A frame is: version byte ([`FRAME_VERSION`]), a kind byte
     //! (always [`KIND_GENESIS`]: every frame carries every live session
     //! and supersedes the one before it), the shard clock and row count, the
     //! shard-uniform configuration (window, pricing, algorithm parameters
@@ -1040,11 +903,138 @@ pub(crate) mod columnar {
     };
     use cdba_analysis::cost::CostModel;
     use cdba_core::bounds::{HighTrackerState, LowTrackerState};
-    use cdba_core::config::SingleConfig;
+    use cdba_core::config::{MultiConfig, SingleConfig};
+    use cdba_core::multi::pool::{PoolCheckpoint, SlotCheckpoint};
     use cdba_core::single::SingleCheckpoint;
+    use cdba_core::stage::{StageKind, StageLog, StageRecord};
     use cdba_sim::streaming::DelayTrackerState;
     use std::collections::HashMap;
     use std::ops::Range;
+
+    // The group section: each pooled group row by row, the layout the
+    // test-only row-oriented oracle shares.
+
+    pub(super) fn enc_stage_log(log: &StageLog, e: &mut Enc<'_>) {
+        let records = log.records();
+        e.usize(log.forgotten());
+        e.len(records.len());
+        for r in records {
+            e.usize(r.start);
+            e.opt_u64(r.end.map(|x| x as u64));
+            e.u8(match r.kind {
+                StageKind::BoundsCrossed => 0,
+                StageKind::RegularOverflow => 1,
+                StageKind::GlobalBoundsCrossed => 2,
+                StageKind::BudgetChanged => 3,
+            });
+        }
+    }
+
+    pub(super) fn dec_stage_log(d: &mut Dec<'_>) -> Result<StageLog, CodecError> {
+        let forgotten = d.usize()?;
+        let n = d.len(10)?;
+        let mut records = Vec::with_capacity(n);
+        for _ in 0..n {
+            let start = d.usize()?;
+            let end = match d.opt_u64()? {
+                None => None,
+                Some(v) => Some(usize::try_from(v).map_err(|_| CodecError::BadLength(v))?),
+            };
+            let kind = match d.u8()? {
+                0 => StageKind::BoundsCrossed,
+                1 => StageKind::RegularOverflow,
+                2 => StageKind::GlobalBoundsCrossed,
+                3 => StageKind::BudgetChanged,
+                t => return Err(CodecError::BadTag(t)),
+            };
+            records.push(StageRecord { start, end, kind });
+        }
+        Ok(StageLog::from_parts(forgotten, records))
+    }
+
+    fn enc_pool(cp: &PoolCheckpoint, e: &mut Enc<'_>) {
+        e.usize(cp.cfg.k);
+        e.f64(cp.cfg.b_o);
+        e.usize(cp.cfg.d_o);
+        e.len(cp.slots.len());
+        for s in &cp.slots {
+            e.u64(s.id);
+            e.f64(s.br);
+            e.f64(s.bo);
+            e.f64(s.qr_backlog);
+            e.f64(s.qo_backlog);
+            e.bool(s.leaving);
+        }
+        e.len(cp.pending.len());
+        for &(slot, bits) in &cp.pending {
+            e.usize(slot);
+            e.f64(bits);
+        }
+        e.u64(cp.next_id);
+        e.usize(cp.tick);
+        e.usize(cp.phase_anchor);
+        enc_stage_log(&cp.stages, e);
+        e.usize(cp.membership_changes);
+    }
+
+    fn dec_pool(d: &mut Dec<'_>) -> Result<PoolCheckpoint, CodecError> {
+        let k = d.usize()?;
+        let b_o = d.f64()?;
+        let d_o = d.usize()?;
+        let cfg = MultiConfig { k, b_o, d_o };
+        let n = d.len(41)?;
+        let mut slots = Vec::with_capacity(n);
+        for _ in 0..n {
+            slots.push(SlotCheckpoint {
+                id: d.u64()?,
+                br: d.f64()?,
+                bo: d.f64()?,
+                qr_backlog: d.f64()?,
+                qo_backlog: d.f64()?,
+                leaving: d.bool()?,
+            });
+        }
+        let n = d.len(16)?;
+        let mut pending = Vec::with_capacity(n);
+        for _ in 0..n {
+            pending.push((d.usize()?, d.f64()?));
+        }
+        Ok(PoolCheckpoint {
+            cfg,
+            slots,
+            pending,
+            next_id: d.u64()?,
+            tick: d.usize()?,
+            phase_anchor: d.usize()?,
+            stages: dec_stage_log(d)?,
+            membership_changes: d.usize()?,
+        })
+    }
+
+    pub(super) fn enc_group(cp: &GroupCheckpoint, e: &mut Enc<'_>) {
+        e.u64(cp.group);
+        enc_pool(&cp.pool, e);
+        e.len(cp.members.len());
+        for &(member, key) in &cp.members {
+            e.u64(member);
+            e.u64(key);
+        }
+    }
+
+    pub(super) fn dec_group(d: &mut Dec<'_>) -> Result<GroupCheckpoint, CodecError> {
+        let group = d.u64()?;
+        let pool = dec_pool(d)?;
+        let n = d.len(16)?;
+        let mut members = Vec::with_capacity(n);
+        for _ in 0..n {
+            members.push((d.u64()?, d.u64()?));
+        }
+        Ok(GroupCheckpoint {
+            group,
+            pool,
+            members,
+        })
+    }
 
     /// Version byte leading every columnar frame. Frames live in memory,
     /// in wire-v5 mirror streams and in lease blobs, all written by the
@@ -1317,7 +1307,7 @@ pub(crate) mod columnar {
             let mut e = Enc::new(&mut self.tail);
             e.len(groups.len());
             for g in groups {
-                checkpoint::enc_group(g, &mut e);
+                enc_group(g, &mut e);
             }
             e.len(0); // tombstones
             e.len(retired.len());
@@ -1589,7 +1579,7 @@ pub(crate) mod columnar {
         let n = d.len(8)?;
         let mut groups = Vec::with_capacity(n);
         for _ in 0..n {
-            groups.push(checkpoint::dec_group(&mut d)?);
+            groups.push(dec_group(&mut d)?);
         }
         match d.len(8)? {
             0 => {}
@@ -1716,8 +1706,8 @@ pub(crate) mod columnar {
     }
 
     /// Materializes the [`SessionCheckpoint`] of a single-row migration
-    /// frame, so the import path feeds the exact `validate()` /
-    /// `conforms()` gauntlet the v1 blob path established. What the
+    /// frame, so the import path can run it through the `validate()` /
+    /// `conforms()` gauntlet before admitting it. What the
     /// frame does not carry is derived as the kernel derives it: both
     /// clocks from the meter's, the stage start and the high window from
     /// the stage's ticks. Rejects frames that are not a pure one-session

@@ -121,7 +121,7 @@ impl SessionMetrics {
 
 /// The full internal state of a [`SignallingMeter`], exported for shard
 /// checkpoints. Restoring reproduces the meter bitwise.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MeterCheckpoint {
     /// The pricing model.
     pub cost: CostModel,

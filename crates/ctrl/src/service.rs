@@ -1491,10 +1491,9 @@ impl ControlPlane {
     ///
     /// # Errors
     ///
-    /// [`CtrlError::InvalidService`] for a malformed v1 blob or one that
-    /// is not a dedicated session; [`CtrlError::InvalidCheckpoint`] for a
-    /// frame that is truncated, of another frame version
-    /// (`columnar.version`) or not a one-session dedicated slice, and for
+    /// [`CtrlError::InvalidCheckpoint`] for a frame that is truncated, of
+    /// another frame version (`columnar.version`) or not a one-session
+    /// dedicated slice (`columnar.migration`), and for
     /// a blob that decodes structurally but carries an out-of-domain value
     /// (a non-finite or negative float, an impossible tracker shape, a
     /// clock or high window that disagrees with the meter's);
@@ -1503,27 +1502,15 @@ impl ControlPlane {
     /// when no shard could take the session. Admission is rolled back on
     /// a failed delivery, exactly like [`ControlPlane::admit`].
     pub fn import_session(&mut self, blob: &[u8]) -> Result<u64, CtrlError> {
-        // Exporters emit one-session columnar frames; a row-oriented v1
-        // session blob says so in its first byte. Anything else is a
-        // frame, and one of another frame version is refused typed.
-        let mut cp = match blob.first() {
-            Some(&crate::codec::CODEC_VERSION) => crate::codec::checkpoint::decode_session(blob)
-                .map_err(|err| CtrlError::InvalidService(format!("bad migration blob: {err}")))?,
-            _ => {
-                let frame = crate::codec::columnar::parse(blob).map_err(|err| {
-                    CtrlError::InvalidCheckpoint {
-                        field: crate::codec::columnar::error_field(&err),
-                    }
-                })?;
-                crate::codec::columnar::session_from_frame(&frame)
-                    .map_err(|field| CtrlError::InvalidCheckpoint { field })?
-            }
-        };
-        if cp.dedicated.is_none() || cp.pooled.is_some() {
-            return Err(CtrlError::InvalidService(
-                "migration blob is not a dedicated session".into(),
-            ));
-        }
+        // Exporters emit one-session columnar frames, and the same binary
+        // reads what it writes: a blob of any other frame version is
+        // refused typed, not translated.
+        let frame =
+            crate::codec::columnar::parse(blob).map_err(|err| CtrlError::InvalidCheckpoint {
+                field: crate::codec::columnar::error_field(&err),
+            })?;
+        let mut cp = crate::codec::columnar::session_from_frame(&frame)
+            .map_err(|field| CtrlError::InvalidCheckpoint { field })?;
         // Structural decode is not enough: a hostile or corrupted blob can
         // carry NaN/negative floats or impossible tracker shapes that the
         // codec happily round-trips — and even a well-formed session must

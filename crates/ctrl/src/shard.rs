@@ -49,7 +49,6 @@ use cdba_core::{
 };
 use cdba_sim::streaming::DelayTrackerState;
 use cdba_traffic::EPS;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -213,7 +212,7 @@ pub(crate) struct ShardCheckpoint {
 }
 
 /// A restorable snapshot of one session entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SessionCheckpoint {
     /// Service-wide session key.
     pub key: u64,
@@ -412,7 +411,7 @@ impl SessionCheckpoint {
 }
 
 /// A restorable snapshot of one pooled group.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct GroupCheckpoint {
     /// Service-wide group id.
     pub group: u64,
@@ -427,8 +426,8 @@ pub(crate) struct GroupCheckpoint {
 /// codec and the in-memory form preserve every `f64` exactly). The live
 /// checkpoint path ships columnar frames instead; this row-oriented form
 /// is the reference the lockstep tests canonicalize through.
-#[cfg_attr(not(test), allow(dead_code))]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[cfg(test)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ShardStateCheckpoint {
     /// Live sessions, in slot order (order matters: ticks process
     /// dedicated sessions in it).
@@ -1907,7 +1906,7 @@ impl ShardState {
     /// order; group and member listings are sorted by id — identical event
     /// histories checkpoint identically. Retained as the reference
     /// representation the columnar lockstep tests canonicalize through.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub(crate) fn checkpoint(&self) -> ShardStateCheckpoint {
         let sessions = self
             .sessions
@@ -1929,7 +1928,7 @@ impl ShardState {
     /// dynamics are placement-independent, so the invariant view is
     /// unaffected. Retained as the reference restore path the columnar
     /// lockstep tests compare against.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub(crate) fn restore(shard: u64, cfg: &ServiceConfig, cp: &ShardStateCheckpoint) -> Self {
         let mut state = ShardState::new(shard, cfg);
         for s in &cp.sessions {

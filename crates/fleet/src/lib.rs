@@ -8,7 +8,7 @@
 //! [`ControlPlane`](cdba_ctrl::ControlPlane)) behind N relay frontends
 //! (`cdba-cli relay` children shuttling bytes on loopback), places
 //! sessions across them with a pluggable [`Placement`] policy, and
-//! live-migrates sessions between processes over the wire-v4 lease
+//! live-migrates sessions between processes over the gateway's lease
 //! frames — quiesce, checkpoint the slab row through the binary codec,
 //! transfer, resume at a bumped lease epoch.
 //!

@@ -8,10 +8,8 @@
 //! surfaced through [`Client::next_event`].
 
 use crate::codec;
-use crate::delta::{self, SnapshotDeltaBody};
 use crate::proto::{self, ErrorCode, Frame, ProtoError, MAX_FRAME, PUSH_ID};
 use crate::GatewaySnapshot;
-use cdba_ctrl::ServiceSnapshot;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -53,9 +51,7 @@ pub enum ClientError {
     },
     /// The server broke the protocol (bad frame, wrong reply id).
     Protocol(String),
-    /// A snapshot payload failed to parse as JSON.
-    Json(String),
-    /// A binary snapshot body failed to decode (wire v3).
+    /// A binary snapshot body failed to decode.
     Codec(String),
 }
 
@@ -67,7 +63,6 @@ impl std::fmt::Display for ClientError {
                 write!(f, "gateway refused ({code}): {message}")
             }
             ClientError::Protocol(e) => write!(f, "gateway protocol violation: {e}"),
-            ClientError::Json(e) => write!(f, "gateway snapshot unparseable: {e}"),
             ClientError::Codec(e) => write!(f, "gateway binary body undecodable: {e}"),
         }
     }
@@ -138,9 +133,6 @@ pub struct Client {
     cfg: ClientConfig,
     next_id: u64,
     pending_events: VecDeque<TickEvent>,
-    /// The last snapshot received via [`Client::snapshot_delta`] and its
-    /// sequence number: the baseline the next delta applies on top of.
-    baseline: Option<(u64, ServiceSnapshot)>,
     /// The outgoing frame's wire bytes, reused across requests.
     wbuf: Vec<u8>,
     /// The body of the last [`Frame::SnapshotBinOk`] read, decoded as it
@@ -191,7 +183,6 @@ impl Client {
             cfg,
             next_id: 1,
             pending_events: VecDeque::new(),
-            baseline: None,
             wbuf: Vec::new(),
             polled: None,
         };
@@ -401,7 +392,7 @@ impl Client {
         }
     }
 
-    /// Revokes session `key`'s ownership lease (wire v4): the session is
+    /// Revokes session `key`'s ownership lease: the session is
     /// quiesced, removed from the process with its budget released, and
     /// its `(lease epoch, checkpoint blob)` returned. Feed the blob to
     /// [`Client::lease_grant`] on the migration target verbatim.
@@ -424,8 +415,8 @@ impl Client {
         }
     }
 
-    /// Grants the connected process a lease on a migrated-in session
-    /// (wire v4): `bytes` is the blob a [`Client::lease_revoke`]
+    /// Grants the connected process a lease on a migrated-in session:
+    /// `bytes` is the blob a [`Client::lease_revoke`]
     /// returned, `epoch` the lease epoch the session resumes at (bump the
     /// revoked epoch so a stale source can never pose as the owner).
     /// Returns the session's fresh key on this process; this connection
@@ -444,7 +435,7 @@ impl Client {
         }
     }
 
-    /// Puts the connected process in draining mode (wire v4): new joins
+    /// Puts the connected process in draining mode: new joins
     /// are refused with [`ErrorCode::Draining`] while existing sessions
     /// keep ticking. Returns the keys of every migratable (dedicated)
     /// session, sorted, for the orchestrator to move away.
@@ -465,7 +456,7 @@ impl Client {
     }
 
     /// Pulls the columnar checkpoint frame retained for `shard` if it is
-    /// newer than `cursor` (v5): returns the cursor to resume from and at
+    /// newer than `cursor`: returns the cursor to resume from and at
     /// most one frame, as `(kind, payload)` with kind always 0 (a
     /// genesis). Feed the payload to a [`cdba_ctrl::CheckpointMirror`]
     /// built with the server's service config to maintain a passive
@@ -484,25 +475,6 @@ impl Client {
             Frame::CheckpointDeltaBinOk { cursor, frames, .. } => Ok((cursor, frames)),
             other => Err(ClientError::Protocol(format!(
                 "expected checkpoint-delta-bin-ok: {other:?}"
-            ))),
-        }
-    }
-
-    /// Buffers arrivals for the next committed tick; returns the total
-    /// number now staged gateway-wide.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Server`] when validation rejects the batch (the
-    /// previously staged arrivals stay buffered).
-    pub fn stage(&mut self, arrivals: &[(u64, f64)]) -> Result<u32, ClientError> {
-        match self.request_with(Some(Apart::Arrivals(arrivals)), |id| Frame::Stage {
-            id,
-            arrivals: Vec::new(),
-        })? {
-            Frame::StageOk { staged, .. } => Ok(staged),
-            other => Err(ClientError::Protocol(format!(
-                "expected stage-ok: {other:?}"
             ))),
         }
     }
@@ -528,10 +500,10 @@ impl Client {
     }
 
     /// Buffers arrivals for the next committed tick **without waiting for
-    /// an acknowledgement** (wire v2). The server sends no reply on
-    /// success; a rejected batch surfaces as a [`ClientError::Server`] at
-    /// this client's next synchronous request. One write, zero reads —
-    /// half the round trips of [`Client::stage`] for fan-in staging.
+    /// an acknowledgement**. The server sends no reply on success; a
+    /// rejected batch surfaces as a [`ClientError::Server`] at this
+    /// client's next synchronous request. One write, zero reads: no round
+    /// trip per staging connection per tick.
     ///
     /// # Errors
     ///
@@ -545,7 +517,7 @@ impl Client {
     }
 
     /// Stages `arrivals`, then commits the batch tick once at least
-    /// `min_staged` arrivals are buffered gateway-wide (wire v2) — the
+    /// `min_staged` arrivals are buffered gateway-wide — the
     /// count gate makes the commit independent of socket arrival order
     /// when other connections stage with [`Client::stage_noack`]. Blocks
     /// for the (possibly parked) [`Frame::TickOk`]; returns the tick
@@ -573,70 +545,8 @@ impl Client {
         }
     }
 
-    /// Fetches the gateway snapshot as a delta against the last snapshot
-    /// this connection received (wire v2), reconstructing the full
-    /// [`GatewaySnapshot`] client-side. The first call transfers a full
-    /// snapshot to establish the baseline; afterwards only changed and
-    /// removed sessions cross the wire. The result is byte-identical to
-    /// what [`Client::snapshot`] would have returned.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Json`] when a payload does not parse;
-    /// [`ClientError::Protocol`] when the server's delta does not chain
-    /// onto the held baseline.
-    pub fn snapshot_delta(&mut self) -> Result<GatewaySnapshot, ClientError> {
-        match self.request(|id| Frame::SnapshotDelta { id })? {
-            Frame::SnapshotDeltaOk {
-                seq, full, json, ..
-            } => {
-                let snap: GatewaySnapshot = if full {
-                    serde_json::from_str(&json).map_err(|e| ClientError::Json(e.to_string()))?
-                } else {
-                    let body: SnapshotDeltaBody = serde_json::from_str(&json)
-                        .map_err(|e| ClientError::Json(e.to_string()))?;
-                    let Some((base_seq, baseline)) = self.baseline.as_ref() else {
-                        return Err(ClientError::Protocol(
-                            "delta snapshot received without a baseline".into(),
-                        ));
-                    };
-                    if body.baseline_seq != *base_seq || body.seq != seq {
-                        return Err(ClientError::Protocol(format!(
-                            "delta chains {}→{}, client holds baseline {base_seq}",
-                            body.baseline_seq, body.seq
-                        )));
-                    }
-                    delta::apply(baseline, &body)
-                };
-                self.baseline = Some((seq, snap.service.clone()));
-                Ok(snap)
-            }
-            other => Err(ClientError::Protocol(format!(
-                "expected snapshot-delta-ok: {other:?}"
-            ))),
-        }
-    }
-
     /// Fetches the full gateway snapshot (allocation state + wire
-    /// counters).
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Json`] when the payload does not parse.
-    pub fn snapshot(&mut self) -> Result<GatewaySnapshot, ClientError> {
-        match self.request(|id| Frame::Snapshot { id })? {
-            Frame::SnapshotOk { json, .. } => {
-                serde_json::from_str(&json).map_err(|e| ClientError::Json(e.to_string()))
-            }
-            other => Err(ClientError::Protocol(format!(
-                "expected snapshot-ok: {other:?}"
-            ))),
-        }
-    }
-
-    /// Fetches the full gateway snapshot over the binary codec (wire
-    /// v3). Decodes to a snapshot bitwise-identical to what
-    /// [`Client::snapshot`] returns, with no JSON on the wire.
+    /// counters) over the binary codec, decoding the body as it arrives.
     ///
     /// # Errors
     ///
@@ -650,49 +560,6 @@ impl Client {
                 .map_err(|e| ClientError::Codec(e.to_string())),
             other => Err(ClientError::Protocol(format!(
                 "expected snapshot-bin-ok: {other:?}"
-            ))),
-        }
-    }
-
-    /// The binary-codec sibling of [`Client::snapshot_delta`] (wire v3):
-    /// same baseline chaining, binary bodies on the wire. The baseline is
-    /// shared with the JSON variant, so the two may be mixed freely on
-    /// one connection.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Codec`] when a body does not decode;
-    /// [`ClientError::Protocol`] when the server's delta does not chain
-    /// onto the held baseline.
-    pub fn snapshot_delta_bin(&mut self) -> Result<GatewaySnapshot, ClientError> {
-        match self.request(|id| Frame::SnapshotDeltaBin { id })? {
-            Frame::SnapshotDeltaBinOk {
-                seq, full, bytes, ..
-            } => {
-                let snap: GatewaySnapshot = if full {
-                    codec::decode_gateway_snapshot(&bytes)
-                        .map_err(|e| ClientError::Codec(e.to_string()))?
-                } else {
-                    let body = codec::decode_delta_body(&bytes)
-                        .map_err(|e| ClientError::Codec(e.to_string()))?;
-                    let Some((base_seq, baseline)) = self.baseline.as_ref() else {
-                        return Err(ClientError::Protocol(
-                            "delta snapshot received without a baseline".into(),
-                        ));
-                    };
-                    if body.baseline_seq != *base_seq || body.seq != seq {
-                        return Err(ClientError::Protocol(format!(
-                            "delta chains {}→{}, client holds baseline {base_seq}",
-                            body.baseline_seq, body.seq
-                        )));
-                    }
-                    delta::apply(baseline, &body)
-                };
-                self.baseline = Some((seq, snap.service.clone()));
-                Ok(snap)
-            }
-            other => Err(ClientError::Protocol(format!(
-                "expected snapshot-delta-bin-ok: {other:?}"
             ))),
         }
     }
@@ -712,7 +579,7 @@ impl Client {
         }
     }
 
-    /// Subscribes with batched delivery (wire v3): the server ships due
+    /// Subscribes with batched delivery: the server ships due
     /// events `batch` at a time in one frame. [`Client::next_event`]
     /// surfaces them one by one, so only the wire framing changes — but a
     /// partial batch is held server-side until it fills, so worst-case

@@ -1,13 +1,13 @@
-//! The binary encoding of the gateway's snapshot bodies (wire v3).
+//! The binary encoding of the gateway's snapshot bodies — the one wire
+//! encoding of a snapshot.
 //!
-//! JSON remains the reference encoding — every field a binary body
-//! carries decodes to the *bitwise-identical* value the JSON path
-//! produces (`f64` compared by `to_bits`), which the tests here and the
-//! integration suite assert. Binary is strictly an efficiency measure:
-//! a snapshot body is one length-prefixed buffer with fixed-width
-//! little-endian integers and `f64::to_bits` floats, built on
-//! [`cdba_ctrl::codec`] so the service section shares its layout (and
-//! its hostile-input guards) with the control plane's checkpoints.
+//! A snapshot body is one length-prefixed buffer with fixed-width
+//! little-endian integers and `f64::to_bits` floats, so every field
+//! decodes to the *bitwise-identical* value that was encoded (`f64`
+//! compared by `to_bits`), which the tests here and the integration
+//! suite assert. It is built on [`cdba_ctrl::codec`], so the service
+//! section shares its layout (and its hostile-input guards) with the
+//! control plane's snapshot fragments.
 //!
 //! A full snapshot has one encoder ([`SnapshotStream`]) and one decoder,
 //! each driven from a slice ([`encode_gateway_snapshot`],
@@ -19,21 +19,13 @@
 //!
 //! ```text
 //! gateway-snapshot := service-snapshot · wire-counters
-//! delta-body       := baseline_seq u64 · seq u64 · ticks u64 ·
-//!                     shards u64 · admitted u64 · rejected u64 ·
-//!                     restarts u64 · events_replayed u64 · global ·
-//!                     per_shard vec · health vec · changed_sessions vec ·
-//!                     removed_sessions vec · wire-counters
 //! ```
 
-use crate::delta::SnapshotDeltaBody;
 use crate::stats::{LatencyBucket, WireSnapshot};
 use crate::GatewaySnapshot;
 use cdba_ctrl::codec::{
-    decode_global_metrics, decode_session_metrics, decode_shard_health, decode_shard_metrics,
-    decode_snapshot_head, encode_global_metrics, encode_session_metrics, encode_shard_health,
-    encode_shard_metrics, encode_snapshot_head, session_metrics_len, CodecError, Dec, Enc,
-    TenantInterner, CODEC_VERSION,
+    decode_session_metrics, decode_snapshot_head, encode_session_metrics, encode_snapshot_head,
+    session_metrics_len, CodecError, Dec, Enc, TenantInterner, CODEC_VERSION,
 };
 use cdba_ctrl::ServiceSnapshot;
 use std::io::{self, ErrorKind, Read};
@@ -49,7 +41,6 @@ fn encode_wire(w: &WireSnapshot, e: &mut Enc<'_>) {
     e.u64(w.decode_errors);
     e.u64(w.busy_rejections);
     e.u64(w.noack_stages);
-    e.u64(w.delta_snapshots);
     e.u64(w.full_snapshots);
     e.u64(w.event_batches);
     e.u64(w.requests);
@@ -71,7 +62,6 @@ fn decode_wire(d: &mut Dec<'_>) -> Result<WireSnapshot, CodecError> {
     let decode_errors = d.u64()?;
     let busy_rejections = d.u64()?;
     let noack_stages = d.u64()?;
-    let delta_snapshots = d.u64()?;
     let full_snapshots = d.u64()?;
     let event_batches = d.u64()?;
     let requests = d.u64()?;
@@ -94,7 +84,6 @@ fn decode_wire(d: &mut Dec<'_>) -> Result<WireSnapshot, CodecError> {
         decode_errors,
         busy_rejections,
         noack_stages,
-        delta_snapshots,
         full_snapshots,
         event_batches,
         requests,
@@ -104,21 +93,12 @@ fn decode_wire(d: &mut Dec<'_>) -> Result<WireSnapshot, CodecError> {
     })
 }
 
-/// Encodes a full gateway snapshot as one binary body.
+/// Encodes a full gateway snapshot as one binary body: one refill, which
+/// reserves the exact length.
 pub fn encode_gateway_snapshot(snap: &GatewaySnapshot) -> Vec<u8> {
     let mut buf = Vec::new();
-    encode_snapshot_parts(&snap.service, &snap.wire, &mut buf);
+    SnapshotStream::new(&snap.service, &snap.wire).refill(&mut buf, usize::MAX);
     buf
-}
-
-/// Appends [`encode_gateway_snapshot`]'s body to `buf`, its two halves
-/// borrowed separately: one refill, which reserves the exact length.
-pub(crate) fn encode_snapshot_parts(
-    service: &ServiceSnapshot,
-    wire: &WireSnapshot,
-    buf: &mut Vec<u8>,
-) {
-    SnapshotStream::new(service, wire).refill(buf, usize::MAX);
 }
 
 /// The encoder of a full gateway snapshot body, resumable between session
@@ -313,102 +293,9 @@ pub fn read_gateway_snapshot(
     }
 }
 
-/// Encodes a delta-snapshot body as one binary body.
-pub fn encode_delta_body(body: &SnapshotDeltaBody) -> Vec<u8> {
-    let mut buf = Vec::new();
-    let mut e = Enc::new(&mut buf);
-    e.u8(CODEC_VERSION);
-    e.u64(body.baseline_seq);
-    e.u64(body.seq);
-    e.u64(body.ticks);
-    e.u64(body.shards);
-    e.u64(body.admitted);
-    e.u64(body.rejected);
-    e.u64(body.restarts);
-    e.u64(body.events_replayed);
-    encode_global_metrics(&body.global, &mut e);
-    e.len(body.per_shard.len());
-    for s in &body.per_shard {
-        encode_shard_metrics(s, &mut e);
-    }
-    e.len(body.health.len());
-    for h in &body.health {
-        encode_shard_health(h, &mut e);
-    }
-    e.len(body.changed_sessions.len());
-    for m in &body.changed_sessions {
-        encode_session_metrics(m, &mut e);
-    }
-    e.len(body.removed_sessions.len());
-    for &key in &body.removed_sessions {
-        e.u64(key);
-    }
-    encode_wire(&body.wire, &mut e);
-    buf
-}
-
-/// Decodes a binary delta-snapshot body.
-///
-/// # Errors
-///
-/// As [`decode_gateway_snapshot`].
-pub fn decode_delta_body(payload: &[u8]) -> Result<SnapshotDeltaBody, CodecError> {
-    let mut d = Dec::new(payload);
-    d.version()?;
-    let baseline_seq = d.u64()?;
-    let seq = d.u64()?;
-    let ticks = d.u64()?;
-    let shards = d.u64()?;
-    let admitted = d.u64()?;
-    let rejected = d.u64()?;
-    let restarts = d.u64()?;
-    let events_replayed = d.u64()?;
-    let global = decode_global_metrics(&mut d)?;
-    let n = d.len(8 * 6)?;
-    let mut per_shard = Vec::with_capacity(n);
-    for _ in 0..n {
-        per_shard.push(decode_shard_metrics(&mut d)?);
-    }
-    let n = d.len(1 + 8 + 8 + 1)?;
-    let mut health = Vec::with_capacity(n);
-    for _ in 0..n {
-        health.push(decode_shard_health(&mut d)?);
-    }
-    let n = d.len(8 * 4)?;
-    let mut changed_sessions = Vec::with_capacity(n);
-    let mut tenants = TenantInterner::default();
-    for _ in 0..n {
-        changed_sessions.push(decode_session_metrics(&mut d, &mut tenants)?);
-    }
-    let n = d.len(8)?;
-    let mut removed_sessions = Vec::with_capacity(n);
-    for _ in 0..n {
-        removed_sessions.push(d.u64()?);
-    }
-    let wire = decode_wire(&mut d)?;
-    d.finish()?;
-    Ok(SnapshotDeltaBody {
-        baseline_seq,
-        seq,
-        ticks,
-        shards,
-        admitted,
-        rejected,
-        restarts,
-        events_replayed,
-        global,
-        per_shard,
-        health,
-        changed_sessions,
-        removed_sessions,
-        wire,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta;
     use cdba_ctrl::{ControlPlane, ExecMode, ServiceConfig};
     use serde::Deserialize;
 
@@ -434,7 +321,6 @@ mod tests {
             decode_errors: 0,
             busy_rejections: 1,
             noack_stages: 7,
-            delta_snapshots: 2,
             full_snapshots: 1,
             event_batches: 4,
             requests: 30,
@@ -503,30 +389,6 @@ mod tests {
             assert_eq!(b.signalling_cost.to_bits(), j.signalling_cost.to_bits());
             assert_eq!(b.bandwidth_cost.to_bits(), j.bandwidth_cost.to_bits());
         }
-    }
-
-    #[test]
-    fn delta_body_binary_roundtrip_matches_json() {
-        let mut service = plane();
-        let a = service.admit("acme").unwrap();
-        service.tick(&[(a, 1.0)]).unwrap();
-        let baseline = service.snapshot().unwrap();
-        let b = service.admit("globex").unwrap();
-        service.tick(&[(a, 2.0), (b, 0.5)]).unwrap();
-        let current = service.snapshot().unwrap();
-        service.shutdown();
-
-        let body = delta::diff(&baseline, 1, &current, 2, wire());
-        let bytes = encode_delta_body(&body);
-        let back = decode_delta_body(&bytes).unwrap();
-        assert_eq!(back, body);
-
-        let via_json = SnapshotDeltaBody::deserialize(
-            &serde_json::from_str(&serde_json::to_string(&body).unwrap()).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(back, via_json);
-        assert_eq!(delta::apply(&baseline, &back).service, current);
     }
 
     #[test]

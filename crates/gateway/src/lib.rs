@@ -7,11 +7,10 @@
 //!
 //! - **Wire protocol** ([`proto`]): versioned, length-prefixed binary
 //!   frames (magic + version handshake, request ids, typed error frames),
-//!   following `cdba_traffic::codec` conventions. Version 2 adds the
-//!   signalling-lean frames: unacknowledged staging, count-gated tick
-//!   commits, and delta snapshots; version 3 adds the binary snapshot
-//!   codec ([`codec`]) and batched subscription events; version 1 and 2
-//!   clients are still accepted, and JSON stays the reference encoding.
+//!   following `cdba_traffic::codec` conventions. One version, one way to
+//!   do each job: unacknowledged staging, count-gated tick commits, and
+//!   snapshots in the binary codec ([`codec`]); JSON is only what a
+//!   client renders locally ([`GatewaySnapshot::to_json_string`]).
 //! - **Server** ([`server`]): one evented core thread over non-blocking
 //!   `std::net` sockets — no async runtime, no worker pool. The core owns
 //!   the listener, every connection, and the service state; requests
@@ -22,16 +21,11 @@
 //!   session-key order, so a gateway run is bitwise-identical to the same
 //!   workload driven in-process (compare
 //!   [`ServiceSnapshot::invariant_view`](cdba_ctrl::ServiceSnapshot::invariant_view)).
-//! - **Delta snapshots** ([`delta`]): a v2 client polls snapshots as
-//!   diffs against the baseline it already holds — `O(changed sessions)`
-//!   on the wire instead of `O(all sessions)` — and reconstructs the full
-//!   snapshot byte-identically.
 //! - **Client** ([`client`]): a blocking client library used by the
 //!   `cdba-cli gateway` / `cdba-cli client` subcommands to replay traces
 //!   over the wire.
 //! - **Observability** ([`stats`]): connections accepted/active/harvested,
-//!   frames in/out, decode errors, busy rejections, full/delta snapshot
-//!   counts, and p50/p99 request latency from a two-significant-digit
+//!   frames in/out, decode errors, busy rejections, snapshot counts, and p50/p99 request latency from a two-significant-digit
 //!   histogram, carried next to the allocation snapshot in
 //!   [`GatewaySnapshot`].
 //!
@@ -55,7 +49,7 @@
 //! for t in 0..8u64 {
 //!     client.tick(&[(key, (t % 3) as f64)]).unwrap();
 //! }
-//! let snapshot = client.snapshot().unwrap();
+//! let snapshot = client.snapshot_bin().unwrap();
 //! assert_eq!(snapshot.service.ticks, 8);
 //! client.goodbye().unwrap();
 //!
@@ -68,14 +62,12 @@
 
 pub mod client;
 pub mod codec;
-pub mod delta;
 pub mod proto;
 pub mod server;
 mod service;
 pub mod stats;
 
 pub use client::{Client, ClientConfig, ClientError, TickEvent};
-pub use delta::SnapshotDeltaBody;
 pub use proto::{ErrorCode, EventBody, Frame, ProtoError};
 pub use server::{GatewayConfig, GatewayServer};
 pub use stats::{LatencyBucket, WireSnapshot, WireStats};

@@ -25,37 +25,26 @@ use std::fmt;
 /// The protocol magic, sent in [`Frame::Hello`].
 pub const MAGIC: [u8; 4] = *b"CDBG";
 
-/// The newest protocol version, sent in [`Frame::Hello`] /
-/// [`Frame::HelloOk`]. Version 2 adds the signalling-lean frames:
-/// unacknowledged staging ([`Frame::StageNoAck`]), count-gated tick
-/// commits ([`Frame::TickSync`]), and delta snapshots
-/// ([`Frame::SnapshotDelta`] / [`Frame::SnapshotDeltaOk`]). Version 3
-/// adds the binary codec: snapshot and delta requests answered with
-/// length-prefixed binary bodies instead of JSON
-/// ([`Frame::SnapshotBin`] / [`Frame::SnapshotDeltaBin`]) and batched
-/// subscription events ([`Frame::SubscribeBatch`] /
-/// [`Frame::EventBatch`]). JSON frames remain available at every
-/// version — binary is an opt-in encoding of the same data, decoding
-/// bitwise-identical to the JSON path. Version 4 adds the fleet
-/// migration frames: lease hand-off ([`Frame::LeaseRevoke`] /
-/// [`Frame::LeaseGrant`], moving one session's checkpoint blob between
-/// processes) and draining ([`Frame::Drain`], which lists migratable
-/// sessions and makes the process refuse new joins with
-/// [`ErrorCode::Draining`]).
-/// Version 5 adds the checkpoint subscription frames
-/// ([`Frame::CheckpointDeltaBin`] / [`Frame::CheckpointDeltaBinOk`]):
-/// a cursor-chained pull of the columnar checkpoint frame the driver
-/// retains for one shard, which a
+/// The protocol version, sent in [`Frame::Hello`] / [`Frame::HelloOk`].
+/// The server speaks exactly this version and refuses a handshake
+/// offering any other with [`ErrorCode::BadVersion`]: a client and a
+/// server are built from the same source, so there is nothing to
+/// negotiate. Version 5 is one way to do each job — unacknowledged
+/// staging ([`Frame::StageNoAck`]) with count-gated commits
+/// ([`Frame::TickSync`]), binary snapshots ([`Frame::SnapshotBin`]),
+/// batched subscription events ([`Frame::SubscribeBatch`] /
+/// [`Frame::EventBatch`]), the fleet migration frames (lease hand-off
+/// via [`Frame::LeaseRevoke`] / [`Frame::LeaseGrant`], and
+/// [`Frame::Drain`], which lists migratable sessions and makes the
+/// process refuse new joins with [`ErrorCode::Draining`]), and a
+/// cursor-chained pull of the columnar checkpoint frame the driver
+/// retains for one shard ([`Frame::CheckpointDeltaBin`]), which a
 /// [`CheckpointMirror`](cdba_ctrl::CheckpointMirror) replays into a
 /// passive replica.
 pub const VERSION: u8 = 5;
 
-/// The oldest protocol version the server still accepts in a handshake.
-pub const MIN_VERSION: u8 = 1;
-
-/// Hard upper bound on one frame's payload, rejected before allocation.
-/// Raised from `1 << 20` with wire v3: a 100k-session binary snapshot is
-/// ~14 MiB, and the JSON form of the same snapshot is larger still.
+/// Hard upper bound on one frame's payload, rejected before allocation:
+/// a 100k-session binary snapshot is ~14 MiB.
 pub const MAX_FRAME: usize = 1 << 26;
 
 /// The most one body read asks a socket for — and so the most memory a
@@ -196,12 +185,12 @@ pub enum Frame {
     Hello {
         /// Must equal [`MAGIC`].
         magic: [u8; 4],
-        /// Must lie in [`MIN_VERSION`]`..=`[`VERSION`].
+        /// Must equal [`VERSION`].
         version: u8,
     },
     /// Handshake accepted.
     HelloOk {
-        /// The negotiated protocol version (the client's offer).
+        /// The protocol version, [`VERSION`].
         version: u8,
     },
     /// Admit one dedicated session for `tenant`.
@@ -227,13 +216,6 @@ pub enum Frame {
         /// The session to leave.
         key: u64,
     },
-    /// Buffer arrivals for the next batch tick without committing it.
-    Stage {
-        /// Request id.
-        id: u64,
-        /// `(session key, bits)` pairs to stage.
-        arrivals: Vec<(u64, f64)>,
-    },
     /// Stage `arrivals`, then commit the batch tick (all staged arrivals
     /// across every connection, applied in ascending key order).
     Tick {
@@ -242,7 +224,8 @@ pub enum Frame {
         /// `(session key, bits)` pairs to stage before committing.
         arrivals: Vec<(u64, f64)>,
     },
-    /// Buffer arrivals without acknowledgement (v2). The server sends no
+    /// Buffer arrivals for the next batch tick without acknowledgement.
+    /// The server sends no
     /// reply on success; a rejected batch is reported asynchronously with
     /// a typed [`Frame::Error`] carrying [`PUSH_ID`], which the client
     /// surfaces at its next synchronous request. This removes one round
@@ -253,7 +236,7 @@ pub enum Frame {
         arrivals: Vec<(u64, f64)>,
     },
     /// Stage `arrivals`, then commit the batch tick once at least
-    /// `min_staged` arrivals are buffered gateway-wide (v2). The commit is
+    /// `min_staged` arrivals are buffered gateway-wide. The commit is
     /// parked until unacknowledged stages from other connections have
     /// landed, which makes the commit's contents independent of socket
     /// arrival order.
@@ -265,29 +248,10 @@ pub enum Frame {
         /// Arrivals that must be staged before the commit fires.
         min_staged: u32,
     },
-    /// Request a snapshot as a delta against the last snapshot this
-    /// connection received (v2). The first request on a connection — and
-    /// any request after the server lost the baseline — is answered with
-    /// a full snapshot instead.
-    SnapshotDelta {
-        /// Request id.
-        id: u64,
-    },
-    /// Request a full [`GatewaySnapshot`](crate::GatewaySnapshot).
-    Snapshot {
-        /// Request id.
-        id: u64,
-    },
-    /// Request a full snapshot in the binary codec (v3). Same data as
-    /// [`Frame::Snapshot`], answered with [`Frame::SnapshotBinOk`]
-    /// carrying a [`crate::codec`] body instead of JSON text.
+    /// Request a full [`GatewaySnapshot`](crate::GatewaySnapshot),
+    /// answered with [`Frame::SnapshotBinOk`] carrying a [`crate::codec`]
+    /// body.
     SnapshotBin {
-        /// Request id.
-        id: u64,
-    },
-    /// Request a delta snapshot in the binary codec (v3). Same baseline
-    /// chaining as [`Frame::SnapshotDelta`]; the reply body is binary.
-    SnapshotDeltaBin {
         /// Request id.
         id: u64,
     },
@@ -298,7 +262,7 @@ pub enum Frame {
         /// Event period in ticks (≥ 1).
         every: u32,
     },
-    /// Subscribe with batched delivery (v3): the server buffers `batch`
+    /// Subscribe with batched delivery: the server buffers `batch`
     /// due events and ships them as one [`Frame::EventBatch`] — one frame
     /// header and one socket write per `batch` events instead of per
     /// event. A partial batch is held until it fills, so worst-case event
@@ -313,7 +277,7 @@ pub enum Frame {
         /// Events per [`Frame::EventBatch`] push (≥ 1).
         batch: u32,
     },
-    /// Revoke one session's ownership lease and take its state (v4): the
+    /// Revoke one session's ownership lease and take its state: the
     /// session is quiesced, its slab row captured as a binary checkpoint
     /// blob, and it is removed from this process with its budget envelope
     /// released. First half of a fleet live migration; the orchestrator
@@ -325,7 +289,7 @@ pub enum Frame {
         /// connection and dedicated (pooled members cannot migrate).
         key: u64,
     },
-    /// Grant this process a lease on a migrated-in session (v4): the blob
+    /// Grant this process a lease on a migrated-in session: the blob
     /// from a [`Frame::LeaseRevoked`] is imported under a fresh key and
     /// the session resumes bitwise at the bumped lease epoch.
     LeaseGrant {
@@ -339,7 +303,7 @@ pub enum Frame {
         bytes: Vec<u8>,
     },
     /// Pull the columnar checkpoint frame retained for one shard if it
-    /// is newer than `cursor` (v5). The first request uses cursor 0;
+    /// is newer than `cursor`. The first request uses cursor 0;
     /// every reply carries the cursor to resume from, so a subscriber
     /// that polls pays only for a frame it has not seen.
     CheckpointDeltaBin {
@@ -353,7 +317,7 @@ pub enum Frame {
         /// applying it resets the subscriber's mirror cleanly.
         cursor: u64,
     },
-    /// Put the process in draining mode (v4): new joins are refused with
+    /// Put the process in draining mode: new joins are refused with
     /// [`ErrorCode::Draining`] while existing sessions keep ticking, and
     /// the reply lists every migratable (dedicated) session so the
     /// orchestrator can move them away.
@@ -385,63 +349,21 @@ pub enum Frame {
         /// Echoed request id.
         id: u64,
     },
-    /// Response to [`Frame::Stage`].
-    StageOk {
-        /// Echoed request id.
-        id: u64,
-        /// Arrivals now buffered for the pending tick (all connections).
-        staged: u32,
-    },
-    /// Response to [`Frame::Tick`].
+    /// Response to [`Frame::Tick`] and [`Frame::TickSync`].
     TickOk {
         /// Echoed request id.
         id: u64,
         /// Ticks committed so far (after this one).
         tick: u64,
     },
-    /// Response to [`Frame::Snapshot`].
-    SnapshotOk {
-        /// Echoed request id.
-        id: u64,
-        /// A `GatewaySnapshot` as JSON.
-        json: String,
-    },
-    /// Response to [`Frame::SnapshotBin`] (v3).
+    /// Response to [`Frame::SnapshotBin`].
     SnapshotBinOk {
         /// Echoed request id.
         id: u64,
         /// A `GatewaySnapshot` in the [`crate::codec`] binary encoding.
         bytes: Vec<u8>,
     },
-    /// Response to [`Frame::SnapshotDeltaBin`] (v3).
-    SnapshotDeltaBinOk {
-        /// Echoed request id.
-        id: u64,
-        /// Monotone per-connection snapshot sequence number; the next
-        /// delta diffs against the snapshot carrying this sequence.
-        seq: u64,
-        /// When true, `bytes` is a full `GatewaySnapshot` (baseline or
-        /// resync); when false, a `SnapshotDeltaBody` to apply on top of
-        /// the previous snapshot.
-        full: bool,
-        /// The snapshot or delta in the [`crate::codec`] binary encoding.
-        bytes: Vec<u8>,
-    },
-    /// Response to [`Frame::SnapshotDelta`] (v2).
-    SnapshotDeltaOk {
-        /// Echoed request id.
-        id: u64,
-        /// Monotone per-connection snapshot sequence number; the next
-        /// delta diffs against the snapshot carrying this sequence.
-        seq: u64,
-        /// When true, `json` is a full `GatewaySnapshot` (baseline or
-        /// resync); when false, a `SnapshotDeltaBody` to apply on top of
-        /// the previous snapshot.
-        full: bool,
-        /// The snapshot or delta, as JSON.
-        json: String,
-    },
-    /// Response to [`Frame::LeaseRevoke`] (v4).
+    /// Response to [`Frame::LeaseRevoke`].
     LeaseRevoked {
         /// Echoed request id.
         id: u64,
@@ -451,14 +373,14 @@ pub enum Frame {
         /// [`Frame::LeaseGrant`] on the target process verbatim.
         bytes: Vec<u8>,
     },
-    /// Response to [`Frame::LeaseGrant`] (v4).
+    /// Response to [`Frame::LeaseGrant`].
     LeaseGranted {
         /// Echoed request id.
         id: u64,
         /// The key the session resumed under on this process.
         key: u64,
     },
-    /// Response to [`Frame::CheckpointDeltaBin`] (v5).
+    /// Response to [`Frame::CheckpointDeltaBin`].
     CheckpointDeltaBinOk {
         /// Echoed request id.
         id: u64,
@@ -470,7 +392,7 @@ pub enum Frame {
         /// verbatim as the shard worker emitted it.
         frames: Vec<(u8, Vec<u8>)>,
     },
-    /// Response to [`Frame::Drain`] (v4).
+    /// Response to [`Frame::Drain`].
     DrainOk {
         /// Echoed request id.
         id: u64,
@@ -498,7 +420,7 @@ pub enum Frame {
         /// Cumulative signalling cost under the service's price model.
         signalling_cost: f64,
     },
-    /// Server push to batched subscribers (v3): `batch` due events in one
+    /// Server push to batched subscribers: `batch` due events in one
     /// frame, oldest first. See [`Frame::SubscribeBatch`].
     EventBatch {
         /// The buffered events, in commit order.
@@ -564,36 +486,31 @@ const K_HELLO_OK: u8 = 0x02;
 const K_JOIN: u8 = 0x10;
 const K_JOIN_GROUP: u8 = 0x11;
 const K_LEAVE: u8 = 0x12;
-const K_STAGE: u8 = 0x13;
+// The retired acked-stage, JSON-snapshot and delta-snapshot requests
+// (0x13, 0x15, 0x1A, 0x1C) and their replies (0x23, 0x25, 0x28, 0x2A)
+// decode as unknown kinds; the bytes are not reused.
 const K_TICK: u8 = 0x14;
-const K_SNAPSHOT: u8 = 0x15;
 const K_SUBSCRIBE: u8 = 0x16;
 const K_GOODBYE: u8 = 0x17;
 const K_STAGE_NOACK: u8 = 0x18;
 const K_TICK_SYNC: u8 = 0x19;
-const K_SNAPSHOT_DELTA: u8 = 0x1A;
 const K_SNAPSHOT_BIN: u8 = 0x1B;
-const K_SNAPSHOT_DELTA_BIN: u8 = 0x1C;
 const K_SUBSCRIBE_BATCH: u8 = 0x1D;
 const K_JOINED: u8 = 0x20;
 const K_GROUP_JOINED: u8 = 0x21;
 const K_LEAVE_OK: u8 = 0x22;
-const K_STAGE_OK: u8 = 0x23;
 const K_TICK_OK: u8 = 0x24;
-const K_SNAPSHOT_OK: u8 = 0x25;
 const K_SUBSCRIBE_OK: u8 = 0x26;
 const K_GOODBYE_OK: u8 = 0x27;
-const K_SNAPSHOT_DELTA_OK: u8 = 0x28;
 const K_SNAPSHOT_BIN_OK: u8 = 0x29;
-const K_SNAPSHOT_DELTA_BIN_OK: u8 = 0x2A;
 const K_LEASE_REVOKED: u8 = 0x2B;
 const K_LEASE_GRANTED: u8 = 0x2C;
 const K_DRAIN_OK: u8 = 0x2D;
 const K_EVENT: u8 = 0x30;
 const K_EVENT_BATCH: u8 = 0x31;
 const K_ERROR: u8 = 0x3F;
-// The 0x1E/0x1F request slots were exhausted by v3; v4 requests start a
-// fresh block at 0x40.
+// The request block ends at 0x1F; later requests start a fresh one at
+// 0x40.
 const K_LEASE_REVOKE: u8 = 0x40;
 const K_LEASE_GRANT: u8 = 0x41;
 const K_DRAIN: u8 = 0x42;
@@ -659,11 +576,6 @@ pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) {
             payload.put_u64_le(*id);
             payload.put_u64_le(*key);
         }
-        Frame::Stage { id, arrivals } => {
-            payload.put_u8(K_STAGE);
-            payload.put_u64_le(*id);
-            put_arrivals(payload, arrivals);
-        }
         Frame::Tick { id, arrivals } => {
             payload.put_u8(K_TICK);
             payload.put_u64_le(*id);
@@ -683,20 +595,8 @@ pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) {
             payload.put_u32_le(*min_staged);
             put_arrivals(payload, arrivals);
         }
-        Frame::SnapshotDelta { id } => {
-            payload.put_u8(K_SNAPSHOT_DELTA);
-            payload.put_u64_le(*id);
-        }
-        Frame::Snapshot { id } => {
-            payload.put_u8(K_SNAPSHOT);
-            payload.put_u64_le(*id);
-        }
         Frame::SnapshotBin { id } => {
             payload.put_u8(K_SNAPSHOT_BIN);
-            payload.put_u64_le(*id);
-        }
-        Frame::SnapshotDeltaBin { id } => {
-            payload.put_u8(K_SNAPSHOT_DELTA_BIN);
             payload.put_u64_le(*id);
         }
         Frame::Subscribe { id, every } => {
@@ -762,48 +662,14 @@ pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) {
             payload.put_u8(K_LEAVE_OK);
             payload.put_u64_le(*id);
         }
-        Frame::StageOk { id, staged } => {
-            payload.put_u8(K_STAGE_OK);
-            payload.put_u64_le(*id);
-            payload.put_u32_le(*staged);
-        }
         Frame::TickOk { id, tick } => {
             payload.put_u8(K_TICK_OK);
             payload.put_u64_le(*id);
             payload.put_u64_le(*tick);
         }
-        Frame::SnapshotOk { id, json } => {
-            payload.put_u8(K_SNAPSHOT_OK);
-            payload.put_u64_le(*id);
-            put_string(payload, json);
-        }
-        Frame::SnapshotDeltaOk {
-            id,
-            seq,
-            full,
-            json,
-        } => {
-            payload.put_u8(K_SNAPSHOT_DELTA_OK);
-            payload.put_u64_le(*id);
-            payload.put_u64_le(*seq);
-            payload.put_u8(u8::from(*full));
-            put_string(payload, json);
-        }
         Frame::SnapshotBinOk { id, bytes } => {
             payload.put_u8(K_SNAPSHOT_BIN_OK);
             payload.put_u64_le(*id);
-            put_bytes(payload, bytes);
-        }
-        Frame::SnapshotDeltaBinOk {
-            id,
-            seq,
-            full,
-            bytes,
-        } => {
-            payload.put_u8(K_SNAPSHOT_DELTA_BIN_OK);
-            payload.put_u64_le(*id);
-            payload.put_u64_le(*seq);
-            payload.put_u8(u8::from(*full));
             put_bytes(payload, bytes);
         }
         Frame::LeaseRevoked { id, epoch, bytes } => {
@@ -863,9 +729,8 @@ pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) {
     payload[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
 }
 
-/// [`encode_into`] for the four frames whose payload ends in arrivals
-/// ([`Frame::Stage`], [`Frame::Tick`], [`Frame::StageNoAck`],
-/// [`Frame::TickSync`]), given with their own list empty: `arrivals` goes
+/// [`encode_into`] for the three frames whose payload ends in arrivals
+/// ([`Frame::Tick`], [`Frame::StageNoAck`], [`Frame::TickSync`]), given with their own list empty: `arrivals` goes
 /// in its place straight from the caller's slice, so a client does not
 /// copy a batch into a frame only to have it read once.
 pub fn encode_arrivals_into(frame: &Frame, arrivals: &[(u64, f64)], out: &mut Vec<u8>) {
@@ -1051,10 +916,6 @@ pub fn decode_payload(payload: Bytes) -> Result<Frame, ProtoError> {
             id: r.u64()?,
             key: r.u64()?,
         },
-        K_STAGE => Frame::Stage {
-            id: r.u64()?,
-            arrivals: r.arrivals()?,
-        },
         K_TICK => Frame::Tick {
             id: r.u64()?,
             arrivals: r.arrivals()?,
@@ -1067,10 +928,7 @@ pub fn decode_payload(payload: Bytes) -> Result<Frame, ProtoError> {
             min_staged: r.u32()?,
             arrivals: r.arrivals()?,
         },
-        K_SNAPSHOT_DELTA => Frame::SnapshotDelta { id: r.u64()? },
-        K_SNAPSHOT => Frame::Snapshot { id: r.u64()? },
         K_SNAPSHOT_BIN => Frame::SnapshotBin { id: r.u64()? },
-        K_SNAPSHOT_DELTA_BIN => Frame::SnapshotDeltaBin { id: r.u64()? },
         K_SUBSCRIBE => Frame::Subscribe {
             id: r.u64()?,
             every: r.u32()?,
@@ -1129,32 +987,12 @@ pub fn decode_payload(payload: Bytes) -> Result<Frame, ProtoError> {
             members: r.keys()?,
         },
         K_LEAVE_OK => Frame::LeaveOk { id: r.u64()? },
-        K_STAGE_OK => Frame::StageOk {
-            id: r.u64()?,
-            staged: r.u32()?,
-        },
         K_TICK_OK => Frame::TickOk {
             id: r.u64()?,
             tick: r.u64()?,
         },
-        K_SNAPSHOT_OK => Frame::SnapshotOk {
-            id: r.u64()?,
-            json: r.string()?,
-        },
-        K_SNAPSHOT_DELTA_OK => Frame::SnapshotDeltaOk {
-            id: r.u64()?,
-            seq: r.u64()?,
-            full: r.u8()? != 0,
-            json: r.string()?,
-        },
         K_SNAPSHOT_BIN_OK => Frame::SnapshotBinOk {
             id: r.u64()?,
-            bytes: r.bytes()?,
-        },
-        K_SNAPSHOT_DELTA_BIN_OK => Frame::SnapshotDeltaBinOk {
-            id: r.u64()?,
-            seq: r.u64()?,
-            full: r.u8()? != 0,
             bytes: r.bytes()?,
         },
         K_SUBSCRIBE_OK => Frame::SubscribeOk { id: r.u64()? },
@@ -1213,12 +1051,8 @@ pub fn reply_id(frame: &Frame) -> Option<u64> {
         Frame::Joined { id, .. }
         | Frame::GroupJoined { id, .. }
         | Frame::LeaveOk { id }
-        | Frame::StageOk { id, .. }
         | Frame::TickOk { id, .. }
-        | Frame::SnapshotOk { id, .. }
-        | Frame::SnapshotDeltaOk { id, .. }
         | Frame::SnapshotBinOk { id, .. }
-        | Frame::SnapshotDeltaBinOk { id, .. }
         | Frame::LeaseRevoked { id, .. }
         | Frame::LeaseGranted { id, .. }
         | Frame::DrainOk { id, .. }
@@ -1259,10 +1093,6 @@ mod tests {
             size: 4,
         });
         roundtrip(Frame::Leave { id: 9, key: 42 });
-        roundtrip(Frame::Stage {
-            id: 10,
-            arrivals: vec![(0, 1.5), (3, 0.0)],
-        });
         roundtrip(Frame::Tick {
             id: 11,
             arrivals: vec![],
@@ -1275,10 +1105,7 @@ mod tests {
             arrivals: vec![(1, 0.5)],
             min_staged: 6,
         });
-        roundtrip(Frame::SnapshotDelta { id: 22 });
-        roundtrip(Frame::Snapshot { id: 12 });
         roundtrip(Frame::SnapshotBin { id: 23 });
-        roundtrip(Frame::SnapshotDeltaBin { id: 24 });
         roundtrip(Frame::Subscribe { id: 13, every: 64 });
         roundtrip(Frame::SubscribeBatch {
             id: 25,
@@ -1319,27 +1146,10 @@ mod tests {
             members: vec![1, 2, 3],
         });
         roundtrip(Frame::LeaveOk { id: 9 });
-        roundtrip(Frame::StageOk { id: 10, staged: 2 });
         roundtrip(Frame::TickOk { id: 11, tick: 99 });
-        roundtrip(Frame::SnapshotOk {
-            id: 12,
-            json: "{\"ticks\":1}".into(),
-        });
-        roundtrip(Frame::SnapshotDeltaOk {
-            id: 22,
-            seq: 3,
-            full: false,
-            json: "{\"baseline_seq\":2}".into(),
-        });
         roundtrip(Frame::SnapshotBinOk {
             id: 23,
             bytes: vec![1, 0, 255, 42],
-        });
-        roundtrip(Frame::SnapshotDeltaBinOk {
-            id: 24,
-            seq: 5,
-            full: true,
-            bytes: vec![],
         });
         roundtrip(Frame::SubscribeOk { id: 13 });
         roundtrip(Frame::GoodbyeOk { id: 14 });

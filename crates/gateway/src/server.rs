@@ -327,8 +327,6 @@ struct Conn {
     /// Since when the write buffer has been non-empty without progress.
     write_stalled: Option<Instant>,
     hello_done: bool,
-    /// Negotiated protocol version (meaningful once `hello_done`).
-    version: u8,
     last_activity: Instant,
     /// Flush the write buffer, then close (goodbye, fatal errors).
     closing: bool,
@@ -345,7 +343,6 @@ impl Conn {
             behind: Vec::new(),
             write_stalled: None,
             hello_done: false,
-            version: proto::VERSION,
             last_activity: Instant::now(),
             closing: false,
         }
@@ -727,20 +724,18 @@ impl Core {
                         conn.queue(&self.stats, &frame);
                         return After::Close;
                     }
-                    if !(proto::MIN_VERSION..=proto::VERSION).contains(&version) {
+                    if version != proto::VERSION {
                         let frame = Frame::Error {
                             id: PUSH_ID,
                             code: ErrorCode::BadVersion,
                             message: format!(
-                                "server speaks versions {}..={}, client sent {version}",
-                                proto::MIN_VERSION,
+                                "server speaks version {}, client sent {version}",
                                 proto::VERSION
                             ),
                         };
                         conn.queue(&self.stats, &frame);
                         return After::Close;
                     }
-                    conn.version = version;
                     conn.hello_done = true;
                     conn.queue(&self.stats, &Frame::HelloOk { version });
                     After::Keep
@@ -773,23 +768,17 @@ impl Core {
             request @ (Frame::Join { .. }
             | Frame::JoinGroup { .. }
             | Frame::Leave { .. }
-            | Frame::Stage { .. }
             | Frame::Tick { .. }
             | Frame::StageNoAck { .. }
             | Frame::TickSync { .. }
-            | Frame::SnapshotDelta { .. }
-            | Frame::Snapshot { .. }
             | Frame::SnapshotBin { .. }
-            | Frame::SnapshotDeltaBin { .. }
             | Frame::Subscribe { .. }
             | Frame::SubscribeBatch { .. }
             | Frame::LeaseRevoke { .. }
             | Frame::LeaseGrant { .. }
             | Frame::Drain { .. }
             | Frame::CheckpointDeltaBin { .. }) => {
-                let version = conn.version;
-                self.service
-                    .handle(conn_id, version, request, &mut self.out);
+                self.service.handle(conn_id, request, &mut self.out);
                 self.drain_outbox();
                 After::Keep
             }

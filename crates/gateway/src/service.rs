@@ -18,10 +18,9 @@
 //! [`Frame::TickSync`] commit released by another connection's
 //! [`Frame::StageNoAck`]).
 
-use crate::codec::{self, SnapshotStream};
-use crate::delta;
+use crate::codec::SnapshotStream;
 use crate::proto::{ErrorCode, EventBody, Frame, PUSH_ID};
-use crate::stats::{WireSnapshot, WireStats};
+use crate::stats::WireStats;
 use crate::GatewaySnapshot;
 use cdba_ctrl::{ControlPlane, CtrlError, ServiceConfig, ServiceSnapshot};
 use std::collections::HashMap;
@@ -60,22 +59,6 @@ struct ParkedTick {
     since: Instant,
 }
 
-/// The per-connection delta-snapshot baseline: the sequence number and
-/// service snapshot last sent to that connection.
-struct Baseline {
-    seq: u64,
-    snapshot: Arc<ServiceSnapshot>,
-}
-
-/// How a snapshot body goes on the wire: JSON text (v1/v2, and the v3
-/// reference encoding) or the v3 binary codec. Both decode to bitwise
-/// identical snapshots.
-#[derive(Clone, Copy)]
-enum BodyCodec {
-    Json,
-    Binary,
-}
-
 /// One connection's subscription: period, batch size, and the events
 /// buffered toward the next [`Frame::EventBatch`] (empty when
 /// `batch == 1`, which pushes plain [`Frame::Event`]s immediately).
@@ -101,9 +84,7 @@ pub(crate) struct ServiceCore {
     subs: HashMap<u64, Sub>,
     /// At most one count-gated tick commit may be parked at a time.
     parked: Option<ParkedTick>,
-    /// Per-connection delta-snapshot baselines.
-    baselines: HashMap<u64, Baseline>,
-    /// session key → lease epoch (v4), non-zero epochs only: a join is
+    /// session key → lease epoch, non-zero epochs only: a join is
     /// epoch 0 by definition; a migrated-in session resumes at whatever
     /// epoch its [`Frame::LeaseGrant`] carried (the orchestrator bumps it
     /// per hop).
@@ -134,7 +115,6 @@ impl ServiceCore {
             pending: Vec::new(),
             subs: HashMap::new(),
             parked: None,
-            baselines: HashMap::new(),
             leases: HashMap::new(),
             draining: false,
         }
@@ -152,143 +132,44 @@ impl ServiceCore {
         self.plane.attach_trace(trace);
     }
 
-    /// Handles one decoded client frame. `version` is the connection's
-    /// negotiated protocol version; v2-only frames on a v1 connection are
-    /// refused with a typed `Proto` error. Every produced frame — the
+    /// Handles one decoded client frame. Every produced frame — the
     /// reply, subscription events, async stage failures, a released
     /// parked commit — lands in `out` tagged with its target connection.
     ///
     /// One request latency sample is recorded per replied request;
     /// [`Frame::StageNoAck`] deliberately records none (it has no reply —
     /// that is its point).
-    pub(crate) fn handle(&mut self, conn: u64, version: u8, frame: Frame, out: &mut Outbox) {
+    pub(crate) fn handle(&mut self, conn: u64, frame: Frame, out: &mut Outbox) {
         let started = Instant::now();
         let reply = match frame {
             Frame::Join { id, tenant } => Some(self.join(conn, id, &tenant)),
             Frame::JoinGroup { id, tenant, size } => Some(self.join_group(conn, id, &tenant, size)),
             Frame::Leave { id, key } => Some(self.leave(conn, id, key)),
-            Frame::Stage { id, arrivals } => Some(self.stage(conn, id, &arrivals, out)),
             Frame::Tick { id, arrivals } => Some(self.tick(conn, id, &arrivals, out)),
             Frame::StageNoAck { arrivals } => {
-                if version < 2 {
-                    out.push((
-                        conn,
-                        Reply::Frame(Frame::Error {
-                            id: PUSH_ID,
-                            code: ErrorCode::Proto,
-                            message: "stage-no-ack requires protocol version 2".into(),
-                        }),
-                    ));
-                } else {
-                    self.stage_noack(conn, &arrivals, out);
-                }
+                self.stage_noack(conn, &arrivals, out);
                 return;
             }
             Frame::TickSync {
                 id,
                 arrivals,
                 min_staged,
-            } => {
-                if version < 2 {
-                    Some(Frame::Error {
-                        id,
-                        code: ErrorCode::Proto,
-                        message: "tick-sync requires protocol version 2".into(),
-                    })
-                } else {
-                    self.tick_sync(conn, id, &arrivals, min_staged, started, out)
-                }
-            }
-            Frame::SnapshotDelta { id } => {
-                if version < 2 {
-                    Some(Frame::Error {
-                        id,
-                        code: ErrorCode::Proto,
-                        message: "snapshot-delta requires protocol version 2".into(),
-                    })
-                } else {
-                    Some(self.snapshot_delta(conn, id, BodyCodec::Json))
-                }
-            }
-            Frame::Snapshot { id } => Some(self.snapshot_frame(id)),
+            } => self.tick_sync(conn, id, &arrivals, min_staged, started, out),
             Frame::SnapshotBin { id } => {
-                if version < 3 {
-                    Some(Frame::Error {
-                        id,
-                        code: ErrorCode::Proto,
-                        message: "snapshot-bin requires protocol version 3".into(),
-                    })
-                } else {
-                    out.push((conn, self.snapshot_bin_reply(id, started)));
-                    return;
-                }
+                out.push((conn, self.snapshot_bin_reply(id, started)));
+                return;
             }
-            Frame::SnapshotDeltaBin { id } => {
-                if version < 3 {
-                    Some(Frame::Error {
-                        id,
-                        code: ErrorCode::Proto,
-                        message: "snapshot-delta-bin requires protocol version 3".into(),
-                    })
-                } else {
-                    Some(self.snapshot_delta(conn, id, BodyCodec::Binary))
-                }
-            }
-            Frame::LeaseRevoke { id, key } => {
-                if version < 4 {
-                    Some(Frame::Error {
-                        id,
-                        code: ErrorCode::Proto,
-                        message: "lease-revoke requires protocol version 4".into(),
-                    })
-                } else {
-                    Some(self.lease_revoke(conn, id, key))
-                }
-            }
+            Frame::LeaseRevoke { id, key } => Some(self.lease_revoke(conn, id, key)),
             Frame::LeaseGrant { id, epoch, bytes } => {
-                if version < 4 {
-                    Some(Frame::Error {
-                        id,
-                        code: ErrorCode::Proto,
-                        message: "lease-grant requires protocol version 4".into(),
-                    })
-                } else {
-                    Some(self.lease_grant(conn, id, epoch, &bytes))
-                }
+                Some(self.lease_grant(conn, id, epoch, &bytes))
             }
-            Frame::Drain { id } => {
-                if version < 4 {
-                    Some(Frame::Error {
-                        id,
-                        code: ErrorCode::Proto,
-                        message: "drain requires protocol version 4".into(),
-                    })
-                } else {
-                    Some(self.drain(id))
-                }
-            }
+            Frame::Drain { id } => Some(self.drain(id)),
             Frame::CheckpointDeltaBin { id, shard, cursor } => {
-                if version < 5 {
-                    Some(Frame::Error {
-                        id,
-                        code: ErrorCode::Proto,
-                        message: "checkpoint-delta-bin requires protocol version 5".into(),
-                    })
-                } else {
-                    Some(self.checkpoint_delta_bin(id, shard, cursor))
-                }
+                Some(self.checkpoint_delta_bin(id, shard, cursor))
             }
             Frame::Subscribe { id, every } => Some(self.subscribe(conn, id, every, 1)),
             Frame::SubscribeBatch { id, every, batch } => {
-                if version < 3 {
-                    Some(Frame::Error {
-                        id,
-                        code: ErrorCode::Proto,
-                        message: "subscribe-batch requires protocol version 3".into(),
-                    })
-                } else {
-                    Some(self.subscribe(conn, id, every, batch))
-                }
+                Some(self.subscribe(conn, id, every, batch))
             }
             other => {
                 debug_assert!(false, "connection core routed a non-request: {other:?}");
@@ -487,17 +368,6 @@ impl ServiceCore {
         }
     }
 
-    fn stage(&mut self, conn: u64, id: u64, arrivals: &[(u64, f64)], out: &mut Outbox) -> Frame {
-        match self.stage_arrivals(conn, arrivals) {
-            Ok(()) => {
-                let staged = self.pending.len() as u32;
-                self.try_release_parked(out);
-                Frame::StageOk { id, staged }
-            }
-            Err(e) => Self::with_id(e, id),
-        }
-    }
-
     /// Stages without a reply; a rejected batch is reported as an async
     /// error the client surfaces at its next synchronous request.
     fn stage_noack(&mut self, conn: u64, arrivals: &[(u64, f64)], out: &mut Outbox) {
@@ -628,7 +498,7 @@ impl ServiceCore {
     }
 
     /// Pushes a subscription event to every due subscriber. Batched
-    /// subscribers (v3) buffer until `batch` events are due, then get
+    /// subscribers buffer until `batch` events are due, then get
     /// them all in one [`Frame::EventBatch`].
     fn push_events(&mut self, out: &mut Outbox) {
         if self.subs.is_empty() {
@@ -685,55 +555,18 @@ impl ServiceCore {
         }
     }
 
-    /// The two halves of a [`GatewaySnapshot`], the service half still
-    /// shared with the control plane's cache: the binary replies encode
-    /// straight from it, and only the JSON replies pay for an owned copy.
-    fn gateway_snapshot(&mut self) -> Result<(Arc<ServiceSnapshot>, WireSnapshot), CtrlError> {
-        let service = self.plane.snapshot_shared()?;
-        Ok((service, self.stats.snapshot()))
-    }
-
-    fn snapshot_json(
-        id: u64,
-        service: &ServiceSnapshot,
-        wire: WireSnapshot,
-    ) -> Result<String, Frame> {
-        let snap = GatewaySnapshot {
-            service: service.clone(),
-            wire,
-        };
-        snap.to_json_string().map_err(|e| Frame::Error {
-            id,
-            code: ErrorCode::Ctrl,
-            message: format!("snapshot serialisation failed: {e}"),
-        })
-    }
-
-    fn snapshot_frame(&mut self, id: u64) -> Frame {
-        self.stats
-            .full_snapshots
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        match self.gateway_snapshot() {
-            Ok((service, wire)) => match Self::snapshot_json(id, &service, wire) {
-                Ok(json) => Frame::SnapshotOk { id, json },
-                Err(e) => e,
-            },
-            Err(e) => ctrl_error(id, &e),
-        }
-    }
-
-    /// The v3 sibling of [`Self::snapshot_frame`]: same snapshot, binary
-    /// body — not encoded here, but streamed by the connection from the
-    /// control plane's shared snapshot, which also takes the latency
-    /// sample, once the last rows are queued.
+    /// Answers a snapshot poll: the binary body is not encoded here, but
+    /// streamed by the connection from the control plane's shared
+    /// snapshot, which also takes the latency sample, once the last rows
+    /// are queued.
     fn snapshot_bin_reply(&mut self, id: u64, started: Instant) -> Reply {
         self.stats
             .full_snapshots
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        match self.gateway_snapshot() {
-            Ok((service, wire)) => Reply::Snapshot {
+        match self.plane.snapshot_shared() {
+            Ok(service) => Reply::Snapshot {
                 id,
-                body: SnapshotStream::new(service, &wire),
+                body: SnapshotStream::new(service, &self.stats.snapshot()),
                 started,
             },
             Err(e) => {
@@ -741,88 +574,6 @@ impl ServiceCore {
                 ctrl_error(id, &e).into()
             }
         }
-    }
-
-    /// Answers a v2/v3 snapshot request: a delta against the last
-    /// snapshot this connection received, or a full snapshot when no
-    /// baseline exists yet. The new snapshot becomes the connection's
-    /// baseline — the blocking client acknowledges implicitly by sending
-    /// its next request, and a connection that never parses a reply
-    /// simply re-establishes with a full snapshot after reconnecting.
-    /// The baseline is shared between the JSON and binary requests: both
-    /// reconstruct the identical `ServiceSnapshot`, so a client may mix
-    /// encodings on one connection.
-    fn snapshot_delta(&mut self, conn: u64, id: u64, body_codec: BodyCodec) -> Frame {
-        // Count the poll before assembling the snapshot so the wire
-        // counters inside the reply include the reply itself.
-        let o = std::sync::atomic::Ordering::Relaxed;
-        if self.baselines.contains_key(&conn) {
-            self.stats.delta_snapshots.fetch_add(1, o);
-        } else {
-            self.stats.full_snapshots.fetch_add(1, o);
-        }
-        let (service, wire) = match self.gateway_snapshot() {
-            Ok(pair) => pair,
-            Err(e) => return ctrl_error(id, &e),
-        };
-        let reply = match self.baselines.get(&conn) {
-            Some(base) => {
-                let seq = base.seq + 1;
-                let body = delta::diff(&base.snapshot, base.seq, &service, seq, wire);
-                match body_codec {
-                    BodyCodec::Binary => Frame::SnapshotDeltaBinOk {
-                        id,
-                        seq,
-                        full: false,
-                        bytes: codec::encode_delta_body(&body),
-                    },
-                    BodyCodec::Json => match serde_json::to_string(&body) {
-                        Ok(json) => Frame::SnapshotDeltaOk {
-                            id,
-                            seq,
-                            full: false,
-                            json,
-                        },
-                        Err(e) => Frame::Error {
-                            id,
-                            code: ErrorCode::Ctrl,
-                            message: format!("delta serialisation failed: {e}"),
-                        },
-                    },
-                }
-            }
-            None => match body_codec {
-                BodyCodec::Binary => Frame::SnapshotDeltaBinOk {
-                    id,
-                    seq: 1,
-                    full: true,
-                    bytes: {
-                        let mut body = Vec::new();
-                        codec::encode_snapshot_parts(&service, &wire, &mut body);
-                        body
-                    },
-                },
-                BodyCodec::Json => match Self::snapshot_json(id, &service, wire) {
-                    Ok(json) => Frame::SnapshotDeltaOk {
-                        id,
-                        seq: 1,
-                        full: true,
-                        json,
-                    },
-                    Err(e) => e,
-                },
-            },
-        };
-        if let Frame::SnapshotDeltaOk { seq, .. } | Frame::SnapshotDeltaBinOk { seq, .. } = &reply {
-            self.baselines.insert(
-                conn,
-                Baseline {
-                    seq: *seq,
-                    snapshot: service,
-                },
-            );
-        }
-        reply
     }
 
     fn subscribe(&mut self, conn: u64, id: u64, every: u32, batch: u32) -> Frame {
@@ -851,12 +602,11 @@ impl ServiceCore {
         Frame::SubscribeOk { id }
     }
 
-    /// Releases everything a closed connection held: subscriptions, its
-    /// delta baseline, a parked commit, and its sessions (best-effort —
+    /// Releases everything a closed connection held: subscriptions, a
+    /// parked commit, and its sessions (best-effort —
     /// a session may already be gone if its shard is down).
     pub(crate) fn conn_closed(&mut self, conn: u64) {
         self.subs.remove(&conn);
-        self.baselines.remove(&conn);
         if self.parked.as_ref().is_some_and(|p| p.conn == conn) {
             self.parked = None;
         }
@@ -898,7 +648,7 @@ mod tests {
 
     fn request(core: &mut ServiceCore, conn: u64, frame: Frame) -> Vec<Frame> {
         let mut out = Outbox::new();
-        core.handle(conn, crate::proto::VERSION, frame, &mut out);
+        core.handle(conn, frame, &mut out);
         out.into_iter()
             .map(|(to, reply)| match reply {
                 Reply::Frame(frame) => {
@@ -1003,9 +753,9 @@ mod tests {
         let (a, b, foreign) = (join(1), join(1), join(2));
         fn refused(core: &mut ServiceCore, arrivals: &[(u64, f64)]) -> (ErrorCode, String) {
             let arrivals = arrivals.to_vec();
-            match request(core, 1, Frame::Stage { id: 9, arrivals }).pop() {
+            match request(core, 1, Frame::StageNoAck { arrivals }).pop() {
                 Some(Frame::Error {
-                    id: 9,
+                    id: PUSH_ID,
                     code,
                     message,
                 }) => (code, message),
@@ -1038,10 +788,8 @@ mod tests {
         assert_eq!(core.slots.len(), 3, "a hostile key allocates nothing");
         // Nothing of the refused batches stayed staged.
         let arrivals = vec![(a, 1.0), (b, 2.0)];
-        assert_eq!(
-            request(&mut core, 1, Frame::Stage { id: 3, arrivals }),
-            [Frame::StageOk { id: 3, staged: 2 }]
-        );
+        assert!(request(&mut core, 1, Frame::StageNoAck { arrivals }).is_empty());
+        assert_eq!(core.pending.len(), 2);
         let (code, message) = refused(&mut core, &[(b, 1.0)]);
         assert_eq!(code, ErrorCode::Ctrl);
         assert!(message.contains("twice"), "across batches too: {message}");

@@ -163,14 +163,11 @@ pub struct WireStats {
     /// Requests refused with a typed `Busy` error (connection capacity or
     /// a parked tick commit already pending).
     pub busy_rejections: AtomicU64,
-    /// Unacknowledged stage frames accepted (wire v2 `StageNoAck`).
+    /// Unacknowledged stage frames accepted (`StageNoAck`).
     pub noack_stages: AtomicU64,
-    /// Snapshot requests answered with a delta frame (wire v2).
-    pub delta_snapshots: AtomicU64,
-    /// Snapshot requests answered with a full snapshot (v1 requests plus
-    /// v2 baseline establishment and resyncs).
+    /// Snapshot requests answered (`SnapshotBin`).
     pub full_snapshots: AtomicU64,
-    /// Batched subscription event frames pushed (wire v3 `EventBatch`).
+    /// Batched subscription event frames pushed (`EventBatch`).
     pub event_batches: AtomicU64,
     /// Request-to-reply latency, measured at the connection core.
     pub latency: LatencyHistogram,
@@ -194,7 +191,6 @@ impl WireStats {
             decode_errors: self.decode_errors.load(o),
             busy_rejections: self.busy_rejections.load(o),
             noack_stages: self.noack_stages.load(o),
-            delta_snapshots: self.delta_snapshots.load(o),
             full_snapshots: self.full_snapshots.load(o),
             event_batches: self.event_batches.load(o),
             requests: self.latency.count(),
@@ -257,12 +253,7 @@ impl WireStats {
         );
         let noack = registry.counter(
             "cdba_gateway_noack_stages_total",
-            "Unacknowledged stage frames accepted (wire v2)",
-        );
-        let snap_delta = registry.counter_with(
-            "cdba_gateway_snapshots_total",
-            "Snapshot requests answered, by reply kind",
-            &[("kind", "delta")],
+            "Unacknowledged stage frames accepted",
         );
         let snap_full = registry.counter_with(
             "cdba_gateway_snapshots_total",
@@ -271,7 +262,7 @@ impl WireStats {
         );
         let event_batches = registry.counter(
             "cdba_gateway_event_batches_total",
-            "Batched subscription event frames pushed (wire v3)",
+            "Batched subscription event frames pushed",
         );
         let stats = Arc::clone(self);
         registry.register_collector(move || {
@@ -284,7 +275,6 @@ impl WireStats {
             decode_errors.store(stats.decode_errors.load(o));
             busy.store(stats.busy_rejections.load(o));
             noack.store(stats.noack_stages.load(o));
-            snap_delta.store(stats.delta_snapshots.load(o));
             snap_full.store(stats.full_snapshots.load(o));
             event_batches.store(stats.event_batches.load(o));
 
@@ -330,13 +320,10 @@ pub struct WireSnapshot {
     /// Unacknowledged stage frames accepted.
     #[serde(default)]
     pub noack_stages: u64,
-    /// Snapshot requests answered with a delta frame.
-    #[serde(default)]
-    pub delta_snapshots: u64,
-    /// Snapshot requests answered with a full snapshot.
+    /// Snapshot requests answered.
     #[serde(default)]
     pub full_snapshots: u64,
-    /// Batched subscription event frames pushed (wire v3).
+    /// Batched subscription event frames pushed.
     #[serde(default)]
     pub event_batches: u64,
     /// Requests answered (latency samples recorded).
@@ -436,13 +423,13 @@ mod tests {
         s.frames_in.fetch_add(3, Ordering::Relaxed);
         s.busy_rejections.fetch_add(1, Ordering::Relaxed);
         s.noack_stages.fetch_add(2, Ordering::Relaxed);
-        s.delta_snapshots.fetch_add(1, Ordering::Relaxed);
+        s.full_snapshots.fetch_add(1, Ordering::Relaxed);
         s.latency.record(100);
         let snap = s.snapshot();
         assert_eq!(snap.frames_in, 3);
         assert_eq!(snap.busy_rejections, 1);
         assert_eq!(snap.noack_stages, 2);
-        assert_eq!(snap.delta_snapshots, 1);
+        assert_eq!(snap.full_snapshots, 1);
         assert_eq!(snap.requests, 1);
         assert_eq!(snap.latency_p99_us, 110);
     }

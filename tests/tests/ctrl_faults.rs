@@ -9,6 +9,7 @@
 //! bookkeeping (`restarts`, `events_replayed`, `health`) tells the runs
 //! apart.
 
+use cdba_ctrl::codec::CODEC_VERSION;
 use cdba_ctrl::{ControlPlane, CtrlError, ExecMode, FaultPlan, ServiceConfig, ServiceSnapshot};
 use cdba_integration::frame_column;
 use std::time::{Duration, Instant};
@@ -745,9 +746,10 @@ fn blob_with_known_totals() -> Vec<u8> {
 }
 
 /// A migration blob that decodes structurally but carries an
-/// out-of-domain float (NaN, negative, infinite) must be refused with
-/// the typed [`CtrlError::InvalidCheckpoint`] — not imported, not
-/// panicked on — and the refused import must hold no budget.
+/// out-of-domain float (NaN, negative, infinite), or one in another
+/// encoding than the columnar frame, must be refused with the typed
+/// [`CtrlError::InvalidCheckpoint`] — not imported, not panicked on —
+/// and the refused import must hold no budget.
 #[test]
 fn out_of_domain_floats_in_a_migration_blob_are_rejected_typed() {
     let blob = blob_with_known_totals();
@@ -776,6 +778,21 @@ fn out_of_domain_floats_in_a_migration_blob_are_rejected_typed() {
         assert_eq!(target.live_sessions(), 0, "nothing was imported");
         assert_eq!(target.available_budget(), budget, "no budget held");
     }
+
+    // A blob led by the row-oriented codec's version byte is another
+    // frame version, refused typed like any other.
+    let mut v1 = blob.clone();
+    v1[0] = CODEC_VERSION;
+    let mut target = inline_service();
+    let budget = target.available_budget();
+    assert_eq!(
+        target.import_session(&v1),
+        Err(CtrlError::InvalidCheckpoint {
+            field: "columnar.version"
+        })
+    );
+    assert_eq!(target.live_sessions(), 0, "nothing was imported");
+    assert_eq!(target.available_budget(), budget, "no budget held");
 }
 
 /// Every single-byte corruption of a migration blob either imports (a

@@ -62,55 +62,37 @@ fn build_frame(
             size: n,
         },
         4 => Frame::Leave { id, key },
-        5 => Frame::Stage { id, arrivals },
-        6 => Frame::Tick { id, arrivals },
-        7 => Frame::Snapshot { id },
-        8 => Frame::Subscribe { id, every: n },
-        9 => Frame::Goodbye { id },
-        10 => Frame::Joined { id, key },
-        11 => Frame::GroupJoined { id, members: keys },
-        12 => Frame::LeaveOk { id },
-        13 => Frame::StageOk { id, staged: n },
-        14 => Frame::TickOk { id, tick: key },
-        15 => Frame::SnapshotOk { id, json: s },
-        16 => Frame::SubscribeOk { id },
-        17 => Frame::GoodbyeOk { id },
-        18 => Frame::Event {
+        5 => Frame::Tick { id, arrivals },
+        6 => Frame::Subscribe { id, every: n },
+        7 => Frame::Goodbye { id },
+        8 => Frame::Joined { id, key },
+        9 => Frame::GroupJoined { id, members: keys },
+        10 => Frame::LeaveOk { id },
+        11 => Frame::TickOk { id, tick: key },
+        12 => Frame::SubscribeOk { id },
+        13 => Frame::GoodbyeOk { id },
+        14 => Frame::Event {
             tick: key,
             changes: id,
             signalling_cost: x,
         },
-        19 => Frame::StageNoAck { arrivals },
-        20 => Frame::TickSync {
+        15 => Frame::StageNoAck { arrivals },
+        16 => Frame::TickSync {
             id,
             arrivals,
             min_staged: n,
         },
-        21 => Frame::SnapshotDelta { id },
-        22 => Frame::SnapshotDeltaOk {
-            id,
-            seq: key,
-            full: n % 2 == 0,
-            json: s,
-        },
-        23 => Frame::SnapshotBin { id },
-        24 => Frame::SnapshotDeltaBin { id },
-        25 => Frame::SubscribeBatch {
+        17 => Frame::SnapshotBin { id },
+        18 => Frame::SubscribeBatch {
             id,
             every: n,
             batch: n.rotate_left(7),
         },
-        26 => Frame::SnapshotBinOk {
+        19 => Frame::SnapshotBinOk {
             id,
             bytes: s.into_bytes(),
         },
-        27 => Frame::SnapshotDeltaBinOk {
-            id,
-            seq: key,
-            full: n % 2 == 0,
-            bytes: s.into_bytes(),
-        },
-        28 => Frame::EventBatch {
+        20 => Frame::EventBatch {
             events: arrivals
                 .iter()
                 .map(|&(k, bits)| EventBody {
@@ -133,7 +115,7 @@ proptest! {
 
     #[test]
     fn every_frame_kind_round_trips_bit_exactly(
-        kind in 0usize..30,
+        kind in 0usize..22,
         id in 0u64..u64::MAX,
         key in 0u64..u64::MAX,
         n in 0u32..u32::MAX,
@@ -152,7 +134,7 @@ proptest! {
 
     #[test]
     fn every_truncation_is_a_typed_error_never_a_panic(
-        kind in 0usize..30,
+        kind in 0usize..22,
         id in 0u64..1_000_000,
         s in arb_string(),
         arrivals in arb_arrivals(),
@@ -173,11 +155,11 @@ proptest! {
     ) {
         let mut wire = BytesMut::new();
         for &id in &ids {
-            wire.put_slice(&encode(&Frame::Snapshot { id }));
+            wire.put_slice(&encode(&Frame::SnapshotBin { id }));
         }
         let mut buf = wire.freeze();
         for &id in &ids {
-            prop_assert_eq!(decode(&mut buf), Ok(Frame::Snapshot { id }));
+            prop_assert_eq!(decode(&mut buf), Ok(Frame::SnapshotBin { id }));
         }
         prop_assert_eq!(buf.len(), 0);
     }
@@ -271,10 +253,10 @@ fn trailing_bytes_inside_a_declared_payload_are_typed() {
 
 #[test]
 fn hostile_collection_counts_cannot_allocate_past_the_payload() {
-    // A Stage frame declaring u32::MAX arrivals in a tiny payload must be
+    // A Tick frame declaring u32::MAX arrivals in a tiny payload must be
     // rejected by the length pre-check, not by attempting the allocation.
     let mut payload = BytesMut::new();
-    payload.put_u8(0x13); // Stage
+    payload.put_u8(0x14); // Tick
     payload.put_u64_le(1);
     payload.put_u32_le(u32::MAX);
     assert_eq!(decode_payload(payload.freeze()), Err(ProtoError::Truncated));
@@ -300,10 +282,6 @@ fn one_of_every_kind() -> Vec<Frame> {
             size: 4,
         },
         Frame::Leave { id: 3, key: 42 },
-        Frame::Stage {
-            id: 4,
-            arrivals: arrivals.clone(),
-        },
         Frame::Tick {
             id: 5,
             arrivals: vec![],
@@ -316,10 +294,7 @@ fn one_of_every_kind() -> Vec<Frame> {
             arrivals,
             min_staged: 7,
         },
-        Frame::SnapshotDelta { id: 8 },
-        Frame::Snapshot { id: 9 },
         Frame::SnapshotBin { id: 10 },
-        Frame::SnapshotDeltaBin { id: 11 },
         Frame::Subscribe { id: 12, every: 64 },
         Frame::SubscribeBatch {
             id: 13,
@@ -345,27 +320,10 @@ fn one_of_every_kind() -> Vec<Frame> {
             members: vec![1, 2, 3, 4],
         },
         Frame::LeaveOk { id: 3 },
-        Frame::StageOk { id: 4, staged: 3 },
         Frame::TickOk { id: 5, tick: 99 },
-        Frame::SnapshotOk {
-            id: 9,
-            json: "{\"ticks\":1}".into(),
-        },
         Frame::SnapshotBinOk {
             id: 10,
             bytes: blob.clone(),
-        },
-        Frame::SnapshotDeltaBinOk {
-            id: 11,
-            seq: 5,
-            full: true,
-            bytes: blob.clone(),
-        },
-        Frame::SnapshotDeltaOk {
-            id: 8,
-            seq: 3,
-            full: false,
-            json: "{\"baseline_seq\":2}".into(),
         },
         Frame::LeaseRevoked {
             id: 14,
@@ -413,20 +371,19 @@ fn one_of_every_kind() -> Vec<Frame> {
 
 /// `encode_into` appends a frame's wire form to a buffer that may
 /// already hold others; `encode` is a wrapper over it. The pinned digest
-/// is of the bytes the two-buffer encoder it replaced (payload built
-/// apart, then copied behind its length prefix) produced for the same
-/// frames, so the wire did not move.
+/// is of the bytes these frames encoded to before the retired kinds were
+/// deleted, so no surviving kind's wire moved.
 #[test]
 fn encode_into_appends_the_pinned_wire_bytes_of_every_frame_kind() {
     let frames = one_of_every_kind();
-    assert_eq!(frames.len(), 38, "one frame per kind");
+    assert_eq!(frames.len(), 30, "one frame per kind");
     let (mut each, mut appended) = (Vec::new(), Vec::new());
     for frame in &frames {
         each.extend_from_slice(&encode(frame));
         proto::encode_into(frame, &mut appended);
     }
     assert_eq!(appended, each);
-    assert_eq!((each.len(), fnv1a(&each)), (2487, 12140186587367040901));
+    assert_eq!((each.len(), fnv1a(&each)), (1968, 12555217973239194078));
 
     // A head written for a blob that follows it, then the blob, is the
     // same bytes.
@@ -452,17 +409,13 @@ fn encode_into_appends_the_pinned_wire_bytes_of_every_frame_kind() {
     }
 }
 
-/// The four frames that carry arrivals encode straight from a borrowed
+/// The three frames that carry arrivals encode straight from a borrowed
 /// slice to the bytes `encode_into` makes of the owned list.
 #[test]
 fn arrivals_encode_from_a_slice_to_the_same_bytes() {
     let arrivals = [(3u64, 1.5f64), (9, 0.0), (70_000, 1e-3), (u64::MAX, -0.0)];
     let frames = |arrivals: Vec<(u64, f64)>| {
         [
-            Frame::Stage {
-                id: 4,
-                arrivals: arrivals.clone(),
-            },
             Frame::Tick {
                 id: 5,
                 arrivals: arrivals.clone(),

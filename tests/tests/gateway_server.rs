@@ -67,79 +67,33 @@ fn wire_view(spec: &ReplaySpec, cfg: ServiceConfig) -> (InvariantView, u64) {
     let server = quick_gateway(cfg);
     let mut client = Client::connect(server.local_addr()).expect("client connects");
     run_replay(&mut client, spec).expect("wire replay");
-    let snapshot = client.snapshot().expect("wire snapshot");
+    let snapshot = client.snapshot_bin().expect("wire snapshot");
     client.goodbye().expect("clean goodbye");
     server.shutdown().expect("graceful shutdown");
     (snapshot.service.invariant_view(), snapshot.service.restarts)
 }
 
-/// Like [`wire_view`], but the final state is fetched as a wire-v2 delta
-/// snapshot: a baseline is established before the replay, so the closing
-/// poll diffs across every join/leave/tick of the run and the client
-/// reconstructs the snapshot from `changed_sessions`/`removed_sessions`.
-fn wire_view_delta(spec: &ReplaySpec, cfg: ServiceConfig) -> (InvariantView, u64) {
-    let server = quick_gateway(cfg);
-    let mut client = Client::connect(server.local_addr()).expect("client connects");
-    client.snapshot_delta().expect("baseline snapshot");
-    run_replay(&mut client, spec).expect("wire replay");
-    let snapshot = client.snapshot_delta().expect("delta snapshot");
-    client.goodbye().expect("clean goodbye");
-    let restarts = snapshot.service.restarts;
-    assert_eq!(
-        snapshot.wire.full_snapshots, 1,
-        "only the baseline should have gone over the wire in full"
-    );
-    assert_eq!(
-        snapshot.wire.delta_snapshots, 1,
-        "the closing poll should have been served as a delta"
-    );
-    server.shutdown().expect("graceful shutdown");
-    (snapshot.service.invariant_view(), restarts)
-}
-
 /// Like [`wire_view`], but the final state is fetched **twice** on the
-/// same connection — once as JSON (`Snapshot`) and once as a wire-v3
-/// binary body (`SnapshotBin`) — and the two decoded service snapshots
-/// are asserted byte-identical through their JSON rendering (which pins
-/// every `f64` to its exact shortest representation).
+/// same connection, nothing committed in between: the second poll is
+/// served from the control plane's cached snapshot, and the two decoded
+/// service snapshots are asserted byte-identical through their JSON
+/// rendering (which pins every `f64` to its exact shortest
+/// representation), while the wire counters carried with them advance.
 fn wire_view_bin(spec: &ReplaySpec, cfg: ServiceConfig) -> (InvariantView, u64) {
     let server = quick_gateway(cfg);
     let mut client = Client::connect(server.local_addr()).expect("client connects");
     run_replay(&mut client, spec).expect("wire replay");
-    let json_snap = client.snapshot().expect("json snapshot");
-    let bin_snap = client.snapshot_bin().expect("binary snapshot");
+    let first = client.snapshot_bin().expect("first binary snapshot");
+    let again = client.snapshot_bin().expect("second binary snapshot");
     client.goodbye().expect("clean goodbye");
     server.shutdown().expect("graceful shutdown");
     assert_eq!(
-        json_snap.service.to_json_string(),
-        bin_snap.service.to_json_string(),
-        "binary snapshot body decoded differently from the JSON one"
+        first.service.to_json_string(),
+        again.service.to_json_string(),
+        "a repeated poll decoded a different service snapshot"
     );
-    (bin_snap.service.invariant_view(), bin_snap.service.restarts)
-}
-
-/// Like [`wire_view_delta`], but the pre-replay baseline is fetched as a
-/// **JSON** delta and the closing poll as a **binary** one: deltas from
-/// either codec reconstruct the identical snapshot, so a client may mix
-/// encodings against one shared baseline chain.
-fn wire_view_delta_bin(spec: &ReplaySpec, cfg: ServiceConfig) -> (InvariantView, u64) {
-    let server = quick_gateway(cfg);
-    let mut client = Client::connect(server.local_addr()).expect("client connects");
-    client.snapshot_delta().expect("baseline snapshot (json)");
-    run_replay(&mut client, spec).expect("wire replay");
-    let snapshot = client.snapshot_delta_bin().expect("binary delta snapshot");
-    client.goodbye().expect("clean goodbye");
-    let restarts = snapshot.service.restarts;
-    assert_eq!(
-        snapshot.wire.full_snapshots, 1,
-        "only the baseline should have gone over the wire in full"
-    );
-    assert_eq!(
-        snapshot.wire.delta_snapshots, 1,
-        "the closing poll should have been served as a delta"
-    );
-    server.shutdown().expect("graceful shutdown");
-    (snapshot.service.invariant_view(), restarts)
+    assert_eq!(again.wire.full_snapshots, first.wire.full_snapshots + 1);
+    (again.service.invariant_view(), again.service.restarts)
 }
 
 #[test]
@@ -167,31 +121,6 @@ fn wire_replay_survives_a_shard_kill_bitwise() {
 }
 
 #[test]
-fn delta_snapshot_replay_is_bitwise_identical_to_in_process() {
-    let spec = small_spec();
-    let local = in_process_view(&spec, service_config(&spec, 2, ExecMode::Inline, None));
-    let (wire, restarts) = wire_view_delta(&spec, service_config(&spec, 2, ExecMode::Inline, None));
-    assert_eq!(restarts, 0);
-    assert_eq!(local, wire, "delta-reconstructed replay diverged");
-}
-
-#[test]
-fn delta_snapshot_replay_survives_a_shard_kill_bitwise() {
-    let spec = small_spec();
-    let local = in_process_view(&spec, service_config(&spec, 2, ExecMode::Inline, None));
-    let fault: FaultPlan = "1@100:kill".parse().expect("valid fault plan");
-    let (wire, restarts) = wire_view_delta(
-        &spec,
-        service_config(&spec, 2, ExecMode::Threaded, Some(fault)),
-    );
-    assert!(restarts >= 1, "the injected kill never triggered a restart");
-    assert_eq!(
-        local, wire,
-        "recovered delta replay diverged from clean run"
-    );
-}
-
-#[test]
 fn binary_snapshot_replay_is_bitwise_identical_to_in_process() {
     let spec = small_spec();
     let local = in_process_view(&spec, service_config(&spec, 2, ExecMode::Inline, None));
@@ -213,32 +142,6 @@ fn binary_snapshot_replay_survives_a_shard_kill_bitwise() {
     assert_eq!(
         local, wire,
         "recovered binary-decoded replay diverged from clean run"
-    );
-}
-
-#[test]
-fn binary_delta_snapshot_replay_is_bitwise_identical_to_in_process() {
-    let spec = small_spec();
-    let local = in_process_view(&spec, service_config(&spec, 2, ExecMode::Inline, None));
-    let (wire, restarts) =
-        wire_view_delta_bin(&spec, service_config(&spec, 2, ExecMode::Inline, None));
-    assert_eq!(restarts, 0);
-    assert_eq!(local, wire, "binary delta-reconstructed replay diverged");
-}
-
-#[test]
-fn binary_delta_snapshot_replay_survives_a_shard_kill_bitwise() {
-    let spec = small_spec();
-    let local = in_process_view(&spec, service_config(&spec, 2, ExecMode::Inline, None));
-    let fault: FaultPlan = "1@100:kill".parse().expect("valid fault plan");
-    let (wire, restarts) = wire_view_delta_bin(
-        &spec,
-        service_config(&spec, 2, ExecMode::Threaded, Some(fault)),
-    );
-    assert!(restarts >= 1, "the injected kill never triggered a restart");
-    assert_eq!(
-        local, wire,
-        "recovered binary delta replay diverged from clean run"
     );
 }
 
@@ -305,56 +208,6 @@ fn inline_config(budget: f64) -> ServiceConfig {
 }
 
 #[test]
-fn v3_frames_are_refused_on_a_v2_connection() {
-    let server = quick_gateway(inline_config(256.0));
-    let mut conn = raw_connect(&server);
-    // Negotiate wire v2 explicitly: the binary-codec and batch frames
-    // must then be refused with a typed Proto error, not served.
-    raw_send(
-        &mut conn,
-        &Frame::Hello {
-            magic: proto::MAGIC,
-            version: 2,
-        },
-    );
-    match raw_recv(&mut conn) {
-        Frame::HelloOk { version } => assert_eq!(version, 2),
-        other => panic!("expected hello-ok at v2, got {other:?}"),
-    }
-    for (request, label) in [
-        (Frame::SnapshotBin { id: 1 }, "snapshot-bin"),
-        (Frame::SnapshotDeltaBin { id: 2 }, "snapshot-delta-bin"),
-        (
-            Frame::SubscribeBatch {
-                id: 3,
-                every: 2,
-                batch: 2,
-            },
-            "subscribe-batch",
-        ),
-    ] {
-        raw_send(&mut conn, &request);
-        match raw_recv(&mut conn) {
-            Frame::Error { code, message, .. } => {
-                assert_eq!(code, ErrorCode::Proto, "{label} got the wrong code");
-                assert!(
-                    message.contains("version 3"),
-                    "{label} error should name the required version: {message}"
-                );
-            }
-            other => panic!("expected typed refusal for {label}, got {other:?}"),
-        }
-    }
-    // The v2 connection survives its refused v3 requests.
-    raw_send(&mut conn, &Frame::Snapshot { id: 9 });
-    assert!(matches!(
-        raw_recv(&mut conn),
-        Frame::SnapshotOk { id: 9, .. }
-    ));
-    server.shutdown().expect("shutdown");
-}
-
-#[test]
 fn handshake_rejects_bad_magic_and_bad_version() {
     let server = quick_gateway(inline_config(256.0));
 
@@ -369,18 +222,22 @@ fn handshake_rejects_bad_magic_and_bad_version() {
     expect_error(raw_recv(&mut conn), ErrorCode::BadMagic);
     expect_closed(&mut conn);
 
-    let mut conn = raw_connect(&server);
-    raw_send(
-        &mut conn,
-        &Frame::Hello {
-            magic: proto::MAGIC,
-            version: proto::VERSION + 1,
-        },
-    );
-    expect_error(raw_recv(&mut conn), ErrorCode::BadVersion);
-    expect_closed(&mut conn);
+    // Exactly one version is spoken: a newer one and every older one
+    // are refused alike.
+    for version in [proto::VERSION + 1, proto::VERSION - 1, 1] {
+        let mut conn = raw_connect(&server);
+        raw_send(
+            &mut conn,
+            &Frame::Hello {
+                magic: proto::MAGIC,
+                version,
+            },
+        );
+        expect_error(raw_recv(&mut conn), ErrorCode::BadVersion);
+        expect_closed(&mut conn);
+    }
 
-    // The gateway itself survives both refusals.
+    // The gateway itself survives every refusal.
     let mut client = Client::connect(server.local_addr()).expect("fresh client");
     client.join("acme").expect("join after refused handshakes");
     server.shutdown().expect("shutdown");
@@ -414,20 +271,25 @@ fn well_framed_garbage_gets_a_typed_error_and_the_connection_survives() {
     let mut conn = raw_connect(&server);
     raw_hello(&mut conn);
 
-    // A correctly framed payload with an unknown kind byte.
-    let mut wire = Vec::new();
-    wire.extend_from_slice(&3u32.to_le_bytes());
-    wire.extend_from_slice(&[0x77, 1, 2]);
-    conn.write_all(&wire).expect("garbage frame");
-    expect_error(raw_recv(&mut conn), ErrorCode::BadFrame);
+    // A correctly framed payload with an unknown kind byte — among them
+    // the retired acked-stage, JSON-snapshot and delta-snapshot request
+    // kinds, each followed by a request id.
+    for kind in [0x77, 0x13, 0x15, 0x1A, 0x1C] {
+        let mut wire = Vec::new();
+        wire.extend_from_slice(&9u32.to_le_bytes());
+        wire.push(kind);
+        wire.extend_from_slice(&5u64.to_le_bytes());
+        conn.write_all(&wire).expect("garbage frame");
+        expect_error(raw_recv(&mut conn), ErrorCode::BadFrame);
+    }
 
     // The frame boundary was intact, so the same connection keeps working.
-    raw_send(&mut conn, &Frame::Snapshot { id: 5 });
+    raw_send(&mut conn, &Frame::SnapshotBin { id: 5 });
     match raw_recv(&mut conn) {
-        Frame::SnapshotOk { id, .. } => assert_eq!(id, 5),
-        other => panic!("expected snapshot-ok on surviving connection, got {other:?}"),
+        Frame::SnapshotBinOk { id, .. } => assert_eq!(id, 5),
+        other => panic!("expected snapshot-bin-ok on surviving connection, got {other:?}"),
     }
-    assert!(server.wire_stats().decode_errors >= 1);
+    assert_eq!(server.wire_stats().decode_errors, 5);
     server.shutdown().expect("shutdown");
 }
 
@@ -527,10 +389,11 @@ fn cross_connection_staging_batches_into_one_deterministic_tick() {
     let a = alice.join("acme").expect("a");
     let b = bob.join("globex").expect("b");
 
-    assert_eq!(alice.stage(&[(a, 1.0)]).expect("alice stages"), 1);
-    assert_eq!(bob.stage(&[(b, 2.0)]).expect("bob stages"), 2);
-    // Restaging an already-pending key is a duplicate, all-or-nothing.
-    match alice.stage(&[(a, 1.0)]) {
+    alice.stage_noack(&[(a, 1.0)]).expect("alice stages");
+    bob.stage_noack(&[(b, 2.0)]).expect("bob stages");
+    // Restaging an already-pending key is a duplicate, all-or-nothing:
+    // the commit carrying it is refused and stages nothing.
+    match alice.tick_sync(&[(a, 1.0)], 2) {
         Err(cdba_gateway::ClientError::Server { code, message }) => {
             assert_eq!(code, ErrorCode::Ctrl);
             assert!(message.contains("twice"), "unexpected message {message}");
@@ -538,9 +401,9 @@ fn cross_connection_staging_batches_into_one_deterministic_tick() {
         other => panic!("expected duplicate-arrival error, got {other:?}"),
     }
     // Either connection may commit; the batch holds both arrivals.
-    let tick = bob.tick(&[]).expect("bob commits the batch");
+    let tick = bob.tick_sync(&[], 2).expect("bob commits the batch");
     assert_eq!(tick, 1);
-    let snap = alice.snapshot().expect("snapshot");
+    let snap = alice.snapshot_bin().expect("snapshot");
     assert!((snap.service.global.total_arrived - 3.0).abs() < 1e-9);
     server.shutdown().expect("shutdown");
 }
@@ -559,7 +422,7 @@ fn noack_staging_feeds_a_count_gated_commit_across_connections() {
     bob.stage_noack(&[(b, 2.0)]).expect("no-ack stage");
     let tick = alice.tick_sync(&[(a, 1.0)], 2).expect("count-gated commit");
     assert_eq!(tick, 1);
-    let snap = alice.snapshot().expect("snapshot");
+    let snap = alice.snapshot_bin().expect("snapshot");
     assert!((snap.service.global.total_arrived - 3.0).abs() < 1e-9);
     assert_eq!(snap.wire.noack_stages, 1);
     server.shutdown().expect("shutdown");
@@ -584,7 +447,7 @@ fn starved_tick_sync_fails_with_a_typed_timeout() {
     // The staged arrival is still pending; a plain tick commits it.
     let tick = client.tick(&[]).expect("tick after expiry");
     assert_eq!(tick, 1);
-    let snap = client.snapshot().expect("snapshot");
+    let snap = client.snapshot_bin().expect("snapshot");
     assert!((snap.service.global.total_arrived - 1.0).abs() < 1e-9);
     server.shutdown().expect("shutdown");
 }
@@ -783,7 +646,7 @@ fn checkpoint_delta_bin_feeds_a_passive_mirror() {
     // A snapshot round-trips a Collect through each worker, which the
     // worker processes after any checkpoint it emitted — so the frames
     // from ticks 8 and 16 are accepted once this returns.
-    client.snapshot().expect("sync snapshot");
+    client.snapshot_bin().expect("sync snapshot");
 
     // Two frames were accepted; only the tick-16 one is retained.
     let (cursor, frames) = client.checkpoint_delta_bin(0, 0).expect("first pull");
@@ -804,7 +667,7 @@ fn checkpoint_delta_bin_feeds_a_passive_mirror() {
     for _ in 0..8 {
         client.tick(&[(keys[1], 1.0)]).expect("tick");
     }
-    client.snapshot().expect("sync snapshot");
+    client.snapshot_bin().expect("sync snapshot");
     let (cursor2, frames) = client.checkpoint_delta_bin(0, cursor).expect("resume pull");
     assert_eq!(cursor2, cursor + 1);
     assert_eq!(frames.len(), 1, "the one frame since the cursor");

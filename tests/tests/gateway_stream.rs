@@ -280,8 +280,9 @@ fn frames_queued_while_a_body_is_in_flight_follow_it_intact() {
     );
     raw_send(&mut raw, &Frame::SnapshotBin { id: 4 });
     client.stage_noack(&[(keys[0], 2.0)]).expect("stage");
-    // An acknowledged request behind it: the core has handled both.
-    assert_eq!(client.stage(&[]).expect("stage-ok"), 0);
+    // An acknowledged request behind it: the core has handled both, so
+    // this commit is the second.
+    assert_eq!(client.tick(&[]).expect("tick-ok"), 2);
 
     let bytes = match raw_recv(&mut raw) {
         Frame::SnapshotBinOk { id: 4, bytes } => bytes,

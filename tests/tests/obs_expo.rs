@@ -323,7 +323,7 @@ fn gateway_metrics_endpoint_serves_ctrl_and_gateway_series() {
 
     let mut client = Client::connect(server.local_addr()).expect("client connects");
     run_replay(&mut client, &spec).expect("wire replay");
-    let snapshot = client.snapshot().expect("wire snapshot");
+    let snapshot = client.snapshot_bin().expect("wire snapshot");
 
     let body = http_get(&metrics_addr.to_string(), "/metrics");
     let samples = check_exposition(&body);
