@@ -12,19 +12,20 @@
 //! cdba-cli serve         --sessions 100 [--shards 4] [--ticks 100000] [--json snap.json]
 //! cdba-cli gateway       --addr 127.0.0.1:4411 [--sessions 100] [--shards 4] ...
 //! cdba-cli client        --addr 127.0.0.1:4411 --sessions 100 [--ticks 100000] [--json snap.json]
-//! cdba-cli fleet         [--ctrl-procs 2] [--gateways 2] [--placement p2c] [--json snap.json]
+//! cdba-cli fleet         [--ctrl-procs 2] [--gateways 2] [--json snap.json]
 //! cdba-cli relay         --backends HOST:PORT,HOST:PORT
 //! cdba-cli bench-gateway [--ticks 2000] [--connections 1,4,16,32,64] [--out BENCH_gateway.json]
 //! cdba-cli bench-fleet   [--ticks 2000] [--out BENCH_fleet.json]
 //! ```
 //!
-//! (The full per-command flag lists are in `USAGE`, printed by `--help`.)
+//! (The full per-command flag lists are in `USAGE`, printed by `--help`;
+//! a command refuses any flag outside its list.)
 //! `serve` and `client` replay the same deterministic churn workload, so a
 //! snapshot taken over the wire is bitwise-identical — in its
 //! placement-invariant view — to one taken in-process. `fleet` replays it
 //! once more across a multi-process fleet (`cdba-fleet`): M `gateway`
-//! children behind N `relay` children, sessions placed by a pluggable
-//! policy and live-migrated over the gateway's lease frames — and the
+//! children behind N `relay` children, sessions placed on the
+//! least-loaded process and live-migrated over the gateway's lease frames — and the
 //! assembled fleet snapshot is *still* bitwise-identical in its invariant
 //! view, including under a forced drain-and-migrate and a `--fault` kill
 //! of one ctrl process.
@@ -40,7 +41,7 @@ use cdba_core::config::{CombinedConfig, InnerMulti, MultiConfig, SingleConfig};
 use cdba_core::multi::{Continuous, Phased};
 use cdba_core::single::{LookbackSingle, SingleSession};
 use cdba_ctrl::{ControlPlane, ExecMode, FaultPlan, ServiceConfig};
-use cdba_fleet::{Fleet, FleetConfig, LeastLoaded, Placement, PowerOfTwoChoices, RoundRobin};
+use cdba_fleet::{Fleet, FleetConfig, LeastLoaded};
 use cdba_gateway::client::{Client, ClientConfig};
 use cdba_gateway::{GatewayConfig, GatewayServer};
 use cdba_obs::{MetricsServer, Registry, TraceRing};
@@ -105,11 +106,10 @@ usage: cdba-cli <command> [options]
   serve    --sessions N [--shards S] [--ticks T] [--seed X] [--model M]
            [--bandwidth B] [--group-bandwidth B_O] [--delay D] [--utilization U]
            [--window W] [--group-size G] [--pool-frac F] [--churn-every C]
-           [--budget B_A] [--quota Q] [--exec inline|threaded|adaptive]
+           [--budget B_A] [--quota Q] [--exec inline|threaded]
            [--json FILE]
            [--summary FILE] [--fault SHARD@TICK:<kill|hang:MS|delay:MS>]
            [--checkpoint-every N] [--max-restarts R] [--shard-timeout-ms MS]
-           [--kernel-threads K]
   gateway  [--addr HOST:PORT] [--workers N] [--idle-timeout-ms MS]
            [--metrics-addr HOST:PORT]
            + every `serve` service/workload flag (the workload flags fix
@@ -120,14 +120,15 @@ usage: cdba-cli <command> [options]
            flag: replays the same deterministic churn workload over the
            wire, polls the final snapshot as a binary body, and writes the
            same snapshot JSON as `serve`
-  fleet    [--ctrl-procs 2] [--gateways 2] [--placement p2c|least-loaded|round-robin]
+  fleet    [--ctrl-procs 2] [--gateways 2] [--workers N] [--idle-timeout-ms MS]
            [--drain PROC|none] [--drain-at TICK] [--fault PROC@TICK:kill]
            [--metrics-addr HOST:PORT] (serves the orchestrator's
            cdba_fleet_* series and trace over plain HTTP)
            [--json FILE] + every `serve` workload/service flag: replays
            the same deterministic churn workload across a multi-process
            fleet (ctrl-proc children behind relay children, spawned from
-           this binary), live-migrating every dedicated session off the
+           this binary), placing each admission on the least-loaded
+           process and live-migrating every dedicated session off the
            drained process at the drain tick; the assembled fleet
            snapshot's invariant view is bitwise-identical to `serve`'s
   relay    --backends HOST:PORT,HOST:PORT
@@ -152,18 +153,66 @@ usage: cdba-cli <command> [options]
            given populations with the tick count scaled down as the
            population grows
   bench-fleet [--ticks T] [--sessions N] [--ctrl-procs 2] [--gateways 2]
-           [--out BENCH_fleet.json]
+           [--out BENCH_fleet.json] + every `fleet` flag but --json
            runs the fleet replay (with its forced drain-and-migrate)
-           once per placement policy and writes a machine-readable
-           throughput/migration report";
+           and writes a machine-readable throughput/migration report
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+Every command refuses a flag outside its own list.";
+
+/// The churn-replay workload flags ([`replay_spec_from_flags`]).
+const WORKLOAD_FLAGS: &[&str] = &[
+    "sessions",
+    "ticks",
+    "seed",
+    "model",
+    "group-size",
+    "pool-frac",
+    "churn-every",
+    "bandwidth",
+    "group-bandwidth",
+    "delay",
+    "utilization",
+    "window",
+];
+
+/// The control-plane flags ([`service_config_from_flags`]).
+const SERVICE_FLAGS: &[&str] = &[
+    "shards",
+    "exec",
+    "checkpoint-every",
+    "max-restarts",
+    "shard-timeout-ms",
+    "fault",
+    "budget",
+    "quota",
+];
+
+/// `fleet`'s own flags, plus the gateway flags it forwards to its
+/// children ([`fleet_child_args`]); `bench-fleet` takes them too.
+const FLEET_FLAGS: &[&str] = &[
+    "ctrl-procs",
+    "gateways",
+    "drain",
+    "drain-at",
+    "fault",
+    "metrics-addr",
+    "workers",
+    "idle-timeout-ms",
+];
+
+/// Parses `--key value` pairs, refusing any key outside the `known`
+/// lists: a misspelt or removed flag is a usage error, never a silent
+/// default.
+fn parse_flags(args: &[String], known: &[&[&str]]) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut it = args.iter();
     while let Some(key) = it.next() {
         let key = key
             .strip_prefix("--")
             .ok_or_else(|| format!("expected --flag, found {key}"))?;
+        if !known.iter().any(|list| list.contains(&key)) {
+            return Err(format!("unknown flag --{key} (see cdba-cli --help)"));
+        }
         let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
         flags.insert(key.to_string(), value.clone());
     }
@@ -220,7 +269,10 @@ fn load(path: &str) -> Result<LoadedTrace, String> {
 }
 
 fn generate(args: &[String]) -> CliResult {
-    let flags = parse_flags(args)?;
+    let known = [
+        "model", "len", "seed", "sessions", "out", "feasible", "format",
+    ];
+    let flags = parse_flags(args, &[&known])?;
     let model = get(&flags, "model")?;
     let len: usize = get_parse(&flags, "len", 4_000)?;
     let seed: u64 = get_parse(&flags, "seed", 0xCDBA)?;
@@ -289,7 +341,7 @@ fn generate(args: &[String]) -> CliResult {
 }
 
 fn inspect(args: &[String]) -> CliResult {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &[&["trace"]])?;
     match load(get(&flags, "trace")?)? {
         LoadedTrace::Single(trace) => {
             let s = stats::summarize(&trace);
@@ -320,7 +372,17 @@ fn inspect(args: &[String]) -> CliResult {
 }
 
 fn run(args: &[String]) -> CliResult {
-    let flags = parse_flags(args)?;
+    let known = [
+        "trace",
+        "alg",
+        "bandwidth",
+        "delay",
+        "utilization",
+        "window",
+        "json",
+        "timeline",
+    ];
+    let flags = parse_flags(args, &[&known])?;
     let alg = get(&flags, "alg")?.to_string();
     let b: f64 = get_parse(&flags, "bandwidth", 64.0)?;
     let d: usize = get_parse(&flags, "delay", 8)?;
@@ -477,7 +539,6 @@ fn exec_name(exec: ExecMode) -> &'static str {
     match exec {
         ExecMode::Inline => "inline",
         ExecMode::Threaded => "threaded",
-        ExecMode::Adaptive => "adaptive",
     }
 }
 
@@ -492,13 +553,11 @@ fn service_config_from_flags(
     let exec = match flags.get("exec").map(String::as_str) {
         None | Some("threaded") => ExecMode::Threaded,
         Some("inline") => ExecMode::Inline,
-        Some("adaptive") => ExecMode::Adaptive,
-        Some(other) => return Err(format!("unknown --exec {other} (inline|threaded|adaptive)")),
+        Some(other) => return Err(format!("unknown --exec {other} (inline|threaded)")),
     };
     let checkpoint_every: u64 = get_parse(flags, "checkpoint-every", 64)?;
     let max_restarts: u32 = get_parse(flags, "max-restarts", 3)?;
     let shard_timeout_ms: u64 = get_parse(flags, "shard-timeout-ms", 2000)?;
-    let kernel_threads: usize = get_parse(flags, "kernel-threads", 1)?;
     let fault: Option<FaultPlan> = match flags.get("fault") {
         Some(raw) => Some(raw.parse()?),
         None => None,
@@ -513,8 +572,7 @@ fn service_config_from_flags(
         .exec(exec)
         .checkpoint_every(checkpoint_every)
         .max_restarts(max_restarts)
-        .shard_timeout_ms(shard_timeout_ms)
-        .kernel_threads(kernel_threads);
+        .shard_timeout_ms(shard_timeout_ms);
     if let Some(plan) = fault {
         builder = builder.fault(plan);
     }
@@ -548,7 +606,7 @@ fn imbalance(counts: &[u64]) -> serde_json::Value {
 /// under the same seed — and for a `client` replay of the same workload
 /// over the gateway wire.
 fn serve(args: &[String]) -> CliResult {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &[WORKLOAD_FLAGS, SERVICE_FLAGS, &["json", "summary"]])?;
     let spec = replay_spec_from_flags(&flags)?;
     let (cfg, exec, shards) = service_config_from_flags(&flags, &spec)?;
     let split = spec.split();
@@ -638,7 +696,8 @@ fn serve(args: &[String]) -> CliResult {
 /// accepted (and fix the default `--budget`) so a `client` replay admits
 /// exactly like `serve` would in-process.
 fn gateway(args: &[String]) -> CliResult {
-    let flags = parse_flags(args)?;
+    let own = ["addr", "workers", "idle-timeout-ms", "metrics-addr"];
+    let flags = parse_flags(args, &[WORKLOAD_FLAGS, SERVICE_FLAGS, &own])?;
     let spec = replay_spec_from_flags(&flags)?;
     let (cfg, exec, shards) = service_config_from_flags(&flags, &spec)?;
     let defaults = GatewayConfig::default();
@@ -675,7 +734,7 @@ fn gateway(args: &[String]) -> CliResult {
 /// bitwise-identical to the in-process run's: the final state crosses
 /// the wire as a binary body and becomes JSON only here.
 fn client(args: &[String]) -> CliResult {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &[WORKLOAD_FLAGS, &["addr", "json"]])?;
     let spec = replay_spec_from_flags(&flags)?;
     let split = spec.split();
     let addr = flags
@@ -724,24 +783,6 @@ fn client(args: &[String]) -> CliResult {
         println!("wrote full snapshot to {path}");
     }
     Ok(())
-}
-
-/// Resolves a `--placement` name; the p2c policy draws its two samples
-/// from the replay seed so a fleet run is reproducible end to end.
-fn placement_from_flags(
-    flags: &HashMap<String, String>,
-    seed: u64,
-) -> Result<Box<dyn Placement>, String> {
-    Ok(match flags.get("placement").map(String::as_str) {
-        None | Some("p2c") => Box::new(PowerOfTwoChoices::new(seed)),
-        Some("least-loaded") => Box::new(LeastLoaded),
-        Some("round-robin") => Box::new(RoundRobin::default()),
-        Some(other) => {
-            return Err(format!(
-                "unknown --placement {other} (p2c|least-loaded|round-robin)"
-            ))
-        }
-    })
 }
 
 /// Parses the fleet's `--fault PROC@TICK:kill` (kill one ctrl process at
@@ -793,7 +834,6 @@ fn fleet_child_args(spec: &ReplaySpec, flags: &HashMap<String, String>) -> Vec<S
         "checkpoint-every",
         "max-restarts",
         "shard-timeout-ms",
-        "kernel-threads",
         "workers",
         "idle-timeout-ms",
     ] {
@@ -863,7 +903,6 @@ impl ReplayTarget for FleetTarget {
 fn run_fleet(
     spec: &ReplaySpec,
     flags: &HashMap<String, String>,
-    placement: Box<dyn Placement>,
 ) -> Result<(cdba_bench::replay::ReplayOutcome, FleetTarget), String> {
     let ctrl_procs: usize = get_parse(flags, "ctrl-procs", 2)?;
     let gateways: usize = get_parse(flags, "gateways", 2)?;
@@ -900,7 +939,7 @@ fn run_fleet(
         child_args: fleet_child_args(spec, flags),
         migration_price: 1.0,
     };
-    let mut fleet = Fleet::start(cfg, placement).map_err(|e| e.to_string())?;
+    let mut fleet = Fleet::start(cfg, Box::new(LeastLoaded)).map_err(|e| e.to_string())?;
     let mut metrics = None;
     if let Some(addr) = flags.get("metrics-addr") {
         let registry = std::sync::Arc::new(Registry::new());
@@ -932,14 +971,14 @@ fn run_fleet(
 /// spawned from this very binary — with a forced drain-and-migrate
 /// mid-run, and report the assembled fleet snapshot. Its
 /// placement-invariant view is bitwise-identical to `serve`'s for the
-/// same workload flags, under any placement policy, across live
-/// migrations, and under a `--fault` kill of one ctrl process.
+/// same workload flags, across live migrations, and under a `--fault`
+/// kill of one ctrl process.
 fn fleet(args: &[String]) -> CliResult {
-    let flags = parse_flags(args)?;
+    let known = [WORKLOAD_FLAGS, SERVICE_FLAGS, FLEET_FLAGS, &["json"]];
+    let flags = parse_flags(args, &known)?;
     let spec = replay_spec_from_flags(&flags)?;
     let split = spec.split();
-    let placement = placement_from_flags(&flags, spec.seed)?;
-    let (outcome, mut target) = run_fleet(&spec, &flags, placement)?;
+    let (outcome, mut target) = run_fleet(&spec, &flags)?;
     let snapshot = target.fleet.snapshot().map_err(|e| e.to_string())?;
     let fleet_summary = target.fleet.summary();
 
@@ -1010,7 +1049,7 @@ fn fleet(args: &[String]) -> CliResult {
 /// and two copy threads (one per direction). The relay is protocol-blind:
 /// the lease frames, like everything else, are just bytes to it.
 fn relay(args: &[String]) -> CliResult {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &[&["backends"]])?;
     let backends: Vec<String> = get(&flags, "backends")?
         .split(',')
         .map(|s| s.trim().to_string())
@@ -1065,12 +1104,13 @@ fn relay_conn(down: std::net::TcpStream, backend: &str) {
 }
 
 /// `bench-fleet`: run the fleet replay — forced drain-and-migrate
-/// included — once per placement policy and write the machine-readable
-/// report the CI bench gate reads.
+/// included — and write the machine-readable report the CI bench gate
+/// reads.
 fn bench_fleet(args: &[String]) -> CliResult {
-    let mut flags = parse_flags(args)?;
+    let known = [WORKLOAD_FLAGS, SERVICE_FLAGS, FLEET_FLAGS, &["out"]];
+    let mut flags = parse_flags(args, &known)?;
     // Bench defaults: a smaller population and tick count than serve's,
-    // sized so the three placement rows finish in seconds.
+    // sized so the run finishes in seconds.
     flags
         .entry("sessions".into())
         .or_insert_with(|| "40".into());
@@ -1083,45 +1123,41 @@ fn bench_fleet(args: &[String]) -> CliResult {
     let ctrl_procs: usize = get_parse(&flags, "ctrl-procs", 2)?;
     let gateways: usize = get_parse(&flags, "gateways", 2)?;
 
-    let mut results = Vec::new();
-    for name in ["p2c", "least-loaded", "round-robin"] {
-        flags.insert("placement".into(), name.into());
-        let placement = placement_from_flags(&flags, spec.seed)?;
-        let (outcome, target) = run_fleet(&spec, &flags, placement)?;
-        let fleet_summary = target.fleet.summary();
-        println!(
-            "{name:>12}: {:.0} session-ticks/s, {} migration(s) costing {:.1}, live {:?}",
-            outcome.throughput(),
-            fleet_summary.migrations,
-            fleet_summary.migration_cost,
-            fleet_summary.live,
-        );
-        results.push(serde_json::json!({
-            "placement": name,
-            "ctrl_procs": ctrl_procs,
-            "gateways": gateways,
-            "sessions": spec.sessions,
-            "ticks": spec.ticks,
-            "elapsed_sec": outcome.elapsed_sec,
-            "session_ticks_per_sec": outcome.throughput(),
-            "migrations": fleet_summary.migrations,
-            "migration_cost": fleet_summary.migration_cost,
-            "respawns": fleet_summary.respawns,
-            "live": fleet_summary.live,
-            "imbalance": imbalance(
-                &fleet_summary
-                    .live
-                    .iter()
-                    .map(|&n| n as u64)
-                    .collect::<Vec<_>>(),
-            ),
-        }));
-    }
+    let (outcome, target) = run_fleet(&spec, &flags)?;
+    let fleet_summary = target.fleet.summary();
+    println!(
+        "{}: {:.0} session-ticks/s, {} migration(s) costing {:.1}, live {:?}",
+        fleet_summary.placement,
+        outcome.throughput(),
+        fleet_summary.migrations,
+        fleet_summary.migration_cost,
+        fleet_summary.live,
+    );
+    let row = serde_json::json!({
+        "placement": fleet_summary.placement,
+        "ctrl_procs": ctrl_procs,
+        "gateways": gateways,
+        "sessions": spec.sessions,
+        "ticks": spec.ticks,
+        "elapsed_sec": outcome.elapsed_sec,
+        "session_ticks_per_sec": outcome.throughput(),
+        "migrations": fleet_summary.migrations,
+        "migration_cost": fleet_summary.migration_cost,
+        "respawns": fleet_summary.respawns,
+        "live": fleet_summary.live,
+        "imbalance": imbalance(
+            &fleet_summary
+                .live
+                .iter()
+                .map(|&n| n as u64)
+                .collect::<Vec<_>>(),
+        ),
+    });
 
     let report = serde_json::json!({
         "bench": "fleet",
         "ticks": spec.ticks,
-        "results": results,
+        "results": vec![row],
     });
     let body = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
     std::fs::write(&out, body).map_err(|e| format!("cannot write {out}: {e}"))?;
@@ -1140,7 +1176,8 @@ fn bench_fleet(args: &[String]) -> CliResult {
 /// round trip instead of a reply per connection. The count gate keeps the
 /// committed batch independent of socket arrival order.
 fn bench_gateway(args: &[String]) -> CliResult {
-    let flags = parse_flags(args)?;
+    let known = ["ticks", "sessions", "out", "connections", "session-sweep"];
+    let flags = parse_flags(args, &[&known])?;
     let ticks: u64 = get_parse(&flags, "ticks", 2_000)?;
     let sessions: usize = get_parse(&flags, "sessions", 16)?;
     let out = flags
@@ -1314,7 +1351,8 @@ fn gateway_cell(conns: usize, total: usize, ticks: u64) -> Result<serde_json::Va
 /// Shares [`cdba_bench::matrix`] with the `ctrl_tick` criterion bench, so
 /// a CLI run and a bench run measure identical configurations.
 fn bench_ctrl(args: &[String]) -> CliResult {
-    let flags = parse_flags(args)?;
+    let known = ["sessions", "warmup", "ticks", "checkpoint-sessions", "out"];
+    let flags = parse_flags(args, &[&known])?;
     let out = flags
         .get("out")
         .cloned()
@@ -1394,7 +1432,7 @@ fn bench_ctrl(args: &[String]) -> CliResult {
 }
 
 fn offline(args: &[String]) -> CliResult {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &[&["trace", "bandwidth", "delay"]])?;
     let b: f64 = get_parse(&flags, "bandwidth", 64.0)?;
     let d: usize = get_parse(&flags, "delay", 8)?;
     match load(get(&flags, "trace")?)? {

@@ -14,9 +14,7 @@
 //! cross-thread dispatch), while from 10 000 sessions up the threaded
 //! 4-shard backend must win — the inversion the CI gate pins. That claim
 //! only means something on parallel hardware, so [`tick_cases`] includes
-//! the pure threaded rows only when the host has more than one core; the
-//! adaptive rows run everywhere, since adaptive execution makes the
-//! inline-vs-threaded call itself from measured per-tick cost.
+//! the threaded rows only when the host has more than one core.
 
 use cdba_ctrl::{CheckpointMirror, CheckpointProbe, ControlPlane, ExecMode, ServiceConfig};
 use std::hint::black_box;
@@ -24,7 +22,7 @@ use std::time::Instant;
 
 /// One benchmarked service configuration.
 pub struct TickCase {
-    /// Stable row label, e.g. `threaded/s4/d4` or `inline/s1/k2`.
+    /// Stable row label, e.g. `threaded/s4/d4`.
     pub label: &'static str,
     /// Shard count.
     pub shards: usize,
@@ -32,76 +30,42 @@ pub struct TickCase {
     pub exec: ExecMode,
     /// Pipeline depth (dispatched-but-unacked ticks in flight).
     pub depth: u32,
-    /// Intra-shard kernel threads (1 = sequential sweep).
-    pub kernel_threads: usize,
 }
 
 /// The standard benchmarked configurations *for this host*: the inline
-/// baseline and the adaptive backend always; the pure threaded backends
-/// only on multi-core hosts. On one core a worker thread has nothing to
-/// overlap against — every threaded row would just pin a meaningless
-/// inversion into the committed baseline — while adaptive mode makes its
-/// own inline-vs-threaded call from measured cost, so its rows are
-/// honest on any hardware.
+/// baseline always; the threaded backends only on multi-core hosts. On
+/// one core a worker thread has nothing to overlap against — every
+/// threaded row would just pin a meaningless inversion into the
+/// committed baseline.
 pub fn tick_cases() -> Vec<TickCase> {
     let mut cases = vec![TickCase {
         label: "inline/s1",
         shards: 1,
         exec: ExecMode::Inline,
         depth: 1,
-        kernel_threads: 1,
     }];
     if host_cores() > 1 {
         cases.extend([
-            // The kernel-thread axis: the same inline single-shard
-            // workload with the slot range swept by 2 and 4 worker
-            // threads. Like the threaded rows, the scaling claim (more
-            // kernel threads must not be slower at scale) only means
-            // something on parallel hardware.
-            TickCase {
-                label: "inline/s1/k2",
-                shards: 1,
-                exec: ExecMode::Inline,
-                depth: 1,
-                kernel_threads: 2,
-            },
-            TickCase {
-                label: "inline/s1/k4",
-                shards: 1,
-                exec: ExecMode::Inline,
-                depth: 1,
-                kernel_threads: 4,
-            },
             TickCase {
                 label: "threaded/s1/d4",
                 shards: 1,
                 exec: ExecMode::Threaded,
                 depth: 4,
-                kernel_threads: 1,
             },
             TickCase {
                 label: "threaded/s4/d1",
                 shards: 4,
                 exec: ExecMode::Threaded,
                 depth: 1,
-                kernel_threads: 1,
             },
             TickCase {
                 label: "threaded/s4/d4",
                 shards: 4,
                 exec: ExecMode::Threaded,
                 depth: 4,
-                kernel_threads: 1,
             },
         ]);
     }
-    cases.push(TickCase {
-        label: "adaptive/s4/d4",
-        shards: 4,
-        exec: ExecMode::Adaptive,
-        depth: 4,
-        kernel_threads: 1,
-    });
     cases
 }
 
@@ -135,7 +99,6 @@ pub fn tick_service(case: &TickCase, sessions: usize) -> (ControlPlane, Vec<u64>
         .shards(case.shards)
         .exec(case.exec)
         .pipeline_depth(case.depth)
-        .kernel_threads(case.kernel_threads)
         .build()
         .expect("valid service config");
     let mut service = ControlPlane::new(cfg);
@@ -184,8 +147,6 @@ pub struct TickMeasurement {
     pub exec: &'static str,
     /// Pipeline depth.
     pub depth: u32,
-    /// Intra-shard kernel threads.
-    pub kernel_threads: usize,
     /// Measured ticks.
     pub ticks: u64,
     /// Wall-clock seconds for the measured pass.
@@ -203,7 +164,6 @@ impl TickMeasurement {
             "shards": self.shards,
             "exec": self.exec,
             "pipeline_depth": self.depth,
-            "kernel_threads": self.kernel_threads,
             "ticks": self.ticks,
             "elapsed_sec": self.elapsed_sec,
             "ticks_per_sec": self.ticks_per_sec,
@@ -242,10 +202,8 @@ pub fn measure_cell(
         exec: match case.exec {
             ExecMode::Inline => "inline",
             ExecMode::Threaded => "threaded",
-            ExecMode::Adaptive => "adaptive",
         },
         depth: case.depth,
-        kernel_threads: case.kernel_threads,
         ticks: measured,
         elapsed_sec: elapsed,
         ticks_per_sec,
@@ -425,32 +383,6 @@ mod tests {
         let scaled: Vec<u64> = SESSIONS_AXIS.iter().map(|&s| measured_ticks(s)).collect();
         assert_eq!(scaled, vec![2_048, 1_024, 512, 128]);
         assert!(scaled.windows(2).all(|w| w[0] > w[1]));
-    }
-
-    #[test]
-    fn host_cases_always_cover_inline_and_adaptive() {
-        let cases = tick_cases();
-        let labels: Vec<&str> = cases.iter().map(|c| c.label).collect();
-        assert!(labels.contains(&"inline/s1"));
-        assert!(labels.contains(&"adaptive/s4/d4"));
-        assert_eq!(
-            labels.iter().any(|l| l.starts_with("threaded/")),
-            host_cores() > 1,
-            "threaded rows appear exactly on multi-core hosts"
-        );
-        assert_eq!(
-            labels.iter().any(|l| l.contains("/k")),
-            host_cores() > 1,
-            "kernel-thread rows appear exactly on multi-core hosts"
-        );
-        for case in &cases {
-            assert_eq!(
-                case.label.contains("/k"),
-                case.kernel_threads > 1,
-                "label {} carries its kernel-thread suffix",
-                case.label
-            );
-        }
     }
 
     #[test]

@@ -13,7 +13,10 @@ use crate::CtrlError;
 use cdba_analysis::cost::CostModel;
 use cdba_core::config::{MultiConfig, SingleConfig};
 
-/// How the shard executor runs.
+/// How the shard executor runs. Shards are the one unit of parallelism:
+/// sessions never interact outside a pooled group, and a group lives on
+/// one shard, so a shard's sweep is sequential and the threaded backend
+/// runs the shards side by side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     /// All shards execute on the calling thread, in shard order — the
@@ -23,14 +26,6 @@ pub enum ExecMode {
     Inline,
     /// One worker thread per shard, fed over bounded channels.
     Threaded,
-    /// Starts inline and escalates — once, irreversibly — to the threaded
-    /// backend when an EWMA of the measured per-tick cost says the work is
-    /// heavy enough to pay for channel hops and thread wakeups. On a
-    /// single-core host (or with one shard) it never escalates. The switch
-    /// is invisible in results: shard state moves into the workers bitwise,
-    /// so snapshots' placement-invariant parts are identical to both pure
-    /// modes throughout.
-    Adaptive,
 }
 
 /// Full configuration of a [`crate::service::ControlPlane`].
@@ -72,14 +67,6 @@ pub struct ServiceConfig {
     /// tick before dispatching the next; deeper pipelines overlap tick
     /// `N+1`'s dispatch with tick `N`'s execution. Must be ≥ 1.
     pub pipeline_depth: u32,
-    /// How many threads sweep one shard's slot range inside a tick (≥ 1).
-    /// `1` runs the kernel sequentially on the driving thread; higher
-    /// values split the range into that many fixed chunks swept by a
-    /// reusable per-shard worker pool with a fixed-order reduction, so
-    /// results are bitwise-identical across thread counts. Applies to
-    /// every execution backend (each threaded shard worker drives its own
-    /// kernel pool).
-    pub kernel_threads: usize,
     /// An injected fault for the supervision test harness; `None` in
     /// production. Threaded mode only.
     pub fault: Option<FaultPlan>,
@@ -238,8 +225,12 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Sets how many threads sweep one shard's slot range inside a tick.
-    /// Default 1 (sequential kernel).
+    /// Accepts exactly 1: a shard's sweep runs on one thread, and more
+    /// parallelism means more [`ServiceConfigBuilder::shards`]; any other
+    /// value makes [`ServiceConfigBuilder::build`] fail. Kept only for the
+    /// callers that still pass `.kernel_threads(1)` (the whole-stack
+    /// benchmark's service builder); the next change to that benchmark
+    /// drops the call, and then this method goes.
     pub fn kernel_threads(mut self, threads: usize) -> Self {
         self.kernel_threads = threads;
         self
@@ -294,14 +285,16 @@ impl ServiceConfigBuilder {
                 "pipeline depth must be at least 1".into(),
             ));
         }
-        if self.kernel_threads == 0 {
-            return Err(CtrlError::InvalidService(
-                "kernel threads must be at least 1".into(),
-            ));
+        if self.kernel_threads != 1 {
+            return Err(CtrlError::InvalidService(format!(
+                "kernel threads {} unsupported: a shard sweeps on one thread; \
+                 use more shards for parallelism",
+                self.kernel_threads
+            )));
         }
         if let Some(fault) = &self.fault {
-            // Adaptive starts inline and may never escalate, so a fault
-            // plan (which arms on the initial worker) cannot be honoured.
+            // A fault plan arms on a shard worker, which inline execution
+            // never spawns.
             if self.exec != ExecMode::Threaded {
                 return Err(CtrlError::InvalidService(
                     "fault injection requires threaded execution".into(),
@@ -337,7 +330,6 @@ impl ServiceConfigBuilder {
             max_restarts: self.max_restarts,
             shard_timeout_ms: self.shard_timeout_ms,
             pipeline_depth: self.pipeline_depth,
-            kernel_threads: self.kernel_threads,
             fault: self.fault,
         })
     }
@@ -378,21 +370,31 @@ mod tests {
             ServiceConfig::builder(64.0).default_quota(-1.0).build(),
             Err(CtrlError::InvalidService(_))
         ));
+        // Shards are the parallelism: one kernel thread or a refusal
+        // that names them.
+        for threads in [0, 2] {
+            match ServiceConfig::builder(64.0).kernel_threads(threads).build() {
+                Err(CtrlError::InvalidService(msg)) => assert!(msg.contains("shards"), "{msg}"),
+                other => panic!("kernel_threads({threads}) built: {other:?}"),
+            }
+        }
+        assert!(ServiceConfig::builder(64.0)
+            .kernel_threads(1)
+            .build()
+            .is_ok());
     }
 
     #[test]
     fn fault_plans_are_validated() {
         // Only threaded execution can host a fault: inline never spawns a
-        // worker, and adaptive may never escalate to one.
-        for exec in [ExecMode::Inline, ExecMode::Adaptive] {
-            assert!(matches!(
-                ServiceConfig::builder(64.0)
-                    .exec(exec)
-                    .fault(FaultPlan::kill(0, 5))
-                    .build(),
-                Err(CtrlError::InvalidService(_))
-            ));
-        }
+        // worker.
+        assert!(matches!(
+            ServiceConfig::builder(64.0)
+                .exec(ExecMode::Inline)
+                .fault(FaultPlan::kill(0, 5))
+                .build(),
+            Err(CtrlError::InvalidService(_))
+        ));
         // The targeted shard must exist.
         assert!(matches!(
             ServiceConfig::builder(64.0)
@@ -413,10 +415,6 @@ mod tests {
         ));
         assert!(matches!(
             ServiceConfig::builder(64.0).pipeline_depth(0).build(),
-            Err(CtrlError::InvalidService(_))
-        ));
-        assert!(matches!(
-            ServiceConfig::builder(64.0).kernel_threads(0).build(),
             Err(CtrlError::InvalidService(_))
         ));
     }

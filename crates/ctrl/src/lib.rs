@@ -57,6 +57,8 @@
 //! assert!(snapshot.global.changes > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod codec;
 pub mod config;

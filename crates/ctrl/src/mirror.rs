@@ -237,45 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_swept_frames_match_sequential_and_replicate() {
-        // kernel_threads is an execution detail, not a kernel parameter:
-        // a probe sweeping with 4 pooled workers must emit frames
-        // byte-identical to the sequential sweep's, and a mirror that
-        // never heard of the knob must replicate them.
-        let base = cfg();
-        let k4 = ServiceConfig::builder(4096.0)
-            .session_b_max(16.0)
-            .group_b_o(8.0)
-            .offline_delay(4)
-            .window(4)
-            .kernel_threads(4)
-            .build()
-            .unwrap();
-        let mut seq = CheckpointProbe::new(&base);
-        let mut par = CheckpointProbe::new(&k4);
-        let mut mirror = CheckpointMirror::new(&base);
-        let (mut frame_seq, mut frame_par) = (Vec::new(), Vec::new());
-
-        for round in 0..3 {
-            seq.populate(40);
-            par.populate(40);
-            seq.tick(5);
-            par.tick(5);
-            seq.churn(3);
-            par.churn(3);
-            seq.encode(true, &mut frame_seq);
-            par.encode(true, &mut frame_par);
-            assert_eq!(
-                frame_seq, frame_par,
-                "round {round}: parallel sweep changed the frame bytes"
-            );
-            mirror.apply(&frame_par).unwrap();
-        }
-        assert_eq!(mirror.live_sessions(), par.live_sessions());
-        assert_eq!(mirror.ticks(), par.ticks());
-    }
-
-    #[test]
     fn malformed_frame_leaves_the_mirror_untouched() {
         let cfg = cfg();
         let mut probe = CheckpointProbe::new(&cfg);

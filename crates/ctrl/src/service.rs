@@ -62,18 +62,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Ticks [`ExecMode::Adaptive`] observes before it may escalate — enough
-/// for the EWMA to settle past start-up noise.
-const ADAPTIVE_WARMUP_TICKS: u64 = 32;
-
-/// Smoothed per-tick cost above which [`ExecMode::Adaptive`] escalates to
-/// the threaded backend. Below this, channel hops and thread wakeups cost
-/// more than the shard work they would overlap.
-const ADAPTIVE_ESCALATE_NS: f64 = 100_000.0;
-
-/// EWMA smoothing factor for the adaptive per-tick cost estimate.
-const ADAPTIVE_EWMA_ALPHA: f64 = 0.2;
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PlacementKind {
     Dedicated,
@@ -158,51 +146,6 @@ impl PlacementTable {
             .iter()
             .enumerate()
             .filter_map(|(key, slot)| slot.as_ref().map(|p| (key as u64, p)))
-    }
-}
-
-/// The escalation estimator behind [`ExecMode::Adaptive`]: an EWMA of the
-/// measured inline per-tick cost. Dropped (set to `None` on the service)
-/// once escalation happens — the switch is one-way.
-struct AdaptiveExec {
-    ewma_ns: f64,
-    observed: u64,
-    /// Host parallelism, sampled once at construction. On one core the
-    /// threaded backend can only lose, so escalation is disabled.
-    cores: usize,
-    /// The configured intra-shard kernel thread count: those threads
-    /// already occupy cores during every inline tick, so escalation to
-    /// one worker per shard only helps when cores remain beyond them.
-    kernel_threads: usize,
-}
-
-impl AdaptiveExec {
-    fn new(kernel_threads: usize) -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        AdaptiveExec {
-            ewma_ns: 0.0,
-            observed: 0,
-            cores,
-            kernel_threads,
-        }
-    }
-
-    fn observe(&mut self, tick_ns: f64) {
-        self.ewma_ns = if self.observed == 0 {
-            tick_ns
-        } else {
-            ADAPTIVE_EWMA_ALPHA * tick_ns + (1.0 - ADAPTIVE_EWMA_ALPHA) * self.ewma_ns
-        };
-        self.observed += 1;
-    }
-
-    fn should_escalate(&self, shards: usize) -> bool {
-        self.observed >= ADAPTIVE_WARMUP_TICKS
-            && self.ewma_ns > ADAPTIVE_ESCALATE_NS
-            && shards > 1
-            && self.cores > self.kernel_threads
     }
 }
 
@@ -438,9 +381,6 @@ pub struct ControlPlane {
     seen_at: Vec<u64>,
     /// The stamp naming the current tick in `seen_at`.
     seen_stamp: u64,
-    /// Escalation estimator while running adaptively inline; `None` in the
-    /// pure modes and after escalation.
-    adaptive: Option<AdaptiveExec>,
     /// The shared empty arrival batch, so idle shards tick without a fresh
     /// allocation.
     empty_batch: Arc<[(u64, f64)]>,
@@ -463,9 +403,7 @@ impl ControlPlane {
     pub fn new(cfg: ServiceConfig) -> Self {
         let mut sups: Vec<ShardSup> = (0..cfg.shards).map(|_| ShardSup::new()).collect();
         let (backend, msgs) = match cfg.exec {
-            // Adaptive starts on the inline backend and escalates from
-            // `tick` once the measured per-tick cost justifies workers.
-            ExecMode::Inline | ExecMode::Adaptive => (
+            ExecMode::Inline => (
                 Backend::Inline(
                     (0..cfg.shards)
                         .map(|s| ShardState::new(s as u64, &cfg))
@@ -496,8 +434,6 @@ impl ControlPlane {
         };
         let admission = Mutex::new(AdmissionController::new(cfg.budget, cfg.default_quota));
         let routes = vec![Vec::new(); cfg.shards];
-        let adaptive =
-            (cfg.exec == ExecMode::Adaptive).then(|| AdaptiveExec::new(cfg.kernel_threads));
         ControlPlane {
             cfg,
             admission,
@@ -514,7 +450,6 @@ impl ControlPlane {
             routes,
             seen_at: Vec::new(),
             seen_stamp: 0,
-            adaptive,
             empty_batch: Arc::from(Vec::new()),
             snapshot_cache: None,
             obs: None,
@@ -622,69 +557,6 @@ impl ControlPlane {
         (0..self.cfg.shards)
             .filter(|&s| self.sups[s].healthy)
             .min_by_key(|&s| (self.sups[s].live, s))
-    }
-
-    /// One-way switch from the inline to the threaded backend
-    /// ([`ExecMode::Adaptive`] only). Each shard's state moves into its
-    /// worker *bitwise* — no encode/decode round trip — so results are
-    /// unaffected; each supervisor gets a fresh epoch, an empty journal,
-    /// and (when recovery is enabled) a checkpoint of the state being
-    /// handed over, so a worker that fails before its first periodic
-    /// checkpoint still recovers to the escalation point.
-    fn escalate_to_threaded(&mut self) {
-        let states = match std::mem::replace(
-            &mut self.backend,
-            Backend::Threaded {
-                workers: Vec::new(),
-            },
-        ) {
-            Backend::Inline(states) => states,
-            threaded => {
-                self.backend = threaded;
-                return;
-            }
-        };
-        let (msg_tx, msg_rx) = unbounded();
-        let mut workers = Vec::with_capacity(self.cfg.shards);
-        let mut sink = crate::codec::columnar::ColumnSink::default();
-        for (s, state) in states.into_iter().enumerate() {
-            let sup = &mut self.sups[s];
-            sup.epoch += 1;
-            sup.journal.clear();
-            sup.journal_base = 0;
-            sup.inflight = 0;
-            let epoch = sup.epoch;
-            if self.cfg.checkpoint_every > 0 {
-                let mut bytes = Vec::new();
-                let sessions = state.encode_columnar(&mut sink, &mut bytes);
-                sup.retain(ShardCheckpoint {
-                    shard: s as u64,
-                    epoch,
-                    events_applied: 0,
-                    sessions,
-                    bytes: Arc::new(bytes),
-                });
-            }
-            match spawn_worker(s, sup, state, &self.cfg, None, &msg_tx) {
-                Ok(worker) => workers.push(Some(worker)),
-                Err(err) => {
-                    // Degrade exactly like a failed spawn at start-up.
-                    sup.healthy = false;
-                    sup.last_failure = Some(err.to_string());
-                    workers.push(None);
-                }
-            }
-        }
-        self.backend = Backend::Threaded { workers };
-        self.msgs = Some((msg_tx, msg_rx));
-        self.adaptive = None;
-        self.mutated();
-    }
-
-    /// Whether the service is currently running on worker threads.
-    #[cfg(test)]
-    fn is_threaded(&self) -> bool {
-        matches!(self.backend, Backend::Threaded { .. })
     }
 
     /// Applies all pending out-of-band worker messages: accepts
@@ -1616,10 +1488,8 @@ impl ControlPlane {
         self.mutated();
         // Inline fallback: run every shard's tick on this thread straight
         // from the reused route buffers — no events, no journal, no
-        // allocations on the hot path. Adaptive mode times the loop and
-        // escalates to workers once the smoothed cost warrants them.
+        // allocations on the hot path.
         if let Backend::Inline(states) = &mut self.backend {
-            let timer = self.adaptive.as_ref().map(|_| Instant::now());
             if passthrough {
                 states[0].tick(arrivals);
             } else {
@@ -1631,12 +1501,6 @@ impl ControlPlane {
             if let Some(m) = &self.obs {
                 m.ticks.inc();
                 m.arrivals.add(arrivals.len() as u64);
-            }
-            if let (Some(start), Some(adaptive)) = (timer, self.adaptive.as_mut()) {
-                adaptive.observe(start.elapsed().as_nanos() as f64);
-                if adaptive.should_escalate(self.cfg.shards) {
-                    self.escalate_to_threaded();
-                }
             }
             return Ok(());
         }
@@ -1974,19 +1838,6 @@ mod tests {
             .unwrap()
     }
 
-    fn config_k(shards: usize, exec: ExecMode, threads: usize) -> ServiceConfig {
-        ServiceConfig::builder(1024.0)
-            .session_b_max(16.0)
-            .group_b_o(8.0)
-            .offline_delay(4)
-            .window(4)
-            .shards(shards)
-            .exec(exec)
-            .kernel_threads(threads)
-            .build()
-            .unwrap()
-    }
-
     /// A deterministic churn scenario driven against any service.
     fn run_scenario(mut service: ControlPlane) -> ServiceSnapshot {
         let mut live: Vec<u64> = Vec::new();
@@ -2213,137 +2064,6 @@ mod tests {
         assert_eq!(run(ExecMode::Inline), run(ExecMode::Threaded));
     }
 
-    /// Escalating from the inline to the threaded backend mid-run is
-    /// invisible in results: the full snapshot (not just the invariant
-    /// view) matches a pure inline run of the same scenario.
-    #[test]
-    fn forced_escalation_is_bitwise_invisible() {
-        let baseline = run_scenario(ControlPlane::new(config(2, ExecMode::Inline)));
-        let mut service = ControlPlane::new(config(2, ExecMode::Adaptive));
-        assert!(!service.is_threaded(), "adaptive starts inline");
-        let mut live: Vec<u64> = Vec::new();
-        for _ in 0..6 {
-            live.push(service.admit("acme").unwrap());
-        }
-        live.extend(service.admit_group("globex", 3).unwrap());
-        for t in 0..200u64 {
-            if t == 60 {
-                let gone = live.remove(0);
-                service.leave(gone).unwrap();
-                live.push(service.admit("initech").unwrap());
-            }
-            if t == 100 {
-                service.escalate_to_threaded();
-                assert!(service.is_threaded(), "escalation switched backends");
-            }
-            let arrivals: Vec<(u64, f64)> = live
-                .iter()
-                .enumerate()
-                .map(|(i, &key)| (key, ((t + i as u64) % 4) as f64))
-                .collect();
-            service.tick(&arrivals).unwrap();
-        }
-        let snapshot = service.snapshot().unwrap();
-        service.shutdown();
-        assert_eq!(baseline, snapshot, "escalation changed results");
-    }
-
-    /// The kernel-thread knob is bitwise-invisible end to end on a clean
-    /// run: full snapshots (not just the invariant view) agree across
-    /// `kernel_threads` 1/2/4 × inline/threaded exec.
-    #[test]
-    fn kernel_threads_matrix_agrees_on_clean_runs() {
-        let baseline = run_scenario(ControlPlane::new(config(2, ExecMode::Inline)));
-        for threads in [2usize, 4] {
-            for exec in [ExecMode::Inline, ExecMode::Threaded] {
-                let snap = run_scenario(ControlPlane::new(config_k(2, exec, threads)));
-                assert_eq!(
-                    baseline, snap,
-                    "clean run diverged at {threads} kernel threads ({exec:?})"
-                );
-            }
-        }
-    }
-
-    /// A shard kill and recovery replay cannot observe the thread count:
-    /// the recovered run's invariant view is identical at 1/2/4 kernel
-    /// threads.
-    #[test]
-    fn kernel_threads_matrix_agrees_across_shard_kill() {
-        let run = |threads: usize| {
-            let cfg = ServiceConfig::builder(1024.0)
-                .session_b_max(16.0)
-                .group_b_o(8.0)
-                .offline_delay(4)
-                .window(4)
-                .shards(2)
-                .exec(ExecMode::Threaded)
-                .checkpoint_every(8)
-                .fault(FaultPlan::kill(0, 50))
-                .kernel_threads(threads)
-                .build()
-                .unwrap();
-            run_scenario(ControlPlane::new(cfg)).invariant_view()
-        };
-        let base = run(1);
-        assert_eq!(base, run(2), "kill recovery diverged at 2 kernel threads");
-        assert_eq!(base, run(4), "kill recovery diverged at 4 kernel threads");
-    }
-
-    /// Drain-and-migrate runs cannot observe the thread count either: a
-    /// session exported mid-run and imported into a second plane while
-    /// another session drains out leaves both planes' invariant views
-    /// identical at 1/2/4 kernel threads.
-    #[test]
-    fn kernel_threads_matrix_agrees_across_drain_and_migrate() {
-        let tick_all = |plane: &mut ControlPlane, live: &[u64], t: u64| {
-            let arrivals: Vec<(u64, f64)> = live
-                .iter()
-                .enumerate()
-                .map(|(i, &key)| (key, ((t + i as u64) % 4) as f64))
-                .collect();
-            plane.tick(&arrivals).unwrap();
-        };
-        let run = |threads: usize| {
-            let mut src = ControlPlane::new(config_k(1, ExecMode::Inline, threads));
-            let mut dst = ControlPlane::new(config_k(1, ExecMode::Inline, threads));
-            let keys: Vec<u64> = (0..4).map(|_| src.admit("acme").unwrap()).collect();
-            let group = src.admit_group("globex", 3).unwrap();
-            let mut live: Vec<u64> = keys.iter().chain(group.iter()).copied().collect();
-            for t in 0..60u64 {
-                tick_all(&mut src, &live, t);
-            }
-            // One session drains out while another migrates over.
-            src.leave(keys[0]).unwrap();
-            live.retain(|&k| k != keys[0]);
-            let blob = src.export_session(keys[1]).unwrap();
-            let moved = dst.import_session(&blob).unwrap();
-            live.retain(|&k| k != keys[1]);
-            for t in 60..120u64 {
-                tick_all(&mut src, &live, t);
-                tick_all(&mut dst, &[moved], t);
-            }
-            let views = (
-                src.snapshot().unwrap().invariant_view(),
-                dst.snapshot().unwrap().invariant_view(),
-            );
-            src.shutdown();
-            dst.shutdown();
-            views
-        };
-        let base = run(1);
-        assert_eq!(
-            base,
-            run(2),
-            "drain-and-migrate diverged at 2 kernel threads"
-        );
-        assert_eq!(
-            base,
-            run(4),
-            "drain-and-migrate diverged at 4 kernel threads"
-        );
-    }
-
     /// A worker that is known to be exiting is joined by the restart that
     /// retires it (its state is the restore target), so operator restarts
     /// park nothing. Only a worker retired for silence is parked: the
@@ -2563,18 +2283,6 @@ mod tests {
             assert_eq!(snapshot.sessions.len(), if survives { 4 } else { 2 });
             plane.shutdown();
         }
-    }
-
-    /// A single shard gains nothing from a worker thread, so adaptive mode
-    /// never escalates there regardless of measured cost.
-    #[test]
-    fn adaptive_single_shard_never_escalates() {
-        let mut service = ControlPlane::new(config(1, ExecMode::Adaptive));
-        let key = service.admit("acme").unwrap();
-        for t in 0..100u64 {
-            service.tick(&[(key, (t % 3) as f64)]).unwrap();
-        }
-        assert!(!service.is_threaded());
     }
 
     #[test]

@@ -571,7 +571,7 @@ fn hull_max_slope(hull: &[(f64, f64)], q: (f64, f64)) -> f64 {
 /// shard's [`KernelParams`]; imports are validated to conform at the
 /// service boundary).
 ///
-/// The sweep phases ([`ChunkView::sweep`]) replicate
+/// The sweep phases ([`Columns::sweep`]) replicate
 /// `SingleSession::on_tick` (with its `HullLowTracker` / `HighTracker`
 /// pushes inlined) and `SignallingMeter::record` float-op for float-op
 /// *per field*: one field's operation sequence is never reordered, while
@@ -859,111 +859,6 @@ impl Columns {
         self.hull[i] = Vec::new();
     }
 
-    /// Splits slots `[0, ends.last())` into one [`ChunkView`] per entry
-    /// of `ends` (ascending, non-empty): view `c` covers slots
-    /// `[ends[c-1], ends[c])`, with the ring blocks' rows cut to the
-    /// matching slot range. The views borrow disjoint regions of every
-    /// column, so they can be swept concurrently.
-    fn chunk_views(&mut self, ends: &[usize], w: usize) -> Vec<ChunkView<'_>> {
-        let bound = *ends.last().expect("at least one chunk");
-        let mut recent_rows = self.recent_ring.carve(ends, w).into_iter();
-        // Shrinking-cursor slices over each column; `carve!` peels the
-        // next chunk's window off the front.
-        macro_rules! cursors {
-            ($($col:ident),+ $(,)?) => {
-                $(let mut $col = &mut *self.$col;)+
-            };
-        }
-        macro_rules! carve {
-            ($cur:ident, $n:expr) => {{
-                let (head, tail) = std::mem::take(&mut $cur).split_at_mut($n);
-                $cur = tail;
-                head
-            }};
-        }
-        let mut arrived = &self.arrived[..bound];
-        cursors!(
-            flags,
-            keys,
-            stage_ticks,
-            low_total,
-            high_window_sum,
-            high_min_window_sum,
-            low_low,
-            b_on,
-            backlog,
-            stages_completed,
-            shadow_backlog,
-            current_alloc,
-            changes,
-            peak_alloc,
-            total_arrived,
-            total_served,
-            total_allocated,
-            pend_tick,
-            pend_bits,
-            pend_len,
-            max_delay,
-            max_delay_exact,
-            meter_ticks,
-            window_arrived,
-            window_allocated,
-            recent_head,
-            recent_len,
-            min_util,
-            hull,
-            pend_spill,
-        );
-        let mut views = Vec::with_capacity(ends.len());
-        let mut lo = 0usize;
-        for &hi in ends {
-            debug_assert!(hi >= lo && hi <= bound, "chunk grid is ascending");
-            let n = hi - lo;
-            let head = {
-                let (head, tail) = arrived.split_at(n);
-                arrived = tail;
-                head
-            };
-            views.push(ChunkView {
-                w,
-                arrived: head,
-                flags: carve!(flags, n),
-                keys: carve!(keys, n),
-                stage_ticks: carve!(stage_ticks, n),
-                low_total: carve!(low_total, n),
-                high_window_sum: carve!(high_window_sum, n),
-                high_min_window_sum: carve!(high_min_window_sum, n),
-                low_low: carve!(low_low, n),
-                b_on: carve!(b_on, n),
-                backlog: carve!(backlog, n),
-                stages_completed: carve!(stages_completed, n),
-                shadow_backlog: carve!(shadow_backlog, n),
-                current_alloc: carve!(current_alloc, n),
-                changes: carve!(changes, n),
-                peak_alloc: carve!(peak_alloc, n),
-                total_arrived: carve!(total_arrived, n),
-                total_served: carve!(total_served, n),
-                total_allocated: carve!(total_allocated, n),
-                pend_tick: carve!(pend_tick, n),
-                pend_bits: carve!(pend_bits, n),
-                pend_len: carve!(pend_len, n),
-                max_delay: carve!(max_delay, n),
-                max_delay_exact: carve!(max_delay_exact, n),
-                meter_ticks: carve!(meter_ticks, n),
-                window_arrived: carve!(window_arrived, n),
-                window_allocated: carve!(window_allocated, n),
-                recent_head: carve!(recent_head, n),
-                recent_len: carve!(recent_len, n),
-                min_util: carve!(min_util, n),
-                hull: carve!(hull, n),
-                recent_ring: recent_rows.next().expect("one ring carve per chunk"),
-                pend_spill: carve!(pend_spill, n),
-            });
-            lo = hi;
-        }
-        views
-    }
-
     /// The tick slot `i`'s open stage started at; `None` while none is.
     fn stage_start(&self, i: usize) -> Option<u64> {
         let open = self.flags[i] & F_STAGE_OPEN != 0;
@@ -1179,112 +1074,16 @@ impl<T: Copy + Default> SlotRing<T> {
         })
     }
 
-    /// Splits slots `[0, ends.last())` into one [`RingRows`] per entry of
-    /// `ends` (the chunk grid of [`Columns::chunk_views`]): every block
-    /// row is cut at the chunk edges that fall inside the block, and each
-    /// chunk takes its segments block by block, `w` rows per block.
-    fn carve(&mut self, ends: &[usize], w: usize) -> Vec<RingRows<'_, T>> {
-        let mut blocks = self.blocks.iter_mut();
-        let mut rows: Vec<&mut [T]> = Vec::with_capacity(w);
-        let mut left = 0usize; // slots of the current block not yet handed out
-        let mut lo = 0usize;
-        ends.iter()
-            .map(|&hi| {
-                let first = lo % RING_BLOCK;
-                let mut mine = Vec::with_capacity(((first + hi - lo) / RING_BLOCK + 1) * w);
-                let mut need = hi - lo;
-                while need > 0 {
-                    if left == 0 {
-                        let block = blocks.next().expect("the rings cover every slot");
-                        rows.clear();
-                        let whole = block.chunks_exact_mut(RING_ROW);
-                        rows.extend(whole.map(|row| &mut row[..RING_BLOCK]));
-                        left = RING_BLOCK;
-                    }
-                    let n = need.min(left);
-                    for row in &mut rows {
-                        let (seg, rest) = std::mem::take(row).split_at_mut(n);
-                        mine.push(seg);
-                        *row = rest;
-                    }
-                    need -= n;
-                    left -= n;
-                }
-                lo = hi;
-                RingRows {
-                    rows: mine,
-                    first,
-                    w,
-                }
-            })
-            .collect()
-    }
-}
-
-/// One chunk's share of a [`SlotRing`]: the row segments of every block
-/// the chunk's slots fall in, `rows[b·w + q]` being row `q` of the
-/// chunk's `b`-th block. A chunk may begin mid-block (`first` slots into
-/// it), so its first segments are shorter than the rest.
-struct RingRows<'a, T> {
-    rows: Vec<&'a mut [T]>,
-    first: usize,
-    w: usize,
-}
-
-impl<T> RingRows<'_, T> {
-    /// Ring position `q` of chunk-local slot `j`.
+    /// Ring position `q` of slot `i`.
     #[inline(always)]
-    fn cell(&mut self, q: usize, j: usize) -> &mut T {
-        let k = self.first + j;
-        let b = k / RING_BLOCK;
-        &mut self.rows[b * self.w + q][k - (b * RING_BLOCK).max(self.first)]
+    fn cell(&mut self, q: usize, i: usize) -> &mut T {
+        &mut self.blocks[i / RING_BLOCK][q * RING_ROW + i % RING_BLOCK]
     }
 }
 
 /// Stage-open dedicated slots: the tracker/hull/decide passes run over
 /// exactly the slots whose flags carry both bits.
 const OPEN: u32 = F_DEDICATED | F_STAGE_OPEN;
-
-/// A mutable window over one chunk of every column — the unit of work
-/// the sweep passes (and the kernel worker pool) operate on. Slot
-/// indices inside a view are chunk-local; the rings arrive as
-/// [`RingRows`], so ring position `q` of local slot `j` is
-/// `ring.cell(q, j)`.
-struct ChunkView<'a> {
-    w: usize,
-    arrived: &'a [f64],
-    flags: &'a mut [u32],
-    keys: &'a [u64],
-    stage_ticks: &'a mut [u64],
-    low_total: &'a mut [f64],
-    high_window_sum: &'a mut [f64],
-    high_min_window_sum: &'a mut [f64],
-    low_low: &'a mut [f64],
-    b_on: &'a mut [f64],
-    backlog: &'a mut [f64],
-    stages_completed: &'a mut [u64],
-    shadow_backlog: &'a mut [f64],
-    current_alloc: &'a mut [f64],
-    changes: &'a mut [u64],
-    peak_alloc: &'a mut [f64],
-    total_arrived: &'a mut [f64],
-    total_served: &'a mut [f64],
-    total_allocated: &'a mut [f64],
-    pend_tick: &'a mut [u64],
-    pend_bits: &'a mut [f64],
-    pend_len: &'a mut [u32],
-    max_delay: &'a mut [u64],
-    max_delay_exact: &'a mut [f64],
-    meter_ticks: &'a mut [u64],
-    window_arrived: &'a mut [f64],
-    window_allocated: &'a mut [f64],
-    recent_head: &'a mut [u32],
-    recent_len: &'a mut [u32],
-    min_util: &'a mut [f64],
-    hull: &'a mut [Vec<(f64, f64)>],
-    recent_ring: RingRows<'a, (f64, f64)>,
-    pend_spill: &'a mut [Spill],
-}
 
 /// One step of the shadow link queue plus the metering totals —
 /// branch-free so the flow pass autovectorizes. Bitwise-identical to
@@ -1319,16 +1118,15 @@ fn flow_step(
     served
 }
 
-/// Reusable per-sweep work lists; one per kernel worker (and one on the
-/// shard for the group pass and the sequential path), so steady-state
-/// ticks allocate nothing.
+/// Reusable per-sweep work lists, one per shard, so steady-state ticks
+/// allocate nothing.
 #[derive(Default)]
 struct SweepScratch {
-    /// Chunk-local indices of dedicated slots, in slot order.
+    /// Indices of dedicated slots, in slot order.
     ded: Vec<u32>,
     /// Effective arrivals per `ded` entry (leaving slots read as 0).
     ded_arr: Vec<f64>,
-    /// Chunk-local indices of stage-open dedicated slots.
+    /// Indices of stage-open dedicated slots.
     open: Vec<u32>,
     /// Effective arrivals per `open` entry.
     open_arr: Vec<f64>,
@@ -1346,16 +1144,18 @@ struct SweepScratch {
     grp_alloc: Vec<f64>,
 }
 
-impl ChunkView<'_> {
+/// The sweep passes: each runs over an index list of slots, in list
+/// order, touching only the columns its phase owns.
+impl Columns {
     /// The tracker-push pass over the stage-open slots: the
     /// `HullLowTracker` point push and the `HighTracker` window push,
     /// same float-op order as `SingleSession::on_tick`. The hull
-    /// *query* is hoisted into [`ChunkView::pass_hull_query`], so this
+    /// *query* is hoisted into [`Columns::pass_hull_query`], so this
     /// pass is straight-line arithmetic.
     /// A full high window evicts the meter ring's oldest cell, read here
-    /// before [`ChunkView::pass_meter_window`] overwrites it later in
-    /// the same tick: [`ChunkView::sweep`] runs this pass first in every
-    /// chunk, and the pooled slots metered before the sweep are never open.
+    /// before [`Columns::pass_meter_window`] overwrites it later in the
+    /// same tick: [`Columns::sweep`] runs this pass first, and the pooled
+    /// slots metered before the sweep are never open.
     fn pass_track(&mut self, open: &[u32], open_arr: &[f64], p: &KernelParams) {
         for (&j, &arrivals) in open.iter().zip(open_arr) {
             let j = j as usize;
@@ -1544,9 +1344,9 @@ impl ChunkView<'_> {
 
     /// The FIFO delay-tracker pass (`OnlineDelayTracker::push`): the
     /// head entry lives inline in the columns, and the entries behind it
-    /// are the spill's and the window's arrivals ([`ChunkView::next_pending`]).
+    /// are the spill's and the window's arrivals ([`Columns::next_pending`]).
     /// Data-dependent drain loop, so it stays its own scalar pass.
-    fn pass_meter_fifo(&mut self, idx: &[u32], arr: &[f64], served: &[f64]) {
+    fn pass_meter_fifo(&mut self, idx: &[u32], arr: &[f64], served: &[f64], w: usize) {
         for (k, &j) in idx.iter().enumerate() {
             let j = j as usize;
             // The delay tracker runs on the meter clock, which
@@ -1578,7 +1378,7 @@ impl ChunkView<'_> {
                     self.max_delay_exact[j] = self.max_delay_exact[j].max(exact);
                     self.pend_len[j] -= 1;
                     if self.pend_len[j] > 0 {
-                        let (t0, bits) = self.next_pending(j, now, arrivals);
+                        let (t0, bits) = self.next_pending(j, now, arrivals, w);
                         self.pend_tick[j] = t0;
                         self.pend_bits[j] = bits;
                     }
@@ -1594,12 +1394,12 @@ impl ChunkView<'_> {
         }
     }
 
-    /// The delay-FIFO entry behind local slot `j`'s head, which has just
+    /// The delay-FIFO entry behind slot `j`'s head, which has just
     /// completed at tick `now` with more entries queued: the spill's
     /// oldest, else the first window arrival `> EPS` newer than the head,
     /// else this tick's `arrivals`, not yet in the ring. The window holds
     /// ticks `now − recent_len ..` at positions `0 ..` from its head.
-    fn next_pending(&mut self, j: usize, now: u64, arrivals: f64) -> (u64, f64) {
+    fn next_pending(&mut self, j: usize, now: u64, arrivals: f64, w: usize) -> (u64, f64) {
         if let Some(spill) = &mut self.pend_spill[j] {
             let next = spill.pop_front().expect("a held spill is not empty");
             if spill.is_empty() {
@@ -1607,7 +1407,7 @@ impl ChunkView<'_> {
             }
             return next;
         }
-        let (w, len) = (self.w, self.recent_len[j] as usize);
+        let len = self.recent_len[j] as usize;
         let first = (self.pend_tick[j] + 1 + len as u64).saturating_sub(now) as usize;
         for p in first..len {
             let q = self.recent_head[j] as usize + p;
@@ -1625,8 +1425,7 @@ impl ChunkView<'_> {
     /// subtracting the evicted one, as the VecDeque form did. An evicted
     /// arrival the delay FIFO still queues behind its head moves to the
     /// slot's spill before its cell is overwritten.
-    fn pass_meter_window(&mut self, idx: &[u32], arr: &[f64], alloc: &[f64]) {
-        let w = self.w;
+    fn pass_meter_window(&mut self, idx: &[u32], arr: &[f64], alloc: &[f64], w: usize) {
         for (k, &j) in idx.iter().enumerate() {
             let j = j as usize;
             let (arrivals, allocation) = (arr[k], alloc[k]);
@@ -1663,19 +1462,16 @@ impl ChunkView<'_> {
         }
     }
 
-    /// One full dedicated-session sweep over this chunk: build the
-    /// dense index lists, then run the phase passes in order. Leaves
+    /// One full dedicated-session sweep over slots `[0, bound)`: build
+    /// the dense index lists, then run the phase passes in order. Leaves
     /// the keys of drain-completed slots in `s.retire`, in slot order.
-    /// Slots are independent, so per-slot state after the sweep is a
-    /// function of that slot alone — chunking cannot change a bit.
-    fn sweep(&mut self, p: &KernelParams, s: &mut SweepScratch) {
+    fn sweep(&mut self, bound: usize, p: &KernelParams, s: &mut SweepScratch) {
         s.ded.clear();
         s.ded_arr.clear();
         s.open.clear();
         s.open_arr.clear();
         s.retire.clear();
-        for j in 0..self.flags.len() {
-            let f = self.flags[j];
+        for (j, &f) in self.flags[..bound].iter().enumerate() {
             if f & F_DEDICATED == 0 {
                 continue;
             }
@@ -1699,80 +1495,13 @@ impl ChunkView<'_> {
         self.pass_hull_query(&s.open, p);
         self.pass_decide(&s.ded, &s.ded_arr, &mut s.alloc, p);
         self.pass_meter_flow(&s.ded, &s.ded_arr, &s.alloc, &mut s.served);
-        self.pass_meter_fifo(&s.ded, &s.ded_arr, &s.served);
-        self.pass_meter_window(&s.ded, &s.ded_arr, &s.alloc);
+        self.pass_meter_fifo(&s.ded, &s.ded_arr, &s.served, p.w);
+        self.pass_meter_window(&s.ded, &s.ded_arr, &s.alloc, p.w);
         for &j in &s.ded {
             let j = j as usize;
             if self.flags[j] & F_LEAVING != 0 && self.shadow_backlog[j] <= EPS {
                 s.retire.push(self.keys[j]);
             }
-        }
-    }
-}
-
-/// A job handed to a kernel worker: a lifetime-erased chunk view plus
-/// the tick's parameters. Safety: the erased borrows are only valid
-/// until the dispatching tick returns, so the dispatcher MUST collect
-/// every worker's completion (panic or not) before it returns or
-/// unwinds — `ShardState::tick` does, and `KernelPool` sits before
-/// `cols` in `ShardState` so drop joins the workers first.
-struct KernelJob {
-    view: ChunkView<'static>,
-    params: KernelParams,
-    chunk: usize,
-}
-
-/// A small reusable per-shard worker pool for the intra-shard parallel
-/// sweep. Workers are spawned once and fed one fixed chunk per tick;
-/// each returns its retire list, which the dispatcher concatenates in
-/// chunk order (= slot order), so the reduction is deterministic and
-/// independent of completion order.
-struct KernelPool {
-    jobs: Vec<crossbeam::channel::Sender<KernelJob>>,
-    done: crossbeam::channel::Receiver<(usize, std::thread::Result<Vec<u64>>)>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl KernelPool {
-    fn new(shard: u64, workers: usize) -> Self {
-        let (done_tx, done) = crossbeam::channel::unbounded();
-        let mut jobs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for k in 0..workers {
-            let (tx, rx) = crossbeam::channel::unbounded::<KernelJob>();
-            let done_tx = done_tx.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("cdba-kernel-{shard}-{k}"))
-                .spawn(move || {
-                    let mut scratch = SweepScratch::default();
-                    while let Ok(mut job) = rx.recv() {
-                        let outcome =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                job.view.sweep(&job.params, &mut scratch);
-                                std::mem::take(&mut scratch.retire)
-                            }));
-                        if done_tx.send((job.chunk, outcome)).is_err() {
-                            return;
-                        }
-                    }
-                })
-                .expect("spawn kernel worker");
-            jobs.push(tx);
-            handles.push(handle);
-        }
-        KernelPool {
-            jobs,
-            done,
-            handles,
-        }
-    }
-}
-
-impl Drop for KernelPool {
-    fn drop(&mut self) {
-        self.jobs.clear(); // disconnect: workers exit their recv loop
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
         }
     }
 }
@@ -1802,14 +1531,7 @@ pub(crate) struct ShardState {
     index: KeyMap,
     groups: Slab<GroupEntry>,
     group_index: KeyMap,
-    /// How many threads sweep this shard's slot range inside a tick.
-    kernel_threads: usize,
-    /// Lazily-spawned worker pool for `kernel_threads > 1`; holds
-    /// `kernel_threads - 1` workers (the driving thread sweeps chunk 0).
-    /// Declared before `cols`: drop joins the workers before the column
-    /// storage their erased views may still reference deallocates.
-    kernel_pool: Option<KernelPool>,
-    /// The driving thread's sweep work lists, reused across ticks.
+    /// The sweep work lists, reused across ticks.
     scratch: SweepScratch,
     /// Per-session hot state, parallel to `sessions` by slot.
     cols: Columns,
@@ -1835,8 +1557,6 @@ impl ShardState {
             index: KeyMap::new(),
             groups: Slab::new(),
             group_index: KeyMap::new(),
-            kernel_threads: cfg.kernel_threads,
-            kernel_pool: None,
             scratch: SweepScratch::default(),
             cols: Columns::default(),
             retired: Arc::new(Vec::new()),
@@ -1846,8 +1566,8 @@ impl ShardState {
     }
 
     /// Turns a retired worker's state into a restore target: allocations
-    /// are kept (columns, ring blocks, slab and key tables, the kernel
-    /// pool and its scratch, whose lists every sweep clears before use),
+    /// are kept (columns, ring blocks, slab and key tables, the sweep
+    /// scratch, whose lists every sweep clears before use),
     /// contents are not — the retiree may have been torn mid-event by the
     /// very panic that retired it, so everything a fresh state starts
     /// without is emptied here and rebuilt by the restore through the
@@ -2564,13 +2284,10 @@ impl ShardState {
         }
 
         let p = self.params();
-        let shard = self.shard;
-        let kernel_threads = self.kernel_threads;
         let mut to_retire: Vec<u64> = Vec::new();
         {
             let ShardState {
                 groups,
-                kernel_pool,
                 scratch,
                 cols,
                 ..
@@ -2634,81 +2351,20 @@ impl ShardState {
                 }
             }
             if !scratch.grp.is_empty() {
-                let mut views = cols.chunk_views(&[bound], p.w);
-                let view = &mut views[0];
-                view.pass_meter_flow(
+                cols.pass_meter_flow(
                     &scratch.grp,
                     &scratch.grp_arr,
                     &scratch.grp_alloc,
                     &mut scratch.served,
                 );
-                view.pass_meter_fifo(&scratch.grp, &scratch.grp_arr, &scratch.served);
-                view.pass_meter_window(&scratch.grp, &scratch.grp_arr, &scratch.grp_alloc);
+                cols.pass_meter_fifo(&scratch.grp, &scratch.grp_arr, &scratch.served, p.w);
+                cols.pass_meter_window(&scratch.grp, &scratch.grp_arr, &scratch.grp_alloc, p.w);
             }
 
-            // Dedicated sweep ([`ChunkView::sweep`]): dense index lists
-            // drive vectorization-friendly phase passes, in slot order
-            // within each chunk. With `kernel_threads > 1` the slot range
-            // splits into that many fixed chunks — the driving thread
-            // sweeps chunk 0, the worker pool the rest — and the
-            // per-chunk retire lists concatenate in chunk order, which
-            // *is* slot order: slots are independent inside the sweep, so
-            // the result is bitwise-identical across thread counts.
-            let chunks = kernel_threads.min(bound).max(1);
-            if chunks == 1 {
-                let mut views = cols.chunk_views(&[bound], p.w);
-                views[0].sweep(&p, scratch);
-                to_retire.append(&mut scratch.retire);
-            } else {
-                let pool =
-                    kernel_pool.get_or_insert_with(|| KernelPool::new(shard, kernel_threads - 1));
-                let ends: Vec<usize> = (1..=chunks).map(|c| bound * c / chunks).collect();
-                let mut views = cols.chunk_views(&ends, p.w).into_iter();
-                let mut chunk0 = views.next().expect("at least one chunk");
-                for (k, view) in views.enumerate() {
-                    // SAFETY: the erased borrow is dead once the worker's
-                    // completion lands on `done`, and every completion is
-                    // collected below before this scope (and the borrow of
-                    // `cols`) can end — even when a chunk panics.
-                    let erased =
-                        unsafe { std::mem::transmute::<ChunkView<'_>, ChunkView<'static>>(view) };
-                    if pool.jobs[k]
-                        .send(KernelJob {
-                            view: erased,
-                            params: p,
-                            chunk: k + 1,
-                        })
-                        .is_err()
-                    {
-                        unreachable!("kernel workers outlive the pool");
-                    }
-                }
-                let chunk0_outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    chunk0.sweep(&p, scratch);
-                }));
-                let mut rest: Vec<Option<Vec<u64>>> = (1..chunks).map(|_| None).collect();
-                let mut worker_panic: Option<Box<dyn std::any::Any + Send>> = None;
-                for _ in 1..chunks {
-                    let (chunk, outcome) =
-                        pool.done.recv().expect("kernel workers outlive the pool");
-                    match outcome {
-                        Ok(retire) => rest[chunk - 1] = Some(retire),
-                        Err(payload) => worker_panic = Some(payload),
-                    }
-                }
-                // All chunks have reported: no erased view is live, so
-                // unwinding (or returning) is now sound.
-                if let Err(payload) = chunk0_outcome {
-                    std::panic::resume_unwind(payload);
-                }
-                if let Some(payload) = worker_panic {
-                    std::panic::resume_unwind(payload);
-                }
-                to_retire.append(&mut scratch.retire);
-                for retire in rest {
-                    to_retire.extend(retire.expect("every chunk reported exactly once"));
-                }
-            }
+            // Dedicated sweep ([`Columns::sweep`]): dense index lists
+            // drive vectorization-friendly phase passes, in slot order.
+            cols.sweep(bound, &p, scratch);
+            to_retire.append(&mut scratch.retire);
 
             // O(arrivals) un-scatter: restore the column's all-zero
             // resting state by clearing only the touched indices.
@@ -3409,14 +3065,13 @@ mod tests {
             ticks as f64 / entry_elapsed.as_secs_f64(),
         );
 
-        // Per-pass timings over the warmed SoA state, via a full-range
-        // chunk view and the same phase passes the sweep runs.
+        // Per-pass timings over the warmed SoA state, via the same phase
+        // passes the sweep runs.
         let p = soa.params();
         let cols = &mut soa.cols;
         let rounds = 20u32;
         let per = |d: std::time::Duration| d.as_nanos() as f64 / (rounds as f64 * n as f64);
         let mut s = SweepScratch::default();
-        let mut view = cols.chunk_views(&[n], p.w).pop().unwrap();
         let arr: Vec<f64> = (0..n).map(|i| (i % 5) as f64).collect();
         let started = std::time::Instant::now();
         let mut sink = 0.0f64;
@@ -3428,17 +3083,17 @@ mod tests {
             s.ded.clear();
             for (j, &a) in arr.iter().enumerate() {
                 s.ded.push(j as u32);
-                if view.flags[j] & F_STAGE_OPEN != 0 {
+                if cols.flags[j] & F_STAGE_OPEN != 0 {
                     s.open.push(j as u32);
                     s.open_arr.push(a);
                 }
             }
             let t1 = std::time::Instant::now();
-            view.pass_track(&s.open, &s.open_arr, &p);
+            cols.pass_track(&s.open, &s.open_arr, &p);
             let t2 = std::time::Instant::now();
-            view.pass_hull_query(&s.open, &p);
+            cols.pass_hull_query(&s.open, &p);
             let t3 = std::time::Instant::now();
-            view.pass_decide(&s.ded, &arr, &mut s.alloc, &p);
+            cols.pass_decide(&s.ded, &arr, &mut s.alloc, &p);
             let t4 = std::time::Instant::now();
             sink += s.alloc.iter().sum::<f64>();
             pass_ns[0] += (t1 - t0).as_nanos();
@@ -3450,11 +3105,11 @@ mod tests {
         let started = std::time::Instant::now();
         for _ in 0..rounds {
             let t0 = std::time::Instant::now();
-            view.pass_meter_flow(&s.ded, &arr, &s.alloc, &mut s.served);
+            cols.pass_meter_flow(&s.ded, &arr, &s.alloc, &mut s.served);
             let t1 = std::time::Instant::now();
-            view.pass_meter_fifo(&s.ded, &arr, &s.served);
+            cols.pass_meter_fifo(&s.ded, &arr, &s.served, p.w);
             let t2 = std::time::Instant::now();
-            view.pass_meter_window(&s.ded, &arr, &s.alloc);
+            cols.pass_meter_window(&s.ded, &arr, &s.alloc, p.w);
             let t3 = std::time::Instant::now();
             pass_ns[4] += (t1 - t0).as_nanos();
             pass_ns[5] += (t2 - t1).as_nanos();
@@ -3476,9 +3131,9 @@ mod tests {
         let mut hull_points = 0usize;
         let mut open_stages = 0usize;
         for j in 0..n {
-            if view.flags[j] & F_STAGE_OPEN != 0 {
+            if cols.flags[j] & F_STAGE_OPEN != 0 {
                 open_stages += 1;
-                hull_points += view.hull[j].len();
+                hull_points += cols.hull[j].len();
             }
         }
         println!(
@@ -3970,62 +3625,13 @@ mod tests {
             prop_assert_eq!(fast, oracle);
         }
 
-        /// The kernel-thread knob is bitwise-invisible at the shard
-        /// level: the chunked parallel sweep at 2 and 4 threads must
-        /// produce byte-identical binary checkpoints to the sequential
-        /// sweep after every tick of a random lifecycle script — also
-        /// across captures and restores into the recycled state, which
-        /// keeps its kernel pool.
-        #[test]
-        fn kernel_thread_count_is_bitwise_invisible(
-            ops in proptest::collection::vec(op_strategy(), 1..40)
-        ) {
-            let mut shards = [1, 2, 4].map(threaded_shard);
-            let mut script = Script::default();
-            let mut sink = columnar::ColumnSink::default();
-            let mut frame: Option<Vec<u8>> = None;
-            let mut journal: Vec<ReplayEvent> = Vec::new();
-            for (i, op) in ops.iter().enumerate() {
-                for ev in script.events(op) {
-                    for s in &mut shards {
-                        s.apply(&ev);
-                    }
-                    if matches!(ev, ReplayEvent::Tick { .. }) {
-                        let base = v1_bytes(&shards[0]);
-                        prop_assert_eq!(&base, &v1_bytes(&shards[1]));
-                        prop_assert_eq!(&base, &v1_bytes(&shards[2]));
-                    }
-                    journal.push(ev);
-                }
-                if i % 5 == 2 {
-                    let [k1, k2, k4] = shards.each_mut().map(|s| {
-                        let mut bytes = Vec::new();
-                        s.encode_columnar(&mut sink, &mut bytes);
-                        bytes
-                    });
-                    prop_assert_eq!(&k1, &k2);
-                    prop_assert_eq!(&k1, &k4);
-                    frame = Some(k1);
-                    journal.clear();
-                }
-                if i % 7 == 6 {
-                    shards = shards.map(|mut s| {
-                        if i % 14 == 6 {
-                            tear(&mut s);
-                        }
-                        s.recycle().rebuild(frame.as_deref(), &journal)
-                    });
-                }
-            }
-        }
-
         /// The columnar kernel against the retained entry-based kernel,
         /// through [`lockstep`].
         #[test]
         fn soa_kernel_matches_entry_based_reference(
             ops in proptest::collection::vec(lockstep_op_strategy(), 1..48)
         ) {
-            lockstep(1, &ops)?;
+            lockstep(&ops)?;
         }
 
         /// The columnar frames against the full v1 codec: a mirror shard
@@ -4074,8 +3680,8 @@ mod tests {
         }
     }
 
-    /// Drives `ops` through a columnar shard swept by `threads` kernel
-    /// threads and through the retained entry-based kernel: after every
+    /// Drives `ops` through a columnar shard and through the retained
+    /// entry-based kernel: after every
     /// tick the two shards' binary-encoded checkpoints must be
     /// byte-identical — every per-session float (backlogs, tracker hulls
     /// and windows, metric totals) bitwise, not approximately. The
@@ -4087,8 +3693,8 @@ mod tests {
     /// it — migration as a lease blob (export → forget → import),
     /// checkpoint capture, and crash recovery from the last frame plus a
     /// journal replay — none of which may show. Returns the kernel shard.
-    fn lockstep(threads: usize, ops: &[LockstepOp]) -> Result<ShardState, TestCaseError> {
-        let mut soa = threaded_shard(threads);
+    fn lockstep(ops: &[LockstepOp]) -> Result<ShardState, TestCaseError> {
+        let mut soa = shard();
         let mut oracle = reference::RefShard::new(0, &shard_cfg());
         let mut sink = columnar::ColumnSink::default();
         // The supervisor's recovery state: the last captured frame
@@ -4152,7 +3758,7 @@ mod tests {
                     let target = if recoveries.is_multiple_of(2) {
                         soa.recycle()
                     } else {
-                        threaded_shard(threads)
+                        shard()
                     };
                     soa = target.rebuild(frame.as_deref(), &journal);
                     recoveries += 1;
@@ -4176,18 +3782,6 @@ mod tests {
         Ok(soa)
     }
 
-    fn threaded_shard(threads: usize) -> ShardState {
-        let cfg = ServiceConfig::builder(1024.0)
-            .session_b_max(16.0)
-            .group_b_o(8.0)
-            .offline_delay(4)
-            .window(4)
-            .kernel_threads(threads)
-            .build()
-            .unwrap();
-        ShardState::new(0, &cfg)
-    }
-
     fn v1_bytes(state: &ShardState) -> Vec<u8> {
         let mut out = Vec::new();
         crate::codec::checkpoint::encode(&state.checkpoint(), &mut out);
@@ -4201,17 +3795,15 @@ mod tests {
     }
 
     /// Populations one short of a ring block, exactly one, one past it and
-    /// one reaching into a third, each swept by 1 to 4 kernel threads — at
-    /// 9 slots and 2 threads the chunk edge is slot 4, at 8 and 3 they are
-    /// 2 and 5: inside a block, as production's always are — in
-    /// [`lockstep`] with the entry-based reference. The script wraps the
+    /// one reaching into a third, in [`lockstep`] with the entry-based
+    /// reference. The script wraps the
     /// `W` = 4 ring several times, meters a pooled group through the
     /// gather path, and reuses a retired slot. A burst holds every
     /// dedicated session in RESET for several ticks; one is leased and
     /// the shard recovered from a frame in the middle of it, and again a
     /// few ticks into the next stages, while windows are partly filled.
     #[test]
-    fn block_edges_and_chunk_edges_inside_blocks_are_bitwise_invisible() {
+    fn ring_block_edges_are_bitwise_invisible() {
         use LockstepOp::*;
         for n in [
             RING_BLOCK - 1,
@@ -4241,12 +3833,9 @@ mod tests {
                     Plain(Op::Ticks(6, 7)),
                 ])
                 .collect();
-            let shards = [1, 2, 3, 4].map(|threads| lockstep(threads, &ops).unwrap());
-            for s in &shards[1..] {
-                assert_eq!(v1_bytes(&shards[0]), v1_bytes(s), "{n} slots");
-            }
-            let blocks = shards[0].sessions.slot_bound().div_ceil(RING_BLOCK);
-            assert_eq!(block_addrs(&shards[0]).len(), blocks, "{n} slots");
+            let shard = lockstep(&ops).unwrap();
+            let blocks = shard.sessions.slot_bound().div_ceil(RING_BLOCK);
+            assert_eq!(block_addrs(&shard).len(), blocks, "{n} slots");
         }
     }
 
@@ -4259,7 +3848,7 @@ mod tests {
         // A history of `n` sessions: the state, its last frame and the
         // journal since.
         let history = |n: usize| {
-            let mut state = threaded_shard(2);
+            let mut state = shard();
             let mut script = Script::default();
             let mut run = |state: &mut ShardState, ops: &[Op]| {
                 let evs: Vec<ReplayEvent> = ops.iter().flat_map(|op| script.events(op)).collect();
@@ -4289,7 +3878,7 @@ mod tests {
                     tear(&mut donor);
                 }
                 let mut restored = donor.recycle().rebuild(Some(&frame), &journal);
-                let mut fresh = threaded_shard(2).rebuild(Some(&frame), &journal);
+                let mut fresh = shard().rebuild(Some(&frame), &journal);
                 assert_eq!(v1_bytes(&restored), v1_bytes(&fresh));
                 let now = block_addrs(&restored);
                 let blocks = donor_n

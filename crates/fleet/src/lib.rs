@@ -36,7 +36,7 @@ mod fleet;
 mod placement;
 
 pub use fleet::{Fleet, FleetConfig, FleetSummary};
-pub use placement::{LeastLoaded, Placement, PowerOfTwoChoices, RoundRobin};
+pub use placement::{LeastLoaded, Placement};
 
 /// Everything that can go wrong driving a fleet.
 #[derive(Debug)]

@@ -27,7 +27,7 @@ counterpart, matched on the listed keys::
 
   Measured entries with no baseline counterpart are skipped (CI smoke
   runs measure a subset of the committed matrix, and the matrix's row
-  set is host-gated — ``adaptive/*`` rows appear everywhere, pure
+  set is host-gated — ``inline/s1`` rows appear everywhere,
   ``threaded/*`` rows only on multi-core hosts); any matched entry
   below its floor fails the gate. When both reports record a ``cores``
   field and they differ, the whole matrix gate is skipped with a
@@ -43,14 +43,12 @@ Ordering (inversion) gate — one file, two entries, strict inequality::
 
   Exits 1 unless the ``--exceeds`` entry's metric strictly exceeds the
   ``--over`` entry's. The ordering is a statement about parallel
-  hardware — shard threads (``threaded/*`` over ``inline/s1``) and
-  intra-shard kernel threads (``inline/s1/k2`` over ``inline/s1``)
-  alike — so when the report records a ``cores`` field below
-  ``--min-cores`` the check is skipped with a notice instead of
-  asserting parallelism a single-core host cannot exhibit. The
-  ``*/k2``/``*/k4`` rows themselves only exist in multi-core reports,
-  so the cores check also keeps the selector from demanding a row a
-  single-core host never measures.
+  hardware — shard threads (``threaded/*`` over ``inline/s1``) — so
+  when the report records a ``cores`` field below ``--min-cores`` the
+  check is skipped with a notice instead of asserting parallelism a
+  single-core host cannot exhibit. The ``threaded/*`` rows themselves
+  only exist in multi-core reports, so the cores check also keeps the
+  selector from demanding a row a single-core host never measures.
 
 Faster-than-baseline results always pass: the regression gates are
 one-sided, catching slowdowns only. And a brand-new bench passes too:
