@@ -14,8 +14,6 @@
 //! cdba-cli client        --addr 127.0.0.1:4411 --sessions 100 [--ticks 100000] [--json snap.json]
 //! cdba-cli fleet         [--ctrl-procs 2] [--gateways 2] [--json snap.json]
 //! cdba-cli relay         --backends HOST:PORT,HOST:PORT
-//! cdba-cli bench-gateway [--ticks 2000] [--connections 1,4,16,32,64] [--out BENCH_gateway.json]
-//! cdba-cli bench-fleet   [--ticks 2000] [--out BENCH_fleet.json]
 //! ```
 //!
 //! (The full per-command flag lists are in `USAGE`, printed by `--help`;
@@ -34,7 +32,6 @@
 //! multi-session).
 
 use cdba_analysis::cost::CostModel;
-use cdba_bench::matrix;
 use cdba_bench::replay::{run_replay, workload_kind, ReplaySpec, ReplayTarget};
 use cdba_core::combined::Combined;
 use cdba_core::config::{CombinedConfig, InnerMulti, MultiConfig, SingleConfig};
@@ -76,9 +73,6 @@ fn main() -> ExitCode {
         "client" => client(rest),
         "fleet" => fleet(rest),
         "relay" => relay(rest),
-        "bench-ctrl" => bench_ctrl(rest),
-        "bench-gateway" => bench_gateway(rest),
-        "bench-fleet" => bench_fleet(rest),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             Ok(())
@@ -107,8 +101,7 @@ usage: cdba-cli <command> [options]
            [--bandwidth B] [--group-bandwidth B_O] [--delay D] [--utilization U]
            [--window W] [--group-size G] [--pool-frac F] [--churn-every C]
            [--budget B_A] [--quota Q] [--exec inline|threaded]
-           [--json FILE]
-           [--summary FILE] [--fault SHARD@TICK:<kill|hang:MS|delay:MS>]
+           [--json FILE] [--fault SHARD@TICK:<kill|hang:MS|delay:MS>]
            [--checkpoint-every N] [--max-restarts R] [--shard-timeout-ms MS]
   gateway  [--addr HOST:PORT] [--workers N] [--idle-timeout-ms MS]
            [--metrics-addr HOST:PORT]
@@ -135,27 +128,6 @@ usage: cdba-cli <command> [options]
            byte-shuttle frontend: binds one loopback listener per
            backend and pipes accepted connections through (spawned by
            `fleet`; rarely useful by hand)
-  bench-ctrl [--sessions 100,1000,10000,100000] [--warmup W] [--ticks T]
-           [--checkpoint-sessions 10000,100000,1000000]
-           [--out BENCH_ctrl.json]
-           measures the in-process tick matrix (every exec/shards/depth
-           case over each session population) plus the columnar
-           checkpoint axis (frame encode, cold and warm restore,
-           frame bytes) and writes the machine-readable report the CI
-           bench gate reads; a run restricted with --sessions skips the
-           checkpoint axis unless --checkpoint-sessions names one
-  bench-gateway [--ticks T] [--sessions N] [--out FILE]
-           [--connections 1,4,16,32,64] [--session-sweep 100,1000,...]
-           drives ticks from one thread over each connection count using
-           no-ack staging + count-gated commits (one round trip per tick)
-           and writes machine-readable throughput/latency JSON;
-           --session-sweep appends rows at 16 connections across the
-           given populations with the tick count scaled down as the
-           population grows
-  bench-fleet [--ticks T] [--sessions N] [--ctrl-procs 2] [--gateways 2]
-           [--out BENCH_fleet.json] + every `fleet` flag but --json
-           runs the fleet replay (with its forced drain-and-migrate)
-           and writes a machine-readable throughput/migration report
 
 Every command refuses a flag outside its own list.";
 
@@ -188,7 +160,7 @@ const SERVICE_FLAGS: &[&str] = &[
 ];
 
 /// `fleet`'s own flags, plus the gateway flags it forwards to its
-/// children ([`fleet_child_args`]); `bench-fleet` takes them too.
+/// children ([`fleet_child_args`]).
 const FLEET_FLAGS: &[&str] = &[
     "ctrl-procs",
     "gateways",
@@ -598,6 +570,17 @@ fn imbalance(counts: &[u64]) -> serde_json::Value {
     })
 }
 
+/// Refuses an event scheduled at or past the run's last tick: it would
+/// never fire, and the run would exit 0 as if it had.
+fn check_scheduled(flag: &str, at: u64, ticks: u64) -> CliResult {
+    if at >= ticks {
+        return Err(format!(
+            "{flag} tick {at} >= --ticks {ticks}: the event would never fire"
+        ));
+    }
+    Ok(())
+}
+
 /// `serve`: spin up the cdba-ctrl control plane, replay a generated
 /// `MultiTrace` through it with mid-run session churn, and report
 /// throughput plus the service's JSON metrics snapshot. The
@@ -606,9 +589,14 @@ fn imbalance(counts: &[u64]) -> serde_json::Value {
 /// under the same seed — and for a `client` replay of the same workload
 /// over the gateway wire.
 fn serve(args: &[String]) -> CliResult {
-    let flags = parse_flags(args, &[WORKLOAD_FLAGS, SERVICE_FLAGS, &["json", "summary"]])?;
+    let flags = parse_flags(args, &[WORKLOAD_FLAGS, SERVICE_FLAGS, &["json"]])?;
     let spec = replay_spec_from_flags(&flags)?;
     let (cfg, exec, shards) = service_config_from_flags(&flags, &spec)?;
+    // Not in `gateway`: there the client drives the ticks, so the server
+    // cannot know their count.
+    if let Some(plan) = &cfg.fault {
+        check_scheduled("--fault", plan.at_tick, spec.ticks)?;
+    }
     let split = spec.split();
 
     let mut service = ControlPlane::new(cfg);
@@ -677,12 +665,10 @@ fn serve(args: &[String]) -> CliResult {
                 .collect::<Vec<_>>(),
         ),
     });
-    let summary_body = serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?;
-    println!("{summary_body}");
-    if let Some(path) = flags.get("summary") {
-        std::fs::write(path, &summary_body).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote summary to {path}");
-    }
+    println!(
+        "{}",
+        serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?
+    );
     if let Some(path) = flags.get("json") {
         std::fs::write(path, snapshot.to_json_string())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -846,8 +832,9 @@ fn fleet_child_args(spec: &ReplaySpec, flags: &HashMap<String, String>) -> Vec<S
 }
 
 /// Drives [`run_replay`] against a [`Fleet`], firing the scheduled drain
-/// and fault at their tick boundaries (fault first, so a drain landing on
-/// the same tick exercises recovery rather than racing it).
+/// and fault at their tick boundaries, the fault first. (A drain onto the
+/// process killed that tick fails: a migration grant never respawns its
+/// target.)
 struct FleetTarget {
     fleet: Fleet,
     now: u64,
@@ -897,21 +884,29 @@ impl ReplayTarget for FleetTarget {
     }
 }
 
-/// Spawns a fleet from the parsed flags and replays the spec's workload
-/// through it. Shared by `fleet` and `bench-fleet` so a benchmarked run
-/// is exactly the run the determinism gate checks.
-fn run_fleet(
-    spec: &ReplaySpec,
-    flags: &HashMap<String, String>,
-) -> Result<(cdba_bench::replay::ReplayOutcome, FleetTarget), String> {
-    let ctrl_procs: usize = get_parse(flags, "ctrl-procs", 2)?;
-    let gateways: usize = get_parse(flags, "gateways", 2)?;
+/// `fleet`: replay the deterministic churn workload across a
+/// multi-process fleet — ctrl-proc children behind relay children, both
+/// spawned from this very binary — with a forced drain-and-migrate
+/// mid-run, and report the assembled fleet snapshot. Its
+/// placement-invariant view is bitwise-identical to `serve`'s for the
+/// same workload flags, across live migrations, and under a `--fault`
+/// kill of one ctrl process.
+fn fleet(args: &[String]) -> CliResult {
+    let known = [WORKLOAD_FLAGS, SERVICE_FLAGS, FLEET_FLAGS, &["json"]];
+    let flags = parse_flags(args, &known)?;
+    let spec = replay_spec_from_flags(&flags)?;
+    let split = spec.split();
+    let ctrl_procs: usize = get_parse(&flags, "ctrl-procs", 2)?;
+    if ctrl_procs == 0 {
+        return Err("--ctrl-procs must be >= 1".into());
+    }
+    let gateways: usize = get_parse(&flags, "gateways", 2)?;
     let drain: Option<usize> = match flags.get("drain").map(String::as_str) {
         Some("none") => None,
         Some(raw) => Some(raw.parse().map_err(|e| format!("bad --drain {raw}: {e}"))?),
         None => Some(0),
     };
-    let drain_at: u64 = get_parse(flags, "drain-at", spec.ticks / 2)?;
+    let drain_at: u64 = get_parse(&flags, "drain-at", spec.ticks / 2)?;
     let fault: Option<(u64, usize)> = match flags.get("fault") {
         Some(raw) => {
             let (proc, tick) = parse_proc_fault(raw)?;
@@ -920,6 +915,7 @@ fn run_fleet(
                     "--fault process {proc} >= --ctrl-procs {ctrl_procs}"
                 ));
             }
+            check_scheduled("--fault", tick, spec.ticks)?;
             Some((tick, proc))
         }
         None => None,
@@ -930,13 +926,14 @@ fn run_fleet(
                 "--drain process {proc} >= --ctrl-procs {ctrl_procs}"
             ));
         }
+        check_scheduled("--drain-at", drain_at, spec.ticks)?;
     }
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
     let cfg = FleetConfig {
         exe,
         ctrl_procs,
         gateways,
-        child_args: fleet_child_args(spec, flags),
+        child_args: fleet_child_args(&spec, &flags),
         migration_price: 1.0,
     };
     let mut fleet = Fleet::start(cfg, Box::new(LeastLoaded)).map_err(|e| e.to_string())?;
@@ -962,23 +959,7 @@ fn run_fleet(
         fault,
         _metrics: metrics,
     };
-    let outcome = run_replay(&mut target, spec)?;
-    Ok((outcome, target))
-}
-
-/// `fleet`: replay the deterministic churn workload across a
-/// multi-process fleet — ctrl-proc children behind relay children, both
-/// spawned from this very binary — with a forced drain-and-migrate
-/// mid-run, and report the assembled fleet snapshot. Its
-/// placement-invariant view is bitwise-identical to `serve`'s for the
-/// same workload flags, across live migrations, and under a `--fault`
-/// kill of one ctrl process.
-fn fleet(args: &[String]) -> CliResult {
-    let known = [WORKLOAD_FLAGS, SERVICE_FLAGS, FLEET_FLAGS, &["json"]];
-    let flags = parse_flags(args, &known)?;
-    let spec = replay_spec_from_flags(&flags)?;
-    let split = spec.split();
-    let (outcome, mut target) = run_fleet(&spec, &flags)?;
+    let outcome = run_replay(&mut target, &spec)?;
     let snapshot = target.fleet.snapshot().map_err(|e| e.to_string())?;
     let fleet_summary = target.fleet.summary();
 
@@ -1101,334 +1082,6 @@ fn relay_conn(down: std::net::TcpStream, backend: &str) {
     let _ = std::io::copy(&mut from, &mut to);
     let _ = to.shutdown(std::net::Shutdown::Both);
     let _ = forward.join();
-}
-
-/// `bench-fleet`: run the fleet replay — forced drain-and-migrate
-/// included — and write the machine-readable report the CI bench gate
-/// reads.
-fn bench_fleet(args: &[String]) -> CliResult {
-    let known = [WORKLOAD_FLAGS, SERVICE_FLAGS, FLEET_FLAGS, &["out"]];
-    let mut flags = parse_flags(args, &known)?;
-    // Bench defaults: a smaller population and tick count than serve's,
-    // sized so the run finishes in seconds.
-    flags
-        .entry("sessions".into())
-        .or_insert_with(|| "40".into());
-    flags.entry("ticks".into()).or_insert_with(|| "2000".into());
-    let spec = replay_spec_from_flags(&flags)?;
-    let out = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_fleet.json".into());
-    let ctrl_procs: usize = get_parse(&flags, "ctrl-procs", 2)?;
-    let gateways: usize = get_parse(&flags, "gateways", 2)?;
-
-    let (outcome, target) = run_fleet(&spec, &flags)?;
-    let fleet_summary = target.fleet.summary();
-    println!(
-        "{}: {:.0} session-ticks/s, {} migration(s) costing {:.1}, live {:?}",
-        fleet_summary.placement,
-        outcome.throughput(),
-        fleet_summary.migrations,
-        fleet_summary.migration_cost,
-        fleet_summary.live,
-    );
-    let row = serde_json::json!({
-        "placement": fleet_summary.placement,
-        "ctrl_procs": ctrl_procs,
-        "gateways": gateways,
-        "sessions": spec.sessions,
-        "ticks": spec.ticks,
-        "elapsed_sec": outcome.elapsed_sec,
-        "session_ticks_per_sec": outcome.throughput(),
-        "migrations": fleet_summary.migrations,
-        "migration_cost": fleet_summary.migration_cost,
-        "respawns": fleet_summary.respawns,
-        "live": fleet_summary.live,
-        "imbalance": imbalance(
-            &fleet_summary
-                .live
-                .iter()
-                .map(|&n| n as u64)
-                .collect::<Vec<_>>(),
-        ),
-    });
-
-    let report = serde_json::json!({
-        "bench": "fleet",
-        "ticks": spec.ticks,
-        "results": vec![row],
-    });
-    let body = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-    std::fs::write(&out, body).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
-}
-
-/// `bench-gateway`: measure wire throughput and request latency across a
-/// list of connection counts against an in-process gateway, writing a
-/// machine-readable JSON report.
-///
-/// One driver thread owns every connection — the signalling-lean
-/// pattern: staging connections send unacknowledged `StageNoAck` frames
-/// (one write, zero reads) and the committing connection sends a
-/// count-gated `TickSync`, so a whole multi-connection tick costs one
-/// round trip instead of a reply per connection. The count gate keeps the
-/// committed batch independent of socket arrival order.
-fn bench_gateway(args: &[String]) -> CliResult {
-    let known = ["ticks", "sessions", "out", "connections", "session-sweep"];
-    let flags = parse_flags(args, &[&known])?;
-    let ticks: u64 = get_parse(&flags, "ticks", 2_000)?;
-    let sessions: usize = get_parse(&flags, "sessions", 16)?;
-    let out = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_gateway.json".into());
-    if sessions == 0 || ticks == 0 {
-        return Err("--sessions and --ticks must be >= 1".into());
-    }
-    let conn_list: Vec<usize> = match flags.get("connections") {
-        None => vec![1, 4, 16, 32, 64],
-        Some(raw) => raw
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad --connections entry {s}: {e}"))
-                    .and_then(|n| {
-                        if n == 0 {
-                            Err("--connections entries must be >= 1".into())
-                        } else {
-                            Ok(n)
-                        }
-                    })
-            })
-            .collect::<Result<_, String>>()?,
-    };
-
-    let sweep_list: Vec<usize> = match flags.get("session-sweep") {
-        None => Vec::new(),
-        Some(raw) => raw
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad --session-sweep entry {s}: {e}"))
-                    .and_then(|n| {
-                        if n == 0 {
-                            Err("--session-sweep entries must be >= 1".into())
-                        } else {
-                            Ok(n)
-                        }
-                    })
-            })
-            .collect::<Result<_, String>>()?,
-    };
-
-    let mut results = Vec::new();
-    // Connections sweep: the committed baseline's wire-scaling axis.
-    for &conns in &conn_list {
-        let total = ((sessions / conns).max(1)) * conns;
-        results.push(gateway_cell(conns, total, ticks)?);
-    }
-    // Sessions sweep: fixed 16 connections, tick count scaled down as
-    // the population grows so every row stages a comparable number of
-    // session-ticks.
-    for &swept in &sweep_list {
-        let conns = 16;
-        let scaled = ((ticks * 16) / swept.max(1) as u64).clamp(20, ticks);
-        results.push(gateway_cell(conns, swept.max(conns), scaled)?);
-    }
-
-    let report = serde_json::json!({
-        "bench": "gateway",
-        "ticks": ticks,
-        "results": results,
-    });
-    let body = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-    std::fs::write(&out, body).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
-}
-
-/// One bench-gateway cell: `total` sessions spread over `conns`
-/// connections (remainder sessions go to the earliest connections),
-/// driven for `ticks` ticks from a single thread.
-fn gateway_cell(conns: usize, total: usize, ticks: u64) -> Result<serde_json::Value, String> {
-    let b_max = 16.0;
-    let cfg = ServiceConfig::builder(total as f64 * b_max + b_max)
-        .session_b_max(b_max)
-        .offline_delay(8)
-        .offline_utilization(0.5)
-        .window(16)
-        .cost(CostModel::with_change_price(1.0))
-        .exec(ExecMode::Inline)
-        .build()
-        .map_err(|e| e.to_string())?;
-    let gateway_cfg = GatewayConfig {
-        workers: conns + 2,
-        accept_backlog: conns.max(16),
-        ..GatewayConfig::default()
-    };
-    let server = GatewayServer::start(cfg, gateway_cfg).map_err(|e| e.to_string())?;
-    let addr = server.local_addr();
-
-    // One driver, `conns` sockets: connection 0 commits, the rest
-    // stage without acknowledgement.
-    let mut clients = Vec::with_capacity(conns);
-    let mut keys: Vec<Vec<u64>> = Vec::with_capacity(conns);
-    for c in 0..conns {
-        let per_conn = total / conns + usize::from(c < total % conns);
-        let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
-        let mut owned = Vec::with_capacity(per_conn);
-        for _ in 0..per_conn {
-            owned.push(client.join("bench").map_err(|e| e.to_string())?);
-        }
-        clients.push(client);
-        keys.push(owned);
-    }
-
-    let started = std::time::Instant::now();
-    let mut arrivals = Vec::with_capacity(total / conns + 1);
-    for t in 0..ticks {
-        let mut staged: u32 = 0;
-        for c in 1..conns {
-            arrivals.clear();
-            for &key in &keys[c] {
-                let bits = ((t + key) % 3) as f64;
-                if bits > 0.0 {
-                    arrivals.push((key, bits));
-                }
-            }
-            staged += arrivals.len() as u32;
-            clients[c]
-                .stage_noack(&arrivals)
-                .map_err(|e| e.to_string())?;
-        }
-        arrivals.clear();
-        for &key in &keys[0] {
-            let bits = ((t + key) % 3) as f64;
-            if bits > 0.0 {
-                arrivals.push((key, bits));
-            }
-        }
-        staged += arrivals.len() as u32;
-        clients[0]
-            .tick_sync(&arrivals, staged)
-            .map_err(|e| e.to_string())?;
-    }
-    let elapsed = started.elapsed().as_secs_f64();
-    let wire = server.wire_stats();
-    for client in clients {
-        client.goodbye().map_err(|e| e.to_string())?;
-    }
-    server.shutdown().map_err(|e| e.to_string())?;
-
-    let ticks_per_sec = if elapsed > 0.0 {
-        ticks as f64 / elapsed
-    } else {
-        f64::INFINITY
-    };
-    println!(
-        "{conns:>2} connection(s), {total} session(s): {ticks_per_sec:.0} ticks/s, \
-         {} requests, p50 {} µs, p99 {} µs",
-        wire.requests, wire.latency_p50_us, wire.latency_p99_us,
-    );
-    Ok(serde_json::json!({
-        "connections": conns,
-        "sessions": total,
-        "ticks": ticks,
-        "elapsed_sec": elapsed,
-        "ticks_per_sec": ticks_per_sec,
-        "requests": wire.requests,
-        "latency_p50_us": wire.latency_p50_us,
-        "latency_p99_us": wire.latency_p99_us,
-    }))
-}
-
-/// `bench-ctrl`: measure the in-process sessions × shards tick matrix
-/// and write the `BENCH_ctrl.json`-shaped report the CI bench gate reads.
-/// Shares [`cdba_bench::matrix`] with the `ctrl_tick` criterion bench, so
-/// a CLI run and a bench run measure identical configurations.
-fn bench_ctrl(args: &[String]) -> CliResult {
-    let known = ["sessions", "warmup", "ticks", "checkpoint-sessions", "out"];
-    let flags = parse_flags(args, &[&known])?;
-    let out = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_ctrl.json".into());
-    let sessions_list: Vec<usize> = match flags.get("sessions") {
-        None => matrix::SESSIONS_AXIS.to_vec(),
-        Some(raw) => raw
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad --sessions entry {s}: {e}"))
-                    .and_then(|n| {
-                        if n == 0 {
-                            Err("--sessions entries must be >= 1".into())
-                        } else {
-                            Ok(n)
-                        }
-                    })
-            })
-            .collect::<Result<_, String>>()?,
-    };
-    let warmup: Option<u64> = flags
-        .get("warmup")
-        .map(|raw| raw.parse().map_err(|e| format!("bad --warmup {raw}: {e}")))
-        .transpose()?;
-    let ticks: Option<u64> = flags
-        .get("ticks")
-        .map(|raw| raw.parse().map_err(|e| format!("bad --ticks {raw}: {e}")))
-        .transpose()?;
-
-    // The checkpoint axis: measured in full on a default (committed
-    // baseline) run, on demand via --checkpoint-sessions, and skipped
-    // when only a tick subset was asked for — CI's tick smoke must not
-    // pay for a million-session checkpoint cell it does not gate.
-    let checkpoint_list: Vec<usize> = match flags.get("checkpoint-sessions") {
-        Some(raw) => raw
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad --checkpoint-sessions entry {s}: {e}"))
-                    .and_then(|n| {
-                        if n == 0 {
-                            Err("--checkpoint-sessions entries must be >= 1".into())
-                        } else {
-                            Ok(n)
-                        }
-                    })
-            })
-            .collect::<Result<_, String>>()?,
-        None if flags.contains_key("sessions") => Vec::new(),
-        None => matrix::CHECKPOINT_SESSIONS_AXIS.to_vec(),
-    };
-
-    let rows = matrix::run_matrix(&sessions_list, warmup, ticks, |row| {
-        println!(
-            "{:>16} × {:>6} sessions: {:.0} ticks/s ({:.0} session-ticks/s)",
-            row.label,
-            row.sessions,
-            row.ticks_per_sec,
-            row.ticks_per_sec * row.sessions as f64,
-        );
-    });
-    let checkpoint = matrix::run_checkpoint_matrix(&checkpoint_list, |row| {
-        println!(
-            "checkpoint × {:>7} sessions: encode {:.1} ms, restore {:.1} ms \
-             (warm {:.1} ms), {} B",
-            row.sessions, row.encode_ms, row.restore_ms, row.restore_warm_ms, row.checkpoint_bytes
-        );
-    });
-    let report = matrix::matrix_report(&rows, &checkpoint);
-    let body = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-    std::fs::write(&out, body).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
 }
 
 fn offline(args: &[String]) -> CliResult {

@@ -1,12 +1,12 @@
 //! The churn-replay workload shared by `cdba-cli serve` (in-process),
-//! `cdba-cli client` (over the gateway wire), and `cdba-cli bench-gateway`.
+//! `cdba-cli client` (over the gateway wire), and `cdba-cli fleet`.
 //!
-//! Both drivers must issue the *same* operations in the *same* order for
+//! The drivers must issue the *same* operations in the *same* order for
 //! the determinism guarantee to be checkable: a trace replayed through the
 //! gateway has to produce a snapshot whose
 //! [`invariant_view`](cdba_ctrl::ServiceSnapshot::invariant_view) is
 //! bitwise-identical to the in-process run. Factoring the workload here —
-//! and driving both backends through one [`ReplayTarget`] trait — makes
+//! and driving every backend through one [`ReplayTarget`] trait — makes
 //! that equality structural instead of hopeful.
 
 use cdba_ctrl::{ControlPlane, ServiceConfig, ServiceConfigBuilder};

@@ -43,14 +43,59 @@ fn a_misspelt_flag_is_a_usage_error() {
 
 #[test]
 fn removed_flags_and_values_are_refused() {
-    for args in [
-        "serve --sessions 10 --ticks 10 --kernel-threads 2",
-        "serve --sessions 10 --ticks 10 --exec adaptive",
-        "fleet --sessions 10 --ticks 10 --placement p2c",
+    for (args, why) in [
+        (
+            "serve --sessions 10 --ticks 10 --kernel-threads 2",
+            "unknown flag",
+        ),
+        (
+            "serve --sessions 10 --ticks 10 --exec adaptive",
+            "unknown --exec",
+        ),
+        (
+            "fleet --sessions 10 --ticks 10 --placement p2c",
+            "unknown flag",
+        ),
+        (
+            "serve --sessions 10 --ticks 10 --summary s.json",
+            "unknown flag",
+        ),
+        ("bench-ctrl", "unknown command"),
+        ("bench-gateway --ticks 10", "unknown command"),
+        ("bench-fleet --ticks 10", "unknown command"),
     ] {
         let (ok, err) = cli(args);
         assert!(!ok, "{args} must fail");
-        assert!(!err.is_empty(), "{args} says why");
+        assert!(err.contains(why), "{args} stderr: {err}");
+    }
+}
+
+/// A fault or drain scheduled at or past the last tick would never fire;
+/// the run refuses it rather than exit 0 having done nothing.
+#[test]
+fn an_event_scheduled_past_the_run_is_a_usage_error() {
+    for (args, why) in [
+        (
+            "serve --sessions 10 --ticks 100 --shards 2 --fault 1@500:kill",
+            "--fault tick 500 >= --ticks 100",
+        ),
+        (
+            "serve --sessions 10 --ticks 100 --shards 2 --fault 1@100:kill",
+            "--fault tick 100 >= --ticks 100",
+        ),
+        (
+            "fleet --ticks 100 --drain-at 500",
+            "--drain-at tick 500 >= --ticks 100",
+        ),
+        (
+            "fleet --ticks 100 --fault 1@500:kill",
+            "--fault tick 500 >= --ticks 100",
+        ),
+        ("fleet --ctrl-procs 0", "--ctrl-procs must be >= 1"),
+    ] {
+        let (ok, err) = cli(args);
+        assert!(!ok, "{args} must fail");
+        assert!(err.contains(why), "{args} stderr: {err}");
     }
 }
 
@@ -63,7 +108,7 @@ fn each_subcommand_refuses_flags_outside_its_own_set() {
         "client --sessions 10 --shards 2",
         "relay --backends 127.0.0.1:1 --sessions 10",
         "inspect --trace t.cdba --json out.json",
-        "bench-gateway --ticks 10 --exec inline",
+        "fleet --ticks 10 --addr 127.0.0.1:0",
     ] {
         let (ok, err) = cli(args);
         assert!(!ok, "{args} must fail");
@@ -73,6 +118,11 @@ fn each_subcommand_refuses_flags_outside_its_own_set() {
 
 #[test]
 fn known_flags_still_run() {
-    let (ok, err) = cli("serve --sessions 10 --ticks 10 --shards 1 --exec inline");
-    assert!(ok, "stderr: {err}");
+    for args in [
+        "serve --sessions 10 --ticks 10 --shards 1 --exec inline",
+        "serve --sessions 10 --ticks 10 --shards 2 --fault 1@9:kill",
+    ] {
+        let (ok, err) = cli(args);
+        assert!(ok, "{args} stderr: {err}");
+    }
 }
