@@ -832,9 +832,7 @@ fn fleet_child_args(spec: &ReplaySpec, flags: &HashMap<String, String>) -> Vec<S
 }
 
 /// Drives [`run_replay`] against a [`Fleet`], firing the scheduled drain
-/// and fault at their tick boundaries, the fault first. (A drain onto the
-/// process killed that tick fails: a migration grant never respawns its
-/// target.)
+/// and fault at their tick boundaries, the fault first.
 struct FleetTarget {
     fleet: Fleet,
     now: u64,

@@ -1,6 +1,7 @@
 //! `cdba-cli` refuses flags outside each subcommand's own list: a
 //! misspelt or removed flag is a usage error with a non-zero exit, never
-//! a silently ignored default.
+//! a silently ignored default. And a scheduled event the run accepts
+//! fires and succeeds, down to a drain onto a process killed that tick.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -125,4 +126,44 @@ fn known_flags_still_run() {
         let (ok, err) = cli(args);
         assert!(ok, "{args} stderr: {err}");
     }
+}
+
+/// A drain whose migrations land on the process killed that same tick:
+/// the first grant finds its target exited and respawns it (genesis
+/// replay) before granting, so the run exits 0 with one respawn and the
+/// fleet-wide metrics of the same run without the kill.
+#[test]
+fn a_drain_onto_a_process_killed_that_tick_respawns_it() {
+    let dir = std::env::temp_dir().join(format!("cdba-cli-drain-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let run = |fault: &str, name: &str| {
+        let json = dir.join(name);
+        let args = format!("fleet --ticks 100 --sessions 40 --drain-at 99 {fault}");
+        let out = Command::new(env!("CARGO_BIN_EXE_cdba-cli"))
+            .args(args.split_whitespace())
+            .arg("--json")
+            .arg(&json)
+            .output()
+            .expect("run cdba-cli");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(
+            out.status.success(),
+            "{args}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let snapshot: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&json).expect("read --json"))
+                .expect("parse --json");
+        (stdout, snapshot["global"].clone())
+    };
+    let (clean_out, clean) = run("", "clean.json");
+    let (faulted_out, faulted) = run("--fault 1@99:kill", "faulted.json");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(clean_out.contains(" 0 respawn(s)"), "{clean_out}");
+    assert!(faulted_out.contains(" 1 respawn(s)"), "{faulted_out}");
+    assert!(
+        clean.as_object().is_some_and(|g| !g.is_empty()),
+        "a global section"
+    );
+    assert_eq!(faulted, clean);
 }

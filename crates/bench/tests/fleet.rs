@@ -22,17 +22,27 @@ fn config(ctrl_procs: usize, gateways: usize, child_args: &[&str]) -> FleetConfi
     }
 }
 
-/// Satellite regression: a gateway child dying mid-migration (after the
-/// source revoked the lease, before the target granted it) must surface
-/// as the typed `MigrationFailed` error with the lease returned to the
-/// source — the session keeps running there, its budget stays accounted,
-/// and nothing panics. A later retry, once the target recovers, succeeds.
+/// A grant that fails on a live target — here one whose budget is full —
+/// surfaces as the typed `MigrationFailed` error with the lease returned
+/// to the source: the session keeps running there, its budget stays
+/// accounted, and nothing panics. A retry once the target has room
+/// succeeds.
 #[test]
-fn killed_target_mid_migration_returns_the_lease_to_the_source() {
+fn a_grant_refused_by_a_live_target_returns_the_lease_to_the_source() {
+    // Each child's budget fits two 16-bit sessions.
     let cfg = config(
         2,
         0,
-        &["--sessions", "8", "--shards", "1", "--exec", "inline"],
+        &[
+            "--sessions",
+            "8",
+            "--shards",
+            "1",
+            "--exec",
+            "inline",
+            "--budget",
+            "32",
+        ],
     );
     let mut fleet = Fleet::start(cfg, Box::new(LeastLoaded)).expect("fleet starts");
     // Least-loaded with lowest-index ties: keys 0 and 2 land on process
@@ -42,38 +52,65 @@ fn killed_target_mid_migration_returns_the_lease_to_the_source() {
     }
     fleet.tick(&[(0, 2.0), (1, 1.0)]).expect("tick");
 
-    // The target dies between the revoke and the grant.
-    fleet.kill(1);
-    let err = fleet.migrate(0, 1).expect_err("grant against a dead child");
+    let err = fleet
+        .migrate(0, 1)
+        .expect_err("grant against a full target");
     match err {
         FleetError::MigrationFailed { key, from, to, .. } => {
-            assert_eq!((key, from, to), (0, 1 - 1, 1));
+            assert_eq!((key, from, to), (0, 0, 1));
         }
         other => panic!("expected MigrationFailed, got {other}"),
     }
 
     // The session still runs at the source: ticking it succeeds, and the
-    // fleet snapshot still carries all four sessions with zero
-    // rejections (the re-granted lease re-took its budget envelope —
-    // a leak would double-book and reject the next admit below).
+    // fleet snapshot still carries all four sessions, the one rejection
+    // being the refused grant. The re-granted lease re-took its budget
+    // envelope: the source is full again (a leak would admit a fifth
+    // session).
     fleet
         .tick(&[(0, 2.0)])
         .expect("session ticks at the source");
     let snap = fleet.snapshot().expect("snapshot");
     assert_eq!(snap.global.sessions, 4);
-    assert_eq!(snap.rejected, 0);
+    assert_eq!(snap.rejected, 1);
     assert!(snap.sessions.iter().any(|s| s.session == 0));
+    fleet.admit("beta").expect_err("both processes are full");
 
-    // The dead process was recovered by genesis replay during the tick
-    // above, so the identical migration now goes through, and the
-    // session admitted after it all still fits the budget.
-    fleet.migrate(0, 1).expect("retry after recovery");
+    // Once a session leaves the target, the identical migration goes
+    // through, and the source has room again.
+    fleet.leave(1).expect("leave");
+    fleet.migrate(0, 1).expect("retry once the target has room");
     fleet
         .admit("beta")
-        .expect("budget intact after the round trip");
+        .expect("the source released the envelope");
     let summary = fleet.summary();
     assert_eq!(summary.migrations, 1);
-    assert_eq!(summary.respawns, 1);
+    assert_eq!(summary.respawns, 0);
+}
+
+/// A target that had already exited when the migration starts — killed
+/// that tick, say — is respawned by genesis replay before the grant, as
+/// for any other op, and the migration goes through.
+#[test]
+fn a_target_killed_before_a_migration_is_respawned_for_the_grant() {
+    let cfg = config(
+        2,
+        0,
+        &["--sessions", "8", "--shards", "1", "--exec", "inline"],
+    );
+    let mut fleet = Fleet::start(cfg, Box::new(LeastLoaded)).expect("fleet starts");
+    for i in 0..4 {
+        assert_eq!(fleet.admit("alpha").expect("admit"), i);
+    }
+    fleet.tick(&[(0, 2.0), (1, 1.0)]).expect("tick");
+    fleet.kill(1);
+    fleet.migrate(0, 1).expect("the target is respawned first");
+    fleet
+        .tick(&[(0, 2.0), (1, 1.0)])
+        .expect("tick after the move");
+    let summary = fleet.summary();
+    assert_eq!((summary.migrations, summary.respawns), (1, 1));
+    assert_eq!(fleet.snapshot().expect("snapshot").global.sessions, 4);
 }
 
 /// Drives the shared churn replay through a fleet, forcing one

@@ -135,14 +135,15 @@ impl CheckpointProbe {
     /// receiving arrivals (so each carries backlog and a later
     /// [`CheckpointProbe::churn`] marks it leaving instead of retiring it
     /// on the spot).
+    ///
+    /// The kernel reads a plain slice, as the inline backend hands it one,
+    /// so a timed tick is the sweep and not a journal decode.
     pub fn tick(&mut self, n: usize) {
-        let arrivals: Arc<[(u64, f64)]> = (self.churn_cursor..self.next_key)
+        let arrivals: Vec<(u64, f64)> = (self.churn_cursor..self.next_key)
             .map(|k| (k, 8.0))
             .collect();
         for _ in 0..n {
-            self.state.apply(&ReplayEvent::Tick {
-                arrivals: Arc::clone(&arrivals),
-            });
+            self.state.tick(arrivals.iter().copied());
         }
     }
 

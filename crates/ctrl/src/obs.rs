@@ -50,6 +50,10 @@ pub(crate) struct CtrlMetrics {
     /// `cdba_ctrl_checkpoint_retained_bytes{shard}`, indexed by shard —
     /// the one frame the supervisor holds for recovery.
     pub shard_checkpoint_retained: Vec<Gauge>,
+    /// `cdba_ctrl_journal_bytes{shard}`, indexed by shard — the encoded
+    /// arrivals the journal holds past that frame. Set by a scrape-time
+    /// collector, not by the driver.
+    pub shard_journal_bytes: Vec<Gauge>,
     /// `cdba_ctrl_checkpoint_encoded_sessions_total` — session rows
     /// carried by accepted checkpoint frames.
     pub checkpoint_sessions: Counter,
@@ -145,6 +149,11 @@ impl CtrlMetrics {
             shard_checkpoint_retained: per_shard_gauge(
                 "cdba_ctrl_checkpoint_retained_bytes",
                 "Bytes of the one checkpoint frame the driver retains for recovery",
+            ),
+            shard_journal_bytes: per_shard_gauge(
+                "cdba_ctrl_journal_bytes",
+                "Encoded tick-arrival bytes the driver's journal holds past the \
+                 retained frame, read at scrape (threaded executor with recovery)",
             ),
             checkpoint_sessions: registry.counter(
                 "cdba_ctrl_checkpoint_encoded_sessions_total",

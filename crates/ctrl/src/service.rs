@@ -49,7 +49,7 @@ use crate::metrics::{ServiceSnapshot, ShardHealth, SnapshotCounters};
 use crate::obs::CtrlMetrics;
 use crate::shard::{
     panic_reason, run_worker, Event, ReplayEvent, Segment, ShardCheckpoint, ShardReport,
-    ShardState, WorkerCtx, WorkerMsg, CONTROL_BATCH, JOURNAL_BLOCK,
+    ShardState, TickBatch, WorkerCtx, WorkerMsg, CONTROL_BATCH, JOURNAL_BLOCK,
 };
 use crate::CtrlError;
 use cdba_obs::{Registry, TraceEvent, TraceKind, TraceRing};
@@ -173,10 +173,14 @@ struct Worker {
     cancel: Arc<AtomicBool>,
 }
 
-/// What a metrics scrape reads a shard's lag from, without the driver.
+/// What a metrics scrape reads a shard's lag and journal size from,
+/// without the driver.
 struct LagProbe {
     /// Replayable events dispatched to the shard so far.
     dispatched: AtomicU64,
+    /// Encoded arrival bytes the journal holds ([`TickBatch::bytes`] over
+    /// its ticks): what a restart replays on top of the retained frame.
+    journal_bytes: AtomicU64,
     /// The current worker's watermark ([`WorkerCtx::applied`]), swapped at
     /// every spawn rather than shared with a successor: a retired worker
     /// may still finish — and publish — the event it was applying. The one
@@ -243,7 +247,7 @@ struct ShardSup {
     /// worker runs on.
     seen_applied: u64,
     moved_at: Instant,
-    /// The scrape-side view of this shard's lag.
+    /// The scrape-side view of this shard's lag and journal size.
     probe: Arc<LagProbe>,
     /// The latest accepted checkpoint: one full-population frame that
     /// supersedes every earlier one. Recovery applies it, then replays
@@ -274,6 +278,7 @@ impl ShardSup {
             moved_at: Instant::now(),
             probe: Arc::new(LagProbe {
                 dispatched: AtomicU64::new(0),
+                journal_bytes: AtomicU64::new(0),
                 applied: Mutex::default(),
             }),
             frame: None,
@@ -299,12 +304,26 @@ impl ShardSup {
         let segment = Arc::new(std::mem::take(&mut self.tail));
         self.sealed += segment.len() as u64;
         if keep {
+            self.probe
+                .journal_bytes
+                .fetch_add(arrival_bytes(&segment), Ordering::Relaxed);
             self.journal.push_back(Arc::clone(&segment));
         } else {
             self.journal_base = self.sealed;
         }
         Some(segment)
     }
+}
+
+/// Encoded arrival bytes a journal segment's ticks hold.
+fn arrival_bytes(segment: &[ReplayEvent]) -> u64 {
+    segment
+        .iter()
+        .map(|ev| match ev {
+            ReplayEvent::Tick { arrivals } => arrivals.bytes() as u64,
+            _ => 0,
+        })
+        .sum()
 }
 
 enum Backend {
@@ -381,9 +400,12 @@ pub struct ControlPlane {
     seen_at: Vec<u64>,
     /// The stamp naming the current tick in `seen_at`.
     seen_stamp: u64,
-    /// The shared empty arrival batch, so idle shards tick without a fresh
+    /// The shared empty tick encoding, so idle shards tick without a fresh
     /// allocation.
-    empty_batch: Arc<[(u64, f64)]>,
+    empty_batch: TickBatch,
+    /// Scratch buffer a route is encoded through on its way into its
+    /// [`TickBatch`].
+    encode_buf: Vec<u8>,
     /// The last assembled snapshot, until the next mutation that can
     /// change one ([`Self::mutated`]).
     snapshot_cache: Option<Arc<ServiceSnapshot>>,
@@ -450,7 +472,8 @@ impl ControlPlane {
             routes,
             seen_at: Vec::new(),
             seen_stamp: 0,
-            empty_batch: Arc::from(Vec::new()),
+            empty_batch: TickBatch::encode(&[], &mut Vec::new()),
+            encode_buf: Vec::new(),
             snapshot_cache: None,
             obs: None,
             trace: None,
@@ -463,15 +486,16 @@ impl ControlPlane {
     /// change count, max delay) refresh whenever a snapshot is assembled.
     pub fn attach_metrics(&mut self, registry: &Registry) {
         let metrics = CtrlMetrics::register(registry, self.cfg.shards);
-        let lags: Vec<(Arc<LagProbe>, cdba_obs::Gauge)> = self
+        let probes: Vec<(Arc<LagProbe>, cdba_obs::Gauge, cdba_obs::Gauge)> = self
             .sups
             .iter()
-            .map(|sup| Arc::clone(&sup.probe))
-            .zip(metrics.shard_lag.iter().cloned())
+            .zip(metrics.shard_lag.iter().zip(&metrics.shard_journal_bytes))
+            .map(|(sup, (lag, journal))| (Arc::clone(&sup.probe), lag.clone(), journal.clone()))
             .collect();
         registry.register_collector(move || {
-            for (probe, gauge) in &lags {
-                gauge.set(probe.lag() as f64);
+            for (probe, lag, journal) in &probes {
+                lag.set(probe.lag() as f64);
+                journal.set(probe.journal_bytes.load(Ordering::Relaxed) as f64);
             }
         });
         self.obs = Some(metrics);
@@ -644,6 +668,9 @@ impl ControlPlane {
                 break;
             }
             sup.journal_base = edge;
+            sup.probe
+                .journal_bytes
+                .fetch_sub(arrival_bytes(segment), Ordering::Relaxed);
             sup.journal.pop_front();
         }
         debug_assert_eq!(
@@ -1491,10 +1518,10 @@ impl ControlPlane {
         // allocations on the hot path.
         if let Backend::Inline(states) = &mut self.backend {
             if passthrough {
-                states[0].tick(arrivals);
+                states[0].tick(arrivals.iter().copied());
             } else {
                 for (state, route) in states.iter_mut().zip(&self.routes) {
-                    state.tick(route);
+                    state.tick(route.iter().copied());
                 }
             }
             self.clock += 1;
@@ -1532,17 +1559,18 @@ impl ControlPlane {
     }
 
     /// Dispatches one shard's tick batch: waits for pipeline capacity,
-    /// journals, and delivers. The route buffer keeps its capacity; the
-    /// batch payload is one shared allocation (none at all when empty).
+    /// journals, and delivers. The route is encoded once ([`TickBatch`]);
+    /// the route and encoding buffers keep their capacity, and the batch
+    /// payload is one shared allocation (none at all when empty).
     fn dispatch_tick(&mut self, shard: usize) -> Result<(), CtrlError> {
         self.await_pipeline_slot(shard)?;
         if !self.sups[shard].healthy {
             return Err(self.down_error(shard));
         }
-        let batch: Arc<[(u64, f64)]> = if self.routes[shard].is_empty() {
+        let batch = if self.routes[shard].is_empty() {
             self.empty_batch.clone()
         } else {
-            let batch = self.routes[shard].as_slice().into();
+            let batch = TickBatch::encode(&self.routes[shard], &mut self.encode_buf);
             self.routes[shard].clear();
             batch
         };
@@ -2178,6 +2206,109 @@ mod tests {
             view
         };
         assert_eq!(run(false), run(true), "replay from the trimmed journal");
+    }
+
+    /// The journal keeps a tick's arrivals encoded ([`TickBatch`]): 5 bytes
+    /// an arrival for key-ascending batches of integer bits (16 as
+    /// `(u64, f64)` pairs), exactly, and `cdba_ctrl_journal_bytes` scrapes
+    /// what it holds — until a checkpoint trims it.
+    #[test]
+    fn journal_holds_five_bytes_per_ascending_integer_arrival() {
+        const EVERY: u64 = 16;
+        let cfg = ServiceConfig::builder(4096.0 * 16.0)
+            .session_b_max(16.0)
+            .offline_delay(4)
+            .window(4)
+            .exec(ExecMode::Threaded)
+            .checkpoint_every(EVERY)
+            .build()
+            .unwrap();
+        let mut plane = ControlPlane::new(cfg);
+        let registry = Registry::new();
+        plane.attach_metrics(&registry);
+        let keys: Vec<u64> = (0..4096).map(|_| plane.admit("acme").unwrap()).collect();
+        for t in 0..EVERY - 1 {
+            let batch: Vec<(u64, f64)> = keys.iter().map(|&k| (k, ((k + t) % 4) as f64)).collect();
+            plane.tick(&batch).unwrap();
+        }
+        drop(plane.snapshot().unwrap());
+        let sup = &plane.sups[0];
+        let (held, arrivals) =
+            sup.journal
+                .iter()
+                .flat_map(|segment| segment.iter())
+                .fold((0, 0), |(held, n), ev| match ev {
+                    ReplayEvent::Tick { arrivals } => {
+                        (held + arrivals.bytes(), n + arrivals.iter().count())
+                    }
+                    _ => (held, n),
+                });
+        assert_eq!(arrivals, 4096 * (EVERY as usize - 1), "no checkpoint yet");
+        assert_eq!(held, 5 * arrivals, "bytes per journaled arrival");
+        let scraped = format!("cdba_ctrl_journal_bytes{{shard=\"0\"}} {held}\n");
+        assert!(registry.render().contains(&scraped), "{scraped}");
+        plane.tick(&[]).unwrap();
+        drop(plane.snapshot().unwrap());
+        plane.drain_worker_msgs();
+        assert_eq!(plane.sups[0].frames_seq, 1);
+        assert!(
+            registry
+                .render()
+                .contains("cdba_ctrl_journal_bytes{shard=\"0\"} 0\n"),
+            "the checkpoint trims every tick"
+        );
+        plane.shutdown();
+    }
+
+    /// A restart mid-interval replays ticks that hold both encoded widths
+    /// — `f32`-exact bits and bits only an `f64` holds (`0.1`, `1/3`) —
+    /// and lands bitwise where the inline backend, which never encodes,
+    /// does.
+    #[test]
+    fn replayed_ticks_of_both_widths_match_inline_bitwise() {
+        let run = |exec: ExecMode, shards: usize, restart: bool| {
+            let cfg = ServiceConfig::builder(1024.0)
+                .session_b_max(16.0)
+                .group_b_o(8.0)
+                .offline_delay(4)
+                .window(4)
+                .shards(shards)
+                .exec(exec)
+                .checkpoint_every(16)
+                .build()
+                .unwrap();
+            let mut plane = ControlPlane::new(cfg);
+            let mut keys: Vec<u64> = (0..12).map(|_| plane.admit("acme").unwrap()).collect();
+            keys.extend(plane.admit_group("globex", 3).unwrap());
+            for t in 0..60u64 {
+                if restart && t == 40 {
+                    for shard in 0..shards {
+                        plane.restart_shard(shard).unwrap();
+                    }
+                }
+                let batch: Vec<(u64, f64)> = keys
+                    .iter()
+                    .rev()
+                    .map(|&k| match (k + t) % 4 {
+                        0 => (k, 0.1),
+                        1 => (k, 1.0 / 3.0),
+                        r => (k, r as f64 * 1.5),
+                    })
+                    .collect();
+                plane.tick(&batch).unwrap();
+            }
+            let replayed = plane.events_replayed();
+            let view = plane.snapshot().unwrap().invariant_view();
+            plane.shutdown();
+            (view, replayed)
+        };
+        let (inline, _) = run(ExecMode::Inline, 1, false);
+        let (threaded, replayed) = run(ExecMode::Threaded, 2, true);
+        assert!(
+            replayed >= 2 * 8,
+            "each shard replays the 8 ticks past its frame"
+        );
+        assert_eq!(threaded, inline);
     }
 
     /// A checkpoint's `events_applied` is always a segment edge: a tick

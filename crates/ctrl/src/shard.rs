@@ -157,7 +157,7 @@ pub(crate) enum ReplayEvent {
     /// Advance every session on this shard by one tick.
     Tick {
         /// `(key, bits)` arrivals for this tick; sessions not listed get 0.
-        arrivals: Arc<[(u64, f64)]>,
+        arrivals: TickBatch,
     },
     /// Remove a migrated-away session *without* retiring its metrics —
     /// the session lives on elsewhere and its meter travelled with it.
@@ -170,6 +170,106 @@ pub(crate) enum ReplayEvent {
         /// The captured state (key already rewritten to this service's).
         cp: Arc<SessionCheckpoint>,
     },
+}
+
+/// One shard's arrivals for one tick as the journal keeps them: sealed
+/// bytes, in routing order. Each arrival is one LEB128 varint of the
+/// 65-bit value `zigzag(key − previous key) << 1 | wide` (the previous key
+/// starts at 0; the delta wraps), then the bits as a little-endian `f32`
+/// when that round-trips bit for bit (`wide` = 0), else as the `f64`.
+/// Ascending keys with integer bits below 2^24 cost 5 bytes an arrival;
+/// nothing costs more than 18 (a 10-byte varint and an `f64`). Decoding
+/// yields the exact pairs in the same order, so a tick from a batch is
+/// bitwise the tick from the slice it was encoded from.
+#[derive(Debug, Clone)]
+pub(crate) struct TickBatch(Arc<[u8]>);
+
+impl TickBatch {
+    /// Encodes `arrivals` through `buf` (a reusable scratch buffer, left
+    /// holding the encoding) into one allocation of the exact length.
+    pub(crate) fn encode(arrivals: &[(u64, f64)], buf: &mut Vec<u8>) -> Self {
+        buf.clear();
+        let mut prev = 0u64;
+        for &(key, bits) in arrivals {
+            let delta = key.wrapping_sub(prev) as i64;
+            prev = key;
+            let zigzag = ((delta << 1) ^ (delta >> 63)) as u64;
+            let narrow = bits as f32;
+            let wide = f64::from(narrow).to_bits() != bits.to_bits();
+            let mut byte = ((zigzag & 0x3f) as u8) << 1 | u8::from(wide);
+            let mut rest = zigzag >> 6;
+            while rest != 0 {
+                buf.push(byte | 0x80);
+                byte = (rest & 0x7f) as u8;
+                rest >>= 7;
+            }
+            buf.push(byte);
+            if wide {
+                buf.extend_from_slice(&bits.to_le_bytes());
+            } else {
+                buf.extend_from_slice(&narrow.to_le_bytes());
+            }
+        }
+        TickBatch(Arc::from(buf.as_slice()))
+    }
+
+    /// Encoded bytes held.
+    pub(crate) fn bytes(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The arrivals, decoded in encoding order.
+    pub(crate) fn iter(&self) -> TickArrivals<'_> {
+        TickArrivals {
+            rest: &self.0,
+            key: 0,
+        }
+    }
+}
+
+#[cfg(test)]
+impl From<Vec<(u64, f64)>> for TickBatch {
+    fn from(arrivals: Vec<(u64, f64)>) -> Self {
+        TickBatch::encode(&arrivals, &mut Vec::new())
+    }
+}
+
+/// Decoding iterator over a [`TickBatch`].
+pub(crate) struct TickArrivals<'a> {
+    rest: &'a [u8],
+    key: u64,
+}
+
+impl Iterator for TickArrivals<'_> {
+    type Item = (u64, f64);
+
+    fn next(&mut self) -> Option<(u64, f64)> {
+        let (&first, mut rest) = self.rest.split_first()?;
+        let wide = first & 1 != 0;
+        let mut zigzag = u64::from(first >> 1 & 0x3f);
+        let mut byte = first;
+        let mut shift = 6;
+        while byte & 0x80 != 0 {
+            let (&next, r) = rest.split_first().expect("a whole varint");
+            (byte, rest) = (next, r);
+            zigzag |= u64::from(byte & 0x7f) << shift;
+            shift += 7;
+        }
+        self.key = self
+            .key
+            .wrapping_add((zigzag >> 1) ^ (zigzag & 1).wrapping_neg());
+        let bits = if wide {
+            let (b, r) = rest.split_first_chunk::<8>().expect("whole f64");
+            rest = r;
+            f64::from_le_bytes(*b)
+        } else {
+            let (b, r) = rest.split_first_chunk::<4>().expect("whole f32");
+            rest = r;
+            f64::from(f32::from_le_bytes(*b))
+        };
+        self.rest = rest;
+        Some((self.key, bits))
+    }
 }
 
 /// A typed worker-failure report: the worker panicked (organically or via
@@ -2063,7 +2163,7 @@ impl ShardState {
                 members,
             } => self.join_group(*group, tenant.clone(), members),
             ReplayEvent::Leave { key } => self.leave(*key),
-            ReplayEvent::Tick { arrivals } => self.tick(arrivals),
+            ReplayEvent::Tick { arrivals } => self.tick(arrivals.iter()),
             ReplayEvent::Forget { key } => self.forget(*key),
             ReplayEvent::Import { cp } => self.import(cp),
         }
@@ -2251,7 +2351,10 @@ impl ShardState {
         }
     }
 
-    pub(crate) fn tick(&mut self, arrivals: &[(u64, f64)]) {
+    /// Advances every session one tick on `arrivals` — the caller's
+    /// slice inline, a [`TickBatch`] decoded on the fly in a worker or a
+    /// replay; either way in routing order.
+    pub(crate) fn tick(&mut self, arrivals: impl IntoIterator<Item = (u64, f64)>) {
         if self.sessions.is_empty() {
             // Idle shard: no sessions means no groups either (a group
             // dissolves with its last member), so only the clock moves.
@@ -2272,7 +2375,7 @@ impl ShardState {
             "the arrived column rests at all-zero between ticks"
         );
         debug_assert!(self.cols.touched.is_empty());
-        for &(key, bits) in arrivals {
+        for (key, bits) in arrivals {
             debug_assert!(
                 bits.is_finite() && bits >= 0.0,
                 "arrival ({key}, {bits}) entered the kernel unvalidated"
@@ -2282,7 +2385,13 @@ impl ShardState {
                 self.cols.touched.push(slot.index);
             }
         }
+        self.tick_staged(bound);
+    }
 
+    /// The rest of [`ShardState::tick`] once the arrivals are scattered
+    /// into the `arrived` column: kept out of the generic scatter so the
+    /// kernel is compiled once.
+    fn tick_staged(&mut self, bound: usize) {
         let p = self.params();
         let mut to_retire: Vec<u64> = Vec::new();
         {
@@ -2927,7 +3036,7 @@ mod reference {
                     members,
                 } => self.join_group(*group, tenant.clone(), members),
                 ReplayEvent::Leave { key } => self.leave(*key),
-                ReplayEvent::Tick { arrivals } => self.tick(arrivals),
+                ReplayEvent::Tick { arrivals } => self.tick(&arrivals.iter().collect::<Vec<_>>()),
                 ReplayEvent::Forget { .. } | ReplayEvent::Import { .. } => {
                     unreachable!("the reference migrates natively, see `migrate`")
                 }
@@ -3044,7 +3153,7 @@ mod tests {
         for round in 0..ticks {
             arrivals.clear();
             arrivals.extend((0..n as u64).map(|k| (k, ((round + k) % 5) as f64)));
-            soa.tick(&arrivals);
+            soa.tick(arrivals.iter().copied());
         }
         let soa_elapsed = started.elapsed();
 
@@ -3352,7 +3461,7 @@ mod tests {
         // Lockstep continuation: the restored shard must stay bitwise
         // identical to the original under further events.
         for _ in 0..16 {
-            let arrivals: Arc<[(u64, f64)]> = vec![(0, 2.0), (2, 1.0)].into();
+            let arrivals: TickBatch = vec![(0, 2.0), (2, 1.0)].into();
             s.apply(&ReplayEvent::Tick {
                 arrivals: arrivals.clone(),
             });
@@ -3505,15 +3614,18 @@ mod tests {
                             lcg => lcg as f64 * 0.75,
                         };
                         let arrivals = self.keys.iter().enumerate();
+                        let arrivals: Vec<_> = arrivals.map(|(j, &k)| (k, bits(j))).collect();
                         ReplayEvent::Tick {
-                            arrivals: arrivals.map(|(j, &k)| (k, bits(j))).collect(),
+                            arrivals: arrivals.into(),
                         }
                     })
                     .collect(),
                 Op::Burst => {
                     self.tick_no += 1;
-                    let arrivals = self.keys.iter().map(|&k| (k, 100.0)).collect();
-                    vec![ReplayEvent::Tick { arrivals }]
+                    let arrivals: Vec<_> = self.keys.iter().map(|&k| (k, 100.0)).collect();
+                    vec![ReplayEvent::Tick {
+                        arrivals: arrivals.into(),
+                    }]
                 }
             }
         }
@@ -3604,6 +3716,101 @@ mod tests {
                 }
                 _ => (vec![(0.0, c)], (extra as f64, qy)),
             })
+    }
+
+    /// Arrival bits over every `f64` pattern, weighted towards the edges of
+    /// the `f32` form: arbitrary bits (NaN and ∞ included — the codec does
+    /// not validate), `-0.0`, subnormals, integers below 2^24, 1/64-bit
+    /// values, and widened `f32`s.
+    fn tick_bits() -> impl Strategy<Value = f64> {
+        (0u8..6, 0..=u64::MAX).prop_map(|(class, raw)| match class {
+            0 => f64::from_bits(raw),
+            1 => -0.0,
+            2 => f64::from_bits(raw & ((1 << 52) - 1) | (raw & 1 << 63)),
+            3 => (raw % (1 << 24)) as f64,
+            4 => (raw % (1 << 30)) as f64 / 64.0,
+            _ => f64::from(f32::from_bits(raw as u32)),
+        })
+    }
+
+    /// Tick batches in key order ascending, descending, as drawn, and one
+    /// key repeated.
+    fn tick_batch() -> impl Strategy<Value = Vec<(u64, f64)>> {
+        (
+            0u8..4,
+            proptest::collection::vec((0..=u64::MAX, tick_bits()), 0..64),
+        )
+            .prop_map(|(order, mut arrivals)| {
+                match order {
+                    0 => arrivals.sort_by_key(|a| a.0),
+                    1 => arrivals.sort_by_key(|a| std::cmp::Reverse(a.0)),
+                    2 => {}
+                    _ => {
+                        let key = arrivals.first().map_or(0, |a| a.0);
+                        arrivals.iter_mut().for_each(|a| a.0 = key);
+                    }
+                }
+                arrivals
+            })
+    }
+
+    /// Decodes `arrivals`' encoding and compares it bit for bit; returns
+    /// what each arrival cost, read off the prefix lengths (the encoding
+    /// streams, so an arrival's bytes never depend on what follows it).
+    fn tick_round_trip(arrivals: &[(u64, f64)]) -> Vec<usize> {
+        let mut buf = Vec::new();
+        let batch = TickBatch::encode(arrivals, &mut buf);
+        let bits = |a: &[(u64, f64)]| a.iter().map(|&(k, b)| (k, b.to_bits())).collect::<Vec<_>>();
+        let decoded: Vec<(u64, f64)> = batch.iter().collect();
+        assert_eq!(bits(&decoded), bits(arrivals), "round trip");
+        let mut costs = Vec::new();
+        let mut before = 0;
+        for n in 1..=arrivals.len() {
+            let len = TickBatch::encode(&arrivals[..n], &mut buf).bytes();
+            costs.push(len - before);
+            before = len;
+        }
+        assert_eq!(before, batch.bytes());
+        costs
+    }
+
+    /// The journal's tick encoding at its edges: the keys `0` and
+    /// `u64::MAX` side by side (a wrapped delta of ±1), a delta of 2^63
+    /// (all 64 zigzag bits, so the width flag is bit 65 and the varint
+    /// runs to 10 bytes), and the width choice for `-0.0`, a subnormal, an
+    /// `f32`-exact and an inexact value.
+    #[test]
+    fn tick_batches_encode_their_edges_exactly() {
+        let subnormal = f64::from_bits(1);
+        assert_eq!(
+            tick_round_trip(&[
+                (0, 1.0),
+                (u64::MAX, 2.0),
+                (0, 3.0),
+                (1 << 63, 0.1),
+                (0, 0.1),
+                (1, -0.0),
+                (2, subnormal),
+                (3, 0.015625),
+                (4, 16_777_215.0),
+                (5, 16_777_217.0),
+            ]),
+            [5, 5, 5, 18, 18, 5, 9, 5, 5, 9]
+        );
+        assert_eq!(TickBatch::encode(&[], &mut Vec::new()).bytes(), 0);
+        assert_eq!(TickBatch::encode(&[], &mut Vec::new()).iter().count(), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256 })]
+
+        /// Any batch round-trips bit for bit, in order, in at most 18
+        /// bytes an arrival.
+        #[test]
+        fn tick_batches_round_trip_bitwise(arrivals in tick_batch()) {
+            let costs = tick_round_trip(&arrivals);
+            prop_assert!(costs.iter().all(|&c| c <= 18), "costs {costs:?}");
+        }
     }
 
     proptest! {

@@ -22,6 +22,7 @@ use cdba_ctrl::{ServiceSnapshot, SnapshotCounters};
 use cdba_gateway::{Client, ClientError};
 use cdba_obs::{Counter, Gauge, Registry, TraceEvent, TraceKind, TraceRing};
 use std::collections::HashMap;
+use std::fmt;
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -423,7 +424,7 @@ impl Fleet {
     /// Respawns a lost process and replays its genesis journal. The new
     /// connection goes directly to the respawned backend: the relay still
     /// forwards to the dead incarnation's address and is not updated.
-    fn recover_proc(&mut self, proc: usize, cause: &ClientError) -> Result<(), FleetError> {
+    fn recover_proc(&mut self, proc: usize, cause: &dyn fmt::Display) -> Result<(), FleetError> {
         let lost = |reason: String| FleetError::ProcLost { proc, reason };
         let _ = self.procs[proc].child.kill();
         let _ = self.procs[proc].child.wait();
@@ -625,10 +626,11 @@ impl Fleet {
     /// the target at a bumped epoch, rebind the global key. One
     /// migration bills one signalling change (see [`FleetSummary`]).
     ///
-    /// If the *grant* fails — the target died mid-migration, say — the
-    /// blob is granted straight back to the source at the original
-    /// epoch: the session keeps running where it was, the budget it
-    /// released on revoke is re-taken, and the typed
+    /// A target that has already exited is respawned first, as for any
+    /// other op. If the *grant* fails — the target died mid-migration,
+    /// say — the blob is granted straight back to the source at the
+    /// original epoch: the session keeps running where it was, the budget
+    /// it released on revoke is re-taken, and the typed
     /// [`FleetError::MigrationFailed`] tells the caller nothing moved.
     ///
     /// # Errors
@@ -646,14 +648,19 @@ impl Fleet {
                 loc.proc
             )));
         }
+        // Before the revoke, so a failed recovery leaves the session where
+        // it is.
+        if matches!(self.procs[target].child.try_wait(), Ok(Some(_))) {
+            self.recover_proc(target, &"process exited before a migration grant")?;
+        }
         let local = loc.local;
         let (epoch, blob) = self.with_proc(loc.proc, |c| c.lease_revoke(local))?;
         self.procs[loc.proc].journal.push(FleetOp::Revoke { local });
         self.procs[loc.proc].live -= 1;
         self.keys.remove(&key);
-        // Deliberately no recovery on the grant path: a vanished target
-        // must hand the lease back to the source, not be resurrected
-        // holding a session the source also replays.
+        // Deliberately no recovery on the grant itself: a target that
+        // vanishes mid-grant must hand the lease back to the source, not
+        // be resurrected holding a session the source also replays.
         match self.procs[target]
             .client
             .lease_grant(epoch + 1, blob.clone())

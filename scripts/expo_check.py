@@ -23,6 +23,7 @@ Diff — assert that two scrapes agree on every series under a prefix::
         --ignore cdba_ctrl_shard_restarts_total \\
         --ignore cdba_ctrl_shard_deliveries_total \\
         --ignore cdba_ctrl_journal_events_replayed_total \\
+        --ignore cdba_ctrl_journal_bytes \\
         --ignore cdba_ctrl_restore_seconds \\
         --ignore cdba_ctrl_checkpoint
 
@@ -37,8 +38,10 @@ Diff — assert that two scrapes agree on every series under a prefix::
   ``cdba_ctrl_shard_deliveries_total`` never counted; ``cdba_ctrl_checkpoint``
   covers the ``checkpoints``/``checkpoint_bytes``/
   ``checkpoint_encoded_sessions`` counters and the per-shard
-  ``checkpoint_retained_bytes`` gauge) are excluded. Exits 1 on any
-  value mismatch or series present on only one side.
+  ``checkpoint_retained_bytes`` gauge; ``cdba_ctrl_journal_bytes`` is the
+  journal past that frame, as far as the last accepted checkpoint
+  trimmed it when the scrape came) are excluded. Exits 1 on any value
+  mismatch or series present on only one side.
 """
 
 import argparse
