@@ -862,14 +862,25 @@ pub(crate) mod columnar {
     //! — one copy per frame instead of one per session), the count of
     //! stages completed by since-retired sessions, a tenant string
     //! table, then the column set. Every column is self-describing
-    //! (`name, type, width, count, body length`), so a decoder can skip
+    //! (`name, kind, width, count, body length`), so a decoder can skip
     //! columns it does not know and reject bodies whose byte length
     //! disagrees with their cell count *before* touching any state.
-    //! Fixed-width columns carry one cell per row; ragged columns
-    //! (tracker hulls, window arrivals, allocation runs, delay FIFOs)
-    //! carry the rows' runs concatenated in row order, with a sibling
-    //! `*_len` fixed column giving each row's run length. Ring columns
-    //! are normalized to head = 0 on encode, so no cursor columns travel.
+    //! Fixed columns carry one cell per row; ragged columns (the low
+    //! hull, window arrivals, allocation runs, the delay FIFO) carry the
+    //! rows' runs concatenated in row order, with a sibling `*_len` fixed
+    //! column giving each row's run length. Ring columns are normalized to
+    //! head = 0 on encode, so no cursor columns travel.
+    //!
+    //! There are two cell kinds, [`K_UNSIGNED`] and [`K_FLOAT`], and the
+    //! writer gives each column the narrowest width that holds every one
+    //! of its cells bit for bit ([`Cell::width`]): an unsigned column 1,
+    //! 2, 4 or 8 bytes by its largest cell, a float column 4 bytes when
+    //! every cell round-trips through `f32` with identical bits (NaN
+    //! payloads, `-0.0`, subnormals and `+∞` included), else 8. The
+    //! paper keeps most cells small — Theorem 6's allocations are powers
+    //! of two, change counts are bounded per stage — so most columns
+    //! narrow, and none is ever rounded. A pair is two columns, one per
+    //! half, so each half narrows on its own.
     //!
     //! A frame carries only what the kernel cannot derive. Stage history
     //! is two fixed columns (completed count, open-stage ticks), so a
@@ -879,22 +890,21 @@ pub(crate) mod columnar {
     //! the stage's ticks. The high tracker's window is the newest
     //! `min(stage ticks, W)` cells of `recent`, the meter's arrivals. The
     //! ring's allocation half is piecewise constant (the paper's objective
-    //! keeps changes rare), so it travels as `alloc_runs`: maximal
-    //! `(ticks, value)` runs that tile the row's `recent_len` cells. A
-    //! pooled row names no group: its `(group, member)` is where the
-    //! group section lists its key. `pend` is the whole delay FIFO, but
-    //! the kernel holds only its head and the entries the window has
-    //! evicted: the entries behind the head that `recent` covers must be
-    //! its arrivals `> EPS`, tick for tick and bit for bit, or the frame is
-    //! refused as `columnar.pend` (`meter::pending_agrees`).
+    //! keeps changes rare), so it travels as `alloc_runs_ticks` /
+    //! `alloc_runs_value`: maximal runs that tile the row's `recent_len`
+    //! cells. A pooled row names no group: its `(group, member)` is where
+    //! the group section lists its key. The delay FIFO travels as the
+    //! kernel holds it: `pend_len` counts every entry, but `pend_age` /
+    //! `pend_bits` carry only the head and the spill (the entries older
+    //! than the window), each tick as its age on the row's clock. The
+    //! entries behind the head that `recent` covers are its arrivals
+    //! `> EPS` newer than the head, so they are derived on apply, and a
+    //! row whose count disagrees with them is refused as `columnar.pend`
+    //! ([`fifo_cells`]).
     //!
     //! After the columns: the group section (the full group set), a
     //! tombstone count that is always zero, and the full retired-metrics
     //! list.
-    //!
-    //! `f64` cells are raw IEEE-754 bits, so the hot-state sentinels
-    //! (`+∞` for "still in grace", `NaN` for "no utilization minimum
-    //! yet") travel verbatim and the decode is bitwise.
 
     use super::*;
     use crate::meter::MeterCheckpoint;
@@ -908,6 +918,7 @@ pub(crate) mod columnar {
     use cdba_core::single::SingleCheckpoint;
     use cdba_core::stage::{StageKind, StageLog, StageRecord};
     use cdba_sim::streaming::DelayTrackerState;
+    use cdba_traffic::EPS;
     use std::collections::HashMap;
     use std::ops::Range;
 
@@ -1040,36 +1051,29 @@ pub(crate) mod columnar {
     /// in wire-v5 mirror streams and in lease blobs, all written by the
     /// same binary that reads them, so an older version is refused
     /// (`columnar.version`), not translated.
-    pub(crate) const FRAME_VERSION: u8 = 4;
+    pub(crate) const FRAME_VERSION: u8 = 5;
     /// The one frame kind: every live session, full retired list, no
     /// tombstones. The decoder refuses any other kind byte.
     pub(crate) const KIND_GENESIS: u8 = 0;
 
-    /// Cell type: `u64`, little-endian.
-    pub(crate) const T_U64: u8 = 0;
-    /// Cell type: `f64` as raw IEEE-754 bits, little-endian.
-    pub(crate) const T_F64: u8 = 1;
-    /// Cell type: `u32`, little-endian.
-    pub(crate) const T_U32: u8 = 2;
-    /// Ragged cell type: a run of `f64`s (the meter's windowed arrivals).
-    pub(crate) const T_RF64: u8 = 3;
-    /// Ragged cell type: a run of `(f64, f64)` pairs (the low hull).
-    pub(crate) const T_RPAIR: u8 = 4;
-    /// Ragged cell type: a run of `(u64, f64)` cells (delay-FIFO entries,
-    /// allocation runs).
-    pub(crate) const T_RPEND: u8 = 5;
+    /// Cell kind: an unsigned integer, little-endian in 1, 2, 4 or 8
+    /// bytes.
+    pub(crate) const K_UNSIGNED: u8 = 0;
+    /// Cell kind: a float as raw IEEE-754 bits, little-endian: an `f32`
+    /// in 4 bytes or an `f64` in 8.
+    pub(crate) const K_FLOAT: u8 = 1;
 
-    /// Bytes per cell for each type tag.
-    pub(crate) const fn type_width(ty: u8) -> u32 {
-        match ty {
-            T_U32 => 4,
-            T_RPAIR | T_RPEND => 16,
-            _ => 8, // T_U64 | T_F64 | T_RF64
+    /// Whether a column of `kind` may hold cells `width` bytes wide.
+    const fn legal(kind: u8, width: u8) -> bool {
+        match kind {
+            K_UNSIGNED => matches!(width, 1 | 2 | 4 | 8),
+            K_FLOAT => matches!(width, 4 | 8),
+            _ => false,
         }
     }
 
     // Column indices, fixed by the encoder. Decoders resolve columns by
-    // (name, type) — the indices are a convenience for the canonical
+    // (name, kind) — the indices are a convenience for the canonical
     // schema, not part of the wire contract — so a future frame may
     // append columns without breaking older readers.
     pub(crate) const C_KEY: usize = 0;
@@ -1081,53 +1085,63 @@ pub(crate) mod columnar {
     /// stage ticks, meter ticks, changes, max delay, stages completed).
     pub(crate) const C_U64: usize = 19;
     pub(crate) const C_HULL_LEN: usize = 24;
-    pub(crate) const C_HULL: usize = 25;
-    pub(crate) const C_RECENT_LEN: usize = 26;
-    pub(crate) const C_RECENT: usize = 27;
-    pub(crate) const C_RUNS_LEN: usize = 28;
-    pub(crate) const C_RUNS: usize = 29;
-    pub(crate) const C_PEND_LEN: usize = 30;
-    pub(crate) const C_PEND: usize = 31;
-    pub(crate) const NCOLS: usize = 32;
+    /// The low hull's vertices `(x, P[x])`, one column per half.
+    pub(crate) const C_HULL_X: usize = 25;
+    pub(crate) const C_HULL_Y: usize = 26;
+    pub(crate) const C_RECENT_LEN: usize = 27;
+    pub(crate) const C_RECENT: usize = 28;
+    pub(crate) const C_RUNS_LEN: usize = 29;
+    /// The allocation runs `(ticks, value)`, one column per half.
+    pub(crate) const C_RUNS_TICKS: usize = 30;
+    pub(crate) const C_RUNS_VALUE: usize = 31;
+    pub(crate) const C_PEND_LEN: usize = 32;
+    /// The delay FIFO's head and spill `(tick, bits)`, one column per
+    /// half; the tick travels as its age on the row's clock.
+    pub(crate) const C_PEND_AGE: usize = 33;
+    pub(crate) const C_PEND_BITS: usize = 34;
+    pub(crate) const NCOLS: usize = 35;
 
-    /// The canonical schema: `(name, type)` per column index.
+    /// The canonical schema: `(name, kind)` per column index.
     pub(crate) const SPECS: [(&str, u8); NCOLS] = [
-        ("key", T_U64),
-        ("tenant", T_U32),
-        ("flags", T_U32),
-        ("shadow_backlog", T_F64),
-        ("current_alloc", T_F64),
-        ("peak_alloc", T_F64),
-        ("total_arrived", T_F64),
-        ("total_served", T_F64),
-        ("total_allocated", T_F64),
-        ("window_arrived", T_F64),
-        ("window_allocated", T_F64),
-        ("backlog", T_F64),
-        ("b_on", T_F64),
-        ("low_total", T_F64),
-        ("low_low", T_F64),
-        ("high_window_sum", T_F64),
-        ("high_min_window_sum", T_F64),
-        ("min_util", T_F64),
-        ("max_delay_exact", T_F64),
-        ("stage_ticks", T_U64),
-        ("meter_ticks", T_U64),
-        ("changes", T_U64),
-        ("max_delay", T_U64),
-        ("stages_completed", T_U64),
-        ("hull_len", T_U32),
-        ("hull", T_RPAIR),
-        ("recent_len", T_U32),
-        ("recent", T_RF64),
-        ("alloc_runs_len", T_U32),
-        ("alloc_runs", T_RPEND),
-        ("pend_len", T_U32),
-        ("pend", T_RPEND),
+        ("key", K_UNSIGNED),
+        ("tenant", K_UNSIGNED),
+        ("flags", K_UNSIGNED),
+        ("shadow_backlog", K_FLOAT),
+        ("current_alloc", K_FLOAT),
+        ("peak_alloc", K_FLOAT),
+        ("total_arrived", K_FLOAT),
+        ("total_served", K_FLOAT),
+        ("total_allocated", K_FLOAT),
+        ("window_arrived", K_FLOAT),
+        ("window_allocated", K_FLOAT),
+        ("backlog", K_FLOAT),
+        ("b_on", K_FLOAT),
+        ("low_total", K_FLOAT),
+        ("low_low", K_FLOAT),
+        ("high_window_sum", K_FLOAT),
+        ("high_min_window_sum", K_FLOAT),
+        ("min_util", K_FLOAT),
+        ("max_delay_exact", K_FLOAT),
+        ("stage_ticks", K_UNSIGNED),
+        ("meter_ticks", K_UNSIGNED),
+        ("changes", K_UNSIGNED),
+        ("max_delay", K_UNSIGNED),
+        ("stages_completed", K_UNSIGNED),
+        ("hull_len", K_UNSIGNED),
+        ("hull_x", K_FLOAT),
+        ("hull_y", K_FLOAT),
+        ("recent_len", K_UNSIGNED),
+        ("recent", K_FLOAT),
+        ("alloc_runs_len", K_UNSIGNED),
+        ("alloc_runs_ticks", K_UNSIGNED),
+        ("alloc_runs_value", K_FLOAT),
+        ("pend_len", K_UNSIGNED),
+        ("pend_age", K_UNSIGNED),
+        ("pend_bits", K_FLOAT),
     ];
 
     /// The maximal runs of bit-equal `values`, oldest first, as
-    /// `(ticks, value)` cells: the `alloc_runs` form of a ring's
+    /// `(ticks, value)` cells: the `alloc_runs_*` form of a ring's
     /// allocation half.
     pub(crate) fn runs(values: impl IntoIterator<Item = f64>) -> impl Iterator<Item = (u64, f64)> {
         let mut values = values.into_iter().peekable();
@@ -1141,34 +1155,33 @@ pub(crate) mod columnar {
         })
     }
 
-    /// Cells `cells` of an `alloc_runs` column expanded back to one value
-    /// per tick, oldest first.
+    /// Cells `cells` of the `alloc_runs_*` columns expanded back to one
+    /// value per tick, oldest first.
     pub(crate) fn expand_runs<'a>(
-        c: &'a RawColumn<'_>,
+        ticks: &'a RawColumn<'_>,
+        values: &'a RawColumn<'_>,
         cells: Range<usize>,
     ) -> impl Iterator<Item = f64> + 'a {
-        cells.flat_map(move |j| {
-            let (ticks, v) = pend_at(c, j);
-            std::iter::repeat_n(v, ticks as usize)
-        })
+        cells.flat_map(move |j| std::iter::repeat_n(f64_at(values, j), u64_at(ticks, j) as usize))
     }
 
-    /// Checks that cells `cells` of an `alloc_runs` column tile a ring of
-    /// `len` entries the one way the encoder does: every run non-empty,
-    /// no two neighbours equal, the lengths summing to `len`.
+    /// Checks that cells `cells` of the `alloc_runs_*` columns tile a
+    /// ring of `len` entries the one way the encoder does: every run
+    /// non-empty, no two neighbours equal, the lengths summing to `len`.
     pub(crate) fn check_runs(
-        c: &RawColumn<'_>,
+        ticks: &RawColumn<'_>,
+        values: &RawColumn<'_>,
         cells: Range<usize>,
         len: usize,
     ) -> Result<(), &'static str> {
         let (mut total, mut prev) = (0u64, None);
         for j in cells {
-            let (ticks, v) = pend_at(c, j);
-            total = total.saturating_add(ticks);
-            if ticks == 0 || prev == Some(v.to_bits()) || total > len as u64 {
+            let (n, v) = (u64_at(ticks, j), f64_at(values, j).to_bits());
+            total = total.saturating_add(n);
+            if n == 0 || prev == Some(v) || total > len as u64 {
                 return Err("columnar.runs");
             }
-            prev = Some(v.to_bits());
+            prev = Some(v);
         }
         if total != len as u64 {
             return Err("columnar.runs");
@@ -1176,36 +1189,164 @@ pub(crate) mod columnar {
         Ok(())
     }
 
-    /// How one cell of a column lands in a frame body: integers
-    /// little-endian, `f64` as raw IEEE-754 bits, a pair as its halves in
-    /// order.
-    pub(crate) trait Cell {
-        fn put(self, out: &mut Vec<u8>);
-    }
-
-    impl Cell for u32 {
-        fn put(self, out: &mut Vec<u8>) {
-            out.extend_from_slice(&self.to_le_bytes());
+    /// The tick of cell `j` of a `pend_age` column on a row whose clock
+    /// is `clock`. An entry queued at tick `t` travels as its age
+    /// `clock − t`, at least 1: nothing queued is from the row's current
+    /// tick or later.
+    fn pend_tick(age: &RawColumn<'_>, j: usize, clock: u64) -> Result<u64, &'static str> {
+        match u64_at(age, j) {
+            a @ 1.. if a <= clock => Ok(clock - a),
+            _ => Err("columnar.pend"),
         }
     }
 
+    /// Checks one row's delay FIFO as a frame carries it and returns the
+    /// `pend_*` cells it holds, from cell `at`: the FIFO is `len` entries
+    /// long on a row whose clock is `clock` and whose window arrivals are
+    /// `recent`, oldest first (ticks `clock − recent.len() ..`, at most
+    /// `clock` of them). The cells are its head, then its spill: the
+    /// entries behind the head that the window covers are the window's
+    /// arrivals `> EPS` newer than the head, so every other entry must be
+    /// older than the window, newer than the head, and in ascending tick
+    /// order. A count that disagrees with the window is `columnar.pend`.
+    pub(crate) fn fifo_cells(
+        age: &RawColumn<'_>,
+        at: usize,
+        len: u64,
+        clock: u64,
+        recent: impl ExactSizeIterator<Item = f64>,
+    ) -> Result<usize, &'static str> {
+        if len == 0 {
+            return Ok(0);
+        }
+        let cells = (age.count as usize).saturating_sub(at);
+        if len > u64::from(u32::MAX) || cells == 0 {
+            return Err("columnar.pend");
+        }
+        let start = clock - recent.len() as u64;
+        let head = pend_tick(age, at, clock)?;
+        let queued = (start..).zip(recent).filter(|&(t, a)| t > head && a > EPS);
+        let spill = (len - 1)
+            .checked_sub(queued.count() as u64)
+            .filter(|&spill| spill < cells as u64)
+            .ok_or("columnar.pend")? as usize;
+        let mut last = head;
+        for j in at + 1..=at + spill {
+            let t = pend_tick(age, j, clock)?;
+            if t <= last || t >= start {
+                return Err("columnar.pend");
+            }
+            last = t;
+        }
+        Ok(1 + spill)
+    }
+
+    /// Cells `cells` of the `pend_*` columns on a row whose clock is
+    /// `clock`, as `(tick, bits)` entries: a FIFO's head and spill.
+    pub(crate) fn fifo_held<'a>(
+        age: &'a RawColumn<'_>,
+        bits: &'a RawColumn<'_>,
+        cells: Range<usize>,
+        clock: u64,
+    ) -> impl ExactSizeIterator<Item = (u64, f64)> + 'a {
+        cells.map(move |j| (clock - u64_at(age, j), f64_at(bits, j)))
+    }
+
+    /// One cell of a column: its kind, the narrowest width that holds it
+    /// bit for bit, and how it lands in a frame body at a given width.
+    pub(crate) trait Cell: Copy {
+        /// [`K_UNSIGNED`] or [`K_FLOAT`].
+        const KIND: u8;
+        /// The narrowest width legal for the kind.
+        const NARROWEST: u8;
+        /// The narrowest legal width that holds this cell bit for bit.
+        fn width(self) -> u8;
+        /// Appends the cell at `width`, at least [`Cell::width`].
+        fn put(self, width: u8, out: &mut Vec<u8>);
+    }
+
     impl Cell for u64 {
-        fn put(self, out: &mut Vec<u8>) {
-            out.extend_from_slice(&self.to_le_bytes());
+        const KIND: u8 = K_UNSIGNED;
+        const NARROWEST: u8 = 1;
+
+        fn width(self) -> u8 {
+            match self {
+                0..=0xff => 1,
+                0x100..=0xffff => 2,
+                0x1_0000..=0xffff_ffff => 4,
+                _ => 8,
+            }
+        }
+
+        fn put(self, width: u8, out: &mut Vec<u8>) {
+            match width {
+                1 => out.push(self as u8),
+                2 => out.extend_from_slice(&(self as u16).to_le_bytes()),
+                4 => out.extend_from_slice(&(self as u32).to_le_bytes()),
+                _ => out.extend_from_slice(&self.to_le_bytes()),
+            }
+        }
+    }
+
+    impl Cell for u32 {
+        const KIND: u8 = K_UNSIGNED;
+        const NARROWEST: u8 = 1;
+
+        fn width(self) -> u8 {
+            u64::from(self).width()
+        }
+
+        fn put(self, width: u8, out: &mut Vec<u8>) {
+            u64::from(self).put(width, out);
         }
     }
 
     impl Cell for f64 {
-        fn put(self, out: &mut Vec<u8>) {
-            self.to_bits().put(out);
+        const KIND: u8 = K_FLOAT;
+        const NARROWEST: u8 = 4;
+
+        /// 4 when the value survives `f64 → f32 → f64` with identical
+        /// bits — compared as bits, so a NaN payload, `-0.0`, a subnormal
+        /// or `+∞` narrows only if it comes back exactly — else 8.
+        fn width(self) -> u8 {
+            if f64::from(self as f32).to_bits() == self.to_bits() {
+                4
+            } else {
+                8
+            }
+        }
+
+        fn put(self, width: u8, out: &mut Vec<u8>) {
+            if width == 4 {
+                out.extend_from_slice(&(self as f32).to_le_bytes());
+            } else {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
         }
     }
 
-    impl<A: Cell, B: Cell> Cell for (A, B) {
-        fn put(self, out: &mut Vec<u8>) {
-            self.0.put(out);
-            self.1.put(out);
-        }
+    /// One pass over a frame's columns, which a [`ColumnSource`] hands it
+    /// in schema order: the shape pass sizes each column, the fill pass
+    /// writes it.
+    pub(crate) trait ColumnWriter {
+        /// Takes column `col`: `cells`, in row order.
+        fn col<C: Cell>(&mut self, col: usize, cells: impl IntoIterator<Item = C>);
+    }
+
+    /// The rows a frame's writer registered ([`ColumnSink::push_row`]).
+    pub(crate) struct Rows<'a> {
+        /// The source slot of each row, in row order.
+        pub slots: &'a [u32],
+        /// Each row's index into the frame's tenant table.
+        pub tenants: &'a [u32],
+    }
+
+    /// What a frame's rows are read from: a shard's columns, or one
+    /// leased session.
+    pub(crate) trait ColumnSource {
+        /// Hands `w` all [`NCOLS`] columns of `rows`, in schema order.
+        /// Called twice per frame, so both passes see the same cells.
+        fn columns(&self, rows: &Rows<'_>, w: &mut impl ColumnWriter);
     }
 
     /// Everything frame-scoped the encoder needs beyond the rows.
@@ -1227,31 +1368,79 @@ pub(crate) mod columnar {
     /// Bytes of the fixed header fields, version byte through `u_o`.
     const HEADER_LEN: usize = 1 + 1 + 8 + 4 + 4 + 8 + 8 + 8 + 8 + 8 + 8;
     /// Bytes of one column's schema entry around its name: the name's
-    /// length prefix, type tag, width, cell count, body length.
-    const SCHEMA_ENTRY_LEN: usize = 4 + 1 + 4 + 4 + 4;
+    /// length prefix, kind, width, cell count, body length.
+    const SCHEMA_ENTRY_LEN: usize = 4 + 1 + 1 + 4 + 4;
 
-    /// Total run length of each ragged column over a frame's rows, in
-    /// schema order: hull, recent, alloc runs, pend. The size pass sums
-    /// the per-row lengths it also writes as the `*_len` columns.
-    pub(crate) type RaggedTotals = [usize; 4];
+    /// Each column's cell count and width, from the shape pass.
+    type Shape = [(usize, u8); NCOLS];
 
-    /// The frame writer's reusable scratch. A frame is written in two
-    /// passes over its source. The caller's size pass registers each row
-    /// ([`ColumnSink::push_row`], with its count of allocation runs) and
-    /// totals the ragged run lengths;
-    /// [`ColumnSink::start`] then allocates the output once, at the exact
-    /// frame length, and the caller streams every column in schema order
-    /// straight into it ([`FrameFill::col`]). Nothing frame-sized
-    /// survives between frames: the scratch is twelve bytes per row, the
-    /// tenant table, and the pre-encoded tail sections.
+    /// The shape pass: counts each column's cells and takes the widest
+    /// width any of them needs.
+    struct Measure {
+        shape: Shape,
+        next: usize,
+    }
+
+    impl ColumnWriter for Measure {
+        fn col<C: Cell>(&mut self, col: usize, cells: impl IntoIterator<Item = C>) {
+            assert_eq!(col, self.next, "columns come in schema order");
+            assert_eq!(
+                C::KIND,
+                SPECS[col].1,
+                "column `{}` vs its kind",
+                SPECS[col].0
+            );
+            self.next += 1;
+            // A fold, not a `for`: a ragged column's cells come through
+            // `flat_map`, which folds each row's run in place.
+            let (count, width) = cells
+                .into_iter()
+                .fold((0, C::NARROWEST), |(n, w), c| (n + 1, w.max(c.width())));
+            self.shape[col] = (count, width);
+        }
+    }
+
+    /// The fill pass: each column's schema entry, then its cells at the
+    /// width the shape pass chose.
+    struct Fill<'a> {
+        out: &'a mut Vec<u8>,
+        shape: &'a Shape,
+        next: usize,
+    }
+
+    impl ColumnWriter for Fill<'_> {
+        fn col<C: Cell>(&mut self, col: usize, cells: impl IntoIterator<Item = C>) {
+            assert_eq!(col, self.next, "columns come in schema order");
+            self.next += 1;
+            let (name, kind) = SPECS[col];
+            let (count, width) = self.shape[col];
+            let body = count * usize::from(width);
+            let mut e = Enc::new(self.out);
+            e.str(name);
+            e.u8(kind);
+            e.u8(width);
+            e.u32(u32::try_from(count).expect("column cells fit a u32"));
+            e.u32(u32::try_from(body).expect("column body fits a u32"));
+            let filled = self.out.len() + body;
+            cells.into_iter().for_each(|c| c.put(width, self.out));
+            assert_eq!(self.out.len(), filled, "column `{name}` vs the shape pass");
+        }
+    }
+
+    /// The frame writer's reusable scratch. The caller registers each
+    /// row ([`ColumnSink::push_row`]); [`ColumnSink::write`] then reads
+    /// the columns twice from a [`ColumnSource`]: a shape pass picks each
+    /// column's width from its own cells, the output is allocated once at
+    /// the exact frame length, and a fill pass streams every column
+    /// straight into it. Nothing frame-sized survives between frames: the
+    /// scratch is eight bytes per row, the tenant table, and the
+    /// pre-encoded tail sections.
     #[derive(Default)]
     pub(crate) struct ColumnSink {
         /// The source slot of each row, in row order.
-        rows: Vec<u32>,
+        slots: Vec<u32>,
         /// The interned tenant index of each row.
         tenant_ids: Vec<u32>,
-        /// The allocation runs of each row, counted by the size pass.
-        runs: Vec<u32>,
         /// Per-frame tenant string table, in first-appearance order (the
         /// deterministic interning order; the map is lookup only).
         tenants: Vec<Arc<str>>,
@@ -1265,17 +1454,15 @@ pub(crate) mod columnar {
     impl ColumnSink {
         /// Resets for a new frame, keeping the scratch allocations.
         pub(crate) fn begin(&mut self) {
-            self.rows.clear();
+            self.slots.clear();
             self.tenant_ids.clear();
-            self.runs.clear();
             self.tenants.clear();
             self.tenant_idx.clear();
         }
 
-        /// Size pass: registers the next row, living at `slot` of the
-        /// caller's columns, owned by `tenant`, its allocation history
-        /// `runs` runs long.
-        pub(crate) fn push_row(&mut self, slot: u32, tenant: &Arc<str>, runs: u32) {
+        /// Registers the next row, living at `slot` of the source's
+        /// columns, owned by `tenant`.
+        pub(crate) fn push_row(&mut self, slot: u32, tenant: &Arc<str>) {
             let id = match self.tenant_idx.get(tenant.as_ref() as &str) {
                 Some(&id) => id,
                 None => {
@@ -1285,24 +1472,21 @@ pub(crate) mod columnar {
                     id
                 }
             };
-            self.rows.push(slot);
+            self.slots.push(slot);
             self.tenant_ids.push(id);
-            self.runs.push(runs);
         }
 
-        /// Ends the size pass: sizes the frame from the registered rows,
-        /// `ragged` and the tail sections, makes `out` (cleared first)
-        /// exactly that long in one allocation, and writes everything up
-        /// to the first column. The caller then fills all [`NCOLS`]
-        /// columns in schema order and calls [`FrameFill::finish`].
-        pub(crate) fn start<'a>(
-            &'a mut self,
+        /// Writes the frame of the registered rows into `out` (cleared
+        /// first, and made exactly the frame's length in one allocation),
+        /// reading their columns from `src`. Returns the row count.
+        pub(crate) fn write(
+            &mut self,
+            src: &impl ColumnSource,
             hdr: &FrameHeader,
-            ragged: RaggedTotals,
             groups: &[GroupCheckpoint],
             retired: &[SessionMetrics],
-            out: &'a mut Vec<u8>,
-        ) -> FrameFill<'a> {
+            out: &mut Vec<u8>,
+        ) -> u64 {
             self.tail.clear();
             let mut e = Enc::new(&mut self.tail);
             e.len(groups.len());
@@ -1314,10 +1498,23 @@ pub(crate) mod columnar {
             for m in retired {
                 encode_session_metrics(m, &mut e);
             }
+            let rows = Rows {
+                slots: &self.slots,
+                tenants: &self.tenant_ids,
+            };
+            let mut measure = Measure {
+                shape: [(0, 0); NCOLS],
+                next: 0,
+            };
+            src.columns(&rows, &mut measure);
+            assert_eq!(measure.next, NCOLS, "every column was measured");
+            let shape = measure.shape;
             let tenant_table: usize = self.tenants.iter().map(|t| 4 + t.len()).sum();
-            let columns: usize = (0..NCOLS)
-                .map(|col| {
-                    SCHEMA_ENTRY_LEN + SPECS[col].0.len() + body_len(col, self.rows.len(), &ragged)
+            let columns: usize = SPECS
+                .iter()
+                .zip(&shape)
+                .map(|(&(name, _), &(count, width))| {
+                    SCHEMA_ENTRY_LEN + name.len() + count * usize::from(width)
                 })
                 .sum();
             let len = HEADER_LEN + 4 + tenant_table + 4 + columns + self.tail.len();
@@ -1327,7 +1524,7 @@ pub(crate) mod columnar {
             e.u8(FRAME_VERSION);
             e.u8(KIND_GENESIS);
             e.u64(hdr.ticks);
-            e.len(self.rows.len());
+            e.len(self.slots.len());
             e.u32(hdr.w);
             e.f64(hdr.cost.per_bandwidth_tick);
             e.f64(hdr.cost.per_change);
@@ -1340,89 +1537,16 @@ pub(crate) mod columnar {
                 e.str(t.as_ref());
             }
             e.u32(NCOLS as u32);
-            FrameFill {
+            let mut fill = Fill {
                 out,
-                rows: &self.rows,
-                tenant_ids: &self.tenant_ids,
-                runs: &self.runs,
-                ragged,
-                tail: &self.tail,
+                shape: &shape,
                 next: 0,
-                len,
-            }
-        }
-    }
-
-    /// Body bytes of column `col` in a frame of `rows` rows: one cell per
-    /// row for a fixed column, the summed run lengths for a ragged one.
-    fn body_len(col: usize, rows: usize, ragged: &RaggedTotals) -> usize {
-        let ty = SPECS[col].1;
-        let cells = if ty >= T_RF64 {
-            ragged[(col - C_HULL) / 2]
-        } else {
-            rows
-        };
-        cells * type_width(ty) as usize
-    }
-
-    /// The fill pass of one frame: the exactly-sized output plus what the
-    /// size pass recorded. Obtained from [`ColumnSink::start`].
-    #[must_use = "a frame is complete only after `finish`"]
-    pub(crate) struct FrameFill<'a> {
-        out: &'a mut Vec<u8>,
-        /// The registered rows' source slots, in row order.
-        pub rows: &'a [u32],
-        /// The registered rows' tenant-table indices.
-        tenant_ids: &'a [u32],
-        /// The registered rows' allocation-run counts.
-        runs: &'a [u32],
-        ragged: RaggedTotals,
-        tail: &'a [u8],
-        /// The next column [`FrameFill::col`] must be given.
-        next: usize,
-        /// The frame length the size pass arrived at.
-        len: usize,
-    }
-
-    impl FrameFill<'_> {
-        /// Writes column `col` — its schema entry, then `cells` appended
-        /// in order. Columns must arrive in schema order and carry
-        /// exactly the cells the size pass announced.
-        pub(crate) fn col<C: Cell>(&mut self, col: usize, cells: impl IntoIterator<Item = C>) {
-            assert_eq!(col, self.next, "columns are filled in schema order");
-            self.next += 1;
-            let (name, ty) = SPECS[col];
-            let width = type_width(ty);
-            let body = u32::try_from(body_len(col, self.rows.len(), &self.ragged))
-                .expect("column body fits a u32");
-            let mut e = Enc::new(self.out);
-            e.str(name);
-            e.u8(ty);
-            e.u32(width);
-            e.u32(body / width);
-            e.u32(body);
-            let filled = self.out.len() + body as usize;
-            cells.into_iter().for_each(|c| c.put(self.out));
-            assert_eq!(self.out.len(), filled, "column `{name}` vs the size pass");
-        }
-
-        /// Writes the `tenant` column: each row's index into the tenant
-        /// table the size pass interned.
-        pub(crate) fn tenant_col(&mut self) {
-            self.col(C_TENANT, self.tenant_ids.iter().copied());
-        }
-
-        /// Writes the `alloc_runs_len` column: each row's run count as the
-        /// size pass registered it.
-        pub(crate) fn runs_len_col(&mut self) {
-            self.col(C_RUNS_LEN, self.runs.iter().copied());
-        }
-
-        /// Appends the tail sections; the frame is complete.
-        pub(crate) fn finish(self) {
-            assert_eq!(self.next, NCOLS, "every column was filled");
-            self.out.extend_from_slice(self.tail);
-            assert_eq!(self.out.len(), self.len, "frame length vs the size pass");
+            };
+            src.columns(&rows, &mut fill);
+            assert_eq!(fill.next, NCOLS, "every column was filled");
+            out.extend_from_slice(&self.tail);
+            assert_eq!(out.len(), len, "frame length vs the shape pass");
+            self.slots.len() as u64
         }
     }
 
@@ -1431,7 +1555,9 @@ pub(crate) mod columnar {
     /// copy is made until the rows land in slab columns).
     pub(crate) struct RawColumn<'a> {
         pub name: &'a str,
-        pub ty: u8,
+        pub kind: u8,
+        /// Bytes per cell, legal for `kind`.
+        pub width: u8,
         pub count: u32,
         pub body: &'a [u8],
     }
@@ -1439,10 +1565,11 @@ pub(crate) mod columnar {
     /// A structurally validated frame: header fields, the tenant table
     /// and column bodies borrowed zero-copy from the payload, and the
     /// (small) eagerly decoded group and retired sections. All
-    /// *structural* invariants hold — version/kind/type tags are known,
-    /// the tombstone list is empty, every body length equals `count ×
-    /// width` — but nothing row-semantic has been checked yet; that is
-    /// the applier's job.
+    /// *structural* invariants hold — version/kind bytes are known, every
+    /// (kind, width) pair is legal, no column name repeats, the tombstone
+    /// list is empty, every body length equals `count × width` — but
+    /// nothing row-semantic has been checked yet; that is the applier's
+    /// job.
     pub(crate) struct RawFrame<'a> {
         pub ticks: u64,
         pub stages_retired: u64,
@@ -1459,15 +1586,15 @@ pub(crate) mod columnar {
     }
 
     impl<'a> RawFrame<'a> {
-        /// Resolves canonical column `idx` by `(name, type)`. Unknown
+        /// Resolves canonical column `idx` by `(name, kind)`. Unknown
         /// extra columns in the frame are simply never looked up —
         /// forward compatibility — while a frame missing a canonical
         /// column fails here with a typed field.
         pub(crate) fn col(&self, idx: usize) -> Result<&RawColumn<'a>, &'static str> {
-            let (name, ty) = SPECS[idx];
+            let (name, kind) = SPECS[idx];
             self.cols
                 .iter()
-                .find(|c| c.name == name && c.ty == ty)
+                .find(|c| c.name == name && c.kind == kind)
                 .ok_or("columnar.missing")
         }
 
@@ -1480,38 +1607,61 @@ pub(crate) mod columnar {
             }
             Ok(c)
         }
+
+        /// Resolves the two halves of a split pair column, which must
+        /// carry the same number of cells.
+        pub(crate) fn pair(
+            &self,
+            a: usize,
+            b: usize,
+        ) -> Result<(&RawColumn<'a>, &RawColumn<'a>), &'static str> {
+            let (a, b) = (self.col(a)?, self.col(b)?);
+            if a.count != b.count {
+                return Err("columnar.ragged");
+            }
+            Ok((a, b))
+        }
     }
 
-    fn le8(body: &[u8], off: usize) -> u64 {
-        u64::from_le_bytes(body[off..off + 8].try_into().expect("8"))
-    }
-
-    /// Cell `i` of a `T_U64` column.
+    /// Cell `i` of an unsigned column, at any width.
     pub(crate) fn u64_at(c: &RawColumn<'_>, i: usize) -> u64 {
-        le8(c.body, i * 8)
+        let b = c.body;
+        match c.width {
+            1 => u64::from(b[i]),
+            2 => u64::from(u16::from_le_bytes(
+                b[i * 2..i * 2 + 2].try_into().expect("2"),
+            )),
+            4 => u64::from(u32::from_le_bytes(
+                b[i * 4..i * 4 + 4].try_into().expect("4"),
+            )),
+            _ => u64::from_le_bytes(b[i * 8..i * 8 + 8].try_into().expect("8")),
+        }
     }
 
-    /// Cell `i` of a `T_U32` column.
-    pub(crate) fn u32_at(c: &RawColumn<'_>, i: usize) -> u32 {
-        u32::from_le_bytes(c.body[i * 4..i * 4 + 4].try_into().expect("4"))
-    }
-
-    /// Cell `i` of a `T_F64` or `T_RF64` column.
+    /// Cell `i` of a float column, at either width.
     pub(crate) fn f64_at(c: &RawColumn<'_>, i: usize) -> f64 {
-        f64::from_bits(le8(c.body, i * 8))
+        if c.width == 4 {
+            let le = c.body[i * 4..i * 4 + 4].try_into().expect("4");
+            f64::from(f32::from_le_bytes(le))
+        } else {
+            f64::from_le_bytes(c.body[i * 8..i * 8 + 8].try_into().expect("8"))
+        }
     }
 
-    /// Cell `i` of a `T_RPAIR` column.
-    pub(crate) fn pair_at(c: &RawColumn<'_>, i: usize) -> (f64, f64) {
-        (
-            f64::from_bits(le8(c.body, i * 16)),
-            f64::from_bits(le8(c.body, i * 16 + 8)),
-        )
-    }
-
-    /// Cell `i` of a `T_RPEND` column.
-    pub(crate) fn pend_at(c: &RawColumn<'_>, i: usize) -> (u64, f64) {
-        (le8(c.body, i * 16), f64::from_bits(le8(c.body, i * 16 + 8)))
+    /// A structural decode error as the typed field the service's
+    /// `InvalidCheckpoint` error carries, so [`parse`] can `?` its
+    /// cursor reads.
+    impl From<CodecError> for &'static str {
+        fn from(err: CodecError) -> Self {
+            match err {
+                CodecError::Eof => "columnar.truncated",
+                CodecError::BadTag(_) => "columnar.type",
+                CodecError::BadUtf8 => "columnar.utf8",
+                CodecError::BadVersion(_) => "columnar.version",
+                CodecError::BadLength(_) => "columnar.count",
+                CodecError::Trailing(_) => "columnar.trailing",
+            }
+        }
     }
 
     /// Parses and structurally validates a columnar frame. Zero-copy for
@@ -1520,20 +1670,19 @@ pub(crate) mod columnar {
     ///
     /// # Errors
     ///
-    /// [`CodecError::BadVersion`] for a non-v4 payload, [`CodecError::BadTag`]
-    /// for a kind other than [`KIND_GENESIS`] or an unknown type tag,
-    /// [`CodecError::BadLength`] for a width or body-length mismatch or a
-    /// non-empty tombstone list, and any cursor error for truncation or
-    /// trailing bytes.
-    pub(crate) fn parse(payload: &[u8]) -> Result<RawFrame<'_>, CodecError> {
+    /// A typed `columnar.*` field: `version` for a frame of another
+    /// version, `type` for a kind byte other than [`KIND_GENESIS`] or an
+    /// unknown cell kind, `width` for a width its kind does not allow,
+    /// `duplicate` for a column named twice, `count` for a body length
+    /// other than `count × width` or a non-empty tombstone list, and
+    /// `truncated` / `trailing` / `utf8` for what the cursor finds.
+    pub(crate) fn parse(payload: &[u8]) -> Result<RawFrame<'_>, &'static str> {
         let mut d = Dec::new(payload);
-        match d.u8()? {
-            FRAME_VERSION => {}
-            v => return Err(CodecError::BadVersion(v)),
+        if d.u8()? != FRAME_VERSION {
+            return Err("columnar.version");
         }
-        match d.u8()? {
-            KIND_GENESIS => {}
-            kind => return Err(CodecError::BadTag(kind)),
+        if d.u8()? != KIND_GENESIS {
+            return Err("columnar.type");
         }
         let ticks = d.u64()?;
         let rows = d.u32()?;
@@ -1551,39 +1700,45 @@ pub(crate) mod columnar {
         for _ in 0..n {
             strings.push(d.str_ref()?);
         }
-        let ncols = d.len(17)?;
+        let ncols = d.len(SCHEMA_ENTRY_LEN)?;
         let mut cols = Vec::with_capacity(ncols);
         for _ in 0..ncols {
             let name = d.str_ref()?;
-            let ty = d.u8()?;
-            if ty > T_RPEND {
-                return Err(CodecError::BadTag(ty));
+            let kind = d.u8()?;
+            if kind > K_FLOAT {
+                return Err("columnar.type");
             }
-            let width = d.u32()?;
-            if width != type_width(ty) {
-                return Err(CodecError::BadLength(u64::from(width)));
+            let width = d.u8()?;
+            if !legal(kind, width) {
+                return Err("columnar.width");
             }
             let count = d.u32()?;
             let body_len = d.u32()? as usize;
-            if body_len != count as usize * width as usize {
-                return Err(CodecError::BadLength(body_len as u64));
+            if body_len != count as usize * usize::from(width) {
+                return Err("columnar.count");
             }
             let body = d.bytes(body_len)?;
             cols.push(RawColumn {
                 name,
-                ty,
+                kind,
+                width,
                 count,
                 body,
             });
+        }
+        // A name resolves to one column: a second would be shadowed.
+        let mut names: Vec<&str> = cols.iter().map(|c| c.name).collect();
+        names.sort_unstable();
+        if names.windows(2).any(|p| p[0] == p[1]) {
+            return Err("columnar.duplicate");
         }
         let n = d.len(8)?;
         let mut groups = Vec::with_capacity(n);
         for _ in 0..n {
             groups.push(dec_group(&mut d)?);
         }
-        match d.len(8)? {
-            0 => {}
-            tombstones => return Err(CodecError::BadLength(tombstones as u64)),
+        if d.len(8)? != 0 {
+            return Err("columnar.count"); // a genesis lists no tombstones
         }
         let n = d.len(8)?;
         let mut retired = Vec::with_capacity(n);
@@ -1608,16 +1763,42 @@ pub(crate) mod columnar {
         })
     }
 
-    /// Maps a structural [`CodecError`] to the typed field names the
-    /// service's `InvalidCheckpoint` error carries.
-    pub(crate) fn error_field(err: &CodecError) -> &'static str {
-        match err {
-            CodecError::Eof => "columnar.truncated",
-            CodecError::BadTag(_) => "columnar.type",
-            CodecError::BadUtf8 => "columnar.utf8",
-            CodecError::BadVersion(_) => "columnar.version",
-            CodecError::BadLength(_) => "columnar.count",
-            CodecError::Trailing(_) => "columnar.trailing",
+    /// One dedicated session as a [`ColumnSource`]: the lease frame's
+    /// single row.
+    struct Lease<'a> {
+        cp: &'a SessionCheckpoint,
+        flags: u32,
+        f64s: [f64; 16],
+        u64s: [u64; 5],
+        hull: &'a [(f64, f64)],
+        /// The delay FIFO's head and spill.
+        held: &'a [(usize, f64)],
+    }
+
+    impl ColumnSource for Lease<'_> {
+        fn columns(&self, rows: &Rows<'_>, f: &mut impl ColumnWriter) {
+            let m = &self.cp.meter;
+            let allocs = || m.recent.iter().map(|p| p.1);
+            f.col(C_KEY, [self.cp.key]);
+            f.col(C_TENANT, rows.tenants.iter().copied());
+            f.col(C_FLAGS, [self.flags]);
+            for (j, &v) in self.f64s.iter().enumerate() {
+                f.col(C_F64 + j, [v]);
+            }
+            for (j, &v) in self.u64s.iter().enumerate() {
+                f.col(C_U64 + j, [v]);
+            }
+            f.col(C_HULL_LEN, [self.hull.len() as u64]);
+            f.col(C_HULL_X, self.hull.iter().map(|p| p.0));
+            f.col(C_HULL_Y, self.hull.iter().map(|p| p.1));
+            f.col(C_RECENT_LEN, [m.recent.len() as u64]);
+            f.col(C_RECENT, m.recent.iter().map(|p| p.0));
+            f.col(C_RUNS_LEN, [runs(allocs()).count() as u64]);
+            f.col(C_RUNS_TICKS, runs(allocs()).map(|r| r.0));
+            f.col(C_RUNS_VALUE, runs(allocs()).map(|r| r.1));
+            f.col(C_PEND_LEN, [m.delay.pending.len() as u64]);
+            f.col(C_PEND_AGE, self.held.iter().map(|p| m.ticks - p.0 as u64));
+            f.col(C_PEND_BITS, self.held.iter().map(|p| p.1));
         }
     }
 
@@ -1665,44 +1846,31 @@ pub(crate) mod columnar {
             f64s[13] = high.min_window_sum.unwrap_or(f64::INFINITY);
             hull = &low.hull;
         }
-        let (recent, pend) = (&m.recent, &m.delay.pending);
-        let allocs = || recent.iter().map(|p| p.1);
-        let n_runs = runs(allocs()).count();
+        // The head, then the entries older than the window.
+        let pending = &m.delay.pending;
+        let start = (m.ticks as usize).saturating_sub(m.recent.len());
+        let spill = pending.iter().skip(1).take_while(|p| p.0 < start).count();
+        let held = &pending[..pending.len().min(1 + spill)];
         let mut sink = ColumnSink::default();
-        sink.push_row(0, &cp.tenant, n_runs as u32);
-        let mut f = sink.start(
-            &FrameHeader {
-                ticks: 0,
-                stages_retired: 0,
-                w: m.window as u32,
-                cost: m.cost,
-                b_max: alg.cfg.b_max,
-                d_o: alg.cfg.d_o as u64,
-                u_o: alg.cfg.u_o,
-            },
-            [hull.len(), recent.len(), n_runs, pend.len()],
-            &[],
-            &[],
-            out,
-        );
-        f.col(C_KEY, [cp.key]);
-        f.tenant_col();
-        f.col(C_FLAGS, [flags]);
-        for (j, v) in f64s.into_iter().enumerate() {
-            f.col(C_F64 + j, [v]);
-        }
-        for (j, v) in u64s.into_iter().enumerate() {
-            f.col(C_U64 + j, [v]);
-        }
-        f.col(C_HULL_LEN, [hull.len() as u32]);
-        f.col(C_HULL, hull.iter().copied());
-        f.col(C_RECENT_LEN, [recent.len() as u32]);
-        f.col(C_RECENT, recent.iter().map(|p| p.0));
-        f.runs_len_col();
-        f.col(C_RUNS, runs(allocs()));
-        f.col(C_PEND_LEN, [pend.len() as u32]);
-        f.col(C_PEND, pend.iter().map(|&(t, b)| (t as u64, b)));
-        f.finish();
+        sink.push_row(0, &cp.tenant);
+        let hdr = FrameHeader {
+            ticks: 0,
+            stages_retired: 0,
+            w: m.window as u32,
+            cost: m.cost,
+            b_max: alg.cfg.b_max,
+            d_o: alg.cfg.d_o as u64,
+            u_o: alg.cfg.u_o,
+        };
+        let lease = Lease {
+            cp,
+            flags,
+            f64s,
+            u64s,
+            hull,
+            held,
+        };
+        sink.write(&lease, &hdr, &[], &[], out);
     }
 
     /// Materializes the [`SessionCheckpoint`] of a single-row migration
@@ -1710,8 +1878,9 @@ pub(crate) mod columnar {
     /// `conforms()` gauntlet before admitting it. What the
     /// frame does not carry is derived as the kernel derives it: both
     /// clocks from the meter's, the stage start and the high window from
-    /// the stage's ticks. Rejects frames that are not a pure one-session
-    /// dedicated slice.
+    /// the stage's ticks, and the FIFO's entries behind its head from the
+    /// window. Rejects frames that are not a pure one-session dedicated
+    /// slice.
     ///
     /// # Errors
     ///
@@ -1725,16 +1894,20 @@ pub(crate) mod columnar {
         if w == 0 {
             return Err("columnar.w");
         }
-        let flags = u32_at(f.fixed(C_FLAGS)?, 0);
-        const KNOWN: u32 = F_LIVE | F_DEDICATED | F_LEAVING | F_STAGE_OPEN;
-        if flags & !KNOWN != 0 || flags & F_LIVE == 0 {
+        let flags = u64_at(f.fixed(C_FLAGS)?, 0);
+        const KNOWN: u64 = (F_LIVE | F_DEDICATED | F_LEAVING | F_STAGE_OPEN) as u64;
+        if flags & !KNOWN != 0 || flags & u64::from(F_LIVE) == 0 {
             return Err("columnar.flags");
         }
-        if flags & F_DEDICATED == 0 {
+        if flags & u64::from(F_DEDICATED) == 0 {
             return Err("columnar.migration");
         }
-        let tenant_i = u32_at(f.fixed(C_TENANT)?, 0) as usize;
-        let tenant: Arc<str> = Arc::from(*f.strings.get(tenant_i).ok_or("columnar.tenant")?);
+        let tenant_i = u64_at(f.fixed(C_TENANT)?, 0);
+        let tenant = usize::try_from(tenant_i)
+            .ok()
+            .and_then(|i| f.strings.get(i))
+            .ok_or("columnar.tenant")?;
+        let tenant: Arc<str> = Arc::from(*tenant);
         let mut f64s = [0.0f64; 16];
         for (j, v) in f64s.iter_mut().enumerate() {
             *v = f64_at(f.fixed(C_F64 + j)?, 0);
@@ -1743,33 +1916,51 @@ pub(crate) mod columnar {
         for (j, v) in u64s.iter_mut().enumerate() {
             *v = u64_at(f.fixed(C_U64 + j)?, 0);
         }
-        let ragged =
-            |len_idx: usize, col_idx: usize| -> Result<(usize, &RawColumn<'_>), &'static str> {
-                let n = u32_at(f.fixed(len_idx)?, 0) as usize;
-                let c = f.col(col_idx)?;
-                if c.count as usize != n {
-                    return Err("columnar.ragged");
-                }
-                Ok((n, c))
-            };
-        let (hull_n, hull_c) = ragged(C_HULL_LEN, C_HULL)?;
-        let (recent_n, recent_c) = ragged(C_RECENT_LEN, C_RECENT)?;
-        let (runs_n, runs_c) = ragged(C_RUNS_LEN, C_RUNS)?;
-        let (pend_n, pend_c) = ragged(C_PEND_LEN, C_PEND)?;
-        if recent_n > w {
+        // A ragged column's cells, checked against its row's length.
+        let ragged = |len_idx: usize, c: &RawColumn<'_>| -> Result<usize, &'static str> {
+            let n = u64_at(f.fixed(len_idx)?, 0);
+            if u64::from(c.count) != n {
+                return Err("columnar.ragged");
+            }
+            Ok(n as usize)
+        };
+        let (hull_x, hull_y) = f.pair(C_HULL_X, C_HULL_Y)?;
+        let hull_n = ragged(C_HULL_LEN, hull_x)?;
+        let recent_c = f.col(C_RECENT)?;
+        let recent_n = ragged(C_RECENT_LEN, recent_c)?;
+        let (runs_ticks, runs_value) = f.pair(C_RUNS_TICKS, C_RUNS_VALUE)?;
+        let runs_n = ragged(C_RUNS_LEN, runs_ticks)?;
+        let clock = u64s[1];
+        if recent_n > w || recent_n as u64 > clock {
             return Err("columnar.ring");
         }
-        check_runs(runs_c, 0..runs_n, recent_n)?;
-        let (stage_ticks, clock) = (u64s[0], u64s[1]);
-        let open = flags & F_STAGE_OPEN != 0;
+        check_runs(runs_ticks, runs_value, 0..runs_n, recent_n)?;
+        let stage_ticks = u64s[0];
+        let open = flags & u64::from(F_STAGE_OPEN) != 0;
         let window = (stage_ticks as usize).min(w);
         if open && (stage_ticks > clock || window > recent_n) {
             return Err("columnar.stage");
         }
         let recent: Vec<(f64, f64)> = (0..recent_n)
             .map(|j| f64_at(recent_c, j))
-            .zip(expand_runs(runs_c, 0..runs_n))
+            .zip(expand_runs(runs_ticks, runs_value, 0..runs_n))
             .collect();
+        let arrivals = || recent.iter().map(|p| p.0);
+        let pend_len = u64_at(f.fixed(C_PEND_LEN)?, 0);
+        let (age, bits) = f.pair(C_PEND_AGE, C_PEND_BITS)?;
+        if fifo_cells(age, 0, pend_len, clock, arrivals())? != age.count as usize {
+            return Err("columnar.pend");
+        }
+        let mut pending: Vec<(usize, f64)> = fifo_held(age, bits, 0..age.count as usize, clock)
+            .map(|(t, b)| (t as usize, b))
+            .collect();
+        if let Some(&(head, _)) = pending.first() {
+            let start = clock as usize - recent_n;
+            let queued = (start..)
+                .zip(arrivals())
+                .filter(|&(t, a)| t > head && a > EPS);
+            pending.extend(queued);
+        }
         let cfg = SingleConfig {
             b_max: f.b_max,
             d_o: f.d_o as usize,
@@ -1779,7 +1970,9 @@ pub(crate) mod columnar {
         let (stage_low, stage_high) = if open {
             let low = LowTrackerState {
                 d_o: cfg.d_o,
-                hull: (0..hull_n).map(|j| pair_at(hull_c, j)).collect(),
+                hull: (0..hull_n)
+                    .map(|j| (f64_at(hull_x, j), f64_at(hull_y, j)))
+                    .collect(),
                 ticks: stage_ticks as usize,
                 total: f64s[10],
                 low: f64s[11],
@@ -1788,7 +1981,7 @@ pub(crate) mod columnar {
                 u_o: cfg.u_o,
                 w,
                 grace: cfg.b_max,
-                window: recent[recent_n - window..].iter().map(|p| p.0).collect(),
+                window: arrivals().skip(recent_n - window).collect(),
                 window_sum: f64s[12],
                 min_window_sum: (!f64s[13].is_infinite()).then_some(f64s[13]),
                 ticks: stage_ticks as usize,
@@ -1802,12 +1995,7 @@ pub(crate) mod columnar {
             window: w,
             shadow_backlog: f64s[0],
             delay: DelayTrackerState {
-                pending: (0..pend_n)
-                    .map(|j| {
-                        let (t, b) = pend_at(pend_c, j);
-                        (t as usize, b)
-                    })
-                    .collect(),
+                pending,
                 tick: clock as usize,
                 max_delay: u64s[3] as usize,
                 max_delay_exact: f64s[15],
@@ -1837,7 +2025,7 @@ pub(crate) mod columnar {
             key: u64_at(f.fixed(C_KEY)?, 0),
             tenant,
             meter,
-            leaving: flags & F_LEAVING != 0,
+            leaving: flags & u64::from(F_LEAVING) != 0,
             dedicated: Some(dedicated),
             pooled: None,
         })

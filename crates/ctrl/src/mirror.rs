@@ -59,9 +59,8 @@ impl CheckpointMirror {
     /// frame that is truncated, structurally malformed, or semantically
     /// inconsistent with the mirror's state; the mirror is unchanged.
     pub fn apply(&mut self, frame: &[u8]) -> Result<u64, CtrlError> {
-        let parsed = columnar::parse(frame).map_err(|err| CtrlError::InvalidCheckpoint {
-            field: columnar::error_field(&err),
-        })?;
+        let parsed =
+            columnar::parse(frame).map_err(|field| CtrlError::InvalidCheckpoint { field })?;
         let rows = parsed.rows;
         self.state
             .apply_frame(&parsed, &mut self.scratch)
@@ -262,16 +261,16 @@ mod tests {
             .expect("the intact frame still applies after the failed one");
     }
 
-    /// `frame` with each `(column, byte offset, bytes)` written over that
-    /// column's body.
-    fn poisoned(frame: &[u8], edits: &[(usize, usize, &[u8])]) -> Vec<u8> {
+    /// `frame` with cell `cell` of unsigned column `col` set to `value`,
+    /// at the width the column was written at.
+    fn poisoned(frame: &[u8], col: usize, cell: usize, value: u64) -> Vec<u8> {
         let parsed = columnar::parse(frame).unwrap();
+        let c = parsed.col(col).unwrap();
+        let width = usize::from(c.width);
+        assert!(value.to_le_bytes()[width..].iter().all(|&b| b == 0));
+        let at = c.body.as_ptr() as usize - frame.as_ptr() as usize + cell * width;
         let mut evil = frame.to_vec();
-        for &(col, at, bytes) in edits {
-            let body = parsed.col(col).unwrap().body;
-            let at = body.as_ptr() as usize - frame.as_ptr() as usize + at;
-            evil[at..at + bytes.len()].copy_from_slice(bytes);
-        }
+        evil[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
         evil
     }
 
@@ -294,7 +293,7 @@ mod tests {
     /// and (the cases a one-row lease can carry) by a lease import.
     #[test]
     fn impossible_rows_and_foreign_versions_are_refused_typed() {
-        use columnar::{C_FLAGS, C_RECENT, C_RUNS, C_U64};
+        use columnar::{C_FLAGS, C_RECENT, C_RUNS_TICKS, C_U64};
         let cfg = cfg();
         let mut live = ShardState::new(0, &cfg);
         for key in 0..3 {
@@ -321,34 +320,33 @@ mod tests {
             columnar::u64_at(parsed.col(C_U64 + 1).unwrap(), 0)
         };
         let refusal = |state: &mut ShardState, bytes: &[u8]| {
-            let parsed = columnar::parse(bytes).map_err(|e| columnar::error_field(&e))?;
+            let parsed = columnar::parse(bytes)?;
             state.apply_frame(&parsed, &mut ApplyScratch::default())
         };
         // Row 0 (key 0) is mid-stage, one constant-allocation run long;
         // rows 3 and 4 are the pooled pair.
-        let too_long = (clock + 1).to_le_bytes();
-        let row_cases: [(usize, usize, &[u8], &str); 3] = [
-            (C_U64, 0, &too_long, "columnar.stage"),
-            (C_RUNS, 0, &0u64.to_le_bytes(), "columnar.runs"),
-            (C_RUNS, 0, &5u64.to_le_bytes(), "columnar.runs"),
+        let row_cases = [
+            (C_U64, clock + 1, "columnar.stage"),
+            (C_RUNS_TICKS, 0, "columnar.runs"),
+            (C_RUNS_TICKS, 5, "columnar.runs"),
         ];
         let member = live.checkpoint().groups[0].members[0];
         assert_eq!(member.1, 3);
         let pair = |key: u64| [member.0.to_le_bytes(), key.to_le_bytes()].concat();
         let mut cases: Vec<(Vec<u8>, &str)> = row_cases
             .iter()
-            .map(|&(col, at, bytes, want)| (poisoned(&frame, &[(col, at, bytes)]), want))
+            .map(|&(col, value, want)| (poisoned(&frame, col, 0, value), want))
             .collect();
         cases.push((swapped(&frame, &pair(3), &pair(0)), "columnar.groups"));
         cases.push((swapped(&frame, &pair(3), &pair(99)), "columnar.groups"));
-        let pooled_flags = crate::shard::F_LIVE.to_le_bytes();
+        let pooled_flags = u64::from(crate::shard::F_LIVE);
         cases.push((
-            poisoned(&frame, &[(C_FLAGS, 0, &pooled_flags)]),
+            poisoned(&frame, C_FLAGS, 0, pooled_flags),
             "columnar.groups",
         ));
-        let mut v3 = frame.clone();
-        v3[0] = 3;
-        cases.push((v3, "columnar.version"));
+        let mut v4 = frame.clone();
+        v4[0] = 4;
+        cases.push((v4, "columnar.version"));
         let mut mirror = CheckpointMirror::new(&cfg);
         mirror.apply(&frame).unwrap();
         let held = mirror.state.checkpoint();
@@ -384,12 +382,12 @@ mod tests {
         let window = columnar::parse(&blob).unwrap().col(C_RECENT).unwrap().count;
         assert_eq!(window, 4, "the lease carries a full window");
         let budget = plane.available_budget();
-        let mut v3 = blob.clone();
-        v3[0] = 3;
+        let mut v4 = blob.clone();
+        v4[0] = 4;
         let leases = row_cases
             .iter()
-            .map(|&(col, at, bytes, want)| (poisoned(&blob, &[(col, at, bytes)]), want))
-            .chain([(v3, "columnar.version")]);
+            .map(|&(col, value, want)| (poisoned(&blob, col, 0, value), want))
+            .chain([(v4, "columnar.version")]);
         for (evil, want) in leases {
             let err = plane.import_session(&evil).unwrap_err();
             assert!(

@@ -256,6 +256,13 @@ struct ShardSup {
     /// Frames ever accepted — the cursor space checkpoint subscribers
     /// resume from. The retained frame is number `frames_seq - 1`.
     frames_seq: u64,
+    /// The buffer of the frame the retained one superseded, once nothing
+    /// else holds it, for the worker to write its next frame into. A
+    /// steady shard so cycles two frame-sized buffers for its whole life,
+    /// however often its worker restarts: freed and taken fresh each
+    /// capture, buffers below the allocator's largest mmap threshold stay
+    /// resident once freed and pile up, one set per worker arena.
+    spare: Arc<Mutex<Option<Vec<u8>>>>,
     /// Live sessions placed on this shard, for least-loaded placement.
     live: usize,
     /// Ticks dispatched to the current worker incarnation but not yet
@@ -283,14 +290,30 @@ impl ShardSup {
             }),
             frame: None,
             frames_seq: 0,
+            spare: Arc::default(),
             live: 0,
             inflight: 0,
         }
     }
 
-    /// Makes `cp` the retained frame, dropping the one it supersedes.
+    /// Makes `cp` the retained frame; the one it supersedes becomes the
+    /// spare unless a subscriber still holds it. The spare holds at least
+    /// the retained frame's length, the likeliest length of the next, so
+    /// the two buffers follow the frame's size as it grows; it gives back
+    /// what it holds beyond an eighth more, so they follow it down too,
+    /// without moving on the small swings between frames.
     fn retain(&mut self, cp: ShardCheckpoint) {
-        self.frame = Some(cp);
+        let len = cp.bytes.len();
+        if let Some(old) = self.frame.replace(cp) {
+            if let Ok(mut bytes) = Arc::try_unwrap(old.bytes) {
+                bytes.clear();
+                if bytes.capacity() > len + len / 8 {
+                    bytes.shrink_to(len);
+                }
+                bytes.reserve_exact(len);
+                *self.spare.lock() = Some(bytes);
+            }
+        }
         self.frames_seq += 1;
     }
 
@@ -351,6 +374,7 @@ fn spawn_worker(
         cancel: cancel.clone(),
         msgs: msgs.clone(),
         checkpoint_every: cfg.checkpoint_every,
+        spare: Arc::clone(&sup.spare),
         events_base: sup.sealed,
         applied: applied.clone(),
         fault,
@@ -1404,10 +1428,8 @@ impl ControlPlane {
         // Exporters emit one-session columnar frames, and the same binary
         // reads what it writes: a blob of any other frame version is
         // refused typed, not translated.
-        let frame =
-            crate::codec::columnar::parse(blob).map_err(|err| CtrlError::InvalidCheckpoint {
-                field: crate::codec::columnar::error_field(&err),
-            })?;
+        let frame = crate::codec::columnar::parse(blob)
+            .map_err(|field| CtrlError::InvalidCheckpoint { field })?;
         let mut cp = crate::codec::columnar::session_from_frame(&frame)
             .map_err(|field| CtrlError::InvalidCheckpoint { field })?;
         // Structural decode is not enough: a hostile or corrupted blob can

@@ -290,9 +290,10 @@ pub(crate) struct ShardFailure {
 ///
 /// The state travels as one full-population columnar frame, so each
 /// checkpoint supersedes the one before it and the driver retains
-/// exactly one. The worker writes the frame into a single allocation of
-/// its exact length and ships that allocation; it keeps nothing
-/// frame-sized between captures.
+/// exactly one. The worker writes the frame into one allocation — the
+/// driver's spare, the buffer of the frame two captures back, or a
+/// fresh one of the frame's exact length — and ships that allocation;
+/// it keeps nothing frame-sized between captures.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardCheckpoint {
     /// The checkpointing shard.
@@ -915,7 +916,8 @@ impl Columns {
         let d = &m.delay;
         self.max_delay[i] = d.max_delay as u64;
         self.max_delay_exact[i] = d.max_delay_exact;
-        self.land_pending(i, d.pending.iter().map(|&(t, b)| (t as u64, b)));
+        let pending = d.pending.iter().map(|&(t, b)| (t as u64, b));
+        self.land_pending(i, d.pending.len() as u32, pending);
         if let Some(alg) = &cp.dedicated {
             self.flags[i] |= F_DEDICATED;
             self.backlog[i] = alg.backlog;
@@ -933,13 +935,15 @@ impl Columns {
         }
     }
 
-    /// Lands slot `i`'s delay FIFO, oldest first, after its clock and
-    /// ring have landed: the head inline, the entries older than the
-    /// window in the spill. The rest are the window's own arrivals, which
-    /// the ring already holds ([`crate::meter::pending_agrees`] is the
-    /// check every import and frame passes first).
-    fn land_pending(&mut self, i: usize, pending: impl ExactSizeIterator<Item = (u64, f64)>) {
-        self.pend_len[i] = pending.len() as u32;
+    /// Lands slot `i`'s delay FIFO of `len` entries, after its clock and
+    /// ring have landed, from `pending` oldest first: the head inline,
+    /// the entries older than the window in the spill. The rest are the
+    /// window's own arrivals, which the ring already holds, so `pending`
+    /// may stop after the spill — a frame's does
+    /// ([`crate::meter::pending_agrees`] and [`columnar::fifo_cells`] are
+    /// the checks every import and frame passes first).
+    fn land_pending(&mut self, i: usize, len: u32, pending: impl Iterator<Item = (u64, f64)>) {
+        self.pend_len[i] = len;
         let start = self.meter_ticks[i] - u64::from(self.recent_len[i]);
         let mut pending = pending.peekable();
         if let Some((t0, bits)) = pending.next() {
@@ -975,20 +979,29 @@ impl Columns {
         self.recent_ring.run(w, cursors, i, from).map(|(a, _)| a)
     }
 
+    /// The delay-FIFO entries slot `i` holds apart from its window, oldest
+    /// first: the head, then the spill.
+    fn fifo_held(&self, i: usize) -> impl Iterator<Item = (u64, f64)> + '_ {
+        let head = (self.pend_len[i] > 0).then(|| (self.pend_tick[i], self.pend_bits[i]));
+        let spill = self.pend_spill[i].iter().flat_map(|s| s.iter().copied());
+        head.into_iter().chain(spill)
+    }
+
     /// Slot `i`'s delay FIFO between ticks, oldest first: the head, the
     /// spill, then every ring arrival `> EPS` newer than the head — ring
     /// position `p` holds tick `meter_ticks − recent_len + p`.
     fn pending(&self, i: usize, w: usize) -> impl Iterator<Item = (u64, f64)> + '_ {
         let len = self.recent_len[i] as usize;
         let start = self.meter_ticks[i] - len as u64;
-        let head = (self.pend_len[i] > 0).then(|| (self.pend_tick[i], self.pend_bits[i]));
-        let spill = self.pend_spill[i].iter().flat_map(|s| s.iter().copied());
         // With no head, nothing is queued behind one.
-        let from = head.map_or(len, |(t0, _)| (t0 + 1).saturating_sub(start) as usize);
+        let from = match self.pend_len[i] {
+            0 => len,
+            _ => (self.pend_tick[i] + 1).saturating_sub(start) as usize,
+        };
         let cursors = (&self.recent_head[..], &self.recent_len[..]);
         let ring = (start + from as u64..).zip(self.recent_ring.run(w, cursors, i, from));
         let newer = ring.filter_map(|(t, (a, _))| (a > EPS).then_some((t, a)));
-        head.into_iter().chain(spill).chain(newer)
+        self.fifo_held(i).chain(newer)
     }
 
     /// The meter state of slot `i`, in checkpoint form.
@@ -1812,29 +1825,11 @@ impl ShardState {
         sink: &mut columnar::ColumnSink,
         out: &mut Vec<u8>,
     ) -> u64 {
-        use columnar::*;
-        let cols = &self.cols;
-        let w = self.window;
-        let ring = |i: usize| {
-            let cursors = (&cols.recent_head[..], &cols.recent_len[..]);
-            cols.recent_ring.run(w, cursors, i, 0)
-        };
-        let allocs = move |i: usize| ring(i).map(|(_, b)| b);
-        // Size pass: the encoded slot list, the tenant table, each row's
-        // allocation runs, and the ragged totals.
         sink.begin();
-        let mut ragged: RaggedTotals = [0; 4];
         for (slot, e) in self.sessions.iter() {
-            let i = slot.index as usize;
-            let n_runs = runs(allocs(i)).count();
-            sink.push_row(slot.index, &e.tenant, n_runs as u32);
-            ragged[0] += cols.hull[i].len();
-            ragged[1] += cols.recent_len[i] as usize;
-            ragged[2] += n_runs;
-            ragged[3] += cols.pend_len[i] as usize;
+            sink.push_row(slot.index, &e.tenant);
         }
-        let groups = self.group_checkpoints();
-        let hdr = FrameHeader {
+        let hdr = columnar::FrameHeader {
             ticks: self.ticks,
             stages_retired: self.stages_retired,
             w: self.window as u32,
@@ -1843,56 +1838,7 @@ impl ShardState {
             d_o: self.single_cfg.d_o as u64,
             u_o: self.single_cfg.u_o,
         };
-        // Fill pass: one sequential run per column, straight from the
-        // per-field slab columns.
-        let mut f = sink.start(&hdr, ragged, &groups, &self.retired, out);
-        let rows = f.rows;
-        f.col(C_KEY, at_slots(&cols.keys, rows));
-        f.tenant_col();
-        f.col(C_FLAGS, at_slots(&cols.flags, rows));
-        let f64_cols: [&[f64]; 16] = [
-            &cols.shadow_backlog,
-            &cols.current_alloc,
-            &cols.peak_alloc,
-            &cols.total_arrived,
-            &cols.total_served,
-            &cols.total_allocated,
-            &cols.window_arrived,
-            &cols.window_allocated,
-            &cols.backlog,
-            &cols.b_on,
-            &cols.low_total,
-            &cols.low_low,
-            &cols.high_window_sum,
-            &cols.high_min_window_sum,
-            &cols.min_util,
-            &cols.max_delay_exact,
-        ];
-        for (j, src) in f64_cols.into_iter().enumerate() {
-            f.col(C_F64 + j, at_slots(src, rows));
-        }
-        let u64_cols: [&[u64]; 5] = [
-            &cols.stage_ticks,
-            &cols.meter_ticks,
-            &cols.changes,
-            &cols.max_delay,
-            &cols.stages_completed,
-        ];
-        for (j, src) in u64_cols.into_iter().enumerate() {
-            f.col(C_U64 + j, at_slots(src, rows));
-        }
-        let slots = || rows.iter().map(|&i| i as usize);
-        f.col(C_HULL_LEN, slots().map(|i| cols.hull[i].len() as u32));
-        f.col(C_HULL, slots().flat_map(|i| cols.hull[i].iter().copied()));
-        f.col(C_RECENT_LEN, at_slots(&cols.recent_len, rows));
-        f.col(C_RECENT, slots().flat_map(|i| ring(i).map(|(a, _)| a)));
-        f.runs_len_col();
-        f.col(C_RUNS, slots().flat_map(|i| runs(allocs(i))));
-        f.col(C_PEND_LEN, at_slots(&cols.pend_len, rows));
-        // The full FIFO travels: head, spill and the window's arrivals.
-        f.col(C_PEND, slots().flat_map(|i| cols.pending(i, w)));
-        f.finish();
-        rows.len() as u64
+        sink.write(self, &hdr, &self.group_checkpoints(), &self.retired, out)
     }
 
     /// Applies one parsed columnar frame. Validation runs in full before
@@ -1938,28 +1884,28 @@ impl ShardState {
             u64_cs.push(f.fixed(C_U64 + j)?);
         }
         let hull_len_c = f.fixed(C_HULL_LEN)?;
-        let hull_c = f.col(C_HULL)?;
+        let (hull_x, hull_y) = f.pair(C_HULL_X, C_HULL_Y)?;
         let recent_len_c = f.fixed(C_RECENT_LEN)?;
         let recent_c = f.col(C_RECENT)?;
         let runs_len_c = f.fixed(C_RUNS_LEN)?;
-        let runs_c = f.col(C_RUNS)?;
+        let (runs_ticks, runs_value) = f.pair(C_RUNS_TICKS, C_RUNS_VALUE)?;
         let pend_len_c = f.fixed(C_PEND_LEN)?;
-        let pend_c = f.col(C_PEND)?;
+        let (pend_age, pend_bits) = f.pair(C_PEND_AGE, C_PEND_BITS)?;
         // Ragged bodies must account for exactly the sum of the per-row
         // run lengths — a mismatched cursor would smear rows together.
+        // (The FIFO's cells are counted row by row below.)
         for (len_c, body_c) in [
-            (hull_len_c, hull_c),
+            (hull_len_c, hull_x),
             (recent_len_c, recent_c),
-            (runs_len_c, runs_c),
-            (pend_len_c, pend_c),
+            (runs_len_c, runs_ticks),
         ] {
-            let total: u64 = (0..rows).map(|r| u64::from(u32_at(len_c, r))).sum();
-            if total != u64::from(body_c.count) {
+            let total = (0..rows).try_fold(0u64, |sum, r| sum.checked_add(u64_at(len_c, r)));
+            if total != Some(u64::from(body_c.count)) {
                 return Err("columnar.ragged");
             }
         }
-        const KNOWN: u32 = F_LIVE | F_DEDICATED | F_LEAVING | F_STAGE_OPEN;
-        let dedicated = |r: usize| u32_at(flags_c, r) & F_DEDICATED != 0;
+        const KNOWN: u64 = (F_LIVE | F_DEDICATED | F_LEAVING | F_STAGE_OPEN) as u64;
+        let dedicated = |r: usize| u64_at(flags_c, r) & u64::from(F_DEDICATED) != 0;
         scratch.keys.clear();
         let (mut runs_off, mut pooled_rows) = (0usize, 0usize);
         let (mut recent_off, mut pend_off) = (0usize, 0usize);
@@ -1970,30 +1916,26 @@ impl ShardState {
             if u64_at(key_c, r) >= MAX_FRAME_KEY {
                 return Err("columnar.key");
             }
-            let recent_n = u32_at(recent_len_c, r) as usize;
+            let recent_n = u64_at(recent_len_c, r) as usize;
             let clock = u64_at(u64_cs[1], r);
             if recent_n > w || recent_n as u64 > clock {
                 return Err("columnar.ring");
             }
-            // Only the FIFO's head is held apart from the window: the
-            // entries behind it that the window covers are its arrivals.
-            let pend_n = u32_at(pend_len_c, r) as usize;
-            let pending = (pend_off..pend_off + pend_n).map(|j| pend_at(pend_c, j));
+            // Only the FIFO's head and spill travel: the entries behind
+            // the head that the window covers are its arrivals.
             let recent = (recent_off..recent_off + recent_n).map(|j| f64_at(recent_c, j));
-            if !crate::meter::pending_agrees(pending, clock, recent) {
-                return Err("columnar.pend");
-            }
+            let pend_n = u64_at(pend_len_c, r);
+            pend_off += columnar::fifo_cells(pend_age, pend_off, pend_n, clock, recent)?;
             recent_off += recent_n;
-            pend_off += pend_n;
-            let flags = u32_at(flags_c, r);
-            if flags & !KNOWN != 0 || flags & F_LIVE == 0 {
+            let flags = u64_at(flags_c, r);
+            if flags & !KNOWN != 0 || flags & u64::from(F_LIVE) == 0 {
                 return Err("columnar.flags");
             }
-            let open = flags & F_STAGE_OPEN != 0;
+            let open = flags & u64::from(F_STAGE_OPEN) != 0;
             if !dedicated(r) && open {
                 return Err("columnar.flags");
             }
-            if u32_at(tenant_c, r) as usize >= f.strings.len() {
+            if u64_at(tenant_c, r) >= f.strings.len() as u64 {
                 return Err("columnar.tenant");
             }
             // An open stage started at the meter's clock less its ticks,
@@ -2003,11 +1945,19 @@ impl ShardState {
             if open && (stage > clock || stage.min(w as u64) > recent_n as u64) {
                 return Err("columnar.stage");
             }
-            let runs_n = u32_at(runs_len_c, r) as usize;
-            columnar::check_runs(runs_c, runs_off..runs_off + runs_n, recent_n)?;
+            let runs_n = u64_at(runs_len_c, r) as usize;
+            columnar::check_runs(
+                runs_ticks,
+                runs_value,
+                runs_off..runs_off + runs_n,
+                recent_n,
+            )?;
             runs_off += runs_n;
             pooled_rows += usize::from(!dedicated(r));
             scratch.keys.push((u64_at(key_c, r), r as u32));
+        }
+        if pend_off != pend_age.count as usize {
+            return Err("columnar.pend");
         }
         scratch.keys.sort_unstable();
         if scratch.keys.windows(2).any(|p| p[0].0 == p[1].0) {
@@ -2061,7 +2011,7 @@ impl ShardState {
         let (mut runs_off, mut pend_off) = (0usize, 0usize);
         for r in 0..rows {
             let key = u64_at(key_c, r);
-            let flags = u32_at(flags_c, r);
+            let flags = u64_at(flags_c, r) as u32;
             let leaving = flags & F_LEAVING != 0;
             let kind = if flags & F_DEDICATED != 0 {
                 SessionKind::Dedicated
@@ -2072,12 +2022,12 @@ impl ShardState {
                     member: PoolSessionId::from_raw(member),
                 }
             };
-            let tenant = Arc::clone(&frame_tenants[u32_at(tenant_c, r) as usize]);
+            let tenant = Arc::clone(&frame_tenants[u64_at(tenant_c, r) as usize]);
             let i = self.insert_entry(key, tenant, leaving, kind).0.index as usize;
-            let hull_n = u32_at(hull_len_c, r) as usize;
-            let recent_n = u32_at(recent_len_c, r) as usize;
-            let runs_n = u32_at(runs_len_c, r) as usize;
-            let pend_n = u32_at(pend_len_c, r) as usize;
+            let hull_n = u64_at(hull_len_c, r) as usize;
+            let recent_n = u64_at(recent_len_c, r) as usize;
+            let runs_n = u64_at(runs_len_c, r) as usize;
+            let pend_n = u64_at(pend_len_c, r);
             let cols = &mut self.cols;
             // Every scalar not carried by the frame lands at its vacant
             // value (arrived 0, heads 0, pend head 0/0.0), and so do the
@@ -2097,15 +2047,16 @@ impl ShardState {
             cols.b_on[i] = f64_at(f64_cs[9], r);
             cols.min_util[i] = f64_at(f64_cs[14], r);
             cols.max_delay_exact[i] = f64_at(f64_cs[15], r);
-            cols.meter_ticks[i] = u64_at(u64_cs[1], r);
+            let clock = u64_at(u64_cs[1], r);
+            cols.meter_ticks[i] = clock;
             cols.changes[i] = u64_at(u64_cs[2], r);
             cols.max_delay[i] = u64_at(u64_cs[3], r);
             cols.stages_completed[i] = u64_at(u64_cs[4], r);
             // The ring lands at head = 0, exactly how the encoder read it,
             // its allocation runs expanded in place.
-            let arrivals = (0..recent_n).map(|j| f64_at(recent_c, recent_off + j));
-            let allocs = columnar::expand_runs(runs_c, runs_off..runs_off + runs_n);
-            cols.recent_ring.land(i, arrivals.zip(allocs));
+            let arrivals = (recent_off..recent_off + recent_n).map(|j| f64_at(recent_c, j));
+            let allocs = columnar::expand_runs(runs_ticks, runs_value, runs_off..runs_off + runs_n);
+            cols.recent_ring.land(i, arrivals.clone().zip(allocs));
             cols.recent_len[i] = recent_n as u32;
             let hull = &mut cols.hull[i];
             hull.clear();
@@ -2115,13 +2066,18 @@ impl ShardState {
                 cols.low_low[i] = f64_at(f64_cs[11], r);
                 cols.high_window_sum[i] = f64_at(f64_cs[12], r);
                 cols.high_min_window_sum[i] = f64_at(f64_cs[13], r);
-                hull.extend((0..hull_n).map(|j| pair_at(hull_c, hull_off + j)));
+                let vertices = hull_off..hull_off + hull_n;
+                hull.extend(vertices.map(|j| (f64_at(hull_x, j), f64_at(hull_y, j))));
             }
-            cols.land_pending(i, (pend_off..pend_off + pend_n).map(|j| pend_at(pend_c, j)));
+            let held = columnar::fifo_cells(pend_age, pend_off, pend_n, clock, arrivals)
+                .expect("validated: the FIFO agrees with its window");
+            let cells = pend_off..pend_off + held;
+            let entries = columnar::fifo_held(pend_age, pend_bits, cells, clock);
+            cols.land_pending(i, pend_n as u32, entries);
             hull_off += hull_n;
             recent_off += recent_n;
             runs_off += runs_n;
-            pend_off += pend_n;
+            pend_off += held;
         }
         // Groups, every member validated above to resolve.
         for g in &f.groups {
@@ -2584,6 +2540,9 @@ pub(crate) struct WorkerCtx {
     pub msgs: crossbeam::channel::Sender<WorkerMsg>,
     /// Checkpoint cadence in ticks (0 = never).
     pub checkpoint_every: u64,
+    /// The driver's spare frame buffer, which the next checkpoint is
+    /// written into when there is one.
+    pub spare: Arc<parking_lot::Mutex<Option<Vec<u8>>>>,
     /// Replayable events already applied to the state at spawn (the
     /// journal replay baseline).
     pub events_base: u64,
@@ -2725,7 +2684,7 @@ impl WorkerLoop {
             });
             let every = self.ctx.checkpoint_every;
             if every > 0 && self.state.ticks().is_multiple_of(every) {
-                let mut bytes = Vec::new();
+                let mut bytes = self.ctx.spare.lock().take().unwrap_or_default();
                 let sessions = self.state.encode_columnar(&mut self.cp_sink, &mut bytes);
                 let _ = self.ctx.msgs.send(WorkerMsg::Checkpoint(ShardCheckpoint {
                     shard: self.state.shard,
@@ -2737,6 +2696,75 @@ impl WorkerLoop {
             }
         }
         true
+    }
+}
+
+/// A shard's frame rows, read straight from its slab columns: one
+/// sequential run per column.
+impl columnar::ColumnSource for ShardState {
+    fn columns(&self, rows: &columnar::Rows<'_>, f: &mut impl columnar::ColumnWriter) {
+        use columnar::*;
+        let cols = &self.cols;
+        let w = self.window;
+        let ring = |i: usize| {
+            let cursors = (&cols.recent_head[..], &cols.recent_len[..]);
+            cols.recent_ring.run(w, cursors, i, 0)
+        };
+        let allocs = move |i: usize| ring(i).map(|(_, b)| b);
+        let slots = || rows.slots.iter().map(|&i| i as usize);
+        f.col(C_KEY, at_slots(&cols.keys, rows.slots));
+        f.col(C_TENANT, rows.tenants.iter().copied());
+        f.col(C_FLAGS, at_slots(&cols.flags, rows.slots));
+        let f64_cols: [&[f64]; 16] = [
+            &cols.shadow_backlog,
+            &cols.current_alloc,
+            &cols.peak_alloc,
+            &cols.total_arrived,
+            &cols.total_served,
+            &cols.total_allocated,
+            &cols.window_arrived,
+            &cols.window_allocated,
+            &cols.backlog,
+            &cols.b_on,
+            &cols.low_total,
+            &cols.low_low,
+            &cols.high_window_sum,
+            &cols.high_min_window_sum,
+            &cols.min_util,
+            &cols.max_delay_exact,
+        ];
+        for (j, src) in f64_cols.into_iter().enumerate() {
+            f.col(C_F64 + j, at_slots(src, rows.slots));
+        }
+        let u64_cols: [&[u64]; 5] = [
+            &cols.stage_ticks,
+            &cols.meter_ticks,
+            &cols.changes,
+            &cols.max_delay,
+            &cols.stages_completed,
+        ];
+        for (j, src) in u64_cols.into_iter().enumerate() {
+            f.col(C_U64 + j, at_slots(src, rows.slots));
+        }
+        let hull = move || slots().flat_map(|i| cols.hull[i].iter());
+        f.col(C_HULL_LEN, slots().map(|i| cols.hull[i].len() as u64));
+        f.col(C_HULL_X, hull().map(|p| p.0));
+        f.col(C_HULL_Y, hull().map(|p| p.1));
+        f.col(C_RECENT_LEN, at_slots(&cols.recent_len, rows.slots));
+        f.col(C_RECENT, slots().flat_map(|i| ring(i).map(|(a, _)| a)));
+        let all_runs = move || slots().flat_map(move |i| runs(allocs(i)));
+        f.col(C_RUNS_LEN, slots().map(|i| runs(allocs(i)).count() as u64));
+        f.col(C_RUNS_TICKS, all_runs().map(|r| r.0));
+        f.col(C_RUNS_VALUE, all_runs().map(|r| r.1));
+        // The FIFO's head and spill: the window's arrivals behind them
+        // are derived on apply.
+        let held = move || slots().flat_map(|i| cols.fifo_held(i).map(move |p| (i, p)));
+        f.col(C_PEND_LEN, at_slots(&cols.pend_len, rows.slots));
+        f.col(
+            C_PEND_AGE,
+            held().map(|(i, (t, _))| cols.meter_ticks[i] - t),
+        );
+        f.col(C_PEND_BITS, held().map(|(_, (_, b))| b));
     }
 }
 

@@ -92,14 +92,18 @@ unsafe impl GlobalAlloc for LiveBytesAlloc {
     }
 }
 
-/// One column of a columnar checkpoint frame: its name, cell width, and
-/// where its schema entry starts and its body lies.
+/// One column of a columnar checkpoint frame: its name, cell kind and
+/// width, and where its schema entry starts and its body lies.
 struct Span<'a> {
     name: &'a [u8],
+    kind: u8,
     width: usize,
     entry: usize,
     body: std::ops::Range<usize>,
 }
+
+/// Cell kind byte of an unsigned column (a float column's is 1).
+const K_UNSIGNED: u8 = 0;
 
 /// Walks a columnar checkpoint frame's documented layout — the fixed
 /// header, the tenant table, then the self-describing columns — and
@@ -121,11 +125,12 @@ fn spans(frame: &[u8]) -> (usize, Vec<Span<'_>>, usize) {
     for _ in 0..columns {
         let len = u32_at(at);
         let name = &frame[at + 4..at + 4 + len];
-        let width = u32_at(at + 4 + len + 1);
-        let body_at = at + 4 + len + 1 + 4 + 4 + 4; // name, type tag, width, count, length
+        let (kind, width) = (frame[at + 4 + len], usize::from(frame[at + 4 + len + 1]));
+        let body_at = at + 4 + len + 1 + 1 + 4 + 4; // name, kind, width, count, length
         let body = body_at..body_at + u32_at(body_at - 4);
         spans.push(Span {
             name,
+            kind,
             width,
             entry: at,
             body: body.clone(),
@@ -135,29 +140,99 @@ fn spans(frame: &[u8]) -> (usize, Vec<Span<'_>>, usize) {
     (start, spans, at)
 }
 
-/// The body of the column named `name` in a columnar checkpoint frame.
-pub fn frame_column<'a>(frame: &'a [u8], name: &str) -> &'a [u8] {
-    let (_, spans, _) = spans(frame);
-    let span = spans.iter().find(|s| s.name == name.as_bytes());
-    &frame[span
+fn span<'s, 'f>(spans: &'s [Span<'f>], name: &str) -> &'s Span<'f> {
+    spans
+        .iter()
+        .find(|s| s.name == name.as_bytes())
         .unwrap_or_else(|| panic!("the frame has no column `{name}`"))
-        .body
-        .clone()]
 }
 
-/// `frame` re-laid with the named columns' bodies replaced, their cell
-/// counts and body lengths following: a frame as a hostile or a
-/// hand-built writer would produce it.
-pub fn with_columns(frame: &[u8], bodies: &[(&str, &[u8])]) -> Vec<u8> {
+/// The body of the column named `name` in a columnar checkpoint frame,
+/// as written.
+pub fn frame_column<'a>(frame: &'a [u8], name: &str) -> &'a [u8] {
+    let (_, spans, _) = spans(frame);
+    &frame[span(&spans, name).body.clone()]
+}
+
+/// The bytes a cell of the column named `name` was written in.
+pub fn column_width(frame: &[u8], name: &str) -> usize {
+    span(&spans(frame).1, name).width
+}
+
+/// The cells of the unsigned column named `name`, widened to `u64`.
+pub fn column_u64s(frame: &[u8], name: &str) -> Vec<u64> {
+    let width = column_width(frame, name);
+    frame_column(frame, name)
+        .chunks_exact(width)
+        .map(|c| {
+            let mut le = [0u8; 8];
+            le[..width].copy_from_slice(c);
+            u64::from_le_bytes(le)
+        })
+        .collect()
+}
+
+/// The cells of the float column named `name`, widened to `f64`.
+pub fn column_f64s(frame: &[u8], name: &str) -> Vec<f64> {
+    let body = frame_column(frame, name);
+    match column_width(frame, name) {
+        4 => body
+            .chunks_exact(4)
+            .map(|c| f64::from(f32::from_le_bytes(c.try_into().unwrap())))
+            .collect(),
+        _ => body
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+            .collect(),
+    }
+}
+
+/// Replacement cells for one column of [`with_columns`].
+pub enum Cells<'a> {
+    Unsigned(&'a [u64]),
+    Float(&'a [f64]),
+}
+
+/// `frame` re-laid with the named columns' cells replaced, their widths,
+/// cell counts and body lengths following: each written at the narrowest
+/// width that holds all of its cells, as the frame writer lays a column
+/// out — a frame as a hostile or a hand-built writer would produce it.
+pub fn with_columns(frame: &[u8], cols: &[(&str, Cells<'_>)]) -> Vec<u8> {
     let (start, spans, end) = spans(frame);
     let mut out = frame[..start].to_vec();
     for s in &spans {
-        let replaced = bodies.iter().find(|(name, _)| name.as_bytes() == s.name);
-        let body = replaced.map_or(&frame[s.body.clone()], |b| b.1);
-        out.extend_from_slice(&frame[s.entry..s.body.start - 8]);
-        out.extend_from_slice(&((body.len() / s.width) as u32).to_le_bytes());
+        let head = &frame[s.entry..s.body.start - 9]; // through the kind byte
+        let Some((_, cells)) = cols.iter().find(|(name, _)| name.as_bytes() == s.name) else {
+            out.extend_from_slice(&frame[s.entry..s.body.end]);
+            continue;
+        };
+        let (width, body): (usize, Vec<u8>) = match cells {
+            Cells::Unsigned(cells) => {
+                assert_eq!(s.kind, K_UNSIGNED, "an unsigned column");
+                let widest = cells.iter().fold(0, |w, &c| w | c);
+                let width = [1, 2, 4, 8]
+                    .into_iter()
+                    .find(|&w| w == 8 || widest >> (8 * w) == 0)
+                    .unwrap();
+                let body = cells.iter().flat_map(|c| c.to_le_bytes()[..width].to_vec());
+                (width, body.collect())
+            }
+            Cells::Float(cells) => {
+                assert_ne!(s.kind, K_UNSIGNED, "a float column");
+                let exact = |c: &f64| f64::from(*c as f32).to_bits() == c.to_bits();
+                if cells.iter().all(exact) {
+                    let body = cells.iter().flat_map(|&c| (c as f32).to_le_bytes());
+                    (4, body.collect())
+                } else {
+                    (8, cells.iter().flat_map(|c| c.to_le_bytes()).collect())
+                }
+            }
+        };
+        out.extend_from_slice(head);
+        out.push(width as u8);
+        out.extend_from_slice(&((body.len() / width) as u32).to_le_bytes());
         out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(body);
+        out.extend_from_slice(&body);
     }
     out.extend_from_slice(&frame[end..]);
     out

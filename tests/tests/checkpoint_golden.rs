@@ -5,20 +5,20 @@
 //! with a pooled group, and a one-row migration frame. A genesis is the
 //! one frame kind.
 //!
-//! The digests were last re-pinned when frame v4 stopped carrying what
-//! the kernel derives: the algorithm and delay clocks, the open stage's
-//! start, the high window and its length (a suffix of `recent`), and a
-//! row's group and member (the group section lists them), while the
-//! ring's allocation half became `alloc_runs`. The v3 lengths are kept
-//! beside the new pins, and every frame is held to the length identity
-//! between the two schemas, computed from the frame's own contents — so
-//! those columns are provably the only thing that moved. (Frame v3 had
-//! replaced v2's ragged per-stage records the same way.)
+//! The digests were last re-pinned when frame v5 gave each column the
+//! narrowest width that holds its cells bit for bit, split the three
+//! pair columns in two, and stopped carrying the delay FIFO's entries
+//! that the window covers. The v4 lengths are kept beside the new pins,
+//! and every frame is held to the length identity between the two
+//! schemas, computed from the frame's own contents — so widths and the
+//! FIFO's tail are provably the only thing that moved. (Frame v4 had
+//! dropped v3's derived columns the same way.)
 
+use cdba_bench::replay::ReplaySpec;
 use cdba_ctrl::{CheckpointProbe, ControlPlane, ExecMode, ServiceConfig, ServiceConfigBuilder};
-use cdba_integration::{fnv1a, frame_column, with_columns};
+use cdba_integration::{column_width, fnv1a, frame_column, with_columns, Cells};
 
-/// What [`v3_len`] needs of a v4 frame, read by walking the documented
+/// What [`v4_len`] needs of a v5 frame, read by walking the documented
 /// layout: header, tenant table, self-describing columns.
 struct Walk<'a> {
     buf: &'a [u8],
@@ -36,9 +36,11 @@ impl Walk<'_> {
         u32::from_le_bytes(self.buf[self.at - 4..self.at].try_into().unwrap())
     }
 
-    fn u64(&mut self) -> u64 {
-        self.at += 8;
-        u64::from_le_bytes(self.buf[self.at - 8..self.at].try_into().unwrap())
+    fn unsigned(&mut self, width: usize) -> u64 {
+        let mut le = [0u8; 8];
+        le[..width].copy_from_slice(&self.buf[self.at..self.at + width]);
+        self.at += width;
+        u64::from_le_bytes(le)
     }
 
     fn str(&mut self) -> String {
@@ -48,47 +50,42 @@ impl Walk<'_> {
     }
 }
 
-/// The length the v3 encoder gave the frame `v4` now encodes. Per row,
-/// v3 also wrote `alg_tick`, `delay_tick`, `stage_open_start`, `group`
-/// and `member` (8 bytes each) and `high_len` (4), but no 4-byte
-/// `alloc_runs_len`; an open stage's `min(stage ticks, W)` high-window
-/// cells (8 bytes each); and each ring entry as an `(arrivals,
-/// allocation)` pair (16 bytes) where v4 writes the arrival (8) and
-/// 16 bytes per allocation run. The schema lost seven entries (119
-/// bytes around 57 of names) and gained two (34 around 24). The header,
-/// tenant table and every tail section are the same bytes.
-fn v3_len(v4: &[u8]) -> usize {
-    const F_STAGE_OPEN: u32 = 8;
-    let mut w = Walk { buf: v4, at: 0 };
-    assert_eq!(w.u8(), 4, "frame version");
-    w.at += 1 + 8; // kind, ticks
-    let rows = w.u32() as usize;
-    let window = u64::from(w.u32());
-    w.at += 6 * 8; // cost ×2, b_max, d_o, u_o, stages_retired
+/// The length the v4 encoder gave the frame `v5` now encodes. v4 wrote
+/// every cell at full width: `tenant`, `flags` and the `*_len` columns
+/// in 4 bytes, every other cell in 8 (a pair in 16, which v5 splits into
+/// two columns of 8-byte halves). It also wrote the whole delay FIFO, one
+/// 16-byte pair per entry of `pend_len`, where v5 writes the head and
+/// the spill only. A v4 schema entry was 17 bytes around its name
+/// (a 4-byte width) and v5's is 14 (a 1-byte width); v4 had 32 entries
+/// and v5 has 35, the three pair names (18 bytes) becoming six (61). The
+/// header, tenant table and every tail section are the same bytes.
+fn v4_len(v5: &[u8]) -> usize {
+    let mut w = Walk { buf: v5, at: 0 };
+    assert_eq!(w.u8(), 5, "frame version");
+    w.at += 1 + 8 + 4 + 4 + 6 * 8; // kind, ticks, rows, W, cost ×2, b_max, d_o, u_o, stages_retired
     for _ in 0..w.u32() {
         w.str();
     }
-    let (mut open, mut stage_ticks) = (Vec::new(), Vec::new());
-    let (mut recent, mut runs) = (0u64, 0u64);
+    let (mut narrowed, mut queued, mut held) = (0, 0, 0);
     for _ in 0..w.u32() {
         let name = w.str();
-        w.at += 1 + 4; // type, width
-        let (count, body) = (w.u32(), w.u32() as usize);
+        w.at += 1; // kind
+        let width = usize::from(w.u8());
+        let (count, body) = (w.u32() as usize, w.u32() as usize);
+        let v4_width = match name.as_str() {
+            "tenant" | "flags" => 4,
+            _ if name.ends_with("_len") => 4,
+            _ => 8,
+        };
+        narrowed += count * (v4_width - width);
         match name.as_str() {
-            "flags" => open = (0..count).map(|_| w.u32() & F_STAGE_OPEN != 0).collect(),
-            "stage_ticks" => stage_ticks = (0..count).map(|_| w.u64()).collect(),
-            "recent_len" => recent = (0..count).map(|_| u64::from(w.u32())).sum(),
-            "alloc_runs_len" => runs = (0..count).map(|_| u64::from(w.u32())).sum(),
+            "pend_len" => queued = (0..count).map(|_| w.unsigned(width) as usize).sum(),
+            "pend_age" => (held, w.at) = (count, w.at + body),
             _ => w.at += body,
         }
     }
-    let high: u64 = open
-        .iter()
-        .zip(&stage_ticks)
-        .map(|(&open, &t)| if open { t.min(window) } else { 0 })
-        .sum();
-    let schema = (7 * 17 + 57) - (2 * 17 + 24);
-    v4.len() + 40 * rows + (8 * high + 8 * recent - 16 * runs) as usize + schema
+    let schema = (32 * 17 + 18) - (35 * 14 + 61);
+    v5.len() + narrowed + 16 * (queued - held) + schema
 }
 
 fn builder() -> ServiceConfigBuilder {
@@ -139,10 +136,10 @@ fn probe_frames_match_the_pinned_encoder_bytes() {
         genesis.len(),
         "a fresh output buffer is allocated once, at the exact frame length"
     );
-    assert_eq!(v3_len(&genesis), 25729, "genesis vs the v3 schema");
+    assert_eq!(v4_len(&genesis), 18755, "genesis vs the v4 schema");
     assert_eq!(
         (genesis.len(), fnv1a(&genesis)),
-        (18755, 9165361665128617614),
+        (8238, 11622816720413789228),
         "genesis"
     );
 }
@@ -162,19 +159,19 @@ fn worker_genesis_and_migration_frames_match_the_pinned_encoder_bytes() {
     let (_, frames) = service.checkpoint_frames_since(0, 0).unwrap();
     let (kind, genesis) = frames.last().expect("a retained frame");
     assert_eq!(*kind, 0);
-    assert_eq!(v3_len(genesis), 5674, "worker genesis vs the v3 schema");
+    assert_eq!(v4_len(genesis), 4412, "worker genesis vs the v4 schema");
     assert_eq!(
         (genesis.len(), fnv1a(genesis)),
-        (4412, 3807408090775053015),
+        (2901, 8751929270405163112),
         "worker genesis at tick 16"
     );
 
     let blob = service.export_session(live[2]).unwrap();
     assert_eq!(blob.capacity(), blob.len());
-    assert_eq!(v3_len(&blob), 1609, "migration frame vs the v3 schema");
+    assert_eq!(v4_len(&blob), 1339, "migration frame vs the v4 schema");
     assert_eq!(
         (blob.len(), fnv1a(&blob)),
-        (1339, 16647146029230336001),
+        (1114, 3400064998222166966),
         "migration frame"
     );
     service.shutdown();
@@ -183,7 +180,7 @@ fn worker_genesis_and_migration_frames_match_the_pinned_encoder_bytes() {
 /// Bytes of a one-row frame's column bodies: the row itself, without the
 /// header, schema and tenant table every frame pays once.
 fn row_bytes(frame: &[u8]) -> usize {
-    const COLUMNS: [&str; 32] = [
+    const COLUMNS: [&str; 35] = [
         "key",
         "tenant",
         "flags",
@@ -209,26 +206,29 @@ fn row_bytes(frame: &[u8]) -> usize {
         "max_delay",
         "stages_completed",
         "hull_len",
-        "hull",
+        "hull_x",
+        "hull_y",
         "recent_len",
         "recent",
         "alloc_runs_len",
-        "alloc_runs",
+        "alloc_runs_ticks",
+        "alloc_runs_value",
         "pend_len",
-        "pend",
+        "pend_age",
+        "pend_bits",
     ];
     COLUMNS.iter().map(|c| frame_column(frame, c).len()).sum()
 }
 
 /// What one dedicated row costs at `W` = 16, pinned to the byte, as the
 /// one-row lease frame a session migrates in. Steady arrivals hold its
-/// allocation at one value over the window: one 16-byte run. The same
-/// session with an allocation that changed every tick — the run-length
-/// worst case, 16 runs — costs 240 bytes more: 256 bytes of runs, more
-/// than the 128-byte allocation half frame v3 gave every row. The paper's
-/// objective keeps changes rare (at most `log2 B_A + 1` per stage), and
-/// the rows of a 100k-session genesis average about two runs. Either row
-/// is smaller than frame v3 made it.
+/// allocation at one value over the window: one run. The same session
+/// with an allocation that changed every tick — the run-length worst
+/// case, 16 runs — costs 75 bytes more: five a run, a one-byte length and
+/// a four-byte power-of-two value. The paper's objective keeps changes
+/// rare (at most `log2 B_A + 1` per stage), and the rows of a
+/// 100k-session genesis average about two runs. Frame v4 wrote every
+/// cell of either row at full width, 16 bytes a run.
 #[test]
 fn a_row_at_w_16_costs_its_pinned_bytes() {
     let plane = || {
@@ -247,23 +247,20 @@ fn a_row_at_w_16_costs_its_pinned_bytes() {
         src.tick(&[(key, 2.0)]).unwrap();
     }
     let steady = src.export_session(key).unwrap();
-    assert_eq!(frame_column(&steady, "alloc_runs_len"), 1u32.to_le_bytes());
+    assert_eq!(frame_column(&steady, "alloc_runs_len"), [1]);
     assert_eq!(
         (steady.len(), row_bytes(&steady)),
-        (1369, 408),
+        (1120, 170),
         "single-run row"
     );
 
-    let mut runs = Vec::new();
-    for j in 0..16u64 {
-        runs.extend_from_slice(&1u64.to_le_bytes());
-        runs.extend_from_slice(&(2.0 + (j % 2) as f64).to_le_bytes());
-    }
+    let values: Vec<f64> = (0..16).map(|j| 2.0 + (j % 2) as f64).collect();
     let churned = with_columns(
         &steady,
         &[
-            ("alloc_runs", &runs),
-            ("alloc_runs_len", &16u32.to_le_bytes()),
+            ("alloc_runs_ticks", Cells::Unsigned(&[1; 16])),
+            ("alloc_runs_value", Cells::Float(&values)),
+            ("alloc_runs_len", Cells::Unsigned(&[16])),
         ],
     );
     let mut dst = plane();
@@ -272,11 +269,80 @@ fn a_row_at_w_16_costs_its_pinned_bytes() {
     assert_eq!(worst, churned, "the imported history re-exports as it came");
     assert_eq!(
         (worst.len(), row_bytes(&worst)),
-        (1609, 648),
+        (1195, 245),
         "a change every tick"
     );
-    assert_eq!(row_bytes(&worst) - row_bytes(&steady), 15 * 16);
-    // Frame v3 wrote both as the same 1,767 bytes: with the high window
-    // and the clocks it carried, even the worst case is smaller now.
-    assert_eq!((v3_len(&steady), v3_len(&worst)), (1767, 1767));
+    assert_eq!(row_bytes(&worst) - row_bytes(&steady), 15 * 5);
+    // Frame v4 wrote them as 1,369 and 1,609 bytes.
+    assert_eq!((v4_len(&steady), v4_len(&worst)), (1369, 1609));
+}
+
+/// A frame shaped like the benchmark's: dedicated sessions at `W` = 16
+/// replaying 32-tick on/off rows whose arrivals are multiples of 1/64,
+/// the worker cutting a frame every 64 ticks. Every integer column, and
+/// every float column whose cells the dyadic traffic keeps `f32`-exact,
+/// narrows: a row weighs at most 200 bytes, where frame v4 wrote about
+/// 428. (Keys below 65,536 take two bytes here, a 100k population's
+/// four.)
+#[test]
+fn a_bench_shaped_frame_weighs_under_200_bytes_a_row() {
+    const SESSIONS: usize = 2048;
+    let spec = ReplaySpec {
+        sessions: SESSIONS,
+        ticks: 32,
+        pool_frac: 0.0,
+        churn_every: 0,
+        ..ReplaySpec::default()
+    };
+    let bank = spec.bank().unwrap();
+    let rows: Vec<Vec<f64>> = bank
+        .sessions()
+        .iter()
+        .map(|row| {
+            let quantized = row.arrivals().iter().map(|a| (a * 64.0).floor() / 64.0);
+            quantized.collect()
+        })
+        .collect();
+    let cfg = spec
+        .service_builder(spec.default_budget())
+        .shards(1)
+        .exec(ExecMode::Threaded)
+        .checkpoint_every(64)
+        .build()
+        .unwrap();
+    let mut plane = ControlPlane::new(cfg);
+    let registry = cdba_obs::Registry::new();
+    plane.attach_metrics(&registry);
+    let keys: Vec<u64> = (0..SESSIONS)
+        .map(|_| plane.admit("acme").unwrap())
+        .collect();
+    for t in 0..160 {
+        let arrivals: Vec<(u64, f64)> = keys
+            .iter()
+            .map(|&k| (k, rows[k as usize % rows.len()][t % 32]))
+            .filter(|&(_, bits)| bits > 0.0)
+            .collect();
+        plane.tick(&arrivals).unwrap();
+    }
+    // The snapshot's reply queues behind the tick-128 frame.
+    plane.snapshot().unwrap();
+    let (_, frames) = plane.checkpoint_frames_since(0, 0).unwrap();
+    let frame = frames.last().expect("a retained frame").1.to_vec();
+    plane.shutdown();
+    let text = registry.render();
+    let gauge = text
+        .lines()
+        .find_map(|l| l.strip_prefix("cdba_ctrl_checkpoint_retained_bytes{shard=\"0\"} "))
+        .expect("the retained-bytes gauge is exported");
+    assert_eq!(
+        gauge.parse::<f64>().unwrap(),
+        frame.len() as f64,
+        "the retained bytes"
+    );
+    let (v5, v4) = (frame.len() / SESSIONS, v4_len(&frame) / SESSIONS);
+    assert!(v5 <= 200, "{v5} B a row");
+    assert!((400..=460).contains(&v4), "frame v4 wrote {v4} B a row");
+    for narrow in ["recent", "alloc_runs_value", "hull_y", "current_alloc"] {
+        assert_eq!(column_width(&frame, narrow), 4, "{narrow}");
+    }
 }

@@ -758,16 +758,15 @@ fn out_of_domain_floats_in_a_migration_blob_are_rejected_typed() {
     let mut dst = inline_service();
     assert!(dst.import_session(&blob).is_ok());
 
-    // 10 ticks × 1.5 bits: the meter's total_arrived bytes are in the
-    // blob verbatim. Poisoning them must trip the domain validator.
-    let needle = 15.0f64.to_le_bytes();
-    let at = blob
-        .windows(8)
-        .position(|w| w == needle)
-        .expect("the known meter total appears in the blob");
-    for bad in [f64::NAN, -5.0, f64::INFINITY, f64::NEG_INFINITY] {
+    // 10 ticks × 1.5 bits: the meter's total_arrived cell is in the
+    // blob verbatim, an `f32`-exact 15. Poisoning it must trip the domain
+    // validator.
+    let cell = frame_column(&blob, "total_arrived");
+    assert_eq!(cell, 15.0f32.to_le_bytes(), "the known meter total");
+    let at = cell.as_ptr() as usize - blob.as_ptr() as usize;
+    for bad in [f32::NAN, -5.0, f32::INFINITY, f32::NEG_INFINITY] {
         let mut evil = blob.clone();
-        evil[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+        evil[at..at + 4].copy_from_slice(&bad.to_le_bytes());
         let mut target = inline_service();
         let budget = target.available_budget();
         let err = target.import_session(&evil).unwrap_err();

@@ -25,8 +25,9 @@
 //! ceiling per dedicated session that a second window ring, or a delay
 //! FIFO that copies the window's arrivals into a deque, would cross, and
 //! a feasible dedicated session holds one heap block, its lower hull.
-//! Nor does the retained frame carry what the kernel derives: it stays
-//! under a ceiling per dedicated session that frame v3 crosses.
+//! Nor does the retained frame carry what the kernel derives, or write a
+//! cell wider than it needs: it stays under a ceiling per dedicated
+//! session that frame v4 crosses.
 //!
 //! The counting allocator is process-global, so this file holds exactly
 //! one `#[test]`.
@@ -247,12 +248,14 @@ fn heap_and_retained_frame_are_flat_in_uptime() {
             );
             // A frame carries only what the kernel cannot derive: no high
             // window, clock or group copies, the allocation history as
-            // runs. Over the dedicated sessions (the pooled rows and group
-            // section ride along) that is 438 B each measured; frame v3,
-            // which carried them, weighed 620 B.
+            // runs, the delay FIFO as its head — and each column at the
+            // narrowest width that holds its cells bit for bit. Over the
+            // dedicated sessions (the pooled rows and group section ride
+            // along) that is 201 B each measured; frame v4, every cell at
+            // full width, weighed 438 B, and frame v3 620 B.
             let per_session = last / DEDICATED;
             assert!(
-                per_session <= 500,
+                per_session <= 225,
                 "the retained frame weighs {per_session} B per dedicated session"
             );
         }

@@ -5,12 +5,15 @@
 //! them or returns a typed [`CtrlError::InvalidCheckpoint`] with nothing
 //! written. Never a panic, never a half-applied frame. And what it does
 //! apply it holds bitwise: a genesis re-encodes to its own bytes, whatever
-//! allocation history its rows carry and with pooled groups in it.
+//! allocation history its rows carry, whatever float bits its cells hold
+//! and at whatever width they were written, and with pooled groups in it.
 
 use cdba_ctrl::{
     CheckpointMirror, CheckpointProbe, ControlPlane, CtrlError, ExecMode, ServiceConfig,
 };
-use cdba_integration::{frame_column, group_members, with_columns};
+use cdba_integration::{
+    column_f64s, column_u64s, column_width, group_members, with_columns, Cells,
+};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::sync::OnceLock;
@@ -68,34 +71,37 @@ fn grouped() -> &'static [u8] {
     })
 }
 
-/// A column's `u32` cells.
-fn u32s(frame: &[u8], name: &str) -> Vec<u32> {
-    let body = frame_column(frame, name);
-    body.chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-        .collect()
-}
-
-/// The `alloc_runs` body of the maximal runs of `allocs` (one list per
-/// row), and its `alloc_runs_len` body.
-fn runs_columns(allocs: &[Vec<f64>]) -> (Vec<u8>, Vec<u8>) {
-    let (mut runs, mut lens) = (Vec::new(), Vec::new());
+/// The `alloc_runs_ticks`, `alloc_runs_value` and `alloc_runs_len` cells
+/// of the maximal runs of `allocs` (one list per row).
+fn runs_columns(allocs: &[Vec<f64>]) -> (Vec<u64>, Vec<f64>, Vec<u64>) {
+    let (mut ticks, mut values, mut lens) = (Vec::new(), Vec::new(), Vec::new());
     for row in allocs {
-        let mut n = 0u32;
+        let mut n = 0;
         for (j, &v) in row.iter().enumerate() {
             if j > 0 && row[j - 1].to_bits() == v.to_bits() {
-                let at = runs.len() - 16;
-                let ticks = u64::from_le_bytes(runs[at..at + 8].try_into().unwrap());
-                runs[at..at + 8].copy_from_slice(&(ticks + 1).to_le_bytes());
+                *ticks.last_mut().unwrap() += 1;
             } else {
-                runs.extend_from_slice(&1u64.to_le_bytes());
-                runs.extend_from_slice(&v.to_le_bytes());
+                ticks.push(1);
+                values.push(v);
                 n += 1;
             }
         }
-        lens.extend_from_slice(&n.to_le_bytes());
+        lens.push(n);
     }
-    (runs, lens)
+    (ticks, values, lens)
+}
+
+/// `frame` with its allocation runs replaced by those of `allocs`.
+fn with_allocs(frame: &[u8], allocs: &[Vec<f64>]) -> Vec<u8> {
+    let (ticks, values, lens) = runs_columns(allocs);
+    with_columns(
+        frame,
+        &[
+            ("alloc_runs_ticks", Cells::Unsigned(&ticks)),
+            ("alloc_runs_value", Cells::Float(&values)),
+            ("alloc_runs_len", Cells::Unsigned(&lens)),
+        ],
+    )
 }
 
 /// A mirror primed with a probe's frame, plus the probe's next frame
@@ -223,7 +229,7 @@ proptest! {
         ),
     ) {
         let base = grouped();
-        let lens = u32s(base, "recent_len");
+        let lens = column_u64s(base, "recent_len");
         prop_assert_eq!(lens.len(), rows.len());
         let levels = [0.0, 4.0, 8.0, 16.0];
         let allocs: Vec<Vec<f64>> = rows
@@ -239,8 +245,45 @@ proptest! {
                     .collect()
             })
             .collect();
-        let (runs, runs_len) = runs_columns(&allocs);
-        let frame = with_columns(base, &[("alloc_runs", &runs), ("alloc_runs_len", &runs_len)]);
+        let frame = with_allocs(base, &allocs);
+        let mut mirror = CheckpointMirror::new(&cfg());
+        let mut out = Vec::new();
+        for _ in 0..2 {
+            prop_assert_eq!(mirror.apply(&frame).map_err(|e| e.to_string()), Ok(10));
+            prop_assert_eq!(mirror.encode(&mut out), 10);
+            prop_assert!(out == frame, "the re-encoded genesis differs");
+        }
+    }
+
+    /// Whatever bits a float cell holds — NaN with any payload (`min_util`'s
+    /// none-yet NaN among them), `±∞` (the grace sentinel), `-0.0`, an
+    /// `f32` subnormal, an `f64` subnormal, `0.1` — a genesis carrying it
+    /// applies to a fresh mirror and to a warm one and re-encodes to the
+    /// same bytes: a column is written at 4 bytes exactly when every one
+    /// of its cells comes back from `f32` with identical bits, else at 8.
+    #[test]
+    fn float_cells_round_trip_bitwise_at_either_width(
+        draws in proptest::collection::vec(proptest::collection::vec(0usize..PALETTE.len(), 10), 4),
+    ) {
+        const COLUMNS: [&str; 4] = ["shadow_backlog", "min_util", "max_delay_exact", "peak_alloc"];
+        let seeded: Vec<Vec<f64>> = draws
+            .iter()
+            .map(|row| row.iter().map(|&d| f64::from_bits(PALETTE[d])).collect())
+            .collect();
+        let cols: Vec<(&str, Cells<'_>)> = COLUMNS
+            .iter()
+            .zip(&seeded)
+            .map(|(&name, cells)| (name, Cells::Float(cells)))
+            .collect();
+        let frame = with_columns(grouped(), &cols);
+        for (name, cells) in COLUMNS.iter().zip(&seeded) {
+            let exact = cells.iter().all(|c| f64::from(*c as f32).to_bits() == c.to_bits());
+            let width = column_width(&frame, name);
+            prop_assert!(width == if exact { 4 } else { 8 }, "{} at {} bytes", name, width);
+            let back: Vec<u64> = column_f64s(&frame, name).iter().map(|c| c.to_bits()).collect();
+            let want: Vec<u64> = cells.iter().map(|c| c.to_bits()).collect();
+            prop_assert!(back == want, "{} as written", name);
+        }
         let mut mirror = CheckpointMirror::new(&cfg());
         let mut out = Vec::new();
         for _ in 0..2 {
@@ -251,43 +294,97 @@ proptest! {
     }
 }
 
+/// Float bits a frame must carry verbatim: the first seven are `f32`-exact,
+/// the last three are not.
+const PALETTE: [u64; 10] = [
+    0x7ff8_0000_0000_0000, // the none-yet NaN
+    0x7ff0_0000_0000_0000, // +∞, the grace sentinel
+    0xfff0_0000_0000_0000, // -∞
+    0x8000_0000_0000_0000, // -0.0
+    0x36a0_0000_0000_0000, // f32's smallest subnormal, 2^-149
+    0x3ff8_0000_0000_0000, // 1.5
+    0xfffc_0000_2000_0000, // a negative quiet NaN whose payload f32 holds
+    0x7ff8_0000_0000_0001, // a NaN whose payload f32 cannot hold
+    0x0000_0000_0000_0001, // f64's smallest subnormal
+    0x3fb9_9999_9999_999a, // 0.1
+];
+
+/// One cell only `f64` holds widens its own column and nothing else: a
+/// genesis whose `b_on` gains a single `0.1` writes that column at 8
+/// bytes while its neighbours stay at 4, and re-encodes to itself.
+#[test]
+fn one_wide_cell_widens_only_its_column() {
+    let base = grouped();
+    let neighbours = ["backlog", "b_on", "low_total"];
+    for name in neighbours {
+        assert_eq!(
+            column_width(base, name),
+            4,
+            "{name} narrows on integer traffic"
+        );
+    }
+    let mut b_on = column_f64s(base, "b_on");
+    b_on[3] = 0.1;
+    let frame = with_columns(base, &[("b_on", Cells::Float(&b_on))]);
+    assert_eq!(
+        frame.len(),
+        base.len() + 10 * 4,
+        "ten cells, four bytes more each"
+    );
+    let widths = neighbours.map(|name| column_width(&frame, name));
+    assert_eq!(widths, [4, 8, 4]);
+    let mut mirror = CheckpointMirror::new(&cfg());
+    assert_eq!(mirror.apply(&frame).unwrap(), 10);
+    let mut out = Vec::new();
+    mirror.encode(&mut out);
+    assert!(out == frame, "the re-encoded genesis differs");
+}
+
 /// Frames that are well formed cell by cell but describe a state that
 /// cannot exist, each refused with its own typed field and the mirror
 /// untouched: allocation runs that miss `recent_len` or have a zero
 /// length, a group member naming a dedicated row or no row at all, a
-/// pooled row that no group names, and a delay FIFO whose entries behind
-/// the head disagree with the window's arrivals or come from the future —
-/// the last refused in a lease blob too.
+/// pooled row that no group names, and a delay FIFO whose count
+/// disagrees with what its window queues behind the head or whose head is
+/// from the future — the last two refused in a lease blob too.
 #[test]
-fn impossible_v4_frames_are_refused_typed() {
+fn impossible_frames_are_refused_typed() {
     let frame = grouped();
     let mut mirror = CheckpointMirror::new(&cfg());
     mirror.apply(frame).expect("the grouped genesis applies");
-    let runs = frame_column(frame, "alloc_runs");
-    let mut runs_len = frame_column(frame, "alloc_runs_len").to_vec();
-    let mut cases: Vec<(&str, Vec<u8>)> = Vec::new();
+    let ticks = column_u64s(frame, "alloc_runs_ticks");
+    let values = column_f64s(frame, "alloc_runs_value");
+    let lens = column_u64s(frame, "alloc_runs_len");
+    let runs = |ticks: &[u64], values: &[f64], lens: &[u64]| {
+        with_columns(
+            frame,
+            &[
+                ("alloc_runs_ticks", Cells::Unsigned(ticks)),
+                ("alloc_runs_value", Cells::Float(values)),
+                ("alloc_runs_len", Cells::Unsigned(lens)),
+            ],
+        )
+    };
+    let mut cases: Vec<(&str, Vec<u8>, &str)> = Vec::new();
 
-    let mut long = runs.to_vec();
-    let ticks = u64::from_le_bytes(long[..8].try_into().unwrap());
-    long[..8].copy_from_slice(&(ticks + 1).to_le_bytes());
+    let mut long = ticks.clone();
+    long[0] += 1;
     cases.push((
         "runs past recent_len",
-        with_columns(frame, &[("alloc_runs", &long)]),
+        runs(&long, &values, &lens),
+        "columnar.runs",
+    ));
+    let (mut zero, mut zero_values, mut zero_lens) = (ticks.clone(), values.clone(), lens.clone());
+    zero.insert(0, 0);
+    zero_values.insert(0, 8.0);
+    zero_lens[0] += 1;
+    cases.push((
+        "a zero-length run",
+        runs(&zero, &zero_values, &zero_lens),
+        "columnar.runs",
     ));
 
-    let mut empty = [0u64.to_le_bytes(), 8.0f64.to_le_bytes()].concat();
-    empty.extend_from_slice(runs);
-    runs_len[..4].copy_from_slice(&(u32s(frame, "alloc_runs_len")[0] + 1).to_le_bytes());
-    let zero = with_columns(
-        frame,
-        &[("alloc_runs", &empty), ("alloc_runs_len", &runs_len)],
-    );
-    cases.push(("a zero-length run", zero));
-
-    let keys: Vec<u64> = frame_column(frame, "key")
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect();
+    let keys = column_u64s(frame, "key");
     let (at, _, pooled_key) = group_members(frame)[0];
     assert!(!keys[..DEDICATED].contains(&pooled_key));
     let renamed = |key: u64| {
@@ -295,42 +392,48 @@ fn impossible_v4_frames_are_refused_typed() {
         evil[at + 8..at + 16].copy_from_slice(&key.to_le_bytes());
         evil
     };
-    cases.push(("a member naming a dedicated row", renamed(keys[0])));
-    cases.push(("a member naming no row", renamed(1 << 20)));
+    cases.push((
+        "a member naming a dedicated row",
+        renamed(keys[0]),
+        "columnar.groups",
+    ));
+    cases.push((
+        "a member naming no row",
+        renamed(1 << 20),
+        "columnar.groups",
+    ));
 
-    let mut flags = frame_column(frame, "flags").to_vec();
-    flags[..4].copy_from_slice(&1u32.to_le_bytes()); // live, not dedicated
-    let orphan = with_columns(frame, &[("flags", &flags)]);
-    cases.push(("a pooled row in no group", orphan));
+    let mut flags = column_u64s(frame, "flags");
+    flags[0] = 1; // live, not dedicated
+    let orphan = with_columns(frame, &[("flags", Cells::Unsigned(&flags))]);
+    cases.push(("a pooled row in no group", orphan, "columnar.groups"));
 
     // Row 0's FIFO queues its head and two arrivals behind it, the newest
-    // from the last tick: the window's own cell.
-    assert_eq!(u32s(frame, "pend_len")[0], 3);
-    let pend = frame_column(frame, "pend");
-    let mut bits = pend.to_vec();
-    let newest = f64::from_le_bytes(bits[40..48].try_into().unwrap());
-    bits[40..48].copy_from_slice(&(newest + 0.5).to_le_bytes());
-    cases.push((
-        "a queued arrival the window disagrees with",
-        with_columns(frame, &[("pend", &bits)]),
-    ));
-    let mut ticks = pend.to_vec();
-    ticks[32..40].copy_from_slice(&16u64.to_le_bytes()); // the frame's own clock
-    cases.push((
-        "a queued arrival from the future",
-        with_columns(frame, &[("pend", &ticks)]),
-    ));
+    // from the last tick: the window's own cells, so only the head
+    // travels.
+    let pend_len = column_u64s(frame, "pend_len");
+    assert_eq!(pend_len[0], 3);
+    assert_eq!(
+        column_u64s(frame, "pend_age").len(),
+        pend_len.iter().filter(|&&n| n > 0).count()
+    );
+    for (what, len) in [
+        ("a FIFO longer than its head, spill and window hold", 4),
+        ("a FIFO shorter than its window queues", 2),
+    ] {
+        let mut evil = pend_len.clone();
+        evil[0] = len;
+        let evil = with_columns(frame, &[("pend_len", Cells::Unsigned(&evil))]);
+        cases.push((what, evil, "columnar.pend"));
+    }
+    let mut ages = column_u64s(frame, "pend_age");
+    ages[0] = 0; // queued at the frame's own clock
+    let future = with_columns(frame, &[("pend_age", Cells::Unsigned(&ages))]);
+    cases.push(("a queued head from the future", future, "columnar.pend"));
 
-    for (what, evil) in cases {
+    for (what, evil, want) in cases {
         let field = assert_rejected_untouched(&mut mirror, frame, &evil)
             .unwrap_or_else(|e| panic!("{what}: {e}"));
-        let want = if what.contains("run") {
-            "columnar.runs"
-        } else if what.contains("queued") {
-            "columnar.pend"
-        } else {
-            "columnar.groups"
-        };
         assert_eq!(field, want, "{what} mapped to the wrong field");
     }
 
@@ -343,24 +446,30 @@ fn impossible_v4_frames_are_refused_typed() {
         plane.tick(&[(key, 24.0)]).unwrap();
     }
     let lease = plane.export_session(key).unwrap();
-    let queued = u32s(&lease, "pend_len")[0] as usize;
+    let queued = column_u64s(&lease, "pend_len")[0];
     assert!(queued >= 2, "{queued} queued entries");
-    let mut bits = frame_column(&lease, "pend").to_vec();
-    let at = (queued - 1) * 16 + 8;
-    bits[at..at + 8].copy_from_slice(&23.0f64.to_le_bytes());
-    let evil = with_columns(&lease, &[("pend", &bits)]);
+    assert_eq!(
+        column_u64s(&lease, "pend_age").len(),
+        1,
+        "the head travels alone"
+    );
     let mut mirror = CheckpointMirror::new(&cfg());
     mirror.apply(&lease).expect("a lease is a one-row frame");
-    let field = assert_rejected_untouched(&mut mirror, &lease, &evil).unwrap();
-    assert_eq!(field, "columnar.pend");
     let budget = plane.available_budget();
-    assert!(matches!(
-        plane.import_session(&evil),
-        Err(CtrlError::InvalidCheckpoint {
-            field: "meter.delay.pending"
-        })
-    ));
-    assert_eq!(plane.available_budget(), budget, "nothing was admitted");
+    for evil in [
+        with_columns(&lease, &[("pend_len", Cells::Unsigned(&[queued + 1]))]),
+        with_columns(&lease, &[("pend_age", Cells::Unsigned(&[0]))]),
+    ] {
+        let field = assert_rejected_untouched(&mut mirror, &lease, &evil).unwrap();
+        assert_eq!(field, "columnar.pend");
+        assert_eq!(
+            plane.import_session(&evil),
+            Err(CtrlError::InvalidCheckpoint {
+                field: "columnar.pend"
+            })
+        );
+        assert_eq!(plane.available_budget(), budget, "nothing was admitted");
+    }
     plane
         .import_session(&lease)
         .expect("the intact lease imports");
@@ -370,22 +479,25 @@ fn impossible_v4_frames_are_refused_typed() {
 /// The named hostile mutations from the schema's threat model, each built
 /// from a valid frame and each required to fail with its own typed field:
 /// a truncated header, a frame kind other than genesis, a row-count that
-/// disagrees with the column bodies, an unknown column type tag, the same
-/// key on two rows, and a tombstone (a genesis lists none).
+/// disagrees with the column bodies, an unknown cell kind, a width its
+/// kind does not allow, a column named twice, the same key on two rows,
+/// and a tombstone (a genesis lists none).
 #[test]
 fn named_schema_attacks_map_to_typed_fields() {
     // Header layout: version u8, kind u8, ticks u64, rows u32 — the rows
-    // field lives at bytes 10..14. The first column descriptor is the
-    // canonical "key" column: u32 name length, "key", then the type tag.
-    let key_desc: &[u8] = &[3, 0, 0, 0, b'k', b'e', b'y'];
+    // field lives at bytes 10..14. Each column descriptor is a u32 name
+    // length, the name, then the kind and width bytes.
     let (mut mirror, frame) = primed();
-    let desc_at = frame
-        .windows(key_desc.len())
-        .position(|w| w == key_desc)
-        .expect("the key column descriptor is in the frame");
-    let ty_at = desc_at + key_desc.len();
-    // name + ty u8 + width u32 + count u32 + body-length u32.
-    let body_at = ty_at + 1 + 4 + 4 + 4;
+    let desc = |name: &str| {
+        let mut desc = (name.len() as u32).to_le_bytes().to_vec();
+        desc.extend_from_slice(name.as_bytes());
+        let at = frame.windows(desc.len()).position(|w| w == desc);
+        at.expect("the column descriptor is in the frame") + desc.len()
+    };
+    let kind_at = desc("key");
+    let width = usize::from(frame[kind_at + 1]);
+    // name + kind u8 + width u8 + count u32 + body-length u32.
+    let body_at = kind_at + 1 + 1 + 4 + 4;
 
     let mut cases: Vec<(&str, Vec<u8>, &str)> = Vec::new();
     cases.push((
@@ -402,18 +514,27 @@ fn named_schema_attacks_map_to_typed_fields() {
     evil[10..14].copy_from_slice(&(rows + 1).to_le_bytes());
     cases.push(("row-count mismatch", evil, "columnar.count"));
     let mut evil = frame.clone();
-    evil[ty_at] = 0x2A; // no such cell type
-    cases.push(("unknown column type", evil, "columnar.type"));
+    evil[kind_at] = 0x2A; // no such cell kind
+    cases.push(("unknown cell kind", evil, "columnar.type"));
+    for (column, illegal) in [("key", 3), ("key", 16), ("current_alloc", 2)] {
+        let mut evil = frame.clone();
+        evil[desc(column) + 1] = illegal;
+        cases.push(("a width its kind does not allow", evil, "columnar.width"));
+    }
     let mut evil = frame.clone();
-    let first_key = evil[body_at..body_at + 8].to_vec();
-    evil[body_at + 8..body_at + 16].copy_from_slice(&first_key);
+    let at = desc("hull_y") - 1;
+    evil[at] = b'x'; // a second `hull_x`
+    cases.push(("a column named twice", evil, "columnar.duplicate"));
+    let mut evil = frame.clone();
+    let first_key = evil[body_at..body_at + width].to_vec();
+    evil[body_at + width..body_at + 2 * width].copy_from_slice(&first_key);
     cases.push(("one key on two rows", evil, "columnar.keys"));
     // The tail: no groups, the tombstone count, nothing retired.
     let tail = frame.len() - 12;
     assert_eq!(frame[tail..], [0; 12], "a probe frame with an empty tail");
     let mut evil = frame[..tail + 4].to_vec();
     evil.extend_from_slice(&1u32.to_le_bytes());
-    evil.extend_from_slice(&first_key);
+    evil.extend_from_slice(&0u64.to_le_bytes());
     evil.extend_from_slice(&0u32.to_le_bytes());
     cases.push(("a tombstone", evil, "columnar.count"));
 
@@ -439,6 +560,27 @@ fn a_v3_frame_is_refused_typed_with_the_shard_untouched() {
     let mut empty = CheckpointMirror::new(&cfg());
     assert!(matches!(
         empty.apply(v3),
+        Err(CtrlError::InvalidCheckpoint {
+            field: "columnar.version"
+        })
+    ));
+    assert_eq!((empty.ticks(), empty.live_sessions()), (0, 0));
+}
+
+/// A frame as the v4 writer emitted it (`golden/probe_v4.frame`: a
+/// probe's six sessions at tick 5, two of them leaving, every cell at
+/// full width and the whole delay FIFO in `pend`). Like a v3 frame it is
+/// refused as `columnar.version`, and the mirror keeps the state it had.
+#[test]
+fn a_v4_frame_is_refused_typed_with_the_shard_untouched() {
+    let v4: &[u8] = include_bytes!("golden/probe_v4.frame");
+    assert_eq!(v4[0], 4, "the fixture is a v4 frame");
+    let (mut mirror, frame) = primed();
+    let field = assert_rejected_untouched(&mut mirror, &frame, v4).unwrap();
+    assert_eq!(field, "columnar.version");
+    let mut empty = CheckpointMirror::new(&cfg());
+    assert!(matches!(
+        empty.apply(v4),
         Err(CtrlError::InvalidCheckpoint {
             field: "columnar.version"
         })
