@@ -82,7 +82,7 @@ pub(crate) fn pending_agrees(
 pub struct SessionMetrics {
     /// The service-wide session key.
     pub session: u64,
-    /// Owning tenant. Shared with the driver's placement records: stamping
+    /// Owning tenant. Shared with the shard's tenant table: stamping
     /// metrics costs a refcount bump, not a string copy per session.
     pub tenant: Arc<str>,
     /// Shard the session ran on (placement detail; excluded from

@@ -283,6 +283,51 @@ mod tests {
         evil
     }
 
+    /// A string table may name a tenant twice; each row still lands under
+    /// its own name — the one the entry it points at spells — in a mirror
+    /// and in a recovering shard alike.
+    #[test]
+    fn a_repeated_tenant_name_resolves_row_by_row() {
+        let cfg = cfg();
+        let mut live = ShardState::new(0, &cfg);
+        for (key, tenant) in ["acme", "globex", "initech"].into_iter().enumerate() {
+            live.apply(&ReplayEvent::JoinDedicated {
+                key: key as u64,
+                tenant: tenant.into(),
+            });
+        }
+        let mut frame = Vec::new();
+        live.encode_columnar(&mut columnar::ColumnSink::default(), &mut frame);
+        // The table [acme, globex, initech] becomes [acme, globex, acme,
+        // initech]: row 0 names the second `acme`, row 2 the shifted
+        // `initech`.
+        let parsed = columnar::parse(&frame).unwrap();
+        assert_eq!(parsed.strings, ["acme", "globex", "initech"]);
+        let table = {
+            let first = parsed.strings[0].as_ptr() as usize - frame.as_ptr() as usize;
+            let last = parsed.strings[2];
+            first - 8..last.as_ptr() as usize - frame.as_ptr() as usize + last.len()
+        };
+        let mut evil = frame[..table.start].to_vec();
+        evil.extend_from_slice(&4u32.to_le_bytes());
+        for name in ["acme", "globex", "acme", "initech"] {
+            evil.extend_from_slice(&(name.len() as u32).to_le_bytes());
+            evil.extend_from_slice(name.as_bytes());
+        }
+        evil.extend_from_slice(&frame[table.end..]);
+        let evil = poisoned(&evil, columnar::C_TENANT, 0, 2);
+        let evil = poisoned(&evil, columnar::C_TENANT, 2, 3);
+
+        let mut mirror = CheckpointMirror::new(&cfg);
+        mirror.apply(&evil).expect("a repeated name applies");
+        assert_eq!(mirror.state.checkpoint(), live.checkpoint());
+        let mut again = Vec::new();
+        mirror.encode(&mut again);
+        assert_eq!(again, frame);
+        let recovering = ShardState::new(0, &cfg).recycle().rebuild(Some(&evil), []);
+        assert_eq!(recovering.checkpoint(), live.checkpoint());
+    }
+
     /// A frame carries nothing the kernel derives, so all that is left to
     /// refuse is state that cannot exist: an open stage that outlasts the
     /// session's clock, allocation runs that do not tile the ring (a

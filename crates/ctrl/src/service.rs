@@ -49,7 +49,7 @@ use crate::metrics::{ServiceSnapshot, ShardHealth, SnapshotCounters};
 use crate::obs::CtrlMetrics;
 use crate::shard::{
     panic_reason, run_worker, Event, ReplayEvent, Segment, ShardCheckpoint, ShardReport,
-    ShardState, TickBatch, WorkerCtx, WorkerMsg, CONTROL_BATCH, JOURNAL_BLOCK,
+    ShardState, Tenants, TickBatch, WorkerCtx, WorkerMsg, CONTROL_BATCH, JOURNAL_BLOCK,
 };
 use crate::CtrlError;
 use cdba_obs::{Registry, TraceEvent, TraceKind, TraceRing};
@@ -62,31 +62,25 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PlacementKind {
-    Dedicated,
-    Pooled { group: u64 },
-}
-
-#[derive(Debug, Clone)]
-struct Placement {
-    shard: usize,
-    tenant: Arc<str>,
-    kind: PlacementKind,
-}
-
-/// Direct-mapped placement table. Session keys are dense monotone
-/// counters, so a `Vec` indexed by key replaces a hash map on the tick
-/// hot path: the per-arrival lookup is one bounds check and a load.
-/// Slots of departed sessions stay occupied-free but allocated (keys are
-/// never reused), so the footprint is bounded by the highest key issued.
+/// Where each live session runs, direct-mapped by key. Session keys are
+/// dense monotone counters, so a `Vec` indexed by key replaces a hash map
+/// on the tick hot path: the per-arrival lookup is one bounds check and a
+/// 4-byte load. A key keeps two such cells and nothing else — its kind
+/// and group live in `pooled`, which only pooled keys enter. Cells of
+/// departed keys stay allocated (keys are never reused), so the footprint
+/// is bounded by the highest key issued.
 struct PlacementTable {
-    slots: Vec<Option<Placement>>,
-    /// Dense routing column, parallel to `slots`: the owning shard per
-    /// key, `u32::MAX` for a key that is not live. The tick hot loop
-    /// resolves each arrival with a 4-byte read here instead of chasing
-    /// the full placement record.
+    /// The owning shard per key, `u32::MAX` for a key that is not live.
     shard_of: Vec<u32>,
+    /// The owning tenant per key, an index into `tenants`; read only
+    /// while the key is live.
+    tenant_of: Vec<u32>,
+    /// The group of each live pooled key; a live key absent here is
+    /// dedicated.
+    pooled: HashMap<u64, u64>,
+    /// Every tenant a session was ever placed for, by id: the `Arc`s
+    /// admission handed back, so each name is allocated once.
+    tenants: Tenants,
     live: usize,
 }
 
@@ -96,8 +90,10 @@ const NO_SHARD: u32 = u32::MAX;
 impl PlacementTable {
     fn new() -> Self {
         PlacementTable {
-            slots: Vec::new(),
             shard_of: Vec::new(),
+            tenant_of: Vec::new(),
+            pooled: HashMap::new(),
+            tenants: Tenants::default(),
             live: 0,
         }
     }
@@ -106,12 +102,7 @@ impl PlacementTable {
         self.live
     }
 
-    fn get(&self, key: u64) -> Option<&Placement> {
-        self.slots.get(key as usize).and_then(Option::as_ref)
-    }
-
-    /// The owning shard of a live key (the hot-path subset of
-    /// [`PlacementTable::get`]).
+    /// The owning shard of a live key.
     fn shard_of(&self, key: u64) -> Option<usize> {
         match self.shard_of.get(key as usize) {
             Some(&shard) if shard != NO_SHARD => Some(shard as usize),
@@ -119,33 +110,43 @@ impl PlacementTable {
         }
     }
 
-    fn insert(&mut self, key: u64, placement: Placement) {
+    /// Places `key` on `shard` for `tenant`, in `group` if pooled.
+    fn insert(&mut self, key: u64, shard: usize, tenant: &Arc<str>, group: Option<u64>) {
         let at = key as usize;
-        if self.slots.len() <= at {
-            self.slots.resize_with(at + 1, || None);
+        if self.shard_of.len() <= at {
             self.shard_of.resize(at + 1, NO_SHARD);
+            self.tenant_of.resize(at + 1, 0);
         }
-        debug_assert!(self.slots[at].is_none(), "session key {key} reused");
-        self.shard_of[at] = placement.shard as u32;
-        self.slots[at] = Some(placement);
+        debug_assert_eq!(self.shard_of[at], NO_SHARD, "session key {key} reused");
+        self.shard_of[at] = shard as u32;
+        self.tenant_of[at] = self.tenants.intern(tenant);
+        if let Some(group) = group {
+            self.pooled.insert(key, group);
+        }
         self.live += 1;
     }
 
-    fn remove(&mut self, key: u64) -> Option<Placement> {
-        let taken = self.slots.get_mut(key as usize).and_then(Option::take);
-        if taken.is_some() {
-            self.shard_of[key as usize] = NO_SHARD;
-            self.live -= 1;
-        }
-        taken
+    /// Removes a live key's placement: its shard, its tenant, and its
+    /// group if pooled.
+    fn remove(&mut self, key: u64) -> Option<(usize, Arc<str>, Option<u64>)> {
+        let shard = self.shard_of(key)?;
+        self.shard_of[key as usize] = NO_SHARD;
+        self.live -= 1;
+        let tenant = Arc::clone(self.tenants.name(self.tenant_of[key as usize]));
+        Some((shard, tenant, self.pooled.remove(&key)))
     }
 
-    /// Live placements in ascending key order.
-    fn iter(&self) -> impl Iterator<Item = (u64, &Placement)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(key, slot)| slot.as_ref().map(|p| (key as u64, p)))
+    /// Whether a live key is a pooled-group member.
+    fn is_pooled(&self, key: u64) -> bool {
+        self.pooled.contains_key(&key)
+    }
+
+    /// Live dedicated keys in ascending order.
+    fn dedicated(&self) -> impl Iterator<Item = u64> + '_ {
+        let live = self.shard_of.iter().enumerate();
+        live.filter(|&(_, &shard)| shard != NO_SHARD)
+            .map(|(key, _)| key as u64)
+            .filter(|key| !self.pooled.contains_key(key))
     }
 }
 
@@ -1068,8 +1069,8 @@ impl ControlPlane {
     }
 
     /// Passes a join through admission control. The grant comes back as
-    /// the tenant's interned name — the one `Arc` the placement, the
-    /// journal entry and the shard's session entry all share.
+    /// the tenant's interned name — the one `Arc` the placement table,
+    /// the journal entry and the shard's tenant table all share.
     fn grant(&mut self, tenant: &str, envelope: f64) -> Result<Arc<str>, CtrlError> {
         self.admission
             .lock()
@@ -1114,14 +1115,7 @@ impl ControlPlane {
             return Err(err);
         }
         self.next_key += 1;
-        self.placements.insert(
-            key,
-            Placement {
-                shard,
-                tenant: tenant_shared,
-                kind: PlacementKind::Dedicated,
-            },
-        );
+        self.placements.insert(key, shard, &tenant_shared, None);
         self.sups[shard].live += 1;
         if let Some(m) = &self.obs {
             m.admitted.inc();
@@ -1179,14 +1173,8 @@ impl ControlPlane {
         self.next_group += 1;
         self.next_key += size as u64;
         for &key in members.iter() {
-            self.placements.insert(
-                key,
-                Placement {
-                    shard,
-                    tenant: tenant_shared.clone(),
-                    kind: PlacementKind::Pooled { group },
-                },
-            );
+            self.placements
+                .insert(key, shard, &tenant_shared, Some(group));
         }
         self.groups.insert(
             group,
@@ -1224,23 +1212,20 @@ impl ControlPlane {
     /// (the session then stays registered and keeps its envelope).
     pub fn leave(&mut self, key: u64) -> Result<(), CtrlError> {
         self.mutated();
-        let (shard, kind) = {
-            let placement = self
-                .placements
-                .get(key)
-                .ok_or(CtrlError::UnknownSession(key))?;
-            (placement.shard, placement.kind)
-        };
+        let shard = self
+            .placements
+            .shard_of(key)
+            .ok_or(CtrlError::UnknownSession(key))?;
         self.dispatch(shard, ReplayEvent::Leave { key })?;
-        let placement = self.placements.remove(key).expect("checked above");
+        let (_, tenant, group) = self.placements.remove(key).expect("checked above");
         self.sups[shard].live -= 1;
-        match kind {
-            PlacementKind::Dedicated => {
+        match group {
+            None => {
                 self.admission
                     .lock()
-                    .release(&placement.tenant, self.cfg.dedicated_envelope());
+                    .release(&tenant, self.cfg.dedicated_envelope());
             }
-            PlacementKind::Pooled { group } => {
+            Some(group) => {
                 if let Some(info) = self.groups.get_mut(&group) {
                     info.live -= 1;
                     if info.live == 0 {
@@ -1269,18 +1254,14 @@ impl ControlPlane {
     /// member's dynamics are not separable from its group.
     pub fn migratable_keys(&self) -> Vec<u64> {
         // The table iterates in ascending key order already.
-        self.placements
-            .iter()
-            .filter(|(_, p)| p.kind == PlacementKind::Dedicated)
-            .map(|(key, _)| key)
-            .collect()
+        self.placements.dedicated().collect()
     }
 
     /// Exports one *dedicated* session as a standalone migration blob and
     /// removes it from this service. The export quiesces the session —
     /// in threaded mode the capture reply arrives only after every
     /// previously dispatched event was applied (the queue is FIFO) — then
-    /// captures its slab row bitwise via the binary codec, forgets it
+    /// captures its session row bitwise via the binary codec, forgets it
     /// *without* retiring its metrics (they travel inside the blob), and
     /// releases its admission envelope. Feeding the blob to
     /// [`ControlPlane::import_session`] on another service resumes the
@@ -1295,14 +1276,11 @@ impl ControlPlane {
     /// envelope).
     pub fn export_session(&mut self, key: u64) -> Result<Vec<u8>, CtrlError> {
         self.mutated();
-        let (shard, kind) = {
-            let placement = self
-                .placements
-                .get(key)
-                .ok_or(CtrlError::UnknownSession(key))?;
-            (placement.shard, placement.kind)
-        };
-        if kind != PlacementKind::Dedicated {
+        let shard = self
+            .placements
+            .shard_of(key)
+            .ok_or(CtrlError::UnknownSession(key))?;
+        if self.placements.is_pooled(key) {
             return Err(CtrlError::InvalidService(format!(
                 "session {key} is pooled; only dedicated sessions can migrate"
             )));
@@ -1317,11 +1295,11 @@ impl ControlPlane {
             });
         };
         self.dispatch(shard, ReplayEvent::Forget { key })?;
-        let placement = self.placements.remove(key).expect("checked above");
+        let (_, tenant, _) = self.placements.remove(key).expect("checked above");
         self.sups[shard].live -= 1;
         self.admission
             .lock()
-            .release(&placement.tenant, self.cfg.dedicated_envelope());
+            .release(&tenant, self.cfg.dedicated_envelope());
         // A migration blob is a one-session columnar genesis frame — the
         // same frame format (and decoder) the shard checkpoints use.
         let mut blob = Vec::new();
@@ -1464,14 +1442,7 @@ impl ControlPlane {
             return Err(err);
         }
         self.next_key += 1;
-        self.placements.insert(
-            key,
-            Placement {
-                shard,
-                tenant,
-                kind: PlacementKind::Dedicated,
-            },
-        );
+        self.placements.insert(key, shard, &tenant, None);
         self.sups[shard].live += 1;
         self.sync_membership_gauges();
         if self.trace.is_some() {
@@ -1980,16 +1951,31 @@ mod tests {
         ));
     }
 
+    /// A departed key stays unknown after a newcomer takes its shard slot:
+    /// its arrivals, its leave and its export are refused.
     #[test]
     fn left_sessions_reject_arrivals() {
         let mut service = ControlPlane::new(config(2, ExecMode::Inline));
         let key = service.admit("acme").unwrap();
         service.tick(&[(key, 2.0)]).unwrap();
         service.leave(key).unwrap();
+        service.tick(&[]).unwrap();
+        let newcomer = service.admit("acme").unwrap();
+        service.tick(&[(newcomer, 1.0)]).unwrap();
         assert!(matches!(
             service.tick(&[(key, 2.0)]),
-            Err(CtrlError::UnknownSession(_))
+            Err(CtrlError::UnknownSession(k)) if k == key
         ));
+        assert!(matches!(
+            service.leave(key),
+            Err(CtrlError::UnknownSession(k)) if k == key
+        ));
+        assert!(matches!(
+            service.export_session(key),
+            Err(CtrlError::UnknownSession(k)) if k == key
+        ));
+        assert_eq!(service.live_sessions(), 1);
+        assert_eq!(service.migratable_keys(), vec![newcomer]);
     }
 
     #[test]

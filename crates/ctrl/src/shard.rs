@@ -8,16 +8,20 @@
 //! (a pooled group lives wholly on one shard), which is what makes the
 //! service's metrics invariant under the shard count.
 //!
-//! The per-session hot state lives in a structure-of-arrays [`Columns`]
-//! store parallel to the session [`Slab`]: every scalar the tick kernel
-//! touches (staged arrivals, link backlogs, the `B_on` ladder level, the
-//! meter counters and rolling window sums) is a column indexed by slot,
-//! while the slab entry keeps only identity (key, tenant, kind, leaving).
+//! A session is one slot of a structure-of-arrays [`Columns`] store and
+//! nothing else: every scalar the tick kernel touches (staged arrivals,
+//! link backlogs, the `B_on` ladder level, the meter counters and rolling
+//! window sums) is a column indexed by slot, and so is its identity — the
+//! key, the `F_*` flags (live, dedicated, leaving), a `u32` tenant id
+//! into the shard's tenant table and, for a pooled member, a `u32` group
+//! slot. A [`KeyMap`] finds a key's slot; vacated slots are reused LIFO
+//! by a [`Slots`] allocator, the one the group [`Slab`] keeps too.
 //! A tick is then a few linear passes over the columns — scatter the
 //! batched arrivals, step each pooled group, step each dedicated session —
 //! instead of a pointer chase through boxed per-session objects. The
-//! variable-size pieces (the lower hull, the window ring that the meter,
-//! the high tracker and the delay FIFO share, and the FIFO's cold spill)
+//! lower hull keeps its first [`HULL_INLINE`] vertices in a fixed column
+//! and only the rest in a cold spill; the window ring that the meter,
+//! the high tracker and the delay FIFO share and the FIFO's cold spill
 //! sit in side columns; the float-op order inside the kernel replicates
 //! `SingleSession::on_tick` and `SignallingMeter::record` exactly, so the
 //! columnar kernel is bitwise-identical to the entry-based one it
@@ -37,7 +41,7 @@ use crate::codec::columnar;
 use crate::config::ServiceConfig;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::meter::{delay_ticks, MeterCheckpoint, SessionMetrics};
-use crate::slab::{KeyMap, Slab, SlotId};
+use crate::slab::{KeyMap, Slab, Slots};
 use cdba_analysis::cost::CostModel;
 use cdba_core::config::{MultiConfig, SingleConfig};
 use cdba_core::multi::pool::{PoolCheckpoint, SessionId as PoolSessionId, SessionPool};
@@ -49,7 +53,7 @@ use cdba_core::{
 };
 use cdba_sim::streaming::DelayTrackerState;
 use cdba_traffic::EPS;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -312,7 +316,7 @@ pub(crate) struct ShardCheckpoint {
     pub bytes: Arc<Vec<u8>>,
 }
 
-/// A restorable snapshot of one session entry.
+/// A restorable snapshot of one session.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SessionCheckpoint {
     /// Service-wide session key.
@@ -545,20 +549,6 @@ pub(crate) struct ShardStateCheckpoint {
     pub stages_retired: u64,
 }
 
-enum SessionKind {
-    Dedicated,
-    Pooled { group: u64, member: PoolSessionId },
-}
-
-/// Identity-only session entry; every scalar the tick kernel reads or
-/// writes lives in [`Columns`], indexed by this entry's slot.
-struct SessionEntry {
-    key: u64,
-    tenant: Arc<str>,
-    leaving: bool,
-    kind: SessionKind,
-}
-
 struct GroupEntry {
     /// Service-wide group id (the `group_index` key, kept for checkpoints
     /// and cleanup).
@@ -567,8 +557,49 @@ struct GroupEntry {
     /// `(pool member id, session key, session slot)` in join order. Pool
     /// ids are issued by one monotone counter, so this is ascending by
     /// member id — the tick kernel merges it against the pool's (equally
-    /// ascending) allocation output with one cursor.
-    by_member: Vec<(PoolSessionId, u64, SlotId)>,
+    /// ascending) allocation output with one cursor. The one place a
+    /// member's pool id is kept.
+    by_member: Vec<(PoolSessionId, u64, u32)>,
+}
+
+impl GroupEntry {
+    /// The pool id of the member at session slot `i`.
+    fn member_at(&self, i: usize) -> Option<PoolSessionId> {
+        let mut members = self.by_member.iter();
+        members.find(|m| m.2 as usize == i).map(|m| m.0)
+    }
+}
+
+/// Tenant names by `u32` id: what a shard slot's `tenant` column and the
+/// driver's placement table index. Both intern the `Arc` admission hands
+/// out, so a name is held once whatever its population; a frame apply
+/// rebuilds a shard's table from the frame's string table.
+#[derive(Default)]
+pub(crate) struct Tenants {
+    names: Vec<Arc<str>>,
+    ids: HashMap<Arc<str>, u32>,
+}
+
+impl Tenants {
+    /// The id of `name`, registered on first sight.
+    pub(crate) fn intern(&mut self, name: &Arc<str>) -> u32 {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = u32::try_from(self.names.len()).expect("tenant ids fit a u32");
+        self.names.push(Arc::clone(name));
+        self.ids.insert(Arc::clone(name), id);
+        id
+    }
+
+    pub(crate) fn name(&self, id: u32) -> &Arc<str> {
+        &self.names[id as usize]
+    }
+
+    fn clear(&mut self) {
+        self.names.clear();
+        self.ids.clear();
+    }
 }
 
 /// Slot flags packed into the `flags` column. Crate-visible because the
@@ -585,11 +616,11 @@ pub(crate) const F_STAGE_OPEN: u32 = 8;
 
 /// Upper bound on the session and group keys a checkpoint frame may
 /// carry. The driver issues keys from one monotone counter and the
-/// [`crate::slab::KeyMap`] is direct-mapped (one table slot per key up to
+/// [`crate::slab::KeyMap`] is direct-mapped (one 4-byte cell per key up to
 /// the maximum), so the table a frame forces into existence is
 /// proportional to its largest key — a hostile frame naming key `2^60`
 /// would otherwise demand an exbi-scale allocation before any row
-/// semantics are checked. `2^28` keys (a 2 GiB table, far past any
+/// semantics are checked. `2^28` keys (a 1 GiB table, far past any
 /// population this service addresses) keeps the worst case survivable
 /// while never rejecting a frame a real driver could produce.
 pub(crate) const MAX_FRAME_KEY: u64 = 1 << 28;
@@ -612,19 +643,64 @@ struct KernelParams {
     w: usize,
 }
 
-/// Pops hull points while the new point makes the tail non-convex —
-/// `HullLowTracker::add_point`, same cross-product test.
-fn hull_add_point(hull: &mut Vec<(f64, f64)>, p: (f64, f64)) {
-    while hull.len() >= 2 {
-        let a = hull[hull.len() - 2];
-        let b = hull[hull.len() - 1];
+/// A lower hull's vertices, oldest first, as a slot holds them: the
+/// first [`HULL_INLINE`] inline (`head`), any past them in the slot's
+/// spill (`tail`).
+#[derive(Clone, Copy)]
+struct HullView<'a> {
+    head: &'a [(f64, f64)],
+    tail: &'a [(f64, f64)],
+}
+
+impl<'a> HullView<'a> {
+    fn len(self) -> usize {
+        self.head.len() + self.tail.len()
+    }
+
+    fn at(self, k: usize) -> (f64, f64) {
+        match self.head.get(k) {
+            Some(&v) => v,
+            None => self.tail[k - self.head.len()],
+        }
+    }
+
+    fn iter(self) -> impl Iterator<Item = &'a (f64, f64)> {
+        self.head.iter().chain(self.tail)
+    }
+}
+
+/// A hull held in one piece, the way the tests build hulls.
+#[cfg(test)]
+impl<'a> From<&'a [(f64, f64)]> for HullView<'a> {
+    fn from(hull: &'a [(f64, f64)]) -> Self {
+        HullView {
+            head: hull,
+            tail: &[],
+        }
+    }
+}
+
+/// How many of `hull`'s vertices stay once `p` is pushed: the tail is
+/// popped while `p` makes it non-convex — `HullLowTracker::add_point`,
+/// same cross-product test. `p` then lands at that index.
+fn hull_keep(hull: HullView<'_>, p: (f64, f64)) -> usize {
+    let mut n = hull.len();
+    while n >= 2 {
+        let (a, b) = (hull.at(n - 2), hull.at(n - 1));
         let cross = (b.0 - a.0) * (p.1 - a.1) - (b.1 - a.1) * (p.0 - a.0);
         if cross <= 0.0 {
-            hull.pop();
+            n -= 1;
         } else {
             break;
         }
     }
+    n
+}
+
+/// [`hull_keep`] on a plain vector, the way the tests build hulls.
+#[cfg(test)]
+fn hull_add_point(hull: &mut Vec<(f64, f64)>, p: (f64, f64)) {
+    hull.truncate(hull_keep(HullView::from(&hull[..]), p));
     hull.push(p);
 }
 
@@ -633,10 +709,10 @@ fn hull_add_point(hull: &mut Vec<(f64, f64)>, p: (f64, f64)) {
 /// at the answer index was already computed by the search's last
 /// comparison, so it is reused instead of divided again (the same index
 /// gives the same f64 — division is deterministic).
-fn hull_max_slope(hull: &[(f64, f64)], q: (f64, f64)) -> f64 {
-    debug_assert!(!hull.is_empty());
+fn hull_max_slope(hull: HullView<'_>, q: (f64, f64)) -> f64 {
+    debug_assert!(hull.len() > 0);
     let slope_to = |i: usize| {
-        let p = hull[i];
+        let p = hull.at(i);
         (q.1 - p.1) / (q.0 - p.0)
     };
     let (mut lo, mut hi) = (0usize, hull.len() - 1);
@@ -666,11 +742,12 @@ fn hull_max_slope(hull: &[(f64, f64)], q: (f64, f64)) -> f64 {
 /// session-tick is the sum of the phase working sets — roughly half the
 /// packed-record layout this replaces, which dragged all 256 bytes of a
 /// slot through the cache on every pass whether the pass read them or
-/// not. The one per-session heap object is the lower hull; the delay
-/// FIFO's cold spill allocates only for an entry older than the window.
-/// There is no per-slot configuration (every session on a shard runs the
-/// shard's [`KernelParams`]; imports are validated to conform at the
-/// service boundary).
+/// not. A slot owns no heap object on feasible traffic: the lower hull
+/// keeps [`HULL_INLINE`] vertices in place and spills only past them, and
+/// the delay FIFO's cold spill allocates only for an entry older than the
+/// window. There is no per-slot configuration (every session on a shard
+/// runs the shard's [`KernelParams`]; imports are validated to conform at
+/// the service boundary).
 ///
 /// The sweep phases ([`Columns::sweep`]) replicate
 /// `SingleSession::on_tick` (with its `HullLowTracker` / `HighTracker`
@@ -690,10 +767,11 @@ struct Columns {
     /// Slot indices the current tick's scatter wrote.
     touched: Vec<u32>,
     // -- identity --
-    /// `F_*` occupancy and mode bits.
+    /// `F_*` occupancy and mode bits: `F_LIVE` marks an occupied slot,
+    /// `F_DEDICATED` its kind, `F_LEAVING` a drain.
     flags: Vec<u32>,
-    /// Session key per slot, so the dedicated pass can emit retirements
-    /// without walking the identity slab.
+    /// Session key per slot. A [`KeyMap`] hit names a live session only
+    /// while its slot holds the key with `F_LIVE` set.
     keys: Vec<u64>,
     // -- tracker-push phase --
     /// Stage ticks consumed (0 with no stage open) — the low and high
@@ -766,8 +844,6 @@ struct Columns {
     /// denominator).
     min_util: Vec<f64>,
     // -- side columns (variable-size per-slot state) --
-    /// Low tracker: lower convex hull vertices `(x, P[x])` per slot.
-    hull: Vec<Vec<(f64, f64)>>,
     /// Meter `(arrivals, allocation)` rings, under
     /// `recent_head`/`recent_len`; the arrival halves are also the high
     /// tracker's window.
@@ -779,16 +855,44 @@ struct Columns {
     /// `2·D_O ≤ W` on feasible traffic, so this column allocates only
     /// under overload or a window shorter than `2·D_O`.
     pend_spill: Vec<Spill>,
+    // -- identity, by id --
+    /// Owning tenant: an id into the shard's [`Tenants`].
+    tenant: Vec<u32>,
+    /// A pooled member's group: its slot in the shard's group slab (read
+    /// only when `F_DEDICATED` is clear).
+    group: Vec<u32>,
+    // -- lower hull --
+    /// Low tracker: vertex count of the lower convex hull.
+    hull_len: Vec<u32>,
+    /// Low tracker: the hull's first [`HULL_INLINE`] vertices
+    /// `(x, P[x])`, oldest first; unread past `hull_len`.
+    hull_pts: Vec<[(f64, f64); HULL_INLINE]>,
+    /// Low tracker: the hull's vertices past the inline ones. Made when
+    /// the hull first outgrows [`HULL_INLINE`] and kept, emptied, while
+    /// it shrinks back, until the hull empties (a RESET, a vacated slot):
+    /// a hull that swings across the capacity tick after tick would
+    /// otherwise allocate and free a spill on every swing.
+    hull_spill: Vec<HullSpill>,
 }
 
 /// One slot's cold delay-FIFO spill: 8 bytes while empty.
 type Spill = Option<Box<VecDeque<(u64, f64)>>>;
 
-/// Walks every fixed-width column of a [`Columns`] — the scalars and the
-/// spill handle — with its vacant-slot value (zeros, with the grace `+∞`
-/// and none-yet `NaN` sentinels armed, and no spill): `$body` runs once
-/// per column with `$col` bound to the column and `$vacant` to that
-/// value. The one list behind growing, resetting and recycling, so the
+/// Lower-hull vertices a slot keeps inline. A hull gains one vertex per
+/// stage tick and loses every vertex the next one makes non-convex; on
+/// the benchmark's `dense-100k` traffic (100k sessions, read at ticks
+/// 138–528) 98.8–99.0 % of the hulls hold at most 4 and none more than 6.
+const HULL_INLINE: usize = 4;
+
+/// One slot's cold hull spill: 8 bytes until the hull first outgrows its
+/// inline vertices.
+type HullSpill = Option<Box<Vec<(f64, f64)>>>;
+
+/// Walks every fixed-width column of a [`Columns`] — the scalars, the
+/// inline hull and the spill handles — with its vacant-slot value (zeros,
+/// with the grace `+∞` and none-yet `NaN` sentinels armed, and no
+/// spill): `$body` runs once per column with `$col` bound to the column
+/// and `$vacant` to that value. The one list behind growing, resetting and recycling, so the
 /// three cannot disagree (`touched` is a work list, not a column, and is
 /// not here). The order is the order `grow_to` allocates in, which is
 /// heap layout and shows in peak RSS: append, do not reorder.
@@ -803,7 +907,9 @@ macro_rules! scalar_columns {
             total_allocated 0.0, pend_tick 0, pend_bits 0.0, pend_len 0,
             max_delay 0, max_delay_exact 0.0, meter_ticks 0,
             window_arrived 0.0, window_allocated 0.0, recent_head 0,
-            recent_len 0, min_util f64::NAN, pend_spill Spill::None)
+            recent_len 0, min_util f64::NAN, pend_spill Spill::None,
+            tenant 0, group 0, hull_len 0, hull_pts [(0.0, 0.0); HULL_INLINE],
+            hull_spill HullSpill::None)
     };
     (@each $cols:expr, $col:ident, $vacant:ident, $body:expr; $($field:ident $value:expr),+) => {
         $({
@@ -822,26 +928,68 @@ impl Columns {
             return;
         }
         scalar_columns!(self, |col, vacant| col.resize(bound, vacant));
-        // A recycled store keeps its inner hull allocations, so this
-        // column may already be longer than `bound`: grow, never cut.
-        if self.hull.len() < bound {
-            self.hull.resize_with(bound, Vec::new);
-        }
         self.recent_ring.grow_to(bound, w);
     }
 
     /// Empties the store, keeping allocations only: every fixed-width
     /// column goes to length 0 (dropping any spill), so
     /// [`Columns::grow_to`] re-arms each slot exactly as it does in a
-    /// fresh store; inner hulls are cleared in place; the rings keep their
-    /// blocks (a ring cell is only read under a cursor that was written
-    /// first).
+    /// fresh store; the rings keep their blocks (a ring cell is only read
+    /// under a cursor that was written first).
     /// Nothing that was *in* a column survives, so a store torn mid-event
     /// is worth exactly as much as a fresh one.
     fn recycle(&mut self) {
         scalar_columns!(self, |col, _vacant| col.clear());
         self.touched.clear();
-        self.hull.iter_mut().for_each(Vec::clear);
+    }
+
+    /// Slots the columns cover: one past the highest slot ever occupied
+    /// since the store was last emptied.
+    fn bound(&self) -> usize {
+        self.flags.len()
+    }
+
+    /// Slot `i`'s lower hull, oldest vertex first.
+    fn hull(&self, i: usize) -> HullView<'_> {
+        let n = (self.hull_len[i] as usize).min(HULL_INLINE);
+        HullView {
+            head: &self.hull_pts[i][..n],
+            tail: self.hull_spill[i].as_deref().map_or(&[], Vec::as_slice),
+        }
+    }
+
+    /// Pushes `p` onto slot `i`'s lower hull ([`hull_keep`]): at index
+    /// `n` inline, or past the inline vertices into the spill, made on
+    /// first need and kept (see `hull_spill`).
+    fn hull_push(&mut self, i: usize, p: (f64, f64)) {
+        let n = hull_keep(self.hull(i), p);
+        self.hull_len[i] = n as u32 + 1;
+        let spill = &mut self.hull_spill[i];
+        if n < HULL_INLINE {
+            self.hull_pts[i][n] = p;
+            if let Some(spill) = spill {
+                spill.clear();
+            }
+        } else {
+            let spill = spill.get_or_insert_with(|| Box::new(Vec::with_capacity(HULL_INLINE)));
+            spill.truncate(n - HULL_INLINE);
+            spill.push(p);
+        }
+    }
+
+    /// Lands slot `i`'s lower hull from its `n` vertices, oldest first.
+    fn land_hull(&mut self, i: usize, n: usize, vertices: impl Iterator<Item = (f64, f64)>) {
+        self.hull_len[i] = n as u32;
+        let mut vertices = vertices;
+        let cells = self.hull_pts[i].iter_mut();
+        cells.zip(vertices.by_ref()).for_each(|(cell, v)| *cell = v);
+        self.hull_spill[i] = (n > HULL_INLINE).then(|| Box::new(vertices.collect()));
+    }
+
+    /// Empties slot `i`'s lower hull.
+    fn clear_hull(&mut self, i: usize) {
+        self.hull_len[i] = 0;
+        self.hull_spill[i] = None;
     }
 
     /// Resets every scalar column of slot `i` to the vacant-slot state.
@@ -861,7 +1009,6 @@ impl Columns {
         }
         self.keys[i] = key;
         self.flags[i] = F_LIVE;
-        self.hull[i].clear();
     }
 
     /// Gives slot `i` a fresh dedicated allocator — `SingleSession::new`
@@ -894,7 +1041,6 @@ impl Columns {
         }
         let m = &cp.meter;
         self.reset_scalars(i);
-        self.hull[i].clear();
         self.keys[i] = cp.key;
         self.flags[i] = F_LIVE;
         if cp.leaving {
@@ -927,7 +1073,7 @@ impl Columns {
                 self.stage_ticks[i] = low.ticks as u64;
                 self.low_total[i] = low.total;
                 self.low_low[i] = low.low;
-                self.hull[i].extend_from_slice(&low.hull);
+                self.land_hull(i, low.hull.len(), low.hull.iter().copied());
                 self.high_window_sum[i] = high.window_sum;
                 self.high_min_window_sum[i] = high.min_window_sum.unwrap_or(f64::INFINITY);
             }
@@ -955,12 +1101,6 @@ impl Columns {
             spill.push_back(entry);
         }
         self.pend_spill[i] = (!spill.is_empty()).then(|| Box::new(spill));
-    }
-
-    /// Releases a vacated slot's heavy state; the next occupant re-inits.
-    fn clear_slot(&mut self, i: usize) {
-        self.reset_scalars(i);
-        self.hull[i] = Vec::new();
     }
 
     /// The tick slot `i`'s open stage started at; `None` while none is.
@@ -1053,7 +1193,7 @@ impl Columns {
             backlog: self.backlog[i],
             stage_low: open.then(|| LowTrackerState {
                 d_o: cfg.d_o,
-                hull: self.hull[i].clone(),
+                hull: self.hull(i).iter().copied().collect(),
                 ticks: self.stage_ticks[i] as usize,
                 total: self.low_total[i],
                 low: self.low_low[i],
@@ -1281,10 +1421,7 @@ impl Columns {
             let a2 = arrivals.max(0.0);
             // Low push: candidate window-start x = stage tick, P[x] =
             // total so far; the query uses the post-arrival total.
-            hull_add_point(
-                &mut self.hull[j],
-                (self.stage_ticks[j] as f64, self.low_total[j]),
-            );
+            self.hull_push(j, (self.stage_ticks[j] as f64, self.low_total[j]));
             self.low_total[j] += a2;
             // High push: the running sum adds the new entry before
             // subtracting the evicted one, as the VecDeque form did. The
@@ -1321,7 +1458,7 @@ impl Columns {
         for &j in open {
             let j = j as usize;
             let q = ((self.stage_ticks[j] + p.d_o) as f64, self.low_total[j]);
-            let candidate = hull_max_slope(&self.hull[j], q);
+            let candidate = hull_max_slope(self.hull(j), q);
             if candidate > self.low_low[j] {
                 self.low_low[j] = candidate;
             }
@@ -1356,7 +1493,7 @@ impl Columns {
                     // trackers lands them: one state, one encoding.
                     self.stages_completed[j] += 1;
                     self.flags[j] &= !F_STAGE_OPEN;
-                    self.hull[j].clear();
+                    self.clear_hull(j);
                     self.stage_ticks[j] = 0;
                     self.low_total[j] = 0.0;
                     self.low_low[j] = 0.0;
@@ -1619,15 +1756,16 @@ impl Columns {
     }
 }
 
-/// Reusable scratch for [`ShardState::apply_frame`]'s validation pass, so
-/// a mirror re-applying frame after frame allocates the key tables once.
+/// Reusable scratch for [`ShardState::apply_frame`], so a mirror
+/// re-applying frame after frame allocates the key tables once.
 #[derive(Default)]
 pub(crate) struct ApplyScratch {
     /// `(key, row)` of the frame being validated, sorted by key.
     keys: Vec<(u64, u32)>,
-    /// `(row, group, member)` of each pooled row the group section names,
-    /// sorted by row.
-    members: Vec<(u32, u64, u64)>,
+    /// The row of each member the group section names, sorted.
+    members: Vec<u32>,
+    /// The shard's tenant id of each entry of the frame's string table.
+    tenant_ids: Vec<u32>,
 }
 
 /// The per-shard session store and tick loop.
@@ -1640,13 +1778,19 @@ pub(crate) struct ShardState {
     multi_cfg: MultiConfig,
     cost: CostModel,
     window: usize,
-    sessions: Slab<SessionEntry>,
+    /// Session key → slot ([`ShardState::slot_of`] checks the hit).
     index: KeyMap,
+    /// The session slots below `cols.bound()`: taken ones are the live
+    /// sessions (`F_LIVE` set). Reuse is LIFO — frames list rows, and the
+    /// dedicated sweep steps sessions, in slot order.
+    slots: Slots,
+    /// The names behind the `tenant` column.
+    tenants: Tenants,
     groups: Slab<GroupEntry>,
     group_index: KeyMap,
     /// The sweep work lists, reused across ticks.
     scratch: SweepScratch,
-    /// Per-session hot state, parallel to `sessions` by slot.
+    /// Every session's state and identity, one slot each.
     cols: Columns,
     /// Copy-on-retire: shared with outstanding reports and checkpoints; a
     /// retirement while shared clones once, then appends in place.
@@ -1666,8 +1810,9 @@ impl ShardState {
             multi_cfg: cfg.multi_config(),
             cost: cfg.cost,
             window: cfg.w,
-            sessions: Slab::new(),
             index: KeyMap::new(),
+            slots: Slots::default(),
+            tenants: Tenants::default(),
             groups: Slab::new(),
             group_index: KeyMap::new(),
             scratch: SweepScratch::default(),
@@ -1684,11 +1829,12 @@ impl ShardState {
     /// contents are not — the retiree may have been torn mid-event by the
     /// very panic that retired it, so everything a fresh state starts
     /// without is emptied here and rebuilt by the restore through the
-    /// same `grow_to`/`insert_entry` calls a fresh state takes.
+    /// same `grow_to`/`take_slot` calls a fresh state takes.
     pub(crate) fn recycle(mut self) -> Self {
         self.epoch = 0;
-        self.sessions.clear();
         self.index.clear();
+        self.slots.reset(0);
+        self.tenants.clear();
         self.groups.clear();
         self.group_index.clear();
         self.cols.recycle();
@@ -1727,7 +1873,22 @@ impl ShardState {
 
     /// Live sessions on this shard.
     pub(crate) fn live_sessions(&self) -> usize {
-        self.sessions.len()
+        self.slots.len()
+    }
+
+    /// The live sessions' slots, in slot order.
+    fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        let flags = self.cols.flags.iter().enumerate();
+        flags.filter_map(|(i, &f)| (f & F_LIVE != 0).then_some(i))
+    }
+
+    /// The slot of live session `key`. The map is kept exact — every
+    /// vacated slot's key is removed from it — and a hit is checked all
+    /// the same: it must name a live slot holding the key.
+    fn slot_of(&self, key: u64) -> Option<usize> {
+        let i = self.index.get(key)? as usize;
+        let live = self.cols.flags.get(i).is_some_and(|&f| f & F_LIVE != 0);
+        (live && self.cols.keys[i] == key).then_some(i)
     }
 
     /// Ticks this shard has processed.
@@ -1742,9 +1903,8 @@ impl ShardState {
     #[cfg(test)]
     pub(crate) fn checkpoint(&self) -> ShardStateCheckpoint {
         let sessions = self
-            .sessions
-            .iter()
-            .map(|(slot, e)| self.session_checkpoint_at(slot, e))
+            .live_slots()
+            .map(|i| self.session_checkpoint_at(i))
             .collect();
         let groups = self.group_checkpoints();
         ShardStateCheckpoint {
@@ -1779,12 +1939,7 @@ impl ShardState {
                     (PoolSessionId::from_raw(member), key, slot)
                 })
                 .collect();
-            let gslot = state.groups.insert(GroupEntry {
-                group: g.group,
-                pool: SessionPool::restore(&g.pool),
-                by_member,
-            });
-            state.group_index.insert(g.group, gslot);
+            state.insert_group(g.group, SessionPool::restore(&g.pool), by_member);
         }
         state.retired = Arc::clone(&cp.retired);
         state.ticks = cp.ticks;
@@ -1826,8 +1981,8 @@ impl ShardState {
         out: &mut Vec<u8>,
     ) -> u64 {
         sink.begin();
-        for (slot, e) in self.sessions.iter() {
-            sink.push_row(slot.index, &e.tenant);
+        for i in self.live_slots() {
+            sink.push_row(i as u32, self.tenants.name(self.cols.tenant[i]));
         }
         let hdr = columnar::FrameHeader {
             ticks: self.ticks,
@@ -1979,7 +2134,7 @@ impl ShardState {
             if !g.members.windows(2).all(|m| m[0].0 < m[1].0) {
                 return Err("columnar.groups");
             }
-            for &(member, key) in &g.members {
+            for &(_, key) in &g.members {
                 let pos = scratch
                     .keys
                     .binary_search_by_key(&key, |&(k, _)| k)
@@ -1988,53 +2143,48 @@ impl ShardState {
                 if dedicated(r as usize) {
                     return Err("columnar.groups");
                 }
-                scratch.members.push((r, g.group, member));
+                scratch.members.push(r);
             }
         }
         scratch.members.sort_unstable();
-        if scratch.members.len() != pooled_rows
-            || scratch.members.windows(2).any(|p| p[0].0 == p[1].0)
+        if scratch.members.len() != pooled_rows || scratch.members.windows(2).any(|p| p[0] == p[1])
         {
             return Err("columnar.groups");
         }
         // ---- mutate: infallible from here on ----
+        // Row `r` lands in slot `r` of emptied columns, every scalar the
+        // frame does not carry at its vacant value (arrived 0, heads 0,
+        // pend head 0/0.0), and so do the trackers of a row with no open
+        // stage.
         self.index.clear();
-        self.sessions.clear();
+        self.slots.reset(rows);
         self.group_index.clear();
         self.groups.clear();
-        self.sessions.reserve(rows);
+        self.cols.recycle();
         self.cols.grow_to(rows, w);
-        let frame_tenants: Vec<Arc<str>> = f.strings.iter().map(|&s| Arc::from(s)).collect();
-        // The pooled rows in row order, each with its (group, member).
-        let mut named = scratch.members.iter();
+        // The frame's string table may repeat a name; every entry maps
+        // to the id its name interns to, so a repeat shares one id.
+        self.tenants.clear();
+        scratch.tenant_ids.clear();
+        for &name in &f.strings {
+            let id = self.tenants.intern(&Arc::from(name));
+            scratch.tenant_ids.push(id);
+        }
         let (mut hull_off, mut recent_off) = (0usize, 0usize);
         let (mut runs_off, mut pend_off) = (0usize, 0usize);
         for r in 0..rows {
             let key = u64_at(key_c, r);
             let flags = u64_at(flags_c, r) as u32;
-            let leaving = flags & F_LEAVING != 0;
-            let kind = if flags & F_DEDICATED != 0 {
-                SessionKind::Dedicated
-            } else {
-                let &(_, group, member) = named.next().expect("validated: pooled rows are listed");
-                SessionKind::Pooled {
-                    group,
-                    member: PoolSessionId::from_raw(member),
-                }
-            };
-            let tenant = Arc::clone(&frame_tenants[u64_at(tenant_c, r) as usize]);
-            let i = self.insert_entry(key, tenant, leaving, kind).0.index as usize;
+            self.index.insert(key, r as u32);
             let hull_n = u64_at(hull_len_c, r) as usize;
             let recent_n = u64_at(recent_len_c, r) as usize;
             let runs_n = u64_at(runs_len_c, r) as usize;
             let pend_n = u64_at(pend_len_c, r);
-            let cols = &mut self.cols;
-            // Every scalar not carried by the frame lands at its vacant
-            // value (arrived 0, heads 0, pend head 0/0.0), and so do the
-            // trackers of a row with no open stage.
-            cols.reset_scalars(i);
+            let (cols, i) = (&mut self.cols, r);
             cols.keys[i] = key;
             cols.flags[i] = flags;
+            // A frame index, validated below the string table's length.
+            cols.tenant[i] = scratch.tenant_ids[u64_at(tenant_c, r) as usize];
             cols.shadow_backlog[i] = f64_at(f64_cs[0], r);
             cols.current_alloc[i] = f64_at(f64_cs[1], r);
             cols.peak_alloc[i] = f64_at(f64_cs[2], r);
@@ -2058,8 +2208,6 @@ impl ShardState {
             let allocs = columnar::expand_runs(runs_ticks, runs_value, runs_off..runs_off + runs_n);
             cols.recent_ring.land(i, arrivals.clone().zip(allocs));
             cols.recent_len[i] = recent_n as u32;
-            let hull = &mut cols.hull[i];
-            hull.clear();
             if flags & F_STAGE_OPEN != 0 {
                 cols.stage_ticks[i] = u64_at(u64_cs[0], r);
                 cols.low_total[i] = f64_at(f64_cs[10], r);
@@ -2067,7 +2215,8 @@ impl ShardState {
                 cols.high_window_sum[i] = f64_at(f64_cs[12], r);
                 cols.high_min_window_sum[i] = f64_at(f64_cs[13], r);
                 let vertices = hull_off..hull_off + hull_n;
-                hull.extend(vertices.map(|j| (f64_at(hull_x, j), f64_at(hull_y, j))));
+                let vertices = vertices.map(|j| (f64_at(hull_x, j), f64_at(hull_y, j)));
+                cols.land_hull(i, hull_n, vertices);
             }
             let held = columnar::fifo_cells(pend_age, pend_off, pend_n, clock, arrivals)
                 .expect("validated: the FIFO agrees with its window");
@@ -2079,7 +2228,7 @@ impl ShardState {
             runs_off += runs_n;
             pend_off += held;
         }
-        // Groups, every member validated above to resolve.
+        // Groups, every member validated above to be a pooled row.
         for g in &f.groups {
             let by_member = g
                 .members
@@ -2092,12 +2241,7 @@ impl ShardState {
                     (PoolSessionId::from_raw(member), key, slot)
                 })
                 .collect();
-            let gslot = self.groups.insert(GroupEntry {
-                group: g.group,
-                pool: SessionPool::restore(&g.pool),
-                by_member,
-            });
-            self.group_index.insert(g.group, gslot);
+            self.insert_group(g.group, SessionPool::restore(&g.pool), by_member);
         }
         let retired = Arc::make_mut(&mut self.retired);
         retired.clear();
@@ -2112,12 +2256,12 @@ impl ShardState {
     /// goes through.
     pub(crate) fn apply(&mut self, event: &ReplayEvent) {
         match event {
-            ReplayEvent::JoinDedicated { key, tenant } => self.join_dedicated(*key, tenant.clone()),
+            ReplayEvent::JoinDedicated { key, tenant } => self.join_dedicated(*key, tenant),
             ReplayEvent::JoinGroup {
                 group,
                 tenant,
                 members,
-            } => self.join_group(*group, tenant.clone(), members),
+            } => self.join_group(*group, tenant, members),
             ReplayEvent::Leave { key } => self.leave(*key),
             ReplayEvent::Tick { arrivals } => self.tick(arrivals.iter()),
             ReplayEvent::Forget { key } => self.forget(*key),
@@ -2127,17 +2271,23 @@ impl ShardState {
 
     /// One session's restorable state, as [`ShardState::checkpoint`] lists
     /// it.
-    fn session_checkpoint_at(&self, slot: SlotId, e: &SessionEntry) -> SessionCheckpoint {
-        let i = slot.index as usize;
-        let (dedicated, pooled) = match &e.kind {
-            SessionKind::Dedicated => (Some(self.cols.alg_checkpoint(i, &self.single_cfg)), None),
-            SessionKind::Pooled { group, member } => (None, Some((*group, member.raw()))),
+    fn session_checkpoint_at(&self, i: usize) -> SessionCheckpoint {
+        let cols = &self.cols;
+        let (dedicated, pooled) = if cols.flags[i] & F_DEDICATED != 0 {
+            (Some(cols.alg_checkpoint(i, &self.single_cfg)), None)
+        } else {
+            let g = self
+                .groups
+                .get(cols.group[i])
+                .expect("a pooled slot's group is live");
+            let member = g.member_at(i).expect("a group lists its members");
+            (None, Some((g.group, member.raw())))
         };
         SessionCheckpoint {
-            key: e.key,
-            tenant: e.tenant.clone(),
-            meter: self.cols.meter_checkpoint(i, self.cost, self.window),
-            leaving: e.leaving,
+            key: cols.keys[i],
+            tenant: Arc::clone(self.tenants.name(cols.tenant[i])),
+            meter: cols.meter_checkpoint(i, self.cost, self.window),
+            leaving: cols.flags[i] & F_LEAVING != 0,
             dedicated,
             pooled,
         }
@@ -2148,12 +2298,8 @@ impl ShardState {
     /// unknown keys and pooled members (a pool member's dynamics are not
     /// separable from its group).
     pub(crate) fn checkpoint_session(&self, key: u64) -> Option<SessionCheckpoint> {
-        let slot = self.index.get(key)?;
-        let entry = self.sessions.get(slot)?;
-        if !matches!(entry.kind, SessionKind::Dedicated) {
-            return None;
-        }
-        Some(self.session_checkpoint_at(slot, entry))
+        let i = self.slot_of(key)?;
+        (self.cols.flags[i] & F_DEDICATED != 0).then(|| self.session_checkpoint_at(i))
     }
 
     /// Removes a migrated-away session without pushing retired metrics:
@@ -2161,12 +2307,9 @@ impl ShardState {
     /// process) and its meter state travelled with the checkpoint, so
     /// retiring it here would double-count it in the merged view.
     fn forget(&mut self, key: u64) {
-        let Some(slot) = self.index.remove(key) else {
-            return;
-        };
         // Only dedicated sessions are exported, so no group bookkeeping.
-        if self.sessions.remove(slot).is_some() {
-            self.cols.clear_slot(slot.index as usize);
+        if let Some(i) = self.slot_of(key) {
+            self.vacate(key, i);
         }
     }
 
@@ -2191,65 +2334,77 @@ impl ShardState {
         }
     }
 
-    /// Places an identity entry and grows the columns to cover its slot,
-    /// which the caller then writes (key included). Also says whether the
-    /// slot is one the growth just filled with the vacant-slot state.
-    fn insert_entry(
-        &mut self,
-        key: u64,
-        tenant: Arc<str>,
-        leaving: bool,
-        kind: SessionKind,
-    ) -> (SlotId, bool) {
-        let slot = self.sessions.insert(SessionEntry {
-            key,
-            tenant,
-            leaving,
-            kind,
-        });
+    /// Takes a slot for session `key` — the most recently vacated one,
+    /// else a new one past the columns' bound, which grow to cover it —
+    /// and maps the key to it. The caller then writes the slot
+    /// (key and flags included). Also says whether the slot is one the
+    /// growth just filled with the vacant-slot state.
+    fn take_slot(&mut self, key: u64) -> (usize, bool) {
+        let bound = self.cols.bound();
+        let slot = self.slots.take(bound);
         self.index.insert(key, slot);
-        let vacant = slot.index as usize >= self.cols.flags.len();
-        self.cols.grow_to(self.sessions.slot_bound(), self.window);
-        (slot, vacant)
+        let i = slot as usize;
+        self.cols.grow_to(i + 1, self.window);
+        (i, i == bound)
     }
 
-    /// Re-creates one session from its checkpoint, bitwise.
+    /// Unmaps `key`, frees its slot `i` for the next join and returns the
+    /// slot to the vacant-slot state.
+    fn vacate(&mut self, key: u64, i: usize) {
+        self.index.remove(key);
+        self.slots.vacate(i as u32);
+        self.cols.reset_scalars(i);
+    }
+
+    /// Places a group and indexes it by id.
+    fn insert_group(
+        &mut self,
+        group: u64,
+        pool: SessionPool,
+        by_member: Vec<(PoolSessionId, u64, u32)>,
+    ) -> u32 {
+        let gslot = self.groups.insert(GroupEntry {
+            group,
+            pool,
+            by_member,
+        });
+        self.group_index.insert(group, gslot);
+        for &(_, _, slot) in &self.groups.get(gslot).expect("just placed").by_member {
+            self.cols.group[slot as usize] = gslot;
+        }
+        gslot
+    }
+
+    /// Re-creates one session from its checkpoint, bitwise. A pooled
+    /// one's group is placed after it, by [`ShardState::insert_group`].
     fn insert_restored(&mut self, cp: &SessionCheckpoint) {
-        let kind = match (&cp.dedicated, &cp.pooled) {
-            (Some(_), None) => SessionKind::Dedicated,
-            (None, &Some((group, member))) => SessionKind::Pooled {
-                group,
-                member: PoolSessionId::from_raw(member),
-            },
-            _ => panic!("session checkpoint must be exactly one of dedicated or pooled"),
-        };
-        let (slot, _) = self.insert_entry(cp.key, cp.tenant.clone(), cp.leaving, kind);
-        self.cols
-            .restore_slot(slot.index as usize, cp, &self.single_cfg, self.cost);
+        assert!(
+            cp.dedicated.is_some() != cp.pooled.is_some(),
+            "session checkpoint must be exactly one of dedicated or pooled"
+        );
+        let (i, _) = self.take_slot(cp.key);
+        self.cols.restore_slot(i, cp, &self.single_cfg, self.cost);
+        self.cols.tenant[i] = self.tenants.intern(&cp.tenant);
     }
 
-    fn join_dedicated(&mut self, key: u64, tenant: Arc<str>) {
-        let (slot, vacant) = self.insert_entry(key, tenant, false, SessionKind::Dedicated);
-        let i = slot.index as usize;
+    fn join_dedicated(&mut self, key: u64, tenant: &Arc<str>) {
+        let (i, vacant) = self.take_slot(key);
         self.cols.init_fresh(i, key, vacant);
         self.cols.init_dedicated(i);
+        self.cols.tenant[i] = self.tenants.intern(tenant);
     }
 
-    fn join_group(&mut self, group: u64, tenant: Arc<str>, members: &[u64]) {
+    fn join_group(&mut self, group: u64, tenant: &Arc<str>, members: &[u64]) {
         let gslot = match self.group_index.get(group) {
             Some(slot) => slot,
             None => {
-                let slot = self.groups.insert(GroupEntry {
-                    group,
-                    pool: SessionPool::new(self.multi_cfg.clone()),
-                    by_member: Vec::new(),
-                });
-                self.group_index.insert(group, slot);
-                slot
+                let pool = SessionPool::new(self.multi_cfg.clone());
+                self.insert_group(group, pool, Vec::new())
             }
         };
+        let tenant = self.tenants.intern(tenant);
         // Two-phase: every member joins the pool first (the pool's phase
-        // arithmetic sees the whole batch), then the session entries land.
+        // arithmetic sees the whole batch), then the sessions land.
         let mut joined = Vec::with_capacity(members.len());
         {
             let entry = self.groups.get_mut(gslot).expect("group slot just placed");
@@ -2258,52 +2413,39 @@ impl ShardState {
             }
         }
         for (key, member) in joined {
-            let (slot, vacant) = self.insert_entry(
-                key,
-                tenant.clone(),
-                false,
-                SessionKind::Pooled { group, member },
-            );
-            self.cols.init_fresh(slot.index as usize, key, vacant);
+            let (i, vacant) = self.take_slot(key);
+            self.cols.init_fresh(i, key, vacant);
+            self.cols.tenant[i] = tenant;
+            self.cols.group[i] = gslot;
             self.groups
                 .get_mut(gslot)
                 .expect("group slot just placed")
                 .by_member
-                .push((member, key, slot));
+                .push((member, key, i as u32));
         }
     }
 
     fn leave(&mut self, key: u64) {
-        let Some(slot) = self.index.get(key) else {
+        let Some(i) = self.slot_of(key) else {
             return; // already retired — leave is idempotent at the shard
         };
-        let Some(entry) = self.sessions.get_mut(slot) else {
-            return;
-        };
-        if entry.leaving {
+        let flags = self.cols.flags[i];
+        if flags & F_LEAVING != 0 {
             return;
         }
-        entry.leaving = true;
-        self.cols.flags[slot.index as usize] |= F_LEAVING;
-        let pooled = match &entry.kind {
-            SessionKind::Pooled { group, member } => Some((*group, *member)),
+        self.cols.flags[i] |= F_LEAVING;
+        if flags & F_DEDICATED != 0 {
             // Nothing to tell the allocator; the session now receives zero
             // arrivals and retires once its link queue drains.
-            SessionKind::Dedicated => None,
-        };
-        let drained_now = pooled.is_none() && self.cols.shadow_backlog[slot.index as usize] <= EPS;
-        match pooled {
-            Some((group, member)) => {
-                // The pool moves the residual backlog to the overflow
-                // queue and retires the slot once it drains.
-                if let Some(gslot) = self.group_index.get(group) {
-                    if let Some(g) = self.groups.get_mut(gslot) {
-                        let _ = g.pool.leave(member);
-                    }
-                }
+            if self.cols.shadow_backlog[i] <= EPS {
+                self.retire(key);
             }
-            None if drained_now => self.retire(key),
-            None => {}
+        } else if let Some(g) = self.groups.get_mut(self.cols.group[i]) {
+            // The pool moves the residual backlog to the overflow queue
+            // and retires the slot once it drains.
+            if let Some(member) = g.member_at(i) {
+                let _ = g.pool.leave(member);
+            }
         }
     }
 
@@ -2311,14 +2453,13 @@ impl ShardState {
     /// slice inline, a [`TickBatch`] decoded on the fly in a worker or a
     /// replay; either way in routing order.
     pub(crate) fn tick(&mut self, arrivals: impl IntoIterator<Item = (u64, f64)>) {
-        if self.sessions.is_empty() {
+        if self.slots.len() == 0 {
             // Idle shard: no sessions means no groups either (a group
             // dissolves with its last member), so only the clock moves.
             self.ticks += 1;
             return;
         }
-        let bound = self.sessions.slot_bound();
-        self.cols.grow_to(bound, self.window);
+        let bound = self.cols.bound();
         // Scatter pass: stage the batched arrivals into the arrived column
         // — one direct-mapped lookup, one array write, and one
         // touched-index record per arrival, so the un-scatter afterwards
@@ -2337,8 +2478,9 @@ impl ShardState {
                 "arrival ({key}, {bits}) entered the kernel unvalidated"
             );
             if let Some(slot) = self.index.get(key) {
-                self.cols.arrived[slot.index as usize] += bits;
-                self.cols.touched.push(slot.index);
+                debug_assert_eq!(self.cols.keys[slot as usize], key, "the key map is exact");
+                self.cols.arrived[slot as usize] += bits;
+                self.cols.touched.push(slot);
             }
         }
         self.tick_staged(bound);
@@ -2369,7 +2511,7 @@ impl ShardState {
             scratch.grp_alloc.clear();
             for (_, group) in groups.iter_mut() {
                 for &(member, _, slot) in &group.by_member {
-                    let i = slot.index as usize;
+                    let i = slot as usize;
                     if cols.flags[i] & F_LEAVING == 0 {
                         let _ = group.pool.submit(member, cols.arrived[i]);
                     }
@@ -2401,7 +2543,7 @@ impl ShardState {
                     }
                     let (_, _, slot) = group.by_member[mi];
                     mi += 1;
-                    let i = slot.index as usize;
+                    let i = slot as usize;
                     let arrived = if cols.flags[i] & F_LEAVING != 0 {
                         0.0
                     } else {
@@ -2446,50 +2588,39 @@ impl ShardState {
 
     /// Freezes a session's metrics and removes it from the live set.
     fn retire(&mut self, key: u64) {
-        let Some(slot) = self.index.remove(key) else {
+        let Some(i) = self.slot_of(key) else {
             return;
         };
-        let Some(entry) = self.sessions.remove(slot) else {
-            return;
-        };
-        if let SessionKind::Pooled { group, member } = entry.kind {
-            if let Some(gslot) = self.group_index.get(group) {
-                let now_empty = match self.groups.get_mut(gslot) {
-                    Some(g) => {
-                        g.by_member.retain(|&(m, _, _)| m != member);
-                        g.by_member.is_empty()
-                    }
-                    None => false,
-                };
-                if now_empty {
-                    self.group_index.remove(group);
-                    if let Some(g) = self.groups.remove(gslot) {
-                        self.stages_retired += g.pool.stage_log().completed() as u64;
-                    }
+        if self.cols.flags[i] & F_DEDICATED == 0 {
+            let gslot = self.cols.group[i];
+            let now_empty = match self.groups.get_mut(gslot) {
+                Some(g) => {
+                    g.by_member.retain(|m| m.2 as usize != i);
+                    g.by_member.is_empty()
                 }
+                None => false,
+            };
+            if now_empty {
+                let g = self.groups.remove(gslot).expect("checked above");
+                self.group_index.remove(g.group);
+                self.stages_retired += g.pool.stage_log().completed() as u64;
             }
         }
-        let i = slot.index as usize;
         self.stages_retired += self.cols.stages_completed[i];
-        let metrics = self
-            .cols
-            .metrics(i, entry.key, entry.tenant, self.shard, self.cost);
-        self.cols.clear_slot(i);
+        let tenant = Arc::clone(self.tenants.name(self.cols.tenant[i]));
+        let metrics = self.cols.metrics(i, key, tenant, self.shard, self.cost);
+        self.vacate(key, i);
         Arc::make_mut(&mut self.retired).push(metrics);
     }
 
     pub(crate) fn report(&self) -> ShardReport {
         // Room for the retired list too: the collector appends it to this
         // vector in place.
-        let mut live = Vec::with_capacity(self.sessions.len() + self.retired.len());
-        live.extend(self.sessions.iter().map(|(slot, e)| {
-            self.cols.metrics(
-                slot.index as usize,
-                e.key,
-                e.tenant.clone(),
-                self.shard,
-                self.cost,
-            )
+        let mut live = Vec::with_capacity(self.slots.len() + self.retired.len());
+        live.extend(self.live_slots().map(|i| {
+            let tenant = Arc::clone(self.tenants.name(self.cols.tenant[i]));
+            let key = self.cols.keys[i];
+            self.cols.metrics(i, key, tenant, self.shard, self.cost)
         }));
         // Vacant and pooled slots rest at zero, so the column sums whole.
         let live_stages: u64 = self.cols.stages_completed.iter().sum();
@@ -2507,7 +2638,7 @@ impl ShardState {
     /// Live session count (for tests).
     #[cfg(test)]
     pub(crate) fn live(&self) -> usize {
-        self.sessions.len()
+        self.slots.len()
     }
 }
 
@@ -2699,8 +2830,8 @@ impl WorkerLoop {
     }
 }
 
-/// A shard's frame rows, read straight from its slab columns: one
-/// sequential run per column.
+/// A shard's frame rows, read straight from its columns: one sequential
+/// run per column.
 impl columnar::ColumnSource for ShardState {
     fn columns(&self, rows: &columnar::Rows<'_>, f: &mut impl columnar::ColumnWriter) {
         use columnar::*;
@@ -2746,8 +2877,8 @@ impl columnar::ColumnSource for ShardState {
         for (j, src) in u64_cols.into_iter().enumerate() {
             f.col(C_U64 + j, at_slots(src, rows.slots));
         }
-        let hull = move || slots().flat_map(|i| cols.hull[i].iter());
-        f.col(C_HULL_LEN, slots().map(|i| cols.hull[i].len() as u64));
+        let hull = move || slots().flat_map(|i| cols.hull(i).iter());
+        f.col(C_HULL_LEN, at_slots(&cols.hull_len, rows.slots));
         f.col(C_HULL_X, hull().map(|p| p.0));
         f.col(C_HULL_Y, hull().map(|p| p.1));
         f.col(C_RECENT_LEN, at_slots(&cols.recent_len, rows.slots));
@@ -2796,7 +2927,7 @@ mod reference {
     struct RefGroup {
         group: u64,
         pool: SessionPool,
-        by_member: Vec<(PoolSessionId, u64, SlotId)>,
+        by_member: Vec<(PoolSessionId, u64, u32)>,
     }
 
     pub(crate) struct RefShard {
@@ -2834,7 +2965,7 @@ mod reference {
             }
         }
 
-        fn push_session(&mut self, entry: RefEntry) -> SlotId {
+        fn push_session(&mut self, entry: RefEntry) -> u32 {
             let key = entry.key;
             let slot = self.sessions.insert(entry);
             self.index.insert(key, slot);
@@ -2926,7 +3057,7 @@ mod reference {
             self.scratch.resize(self.sessions.slot_bound(), 0.0);
             for &(key, bits) in arrivals {
                 if let Some(slot) = self.index.get(key) {
-                    self.scratch[slot.index as usize] += bits.max(0.0);
+                    self.scratch[slot as usize] += bits.max(0.0);
                 }
             }
 
@@ -2942,7 +3073,7 @@ mod reference {
                 for &(member, _, slot) in &group.by_member {
                     let entry = sessions.get(slot).expect("member slot is live");
                     if !entry.leaving {
-                        let _ = group.pool.submit(member, scratch[slot.index as usize]);
+                        let _ = group.pool.submit(member, scratch[slot as usize]);
                     }
                 }
                 let allocs = group.pool.tick();
@@ -2954,7 +3085,7 @@ mod reference {
                         .iter()
                         .find(|&&(m, _, _)| m == member)
                         .expect("pool reported an unknown member");
-                    let arrived_slot = scratch[slot.index as usize];
+                    let arrived_slot = scratch[slot as usize];
                     let entry = sessions.get_mut(slot).expect("member slot is live");
                     let arrived = if entry.leaving { 0.0 } else { arrived_slot };
                     entry.meter.record(arrived, alloc);
@@ -2971,7 +3102,7 @@ mod reference {
                     let arrived = if entry.leaving {
                         0.0
                     } else {
-                        scratch[slot.index as usize]
+                        scratch[slot as usize]
                     };
                     let alloc = alg.on_tick(arrived);
                     entry.meter.record(arrived, alloc);
@@ -3175,7 +3306,7 @@ mod tests {
 
         let mut soa = ShardState::new(0, &cfg);
         for key in 0..n as u64 {
-            soa.join_dedicated(key, "acme".into());
+            soa.join_dedicated(key, &"acme".into());
         }
         let started = std::time::Instant::now();
         for round in 0..ticks {
@@ -3270,7 +3401,7 @@ mod tests {
         for j in 0..n {
             if cols.flags[j] & F_STAGE_OPEN != 0 {
                 open_stages += 1;
-                hull_points += cols.hull[j].len();
+                hull_points += cols.hull_len[j] as usize;
             }
         }
         println!(
@@ -3374,11 +3505,7 @@ mod tests {
             key: 1,
             tenant: "acme".into(),
         });
-        assert_eq!(
-            s.sessions.slot_bound(),
-            1,
-            "the retired session's slot is reused"
-        );
+        assert_eq!(s.cols.bound(), 1, "the retired session's slot is reused");
         let r1 = s.report();
         let r2 = s.report();
         assert!(
@@ -3660,7 +3787,8 @@ mod tests {
     }
 
     /// Leaves `state` the way a panic in the middle of an event could: a
-    /// scalar column cut short, a slab entry no index knows, arrivals
+    /// scalar column cut short, a free slot and a live count no column
+    /// knows, a tenant no slot names, arrivals
     /// staged and never un-scattered, flags longer than their columns and
     /// live bits on slots nothing occupies.
     fn tear(state: &mut ShardState) {
@@ -3676,12 +3804,11 @@ mod tests {
                 *f = F_LIVE | F_DEDICATED | F_STAGE_OPEN | F_LEAVING;
             }
         }
-        state.sessions.insert(SessionEntry {
-            key: u64::MAX,
-            tenant: "torn".into(),
-            leaving: true,
-            kind: SessionKind::Dedicated,
-        });
+        for _ in 0..7 {
+            state.slots.take(0);
+        }
+        state.slots.vacate(3);
+        state.tenants.intern(&"torn".into());
     }
 
     /// A shard's full state with everything placement- and history-
@@ -3856,8 +3983,12 @@ mod tests {
                 .iter()
                 .map(|&(x, y)| (q.1 - y) / (q.0 - x))
                 .fold(f64::NEG_INFINITY, f64::max);
-            let fast = hull_max_slope(&hull, q);
-            prop_assert_eq!(fast, oracle);
+            // Wherever the inline vertices end and the spill begins.
+            for split in 0..=hull.len() {
+                let (head, tail) = hull.split_at(split);
+                let fast = hull_max_slope(HullView { head, tail }, q);
+                prop_assert_eq!(fast, oracle);
+            }
         }
 
         /// The columnar kernel against the retained entry-based kernel,
@@ -4069,7 +4200,7 @@ mod tests {
                 ])
                 .collect();
             let shard = lockstep(&ops).unwrap();
-            let blocks = shard.sessions.slot_bound().div_ceil(RING_BLOCK);
+            let blocks = shard.cols.bound().div_ceil(RING_BLOCK);
             assert_eq!(block_addrs(&shard).len(), blocks, "{n} slots");
         }
     }
@@ -4116,9 +4247,7 @@ mod tests {
                 let mut fresh = shard().rebuild(Some(&frame), &journal);
                 assert_eq!(v1_bytes(&restored), v1_bytes(&fresh));
                 let now = block_addrs(&restored);
-                let blocks = donor_n
-                    .max(restored.sessions.slot_bound())
-                    .div_ceil(RING_BLOCK);
+                let blocks = donor_n.max(restored.cols.bound()).div_ceil(RING_BLOCK);
                 assert_eq!(now.len(), blocks, "donor {donor_n}, frame {frame_n}");
                 assert_eq!(&now[..held.len()], held);
                 for ev in after {
@@ -4151,14 +4280,14 @@ mod tests {
             run(&mut s, Op::Ticks(5, 1));
         }
         assert_eq!(s.ticks(), 1_000);
-        let bound = s.sessions.slot_bound();
+        let bound = s.cols.bound();
         run(&mut s, Op::Leave(2));
         run(&mut s, Op::Ticks(6, 1));
         run(&mut s, Op::Ticks(6, 1));
         assert_eq!(s.live(), RING_BLOCK, "the leaver has drained and retired");
         run(&mut s, Op::JoinDedicated);
         run(&mut s, Op::Ticks(6, 1));
-        assert_eq!(s.sessions.slot_bound(), bound, "the join reused the slot");
+        assert_eq!(s.cols.bound(), bound, "the join reused the slot");
         assert_eq!(block_addrs(&s), blocks);
     }
 
@@ -4247,6 +4376,213 @@ mod tests {
             soa.cols.pend_spill.iter().all(Option::is_none),
             "a drained FIFO holds no spill"
         );
+    }
+
+    /// Slots holding a hull spill.
+    fn hull_spills(s: &ShardState) -> usize {
+        s.cols.hull_spill.iter().flatten().count()
+    }
+
+    /// A frame of `s`, landed in a fresh shard: the landed shard and both
+    /// frames' bytes.
+    fn land_frame(s: &ShardState) -> (ShardState, Vec<u8>, Vec<u8>) {
+        let mut sink = columnar::ColumnSink::default();
+        let mut frame = Vec::new();
+        s.encode_columnar(&mut sink, &mut frame);
+        let mut landed = shard();
+        let parsed = columnar::parse(&frame).unwrap();
+        landed
+            .apply_frame(&parsed, &mut ApplyScratch::default())
+            .unwrap();
+        let mut again = Vec::new();
+        landed.encode_columnar(&mut sink, &mut again);
+        (landed, frame, again)
+    }
+
+    /// Session 0's arrivals climb by 1/64 bit a tick, so its cumulative
+    /// curve is strictly convex and every tick adds a hull vertex: the
+    /// hull outgrows its [`HULL_INLINE`] inline vertices and spills the
+    /// rest. A silent tick then makes the newest point pop all but the
+    /// first vertex, and the shrunken hull keeps its spill, emptied; it
+    /// climbs again, and a burst fires the certificate, so a RESET
+    /// empties the hull and drops the spill; flat traffic after it keeps
+    /// two vertices, as it does session 1's throughout. A pooled pair
+    /// rides along. On every tick the kernel matches the entry-based
+    /// reference, and while a hull is past its inline capacity a frame
+    /// lands it with a spill again, writes the same bytes again, and runs
+    /// on as the shard it came from does, as does a v1 restore.
+    #[test]
+    fn hulls_past_the_inline_capacity_spill_and_stay_bitwise() {
+        let cfg = shard_cfg();
+        let mut soa = shard();
+        let mut oracle = reference::RefShard::new(0, &cfg);
+        let joins = [
+            ReplayEvent::JoinDedicated {
+                key: 0,
+                tenant: "acme".into(),
+            },
+            ReplayEvent::JoinDedicated {
+                key: 1,
+                tenant: "initech".into(),
+            },
+            ReplayEvent::JoinGroup {
+                group: 0,
+                tenant: "globex".into(),
+                members: vec![2, 3].into(),
+            },
+        ];
+        for ev in &joins {
+            oracle.handle(ev);
+            soa.apply(ev);
+        }
+        let climb = |t: u64| 1.0 + t as f64 / 64.0;
+        let ticks = (0..40u64).map(|t| {
+            let bits = match t {
+                10 => 0.0,
+                17 => 100.0,
+                18.. => 1.0,
+                _ => climb(t),
+            };
+            let arrivals = vec![(0, bits), (1, 1.0), (2, 2.0), (3, 1.0)];
+            ReplayEvent::Tick {
+                arrivals: arrivals.into(),
+            }
+        });
+        let (mut spilled, mut shrank_in_spill, mut reset_spilled) = (0, false, false);
+        let mut mirrors: Vec<ShardState> = Vec::new();
+        for ev in &ticks.collect::<Vec<_>>() {
+            let (was_spilled, stages) = (hull_spills(&soa), soa.cols.stages_completed[0]);
+            oracle.handle(ev);
+            soa.apply(ev);
+            for m in &mut mirrors {
+                m.apply(ev);
+                assert_eq!(canonical_bytes(&soa), canonical_bytes(m));
+            }
+            assert_eq!(
+                canonical_forgetful_bytes(soa.checkpoint()),
+                canonical_forgetful_bytes(oracle.checkpoint())
+            );
+            assert!(soa.cols.hull_len[1] <= 2, "a flat curve keeps two vertices");
+            let now = hull_spills(&soa);
+            if soa.cols.stages_completed[0] > stages {
+                assert_eq!(now, 0, "a RESET drops the spill");
+                reset_spilled |= was_spilled > 0;
+            }
+            if now > 0 {
+                let n = soa.cols.hull(0).len();
+                assert_eq!(soa.cols.hull_len[0] as usize, n);
+                let spill = soa.cols.hull_spill[0].as_ref().expect("slot 0 spills");
+                assert_eq!(spill.len(), n.saturating_sub(HULL_INLINE));
+                shrank_in_spill |= n <= HULL_INLINE;
+                if n > HULL_INLINE && spilled < 2 {
+                    let (landed, frame, again) = land_frame(&soa);
+                    assert_eq!(hull_spills(&landed), now, "the frame lands the spill");
+                    assert_eq!(frame, again, "a landed spill writes the same frame");
+                    assert_eq!(canonical_bytes(&soa), canonical_bytes(&landed));
+                    let restored = ShardState::restore(0, &cfg, &soa.checkpoint());
+                    assert_eq!(hull_spills(&restored), now, "a restore lands it too");
+                    mirrors.extend([landed, restored]);
+                    spilled += 1;
+                }
+            }
+        }
+        assert!(spilled >= 2, "the hull spilled");
+        assert!(shrank_in_spill, "a shrinking hull keeps its spill");
+        assert!(reset_spilled, "a RESET empties a spilled hull");
+        assert_eq!(hull_spills(&soa), 0, "no hull outgrows flat traffic");
+        assert_eq!(mirrors.len(), 4);
+    }
+
+    /// A slot freed by a retirement is the next join's, the last freed
+    /// first, and nothing addressed to the departed key reaches the
+    /// session that took its slot: its arrivals, its leave, its export
+    /// and its forget all miss. What the slab's generations guarded, the
+    /// exact key map and the slot's own key now do.
+    #[test]
+    fn departed_keys_miss_the_sessions_that_reuse_their_slots() {
+        let script = |departed: bool| {
+            let mut s = shard();
+            for key in 0..4 {
+                s.apply(&ReplayEvent::JoinDedicated {
+                    key,
+                    tenant: "acme".into(),
+                });
+            }
+            s.apply(&ReplayEvent::JoinGroup {
+                group: 0,
+                tenant: "globex".into(),
+                members: vec![4, 5].into(),
+            });
+            s.apply(&ReplayEvent::Tick {
+                arrivals: vec![(0, 1.0), (3, 2.0), (4, 1.0), (5, 1.0)].into(),
+            });
+            // Idle sessions have nothing queued, so both retire at once.
+            s.apply(&ReplayEvent::Leave { key: 1 });
+            s.apply(&ReplayEvent::Leave { key: 2 });
+            assert_eq!(s.live(), 4);
+            s.apply(&ReplayEvent::JoinDedicated {
+                key: 6,
+                tenant: "acme".into(),
+            });
+            s.apply(&ReplayEvent::JoinDedicated {
+                key: 7,
+                tenant: "initech".into(),
+            });
+            assert_eq!((s.slot_of(6), s.slot_of(7)), (Some(2), Some(1)), "LIFO");
+            assert_eq!(s.cols.bound(), 6, "no slot past the freed ones");
+            for t in 0..12u64 {
+                let mut arrivals = vec![(0, 1.0), (6, (t % 3) as f64), (7, 2.0), (4, 1.0)];
+                if departed {
+                    arrivals.extend([(1, 9.0), (2, 9.0)]);
+                }
+                s.apply(&ReplayEvent::Tick {
+                    arrivals: arrivals.into(),
+                });
+                if departed && t == 4 {
+                    for key in [1, 2] {
+                        assert_eq!(s.slot_of(key), None);
+                        assert!(s.checkpoint_session(key).is_none());
+                        s.apply(&ReplayEvent::Leave { key });
+                        s.apply(&ReplayEvent::Forget { key });
+                    }
+                    assert_eq!(s.live(), 6);
+                }
+            }
+            s
+        };
+        let (hit, clean) = (script(true), script(false));
+        assert_eq!(v1_bytes(&hit), v1_bytes(&clean));
+        assert_eq!(hit.report().live, clean.report().live);
+        assert_eq!(
+            hit.cols.flags[1] & F_LEAVING,
+            0,
+            "the newcomer is not leaving"
+        );
+        // The pooled pair frees its slots to a join as well.
+        let mut s = clean;
+        s.apply(&ReplayEvent::Leave { key: 4 });
+        s.apply(&ReplayEvent::Leave { key: 5 });
+        for _ in 0..32 {
+            s.apply(&ReplayEvent::Tick {
+                arrivals: vec![].into(),
+            });
+        }
+        assert!(
+            s.groups.is_empty(),
+            "the pair retired and its group dissolved"
+        );
+        for key in [8, 9] {
+            s.apply(&ReplayEvent::JoinDedicated {
+                key,
+                tenant: "acme".into(),
+            });
+        }
+        let mut took = [s.slot_of(8), s.slot_of(9)];
+        took.sort();
+        assert_eq!(took, [Some(4), Some(5)]);
+        s.apply(&ReplayEvent::Leave { key: 4 });
+        assert_eq!(s.live(), 6);
+        assert!(s.checkpoint_session(4).is_none());
     }
 
     /// Both shards' full state, key-sorted and v1-encoded: the bitwise

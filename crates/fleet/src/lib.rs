@@ -9,7 +9,7 @@
 //! (`cdba-cli relay` children shuttling bytes on loopback), places
 //! sessions across them with a pluggable [`Placement`] policy, and
 //! live-migrates sessions between processes over the gateway's lease
-//! frames — quiesce, checkpoint the slab row through the binary codec,
+//! frames — quiesce, checkpoint the session row through the binary codec,
 //! transfer, resume at a bumped lease epoch.
 //!
 //! # Determinism

@@ -278,7 +278,7 @@ pub enum Frame {
         batch: u32,
     },
     /// Revoke one session's ownership lease and take its state: the
-    /// session is quiesced, its slab row captured as a binary checkpoint
+    /// session is quiesced, its session row captured as a binary checkpoint
     /// blob, and it is removed from this process with its budget envelope
     /// released. First half of a fleet live migration; the orchestrator
     /// feeds the blob to [`Frame::LeaseGrant`] on the target process.

@@ -110,14 +110,7 @@ const K_UNSIGNED: u8 = 0;
 /// returns where the columns start, each column, and where they end.
 fn spans(frame: &[u8]) -> (usize, Vec<Span<'_>>, usize) {
     let u32_at = |at: usize| u32::from_le_bytes(frame[at..at + 4].try_into().unwrap()) as usize;
-    // Version, kind, clock, rows, W, two prices, B_max, D_O, U_O and the
-    // retired stage count.
-    let mut at = 66;
-    let tenants = u32_at(at);
-    at += 4;
-    for _ in 0..tenants {
-        at += 4 + u32_at(at);
-    }
+    let mut at = string_table(frame).1.end;
     let columns = u32_at(at);
     at += 4;
     let start = at;
@@ -138,6 +131,43 @@ fn spans(frame: &[u8]) -> (usize, Vec<Span<'_>>, usize) {
         at = body.end;
     }
     (start, spans, at)
+}
+
+/// A columnar checkpoint frame's tenant names, in table order, and the
+/// byte range of the table (its count included).
+fn string_table(frame: &[u8]) -> (Vec<&str>, std::ops::Range<usize>) {
+    let u32_at = |at: usize| u32::from_le_bytes(frame[at..at + 4].try_into().unwrap()) as usize;
+    // Version, kind, clock, rows, W, two prices, B_max, D_O, U_O and the
+    // retired stage count.
+    let start = 66;
+    let mut at = start + 4;
+    let mut names = Vec::with_capacity(u32_at(start));
+    for _ in 0..u32_at(start) {
+        let len = u32_at(at);
+        names.push(std::str::from_utf8(&frame[at + 4..at + 4 + len]).unwrap());
+        at += 4 + len;
+    }
+    (names, start..at)
+}
+
+/// The tenant names of a columnar checkpoint frame's string table, which
+/// its `tenant` column indexes.
+pub fn frame_strings(frame: &[u8]) -> Vec<&str> {
+    string_table(frame).0
+}
+
+/// `frame` with its tenant string table replaced by `names` (the
+/// `tenant` column left as it is).
+pub fn with_strings(frame: &[u8], names: &[&str]) -> Vec<u8> {
+    let table = string_table(frame).1;
+    let mut out = frame[..table.start].to_vec();
+    out.extend_from_slice(&(names.len() as u32).to_le_bytes());
+    for name in names {
+        out.extend_from_slice(&(name.len() as u32).to_le_bytes());
+        out.extend_from_slice(name.as_bytes());
+    }
+    out.extend_from_slice(&frame[table.end..]);
+    out
 }
 
 fn span<'s, 'f>(spans: &'s [Span<'f>], name: &str) -> &'s Span<'f> {

@@ -24,7 +24,8 @@
 //! does a session keep its window twice: a column set stays under a
 //! ceiling per dedicated session that a second window ring, or a delay
 //! FIFO that copies the window's arrivals into a deque, would cross, and
-//! a feasible dedicated session holds one heap block, its lower hull.
+//! a feasible dedicated session holds no heap block of its own: its lower
+//! hull sits inline while it has at most four vertices.
 //! Nor does the retained frame carry what the kernel derives, or write a
 //! cell wider than it needs: it stays under a ceiling per dedicated
 //! session that frame v4 crosses.
@@ -289,22 +290,27 @@ fn heap_and_retained_frame_are_flat_in_uptime() {
     // One window per session: the high tracker reads its `W` arrivals
     // from the meter's ring, the meter's clock is the only one, and the
     // delay FIFO keeps only its head — the entries behind it are the
-    // ring's arrivals. 1,167 B per dedicated session measured. A per-slot
-    // FIFO deque (a 32 B header where the spill handle takes 8, and the
-    // capacity it keeps once the FIFO has held two entries) crosses this
-    // ceiling at 1,281 B; a second ring and its clocks reached 1,474 B.
+    // ring's arrivals. And one record: a session's identity is its key,
+    // flags and two `u32` ids in the shard's columns and two `u32` cells
+    // in the driver's table, and its lower hull keeps four vertices
+    // inline. 977 B per dedicated session measured; with a slab entry,
+    // a placement record and a per-slot hull `Vec` it was 1,167 B, and a
+    // per-slot FIFO deque (a 32 B header where the spill handle takes 8,
+    // and the capacity it keeps once the FIFO has held two entries) on
+    // top of those reached 1,281 B.
     let per_session = set / DEDICATED_RESTARTS;
     assert!(
-        per_session <= 1_225,
+        per_session <= 1_026,
         "a dedicated session's column set weighs {per_session} B"
     );
-    // Feasible traffic at `W` = 2·D_O queues no bit past the window, so
-    // the FIFO never spills: each dedicated session adds one heap block,
-    // its lower hull. (A per-slot deque made that two.)
+    // Feasible traffic at `W` = 2·D_O queues no bit past the window and
+    // keeps every hull within its four inline vertices, so neither spill
+    // allocates: a dedicated session adds no heap block. (A per-slot hull
+    // `Vec` made that one, and a per-slot deque two.)
     let (_, half_blocks) = column_set(DEDICATED_RESTARTS / 2);
     assert_eq!(
         blocks - half_blocks,
-        DEDICATED_RESTARTS / 2,
+        0,
         "heap blocks held by {} more dedicated sessions",
         DEDICATED_RESTARTS / 2
     );

@@ -12,7 +12,8 @@ use cdba_ctrl::{
     CheckpointMirror, CheckpointProbe, ControlPlane, CtrlError, ExecMode, ServiceConfig,
 };
 use cdba_integration::{
-    column_f64s, column_u64s, column_width, group_members, with_columns, Cells,
+    column_f64s, column_u64s, column_width, frame_strings, group_members, with_columns,
+    with_strings, Cells,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -474,6 +475,42 @@ fn impossible_frames_are_refused_typed() {
         .import_session(&lease)
         .expect("the intact lease imports");
     plane.shutdown();
+}
+
+/// A string table that names a tenant twice is no attack on the rows:
+/// each entry resolves to its own name, whichever copy a row points at
+/// and wherever the later names shift to. The frame applies, every row
+/// under its own tenant, and re-encodes to the deduplicated original.
+#[test]
+fn a_tenant_named_twice_in_the_string_table_keeps_every_row_its_name() {
+    let frame = grouped();
+    assert_eq!(
+        frame_strings(frame),
+        ["acme", "globex", "initech", "umbrella"]
+    );
+    let tenants = column_u64s(frame, "tenant");
+    assert_eq!(tenants[..DEDICATED], [0, 1, 0, 1]);
+    // Row 2 names the second `acme`; `initech` and `umbrella` move one on.
+    let shifted: Vec<u64> = tenants
+        .iter()
+        .enumerate()
+        .map(|(r, &t)| match t {
+            0 if r == 2 => 2,
+            t if t >= 2 => t + 1,
+            t => t,
+        })
+        .collect();
+    let names = ["acme", "globex", "acme", "initech", "umbrella"];
+    let repeated = with_columns(
+        &with_strings(frame, &names),
+        &[("tenant", Cells::Unsigned(&shifted))],
+    );
+    let mut mirror = CheckpointMirror::new(&cfg());
+    mirror.apply(&repeated).expect("a repeated name applies");
+    assert_eq!(mirror.live_sessions(), tenants.len());
+    let mut out = Vec::new();
+    mirror.encode(&mut out);
+    assert!(out == frame, "a row landed under another tenant");
 }
 
 /// The named hostile mutations from the schema's threat model, each built
