@@ -262,16 +262,15 @@ mod tests {
     }
 
     /// `frame` with cell `cell` of unsigned column `col` set to `value`,
-    /// at the width the column was written at.
+    /// the column re-encoded as the writer lays it out.
     fn poisoned(frame: &[u8], col: usize, cell: usize, value: u64) -> Vec<u8> {
         let parsed = columnar::parse(frame).unwrap();
         let c = parsed.col(col).unwrap();
-        let width = usize::from(c.width);
-        assert!(value.to_le_bytes()[width..].iter().all(|&b| b == 0));
-        let at = c.body.as_ptr() as usize - frame.as_ptr() as usize + cell * width;
-        let mut evil = frame.to_vec();
-        evil[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
-        evil
+        let mut cells: Vec<u64> = (0..c.count as usize)
+            .map(|i| columnar::u64_at(c, i))
+            .collect();
+        cells[cell] = value;
+        columnar::with_cells(frame, col, &cells)
     }
 
     /// `frame` with its one occurrence of `from` replaced by `to`.
@@ -281,6 +280,119 @@ mod tests {
         let mut evil = frame.to_vec();
         evil[at..at + to.len()].copy_from_slice(to);
         evil
+    }
+
+    /// `frame` with byte `at` of column `col`'s presence bitmap XORed with
+    /// `mask`, every length left as written.
+    fn flipped(frame: &[u8], col: usize, at: usize, mask: u8) -> Vec<u8> {
+        let parsed = columnar::parse(frame).unwrap();
+        let bitmap = parsed.col(col).unwrap().sparse.as_ref().unwrap().bitmap;
+        let at = bitmap.as_ptr() as usize - frame.as_ptr() as usize + at;
+        let mut evil = frame.to_vec();
+        evil[at] ^= mask;
+        evil
+    }
+
+    /// A sparse column's body is its bitmap plus one cell per set bit,
+    /// and nothing else: a bit set past the column's cell count, or a
+    /// bitmap whose set bits disagree with the cells written after it (one
+    /// set bit cleared, one clear bit set), is refused as `columnar.sparse`
+    /// before anything is written — by a mirror, a recovering shard and a
+    /// lease import alike.
+    #[test]
+    fn malformed_sparse_bodies_are_refused_typed() {
+        use columnar::{C_F64, C_RECENT};
+        let cfg = cfg();
+        let mut live = ShardState::new(0, &cfg);
+        for key in 0..3 {
+            live.apply(&ReplayEvent::JoinDedicated {
+                key,
+                tenant: "acme".into(),
+            });
+        }
+        live.apply(&ReplayEvent::JoinGroup {
+            group: 0,
+            tenant: "acme".into(),
+            members: vec![3, 4].into(),
+        });
+        for t in 0..7 {
+            let arrivals: Vec<(u64, f64)> = (0..5).map(|k| (k, ((k + t) % 3) as f64)).collect();
+            live.apply(&ReplayEvent::Tick {
+                arrivals: arrivals.into(),
+            });
+        }
+        let mut frame = Vec::new();
+        live.encode_columnar(&mut columnar::ColumnSink::default(), &mut frame);
+        // `b_on` has five cells, the pooled pair's zero: one bitmap byte,
+        // bits 5..8 past the count. `recent` has zeros among its 20: three
+        // bitmap bytes, the last one's bits 4..8 past the count.
+        const B_ON: usize = C_F64 + 9;
+        let parsed = columnar::parse(&frame).unwrap();
+        let (b_on, recent) = (parsed.col(B_ON).unwrap(), parsed.col(C_RECENT).unwrap());
+        assert_eq!((b_on.count, recent.count), (5, 20));
+        let bits = b_on.sparse.as_ref().expect("b_on is written sparse").bitmap[0];
+        assert_eq!(bits, 0b0_0111, "the dedicated rows' cells are written");
+        assert!(recent.sparse.is_some(), "recent is written sparse");
+        let cases = [
+            flipped(&frame, B_ON, 0, 0x80),
+            flipped(&frame, B_ON, 0, 0x20),
+            flipped(&frame, B_ON, 0, 0x01),
+            flipped(&frame, B_ON, 0, 0x08),
+            flipped(&frame, C_RECENT, 2, 0x10),
+            flipped(&frame, C_RECENT, 1, 0x08),
+        ];
+        let mut mirror = CheckpointMirror::new(&cfg);
+        mirror.apply(&frame).unwrap();
+        let held = mirror.state.checkpoint();
+        for evil in &cases {
+            let err = mirror.apply(evil).unwrap_err();
+            assert_eq!(
+                err,
+                CtrlError::InvalidCheckpoint {
+                    field: "columnar.sparse"
+                }
+            );
+            assert_eq!(mirror.state.checkpoint(), held, "the mirror was written");
+            let mut recovering = ShardState::new(0, &cfg).recycle();
+            let parsed = columnar::parse(evil)
+                .map(|f| recovering.apply_frame(&f, &mut ApplyScratch::default()));
+            assert_eq!(parsed.err(), Some("columnar.sparse"));
+            assert_eq!(recovering.live_sessions(), 0, "recovery was written");
+        }
+        mirror
+            .apply(&frame)
+            .expect("the intact frame still applies");
+
+        // A lease's one row: its zero float cells are one-bit bitmaps.
+        let mut plane = crate::ControlPlane::new(cfg.clone());
+        let key = plane.admit("acme").unwrap();
+        for _ in 0..7 {
+            plane.tick(&[(key, 1.0)]).unwrap();
+        }
+        let blob = plane.export_session(key).unwrap();
+        let parsed = columnar::parse(&blob).unwrap();
+        let zero = |j: usize| {
+            let c = parsed.col(j).unwrap();
+            c.sparse.as_ref().is_some_and(|p| p.bitmap == [0])
+        };
+        let col = (0..columnar::NCOLS).find(|&j| zero(j));
+        let col = col.expect("a lease writes a zero float cell as one clear bit");
+        let budget = plane.available_budget();
+        for mask in [0x02, 0x01] {
+            assert_eq!(
+                plane.import_session(&flipped(&blob, col, 0, mask)),
+                Err(CtrlError::InvalidCheckpoint {
+                    field: "columnar.sparse"
+                })
+            );
+            assert_eq!(
+                (plane.live_sessions(), plane.available_budget()),
+                (0, budget)
+            );
+        }
+        plane
+            .import_session(&blob)
+            .expect("the intact blob imports");
     }
 
     /// A string table may name a tenant twice; each row still lands under
@@ -389,9 +501,9 @@ mod tests {
             poisoned(&frame, C_FLAGS, 0, pooled_flags),
             "columnar.groups",
         ));
-        let mut v4 = frame.clone();
-        v4[0] = 4;
-        cases.push((v4, "columnar.version"));
+        let mut v5 = frame.clone();
+        v5[0] = 5;
+        cases.push((v5, "columnar.version"));
         let mut mirror = CheckpointMirror::new(&cfg);
         mirror.apply(&frame).unwrap();
         let held = mirror.state.checkpoint();
@@ -427,12 +539,12 @@ mod tests {
         let window = columnar::parse(&blob).unwrap().col(C_RECENT).unwrap().count;
         assert_eq!(window, 4, "the lease carries a full window");
         let budget = plane.available_budget();
-        let mut v4 = blob.clone();
-        v4[0] = 4;
+        let mut v5 = blob.clone();
+        v5[0] = 5;
         let leases = row_cases
             .iter()
             .map(|&(col, value, want)| (poisoned(&blob, col, 0, value), want))
-            .chain([(v4, "columnar.version")]);
+            .chain([(v5, "columnar.version")]);
         for (evil, want) in leases {
             let err = plane.import_session(&evil).unwrap_err();
             assert!(

@@ -873,6 +873,10 @@ struct Columns {
     /// a hull that swings across the capacity tick after tick would
     /// otherwise allocate and free a spill on every swing.
     hull_spill: Vec<HullSpill>,
+    /// Emptied spills [`Columns::recycle`] kept, lowest slot last, for
+    /// the frame apply or restore that follows to land long hulls in
+    /// instead of allocating them afresh; whatever it leaves is dropped.
+    hull_free: Vec<SpillBox>,
 }
 
 /// One slot's cold delay-FIFO spill: 8 bytes while empty.
@@ -886,7 +890,23 @@ const HULL_INLINE: usize = 4;
 
 /// One slot's cold hull spill: 8 bytes until the hull first outgrows its
 /// inline vertices.
-type HullSpill = Option<Box<Vec<(f64, f64)>>>;
+type HullSpill = Option<SpillBox>;
+
+/// A hull spill's vertices, boxed so that a slot without one holds only
+/// the 8-byte handle.
+type SpillBox = Box<Vec<(f64, f64)>>;
+
+/// An empty hull spill: one [`Columns::recycle`] kept, if any is left,
+/// else a new one.
+fn free_spill(free: &mut Vec<SpillBox>) -> SpillBox {
+    match free.pop() {
+        Some(mut spill) => {
+            spill.clear();
+            spill
+        }
+        None => Box::new(Vec::with_capacity(HULL_INLINE)),
+    }
+}
 
 /// Walks every fixed-width column of a [`Columns`] — the scalars, the
 /// inline hull and the spill handles — with its vacant-slot value (zeros,
@@ -932,13 +952,15 @@ impl Columns {
     }
 
     /// Empties the store, keeping allocations only: every fixed-width
-    /// column goes to length 0 (dropping any spill), so
-    /// [`Columns::grow_to`] re-arms each slot exactly as it does in a
-    /// fresh store; the rings keep their blocks (a ring cell is only read
-    /// under a cursor that was written first).
+    /// column goes to length 0, so [`Columns::grow_to`] re-arms each slot
+    /// exactly as it does in a fresh store; the rings keep their blocks (a
+    /// ring cell is only read under a cursor that was written first), and
+    /// the hull spills move to `hull_free`, emptied when drawn.
     /// Nothing that was *in* a column survives, so a store torn mid-event
     /// is worth exactly as much as a fresh one.
     fn recycle(&mut self) {
+        self.hull_free
+            .extend(self.hull_spill.drain(..).rev().flatten());
         scalar_columns!(self, |col, _vacant| col.clear());
         self.touched.clear();
     }
@@ -971,7 +993,7 @@ impl Columns {
                 spill.clear();
             }
         } else {
-            let spill = spill.get_or_insert_with(|| Box::new(Vec::with_capacity(HULL_INLINE)));
+            let spill = spill.get_or_insert_with(|| free_spill(&mut self.hull_free));
             spill.truncate(n - HULL_INLINE);
             spill.push(p);
         }
@@ -983,7 +1005,11 @@ impl Columns {
         let mut vertices = vertices;
         let cells = self.hull_pts[i].iter_mut();
         cells.zip(vertices.by_ref()).for_each(|(cell, v)| *cell = v);
-        self.hull_spill[i] = (n > HULL_INLINE).then(|| Box::new(vertices.collect()));
+        self.hull_spill[i] = (n > HULL_INLINE).then(|| {
+            let mut spill = free_spill(&mut self.hull_free);
+            spill.extend(vertices);
+            spill
+        });
     }
 
     /// Empties slot `i`'s lower hull.
@@ -1868,6 +1894,7 @@ impl ShardState {
         for ev in journal {
             self.apply(ev);
         }
+        self.cols.hull_free.clear(); // the spills no hull took
         self
     }
 
@@ -2246,6 +2273,7 @@ impl ShardState {
         let retired = Arc::make_mut(&mut self.retired);
         retired.clear();
         retired.extend(f.retired.iter().cloned());
+        self.cols.hull_free.clear(); // the spills no hull took
         self.ticks = f.ticks;
         self.stages_retired = f.stages_retired;
         Ok(())

@@ -92,18 +92,24 @@ unsafe impl GlobalAlloc for LiveBytesAlloc {
     }
 }
 
-/// One column of a columnar checkpoint frame: its name, cell kind and
-/// width, and where its schema entry starts and its body lies.
+/// One column of a columnar checkpoint frame: its name, cell kind,
+/// width and layout, its cell count, and where its schema entry starts and
+/// its body lies.
 struct Span<'a> {
     name: &'a [u8],
     kind: u8,
     width: usize,
+    sparse: bool,
+    count: usize,
     entry: usize,
     body: std::ops::Range<usize>,
 }
 
 /// Cell kind byte of an unsigned column (a float column's is 1).
 const K_UNSIGNED: u8 = 0;
+/// The width byte's high bit: a sparse column, its body a presence bitmap
+/// of one bit per cell, then the cells that are not all-zero bits.
+const SPARSE: u8 = 0x80;
 
 /// Walks a columnar checkpoint frame's documented layout — the fixed
 /// header, the tenant table, then the self-describing columns — and
@@ -118,13 +124,15 @@ fn spans(frame: &[u8]) -> (usize, Vec<Span<'_>>, usize) {
     for _ in 0..columns {
         let len = u32_at(at);
         let name = &frame[at + 4..at + 4 + len];
-        let (kind, width) = (frame[at + 4 + len], usize::from(frame[at + 4 + len + 1]));
+        let (kind, width) = (frame[at + 4 + len], frame[at + 4 + len + 1]);
         let body_at = at + 4 + len + 1 + 1 + 4 + 4; // name, kind, width, count, length
         let body = body_at..body_at + u32_at(body_at - 4);
         spans.push(Span {
             name,
             kind,
-            width,
+            width: usize::from(width & !SPARSE),
+            sparse: width & SPARSE != 0,
+            count: u32_at(body_at - 8),
             entry: at,
             body: body.clone(),
         });
@@ -177,8 +185,35 @@ fn span<'s, 'f>(spans: &'s [Span<'f>], name: &str) -> &'s Span<'f> {
         .unwrap_or_else(|| panic!("the frame has no column `{name}`"))
 }
 
+/// One column of a columnar checkpoint frame, as its schema entry
+/// describes it.
+pub struct Column {
+    pub name: String,
+    /// Bytes per written cell.
+    pub width: usize,
+    /// Written as a presence bitmap, then only the non-zero cells.
+    pub sparse: bool,
+    /// Cells, zero ones included.
+    pub count: usize,
+    /// Bytes of the body as written.
+    pub body: usize,
+}
+
+/// Every column of a columnar checkpoint frame, in frame order.
+pub fn frame_columns(frame: &[u8]) -> Vec<Column> {
+    let spans = spans(frame).1;
+    let column = |s: &Span<'_>| Column {
+        name: String::from_utf8(s.name.to_vec()).unwrap(),
+        width: s.width,
+        sparse: s.sparse,
+        count: s.count,
+        body: s.body.len(),
+    };
+    spans.iter().map(column).collect()
+}
+
 /// The body of the column named `name` in a columnar checkpoint frame,
-/// as written.
+/// as written (a sparse column's bitmap included).
 pub fn frame_column<'a>(frame: &'a [u8], name: &str) -> &'a [u8] {
     let (_, spans, _) = spans(frame);
     &frame[span(&spans, name).body.clone()]
@@ -189,14 +224,28 @@ pub fn column_width(frame: &[u8], name: &str) -> usize {
     span(&spans(frame).1, name).width
 }
 
-/// The cells of the unsigned column named `name`, widened to `u64`.
+/// Whether the column named `name` was written sparse: a presence bitmap,
+/// then only its non-zero cells.
+pub fn column_sparse(frame: &[u8], name: &str) -> bool {
+    span(&spans(frame).1, name).sparse
+}
+
+/// The cells of the unsigned column named `name`, widened to `u64` (a
+/// float column's as the little-endian bits they were written in): a
+/// sparse column's absent cells are 0.
 pub fn column_u64s(frame: &[u8], name: &str) -> Vec<u64> {
-    let width = column_width(frame, name);
-    frame_column(frame, name)
-        .chunks_exact(width)
-        .map(|c| {
+    let spans = spans(frame).1;
+    let s = span(&spans, name);
+    let body = &frame[s.body.clone()];
+    let (bitmap, cells) = body.split_at(if s.sparse { s.count.div_ceil(8) } else { 0 });
+    let mut cells = cells.chunks_exact(s.width);
+    (0..s.count)
+        .map(|i| {
+            if s.sparse && bitmap[i / 8] >> (i % 8) & 1 == 0 {
+                return 0;
+            }
             let mut le = [0u8; 8];
-            le[..width].copy_from_slice(c);
+            le[..s.width].copy_from_slice(cells.next().unwrap());
             u64::from_le_bytes(le)
         })
         .collect()
@@ -204,17 +253,11 @@ pub fn column_u64s(frame: &[u8], name: &str) -> Vec<u64> {
 
 /// The cells of the float column named `name`, widened to `f64`.
 pub fn column_f64s(frame: &[u8], name: &str) -> Vec<f64> {
-    let body = frame_column(frame, name);
-    match column_width(frame, name) {
-        4 => body
-            .chunks_exact(4)
-            .map(|c| f64::from(f32::from_le_bytes(c.try_into().unwrap())))
-            .collect(),
-        _ => body
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect(),
-    }
+    let widen = |bits: u64| match column_width(frame, name) {
+        4 => f64::from(f32::from_bits(bits as u32)),
+        _ => f64::from_bits(bits),
+    };
+    column_u64s(frame, name).into_iter().map(widen).collect()
 }
 
 /// Replacement cells for one column of [`with_columns`].
@@ -224,9 +267,11 @@ pub enum Cells<'a> {
 }
 
 /// `frame` re-laid with the named columns' cells replaced, their widths,
-/// cell counts and body lengths following: each written at the narrowest
-/// width that holds all of its cells, as the frame writer lays a column
-/// out — a frame as a hostile or a hand-built writer would produce it.
+/// layouts, cell counts and body lengths following, as the frame writer
+/// lays a column out: each at the narrowest width that holds all of its
+/// cells, and sparse — a bitmap of one bit per cell, then the cells whose
+/// bits are not all zero — exactly when that body is the smaller one. A
+/// frame as a hostile or a hand-built writer would produce it.
 pub fn with_columns(frame: &[u8], cols: &[(&str, Cells<'_>)]) -> Vec<u8> {
     let (start, spans, end) = spans(frame);
     let mut out = frame[..start].to_vec();
@@ -236,7 +281,8 @@ pub fn with_columns(frame: &[u8], cols: &[(&str, Cells<'_>)]) -> Vec<u8> {
             out.extend_from_slice(&frame[s.entry..s.body.end]);
             continue;
         };
-        let (width, body): (usize, Vec<u8>) = match cells {
+        // Each cell's little-endian bytes at the column's width.
+        let (width, cells): (usize, Vec<Vec<u8>>) = match cells {
             Cells::Unsigned(cells) => {
                 assert_eq!(s.kind, K_UNSIGNED, "an unsigned column");
                 let widest = cells.iter().fold(0, |w, &c| w | c);
@@ -244,23 +290,39 @@ pub fn with_columns(frame: &[u8], cols: &[(&str, Cells<'_>)]) -> Vec<u8> {
                     .into_iter()
                     .find(|&w| w == 8 || widest >> (8 * w) == 0)
                     .unwrap();
-                let body = cells.iter().flat_map(|c| c.to_le_bytes()[..width].to_vec());
-                (width, body.collect())
+                let cells = cells.iter().map(|c| c.to_le_bytes()[..width].to_vec());
+                (width, cells.collect())
             }
             Cells::Float(cells) => {
                 assert_ne!(s.kind, K_UNSIGNED, "a float column");
                 let exact = |c: &f64| f64::from(*c as f32).to_bits() == c.to_bits();
                 if cells.iter().all(exact) {
-                    let body = cells.iter().flat_map(|&c| (c as f32).to_le_bytes());
-                    (4, body.collect())
+                    let cells = cells.iter().map(|&c| (c as f32).to_le_bytes().to_vec());
+                    (4, cells.collect())
                 } else {
-                    (8, cells.iter().flat_map(|c| c.to_le_bytes()).collect())
+                    (8, cells.iter().map(|c| c.to_le_bytes().to_vec()).collect())
                 }
             }
         };
+        let zero = |c: &Vec<u8>| c.iter().all(|&b| b == 0);
+        let zeros = cells.iter().filter(|c| zero(c)).count();
+        let bitmap = cells.len().div_ceil(8);
+        let sparse = bitmap < zeros * width;
+        let body: Vec<u8> = if sparse {
+            let mut body = vec![0u8; bitmap];
+            for (i, c) in cells.iter().enumerate() {
+                if !zero(c) {
+                    body[i / 8] |= 1 << (i % 8);
+                    body.extend_from_slice(c);
+                }
+            }
+            body
+        } else {
+            cells.concat()
+        };
         out.extend_from_slice(head);
-        out.push(width as u8);
-        out.extend_from_slice(&((body.len() / width) as u32).to_le_bytes());
+        out.push(width as u8 | if sparse { SPARSE } else { 0 });
+        out.extend_from_slice(&(cells.len() as u32).to_le_bytes());
         out.extend_from_slice(&(body.len() as u32).to_le_bytes());
         out.extend_from_slice(&body);
     }

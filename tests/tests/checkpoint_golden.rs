@@ -5,87 +5,59 @@
 //! with a pooled group, and a one-row migration frame. A genesis is the
 //! one frame kind.
 //!
-//! The digests were last re-pinned when frame v5 gave each column the
-//! narrowest width that holds its cells bit for bit, split the three
-//! pair columns in two, and stopped carrying the delay FIFO's entries
-//! that the window covers. The v4 lengths are kept beside the new pins,
-//! and every frame is held to the length identity between the two
-//! schemas, computed from the frame's own contents — so widths and the
-//! FIFO's tail are provably the only thing that moved. (Frame v4 had
-//! dropped v3's derived columns the same way.)
+//! The digests were last re-pinned when frame v6 wrote each column whose
+//! zero cells outweigh a bitmap as that bitmap plus its non-zero cells.
+//! The v5 lengths are kept beside the new pins, and every frame is held
+//! to the length identity between the two layouts, computed from the
+//! frame's own contents — so the sparse bodies are provably the only
+//! thing that moved. (Frame v5 had narrowed v4's cells and dropped the
+//! FIFO's window-covered tail the same way, and its v4 lengths are held
+//! here too.)
 
 use cdba_bench::replay::ReplaySpec;
-use cdba_ctrl::{CheckpointProbe, ControlPlane, ExecMode, ServiceConfig, ServiceConfigBuilder};
-use cdba_integration::{column_width, fnv1a, frame_column, with_columns, Cells};
+use cdba_ctrl::{
+    CheckpointMirror, CheckpointProbe, ControlPlane, ExecMode, ServiceConfig, ServiceConfigBuilder,
+};
+use cdba_integration::{
+    column_sparse, column_u64s, column_width, fnv1a, frame_column, frame_columns, with_columns,
+    Cells,
+};
 
-/// What [`v4_len`] needs of a v5 frame, read by walking the documented
-/// layout: header, tenant table, self-describing columns.
-struct Walk<'a> {
-    buf: &'a [u8],
-    at: usize,
+/// The length the v5 encoder gave the frame `v6` now encodes. v5 wrote
+/// every column dense, `count × width` bytes; v6 writes a column sparse
+/// when a bitmap of one bit per cell plus its non-zero cells is smaller.
+/// The schema entries, header, tenant table and tail sections are the
+/// same bytes.
+fn v5_len(v6: &[u8]) -> usize {
+    assert_eq!(v6[0], 6, "frame version");
+    let sparse = frame_columns(v6).into_iter().filter(|c| c.sparse);
+    v6.len() + sparse.map(|c| c.count * c.width - c.body).sum::<usize>()
 }
 
-impl Walk<'_> {
-    fn u8(&mut self) -> u8 {
-        self.at += 1;
-        self.buf[self.at - 1]
-    }
-
-    fn u32(&mut self) -> u32 {
-        self.at += 4;
-        u32::from_le_bytes(self.buf[self.at - 4..self.at].try_into().unwrap())
-    }
-
-    fn unsigned(&mut self, width: usize) -> u64 {
-        let mut le = [0u8; 8];
-        le[..width].copy_from_slice(&self.buf[self.at..self.at + width]);
-        self.at += width;
-        u64::from_le_bytes(le)
-    }
-
-    fn str(&mut self) -> String {
-        let n = self.u32() as usize;
-        self.at += n;
-        String::from_utf8(self.buf[self.at - n..self.at].to_vec()).unwrap()
-    }
-}
-
-/// The length the v4 encoder gave the frame `v5` now encodes. v4 wrote
+/// The length the v4 encoder gave the frame `v6` now encodes. v4 wrote
 /// every cell at full width: `tenant`, `flags` and the `*_len` columns
 /// in 4 bytes, every other cell in 8 (a pair in 16, which v5 splits into
 /// two columns of 8-byte halves). It also wrote the whole delay FIFO, one
 /// 16-byte pair per entry of `pend_len`, where v5 writes the head and
 /// the spill only. A v4 schema entry was 17 bytes around its name
 /// (a 4-byte width) and v5's is 14 (a 1-byte width); v4 had 32 entries
-/// and v5 has 35, the three pair names (18 bytes) becoming six (61). The
-/// header, tenant table and every tail section are the same bytes.
-fn v4_len(v5: &[u8]) -> usize {
-    let mut w = Walk { buf: v5, at: 0 };
-    assert_eq!(w.u8(), 5, "frame version");
-    w.at += 1 + 8 + 4 + 4 + 6 * 8; // kind, ticks, rows, W, cost ×2, b_max, d_o, u_o, stages_retired
-    for _ in 0..w.u32() {
-        w.str();
-    }
-    let (mut narrowed, mut queued, mut held) = (0, 0, 0);
-    for _ in 0..w.u32() {
-        let name = w.str();
-        w.at += 1; // kind
-        let width = usize::from(w.u8());
-        let (count, body) = (w.u32() as usize, w.u32() as usize);
-        let v4_width = match name.as_str() {
+/// and v5 has 35, the three pair names (18 bytes) becoming six (61).
+fn v4_len(v6: &[u8]) -> usize {
+    let (mut narrowed, mut held) = (0, 0);
+    for c in frame_columns(v6) {
+        let v4_width = match c.name.as_str() {
             "tenant" | "flags" => 4,
-            _ if name.ends_with("_len") => 4,
+            name if name.ends_with("_len") => 4,
             _ => 8,
         };
-        narrowed += count * (v4_width - width);
-        match name.as_str() {
-            "pend_len" => queued = (0..count).map(|_| w.unsigned(width) as usize).sum(),
-            "pend_age" => (held, w.at) = (count, w.at + body),
-            _ => w.at += body,
+        narrowed += c.count * (v4_width - c.width);
+        if c.name == "pend_age" {
+            held = c.count;
         }
     }
+    let queued: u64 = column_u64s(v6, "pend_len").iter().sum();
     let schema = (32 * 17 + 18) - (35 * 14 + 61);
-    v5.len() + narrowed + 16 * (queued - held) + schema
+    v5_len(v6) + narrowed + 16 * (queued as usize - held) + schema
 }
 
 fn builder() -> ServiceConfigBuilder {
@@ -136,10 +108,11 @@ fn probe_frames_match_the_pinned_encoder_bytes() {
         genesis.len(),
         "a fresh output buffer is allocated once, at the exact frame length"
     );
+    assert_eq!(v5_len(&genesis), 8238, "genesis vs the v5 layout");
     assert_eq!(v4_len(&genesis), 18755, "genesis vs the v4 schema");
     assert_eq!(
         (genesis.len(), fnv1a(&genesis)),
-        (8238, 11622816720413789228),
+        (7482, 7519993975074719591),
         "genesis"
     );
 }
@@ -159,19 +132,21 @@ fn worker_genesis_and_migration_frames_match_the_pinned_encoder_bytes() {
     let (_, frames) = service.checkpoint_frames_since(0, 0).unwrap();
     let (kind, genesis) = frames.last().expect("a retained frame");
     assert_eq!(*kind, 0);
+    assert_eq!(v5_len(genesis), 2901, "worker genesis vs the v5 layout");
     assert_eq!(v4_len(genesis), 4412, "worker genesis vs the v4 schema");
     assert_eq!(
         (genesis.len(), fnv1a(genesis)),
-        (2901, 8751929270405163112),
+        (2709, 10067079759653757795),
         "worker genesis at tick 16"
     );
 
     let blob = service.export_session(live[2]).unwrap();
     assert_eq!(blob.capacity(), blob.len());
+    assert_eq!(v5_len(&blob), 1114, "migration frame vs the v5 layout");
     assert_eq!(v4_len(&blob), 1339, "migration frame vs the v4 schema");
     assert_eq!(
         (blob.len(), fnv1a(&blob)),
-        (1114, 3400064998222166966),
+        (1101, 4267875291682518673),
         "migration frame"
     );
     service.shutdown();
@@ -180,44 +155,7 @@ fn worker_genesis_and_migration_frames_match_the_pinned_encoder_bytes() {
 /// Bytes of a one-row frame's column bodies: the row itself, without the
 /// header, schema and tenant table every frame pays once.
 fn row_bytes(frame: &[u8]) -> usize {
-    const COLUMNS: [&str; 35] = [
-        "key",
-        "tenant",
-        "flags",
-        "shadow_backlog",
-        "current_alloc",
-        "peak_alloc",
-        "total_arrived",
-        "total_served",
-        "total_allocated",
-        "window_arrived",
-        "window_allocated",
-        "backlog",
-        "b_on",
-        "low_total",
-        "low_low",
-        "high_window_sum",
-        "high_min_window_sum",
-        "min_util",
-        "max_delay_exact",
-        "stage_ticks",
-        "meter_ticks",
-        "changes",
-        "max_delay",
-        "stages_completed",
-        "hull_len",
-        "hull_x",
-        "hull_y",
-        "recent_len",
-        "recent",
-        "alloc_runs_len",
-        "alloc_runs_ticks",
-        "alloc_runs_value",
-        "pend_len",
-        "pend_age",
-        "pend_bits",
-    ];
-    COLUMNS.iter().map(|c| frame_column(frame, c).len()).sum()
+    frame_columns(frame).iter().map(|c| c.body).sum()
 }
 
 /// What one dedicated row costs at `W` = 16, pinned to the byte, as the
@@ -250,7 +188,7 @@ fn a_row_at_w_16_costs_its_pinned_bytes() {
     assert_eq!(frame_column(&steady, "alloc_runs_len"), [1]);
     assert_eq!(
         (steady.len(), row_bytes(&steady)),
-        (1120, 170),
+        (1114, 164),
         "single-run row"
     );
 
@@ -269,11 +207,12 @@ fn a_row_at_w_16_costs_its_pinned_bytes() {
     assert_eq!(worst, churned, "the imported history re-exports as it came");
     assert_eq!(
         (worst.len(), row_bytes(&worst)),
-        (1195, 245),
+        (1189, 239),
         "a change every tick"
     );
     assert_eq!(row_bytes(&worst) - row_bytes(&steady), 15 * 5);
-    // Frame v4 wrote them as 1,369 and 1,609 bytes.
+    // Frame v5 wrote them as 1,120 and 1,195 bytes, v4 as 1,369 and 1,609.
+    assert_eq!((v5_len(&steady), v5_len(&worst)), (1120, 1195));
     assert_eq!((v4_len(&steady), v4_len(&worst)), (1369, 1609));
 }
 
@@ -281,11 +220,14 @@ fn a_row_at_w_16_costs_its_pinned_bytes() {
 /// replaying 32-tick on/off rows whose arrivals are multiples of 1/64,
 /// the worker cutting a frame every 64 ticks. Every integer column, and
 /// every float column whose cells the dyadic traffic keeps `f32`-exact,
-/// narrows: a row weighs at most 200 bytes, where frame v4 wrote about
-/// 428. (Keys below 65,536 take two bytes here, a 100k population's
-/// four.)
+/// narrows, and every column whose zero cells outweigh a bitmap — `recent`
+/// most of all, the idle ticks of the window — is written sparse: a row
+/// weighs at most 105 bytes (95 measured), where frame v5 wrote about 178
+/// and v4 about 408. (Keys below 65,536 take two bytes here, a 100k
+/// population's four.) The frame goes through a mirror and back to the
+/// same bytes: one state, one encoding.
 #[test]
-fn a_bench_shaped_frame_weighs_under_200_bytes_a_row() {
+fn a_bench_shaped_frame_weighs_under_105_bytes_a_row() {
     const SESSIONS: usize = 2048;
     let spec = ReplaySpec {
         sessions: SESSIONS,
@@ -310,7 +252,7 @@ fn a_bench_shaped_frame_weighs_under_200_bytes_a_row() {
         .checkpoint_every(64)
         .build()
         .unwrap();
-    let mut plane = ControlPlane::new(cfg);
+    let mut plane = ControlPlane::new(cfg.clone());
     let registry = cdba_obs::Registry::new();
     plane.attach_metrics(&registry);
     let keys: Vec<u64> = (0..SESSIONS)
@@ -339,10 +281,22 @@ fn a_bench_shaped_frame_weighs_under_200_bytes_a_row() {
         frame.len() as f64,
         "the retained bytes"
     );
-    let (v5, v4) = (frame.len() / SESSIONS, v4_len(&frame) / SESSIONS);
-    assert!(v5 <= 200, "{v5} B a row");
+    let per_row = |len: usize| len / SESSIONS;
+    let (v6, v5, v4) = (
+        per_row(frame.len()),
+        per_row(v5_len(&frame)),
+        per_row(v4_len(&frame)),
+    );
+    assert!(v6 <= 105, "{v6} B a row");
+    assert!((170..=200).contains(&v5), "frame v5 wrote {v5} B a row");
     assert!((400..=460).contains(&v4), "frame v4 wrote {v4} B a row");
     for narrow in ["recent", "alloc_runs_value", "hull_y", "current_alloc"] {
         assert_eq!(column_width(&frame, narrow), 4, "{narrow}");
     }
+    assert!(column_sparse(&frame, "recent"), "the idle ticks cost a bit");
+    let mut mirror = CheckpointMirror::new(&cfg);
+    assert_eq!(mirror.apply(&frame).unwrap(), SESSIONS as u64);
+    let mut again = Vec::new();
+    mirror.encode(&mut again);
+    assert!(again == frame, "the frame re-encodes to other bytes");
 }

@@ -11,7 +11,7 @@
 
 use cdba_ctrl::codec::CODEC_VERSION;
 use cdba_ctrl::{ControlPlane, CtrlError, ExecMode, FaultPlan, ServiceConfig, ServiceSnapshot};
-use cdba_integration::frame_column;
+use cdba_integration::{column_f64s, column_u64s, frame_column, with_columns, Cells};
 use std::time::{Duration, Instant};
 
 const B_MAX: f64 = 16.0;
@@ -759,14 +759,16 @@ fn out_of_domain_floats_in_a_migration_blob_are_rejected_typed() {
     assert!(dst.import_session(&blob).is_ok());
 
     // 10 ticks × 1.5 bits: the meter's total_arrived cell is in the
-    // blob verbatim, an `f32`-exact 15. Poisoning it must trip the domain
-    // validator.
-    let cell = frame_column(&blob, "total_arrived");
-    assert_eq!(cell, 15.0f32.to_le_bytes(), "the known meter total");
-    let at = cell.as_ptr() as usize - blob.as_ptr() as usize;
-    for bad in [f32::NAN, -5.0, f32::INFINITY, f32::NEG_INFINITY] {
-        let mut evil = blob.clone();
-        evil[at..at + 4].copy_from_slice(&bad.to_le_bytes());
+    // blob verbatim, an `f32`-exact 15. Re-encoding it poisoned must trip
+    // the domain validator.
+    assert_eq!(frame_column(&blob, "total_arrived"), 15.0f32.to_le_bytes());
+    assert_eq!(
+        column_f64s(&blob, "total_arrived"),
+        [15.0],
+        "the known total"
+    );
+    for bad in [f64::NAN, -5.0, f64::INFINITY, f64::NEG_INFINITY] {
+        let evil = with_columns(&blob, &[("total_arrived", Cells::Float(&[bad]))]);
         let mut target = inline_service();
         let budget = target.available_budget();
         let err = target.import_session(&evil).unwrap_err();
@@ -849,9 +851,9 @@ fn a_reset_encodes_the_same_whether_ticked_through_or_leased() {
         frames
     };
     let (straight, leased) = (frames(0), frames(9));
-    const F_STAGE_OPEN: u8 = 8;
+    const F_STAGE_OPEN: u64 = 8;
     for (t, frame) in straight.iter().enumerate().skip(6) {
-        let open = frame_column(frame, "flags")[0] & F_STAGE_OPEN != 0;
+        let open = column_u64s(frame, "flags")[0] & F_STAGE_OPEN != 0;
         assert!(t > 8 || !open, "the session is in RESET after tick {t}");
         assert!(
             t < 9 || *frame == leased[t],

@@ -12,8 +12,8 @@ use cdba_ctrl::{
     CheckpointMirror, CheckpointProbe, ControlPlane, CtrlError, ExecMode, ServiceConfig,
 };
 use cdba_integration::{
-    column_f64s, column_u64s, column_width, frame_strings, group_members, with_columns,
-    with_strings, Cells,
+    column_f64s, column_sparse, column_u64s, column_width, frame_strings, group_members,
+    with_columns, with_strings, Cells,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -257,11 +257,12 @@ proptest! {
     }
 
     /// Whatever bits a float cell holds — NaN with any payload (`min_util`'s
-    /// none-yet NaN among them), `±∞` (the grace sentinel), `-0.0`, an
+    /// none-yet NaN among them), `±∞` (the grace sentinel), `±0.0`, an
     /// `f32` subnormal, an `f64` subnormal, `0.1` — a genesis carrying it
     /// applies to a fresh mirror and to a warm one and re-encodes to the
     /// same bytes: a column is written at 4 bytes exactly when every one
-    /// of its cells comes back from `f32` with identical bits, else at 8.
+    /// of its cells comes back from `f32` with identical bits, else at 8,
+    /// and sparse exactly when its `+0.0` cells outweigh a bitmap.
     #[test]
     fn float_cells_round_trip_bitwise_at_either_width(
         draws in proptest::collection::vec(proptest::collection::vec(0usize..PALETTE.len(), 10), 4),
@@ -281,6 +282,9 @@ proptest! {
             let exact = cells.iter().all(|c| f64::from(*c as f32).to_bits() == c.to_bits());
             let width = column_width(&frame, name);
             prop_assert!(width == if exact { 4 } else { 8 }, "{} at {} bytes", name, width);
+            let zeros = cells.iter().filter(|c| c.to_bits() == 0).count();
+            let sparse = cells.len().div_ceil(8) < zeros * width;
+            prop_assert_eq!(column_sparse(&frame, name), sparse);
             let back: Vec<u64> = column_f64s(&frame, name).iter().map(|c| c.to_bits()).collect();
             let want: Vec<u64> = cells.iter().map(|c| c.to_bits()).collect();
             prop_assert!(back == want, "{} as written", name);
@@ -295,9 +299,10 @@ proptest! {
     }
 }
 
-/// Float bits a frame must carry verbatim: the first seven are `f32`-exact,
-/// the last three are not.
-const PALETTE: [u64; 10] = [
+/// Float bits a frame must carry verbatim: the first eight are `f32`-exact,
+/// the last three are not, and only the first is zero.
+const PALETTE: [u64; 11] = [
+    0x0000_0000_0000_0000, // +0.0, a sparse column's absent cell
     0x7ff8_0000_0000_0000, // the none-yet NaN
     0x7ff0_0000_0000_0000, // +∞, the grace sentinel
     0xfff0_0000_0000_0000, // -∞
@@ -312,7 +317,9 @@ const PALETTE: [u64; 10] = [
 
 /// One cell only `f64` holds widens its own column and nothing else: a
 /// genesis whose `b_on` gains a single `0.1` writes that column at 8
-/// bytes while its neighbours stay at 4, and re-encodes to itself.
+/// bytes while its neighbours stay at 4, and re-encodes to itself. The
+/// column is sparse (its pooled rows have no `B_on`), so only its written
+/// cells widen.
 #[test]
 fn one_wide_cell_widens_only_its_column() {
     let base = grouped();
@@ -325,12 +332,15 @@ fn one_wide_cell_widens_only_its_column() {
         );
     }
     let mut b_on = column_f64s(base, "b_on");
-    b_on[3] = 0.1;
+    let written = b_on.iter().filter(|c| c.to_bits() != 0).count();
+    let first = b_on.iter().position(|c| c.to_bits() != 0).unwrap();
+    b_on[first] = 0.1;
     let frame = with_columns(base, &[("b_on", Cells::Float(&b_on))]);
+    assert!(column_sparse(base, "b_on") && column_sparse(&frame, "b_on"));
     assert_eq!(
         frame.len(),
-        base.len() + 10 * 4,
-        "ten cells, four bytes more each"
+        base.len() + written * 4,
+        "{written} written cells, four bytes more each"
     );
     let widths = neighbours.map(|name| column_width(&frame, name));
     assert_eq!(widths, [4, 8, 4]);
@@ -532,6 +542,7 @@ fn named_schema_attacks_map_to_typed_fields() {
         at.expect("the column descriptor is in the frame") + desc.len()
     };
     let kind_at = desc("key");
+    assert!(!column_sparse(&frame, "key"), "the keys are written dense");
     let width = usize::from(frame[kind_at + 1]);
     // name + kind u8 + width u8 + count u32 + body-length u32.
     let body_at = kind_at + 1 + 1 + 4 + 4;
@@ -553,7 +564,12 @@ fn named_schema_attacks_map_to_typed_fields() {
     let mut evil = frame.clone();
     evil[kind_at] = 0x2A; // no such cell kind
     cases.push(("unknown cell kind", evil, "columnar.type"));
-    for (column, illegal) in [("key", 3), ("key", 16), ("current_alloc", 2)] {
+    for (column, illegal) in [
+        ("key", 3),
+        ("key", 16),
+        ("current_alloc", 2),
+        ("recent", 0x82),
+    ] {
         let mut evil = frame.clone();
         evil[desc(column) + 1] = illegal;
         cases.push(("a width its kind does not allow", evil, "columnar.width"));
@@ -582,6 +598,22 @@ fn named_schema_attacks_map_to_typed_fields() {
     }
 }
 
+/// `old`, a frame of an older version, is refused as `columnar.version`
+/// by a warm mirror, which keeps the state it had, and by an empty one.
+fn assert_refused_as_foreign(old: &[u8]) {
+    let (mut mirror, frame) = primed();
+    let field = assert_rejected_untouched(&mut mirror, &frame, old).unwrap();
+    assert_eq!(field, "columnar.version");
+    let mut empty = CheckpointMirror::new(&cfg());
+    assert!(matches!(
+        empty.apply(old),
+        Err(CtrlError::InvalidCheckpoint {
+            field: "columnar.version"
+        })
+    ));
+    assert_eq!((empty.ticks(), empty.live_sessions()), (0, 0));
+}
+
 /// A frame as the v3 writer emitted it (`golden/reset_window.frame`: one
 /// shard, four dedicated sessions and a pooled pair at tick 9, with the
 /// high-window, clock and group columns v4 dropped). Frames are written
@@ -591,17 +623,7 @@ fn named_schema_attacks_map_to_typed_fields() {
 fn a_v3_frame_is_refused_typed_with_the_shard_untouched() {
     let v3: &[u8] = include_bytes!("golden/reset_window.frame");
     assert_eq!(v3[0], 3, "the fixture is a v3 frame");
-    let (mut mirror, frame) = primed();
-    let field = assert_rejected_untouched(&mut mirror, &frame, v3).unwrap();
-    assert_eq!(field, "columnar.version");
-    let mut empty = CheckpointMirror::new(&cfg());
-    assert!(matches!(
-        empty.apply(v3),
-        Err(CtrlError::InvalidCheckpoint {
-            field: "columnar.version"
-        })
-    ));
-    assert_eq!((empty.ticks(), empty.live_sessions()), (0, 0));
+    assert_refused_as_foreign(v3);
 }
 
 /// A frame as the v4 writer emitted it (`golden/probe_v4.frame`: a
@@ -612,15 +634,15 @@ fn a_v3_frame_is_refused_typed_with_the_shard_untouched() {
 fn a_v4_frame_is_refused_typed_with_the_shard_untouched() {
     let v4: &[u8] = include_bytes!("golden/probe_v4.frame");
     assert_eq!(v4[0], 4, "the fixture is a v4 frame");
-    let (mut mirror, frame) = primed();
-    let field = assert_rejected_untouched(&mut mirror, &frame, v4).unwrap();
-    assert_eq!(field, "columnar.version");
-    let mut empty = CheckpointMirror::new(&cfg());
-    assert!(matches!(
-        empty.apply(v4),
-        Err(CtrlError::InvalidCheckpoint {
-            field: "columnar.version"
-        })
-    ));
-    assert_eq!((empty.ticks(), empty.live_sessions()), (0, 0));
+    assert_refused_as_foreign(v4);
+}
+
+/// The same probe state as the v5 writer emitted it
+/// (`golden/probe_v5.frame`: each cell at its narrowest width, every zero
+/// cell written). Refused as `columnar.version` too.
+#[test]
+fn a_v5_frame_is_refused_typed_with_the_shard_untouched() {
+    let v5: &[u8] = include_bytes!("golden/probe_v5.frame");
+    assert_eq!(v5[0], 5, "the fixture is a v5 frame");
+    assert_refused_as_foreign(v5);
 }
