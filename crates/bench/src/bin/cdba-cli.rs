@@ -772,8 +772,8 @@ fn client(args: &[String]) -> CliResult {
 }
 
 /// Parses the fleet's `--fault PROC@TICK:kill` (kill one ctrl process at
-/// a tick boundary; the fleet recovers it by genesis replay on its next
-/// operation). Distinct from `serve`'s intra-process shard faults.
+/// a tick boundary; the fleet recovers it from its latest image and the
+/// ops journaled since on its next operation). Distinct from `serve`'s intra-process shard faults.
 fn parse_proc_fault(raw: &str) -> Result<(usize, u64), String> {
     let err = || format!("bad --fault {raw}: want PROC@TICK:kill");
     let (proc, rest) = raw.split_once('@').ok_or_else(err)?;
@@ -838,7 +838,7 @@ struct FleetTarget {
     now: u64,
     /// `(tick, proc)`: drain `proc` and live-migrate its sessions away.
     drain: Option<(u64, usize)>,
-    /// `(tick, proc)`: kill `proc` outright; genesis replay recovers it.
+    /// `(tick, proc)`: kill `proc` outright; its image and journal recover it.
     fault: Option<(u64, usize)>,
     /// The `--metrics-addr` listener, held alive for the run.
     _metrics: Option<MetricsServer>,
@@ -974,12 +974,14 @@ fn fleet(args: &[String]) -> CliResult {
         outcome.churn_events,
     );
     println!(
-        "placement {}: live per process {:?}; {} migration(s) costing {:.1}, {} respawn(s)",
+        "placement {}: live per process {:?}; {} migration(s) costing {:.1}, {} respawn(s) \
+         replaying {} op(s)",
         fleet_summary.placement,
         fleet_summary.live,
         fleet_summary.migrations,
         fleet_summary.migration_cost,
         fleet_summary.respawns,
+        fleet_summary.replayed_ops,
     );
     println!(
         "signalling: {} changes, total cost {:.1}; max delay {} ticks; admitted {}, rejected {}",
@@ -998,6 +1000,7 @@ fn fleet(args: &[String]) -> CliResult {
         "migrations": fleet_summary.migrations,
         "migration_cost": fleet_summary.migration_cost,
         "respawns": fleet_summary.respawns,
+        "replayed_ops": fleet_summary.replayed_ops,
         "live": fleet_summary.live,
         "imbalance": imbalance(
             &fleet_summary

@@ -4,7 +4,7 @@
 
 use cdba_bench::replay::{run_replay, ReplaySpec, ReplayTarget};
 use cdba_ctrl::{ControlPlane, ExecMode};
-use cdba_fleet::{Fleet, FleetConfig, FleetError, LeastLoaded};
+use cdba_fleet::{Fleet, FleetConfig, FleetError, LeastLoaded, IMAGE_EVERY};
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -114,12 +114,30 @@ fn a_target_killed_before_a_migration_is_respawned_for_the_grant() {
 }
 
 /// Drives the shared churn replay through a fleet, forcing one
-/// drain-and-migrate mid-run.
+/// drain-and-migrate mid-run, with process kills on a schedule.
 struct FleetTarget {
     fleet: Fleet,
     now: u64,
     drain_at: u64,
     drain_proc: usize,
+    /// `(tick, proc)`: kill `proc` before that tick's drain and tick.
+    kills: Vec<(u64, usize)>,
+    /// `(tick, proc)`: after that tick, kill `proc` and pull images at
+    /// once, so the pull's request finds the process gone.
+    kill_then_pull: Option<(u64, usize)>,
+}
+
+impl FleetTarget {
+    fn new(fleet: Fleet, drain_at: u64, drain_proc: usize) -> Self {
+        FleetTarget {
+            fleet,
+            now: 0,
+            drain_at,
+            drain_proc,
+            kills: Vec::new(),
+            kill_then_pull: None,
+        }
+    }
 }
 
 impl ReplayTarget for FleetTarget {
@@ -138,12 +156,23 @@ impl ReplayTarget for FleetTarget {
     }
 
     fn tick(&mut self, arrivals: &[(u64, f64)]) -> Result<(), String> {
+        for &(at, proc) in &self.kills {
+            if at == self.now {
+                self.fleet.kill(proc);
+            }
+        }
         if self.now == self.drain_at {
             self.fleet
                 .drain_and_migrate(self.drain_proc)
                 .map_err(|e| e.to_string())?;
         }
         self.fleet.tick(arrivals).map_err(|e| e.to_string())?;
+        if let Some((at, proc)) = self.kill_then_pull {
+            if at == self.now {
+                self.fleet.kill(proc);
+                self.fleet.pull_images().map_err(|e| e.to_string())?;
+            }
+        }
         self.now += 1;
         Ok(())
     }
@@ -190,12 +219,7 @@ fn fleet_replay_matches_the_in_process_invariant_view_across_a_migration() {
     let fleet = Fleet::start(cfg, Box::new(LeastLoaded)).expect("fleet starts");
     // Least-loaded puts the pooled group on process 0 and every
     // dedicated session on process 1; draining 1 forces real migrations.
-    let mut target = FleetTarget {
-        fleet,
-        now: 0,
-        drain_at: 100,
-        drain_proc: 1,
-    };
+    let mut target = FleetTarget::new(fleet, 100, 1);
     run_replay(&mut target, &spec).expect("fleet replay");
     assert!(
         target.fleet.migrations() >= 1,
@@ -320,4 +344,201 @@ fn fleet_snapshot_is_binary_fast_and_matches_in_process_at_2k_sessions() {
         took.as_millis() < 200,
         "a {SESSIONS}-session fleet snapshot took {took:?}"
     );
+}
+
+use cdba_ctrl::{GlobalMetrics, SessionMetrics};
+
+type InvariantView = (u64, GlobalMetrics, Vec<SessionMetrics>);
+
+/// Single-shard inline children sized for `sessions`.
+fn inline_children(procs: usize, gateways: usize, sessions: &str, pool_frac: &str) -> FleetConfig {
+    let args = ["--sessions", sessions, "--pool-frac", pool_frac];
+    config(
+        procs,
+        gateways,
+        &[&args[..], &["--shards", "1", "--exec", "inline"]].concat(),
+    )
+}
+
+/// The churn spec the kill scenarios replay: half the sessions pooled,
+/// churn every 50 ticks, 200 ticks — images at ticks 64, 128 and 192.
+fn kill_spec() -> ReplaySpec {
+    ReplaySpec {
+        sessions: 8,
+        ticks: 200,
+        churn_every: 50,
+        pool_frac: 0.5,
+        ..ReplaySpec::default()
+    }
+}
+
+/// `cdba-cli serve`'s in-process run of `spec`.
+fn serve_view(spec: &ReplaySpec) -> InvariantView {
+    let cfg = spec
+        .service_builder(spec.default_budget())
+        .exec(ExecMode::Inline)
+        .build()
+        .expect("service config");
+    let mut plane = ControlPlane::new(cfg);
+    run_replay(&mut plane, spec).expect("in-process replay");
+    let view = plane.snapshot().expect("snapshot").invariant_view();
+    plane.shutdown();
+    view
+}
+
+/// Replays `spec` through a 2-process fleet behind one relay, draining
+/// process 1 at tick 100, with `script`'s kills; returns the end view and
+/// the ops each respawn replayed.
+fn killed_run(spec: &ReplaySpec, script: impl FnOnce(&mut FleetTarget)) -> (InvariantView, u64) {
+    let cfg = inline_children(2, 1, "8", "0.5");
+    let fleet = Fleet::start(cfg, Box::new(LeastLoaded)).expect("fleet starts");
+    let mut target = FleetTarget::new(fleet, 100, 1);
+    script(&mut target);
+    run_replay(&mut target, spec).expect("fleet replay");
+    let summary = target.fleet.summary();
+    assert!(summary.migrations >= 1, "the drain moved sessions");
+    assert_eq!(summary.respawns, 1, "one kill, one respawn");
+    let view = target.fleet.snapshot().expect("snapshot").invariant_view();
+    (view, summary.replayed_ops)
+}
+
+/// A killed process comes back from its latest image plus the ops
+/// journaled since — or, before the first image, from the whole
+/// journal — and the run ends bitwise where `serve` does, wherever the
+/// kill lands: before the first image, right after one, as an image is
+/// pulled, or at a drain, on either end of its migrations. After the
+/// first image no respawn replays more than one image interval of ticks
+/// (plus the two ops a churn event adds).
+#[test]
+fn a_kill_anywhere_around_an_image_recovers_bitwise() {
+    let spec = kill_spec();
+    let want = serve_view(&spec);
+    let bound = IMAGE_EVERY + 2;
+
+    // Before the first image: the whole history, admissions included.
+    let (view, replayed) = killed_run(&spec, |t| t.kills.push((30, 1)));
+    assert_eq!(view, want, "kill before the first image");
+    assert!(
+        replayed > 30,
+        "genesis replay re-sends every op: {replayed}"
+    );
+
+    // Right after the image at tick 64: nothing to replay.
+    let (view, replayed) = killed_run(&spec, |t| t.kills.push((64, 1)));
+    assert_eq!(view, want, "kill right after an image");
+    assert_eq!(replayed, 0);
+
+    // The pull's request finds the process gone: it is restored from the
+    // image at 64 plus ticks 65..=91, and asked again.
+    let (view, replayed) = killed_run(&spec, |t| t.kill_then_pull = Some((90, 1)));
+    assert_eq!(view, want, "kill as an image is pulled");
+    assert!((27..=bound).contains(&replayed), "{replayed}");
+
+    // At the drain: the drained source, then the migrations' target.
+    for proc in [1, 0] {
+        let (view, replayed) = killed_run(&spec, |t| t.kills.push((100, proc)));
+        assert_eq!(view, want, "kill of process {proc} at a drain");
+        assert!(replayed <= bound, "{replayed}");
+    }
+}
+
+/// Every process's `cdba_fleet_journal_bytes` gauge, in process order.
+fn journal_bytes(registry: &cdba_obs::Registry) -> Vec<u64> {
+    let text = registry.render();
+    let gauges = text
+        .lines()
+        .filter(|line| line.starts_with("cdba_fleet_journal_bytes{"));
+    gauges
+        .map(|line| line.rsplit(' ').next().unwrap().parse().unwrap())
+        .collect()
+}
+
+/// 200 sessions on two processes, every session arriving every tick:
+/// each tick journals the same bytes, so after the first image the
+/// journal follows one sawtooth — empty at every image, the same bytes
+/// at the same offset past it — however long the fleet runs.
+#[test]
+fn the_orchestrators_journal_is_flat_after_the_first_image() {
+    const SESSIONS: u64 = 200;
+    let cfg = inline_children(2, 0, "200", "0");
+    let mut fleet = Fleet::start(cfg, Box::new(LeastLoaded)).expect("starts");
+    let registry = cdba_obs::Registry::new();
+    fleet.attach_metrics(&registry);
+    for _ in 0..SESSIONS {
+        fleet.admit("acme").expect("admit");
+    }
+    let windows = 4;
+    let mut bytes = Vec::new();
+    for t in 0..IMAGE_EVERY * (windows + 1) {
+        let arrivals: Vec<(u64, f64)> = (0..SESSIONS).map(|k| (k, ((k + t) % 4) as f64)).collect();
+        fleet.tick(&arrivals).expect("tick");
+        bytes.push(journal_bytes(&registry).iter().sum::<u64>());
+    }
+    let every = IMAGE_EVERY as usize;
+    let first = &bytes[every..2 * every];
+    assert_eq!(first[every - 1], 0, "empty at the image");
+    for w in 2..=windows as usize {
+        assert_eq!(&bytes[w * every..(w + 1) * every], first, "window {w}");
+    }
+    // Before the first image the journal also held the admissions.
+    let peak = *first.iter().max().expect("non-empty");
+    assert!(bytes[every - 2] > peak, "{} vs {peak}", bytes[every - 2]);
+    // A tick journals 100 arrivals of 16 bytes per process, at exact
+    // length, plus the op itself.
+    assert!(peak <= (IMAGE_EVERY - 1) * 2 * (100 * 16 + 64), "{peak}");
+}
+
+/// The long run: 10,000 fleet ticks at 200 sessions with a kill every
+/// 1,000 ticks. Every respawn replays at most one image interval of
+/// ticks, the journal gauge never passes its bound, and the fleet ends
+/// bitwise where an in-process plane run in lockstep does.
+#[test]
+#[ignore = "release-only long run: cargo test --release -p cdba-bench --test fleet -- --ignored"]
+fn ten_thousand_ticks_with_a_kill_every_thousand_stay_bounded() {
+    const SESSIONS: u64 = 200;
+    let cfg = inline_children(2, 1, "200", "0");
+    let mut fleet = Fleet::start(cfg, Box::new(LeastLoaded)).expect("starts");
+    let registry = cdba_obs::Registry::new();
+    fleet.attach_metrics(&registry);
+    let service = cdba_ctrl::ServiceConfig::builder(SESSIONS as f64 * 16.0)
+        .exec(ExecMode::Inline)
+        .build()
+        .expect("config");
+    let mut plane = ControlPlane::new(service);
+    for i in 0..SESSIONS {
+        let tenant = ["alpha", "beta"][i as usize % 2];
+        assert_eq!(
+            fleet.admit(tenant).expect("admit"),
+            plane.admit(tenant).unwrap()
+        );
+    }
+    let bound = IMAGE_EVERY * (100 * 16 + 64);
+    let mut replayed = 0;
+    for t in 0..10_000u64 {
+        if t > 0 && t % 1_000 == 0 {
+            fleet.kill((t / 1_000 % 2) as usize);
+        }
+        let arrivals: Vec<(u64, f64)> = (0..SESSIONS)
+            .filter(|k| (k + t) % 3 != 0)
+            .map(|k| (k, ((k * t) % 5) as f64 * 0.5))
+            .collect();
+        fleet.tick(&arrivals).expect("tick");
+        plane.tick(&arrivals).expect("tick");
+        let now = fleet.summary().replayed_ops;
+        assert!(
+            now - replayed <= IMAGE_EVERY,
+            "tick {t}: {} ops",
+            now - replayed
+        );
+        replayed = now;
+        for bytes in journal_bytes(&registry) {
+            assert!(bytes <= bound, "tick {t}: {bytes} journaled bytes");
+        }
+    }
+    assert_eq!(fleet.summary().respawns, 9);
+    assert_eq!(
+        fleet.snapshot().expect("snapshot").invariant_view(),
+        plane.snapshot().expect("snapshot").invariant_view()
+    );
+    plane.shutdown();
 }

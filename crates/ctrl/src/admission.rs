@@ -197,6 +197,28 @@ impl AdmissionController {
         Ok(name)
     }
 
+    /// Re-takes an envelope a restored session or group held when its
+    /// image was cut: committed without the budget and quota checks it
+    /// passed when first granted, and not counted as an admission (the
+    /// image's tallies are, by [`AdmissionController::restore_tallies`]).
+    /// Returns the tenant's interned name, like a grant.
+    pub(crate) fn restore_grant(&mut self, tenant: &str, demand: f64) -> Arc<str> {
+        self.committed += demand;
+        match self.tenants.get_mut(tenant) {
+            Some(entry) => {
+                entry.committed += demand;
+                entry.name.clone()
+            }
+            None => self.intern(tenant, demand).name.clone(),
+        }
+    }
+
+    /// Sets the admitted and rejected counts to a restored image's.
+    pub(crate) fn restore_tallies(&mut self, admitted: u64, rejected: u64) {
+        self.admitted = admitted;
+        self.rejected = rejected;
+    }
+
     /// Undoes a just-granted [`AdmissionController::request`] whose join
     /// could not be delivered to its shard: releases the envelope *and*
     /// retracts the admitted count, so the failed join never shows up in

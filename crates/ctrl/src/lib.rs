@@ -77,7 +77,7 @@ pub use fault::{FaultKind, FaultPlan};
 pub use meter::{SessionMetrics, SignallingMeter};
 pub use metrics::{GlobalMetrics, ServiceSnapshot, ShardHealth, ShardMetrics, SnapshotCounters};
 pub use mirror::{CheckpointMirror, CheckpointProbe};
-pub use service::ControlPlane;
+pub use service::{ControlPlane, PlaneImage};
 
 use std::fmt;
 
@@ -126,6 +126,14 @@ pub enum CtrlError {
         /// The first offending field.
         field: &'static str,
     },
+    /// A process image was refused before the restoring plane changed:
+    /// it is malformed, its header disagrees with its frames, or the
+    /// plane is not fresh or runs another configuration (see
+    /// [`ControlPlane::restore_image`]).
+    InvalidImage {
+        /// What was wrong: an `image.*` or `columnar.*` field.
+        field: &'static str,
+    },
 }
 
 /// The one arrival validator every kernel entry routes through: the bits
@@ -164,6 +172,7 @@ impl fmt::Display for CtrlError {
             CtrlError::InvalidCheckpoint { field } => {
                 write!(f, "migration blob rejected: {field} is out of domain")
             }
+            CtrlError::InvalidImage { field } => write!(f, "process image refused: {field}"),
         }
     }
 }

@@ -48,7 +48,7 @@ use crate::meter::SessionMetrics;
 use crate::metrics::{ServiceSnapshot, ShardHealth, SnapshotCounters};
 use crate::obs::CtrlMetrics;
 use crate::shard::{
-    panic_reason, run_worker, Event, ReplayEvent, Segment, ShardCheckpoint, ShardReport,
+    panic_reason, run_worker, Collect, Event, ReplayEvent, Segment, ShardCheckpoint, ShardReport,
     ShardState, Tenants, TickBatch, WorkerCtx, WorkerMsg, CONTROL_BATCH, JOURNAL_BLOCK,
 };
 use crate::CtrlError;
@@ -61,6 +61,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+mod image;
+pub use image::PlaneImage;
 
 /// Where each live session runs, direct-mapped by key. Session keys are
 /// dense monotone counters, so a `Vec` indexed by key replaces a hash map
@@ -1658,6 +1661,18 @@ impl ControlPlane {
             }
             return gathered;
         }
+        self.collect(Collect::Metrics, |_, report| absorb(&mut gathered, report));
+        gathered
+    }
+
+    /// The threaded fan-out/fan-in behind snapshots and images: one
+    /// `Collect` for `what` is broadcast to every healthy shard, and
+    /// `take` gets each shard's report as it lands, for as long as some
+    /// awaited shard is not silent ([`ControlPlane::patience`]). A shard
+    /// silent for the shard timeout is restarted and retried once; a
+    /// second miss marks it permanently down, and it is the one shard
+    /// `take` never hears from.
+    fn collect(&mut self, what: Collect, mut take: impl FnMut(usize, ShardReport)) {
         let mut collected = vec![false; self.cfg.shards];
         for round in 0..2 {
             // Fan-out: broadcast Collect to every healthy uncollected
@@ -1672,11 +1687,12 @@ impl ControlPlane {
                 let epoch = self.sups[shard].epoch;
                 let sent = {
                     let Backend::Threaded { workers } = &self.backend else {
-                        unreachable!("inline handled above")
+                        unreachable!("the inline backend is read directly")
                     };
                     let worker = workers[shard].as_ref().expect("healthy shard has a worker");
                     worker.tx.send(Event::Collect {
                         reply: reply.clone(),
+                        what,
                     })
                 };
                 if sent.is_ok() {
@@ -1698,7 +1714,7 @@ impl ControlPlane {
             drop(reply);
             self.await_reports(&rx, &mut pending, |shard, report| {
                 collected[shard] = true;
-                absorb(&mut gathered, report);
+                take(shard, report);
             });
             // Stragglers: restart and retry on the first round; give up on
             // the second — stop burning restarts on a shard that cannot
@@ -1712,7 +1728,7 @@ impl ControlPlane {
                     let _ = self.recover(
                         shard,
                         Retiring::Silent,
-                        "snapshot reply stalled past the shard timeout".into(),
+                        "collect reply stalled past the shard timeout".into(),
                     );
                 } else {
                     self.mutated();
@@ -1720,7 +1736,7 @@ impl ControlPlane {
                     let sup = &mut self.sups[shard];
                     sup.healthy = false;
                     sup.inflight = 0;
-                    sup.last_failure = Some("snapshot failed twice despite recovery".into());
+                    sup.last_failure = Some("collect failed twice despite recovery".into());
                 }
             }
             // A shard restarted during this round has not reported yet.
@@ -1728,7 +1744,6 @@ impl ControlPlane {
                 break;
             }
         }
-        gathered
     }
 
     /// Collects a full metrics snapshot. In threaded mode this

@@ -67,10 +67,13 @@ pub(crate) enum Event {
     /// driver's journal, shared with it rather than copied. A lone event
     /// is a batch of one; there is no other way in for a [`ReplayEvent`].
     Batch(Segment),
-    /// Report all metrics (live and retired sessions) back.
+    /// Report all metrics (live and retired sessions) back, or the
+    /// shard's state as one frame for a process image.
     Collect {
         /// Where to send the report.
         reply: crossbeam::channel::Sender<ShardReport>,
+        /// What the report carries.
+        what: Collect,
     },
     /// Capture one session's restorable state (read-only, like
     /// [`Event::Collect`]) for a live migration. `None` if the key is not
@@ -104,6 +107,17 @@ pub(crate) const CONTROL_BATCH: usize = 64;
 /// allocated since.
 pub(crate) const JOURNAL_BLOCK: usize = 4096;
 
+/// What an [`Event::Collect`] asks a shard for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Collect {
+    /// Every session's metrics: [`ShardReport::live`] and
+    /// [`ShardReport::retired`].
+    Metrics,
+    /// The whole shard as one columnar frame in [`ShardReport::image`],
+    /// written into a fresh buffer — never the retained frame's spare.
+    Image,
+}
+
 /// One shard's answer to [`Event::Collect`].
 ///
 /// Retired metrics are shared with the shard's accumulator (`Arc`), so a
@@ -123,6 +137,9 @@ pub(crate) struct ShardReport {
     /// Stages completed on this shard so far, by dedicated sessions and
     /// pooled groups, live and retired — each certifies ≥ 1 offline change.
     pub stages_completed: u64,
+    /// The shard's frame for a [`Collect::Image`] request (the metric
+    /// fields then stay empty); empty for [`Collect::Metrics`].
+    pub image: Vec<u8>,
 }
 
 /// A control event that mutates shard state — everything but the
@@ -2660,7 +2677,38 @@ impl ShardState {
             retired: Arc::clone(&self.retired),
             live,
             stages_completed: self.stages_retired + live_stages + pool_stages as u64,
+            image: Vec::new(),
         }
+    }
+
+    /// The shard as an image report: its frame, written into a fresh
+    /// buffer through `sink`, and no metrics.
+    pub(crate) fn image_report(&self, sink: &mut columnar::ColumnSink) -> ShardReport {
+        let mut image = Vec::new();
+        self.encode_columnar(sink, &mut image);
+        ShardReport {
+            shard: self.shard,
+            epoch: self.epoch,
+            retired: Arc::default(),
+            live: Vec::new(),
+            stages_completed: 0,
+            image,
+        }
+    }
+
+    /// Every live row as `(key, tenant, leaving, group)`, in slot order:
+    /// what the driver's placements, groups and admission grants are
+    /// re-derived from when a process image is restored.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (u64, &Arc<str>, bool, Option<u64>)> + '_ {
+        self.live_slots().map(|i| {
+            let flags = self.cols.flags[i];
+            let group = (flags & F_DEDICATED == 0).then(|| {
+                let g = self.groups.get(self.cols.group[i]);
+                g.expect("a pooled slot's group is live").group
+            });
+            let tenant = self.tenants.name(self.cols.tenant[i]);
+            (self.cols.keys[i], tenant, flags & F_LEAVING != 0, group)
+        })
     }
 
     /// Live session count (for tests).
@@ -2794,10 +2842,14 @@ impl WorkerLoop {
         }
         let batch = match event {
             Event::Batch(batch) => batch,
-            Event::Collect { reply } => {
+            Event::Collect { reply, what } => {
+                let report = match what {
+                    Collect::Metrics => self.state.report(),
+                    Collect::Image => self.state.image_report(&mut self.cp_sink),
+                };
                 // The service may already have dropped the receiver (e.g. a
                 // torn-down snapshot); losing the report is then harmless.
-                let _ = reply.send(self.state.report());
+                let _ = reply.send(report);
                 return true;
             }
             Event::ExportSession { key, reply } => {
@@ -3193,6 +3245,7 @@ mod reference {
                 retired: Arc::clone(&self.retired),
                 live,
                 stages_completed: 0, // the oracle is compared on its checkpoint
+                image: Vec::new(),
             }
         }
 

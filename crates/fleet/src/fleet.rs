@@ -8,12 +8,20 @@
 //! backend, so every session on a backend is owned by that one
 //! connection and lease operations always pass the ownership check.
 //!
-//! Crash recovery is genesis replay: every mutating wire op is recorded
-//! in a per-process journal, and a process that stops answering is
-//! respawned and replayed from scratch. Local keys come back identical
-//! because the child allocates them in op order; the fresh connection is
-//! made *directly* to the respawned backend, bypassing the relay, whose
-//! forwarding target is the dead process's old address.
+//! Crash recovery is an image plus a bounded suffix. Every
+//! [`IMAGE_EVERY`] fleet ticks the orchestrator pulls each child's
+//! process image ([`Client::image`]: every shard's frame plus the
+//! driver's and gateway's own state) and drops that child's journal of
+//! mutating wire ops; a process that stops answering is respawned,
+//! restored from its latest image ([`Client::restore`]) and replayed the
+//! ops journaled since — at most [`IMAGE_EVERY`] ticks' worth. Before the
+//! first image the suffix is the whole history, replayed into a fresh
+//! child: one recovery path, whose base is either an image or nothing.
+//! Local keys come back identical because the image carries the child's
+//! key counter and the child allocates the replayed ops' keys in order;
+//! the fresh connection is made *directly* to the respawned backend,
+//! bypassing the relay, whose forwarding target is the dead process's old
+//! address.
 
 use crate::placement::Placement;
 use crate::FleetError;
@@ -27,6 +35,11 @@ use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
+
+/// Fleet ticks between image pulls: the cadence every threaded
+/// workload checkpoints its shards at, and so the most ticks a respawn
+/// replays.
+pub const IMAGE_EVERY: u64 = 64;
 
 /// How a fleet is built.
 #[derive(Debug, Clone)]
@@ -57,9 +70,10 @@ impl FleetConfig {
     }
 }
 
-/// One mutating wire op, as recorded for genesis replay. Expected local
-/// keys are recorded alongside so a replay that diverges (it cannot,
-/// unless the child binary changed under us) is caught loudly.
+/// One mutating wire op, as journaled for a respawn to replay on top of
+/// the child's latest image. Expected local keys are recorded alongside
+/// so a replay that diverges (it cannot, unless the child binary changed
+/// under us) is caught loudly.
 enum FleetOp {
     Admit {
         tenant: String,
@@ -72,8 +86,10 @@ enum FleetOp {
     Leave {
         local: u64,
     },
+    /// At exact length: the route it was copied from keeps its capacity
+    /// for the next tick.
     Tick {
-        arrivals: Vec<(u64, f64)>,
+        arrivals: Box<[(u64, f64)]>,
     },
     /// Replay re-captures (and discards) the blob: the session's current
     /// state lives wherever the original revoke's blob was granted.
@@ -87,6 +103,25 @@ enum FleetOp {
         local: u64,
     },
     Drain,
+}
+
+impl FleetOp {
+    /// Bytes the op holds: itself and what it points to.
+    fn bytes(&self) -> u64 {
+        let held = match self {
+            FleetOp::Admit { tenant, .. } | FleetOp::AdmitGroup { tenant, .. } => tenant.len(),
+            FleetOp::Tick { arrivals } => std::mem::size_of_val(&**arrivals),
+            FleetOp::Grant { blob, .. } => blob.len(),
+            FleetOp::Leave { .. } | FleetOp::Revoke { .. } | FleetOp::Drain => 0,
+        };
+        (std::mem::size_of::<FleetOp>() + held) as u64
+    }
+}
+
+/// A child's latest process image and the fleet tick it was cut at.
+struct Image {
+    bytes: Vec<u8>,
+    tick: u64,
 }
 
 /// Where one live session currently runs. The lease epoch is not
@@ -106,8 +141,14 @@ struct Proc {
     /// The backend's own listen address (direct).
     addr: String,
     client: Client,
-    /// Genesis journal: every mutating op since spawn, in order.
+    /// The latest image pulled from this process; `None` before the
+    /// first pull.
+    image: Option<Image>,
+    /// Every mutating op since the image (since spawn without one), in
+    /// order.
     journal: Vec<FleetOp>,
+    /// [`FleetOp::bytes`] summed over the journal.
+    journal_bytes: u64,
     /// local key → global key, *permanent* (never removed on leave):
     /// retired sessions keep reporting under their local key and must
     /// still remap in [`Fleet::snapshot`].
@@ -137,8 +178,10 @@ pub struct FleetSummary {
     /// Migration signalling cost: `migrations × per_change` under
     /// [`CostModel::with_change_price`]`(migration_price)`.
     pub migration_cost: f64,
-    /// Child processes respawned and genesis-replayed after a loss.
+    /// Child processes respawned after a loss.
     pub respawns: u64,
+    /// Journaled ops re-sent by respawns, on top of their images.
+    pub replayed_ops: u64,
     /// Live sessions per process, in process order.
     pub live: Vec<usize>,
 }
@@ -156,10 +199,14 @@ struct FleetMetrics {
     lease_failures: Counter,
     /// `cdba_fleet_respawns_total`.
     respawns: Counter,
+    /// `cdba_fleet_replayed_ops_total`.
+    replayed_ops: Counter,
     /// `cdba_fleet_placements_total{policy}`.
     placements: Counter,
     /// `cdba_fleet_proc_sessions{proc}`, indexed by process.
     proc_sessions: Vec<Gauge>,
+    /// `cdba_fleet_journal_bytes{proc}`, indexed by process.
+    journal_bytes: Vec<Gauge>,
 }
 
 impl FleetMetrics {
@@ -177,7 +224,11 @@ impl FleetMetrics {
             ),
             respawns: registry.counter(
                 "cdba_fleet_respawns_total",
-                "Child processes respawned and genesis-replayed after a loss",
+                "Child processes respawned after a loss, each restored from its latest image",
+            ),
+            replayed_ops: registry.counter(
+                "cdba_fleet_replayed_ops_total",
+                "Journaled wire ops re-sent by respawns on top of their images",
             ),
             placements: registry.counter_with(
                 "cdba_fleet_placements_total",
@@ -189,6 +240,15 @@ impl FleetMetrics {
                     registry.gauge_with(
                         "cdba_fleet_proc_sessions",
                         "Live sessions placed on the backend process",
+                        &[("proc", &p.to_string())],
+                    )
+                })
+                .collect(),
+            journal_bytes: (0..procs)
+                .map(|p| {
+                    registry.gauge_with(
+                        "cdba_fleet_journal_bytes",
+                        "Bytes of wire ops journaled for the process since its latest image",
                         &[("proc", &p.to_string())],
                     )
                 })
@@ -208,7 +268,10 @@ pub struct Fleet {
     next_key: u64,
     clock: u64,
     keys: HashMap<u64, SessionLoc>,
+    /// Per-process arrival buffers reused across ticks.
+    routes: Vec<Vec<(u64, f64)>>,
     migrations: u64,
+    replayed_ops: u64,
     obs: Option<FleetMetrics>,
     trace: Option<Arc<TraceRing>>,
 }
@@ -330,13 +393,16 @@ impl Fleet {
                 child,
                 addr,
                 client,
+                image: None,
                 journal: Vec::new(),
+                journal_bytes: 0,
                 local_to_global: HashMap::new(),
                 live: 0,
                 draining: false,
                 respawns: 0,
             });
         }
+        let routes = vec![Vec::new(); cfg.ctrl_procs];
         Ok(Fleet {
             cfg,
             placement,
@@ -345,7 +411,9 @@ impl Fleet {
             next_key: 0,
             clock: 0,
             keys: HashMap::new(),
+            routes,
             migrations: 0,
+            replayed_ops: 0,
             obs: None,
             trace: None,
         })
@@ -382,6 +450,16 @@ impl Fleet {
         }
     }
 
+    /// Appends `op` to `proc`'s journal.
+    fn journal(&mut self, proc: usize, op: FleetOp) {
+        let p = &mut self.procs[proc];
+        p.journal_bytes += op.bytes();
+        p.journal.push(op);
+        if let Some(gauge) = self.obs.as_ref().and_then(|m| m.journal_bytes.get(proc)) {
+            gauge.set(p.journal_bytes as f64);
+        }
+    }
+
     /// Backend worker processes.
     pub fn ctrl_procs(&self) -> usize {
         self.procs.len()
@@ -397,9 +475,9 @@ impl Fleet {
         self.migrations
     }
 
-    /// Runs one wire op against a process, recovering it (respawn +
-    /// genesis replay, directly connected) and retrying once if the op
-    /// fails — a dead child surfaces as an I/O error on its client.
+    /// Runs one wire op against a process, recovering it (respawn, image
+    /// and journal replay, directly connected) and retrying once if the
+    /// op fails — a dead child surfaces as an I/O error on its client.
     fn with_proc<T>(
         &mut self,
         proc: usize,
@@ -421,9 +499,11 @@ impl Fleet {
         }
     }
 
-    /// Respawns a lost process and replays its genesis journal. The new
-    /// connection goes directly to the respawned backend: the relay still
-    /// forwards to the dead incarnation's address and is not updated.
+    /// Respawns a lost process, restores its latest image and replays
+    /// the ops journaled since (the whole history into a fresh child
+    /// before the first image). The new connection goes directly to the
+    /// respawned backend: the relay still forwards to the dead
+    /// incarnation's address and is not updated.
     fn recover_proc(&mut self, proc: usize, cause: &dyn fmt::Display) -> Result<(), FleetError> {
         let lost = |reason: String| FleetError::ProcLost { proc, reason };
         let _ = self.procs[proc].child.kill();
@@ -431,8 +511,22 @@ impl Fleet {
         let (child, addr) =
             spawn_backend(&self.cfg, proc).map_err(|e| lost(format!("respawn: {e}")))?;
         let mut client = connect(&addr, proc).map_err(|e| lost(format!("reconnect: {e}")))?;
-        let wire = |e: ClientError| lost(format!("replay (after {cause}): {e}"));
-        for op in &self.procs[proc].journal {
+        let wire = |e: ClientError| lost(format!("recovery (after {cause}): {e}"));
+        let p = &self.procs[proc];
+        let base = match &p.image {
+            Some(image) => {
+                let (tick, _) = client.restore(&image.bytes).map_err(wire)?;
+                if tick != image.tick {
+                    return Err(lost(format!(
+                        "restore diverged: resumed at tick {tick}, image cut at {}",
+                        image.tick
+                    )));
+                }
+                format!("image at tick {tick}")
+            }
+            None => "genesis".to_string(),
+        };
+        for op in &p.journal {
             match op {
                 FleetOp::Admit { tenant, local } => {
                     let key = client.join(tenant).map_err(wire)?;
@@ -465,19 +559,47 @@ impl Fleet {
                 }
             }
         }
+        let replayed = p.journal.len() as u64;
         let p = &mut self.procs[proc];
         p.child = child;
         p.addr = addr;
         p.client = client;
         p.respawns += 1;
+        self.replayed_ops += replayed;
         if let Some(m) = &self.obs {
             m.respawns.inc();
+            m.replayed_ops.add(replayed);
         }
         self.trace_push(
             TraceEvent::at(self.clock, TraceKind::Respawn)
                 .shard(proc as u32)
-                .detail(format!("genesis replay after: {cause}")),
+                .detail(format!("{base} + {replayed} op(s) after: {cause}")),
         );
+        Ok(())
+    }
+
+    /// Pulls every process's image at the current tick and drops the
+    /// journal it covers, leaving each journal empty. [`Fleet::tick`]
+    /// calls this every [`IMAGE_EVERY`] ticks; a process lost before or
+    /// during its pull is recovered and asked again, like any op.
+    ///
+    /// # Errors
+    ///
+    /// Wire failures after recovery fails.
+    pub fn pull_images(&mut self) -> Result<(), FleetError> {
+        for proc in 0..self.procs.len() {
+            let bytes = self.with_proc(proc, |c| c.image())?;
+            let p = &mut self.procs[proc];
+            p.image = Some(Image {
+                bytes,
+                tick: self.clock,
+            });
+            p.journal.clear();
+            p.journal_bytes = 0;
+            if let Some(gauge) = self.obs.as_ref().and_then(|m| m.journal_bytes.get(proc)) {
+                gauge.set(0.0);
+            }
+        }
         Ok(())
     }
 
@@ -519,10 +641,8 @@ impl Fleet {
     pub fn admit(&mut self, tenant: &str) -> Result<u64, FleetError> {
         let proc = self.place_on(None)?;
         let local = self.with_proc(proc, |c| c.join(tenant))?;
-        self.procs[proc].journal.push(FleetOp::Admit {
-            tenant: tenant.to_string(),
-            local,
-        });
+        let tenant = tenant.to_string();
+        self.journal(proc, FleetOp::Admit { tenant, local });
         let key = self.next_key;
         self.next_key += 1;
         self.procs[proc].local_to_global.insert(local, key);
@@ -549,10 +669,8 @@ impl Fleet {
     pub fn admit_group(&mut self, tenant: &str, size: u32) -> Result<Vec<u64>, FleetError> {
         let proc = self.place_on(None)?;
         let locals = self.with_proc(proc, |c| c.join_group(tenant, size))?;
-        self.procs[proc].journal.push(FleetOp::AdmitGroup {
-            tenant: tenant.to_string(),
-            size,
-        });
+        let tenant = tenant.to_string();
+        self.journal(proc, FleetOp::AdmitGroup { tenant, size });
         let mut members = Vec::with_capacity(locals.len());
         for local in locals {
             let key = self.next_key;
@@ -582,9 +700,7 @@ impl Fleet {
     pub fn leave(&mut self, key: u64) -> Result<(), FleetError> {
         let loc = *self.keys.get(&key).ok_or(FleetError::UnknownSession(key))?;
         self.with_proc(loc.proc, |c| c.leave(loc.local))?;
-        self.procs[loc.proc]
-            .journal
-            .push(FleetOp::Leave { local: loc.local });
+        self.journal(loc.proc, FleetOp::Leave { local: loc.local });
         self.procs[loc.proc].live -= 1;
         self.keys.remove(&key);
         // local_to_global keeps the entry: the retired session still
@@ -596,27 +712,39 @@ impl Fleet {
     /// Advances the whole fleet by one tick: arrivals (keyed by global
     /// key) are routed to their processes and *every* process commits a
     /// tick, listed or not, so all per-process clocks advance in
-    /// lockstep with the fleet clock.
+    /// lockstep with the fleet clock. Every [`IMAGE_EVERY`]-th tick then
+    /// pulls the processes' images ([`Fleet::pull_images`]).
     ///
     /// # Errors
     ///
     /// [`FleetError::UnknownSession`] before anything advances; wire
     /// failures after recovery fails.
     pub fn tick(&mut self, arrivals: &[(u64, f64)]) -> Result<(), FleetError> {
-        let mut routes: Vec<Vec<(u64, f64)>> = vec![Vec::new(); self.procs.len()];
-        for &(key, bits) in arrivals {
+        let mut routes = std::mem::take(&mut self.routes);
+        for route in &mut routes {
+            route.clear();
+        }
+        let routed = arrivals.iter().try_for_each(|&(key, bits)| {
             let loc = self.keys.get(&key).ok_or(FleetError::UnknownSession(key))?;
             routes[loc.proc].push((loc.local, bits));
-        }
-        for (proc, batch) in routes.into_iter().enumerate() {
-            self.with_proc(proc, |c| c.tick(&batch).map(|_| ()))?;
-            self.procs[proc]
-                .journal
-                .push(FleetOp::Tick { arrivals: batch });
-        }
+            Ok(())
+        });
+        let sent = routed.and_then(|()| {
+            routes.iter().enumerate().try_for_each(|(proc, batch)| {
+                self.with_proc(proc, |c| c.tick(batch).map(|_| ()))?;
+                let arrivals = batch.as_slice().into();
+                self.journal(proc, FleetOp::Tick { arrivals });
+                Ok(())
+            })
+        });
+        self.routes = routes;
+        sent?;
         self.clock += 1;
         if let Some(m) = &self.obs {
             m.ticks.inc();
+        }
+        if self.clock.is_multiple_of(IMAGE_EVERY) {
+            self.pull_images()?;
         }
         Ok(())
     }
@@ -655,7 +783,7 @@ impl Fleet {
         }
         let local = loc.local;
         let (epoch, blob) = self.with_proc(loc.proc, |c| c.lease_revoke(local))?;
-        self.procs[loc.proc].journal.push(FleetOp::Revoke { local });
+        self.journal(loc.proc, FleetOp::Revoke { local });
         self.procs[loc.proc].live -= 1;
         self.keys.remove(&key);
         // Deliberately no recovery on the grant itself: a target that
@@ -666,11 +794,12 @@ impl Fleet {
             .lease_grant(epoch + 1, blob.clone())
         {
             Ok(tlocal) => {
-                self.procs[target].journal.push(FleetOp::Grant {
+                let grant = FleetOp::Grant {
                     epoch: epoch + 1,
                     blob,
                     local: tlocal,
-                });
+                };
+                self.journal(target, grant);
                 self.procs[target].local_to_global.insert(tlocal, key);
                 self.procs[target].live += 1;
                 self.keys.insert(
@@ -696,11 +825,12 @@ impl Fleet {
             }
             Err(err) => {
                 let back = self.with_proc(loc.proc, |c| c.lease_grant(epoch, blob.clone()))?;
-                self.procs[loc.proc].journal.push(FleetOp::Grant {
+                let grant = FleetOp::Grant {
                     epoch,
                     blob,
                     local: back,
-                });
+                };
+                self.journal(loc.proc, grant);
                 self.procs[loc.proc].local_to_global.insert(back, key);
                 self.procs[loc.proc].live += 1;
                 self.keys.insert(
@@ -745,7 +875,7 @@ impl Fleet {
     /// migration fails.
     pub fn drain_and_migrate(&mut self, proc: usize) -> Result<u64, FleetError> {
         let locals = self.with_proc(proc, |c| c.drain())?;
-        self.procs[proc].journal.push(FleetOp::Drain);
+        self.journal(proc, FleetOp::Drain);
         self.procs[proc].draining = true;
         let mut moved = 0;
         for local in locals {
@@ -764,7 +894,8 @@ impl Fleet {
 
     /// Kills process `proc`'s child outright — the fault-injection hook
     /// behind `--fault`. The fleet notices on the next op against it and
-    /// recovers by genesis replay.
+    /// recovers it from its latest image plus the ops journaled since —
+    /// at most [`IMAGE_EVERY`] ticks' worth.
     pub fn kill(&mut self, proc: usize) {
         let _ = self.procs[proc].child.kill();
         let _ = self.procs[proc].child.wait();
@@ -827,7 +958,8 @@ impl Fleet {
     }
 
     /// The fleet-level roll-up: placement label, migration count and
-    /// cost, respawns, and the live-session spread.
+    /// cost, respawns and the ops they replayed, and the live-session
+    /// spread.
     pub fn summary(&self) -> FleetSummary {
         let price = CostModel::with_change_price(self.cfg.migration_price).per_change;
         FleetSummary {
@@ -837,6 +969,7 @@ impl Fleet {
             migrations: self.migrations,
             migration_cost: self.migrations as f64 * price,
             respawns: self.procs.iter().map(|p| p.respawns).sum(),
+            replayed_ops: self.replayed_ops,
             live: self.procs.iter().map(|p| p.live).collect(),
         }
     }

@@ -21,8 +21,9 @@
 //! [`invariant_view`](ServiceSnapshot::invariant_view) is
 //! bitwise-identical to the single-process run: under any placement
 //! policy, any process count, across live migrations, and across
-//! crash-recovery respawns (a lost process is replayed from its genesis
-//! op journal).
+//! crash-recovery respawns (a lost process is restored from its latest
+//! process image and replayed the ops journaled since, at most
+//! [`IMAGE_EVERY`] ticks' worth).
 //!
 //! Migration is not free: every hop is metered through
 //! [`cdba_analysis::cost::CostModel`] as one signalling change, in the
@@ -35,7 +36,7 @@ use std::fmt;
 mod fleet;
 mod placement;
 
-pub use fleet::{Fleet, FleetConfig, FleetSummary};
+pub use fleet::{Fleet, FleetConfig, FleetSummary, IMAGE_EVERY};
 pub use placement::{LeastLoaded, Placement};
 
 /// Everything that can go wrong driving a fleet.

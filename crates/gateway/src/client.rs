@@ -124,6 +124,7 @@ impl From<proto::EventBody> for TickEvent {
 enum Apart<'a> {
     Arrivals(&'a [(u64, f64)]),
     Tenant(&'a str),
+    Blob(&'a [u8]),
 }
 
 /// A blocking gateway client over one TCP connection.
@@ -211,6 +212,10 @@ impl Client {
                 proto::encode_arrivals_into(frame, arrivals, &mut self.wbuf)
             }
             Some(Apart::Tenant(tenant)) => proto::encode_tenant_into(frame, tenant, &mut self.wbuf),
+            Some(Apart::Blob(blob)) => {
+                proto::encode_blob_head(frame, blob.len(), &mut self.wbuf);
+                self.wbuf.extend_from_slice(blob);
+            }
             None => proto::encode_into(frame, &mut self.wbuf),
         }
         self.stream
@@ -451,6 +456,53 @@ impl Client {
             Frame::DrainOk { keys, .. } => Ok(keys),
             other => Err(ClientError::Protocol(format!(
                 "expected drain-ok: {other:?}"
+            ))),
+        }
+    }
+
+    /// Cuts a process image of the connected process at its current
+    /// tick — every shard's frame, the control plane's driver state, and
+    /// the gateway's lease epochs and draining flag — for
+    /// [`Client::restore`] to bring up a fresh process from.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::Server`] with [`ErrorCode::Busy`] while arrivals
+    /// are staged for the next tick, or with [`ErrorCode::Ctrl`] when a
+    /// shard is down.
+    ///
+    /// [`ErrorCode::Busy`]: crate::proto::ErrorCode::Busy
+    /// [`ErrorCode::Ctrl`]: crate::proto::ErrorCode::Ctrl
+    pub fn image(&mut self) -> Result<Vec<u8>, ClientError> {
+        match self.request(|id| Frame::Image { id })? {
+            Frame::ImageOk { bytes, .. } => Ok(bytes),
+            other => Err(ClientError::Protocol(format!(
+                "expected image-ok: {other:?}"
+            ))),
+        }
+    }
+
+    /// Restores the connected process, which must be fresh, from an
+    /// image [`Client::image`] cut. Returns the tick the process resumes
+    /// from and the restored live session keys, ascending; this
+    /// connection owns them all.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::Server`] with [`ErrorCode::Ctrl`] carrying the
+    /// control plane's `process image refused: <field>` when the image is
+    /// malformed or the process is not fresh or differently configured;
+    /// the process is left as it was.
+    ///
+    /// [`ErrorCode::Ctrl`]: crate::proto::ErrorCode::Ctrl
+    pub fn restore(&mut self, image: &[u8]) -> Result<(u64, Vec<u64>), ClientError> {
+        match self.request_with(Some(Apart::Blob(image)), |id| Frame::Restore {
+            id,
+            bytes: Vec::new(),
+        })? {
+            Frame::RestoreOk { tick, keys, .. } => Ok((tick, keys)),
+            other => Err(ClientError::Protocol(format!(
+                "expected restore-ok: {other:?}"
             ))),
         }
     }

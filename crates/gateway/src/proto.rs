@@ -40,7 +40,9 @@ pub const MAGIC: [u8; 4] = *b"CDBG";
 /// cursor-chained pull of the columnar checkpoint frame the driver
 /// retains for one shard ([`Frame::CheckpointDeltaBin`]), which a
 /// [`CheckpointMirror`](cdba_ctrl::CheckpointMirror) replays into a
-/// passive replica.
+/// passive replica, and a process image cut and restored whole
+/// ([`Frame::Image`] / [`Frame::Restore`]), which an orchestrator
+/// respawns a lost process from.
 pub const VERSION: u8 = 5;
 
 /// Hard upper bound on one frame's payload, rejected before allocation:
@@ -317,6 +319,24 @@ pub enum Frame {
         /// applying it resets the subscriber's mirror cleanly.
         cursor: u64,
     },
+    /// Cut a process image at the current tick: every shard's frame,
+    /// the control plane's driver state, and this gateway's lease epochs
+    /// and draining flag. Refused with [`ErrorCode::Busy`] while arrivals
+    /// are staged for the next tick.
+    Image {
+        /// Request id.
+        id: u64,
+    },
+    /// Restore a fresh process — one that has issued no session and
+    /// committed no tick — from an [`Frame::ImageOk`]'s bytes. The
+    /// restoring connection owns every restored session; an image the
+    /// process refuses leaves it fresh.
+    Restore {
+        /// Request id.
+        id: u64,
+        /// The image, verbatim from an [`Frame::ImageOk`].
+        bytes: Vec<u8>,
+    },
     /// Put the process in draining mode: new joins are refused with
     /// [`ErrorCode::Draining`] while existing sessions keep ticking, and
     /// the reply lists every migratable (dedicated) session so the
@@ -391,6 +411,23 @@ pub enum Frame {
         /// the frame kind (always 0, a genesis) and the columnar payload,
         /// verbatim as the shard worker emitted it.
         frames: Vec<(u8, Vec<u8>)>,
+    },
+    /// Response to [`Frame::Image`].
+    ImageOk {
+        /// Echoed request id.
+        id: u64,
+        /// The image; feed it to [`Frame::Restore`] verbatim.
+        bytes: Vec<u8>,
+    },
+    /// Response to [`Frame::Restore`].
+    RestoreOk {
+        /// Echoed request id.
+        id: u64,
+        /// The tick the process resumes from: the image's.
+        tick: u64,
+        /// Keys of every restored live session, ascending; the
+        /// restoring connection owns them all.
+        keys: Vec<u64>,
     },
     /// Response to [`Frame::Drain`].
     DrainOk {
@@ -516,6 +553,11 @@ const K_LEASE_GRANT: u8 = 0x41;
 const K_DRAIN: u8 = 0x42;
 const K_CHECKPOINT_DELTA_BIN: u8 = 0x43;
 const K_CHECKPOINT_DELTA_BIN_OK: u8 = 0x2E;
+const K_IMAGE: u8 = 0x44;
+const K_RESTORE: u8 = 0x45;
+// The reply block ends at 0x2F; later replies start a fresh one at 0x50.
+const K_IMAGE_OK: u8 = 0x50;
+const K_RESTORE_OK: u8 = 0x51;
 
 fn put_string(buf: &mut Vec<u8>, s: &str) {
     buf.put_u32_le(s.len() as u32);
@@ -624,6 +666,29 @@ pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) {
         Frame::Drain { id } => {
             payload.put_u8(K_DRAIN);
             payload.put_u64_le(*id);
+        }
+        Frame::Image { id } => {
+            payload.put_u8(K_IMAGE);
+            payload.put_u64_le(*id);
+        }
+        Frame::Restore { id, bytes } => {
+            payload.put_u8(K_RESTORE);
+            payload.put_u64_le(*id);
+            put_bytes(payload, bytes);
+        }
+        Frame::ImageOk { id, bytes } => {
+            payload.put_u8(K_IMAGE_OK);
+            payload.put_u64_le(*id);
+            put_bytes(payload, bytes);
+        }
+        Frame::RestoreOk { id, tick, keys } => {
+            payload.put_u8(K_RESTORE_OK);
+            payload.put_u64_le(*id);
+            payload.put_u64_le(*tick);
+            payload.put_u32_le(keys.len() as u32);
+            for &key in keys {
+                payload.put_u64_le(key);
+            }
         }
         Frame::CheckpointDeltaBin { id, shard, cursor } => {
             payload.put_u8(K_CHECKPOINT_DELTA_BIN);
@@ -948,6 +1013,20 @@ pub fn decode_payload(payload: Bytes) -> Result<Frame, ProtoError> {
             bytes: r.bytes()?,
         },
         K_DRAIN => Frame::Drain { id: r.u64()? },
+        K_IMAGE => Frame::Image { id: r.u64()? },
+        K_RESTORE => Frame::Restore {
+            id: r.u64()?,
+            bytes: r.bytes()?,
+        },
+        K_IMAGE_OK => Frame::ImageOk {
+            id: r.u64()?,
+            bytes: r.bytes()?,
+        },
+        K_RESTORE_OK => Frame::RestoreOk {
+            id: r.u64()?,
+            tick: r.u64()?,
+            keys: r.keys()?,
+        },
         K_CHECKPOINT_DELTA_BIN => Frame::CheckpointDeltaBin {
             id: r.u64()?,
             shard: r.u32()?,
@@ -1057,6 +1136,8 @@ pub fn reply_id(frame: &Frame) -> Option<u64> {
         | Frame::LeaseGranted { id, .. }
         | Frame::DrainOk { id, .. }
         | Frame::CheckpointDeltaBinOk { id, .. }
+        | Frame::ImageOk { id, .. }
+        | Frame::RestoreOk { id, .. }
         | Frame::SubscribeOk { id }
         | Frame::GoodbyeOk { id } => Some(*id),
         _ => None,
@@ -1138,6 +1219,20 @@ mod tests {
         roundtrip(Frame::DrainOk {
             id: 28,
             keys: vec![1, 4, 9],
+        });
+        roundtrip(Frame::Image { id: 30 });
+        roundtrip(Frame::ImageOk {
+            id: 30,
+            bytes: vec![3, 1, 4],
+        });
+        roundtrip(Frame::Restore {
+            id: 31,
+            bytes: vec![3, 1, 4],
+        });
+        roundtrip(Frame::RestoreOk {
+            id: 31,
+            tick: 64,
+            keys: vec![0, 2],
         });
         roundtrip(Frame::Goodbye { id: 14 });
         roundtrip(Frame::Joined { id: 7, key: 42 });

@@ -777,6 +777,8 @@ impl Core {
             | Frame::LeaseRevoke { .. }
             | Frame::LeaseGrant { .. }
             | Frame::Drain { .. }
+            | Frame::Image { .. }
+            | Frame::Restore { .. }
             | Frame::CheckpointDeltaBin { .. }) => {
                 self.service.handle(conn_id, request, &mut self.out);
                 self.drain_outbox();

@@ -22,7 +22,8 @@ use crate::codec::SnapshotStream;
 use crate::proto::{ErrorCode, EventBody, Frame, PUSH_ID};
 use crate::stats::WireStats;
 use crate::GatewaySnapshot;
-use cdba_ctrl::{ControlPlane, CtrlError, ServiceConfig, ServiceSnapshot};
+use cdba_ctrl::codec::{Dec, Enc};
+use cdba_ctrl::{ControlPlane, CtrlError, PlaneImage, ServiceConfig, ServiceSnapshot};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -98,6 +99,65 @@ pub(crate) struct ServiceCore {
 /// arrival staged; the rest is the owning connection.
 const STAGED: u64 = 1 << 63;
 
+/// Leads the gateway's part of a process image:
+///
+/// ```text
+/// image := "CDGI" · u8 version · u8 draining · u32 leases
+///        · leases × (u64 key · u64 epoch) · control-plane image
+/// ```
+///
+/// Leases are listed by key, ascending; the control-plane image
+/// ([`ControlPlane::cut_image`]) is the rest of the bytes.
+const IMAGE_MAGIC: [u8; 4] = *b"CDGI";
+
+/// The gateway image layout's version.
+const IMAGE_VERSION: u8 = 1;
+
+fn image_refused(field: &'static str) -> CtrlError {
+    CtrlError::InvalidImage { field }
+}
+
+/// A gateway image split into its parts.
+struct GatewayImage<'a> {
+    draining: bool,
+    /// `(key, epoch)`, ascending by key.
+    leases: Vec<(u64, u64)>,
+    /// The control-plane image behind them.
+    plane: &'a [u8],
+}
+
+fn parse_image(bytes: &[u8]) -> Result<GatewayImage<'_>, CtrlError> {
+    let mut d = Dec::new(bytes);
+    let head = (|| {
+        let magic = d.bytes(4)?;
+        let version = d.u8()?;
+        let draining = d.u8()?;
+        let n = d.len(16)?;
+        let mut leases = Vec::with_capacity(n);
+        for _ in 0..n {
+            leases.push((d.u64()?, d.u64()?));
+        }
+        Ok::<_, cdba_ctrl::codec::CodecError>((magic, version, draining, leases))
+    })();
+    let (magic, version, draining, leases) = head.map_err(|_| image_refused("image.gateway"))?;
+    if magic != IMAGE_MAGIC {
+        return Err(image_refused("image.magic"));
+    }
+    if version != IMAGE_VERSION {
+        return Err(image_refused("image.version"));
+    }
+    // Keys ascending, each once; a join's epoch 0 is never listed.
+    let ordered = leases.windows(2).all(|p| p[0].0 < p[1].0);
+    if draining > 1 || !ordered || leases.iter().any(|&(_, epoch)| epoch == 0) {
+        return Err(image_refused("image.gateway"));
+    }
+    Ok(GatewayImage {
+        draining: draining == 1,
+        leases,
+        plane: &bytes[bytes.len() - d.remaining()..],
+    })
+}
+
 fn ctrl_error(id: u64, e: &CtrlError) -> Frame {
     Frame::Error {
         id,
@@ -164,6 +224,8 @@ impl ServiceCore {
                 Some(self.lease_grant(conn, id, epoch, &bytes))
             }
             Frame::Drain { id } => Some(self.drain(id)),
+            Frame::Image { id } => Some(self.image(id)),
+            Frame::Restore { id, bytes } => Some(self.restore(conn, id, &bytes)),
             Frame::CheckpointDeltaBin { id, shard, cursor } => {
                 Some(self.checkpoint_delta_bin(id, shard, cursor))
             }
@@ -270,6 +332,80 @@ impl ServiceCore {
             },
             Err(e) => ctrl_error(id, &e),
         }
+    }
+
+    /// Cuts a process image: this gateway's lease epochs and draining
+    /// flag, then the control plane's image. Only at a tick boundary: a
+    /// staged arrival or a parked commit belongs to no image.
+    fn image(&mut self, id: u64) -> Frame {
+        if !self.pending.is_empty() || self.parked.is_some() {
+            return Frame::Error {
+                id,
+                code: ErrorCode::Busy,
+                message: "arrivals are staged for the next tick; images are cut between ticks"
+                    .into(),
+            };
+        }
+        let plane = match self.plane.cut_image() {
+            Ok(plane) => plane,
+            Err(e) => return ctrl_error(id, &e),
+        };
+        let mut leases: Vec<(u64, u64)> = self.leases.iter().map(|(&k, &e)| (k, e)).collect();
+        leases.sort_unstable();
+        let mut bytes = Vec::with_capacity(10 + 16 * leases.len() + plane.len());
+        bytes.extend_from_slice(&IMAGE_MAGIC);
+        let mut e = Enc::new(&mut bytes);
+        e.u8(IMAGE_VERSION);
+        e.u8(u8::from(self.draining));
+        e.len(leases.len());
+        for (key, epoch) in leases {
+            e.u64(key);
+            e.u64(epoch);
+        }
+        bytes.extend_from_slice(&plane);
+        Frame::ImageOk { id, bytes }
+    }
+
+    /// Restores a fresh gateway — no session owned, no lease, not
+    /// draining, nothing staged — and its fresh plane from an image; the
+    /// restoring connection owns every restored session. Every check,
+    /// the leases naming restored sessions included, runs before the
+    /// plane changes.
+    fn restore(&mut self, conn: u64, id: u64, bytes: &[u8]) -> Frame {
+        let fresh = !self.draining
+            && self.leases.is_empty()
+            && self.pending.is_empty()
+            && self.slots.iter().all(|&slot| slot == 0);
+        let restored = if fresh {
+            self.restore_image(conn, bytes)
+        } else {
+            Err(image_refused("image.fresh"))
+        };
+        match restored {
+            Ok(keys) => Frame::RestoreOk {
+                id,
+                tick: self.plane.ticks(),
+                keys,
+            },
+            Err(e) => ctrl_error(id, &e),
+        }
+    }
+
+    fn restore_image(&mut self, conn: u64, bytes: &[u8]) -> Result<Vec<u64>, CtrlError> {
+        let gateway = parse_image(bytes)?;
+        let image = PlaneImage::parse(gateway.plane)?;
+        let live = image.live_keys();
+        let leased = |(key, _): &(u64, u64)| live.binary_search(key).is_ok();
+        if !gateway.leases.iter().all(leased) {
+            return Err(image_refused("image.leases"));
+        }
+        self.plane.restore_image(&image)?;
+        for &key in live {
+            self.own(key, conn);
+        }
+        self.leases = gateway.leases.into_iter().collect();
+        self.draining = gateway.draining;
+        Ok(live.to_vec())
     }
 
     /// Enters draining mode and lists every migratable session.
@@ -794,5 +930,181 @@ mod tests {
         assert_eq!(code, ErrorCode::Ctrl);
         assert!(message.contains("twice"), "across batches too: {message}");
         core.finish().expect("final snapshot");
+    }
+
+    /// The one frame a request is answered with.
+    fn reply(core: &mut ServiceCore, conn: u64, frame: Frame) -> Frame {
+        let mut replies = request(core, conn, frame);
+        assert_eq!(replies.len(), 1, "{replies:?}");
+        replies.pop().expect("one reply")
+    }
+
+    /// An image carries the gateway's own state beside the plane's: lease
+    /// epochs and the draining flag. A fresh gateway restored from it
+    /// hands every session to the restoring connection and answers every
+    /// later request as the original does; a gateway that is not fresh,
+    /// or an image cut with arrivals staged, is refused typed.
+    #[test]
+    fn an_image_carries_leases_and_draining_and_restores_onto_one_connection() {
+        let service = ServiceConfig::builder(256.0)
+            .exec(ExecMode::Inline)
+            .shards(2)
+            .build()
+            .expect("valid config");
+        let core = || ServiceCore::new(service.clone(), Arc::new(WireStats::new()));
+        let (mut donor, mut original) = (core(), core());
+        let Frame::Joined { key: moving, .. } = reply(
+            &mut donor,
+            1,
+            Frame::Join {
+                id: 1,
+                tenant: "acme".into(),
+            },
+        ) else {
+            panic!("join")
+        };
+        let Frame::LeaseRevoked { bytes: blob, .. } =
+            reply(&mut donor, 1, Frame::LeaseRevoke { id: 2, key: moving })
+        else {
+            panic!("revoke")
+        };
+        let mut keys = Vec::new();
+        for (conn, tenant) in [(1, "acme"), (2, "globex"), (1, "acme")] {
+            let join = Frame::Join {
+                id: 3,
+                tenant: tenant.into(),
+            };
+            let Frame::Joined { key, .. } = reply(&mut original, conn, join) else {
+                panic!("join")
+            };
+            keys.push(key);
+        }
+        let grant = Frame::LeaseGrant {
+            id: 4,
+            epoch: 5,
+            bytes: blob,
+        };
+        let Frame::LeaseGranted { key: migrated, .. } = reply(&mut original, 2, grant) else {
+            panic!("grant")
+        };
+        let arrivals = vec![(keys[0], 3.0), (keys[2], 1.0)];
+        assert!(request(&mut original, 1, Frame::StageNoAck { arrivals }).is_empty());
+        let busy = reply(&mut original, 1, Frame::Image { id: 5 });
+        assert!(
+            matches!(
+                busy,
+                Frame::Error {
+                    code: ErrorCode::Busy,
+                    ..
+                }
+            ),
+            "{busy:?}"
+        );
+        let tick = Frame::Tick {
+            id: 6,
+            arrivals: vec![(keys[1], 2.0), (migrated, 1.0)],
+        };
+        assert!(matches!(
+            reply(&mut original, 2, tick),
+            Frame::TickOk { tick: 1, .. }
+        ));
+        assert!(matches!(
+            reply(&mut original, 1, Frame::Drain { id: 7 }),
+            Frame::DrainOk { .. }
+        ));
+        let Frame::ImageOk { bytes: image, .. } = reply(&mut original, 1, Frame::Image { id: 8 })
+        else {
+            panic!("image")
+        };
+
+        let mut restored = core();
+        let restore = Frame::Restore {
+            id: 9,
+            bytes: image.clone(),
+        };
+        let Frame::RestoreOk {
+            tick, keys: live, ..
+        } = reply(&mut restored, 7, restore)
+        else {
+            panic!("restore")
+        };
+        assert_eq!(tick, 1);
+        let mut all = keys.clone();
+        all.push(migrated);
+        assert_eq!(live, all);
+        // Connection 7 owns everything now, so the same arrivals tick
+        // from it that needed two connections on the original.
+        for (core, conns) in [(&mut original, [1, 2]), (&mut restored, [7, 7])] {
+            let tick = |id, arrivals| Frame::Tick { id, arrivals };
+            assert!(request(
+                core,
+                conns[0],
+                Frame::StageNoAck {
+                    arrivals: vec![(keys[0], 1.0)],
+                }
+            )
+            .is_empty());
+            let reply = reply(core, conns[1], tick(10, vec![(migrated, 4.0)]));
+            assert!(matches!(reply, Frame::TickOk { tick: 2, .. }), "{reply:?}");
+        }
+        // Both refuse a join (draining) and revoke the migrated session
+        // at the epoch it was granted at; the retired key's metrics stay.
+        for (core, conn) in [(&mut original, 2), (&mut restored, 7)] {
+            let join = Frame::Join {
+                id: 11,
+                tenant: "initech".into(),
+            };
+            let refused = reply(core, conn, join);
+            assert!(
+                matches!(
+                    refused,
+                    Frame::Error {
+                        code: ErrorCode::Draining,
+                        ..
+                    }
+                ),
+                "{refused:?}"
+            );
+            let revoked = reply(
+                core,
+                conn,
+                Frame::LeaseRevoke {
+                    id: 12,
+                    key: migrated,
+                },
+            );
+            assert!(
+                matches!(revoked, Frame::LeaseRevoked { epoch: 5, .. }),
+                "{revoked:?}"
+            );
+        }
+        assert_eq!(
+            original.plane.snapshot().unwrap().invariant_view(),
+            restored.plane.snapshot().unwrap().invariant_view()
+        );
+        // Neither a restored gateway nor one with a session takes an
+        // image, and nothing changed by the refusal.
+        for core in [&mut restored, &mut original] {
+            let again = Frame::Restore {
+                id: 13,
+                bytes: image.clone(),
+            };
+            let Frame::Error { code, message, .. } = reply(core, 3, again) else {
+                panic!("refused")
+            };
+            assert_eq!(code, ErrorCode::Ctrl);
+            assert!(message.contains("image.fresh"), "{message}");
+        }
+        let mut fresh = core();
+        let foreign = Frame::Restore {
+            id: 14,
+            bytes: image[..image.len() - 1].to_vec(),
+        };
+        let Frame::Error { message, .. } = reply(&mut fresh, 1, foreign) else {
+            panic!("refused")
+        };
+        assert!(message.contains("process image refused"), "{message}");
+        assert_eq!(fresh.plane.ticks(), 0);
+        assert!(fresh.slots.iter().all(|&slot| slot == 0) && !fresh.draining);
     }
 }

@@ -30,7 +30,8 @@ pub enum TraceKind {
     Migration,
     /// A fleet migration failed and the lease was granted back.
     LeaseFailure,
-    /// A fleet ctrl process was respawned and genesis-replayed.
+    /// A fleet ctrl process was respawned: restored from its latest image
+    /// and replayed the ops journaled since.
     Respawn,
     /// A fleet placement decision.
     Placement,

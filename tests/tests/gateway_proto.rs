@@ -102,6 +102,20 @@ fn build_frame(
                 })
                 .collect(),
         },
+        21 => Frame::Image { id },
+        22 => Frame::ImageOk {
+            id,
+            bytes: s.into_bytes(),
+        },
+        23 => Frame::Restore {
+            id,
+            bytes: s.into_bytes(),
+        },
+        24 => Frame::RestoreOk {
+            id,
+            tick: key,
+            keys,
+        },
         _ => Frame::Error {
             id,
             code: ERROR_CODES[kind % ERROR_CODES.len()],
@@ -115,7 +129,7 @@ proptest! {
 
     #[test]
     fn every_frame_kind_round_trips_bit_exactly(
-        kind in 0usize..22,
+        kind in 0usize..26,
         id in 0u64..u64::MAX,
         key in 0u64..u64::MAX,
         n in 0u32..u32::MAX,
@@ -134,7 +148,7 @@ proptest! {
 
     #[test]
     fn every_truncation_is_a_typed_error_never_a_panic(
-        kind in 0usize..22,
+        kind in 0usize..26,
         id in 0u64..1_000_000,
         s in arb_string(),
         arrivals in arb_arrivals(),
@@ -334,7 +348,7 @@ fn one_of_every_kind() -> Vec<Frame> {
         Frame::CheckpointDeltaBinOk {
             id: 16,
             cursor: 14,
-            frames: vec![(0, blob), (1, vec![])],
+            frames: vec![(0, blob.clone()), (1, vec![])],
         },
         Frame::DrainOk {
             id: 17,
@@ -366,24 +380,43 @@ fn one_of_every_kind() -> Vec<Frame> {
             code: ErrorCode::Draining,
             message: "process is draining".into(),
         },
+        // The image kinds, pinned apart from the 30 above.
+        Frame::Image { id: 20 },
+        Frame::Restore {
+            id: 21,
+            bytes: blob.clone(),
+        },
+        Frame::ImageOk {
+            id: 20,
+            bytes: blob,
+        },
+        Frame::RestoreOk {
+            id: 21,
+            tick: 64,
+            keys: vec![0, 2, 5],
+        },
     ]
 }
 
 /// `encode_into` appends a frame's wire form to a buffer that may
-/// already hold others; `encode` is a wrapper over it. The pinned digest
-/// is of the bytes these frames encoded to before the retired kinds were
-/// deleted, so no surviving kind's wire moved.
+/// already hold others; `encode` is a wrapper over it. The first pinned
+/// digest is of the bytes the 30 kinds before the image kinds encoded to
+/// before the retired kinds were deleted, so no surviving kind's wire
+/// moved when either happened; the image kinds are pinned after them.
 #[test]
 fn encode_into_appends_the_pinned_wire_bytes_of_every_frame_kind() {
     let frames = one_of_every_kind();
-    assert_eq!(frames.len(), 30, "one frame per kind");
+    assert_eq!(frames.len(), 34, "one frame per kind");
     let (mut each, mut appended) = (Vec::new(), Vec::new());
     for frame in &frames {
         each.extend_from_slice(&encode(frame));
         proto::encode_into(frame, &mut appended);
     }
     assert_eq!(appended, each);
-    assert_eq!((each.len(), fnv1a(&each)), (1968, 12555217973239194078));
+    let before: usize = frames[..30].iter().map(|f| encode(f).len()).sum();
+    let (old, image) = each.split_at(before);
+    assert_eq!((old.len(), fnv1a(old)), (1968, 12555217973239194078));
+    assert_eq!((image.len(), fnv1a(image)), (696, 5368403828964007087));
 
     // A head written for a blob that follows it, then the blob, is the
     // same bytes.
