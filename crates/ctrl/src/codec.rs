@@ -449,10 +449,13 @@ pub fn decode_shard_health(d: &mut Dec<'_>) -> Result<ShardHealth, CodecError> {
 }
 
 /// Encodes a service snapshot up to its session rows — counters, totals,
-/// per-shard tables and the row count. No version byte: the embedding
-/// payload carries one, and follows this with [`encode_session_metrics`]
-/// per row, a run of rows at a time if it likes.
-pub fn encode_snapshot_head(snap: &ServiceSnapshot, e: &mut Enc<'_>) {
+/// per-shard tables and the row count, `rows`, which need not be the
+/// length of `snap`'s table: a snapshot read off the shard columns
+/// ([`crate::ControlPlane::snapshot_rows`]) heads rows it does not hold.
+/// No version byte: the embedding payload carries one, and follows this
+/// with [`encode_session_metrics`] per row, a run of rows at a time if it
+/// likes.
+pub fn encode_snapshot_head(snap: &ServiceSnapshot, rows: usize, e: &mut Enc<'_>) {
     e.u64(snap.ticks);
     e.u64(snap.shards);
     e.u64(snap.admitted);
@@ -468,7 +471,7 @@ pub fn encode_snapshot_head(snap: &ServiceSnapshot, e: &mut Enc<'_>) {
     for h in &snap.health {
         encode_shard_health(h, e);
     }
-    e.len(snap.sessions.len());
+    e.len(rows);
 }
 
 /// Decodes what [`encode_snapshot_head`] wrote: the snapshot with its
@@ -848,7 +851,7 @@ pub(crate) mod checkpoint {
 }
 
 // ---------------------------------------------------------------------------
-// Columnar checkpoint frames (v4): schema-described struct-of-arrays.
+// Columnar checkpoint frames (v6): schema-described struct-of-arrays.
 // ---------------------------------------------------------------------------
 
 pub(crate) mod columnar {
@@ -2489,7 +2492,7 @@ mod tests {
     fn encode_snapshot(snap: &ServiceSnapshot, buf: &mut Vec<u8>) {
         let mut e = Enc::new(buf);
         e.u8(CODEC_VERSION);
-        encode_snapshot_head(snap, &mut e);
+        encode_snapshot_head(snap, snap.sessions.len(), &mut e);
         for m in &snap.sessions {
             encode_session_metrics(m, &mut e);
         }

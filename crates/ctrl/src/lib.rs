@@ -77,7 +77,7 @@ pub use fault::{FaultKind, FaultPlan};
 pub use meter::{SessionMetrics, SignallingMeter};
 pub use metrics::{GlobalMetrics, ServiceSnapshot, ShardHealth, ShardMetrics, SnapshotCounters};
 pub use mirror::{CheckpointMirror, CheckpointProbe};
-pub use service::{ControlPlane, PlaneImage};
+pub use service::{ControlPlane, PlaneImage, RowCursor, SnapshotRows};
 
 use std::fmt;
 

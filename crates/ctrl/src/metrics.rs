@@ -70,11 +70,9 @@ pub struct GlobalMetrics {
 }
 
 impl GlobalMetrics {
-    /// Folds sessions **already sorted by key**; the order fixes the float
-    /// summation sequence.
-    fn fold(sessions: &[SessionMetrics]) -> Self {
-        let mut g = GlobalMetrics {
-            sessions: sessions.len() as u64,
+    fn empty() -> Self {
+        GlobalMetrics {
+            sessions: 0,
             changes: 0,
             max_delay: 0,
             peak_allocation: 0.0,
@@ -84,24 +82,27 @@ impl GlobalMetrics {
             min_windowed_utilization: None,
             signalling_cost: 0.0,
             bandwidth_cost: 0.0,
-        };
-        for m in sessions {
-            g.changes += m.changes;
-            g.max_delay = g.max_delay.max(m.max_delay);
-            g.peak_allocation = g.peak_allocation.max(m.peak_allocation);
-            g.total_arrived += m.total_arrived;
-            g.total_served += m.total_served;
-            g.total_allocated += m.total_allocated;
-            if let Some(u) = m.windowed_utilization {
-                g.min_windowed_utilization = Some(match g.min_windowed_utilization {
-                    Some(best) => best.min(u),
-                    None => u,
-                });
-            }
-            g.signalling_cost += m.signalling_cost;
-            g.bandwidth_cost += m.bandwidth_cost;
         }
-        g
+    }
+
+    /// Adds one session. Sessions come in key order: the order fixes the
+    /// float summation sequence.
+    fn add(&mut self, m: &SessionMetrics) {
+        self.sessions += 1;
+        self.changes += m.changes;
+        self.max_delay = self.max_delay.max(m.max_delay);
+        self.peak_allocation = self.peak_allocation.max(m.peak_allocation);
+        self.total_arrived += m.total_arrived;
+        self.total_served += m.total_served;
+        self.total_allocated += m.total_allocated;
+        if let Some(u) = m.windowed_utilization {
+            self.min_windowed_utilization = Some(match self.min_windowed_utilization {
+                Some(best) => best.min(u),
+                None => u,
+            });
+        }
+        self.signalling_cost += m.signalling_cost;
+        self.bandwidth_cost += m.bandwidth_cost;
     }
 
     /// Total billed cost.
@@ -157,28 +158,18 @@ pub struct SnapshotCounters {
     pub events_replayed: u64,
 }
 
-impl ServiceSnapshot {
-    /// Builds a snapshot from raw per-session metrics (any order) and the
-    /// driver's counters. `health` must be sorted by shard index (the
-    /// supervisor stores it that way).
-    pub fn assemble(
-        counters: SnapshotCounters,
-        health: Vec<ShardHealth>,
-        mut sessions: Vec<SessionMetrics>,
-    ) -> Self {
-        let SnapshotCounters {
-            ticks,
-            shards,
-            admitted,
-            rejected,
-            restarts,
-            events_replayed,
-        } = counters;
-        // Keys are unique, so the unstable sort is the same permutation —
-        // without the stable sort's half-table scratch allocation.
-        sessions.sort_unstable_by_key(|m| m.session);
-        let global = GlobalMetrics::fold(&sessions);
-        let mut per_shard: Vec<ShardMetrics> = (0..shards)
+/// A snapshot's totals, folded one session at a time in key order: the
+/// one summation sequence, whether the sessions sit in a sorted table
+/// ([`ServiceSnapshot::assemble`]) or are read off the shard columns one
+/// row at a time ([`crate::ControlPlane::snapshot_rows`]).
+pub(crate) struct Totals {
+    global: GlobalMetrics,
+    per_shard: Vec<ShardMetrics>,
+}
+
+impl Totals {
+    pub(crate) fn new(shards: u64) -> Self {
+        let per_shard = (0..shards)
             .map(|shard| ShardMetrics {
                 shard,
                 sessions: 0,
@@ -189,17 +180,40 @@ impl ServiceSnapshot {
                 bandwidth_cost: 0.0,
             })
             .collect();
-        for m in &sessions {
-            let Some(s) = per_shard.get_mut(m.shard as usize) else {
-                continue;
-            };
-            s.sessions += 1;
-            s.changes += m.changes;
-            s.peak_allocation = s.peak_allocation.max(m.peak_allocation);
-            s.max_delay = s.max_delay.max(m.max_delay);
-            s.signalling_cost += m.signalling_cost;
-            s.bandwidth_cost += m.bandwidth_cost;
+        Totals {
+            global: GlobalMetrics::empty(),
+            per_shard,
         }
+    }
+
+    /// Adds the next session by key.
+    pub(crate) fn add(&mut self, m: &SessionMetrics) {
+        self.global.add(m);
+        let Some(s) = self.per_shard.get_mut(m.shard as usize) else {
+            return;
+        };
+        s.sessions += 1;
+        s.changes += m.changes;
+        s.peak_allocation = s.peak_allocation.max(m.peak_allocation);
+        s.max_delay = s.max_delay.max(m.max_delay);
+        s.signalling_cost += m.signalling_cost;
+        s.bandwidth_cost += m.bandwidth_cost;
+    }
+
+    /// The snapshot these totals head, its session table empty.
+    pub(crate) fn finish(
+        self,
+        counters: SnapshotCounters,
+        health: Vec<ShardHealth>,
+    ) -> ServiceSnapshot {
+        let SnapshotCounters {
+            ticks,
+            shards,
+            admitted,
+            rejected,
+            restarts,
+            events_replayed,
+        } = counters;
         ServiceSnapshot {
             ticks,
             shards,
@@ -207,11 +221,33 @@ impl ServiceSnapshot {
             rejected,
             restarts,
             events_replayed,
-            global,
-            per_shard,
+            global: self.global,
+            per_shard: self.per_shard,
             health,
-            sessions,
+            sessions: Vec::new(),
         }
+    }
+}
+
+impl ServiceSnapshot {
+    /// Builds a snapshot from raw per-session metrics (any order) and the
+    /// driver's counters. `health` must be sorted by shard index (the
+    /// supervisor stores it that way).
+    pub fn assemble(
+        counters: SnapshotCounters,
+        health: Vec<ShardHealth>,
+        mut sessions: Vec<SessionMetrics>,
+    ) -> Self {
+        // Keys are unique, so the unstable sort is the same permutation —
+        // without the stable sort's half-table scratch allocation.
+        sessions.sort_unstable_by_key(|m| m.session);
+        let mut totals = Totals::new(counters.shards);
+        for m in &sessions {
+            totals.add(m);
+        }
+        let mut snap = totals.finish(counters, health);
+        snap.sessions = sessions;
+        snap
     }
 
     /// The snapshot as a JSON value.

@@ -63,7 +63,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 mod image;
+mod rows;
 pub use image::PlaneImage;
+pub use rows::{RowCursor, SnapshotRows};
 
 /// Where each live session runs, direct-mapped by key. Session keys are
 /// dense monotone counters, so a `Vec` indexed by key replaces a hash map
@@ -437,6 +439,9 @@ pub struct ControlPlane {
     /// The last assembled snapshot, until the next mutation that can
     /// change one ([`Self::mutated`]).
     snapshot_cache: Option<Arc<ServiceSnapshot>>,
+    /// Mutations so far ([`Self::mutated`]): a [`RowCursor`] is valid
+    /// only at the count it was made at.
+    generation: u64,
     /// Pre-resolved metric handles; `None` until
     /// [`ControlPlane::attach_metrics`]. Every hook is one branch when
     /// unattached.
@@ -503,6 +508,7 @@ impl ControlPlane {
             empty_batch: TickBatch::encode(&[], &mut Vec::new()),
             encode_buf: Vec::new(),
             snapshot_cache: None,
+            generation: 0,
             obs: None,
             trace: None,
         }
@@ -922,7 +928,9 @@ impl ControlPlane {
     /// is retained, so a subscriber any number of frames behind gets that
     /// one — a genesis, which resets the subscriber's
     /// [`crate::CheckpointMirror`] cleanly. Inline mode emits no
-    /// checkpoints, so the cursor stays 0 and the list empty.
+    /// checkpoints, so the cursor stays 0 and the list empty. No wire
+    /// request serves it (a remote replica pulls a process image); it is
+    /// how a test reads the retained frame.
     ///
     /// # Errors
     ///
@@ -1641,11 +1649,26 @@ impl ControlPlane {
     ///
     /// Returns the metrics and the shards' summed certified-stage count.
     fn collect_sessions(&mut self) -> (Vec<SessionMetrics>, u64) {
+        if let Backend::Inline(states) = &self.backend {
+            // Sized once for every shard's rows: the table is the one
+            // allocation.
+            let rows = states.iter().map(|s| s.live_sessions() + s.retired().len());
+            let mut sessions = Vec::with_capacity(rows.sum());
+            let mut stages = 0;
+            for state in states {
+                sessions.extend(state.live_rows());
+                sessions.extend_from_slice(state.retired());
+                stages += state.stages_completed();
+            }
+            return (sessions, stages);
+        }
         // The first report's live vector *becomes* the collection (it was
         // sized to take its shard's retired list too), so a one-shard
         // snapshot holds one copy of the session table, not two. Order is
         // free: assembly sorts by key.
-        fn absorb((sessions, stages): &mut (Vec<SessionMetrics>, u64), report: ShardReport) {
+        let mut gathered: (Vec<SessionMetrics>, u64) = (Vec::new(), 0);
+        self.collect(Collect::Metrics, |_, report| {
+            let (sessions, stages) = &mut gathered;
             if sessions.is_empty() {
                 *sessions = report.live;
             } else {
@@ -1653,15 +1676,7 @@ impl ControlPlane {
             }
             sessions.extend(report.retired.iter().cloned());
             *stages += report.stages_completed;
-        }
-        let mut gathered = (Vec::new(), 0);
-        if let Backend::Inline(states) = &mut self.backend {
-            for state in states.iter_mut() {
-                absorb(&mut gathered, state.report());
-            }
-            return gathered;
-        }
-        self.collect(Collect::Metrics, |_, report| absorb(&mut gathered, report));
+        });
         gathered
     }
 
@@ -1754,19 +1769,31 @@ impl ControlPlane {
     /// the caller — its loss shows up in [`ServiceSnapshot::health`]
     /// rather than as an error.
     ///
+    /// The table is built once: a snapshot cached by
+    /// [`ControlPlane::snapshot_shared`] is handed over (copied only while
+    /// a caller still holds it), and one assembled here is not cached.
+    ///
     /// # Errors
     ///
     /// Currently infallible; the `Result` is kept so recovery-related
     /// failure modes can surface without an API break.
     pub fn snapshot(&mut self) -> Result<ServiceSnapshot, CtrlError> {
-        Ok(self.snapshot_shared()?.as_ref().clone())
+        let Some(cached) = self.snapshot_cache.take() else {
+            return Ok(self.assemble());
+        };
+        Ok(Arc::try_unwrap(cached).unwrap_or_else(|shared| {
+            let copy = ServiceSnapshot::clone(&shared);
+            self.snapshot_cache = Some(shared);
+            copy
+        }))
     }
 
-    /// Called by every operation that can change a snapshot: the cached
-    /// one is unreachable from here on, so it is released now, not at the
-    /// next poll (a 100k-session table is 11.5 MB).
+    /// Called by every operation that can change a snapshot: a cached
+    /// snapshot is stale from here on, so it is released now, not at the
+    /// next poll, and every [`RowCursor`] made before is spent.
     fn mutated(&mut self) {
         self.snapshot_cache = None;
+        self.generation += 1;
     }
 
     /// Like [`ControlPlane::snapshot`], but returns a shared handle and
@@ -1781,13 +1808,41 @@ impl ControlPlane {
         if let Some(cached) = &self.snapshot_cache {
             return Ok(cached.clone());
         }
+        let snapshot = Arc::new(self.assemble());
+        // Collection may itself have recovered or downed shards; the
+        // assembly observed the result, so it is cached all the same.
+        self.snapshot_cache = Some(snapshot.clone());
+        Ok(snapshot)
+    }
+
+    /// Collects every session's metrics and assembles them into a
+    /// snapshot.
+    fn assemble(&mut self) -> ServiceSnapshot {
         let (sessions, stages_completed) = self.collect_sessions();
+        let snapshot = ServiceSnapshot::assemble(self.counters(), self.health(), sessions);
+        self.publish(&snapshot, stages_completed);
+        snapshot
+    }
+
+    /// The driver-side counters a snapshot carries.
+    fn counters(&self) -> SnapshotCounters {
         let (admitted, rejected) = {
             let admission = self.admission.lock();
             (admission.admitted(), admission.rejected())
         };
-        let health = self
-            .sups
+        SnapshotCounters {
+            ticks: self.clock,
+            shards: self.cfg.shards as u64,
+            admitted,
+            rejected,
+            restarts: self.restarts(),
+            events_replayed: self.events_replayed,
+        }
+    }
+
+    /// Every shard's supervision status, by shard index.
+    fn health(&self) -> Vec<ShardHealth> {
+        self.sups
             .iter()
             .enumerate()
             .map(|(shard, sup)| ShardHealth {
@@ -1796,22 +1851,14 @@ impl ControlPlane {
                 restarts: sup.restarts,
                 last_failure: sup.last_failure.clone(),
             })
-            .collect();
-        let snapshot = Arc::new(ServiceSnapshot::assemble(
-            SnapshotCounters {
-                ticks: self.clock,
-                shards: self.cfg.shards as u64,
-                admitted,
-                rejected,
-                restarts: self.restarts(),
-                events_replayed: self.events_replayed,
-            },
-            health,
-            sessions,
-        ));
-        // The fold above is placement-invariant and bitwise-deterministic,
-        // so these gauges are too — a clean and a faulted run expose the
-        // same values once recovered.
+            .collect()
+    }
+
+    /// Sets the snapshot-derived gauges from a snapshot's head. The fold
+    /// behind it is placement-invariant and bitwise-deterministic, so
+    /// these gauges are too — a clean and a faulted run expose the same
+    /// values once recovered.
+    fn publish(&self, snapshot: &ServiceSnapshot, stages_completed: u64) {
         if let Some(m) = &self.obs {
             m.changes.set(snapshot.global.changes as f64);
             m.stages_completed.set(stages_completed as f64);
@@ -1820,10 +1867,6 @@ impl ControlPlane {
             m.max_delay.set(snapshot.global.max_delay as f64);
             m.snapshot_tick.set(snapshot.ticks as f64);
         }
-        // Collection may itself have recovered or downed shards; the
-        // assembly observed the result, so it is cached all the same.
-        self.snapshot_cache = Some(snapshot.clone());
-        Ok(snapshot)
     }
 
     /// Stops the executor. Equivalent to dropping, but explicit: worker

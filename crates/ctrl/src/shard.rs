@@ -2662,23 +2662,47 @@ impl ShardState {
         // Room for the retired list too: the collector appends it to this
         // vector in place.
         let mut live = Vec::with_capacity(self.slots.len() + self.retired.len());
-        live.extend(self.live_slots().map(|i| {
-            let tenant = Arc::clone(self.tenants.name(self.cols.tenant[i]));
-            let key = self.cols.keys[i];
-            self.cols.metrics(i, key, tenant, self.shard, self.cost)
-        }));
-        // Vacant and pooled slots rest at zero, so the column sums whole.
-        let live_stages: u64 = self.cols.stages_completed.iter().sum();
-        let pools = self.groups.iter();
-        let pool_stages: usize = pools.map(|(_, g)| g.pool.stage_log().completed()).sum();
+        live.extend(self.live_rows());
         ShardReport {
             shard: self.shard,
             epoch: self.epoch,
             retired: Arc::clone(&self.retired),
             live,
-            stages_completed: self.stages_retired + live_stages + pool_stages as u64,
+            stages_completed: self.stages_completed(),
             image: Vec::new(),
         }
+    }
+
+    /// Live slot `i`'s metrics at their current totals.
+    fn metrics_at(&self, i: usize) -> SessionMetrics {
+        let tenant = Arc::clone(self.tenants.name(self.cols.tenant[i]));
+        self.cols
+            .metrics(i, self.cols.keys[i], tenant, self.shard, self.cost)
+    }
+
+    /// Every live session's metrics, in slot order.
+    pub(crate) fn live_rows(&self) -> impl Iterator<Item = SessionMetrics> + '_ {
+        self.live_slots().map(|i| self.metrics_at(i))
+    }
+
+    /// Live session `key`'s metrics, or `None` when it is not live here.
+    pub(crate) fn live_metrics(&self, key: u64) -> Option<SessionMetrics> {
+        self.slot_of(key).map(|i| self.metrics_at(i))
+    }
+
+    /// Every retired session's metrics, in retirement order.
+    pub(crate) fn retired(&self) -> &[SessionMetrics] {
+        &self.retired
+    }
+
+    /// Stages completed on this shard so far, by dedicated sessions and
+    /// pooled groups, live and retired.
+    pub(crate) fn stages_completed(&self) -> u64 {
+        // Vacant and pooled slots rest at zero, so the column sums whole.
+        let live_stages: u64 = self.cols.stages_completed.iter().sum();
+        let pools = self.groups.iter();
+        let pool_stages: usize = pools.map(|(_, g)| g.pool.stage_log().completed()).sum();
+        self.stages_retired + live_stages + pool_stages as u64
     }
 
     /// The shard as an image report: its frame, written into a fresh

@@ -507,30 +507,6 @@ impl Client {
         }
     }
 
-    /// Pulls the columnar checkpoint frame retained for `shard` if it is
-    /// newer than `cursor`: returns the cursor to resume from and at
-    /// most one frame, as `(kind, payload)` with kind always 0 (a
-    /// genesis). Feed the payload to a [`cdba_ctrl::CheckpointMirror`]
-    /// built with the server's service config to maintain a passive
-    /// replica of the shard.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Server`] for an out-of-range shard.
-    #[allow(clippy::type_complexity)]
-    pub fn checkpoint_delta_bin(
-        &mut self,
-        shard: u32,
-        cursor: u64,
-    ) -> Result<(u64, Vec<(u8, Vec<u8>)>), ClientError> {
-        match self.request(|id| Frame::CheckpointDeltaBin { id, shard, cursor })? {
-            Frame::CheckpointDeltaBinOk { cursor, frames, .. } => Ok((cursor, frames)),
-            other => Err(ClientError::Protocol(format!(
-                "expected checkpoint-delta-bin-ok: {other:?}"
-            ))),
-        }
-    }
-
     /// Stages `arrivals`, then commits the batch tick (every staged
     /// arrival across all connections, in ascending key order). Returns
     /// the tick count after the commit.

@@ -13,7 +13,9 @@
 //! each driven from a slice ([`encode_gateway_snapshot`],
 //! [`decode_gateway_snapshot`]) or a socket (a connection's write buffer
 //! refilled a run of rows at a time; [`read_gateway_snapshot`]), so neither
-//! side of a poll holds the body in one piece.
+//! side of a poll holds the body in one piece. The encoder reads its rows
+//! from a snapshot's table or, on an inline plane, straight off the shard
+//! columns, so an inline server holds no table either.
 //!
 //! Layouts (after the leading codec-version byte):
 //!
@@ -27,9 +29,10 @@ use cdba_ctrl::codec::{
     decode_session_metrics, decode_snapshot_head, encode_session_metrics, encode_snapshot_head,
     session_metrics_len, CodecError, Dec, Enc, TenantInterner, CODEC_VERSION,
 };
-use cdba_ctrl::ServiceSnapshot;
+use cdba_ctrl::{ControlPlane, RowCursor, ServiceSnapshot, SessionMetrics, SnapshotRows};
 use std::io::{self, ErrorKind, Read};
 use std::ops::Deref;
+use std::sync::Arc;
 
 /// Encodes the wire counters (fixed-width, field order = struct order).
 fn encode_wire(w: &WireSnapshot, e: &mut Enc<'_>) {
@@ -97,19 +100,22 @@ fn decode_wire(d: &mut Dec<'_>) -> Result<WireSnapshot, CodecError> {
 /// reserves the exact length.
 pub fn encode_gateway_snapshot(snap: &GatewaySnapshot) -> Vec<u8> {
     let mut buf = Vec::new();
-    SnapshotStream::new(&snap.service, &snap.wire).refill(&mut buf, usize::MAX);
+    SnapshotStream::new(&snap.service, &snap.wire).refill(None, &mut buf, usize::MAX);
     buf
 }
 
 /// The encoder of a full gateway snapshot body, resumable between session
-/// rows: a size pass fixes the body's length up front (a frame head needs
-/// it), then [`SnapshotStream::refill`] appends a bounded run at a time.
-/// `S` is how the snapshot is held — borrowed for a one-shot encode, the
-/// control plane's shared handle for a reply that outlives its request.
+/// rows: the body's length is fixed up front (a frame head needs it), then
+/// [`SnapshotStream::refill`] appends a bounded run at a time.
+///
+/// The rows come from a snapshot's table — `S` is how it is held: borrowed
+/// for a one-shot encode, the control plane's shared handle for a reply
+/// that outlives its request — or, on an inline plane, straight off the
+/// shard columns ([`SnapshotStream::live`]), in which case the plane must
+/// not change until the body is complete or [`SnapshotStream::freeze`]
+/// has been called. The bytes are the same either way.
 pub struct SnapshotStream<S> {
-    service: S,
-    /// The next session row to encode.
-    next: usize,
+    rows: Rows<S>,
     /// Version byte and everything ahead of the rows; empty once sent.
     head: Vec<u8>,
     /// The wire counters, which follow the last row.
@@ -118,17 +124,74 @@ pub struct SnapshotStream<S> {
     left: usize,
 }
 
+/// Where a body's session rows come from, in key order.
+enum Rows<S> {
+    /// A snapshot's table, from row `next` on.
+    Table { service: S, next: usize },
+    /// The inline plane's shard columns; `held` is a row read off them
+    /// that did not fit the last refill.
+    Live {
+        cursor: RowCursor,
+        held: Option<SessionMetrics>,
+    },
+}
+
+impl<S: Deref<Target = ServiceSnapshot>> Rows<S> {
+    /// The next row, still to be stepped past; `None` after the last.
+    fn peek(&mut self, plane: Option<&ControlPlane>) -> Option<&SessionMetrics> {
+        match self {
+            Rows::Table { service, next } => service.sessions.get(*next),
+            Rows::Live { cursor, held } => {
+                if held.is_none() {
+                    let plane = plane.expect("a live body is refilled from its plane");
+                    *held = plane.next_row(cursor);
+                }
+                held.as_ref()
+            }
+        }
+    }
+
+    /// Steps past the row [`Rows::peek`] returned.
+    fn step(&mut self) {
+        match self {
+            Rows::Table { next, .. } => *next += 1,
+            Rows::Live { held, .. } => *held = None,
+        }
+    }
+}
+
 impl<S: Deref<Target = ServiceSnapshot>> SnapshotStream<S> {
-    /// Starts a body over `service` and the wire counters `wire`.
+    /// Starts a body over `service`'s table and the wire counters `wire`.
     pub fn new(service: S, wire: &WireSnapshot) -> Self {
-        let (mut head, mut tail) = (vec![CODEC_VERSION], Vec::new());
-        encode_snapshot_head(&service, &mut Enc::new(&mut head));
+        let rows = service.sessions.len();
+        let row_bytes = service.sessions.iter().map(session_metrics_len).sum();
+        let head = Self::head(&service, rows);
+        Self::start(Rows::Table { service, next: 0 }, head, row_bytes, wire)
+    }
+
+    /// Starts a body over an inline plane's snapshot, its rows read off
+    /// the shard columns as the body is refilled.
+    pub fn live(snapshot: SnapshotRows, wire: &WireSnapshot) -> Self {
+        let head = Self::head(&snapshot.head, snapshot.cursor.left());
+        let rows = Rows::Live {
+            cursor: snapshot.cursor,
+            held: None,
+        };
+        Self::start(rows, head, snapshot.row_bytes, wire)
+    }
+
+    fn head(service: &ServiceSnapshot, rows: usize) -> Vec<u8> {
+        let mut head = vec![CODEC_VERSION];
+        encode_snapshot_head(service, rows, &mut Enc::new(&mut head));
+        head
+    }
+
+    fn start(rows: Rows<S>, head: Vec<u8>, row_bytes: usize, wire: &WireSnapshot) -> Self {
+        let mut tail = Vec::new();
         encode_wire(wire, &mut Enc::new(&mut tail));
-        let rows: usize = service.sessions.iter().map(session_metrics_len).sum();
-        let left = head.len() + rows + tail.len();
+        let left = head.len() + row_bytes + tail.len();
         Self {
-            service,
-            next: 0,
+            rows,
             head,
             tail,
             left,
@@ -142,15 +205,21 @@ impl<S: Deref<Target = ServiceSnapshot>> SnapshotStream<S> {
 
     /// Appends the next run of the body to `out`: whole rows (and, behind
     /// the last, the tail) while the run stays within `budget` bytes, but
-    /// always at least one, so any budget makes progress. Returns whether
-    /// the body is now complete.
-    pub fn refill(&mut self, out: &mut Vec<u8>, budget: usize) -> bool {
+    /// always at least one, so any budget makes progress. A live body
+    /// reads its rows off `plane`, which must be the plane that made it,
+    /// unchanged; other bodies ignore it. Returns whether the body is now
+    /// complete.
+    pub fn refill(
+        &mut self,
+        plane: Option<&ControlPlane>,
+        out: &mut Vec<u8>,
+        budget: usize,
+    ) -> bool {
         let start = out.len();
         out.reserve(budget.min(self.left));
         out.append(&mut self.head);
-        let sessions = &self.service.sessions;
         let done = loop {
-            let row = sessions.get(self.next);
+            let row = self.rows.peek(plane);
             let unit = row.map_or(self.tail.len(), session_metrics_len);
             if out.len() > start && out.len() - start + unit > budget {
                 break false;
@@ -162,11 +231,35 @@ impl<S: Deref<Target = ServiceSnapshot>> SnapshotStream<S> {
                     break true;
                 }
             }
-            self.next += 1;
+            self.rows.step();
         };
         self.left -= out.len() - start;
         debug_assert!(!done || self.left == 0, "size pass and fill pass disagree");
         done
+    }
+}
+
+impl SnapshotStream<Arc<ServiceSnapshot>> {
+    /// Moves a live body onto `plane`'s shared snapshot, from the row it
+    /// stands at, so the plane may change; a no-op on any other body. The
+    /// plane is still the one the body was made from, so that snapshot is
+    /// the body's own, bit for bit, and every body frozen before the same
+    /// change shares the one table.
+    ///
+    /// # Panics
+    ///
+    /// If `plane` fails to snapshot, which an inline plane — the only one
+    /// that makes live bodies — never does.
+    pub fn freeze(&mut self, plane: &mut ControlPlane) {
+        let Rows::Live { cursor, held } = &self.rows else {
+            return;
+        };
+        let left = cursor.left() + usize::from(held.is_some());
+        let service = plane
+            .snapshot_shared()
+            .expect("an inline plane snapshots infallibly");
+        let next = service.sessions.len() - left;
+        self.rows = Rows::Table { service, next };
     }
 }
 

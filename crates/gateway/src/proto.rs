@@ -36,13 +36,9 @@ pub const MAGIC: [u8; 4] = *b"CDBG";
 /// [`Frame::EventBatch`]), the fleet migration frames (lease hand-off
 /// via [`Frame::LeaseRevoke`] / [`Frame::LeaseGrant`], and
 /// [`Frame::Drain`], which lists migratable sessions and makes the
-/// process refuse new joins with [`ErrorCode::Draining`]), and a
-/// cursor-chained pull of the columnar checkpoint frame the driver
-/// retains for one shard ([`Frame::CheckpointDeltaBin`]), which a
-/// [`CheckpointMirror`](cdba_ctrl::CheckpointMirror) replays into a
-/// passive replica, and a process image cut and restored whole
-/// ([`Frame::Image`] / [`Frame::Restore`]), which an orchestrator
-/// respawns a lost process from.
+/// process refuse new joins with [`ErrorCode::Draining`]), and a process
+/// image cut and restored whole ([`Frame::Image`] / [`Frame::Restore`]),
+/// which an orchestrator respawns a lost process from.
 pub const VERSION: u8 = 5;
 
 /// Hard upper bound on one frame's payload, rejected before allocation:
@@ -304,21 +300,6 @@ pub enum Frame {
         /// The session checkpoint blob, verbatim from the revoke.
         bytes: Vec<u8>,
     },
-    /// Pull the columnar checkpoint frame retained for one shard if it
-    /// is newer than `cursor`. The first request uses cursor 0;
-    /// every reply carries the cursor to resume from, so a subscriber
-    /// that polls pays only for a frame it has not seen.
-    CheckpointDeltaBin {
-        /// Request id.
-        id: u64,
-        /// The shard whose checkpoints to read.
-        shard: u32,
-        /// The cursor from the previous reply (0 from the beginning).
-        /// The driver retains only the latest frame, a genesis, so a
-        /// subscriber any distance behind is answered with that one —
-        /// applying it resets the subscriber's mirror cleanly.
-        cursor: u64,
-    },
     /// Cut a process image at the current tick: every shard's frame,
     /// the control plane's driver state, and this gateway's lease epochs
     /// and draining flag. Refused with [`ErrorCode::Busy`] while arrivals
@@ -399,18 +380,6 @@ pub enum Frame {
         id: u64,
         /// The key the session resumed under on this process.
         key: u64,
-    },
-    /// Response to [`Frame::CheckpointDeltaBin`].
-    CheckpointDeltaBinOk {
-        /// Echoed request id.
-        id: u64,
-        /// Cursor to pass on the next pull; equal to the request's
-        /// cursor when no new frames were retained.
-        cursor: u64,
-        /// The retained frame, if it is newer than the request's cursor:
-        /// the frame kind (always 0, a genesis) and the columnar payload,
-        /// verbatim as the shard worker emitted it.
-        frames: Vec<(u8, Vec<u8>)>,
     },
     /// Response to [`Frame::Image`].
     ImageOk {
@@ -523,9 +492,10 @@ const K_HELLO_OK: u8 = 0x02;
 const K_JOIN: u8 = 0x10;
 const K_JOIN_GROUP: u8 = 0x11;
 const K_LEAVE: u8 = 0x12;
-// The retired acked-stage, JSON-snapshot and delta-snapshot requests
-// (0x13, 0x15, 0x1A, 0x1C) and their replies (0x23, 0x25, 0x28, 0x2A)
-// decode as unknown kinds; the bytes are not reused.
+// The retired acked-stage, JSON-snapshot, delta-snapshot and
+// checkpoint-pull requests (0x13, 0x15, 0x1A, 0x1C, 0x43) and their
+// replies (0x23, 0x25, 0x28, 0x2A, 0x2E) decode as unknown kinds; the
+// bytes are not reused.
 const K_TICK: u8 = 0x14;
 const K_SUBSCRIBE: u8 = 0x16;
 const K_GOODBYE: u8 = 0x17;
@@ -551,8 +521,6 @@ const K_ERROR: u8 = 0x3F;
 const K_LEASE_REVOKE: u8 = 0x40;
 const K_LEASE_GRANT: u8 = 0x41;
 const K_DRAIN: u8 = 0x42;
-const K_CHECKPOINT_DELTA_BIN: u8 = 0x43;
-const K_CHECKPOINT_DELTA_BIN_OK: u8 = 0x2E;
 const K_IMAGE: u8 = 0x44;
 const K_RESTORE: u8 = 0x45;
 // The reply block ends at 0x2F; later replies start a fresh one at 0x50.
@@ -688,22 +656,6 @@ pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) {
             payload.put_u32_le(keys.len() as u32);
             for &key in keys {
                 payload.put_u64_le(key);
-            }
-        }
-        Frame::CheckpointDeltaBin { id, shard, cursor } => {
-            payload.put_u8(K_CHECKPOINT_DELTA_BIN);
-            payload.put_u64_le(*id);
-            payload.put_u32_le(*shard);
-            payload.put_u64_le(*cursor);
-        }
-        Frame::CheckpointDeltaBinOk { id, cursor, frames } => {
-            payload.put_u8(K_CHECKPOINT_DELTA_BIN_OK);
-            payload.put_u64_le(*id);
-            payload.put_u64_le(*cursor);
-            payload.put_u32_le(frames.len() as u32);
-            for (kind, bytes) in frames {
-                payload.put_u8(*kind);
-                put_bytes(payload, bytes);
             }
         }
         Frame::Goodbye { id } => {
@@ -1027,22 +979,6 @@ pub fn decode_payload(payload: Bytes) -> Result<Frame, ProtoError> {
             tick: r.u64()?,
             keys: r.keys()?,
         },
-        K_CHECKPOINT_DELTA_BIN => Frame::CheckpointDeltaBin {
-            id: r.u64()?,
-            shard: r.u32()?,
-            cursor: r.u64()?,
-        },
-        K_CHECKPOINT_DELTA_BIN_OK => {
-            let id = r.u64()?;
-            let cursor = r.u64()?;
-            let count = r.u32()? as usize;
-            let mut frames = Vec::new();
-            for _ in 0..count {
-                let kind = r.u8()?;
-                frames.push((kind, r.bytes()?));
-            }
-            Frame::CheckpointDeltaBinOk { id, cursor, frames }
-        }
         K_LEASE_REVOKED => Frame::LeaseRevoked {
             id: r.u64()?,
             epoch: r.u64()?,
@@ -1135,7 +1071,6 @@ pub fn reply_id(frame: &Frame) -> Option<u64> {
         | Frame::LeaseRevoked { id, .. }
         | Frame::LeaseGranted { id, .. }
         | Frame::DrainOk { id, .. }
-        | Frame::CheckpointDeltaBinOk { id, .. }
         | Frame::ImageOk { id, .. }
         | Frame::RestoreOk { id, .. }
         | Frame::SubscribeOk { id }
@@ -1200,16 +1135,6 @@ mod tests {
             bytes: vec![1, 0, 9],
         });
         roundtrip(Frame::Drain { id: 28 });
-        roundtrip(Frame::CheckpointDeltaBin {
-            id: 29,
-            shard: 1,
-            cursor: 12,
-        });
-        roundtrip(Frame::CheckpointDeltaBinOk {
-            id: 29,
-            cursor: 14,
-            frames: vec![(0, vec![2, 0, 7]), (1, vec![])],
-        });
         roundtrip(Frame::LeaseRevoked {
             id: 26,
             epoch: 2,

@@ -19,7 +19,7 @@ use crate::proto::{self, ErrorCode, Frame, ProtoError, MAX_FRAME, PUSH_ID};
 use crate::service::{Outbox, Reply, ServiceCore};
 use crate::stats::WireStats;
 use crate::{GatewayError, GatewaySnapshot};
-use cdba_ctrl::{ServiceConfig, ServiceSnapshot};
+use cdba_ctrl::{ControlPlane, ServiceConfig, ServiceSnapshot};
 use cdba_obs::{MetricsServer, Registry, TraceRing};
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
@@ -320,7 +320,7 @@ struct Conn {
     sent: usize,
     /// The [`Frame::SnapshotBinOk`] body `outbuf` ends inside of, if any,
     /// and when its request arrived.
-    in_flight: Option<(SnapshotStream<Arc<ServiceSnapshot>>, Instant)>,
+    in_flight: Option<(Box<SnapshotStream<Arc<ServiceSnapshot>>>, Instant)>,
     /// Frames queued while a body is in flight, in wire form: they follow
     /// it.
     behind: Vec<u8>,
@@ -364,8 +364,9 @@ impl Conn {
     fn queue_snapshot(
         &mut self,
         stats: &WireStats,
+        plane: &ControlPlane,
         id: u64,
-        body: SnapshotStream<Arc<ServiceSnapshot>>,
+        body: Box<SnapshotStream<Arc<ServiceSnapshot>>>,
         started: Instant,
     ) {
         let head = Frame::SnapshotBinOk {
@@ -375,17 +376,17 @@ impl Conn {
         proto::encode_blob_head(&head, body.left(), &mut self.outbuf);
         stats.frames_out.fetch_add(1, Ordering::Relaxed);
         self.in_flight = Some((body, started));
-        self.refill(stats);
+        self.refill(stats, plane);
     }
 
     /// Appends the next run of the body in flight to the write buffer;
     /// with its last run go the request's latency sample and the frames
     /// that waited. The connection was active until then.
-    fn refill(&mut self, stats: &WireStats) {
+    fn refill(&mut self, stats: &WireStats, plane: &ControlPlane) {
         let Some((body, started)) = &mut self.in_flight else {
             return;
         };
-        if body.refill(&mut self.outbuf, STREAM_REFILL) {
+        if body.refill(Some(plane), &mut self.outbuf, STREAM_REFILL) {
             stats.latency.record_since(*started);
             self.outbuf.append(&mut self.behind);
             self.in_flight = None;
@@ -397,7 +398,12 @@ impl Conn {
     /// the buffer from a body in flight each time it drains. Returns
     /// whether any byte went out, or `None` when the connection is dead
     /// (hard error or stalled past `write_timeout`).
-    fn flush(&mut self, stats: &WireStats, write_timeout: Duration) -> Option<bool> {
+    fn flush(
+        &mut self,
+        stats: &WireStats,
+        plane: &ControlPlane,
+        write_timeout: Duration,
+    ) -> Option<bool> {
         let mut wrote = false;
         loop {
             while self.sent < self.outbuf.len() {
@@ -421,7 +427,7 @@ impl Conn {
             if self.in_flight.is_none() {
                 break;
             }
-            self.refill(stats);
+            self.refill(stats, plane);
         }
         if self.outbuf.capacity() > OUTBUF_KEEP {
             // A body's runs went out; their buffer is not this
@@ -541,7 +547,7 @@ impl Core {
                     message: "gateway shutting down".into(),
                 };
                 conn.queue(&self.stats, &frame);
-                let _ = conn.flush(&self.stats, write_timeout);
+                let _ = conn.flush(&self.stats, self.service.plane(), write_timeout);
             }
             self.close_conn(conn_id);
         }
@@ -607,7 +613,7 @@ impl Core {
             let Some(conn) = self.conns.get_mut(&conn_id) else {
                 return (progressed, false);
             };
-            match conn.flush(&self.stats, write_timeout) {
+            match conn.flush(&self.stats, self.service.plane(), write_timeout) {
                 None => return (true, true),
                 Some(wrote) => progressed |= wrote,
             }
@@ -778,8 +784,10 @@ impl Core {
             | Frame::LeaseGrant { .. }
             | Frame::Drain { .. }
             | Frame::Image { .. }
-            | Frame::Restore { .. }
-            | Frame::CheckpointDeltaBin { .. }) => {
+            | Frame::Restore { .. }) => {
+                if ServiceCore::mutates(&request) {
+                    self.freeze_bodies();
+                }
                 self.service.handle(conn_id, request, &mut self.out);
                 self.drain_outbox();
                 After::Keep
@@ -813,8 +821,21 @@ impl Core {
             match reply {
                 Reply::Frame(frame) => conn.queue(&self.stats, &frame),
                 Reply::Snapshot { id, body, started } => {
-                    conn.queue_snapshot(&self.stats, id, body, started);
+                    let plane = self.service.plane();
+                    conn.queue_snapshot(&self.stats, plane, id, body, started);
                 }
+            }
+        }
+    }
+
+    /// Moves every live body in flight onto the plane's shared snapshot,
+    /// one table for all of them, as the plane is about to change: a body
+    /// is the snapshot at its request.
+    fn freeze_bodies(&mut self) {
+        let plane = self.service.plane_mut();
+        for conn in self.conns.values_mut() {
+            if let Some((body, _)) = &mut conn.in_flight {
+                body.freeze(plane);
             }
         }
     }
@@ -824,6 +845,8 @@ impl Core {
             self.stats
                 .connections_active
                 .fetch_sub(1, Ordering::Relaxed);
+            // The closed connection's sessions leave.
+            self.freeze_bodies();
             self.service.conn_closed(conn_id);
         }
     }

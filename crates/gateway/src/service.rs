@@ -30,13 +30,14 @@ use std::time::Instant;
 
 /// What the service core wants delivered to a connection: a frame to
 /// encode into its write buffer, or a [`Frame::SnapshotBinOk`] whose body
-/// the connection encodes from the shared snapshot a run of rows at a
-/// time, as its socket drains.
+/// the connection encodes a run of rows at a time, as its socket drains —
+/// off the plane's shard columns when it is inline, else from the shared
+/// snapshot.
 pub(crate) enum Reply {
     Frame(Frame),
     Snapshot {
         id: u64,
-        body: SnapshotStream<Arc<ServiceSnapshot>>,
+        body: Box<SnapshotStream<Arc<ServiceSnapshot>>>,
         /// When the request arrived.
         started: Instant,
     },
@@ -226,9 +227,6 @@ impl ServiceCore {
             Frame::Drain { id } => Some(self.drain(id)),
             Frame::Image { id } => Some(self.image(id)),
             Frame::Restore { id, bytes } => Some(self.restore(conn, id, &bytes)),
-            Frame::CheckpointDeltaBin { id, shard, cursor } => {
-                Some(self.checkpoint_delta_bin(id, shard, cursor))
-            }
             Frame::Subscribe { id, every } => Some(self.subscribe(conn, id, every, 1)),
             Frame::SubscribeBatch { id, every, batch } => {
                 Some(self.subscribe(conn, id, every, batch))
@@ -313,23 +311,6 @@ impl ServiceCore {
                 }
                 Frame::LeaseGranted { id, key }
             }
-            Err(e) => ctrl_error(id, &e),
-        }
-    }
-
-    /// Answers a checkpoint pull: the columnar frame retained for
-    /// `shard` if it is past the subscriber's cursor, verbatim
-    /// (`Arc`-shared with the driver until the wire encode copies it out).
-    fn checkpoint_delta_bin(&mut self, id: u64, shard: u32, cursor: u64) -> Frame {
-        match self.plane.checkpoint_frames_since(shard as usize, cursor) {
-            Ok((cursor, frames)) => Frame::CheckpointDeltaBinOk {
-                id,
-                cursor,
-                frames: frames
-                    .into_iter()
-                    .map(|(kind, bytes)| (kind, bytes.to_vec()))
-                    .collect(),
-            },
             Err(e) => ctrl_error(id, &e),
         }
     }
@@ -648,13 +629,17 @@ impl ServiceCore {
         {
             return;
         }
-        let event = match self.plane.snapshot_shared() {
-            Ok(snap) => EventBody {
-                tick,
-                changes: snap.global.changes,
-                signalling_cost: snap.global.signalling_cost,
+        let global = match self.plane.snapshot_rows() {
+            Some(inline) => inline.head.global,
+            None => match self.plane.snapshot_shared() {
+                Ok(snap) => snap.global.clone(),
+                Err(_) => return,
             },
-            Err(_) => return,
+        };
+        let event = EventBody {
+            tick,
+            changes: global.changes,
+            signalling_cost: global.signalling_cost,
         };
         let mut due: Vec<u64> = self
             .subs
@@ -692,24 +677,53 @@ impl ServiceCore {
     }
 
     /// Answers a snapshot poll: the binary body is not encoded here, but
-    /// streamed by the connection from the control plane's shared
-    /// snapshot, which also takes the latency sample, once the last rows
-    /// are queued.
+    /// streamed by the connection, which also takes the latency sample,
+    /// once the last rows are queued. An inline plane's rows are read off
+    /// its shard columns as the socket drains, so no table is built; a
+    /// threaded plane's come from its shared snapshot.
     fn snapshot_bin_reply(&mut self, id: u64, started: Instant) -> Reply {
         self.stats
             .full_snapshots
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        match self.plane.snapshot_shared() {
-            Ok(service) => Reply::Snapshot {
-                id,
-                body: SnapshotStream::new(service, &self.stats.snapshot()),
-                started,
+        let body = match self.plane.snapshot_rows() {
+            Some(inline) => SnapshotStream::live(inline, &self.stats.snapshot()),
+            None => match self.plane.snapshot_shared() {
+                Ok(service) => SnapshotStream::new(service, &self.stats.snapshot()),
+                Err(e) => {
+                    self.stats.latency.record_since(started);
+                    return ctrl_error(id, &e).into();
+                }
             },
-            Err(e) => {
-                self.stats.latency.record_since(started);
-                ctrl_error(id, &e).into()
-            }
+        };
+        Reply::Snapshot {
+            id,
+            body: Box::new(body),
+            started,
         }
+    }
+
+    /// The plane live bodies read their rows off.
+    pub(crate) fn plane(&self) -> &ControlPlane {
+        &self.plane
+    }
+
+    /// The plane a live body in flight is frozen onto before it changes.
+    pub(crate) fn plane_mut(&mut self) -> &mut ControlPlane {
+        &mut self.plane
+    }
+
+    /// Whether handling `frame` may change the plane — and so a snapshot
+    /// — which a live body in flight must not see: every request but the
+    /// read-only ones. It says yes where the request turns out to change
+    /// nothing, as a stage that only buffers arrivals or a refused join.
+    pub(crate) fn mutates(frame: &Frame) -> bool {
+        !matches!(
+            frame,
+            Frame::SnapshotBin { .. }
+                | Frame::Subscribe { .. }
+                | Frame::SubscribeBatch { .. }
+                | Frame::Image { .. }
+        )
     }
 
     fn subscribe(&mut self, conn: u64, id: u64, every: u32, batch: u32) -> Frame {

@@ -234,6 +234,13 @@ fn unknown_kind_unknown_error_code_and_bad_utf8_are_typed() {
         decode_payload(Bytes::from(vec![0x77u8])),
         Err(ProtoError::UnknownKind(0x77))
     );
+    // Retired kinds stay unknown: the checkpoint pull and its reply.
+    for retired in [0x43u8, 0x2E] {
+        assert_eq!(
+            decode_payload(Bytes::from(vec![retired, 0, 0, 0, 0, 0, 0, 0, 0])),
+            Err(ProtoError::UnknownKind(retired))
+        );
+    }
 
     let mut payload = BytesMut::new();
     payload.put_u8(0x3F); // Error frame
@@ -321,11 +328,6 @@ fn one_of_every_kind() -> Vec<Frame> {
             epoch: 3,
             bytes: blob.clone(),
         },
-        Frame::CheckpointDeltaBin {
-            id: 16,
-            shard: 1,
-            cursor: 12,
-        },
         Frame::Drain { id: 17 },
         Frame::Goodbye { id: 18 },
         Frame::Joined { id: 1, key: 42 },
@@ -345,11 +347,6 @@ fn one_of_every_kind() -> Vec<Frame> {
             bytes: blob.clone(),
         },
         Frame::LeaseGranted { id: 15, key: 5 },
-        Frame::CheckpointDeltaBinOk {
-            id: 16,
-            cursor: 14,
-            frames: vec![(0, blob.clone()), (1, vec![])],
-        },
         Frame::DrainOk {
             id: 17,
             keys: vec![1, 4, 9],
@@ -380,7 +377,7 @@ fn one_of_every_kind() -> Vec<Frame> {
             code: ErrorCode::Draining,
             message: "process is draining".into(),
         },
-        // The image kinds, pinned apart from the 30 above.
+        // The image kinds, pinned apart from the 28 above.
         Frame::Image { id: 20 },
         Frame::Restore {
             id: 21,
@@ -400,22 +397,23 @@ fn one_of_every_kind() -> Vec<Frame> {
 
 /// `encode_into` appends a frame's wire form to a buffer that may
 /// already hold others; `encode` is a wrapper over it. The first pinned
-/// digest is of the bytes the 30 kinds before the image kinds encoded to
-/// before the retired kinds were deleted, so no surviving kind's wire
-/// moved when either happened; the image kinds are pinned after them.
+/// digest is of the bytes the 28 kinds before the image kinds encoded to
+/// before the retired kinds (the checkpoint pull among them) were
+/// deleted, so no surviving kind's wire moved when any of them went; the
+/// image kinds are pinned after them.
 #[test]
 fn encode_into_appends_the_pinned_wire_bytes_of_every_frame_kind() {
     let frames = one_of_every_kind();
-    assert_eq!(frames.len(), 34, "one frame per kind");
+    assert_eq!(frames.len(), 32, "one frame per kind");
     let (mut each, mut appended) = (Vec::new(), Vec::new());
     for frame in &frames {
         each.extend_from_slice(&encode(frame));
         proto::encode_into(frame, &mut appended);
     }
     assert_eq!(appended, each);
-    let before: usize = frames[..30].iter().map(|f| encode(f).len()).sum();
+    let before: usize = frames[..28].iter().map(|f| encode(f).len()).sum();
     let (old, image) = each.split_at(before);
-    assert_eq!((old.len(), fnv1a(old)), (1968, 12555217973239194078));
+    assert_eq!((old.len(), fnv1a(old)), (1608, 11415317941969246018));
     assert_eq!((image.len(), fnv1a(image)), (696, 5368403828964007087));
 
     // A head written for a blob that follows it, then the blob, is the

@@ -6,10 +6,7 @@
 
 use cdba_analysis::cost::CostModel;
 use cdba_bench::replay::{run_replay, ReplaySpec};
-use cdba_ctrl::{
-    CheckpointMirror, ControlPlane, ExecMode, FaultPlan, GlobalMetrics, ServiceConfig,
-    SessionMetrics,
-};
+use cdba_ctrl::{ControlPlane, ExecMode, FaultPlan, GlobalMetrics, ServiceConfig, SessionMetrics};
 use cdba_gateway::client::Client;
 use cdba_gateway::proto::{self, encode, ErrorCode, Frame};
 use cdba_gateway::{GatewayConfig, GatewayServer};
@@ -613,85 +610,6 @@ fn subscriber_dropped_mid_batch_leaves_no_stuck_push_state() {
     assert_eq!(wire.connections_harvested, 1);
     drop(sub); // the harvested connection was dead all along
     server.shutdown().expect("shutdown");
-}
-
-/// Wire-v5 checkpoint subscription: a client pulls the retained columnar
-/// frame over TCP and replays it into a passive [`CheckpointMirror`],
-/// then resumes from the returned cursor and gets the newer frame once
-/// there is one. The driver retains only the latest frame, so a
-/// subscriber any distance behind is served that genesis and resets
-/// cleanly on it.
-#[test]
-fn checkpoint_delta_bin_feeds_a_passive_mirror() {
-    let spec = small_spec();
-    let cfg = spec
-        .service_builder(spec.default_budget())
-        .shards(1)
-        .cost(CostModel::with_change_price(1.0))
-        .exec(ExecMode::Threaded)
-        .checkpoint_every(8)
-        .build()
-        .expect("valid test config");
-    let mirror_cfg = cfg.clone();
-    let server = quick_gateway(cfg);
-    let mut client = Client::connect(server.local_addr()).expect("client connects");
-
-    let mut keys = Vec::new();
-    for s in 0..10 {
-        keys.push(client.join(&format!("tenant-{}", s % 3)).expect("join"));
-    }
-    for _ in 0..20 {
-        client.tick(&[(keys[0], 2.0)]).expect("tick");
-    }
-    // A snapshot round-trips a Collect through each worker, which the
-    // worker processes after any checkpoint it emitted — so the frames
-    // from ticks 8 and 16 are accepted once this returns.
-    client.snapshot_bin().expect("sync snapshot");
-
-    // Two frames were accepted; only the tick-16 one is retained.
-    let (cursor, frames) = client.checkpoint_delta_bin(0, 0).expect("first pull");
-    assert_eq!(cursor, 2);
-    assert_eq!(
-        frames.len(),
-        1,
-        "the tick-16 frame superseded the tick-8 one"
-    );
-    assert_eq!(frames[0].0, 0, "every retained frame is a genesis");
-    let mut mirror = CheckpointMirror::new(&mirror_cfg);
-    mirror.apply(&frames[0].1).expect("frame applies");
-    assert_eq!(mirror.ticks(), 16);
-    assert_eq!(mirror.live_sessions(), 10);
-
-    // Eight more ticks emit the tick-24 frame; resuming from the cursor
-    // fetches it and the mirror resets onto it.
-    for _ in 0..8 {
-        client.tick(&[(keys[1], 1.0)]).expect("tick");
-    }
-    client.snapshot_bin().expect("sync snapshot");
-    let (cursor2, frames) = client.checkpoint_delta_bin(0, cursor).expect("resume pull");
-    assert_eq!(cursor2, cursor + 1);
-    assert_eq!(frames.len(), 1, "the one frame since the cursor");
-    mirror.apply(&frames[0].1).expect("newer genesis applies");
-    assert_eq!(mirror.ticks(), 24);
-    assert_eq!(mirror.live_sessions(), 10);
-
-    // Caught up: pulling again from the new cursor returns nothing.
-    let (cursor3, frames) = client.checkpoint_delta_bin(0, cursor2).expect("idle pull");
-    assert_eq!(cursor3, cursor2);
-    assert!(frames.is_empty(), "no frames when caught up");
-
-    // A subscriber three frames behind is served the same single genesis
-    // and lands where the up-to-date mirror is.
-    let (_, frames) = client.checkpoint_delta_bin(0, 0).expect("stale pull");
-    assert_eq!(frames.len(), 1);
-    assert_eq!(frames[0].0, 0, "resync is a genesis frame");
-    let mut resync = CheckpointMirror::new(&mirror_cfg);
-    resync.apply(&frames[0].1).expect("resync frame applies");
-    assert_eq!(resync.ticks(), mirror.ticks());
-    assert_eq!(resync.live_sessions(), mirror.live_sessions());
-
-    client.goodbye().expect("clean goodbye");
-    server.shutdown().expect("graceful shutdown");
 }
 
 #[test]
