@@ -517,340 +517,6 @@ pub fn decode_snapshot_head(d: &mut Dec<'_>) -> Result<(ServiceSnapshot, usize),
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint family v1 — the row-oriented reference codec, test-only: the
-// columnar module below is the one session-state encoding the program
-// writes and reads; this is the independent oracle the lockstep tests
-// canonicalize through. It shares only the group section with columnar.
-// ---------------------------------------------------------------------------
-
-#[cfg(test)]
-pub(crate) mod checkpoint {
-    use super::columnar::{dec_group, dec_stage_log, enc_group, enc_stage_log};
-    use super::*;
-    use crate::meter::MeterCheckpoint;
-    use crate::shard::{SessionCheckpoint, ShardStateCheckpoint};
-    use cdba_analysis::cost::CostModel;
-    use cdba_core::bounds::{HighTrackerState, LowTrackerState};
-    use cdba_core::config::SingleConfig;
-    use cdba_core::single::SingleCheckpoint;
-    use cdba_sim::streaming::DelayTrackerState;
-
-    fn enc_cost(c: &CostModel, e: &mut Enc<'_>) {
-        e.f64(c.per_bandwidth_tick);
-        e.f64(c.per_change);
-    }
-
-    fn dec_cost(d: &mut Dec<'_>) -> Result<CostModel, CodecError> {
-        Ok(CostModel {
-            per_bandwidth_tick: d.f64()?,
-            per_change: d.f64()?,
-        })
-    }
-
-    fn enc_delay(t: &DelayTrackerState, e: &mut Enc<'_>) {
-        e.len(t.pending.len());
-        for &(tick, bits) in &t.pending {
-            e.usize(tick);
-            e.f64(bits);
-        }
-        e.usize(t.tick);
-        e.usize(t.max_delay);
-        e.f64(t.max_delay_exact);
-    }
-
-    fn dec_delay(d: &mut Dec<'_>) -> Result<DelayTrackerState, CodecError> {
-        let n = d.len(16)?;
-        let mut pending = Vec::with_capacity(n);
-        for _ in 0..n {
-            pending.push((d.usize()?, d.f64()?));
-        }
-        Ok(DelayTrackerState {
-            pending,
-            tick: d.usize()?,
-            max_delay: d.usize()?,
-            max_delay_exact: d.f64()?,
-        })
-    }
-
-    fn enc_meter(m: &MeterCheckpoint, e: &mut Enc<'_>) {
-        enc_cost(&m.cost, e);
-        e.usize(m.window);
-        e.f64(m.shadow_backlog);
-        enc_delay(&m.delay, e);
-        e.len(m.recent.len());
-        for &(a, b) in &m.recent {
-            e.f64(a);
-            e.f64(b);
-        }
-        e.f64(m.window_arrived);
-        e.f64(m.window_allocated);
-        e.opt_f64(m.min_windowed_utilization);
-        e.f64(m.current_alloc);
-        e.u64(m.ticks);
-        e.u64(m.changes);
-        e.f64(m.peak_allocation);
-        e.f64(m.total_arrived);
-        e.f64(m.total_served);
-        e.f64(m.total_allocated);
-    }
-
-    fn dec_meter(d: &mut Dec<'_>) -> Result<MeterCheckpoint, CodecError> {
-        let cost = dec_cost(d)?;
-        let window = d.usize()?;
-        let shadow_backlog = d.f64()?;
-        let delay = dec_delay(d)?;
-        let n = d.len(16)?;
-        let mut recent = Vec::with_capacity(n);
-        for _ in 0..n {
-            recent.push((d.f64()?, d.f64()?));
-        }
-        Ok(MeterCheckpoint {
-            cost,
-            window,
-            shadow_backlog,
-            delay,
-            recent,
-            window_arrived: d.f64()?,
-            window_allocated: d.f64()?,
-            min_windowed_utilization: d.opt_f64()?,
-            current_alloc: d.f64()?,
-            ticks: d.u64()?,
-            changes: d.u64()?,
-            peak_allocation: d.f64()?,
-            total_arrived: d.f64()?,
-            total_served: d.f64()?,
-            total_allocated: d.f64()?,
-        })
-    }
-
-    fn enc_low(t: &LowTrackerState, e: &mut Enc<'_>) {
-        e.usize(t.d_o);
-        e.len(t.hull.len());
-        for &(x, y) in &t.hull {
-            e.f64(x);
-            e.f64(y);
-        }
-        e.usize(t.ticks);
-        e.f64(t.total);
-        e.f64(t.low);
-    }
-
-    fn dec_low(d: &mut Dec<'_>) -> Result<LowTrackerState, CodecError> {
-        let d_o = d.usize()?;
-        let n = d.len(16)?;
-        let mut hull = Vec::with_capacity(n);
-        for _ in 0..n {
-            hull.push((d.f64()?, d.f64()?));
-        }
-        Ok(LowTrackerState {
-            d_o,
-            hull,
-            ticks: d.usize()?,
-            total: d.f64()?,
-            low: d.f64()?,
-        })
-    }
-
-    fn enc_high(t: &HighTrackerState, e: &mut Enc<'_>) {
-        e.f64(t.u_o);
-        e.usize(t.w);
-        e.f64(t.grace);
-        e.len(t.window.len());
-        for &a in &t.window {
-            e.f64(a);
-        }
-        e.f64(t.window_sum);
-        e.opt_f64(t.min_window_sum);
-        e.usize(t.ticks);
-    }
-
-    fn dec_high(d: &mut Dec<'_>) -> Result<HighTrackerState, CodecError> {
-        let u_o = d.f64()?;
-        let w = d.usize()?;
-        let grace = d.f64()?;
-        let n = d.len(8)?;
-        let mut window = Vec::with_capacity(n);
-        for _ in 0..n {
-            window.push(d.f64()?);
-        }
-        Ok(HighTrackerState {
-            u_o,
-            w,
-            grace,
-            window,
-            window_sum: d.f64()?,
-            min_window_sum: d.opt_f64()?,
-            ticks: d.usize()?,
-        })
-    }
-
-    fn enc_single(cp: &SingleCheckpoint, e: &mut Enc<'_>) {
-        e.f64(cp.cfg.b_max);
-        e.usize(cp.cfg.d_o);
-        e.f64(cp.cfg.u_o);
-        e.usize(cp.cfg.w);
-        e.f64(cp.backlog);
-        match &cp.stage_low {
-            None => e.u8(0),
-            Some(t) => {
-                e.u8(1);
-                enc_low(t, e);
-            }
-        }
-        match &cp.stage_high {
-            None => e.u8(0),
-            Some(t) => {
-                e.u8(1);
-                enc_high(t, e);
-            }
-        }
-        e.f64(cp.b_on);
-        e.usize(cp.tick);
-        enc_stage_log(&cp.stages, e);
-    }
-
-    fn dec_single(d: &mut Dec<'_>) -> Result<SingleCheckpoint, CodecError> {
-        let cfg = SingleConfig {
-            b_max: d.f64()?,
-            d_o: d.usize()?,
-            u_o: d.f64()?,
-            w: d.usize()?,
-        };
-        let backlog = d.f64()?;
-        let stage_low = match d.u8()? {
-            0 => None,
-            1 => Some(dec_low(d)?),
-            t => return Err(CodecError::BadTag(t)),
-        };
-        let stage_high = match d.u8()? {
-            0 => None,
-            1 => Some(dec_high(d)?),
-            t => return Err(CodecError::BadTag(t)),
-        };
-        Ok(SingleCheckpoint {
-            cfg,
-            backlog,
-            stage_low,
-            stage_high,
-            b_on: d.f64()?,
-            tick: d.usize()?,
-            stages: dec_stage_log(d)?,
-        })
-    }
-
-    fn enc_session(cp: &SessionCheckpoint, e: &mut Enc<'_>) {
-        e.u64(cp.key);
-        e.str(&cp.tenant);
-        enc_meter(&cp.meter, e);
-        e.bool(cp.leaving);
-        match &cp.dedicated {
-            None => e.u8(0),
-            Some(alg) => {
-                e.u8(1);
-                enc_single(alg, e);
-            }
-        }
-        match cp.pooled {
-            None => e.u8(0),
-            Some((group, member)) => {
-                e.u8(1);
-                e.u64(group);
-                e.u64(member);
-            }
-        }
-    }
-
-    fn dec_session(d: &mut Dec<'_>) -> Result<SessionCheckpoint, CodecError> {
-        let key = d.u64()?;
-        let tenant: Arc<str> = Arc::from(d.str()?.as_str());
-        let meter = dec_meter(d)?;
-        let leaving = d.bool()?;
-        let dedicated = match d.u8()? {
-            0 => None,
-            1 => Some(dec_single(d)?),
-            t => return Err(CodecError::BadTag(t)),
-        };
-        let pooled = match d.u8()? {
-            0 => None,
-            1 => Some((d.u64()?, d.u64()?)),
-            t => return Err(CodecError::BadTag(t)),
-        };
-        Ok(SessionCheckpoint {
-            key,
-            tenant,
-            meter,
-            leaving,
-            dedicated,
-            pooled,
-        })
-    }
-
-    /// Encodes a shard checkpoint into `buf` (appending — callers reuse
-    /// the buffer across captures).
-    pub(crate) fn encode(cp: &ShardStateCheckpoint, buf: &mut Vec<u8>) {
-        let mut e = Enc::new(buf);
-        e.u8(CODEC_VERSION);
-        e.len(cp.sessions.len());
-        for s in &cp.sessions {
-            enc_session(s, &mut e);
-        }
-        e.len(cp.groups.len());
-        for g in &cp.groups {
-            enc_group(g, &mut e);
-        }
-        e.len(cp.retired.len());
-        for m in cp.retired.iter() {
-            encode_session_metrics(m, &mut e);
-        }
-        e.u64(cp.ticks);
-        e.u64(cp.stages_retired);
-    }
-
-    /// Decodes a shard checkpoint payload.
-    ///
-    /// # Errors
-    ///
-    /// Any [`CodecError`] raised by a malformed payload.
-    pub(crate) fn decode(payload: &[u8]) -> Result<ShardStateCheckpoint, CodecError> {
-        let mut d = Dec::new(payload);
-        d.version()?;
-        let n = d.len(8)?;
-        let mut sessions = Vec::with_capacity(n);
-        for _ in 0..n {
-            sessions.push(dec_session(&mut d)?);
-        }
-        let n = d.len(8)?;
-        let mut groups = Vec::with_capacity(n);
-        for _ in 0..n {
-            groups.push(dec_group(&mut d)?);
-        }
-        let n = d.len(8)?;
-        let mut retired = Vec::with_capacity(n);
-        let mut tenants = TenantInterner::default();
-        for _ in 0..n {
-            retired.push(decode_session_metrics(&mut d, &mut tenants)?);
-        }
-        let cp = ShardStateCheckpoint {
-            sessions,
-            groups,
-            retired: Arc::new(retired),
-            ticks: d.u64()?,
-            stages_retired: d.u64()?,
-        };
-        d.finish()?;
-        Ok(cp)
-    }
-
-    /// Encodes one session's checkpoint as a standalone payload, so a
-    /// test can compare two sessions byte for byte.
-    pub(crate) fn encode_session(cp: &SessionCheckpoint, buf: &mut Vec<u8>) {
-        let mut e = Enc::new(buf);
-        e.u8(CODEC_VERSION);
-        enc_session(cp, &mut e);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Columnar checkpoint frames (v6): schema-described struct-of-arrays.
 // ---------------------------------------------------------------------------
 
@@ -942,7 +608,7 @@ pub(crate) mod columnar {
     // The group section: each pooled group row by row, the layout the
     // test-only row-oriented oracle shares.
 
-    pub(super) fn enc_stage_log(log: &StageLog, e: &mut Enc<'_>) {
+    fn enc_stage_log(log: &StageLog, e: &mut Enc<'_>) {
         let records = log.records();
         e.usize(log.forgotten());
         e.len(records.len());
@@ -958,7 +624,7 @@ pub(crate) mod columnar {
         }
     }
 
-    pub(super) fn dec_stage_log(d: &mut Dec<'_>) -> Result<StageLog, CodecError> {
+    fn dec_stage_log(d: &mut Dec<'_>) -> Result<StageLog, CodecError> {
         let forgotten = d.usize()?;
         let n = d.len(10)?;
         let mut records = Vec::with_capacity(n);
@@ -1039,7 +705,7 @@ pub(crate) mod columnar {
         })
     }
 
-    pub(super) fn enc_group(cp: &GroupCheckpoint, e: &mut Enc<'_>) {
+    fn enc_group(cp: &GroupCheckpoint, e: &mut Enc<'_>) {
         e.u64(cp.group);
         enc_pool(&cp.pool, e);
         e.len(cp.members.len());
@@ -1049,7 +715,7 @@ pub(crate) mod columnar {
         }
     }
 
-    pub(super) fn dec_group(d: &mut Dec<'_>) -> Result<GroupCheckpoint, CodecError> {
+    fn dec_group(d: &mut Dec<'_>) -> Result<GroupCheckpoint, CodecError> {
         let group = d.u64()?;
         let pool = dec_pool(d)?;
         let n = d.len(16)?;

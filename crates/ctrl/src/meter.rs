@@ -12,7 +12,8 @@
 //!   from an implicit allocation of 0);
 //! * maximum FIFO delay — a shadow [`BitQueue`] mirrors the external link
 //!   (fed the same arrivals and allocation the session sees) and feeds an
-//!   [`OnlineDelayTracker`];
+//!   [`OnlineDelayTracker`], which forgets its entries whenever the queue
+//!   drains, rounding residue included;
 //! * windowed utilization — rolling `W`-tick sums of arrivals and
 //!   allocation, minimized over every complete window with non-zero
 //!   allocation (the paper's local utilization, folded online).
@@ -222,6 +223,9 @@ impl SignallingMeter {
         }
         let served = self.shadow.tick(arrivals, allocation);
         self.delay.push(arrivals, served);
+        if self.shadow.is_empty() {
+            self.delay.link_drained();
+        }
         self.ticks += 1;
         self.total_arrived += arrivals;
         self.total_served += served;
@@ -397,6 +401,22 @@ mod tests {
         m.record(0.0, 4.0);
         assert_eq!(m.metrics(0, "t".into(), 0).max_delay, 3);
         assert!(m.is_drained());
+    }
+
+    #[test]
+    fn residue_an_emptied_queue_snaps_away_does_not_age() {
+        // The second tick serves the first entry and 0.6e-6 bits more, so
+        // the FIFO stops with 1.5e-6 bits of the second entry still
+        // queued, while the queue's own backlog of 0.9e-6 snaps to zero.
+        let mut m = meter();
+        m.record(1.0, 0.0);
+        m.record(1.5e-6, 1.0 + 0.6e-6);
+        assert!(m.is_drained());
+        for _ in 0..10 {
+            m.record(0.0, 0.0);
+        }
+        assert_eq!(m.metrics(0, "t".into(), 0).max_delay, 1);
+        assert!(m.checkpoint().delay.pending.is_empty());
     }
 
     #[test]

@@ -87,6 +87,18 @@ impl OnlineDelayTracker {
         self.tick += 1;
     }
 
+    /// Forgets every pending entry: the link queue this tracker shadows
+    /// came out of the tick just pushed empty ([`BitQueue::is_empty`]).
+    /// Anything still pending is then sub-`EPS` residue of the per-entry
+    /// subtraction that the queue snapped to zero with its own backlog;
+    /// it left with the tick's last bit, at the whole-tick delay
+    /// [`OnlineDelayTracker::push`] already charged the head. Kept, it
+    /// would age through every idle tick after it and read as a delay the
+    /// link never had.
+    pub fn link_drained(&mut self) {
+        self.pending.clear();
+    }
+
     /// The maximum FIFO delay observed so far (including bits still queued,
     /// charged with their age so far).
     pub fn max_delay(&self) -> usize {
@@ -210,6 +222,9 @@ pub fn simulate_streaming<A: Allocator + ?Sized>(
         }
         let served = queue.tick(arrival, alloc);
         delay.push(arrival, served);
+        if queue.is_empty() {
+            delay.link_drained();
+        }
         summary.ticks += 1;
         summary.total_arrived += arrival;
         summary.total_served += served;
@@ -349,6 +364,27 @@ mod tests {
         assert!(summary.max_delay <= 8, "delay {}", summary.max_delay);
         assert!(summary.ticks >= 1_000_000);
         assert!((summary.global_utilization() - 0.30).abs() < 0.02);
+    }
+
+    #[test]
+    fn residue_an_emptied_queue_snaps_away_does_not_age() {
+        // Tick 1 serves the first batch and 0.6e-6 bits more: the
+        // tracker stops with 1.5e-6 bits of the second batch pending
+        // while the queue snaps its 0.9e-6-bit backlog to zero.
+        struct Script(std::vec::IntoIter<f64>);
+        impl Allocator for Script {
+            fn on_tick(&mut self, _a: f64) -> f64 {
+                self.0.next().unwrap_or(0.0)
+            }
+            fn name(&self) -> &'static str {
+                "script"
+            }
+        }
+        let arrivals = [1.0, 1.5e-6].into_iter().chain([0.0; 10]);
+        let mut alloc = Script(vec![0.0, 1.0 + 0.6e-6].into_iter());
+        let summary = simulate_streaming(arrivals, &mut alloc, 0);
+        assert_eq!(summary.final_backlog, 0.0);
+        assert_eq!(summary.max_delay, 1);
     }
 
     #[test]
