@@ -590,17 +590,11 @@ pub(crate) mod columnar {
     //! list.
 
     use super::*;
-    use crate::meter::MeterCheckpoint;
-    use crate::shard::{
-        stage_log, GroupCheckpoint, SessionCheckpoint, F_DEDICATED, F_LEAVING, F_LIVE, F_STAGE_OPEN,
-    };
+    use crate::shard::GroupCheckpoint;
     use cdba_analysis::cost::CostModel;
-    use cdba_core::bounds::{HighTrackerState, LowTrackerState};
-    use cdba_core::config::{MultiConfig, SingleConfig};
+    use cdba_core::config::MultiConfig;
     use cdba_core::multi::pool::{PoolCheckpoint, SlotCheckpoint};
-    use cdba_core::single::SingleCheckpoint;
     use cdba_core::stage::{StageKind, StageLog, StageRecord};
-    use cdba_sim::streaming::DelayTrackerState;
     use cdba_traffic::EPS;
     use std::collections::HashMap;
     use std::ops::Range;
@@ -1495,6 +1489,20 @@ pub(crate) mod columnar {
         }
     }
 
+    /// The written cells of a float column, in order: every cell of a
+    /// dense column, the non-zero ones of a sparse one (the rest are
+    /// `+0.0`). What a check that `+0.0` passes needs to scan.
+    pub(crate) fn float_cells<'c>(c: &'c RawColumn<'_>) -> impl Iterator<Item = f64> + 'c {
+        let wide = c.width == 8;
+        c.cells.chunks_exact(usize::from(c.width)).map(move |b| {
+            if wide {
+                f64::from_le_bytes(b.try_into().expect("8"))
+            } else {
+                f64::from(f32::from_le_bytes(b.try_into().expect("4")))
+            }
+        })
+    }
+
     /// Where cell `i` of `c` lies among its written cells; `None` for a
     /// zero cell of a sparse column.
     #[inline]
@@ -1627,274 +1635,6 @@ pub(crate) mod columnar {
             cols,
             groups,
             retired,
-        })
-    }
-
-    /// One dedicated session as a [`ColumnSource`]: the lease frame's
-    /// single row.
-    struct Lease<'a> {
-        cp: &'a SessionCheckpoint,
-        flags: u32,
-        f64s: [f64; 16],
-        u64s: [u64; 5],
-        hull: &'a [(f64, f64)],
-        /// The delay FIFO's head and spill.
-        held: &'a [(usize, f64)],
-    }
-
-    impl ColumnSource for Lease<'_> {
-        fn columns(&self, rows: &Rows<'_>, f: &mut impl ColumnWriter) {
-            let m = &self.cp.meter;
-            let allocs = || m.recent.iter().map(|p| p.1);
-            f.col(C_KEY, [self.cp.key]);
-            f.col(C_TENANT, rows.tenants.iter().copied());
-            f.col(C_FLAGS, [self.flags]);
-            for (j, &v) in self.f64s.iter().enumerate() {
-                f.col(C_F64 + j, [v]);
-            }
-            for (j, &v) in self.u64s.iter().enumerate() {
-                f.col(C_U64 + j, [v]);
-            }
-            f.col(C_HULL_LEN, [self.hull.len() as u64]);
-            f.col(C_HULL_X, self.hull.iter().map(|p| p.0));
-            f.col(C_HULL_Y, self.hull.iter().map(|p| p.1));
-            f.col(C_RECENT_LEN, [m.recent.len() as u64]);
-            f.col(C_RECENT, m.recent.iter().map(|p| p.0));
-            f.col(C_RUNS_LEN, [runs(allocs()).count() as u64]);
-            f.col(C_RUNS_TICKS, runs(allocs()).map(|r| r.0));
-            f.col(C_RUNS_VALUE, runs(allocs()).map(|r| r.1));
-            f.col(C_PEND_LEN, [m.delay.pending.len() as u64]);
-            f.col(C_PEND_AGE, self.held.iter().map(|p| m.ticks - p.0 as u64));
-            f.col(C_PEND_BITS, self.held.iter().map(|p| p.1));
-        }
-    }
-
-    /// Encodes one dedicated session's checkpoint as a standalone
-    /// single-row frame — the migration blob. Same writer, same
-    /// column layout, same decode path as a full shard frame: a quiesced
-    /// session is just a one-session column slice. Only dedicated
-    /// sessions migrate; a pooled one has no group section to name it.
-    pub(crate) fn encode_session_frame(cp: &SessionCheckpoint, out: &mut Vec<u8>) {
-        let m = &cp.meter;
-        let alg = cp
-            .dedicated
-            .as_ref()
-            .expect("only dedicated sessions travel as lease frames");
-        let mut flags = F_LIVE | F_DEDICATED;
-        if cp.leaving {
-            flags |= F_LEAVING;
-        }
-        let mut f64s = [0.0f64; 16];
-        f64s[0] = m.shadow_backlog;
-        f64s[1] = m.current_alloc;
-        f64s[2] = m.peak_allocation;
-        f64s[3] = m.total_arrived;
-        f64s[4] = m.total_served;
-        f64s[5] = m.total_allocated;
-        f64s[6] = m.window_arrived;
-        f64s[7] = m.window_allocated;
-        f64s[8] = alg.backlog;
-        f64s[9] = alg.b_on;
-        f64s[13] = f64::INFINITY; // grace sentinel when no stage travels
-        f64s[14] = m.min_windowed_utilization.unwrap_or(f64::NAN);
-        f64s[15] = m.delay.max_delay_exact;
-        let mut u64s = [0u64; 5];
-        u64s[1] = m.ticks;
-        u64s[2] = m.changes;
-        u64s[3] = m.delay.max_delay as u64;
-        u64s[4] = alg.stages.completed() as u64;
-        let mut hull: &[(f64, f64)] = &[];
-        if let (Some(low), Some(high)) = (&alg.stage_low, &alg.stage_high) {
-            flags |= F_STAGE_OPEN;
-            u64s[0] = low.ticks as u64;
-            f64s[10] = low.total;
-            f64s[11] = low.low;
-            f64s[12] = high.window_sum;
-            f64s[13] = high.min_window_sum.unwrap_or(f64::INFINITY);
-            hull = &low.hull;
-        }
-        // The head, then the entries older than the window.
-        let pending = &m.delay.pending;
-        let start = (m.ticks as usize).saturating_sub(m.recent.len());
-        let spill = pending.iter().skip(1).take_while(|p| p.0 < start).count();
-        let held = &pending[..pending.len().min(1 + spill)];
-        let mut sink = ColumnSink::default();
-        sink.push_row(0, &cp.tenant);
-        let hdr = FrameHeader {
-            ticks: 0,
-            stages_retired: 0,
-            w: m.window as u32,
-            cost: m.cost,
-            b_max: alg.cfg.b_max,
-            d_o: alg.cfg.d_o as u64,
-            u_o: alg.cfg.u_o,
-        };
-        let lease = Lease {
-            cp,
-            flags,
-            f64s,
-            u64s,
-            hull,
-            held,
-        };
-        sink.write(&lease, &hdr, &[], &[], out);
-    }
-
-    /// Materializes the [`SessionCheckpoint`] of a single-row migration
-    /// frame, so the import path can run it through the `validate()` /
-    /// `conforms()` gauntlet before admitting it. What the
-    /// frame does not carry is derived as the kernel derives it: both
-    /// clocks from the meter's, the stage start and the high window from
-    /// the stage's ticks, and the FIFO's entries behind its head from the
-    /// window. Rejects frames that are not a pure one-session dedicated
-    /// slice.
-    ///
-    /// # Errors
-    ///
-    /// A typed `columnar.*` field name, suitable for
-    /// `CtrlError::InvalidCheckpoint`.
-    pub(crate) fn session_from_frame(f: &RawFrame<'_>) -> Result<SessionCheckpoint, &'static str> {
-        if f.rows != 1 || !f.groups.is_empty() || !f.retired.is_empty() {
-            return Err("columnar.migration");
-        }
-        let w = f.w as usize;
-        if w == 0 {
-            return Err("columnar.w");
-        }
-        let flags = u64_at(f.fixed(C_FLAGS)?, 0);
-        const KNOWN: u64 = (F_LIVE | F_DEDICATED | F_LEAVING | F_STAGE_OPEN) as u64;
-        if flags & !KNOWN != 0 || flags & u64::from(F_LIVE) == 0 {
-            return Err("columnar.flags");
-        }
-        if flags & u64::from(F_DEDICATED) == 0 {
-            return Err("columnar.migration");
-        }
-        let tenant_i = u64_at(f.fixed(C_TENANT)?, 0);
-        let tenant = usize::try_from(tenant_i)
-            .ok()
-            .and_then(|i| f.strings.get(i))
-            .ok_or("columnar.tenant")?;
-        let tenant: Arc<str> = Arc::from(*tenant);
-        let mut f64s = [0.0f64; 16];
-        for (j, v) in f64s.iter_mut().enumerate() {
-            *v = f64_at(f.fixed(C_F64 + j)?, 0);
-        }
-        let mut u64s = [0u64; 5];
-        for (j, v) in u64s.iter_mut().enumerate() {
-            *v = u64_at(f.fixed(C_U64 + j)?, 0);
-        }
-        // A ragged column's cells, checked against its row's length.
-        let ragged = |len_idx: usize, c: &RawColumn<'_>| -> Result<usize, &'static str> {
-            let n = u64_at(f.fixed(len_idx)?, 0);
-            if u64::from(c.count) != n {
-                return Err("columnar.ragged");
-            }
-            Ok(n as usize)
-        };
-        let (hull_x, hull_y) = f.pair(C_HULL_X, C_HULL_Y)?;
-        let hull_n = ragged(C_HULL_LEN, hull_x)?;
-        let recent_c = f.col(C_RECENT)?;
-        let recent_n = ragged(C_RECENT_LEN, recent_c)?;
-        let (runs_ticks, runs_value) = f.pair(C_RUNS_TICKS, C_RUNS_VALUE)?;
-        let runs_n = ragged(C_RUNS_LEN, runs_ticks)?;
-        let clock = u64s[1];
-        if recent_n > w || recent_n as u64 > clock {
-            return Err("columnar.ring");
-        }
-        check_runs(runs_ticks, runs_value, 0..runs_n, recent_n)?;
-        let stage_ticks = u64s[0];
-        let open = flags & u64::from(F_STAGE_OPEN) != 0;
-        let window = (stage_ticks as usize).min(w);
-        if open && (stage_ticks > clock || window > recent_n) {
-            return Err("columnar.stage");
-        }
-        let recent: Vec<(f64, f64)> = (0..recent_n)
-            .map(|j| f64_at(recent_c, j))
-            .zip(expand_runs(runs_ticks, runs_value, 0..runs_n))
-            .collect();
-        let arrivals = || recent.iter().map(|p| p.0);
-        let pend_len = u64_at(f.fixed(C_PEND_LEN)?, 0);
-        let (age, bits) = f.pair(C_PEND_AGE, C_PEND_BITS)?;
-        if fifo_cells(age, 0, pend_len, clock, arrivals())? != age.count as usize {
-            return Err("columnar.pend");
-        }
-        let mut pending: Vec<(usize, f64)> = fifo_held(age, bits, 0..age.count as usize, clock)
-            .map(|(t, b)| (t as usize, b))
-            .collect();
-        if let Some(&(head, _)) = pending.first() {
-            let start = clock as usize - recent_n;
-            let queued = (start..)
-                .zip(arrivals())
-                .filter(|&(t, a)| t > head && a > EPS);
-            pending.extend(queued);
-        }
-        let cfg = SingleConfig {
-            b_max: f.b_max,
-            d_o: f.d_o as usize,
-            u_o: f.u_o,
-            w,
-        };
-        let (stage_low, stage_high) = if open {
-            let low = LowTrackerState {
-                d_o: cfg.d_o,
-                hull: (0..hull_n)
-                    .map(|j| (f64_at(hull_x, j), f64_at(hull_y, j)))
-                    .collect(),
-                ticks: stage_ticks as usize,
-                total: f64s[10],
-                low: f64s[11],
-            };
-            let high = HighTrackerState {
-                u_o: cfg.u_o,
-                w,
-                grace: cfg.b_max,
-                window: arrivals().skip(recent_n - window).collect(),
-                window_sum: f64s[12],
-                min_window_sum: (!f64s[13].is_infinite()).then_some(f64s[13]),
-                ticks: stage_ticks as usize,
-            };
-            (Some(low), Some(high))
-        } else {
-            (None, None)
-        };
-        let meter = MeterCheckpoint {
-            cost: f.cost,
-            window: w,
-            shadow_backlog: f64s[0],
-            delay: DelayTrackerState {
-                pending,
-                tick: clock as usize,
-                max_delay: u64s[3] as usize,
-                max_delay_exact: f64s[15],
-            },
-            recent,
-            window_arrived: f64s[6],
-            window_allocated: f64s[7],
-            min_windowed_utilization: (!f64s[14].is_nan()).then_some(f64s[14]),
-            current_alloc: f64s[1],
-            ticks: clock,
-            changes: u64s[2],
-            peak_allocation: f64s[2],
-            total_arrived: f64s[3],
-            total_served: f64s[4],
-            total_allocated: f64s[5],
-        };
-        let dedicated = SingleCheckpoint {
-            stages: stage_log(u64s[4], open.then(|| clock - stage_ticks)),
-            cfg,
-            backlog: f64s[8],
-            stage_low,
-            stage_high,
-            b_on: f64s[9],
-            tick: clock as usize,
-        };
-        Ok(SessionCheckpoint {
-            key: u64_at(f.fixed(C_KEY)?, 0),
-            tenant,
-            meter,
-            leaving: flags & u64::from(F_LEAVING) != 0,
-            dedicated: Some(dedicated),
-            pooled: None,
         })
     }
 

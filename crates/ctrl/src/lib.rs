@@ -119,9 +119,12 @@ pub enum CtrlError {
     },
     /// A tick listed the same session key twice.
     DuplicateArrival(u64),
-    /// A migration blob decoded structurally but carried a value outside
-    /// its domain — a non-finite or negative float, or an impossible
-    /// tracker shape — that would corrupt a shard if imported.
+    /// A columnar frame — a migration blob, a mirrored or retained
+    /// checkpoint — was refused by the frame validator before it reached
+    /// a shard: it is malformed, not a lease where one was due, runs
+    /// another configuration, holds a row the kernel could not hold, or
+    /// carries a value outside its column's domain (a non-finite or
+    /// negative float).
     InvalidCheckpoint {
         /// The first offending field.
         field: &'static str,
@@ -170,7 +173,7 @@ impl fmt::Display for CtrlError {
                 write!(f, "session {key} listed twice in one tick")
             }
             CtrlError::InvalidCheckpoint { field } => {
-                write!(f, "migration blob rejected: {field} is out of domain")
+                write!(f, "checkpoint frame refused: {field}")
             }
             CtrlError::InvalidImage { field } => write!(f, "process image refused: {field}"),
         }

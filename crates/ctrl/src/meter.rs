@@ -19,7 +19,7 @@
 //!   allocation (the paper's local utilization, folded online).
 
 use cdba_analysis::cost::CostModel;
-use cdba_sim::streaming::{DelayTrackerState, OnlineDelayTracker};
+use cdba_sim::streaming::OnlineDelayTracker;
 use cdba_sim::BitQueue;
 use cdba_traffic::EPS;
 use serde::{Deserialize, Serialize};
@@ -38,44 +38,6 @@ pub(crate) fn delay_ticks(exact: f64) -> u64 {
     } else {
         exact.ceil() as u64
     }
-}
-
-/// Whether a delay FIFO can be held as the kernel holds it: its head,
-/// then the entries older than the meter's window, then the window's own
-/// arrivals. `pending` is the FIFO oldest first, `ticks` the meter's
-/// clock, and `recent` the window's arrivals oldest first, which are
-/// ticks `ticks − recent.len() ..`. Only the head is ever partly served,
-/// so every entry behind it that the window covers must be exactly the
-/// window's arrivals `> EPS` newer than the head, tick for tick and bit
-/// for bit. Entries older than the window must follow the head in
-/// strictly ascending tick order, and no entry may be from the future.
-pub(crate) fn pending_agrees(
-    pending: impl Iterator<Item = (u64, f64)>,
-    ticks: u64,
-    recent: impl ExactSizeIterator<Item = f64>,
-) -> bool {
-    let Some(start) = ticks.checked_sub(recent.len() as u64) else {
-        return false;
-    };
-    let mut pending = pending.peekable();
-    let Some((head, _)) = pending.next() else {
-        return true;
-    };
-    if head >= ticks {
-        return false;
-    }
-    let mut last = head;
-    while let Some((t, _)) = pending.next_if(|&(t, _)| t < start) {
-        if t <= last {
-            return false;
-        }
-        last = t;
-    }
-    let window = (start..).zip(recent);
-    let queued = window.filter(|&(t, a)| t > head && a > EPS);
-    pending
-        .map(|(t, b)| (t, b.to_bits()))
-        .eq(queued.map(|(t, a)| (t, a.to_bits())))
 }
 
 /// The metered totals of one session, exported in snapshots.
@@ -118,42 +80,6 @@ impl SessionMetrics {
     pub fn total_cost(&self) -> f64 {
         self.signalling_cost + self.bandwidth_cost
     }
-}
-
-/// The full internal state of a [`SignallingMeter`], exported for shard
-/// checkpoints. Restoring reproduces the meter bitwise.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MeterCheckpoint {
-    /// The pricing model.
-    pub cost: CostModel,
-    /// Utilization window in ticks.
-    pub window: usize,
-    /// Shadow link-queue backlog in bits.
-    pub shadow_backlog: f64,
-    /// Delay-tracker state.
-    pub delay: DelayTrackerState,
-    /// `(arrivals, allocation)` of the last up-to-`window` ticks.
-    pub recent: Vec<(f64, f64)>,
-    /// Rolling sum of windowed arrivals.
-    pub window_arrived: f64,
-    /// Rolling sum of windowed allocation.
-    pub window_allocated: f64,
-    /// Minimum windowed utilization so far.
-    pub min_windowed_utilization: Option<f64>,
-    /// Allocation of the previous tick (change detection).
-    pub current_alloc: f64,
-    /// Ticks metered.
-    pub ticks: u64,
-    /// Allocation changes counted.
-    pub changes: u64,
-    /// Peak single-tick allocation.
-    pub peak_allocation: f64,
-    /// Total bits arrived.
-    pub total_arrived: f64,
-    /// Total bits served.
-    pub total_served: f64,
-    /// Total allocated bandwidth.
-    pub total_allocated: f64,
 }
 
 /// Online meter for one session; see the module docs.
@@ -257,51 +183,6 @@ impl SignallingMeter {
     /// `true` once every submitted bit has been served.
     pub fn is_drained(&self) -> bool {
         self.shadow.is_empty()
-    }
-
-    /// Exports the full meter state; [`SignallingMeter::restore`] rebuilds
-    /// a meter that meters identically, bitwise.
-    pub fn checkpoint(&self) -> MeterCheckpoint {
-        MeterCheckpoint {
-            cost: self.cost,
-            window: self.window,
-            shadow_backlog: self.shadow.backlog(),
-            delay: self.delay.state(),
-            recent: self.recent.iter().copied().collect(),
-            window_arrived: self.window_arrived,
-            window_allocated: self.window_allocated,
-            min_windowed_utilization: self.min_windowed_utilization,
-            current_alloc: self.current_alloc,
-            ticks: self.ticks,
-            changes: self.changes,
-            peak_allocation: self.peak_allocation,
-            total_arrived: self.total_arrived,
-            total_served: self.total_served,
-            total_allocated: self.total_allocated,
-        }
-    }
-
-    /// Rebuilds a meter from a checkpoint, bitwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cp.window == 0` (as [`SignallingMeter::new`] would).
-    pub fn restore(cp: &MeterCheckpoint) -> Self {
-        let mut m = SignallingMeter::new(cp.cost, cp.window);
-        m.shadow.inject(cp.shadow_backlog);
-        m.delay = OnlineDelayTracker::restore(&cp.delay);
-        m.recent = cp.recent.iter().copied().collect();
-        m.window_arrived = cp.window_arrived;
-        m.window_allocated = cp.window_allocated;
-        m.min_windowed_utilization = cp.min_windowed_utilization;
-        m.current_alloc = cp.current_alloc;
-        m.ticks = cp.ticks;
-        m.changes = cp.changes;
-        m.peak_allocation = cp.peak_allocation;
-        m.total_arrived = cp.total_arrived;
-        m.total_served = cp.total_served;
-        m.total_allocated = cp.total_allocated;
-        m
     }
 
     /// The metered totals so far, labelled for export.
@@ -416,7 +297,7 @@ mod tests {
             m.record(0.0, 0.0);
         }
         assert_eq!(m.metrics(0, "t".into(), 0).max_delay, 1);
-        assert!(m.checkpoint().delay.pending.is_empty());
+        assert!(m.delay.state().pending.is_empty());
     }
 
     #[test]
@@ -429,45 +310,6 @@ mod tests {
         assert_eq!(delay_ticks(2.9), 3);
         assert_eq!(delay_ticks(3.0), 3);
         assert_eq!(delay_ticks(1e-12), 1);
-    }
-
-    #[test]
-    fn checkpoint_restore_is_bitwise() {
-        let mut m = meter();
-        for (a, b) in [(2.0, 4.0), (9.0, 4.0), (0.0, 8.0), (1.0, 0.0)] {
-            m.record(a, b);
-        }
-        let cp = m.checkpoint();
-        let mut twin = SignallingMeter::restore(&cp);
-        assert_eq!(twin.checkpoint(), cp, "restore not idempotent");
-        for (a, b) in [(0.0, 8.0), (5.0, 2.0), (0.0, 2.0), (0.0, 2.0)] {
-            m.record(a, b);
-            twin.record(a, b);
-        }
-        assert_eq!(m.metrics(1, "t".into(), 0), twin.metrics(1, "t".into(), 0));
-        assert_eq!(m.backlog().to_bits(), twin.backlog().to_bits());
-    }
-
-    #[test]
-    fn a_fifo_agrees_with_its_window_only_as_the_kernel_holds_it() {
-        // Clock 10: the window holds ticks 6..10, arrivals 0, 3, 0, 5.
-        let recent = [0.0, 3.0, 0.0, 5.0];
-        let fits = |p: &[(u64, f64)]| pending_agrees(p.iter().copied(), 10, recent.into_iter());
-        assert!(fits(&[]));
-        assert!(fits(&[(9, 1.5)]), "a partly served head");
-        assert!(fits(&[(2, 0.5), (4, 7.0), (7, 3.0), (9, 5.0)]));
-        assert!(fits(&[(7, 0.25), (9, 5.0)]));
-        assert!(!fits(&[(2, 0.5), (4, 7.0), (9, 5.0)]), "skips tick 7");
-        assert!(!fits(&[(2, 0.5), (7, 3.5), (9, 5.0)]), "tick 7 disagrees");
-        assert!(
-            !fits(&[(4, 0.5), (2, 7.0), (7, 3.0), (9, 5.0)]),
-            "behind the head, yet older"
-        );
-        assert!(!fits(&[(10, 1.0)]), "from the future");
-        assert!(
-            !pending_agrees([].into_iter(), 3, recent.into_iter()),
-            "more window than clock"
-        );
     }
 
     #[test]

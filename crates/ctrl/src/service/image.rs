@@ -311,7 +311,7 @@ impl ControlPlane {
                         epoch: sup.epoch,
                         events_applied: 0,
                         sessions: u64::from(image.frames[s].1.rows),
-                        bytes: Arc::new(raw.to_vec()),
+                        bytes: raw.to_vec(),
                     });
                 }
                 let fault = self.cfg.fault.filter(|plan| plan.shard == s);

@@ -38,20 +38,16 @@
 //! driver can discard stragglers from replaced workers.
 
 use crate::codec::columnar;
+use crate::codec::columnar::{RawColumn, RawFrame};
 use crate::config::ServiceConfig;
 use crate::fault::{FaultKind, FaultPlan};
-use crate::meter::{delay_ticks, MeterCheckpoint, SessionMetrics};
+use crate::meter::{delay_ticks, SessionMetrics};
 use crate::slab::{KeyMap, Slab, Slots};
 use cdba_analysis::cost::CostModel;
 use cdba_core::config::{MultiConfig, SingleConfig};
 use cdba_core::multi::pool::{PoolCheckpoint, SessionId as PoolSessionId, SessionPool};
-use cdba_core::single::{crossed, SingleCheckpoint};
-use cdba_core::stage::StageLog;
-use cdba_core::{
-    bounds::{HighTrackerState, LowTrackerState},
-    next_power_of_two,
-};
-use cdba_sim::streaming::DelayTrackerState;
+use cdba_core::next_power_of_two;
+use cdba_core::single::crossed;
 use cdba_traffic::EPS;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -75,14 +71,14 @@ pub(crate) enum Event {
         /// What the report carries.
         what: Collect,
     },
-    /// Capture one session's restorable state (read-only, like
-    /// [`Event::Collect`]) for a live migration. `None` if the key is not
+    /// Write one session's lease (read-only, like [`Event::Collect`]) for
+    /// a live migration: [`ShardState::lease`]. `None` if the key is not
     /// live on this shard or the session is pooled.
     ExportSession {
         /// The session to capture.
         key: u64,
-        /// Where to send the captured state.
-        reply: crossbeam::channel::Sender<Option<SessionCheckpoint>>,
+        /// Where to send the lease.
+        reply: crossbeam::channel::Sender<Option<Vec<u8>>>,
     },
     /// Stop the worker loop.
     Shutdown,
@@ -186,10 +182,15 @@ pub(crate) enum ReplayEvent {
         /// The session to remove.
         key: u64,
     },
-    /// Re-create a migrated-in dedicated session from its checkpoint.
+    /// Re-create a migrated-in dedicated session from its lease.
     Import {
-        /// The captured state (key already rewritten to this service's).
-        cp: Arc<SessionCheckpoint>,
+        /// The key the session takes here, fresh in this service.
+        key: u64,
+        /// Its tenant, as admission interned it.
+        tenant: Arc<str>,
+        /// The lease: a one-row frame, validated at the service boundary
+        /// ([`validate_lease`]).
+        lease: Arc<[u8]>,
     },
 }
 
@@ -328,208 +329,8 @@ pub(crate) struct ShardCheckpoint {
     /// Session rows the frame carries — observability only.
     pub sessions: u64,
     /// The frame payload ([`columnar::parse`] +
-    /// [`ShardState::apply_frame`] restore it), shared with checkpoint
-    /// subscribers rather than copied.
-    pub bytes: Arc<Vec<u8>>,
-}
-
-/// A restorable snapshot of one session.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct SessionCheckpoint {
-    /// Service-wide session key.
-    pub key: u64,
-    /// Owning tenant.
-    pub tenant: Arc<str>,
-    /// The meter state.
-    pub meter: MeterCheckpoint,
-    /// `true` if the session is draining out.
-    pub leaving: bool,
-    /// Single-session algorithm state; `Some` iff the session is
-    /// dedicated.
-    pub dedicated: Option<SingleCheckpoint>,
-    /// `(group id, raw pool member id)`; `Some` iff the session is pooled.
-    pub pooled: Option<(u64, u64)>,
-}
-
-impl SessionCheckpoint {
-    /// Domain-validates a decoded migration blob before any of it reaches
-    /// a shard: every `f64` must be finite (non-negative where the domain
-    /// requires it) and the tracker shapes must be internally consistent,
-    /// i.e. exactly the states `HighTracker::restore` and friends would
-    /// otherwise reject by panicking. And what the kernel derives rather
-    /// than stores must agree with its source: the delay tracker and the
-    /// algorithm run on the meter's clock, an open stage started at that
-    /// clock less its ticks, its high window is the newest
-    /// `min(stage ticks, W)` arrivals of the meter's ring, and the delay
-    /// FIFO's entries behind its head that the ring covers are the ring's
-    /// arrivals, bit for bit. Returns the first offending field.
-    ///
-    /// Worker-produced checkpoints satisfy this by construction; only
-    /// blobs crossing a trust boundary (fleet migration import) pay the
-    /// scan.
-    pub(crate) fn validate(&self) -> Result<(), &'static str> {
-        fn nn(v: f64) -> bool {
-            v.is_finite() && v >= 0.0
-        }
-        let m = &self.meter;
-        if m.window == 0 {
-            return Err("meter.window");
-        }
-        if !nn(m.cost.per_bandwidth_tick) || !nn(m.cost.per_change) {
-            return Err("meter.cost");
-        }
-        if !nn(m.shadow_backlog) {
-            return Err("meter.shadow_backlog");
-        }
-        if !nn(m.delay.max_delay_exact) {
-            return Err("meter.delay.max_delay_exact");
-        }
-        if m.delay.pending.iter().any(|&(_, bits)| !nn(bits)) {
-            return Err("meter.delay.pending");
-        }
-        if m.recent.len() > m.window || m.recent.len() as u64 > m.ticks {
-            return Err("meter.recent");
-        }
-        if m.recent.iter().any(|&(a, b)| !nn(a) || !nn(b)) {
-            return Err("meter.recent");
-        }
-        if m.delay.tick as u64 != m.ticks {
-            return Err("meter.delay.tick");
-        }
-        let pending = m.delay.pending.iter().map(|&(t, b)| (t as u64, b));
-        if !crate::meter::pending_agrees(pending, m.ticks, m.recent.iter().map(|p| p.0)) {
-            return Err("meter.delay.pending");
-        }
-        if !m.window_arrived.is_finite() || !m.window_allocated.is_finite() {
-            return Err("meter.window_sums");
-        }
-        if m.min_windowed_utilization.is_some_and(|u| !nn(u)) {
-            return Err("meter.min_windowed_utilization");
-        }
-        if !nn(m.current_alloc) {
-            return Err("meter.current_alloc");
-        }
-        if !nn(m.peak_allocation) {
-            return Err("meter.peak_allocation");
-        }
-        if !nn(m.total_arrived) || !nn(m.total_served) || !nn(m.total_allocated) {
-            return Err("meter.totals");
-        }
-        if self.dedicated.is_some() == self.pooled.is_some() {
-            return Err("kind");
-        }
-        if let Some(alg) = &self.dedicated {
-            let cfg = &alg.cfg;
-            if !(cfg.b_max.is_finite() && cfg.b_max > 0.0) {
-                return Err("alg.cfg.b_max");
-            }
-            if !(cfg.u_o.is_finite() && cfg.u_o > 0.0 && cfg.u_o <= 1.0) {
-                return Err("alg.cfg.u_o");
-            }
-            if cfg.d_o == 0 {
-                return Err("alg.cfg.d_o");
-            }
-            if cfg.w == 0 {
-                return Err("alg.cfg.w");
-            }
-            if !nn(alg.backlog) {
-                return Err("alg.backlog");
-            }
-            if !nn(alg.b_on) {
-                return Err("alg.b_on");
-            }
-            if alg.tick as u64 != m.ticks {
-                return Err("alg.tick");
-            }
-            let start = |h: &HighTrackerState| m.ticks.checked_sub(h.ticks as u64);
-            if alg.stages.open_start().map(|s| Some(s as u64)) != alg.stage_high.as_ref().map(start)
-            {
-                return Err("alg.stages");
-            }
-            match (&alg.stage_low, &alg.stage_high) {
-                (Some(low), Some(high)) => {
-                    if low.d_o == 0 {
-                        return Err("alg.stage_low.d_o");
-                    }
-                    if low
-                        .hull
-                        .iter()
-                        .any(|&(x, y)| !x.is_finite() || !y.is_finite())
-                    {
-                        return Err("alg.stage_low.hull");
-                    }
-                    if !nn(low.total) || !nn(low.low) {
-                        return Err("alg.stage_low");
-                    }
-                    if !(high.u_o.is_finite() && high.u_o > 0.0 && high.u_o <= 1.0) {
-                        return Err("alg.stage_high.u_o");
-                    }
-                    if high.w == 0 {
-                        return Err("alg.stage_high.w");
-                    }
-                    if !(high.grace.is_finite() && high.grace > 0.0) {
-                        return Err("alg.stage_high.grace");
-                    }
-                    if !nn(high.window_sum) {
-                        return Err("alg.stage_high.window_sum");
-                    }
-                    if high.min_window_sum.is_some_and(|s| !nn(s)) {
-                        return Err("alg.stage_high.min_window_sum");
-                    }
-                    let n = high.ticks.min(m.window);
-                    let suffix = m.recent[m.recent.len().saturating_sub(n)..].iter();
-                    let window = high.window.iter().map(|a| a.to_bits());
-                    if high.window.len() != n || !suffix.map(|p| p.0.to_bits()).eq(window) {
-                        return Err("alg.stage_high.window");
-                    }
-                }
-                (None, None) => {}
-                _ => return Err("alg.stage"),
-            }
-        }
-        Ok(())
-    }
-
-    /// Checks that an imported checkpoint runs the importing service's
-    /// configuration: algorithm config, meter window, pricing, and stage
-    /// tracker parameters must all match, and the two stage trackers must
-    /// agree on the stage clock. Checkpoints produced by a service with
-    /// the same configuration conform by construction; anything else
-    /// would silently continue the session under different rules than it
-    /// was admitted with — the kernel keeps one shard-wide parameter
-    /// block instead of per-session config copies and would apply the
-    /// service's parameters regardless, so a non-conforming blob is
-    /// rejected here with a typed error instead.
-    pub(crate) fn conforms(
-        &self,
-        single: &SingleConfig,
-        cost: CostModel,
-    ) -> Result<(), &'static str> {
-        let m = &self.meter;
-        if m.window != single.w {
-            return Err("meter.window differs from the service window");
-        }
-        if m.cost != cost {
-            return Err("meter.cost differs from the service pricing");
-        }
-        if let Some(alg) = &self.dedicated {
-            if alg.cfg != *single {
-                return Err("alg.cfg differs from the service config");
-            }
-            if let (Some(low), Some(high)) = (&alg.stage_low, &alg.stage_high) {
-                if low.d_o != single.d_o {
-                    return Err("alg.stage_low.d_o differs from the service config");
-                }
-                if high.u_o != single.u_o || high.w != single.w || high.grace != single.b_max {
-                    return Err("alg.stage_high differs from the service config");
-                }
-                if low.ticks != high.ticks {
-                    return Err("alg.stage clocks disagree");
-                }
-            }
-        }
-        Ok(())
-    }
+    /// [`ShardState::apply_frame`] restore it).
+    pub bytes: Vec<u8>,
 }
 
 /// A restorable snapshot of one pooled group.
@@ -1021,76 +822,73 @@ impl Columns {
         self.flags[i] |= F_DEDICATED | F_STAGE_OPEN;
     }
 
-    /// Restores slot `i` from a session checkpoint, bitwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the checkpoint fails [`SessionCheckpoint::validate`] or
-    /// does not conform to the shard's configuration. The migration
-    /// import path runs the same checks at the service boundary, turning
-    /// hostile blobs into typed errors before they get here; crash
-    /// recovery restores the shard's own checkpoints, which conform by
-    /// construction. A panic here therefore means a corrupted recovery
-    /// payload, and degrades to a downed shard under `catch_unwind`.
-    fn restore_slot(
-        &mut self,
-        i: usize,
-        cp: &SessionCheckpoint,
-        cfg: &SingleConfig,
-        cost: CostModel,
-    ) {
-        if let Err(field) = cp.validate().and_then(|()| cp.conforms(cfg, cost)) {
-            panic!("checkpoint rejected on restore: {field}");
+    /// Lands row `r` of a validated frame in vacant slot `i`, bitwise —
+    /// all of it but the tenant, an index into the frame's string table —
+    /// and moves `at` past the row's ragged cells. What the frame does not
+    /// carry stays at its vacant value (arrived 0, ring head 0, the FIFO
+    /// head 0/0.0 when there is none), and so do the trackers of a row
+    /// with no open stage.
+    fn land_row(&mut self, i: usize, c: &FrameColumns<'_>, r: usize, at: &mut RowAt) {
+        use columnar::{f64_at, u64_at};
+        let flags = u64_at(c.flags, r) as u32;
+        let hull_n = u64_at(c.hull_len, r) as usize;
+        let recent_n = u64_at(c.recent_len, r) as usize;
+        let runs_n = u64_at(c.runs_len, r) as usize;
+        let pend_n = u64_at(c.pend_len, r);
+        let f64s = |j: usize| f64_at(c.f64s[j], r);
+        self.keys[i] = u64_at(c.key, r);
+        self.flags[i] = flags;
+        self.shadow_backlog[i] = f64s(0);
+        self.current_alloc[i] = f64s(1);
+        self.peak_alloc[i] = f64s(2);
+        self.total_arrived[i] = f64s(3);
+        self.total_served[i] = f64s(4);
+        self.total_allocated[i] = f64s(5);
+        self.window_arrived[i] = f64s(6);
+        self.window_allocated[i] = f64s(7);
+        self.backlog[i] = f64s(8);
+        self.b_on[i] = f64s(9);
+        self.min_util[i] = f64s(14);
+        self.max_delay_exact[i] = f64s(15);
+        let clock = u64_at(c.u64s[1], r);
+        self.meter_ticks[i] = clock;
+        self.changes[i] = u64_at(c.u64s[2], r);
+        self.max_delay[i] = u64_at(c.u64s[3], r);
+        self.stages_completed[i] = u64_at(c.u64s[4], r);
+        // The ring lands at head = 0, exactly how the encoder read it,
+        // its allocation runs expanded in place.
+        let arrivals = (at.recent..at.recent + recent_n).map(|j| f64_at(c.recent, j));
+        let runs = at.runs..at.runs + runs_n;
+        let allocs = columnar::expand_runs(c.runs_ticks, c.runs_value, runs);
+        self.recent_ring.land(i, arrivals.clone().zip(allocs));
+        self.recent_len[i] = recent_n as u32;
+        if flags & F_STAGE_OPEN != 0 {
+            self.stage_ticks[i] = u64_at(c.u64s[0], r);
+            self.low_total[i] = f64s(10);
+            self.low_low[i] = f64s(11);
+            self.high_window_sum[i] = f64s(12);
+            self.high_min_window_sum[i] = f64s(13);
+            let vertices = at.hull..at.hull + hull_n;
+            let vertices = vertices.map(|j| (f64_at(c.hull_x, j), f64_at(c.hull_y, j)));
+            self.land_hull(i, hull_n, vertices);
         }
-        let m = &cp.meter;
-        self.reset_scalars(i);
-        self.keys[i] = cp.key;
-        self.flags[i] = F_LIVE;
-        if cp.leaving {
-            self.flags[i] |= F_LEAVING;
-        }
-        self.shadow_backlog[i] = m.shadow_backlog;
-        self.current_alloc[i] = m.current_alloc;
-        self.peak_alloc[i] = m.peak_allocation;
-        self.total_arrived[i] = m.total_arrived;
-        self.total_served[i] = m.total_served;
-        self.total_allocated[i] = m.total_allocated;
-        self.window_arrived[i] = m.window_arrived;
-        self.window_allocated[i] = m.window_allocated;
-        self.meter_ticks[i] = m.ticks;
-        self.changes[i] = m.changes;
-        self.min_util[i] = m.min_windowed_utilization.unwrap_or(f64::NAN);
-        self.recent_ring.land(i, m.recent.iter().copied());
-        self.recent_len[i] = m.recent.len() as u32;
-        let d = &m.delay;
-        self.max_delay[i] = d.max_delay as u64;
-        self.max_delay_exact[i] = d.max_delay_exact;
-        let pending = d.pending.iter().map(|&(t, b)| (t as u64, b));
-        self.land_pending(i, d.pending.len() as u32, pending);
-        if let Some(alg) = &cp.dedicated {
-            self.flags[i] |= F_DEDICATED;
-            self.backlog[i] = alg.backlog;
-            self.b_on[i] = alg.b_on;
-            if let (Some(low), Some(high)) = (&alg.stage_low, &alg.stage_high) {
-                self.flags[i] |= F_STAGE_OPEN;
-                self.stage_ticks[i] = low.ticks as u64;
-                self.low_total[i] = low.total;
-                self.low_low[i] = low.low;
-                self.land_hull(i, low.hull.len(), low.hull.iter().copied());
-                self.high_window_sum[i] = high.window_sum;
-                self.high_min_window_sum[i] = high.min_window_sum.unwrap_or(f64::INFINITY);
-            }
-            self.stages_completed[i] = alg.stages.completed() as u64;
-        }
+        let held = columnar::fifo_cells(c.pend_age, at.pend, pend_n, clock, arrivals)
+            .expect("validated: the FIFO agrees with its window");
+        let cells = at.pend..at.pend + held;
+        let entries = columnar::fifo_held(c.pend_age, c.pend_bits, cells, clock);
+        self.land_pending(i, pend_n as u32, entries);
+        at.hull += hull_n;
+        at.recent += recent_n;
+        at.runs += runs_n;
+        at.pend += held;
     }
 
     /// Lands slot `i`'s delay FIFO of `len` entries, after its clock and
     /// ring have landed, from `pending` oldest first: the head inline,
     /// the entries older than the window in the spill. The rest are the
     /// window's own arrivals, which the ring already holds, so `pending`
-    /// may stop after the spill — a frame's does
-    /// ([`crate::meter::pending_agrees`] and [`columnar::fifo_cells`] are
-    /// the checks every import and frame passes first).
+    /// stops after the spill ([`columnar::fifo_cells`] is the check every
+    /// frame passes first).
     fn land_pending(&mut self, i: usize, len: u32, pending: impl Iterator<Item = (u64, f64)>) {
         self.pend_len[i] = len;
         let start = self.meter_ticks[i] - u64::from(self.recent_len[i]);
@@ -1106,118 +904,12 @@ impl Columns {
         self.pend_spill[i] = (!spill.is_empty()).then(|| Box::new(spill));
     }
 
-    /// The tick slot `i`'s open stage started at; `None` while none is.
-    fn stage_start(&self, i: usize) -> Option<u64> {
-        let open = self.flags[i] & F_STAGE_OPEN != 0;
-        open.then(|| self.meter_ticks[i] - self.stage_ticks[i])
-    }
-
-    /// Slot `i`'s high-tracker window, oldest first: the newest
-    /// `min(stage ticks, W)` arrivals of its meter ring — none without an
-    /// open stage, where `stage_ticks` rests at 0.
-    fn high_window(&self, i: usize, w: usize) -> impl ExactSizeIterator<Item = f64> + '_ {
-        let n = (self.stage_ticks[i] as usize).min(w);
-        let cursors = (&self.recent_head[..], &self.recent_len[..]);
-        let from = self.recent_len[i] as usize - n;
-        self.recent_ring.run(w, cursors, i, from).map(|(a, _)| a)
-    }
-
     /// The delay-FIFO entries slot `i` holds apart from its window, oldest
     /// first: the head, then the spill.
     fn fifo_held(&self, i: usize) -> impl Iterator<Item = (u64, f64)> + '_ {
         let head = (self.pend_len[i] > 0).then(|| (self.pend_tick[i], self.pend_bits[i]));
         let spill = self.pend_spill[i].iter().flat_map(|s| s.iter().copied());
         head.into_iter().chain(spill)
-    }
-
-    /// Slot `i`'s delay FIFO between ticks, oldest first: the head, the
-    /// spill, then every ring arrival `> EPS` newer than the head — ring
-    /// position `p` holds tick `meter_ticks − recent_len + p`.
-    fn pending(&self, i: usize, w: usize) -> impl Iterator<Item = (u64, f64)> + '_ {
-        let len = self.recent_len[i] as usize;
-        let start = self.meter_ticks[i] - len as u64;
-        // With no head, nothing is queued behind one.
-        let from = match self.pend_len[i] {
-            0 => len,
-            _ => (self.pend_tick[i] + 1).saturating_sub(start) as usize,
-        };
-        let cursors = (&self.recent_head[..], &self.recent_len[..]);
-        let ring = (start + from as u64..).zip(self.recent_ring.run(w, cursors, i, from));
-        let newer = ring.filter_map(|(t, (a, _))| (a > EPS).then_some((t, a)));
-        self.fifo_held(i).chain(newer)
-    }
-
-    /// The meter state of slot `i`, in checkpoint form.
-    fn meter_checkpoint(&self, i: usize, cost: CostModel, w: usize) -> MeterCheckpoint {
-        let mut pending = Vec::with_capacity(self.pend_len[i] as usize);
-        pending.extend(self.pending(i, w).map(|(t, b)| (t as usize, b)));
-        debug_assert_eq!(pending.len(), self.pend_len[i] as usize);
-        MeterCheckpoint {
-            cost,
-            window: w,
-            shadow_backlog: self.shadow_backlog[i],
-            delay: DelayTrackerState {
-                pending,
-                tick: self.meter_ticks[i] as usize,
-                max_delay: self.max_delay[i] as usize,
-                max_delay_exact: self.max_delay_exact[i],
-            },
-            recent: self
-                .recent_ring
-                .run(w, (&self.recent_head, &self.recent_len), i, 0)
-                .collect(),
-            window_arrived: self.window_arrived[i],
-            window_allocated: self.window_allocated[i],
-            min_windowed_utilization: if self.min_util[i].is_nan() {
-                None
-            } else {
-                Some(self.min_util[i])
-            },
-            current_alloc: self.current_alloc[i],
-            ticks: self.meter_ticks[i],
-            changes: self.changes[i],
-            peak_allocation: self.peak_alloc[i],
-            total_arrived: self.total_arrived[i],
-            total_served: self.total_served[i],
-            total_allocated: self.total_allocated[i],
-        }
-    }
-
-    /// The algorithm state of slot `i`, in checkpoint form.
-    fn alg_checkpoint(&self, i: usize, cfg: &SingleConfig) -> SingleCheckpoint {
-        debug_assert!(
-            self.flags[i] & F_DEDICATED != 0,
-            "slot holds algorithm state"
-        );
-        let open = self.flags[i] & F_STAGE_OPEN != 0;
-        let stages = stage_log(self.stages_completed[i], self.stage_start(i));
-        SingleCheckpoint {
-            cfg: cfg.clone(),
-            backlog: self.backlog[i],
-            stage_low: open.then(|| LowTrackerState {
-                d_o: cfg.d_o,
-                hull: self.hull(i).iter().copied().collect(),
-                ticks: self.stage_ticks[i] as usize,
-                total: self.low_total[i],
-                low: self.low_low[i],
-            }),
-            stage_high: open.then(|| HighTrackerState {
-                u_o: cfg.u_o,
-                w: cfg.w,
-                grace: cfg.b_max,
-                window: self.high_window(i, cfg.w).collect(),
-                window_sum: self.high_window_sum[i],
-                min_window_sum: if self.high_min_window_sum[i].is_infinite() {
-                    None
-                } else {
-                    Some(self.high_min_window_sum[i])
-                },
-                ticks: self.stage_ticks[i] as usize,
-            }),
-            b_on: self.b_on[i],
-            tick: self.meter_ticks[i] as usize,
-            stages,
-        }
     }
 
     /// The metered totals of slot `i`, labelled for export.
@@ -1249,16 +941,6 @@ impl Columns {
             bandwidth_cost: self.total_allocated[i] * cost.per_bandwidth_tick,
         }
     }
-}
-
-/// The row form of the two stage columns: a log that has forgotten its
-/// `completed` closed stages and holds the open one, if any.
-pub(crate) fn stage_log(completed: u64, open_start: Option<u64>) -> StageLog {
-    let mut log = StageLog::from_parts(completed as usize, Vec::new());
-    if let Some(start) = open_start {
-        log.open(start as usize);
-    }
-    log
 }
 
 /// Column `src` read at each listed slot, in list order — a fixed
@@ -1779,6 +1461,293 @@ pub(crate) struct ApplyScratch {
     tenant_ids: Vec<u32>,
 }
 
+/// A validated frame's canonical columns, resolved once by
+/// [`validate_frame`].
+pub(crate) struct FrameColumns<'f> {
+    key: &'f RawColumn<'f>,
+    tenant: &'f RawColumn<'f>,
+    flags: &'f RawColumn<'f>,
+    /// The float scalars, in schema order from [`columnar::C_F64`].
+    f64s: Vec<&'f RawColumn<'f>>,
+    /// The counters, in schema order from [`columnar::C_U64`].
+    u64s: Vec<&'f RawColumn<'f>>,
+    hull_len: &'f RawColumn<'f>,
+    hull_x: &'f RawColumn<'f>,
+    hull_y: &'f RawColumn<'f>,
+    recent_len: &'f RawColumn<'f>,
+    recent: &'f RawColumn<'f>,
+    runs_len: &'f RawColumn<'f>,
+    runs_ticks: &'f RawColumn<'f>,
+    runs_value: &'f RawColumn<'f>,
+    pend_len: &'f RawColumn<'f>,
+    pend_age: &'f RawColumn<'f>,
+    pend_bits: &'f RawColumn<'f>,
+}
+
+/// Where a frame row's runs start in the ragged columns; the row writer
+/// moves it past each row it lands.
+#[derive(Default)]
+struct RowAt {
+    hull: usize,
+    recent: usize,
+    runs: usize,
+    pend: usize,
+}
+
+/// The values a float cell may hold.
+#[derive(Clone, Copy)]
+enum Domain {
+    /// Finite and `>= 0`: a backlog, a total, an allocation, a sum of
+    /// arrivals.
+    NonNegative,
+    /// Finite: a rolling window sum (its subtractions may leave a
+    /// rounding residue below zero) or a hull vertex.
+    Finite,
+    /// Non-negative, or `NaN` for "none yet".
+    NoneYetNaN,
+    /// Non-negative, or `+∞` while the high tracker is in grace.
+    GraceInfinity,
+}
+
+impl Domain {
+    fn holds(self, v: f64) -> bool {
+        let non_negative = v.is_finite() && v >= 0.0;
+        match self {
+            Domain::NonNegative => non_negative,
+            Domain::Finite => v.is_finite(),
+            Domain::NoneYetNaN => non_negative || v.is_nan(),
+            Domain::GraceInfinity => non_negative || v == f64::INFINITY,
+        }
+    }
+}
+
+/// Every float column's value domain, and the field a cell outside it is
+/// refused as. `+0.0`, a sparse column's absent cell, is in every domain.
+const DOMAINS: [(usize, Domain, &str); 21] = {
+    use columnar::*;
+    use Domain::*;
+    [
+        (C_F64, NonNegative, "columnar.shadow_backlog"),
+        (C_F64 + 1, NonNegative, "columnar.current_alloc"),
+        (C_F64 + 2, NonNegative, "columnar.peak_alloc"),
+        (C_F64 + 3, NonNegative, "columnar.total_arrived"),
+        (C_F64 + 4, NonNegative, "columnar.total_served"),
+        (C_F64 + 5, NonNegative, "columnar.total_allocated"),
+        (C_F64 + 6, Finite, "columnar.window_arrived"),
+        (C_F64 + 7, Finite, "columnar.window_allocated"),
+        (C_F64 + 8, NonNegative, "columnar.backlog"),
+        (C_F64 + 9, NonNegative, "columnar.b_on"),
+        (C_F64 + 10, NonNegative, "columnar.low_total"),
+        (C_F64 + 11, NonNegative, "columnar.low_low"),
+        (C_F64 + 12, NonNegative, "columnar.high_window_sum"),
+        (C_F64 + 13, GraceInfinity, "columnar.high_min_window_sum"),
+        (C_F64 + 14, NoneYetNaN, "columnar.min_util"),
+        (C_F64 + 15, NonNegative, "columnar.max_delay_exact"),
+        (C_HULL_X, Finite, "columnar.hull_x"),
+        (C_HULL_Y, Finite, "columnar.hull_y"),
+        (C_RECENT, NonNegative, "columnar.recent"),
+        (C_RUNS_VALUE, NonNegative, "columnar.alloc_runs_value"),
+        (C_PEND_BITS, NonNegative, "columnar.pend_bits"),
+    ]
+};
+
+/// The one validator of session state on its way into a shard — a
+/// checkpoint frame on recovery, a process image's frame on restore, a
+/// mirror's frame, a lease on import — run in full before any of it
+/// lands. The frame must run `single` at `cost` (the kernel keeps one
+/// shard-wide parameter block, so a row under other rules would silently
+/// change them); carry every canonical column at its count; hold rows the
+/// kernel could hold (in range keys and tenants, known flags, a ring no
+/// longer than `W` or its clock, an open stage no older than its clock
+/// whose high window the ring covers, allocation runs that tile the
+/// ring, a delay FIFO that agrees with its window, no key twice, group
+/// members that are the frame's pooled rows, each once); and hold every
+/// float cell in its column's [`DOMAINS`] — what the kernel would
+/// otherwise compute with. Returns the frame's columns, resolved.
+///
+/// # Errors
+///
+/// The first offending `columnar.*` field, for
+/// `CtrlError::InvalidCheckpoint`.
+pub(crate) fn validate_frame<'f>(
+    f: &'f RawFrame<'f>,
+    single: &SingleConfig,
+    cost: CostModel,
+    scratch: &mut ApplyScratch,
+) -> Result<FrameColumns<'f>, &'static str> {
+    use columnar::*;
+    let w = single.w;
+    if f.w as usize != w {
+        return Err("columnar.w");
+    }
+    if f.cost.per_bandwidth_tick.to_bits() != cost.per_bandwidth_tick.to_bits()
+        || f.cost.per_change.to_bits() != cost.per_change.to_bits()
+        || f.b_max.to_bits() != single.b_max.to_bits()
+        || f.d_o != single.d_o as u64
+        || f.u_o.to_bits() != single.u_o.to_bits()
+    {
+        return Err("columnar.cfg");
+    }
+    let rows = f.rows as usize;
+    let (hull_x, hull_y) = f.pair(C_HULL_X, C_HULL_Y)?;
+    let (runs_ticks, runs_value) = f.pair(C_RUNS_TICKS, C_RUNS_VALUE)?;
+    let (pend_age, pend_bits) = f.pair(C_PEND_AGE, C_PEND_BITS)?;
+    let c = FrameColumns {
+        key: f.fixed(C_KEY)?,
+        tenant: f.fixed(C_TENANT)?,
+        flags: f.fixed(C_FLAGS)?,
+        f64s: (0..16)
+            .map(|j| f.fixed(C_F64 + j))
+            .collect::<Result<_, _>>()?,
+        u64s: (0..5)
+            .map(|j| f.fixed(C_U64 + j))
+            .collect::<Result<_, _>>()?,
+        hull_len: f.fixed(C_HULL_LEN)?,
+        hull_x,
+        hull_y,
+        recent_len: f.fixed(C_RECENT_LEN)?,
+        recent: f.col(C_RECENT)?,
+        runs_len: f.fixed(C_RUNS_LEN)?,
+        runs_ticks,
+        runs_value,
+        pend_len: f.fixed(C_PEND_LEN)?,
+        pend_age,
+        pend_bits,
+    };
+    // Ragged bodies must account for exactly the sum of the per-row
+    // run lengths — a mismatched cursor would smear rows together.
+    // (The FIFO's cells are counted row by row below.)
+    for (len_c, body_c) in [
+        (c.hull_len, c.hull_x),
+        (c.recent_len, c.recent),
+        (c.runs_len, c.runs_ticks),
+    ] {
+        let total = (0..rows).try_fold(0u64, |sum, r| sum.checked_add(u64_at(len_c, r)));
+        if total != Some(u64::from(body_c.count)) {
+            return Err("columnar.ragged");
+        }
+    }
+    const KNOWN: u64 = (F_LIVE | F_DEDICATED | F_LEAVING | F_STAGE_OPEN) as u64;
+    let dedicated = |r: usize| u64_at(c.flags, r) & u64::from(F_DEDICATED) != 0;
+    scratch.keys.clear();
+    let mut pooled_rows = 0usize;
+    let mut at = RowAt::default();
+    for r in 0..rows {
+        // The key index is direct-mapped — one table slot per key up
+        // to the maximum — so an astronomical key in a hostile frame
+        // would translate straight into an astronomical allocation.
+        if u64_at(c.key, r) >= MAX_FRAME_KEY {
+            return Err("columnar.key");
+        }
+        let recent_n = u64_at(c.recent_len, r) as usize;
+        let clock = u64_at(c.u64s[1], r);
+        if recent_n > w || recent_n as u64 > clock {
+            return Err("columnar.ring");
+        }
+        // Only the FIFO's head and spill travel: the entries behind
+        // the head that the window covers are its arrivals.
+        let recent = (at.recent..at.recent + recent_n).map(|j| f64_at(c.recent, j));
+        let pend_n = u64_at(c.pend_len, r);
+        at.pend += fifo_cells(c.pend_age, at.pend, pend_n, clock, recent)?;
+        at.recent += recent_n;
+        let flags = u64_at(c.flags, r);
+        if flags & !KNOWN != 0 || flags & u64::from(F_LIVE) == 0 {
+            return Err("columnar.flags");
+        }
+        let open = flags & u64::from(F_STAGE_OPEN) != 0;
+        if !dedicated(r) && open {
+            return Err("columnar.flags");
+        }
+        if u64_at(c.tenant, r) >= f.strings.len() as u64 {
+            return Err("columnar.tenant");
+        }
+        // An open stage started at the meter's clock less its ticks,
+        // and its high window is the ring's newest `min(ticks, W)`
+        // arrivals: both must exist.
+        let stage = u64_at(c.u64s[0], r);
+        if open && (stage > clock || stage.min(w as u64) > recent_n as u64) {
+            return Err("columnar.stage");
+        }
+        let runs_n = u64_at(c.runs_len, r) as usize;
+        check_runs(
+            c.runs_ticks,
+            c.runs_value,
+            at.runs..at.runs + runs_n,
+            recent_n,
+        )?;
+        at.runs += runs_n;
+        pooled_rows += usize::from(!dedicated(r));
+        scratch.keys.push((u64_at(c.key, r), r as u32));
+    }
+    if at.pend != c.pend_age.count as usize {
+        return Err("columnar.pend");
+    }
+    scratch.keys.sort_unstable();
+    if scratch.keys.windows(2).any(|p| p[0].0 == p[1].0) {
+        return Err("columnar.keys"); // one key, two rows
+    }
+    if !f.groups.windows(2).all(|g| g[0].group < g[1].group) {
+        return Err("columnar.groups");
+    }
+    // A row carries no group: the group section names its pooled
+    // rows. Every listed member must resolve to a pooled row of the
+    // frame, and every pooled row must be listed exactly once, or the
+    // rebuilt pool would silently drop it.
+    scratch.members.clear();
+    for g in &f.groups {
+        // Group ids feed the same direct-mapped index as session keys.
+        if g.group >= MAX_FRAME_KEY {
+            return Err("columnar.key");
+        }
+        if !g.members.windows(2).all(|m| m[0].0 < m[1].0) {
+            return Err("columnar.groups");
+        }
+        for &(_, key) in &g.members {
+            let pos = scratch
+                .keys
+                .binary_search_by_key(&key, |&(k, _)| k)
+                .map_err(|_| "columnar.groups")?;
+            let r = scratch.keys[pos].1;
+            if dedicated(r as usize) {
+                return Err("columnar.groups");
+            }
+            scratch.members.push(r);
+        }
+    }
+    scratch.members.sort_unstable();
+    if scratch.members.len() != pooled_rows || scratch.members.windows(2).any(|p| p[0] == p[1]) {
+        return Err("columnar.groups");
+    }
+    // Value domains, a column at a time over its written cells.
+    for (col, domain, field) in DOMAINS {
+        if !float_cells(f.col(col)?).all(|v| domain.holds(v)) {
+            return Err(field);
+        }
+    }
+    Ok(c)
+}
+
+/// Checks that a frame is a lease — one dedicated row, no group section,
+/// no retired list — then validates it ([`validate_frame`]).
+///
+/// # Errors
+///
+/// `columnar.migration` for any other shape, else the validator's field.
+pub(crate) fn validate_lease(
+    f: &RawFrame<'_>,
+    single: &SingleConfig,
+    cost: CostModel,
+) -> Result<(), &'static str> {
+    let dedicated = || {
+        let flags = f.fixed(columnar::C_FLAGS)?;
+        Ok::<_, &'static str>(columnar::u64_at(flags, 0) & u64::from(F_DEDICATED) != 0)
+    };
+    if f.rows != 1 || !f.groups.is_empty() || !f.retired.is_empty() || !dedicated()? {
+        return Err("columnar.migration");
+    }
+    validate_frame(f, single, cost, &mut ApplyScratch::default()).map(drop)
+}
+
 /// The per-shard session store and tick loop.
 pub(crate) struct ShardState {
     shard: u64,
@@ -1941,14 +1910,38 @@ impl ShardState {
         sink: &mut columnar::ColumnSink,
         out: &mut Vec<u8>,
     ) -> u64 {
-        self.encode_rows(self.live_slots(), &self.retired, sink, out)
+        let groups = self.group_checkpoints();
+        self.encode_rows(
+            self.live_slots(),
+            self.header(),
+            &groups,
+            &self.retired,
+            sink,
+            out,
+        )
     }
 
-    /// [`ShardState::encode_columnar`] with the rows of `slots`, in that
-    /// order, and `retired` as the retired list.
+    /// The frame header of this shard: its clock, retired stages and
+    /// configuration.
+    fn header(&self) -> columnar::FrameHeader {
+        columnar::FrameHeader {
+            ticks: self.ticks,
+            stages_retired: self.stages_retired,
+            w: self.window as u32,
+            cost: self.cost,
+            b_max: self.single_cfg.b_max,
+            d_o: self.single_cfg.d_o as u64,
+            u_o: self.single_cfg.u_o,
+        }
+    }
+
+    /// A frame of the rows of `slots`, in that order, under `hdr`, with
+    /// `groups` and `retired` as its tail sections.
     fn encode_rows(
         &self,
         slots: impl IntoIterator<Item = usize>,
+        hdr: columnar::FrameHeader,
+        groups: &[GroupCheckpoint],
         retired: &[SessionMetrics],
         sink: &mut columnar::ColumnSink,
         out: &mut Vec<u8>,
@@ -1957,21 +1950,13 @@ impl ShardState {
         for i in slots {
             sink.push_row(i as u32, self.tenants.name(self.cols.tenant[i]));
         }
-        let hdr = columnar::FrameHeader {
-            ticks: self.ticks,
-            stages_retired: self.stages_retired,
-            w: self.window as u32,
-            cost: self.cost,
-            b_max: self.single_cfg.b_max,
-            d_o: self.single_cfg.d_o as u64,
-            u_o: self.single_cfg.u_o,
-        };
-        sink.write(self, &hdr, &self.group_checkpoints(), retired, out)
+        sink.write(self, &hdr, groups, retired, out)
     }
 
-    /// Applies one parsed columnar frame. Validation runs in full before
-    /// any mutation — a hostile frame yields a typed `columnar.*` field
-    /// with the shard untouched; once mutation starts, nothing can fail.
+    /// Applies one parsed columnar frame. [`validate_frame`] runs in full
+    /// before any mutation — a hostile frame yields a typed `columnar.*`
+    /// field with the shard untouched; once mutation starts, nothing can
+    /// fail.
     ///
     /// The frame replaces the whole population: slots compact to `0..n`
     /// in row order.
@@ -1984,157 +1969,16 @@ impl ShardState {
         f: &columnar::RawFrame<'_>,
         scratch: &mut ApplyScratch,
     ) -> Result<(), &'static str> {
-        use columnar::*;
-        let w = self.window;
-        // ---- validate: nothing below this block may touch state ----
-        if f.w as usize != w {
-            return Err("columnar.w");
-        }
-        let cfg = &self.single_cfg;
-        if f.cost.per_bandwidth_tick.to_bits() != self.cost.per_bandwidth_tick.to_bits()
-            || f.cost.per_change.to_bits() != self.cost.per_change.to_bits()
-            || f.b_max.to_bits() != cfg.b_max.to_bits()
-            || f.d_o != cfg.d_o as u64
-            || f.u_o.to_bits() != cfg.u_o.to_bits()
-        {
-            return Err("columnar.cfg");
-        }
-        let rows = f.rows as usize;
-        let key_c = f.fixed(C_KEY)?;
-        let tenant_c = f.fixed(C_TENANT)?;
-        let flags_c = f.fixed(C_FLAGS)?;
-        let mut f64_cs = Vec::with_capacity(16);
-        for j in 0..16 {
-            f64_cs.push(f.fixed(C_F64 + j)?);
-        }
-        let mut u64_cs = Vec::with_capacity(5);
-        for j in 0..5 {
-            u64_cs.push(f.fixed(C_U64 + j)?);
-        }
-        let hull_len_c = f.fixed(C_HULL_LEN)?;
-        let (hull_x, hull_y) = f.pair(C_HULL_X, C_HULL_Y)?;
-        let recent_len_c = f.fixed(C_RECENT_LEN)?;
-        let recent_c = f.col(C_RECENT)?;
-        let runs_len_c = f.fixed(C_RUNS_LEN)?;
-        let (runs_ticks, runs_value) = f.pair(C_RUNS_TICKS, C_RUNS_VALUE)?;
-        let pend_len_c = f.fixed(C_PEND_LEN)?;
-        let (pend_age, pend_bits) = f.pair(C_PEND_AGE, C_PEND_BITS)?;
-        // Ragged bodies must account for exactly the sum of the per-row
-        // run lengths — a mismatched cursor would smear rows together.
-        // (The FIFO's cells are counted row by row below.)
-        for (len_c, body_c) in [
-            (hull_len_c, hull_x),
-            (recent_len_c, recent_c),
-            (runs_len_c, runs_ticks),
-        ] {
-            let total = (0..rows).try_fold(0u64, |sum, r| sum.checked_add(u64_at(len_c, r)));
-            if total != Some(u64::from(body_c.count)) {
-                return Err("columnar.ragged");
-            }
-        }
-        const KNOWN: u64 = (F_LIVE | F_DEDICATED | F_LEAVING | F_STAGE_OPEN) as u64;
-        let dedicated = |r: usize| u64_at(flags_c, r) & u64::from(F_DEDICATED) != 0;
-        scratch.keys.clear();
-        let (mut runs_off, mut pooled_rows) = (0usize, 0usize);
-        let (mut recent_off, mut pend_off) = (0usize, 0usize);
-        for r in 0..rows {
-            // The key index is direct-mapped — one table slot per key up
-            // to the maximum — so an astronomical key in a hostile frame
-            // would translate straight into an astronomical allocation.
-            if u64_at(key_c, r) >= MAX_FRAME_KEY {
-                return Err("columnar.key");
-            }
-            let recent_n = u64_at(recent_len_c, r) as usize;
-            let clock = u64_at(u64_cs[1], r);
-            if recent_n > w || recent_n as u64 > clock {
-                return Err("columnar.ring");
-            }
-            // Only the FIFO's head and spill travel: the entries behind
-            // the head that the window covers are its arrivals.
-            let recent = (recent_off..recent_off + recent_n).map(|j| f64_at(recent_c, j));
-            let pend_n = u64_at(pend_len_c, r);
-            pend_off += columnar::fifo_cells(pend_age, pend_off, pend_n, clock, recent)?;
-            recent_off += recent_n;
-            let flags = u64_at(flags_c, r);
-            if flags & !KNOWN != 0 || flags & u64::from(F_LIVE) == 0 {
-                return Err("columnar.flags");
-            }
-            let open = flags & u64::from(F_STAGE_OPEN) != 0;
-            if !dedicated(r) && open {
-                return Err("columnar.flags");
-            }
-            if u64_at(tenant_c, r) >= f.strings.len() as u64 {
-                return Err("columnar.tenant");
-            }
-            // An open stage started at the meter's clock less its ticks,
-            // and its high window is the ring's newest `min(ticks, W)`
-            // arrivals: both must exist.
-            let stage = u64_at(u64_cs[0], r);
-            if open && (stage > clock || stage.min(w as u64) > recent_n as u64) {
-                return Err("columnar.stage");
-            }
-            let runs_n = u64_at(runs_len_c, r) as usize;
-            columnar::check_runs(
-                runs_ticks,
-                runs_value,
-                runs_off..runs_off + runs_n,
-                recent_n,
-            )?;
-            runs_off += runs_n;
-            pooled_rows += usize::from(!dedicated(r));
-            scratch.keys.push((u64_at(key_c, r), r as u32));
-        }
-        if pend_off != pend_age.count as usize {
-            return Err("columnar.pend");
-        }
-        scratch.keys.sort_unstable();
-        if scratch.keys.windows(2).any(|p| p[0].0 == p[1].0) {
-            return Err("columnar.keys"); // one key, two rows
-        }
-        if !f.groups.windows(2).all(|g| g[0].group < g[1].group) {
-            return Err("columnar.groups");
-        }
-        // A row carries no group: the group section names its pooled
-        // rows. Every listed member must resolve to a pooled row of the
-        // frame, and every pooled row must be listed exactly once, or the
-        // rebuilt pool would silently drop it.
-        scratch.members.clear();
-        for g in &f.groups {
-            // Group ids feed the same direct-mapped index as session keys.
-            if g.group >= MAX_FRAME_KEY {
-                return Err("columnar.key");
-            }
-            if !g.members.windows(2).all(|m| m[0].0 < m[1].0) {
-                return Err("columnar.groups");
-            }
-            for &(_, key) in &g.members {
-                let pos = scratch
-                    .keys
-                    .binary_search_by_key(&key, |&(k, _)| k)
-                    .map_err(|_| "columnar.groups")?;
-                let r = scratch.keys[pos].1;
-                if dedicated(r as usize) {
-                    return Err("columnar.groups");
-                }
-                scratch.members.push(r);
-            }
-        }
-        scratch.members.sort_unstable();
-        if scratch.members.len() != pooled_rows || scratch.members.windows(2).any(|p| p[0] == p[1])
-        {
-            return Err("columnar.groups");
-        }
+        let c = validate_frame(f, &self.single_cfg, self.cost, scratch)?;
         // ---- mutate: infallible from here on ----
-        // Row `r` lands in slot `r` of emptied columns, every scalar the
-        // frame does not carry at its vacant value (arrived 0, heads 0,
-        // pend head 0/0.0), and so do the trackers of a row with no open
-        // stage.
+        // Row `r` lands in slot `r` of emptied columns.
+        let rows = f.rows as usize;
         self.index.clear();
         self.slots.reset(rows);
         self.group_index.clear();
         self.groups.clear();
         self.cols.recycle();
-        self.cols.grow_to(rows, w);
+        self.cols.grow_to(rows, self.window);
         // The frame's string table may repeat a name; every entry maps
         // to the id its name interns to, so a repeat shares one id.
         self.tenants.clear();
@@ -2143,65 +1987,14 @@ impl ShardState {
             let id = self.tenants.intern(&Arc::from(name));
             scratch.tenant_ids.push(id);
         }
-        let (mut hull_off, mut recent_off) = (0usize, 0usize);
-        let (mut runs_off, mut pend_off) = (0usize, 0usize);
+        let mut at = RowAt::default();
         for r in 0..rows {
-            let key = u64_at(key_c, r);
-            let flags = u64_at(flags_c, r) as u32;
-            self.index.insert(key, r as u32);
-            let hull_n = u64_at(hull_len_c, r) as usize;
-            let recent_n = u64_at(recent_len_c, r) as usize;
-            let runs_n = u64_at(runs_len_c, r) as usize;
-            let pend_n = u64_at(pend_len_c, r);
-            let (cols, i) = (&mut self.cols, r);
-            cols.keys[i] = key;
-            cols.flags[i] = flags;
+            self.cols.land_row(r, &c, r, &mut at);
+            self.index.insert(self.cols.keys[r], r as u32);
             // A frame index, validated below the string table's length.
-            cols.tenant[i] = scratch.tenant_ids[u64_at(tenant_c, r) as usize];
-            cols.shadow_backlog[i] = f64_at(f64_cs[0], r);
-            cols.current_alloc[i] = f64_at(f64_cs[1], r);
-            cols.peak_alloc[i] = f64_at(f64_cs[2], r);
-            cols.total_arrived[i] = f64_at(f64_cs[3], r);
-            cols.total_served[i] = f64_at(f64_cs[4], r);
-            cols.total_allocated[i] = f64_at(f64_cs[5], r);
-            cols.window_arrived[i] = f64_at(f64_cs[6], r);
-            cols.window_allocated[i] = f64_at(f64_cs[7], r);
-            cols.backlog[i] = f64_at(f64_cs[8], r);
-            cols.b_on[i] = f64_at(f64_cs[9], r);
-            cols.min_util[i] = f64_at(f64_cs[14], r);
-            cols.max_delay_exact[i] = f64_at(f64_cs[15], r);
-            let clock = u64_at(u64_cs[1], r);
-            cols.meter_ticks[i] = clock;
-            cols.changes[i] = u64_at(u64_cs[2], r);
-            cols.max_delay[i] = u64_at(u64_cs[3], r);
-            cols.stages_completed[i] = u64_at(u64_cs[4], r);
-            // The ring lands at head = 0, exactly how the encoder read it,
-            // its allocation runs expanded in place.
-            let arrivals = (recent_off..recent_off + recent_n).map(|j| f64_at(recent_c, j));
-            let allocs = columnar::expand_runs(runs_ticks, runs_value, runs_off..runs_off + runs_n);
-            cols.recent_ring.land(i, arrivals.clone().zip(allocs));
-            cols.recent_len[i] = recent_n as u32;
-            if flags & F_STAGE_OPEN != 0 {
-                cols.stage_ticks[i] = u64_at(u64_cs[0], r);
-                cols.low_total[i] = f64_at(f64_cs[10], r);
-                cols.low_low[i] = f64_at(f64_cs[11], r);
-                cols.high_window_sum[i] = f64_at(f64_cs[12], r);
-                cols.high_min_window_sum[i] = f64_at(f64_cs[13], r);
-                let vertices = hull_off..hull_off + hull_n;
-                let vertices = vertices.map(|j| (f64_at(hull_x, j), f64_at(hull_y, j)));
-                cols.land_hull(i, hull_n, vertices);
-            }
-            let held = columnar::fifo_cells(pend_age, pend_off, pend_n, clock, arrivals)
-                .expect("validated: the FIFO agrees with its window");
-            let cells = pend_off..pend_off + held;
-            let entries = columnar::fifo_held(pend_age, pend_bits, cells, clock);
-            cols.land_pending(i, pend_n as u32, entries);
-            hull_off += hull_n;
-            recent_off += recent_n;
-            runs_off += runs_n;
-            pend_off += held;
+            self.cols.tenant[r] = scratch.tenant_ids[columnar::u64_at(c.tenant, r) as usize];
         }
-        // Groups, every member validated above to be a pooled row.
+        // Groups, every member validated to be a pooled row.
         for g in &f.groups {
             let by_member = g
                 .members
@@ -2239,39 +2032,27 @@ impl ShardState {
             ReplayEvent::Leave { key } => self.leave(*key),
             ReplayEvent::Tick { arrivals } => self.tick(arrivals.iter()),
             ReplayEvent::Forget { key } => self.forget(*key),
-            ReplayEvent::Import { cp } => self.import(cp),
+            ReplayEvent::Import { key, tenant, lease } => self.import(*key, tenant, lease),
         }
     }
 
-    /// One session's restorable state.
-    fn session_checkpoint_at(&self, i: usize) -> SessionCheckpoint {
-        let cols = &self.cols;
-        let (dedicated, pooled) = if cols.flags[i] & F_DEDICATED != 0 {
-            (Some(cols.alg_checkpoint(i, &self.single_cfg)), None)
-        } else {
-            let g = self
-                .groups
-                .get(cols.group[i])
-                .expect("a pooled slot's group is live");
-            let member = g.member_at(i).expect("a group lists its members");
-            (None, Some((g.group, member.raw())))
-        };
-        SessionCheckpoint {
-            key: cols.keys[i],
-            tenant: Arc::clone(self.tenants.name(cols.tenant[i])),
-            meter: cols.meter_checkpoint(i, self.cost, self.window),
-            leaving: cols.flags[i] & F_LEAVING != 0,
-            dedicated,
-            pooled,
-        }
-    }
-
-    /// Captures one dedicated session's restorable state. `None` for
-    /// unknown keys and pooled members (a pool member's dynamics are not
-    /// separable from its group).
-    pub(crate) fn checkpoint_session(&self, key: u64) -> Option<SessionCheckpoint> {
+    /// Session `key`'s lease: its row as a one-row frame with no group
+    /// section and no retired list, clock and retired stages 0, the blob a
+    /// live migration carries. `None` for an unknown key or a pooled
+    /// member, whose dynamics are not separable from its group.
+    pub(crate) fn lease(&self, key: u64, sink: &mut columnar::ColumnSink) -> Option<Vec<u8>> {
         let i = self.slot_of(key)?;
-        (self.cols.flags[i] & F_DEDICATED != 0).then(|| self.session_checkpoint_at(i))
+        if self.cols.flags[i] & F_DEDICATED == 0 {
+            return None;
+        }
+        let hdr = columnar::FrameHeader {
+            ticks: 0,
+            stages_retired: 0,
+            ..self.header()
+        };
+        let mut out = Vec::new();
+        self.encode_rows([i], hdr, &[], &[], sink, &mut out);
+        Some(out)
     }
 
     /// Removes a migrated-away session without pushing retired metrics:
@@ -2285,14 +2066,28 @@ impl ShardState {
         }
     }
 
-    /// Re-creates a migrated-in dedicated session bitwise from its
-    /// checkpoint. The caller has already rewritten `cp.key` to a key
-    /// that is fresh in this service.
-    fn import(&mut self, cp: &SessionCheckpoint) {
-        if cp.dedicated.is_none() || cp.pooled.is_some() {
-            return; // only dedicated sessions migrate
+    /// Re-creates a migrated-in dedicated session bitwise from its lease
+    /// ([`ShardState::lease`]): the frame's one row lands in a fresh slot
+    /// through the row writer a frame apply uses, under `key` (fresh in
+    /// this service) and `tenant`.
+    ///
+    /// # Panics
+    ///
+    /// On a lease that fails [`validate_frame`]: the import path refused
+    /// it typed at the service boundary, so this is a corrupted journal,
+    /// and degrades to a downed shard under `catch_unwind`.
+    fn import(&mut self, key: u64, tenant: &Arc<str>, lease: &[u8]) {
+        let f = columnar::parse(lease).expect("a journaled lease parses");
+        let mut scratch = ApplyScratch::default();
+        let c = validate_frame(&f, &self.single_cfg, self.cost, &mut scratch)
+            .expect("a journaled lease validates");
+        let (i, vacant) = self.take_slot(key);
+        if !vacant {
+            self.cols.reset_scalars(i);
         }
-        self.insert_restored(cp);
+        self.cols.land_row(i, &c, 0, &mut RowAt::default());
+        self.cols.keys[i] = key;
+        self.cols.tenant[i] = self.tenants.intern(tenant);
     }
 
     /// The shard-uniform kernel parameters, derived from the service
@@ -2345,18 +2140,6 @@ impl ShardState {
             self.cols.group[slot as usize] = gslot;
         }
         gslot
-    }
-
-    /// Re-creates one session from its checkpoint, bitwise. A pooled
-    /// one's group is placed after it, by [`ShardState::insert_group`].
-    fn insert_restored(&mut self, cp: &SessionCheckpoint) {
-        assert!(
-            cp.dedicated.is_some() != cp.pooled.is_some(),
-            "session checkpoint must be exactly one of dedicated or pooled"
-        );
-        let (i, _) = self.take_slot(cp.key);
-        self.cols.restore_slot(i, cp, &self.single_cfg, self.cost);
-        self.cols.tenant[i] = self.tenants.intern(&cp.tenant);
     }
 
     fn join_dedicated(&mut self, key: u64, tenant: &Arc<str>) {
@@ -2798,7 +2581,7 @@ impl WorkerLoop {
                 return true;
             }
             Event::ExportSession { key, reply } => {
-                let _ = reply.send(self.state.checkpoint_session(key));
+                let _ = reply.send(self.state.lease(key, &mut self.cp_sink));
                 return true;
             }
             Event::Shutdown => return false,
@@ -2847,7 +2630,7 @@ impl WorkerLoop {
                     epoch: self.ctx.epoch,
                     events_applied: self.events_applied,
                     sessions,
-                    bytes: Arc::new(bytes),
+                    bytes,
                 }));
             }
         }
@@ -3187,20 +2970,24 @@ mod tests {
                 arrivals: vec![(3, (t % 3) as f64), (4, 1.0), (5, 2.0)].into(),
             });
         }
-        // Pooled members refuse to export; dedicated sessions capture.
-        assert!(src.checkpoint_session(4).is_none());
-        assert!(src.checkpoint_session(99).is_none());
-        let mut cp = src.checkpoint_session(3).expect("dedicated exports");
+        // Pooled members refuse to export; dedicated sessions lease.
+        let sink = &mut columnar::ColumnSink::default();
+        assert!(src.lease(4, sink).is_none());
+        assert!(src.lease(99, sink).is_none());
+        let lease = src.lease(3, sink).expect("dedicated exports");
         // Move it: forget at the source (no retired metrics left behind),
         // import at the destination under a fresh key.
         src.apply(&ReplayEvent::Forget { key: 3 });
         assert_eq!(src.live_sessions(), 2);
         assert_eq!(src.report().retired.len(), 0, "forget must not retire");
-        cp.key = 7;
         src.apply(&ReplayEvent::Tick {
             arrivals: vec![(4, 1.0), (5, 1.0)].into(),
         });
-        dst.apply(&ReplayEvent::Import { cp: Arc::new(cp) });
+        dst.apply(&ReplayEvent::Import {
+            key: 7,
+            tenant: "acme".into(),
+            lease: lease.into(),
+        });
         assert_eq!(dst.live_sessions(), 1);
         // A twin that never migrated, driven through the same arrival
         // history under key 7, stays bitwise identical to the migrated
@@ -3267,46 +3054,64 @@ mod tests {
         assert_eq!(canonical_frame(&twin), canonical_frame(&s));
     }
 
+    /// A lease is a frame, refused by the one frame validator: a cell out
+    /// of its column's domain (NaN, negative, infinite) and a row that is
+    /// dedicated and pooled at once are refused typed by the importer,
+    /// which admits nothing and holds no budget.
     #[test]
     fn checkpoint_validation_rejects_out_of_domain_floats() {
-        let mut s = shard();
-        s.apply(&ReplayEvent::JoinDedicated {
-            key: 0,
-            tenant: "acme".into(),
-        });
+        use crate::{ControlPlane, CtrlError, ExecMode};
+        let cfg = ServiceConfig {
+            exec: ExecMode::Inline,
+            ..shard_cfg()
+        };
+        let mut src = ControlPlane::new(cfg.clone());
+        let key = src.admit("acme").unwrap();
         for t in 0..12u64 {
-            s.apply(&ReplayEvent::Tick {
-                arrivals: vec![(0, (t % 4) as f64)].into(),
-            });
+            src.tick(&[(key, (t % 4) as f64)]).unwrap();
         }
-        let cp = s.checkpoint_session(0).expect("dedicated exports");
-        assert_eq!(cp.validate(), Ok(()), "honest checkpoints validate");
-
-        let mut bad = cp.clone();
-        bad.meter.shadow_backlog = f64::NAN;
-        assert_eq!(bad.validate(), Err("meter.shadow_backlog"));
-
-        let mut bad = cp.clone();
-        bad.meter.total_arrived = -5.0;
-        assert_eq!(bad.validate(), Err("meter.totals"));
-
-        let mut bad = cp.clone();
-        if let Some(alg) = &mut bad.dedicated {
-            alg.backlog = f64::INFINITY;
-        }
-        assert_eq!(bad.validate(), Err("alg.backlog"));
-
-        let mut bad = cp.clone();
-        if let Some(alg) = &mut bad.dedicated {
-            if let Some(high) = &mut alg.stage_high {
-                high.window_sum = -1.0;
+        let lease = src.export_session(key).unwrap();
+        let refused = |blob: &[u8]| {
+            let mut plane = ControlPlane::new(cfg.clone());
+            let budget = plane.available_budget();
+            let err = plane.import_session(blob).unwrap_err();
+            assert_eq!(plane.live_sessions(), 0, "nothing was imported");
+            assert_eq!(plane.available_budget(), budget, "no budget held");
+            match err {
+                CtrlError::InvalidCheckpoint { field } => field,
+                other => panic!("expected a typed refusal, got {other}"),
             }
+        };
+        let mut plane = ControlPlane::new(cfg.clone());
+        assert!(plane.import_session(&lease).is_ok(), "honest leases import");
+        let f64_col = |j: usize| columnar::C_F64 + j;
+        for (col, bad, field) in [
+            (f64_col(0), f64::NAN, "columnar.shadow_backlog"),
+            (f64_col(3), -5.0, "columnar.total_arrived"),
+            (f64_col(8), f64::INFINITY, "columnar.backlog"),
+            (f64_col(12), -1.0, "columnar.high_window_sum"),
+        ] {
+            assert_eq!(refused(&columnar::with_cells(&lease, col, &[bad])), field);
         }
-        assert_eq!(bad.validate(), Err("alg.stage_high.window_sum"));
 
-        let mut bad = cp.clone();
-        bad.pooled = Some((0, 0));
-        assert_eq!(bad.validate(), Err("kind"), "dedicated+pooled is rejected");
+        // A one-row frame whose pooled row also claims to be dedicated.
+        let mut s = shard();
+        s.apply(&ReplayEvent::JoinGroup {
+            group: 0,
+            tenant: "acme".into(),
+            members: vec![0].into(),
+        });
+        let both = (F_LIVE | F_DEDICATED) as u64;
+        let frame = columnar::with_cells(&frame_bytes(&s), columnar::C_FLAGS, &[both]);
+        assert_eq!(refused(&frame), "columnar.migration");
+        let parsed = columnar::parse(&frame).unwrap();
+        let mut target = shard();
+        let applied = target.apply_frame(&parsed, &mut ApplyScratch::default());
+        assert_eq!(
+            applied,
+            Err("columnar.groups"),
+            "a group names a dedicated row"
+        );
     }
 
     /// Random lifecycle script for the shard tests.
@@ -3635,14 +3440,16 @@ mod tests {
                 mirror.encode_columnar(&mut sink, &mut again);
                 prop_assert_eq!(&again, &buf);
             }
-            // Migration frames: every dedicated session (the ones that
-            // migrate) round-trips bitwise through the single-row slice.
-            for s in script.keys.iter().filter_map(|&key| live.checkpoint_session(key)) {
-                columnar::encode_session_frame(&s, &mut buf);
-                let frame = columnar::parse(&buf).expect("migration frame parses");
-                let rt = columnar::session_from_frame(&frame).expect("migration frame lands");
-                columnar::encode_session_frame(&rt, &mut again);
-                prop_assert_eq!(&again, &buf);
+            // Leases: every dedicated session (the ones that migrate)
+            // lands from its one-row frame as the row it was.
+            for &key in &script.keys {
+                let Some(lease) = live.lease(key, &mut sink) else {
+                    continue;
+                };
+                let mut lone = ShardState::new(0, &cfg);
+                let (tenant, lease_bytes) = ("acme".into(), lease.as_slice().into());
+                lone.apply(&ReplayEvent::Import { key, tenant, lease: lease_bytes });
+                prop_assert_eq!(lone.lease(key, &mut sink), Some(lease));
             }
         }
     }
@@ -3687,30 +3494,27 @@ mod tests {
                 }
                 LockstepOp::Migrate(i) => {
                     // Pooled members and retired keys do not export.
-                    let exported = script.pick(*i).and_then(|key| soa.checkpoint_session(key));
-                    let Some(cp) = exported else {
+                    let key = script.pick(*i);
+                    let Some((key, lease)) = key.and_then(|k| Some((k, soa.lease(k, &mut sink)?)))
+                    else {
                         continue;
                     };
                     // As a lease blob: one frame row, validated on import.
-                    let mut blob = Vec::new();
-                    columnar::encode_session_frame(&cp, &mut blob);
-                    let row = columnar::parse(&blob).expect("a lease blob parses");
-                    let mut leased = columnar::session_from_frame(&row).expect("it lands");
-                    let (key, new_key) = (cp.key, script.next_key);
-                    leased.key = new_key;
+                    let row = columnar::parse(&lease).expect("a lease parses");
+                    validate_lease(&row, &soa.single_cfg, soa.cost).expect("a lease validates");
+                    let new_key = script.next_key;
                     apply(
                         &mut soa,
                         &mut twin,
                         &mut journal,
                         ReplayEvent::Forget { key },
                     );
-                    let cp = Arc::new(leased);
-                    apply(
-                        &mut soa,
-                        &mut twin,
-                        &mut journal,
-                        ReplayEvent::Import { cp },
-                    );
+                    let import = ReplayEvent::Import {
+                        key: new_key,
+                        tenant: "acme".into(),
+                        lease: lease.into(),
+                    };
+                    apply(&mut soa, &mut twin, &mut journal, import);
                     script.keys.push(new_key);
                     script.next_key += 1;
                 }
@@ -4120,7 +3924,7 @@ mod tests {
                 if departed && t == 4 {
                     for key in [1, 2] {
                         assert_eq!(s.slot_of(key), None);
-                        assert!(s.checkpoint_session(key).is_none());
+                        assert!(s.lease(key, &mut columnar::ColumnSink::default()).is_none());
                         s.apply(&ReplayEvent::Leave { key });
                         s.apply(&ReplayEvent::Forget { key });
                     }
@@ -4161,7 +3965,7 @@ mod tests {
         assert_eq!(took, [Some(4), Some(5)]);
         s.apply(&ReplayEvent::Leave { key: 4 });
         assert_eq!(s.live_sessions(), 6);
-        assert!(s.checkpoint_session(4).is_none());
+        assert!(s.lease(4, &mut columnar::ColumnSink::default()).is_none());
     }
 
     /// A shard's full state as a frame whose rows and retired list run
@@ -4175,7 +3979,8 @@ mod tests {
         retired.sort_by_key(|m| m.session);
         let mut out = Vec::new();
         let sink = &mut columnar::ColumnSink::default();
-        state.encode_rows(slots, &retired, sink, &mut out);
+        let groups = state.group_checkpoints();
+        state.encode_rows(slots, state.header(), &groups, &retired, sink, &mut out);
         out
     }
 }

@@ -1121,4 +1121,88 @@ mod tests {
         assert_eq!(fresh.plane.ticks(), 0);
         assert!(fresh.slots.iter().all(|&slot| slot == 0) && !fresh.draining);
     }
+
+    /// `image` with the first written cell of its `total_arrived` column
+    /// overwritten by `bad`, in place. The column's schema entry is its
+    /// length-prefixed name, kind, width (the high bit flags a sparse
+    /// body, which leads with its bitmap), cell count and body length.
+    fn poisoned(image: &[u8], bad: f64) -> Vec<u8> {
+        let name = b"total_arrived";
+        let mut entry = (name.len() as u32).to_le_bytes().to_vec();
+        entry.extend_from_slice(name);
+        let mut out = image.to_vec();
+        let at = out
+            .windows(entry.len())
+            .position(|w| w == entry)
+            .expect("the column");
+        let at = at + entry.len();
+        let width = out[at + 1];
+        let count = u32::from_le_bytes(out[at + 2..at + 6].try_into().unwrap()) as usize;
+        let mut cell = at + 10;
+        if width & 0x80 != 0 {
+            cell += count.div_ceil(8);
+        }
+        match width & 0x7f {
+            4 => out[cell..cell + 4].copy_from_slice(&(bad as f32).to_le_bytes()),
+            _ => out[cell..cell + 8].copy_from_slice(&bad.to_le_bytes()),
+        }
+        out
+    }
+
+    /// A restore passes its frames through the one frame validator: a
+    /// session total of NaN, −5 or ∞ in the image is refused typed,
+    /// naming the column, and the gateway stays fresh.
+    #[test]
+    fn an_image_with_a_cell_out_of_its_domain_is_refused_typed() {
+        let service = ServiceConfig::builder(256.0)
+            .exec(ExecMode::Inline)
+            .build()
+            .expect("valid config");
+        let core = || ServiceCore::new(service.clone(), Arc::new(WireStats::new()));
+        let mut original = core();
+        let join = Frame::Join {
+            id: 1,
+            tenant: "acme".into(),
+        };
+        let Frame::Joined { key, .. } = reply(&mut original, 1, join) else {
+            panic!("join")
+        };
+        let tick = Frame::Tick {
+            id: 2,
+            arrivals: vec![(key, 3.0)],
+        };
+        assert!(matches!(
+            reply(&mut original, 1, tick),
+            Frame::TickOk { .. }
+        ));
+        let Frame::ImageOk { bytes: image, .. } = reply(&mut original, 1, Frame::Image { id: 3 })
+        else {
+            panic!("image")
+        };
+        for bad in [f64::NAN, -5.0, f64::INFINITY] {
+            let mut fresh = core();
+            let restore = Frame::Restore {
+                id: 4,
+                bytes: poisoned(&image, bad),
+            };
+            let Frame::Error { code, message, .. } = reply(&mut fresh, 1, restore) else {
+                panic!("refused")
+            };
+            assert_eq!(code, ErrorCode::Ctrl);
+            assert!(
+                message.contains("columnar.total_arrived"),
+                "{bad}: {message}"
+            );
+            assert_eq!(fresh.plane.ticks(), 0);
+            assert!(fresh.slots.iter().all(|&slot| slot == 0) && !fresh.draining);
+            let restore = Frame::Restore {
+                id: 5,
+                bytes: image.clone(),
+            };
+            assert!(matches!(
+                reply(&mut fresh, 1, restore),
+                Frame::RestoreOk { .. }
+            ));
+        }
+    }
 }

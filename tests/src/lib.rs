@@ -158,6 +158,23 @@ fn string_table(frame: &[u8]) -> (Vec<&str>, std::ops::Range<usize>) {
     (names, start..at)
 }
 
+/// Each shard's columnar frame in a process image
+/// (`ControlPlane::cut_image`), in shard order: the image's header is the
+/// magic, a version byte, the shard count and nine 8-byte fields, then
+/// every frame follows its `u32` length.
+pub fn image_frames(image: &[u8]) -> Vec<&[u8]> {
+    const HEADER: usize = 4 + 1 + 4 + 9 * 8;
+    let shards = u32::from_le_bytes(image[5..9].try_into().unwrap());
+    let mut at = HEADER;
+    (0..shards)
+        .map(|_| {
+            let len = u32::from_le_bytes(image[at..at + 4].try_into().unwrap()) as usize;
+            at += 4 + len;
+            &image[at - len..at]
+        })
+        .collect()
+}
+
 /// The tenant names of a columnar checkpoint frame's string table, which
 /// its `tenant` column indexes.
 pub fn frame_strings(frame: &[u8]) -> Vec<&str> {

@@ -19,7 +19,7 @@
 //! per-file, which keeps the counter isolated from the rest of the suite.
 
 use cdba_ctrl::{CheckpointMirror, CheckpointProbe, ControlPlane, ExecMode, ServiceConfig};
-use cdba_integration::column_u64s;
+use cdba_integration::{column_u64s, image_frames};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -135,10 +135,7 @@ fn long_hull_frame(sessions: usize) -> Vec<u8> {
         let arrivals: Vec<(u64, f64)> = keys.iter().map(|&k| (k, bits)).collect();
         plane.tick(&arrivals).unwrap();
     }
-    // The snapshot's reply queues behind the tick-8 frame.
-    plane.snapshot().unwrap();
-    let (_, frames) = plane.checkpoint_frames_since(0, 0).unwrap();
-    let frame = frames.last().expect("a retained frame").1.to_vec();
+    let frame = image_frames(&plane.cut_image().unwrap())[0].to_vec();
     plane.shutdown();
     frame
 }

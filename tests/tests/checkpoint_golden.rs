@@ -19,8 +19,8 @@ use cdba_ctrl::{
     CheckpointMirror, CheckpointProbe, ControlPlane, ExecMode, ServiceConfig, ServiceConfigBuilder,
 };
 use cdba_integration::{
-    column_sparse, column_u64s, column_width, fnv1a, frame_column, frame_columns, with_columns,
-    Cells,
+    column_sparse, column_u64s, column_width, fnv1a, frame_column, frame_columns, image_frames,
+    with_columns, Cells,
 };
 
 /// The length the v5 encoder gave the frame `v6` now encodes. v5 wrote
@@ -125,13 +125,12 @@ fn worker_genesis_and_migration_frames_match_the_pinned_encoder_bytes() {
         .checkpoint_every(8)
         .build()
         .unwrap();
-    let mut service = ControlPlane::new(cfg);
-    let live = drive(&mut service, 20);
-    // The snapshot's Collect is answered after the tick-16 emission.
-    service.snapshot().unwrap();
-    let (_, frames) = service.checkpoint_frames_since(0, 0).unwrap();
-    let (kind, genesis) = frames.last().expect("a retained frame");
-    assert_eq!(*kind, 0);
+    // The worker writes the frame its tick-16 checkpoint retains.
+    let mut service = ControlPlane::new(cfg.clone());
+    drive(&mut service, 16);
+    let image = service.cut_image().unwrap();
+    service.shutdown();
+    let genesis = image_frames(&image)[0];
     assert_eq!(v5_len(genesis), 2901, "worker genesis vs the v5 layout");
     assert_eq!(v4_len(genesis), 4412, "worker genesis vs the v4 schema");
     assert_eq!(
@@ -140,6 +139,8 @@ fn worker_genesis_and_migration_frames_match_the_pinned_encoder_bytes() {
         "worker genesis at tick 16"
     );
 
+    let mut service = ControlPlane::new(cfg);
+    let live = drive(&mut service, 20);
     let blob = service.export_session(live[2]).unwrap();
     assert_eq!(blob.capacity(), blob.len());
     assert_eq!(v5_len(&blob), 1114, "migration frame vs the v5 layout");
@@ -258,6 +259,7 @@ fn a_bench_shaped_frame_weighs_under_105_bytes_a_row() {
     let keys: Vec<u64> = (0..SESSIONS)
         .map(|_| plane.admit("acme").unwrap())
         .collect();
+    let mut frame = Vec::new();
     for t in 0..160 {
         let arrivals: Vec<(u64, f64)> = keys
             .iter()
@@ -265,11 +267,13 @@ fn a_bench_shaped_frame_weighs_under_105_bytes_a_row() {
             .filter(|&(_, bits)| bits > 0.0)
             .collect();
         plane.tick(&arrivals).unwrap();
+        if t + 1 == 128 {
+            // The frame the tick-128 checkpoint retains.
+            frame = image_frames(&plane.cut_image().unwrap())[0].to_vec();
+        }
     }
     // The snapshot's reply queues behind the tick-128 frame.
     plane.snapshot().unwrap();
-    let (_, frames) = plane.checkpoint_frames_since(0, 0).unwrap();
-    let frame = frames.last().expect("a retained frame").1.to_vec();
     plane.shutdown();
     let text = registry.render();
     let gauge = text

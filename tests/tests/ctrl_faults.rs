@@ -11,7 +11,7 @@
 
 use cdba_ctrl::codec::CODEC_VERSION;
 use cdba_ctrl::{ControlPlane, CtrlError, ExecMode, FaultPlan, ServiceConfig, ServiceSnapshot};
-use cdba_integration::{column_f64s, column_u64s, frame_column, with_columns, Cells};
+use cdba_integration::{column_f64s, column_u64s, frame_column, image_frames, with_columns, Cells};
 use std::time::{Duration, Instant};
 
 const B_MAX: f64 = 16.0;
@@ -203,35 +203,6 @@ fn two_restores_across_journaled_churn_lose_no_mutation() {
     assert!(faulted.events_replayed > 0);
     assert!(faulted.health[1].healthy, "the shard came back twice");
     assert_eq!(clean.restarts, 0);
-}
-
-/// The supervisor holds one checkpoint frame per shard, however many it
-/// has accepted: pulling "from the beginning" after every tick of ten
-/// checkpoint intervals never yields more than the latest frame.
-#[test]
-fn supervisor_retains_one_frame_per_shard() {
-    let mut service = ControlPlane::new(config(None));
-    let keys: Vec<u64> = (0..6).map(|_| service.admit("acme").unwrap()).collect();
-    for t in 0..160u64 {
-        let arrivals: Vec<(u64, f64)> = keys.iter().map(|&k| (k, ((t + k) % 4) as f64)).collect();
-        service.tick(&arrivals).unwrap();
-        for shard in 0..2 {
-            let (cursor, frames) = service.checkpoint_frames_since(shard, 0).unwrap();
-            assert_eq!(frames.len() as u64, cursor.min(1), "shard {shard}");
-        }
-    }
-    service.snapshot().unwrap(); // every emitted frame is accepted by now
-    for shard in 0..2 {
-        let (cursor, frames) = service.checkpoint_frames_since(shard, 0).unwrap();
-        assert_eq!(cursor, 10, "ten intervals, ten accepted frames");
-        assert_eq!(frames.len(), 1);
-        // Caught up at the cursor; one frame behind gets the latest.
-        let (_, caught_up) = service.checkpoint_frames_since(shard, cursor).unwrap();
-        assert!(caught_up.is_empty());
-        let (_, behind) = service.checkpoint_frames_since(shard, cursor - 1).unwrap();
-        assert_eq!(behind.len(), 1);
-    }
-    service.shutdown();
 }
 
 /// A forced restart anywhere in the checkpoint cycle is invisible: 0, 1,
@@ -814,6 +785,54 @@ fn corrupted_migration_blobs_never_panic_the_importer() {
     }
 }
 
+/// A lease is one dedicated row and nothing else: a frame of two rows, a
+/// pooled row, or a row beside a retired list is refused as
+/// `columnar.migration`, with nothing imported and no budget held.
+#[test]
+fn frames_that_are_not_one_dedicated_row_are_refused_as_migrations() {
+    let frame_of = |plane: &mut ControlPlane| {
+        let image = plane.cut_image().unwrap();
+        image_frames(&image)[0].to_vec()
+    };
+    let mut two = inline_service();
+    let keys = [two.admit("acme").unwrap(), two.admit("acme").unwrap()];
+    two.tick(&[(keys[0], 1.0), (keys[1], 2.0)]).unwrap();
+    let two_rows = frame_of(&mut two);
+    assert_eq!(column_u64s(&two_rows, "key").len(), 2);
+
+    const F_LIVE: u64 = 1;
+    let pooled = with_columns(
+        &blob_with_known_totals(),
+        &[("flags", Cells::Unsigned(&[F_LIVE]))],
+    );
+
+    let mut retiring = inline_service();
+    let stays = retiring.admit("acme").unwrap();
+    let goes = retiring.admit("acme").unwrap();
+    retiring.leave(goes).unwrap();
+    retiring.tick(&[(stays, 1.0)]).unwrap();
+    let with_retired = frame_of(&mut retiring);
+    assert_eq!(column_u64s(&with_retired, "key"), [stays]);
+
+    for (what, frame) in [
+        ("two rows", two_rows),
+        ("a pooled row", pooled),
+        ("a retired list", with_retired),
+    ] {
+        let mut target = inline_service();
+        let budget = target.available_budget();
+        assert_eq!(
+            target.import_session(&frame),
+            Err(CtrlError::InvalidCheckpoint {
+                field: "columnar.migration"
+            }),
+            "{what}"
+        );
+        assert_eq!(target.live_sessions(), 0, "{what}: nothing was imported");
+        assert_eq!(target.available_budget(), budget, "{what}: no budget held");
+    }
+}
+
 /// One logical state has one encoding. A session a few ticks into a
 /// RESET that a burst keeps open (84 bits queued at `B_A` = 16), leased out
 /// and straight back in, must come out of every later checkpoint frame
@@ -842,10 +861,7 @@ fn a_reset_encodes_the_same_whether_ticked_through_or_leased() {
             }
             let bits = if t == 6 { 100.0 } else { 1.0 };
             plane.tick(&[(key, bits)]).unwrap();
-            // The snapshot's reply queues behind this tick's frame.
-            plane.snapshot().unwrap();
-            let (_, retained) = plane.checkpoint_frames_since(0, 0).unwrap();
-            frames.push(retained.last().unwrap().1.to_vec());
+            frames.push(image_frames(&plane.cut_image().unwrap())[0].to_vec());
         }
         plane.shutdown();
         frames

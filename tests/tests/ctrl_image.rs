@@ -5,6 +5,7 @@
 //! typed, before anything changes, so the plane stays fresh.
 
 use cdba_ctrl::{ControlPlane, CtrlError, ExecMode, PlaneImage, ServiceConfig};
+use cdba_integration::{column_f64s, with_columns, Cells};
 
 /// Fits 16 dedicated sessions (16 bits each), or fewer beside groups
 /// (32 each).
@@ -330,6 +331,50 @@ fn a_bad_image_is_refused_typed_and_leaves_the_plane_fresh() {
             assert_eq!(field(err.unwrap_err()), "image.fresh");
         }
         original.shutdown();
+    }
+}
+
+/// `image` with shard `shard`'s frame replaced by `frame`.
+fn with_frame(image: &[u8], shard: usize, frame: &[u8]) -> Vec<u8> {
+    let (start, end) = frames(image)[shard];
+    let mut out = image[..start - 4].to_vec();
+    out.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+    out.extend_from_slice(frame);
+    out.extend_from_slice(&image[end..]);
+    out
+}
+
+/// A frame of an image passes the one validator a lease and a retained
+/// checkpoint pass: a session total of NaN, −5 or ∞ is refused typed,
+/// naming the column, and the plane stays fresh.
+#[test]
+fn an_image_with_a_cell_out_of_its_domain_is_refused_typed() {
+    for exec in [ExecMode::Inline, ExecMode::Threaded] {
+        let cfg = config(exec, 2);
+        let mut original = ControlPlane::new(cfg.clone());
+        prefix(&mut original);
+        let image = original.cut_image().expect("cut");
+        original.shutdown();
+        let (start, end) = frames(&image)[1];
+        let frame = &image[start..end];
+        let mut totals = column_f64s(frame, "total_arrived");
+        assert!(totals.iter().any(|&t| t > 0.0), "a session has traffic");
+        for bad in [f64::NAN, -5.0, f64::INFINITY] {
+            totals[0] = bad;
+            let evil = with_columns(frame, &[("total_arrived", Cells::Float(&totals))]);
+            let mut plane = ControlPlane::new(cfg.clone());
+            assert_eq!(
+                refusal(&mut plane, &with_frame(&image, 1, &evil)),
+                CtrlError::InvalidImage {
+                    field: "columnar.total_arrived"
+                },
+                "total_arrived = {bad}"
+            );
+            plane
+                .restore_image(&PlaneImage::parse(&image).unwrap())
+                .expect("the fresh plane restores");
+            plane.shutdown();
+        }
     }
 }
 

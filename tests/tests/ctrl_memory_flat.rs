@@ -35,7 +35,7 @@
 //! one `#[test]`.
 
 use cdba_ctrl::{ControlPlane, ExecMode, FaultPlan, ServiceConfig};
-use cdba_integration::{frame_columns, LiveBytesAlloc};
+use cdba_integration::{frame_columns, image_frames, LiveBytesAlloc};
 
 #[global_allocator]
 static HEAP: LiveBytesAlloc = LiveBytesAlloc::new();
@@ -124,15 +124,15 @@ fn run(exec: ExecMode) -> ([usize; 2], Option<[Vec<u8>; 2]>) {
         let now = t + 1;
         if [CHECKPOINT_EVERY, 256, 4096].contains(&now) {
             // The snapshot's reply is behind this tick's checkpoint in the
-            // worker's queue; reading the retained frame then takes it in
-            // (and trims the journal), so both measuring points see the
-            // supervisor in the same state.
+            // worker's queue; cutting an image then takes it in (and trims
+            // the journal), so both measuring points see the supervisor in
+            // the same state. The image's frame is the checkpoint's.
             drop(plane.snapshot().expect("snapshot"));
             let mut kept = 0;
             if threaded {
-                let (_, retained) = plane.checkpoint_frames_since(0, 0).expect("frames");
+                let image = plane.cut_image().expect("image");
                 if now != 256 {
-                    let frame = retained.last().expect("a retained frame").1.to_vec();
+                    let frame = image_frames(&image)[0].to_vec();
                     kept = frame.capacity();
                     frames.push(frame);
                 }

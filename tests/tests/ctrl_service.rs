@@ -307,50 +307,3 @@ fn control_events_reach_a_worker_in_batches() {
     }
     plane.shutdown();
 }
-
-/// A steady shard writes each checkpoint frame into the buffer of the
-/// frame two before it, which the driver kept as its spare once the
-/// frame after it superseded it: two buffers, reused for the shard's
-/// whole life. (Freed and taken fresh each capture, frames below glibc's
-/// 32 MB mmap ceiling stay resident once freed, and `recover-100k`'s peak
-/// RSS reads ≈ 18 MB higher.)
-#[test]
-fn checkpoints_cycle_two_frame_buffers() {
-    let cfg = ServiceConfig::builder(64.0 * B_MAX)
-        .session_b_max(B_MAX)
-        .offline_delay(D_O)
-        .window(W)
-        .shards(1)
-        .exec(ExecMode::Threaded)
-        .checkpoint_every(4)
-        .build()
-        .unwrap();
-    let mut plane = ControlPlane::new(cfg);
-    let keys: Vec<u64> = (0..64).map(|_| plane.admit("acme").unwrap()).collect();
-    let arrivals: Vec<(u64, f64)> = keys.iter().map(|&k| (k, 4.0)).collect();
-    let mut frame = || {
-        for _ in 0..4 {
-            plane.tick(&arrivals).unwrap();
-        }
-        // The snapshot's reply queues behind this tick's frame.
-        plane.snapshot().unwrap();
-        let (_, frames) = plane.checkpoint_frames_since(0, 0).unwrap();
-        frames.last().expect("a retained frame").1.clone()
-    };
-    // The first frames grow with the windows filling; past them every
-    // frame fits the spare.
-    for _ in 0..8 {
-        frame();
-    }
-    let at: Vec<usize> = (0..16).map(|_| frame().as_ptr() as usize).collect();
-    assert_ne!(at[0], at[1]);
-    for k in 2..16 {
-        assert_eq!(
-            at[k],
-            at[k - 2],
-            "frame {k} is written into frame {}'s buffer",
-            k - 2
-        );
-    }
-    plane.shutdown();
-}

@@ -13,7 +13,7 @@ use cdba_ctrl::{
 };
 use cdba_integration::{
     column_f64s, column_sparse, column_u64s, column_width, frame_strings, group_members,
-    with_columns, with_strings, Cells,
+    image_frames, with_columns, with_strings, Cells,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -63,10 +63,7 @@ fn grouped() -> &'static [u8] {
                 .collect();
             plane.tick(&arrivals).unwrap();
         }
-        // The snapshot's Collect is answered after the tick-16 frame.
-        plane.snapshot().unwrap();
-        let (_, frames) = plane.checkpoint_frames_since(0, 0).unwrap();
-        let frame = frames.last().expect("a retained frame").1.to_vec();
+        let frame = image_frames(&plane.cut_image().unwrap())[0].to_vec();
         plane.shutdown();
         frame
     })
@@ -258,19 +255,36 @@ proptest! {
 
     /// Whatever bits a float cell holds — NaN with any payload (`min_util`'s
     /// none-yet NaN among them), `±∞` (the grace sentinel), `±0.0`, an
-    /// `f32` subnormal, an `f64` subnormal, `0.1` — a genesis carrying it
-    /// applies to a fresh mirror and to a warm one and re-encodes to the
-    /// same bytes: a column is written at 4 bytes exactly when every one
+    /// `f32` subnormal, an `f64` subnormal, `0.1` — a frame carries it
+    /// verbatim: a column is written at 4 bytes exactly when every one
     /// of its cells comes back from `f32` with identical bits, else at 8,
-    /// and sparse exactly when its `+0.0` cells outweigh a bitmap.
+    /// and sparse exactly when its `+0.0` cells outweigh a bitmap. A
+    /// genesis whose cells are all in their columns' domains (finite and
+    /// non-negative, or NaN for `min_util`'s none-yet) applies to a fresh
+    /// mirror and to a warm one and re-encodes to the same bytes; any
+    /// other is refused typed, naming the first column out of its domain,
+    /// with the mirror untouched.
     #[test]
     fn float_cells_round_trip_bitwise_at_either_width(
         draws in proptest::collection::vec(proptest::collection::vec(0usize..PALETTE.len(), 10), 4),
+        clean in 0u8..2,
     ) {
         const COLUMNS: [&str; 4] = ["shadow_backlog", "min_util", "max_delay_exact", "peak_alloc"];
+        let in_domain = |name: &str, c: f64| {
+            (c.is_finite() && c >= 0.0) || (name == "min_util" && c.is_nan())
+        };
+        // Half the cases draw only from the column's domain.
         let seeded: Vec<Vec<f64>> = draws
             .iter()
-            .map(|row| row.iter().map(|&d| f64::from_bits(PALETTE[d])).collect())
+            .zip(COLUMNS)
+            .map(|(row, name)| {
+                let palette: Vec<f64> = PALETTE
+                    .iter()
+                    .map(|&bits| f64::from_bits(bits))
+                    .filter(|&c| clean == 0 || in_domain(name, c))
+                    .collect();
+                row.iter().map(|&d| palette[d % palette.len()]).collect()
+            })
             .collect();
         let cols: Vec<(&str, Cells<'_>)> = COLUMNS
             .iter()
@@ -289,12 +303,28 @@ proptest! {
             let want: Vec<u64> = cells.iter().map(|c| c.to_bits()).collect();
             prop_assert!(back == want, "{} as written", name);
         }
+        let refused = COLUMNS
+            .iter()
+            .zip(&seeded)
+            .find(|(name, cells)| !cells.iter().all(|&c| in_domain(name, c)));
         let mut mirror = CheckpointMirror::new(&cfg());
         let mut out = Vec::new();
         for _ in 0..2 {
-            prop_assert_eq!(mirror.apply(&frame).map_err(|e| e.to_string()), Ok(10));
-            prop_assert_eq!(mirror.encode(&mut out), 10);
-            prop_assert!(out == frame, "the re-encoded genesis differs");
+            match refused {
+                None => {
+                    prop_assert_eq!(mirror.apply(&frame).map_err(|e| e.to_string()), Ok(10));
+                    prop_assert_eq!(mirror.encode(&mut out), 10);
+                    prop_assert!(out == frame, "the re-encoded genesis differs");
+                }
+                Some((name, _)) => {
+                    let field = match mirror.apply(&frame) {
+                        Err(CtrlError::InvalidCheckpoint { field }) => field,
+                        other => return Err(TestCaseError::fail(format!("{other:?}"))),
+                    };
+                    prop_assert_eq!(field.strip_prefix("columnar."), Some(*name));
+                    prop_assert_eq!(mirror.live_sessions(), 0);
+                }
+            }
         }
     }
 }
