@@ -1,5 +1,5 @@
 //! The columnar checkpoint codec: shard state as schema-described
-//! struct-of-arrays columns mirroring the kernel's `HotState` layout.
+//! struct-of-arrays columns mirroring the kernel's `Columns` layout.
 //!
 //! A frame is: version byte ([`FRAME_VERSION`]), a kind byte
 //! (always [`KIND_GENESIS`]: every frame carries every live session
@@ -76,8 +76,7 @@ use cdba_traffic::EPS;
 use std::collections::HashMap;
 use std::ops::Range;
 
-// The group section: each pooled group row by row, the layout the
-// test-only row-oriented oracle shares.
+// The group section: each pooled group, row by row.
 
 fn enc_stage_log(log: &StageLog, e: &mut Enc<'_>) {
     let records = log.records();
@@ -202,7 +201,7 @@ fn dec_group(d: &mut Dec<'_>) -> Result<GroupCheckpoint, CodecError> {
 }
 
 /// Version byte leading every columnar frame. Frames live in memory,
-/// in wire-v5 mirror streams and in lease blobs, all written by the
+/// in process images and in lease blobs, all written by the
 /// same binary that reads them, so an older version is refused
 /// (`columnar.version`), not translated.
 pub(crate) const FRAME_VERSION: u8 = 6;
@@ -237,9 +236,10 @@ const fn legal(kind: u8, width: u8) -> bool {
 pub(crate) const C_KEY: usize = 0;
 pub(crate) const C_TENANT: usize = 1;
 pub(crate) const C_FLAGS: usize = 2;
-/// First of the 16 `HotState` f64 scalar columns (declaration order).
+/// First of the 16 float scalar columns of the kernel's `Columns`
+/// (schema order).
 pub(crate) const C_F64: usize = 3;
-/// First of the 5 `HotState` u64 counter columns (declaration order:
+/// First of the 5 `Columns` counter columns (schema order:
 /// stage ticks, meter ticks, changes, max delay, stages completed).
 pub(crate) const C_U64: usize = 19;
 pub(crate) const C_HULL_LEN: usize = 24;
@@ -515,8 +515,8 @@ pub(crate) struct Rows<'a> {
     pub tenants: &'a [u32],
 }
 
-/// What a frame's rows are read from: a shard's columns, or one
-/// leased session.
+/// What a frame's rows are read from: a shard's columns (a lease is one
+/// of its rows).
 pub(crate) trait ColumnSource {
     /// Hands `w` all [`NCOLS`] columns of `rows`, in schema order.
     /// Called twice per frame, so both passes see the same cells.

@@ -30,8 +30,8 @@
 //!
 //! Threaded workers are supervised: [`run_worker`] catches panics
 //! (reporting a typed [`ShardFailure`] instead of dying silently),
-//! periodically ships a [`ShardCheckpoint`] — the binary-encoded state of
-//! every session's meter and algorithm — back to the driver, honours a
+//! periodically ships a [`ShardCheckpoint`] — the shard as one columnar
+//! frame — back to the driver, honours a
 //! cancellation flag so a superseded worker cannot corrupt anything after
 //! the supervisor moves on, and hosts the fault-injection hooks of
 //! [`crate::fault`]. Every message carries the worker's *epoch* so the
