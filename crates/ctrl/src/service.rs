@@ -1371,9 +1371,8 @@ impl ControlPlane {
         // session under another configuration before admission.
         let refused = |field| CtrlError::InvalidCheckpoint { field };
         let frame = crate::codec::columnar::parse(blob).map_err(refused)?;
-        crate::shard::validate_lease(&frame, &self.cfg.single_config(), self.cfg.cost)
+        let tenant = crate::shard::validate_lease(&frame, &self.cfg.single_config(), self.cfg.cost)
             .map_err(refused)?;
-        let tenant = frame.strings[0];
         self.mutated();
         let envelope = self.cfg.dedicated_envelope();
         let tenant = self

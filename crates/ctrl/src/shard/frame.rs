@@ -11,44 +11,44 @@ use crate::codec::columnar::{RawColumn, RawFrame};
 #[derive(Default)]
 pub(crate) struct ApplyScratch {
     /// `(key, row)` of the frame being validated, sorted by key.
-    pub(super) keys: Vec<(u64, u32)>,
+    keys: Vec<(u64, u32)>,
     /// The row of each member the group section names, sorted.
-    pub(super) members: Vec<u32>,
+    members: Vec<u32>,
     /// The shard's tenant id of each entry of the frame's string table.
-    pub(super) tenant_ids: Vec<u32>,
+    tenant_ids: Vec<u32>,
 }
 
 /// A validated frame's canonical columns, resolved once by
 /// [`validate_frame`].
-pub(crate) struct FrameColumns<'f> {
-    pub(super) key: &'f RawColumn<'f>,
-    pub(super) tenant: &'f RawColumn<'f>,
-    pub(super) flags: &'f RawColumn<'f>,
+struct FrameColumns<'f> {
+    key: &'f RawColumn<'f>,
+    tenant: &'f RawColumn<'f>,
+    flags: &'f RawColumn<'f>,
     /// The float scalars, in schema order from [`columnar::C_F64`].
-    pub(super) f64s: Vec<&'f RawColumn<'f>>,
+    f64s: Vec<&'f RawColumn<'f>>,
     /// The counters, in schema order from [`columnar::C_U64`].
-    pub(super) u64s: Vec<&'f RawColumn<'f>>,
-    pub(super) hull_len: &'f RawColumn<'f>,
-    pub(super) hull_x: &'f RawColumn<'f>,
-    pub(super) hull_y: &'f RawColumn<'f>,
-    pub(super) recent_len: &'f RawColumn<'f>,
-    pub(super) recent: &'f RawColumn<'f>,
-    pub(super) runs_len: &'f RawColumn<'f>,
-    pub(super) runs_ticks: &'f RawColumn<'f>,
-    pub(super) runs_value: &'f RawColumn<'f>,
-    pub(super) pend_len: &'f RawColumn<'f>,
-    pub(super) pend_age: &'f RawColumn<'f>,
-    pub(super) pend_bits: &'f RawColumn<'f>,
+    u64s: Vec<&'f RawColumn<'f>>,
+    hull_len: &'f RawColumn<'f>,
+    hull_x: &'f RawColumn<'f>,
+    hull_y: &'f RawColumn<'f>,
+    recent_len: &'f RawColumn<'f>,
+    recent: &'f RawColumn<'f>,
+    runs_len: &'f RawColumn<'f>,
+    runs_ticks: &'f RawColumn<'f>,
+    runs_value: &'f RawColumn<'f>,
+    pend_len: &'f RawColumn<'f>,
+    pend_age: &'f RawColumn<'f>,
+    pend_bits: &'f RawColumn<'f>,
 }
 
 /// Where a frame row's runs start in the ragged columns; the row writer
 /// moves it past each row it lands.
 #[derive(Default)]
 struct RowAt {
-    pub(super) hull: usize,
-    pub(super) recent: usize,
-    pub(super) runs: usize,
-    pub(super) pend: usize,
+    hull: usize,
+    recent: usize,
+    runs: usize,
+    pend: usize,
 }
 
 /// The values a float cell may hold.
@@ -67,7 +67,7 @@ enum Domain {
 }
 
 impl Domain {
-    pub(super) fn holds(self, v: f64) -> bool {
+    fn holds(self, v: f64) -> bool {
         let non_negative = v.is_finite() && v >= 0.0;
         match self {
             Domain::NonNegative => non_negative,
@@ -126,7 +126,7 @@ const DOMAINS: [(usize, Domain, &str); 21] = {
 ///
 /// The first offending `columnar.*` field, for
 /// `CtrlError::InvalidCheckpoint`.
-pub(crate) fn validate_frame<'f>(
+fn validate_frame<'f>(
     f: &'f RawFrame<'f>,
     single: &SingleConfig,
     cost: CostModel,
@@ -285,16 +285,17 @@ pub(crate) fn validate_frame<'f>(
 }
 
 /// Checks that a frame is a lease — one dedicated row, no group section,
-/// no retired list — then validates it ([`validate_frame`]).
+/// no retired list — then validates it ([`validate_frame`]). Returns the
+/// row's tenant.
 ///
 /// # Errors
 ///
 /// `columnar.migration` for any other shape, else the validator's field.
-pub(crate) fn validate_lease(
-    f: &RawFrame<'_>,
+pub(crate) fn validate_lease<'f>(
+    f: &'f RawFrame<'f>,
     single: &SingleConfig,
     cost: CostModel,
-) -> Result<(), &'static str> {
+) -> Result<&'f str, &'static str> {
     let dedicated = || {
         let flags = f.fixed(columnar::C_FLAGS)?;
         Ok::<_, &'static str>(columnar::u64_at(flags, 0) & u64::from(F_DEDICATED) != 0)
@@ -302,7 +303,8 @@ pub(crate) fn validate_lease(
     if f.rows != 1 || !f.groups.is_empty() || !f.retired.is_empty() || !dedicated()? {
         return Err("columnar.migration");
     }
-    validate_frame(f, single, cost, &mut ApplyScratch::default()).map(drop)
+    let c = validate_frame(f, single, cost, &mut ApplyScratch::default())?;
+    Ok(f.strings[columnar::u64_at(c.tenant, 0) as usize])
 }
 
 impl Columns {

@@ -99,15 +99,15 @@ pub(crate) fn run_worker(
 
 /// One worker incarnation: the state it runs on and what it counts.
 struct WorkerLoop {
-    pub(super) state: ShardState,
-    pub(super) ctx: WorkerCtx,
+    state: ShardState,
+    ctx: WorkerCtx,
     /// Replayable events applied, the count the checkpoint trim keys on.
     /// Read-only messages never enter the journal and never advance it.
-    pub(super) events_applied: u64,
-    pub(super) fault: Option<FaultPlan>,
+    events_applied: u64,
+    fault: Option<FaultPlan>,
     /// The writer's row scratch, reused across captures; the frame itself
     /// is allocated per capture and shipped, never held here.
-    pub(super) cp_sink: columnar::ColumnSink,
+    cp_sink: columnar::ColumnSink,
 }
 
 impl WorkerLoop {

@@ -11,7 +11,9 @@
 
 use cdba_ctrl::codec::CODEC_VERSION;
 use cdba_ctrl::{ControlPlane, CtrlError, ExecMode, FaultPlan, ServiceConfig, ServiceSnapshot};
-use cdba_integration::{column_f64s, column_u64s, frame_column, image_frames, with_columns, Cells};
+use cdba_integration::{
+    column_f64s, column_u64s, frame_column, image_frames, with_columns, with_strings, Cells,
+};
 use std::time::{Duration, Instant};
 
 const B_MAX: f64 = 16.0;
@@ -831,6 +833,20 @@ fn frames_that_are_not_one_dedicated_row_are_refused_as_migrations() {
         assert_eq!(target.live_sessions(), 0, "{what}: nothing was imported");
         assert_eq!(target.available_budget(), budget, "{what}: no budget held");
     }
+}
+
+/// A lease's row names its tenant through the frame's string table: with
+/// a table of two names whose row names the second, the session is
+/// admitted and imported under the second.
+#[test]
+fn a_lease_imports_under_the_tenant_its_row_names() {
+    let blob = with_strings(&blob_with_known_totals(), &["globex", "acme"]);
+    let blob = with_columns(&blob, &[("tenant", Cells::Unsigned(&[1]))]);
+    let mut target = inline_service();
+    let key = target.import_session(&blob).unwrap();
+    let snapshot = target.snapshot().unwrap();
+    let imported = snapshot.sessions.iter().find(|m| m.session == key);
+    assert_eq!(imported.map(|m| &*m.tenant), Some("acme"));
 }
 
 /// One logical state has one encoding. A session a few ticks into a
