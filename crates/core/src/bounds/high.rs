@@ -13,30 +13,7 @@
 //! the grace value `B_A` (nothing constrains the offline from above yet).
 //! `high` is non-increasing over the stage (a running minimum).
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-
-/// The full internal state of a [`HighTracker`], exported for
-/// checkpointing. Restoring reproduces the tracker bitwise.
-/// `min_window_sum` is `None` while in grace (internally `+∞`, which
-/// JSON cannot carry).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HighTrackerState {
-    /// Utilization bound `U_O`.
-    pub u_o: f64,
-    /// Window length in ticks.
-    pub w: usize,
-    /// Grace value (the stage's `B_A`).
-    pub grace: f64,
-    /// Last up-to-`w` per-tick arrivals, oldest first.
-    pub window: Vec<f64>,
-    /// Running sum of `window`.
-    pub window_sum: f64,
-    /// Minimum full-window sum seen, or `None` during grace.
-    pub min_window_sum: Option<f64>,
-    /// Stage ticks consumed so far.
-    pub ticks: usize,
-}
 
 /// Incremental tracker for `high(t)`: O(1) per tick, O(W) memory.
 ///
@@ -123,68 +100,6 @@ impl HighTracker {
     pub fn in_grace(&self) -> bool {
         self.min_window_sum.is_infinite()
     }
-
-    /// Exports the full internal state (for checkpointing).
-    pub fn state(&self) -> HighTrackerState {
-        HighTrackerState {
-            u_o: self.u_o,
-            w: self.w,
-            grace: self.grace,
-            window: self.window.iter().copied().collect(),
-            window_sum: self.window_sum,
-            min_window_sum: if self.min_window_sum.is_infinite() {
-                None
-            } else {
-                Some(self.min_window_sum)
-            },
-            ticks: self.ticks,
-        }
-    }
-
-    /// Rebuilds a tracker from an exported state, bitwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`HighTracker::new`], and on a
-    /// state no tracker could have produced: a window longer than `w`, a
-    /// negative or non-finite `window_sum`, non-finite (or negative) window
-    /// entries, a non-finite `min_window_sum`, or fewer ticks than window
-    /// entries.
-    pub fn restore(state: &HighTrackerState) -> Self {
-        let mut t = HighTracker::new(state.u_o, state.w, state.grace);
-        assert!(
-            state.window.len() <= state.w,
-            "window holds {} entries but w is {}",
-            state.window.len(),
-            state.w
-        );
-        assert!(
-            state.window.iter().all(|a| a.is_finite() && *a >= 0.0),
-            "window entries must be non-negative and finite"
-        );
-        assert!(
-            state.window_sum.is_finite() && state.window_sum >= 0.0,
-            "window_sum {} must be non-negative and finite",
-            state.window_sum
-        );
-        if let Some(min) = state.min_window_sum {
-            assert!(
-                min.is_finite() && min >= 0.0,
-                "min_window_sum {min} must be non-negative and finite"
-            );
-        }
-        assert!(
-            state.ticks >= state.window.len(),
-            "{} ticks cannot have filled {} window entries",
-            state.ticks,
-            state.window.len()
-        );
-        t.window = state.window.iter().copied().collect();
-        t.window_sum = state.window_sum;
-        t.min_window_sum = state.min_window_sum.unwrap_or(f64::INFINITY);
-        t.ticks = state.ticks;
-        t
-    }
 }
 
 #[cfg(test)]
@@ -239,75 +154,5 @@ mod tests {
     #[should_panic(expected = "utilization")]
     fn bad_utilization_rejected() {
         HighTracker::new(0.0, 4, 8.0);
-    }
-
-    #[test]
-    fn restore_rejects_inconsistent_states() {
-        let good = {
-            let mut t = HighTracker::new(0.5, 4, 64.0);
-            for a in [3.0, 0.0, 5.0, 2.0, 1.0] {
-                t.push(a);
-            }
-            t.state()
-        };
-        assert_eq!(HighTracker::restore(&good).state(), good);
-
-        type Corruption = Box<dyn Fn(&mut HighTrackerState)>;
-        let cases: Vec<(&str, Corruption)> = vec![
-            ("window holds", Box::new(|s| s.window.push(1.0))),
-            ("window_sum", Box::new(|s| s.window_sum = -1.0)),
-            ("window_sum", Box::new(|s| s.window_sum = f64::NAN)),
-            (
-                "non-negative and finite",
-                Box::new(|s| s.window[0] = f64::INFINITY),
-            ),
-            ("non-negative and finite", Box::new(|s| s.window[1] = -2.0)),
-            (
-                "min_window_sum",
-                Box::new(|s| s.min_window_sum = Some(f64::NAN)),
-            ),
-            ("ticks", Box::new(|s| s.ticks = 2)),
-            ("utilization", Box::new(|s| s.u_o = 1.5)),
-            ("grace", Box::new(|s| s.grace = f64::INFINITY)),
-        ];
-        for (expected, corrupt) in cases {
-            let mut bad = good.clone();
-            corrupt(&mut bad);
-            let err = std::panic::catch_unwind(|| HighTracker::restore(&bad))
-                .expect_err("inconsistent state must be rejected");
-            let msg = err
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_default();
-            assert!(
-                msg.contains(expected),
-                "panic {msg:?} should mention {expected:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn state_roundtrip_is_bitwise_in_and_out_of_grace() {
-        // In grace: min_window_sum is ∞ and must survive as None.
-        let mut g = HighTracker::new(0.5, 8, 64.0);
-        g.push(3.0);
-        let gs = g.state();
-        assert_eq!(gs.min_window_sum, None);
-        let restored = HighTracker::restore(&gs);
-        assert!(restored.in_grace());
-        assert_eq!(restored.high().to_bits(), g.high().to_bits());
-
-        // Past grace: full lockstep continuation.
-        let mut t = HighTracker::new(0.25, 3, 32.0);
-        for a in [4.0, 0.0, 9.0, 2.0] {
-            t.push(a);
-        }
-        let state = t.state();
-        let mut r = HighTracker::restore(&state);
-        assert_eq!(r.state(), state);
-        for a in [0.0, 11.0, 5.0] {
-            assert_eq!(t.push(a).to_bits(), r.push(a).to_bits());
-        }
     }
 }

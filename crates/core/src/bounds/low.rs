@@ -23,24 +23,6 @@
 //!   *lower convex hull* of the points, found by binary search on the
 //!   unimodal slope sequence along the hull.
 
-use serde::{Deserialize, Serialize};
-
-/// The full internal state of a [`HullLowTracker`], exported for
-/// checkpointing. Restoring reproduces the tracker bitwise.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LowTrackerState {
-    /// Offline delay `D_O` the tracker was built with.
-    pub d_o: usize,
-    /// Lower convex hull vertices `(x, P[x])`, left to right.
-    pub hull: Vec<(f64, f64)>,
-    /// Stage ticks consumed so far.
-    pub ticks: usize,
-    /// Total bits arrived this stage.
-    pub total: f64,
-    /// Current running-max `low`.
-    pub low: f64,
-}
-
 /// Common interface of the two `low(t)` implementations (sealed to this
 /// crate's two implementations by construction of the algorithms).
 pub trait LowTracker {
@@ -147,33 +129,6 @@ impl HullLowTracker {
             }
         }
         self.hull.push(p);
-    }
-
-    /// Exports the full internal state (for checkpointing).
-    pub fn state(&self) -> LowTrackerState {
-        LowTrackerState {
-            d_o: self.d_o,
-            hull: self.hull.clone(),
-            ticks: self.ticks,
-            total: self.total,
-            low: self.low,
-        }
-    }
-
-    /// Rebuilds a tracker from an exported state, bitwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state.d_o == 0`.
-    pub fn restore(state: &LowTrackerState) -> Self {
-        assert!(state.d_o > 0, "offline delay must be at least one tick");
-        HullLowTracker {
-            d_o: state.d_o,
-            hull: state.hull.clone(),
-            ticks: state.ticks,
-            total: state.total,
-            low: state.low,
-        }
     }
 
     fn slope_to(&self, i: usize, q: (f64, f64)) -> f64 {
@@ -293,21 +248,5 @@ mod tests {
     #[should_panic(expected = "offline delay")]
     fn zero_delay_rejected() {
         NaiveLowTracker::new(0);
-    }
-
-    #[test]
-    fn hull_state_roundtrip_is_bitwise() {
-        let mut t = HullLowTracker::new(3);
-        for a in [5.0, 0.0, 9.0, 1.0, 0.0, 20.0] {
-            t.push(a);
-        }
-        let state = t.state();
-        let mut restored = HullLowTracker::restore(&state);
-        assert_eq!(restored.state(), state);
-        // Lockstep continuation must agree exactly.
-        for a in [0.0, 7.0, 0.0, 33.0] {
-            assert_eq!(t.push(a).to_bits(), restored.push(a).to_bits());
-        }
-        assert_eq!(t.ticks(), restored.ticks());
     }
 }

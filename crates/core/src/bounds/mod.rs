@@ -15,5 +15,5 @@
 pub mod high;
 pub mod low;
 
-pub use high::{HighTracker, HighTrackerState};
-pub use low::{HullLowTracker, LowTracker, LowTrackerState, NaiveLowTracker};
+pub use high::HighTracker;
+pub use low::{HullLowTracker, LowTracker, NaiveLowTracker};

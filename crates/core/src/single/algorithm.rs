@@ -1,11 +1,10 @@
 //! The single-session algorithm of Fig. 3 (Theorem 6).
 
-use crate::bounds::{HighTracker, HighTrackerState, HullLowTracker, LowTracker, LowTrackerState};
+use crate::bounds::{HighTracker, HullLowTracker, LowTracker};
 use crate::config::SingleConfig;
 use crate::next_power_of_two;
 use crate::stage::{StageKind, StageLog};
 use cdba_sim::{Allocator, BitQueue};
-use serde::{Deserialize, Serialize};
 
 /// The `high(t) < low(t)` stage-end test with a relative tolerance.
 ///
@@ -24,29 +23,6 @@ enum Mode {
         high: HighTracker,
     },
     Reset,
-}
-
-/// A complete, restorable snapshot of a [`SingleSession`].
-///
-/// The mode is flattened into two `Option`s (the vendored serde derive
-/// handles unit-variant enums only): both `Some` while a stage is open,
-/// both `None` during a RESET.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SingleCheckpoint {
-    /// The configuration the session runs with.
-    pub cfg: SingleConfig,
-    /// Queue backlog in bits.
-    pub backlog: f64,
-    /// Stage `low(t)` tracker state; `None` during RESET.
-    pub stage_low: Option<LowTrackerState>,
-    /// Stage `high(t)` tracker state; `None` during RESET.
-    pub stage_high: Option<HighTrackerState>,
-    /// Current internal allocation level `B_on`.
-    pub b_on: f64,
-    /// Ticks processed so far.
-    pub tick: usize,
-    /// The stage log.
-    pub stages: StageLog,
 }
 
 /// The online single-session algorithm (paper §2, Fig. 3).
@@ -128,53 +104,6 @@ impl SingleSession {
         Mode::Stage {
             low: HullLowTracker::new(self.cfg.d_o),
             high: HighTracker::new(self.cfg.u_o, self.cfg.w, self.cfg.b_max),
-        }
-    }
-
-    /// Exports a complete snapshot of the session; feeding identical ticks
-    /// to the original and to [`SingleSession::restore`]'s result produces
-    /// bitwise-identical allocations.
-    pub fn checkpoint(&self) -> SingleCheckpoint {
-        let (stage_low, stage_high) = match &self.mode {
-            Mode::Stage { low, high } => (Some(low.state()), Some(high.state())),
-            Mode::Reset => (None, None),
-        };
-        SingleCheckpoint {
-            cfg: self.cfg.clone(),
-            backlog: self.queue.backlog(),
-            stage_low,
-            stage_high,
-            b_on: self.b_on,
-            tick: self.tick,
-            stages: self.stages.clone(),
-        }
-    }
-
-    /// Rebuilds a session from a checkpoint, bitwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if exactly one of `stage_low`/`stage_high` is present — a
-    /// checkpoint produced by [`SingleSession::checkpoint`] always carries
-    /// both or neither.
-    pub fn restore(cp: &SingleCheckpoint) -> Self {
-        let mode = match (&cp.stage_low, &cp.stage_high) {
-            (Some(low), Some(high)) => Mode::Stage {
-                low: HullLowTracker::restore(low),
-                high: HighTracker::restore(high),
-            },
-            (None, None) => Mode::Reset,
-            _ => panic!("checkpoint carries exactly one of the two stage trackers"),
-        };
-        let mut queue = BitQueue::new();
-        queue.inject(cp.backlog);
-        SingleSession {
-            cfg: cp.cfg.clone(),
-            queue,
-            mode,
-            b_on: cp.b_on,
-            tick: cp.tick,
-            stages: cp.stages.clone(),
         }
     }
 }
@@ -345,39 +274,6 @@ mod tests {
         assert_eq!(alg.stage_log().completed(), 0);
         assert_eq!(run.schedule.num_changes(), 0);
         assert_eq!(run.schedule.peak(), 0.0);
-    }
-
-    #[test]
-    fn checkpoint_restore_is_bitwise_mid_stage_and_mid_reset() {
-        let arrivals: Vec<f64> = (0..40)
-            .map(|i| if i % 9 == 0 { 30.0 } else { 0.5 })
-            .collect();
-        // Checkpoint at every prefix; restore a twin and run both to the
-        // end comparing allocations bitwise. The trace crosses a stage
-        // boundary, so some prefixes checkpoint mid-RESET.
-        let mut saw_reset_checkpoint = false;
-        for split in 0..arrivals.len() {
-            let mut alg = SingleSession::new(cfg(8.0, 2, 0.9, 4));
-            for &a in &arrivals[..split] {
-                alg.on_tick(a);
-            }
-            let cp = alg.checkpoint();
-            saw_reset_checkpoint |= cp.stage_low.is_none();
-            let mut twin = SingleSession::restore(&cp);
-            assert_eq!(twin.checkpoint(), cp, "restore not idempotent at {split}");
-            for &a in &arrivals[split..] {
-                assert_eq!(
-                    alg.on_tick(a).to_bits(),
-                    twin.on_tick(a).to_bits(),
-                    "divergence after restoring at tick {split}"
-                );
-            }
-            assert_eq!(alg.stage_log(), twin.stage_log());
-        }
-        assert!(
-            saw_reset_checkpoint,
-            "trace never checkpointed during RESET"
-        );
     }
 
     #[test]

@@ -15,5 +15,5 @@
 mod algorithm;
 mod lookback;
 
-pub use algorithm::{crossed, SingleCheckpoint, SingleSession};
+pub use algorithm::{crossed, SingleSession};
 pub use lookback::LookbackSingle;

@@ -297,7 +297,7 @@ mod tests {
             m.record(0.0, 0.0);
         }
         assert_eq!(m.metrics(0, "t".into(), 0).max_delay, 1);
-        assert!(m.delay.state().pending.is_empty());
+        assert_eq!(m.delay.pending_ticks(), 0);
     }
 
     #[test]

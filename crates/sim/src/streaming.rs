@@ -16,23 +16,7 @@
 use crate::queue::BitQueue;
 use crate::traits::Allocator;
 use cdba_traffic::EPS;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-
-/// The full internal state of an [`OnlineDelayTracker`], exported for
-/// checkpointing. Restoring from this state reproduces the tracker
-/// bitwise: every field is copied verbatim, no recomputation happens.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DelayTrackerState {
-    /// `(arrival tick, unserved bits)` entries, oldest first.
-    pub pending: Vec<(usize, f64)>,
-    /// Ticks pushed so far.
-    pub tick: usize,
-    /// Maximum whole-tick FIFO delay observed so far.
-    pub max_delay: usize,
-    /// Maximum exact (fractional) FIFO delay observed so far.
-    pub max_delay_exact: f64,
-}
 
 /// Online maximum-FIFO-delay tracker: feed `(arrivals, served)` per tick.
 ///
@@ -117,26 +101,6 @@ impl OnlineDelayTracker {
     /// Ticks with unserved bits currently tracked.
     pub fn pending_ticks(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Exports the full internal state (for checkpointing).
-    pub fn state(&self) -> DelayTrackerState {
-        DelayTrackerState {
-            pending: self.pending.iter().copied().collect(),
-            tick: self.tick,
-            max_delay: self.max_delay,
-            max_delay_exact: self.max_delay_exact,
-        }
-    }
-
-    /// Rebuilds a tracker from an exported state, bitwise.
-    pub fn restore(state: &DelayTrackerState) -> Self {
-        OnlineDelayTracker {
-            pending: state.pending.iter().copied().collect(),
-            tick: state.tick,
-            max_delay: state.max_delay,
-            max_delay_exact: state.max_delay_exact,
-        }
     }
 }
 
@@ -330,29 +294,6 @@ mod tests {
         // Unserved head is 2 ticks old: integer and exact agree.
         assert_eq!(t.max_delay(), 2);
         assert_eq!(t.max_delay_exact(), 2.0);
-    }
-
-    #[test]
-    fn state_roundtrip_is_bitwise() {
-        let mut t = OnlineDelayTracker::new();
-        for (a, s) in [(7.0, 0.0), (3.0, 4.0), (0.0, 2.5), (1.0, 0.0)] {
-            t.push(a, s);
-        }
-        let state = t.state();
-        let mut restored = OnlineDelayTracker::restore(&state);
-        assert_eq!(restored.state(), state);
-        // Continue both in lockstep: they must agree exactly.
-        t.push(0.0, 10.0);
-        restored.push(0.0, 10.0);
-        assert_eq!(t.max_delay(), restored.max_delay());
-        assert_eq!(
-            t.max_delay_exact().to_bits(),
-            restored.max_delay_exact().to_bits()
-        );
-        // And through serde JSON as well.
-        let json = serde_json::to_string(&t.state()).unwrap();
-        let back: DelayTrackerState = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, t.state());
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Lockstep property tests on the two `low(t)` implementations: the
 //! O(log n) [`HullLowTracker`] must agree with the O(n)-per-tick
 //! [`NaiveLowTracker`] reference on random arrival streams and random
-//! offline delays, tick by tick — including across a mid-stream
-//! checkpoint/restore of the hull tracker.
+//! offline delays, tick by tick.
 
 use cdba_core::bounds::{HullLowTracker, LowTracker, NaiveLowTracker};
 use proptest::prelude::*;
@@ -51,40 +50,5 @@ proptest! {
         }
         prop_assert_eq!(naive.ticks(), arrivals.len());
         prop_assert_eq!(hull.ticks(), arrivals.len());
-    }
-
-    #[test]
-    fn checkpointed_hull_stays_in_lockstep_with_naive(
-        arrivals in arb_arrivals(),
-        d_o in 1usize..64,
-        cut_frac in 0.0f64..1.0,
-    ) {
-        // Push the first `cut` ticks, checkpoint the hull tracker, then
-        // continue both the original and the restored copy against the
-        // naive reference. The restored tracker must be bitwise-equal to
-        // the original at every remaining tick, and both must stay within
-        // tolerance of the O(n) rescan.
-        let cut = ((arrivals.len() as f64) * cut_frac) as usize;
-        let mut naive = NaiveLowTracker::new(d_o);
-        let mut hull = HullLowTracker::new(d_o);
-        for &a in &arrivals[..cut] {
-            naive.push(a);
-            hull.push(a);
-        }
-        let state = hull.state();
-        let mut restored = HullLowTracker::restore(&state);
-        prop_assert_eq!(restored.state(), state);
-        for (t, &a) in arrivals[cut..].iter().enumerate() {
-            let ln = naive.push(a);
-            let lh = hull.push(a);
-            let lr = restored.push(a);
-            prop_assert!(
-                lh.to_bits() == lr.to_bits(),
-                "restored hull diverged {} ticks after the checkpoint",
-                t + 1
-            );
-            prop_assert!(close(ln, lh), "tick {t} after cut: naive {ln} hull {lh}");
-        }
-        prop_assert_eq!(hull.ticks(), restored.ticks());
     }
 }
