@@ -103,7 +103,7 @@ usage: cdba-cli <command> [options]
            [--budget B_A] [--quota Q] [--exec inline|threaded]
            [--json FILE] [--fault SHARD@TICK:<kill|hang:MS|delay:MS>]
            [--checkpoint-every N] [--max-restarts R] [--shard-timeout-ms MS]
-  gateway  [--addr HOST:PORT] [--workers N] [--idle-timeout-ms MS]
+  gateway  [--addr HOST:PORT] [--max-connections N] [--idle-timeout-ms MS]
            [--metrics-addr HOST:PORT]
            + every `serve` service/workload flag (the workload flags fix
            the default --budget so a `client` replay admits exactly like
@@ -113,8 +113,9 @@ usage: cdba-cli <command> [options]
            flag: replays the same deterministic churn workload over the
            wire, polls the final snapshot as a binary body, and writes the
            same snapshot JSON as `serve`
-  fleet    [--ctrl-procs 2] [--gateways 2] [--workers N] [--idle-timeout-ms MS]
-           [--drain PROC|none] [--drain-at TICK] [--fault PROC@TICK:kill]
+  fleet    [--ctrl-procs 2] [--gateways 2] [--max-connections N]
+           [--idle-timeout-ms MS] [--drain PROC|none] [--drain-at TICK]
+           [--fault PROC@TICK:kill]
            [--metrics-addr HOST:PORT] (serves the orchestrator's
            cdba_fleet_* series and trace over plain HTTP)
            [--json FILE] + every `serve` workload/service flag: replays
@@ -168,7 +169,7 @@ const FLEET_FLAGS: &[&str] = &[
     "drain-at",
     "fault",
     "metrics-addr",
-    "workers",
+    "max-connections",
     "idle-timeout-ms",
 ];
 
@@ -682,7 +683,7 @@ fn serve(args: &[String]) -> CliResult {
 /// accepted (and fix the default `--budget`) so a `client` replay admits
 /// exactly like `serve` would in-process.
 fn gateway(args: &[String]) -> CliResult {
-    let own = ["addr", "workers", "idle-timeout-ms", "metrics-addr"];
+    let own = ["addr", "max-connections", "idle-timeout-ms", "metrics-addr"];
     let flags = parse_flags(args, &[WORKLOAD_FLAGS, SERVICE_FLAGS, &own])?;
     let spec = replay_spec_from_flags(&flags)?;
     let (cfg, exec, shards) = service_config_from_flags(&flags, &spec)?;
@@ -692,7 +693,7 @@ fn gateway(args: &[String]) -> CliResult {
             .get("addr")
             .cloned()
             .unwrap_or_else(|| "127.0.0.1:4411".into()),
-        workers: get_parse(&flags, "workers", defaults.workers)?,
+        max_connections: get_parse(&flags, "max-connections", defaults.max_connections)?,
         idle_timeout_ms: get_parse(&flags, "idle-timeout-ms", defaults.idle_timeout_ms)?,
         metrics_addr: flags.get("metrics-addr").cloned(),
         ..defaults
@@ -820,7 +821,7 @@ fn fleet_child_args(spec: &ReplaySpec, flags: &HashMap<String, String>) -> Vec<S
         "checkpoint-every",
         "max-restarts",
         "shard-timeout-ms",
-        "workers",
+        "max-connections",
         "idle-timeout-ms",
     ] {
         if let Some(value) = flags.get(key) {

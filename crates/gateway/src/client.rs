@@ -317,15 +317,6 @@ impl Client {
         self.write(&make(id), apart)?;
         loop {
             match self.read_frame()? {
-                Frame::Event {
-                    tick,
-                    changes,
-                    signalling_cost,
-                } => self.pending_events.push_back(TickEvent {
-                    tick,
-                    changes,
-                    signalling_cost,
-                }),
                 Frame::EventBatch { events } => {
                     self.pending_events
                         .extend(events.into_iter().map(TickEvent::from));
@@ -508,23 +499,16 @@ impl Client {
     }
 
     /// Stages `arrivals`, then commits the batch tick (every staged
-    /// arrival across all connections, in ascending key order). Returns
-    /// the tick count after the commit.
+    /// arrival across all connections, in ascending key order) at once:
+    /// [`Client::tick_sync`] gated at 0. Returns the tick count after the
+    /// commit.
     ///
     /// # Errors
     ///
     /// [`ClientError::Server`] when validation or the control plane
     /// rejects the tick.
     pub fn tick(&mut self, arrivals: &[(u64, f64)]) -> Result<u64, ClientError> {
-        match self.request_with(Some(Apart::Arrivals(arrivals)), |id| Frame::Tick {
-            id,
-            arrivals: Vec::new(),
-        })? {
-            Frame::TickOk { tick, .. } => Ok(tick),
-            other => Err(ClientError::Protocol(format!(
-                "expected tick-ok: {other:?}"
-            ))),
-        }
+        self.tick_sync(arrivals, 0)
     }
 
     /// Buffers arrivals for the next committed tick **without waiting for
@@ -593,30 +577,17 @@ impl Client {
     }
 
     /// Subscribes this connection to a [`TickEvent`] every `every`
-    /// committed ticks.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Server`] when `every` is zero.
-    pub fn subscribe(&mut self, every: u32) -> Result<(), ClientError> {
-        match self.request(|id| Frame::Subscribe { id, every })? {
-            Frame::SubscribeOk { .. } => Ok(()),
-            other => Err(ClientError::Protocol(format!(
-                "expected subscribe-ok: {other:?}"
-            ))),
-        }
-    }
-
-    /// Subscribes with batched delivery: the server ships due
-    /// events `batch` at a time in one frame. [`Client::next_event`]
-    /// surfaces them one by one, so only the wire framing changes — but a
-    /// partial batch is held server-side until it fills, so worst-case
-    /// event latency is `every × batch` committed ticks.
+    /// committed ticks, shipped `batch` at a time in one frame.
+    /// [`Client::next_event`] surfaces them one by one, so `batch` changes
+    /// only the wire framing — but a partial batch is held server-side
+    /// until it fills, so worst-case event latency is `every × batch`
+    /// committed ticks; a `batch` of 1 delivers each event as it falls
+    /// due.
     ///
     /// # Errors
     ///
     /// [`ClientError::Server`] when `every` or `batch` is zero.
-    pub fn subscribe_batched(&mut self, every: u32, batch: u32) -> Result<(), ClientError> {
+    pub fn subscribe(&mut self, every: u32, batch: u32) -> Result<(), ClientError> {
         match self.request(|id| Frame::SubscribeBatch { id, every, batch })? {
             Frame::SubscribeOk { .. } => Ok(()),
             other => Err(ClientError::Protocol(format!(
@@ -641,15 +612,6 @@ impl Client {
             .map_err(|e| ClientError::Io(format!("set_read_timeout: {e}")))?;
         let result = match self.read_frame_opt(true) {
             Ok(None) => Ok(None),
-            Ok(Some(Frame::Event {
-                tick,
-                changes,
-                signalling_cost,
-            })) => Ok(Some(TickEvent {
-                tick,
-                changes,
-                signalling_cost,
-            })),
             Ok(Some(Frame::EventBatch { events })) => {
                 self.pending_events
                     .extend(events.into_iter().map(TickEvent::from));

@@ -11,7 +11,7 @@
 //!
 //! Every client request carries a `u64` request id; the matching response
 //! (or a typed [`Frame::Error`]) echoes it. Server pushes (subscription
-//! [`Frame::Event`]s) carry no id. The first frame on a connection must be
+//! [`Frame::EventBatch`]es) carry no id. The first frame on a connection must be
 //! [`Frame::Hello`] carrying [`MAGIC`] and [`VERSION`]; the server answers
 //! [`Frame::HelloOk`] or a typed error and closes.
 //!
@@ -31,9 +31,10 @@ pub const MAGIC: [u8; 4] = *b"CDBG";
 /// server are built from the same source, so there is nothing to
 /// negotiate. Version 5 is one way to do each job — unacknowledged
 /// staging ([`Frame::StageNoAck`]) with count-gated commits
-/// ([`Frame::TickSync`]), binary snapshots ([`Frame::SnapshotBin`]),
-/// batched subscription events ([`Frame::SubscribeBatch`] /
-/// [`Frame::EventBatch`]), the fleet migration frames (lease hand-off
+/// ([`Frame::TickSync`]; a plain tick is one gated at 0), binary
+/// snapshots ([`Frame::SnapshotBin`]), subscription events in batches
+/// ([`Frame::SubscribeBatch`] / [`Frame::EventBatch`]; one event a push
+/// is a batch of 1), the fleet migration frames (lease hand-off
 /// via [`Frame::LeaseRevoke`] / [`Frame::LeaseGrant`], and
 /// [`Frame::Drain`], which lists migratable sessions and makes the
 /// process refuse new joins with [`ErrorCode::Draining`]), and a process
@@ -164,8 +165,9 @@ impl fmt::Display for ErrorCode {
     }
 }
 
-/// One subscription event as carried inside a [`Frame::EventBatch`]:
-/// the same fields as a standalone [`Frame::Event`].
+/// One subscription event, as carried inside a [`Frame::EventBatch`]: the
+/// signalling state after a committed batch tick — the §1 "allocation
+/// change" made wire-visible.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EventBody {
     /// Ticks committed so far.
@@ -214,14 +216,6 @@ pub enum Frame {
         /// The session to leave.
         key: u64,
     },
-    /// Stage `arrivals`, then commit the batch tick (all staged arrivals
-    /// across every connection, applied in ascending key order).
-    Tick {
-        /// Request id.
-        id: u64,
-        /// `(session key, bits)` pairs to stage before committing.
-        arrivals: Vec<(u64, f64)>,
-    },
     /// Buffer arrivals for the next batch tick without acknowledgement.
     /// The server sends no
     /// reply on success; a rejected batch is reported asynchronously with
@@ -233,11 +227,12 @@ pub enum Frame {
         /// `(session key, bits)` pairs to stage.
         arrivals: Vec<(u64, f64)>,
     },
-    /// Stage `arrivals`, then commit the batch tick once at least
-    /// `min_staged` arrivals are buffered gateway-wide. The commit is
-    /// parked until unacknowledged stages from other connections have
+    /// Stage `arrivals`, then commit the batch tick (all staged arrivals
+    /// across every connection, applied in ascending key order) once at
+    /// least `min_staged` arrivals are buffered gateway-wide. The commit
+    /// is parked until unacknowledged stages from other connections have
     /// landed, which makes the commit's contents independent of socket
-    /// arrival order.
+    /// arrival order; a `min_staged` of 0 commits at once.
     TickSync {
         /// Request id, echoed by the deferred [`Frame::TickOk`].
         id: u64,
@@ -253,20 +248,12 @@ pub enum Frame {
         /// Request id.
         id: u64,
     },
-    /// Subscribe to [`Frame::Event`] pushes every `every` committed ticks.
-    Subscribe {
-        /// Request id.
-        id: u64,
-        /// Event period in ticks (≥ 1).
-        every: u32,
-    },
-    /// Subscribe with batched delivery: the server buffers `batch`
-    /// due events and ships them as one [`Frame::EventBatch`] — one frame
-    /// header and one socket write per `batch` events instead of per
-    /// event. A partial batch is held until it fills, so worst-case event
-    /// latency is `every × batch` committed ticks; clients that need
-    /// every event promptly use [`Frame::Subscribe`] (equivalent to
-    /// `batch == 1`).
+    /// Subscribe to events every `every` committed ticks: the server
+    /// buffers `batch` due events and ships them as one
+    /// [`Frame::EventBatch`] — one frame header and one socket write per
+    /// `batch` events. A partial batch is held until it fills, so
+    /// worst-case event latency is `every × batch` committed ticks;
+    /// `batch == 1` pushes every event as it falls due.
     SubscribeBatch {
         /// Request id.
         id: u64,
@@ -350,7 +337,7 @@ pub enum Frame {
         /// Echoed request id.
         id: u64,
     },
-    /// Response to [`Frame::Tick`] and [`Frame::TickSync`].
+    /// Response to [`Frame::TickSync`].
     TickOk {
         /// Echoed request id.
         id: u64,
@@ -406,7 +393,7 @@ pub enum Frame {
         /// this process, sorted ascending.
         keys: Vec<u64>,
     },
-    /// Response to [`Frame::Subscribe`].
+    /// Response to [`Frame::SubscribeBatch`].
     SubscribeOk {
         /// Echoed request id.
         id: u64,
@@ -416,18 +403,8 @@ pub enum Frame {
         /// Echoed request id.
         id: u64,
     },
-    /// Server push to subscribers: the signalling state after a committed
-    /// batch tick — this is the §1 "allocation change" made wire-visible.
-    Event {
-        /// Ticks committed so far.
-        tick: u64,
-        /// Cumulative allocation changes across all sessions.
-        changes: u64,
-        /// Cumulative signalling cost under the service's price model.
-        signalling_cost: f64,
-    },
-    /// Server push to batched subscribers: `batch` due events in one
-    /// frame, oldest first. See [`Frame::SubscribeBatch`].
+    /// Server push to subscribers: `batch` due events in one frame,
+    /// oldest first. See [`Frame::SubscribeBatch`].
     EventBatch {
         /// The buffered events, in commit order.
         events: Vec<EventBody>,
@@ -492,12 +469,10 @@ const K_HELLO_OK: u8 = 0x02;
 const K_JOIN: u8 = 0x10;
 const K_JOIN_GROUP: u8 = 0x11;
 const K_LEAVE: u8 = 0x12;
-// The retired acked-stage, JSON-snapshot, delta-snapshot and
-// checkpoint-pull requests (0x13, 0x15, 0x1A, 0x1C, 0x43) and their
-// replies (0x23, 0x25, 0x28, 0x2A, 0x2E) decode as unknown kinds; the
-// bytes are not reused.
-const K_TICK: u8 = 0x14;
-const K_SUBSCRIBE: u8 = 0x16;
+// The retired acked-stage, plain-tick, JSON-snapshot, plain-subscribe,
+// delta-snapshot and checkpoint-pull requests (0x13, 0x14, 0x15, 0x16,
+// 0x1A, 0x1C, 0x43), their replies (0x23, 0x25, 0x28, 0x2A, 0x2E) and the
+// one-event push (0x30) decode as unknown kinds; the bytes are not reused.
 const K_GOODBYE: u8 = 0x17;
 const K_STAGE_NOACK: u8 = 0x18;
 const K_TICK_SYNC: u8 = 0x19;
@@ -513,7 +488,6 @@ const K_SNAPSHOT_BIN_OK: u8 = 0x29;
 const K_LEASE_REVOKED: u8 = 0x2B;
 const K_LEASE_GRANTED: u8 = 0x2C;
 const K_DRAIN_OK: u8 = 0x2D;
-const K_EVENT: u8 = 0x30;
 const K_EVENT_BATCH: u8 = 0x31;
 const K_ERROR: u8 = 0x3F;
 // The request block ends at 0x1F; later requests start a fresh one at
@@ -586,11 +560,6 @@ pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) {
             payload.put_u64_le(*id);
             payload.put_u64_le(*key);
         }
-        Frame::Tick { id, arrivals } => {
-            payload.put_u8(K_TICK);
-            payload.put_u64_le(*id);
-            put_arrivals(payload, arrivals);
-        }
         Frame::StageNoAck { arrivals } => {
             payload.put_u8(K_STAGE_NOACK);
             put_arrivals(payload, arrivals);
@@ -608,11 +577,6 @@ pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) {
         Frame::SnapshotBin { id } => {
             payload.put_u8(K_SNAPSHOT_BIN);
             payload.put_u64_le(*id);
-        }
-        Frame::Subscribe { id, every } => {
-            payload.put_u8(K_SUBSCRIBE);
-            payload.put_u64_le(*id);
-            payload.put_u32_le(*every);
         }
         Frame::SubscribeBatch { id, every, batch } => {
             payload.put_u8(K_SUBSCRIBE_BATCH);
@@ -716,16 +680,6 @@ pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) {
             payload.put_u8(K_GOODBYE_OK);
             payload.put_u64_le(*id);
         }
-        Frame::Event {
-            tick,
-            changes,
-            signalling_cost,
-        } => {
-            payload.put_u8(K_EVENT);
-            payload.put_u64_le(*tick);
-            payload.put_u64_le(*changes);
-            payload.put_f64_le(*signalling_cost);
-        }
         Frame::EventBatch { events } => {
             payload.put_u8(K_EVENT_BATCH);
             payload.put_u32_le(events.len() as u32);
@@ -746,8 +700,9 @@ pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) {
     payload[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
 }
 
-/// [`encode_into`] for the three frames whose payload ends in arrivals
-/// ([`Frame::Tick`], [`Frame::StageNoAck`], [`Frame::TickSync`]), given with their own list empty: `arrivals` goes
+/// [`encode_into`] for the two frames whose payload ends in arrivals
+/// ([`Frame::StageNoAck`], [`Frame::TickSync`]), given with their own
+/// list empty: `arrivals` goes
 /// in its place straight from the caller's slice, so a client does not
 /// copy a batch into a frame only to have it read once.
 pub fn encode_arrivals_into(frame: &Frame, arrivals: &[(u64, f64)], out: &mut Vec<u8>) {
@@ -828,11 +783,6 @@ impl Reader {
     fn u64(&mut self) -> Result<u64, ProtoError> {
         self.need(8)?;
         Ok(self.buf.get_u64_le())
-    }
-
-    fn f64(&mut self) -> Result<f64, ProtoError> {
-        self.need(8)?;
-        Ok(self.buf.get_f64_le())
     }
 
     fn magic(&mut self) -> Result<[u8; 4], ProtoError> {
@@ -933,10 +883,6 @@ pub fn decode_payload(payload: Bytes) -> Result<Frame, ProtoError> {
             id: r.u64()?,
             key: r.u64()?,
         },
-        K_TICK => Frame::Tick {
-            id: r.u64()?,
-            arrivals: r.arrivals()?,
-        },
         K_STAGE_NOACK => Frame::StageNoAck {
             arrivals: r.arrivals()?,
         },
@@ -946,10 +892,6 @@ pub fn decode_payload(payload: Bytes) -> Result<Frame, ProtoError> {
             arrivals: r.arrivals()?,
         },
         K_SNAPSHOT_BIN => Frame::SnapshotBin { id: r.u64()? },
-        K_SUBSCRIBE => Frame::Subscribe {
-            id: r.u64()?,
-            every: r.u32()?,
-        },
         K_SUBSCRIBE_BATCH => Frame::SubscribeBatch {
             id: r.u64()?,
             every: r.u32()?,
@@ -1012,11 +954,6 @@ pub fn decode_payload(payload: Bytes) -> Result<Frame, ProtoError> {
         },
         K_SUBSCRIBE_OK => Frame::SubscribeOk { id: r.u64()? },
         K_GOODBYE_OK => Frame::GoodbyeOk { id: r.u64()? },
-        K_EVENT => Frame::Event {
-            tick: r.u64()?,
-            changes: r.u64()?,
-            signalling_cost: r.f64()?,
-        },
         K_EVENT_BATCH => Frame::EventBatch {
             events: r.events()?,
         },
@@ -1109,10 +1046,6 @@ mod tests {
             size: 4,
         });
         roundtrip(Frame::Leave { id: 9, key: 42 });
-        roundtrip(Frame::Tick {
-            id: 11,
-            arrivals: vec![],
-        });
         roundtrip(Frame::StageNoAck {
             arrivals: vec![(5, 2.5)],
         });
@@ -1122,7 +1055,6 @@ mod tests {
             min_staged: 6,
         });
         roundtrip(Frame::SnapshotBin { id: 23 });
-        roundtrip(Frame::Subscribe { id: 13, every: 64 });
         roundtrip(Frame::SubscribeBatch {
             id: 25,
             every: 8,
@@ -1173,11 +1105,6 @@ mod tests {
         });
         roundtrip(Frame::SubscribeOk { id: 13 });
         roundtrip(Frame::GoodbyeOk { id: 14 });
-        roundtrip(Frame::Event {
-            tick: 100,
-            changes: 12,
-            signalling_cost: 12.0,
-        });
         roundtrip(Frame::EventBatch {
             events: vec![
                 EventBody {

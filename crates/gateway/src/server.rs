@@ -36,14 +36,9 @@ use std::time::{Duration, Instant};
 pub struct GatewayConfig {
     /// Bind address; use port 0 to let the OS pick one.
     pub addr: String,
-    /// Base connection capacity. The evented core serves
-    /// `workers + accept_backlog` concurrent connections; one past that
-    /// is refused with a typed `Busy` error. (The name survives from the
-    /// worker-pool era so existing configurations keep their meaning:
-    /// `workers` connections ran at once and `accept_backlog` waited.)
-    pub workers: usize,
-    /// Additional connection capacity on top of `workers`.
-    pub accept_backlog: usize,
+    /// How many connections the evented core serves at once; one past
+    /// that is refused with a typed `Busy` error.
+    pub max_connections: usize,
     /// Poll backoff ceiling in milliseconds: how long the idle core may
     /// sleep between passes, which bounds how stale accept/idle/shutdown
     /// handling can get. Not a per-read deadline.
@@ -69,8 +64,7 @@ impl Default for GatewayConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".into(),
-            workers: 8,
-            accept_backlog: 16,
+            max_connections: 24,
             read_timeout_ms: 25,
             write_timeout_ms: 2_000,
             idle_timeout_ms: 30_000,
@@ -483,7 +477,7 @@ impl Core {
     }
 
     fn capacity(&self) -> usize {
-        (self.cfg.workers + self.cfg.accept_backlog).max(1)
+        self.cfg.max_connections.max(1)
     }
 
     /// The event loop: accept, flush, read, dispatch — then back off when
@@ -774,11 +768,9 @@ impl Core {
             request @ (Frame::Join { .. }
             | Frame::JoinGroup { .. }
             | Frame::Leave { .. }
-            | Frame::Tick { .. }
             | Frame::StageNoAck { .. }
             | Frame::TickSync { .. }
             | Frame::SnapshotBin { .. }
-            | Frame::Subscribe { .. }
             | Frame::SubscribeBatch { .. }
             | Frame::LeaseRevoke { .. }
             | Frame::LeaseGrant { .. }

@@ -62,8 +62,7 @@ struct ParkedTick {
 }
 
 /// One connection's subscription: period, batch size, and the events
-/// buffered toward the next [`Frame::EventBatch`] (empty when
-/// `batch == 1`, which pushes plain [`Frame::Event`]s immediately).
+/// buffered toward the next [`Frame::EventBatch`].
 struct Sub {
     every: u32,
     batch: u32,
@@ -206,7 +205,6 @@ impl ServiceCore {
             Frame::Join { id, tenant } => Some(self.join(conn, id, &tenant)),
             Frame::JoinGroup { id, tenant, size } => Some(self.join_group(conn, id, &tenant, size)),
             Frame::Leave { id, key } => Some(self.leave(conn, id, key)),
-            Frame::Tick { id, arrivals } => Some(self.tick(conn, id, &arrivals, out)),
             Frame::StageNoAck { arrivals } => {
                 self.stage_noack(conn, &arrivals, out);
                 return;
@@ -227,7 +225,6 @@ impl ServiceCore {
             Frame::Drain { id } => Some(self.drain(id)),
             Frame::Image { id } => Some(self.image(id)),
             Frame::Restore { id, bytes } => Some(self.restore(conn, id, &bytes)),
-            Frame::Subscribe { id, every } => Some(self.subscribe(conn, id, every, 1)),
             Frame::SubscribeBatch { id, every, batch } => {
                 Some(self.subscribe(conn, id, every, batch))
             }
@@ -522,22 +519,6 @@ impl ServiceCore {
         frame
     }
 
-    fn tick(&mut self, conn: u64, id: u64, arrivals: &[(u64, f64)], out: &mut Outbox) -> Frame {
-        if self.parked.is_some() {
-            return Frame::Error {
-                id,
-                code: ErrorCode::Busy,
-                message: "a tick-sync commit is already parked".into(),
-            };
-        }
-        if let Err(e) = self.stage_arrivals(conn, arrivals) {
-            // The committing connection's own batch was bad; earlier
-            // staged arrivals stay buffered for a retried tick.
-            return Self::with_id(e, id);
-        }
-        self.commit(id, out)
-    }
-
     /// Stages, then commits once `min_staged` arrivals are buffered
     /// gateway-wide — parking the commit until unacknowledged stages from
     /// other connections land, which makes the committed batch independent
@@ -560,6 +541,8 @@ impl ServiceCore {
             });
         }
         if let Err(e) = self.stage_arrivals(conn, arrivals) {
+            // The committing connection's own batch was bad; earlier
+            // staged arrivals stay buffered for a retried tick.
             return Some(Self::with_id(e, id));
         }
         if self.pending.len() as u32 >= min_staged {
@@ -614,9 +597,9 @@ impl ServiceCore {
         ));
     }
 
-    /// Pushes a subscription event to every due subscriber. Batched
-    /// subscribers buffer until `batch` events are due, then get
-    /// them all in one [`Frame::EventBatch`].
+    /// Pushes a subscription event to every due subscriber: each buffers
+    /// until `batch` events are due, then gets them all in one
+    /// [`Frame::EventBatch`].
     fn push_events(&mut self, out: &mut Outbox) {
         if self.subs.is_empty() {
             return;
@@ -650,17 +633,6 @@ impl ServiceCore {
         due.sort_unstable();
         for conn in due {
             let sub = self.subs.get_mut(&conn).expect("collected above");
-            if sub.batch <= 1 {
-                out.push((
-                    conn,
-                    Reply::Frame(Frame::Event {
-                        tick: event.tick,
-                        changes: event.changes,
-                        signalling_cost: event.signalling_cost,
-                    }),
-                ));
-                continue;
-            }
             sub.buffered.push(event);
             if sub.buffered.len() >= sub.batch as usize {
                 self.stats
@@ -719,10 +691,7 @@ impl ServiceCore {
     pub(crate) fn mutates(frame: &Frame) -> bool {
         !matches!(
             frame,
-            Frame::SnapshotBin { .. }
-                | Frame::Subscribe { .. }
-                | Frame::SubscribeBatch { .. }
-                | Frame::Image { .. }
+            Frame::SnapshotBin { .. } | Frame::SubscribeBatch { .. } | Frame::Image { .. }
         )
     }
 
@@ -1014,9 +983,10 @@ mod tests {
             ),
             "{busy:?}"
         );
-        let tick = Frame::Tick {
+        let tick = Frame::TickSync {
             id: 6,
             arrivals: vec![(keys[1], 2.0), (migrated, 1.0)],
+            min_staged: 0,
         };
         assert!(matches!(
             reply(&mut original, 2, tick),
@@ -1049,7 +1019,11 @@ mod tests {
         // Connection 7 owns everything now, so the same arrivals tick
         // from it that needed two connections on the original.
         for (core, conns) in [(&mut original, [1, 2]), (&mut restored, [7, 7])] {
-            let tick = |id, arrivals| Frame::Tick { id, arrivals };
+            let tick = |id, arrivals| Frame::TickSync {
+                id,
+                arrivals,
+                min_staged: 0,
+            };
             assert!(request(
                 core,
                 conns[0],
@@ -1167,9 +1141,10 @@ mod tests {
         let Frame::Joined { key, .. } = reply(&mut original, 1, join) else {
             panic!("join")
         };
-        let tick = Frame::Tick {
+        let tick = Frame::TickSync {
             id: 2,
             arrivals: vec![(key, 3.0)],
+            min_staged: 0,
         };
         assert!(matches!(
             reply(&mut original, 1, tick),

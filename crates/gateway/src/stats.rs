@@ -167,7 +167,8 @@ pub struct WireStats {
     pub noack_stages: AtomicU64,
     /// Snapshot requests answered (`SnapshotBin`).
     pub full_snapshots: AtomicU64,
-    /// Batched subscription event frames pushed (`EventBatch`).
+    /// Subscription event frames pushed (`EventBatch`), every push: a
+    /// subscriber with `batch` 1 gets one frame per event.
     pub event_batches: AtomicU64,
     /// Request-to-reply latency, measured at the connection core.
     pub latency: LatencyHistogram,
@@ -262,7 +263,7 @@ impl WireStats {
         );
         let event_batches = registry.counter(
             "cdba_gateway_event_batches_total",
-            "Batched subscription event frames pushed",
+            "Subscription event frames pushed",
         );
         let stats = Arc::clone(self);
         registry.register_collector(move || {
@@ -323,7 +324,7 @@ pub struct WireSnapshot {
     /// Snapshot requests answered.
     #[serde(default)]
     pub full_snapshots: u64,
-    /// Batched subscription event frames pushed.
+    /// Subscription event frames pushed, every push.
     #[serde(default)]
     pub event_batches: u64,
     /// Requests answered (latency samples recorded).

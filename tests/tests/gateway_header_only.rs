@@ -27,7 +27,7 @@ fn a_bare_header_commits_a_read_step_not_the_declared_body() {
         .expect("valid config");
     // Room for the 24 peers and the probe.
     let gateway = GatewayConfig {
-        accept_backlog: 17,
+        max_connections: 25,
         ..GatewayConfig::default()
     };
     let server = GatewayServer::start(service, gateway).expect("gateway starts");

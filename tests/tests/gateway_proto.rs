@@ -62,56 +62,49 @@ fn build_frame(
             size: n,
         },
         4 => Frame::Leave { id, key },
-        5 => Frame::Tick { id, arrivals },
-        6 => Frame::Subscribe { id, every: n },
-        7 => Frame::Goodbye { id },
-        8 => Frame::Joined { id, key },
-        9 => Frame::GroupJoined { id, members: keys },
-        10 => Frame::LeaveOk { id },
-        11 => Frame::TickOk { id, tick: key },
-        12 => Frame::SubscribeOk { id },
-        13 => Frame::GoodbyeOk { id },
-        14 => Frame::Event {
-            tick: key,
-            changes: id,
-            signalling_cost: x,
-        },
-        15 => Frame::StageNoAck { arrivals },
-        16 => Frame::TickSync {
+        5 => Frame::Goodbye { id },
+        6 => Frame::Joined { id, key },
+        7 => Frame::GroupJoined { id, members: keys },
+        8 => Frame::LeaveOk { id },
+        9 => Frame::TickOk { id, tick: key },
+        10 => Frame::SubscribeOk { id },
+        11 => Frame::GoodbyeOk { id },
+        12 => Frame::StageNoAck { arrivals },
+        13 => Frame::TickSync {
             id,
             arrivals,
             min_staged: n,
         },
-        17 => Frame::SnapshotBin { id },
-        18 => Frame::SubscribeBatch {
+        14 => Frame::SnapshotBin { id },
+        15 => Frame::SubscribeBatch {
             id,
             every: n,
             batch: n.rotate_left(7),
         },
-        19 => Frame::SnapshotBinOk {
+        16 => Frame::SnapshotBinOk {
             id,
             bytes: s.into_bytes(),
         },
-        20 => Frame::EventBatch {
+        17 => Frame::EventBatch {
             events: arrivals
                 .iter()
                 .map(|&(k, bits)| EventBody {
                     tick: k,
                     changes: k ^ id,
-                    signalling_cost: bits,
+                    signalling_cost: bits * x,
                 })
                 .collect(),
         },
-        21 => Frame::Image { id },
-        22 => Frame::ImageOk {
+        18 => Frame::Image { id },
+        19 => Frame::ImageOk {
             id,
             bytes: s.into_bytes(),
         },
-        23 => Frame::Restore {
+        20 => Frame::Restore {
             id,
             bytes: s.into_bytes(),
         },
-        24 => Frame::RestoreOk {
+        21 => Frame::RestoreOk {
             id,
             tick: key,
             keys,
@@ -129,7 +122,7 @@ proptest! {
 
     #[test]
     fn every_frame_kind_round_trips_bit_exactly(
-        kind in 0usize..26,
+        kind in 0usize..23,
         id in 0u64..u64::MAX,
         key in 0u64..u64::MAX,
         n in 0u32..u32::MAX,
@@ -148,7 +141,7 @@ proptest! {
 
     #[test]
     fn every_truncation_is_a_typed_error_never_a_panic(
-        kind in 0usize..26,
+        kind in 0usize..23,
         id in 0u64..1_000_000,
         s in arb_string(),
         arrivals in arb_arrivals(),
@@ -234,8 +227,9 @@ fn unknown_kind_unknown_error_code_and_bad_utf8_are_typed() {
         decode_payload(Bytes::from(vec![0x77u8])),
         Err(ProtoError::UnknownKind(0x77))
     );
-    // Retired kinds stay unknown: the checkpoint pull and its reply.
-    for retired in [0x43u8, 0x2E] {
+    // Retired kinds stay unknown: the checkpoint pull and its reply, the
+    // plain tick and subscribe, and the one-event push.
+    for retired in [0x43u8, 0x2E, 0x14, 0x16, 0x30] {
         assert_eq!(
             decode_payload(Bytes::from(vec![retired, 0, 0, 0, 0, 0, 0, 0, 0])),
             Err(ProtoError::UnknownKind(retired))
@@ -274,11 +268,13 @@ fn trailing_bytes_inside_a_declared_payload_are_typed() {
 
 #[test]
 fn hostile_collection_counts_cannot_allocate_past_the_payload() {
-    // A Tick frame declaring u32::MAX arrivals in a tiny payload must be
-    // rejected by the length pre-check, not by attempting the allocation.
+    // A TickSync frame declaring u32::MAX arrivals in a tiny payload must
+    // be rejected by the length pre-check, not by attempting the
+    // allocation.
     let mut payload = BytesMut::new();
-    payload.put_u8(0x14); // Tick
+    payload.put_u8(0x19); // TickSync
     payload.put_u64_le(1);
+    payload.put_u32_le(0); // min_staged
     payload.put_u32_le(u32::MAX);
     assert_eq!(decode_payload(payload.freeze()), Err(ProtoError::Truncated));
 }
@@ -303,10 +299,6 @@ fn one_of_every_kind() -> Vec<Frame> {
             size: 4,
         },
         Frame::Leave { id: 3, key: 42 },
-        Frame::Tick {
-            id: 5,
-            arrivals: vec![],
-        },
         Frame::StageNoAck {
             arrivals: arrivals.clone(),
         },
@@ -316,7 +308,6 @@ fn one_of_every_kind() -> Vec<Frame> {
             min_staged: 7,
         },
         Frame::SnapshotBin { id: 10 },
-        Frame::Subscribe { id: 12, every: 64 },
         Frame::SubscribeBatch {
             id: 13,
             every: 8,
@@ -353,11 +344,6 @@ fn one_of_every_kind() -> Vec<Frame> {
         },
         Frame::SubscribeOk { id: 12 },
         Frame::GoodbyeOk { id: 18 },
-        Frame::Event {
-            tick: 100,
-            changes: 12,
-            signalling_cost: 12.5,
-        },
         Frame::EventBatch {
             events: vec![
                 EventBody {
@@ -377,7 +363,7 @@ fn one_of_every_kind() -> Vec<Frame> {
             code: ErrorCode::Draining,
             message: "process is draining".into(),
         },
-        // The image kinds, pinned apart from the 28 above.
+        // The image kinds, pinned apart from the 25 above.
         Frame::Image { id: 20 },
         Frame::Restore {
             id: 21,
@@ -397,23 +383,24 @@ fn one_of_every_kind() -> Vec<Frame> {
 
 /// `encode_into` appends a frame's wire form to a buffer that may
 /// already hold others; `encode` is a wrapper over it. The first pinned
-/// digest is of the bytes the 28 kinds before the image kinds encoded to
-/// before the retired kinds (the checkpoint pull among them) were
-/// deleted, so no surviving kind's wire moved when any of them went; the
-/// image kinds are pinned after them.
+/// digest is of the bytes the 25 kinds before the image kinds encoded to
+/// before the plain tick, plain subscribe and one-event push were
+/// deleted (computed with the encoder that still had them), so no
+/// surviving kind's wire moved when they went; the image kinds are
+/// pinned after them.
 #[test]
 fn encode_into_appends_the_pinned_wire_bytes_of_every_frame_kind() {
     let frames = one_of_every_kind();
-    assert_eq!(frames.len(), 32, "one frame per kind");
+    assert_eq!(frames.len(), 29, "one frame per kind");
     let (mut each, mut appended) = (Vec::new(), Vec::new());
     for frame in &frames {
         each.extend_from_slice(&encode(frame));
         proto::encode_into(frame, &mut appended);
     }
     assert_eq!(appended, each);
-    let before: usize = frames[..28].iter().map(|f| encode(f).len()).sum();
+    let before: usize = frames[..25].iter().map(|f| encode(f).len()).sum();
     let (old, image) = each.split_at(before);
-    assert_eq!((old.len(), fnv1a(old)), (1608, 11415317941969246018));
+    assert_eq!((old.len(), fnv1a(old)), (1545, 10362492830773999881));
     assert_eq!((image.len(), fnv1a(image)), (696, 5368403828964007087));
 
     // A head written for a blob that follows it, then the blob, is the
@@ -440,17 +427,13 @@ fn encode_into_appends_the_pinned_wire_bytes_of_every_frame_kind() {
     }
 }
 
-/// The three frames that carry arrivals encode straight from a borrowed
+/// The two frames that carry arrivals encode straight from a borrowed
 /// slice to the bytes `encode_into` makes of the owned list.
 #[test]
 fn arrivals_encode_from_a_slice_to_the_same_bytes() {
     let arrivals = [(3u64, 1.5f64), (9, 0.0), (70_000, 1e-3), (u64::MAX, -0.0)];
     let frames = |arrivals: Vec<(u64, f64)>| {
         [
-            Frame::Tick {
-                id: 5,
-                arrivals: arrivals.clone(),
-            },
             Frame::StageNoAck {
                 arrivals: arrivals.clone(),
             },

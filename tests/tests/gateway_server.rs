@@ -290,6 +290,39 @@ fn well_framed_garbage_gets_a_typed_error_and_the_connection_survives() {
     server.shutdown().expect("shutdown");
 }
 
+/// The plain tick, plain subscribe and one-event push are gone from the
+/// wire (a tick is a `TickSync` gated at 0, a subscription a
+/// `SubscribeBatch`, a push an `EventBatch`): each, sent in its old
+/// layout, is a typed `bad-frame`, and the connection keeps working.
+#[test]
+fn retired_tick_subscribe_and_event_kinds_are_typed_bad_frames() {
+    let server = quick_gateway(inline_config(256.0));
+    let mut conn = raw_connect(&server);
+    raw_hello(&mut conn);
+    // Each in its old layout: a tick's id and empty arrival list, a
+    // subscribe's id and period, an event's tick, changes and cost.
+    let tick = [&[0x14][..], &7u64.to_le_bytes(), &0u32.to_le_bytes()].concat();
+    let subscribe = [&[0x16][..], &8u64.to_le_bytes(), &1u32.to_le_bytes()].concat();
+    let event = [&[0x30][..], &[0; 24]].concat();
+    for payload in [tick, subscribe, event] {
+        let mut wire = (payload.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&payload);
+        conn.write_all(&wire).expect("retired frame");
+        expect_error(raw_recv(&mut conn), ErrorCode::BadFrame);
+    }
+    raw_send(&mut conn, &Frame::SnapshotBin { id: 9 });
+    match raw_recv(&mut conn) {
+        Frame::SnapshotBinOk { id, bytes } => {
+            assert_eq!(id, 9);
+            let snap = cdba_gateway::codec::decode_gateway_snapshot(&bytes).expect("body");
+            assert_eq!(snap.service.ticks, 0, "no retired tick committed");
+        }
+        other => panic!("expected snapshot-bin-ok on surviving connection, got {other:?}"),
+    }
+    assert_eq!(server.wire_stats().decode_errors, 3);
+    server.shutdown().expect("shutdown");
+}
+
 #[test]
 fn truncated_frame_then_silence_is_failed_with_a_typed_error() {
     let cfg = GatewayConfig {
@@ -327,23 +360,21 @@ fn idle_connections_are_harvested() {
 }
 
 #[test]
-fn accept_backlog_overflow_is_a_typed_busy() {
+fn connections_past_the_capacity_are_a_typed_busy() {
     let cfg = GatewayConfig {
-        workers: 1,
-        accept_backlog: 1,
+        max_connections: 2,
         read_timeout_ms: 10,
         ..GatewayConfig::default()
     };
     let server = GatewayServer::start(inline_config(256.0), cfg).expect("gateway starts");
 
-    // First connection occupies the single worker...
+    // Two connections fill the gateway...
     let mut held = raw_connect(&server);
     raw_hello(&mut held);
     std::thread::sleep(Duration::from_millis(100));
-    // ...second waits in the accept backlog...
-    let _queued = raw_connect(&server);
+    let _second = raw_connect(&server);
     std::thread::sleep(Duration::from_millis(100));
-    // ...third overflows and is refused with a typed Busy.
+    // ...and a third overflows and is refused with a typed Busy.
     let mut refused = raw_connect(&server);
     expect_error(raw_recv(&mut refused), ErrorCode::Busy);
     assert!(server.wire_stats().busy_rejections >= 1);
@@ -482,7 +513,7 @@ fn subscriptions_push_signalling_events() {
     let server = quick_gateway(inline_config(256.0));
     let mut client = Client::connect(server.local_addr()).expect("client");
     let key = client.join("acme").expect("join");
-    client.subscribe(2).expect("subscribe");
+    client.subscribe(2, 1).expect("subscribe");
     for t in 0..4u64 {
         client.tick(&[(key, (t % 3) as f64)]).expect("tick");
     }
@@ -497,6 +528,11 @@ fn subscriptions_push_signalling_events() {
         .expect("second event");
     assert_eq!(second.tick, 4);
     assert!(second.changes >= first.changes);
+    assert_eq!(
+        server.wire_stats().event_batches,
+        2,
+        "a batch of 1 is one frame per event"
+    );
     server.shutdown().expect("shutdown");
 }
 
@@ -507,7 +543,7 @@ fn batched_subscriptions_deliver_the_same_events_in_fewer_frames() {
     let key = client.join("acme").expect("join");
     // Every 2 ticks, flushed 2 events at a time: 8 ticks -> events at
     // ticks 2, 4, 6, 8, delivered as two EventBatch frames.
-    client.subscribe_batched(2, 2).expect("subscribe-batch");
+    client.subscribe(2, 2).expect("subscribe");
     for t in 0..8u64 {
         client.tick(&[(key, (t % 3) as f64)]).expect("tick");
     }
@@ -554,7 +590,7 @@ fn subscriber_dropped_mid_batch_leaves_no_stuck_push_state() {
     // produces 64 due events, so the subscriber sits mid-batch (events
     // buffered server-side, batch frame never flushed) for its whole life.
     let mut sub = Client::connect(server.local_addr()).expect("subscriber");
-    sub.subscribe_batched(2, 64).expect("subscribe-batch");
+    sub.subscribe(2, 64).expect("subscribe");
     for t in 0..6u64 {
         driver.tick(&[(key, (t % 3) as f64)]).expect("tick");
     }
@@ -589,7 +625,7 @@ fn subscriber_dropped_mid_batch_leaves_no_stuck_push_state() {
     // A fresh batched subscriber gets exactly its own events: the push
     // path is clean and the slot is reusable.
     let mut sub2 = Client::connect(server.local_addr()).expect("second subscriber");
-    sub2.subscribe_batched(2, 2).expect("subscribe-batch");
+    sub2.subscribe(2, 2).expect("subscribe");
     for t in 0..4u64 {
         driver
             .tick(&[(key, (t % 3) as f64)])

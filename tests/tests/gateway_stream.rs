@@ -342,7 +342,12 @@ fn wide_gateway() -> (GatewayServer, TcpStream, Client, Vec<u64>) {
 fn frames_queued_while_a_body_is_in_flight_follow_it_intact() {
     let _serial = serial();
     let (server, mut raw, mut client, keys) = wide_gateway();
-    raw_send(&mut raw, &Frame::Subscribe { id: 1, every: 1 });
+    let subscribe = Frame::SubscribeBatch {
+        id: 1,
+        every: 1,
+        batch: 1,
+    };
+    raw_send(&mut raw, &subscribe);
     assert_eq!(raw_recv(&mut raw), Frame::SubscribeOk { id: 1 });
     raw_send(
         &mut raw,
@@ -379,7 +384,10 @@ fn frames_queued_while_a_body_is_in_flight_follow_it_intact() {
     let snap = decode_gateway_snapshot(&bytes).expect("the body is whole");
     assert_eq!(snap.service.sessions.len(), WIDE + 1);
     assert_eq!(snap.service.ticks, 0, "taken before the commit");
-    assert!(matches!(raw_recv(&mut raw), Frame::Event { tick: 1, .. }));
+    assert!(matches!(
+        raw_recv(&mut raw),
+        Frame::EventBatch { events } if events.len() == 1 && events[0].tick == 1
+    ));
     assert_eq!(raw_recv(&mut raw), Frame::TickOk { id: 3, tick: 1 });
 
     client.goodbye().expect("goodbye");
