@@ -1535,9 +1535,10 @@ impl ControlPlane {
 
     /// The fan-in of [`ControlPlane::collect_sessions`]: hands `take` the
     /// reports of the `pending` `(shard, epoch)` requests as they land,
-    /// until every awaited shard reported or every one still awaited has
-    /// gone silent ([`ControlPlane::patience`]); those are what is left in
-    /// `pending`. A shard that a later shard's flush found failed (its
+    /// until every awaited shard sent its [`ShardReport::last`] or every
+    /// one still awaited has gone silent ([`ControlPlane::patience`]);
+    /// those are what is left in `pending`. A report ahead of the last is
+    /// word from its worker, so it restarts that shard's silence clock. A shard that a later shard's flush found failed (its
     /// drain takes in any shard's failure report) is no longer awaited: it
     /// has a new worker, or none, and the old one's reply will not come.
     fn await_reports(
@@ -1573,7 +1574,12 @@ impl ControlPlane {
             else {
                 continue; // a superseded worker's stale reply
             };
-            let (shard, _) = pending.swap_remove(at);
+            let (shard, _) = pending[at];
+            if report.last {
+                pending.swap_remove(at);
+            } else {
+                self.sups[shard].moved_at = Instant::now();
+            }
             // The reply proves every previously dispatched event was
             // applied (the queue is FIFO).
             self.sups[shard].inflight = 0;
@@ -1607,22 +1613,36 @@ impl ControlPlane {
             }
             return (sessions, stages);
         }
-        // The first report's live vector *becomes* the collection (it was
-        // sized to take its shard's retired list too), so a one-shard
-        // snapshot holds one copy of the session table, not two. Order is
-        // free: assembly sorts by key.
-        let mut gathered: (Vec<SessionMetrics>, u64) = (Vec::new(), 0);
-        self.collect(Collect::Metrics, |_, report| {
-            let (sessions, stages) = &mut gathered;
-            if sessions.is_empty() {
-                *sessions = report.live;
-            } else {
-                sessions.extend(report.live);
+        // Each shard's rows move into the table a report at a time, and
+        // the table grows to exactly the rows every shard announced, so
+        // the table is the one place they gather. Order is free: assembly
+        // sorts by key. A shard whose answer broke off — asked again after
+        // a restart, or given up on — has its live rows taken back out;
+        // its retired rows only ever come with its last report.
+        let shards = self.cfg.shards;
+        let (mut table, mut stages) = (Vec::new(), 0);
+        let mut answer: Vec<Option<(u64, usize)>> = vec![None; shards];
+        let mut done = vec![false; shards];
+        self.collect(Collect::Metrics, |shard, mut report| {
+            if answer[shard].is_none_or(|(epoch, _)| epoch != report.epoch) {
+                if answer[shard].is_some() {
+                    table.retain(|m: &SessionMetrics| m.shard != shard as u64);
+                }
+                answer[shard] = Some((report.epoch, report.rows));
+                let announced: usize = answer.iter().flatten().map(|&(_, rows)| rows).sum();
+                table.reserve_exact(announced - table.len());
             }
-            sessions.extend(report.retired.iter().cloned());
-            *stages += report.stages_completed;
+            table.append(&mut report.live);
+            if report.last {
+                table.extend(report.retired.iter().cloned());
+                stages += report.stages_completed;
+                done[shard] = true;
+            }
         });
-        gathered
+        if (0..shards).any(|s| answer[s].is_some() && !done[s]) {
+            table.retain(|m| done.get(m.shard as usize).copied().unwrap_or(true));
+        }
+        (table, stages)
     }
 
     /// The threaded fan-out/fan-in behind snapshots and images: one
@@ -1636,8 +1656,9 @@ impl ControlPlane {
         let mut collected = vec![false; self.cfg.shards];
         for round in 0..2 {
             // Fan-out: broadcast Collect to every healthy uncollected
-            // shard on one shared reply channel.
-            let (reply, rx) = unbounded();
+            // shard on one shared reply channel, bounded so that streamed
+            // reports wait for the driver instead of piling up.
+            let (reply, rx) = bounded(self.cfg.shards);
             let mut pending: Vec<(usize, u64)> = Vec::new();
             for shard in 0..self.cfg.shards {
                 // The flush fails exactly when the shard is (now) down.
@@ -1673,7 +1694,7 @@ impl ControlPlane {
             }
             drop(reply);
             self.await_reports(&rx, &mut pending, |shard, report| {
-                collected[shard] = true;
+                collected[shard] |= report.last;
                 take(shard, report);
             });
             // Stragglers: restart and retry on the first round; give up on

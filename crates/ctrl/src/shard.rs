@@ -114,10 +114,18 @@ pub(crate) const CONTROL_BATCH: usize = 64;
 /// allocated since.
 pub(crate) const JOURNAL_BLOCK: usize = 4096;
 
+/// Live rows one metrics report carries at most. A worker streams its
+/// rows this many at a time and the collector moves each run into the one
+/// table it sized for every shard's rows, so a shard's rows never gather
+/// anywhere else: a threaded snapshot holds one table, not a second one
+/// spread over its reports (≈ 60 KiB a report).
+pub(crate) const REPORT_ROWS: usize = 512;
+
 /// What an [`Event::Collect`] asks a shard for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Collect {
-    /// Every session's metrics: [`ShardReport::live`] and
+    /// Every session's metrics: [`ShardReport::live`], streamed over
+    /// reports up to the [`ShardReport::last`], then
     /// [`ShardReport::retired`].
     Metrics,
     /// The whole shard as one columnar frame in [`ShardReport::image`],
@@ -125,10 +133,11 @@ pub(crate) enum Collect {
     Image,
 }
 
-/// One shard's answer to [`Event::Collect`].
+/// One shard's answer to [`Event::Collect`], or one report of a metrics
+/// answer's stream.
 ///
 /// Retired metrics are shared with the shard's accumulator (`Arc`), so a
-/// steady-state report allocates proportionally to the *live* session
+/// steady-state answer allocates proportionally to the *live* session
 /// count only.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardReport {
@@ -139,8 +148,14 @@ pub(crate) struct ShardReport {
     pub epoch: u64,
     /// Metrics of retired sessions, frozen at retirement.
     pub retired: Arc<Vec<SessionMetrics>>,
-    /// Metrics of live sessions at their current totals, in slot order.
+    /// Metrics of live sessions at their current totals, in slot order:
+    /// the next [`REPORT_ROWS`] at most of a metrics answer.
     pub live: Vec<SessionMetrics>,
+    /// The rows the whole answer carries, live and retired.
+    pub rows: usize,
+    /// Whether this report ends the answer; the collector takes the
+    /// retired list and the stage count from it.
+    pub last: bool,
     /// Stages completed on this shard so far, by dedicated sessions and
     /// pooled groups, live and retired — each certifies ≥ 1 offline change.
     pub stages_completed: u64,
@@ -867,18 +882,32 @@ impl ShardState {
         Arc::make_mut(&mut self.retired).push(metrics);
     }
 
-    pub(crate) fn report(&self) -> ShardReport {
-        // Room for the retired list too: the collector appends it to this
-        // vector in place.
-        let mut live = Vec::with_capacity(self.slots.len() + self.retired.len());
-        live.extend(self.live_rows());
-        ShardReport {
-            shard: self.shard,
-            epoch: self.epoch,
-            retired: Arc::clone(&self.retired),
-            live,
-            stages_completed: self.stages_completed(),
-            image: Vec::new(),
+    /// Streams the shard's metrics answer to `send`: its live rows
+    /// [`REPORT_ROWS`] a report, the [`ShardReport::last`] one also
+    /// carrying the stage count. Stops early once `send` says the
+    /// collector is gone.
+    pub(crate) fn report(&self, mut send: impl FnMut(ShardReport) -> bool) {
+        let rows = self.live_sessions() + self.retired.len();
+        let mut live_rows = self.live_rows().peekable();
+        let mut left = self.live_sessions();
+        loop {
+            let mut live = Vec::with_capacity(REPORT_ROWS.min(left));
+            live.extend(live_rows.by_ref().take(REPORT_ROWS));
+            left = left.saturating_sub(live.len());
+            let last = live_rows.peek().is_none();
+            let report = ShardReport {
+                shard: self.shard,
+                epoch: self.epoch,
+                retired: Arc::clone(&self.retired),
+                live,
+                rows,
+                last,
+                stages_completed: if last { self.stages_completed() } else { 0 },
+                image: Vec::new(),
+            };
+            if !send(report) || last {
+                return;
+            }
         }
     }
 

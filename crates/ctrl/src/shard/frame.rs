@@ -565,6 +565,8 @@ impl ShardState {
             epoch: self.epoch,
             retired: Arc::default(),
             live: Vec::new(),
+            rows: 0,
+            last: true,
             stages_completed: 0,
             image,
         }

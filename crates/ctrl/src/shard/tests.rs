@@ -2,6 +2,22 @@ use super::*;
 use crate::config::ServiceConfig;
 use proptest::prelude::*;
 
+/// The shard's metrics answer, its streamed reports gathered into one.
+fn report(s: &ShardState) -> ShardReport {
+    let mut whole: Option<ShardReport> = None;
+    s.report(|mut next| {
+        match &mut whole {
+            Some(w) => {
+                w.live.append(&mut next.live);
+                w.stages_completed = next.stages_completed;
+            }
+            None => whole = Some(next),
+        }
+        true
+    });
+    whole.expect("a metrics answer has at least one report")
+}
+
 fn shard() -> ShardState {
     ShardState::new(0, &shard_cfg())
 }
@@ -154,7 +170,7 @@ fn dedicated_lifecycle_joins_ticks_retires() {
         });
     }
     assert_eq!(s.live_sessions(), 0);
-    let report = s.report();
+    let report = report(&s);
     let sessions = all_sessions(&report);
     assert_eq!(sessions.len(), 1);
     let m = &sessions[0];
@@ -177,7 +193,7 @@ fn group_members_share_one_pool() {
             arrivals: vec![(10, 1.0), (11, 1.0)].into(),
         });
     }
-    let report = s.report();
+    let report = report(&s);
     let sessions = all_sessions(&report);
     assert_eq!(sessions.len(), 2);
     for m in &sessions {
@@ -226,8 +242,8 @@ fn retired_slots_are_reused_and_reports_share_the_retired_list() {
         tenant: "acme".into(),
     });
     assert_eq!(s.cols.bound(), 1, "the retired session's slot is reused");
-    let r1 = s.report();
-    let r2 = s.report();
+    let r1 = report(&s);
+    let r2 = report(&s);
     assert!(
         Arc::ptr_eq(&r1.retired, &r2.retired),
         "steady-state reports share one retired list"
@@ -238,7 +254,46 @@ fn retired_slots_are_reused_and_reports_share_the_retired_list() {
     // list the earlier report still holds (copy-on-retire).
     s.apply(&ReplayEvent::Leave { key: 1 });
     assert_eq!(r1.retired.len(), 1, "earlier report is unaffected");
-    assert_eq!(s.report().retired.len(), 2);
+    assert_eq!(report(&s).retired.len(), 2);
+}
+
+/// A metrics answer streams its live rows [`REPORT_ROWS`] a report, each
+/// report announcing the answer's rows, live and retired; only the last
+/// says it is, with the stage count. A refused send ends the stream.
+#[test]
+fn a_metrics_answer_streams_bounded_reports() {
+    let mut s = shard();
+    let live = 2 * REPORT_ROWS + 76;
+    for key in 0..=live as u64 {
+        let tenant = "acme".into();
+        s.apply(&ReplayEvent::JoinDedicated { key, tenant });
+    }
+    s.apply(&ReplayEvent::Leave { key: 0 }); // never ticked: retires at once
+    let mut reports = Vec::new();
+    s.report(|r| {
+        reports.push(r);
+        true
+    });
+    let runs: Vec<(usize, usize, bool)> = reports
+        .iter()
+        .map(|r| (r.live.len(), r.rows, r.last))
+        .collect();
+    let rows = live + 1;
+    assert_eq!(
+        runs,
+        [
+            (REPORT_ROWS, rows, false),
+            (REPORT_ROWS, rows, false),
+            (76, rows, true)
+        ]
+    );
+    assert_eq!(reports[2].retired.len(), 1);
+    let mut sent = 0;
+    s.report(|_| {
+        sent += 1;
+        false
+    });
+    assert_eq!(sent, 1, "the collector is gone");
 }
 
 #[test]
@@ -268,7 +323,7 @@ fn export_forget_import_moves_a_session_bitwise() {
     // import at the destination under a fresh key.
     src.apply(&ReplayEvent::Forget { key: 3 });
     assert_eq!(src.live_sessions(), 2);
-    assert_eq!(src.report().retired.len(), 0, "forget must not retire");
+    assert_eq!(report(&src).retired.len(), 0, "forget must not retire");
     src.apply(&ReplayEvent::Tick {
         arrivals: vec![(4, 1.0), (5, 1.0)].into(),
     });
@@ -300,8 +355,8 @@ fn export_forget_import_moves_a_session_bitwise() {
             arrivals: vec![(7, bits)].into(),
         });
     }
-    let moved = dst.report().live;
-    let stayed = twin_ref.report().live;
+    let moved = report(&dst).live;
+    let stayed = report(&twin_ref).live;
     assert_eq!(moved.len(), 1);
     assert_eq!(moved, stayed, "migration is bitwise-invisible");
 }
@@ -1052,7 +1107,7 @@ fn fifo_entries_older_than_the_window_spill_and_stay_bitwise() {
         mirror.is_some(),
         "three entries outlived the window at once"
     );
-    let max_delay = soa.report().live.iter().map(|m| m.max_delay).max();
+    let max_delay = report(&soa).live.iter().map(|m| m.max_delay).max();
     assert!(max_delay > Some(cfg.w as u64), "delay {max_delay:?}");
     assert!(
         soa.cols.pend_spill.iter().all(Option::is_none),
@@ -1223,7 +1278,7 @@ fn departed_keys_miss_the_sessions_that_reuse_their_slots() {
     };
     let (hit, clean) = (script(true), script(false));
     assert_eq!(frame_bytes(&hit), frame_bytes(&clean));
-    assert_eq!(hit.report().live, clean.report().live);
+    assert_eq!(report(&hit).live, report(&clean).live);
     assert_eq!(
         hit.cols.flags[1] & F_LEAVING,
         0,

@@ -127,13 +127,14 @@ impl WorkerLoop {
         let batch = match event {
             Event::Batch(batch) => batch,
             Event::Collect { reply, what } => {
-                let report = match what {
-                    Collect::Metrics => self.state.report(),
-                    Collect::Image => self.state.image_report(&mut self.cp_sink),
-                };
                 // The service may already have dropped the receiver (e.g. a
                 // torn-down snapshot); losing the report is then harmless.
-                let _ = reply.send(report);
+                match what {
+                    Collect::Metrics => self.state.report(|report| reply.send(report).is_ok()),
+                    Collect::Image => {
+                        let _ = reply.send(self.state.image_report(&mut self.cp_sink));
+                    }
+                }
                 return true;
             }
             Event::ExportSession { key, reply } => {

@@ -561,6 +561,40 @@ fn a_threaded_poll_holds_two_tables_and_no_body() {
     server.shutdown().expect("shutdown");
 }
 
+/// A by-value snapshot of a threaded plane holds one table: each shard
+/// streams its rows into a table sized once for every shard's live and
+/// retired rows. When the first shard's report grew to take the others',
+/// it held 1.5 tables.
+#[test]
+fn a_threaded_snapshot_holds_one_table() {
+    let _serial = serial();
+    for shards in [2, 4] {
+        let mut plane = ControlPlane::new(service_on(SESSIONS, shards, ExecMode::Threaded));
+        let keys: Vec<u64> = (0..SESSIONS)
+            .map(|i| plane.admit(["acme", "globex"][i % 2]).expect("admit"))
+            .collect();
+        for &key in keys.iter().step_by(10) {
+            plane.leave(key).expect("leave"); // retired rows too
+        }
+        let live: Vec<(u64, f64)> = keys.iter().skip(1).step_by(10).map(|&k| (k, 1.0)).collect();
+        plane.tick(&live).expect("tick");
+        drop(plane.snapshot().expect("the tick lands"));
+        HEAP.reset_peak();
+        let before = HEAP.live();
+        let snap = plane.snapshot().expect("snapshot");
+        let raised = HEAP.peak().saturating_sub(before);
+        let table = snap.sessions.len() * std::mem::size_of::<SessionMetrics>();
+        assert_eq!(snap.sessions.len(), SESSIONS);
+        assert!(
+            raised <= table + (1 << 20),
+            "{shards} shards: a snapshot raised the live heap by {raised} bytes for a \
+             {table}-byte table"
+        );
+        drop(snap);
+        plane.shutdown();
+    }
+}
+
 /// The float-exact identity of a snapshot's service part.
 fn bits(snap: &ServiceSnapshot) -> Vec<u64> {
     let g = &snap.global;
