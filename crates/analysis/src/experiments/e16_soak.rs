@@ -2,7 +2,7 @@
 //! algorithm driven over million-tick streams through the constant-memory
 //! streaming engine. Verifies the delay envelope does not erode over long
 //! horizons, reports sustained throughput, and demonstrates that the
-//! implementation is usable on real trace scales (the [GKT95]-era
+//! implementation is usable on real trace scales (the GKT95-era
 //! experiments ran days of traffic).
 
 use super::{f2, Ctx};

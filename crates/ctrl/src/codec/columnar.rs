@@ -987,7 +987,7 @@ fn written(c: &RawColumn<'_>, i: usize) -> Option<usize> {
 }
 
 /// A structural decode error as the typed field the service's
-/// `InvalidCheckpoint` error carries, so [`parse`] can `?` its
+/// `InvalidCheckpoint` error carries, so `parse` can `?` its
 /// cursor reads.
 impl From<CodecError> for &'static str {
     fn from(err: CodecError) -> Self {

@@ -9,7 +9,7 @@
 //!   Theorem 14 bound `4·B_O` for a phased group — still fits under the
 //!   aggregate budget and the tenant's quota. This is what makes the
 //!   paper's "the link can always grant the allocation" assumption true.
-//! - **Sharded execution** ([`service`], [`shard`]): sessions are placed
+//! - **Sharded execution** ([`service`], `shard`): sessions are placed
 //!   on the least-loaded healthy worker shard (threads fed by bounded
 //!   channels, or an inline single-threaded fallback) and driven
 //!   tick-batched through the existing machines — [`SingleSession`]

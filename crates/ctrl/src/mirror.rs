@@ -14,7 +14,7 @@
 //!   probe reuses one encode sink and hands out frames byte-identical to
 //!   what a worker would ship.
 //!
-//! Both speak the frame format of [`crate::codec::columnar`]; nothing
+//! Both speak the frame format of `codec::columnar`; nothing
 //! here can diverge from the service path because it *is* the service
 //! path, minus the supervisor.
 

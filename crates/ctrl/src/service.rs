@@ -21,12 +21,12 @@
 //!
 //! The driver doubles as the shard supervisor. Each threaded worker runs
 //! under `catch_unwind` and reports panics as typed
-//! [`ShardFailure`](crate::shard::ShardFailure)s instead of poisoning the
+//! `ShardFailure`s instead of poisoning the
 //! service; the driver also treats a worker as failed when it is silent
 //! for [`ServiceConfig::shard_timeout_ms`] — events or a reply pending and
 //! its watermark of applied events not moving; a backlog that shrinks is
 //! slowness, however long. A failed shard is restarted from its last
-//! periodic [`ShardCheckpoint`](crate::shard::ShardCheckpoint) (a full
+//! periodic `ShardCheckpoint` (a full
 //! frame taken every [`ServiceConfig::checkpoint_every`] ticks; the
 //! driver retains only the latest) by replaying the driver's journal of
 //! events sent since that checkpoint — the journal is trimmed on every

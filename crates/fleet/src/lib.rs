@@ -17,8 +17,9 @@
 //! The fleet allocates *global* session keys in admission order —
 //! exactly the keys a single in-process run of the same trace would
 //! assign — and per-session dynamics are placement-invariant, so
-//! [`Fleet::snapshot`] assembles a [`ServiceSnapshot`] whose
-//! [`invariant_view`](ServiceSnapshot::invariant_view) is
+//! [`Fleet::snapshot`] assembles a
+//! [`ServiceSnapshot`](cdba_ctrl::ServiceSnapshot) whose
+//! [`invariant_view`](cdba_ctrl::ServiceSnapshot::invariant_view) is
 //! bitwise-identical to the single-process run: under any placement
 //! policy, any process count, across live migrations, and across
 //! crash-recovery respawns (a lost process is restored from its latest

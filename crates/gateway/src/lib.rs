@@ -16,7 +16,7 @@
 //!   the listener, every connection, and the service state; requests
 //!   dispatch inline and replies land in per-connection write buffers, so
 //!   a request crosses zero threads and zero channels.
-//! - **Determinism** ([`service`], private): the single-threaded core
+//! - **Determinism** (`service`, private): the single-threaded core
 //!   commits arrivals staged by any number of connections in ascending
 //!   session-key order, so a gateway run is bitwise-identical to the same
 //!   workload driven in-process (compare

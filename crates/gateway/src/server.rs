@@ -7,7 +7,7 @@
 //! context switches: every request crossed two threads and three channel
 //! operations before touching the control plane. The evented core removes
 //! all of it — non-blocking sockets polled in a single loop, requests
-//! dispatched inline into [`ServiceCore`](crate::service), replies and
+//! dispatched inline into the service core (`ServiceCore`), replies and
 //! subscription events appended to per-connection write buffers. No async
 //! runtime: `std::net` non-blocking I/O and one thread.
 //!
@@ -75,7 +75,7 @@ impl Default for GatewayConfig {
 }
 
 /// A running gateway: one evented core thread owning a
-/// [`ControlPlane`](cdba_ctrl::ControlPlane) behind the wire protocol.
+/// [`ControlPlane`] behind the wire protocol.
 #[derive(Debug)]
 pub struct GatewayServer {
     local_addr: SocketAddr,
