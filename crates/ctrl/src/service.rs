@@ -49,6 +49,7 @@ use crate::obs::CtrlMetrics;
 use crate::shard::{
     panic_reason, run_worker, Collect, Event, ReplayEvent, Segment, ShardCheckpoint, ShardReport,
     ShardState, Tenants, TickBatch, WorkerCtx, WorkerMsg, CONTROL_BATCH, JOURNAL_BLOCK,
+    REPORT_ROWS,
 };
 use crate::CtrlError;
 use cdba_obs::{Registry, TraceEvent, TraceKind, TraceRing};
@@ -1615,22 +1616,27 @@ impl ControlPlane {
         }
         // Each shard's rows move into the table a report at a time, and
         // the table grows to exactly the rows every shard announced, so
-        // the table is the one place they gather. Order is free: assembly
-        // sorts by key. A shard whose answer broke off — asked again after
-        // a restart, or given up on — has its live rows taken back out;
-        // its retired rows only ever come with its last report.
+        // the table is the one place they gather; a lone shard's one
+        // report *is* the table. Order is free: assembly sorts by key. A
+        // shard whose answer broke off — asked again after a restart, or
+        // given up on — has its live rows taken back out; its retired rows
+        // only ever come with its last report.
         let shards = self.cfg.shards;
+        let per_report = if shards == 1 { usize::MAX } else { REPORT_ROWS };
         let (mut table, mut stages) = (Vec::new(), 0);
         let mut answer: Vec<Option<(u64, usize)>> = vec![None; shards];
         let mut done = vec![false; shards];
-        self.collect(Collect::Metrics, |shard, mut report| {
+        self.collect(Collect::Metrics { per_report }, |shard, mut report| {
             if answer[shard].is_none_or(|(epoch, _)| epoch != report.epoch) {
                 if answer[shard].is_some() {
                     table.retain(|m: &SessionMetrics| m.shard != shard as u64);
                 }
                 answer[shard] = Some((report.epoch, report.rows));
+                if table.capacity() == 0 && report.last {
+                    table = std::mem::take(&mut report.live);
+                }
                 let announced: usize = answer.iter().flatten().map(|&(_, rows)| rows).sum();
-                table.reserve_exact(announced - table.len());
+                table.reserve_exact(announced.saturating_sub(table.len()));
             }
             table.append(&mut report.live);
             if report.last {

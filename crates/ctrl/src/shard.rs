@@ -114,20 +114,21 @@ pub(crate) const CONTROL_BATCH: usize = 64;
 /// allocated since.
 pub(crate) const JOURNAL_BLOCK: usize = 4096;
 
-/// Live rows one metrics report carries at most. A worker streams its
-/// rows this many at a time and the collector moves each run into the one
-/// table it sized for every shard's rows, so a shard's rows never gather
-/// anywhere else: a threaded snapshot holds one table, not a second one
-/// spread over its reports (≈ 60 KiB a report).
+/// Live rows one metrics report carries at most when a plane has more
+/// than one shard. A worker streams its rows this many at a time and the
+/// collector moves each run into the one table it sized for every shard's
+/// rows, so a shard's rows never gather anywhere else: a threaded snapshot
+/// holds one table, not a second one spread over its reports (≈ 60 KiB a
+/// report). A lone shard answers in one report, which becomes the table.
 pub(crate) const REPORT_ROWS: usize = 512;
 
 /// What an [`Event::Collect`] asks a shard for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Collect {
-    /// Every session's metrics: [`ShardReport::live`], streamed over
-    /// reports up to the [`ShardReport::last`], then
+    /// Every session's metrics: [`ShardReport::live`], streamed at most
+    /// `per_report` rows a report up to the [`ShardReport::last`], then
     /// [`ShardReport::retired`].
-    Metrics,
+    Metrics { per_report: usize },
     /// The whole shard as one columnar frame in [`ShardReport::image`],
     /// written into a fresh buffer — never the retained frame's spare.
     Image,
@@ -883,16 +884,22 @@ impl ShardState {
     }
 
     /// Streams the shard's metrics answer to `send`: its live rows
-    /// [`REPORT_ROWS`] a report, the [`ShardReport::last`] one also
-    /// carrying the stage count. Stops early once `send` says the
-    /// collector is gone.
-    pub(crate) fn report(&self, mut send: impl FnMut(ShardReport) -> bool) {
+    /// `per_report` a report, the [`ShardReport::last`] one also carrying
+    /// the stage count. Stops early once `send` says the collector is
+    /// gone. A report that is the whole answer has room for the retired
+    /// list too: the collector may make it the table.
+    pub(crate) fn report(&self, per_report: usize, mut send: impl FnMut(ShardReport) -> bool) {
         let rows = self.live_sessions() + self.retired.len();
         let mut live_rows = self.live_rows().peekable();
         let mut left = self.live_sessions();
         loop {
-            let mut live = Vec::with_capacity(REPORT_ROWS.min(left));
-            live.extend(live_rows.by_ref().take(REPORT_ROWS));
+            let whole = if left <= per_report {
+                self.retired.len()
+            } else {
+                0
+            };
+            let mut live = Vec::with_capacity(per_report.min(left) + whole);
+            live.extend(live_rows.by_ref().take(per_report));
             left = left.saturating_sub(live.len());
             let last = live_rows.peek().is_none();
             let report = ShardReport {

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 /// The shard's metrics answer, its streamed reports gathered into one.
 fn report(s: &ShardState) -> ShardReport {
     let mut whole: Option<ShardReport> = None;
-    s.report(|mut next| {
+    s.report(REPORT_ROWS, |mut next| {
         match &mut whole {
             Some(w) => {
                 w.live.append(&mut next.live);
@@ -259,7 +259,8 @@ fn retired_slots_are_reused_and_reports_share_the_retired_list() {
 
 /// A metrics answer streams its live rows [`REPORT_ROWS`] a report, each
 /// report announcing the answer's rows, live and retired; only the last
-/// says it is, with the stage count. A refused send ends the stream.
+/// says it is, with the stage count. A refused send ends the stream, and
+/// an answer asked for whole is one report.
 #[test]
 fn a_metrics_answer_streams_bounded_reports() {
     let mut s = shard();
@@ -270,7 +271,7 @@ fn a_metrics_answer_streams_bounded_reports() {
     }
     s.apply(&ReplayEvent::Leave { key: 0 }); // never ticked: retires at once
     let mut reports = Vec::new();
-    s.report(|r| {
+    s.report(REPORT_ROWS, |r| {
         reports.push(r);
         true
     });
@@ -288,8 +289,15 @@ fn a_metrics_answer_streams_bounded_reports() {
         ]
     );
     assert_eq!(reports[2].retired.len(), 1);
+    // Whole, the answer is one report with room for the retired row.
+    let mut whole = Vec::new();
+    s.report(usize::MAX, |r| {
+        whole.push((r.live.len(), r.live.capacity(), r.last));
+        true
+    });
+    assert_eq!(whole, [(live, rows, true)]);
     let mut sent = 0;
-    s.report(|_| {
+    s.report(REPORT_ROWS, |_| {
         sent += 1;
         false
     });

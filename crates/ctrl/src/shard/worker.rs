@@ -130,7 +130,10 @@ impl WorkerLoop {
                 // The service may already have dropped the receiver (e.g. a
                 // torn-down snapshot); losing the report is then harmless.
                 match what {
-                    Collect::Metrics => self.state.report(|report| reply.send(report).is_ok()),
+                    Collect::Metrics { per_report } => {
+                        self.state
+                            .report(per_report, |report| reply.send(report).is_ok());
+                    }
                     Collect::Image => {
                         let _ = reply.send(self.state.image_report(&mut self.cp_sink));
                     }

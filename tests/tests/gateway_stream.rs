@@ -11,7 +11,8 @@
 //! what it must guarantee (frame order behind a body in flight, a body
 //! untouched by the requests behind it, a connection left in sync by an
 //! undecodable body, a stalled reader costing one refill, an inline poll
-//! costing one table and no body, a threaded one two tables).
+//! costing one table and no body, a threaded one two tables, a by-value
+//! threaded snapshot one).
 //!
 //! Several tests read a byte-counting global allocator, so every test
 //! here runs under [`serial`].
