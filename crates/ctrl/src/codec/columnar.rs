@@ -729,9 +729,9 @@ impl ColumnSink {
         self.tenant_ids.push(id);
     }
 
-    /// Writes the frame of the registered rows into `out` (cleared
-    /// first, and made exactly the frame's length in one allocation),
-    /// reading their columns from `src`. Returns the row count.
+    /// Appends the frame of the registered rows to `out`, growing it by
+    /// exactly the frame's length in at most one allocation, reading
+    /// their columns from `src`. Returns the row count.
     pub(crate) fn write(
         &mut self,
         src: &impl ColumnSource,
@@ -769,7 +769,7 @@ impl ColumnSink {
             .map(|(&(name, _), layout)| SCHEMA_ENTRY_LEN + name.len() + layout.body())
             .sum();
         let len = HEADER_LEN + 4 + tenant_table + 4 + columns + self.tail.len();
-        out.clear();
+        let start = out.len();
         out.reserve_exact(len);
         let mut e = Enc::new(out);
         e.u8(FRAME_VERSION);
@@ -796,7 +796,7 @@ impl ColumnSink {
         src.columns(&rows, &mut fill);
         assert_eq!(fill.next, NCOLS, "every column was filled");
         out.extend_from_slice(&self.tail);
-        assert_eq!(out.len(), len, "frame length vs the shape pass");
+        assert_eq!(out.len() - start, len, "frame length vs the shape pass");
         self.slots.len() as u64
     }
 }

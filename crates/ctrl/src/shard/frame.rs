@@ -395,10 +395,10 @@ impl ShardState {
         groups
     }
 
-    /// Encodes the shard as one columnar checkpoint frame — every live
-    /// session, every group, the full retired list — into `out` (cleared
-    /// first; allocated once at the frame's exact length when it has no
-    /// capacity yet). Returns the number of session rows encoded.
+    /// Appends the shard as one columnar checkpoint frame — every live
+    /// session, every group, the full retired list — to `out`, grown by
+    /// the frame's exact length when it lacks the room. Returns the
+    /// number of session rows encoded.
     pub(crate) fn encode_columnar(
         &self,
         sink: &mut columnar::ColumnSink,

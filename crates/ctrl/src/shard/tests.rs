@@ -785,9 +785,11 @@ proptest! {
             for ev in script.events(op) {
                 live.apply(&ev);
             }
+            buf.clear();
             live.encode_columnar(&mut sink, &mut buf);
             let frame = columnar::parse(&buf).expect("own frames parse");
             mirror.apply_frame(&frame, &mut scratch).expect("own frames apply");
+            again.clear();
             mirror.encode_columnar(&mut sink, &mut again);
             prop_assert_eq!(&again, &buf);
         }
@@ -871,6 +873,7 @@ fn lockstep(ops: &[LockstepOp]) -> ShardState {
             }
             LockstepOp::Capture => {
                 let bytes = frame.get_or_insert_with(Vec::new);
+                bytes.clear();
                 soa.encode_columnar(&mut sink, bytes);
                 journal.clear();
             }

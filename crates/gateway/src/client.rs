@@ -3,14 +3,11 @@
 //! One [`Client`] owns one TCP connection and therefore one gateway
 //! "session scope": sessions it joins are owned by this connection and
 //! are drained automatically if the connection drops. Requests are
-//! strictly sequential (send, then block for the matching reply);
-//! subscription [`TickEvent`]s that arrive in between are buffered and
-//! surfaced through [`Client::next_event`].
+//! strictly sequential: send, then block for the matching reply.
 
 use crate::codec;
 use crate::proto::{self, ErrorCode, Frame, ProtoError, MAX_FRAME, PUSH_ID};
 use crate::GatewaySnapshot;
-use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
@@ -98,27 +95,6 @@ impl From<ReadError> for ClientError {
     }
 }
 
-/// One subscription push: the signalling state after a committed tick.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TickEvent {
-    /// Ticks committed so far.
-    pub tick: u64,
-    /// Cumulative allocation changes across all sessions.
-    pub changes: u64,
-    /// Cumulative signalling cost under the service's price model.
-    pub signalling_cost: f64,
-}
-
-impl From<proto::EventBody> for TickEvent {
-    fn from(e: proto::EventBody) -> Self {
-        Self {
-            tick: e.tick,
-            changes: e.changes,
-            signalling_cost: e.signalling_cost,
-        }
-    }
-}
-
 /// The last field of an outgoing frame, borrowed from the caller instead
 /// of copied into the frame (see [`Client::write`]).
 enum Apart<'a> {
@@ -131,9 +107,7 @@ enum Apart<'a> {
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
-    cfg: ClientConfig,
     next_id: u64,
-    pending_events: VecDeque<TickEvent>,
     /// The outgoing frame's wire bytes, reused across requests.
     wbuf: Vec<u8>,
     /// The body of the last [`Frame::SnapshotBinOk`] read, decoded as it
@@ -181,9 +155,7 @@ impl Client {
         let _ = stream.set_nodelay(true);
         let mut client = Self {
             stream,
-            cfg,
             next_id: 1,
-            pending_events: VecDeque::new(),
             wbuf: Vec::new(),
             polled: None,
         };
@@ -223,23 +195,12 @@ impl Client {
             .map_err(|e| ClientError::Io(format!("write: {e}")))
     }
 
-    /// Reads exactly one frame, blocking up to the read timeout.
-    fn read_frame(&mut self) -> Result<Frame, ClientError> {
-        self.read_frame_opt(false)?
-            .ok_or_else(|| ClientError::Io("read timed out".into()))
-    }
-
-    /// Reads one frame; with `none_on_timeout`, a timeout before the
-    /// first byte yields `Ok(None)` instead of an error. A
+    /// Reads exactly one frame, blocking up to the read timeout. A
     /// [`Frame::SnapshotBinOk`] is not read whole: once its head is in,
     /// the body is decoded as it arrives, into [`Self::polled`].
-    fn read_frame_opt(&mut self, none_on_timeout: bool) -> Result<Option<Frame>, ClientError> {
+    fn read_frame(&mut self) -> Result<Frame, ClientError> {
         let mut head = [0u8; 4];
-        match self.read_exact(&mut head) {
-            Ok(()) => {}
-            Err(ReadError::Timeout { any_read: false }) if none_on_timeout => return Ok(None),
-            Err(e) => return Err(e.into()),
-        }
+        self.read_exact(&mut head)?;
         let declared = u32::from_le_bytes(head) as usize;
         if declared > MAX_FRAME {
             return Err(ClientError::Protocol(
@@ -265,12 +226,11 @@ impl Client {
                     .map_err(|e| Self::read_error(e, true).unwrap_or(ReadError::Closed))?;
                 self.polled = Some(decoded);
                 let bytes = Vec::new();
-                return Ok(Some(Frame::SnapshotBinOk { id, bytes }));
+                return Ok(Frame::SnapshotBinOk { id, bytes });
             }
         }
         proto::decode_payload(bytes::Bytes::from(body))
             .map_err(|e| ClientError::Protocol(e.to_string()))
-            .map(Some)
     }
 
     fn read_exact(&mut self, buf: &mut [u8]) -> Result<(), ReadError> {
@@ -299,8 +259,7 @@ impl Client {
         }
     }
 
-    /// Sends a request and blocks for the reply with the matching id,
-    /// buffering any events that arrive first.
+    /// Sends a request and blocks for the reply with the matching id.
     fn request(&mut self, make: impl FnOnce(u64) -> Frame) -> Result<Frame, ClientError> {
         self.request_with(None, make)
     }
@@ -315,28 +274,18 @@ impl Client {
         let id = self.next_id;
         self.next_id += 1;
         self.write(&make(id), apart)?;
-        loop {
-            match self.read_frame()? {
-                Frame::EventBatch { events } => {
-                    self.pending_events
-                        .extend(events.into_iter().map(TickEvent::from));
-                }
-                Frame::Error {
-                    id: got,
-                    code,
-                    message,
-                } if got == id || got == PUSH_ID => {
-                    return Err(ClientError::Server { code, message });
-                }
-                frame => match proto::reply_id(&frame) {
-                    Some(got) if got == id => return Ok(frame),
-                    _ => {
-                        return Err(ClientError::Protocol(format!(
-                            "unexpected frame awaiting reply {id}: {frame:?}"
-                        )))
-                    }
-                },
-            }
+        match self.read_frame()? {
+            Frame::Error {
+                id: got,
+                code,
+                message,
+            } if got == id || got == PUSH_ID => Err(ClientError::Server { code, message }),
+            frame => match proto::reply_id(&frame) {
+                Some(got) if got == id => Ok(frame),
+                _ => Err(ClientError::Protocol(format!(
+                    "unexpected frame awaiting reply {id}: {frame:?}"
+                ))),
+            },
         }
     }
 
@@ -574,61 +523,6 @@ impl Client {
                 "expected snapshot-bin-ok: {other:?}"
             ))),
         }
-    }
-
-    /// Subscribes this connection to a [`TickEvent`] every `every`
-    /// committed ticks, shipped `batch` at a time in one frame.
-    /// [`Client::next_event`] surfaces them one by one, so `batch` changes
-    /// only the wire framing — but a partial batch is held server-side
-    /// until it fills, so worst-case event latency is `every × batch`
-    /// committed ticks; a `batch` of 1 delivers each event as it falls
-    /// due.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Server`] when `every` or `batch` is zero.
-    pub fn subscribe(&mut self, every: u32, batch: u32) -> Result<(), ClientError> {
-        match self.request(|id| Frame::SubscribeBatch { id, every, batch })? {
-            Frame::SubscribeOk { .. } => Ok(()),
-            other => Err(ClientError::Protocol(format!(
-                "expected subscribe-ok: {other:?}"
-            ))),
-        }
-    }
-
-    /// Returns the next buffered subscription event, waiting up to
-    /// `timeout` for one to arrive off the wire. `None` on timeout.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Io`] / [`ClientError::Protocol`] on socket or
-    /// framing failures while waiting.
-    pub fn next_event(&mut self, timeout: Duration) -> Result<Option<TickEvent>, ClientError> {
-        if let Some(event) = self.pending_events.pop_front() {
-            return Ok(Some(event));
-        }
-        self.stream
-            .set_read_timeout(Some(timeout.max(Duration::from_millis(1))))
-            .map_err(|e| ClientError::Io(format!("set_read_timeout: {e}")))?;
-        let result = match self.read_frame_opt(true) {
-            Ok(None) => Ok(None),
-            Ok(Some(Frame::EventBatch { events })) => {
-                self.pending_events
-                    .extend(events.into_iter().map(TickEvent::from));
-                Ok(self.pending_events.pop_front())
-            }
-            Ok(Some(Frame::Error { code, message, .. })) => {
-                Err(ClientError::Server { code, message })
-            }
-            Ok(Some(other)) => Err(ClientError::Protocol(format!(
-                "unexpected frame awaiting event: {other:?}"
-            ))),
-            Err(e) => Err(e),
-        };
-        let _ = self
-            .stream
-            .set_read_timeout(Some(Duration::from_millis(self.cfg.read_timeout_ms.max(1))));
-        result
     }
 
     /// Clean close: sends goodbye and waits for the acknowledgement.

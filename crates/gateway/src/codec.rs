@@ -45,7 +45,6 @@ fn encode_wire(w: &WireSnapshot, e: &mut Enc<'_>) {
     e.u64(w.busy_rejections);
     e.u64(w.noack_stages);
     e.u64(w.full_snapshots);
-    e.u64(w.event_batches);
     e.u64(w.requests);
     e.u64(w.latency_p50_us);
     e.u64(w.latency_p99_us);
@@ -66,7 +65,6 @@ fn decode_wire(d: &mut Dec<'_>) -> Result<WireSnapshot, CodecError> {
     let busy_rejections = d.u64()?;
     let noack_stages = d.u64()?;
     let full_snapshots = d.u64()?;
-    let event_batches = d.u64()?;
     let requests = d.u64()?;
     let latency_p50_us = d.u64()?;
     let latency_p99_us = d.u64()?;
@@ -88,7 +86,6 @@ fn decode_wire(d: &mut Dec<'_>) -> Result<WireSnapshot, CodecError> {
         busy_rejections,
         noack_stages,
         full_snapshots,
-        event_batches,
         requests,
         latency_p50_us,
         latency_p99_us,
@@ -415,7 +412,6 @@ mod tests {
             busy_rejections: 1,
             noack_stages: 7,
             full_snapshots: 1,
-            event_batches: 4,
             requests: 30,
             latency_p50_us: 12,
             latency_p99_us: 140,

@@ -67,8 +67,8 @@ pub mod server;
 mod service;
 pub mod stats;
 
-pub use client::{Client, ClientConfig, ClientError, TickEvent};
-pub use proto::{ErrorCode, EventBody, Frame, ProtoError};
+pub use client::{Client, ClientConfig, ClientError};
+pub use proto::{ErrorCode, Frame, ProtoError};
 pub use server::{GatewayConfig, GatewayServer};
 pub use stats::{LatencyBucket, WireSnapshot, WireStats};
 

@@ -10,10 +10,11 @@
 //! ```
 //!
 //! Every client request carries a `u64` request id; the matching response
-//! (or a typed [`Frame::Error`]) echoes it. Server pushes (subscription
-//! [`Frame::EventBatch`]es) carry no id. The first frame on a connection must be
-//! [`Frame::Hello`] carrying [`MAGIC`] and [`VERSION`]; the server answers
-//! [`Frame::HelloOk`] or a typed error and closes.
+//! (or a typed [`Frame::Error`]) echoes it. The only frame the server sends
+//! unasked is a typed error push, which carries [`PUSH_ID`]. The first
+//! frame on a connection must be [`Frame::Hello`] carrying [`MAGIC`] and
+//! [`VERSION`]; the server answers [`Frame::HelloOk`] or a typed error and
+//! closes.
 //!
 //! Strings are `u32_le` byte length + UTF-8 bytes; vectors are `u32_le`
 //! element count + elements. Both are validated against the remaining
@@ -29,18 +30,17 @@ pub const MAGIC: [u8; 4] = *b"CDBG";
 /// The server speaks exactly this version and refuses a handshake
 /// offering any other with [`ErrorCode::BadVersion`]: a client and a
 /// server are built from the same source, so there is nothing to
-/// negotiate. Version 5 is one way to do each job — unacknowledged
-/// staging ([`Frame::StageNoAck`]) with count-gated commits
+/// negotiate. Version 6 is requests and their replies only —
+/// unacknowledged staging ([`Frame::StageNoAck`]) with count-gated commits
 /// ([`Frame::TickSync`]; a plain tick is one gated at 0), binary
-/// snapshots ([`Frame::SnapshotBin`]), subscription events in batches
-/// ([`Frame::SubscribeBatch`] / [`Frame::EventBatch`]; one event a push
-/// is a batch of 1), the fleet migration frames (lease hand-off
+/// snapshots ([`Frame::SnapshotBin`], which carry the signalling bill), the
+/// fleet migration frames (lease hand-off
 /// via [`Frame::LeaseRevoke`] / [`Frame::LeaseGrant`], and
 /// [`Frame::Drain`], which lists migratable sessions and makes the
 /// process refuse new joins with [`ErrorCode::Draining`]), and a process
 /// image cut and restored whole ([`Frame::Image`] / [`Frame::Restore`]),
 /// which an orchestrator respawns a lost process from.
-pub const VERSION: u8 = 5;
+pub const VERSION: u8 = 6;
 
 /// Hard upper bound on one frame's payload, rejected before allocation:
 /// a 100k-session binary snapshot is ~14 MiB.
@@ -72,8 +72,8 @@ pub(crate) fn read_body_step(
     got
 }
 
-/// The request id used by server-push frames and by errors raised before a
-/// request id could be parsed.
+/// The request id carried by error pushes — an unacknowledged stage's
+/// refusal, or an error raised before a request id could be parsed.
 pub const PUSH_ID: u64 = 0;
 
 /// Typed error classes carried by [`Frame::Error`].
@@ -165,19 +165,6 @@ impl fmt::Display for ErrorCode {
     }
 }
 
-/// One subscription event, as carried inside a [`Frame::EventBatch`]: the
-/// signalling state after a committed batch tick — the §1 "allocation
-/// change" made wire-visible.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EventBody {
-    /// Ticks committed so far.
-    pub tick: u64,
-    /// Cumulative allocation changes across all sessions.
-    pub changes: u64,
-    /// Cumulative signalling cost under the service's price model.
-    pub signalling_cost: f64,
-}
-
 /// One wire frame, client→server or server→client.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
@@ -247,20 +234,6 @@ pub enum Frame {
     SnapshotBin {
         /// Request id.
         id: u64,
-    },
-    /// Subscribe to events every `every` committed ticks: the server
-    /// buffers `batch` due events and ships them as one
-    /// [`Frame::EventBatch`] — one frame header and one socket write per
-    /// `batch` events. A partial batch is held until it fills, so
-    /// worst-case event latency is `every × batch` committed ticks;
-    /// `batch == 1` pushes every event as it falls due.
-    SubscribeBatch {
-        /// Request id.
-        id: u64,
-        /// Event period in ticks (≥ 1).
-        every: u32,
-        /// Events per [`Frame::EventBatch`] push (≥ 1).
-        batch: u32,
     },
     /// Revoke one session's ownership lease and take its state: the
     /// session is quiesced, its session row captured as a binary checkpoint
@@ -393,21 +366,10 @@ pub enum Frame {
         /// this process, sorted ascending.
         keys: Vec<u64>,
     },
-    /// Response to [`Frame::SubscribeBatch`].
-    SubscribeOk {
-        /// Echoed request id.
-        id: u64,
-    },
     /// Response to [`Frame::Goodbye`]; the server closes afterwards.
     GoodbyeOk {
         /// Echoed request id.
         id: u64,
-    },
-    /// Server push to subscribers: `batch` due events in one frame,
-    /// oldest first. See [`Frame::SubscribeBatch`].
-    EventBatch {
-        /// The buffered events, in commit order.
-        events: Vec<EventBody>,
     },
     /// Typed error response; the connection may or may not survive it
     /// (framing-level errors close it, semantic ones do not).
@@ -470,25 +432,23 @@ const K_JOIN: u8 = 0x10;
 const K_JOIN_GROUP: u8 = 0x11;
 const K_LEAVE: u8 = 0x12;
 // The retired acked-stage, plain-tick, JSON-snapshot, plain-subscribe,
-// delta-snapshot and checkpoint-pull requests (0x13, 0x14, 0x15, 0x16,
-// 0x1A, 0x1C, 0x43), their replies (0x23, 0x25, 0x28, 0x2A, 0x2E) and the
-// one-event push (0x30) decode as unknown kinds; the bytes are not reused.
+// delta-snapshot, batched-subscribe and checkpoint-pull requests (0x13,
+// 0x14, 0x15, 0x16, 0x1A, 0x1C, 0x1D, 0x43), their replies (0x23, 0x25,
+// 0x26, 0x28, 0x2A, 0x2E) and the event pushes (0x30, 0x31) decode as
+// unknown kinds; the bytes are not reused.
 const K_GOODBYE: u8 = 0x17;
 const K_STAGE_NOACK: u8 = 0x18;
 const K_TICK_SYNC: u8 = 0x19;
 const K_SNAPSHOT_BIN: u8 = 0x1B;
-const K_SUBSCRIBE_BATCH: u8 = 0x1D;
 const K_JOINED: u8 = 0x20;
 const K_GROUP_JOINED: u8 = 0x21;
 const K_LEAVE_OK: u8 = 0x22;
 const K_TICK_OK: u8 = 0x24;
-const K_SUBSCRIBE_OK: u8 = 0x26;
 const K_GOODBYE_OK: u8 = 0x27;
 const K_SNAPSHOT_BIN_OK: u8 = 0x29;
 const K_LEASE_REVOKED: u8 = 0x2B;
 const K_LEASE_GRANTED: u8 = 0x2C;
 const K_DRAIN_OK: u8 = 0x2D;
-const K_EVENT_BATCH: u8 = 0x31;
 const K_ERROR: u8 = 0x3F;
 // The request block ends at 0x1F; later requests start a fresh one at
 // 0x40.
@@ -578,12 +538,6 @@ pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) {
             payload.put_u8(K_SNAPSHOT_BIN);
             payload.put_u64_le(*id);
         }
-        Frame::SubscribeBatch { id, every, batch } => {
-            payload.put_u8(K_SUBSCRIBE_BATCH);
-            payload.put_u64_le(*id);
-            payload.put_u32_le(*every);
-            payload.put_u32_le(*batch);
-        }
         Frame::LeaseRevoke { id, key } => {
             payload.put_u8(K_LEASE_REVOKE);
             payload.put_u64_le(*id);
@@ -672,22 +626,9 @@ pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) {
                 payload.put_u64_le(key);
             }
         }
-        Frame::SubscribeOk { id } => {
-            payload.put_u8(K_SUBSCRIBE_OK);
-            payload.put_u64_le(*id);
-        }
         Frame::GoodbyeOk { id } => {
             payload.put_u8(K_GOODBYE_OK);
             payload.put_u64_le(*id);
-        }
-        Frame::EventBatch { events } => {
-            payload.put_u8(K_EVENT_BATCH);
-            payload.put_u32_le(events.len() as u32);
-            for e in events {
-                payload.put_u64_le(e.tick);
-                payload.put_u64_le(e.changes);
-                payload.put_f64_le(e.signalling_cost);
-            }
         }
         Frame::Error { id, code, message } => {
             payload.put_u8(K_ERROR);
@@ -832,18 +773,6 @@ impl Reader {
         Ok(raw)
     }
 
-    fn events(&mut self) -> Result<Vec<EventBody>, ProtoError> {
-        let count = self.u32()? as usize;
-        self.need(count * 24)?;
-        Ok((0..count)
-            .map(|_| EventBody {
-                tick: self.buf.get_u64_le(),
-                changes: self.buf.get_u64_le(),
-                signalling_cost: self.buf.get_f64_le(),
-            })
-            .collect())
-    }
-
     fn finish(self, frame: Frame) -> Result<Frame, ProtoError> {
         if self.buf.remaining() > 0 {
             Err(ProtoError::Trailing {
@@ -892,11 +821,6 @@ pub fn decode_payload(payload: Bytes) -> Result<Frame, ProtoError> {
             arrivals: r.arrivals()?,
         },
         K_SNAPSHOT_BIN => Frame::SnapshotBin { id: r.u64()? },
-        K_SUBSCRIBE_BATCH => Frame::SubscribeBatch {
-            id: r.u64()?,
-            every: r.u32()?,
-            batch: r.u32()?,
-        },
         K_LEASE_REVOKE => Frame::LeaseRevoke {
             id: r.u64()?,
             key: r.u64()?,
@@ -952,11 +876,7 @@ pub fn decode_payload(payload: Bytes) -> Result<Frame, ProtoError> {
             id: r.u64()?,
             bytes: r.bytes()?,
         },
-        K_SUBSCRIBE_OK => Frame::SubscribeOk { id: r.u64()? },
         K_GOODBYE_OK => Frame::GoodbyeOk { id: r.u64()? },
-        K_EVENT_BATCH => Frame::EventBatch {
-            events: r.events()?,
-        },
         K_ERROR => {
             let id = r.u64()?;
             let raw = r.u8()?;
@@ -1010,7 +930,6 @@ pub fn reply_id(frame: &Frame) -> Option<u64> {
         | Frame::DrainOk { id, .. }
         | Frame::ImageOk { id, .. }
         | Frame::RestoreOk { id, .. }
-        | Frame::SubscribeOk { id }
         | Frame::GoodbyeOk { id } => Some(*id),
         _ => None,
     }
@@ -1055,11 +974,6 @@ mod tests {
             min_staged: 6,
         });
         roundtrip(Frame::SnapshotBin { id: 23 });
-        roundtrip(Frame::SubscribeBatch {
-            id: 25,
-            every: 8,
-            batch: 16,
-        });
         roundtrip(Frame::LeaseRevoke { id: 26, key: 42 });
         roundtrip(Frame::LeaseGrant {
             id: 27,
@@ -1103,22 +1017,7 @@ mod tests {
             id: 23,
             bytes: vec![1, 0, 255, 42],
         });
-        roundtrip(Frame::SubscribeOk { id: 13 });
         roundtrip(Frame::GoodbyeOk { id: 14 });
-        roundtrip(Frame::EventBatch {
-            events: vec![
-                EventBody {
-                    tick: 101,
-                    changes: 13,
-                    signalling_cost: 13.5,
-                },
-                EventBody {
-                    tick: 102,
-                    changes: 14,
-                    signalling_cost: -0.0,
-                },
-            ],
-        });
         roundtrip(Frame::Error {
             id: 15,
             code: ErrorCode::Busy,

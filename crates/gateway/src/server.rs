@@ -8,11 +8,12 @@
 //! operations before touching the control plane. The evented core removes
 //! all of it — non-blocking sockets polled in a single loop, requests
 //! dispatched inline into the service core (`ServiceCore`), replies and
-//! subscription events appended to per-connection write buffers. No async
+//! typed error pushes appended to per-connection write buffers. No async
 //! runtime: `std::net` non-blocking I/O and one thread.
 //!
-//! The loop backs off when idle (a few busy passes, then short sleeps),
-//! so an idle gateway costs ~0 CPU while a saturated one never sleeps.
+//! The loop backs off when idle (a few busy passes, then sleeps of at most
+//! 25 ms), so an idle gateway costs ~0 CPU while a saturated one never
+//! sleeps.
 
 use crate::codec::SnapshotStream;
 use crate::proto::{self, ErrorCode, Frame, ProtoError, MAX_FRAME, PUSH_ID};
@@ -39,10 +40,6 @@ pub struct GatewayConfig {
     /// How many connections the evented core serves at once; one past
     /// that is refused with a typed `Busy` error.
     pub max_connections: usize,
-    /// Poll backoff ceiling in milliseconds: how long the idle core may
-    /// sleep between passes, which bounds how stale accept/idle/shutdown
-    /// handling can get. Not a per-read deadline.
-    pub read_timeout_ms: u64,
     /// How long a connection's write buffer may stall (peer not reading)
     /// before the connection is dropped.
     pub write_timeout_ms: u64,
@@ -65,7 +62,6 @@ impl Default for GatewayConfig {
         Self {
             addr: "127.0.0.1:0".into(),
             max_connections: 24,
-            read_timeout_ms: 25,
             write_timeout_ms: 2_000,
             idle_timeout_ms: 30_000,
             request_timeout_ms: 10_000,
@@ -73,6 +69,10 @@ impl Default for GatewayConfig {
         }
     }
 }
+
+/// The longest the idle core sleeps between passes, which bounds how
+/// stale accept, idle and shutdown handling can get.
+const BACKOFF_CEILING: Duration = Duration::from_millis(25);
 
 /// A running gateway: one evented core thread owning a
 /// [`ControlPlane`] behind the wire protocol.
@@ -487,7 +487,6 @@ impl Core {
         let write_timeout = Duration::from_millis(self.cfg.write_timeout_ms.max(1));
         let request_timeout = Duration::from_millis(self.cfg.request_timeout_ms.max(1));
         let idle = Duration::from_millis(self.cfg.idle_timeout_ms);
-        let backoff_ceiling = Duration::from_millis(self.cfg.read_timeout_ms.clamp(1, 25));
         let mut calm_passes: u32 = 0;
 
         while !self.stop.load(Ordering::SeqCst) {
@@ -525,7 +524,7 @@ impl Core {
                     // ceiling so an idle gateway costs ~0 CPU.
                     let step = Duration::from_micros(100);
                     let ramp = step.saturating_mul(calm_passes.saturating_sub(49).min(250));
-                    std::thread::sleep(ramp.min(backoff_ceiling));
+                    std::thread::sleep(ramp.min(BACKOFF_CEILING));
                 }
             }
         }
@@ -771,7 +770,6 @@ impl Core {
             | Frame::StageNoAck { .. }
             | Frame::TickSync { .. }
             | Frame::SnapshotBin { .. }
-            | Frame::SubscribeBatch { .. }
             | Frame::LeaseRevoke { .. }
             | Frame::LeaseGrant { .. }
             | Frame::Drain { .. }

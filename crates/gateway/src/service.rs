@@ -13,13 +13,12 @@
 //!
 //! Replies are not written here. Every handler appends `(connection,
 //! frame)` pairs to an output list and the connection core copies them
-//! into the right write buffers — which is what lets one request fan out
-//! to other connections (subscription events, a parked
-//! [`Frame::TickSync`] commit released by another connection's
-//! [`Frame::StageNoAck`]).
+//! into the right write buffers — which is what lets one request answer
+//! another connection (a parked [`Frame::TickSync`] commit released by
+//! another connection's [`Frame::StageNoAck`]).
 
 use crate::codec::SnapshotStream;
-use crate::proto::{ErrorCode, EventBody, Frame, PUSH_ID};
+use crate::proto::{ErrorCode, Frame, PUSH_ID};
 use crate::stats::WireStats;
 use crate::GatewaySnapshot;
 use cdba_ctrl::codec::{Dec, Enc};
@@ -61,14 +60,6 @@ struct ParkedTick {
     since: Instant,
 }
 
-/// One connection's subscription: period, batch size, and the events
-/// buffered toward the next [`Frame::EventBatch`].
-struct Sub {
-    every: u32,
-    batch: u32,
-    buffered: Vec<EventBody>,
-}
-
 /// The single-threaded service state, owned by the connection core.
 pub(crate) struct ServiceCore {
     plane: ControlPlane,
@@ -81,8 +72,6 @@ pub(crate) struct ServiceCore {
     slots: Vec<u64>,
     /// Arrivals staged for the next committed tick, across connections.
     pending: Vec<(u64, f64)>,
-    /// connection → its subscription.
-    subs: HashMap<u64, Sub>,
     /// At most one count-gated tick commit may be parked at a time.
     parked: Option<ParkedTick>,
     /// session key → lease epoch, non-zero epochs only: a join is
@@ -173,7 +162,6 @@ impl ServiceCore {
             stats,
             slots: Vec::new(),
             pending: Vec::new(),
-            subs: HashMap::new(),
             parked: None,
             leases: HashMap::new(),
             draining: false,
@@ -193,8 +181,8 @@ impl ServiceCore {
     }
 
     /// Handles one decoded client frame. Every produced frame — the
-    /// reply, subscription events, async stage failures, a released
-    /// parked commit — lands in `out` tagged with its target connection.
+    /// reply, async stage failures, a released parked commit — lands in
+    /// `out` tagged with its target connection.
     ///
     /// One request latency sample is recorded per replied request;
     /// [`Frame::StageNoAck`] deliberately records none (it has no reply —
@@ -213,7 +201,7 @@ impl ServiceCore {
                 id,
                 arrivals,
                 min_staged,
-            } => self.tick_sync(conn, id, &arrivals, min_staged, started, out),
+            } => self.tick_sync(conn, id, &arrivals, min_staged, started),
             Frame::SnapshotBin { id } => {
                 out.push((conn, self.snapshot_bin_reply(id, started)));
                 return;
@@ -225,9 +213,6 @@ impl ServiceCore {
             Frame::Drain { id } => Some(self.drain(id)),
             Frame::Image { id } => Some(self.image(id)),
             Frame::Restore { id, bytes } => Some(self.restore(conn, id, &bytes)),
-            Frame::SubscribeBatch { id, every, batch } => {
-                Some(self.subscribe(conn, id, every, batch))
-            }
             other => {
                 debug_assert!(false, "connection core routed a non-request: {other:?}");
                 return;
@@ -313,8 +298,9 @@ impl ServiceCore {
     }
 
     /// Cuts a process image: this gateway's lease epochs and draining
-    /// flag, then the control plane's image. Only at a tick boundary: a
-    /// staged arrival or a parked commit belongs to no image.
+    /// flag, then the control plane's image, cut onto the end of the same
+    /// buffer. Only at a tick boundary: a staged arrival or a parked
+    /// commit belongs to no image.
     fn image(&mut self, id: u64) -> Frame {
         if !self.pending.is_empty() || self.parked.is_some() {
             return Frame::Error {
@@ -324,13 +310,9 @@ impl ServiceCore {
                     .into(),
             };
         }
-        let plane = match self.plane.cut_image() {
-            Ok(plane) => plane,
-            Err(e) => return ctrl_error(id, &e),
-        };
         let mut leases: Vec<(u64, u64)> = self.leases.iter().map(|(&k, &e)| (k, e)).collect();
         leases.sort_unstable();
-        let mut bytes = Vec::with_capacity(10 + 16 * leases.len() + plane.len());
+        let mut bytes = Vec::with_capacity(10 + 16 * leases.len());
         bytes.extend_from_slice(&IMAGE_MAGIC);
         let mut e = Enc::new(&mut bytes);
         e.u8(IMAGE_VERSION);
@@ -340,8 +322,10 @@ impl ServiceCore {
             e.u64(key);
             e.u64(epoch);
         }
-        bytes.extend_from_slice(&plane);
-        Frame::ImageOk { id, bytes }
+        match self.plane.cut_image(&mut bytes) {
+            Ok(()) => Frame::ImageOk { id, bytes },
+            Err(e) => ctrl_error(id, &e),
+        }
     }
 
     /// Restores a fresh gateway — no session owned, no lease, not
@@ -496,9 +480,9 @@ impl ServiceCore {
         }
     }
 
-    /// Commits the pending batch: ascending key order, then subscription
-    /// events, regardless of which connection staged what, when.
-    fn commit(&mut self, id: u64, out: &mut Outbox) -> Frame {
+    /// Commits the pending batch in ascending key order, regardless of
+    /// which connection staged what, when.
+    fn commit(&mut self, id: u64) -> Frame {
         // Keys are unique, so the unstable sort gives the one order there
         // is, without a scratch half the batch's size.
         self.pending.sort_unstable_by_key(|&(k, _)| k);
@@ -513,9 +497,6 @@ impl ServiceCore {
             Err(e) => ctrl_error(id, &e),
         };
         self.pending.clear();
-        if matches!(frame, Frame::TickOk { .. }) {
-            self.push_events(out);
-        }
         frame
     }
 
@@ -531,7 +512,6 @@ impl ServiceCore {
         arrivals: &[(u64, f64)],
         min_staged: u32,
         started: Instant,
-        out: &mut Outbox,
     ) -> Option<Frame> {
         if self.parked.is_some() {
             return Some(Frame::Error {
@@ -546,7 +526,7 @@ impl ServiceCore {
             return Some(Self::with_id(e, id));
         }
         if self.pending.len() as u32 >= min_staged {
-            return Some(self.commit(id, out));
+            return Some(self.commit(id));
         }
         self.parked = Some(ParkedTick {
             conn,
@@ -565,7 +545,7 @@ impl ServiceCore {
             return;
         }
         let parked = self.parked.take().expect("checked above");
-        let frame = self.commit(parked.id, out);
+        let frame = self.commit(parked.id);
         self.stats.latency.record_since(parked.since);
         out.push((parked.conn, frame.into()));
     }
@@ -595,57 +575,6 @@ impl ServiceCore {
                 ),
             }),
         ));
-    }
-
-    /// Pushes a subscription event to every due subscriber: each buffers
-    /// until `batch` events are due, then gets them all in one
-    /// [`Frame::EventBatch`].
-    fn push_events(&mut self, out: &mut Outbox) {
-        if self.subs.is_empty() {
-            return;
-        }
-        let tick = self.plane.ticks();
-        if !self
-            .subs
-            .values()
-            .any(|s| tick.is_multiple_of(s.every as u64))
-        {
-            return;
-        }
-        let global = match self.plane.snapshot_rows() {
-            Some(inline) => inline.head.global,
-            None => match self.plane.snapshot_shared() {
-                Ok(snap) => snap.global.clone(),
-                Err(_) => return,
-            },
-        };
-        let event = EventBody {
-            tick,
-            changes: global.changes,
-            signalling_cost: global.signalling_cost,
-        };
-        let mut due: Vec<u64> = self
-            .subs
-            .iter()
-            .filter(|(_, s)| tick.is_multiple_of(s.every as u64))
-            .map(|(&conn, _)| conn)
-            .collect();
-        due.sort_unstable();
-        for conn in due {
-            let sub = self.subs.get_mut(&conn).expect("collected above");
-            sub.buffered.push(event);
-            if sub.buffered.len() >= sub.batch as usize {
-                self.stats
-                    .event_batches
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                out.push((
-                    conn,
-                    Reply::Frame(Frame::EventBatch {
-                        events: std::mem::take(&mut sub.buffered),
-                    }),
-                ));
-            }
-        }
     }
 
     /// Answers a snapshot poll: the binary body is not encoded here, but
@@ -689,43 +618,13 @@ impl ServiceCore {
     /// read-only ones. It says yes where the request turns out to change
     /// nothing, as a stage that only buffers arrivals or a refused join.
     pub(crate) fn mutates(frame: &Frame) -> bool {
-        !matches!(
-            frame,
-            Frame::SnapshotBin { .. } | Frame::SubscribeBatch { .. } | Frame::Image { .. }
-        )
+        !matches!(frame, Frame::SnapshotBin { .. } | Frame::Image { .. })
     }
 
-    fn subscribe(&mut self, conn: u64, id: u64, every: u32, batch: u32) -> Frame {
-        if every == 0 {
-            return Frame::Error {
-                id,
-                code: ErrorCode::Proto,
-                message: "subscribe period must be at least 1 tick".into(),
-            };
-        }
-        if batch == 0 {
-            return Frame::Error {
-                id,
-                code: ErrorCode::Proto,
-                message: "subscribe batch must be at least 1 event".into(),
-            };
-        }
-        self.subs.insert(
-            conn,
-            Sub {
-                every,
-                batch,
-                buffered: Vec::new(),
-            },
-        );
-        Frame::SubscribeOk { id }
-    }
-
-    /// Releases everything a closed connection held: subscriptions, a
-    /// parked commit, and its sessions (best-effort —
-    /// a session may already be gone if its shard is down).
+    /// Releases everything a closed connection held: a parked commit and
+    /// its sessions (best-effort — a session may already be gone if its
+    /// shard is down).
     pub(crate) fn conn_closed(&mut self, conn: u64) {
-        self.subs.remove(&conn);
         if self.parked.as_ref().is_some_and(|p| p.conn == conn) {
             self.parked = None;
         }

@@ -167,9 +167,6 @@ pub struct WireStats {
     pub noack_stages: AtomicU64,
     /// Snapshot requests answered (`SnapshotBin`).
     pub full_snapshots: AtomicU64,
-    /// Subscription event frames pushed (`EventBatch`), every push: a
-    /// subscriber with `batch` 1 gets one frame per event.
-    pub event_batches: AtomicU64,
     /// Request-to-reply latency, measured at the connection core.
     pub latency: LatencyHistogram,
 }
@@ -193,7 +190,6 @@ impl WireStats {
             busy_rejections: self.busy_rejections.load(o),
             noack_stages: self.noack_stages.load(o),
             full_snapshots: self.full_snapshots.load(o),
-            event_batches: self.event_batches.load(o),
             requests: self.latency.count(),
             latency_p50_us: self.latency.quantile_us(0.50),
             latency_p99_us: self.latency.quantile_us(0.99),
@@ -261,10 +257,6 @@ impl WireStats {
             "Snapshot requests answered, by reply kind",
             &[("kind", "full")],
         );
-        let event_batches = registry.counter(
-            "cdba_gateway_event_batches_total",
-            "Subscription event frames pushed",
-        );
         let stats = Arc::clone(self);
         registry.register_collector(move || {
             let o = Ordering::Relaxed;
@@ -277,7 +269,6 @@ impl WireStats {
             busy.store(stats.busy_rejections.load(o));
             noack.store(stats.noack_stages.load(o));
             snap_full.store(stats.full_snapshots.load(o));
-            event_batches.store(stats.event_batches.load(o));
 
             let fine = stats.latency.buckets();
             let coarse_bounds = latency.bounds().to_vec();
@@ -324,9 +315,6 @@ pub struct WireSnapshot {
     /// Snapshot requests answered.
     #[serde(default)]
     pub full_snapshots: u64,
-    /// Subscription event frames pushed, every push.
-    #[serde(default)]
-    pub event_batches: u64,
     /// Requests answered (latency samples recorded).
     pub requests: u64,
     /// Median request latency (µs, upper bucket bound).

@@ -135,7 +135,9 @@ fn long_hull_frame(sessions: usize) -> Vec<u8> {
         let arrivals: Vec<(u64, f64)> = keys.iter().map(|&k| (k, bits)).collect();
         plane.tick(&arrivals).unwrap();
     }
-    let frame = image_frames(&plane.cut_image().unwrap())[0].to_vec();
+    let mut image = Vec::new();
+    plane.cut_image(&mut image).unwrap();
+    let frame = image_frames(&image)[0].to_vec();
     plane.shutdown();
     frame
 }

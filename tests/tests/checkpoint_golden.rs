@@ -128,7 +128,8 @@ fn worker_genesis_and_migration_frames_match_the_pinned_encoder_bytes() {
     // The worker writes the frame its tick-16 checkpoint retains.
     let mut service = ControlPlane::new(cfg.clone());
     drive(&mut service, 16);
-    let image = service.cut_image().unwrap();
+    let mut image = Vec::new();
+    service.cut_image(&mut image).unwrap();
     service.shutdown();
     let genesis = image_frames(&image)[0];
     assert_eq!(v5_len(genesis), 2901, "worker genesis vs the v5 layout");
@@ -269,7 +270,9 @@ fn a_bench_shaped_frame_weighs_under_105_bytes_a_row() {
         plane.tick(&arrivals).unwrap();
         if t + 1 == 128 {
             // The frame the tick-128 checkpoint retains.
-            frame = image_frames(&plane.cut_image().unwrap())[0].to_vec();
+            let mut image = Vec::new();
+            plane.cut_image(&mut image).unwrap();
+            frame = image_frames(&image)[0].to_vec();
         }
     }
     // The snapshot's reply queues behind the tick-128 frame.

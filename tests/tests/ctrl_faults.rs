@@ -793,7 +793,8 @@ fn corrupted_migration_blobs_never_panic_the_importer() {
 #[test]
 fn frames_that_are_not_one_dedicated_row_are_refused_as_migrations() {
     let frame_of = |plane: &mut ControlPlane| {
-        let image = plane.cut_image().unwrap();
+        let mut image = Vec::new();
+        plane.cut_image(&mut image).unwrap();
         image_frames(&image)[0].to_vec()
     };
     let mut two = inline_service();
@@ -877,7 +878,9 @@ fn a_reset_encodes_the_same_whether_ticked_through_or_leased() {
             }
             let bits = if t == 6 { 100.0 } else { 1.0 };
             plane.tick(&[(key, bits)]).unwrap();
-            frames.push(image_frames(&plane.cut_image().unwrap())[0].to_vec());
+            let mut image = Vec::new();
+            plane.cut_image(&mut image).unwrap();
+            frames.push(image_frames(&image)[0].to_vec());
         }
         plane.shutdown();
         frames

@@ -150,7 +150,8 @@ fn continuation(plane: &mut ControlPlane, mut live: Vec<u64>) -> Vec<String> {
 fn round_trip(from: ServiceConfig, into: ServiceConfig) {
     let mut original = ControlPlane::new(from);
     let live = prefix(&mut original);
-    let image = original.cut_image().expect("cut");
+    let mut image = Vec::new();
+    original.cut_image(&mut image).expect("cut");
 
     let mut restored = ControlPlane::new(into);
     restored
@@ -162,8 +163,10 @@ fn round_trip(from: ServiceConfig, into: ServiceConfig) {
         original.snapshot().unwrap().invariant_view()
     );
     // Restored rows keep their order, so the plane cuts the image it
-    // came from, byte for byte.
-    assert_eq!(restored.cut_image().expect("re-cut"), image);
+    // came from, byte for byte — onto the end of what the buffer holds.
+    let mut again = b"lead".to_vec();
+    restored.cut_image(&mut again).expect("re-cut");
+    assert_eq!((&again[..4], &again[4..]), (&b"lead"[..], &image[..]));
 
     let want = continuation(&mut original, live.clone());
     let got = continuation(&mut restored, live);
@@ -244,7 +247,8 @@ fn a_bad_image_is_refused_typed_and_leaves_the_plane_fresh() {
         let cfg = config(exec, 2);
         let mut original = ControlPlane::new(cfg.clone());
         prefix(&mut original);
-        let image = original.cut_image().expect("cut");
+        let mut image = Vec::new();
+        original.cut_image(&mut image).expect("cut");
         let spans = frames(&image);
         let mut plane = ControlPlane::new(cfg.clone());
 
@@ -353,7 +357,8 @@ fn an_image_with_a_cell_out_of_its_domain_is_refused_typed() {
         let cfg = config(exec, 2);
         let mut original = ControlPlane::new(cfg.clone());
         prefix(&mut original);
-        let image = original.cut_image().expect("cut");
+        let mut image = Vec::new();
+        original.cut_image(&mut image).expect("cut");
         original.shutdown();
         let (start, end) = frames(&image)[1];
         let frame = &image[start..end];
@@ -393,7 +398,7 @@ fn cutting_an_image_leaves_the_threaded_plane_running_unchanged() {
         tick(&mut cut, &live, t);
         tick(&mut clean, &live, t);
         if t % 5 == 0 {
-            cut.cut_image().expect("cut");
+            cut.cut_image(&mut Vec::new()).expect("cut");
             cut.restart_shard(1).expect("restart");
             clean.restart_shard(1).expect("restart");
         }

@@ -130,7 +130,8 @@ fn run(exec: ExecMode) -> ([usize; 2], Option<[Vec<u8>; 2]>) {
             drop(plane.snapshot().expect("snapshot"));
             let mut kept = 0;
             if threaded {
-                let image = plane.cut_image().expect("image");
+                let mut image = Vec::new();
+                plane.cut_image(&mut image).expect("image");
                 if now != 256 {
                     let frame = image_frames(&image)[0].to_vec();
                     kept = frame.capacity();

@@ -5,7 +5,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use cdba_gateway::proto::{
-    self, decode, decode_payload, encode, ErrorCode, EventBody, Frame, ProtoError, MAX_FRAME,
+    self, decode, decode_payload, encode, ErrorCode, Frame, ProtoError, MAX_FRAME,
 };
 use cdba_gateway::stats::LatencyHistogram;
 use cdba_integration::fnv1a;
@@ -42,7 +42,7 @@ const ERROR_CODES: [ErrorCode; 11] = [
 /// `kind`, so a single property covers the whole enum.
 fn build_frame(
     kind: usize,
-    (id, key, n, x): (u64, u64, u32, f64),
+    (id, key, n): (u64, u64, u32),
     s: String,
     arrivals: Vec<(u64, f64)>,
     keys: Vec<u64>,
@@ -67,44 +67,28 @@ fn build_frame(
         7 => Frame::GroupJoined { id, members: keys },
         8 => Frame::LeaveOk { id },
         9 => Frame::TickOk { id, tick: key },
-        10 => Frame::SubscribeOk { id },
-        11 => Frame::GoodbyeOk { id },
-        12 => Frame::StageNoAck { arrivals },
-        13 => Frame::TickSync {
+        10 => Frame::GoodbyeOk { id },
+        11 => Frame::StageNoAck { arrivals },
+        12 => Frame::TickSync {
             id,
             arrivals,
             min_staged: n,
         },
-        14 => Frame::SnapshotBin { id },
-        15 => Frame::SubscribeBatch {
-            id,
-            every: n,
-            batch: n.rotate_left(7),
-        },
-        16 => Frame::SnapshotBinOk {
+        13 => Frame::SnapshotBin { id },
+        14 => Frame::SnapshotBinOk {
             id,
             bytes: s.into_bytes(),
         },
-        17 => Frame::EventBatch {
-            events: arrivals
-                .iter()
-                .map(|&(k, bits)| EventBody {
-                    tick: k,
-                    changes: k ^ id,
-                    signalling_cost: bits * x,
-                })
-                .collect(),
-        },
-        18 => Frame::Image { id },
-        19 => Frame::ImageOk {
+        15 => Frame::Image { id },
+        16 => Frame::ImageOk {
             id,
             bytes: s.into_bytes(),
         },
-        20 => Frame::Restore {
+        17 => Frame::Restore {
             id,
             bytes: s.into_bytes(),
         },
-        21 => Frame::RestoreOk {
+        18 => Frame::RestoreOk {
             id,
             tick: key,
             keys,
@@ -122,16 +106,15 @@ proptest! {
 
     #[test]
     fn every_frame_kind_round_trips_bit_exactly(
-        kind in 0usize..23,
+        kind in 0usize..20,
         id in 0u64..u64::MAX,
         key in 0u64..u64::MAX,
         n in 0u32..u32::MAX,
-        x in -1e12f64..1e12,
         s in arb_string(),
         arrivals in arb_arrivals(),
         keys in arb_keys(),
     ) {
-        let frame = build_frame(kind, (id, key, n, x), s, arrivals, keys);
+        let frame = build_frame(kind, (id, key, n), s, arrivals, keys);
         let wire = encode(&frame);
         let mut buf = wire.clone();
         let back = decode(&mut buf).expect("round-trip decodes");
@@ -141,13 +124,13 @@ proptest! {
 
     #[test]
     fn every_truncation_is_a_typed_error_never_a_panic(
-        kind in 0usize..23,
+        kind in 0usize..20,
         id in 0u64..1_000_000,
         s in arb_string(),
         arrivals in arb_arrivals(),
         cut_frac in 0.0f64..1.0,
     ) {
-        let frame = build_frame(kind, (id, id ^ 7, 3, 1.5), s, arrivals, vec![1, 2]);
+        let frame = build_frame(kind, (id, id ^ 7, 3), s, arrivals, vec![1, 2]);
         let wire = encode(&frame);
         let cut = ((wire.len() as f64) * cut_frac) as usize;
         if cut < wire.len() {
@@ -235,6 +218,26 @@ fn unknown_kind_unknown_error_code_and_bad_utf8_are_typed() {
             Err(ProtoError::UnknownKind(retired))
         );
     }
+    // So do the batched subscribe, its reply and the event push, each in
+    // its old layout: a subscribe's id, period and batch size; the
+    // reply's id; a push's count and one (tick, changes, cost) event.
+    let event = [1u64.to_le_bytes(), 4u64.to_le_bytes(), 2.5f64.to_le_bytes()].concat();
+    for payload in [
+        [
+            &[0x1D][..],
+            &8u64.to_le_bytes(),
+            &2u32.to_le_bytes(),
+            &4u32.to_le_bytes(),
+        ]
+        .concat(),
+        [&[0x26][..], &8u64.to_le_bytes()].concat(),
+        [&[0x31][..], &1u32.to_le_bytes(), &event].concat(),
+    ] {
+        assert_eq!(
+            decode_payload(Bytes::from(payload.clone())),
+            Err(ProtoError::UnknownKind(payload[0]))
+        );
+    }
 
     let mut payload = BytesMut::new();
     payload.put_u8(0x3F); // Error frame
@@ -308,11 +311,6 @@ fn one_of_every_kind() -> Vec<Frame> {
             min_staged: 7,
         },
         Frame::SnapshotBin { id: 10 },
-        Frame::SubscribeBatch {
-            id: 13,
-            every: 8,
-            batch: 16,
-        },
         Frame::LeaseRevoke { id: 14, key: 42 },
         Frame::LeaseGrant {
             id: 15,
@@ -342,28 +340,13 @@ fn one_of_every_kind() -> Vec<Frame> {
             id: 17,
             keys: vec![1, 4, 9],
         },
-        Frame::SubscribeOk { id: 12 },
         Frame::GoodbyeOk { id: 18 },
-        Frame::EventBatch {
-            events: vec![
-                EventBody {
-                    tick: 101,
-                    changes: 13,
-                    signalling_cost: 13.5,
-                },
-                EventBody {
-                    tick: 102,
-                    changes: 14,
-                    signalling_cost: -0.0,
-                },
-            ],
-        },
         Frame::Error {
             id: 19,
             code: ErrorCode::Draining,
             message: "process is draining".into(),
         },
-        // The image kinds, pinned apart from the 25 above.
+        // The image kinds, pinned apart from the 22 above.
         Frame::Image { id: 20 },
         Frame::Restore {
             id: 21,
@@ -383,24 +366,24 @@ fn one_of_every_kind() -> Vec<Frame> {
 
 /// `encode_into` appends a frame's wire form to a buffer that may
 /// already hold others; `encode` is a wrapper over it. The first pinned
-/// digest is of the bytes the 25 kinds before the image kinds encoded to
-/// before the plain tick, plain subscribe and one-event push were
-/// deleted (computed with the encoder that still had them), so no
+/// digest is of the bytes the 22 kinds before the image kinds encoded to
+/// before the subscription kinds were deleted (computed with the encoder
+/// that still had them, on these frames, Hello at version 6), so no
 /// surviving kind's wire moved when they went; the image kinds are
 /// pinned after them.
 #[test]
 fn encode_into_appends_the_pinned_wire_bytes_of_every_frame_kind() {
     let frames = one_of_every_kind();
-    assert_eq!(frames.len(), 29, "one frame per kind");
+    assert_eq!(frames.len(), 26, "one frame per kind");
     let (mut each, mut appended) = (Vec::new(), Vec::new());
     for frame in &frames {
         each.extend_from_slice(&encode(frame));
         proto::encode_into(frame, &mut appended);
     }
     assert_eq!(appended, each);
-    let before: usize = frames[..25].iter().map(|f| encode(f).len()).sum();
+    let before: usize = frames[..22].iter().map(|f| encode(f).len()).sum();
     let (old, image) = each.split_at(before);
-    assert_eq!((old.len(), fnv1a(old)), (1545, 10362492830773999881));
+    assert_eq!((old.len(), fnv1a(old)), (1454, 13417140366721632319));
     assert_eq!((image.len(), fnv1a(image)), (696, 5368403828964007087));
 
     // A head written for a blob that follows it, then the blob, is the

@@ -53,11 +53,7 @@ fn in_process_view(spec: &ReplaySpec, cfg: ServiceConfig) -> InvariantView {
 }
 
 fn quick_gateway(cfg: ServiceConfig) -> GatewayServer {
-    let gateway_cfg = GatewayConfig {
-        read_timeout_ms: 10,
-        ..GatewayConfig::default()
-    };
-    GatewayServer::start(cfg, gateway_cfg).expect("gateway starts")
+    GatewayServer::start(cfg, GatewayConfig::default()).expect("gateway starts")
 }
 
 fn wire_view(spec: &ReplaySpec, cfg: ServiceConfig) -> (InvariantView, u64) {
@@ -220,7 +216,8 @@ fn handshake_rejects_bad_magic_and_bad_version() {
     expect_closed(&mut conn);
 
     // Exactly one version is spoken: a newer one and every older one
-    // are refused alike.
+    // are refused alike — 5 among them, whose snapshot body carried one
+    // more wire counter.
     for version in [proto::VERSION + 1, proto::VERSION - 1, 1] {
         let mut conn = raw_connect(&server);
         raw_send(
@@ -290,21 +287,32 @@ fn well_framed_garbage_gets_a_typed_error_and_the_connection_survives() {
     server.shutdown().expect("shutdown");
 }
 
-/// The plain tick, plain subscribe and one-event push are gone from the
-/// wire (a tick is a `TickSync` gated at 0, a subscription a
-/// `SubscribeBatch`, a push an `EventBatch`): each, sent in its old
-/// layout, is a typed `bad-frame`, and the connection keeps working.
+/// The plain tick, both subscribes, the subscribe reply and both event
+/// pushes are gone from the wire (a tick is a `TickSync` gated at 0; the
+/// signalling bill is read off a snapshot poll or `/metrics`): each, sent
+/// in its old layout, is a typed `bad-frame`, and the connection keeps
+/// working.
 #[test]
 fn retired_tick_subscribe_and_event_kinds_are_typed_bad_frames() {
     let server = quick_gateway(inline_config(256.0));
     let mut conn = raw_connect(&server);
     raw_hello(&mut conn);
     // Each in its old layout: a tick's id and empty arrival list, a
-    // subscribe's id and period, an event's tick, changes and cost.
+    // subscribe's id and period (and batch size), the subscribe reply's
+    // id, an event's tick, changes and cost (behind a count, batched).
     let tick = [&[0x14][..], &7u64.to_le_bytes(), &0u32.to_le_bytes()].concat();
     let subscribe = [&[0x16][..], &8u64.to_le_bytes(), &1u32.to_le_bytes()].concat();
     let event = [&[0x30][..], &[0; 24]].concat();
-    for payload in [tick, subscribe, event] {
+    let batched = [
+        &[0x1D][..],
+        &9u64.to_le_bytes(),
+        &2u32.to_le_bytes(),
+        &4u32.to_le_bytes(),
+    ]
+    .concat();
+    let subscribed = [&[0x26][..], &9u64.to_le_bytes()].concat();
+    let events = [&[0x31][..], &1u32.to_le_bytes(), &[0; 24]].concat();
+    for payload in [tick, subscribe, event, batched, subscribed, events] {
         let mut wire = (payload.len() as u32).to_le_bytes().to_vec();
         wire.extend_from_slice(&payload);
         conn.write_all(&wire).expect("retired frame");
@@ -319,14 +327,13 @@ fn retired_tick_subscribe_and_event_kinds_are_typed_bad_frames() {
         }
         other => panic!("expected snapshot-bin-ok on surviving connection, got {other:?}"),
     }
-    assert_eq!(server.wire_stats().decode_errors, 3);
+    assert_eq!(server.wire_stats().decode_errors, 6);
     server.shutdown().expect("shutdown");
 }
 
 #[test]
 fn truncated_frame_then_silence_is_failed_with_a_typed_error() {
     let cfg = GatewayConfig {
-        read_timeout_ms: 10,
         request_timeout_ms: 150,
         ..GatewayConfig::default()
     };
@@ -346,7 +353,6 @@ fn truncated_frame_then_silence_is_failed_with_a_typed_error() {
 #[test]
 fn idle_connections_are_harvested() {
     let cfg = GatewayConfig {
-        read_timeout_ms: 10,
         idle_timeout_ms: 120,
         ..GatewayConfig::default()
     };
@@ -363,7 +369,6 @@ fn idle_connections_are_harvested() {
 fn connections_past_the_capacity_are_a_typed_busy() {
     let cfg = GatewayConfig {
         max_connections: 2,
-        read_timeout_ms: 10,
         ..GatewayConfig::default()
     };
     let server = GatewayServer::start(inline_config(256.0), cfg).expect("gateway starts");
@@ -382,7 +387,7 @@ fn connections_past_the_capacity_are_a_typed_busy() {
 }
 
 // ---------------------------------------------------------------------------
-// Session ownership, batching, and subscriptions.
+// Session ownership and batching.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -459,7 +464,6 @@ fn noack_staging_feeds_a_count_gated_commit_across_connections() {
 #[test]
 fn starved_tick_sync_fails_with_a_typed_timeout() {
     let cfg = GatewayConfig {
-        read_timeout_ms: 10,
         request_timeout_ms: 150,
         ..GatewayConfig::default()
     };
@@ -505,146 +509,6 @@ fn disconnect_returns_the_connections_budget() {
     std::thread::sleep(Duration::from_millis(200));
     bob.join("globex").expect("first returned envelope");
     bob.join("globex").expect("second returned envelope");
-    server.shutdown().expect("shutdown");
-}
-
-#[test]
-fn subscriptions_push_signalling_events() {
-    let server = quick_gateway(inline_config(256.0));
-    let mut client = Client::connect(server.local_addr()).expect("client");
-    let key = client.join("acme").expect("join");
-    client.subscribe(2, 1).expect("subscribe");
-    for t in 0..4u64 {
-        client.tick(&[(key, (t % 3) as f64)]).expect("tick");
-    }
-    let first = client
-        .next_event(Duration::from_secs(2))
-        .expect("event read")
-        .expect("first event");
-    assert_eq!(first.tick, 2);
-    let second = client
-        .next_event(Duration::from_secs(2))
-        .expect("event read")
-        .expect("second event");
-    assert_eq!(second.tick, 4);
-    assert!(second.changes >= first.changes);
-    assert_eq!(
-        server.wire_stats().event_batches,
-        2,
-        "a batch of 1 is one frame per event"
-    );
-    server.shutdown().expect("shutdown");
-}
-
-#[test]
-fn batched_subscriptions_deliver_the_same_events_in_fewer_frames() {
-    let server = quick_gateway(inline_config(256.0));
-    let mut client = Client::connect(server.local_addr()).expect("client");
-    let key = client.join("acme").expect("join");
-    // Every 2 ticks, flushed 2 events at a time: 8 ticks -> events at
-    // ticks 2, 4, 6, 8, delivered as two EventBatch frames.
-    client.subscribe(2, 2).expect("subscribe");
-    for t in 0..8u64 {
-        client.tick(&[(key, (t % 3) as f64)]).expect("tick");
-    }
-    let mut ticks = Vec::new();
-    let mut changes = Vec::new();
-    for _ in 0..4 {
-        let event = client
-            .next_event(Duration::from_secs(2))
-            .expect("event read")
-            .expect("batched event");
-        ticks.push(event.tick);
-        changes.push(event.changes);
-    }
-    assert_eq!(ticks, vec![2, 4, 6, 8]);
-    assert!(
-        changes.windows(2).all(|w| w[0] <= w[1]),
-        "change counters must be monotone within batches: {changes:?}"
-    );
-    let wire = server.wire_stats();
-    assert_eq!(
-        wire.event_batches, 2,
-        "4 due events at batch=2 should flush exactly 2 batch frames"
-    );
-    server.shutdown().expect("shutdown");
-}
-
-/// A batched subscriber that goes quiet mid-batch — events buffered
-/// toward an [`Frame::EventBatch`] that never fills — must not wedge the
-/// push path: the idle harvest reclaims the connection slot, the buffered
-/// events die with it, and a fresh subscriber on a clean connection gets
-/// exactly its own batches.
-#[test]
-fn subscriber_dropped_mid_batch_leaves_no_stuck_push_state() {
-    let cfg = GatewayConfig {
-        read_timeout_ms: 10,
-        idle_timeout_ms: 150,
-        ..GatewayConfig::default()
-    };
-    let server = GatewayServer::start(inline_config(256.0), cfg).expect("gateway starts");
-    let mut driver = Client::connect(server.local_addr()).expect("driver");
-    let key = driver.join("acme").expect("join");
-
-    // Events due every 2 ticks, flushed 64 at a time: the run never
-    // produces 64 due events, so the subscriber sits mid-batch (events
-    // buffered server-side, batch frame never flushed) for its whole life.
-    let mut sub = Client::connect(server.local_addr()).expect("subscriber");
-    sub.subscribe(2, 64).expect("subscribe");
-    for t in 0..6u64 {
-        driver.tick(&[(key, (t % 3) as f64)]).expect("tick");
-    }
-    assert_eq!(
-        server.wire_stats().event_batches,
-        0,
-        "an unfilled batch must not have flushed"
-    );
-    // The subscriber now falls silent mid-batch — socket open, never
-    // another frame — while the driver keeps the service busy; the idle
-    // harvest must reclaim the subscriber's slot out from under its
-    // buffered events.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while server.wire_stats().connections_harvested == 0 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "subscriber was never harvested"
-        );
-        driver.tick(&[(key, 1.0)]).expect("tick while waiting");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-
-    // Ticking past more due events must not push toward the dead
-    // connection or panic on its vanished state.
-    for t in 0..4u64 {
-        driver
-            .tick(&[(key, (t % 3) as f64)])
-            .expect("tick after harvest");
-    }
-    assert_eq!(server.wire_stats().event_batches, 0);
-
-    // A fresh batched subscriber gets exactly its own events: the push
-    // path is clean and the slot is reusable.
-    let mut sub2 = Client::connect(server.local_addr()).expect("second subscriber");
-    sub2.subscribe(2, 2).expect("subscribe");
-    for t in 0..4u64 {
-        driver
-            .tick(&[(key, (t % 3) as f64)])
-            .expect("tick for sub2");
-    }
-    let first = sub2
-        .next_event(Duration::from_secs(2))
-        .expect("event read")
-        .expect("first event");
-    let second = sub2
-        .next_event(Duration::from_secs(2))
-        .expect("event read")
-        .expect("second event");
-    assert!(first.tick < second.tick);
-    assert!(first.tick.is_multiple_of(2) && second.tick.is_multiple_of(2));
-    let wire = server.wire_stats();
-    assert_eq!(wire.event_batches, 1, "exactly sub2's one full batch");
-    assert_eq!(wire.connections_harvested, 1);
-    drop(sub); // the harvested connection was dead all along
     server.shutdown().expect("shutdown");
 }
 

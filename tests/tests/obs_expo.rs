@@ -314,7 +314,6 @@ fn gateway_metrics_endpoint_serves_ctrl_and_gateway_series() {
         .build()
         .expect("valid config");
     let gateway_cfg = GatewayConfig {
-        read_timeout_ms: 10,
         metrics_addr: Some("127.0.0.1:0".into()),
         ..GatewayConfig::default()
     };

@@ -63,7 +63,9 @@ fn grouped() -> &'static [u8] {
                 .collect();
             plane.tick(&arrivals).unwrap();
         }
-        let frame = image_frames(&plane.cut_image().unwrap())[0].to_vec();
+        let mut image = Vec::new();
+        plane.cut_image(&mut image).unwrap();
+        let frame = image_frames(&image)[0].to_vec();
         plane.shutdown();
         frame
     })
