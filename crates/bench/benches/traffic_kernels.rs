@@ -1,7 +1,7 @@
 //! Substrate kernels: workload generation, Claim-9 feasibility (Kadane),
 //! the demand bound, and FIFO delay measurement throughput.
 
-use cdba_bench::replay::ReplaySpec;
+use cdba_bench::replay::{workload_kind, ReplaySpec};
 use cdba_bench::{bench_trace, B_O, D_O};
 use cdba_sim::measure;
 use cdba_traffic::models::{self, WorkloadKind};
@@ -54,21 +54,29 @@ fn feasibility(c: &mut Criterion) {
             b.iter(|| black_box(t.demand_bound(D_O)))
         });
     }
-    // stackbench's input shape: a 2,048-tick on/off bank row conditioned to
-    // its bound, doubled — the bisection's probes land next to the density.
+    // stackbench's input shapes: a 2,048-tick on/off row as the bank draws
+    // it (the call `scale_to_feasible` makes), and the same row conditioned
+    // to its bound and doubled — the bisection's probes land next to the
+    // density.
     let spec = ReplaySpec {
         sessions: 1,
         ticks: 2_048,
         ..ReplaySpec::default()
     };
+    let kind = workload_kind(&spec.model).expect("default model");
+    let raw = kind
+        .generate(&mut StdRng::seed_from_u64(spec.seed), spec.ticks as usize)
+        .expect("valid params");
     let bank = spec.bank().expect("default spec is valid");
     let doubled = bank.session(0).concat(bank.session(0));
-    group.throughput(Throughput::Elements(doubled.len() as u64));
-    group.bench_with_input(
-        BenchmarkId::new("demand_bound_threshold", doubled.len()),
-        &doubled,
-        |b, t| b.iter(|| black_box(t.demand_bound(spec.d_o))),
-    );
+    for row in [raw, doubled] {
+        group.throughput(Throughput::Elements(row.len() as u64));
+        group.bench_with_input(
+            BenchmarkId::new("demand_bound_threshold", row.len()),
+            &row,
+            |b, t| b.iter(|| black_box(t.demand_bound(spec.d_o))),
+        );
+    }
     group.finish();
 }
 

@@ -13,7 +13,7 @@
 //!
 //! The loop backs off when idle (a few busy passes, then sleeps of at most
 //! 25 ms), so an idle gateway costs ~0 CPU while a saturated one never
-//! sleeps.
+//! sleeps. A busy loop polls the listener on every 16th pass only.
 
 use crate::codec::SnapshotStream;
 use crate::proto::{self, ErrorCode, Frame, ProtoError, MAX_FRAME, PUSH_ID};
@@ -73,6 +73,15 @@ impl Default for GatewayConfig {
 /// The longest the idle core sleeps between passes, which bounds how
 /// stale accept, idle and shutdown handling can get.
 const BACKOFF_CEILING: Duration = Duration::from_millis(25);
+
+/// Calm passes that yield before the idle core starts sleeping.
+const YIELD_PASSES: u32 = 50;
+
+/// While connections are open and the core is not sleeping, it polls the
+/// listener on every this many passes: an `EAGAIN` accept costs about as
+/// much as eight reads, and a new connection waits at most this many
+/// passes.
+const ACCEPT_EVERY: u32 = 16;
 
 /// A running gateway: one evented core thread owning a
 /// [`ControlPlane`] behind the wire protocol.
@@ -487,11 +496,17 @@ impl Core {
         let write_timeout = Duration::from_millis(self.cfg.write_timeout_ms.max(1));
         let request_timeout = Duration::from_millis(self.cfg.request_timeout_ms.max(1));
         let idle = Duration::from_millis(self.cfg.idle_timeout_ms);
-        let mut calm_passes: u32 = 0;
+        let (mut calm_passes, mut passes) = (0u32, 0u32);
 
         while !self.stop.load(Ordering::SeqCst) {
             let mut progressed = false;
-            progressed |= self.accept_pass();
+            // The listener is polled while nothing else can progress (no
+            // connection, or the last pass slept) and every
+            // `ACCEPT_EVERY`th pass otherwise.
+            if self.conns.is_empty() || calm_passes >= YIELD_PASSES || passes % ACCEPT_EVERY == 0 {
+                progressed |= self.accept_pass();
+            }
+            passes = passes.wrapping_add(1);
 
             // Ascending connection id, walked off the ordered map itself:
             // a pass allocates nothing (closes are deferred to `dead`, so
@@ -517,13 +532,14 @@ impl Core {
                 calm_passes = 0;
             } else {
                 calm_passes = calm_passes.saturating_add(1);
-                if calm_passes < 50 {
+                if calm_passes < YIELD_PASSES {
                     std::thread::yield_now();
                 } else {
                     // Past the busy window: sleep, ramping toward the
                     // ceiling so an idle gateway costs ~0 CPU.
                     let step = Duration::from_micros(100);
-                    let ramp = step.saturating_mul(calm_passes.saturating_sub(49).min(250));
+                    let ramp =
+                        step.saturating_mul(calm_passes.saturating_sub(YIELD_PASSES - 1).min(250));
                     std::thread::sleep(ramp.min(BACKOFF_CEILING));
                 }
             }

@@ -386,6 +386,64 @@ fn connections_past_the_capacity_are_a_typed_busy() {
     server.shutdown().expect("shutdown");
 }
 
+/// The core polls its listener on every 16th pass while connections are
+/// busy and after every back-off sleep, so a new connection is answered
+/// promptly both beside a client that keeps the core busy and beside one
+/// that leaves it sleeping.
+#[test]
+fn a_new_connection_is_answered_beside_a_busy_or_idle_one() {
+    let server = quick_gateway(inline_config(16.0 * 1e6));
+    let addr = server.local_addr();
+    let hello_ms = || {
+        let started = std::time::Instant::now();
+        let client = Client::connect(addr).expect("second client");
+        let ms = started.elapsed().as_secs_f64() * 1e3;
+        drop(client);
+        ms
+    };
+
+    // An idle connection: after a second the core sleeps ~14 ms a pass,
+    // so polling every 16th pass alone would keep a hello waiting up to
+    // ~220 ms. Each hello restarts the back-off ramp.
+    let _idle = Client::connect(addr).expect("idle client");
+    let beside_idle: Vec<f64> = (0..3)
+        .map(|_| {
+            std::thread::sleep(Duration::from_secs(1));
+            hello_ms()
+        })
+        .collect();
+
+    // A join loop: every pass of the core has work.
+    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let joiner = {
+        let stop = stop.clone();
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr).expect("joining client");
+            let mut joins = 0u64;
+            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                client.join("acme").expect("join");
+                joins += 1;
+            }
+            joins
+        })
+    };
+    std::thread::sleep(Duration::from_millis(50));
+    let beside_busy: Vec<f64> = (0..3).map(|_| hello_ms()).collect();
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    assert!(joiner.join().expect("joiner") > 0);
+    server.shutdown().expect("shutdown");
+
+    assert!(
+        beside_idle.iter().all(|&ms| ms < 50.0),
+        "hello beside an idle connection: {beside_idle:?} ms"
+    );
+    let fastest = beside_busy.iter().copied().fold(f64::INFINITY, f64::min);
+    assert!(
+        fastest < 50.0,
+        "hello beside a join loop: {beside_busy:?} ms"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Session ownership and batching.
 // ---------------------------------------------------------------------------

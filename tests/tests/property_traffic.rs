@@ -178,32 +178,107 @@ proptest! {
     }
 }
 
+/// Asserts `demand_bound` returns the full-scan bisection's bits on
+/// `trace` at `delay`.
+fn assert_oracle_bits(trace: &Trace, delay: usize, what: &str) {
+    assert_eq!(
+        trace.demand_bound(delay).to_bits(),
+        demand_bound_full_scan(trace, delay).to_bits(),
+        "{what}, delay {delay}, {} ticks long",
+        trace.len()
+    );
+}
+
+/// The rows `spec.bank()` draws before `scale_to_feasible` conditions them.
+fn raw_bank_rows(spec: &ReplaySpec) -> Vec<Trace> {
+    let kind = workload_kind(&spec.model).unwrap();
+    let mut rng = StdRng::seed_from_u64(spec.seed);
+    (0..spec.rows())
+        .map(|_| kind.generate(&mut rng, spec.ticks as usize).unwrap())
+        .collect()
+}
+
 /// Every bank a `ReplaySpec` draws at stackbench's two periods, row by row
-/// and doubled as the harness doubles it. Seeds 0 and 9 hold rows whose
-/// probes land inside the band `demand_bound` scans.
+/// — raw as drawn, conditioned, and conditioned then doubled as the harness
+/// doubles it — plus `lean-256`'s own four banks. Seeds 0 and 9 hold rows
+/// whose probes land inside the band `demand_bound` scans. Then rows built
+/// to walk each branch of the solver: its first window is not where the
+/// densest window lies, two windows tie, the densest window touches tick 0
+/// or the last tick, and a lone spike under a long delay.
 #[test]
 fn demand_bound_matches_full_scan_oracle_on_replay_banks() {
+    let mut specs = Vec::new();
     for model in MODELS {
         for ticks in [32u64, 2048] {
             for seed in [0, 9] {
-                let spec = ReplaySpec {
+                specs.push(ReplaySpec {
                     sessions: 64,
                     ticks,
                     seed,
                     model: model.into(),
                     ..ReplaySpec::default()
-                };
-                for (r, row) in spec.bank().unwrap().sessions().iter().enumerate() {
-                    for trace in [row.clone(), row.concat(row)] {
-                        assert_eq!(
-                            trace.demand_bound(spec.d_o).to_bits(),
-                            demand_bound_full_scan(&trace, spec.d_o).to_bits(),
-                            "{model}, {ticks} ticks, seed {seed}, row {r}, {} ticks long",
-                            trace.len()
-                        );
-                    }
-                }
+                });
             }
+        }
+    }
+    // lean-256: 256 sessions draw banks 0xCDBA·64 + b for b < 4.
+    for b in 0..4 {
+        specs.push(ReplaySpec {
+            sessions: 256,
+            ticks: 2048,
+            seed: 0xCDBA * 64 + b,
+            ..ReplaySpec::default()
+        });
+    }
+    for spec in &specs {
+        let what = |r: usize, kind: &str| {
+            format!(
+                "{}, {} ticks, seed {}, {kind} row {r}",
+                spec.model, spec.ticks, spec.seed
+            )
+        };
+        for (r, row) in raw_bank_rows(spec).iter().enumerate() {
+            assert_oracle_bits(row, spec.d_o, &what(r, "raw"));
+        }
+        for (r, row) in spec.bank().unwrap().sessions().iter().enumerate() {
+            assert_oracle_bits(row, spec.d_o, &what(r, "bank"));
+            assert_oracle_bits(&row.concat(row), spec.d_o, &what(r, "doubled bank"));
+        }
+    }
+
+    let row = |parts: &[(f64, usize)]| -> Trace {
+        parts
+            .iter()
+            .flat_map(|&(bits, ticks)| std::iter::repeat_n(bits, ticks))
+            .collect()
+    };
+    let cases = [
+        // At the first probe the long moderate stretch has the largest
+        // excess; the short burst 300 ticks after it is densest.
+        (
+            "densest window outside the first",
+            row(&[(6.0, 1000), (0.0, 300), (40.0, 10), (0.0, 50)]),
+        ),
+        (
+            "two disjoint windows, equal density",
+            row(&[(0.0, 7), (10.0, 3), (0.0, 40), (10.0, 3), (0.0, 7)]),
+        ),
+        ("densest window at tick 0", row(&[(50.0, 5), (1.0, 100)])),
+        (
+            "densest window at the last tick",
+            row(&[(1.0, 100), (50.0, 5)]),
+        ),
+        (
+            "dense windows at both ends",
+            row(&[(50.0, 5), (0.5, 200), (50.0, 5)]),
+        ),
+        ("lone spike", row(&[(0.0, 500), (1000.0, 1), (0.0, 500)])),
+        ("one tick", row(&[(3.0, 1)])),
+    ];
+    for (what, trace) in &cases {
+        for delay in [1usize, 4, 8, 64, 1000] {
+            assert_oracle_bits(trace, delay, what);
+            assert_oracle_bits(&trace.concat(trace), delay, what);
         }
     }
 }
