@@ -119,6 +119,29 @@ fn trace_ops(c: &mut Criterion) {
     group.bench_function("excess_over", |b| {
         b.iter(|| black_box(trace.excess_over(0.5 * B_O)))
     });
+    // stackbench's bank shapes: a 2,048-tick on/off row scaled as
+    // `scale_to_feasible` scales it, and the conditioned row doubled as
+    // the harness doubles it.
+    let spec = ReplaySpec {
+        sessions: 1,
+        ticks: 2_048,
+        ..ReplaySpec::default()
+    };
+    let kind = workload_kind(&spec.model).expect("default model");
+    let raw = kind
+        .generate(&mut StdRng::seed_from_u64(spec.seed), spec.ticks as usize)
+        .expect("valid params");
+    let bank = spec.bank().expect("default spec is valid");
+    let row = bank.session(0);
+    let factor = row.total() / raw.total();
+    group.throughput(Throughput::Elements(raw.len() as u64));
+    group.bench_with_input(BenchmarkId::new("scale", raw.len()), &raw, |b, t| {
+        b.iter(|| black_box(t.scale(factor).expect("finite factor")))
+    });
+    group.throughput(Throughput::Elements(2 * row.len() as u64));
+    group.bench_with_input(BenchmarkId::new("concat", row.len()), row, |b, t| {
+        b.iter(|| black_box(t.concat(t)))
+    });
     group.finish();
 }
 

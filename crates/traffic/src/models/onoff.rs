@@ -60,9 +60,7 @@ pub fn onoff<R: Rng + ?Sized>(
             (params.mean_off, params.off_rate)
         };
         let dur = distr::geometric(rng, 1.0 / mean) as usize;
-        for _ in 0..dur.min(len - arrivals.len()) {
-            arrivals.push(rate);
-        }
+        arrivals.resize(arrivals.len() + dur.min(len - arrivals.len()), rate);
         on = !on;
     }
     Trace::new(arrivals)
