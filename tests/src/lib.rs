@@ -1,10 +1,18 @@
 //! Integration test crate for the cdba workspace; the suites live in
 //! `tests/`. Shared here: [`LiveBytesAlloc`], for the suites that assert
-//! on heap size rather than behaviour, and the [`fnv1a`] digest the
-//! golden-bytes suites pin.
+//! on heap size rather than behaviour, the [`fnv1a`] digest the
+//! golden-bytes suites pin, and [`proptest_cases`], the case count of the
+//! properties CI raises with `PROPTEST_CASES`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Cases per property: `default`, or `PROPTEST_CASES` when set (CI runs
+/// the release build with more).
+pub fn proptest_cases(default: u32) -> u32 {
+    let env = std::env::var("PROPTEST_CASES").ok();
+    env.and_then(|v| v.parse().ok()).unwrap_or(default)
+}
 
 /// 64-bit FNV-1a of `bytes`.
 pub fn fnv1a(bytes: &[u8]) -> u64 {

@@ -31,6 +31,7 @@ use cdba_core::multi::pool::{SessionId, SessionPool};
 use cdba_core::single::SingleSession;
 use cdba_core::StageLog;
 use cdba_ctrl::{ControlPlane, ExecMode, ServiceConfig, SessionMetrics, SignallingMeter};
+use cdba_integration::proptest_cases;
 use cdba_obs::Registry;
 use cdba_sim::engine::{simulate, DrainPolicy};
 use cdba_sim::{measure, Allocator, BitQueue};
@@ -39,13 +40,6 @@ use cdba_traffic::{conditioner, Trace};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::collections::BTreeMap;
-
-/// Cases per property: `default`, or `PROPTEST_CASES` when set (CI runs
-/// the release build with more).
-fn cases(default: u32) -> u32 {
-    let env = std::env::var("PROPTEST_CASES").ok();
-    env.and_then(|v| v.parse().ok()).unwrap_or(default)
-}
 
 /// One session as the core runs it, and what the plane reported for it.
 struct Session {
@@ -649,7 +643,7 @@ fn feasible_rows() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<Vec<f64>>)> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(16)))]
+    #![proptest_config(ProptestConfig::with_cases(proptest_cases(16)))]
 
     /// Generated feasible rows, inline, one dedicated session leaving
     /// halfway.
