@@ -40,6 +40,7 @@
 use crate::codec::columnar;
 use crate::config::ServiceConfig;
 use crate::fault::{FaultKind, FaultPlan};
+use crate::journal::{Entry, TickBatch};
 use crate::meter::{delay_ticks, SessionMetrics};
 use crate::slab::{KeyMap, Slab, Slots};
 use cdba_analysis::cost::CostModel;
@@ -221,103 +222,15 @@ pub(crate) enum ReplayEvent {
     },
 }
 
-/// One shard's arrivals for one tick as the journal keeps them: sealed
-/// bytes, in routing order. Each arrival is one LEB128 varint of the
-/// 65-bit value `zigzag(key − previous key) << 1 | wide` (the previous key
-/// starts at 0; the delta wraps), then the bits as a little-endian `f32`
-/// when that round-trips bit for bit (`wide` = 0), else as the `f64`.
-/// Ascending keys with integer bits below 2^24 cost 5 bytes an arrival;
-/// nothing costs more than 18 (a 10-byte varint and an `f64`). Decoding
-/// yields the exact pairs in the same order, so a tick from a batch is
-/// bitwise the tick from the slice it was encoded from.
-#[derive(Debug, Clone)]
-pub(crate) struct TickBatch(Arc<[u8]>);
-
-impl TickBatch {
-    /// Encodes `arrivals` through `buf` (a reusable scratch buffer, left
-    /// holding the encoding) into one allocation of the exact length.
-    pub(crate) fn encode(arrivals: &[(u64, f64)], buf: &mut Vec<u8>) -> Self {
-        buf.clear();
-        let mut prev = 0u64;
-        for &(key, bits) in arrivals {
-            let delta = key.wrapping_sub(prev) as i64;
-            prev = key;
-            let zigzag = ((delta << 1) ^ (delta >> 63)) as u64;
-            let narrow = bits as f32;
-            let wide = f64::from(narrow).to_bits() != bits.to_bits();
-            let mut byte = ((zigzag & 0x3f) as u8) << 1 | u8::from(wide);
-            let mut rest = zigzag >> 6;
-            while rest != 0 {
-                buf.push(byte | 0x80);
-                byte = (rest & 0x7f) as u8;
-                rest >>= 7;
-            }
-            buf.push(byte);
-            if wide {
-                buf.extend_from_slice(&bits.to_le_bytes());
-            } else {
-                buf.extend_from_slice(&narrow.to_le_bytes());
-            }
+/// A plane journal counts the encoded arrivals of its ticks
+/// (`cdba_ctrl_journal_bytes`), what a restart replays on top of the
+/// retained frame.
+impl Entry for ReplayEvent {
+    fn bytes(&self) -> u64 {
+        match self {
+            ReplayEvent::Tick { arrivals } => arrivals.bytes() as u64,
+            _ => 0,
         }
-        TickBatch(Arc::from(buf.as_slice()))
-    }
-
-    /// Encoded bytes held.
-    pub(crate) fn bytes(&self) -> usize {
-        self.0.len()
-    }
-
-    /// The arrivals, decoded in encoding order.
-    pub(crate) fn iter(&self) -> TickArrivals<'_> {
-        TickArrivals {
-            rest: &self.0,
-            key: 0,
-        }
-    }
-}
-
-#[cfg(test)]
-impl From<Vec<(u64, f64)>> for TickBatch {
-    fn from(arrivals: Vec<(u64, f64)>) -> Self {
-        TickBatch::encode(&arrivals, &mut Vec::new())
-    }
-}
-
-/// Decoding iterator over a [`TickBatch`].
-pub(crate) struct TickArrivals<'a> {
-    rest: &'a [u8],
-    key: u64,
-}
-
-impl Iterator for TickArrivals<'_> {
-    type Item = (u64, f64);
-
-    fn next(&mut self) -> Option<(u64, f64)> {
-        let (&first, mut rest) = self.rest.split_first()?;
-        let wide = first & 1 != 0;
-        let mut zigzag = u64::from(first >> 1 & 0x3f);
-        let mut byte = first;
-        let mut shift = 6;
-        while byte & 0x80 != 0 {
-            let (&next, r) = rest.split_first().expect("a whole varint");
-            (byte, rest) = (next, r);
-            zigzag |= u64::from(byte & 0x7f) << shift;
-            shift += 7;
-        }
-        self.key = self
-            .key
-            .wrapping_add((zigzag >> 1) ^ (zigzag & 1).wrapping_neg());
-        let bits = if wide {
-            let (b, r) = rest.split_first_chunk::<8>().expect("whole f64");
-            rest = r;
-            f64::from_le_bytes(*b)
-        } else {
-            let (b, r) = rest.split_first_chunk::<4>().expect("whole f32");
-            rest = r;
-            f64::from(f32::from_le_bytes(*b))
-        };
-        self.rest = rest;
-        Some((self.key, bits))
     }
 }
 

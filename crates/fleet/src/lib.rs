@@ -37,7 +37,7 @@ use std::fmt;
 mod fleet;
 mod placement;
 
-pub use fleet::{Fleet, FleetConfig, FleetSummary, IMAGE_EVERY};
+pub use fleet::{Fleet, FleetConfig, FleetSummary, IMAGE_EVERY, JOURNAL_OP_BYTES};
 pub use placement::{LeastLoaded, Placement};
 
 /// Everything that can go wrong driving a fleet.
