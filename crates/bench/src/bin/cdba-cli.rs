@@ -47,7 +47,6 @@ use cdba_offline::single::greedy_offline;
 use cdba_offline::OfflineConstraints;
 use cdba_sim::engine::{simulate, simulate_multi, DrainPolicy};
 use cdba_sim::verify::{verify_multi, verify_single};
-use cdba_traffic::models::WorkloadKind;
 use cdba_traffic::multi::independent_sessions;
 use cdba_traffic::{codec, conditioner, stats, text_io, MultiTrace, Trace};
 use rand::rngs::StdRng;
@@ -91,34 +90,28 @@ fn main() -> ExitCode {
 const USAGE: &str = "\
 usage: cdba-cli <command> [options]
   generate --model <cbr|poisson|onoff|mmpp|pareto|video|spike> --len N --out FILE
-           [--seed S] [--sessions K] [--feasible B,D]
+           [--seed S] [--sessions K] [--feasible B,D] [--format bin|csv]
   inspect  --trace FILE
   run      --trace FILE --alg <single|lookback|phased|continuous|combined>
            [--bandwidth B] [--delay D] [--utilization U] [--window W]
            [--json FILE] [--timeline yes]
   offline  --trace FILE [--bandwidth B] [--delay D]
-  serve    --sessions N [--shards S] [--ticks T] [--seed X] [--model M]
-           [--bandwidth B] [--group-bandwidth B_O] [--delay D] [--utilization U]
-           [--window W] [--group-size G] [--pool-frac F] [--churn-every C]
-           [--budget B_A] [--quota Q] [--exec inline|threaded]
-           [--json FILE] [--fault SHARD@TICK:<kill|hang:MS|delay:MS>]
-           [--checkpoint-every N] [--max-restarts R] [--shard-timeout-ms MS]
-  gateway  [--addr HOST:PORT] [--max-connections N] [--idle-timeout-ms MS]
-           [--metrics-addr HOST:PORT]
-           + every `serve` service/workload flag (the workload flags fix
-           the default --budget so a `client` replay admits exactly like
+  serve    [--json FILE] + workload and service flags: replays the
+           deterministic churn workload through an in-process control plane
+  gateway  [--addr HOST:PORT] [--metrics-addr HOST:PORT]
+           + workload and service flags (the workload flags fix the
+           default budget so a `client` replay admits exactly like
            `serve`); --metrics-addr serves GET /metrics (Prometheus text)
            and GET /trace (JSON lines) on a dedicated plain-HTTP listener
-  client   [--addr HOST:PORT] [--json FILE] + every `serve` workload
-           flag: replays the same deterministic churn workload over the
-           wire, polls the final snapshot as a binary body, and writes the
-           same snapshot JSON as `serve`
-  fleet    [--ctrl-procs 2] [--gateways 2] [--max-connections N]
-           [--idle-timeout-ms MS] [--drain PROC|none] [--drain-at TICK]
-           [--fault PROC@TICK:kill]
+  client   [--addr HOST:PORT] [--json FILE] + workload flags: replays
+           the same deterministic churn workload over the wire, polls the
+           final snapshot as a binary body, and writes the same snapshot
+           JSON as `serve`
+  fleet    [--ctrl-procs 2] [--gateways 2] [--drain PROC|none]
+           [--drain-at TICK] [--fault PROC@TICK:kill]
            [--metrics-addr HOST:PORT] (serves the orchestrator's
            cdba_fleet_* series and trace over plain HTTP)
-           [--json FILE] + every `serve` workload/service flag: replays
+           [--json FILE] + workload and service flags: replays
            the same deterministic churn workload across a multi-process
            fleet (ctrl-proc children behind relay children, spawned from
            this binary), placing each admission on the least-loaded
@@ -129,6 +122,17 @@ usage: cdba-cli <command> [options]
            byte-shuttle frontend: binds one loopback listener per
            backend and pipes accepted connections through (spawned by
            `fleet`; rarely useful by hand)
+
+workload flags (serve, gateway, client, fleet):
+           [--sessions N] [--ticks T] [--seed X] [--model M]
+           [--bandwidth B] [--group-bandwidth B_O] [--delay D]
+           [--utilization U] [--window W] [--group-size G]
+           [--pool-frac F] [--churn-every C]
+service flags (serve, gateway, fleet):
+           [--shards S] [--budget B_A] [--exec inline|threaded]
+           [--checkpoint-every N] [--fault SHARD@TICK:<kill|hang:MS|delay:MS>]
+           (`fleet` passes all but --fault to every ctrl process; its
+           --fault is its own)
 
 Every command refuses a flag outside its own list.";
 
@@ -149,19 +153,9 @@ const WORKLOAD_FLAGS: &[&str] = &[
 ];
 
 /// The control-plane flags ([`service_config_from_flags`]).
-const SERVICE_FLAGS: &[&str] = &[
-    "shards",
-    "exec",
-    "checkpoint-every",
-    "max-restarts",
-    "shard-timeout-ms",
-    "fault",
-    "budget",
-    "quota",
-];
+const SERVICE_FLAGS: &[&str] = &["shards", "exec", "checkpoint-every", "fault", "budget"];
 
-/// `fleet`'s own flags, plus the gateway flags it forwards to its
-/// children ([`fleet_child_args`]).
+/// `fleet`'s own flags.
 const FLEET_FLAGS: &[&str] = &[
     "ctrl-procs",
     "gateways",
@@ -169,13 +163,11 @@ const FLEET_FLAGS: &[&str] = &[
     "drain-at",
     "fault",
     "metrics-addr",
-    "max-connections",
-    "idle-timeout-ms",
 ];
 
 /// Parses `--key value` pairs, refusing any key outside the `known`
 /// lists: a misspelt or removed flag is a usage error, never a silent
-/// default.
+/// default. The refusal names every flag the command takes.
 fn parse_flags(args: &[String], known: &[&[&str]]) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut it = args.iter();
@@ -184,7 +176,13 @@ fn parse_flags(args: &[String], known: &[&[&str]]) -> Result<HashMap<String, Str
             .strip_prefix("--")
             .ok_or_else(|| format!("expected --flag, found {key}"))?;
         if !known.iter().any(|list| list.contains(&key)) {
-            return Err(format!("unknown flag --{key} (see cdba-cli --help)"));
+            let mut takes: Vec<&str> = known.concat();
+            takes.sort_unstable();
+            takes.dedup();
+            return Err(format!(
+                "unknown flag --{key} (takes --{}; see cdba-cli --help)",
+                takes.join(" --")
+            ));
         }
         let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
         flags.insert(key.to_string(), value.clone());
@@ -251,16 +249,7 @@ fn generate(args: &[String]) -> CliResult {
     let seed: u64 = get_parse(&flags, "seed", 0xCDBA)?;
     let sessions: usize = get_parse(&flags, "sessions", 1)?;
     let out = get(&flags, "out")?;
-    let kind = match model {
-        "cbr" => WorkloadKind::Cbr(Default::default()),
-        "poisson" => WorkloadKind::Poisson(Default::default()),
-        "onoff" => WorkloadKind::OnOff(Default::default()),
-        "mmpp" => WorkloadKind::Mmpp(Default::default()),
-        "pareto" => WorkloadKind::Pareto(Default::default()),
-        "video" => WorkloadKind::Video(Default::default()),
-        "spike" => WorkloadKind::Spike(Default::default()),
-        other => return Err(format!("unknown model {other}")),
-    };
+    let kind = workload_kind(model)?;
     let feasible: Option<(f64, usize)> = match flags.get("feasible") {
         None => None,
         Some(raw) => {
@@ -529,23 +518,17 @@ fn service_config_from_flags(
         Some(other) => return Err(format!("unknown --exec {other} (inline|threaded)")),
     };
     let checkpoint_every: u64 = get_parse(flags, "checkpoint-every", 64)?;
-    let max_restarts: u32 = get_parse(flags, "max-restarts", 3)?;
-    let shard_timeout_ms: u64 = get_parse(flags, "shard-timeout-ms", 2000)?;
     let fault: Option<FaultPlan> = match flags.get("fault") {
         Some(raw) => Some(raw.parse()?),
         None => None,
     };
     let budget: f64 = get_parse(flags, "budget", spec.default_budget())?;
-    let quota: f64 = get_parse(flags, "quota", budget)?;
     let mut builder = spec
         .service_builder(budget)
-        .default_quota(quota)
         .shards(shards)
         .cost(CostModel::with_change_price(1.0))
         .exec(exec)
-        .checkpoint_every(checkpoint_every)
-        .max_restarts(max_restarts)
-        .shard_timeout_ms(shard_timeout_ms);
+        .checkpoint_every(checkpoint_every);
     if let Some(plan) = fault {
         builder = builder.fault(plan);
     }
@@ -683,20 +666,17 @@ fn serve(args: &[String]) -> CliResult {
 /// accepted (and fix the default `--budget`) so a `client` replay admits
 /// exactly like `serve` would in-process.
 fn gateway(args: &[String]) -> CliResult {
-    let own = ["addr", "max-connections", "idle-timeout-ms", "metrics-addr"];
+    let own = ["addr", "metrics-addr"];
     let flags = parse_flags(args, &[WORKLOAD_FLAGS, SERVICE_FLAGS, &own])?;
     let spec = replay_spec_from_flags(&flags)?;
     let (cfg, exec, shards) = service_config_from_flags(&flags, &spec)?;
-    let defaults = GatewayConfig::default();
     let gateway_cfg = GatewayConfig {
         addr: flags
             .get("addr")
             .cloned()
             .unwrap_or_else(|| "127.0.0.1:4411".into()),
-        max_connections: get_parse(&flags, "max-connections", defaults.max_connections)?,
-        idle_timeout_ms: get_parse(&flags, "idle-timeout-ms", defaults.idle_timeout_ms)?,
         metrics_addr: flags.get("metrics-addr").cloned(),
-        ..defaults
+        ..GatewayConfig::default()
     };
     let server = GatewayServer::start(cfg, gateway_cfg).map_err(|e| e.to_string())?;
     println!(
@@ -813,17 +793,7 @@ fn fleet_child_args(spec: &ReplaySpec, flags: &HashMap<String, String>) -> Vec<S
         "--pool-frac".into(),
         spec.pool_frac.to_string(),
     ];
-    for key in [
-        "shards",
-        "exec",
-        "budget",
-        "quota",
-        "checkpoint-every",
-        "max-restarts",
-        "shard-timeout-ms",
-        "max-connections",
-        "idle-timeout-ms",
-    ] {
+    for key in ["shards", "exec", "budget", "checkpoint-every"] {
         if let Some(value) = flags.get(key) {
             args.push(format!("--{key}"));
             args.push(value.clone());

@@ -61,6 +61,23 @@ fn removed_flags_and_values_are_refused() {
             "serve --sessions 10 --ticks 10 --summary s.json",
             "unknown flag",
         ),
+        ("serve --sessions 10 --ticks 10 --quota 64", "unknown flag"),
+        (
+            "serve --sessions 10 --ticks 10 --max-restarts 3",
+            "unknown flag",
+        ),
+        (
+            "serve --sessions 10 --ticks 10 --shard-timeout-ms 2000",
+            "unknown flag",
+        ),
+        (
+            "gateway --addr 127.0.0.1:0 --max-connections 24",
+            "unknown flag",
+        ),
+        (
+            "fleet --sessions 10 --ticks 10 --idle-timeout-ms 30000",
+            "unknown flag",
+        ),
         ("bench-ctrl", "unknown command"),
         ("bench-gateway --ticks 10", "unknown command"),
         ("bench-fleet --ticks 10", "unknown command"),
@@ -114,6 +131,68 @@ fn each_subcommand_refuses_flags_outside_its_own_set() {
         let (ok, err) = cli(args);
         assert!(!ok, "{args} must fail");
         assert!(err.contains("unknown flag --"), "{args} stderr: {err}");
+    }
+}
+
+/// The `--flag` words of `text`.
+fn flags_in(text: &str) -> impl Iterator<Item = &str> + '_ {
+    text.split(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-'))
+        .filter_map(|word| word.strip_prefix("--"))
+        .filter(|flag| !flag.is_empty())
+}
+
+/// The help text names exactly the flags each command takes: its own
+/// section's, plus those of every flag group that names it. What a
+/// command takes is read off its refusal of an unknown flag, so a flag
+/// removed from a parser but not from the help (or the other way round)
+/// fails here.
+#[test]
+fn the_help_names_exactly_the_flags_each_command_takes() {
+    use std::collections::{BTreeMap, BTreeSet};
+    let help = Command::new(env!("CARGO_BIN_EXE_cdba-cli"))
+        .arg("--help")
+        .output()
+        .expect("run cdba-cli --help");
+    let help = String::from_utf8(help.stdout).expect("utf-8 help");
+    let mut named: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    // The commands the line being read names flags for.
+    let mut into: Vec<String> = Vec::new();
+    for line in help.lines().skip(1) {
+        if let Some(group) = line.strip_suffix("):") {
+            let (_, commands) = group.split_once(" flags (").expect("a flag group header");
+            into = commands.split(", ").map(str::to_string).collect();
+            continue;
+        }
+        let command = line.strip_prefix("  ").and_then(|rest| {
+            let word = rest.split_whitespace().next()?;
+            rest.starts_with(|c: char| c.is_ascii_lowercase())
+                .then_some(word)
+        });
+        if let Some(command) = command {
+            into = vec![command.to_string()];
+            named.entry(command.to_string()).or_default();
+        }
+        for command in &into {
+            let flags = named
+                .get_mut(command)
+                .expect("a group names known commands");
+            flags.extend(flags_in(line).map(str::to_string));
+        }
+    }
+    assert_eq!(named.len(), 9, "{named:?}");
+    for (command, in_help) in named {
+        let (ok, err) = cli(&format!("{command} --not-a-flag 1"));
+        assert!(!ok, "{command} must refuse an unknown flag");
+        let takes = err
+            .split_once("(takes ")
+            .and_then(|(_, rest)| rest.split_once(';'))
+            .map(|(list, _)| list)
+            .unwrap_or_else(|| panic!("{command} names what it takes: {err}"));
+        let takes: BTreeSet<String> = flags_in(takes).map(str::to_string).collect();
+        assert_eq!(
+            takes, in_help,
+            "{command}: parser (left) against --help (right)"
+        );
     }
 }
 

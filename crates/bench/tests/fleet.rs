@@ -590,8 +590,10 @@ fn recorded(dir: &std::path::Path) -> Vec<(String, bool)> {
 /// Every child the fleet spawns is killed and reaped on every error path:
 /// a relay that dies before its banner fails `Fleet::start` with its
 /// backends already running, and a respawn that announces a listener
-/// which hangs up on the handshake fails the recovery after the child
-/// started.
+/// which hangs up on the handshake, or a port nobody listens on, fails
+/// the recovery after the child started. A child announces its address
+/// only once it listens, so the refused port fails at once, not after a
+/// connect budget's retries.
 #[cfg(target_os = "linux")]
 #[test]
 fn every_child_is_reaped_when_start_or_a_respawn_fails() {
@@ -616,26 +618,45 @@ fn every_child_is_reaped_when_start_or_a_respawn_fails() {
     assert!(none_alive(&pids), "after the failed start: {pids:?}");
     std::fs::remove_dir_all(&dir).unwrap();
 
-    let (dir, cfg) = scratch("respawn", 0);
-    let mut fleet = Fleet::start(cfg, Box::new(LeastLoaded)).expect("fleet starts");
-    fleet.admit("acme").expect("admit");
-    let bogus = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    std::fs::write(dir.join("bogus"), bogus.local_addr().unwrap().to_string()).unwrap();
-    let hang_up = std::thread::spawn(move || drop(bogus.accept()));
-    fleet.kill(0);
-    let err = fleet
-        .tick(&[(0, 1.0)])
-        .expect_err("the respawn is unreachable");
-    assert!(matches!(err, FleetError::ProcLost { proc: 0, .. }), "{err}");
-    hang_up.join().unwrap();
-    let pids = recorded(&dir);
-    assert_eq!(pids.len(), 3, "two backends and the respawn ran");
-    assert!(
-        none_alive(&pids[2..]),
-        "after the failed recovery: {pids:?}"
-    );
-    drop(fleet);
-    let pids = recorded(&dir);
-    assert!(none_alive(&pids), "after the fleet: {pids:?}");
-    std::fs::remove_dir_all(&dir).unwrap();
+    for case in ["hang-up", "refused"] {
+        let (dir, cfg) = scratch(case, 0);
+        let mut fleet = Fleet::start(cfg, Box::new(LeastLoaded)).expect("fleet starts");
+        fleet.admit("acme").expect("admit");
+        let bogus = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        std::fs::write(dir.join("bogus"), bogus.local_addr().unwrap().to_string()).unwrap();
+        let hang_up = match case {
+            "hang-up" => Some(std::thread::spawn(move || drop(bogus.accept()))),
+            _ => {
+                drop(bogus); // its port now refuses
+                None
+            }
+        };
+        fleet.kill(0);
+        let recovering = Instant::now();
+        let err = fleet
+            .tick(&[(0, 1.0)])
+            .expect_err("the respawn is unreachable");
+        let took = recovering.elapsed();
+        assert!(
+            matches!(err, FleetError::ProcLost { proc: 0, .. }),
+            "{case}: {err}"
+        );
+        assert!(
+            took.as_secs_f64() < 2.0,
+            "{case}: recovery failed after {took:?}"
+        );
+        if let Some(hang_up) = hang_up {
+            hang_up.join().unwrap();
+        }
+        let pids = recorded(&dir);
+        assert_eq!(pids.len(), 3, "two backends and the respawn ran");
+        assert!(
+            none_alive(&pids[2..]),
+            "{case}: after the failed recovery: {pids:?}"
+        );
+        drop(fleet);
+        let pids = recorded(&dir);
+        assert!(none_alive(&pids), "{case}: after the fleet: {pids:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

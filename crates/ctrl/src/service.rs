@@ -122,14 +122,6 @@ impl PlacementTable {
     fn is_pooled(&self, key: u64) -> bool {
         self.pooled.contains_key(&key)
     }
-
-    /// Live dedicated keys in ascending order.
-    fn dedicated(&self) -> impl Iterator<Item = u64> + '_ {
-        let live = self.shard_of.iter().enumerate();
-        live.filter(|&(_, &shard)| shard != NO_SHARD)
-            .map(|(key, _)| key as u64)
-            .filter(|key| !self.pooled.contains_key(key))
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -538,14 +530,6 @@ impl ControlPlane {
             );
         }
         Ok(())
-    }
-
-    /// Keys a live migration can move out of this service: every live
-    /// *dedicated* session, sorted. Pooled members are excluded — a pool
-    /// member's dynamics are not separable from its group.
-    pub fn migratable_keys(&self) -> Vec<u64> {
-        // The table iterates in ascending key order already.
-        self.placements.dedicated().collect()
     }
 
     /// Exports one *dedicated* session as a standalone migration blob and

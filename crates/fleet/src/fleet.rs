@@ -11,7 +11,7 @@
 //! Crash recovery is an image plus a bounded suffix. Every
 //! [`IMAGE_EVERY`] fleet ticks the orchestrator pulls each child's
 //! process image ([`Client::image`]: every shard's frame plus the
-//! driver's and gateway's own state) and trims that child's [`Journal`]
+//! driver state) and trims that child's [`Journal`]
 //! of mutating wire ops, which keeps a tick's arrivals as a
 //! [`TickBatch`]; a process that stops answering is respawned,
 //! restored from its latest image ([`Client::restore`]) and replayed the
@@ -29,7 +29,7 @@ use crate::FleetError;
 use cdba_analysis::cost::CostModel;
 use cdba_ctrl::journal::{Entry, Journal, TickBatch};
 use cdba_ctrl::{ServiceSnapshot, SnapshotCounters};
-use cdba_gateway::{Client, ClientError};
+use cdba_gateway::{Client, ClientConfig, ClientError};
 use cdba_obs::{Counter, Gauge, Registry, TraceEvent, TraceKind, TraceRing};
 use std::collections::HashMap;
 use std::fmt;
@@ -99,11 +99,9 @@ enum FleetOp {
     },
     /// Replay re-imports the very blob the live run granted.
     Grant {
-        epoch: u64,
         blob: Vec<u8>,
         local: u64,
     },
-    Drain,
 }
 
 /// Bytes a journaled op holds besides its payload: the op itself.
@@ -116,7 +114,7 @@ impl Entry for FleetOp {
             FleetOp::Admit { tenant, .. } | FleetOp::AdmitGroup { tenant, .. } => tenant.len(),
             FleetOp::Tick { arrivals } => arrivals.bytes(),
             FleetOp::Grant { blob, .. } => blob.len(),
-            FleetOp::Leave { .. } | FleetOp::Revoke { .. } | FleetOp::Drain => 0,
+            FleetOp::Leave { .. } | FleetOp::Revoke { .. } => 0,
         };
         JOURNAL_OP_BYTES + held as u64
     }
@@ -146,9 +144,7 @@ struct Image {
     tick: u64,
 }
 
-/// Where one live session currently runs. The lease epoch is not
-/// tracked here: the gateway's [`lease_revoke`](Client::lease_revoke)
-/// reply is the authoritative epoch source at migration time.
+/// Where one live session currently runs.
 #[derive(Debug, Clone, Copy)]
 struct SessionLoc {
     proc: usize,
@@ -173,6 +169,7 @@ struct Proc {
     local_to_global: HashMap<u64, u64>,
     /// Live sessions currently placed here.
     live: usize,
+    /// Set by [`Fleet::drain_and_migrate`]: placement skips the process.
     draining: bool,
     respawns: u64,
 }
@@ -348,8 +345,14 @@ fn spawn_backend(cfg: &FleetConfig, proc: usize) -> Result<(OwnedChild, String),
     Ok((child, addr))
 }
 
+/// Connects to a child in one attempt: a child announces its address
+/// only once it listens, so a refusal means it is gone, not starting.
 fn connect(addr: &str, proc: usize) -> Result<Client, FleetError> {
-    Client::connect(addr).map_err(|e| FleetError::Spawn {
+    let cfg = ClientConfig {
+        connect_timeout_ms: 0,
+        ..ClientConfig::default()
+    };
+    Client::connect_with(addr, cfg).map_err(|e| FleetError::Spawn {
         proc,
         reason: format!("connecting to {addr}: {e}"),
     })
@@ -567,16 +570,13 @@ impl Fleet {
                 FleetOp::Revoke { local } => {
                     client.lease_revoke(*local).map(|_| ()).map_err(wire)?;
                 }
-                FleetOp::Grant { epoch, blob, local } => {
-                    let key = client.lease_grant(*epoch, blob.clone()).map_err(wire)?;
+                FleetOp::Grant { blob, local } => {
+                    let key = client.lease_grant(blob).map_err(wire)?;
                     if key != *local {
                         return Err(lost(format!(
                             "replay diverged: grant returned key {key}, expected {local}"
                         )));
                     }
-                }
-                FleetOp::Drain => {
-                    client.drain().map(|_| ()).map_err(wire)?;
                 }
             }
         }
@@ -762,13 +762,13 @@ impl Fleet {
 
     /// Live-migrates session `key` to process `target`: revoke the lease
     /// at the source (quiesce + checkpoint + release), grant the blob to
-    /// the target at a bumped epoch, rebind the global key. One
+    /// the target, rebind the global key. One
     /// migration bills one signalling change (see [`FleetSummary`]).
     ///
     /// A target that has already exited is respawned first, as for any
     /// other op. If the *grant* fails — the target died mid-migration,
-    /// say — the blob is granted straight back to the source at the
-    /// original epoch: the session keeps running where it was, the budget
+    /// say — the blob is granted straight back to the source: the
+    /// session keeps running where it was, the budget
     /// it released on revoke is re-taken, and the typed
     /// [`FleetError::MigrationFailed`] tells the caller nothing moved.
     ///
@@ -793,20 +793,16 @@ impl Fleet {
             self.recover_proc(target, &"process exited before a migration grant")?;
         }
         let local = loc.local;
-        let (epoch, blob) = self.with_proc(loc.proc, |c| c.lease_revoke(local))?;
+        let blob = self.with_proc(loc.proc, |c| c.lease_revoke(local))?;
         self.journal(loc.proc, FleetOp::Revoke { local });
         self.procs[loc.proc].live -= 1;
         self.keys.remove(&key);
         // Deliberately no recovery on the grant itself: a target that
         // vanishes mid-grant must hand the lease back to the source, not
         // be resurrected holding a session the source also replays.
-        match self.procs[target]
-            .client
-            .lease_grant(epoch + 1, blob.clone())
-        {
+        match self.procs[target].client.lease_grant(&blob) {
             Ok(tlocal) => {
                 let grant = FleetOp::Grant {
-                    epoch: epoch + 1,
                     blob,
                     local: tlocal,
                 };
@@ -826,12 +822,8 @@ impl Fleet {
                 Ok(())
             }
             Err(err) => {
-                let back = self.with_proc(loc.proc, |c| c.lease_grant(epoch, blob.clone()))?;
-                let grant = FleetOp::Grant {
-                    epoch,
-                    blob,
-                    local: back,
-                };
+                let back = self.with_proc(loc.proc, |c| c.lease_grant(&blob))?;
+                let grant = FleetOp::Grant { blob, local: back };
                 self.journal(loc.proc, grant);
                 self.bind(key, loc.proc, back, true);
                 if let Some(m) = &self.obs {
@@ -857,32 +849,31 @@ impl Fleet {
         }
     }
 
-    /// Puts process `proc` in draining mode and live-migrates every
-    /// migratable session off it to placement-chosen targets. Pooled
-    /// groups stay (they keep ticking; a draining process refuses only
-    /// *new* sessions). Returns how many sessions moved.
+    /// Marks process `proc` draining — placement puts no new session on
+    /// it — and live-migrates every migratable session off it to
+    /// placement-chosen targets, in ascending local-key order. Pooled
+    /// groups stay and keep ticking. The drain is the orchestrator's
+    /// state alone: the process is not told. Returns how many sessions
+    /// moved.
     ///
     /// # Errors
     ///
     /// As [`Fleet::migrate`]; the drain flag sticks even if a later
     /// migration fails.
     pub fn drain_and_migrate(&mut self, proc: usize) -> Result<u64, FleetError> {
-        let locals = self.with_proc(proc, |c| c.drain())?;
-        self.journal(proc, FleetOp::Drain);
         self.procs[proc].draining = true;
-        let mut moved = 0;
-        for local in locals {
-            let Some(&key) = self.procs[proc].local_to_global.get(&local) else {
-                return Err(FleetError::ProcLost {
-                    proc,
-                    reason: format!("drain listed unknown local key {local}"),
-                });
-            };
+        let mut moving: Vec<(u64, u64)> = self
+            .keys
+            .iter()
+            .filter(|(_, loc)| loc.proc == proc && loc.migratable)
+            .map(|(&key, loc)| (loc.local, key))
+            .collect();
+        moving.sort_unstable();
+        for &(_, key) in &moving {
             let target = self.place_on(Some(proc))?;
             self.migrate(key, target)?;
-            moved += 1;
         }
-        Ok(moved)
+        Ok(moving.len() as u64)
     }
 
     /// Kills process `proc`'s child outright — the fault-injection hook

@@ -10,7 +10,9 @@
 //! sessions across them with a pluggable [`Placement`] policy, and
 //! live-migrates sessions between processes over the gateway's lease
 //! frames — quiesce, checkpoint the session row through the binary codec,
-//! transfer, resume at a bumped lease epoch.
+//! transfer, resume. The orchestrator is the one owner of migration
+//! state: where each session runs, and which processes are draining (a
+//! drain is a placement decision, never sent to a process).
 //!
 //! # Determinism
 //!

@@ -17,10 +17,9 @@ use std::time::{Duration, Instant};
 pub struct ClientConfig {
     /// How long one request may wait for its reply.
     pub read_timeout_ms: u64,
-    /// Socket write timeout.
-    pub write_timeout_ms: u64,
     /// Total connect budget: [`Client::connect_with`] retries refused
-    /// connections (e.g. a gateway still binding) until this elapses.
+    /// connections (e.g. a gateway still binding) until this elapses; 0
+    /// makes one attempt.
     pub connect_timeout_ms: u64,
 }
 
@@ -28,11 +27,13 @@ impl Default for ClientConfig {
     fn default() -> Self {
         Self {
             read_timeout_ms: 30_000,
-            write_timeout_ms: 10_000,
             connect_timeout_ms: 10_000,
         }
     }
 }
+
+/// How long one write to the socket may block.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Anything a client call can fail with.
 #[derive(Debug, Clone, PartialEq)]
@@ -128,13 +129,16 @@ impl Client {
         Self::connect_with(addr, ClientConfig::default())
     }
 
-    /// Connects with explicit tuning; see [`Client::connect`].
+    /// Connects with explicit tuning; see [`Client::connect`]. A refused
+    /// connection is retried every 50 ms until `connect_timeout_ms` has
+    /// elapsed; a zero budget makes exactly one attempt, for a caller that
+    /// knows the server is already listening.
     ///
     /// # Errors
     ///
     /// As [`Client::connect`].
     pub fn connect_with(addr: impl ToSocketAddrs, cfg: ClientConfig) -> Result<Self, ClientError> {
-        let deadline = Instant::now() + Duration::from_millis(cfg.connect_timeout_ms.max(1));
+        let deadline = Instant::now() + Duration::from_millis(cfg.connect_timeout_ms);
         let stream = loop {
             match TcpStream::connect(&addr) {
                 Ok(stream) => break stream,
@@ -150,7 +154,7 @@ impl Client {
             .set_read_timeout(Some(Duration::from_millis(cfg.read_timeout_ms.max(1))))
             .map_err(|e| ClientError::Io(format!("set_read_timeout: {e}")))?;
         stream
-            .set_write_timeout(Some(Duration::from_millis(cfg.write_timeout_ms.max(1))))
+            .set_write_timeout(Some(WRITE_TIMEOUT))
             .map_err(|e| ClientError::Io(format!("set_write_timeout: {e}")))?;
         let _ = stream.set_nodelay(true);
         let mut client = Self {
@@ -339,7 +343,7 @@ impl Client {
 
     /// Revokes session `key`'s ownership lease: the session is
     /// quiesced, removed from the process with its budget released, and
-    /// its `(lease epoch, checkpoint blob)` returned. Feed the blob to
+    /// its checkpoint blob returned. Feed the blob to
     /// [`Client::lease_grant`] on the migration target verbatim.
     ///
     /// # Errors
@@ -351,9 +355,9 @@ impl Client {
     ///
     /// [`ErrorCode::NotOwner`]: crate::proto::ErrorCode::NotOwner
     /// [`ErrorCode::Ctrl`]: crate::proto::ErrorCode::Ctrl
-    pub fn lease_revoke(&mut self, key: u64) -> Result<(u64, Vec<u8>), ClientError> {
+    pub fn lease_revoke(&mut self, key: u64) -> Result<Vec<u8>, ClientError> {
         match self.request(|id| Frame::LeaseRevoke { id, key })? {
-            Frame::LeaseRevoked { epoch, bytes, .. } => Ok((epoch, bytes)),
+            Frame::LeaseRevoked { bytes, .. } => Ok(bytes),
             other => Err(ClientError::Protocol(format!(
                 "expected lease-revoked: {other:?}"
             ))),
@@ -361,18 +365,19 @@ impl Client {
     }
 
     /// Grants the connected process a lease on a migrated-in session:
-    /// `bytes` is the blob a [`Client::lease_revoke`]
-    /// returned, `epoch` the lease epoch the session resumes at (bump the
-    /// revoked epoch so a stale source can never pose as the owner).
-    /// Returns the session's fresh key on this process; this connection
-    /// owns it.
+    /// `blob` is the blob a [`Client::lease_revoke`] returned, sent from
+    /// the caller's borrow. Returns the session's fresh key on this
+    /// process; this connection owns it.
     ///
     /// # Errors
     ///
     /// [`ClientError::Server`] for malformed blobs or when admission
     /// cannot cover the session's envelope.
-    pub fn lease_grant(&mut self, epoch: u64, bytes: Vec<u8>) -> Result<u64, ClientError> {
-        match self.request(|id| Frame::LeaseGrant { id, epoch, bytes })? {
+    pub fn lease_grant(&mut self, blob: &[u8]) -> Result<u64, ClientError> {
+        match self.request_with(Some(Apart::Blob(blob)), |id| Frame::LeaseGrant {
+            id,
+            bytes: Vec::new(),
+        })? {
             Frame::LeaseGranted { key, .. } => Ok(key),
             other => Err(ClientError::Protocol(format!(
                 "expected lease-granted: {other:?}"
@@ -380,30 +385,10 @@ impl Client {
         }
     }
 
-    /// Puts the connected process in draining mode: new joins
-    /// are refused with [`ErrorCode::Draining`] while existing sessions
-    /// keep ticking. Returns the keys of every migratable (dedicated)
-    /// session, sorted, for the orchestrator to move away.
-    ///
-    /// [`ErrorCode::Draining`]: crate::proto::ErrorCode::Draining
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Io`] / [`ClientError::Protocol`] on socket or
-    /// framing failures.
-    pub fn drain(&mut self) -> Result<Vec<u64>, ClientError> {
-        match self.request(|id| Frame::Drain { id })? {
-            Frame::DrainOk { keys, .. } => Ok(keys),
-            other => Err(ClientError::Protocol(format!(
-                "expected drain-ok: {other:?}"
-            ))),
-        }
-    }
-
     /// Cuts a process image of the connected process at its current
-    /// tick — every shard's frame, the control plane's driver state, and
-    /// the gateway's lease epochs and draining flag — for
-    /// [`Client::restore`] to bring up a fresh process from.
+    /// tick — the control plane's image: every shard's frame and the
+    /// driver state — for [`Client::restore`] to bring up a fresh process
+    /// from.
     ///
     /// # Errors
     ///

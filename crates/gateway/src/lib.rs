@@ -10,7 +10,10 @@
 //!   following `cdba_traffic::codec` conventions. One version, one way to
 //!   do each job: unacknowledged staging, count-gated tick commits, and
 //!   snapshots in the binary codec ([`codec`]); JSON is only what a
-//!   client renders locally ([`GatewaySnapshot::to_json_string`]).
+//!   client renders locally ([`GatewaySnapshot::to_json_string`]). The
+//!   lease and image frames a fleet orchestrator migrates and restores
+//!   with carry the control plane's own bytes: the gateway keeps no
+//!   migration state of its own.
 //! - **Server** ([`server`]): one evented core thread over non-blocking
 //!   `std::net` sockets — no async runtime, no worker pool. The core owns
 //!   the listener, every connection, and the service state; requests

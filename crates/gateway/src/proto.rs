@@ -30,17 +30,17 @@ pub const MAGIC: [u8; 4] = *b"CDBG";
 /// The server speaks exactly this version and refuses a handshake
 /// offering any other with [`ErrorCode::BadVersion`]: a client and a
 /// server are built from the same source, so there is nothing to
-/// negotiate. Version 6 is requests and their replies only —
+/// negotiate. Version 7 is requests and their replies only —
 /// unacknowledged staging ([`Frame::StageNoAck`]) with count-gated commits
 /// ([`Frame::TickSync`]; a plain tick is one gated at 0), binary
 /// snapshots ([`Frame::SnapshotBin`], which carry the signalling bill), the
-/// fleet migration frames (lease hand-off
-/// via [`Frame::LeaseRevoke`] / [`Frame::LeaseGrant`], and
-/// [`Frame::Drain`], which lists migratable sessions and makes the
-/// process refuse new joins with [`ErrorCode::Draining`]), and a process
-/// image cut and restored whole ([`Frame::Image`] / [`Frame::Restore`]),
-/// which an orchestrator respawns a lost process from.
-pub const VERSION: u8 = 6;
+/// lease hand-off a fleet migration is made of ([`Frame::LeaseRevoke`] /
+/// [`Frame::LeaseGrant`], which carry the session's blob and nothing
+/// else), and a control-plane image cut and restored whole
+/// ([`Frame::Image`] / [`Frame::Restore`]), which an orchestrator respawns
+/// a lost process from. Which sessions migrate, and which processes take
+/// new ones, is the orchestrator's state alone.
+pub const VERSION: u8 = 7;
 
 /// Hard upper bound on one frame's payload, rejected before allocation:
 /// a 100k-session binary snapshot is ~14 MiB.
@@ -103,9 +103,6 @@ pub enum ErrorCode {
     /// A protocol-state violation (request before hello, server-only
     /// frame from a client, …).
     Proto,
-    /// The process is draining: it refuses new sessions so an
-    /// orchestrator can migrate the existing ones away.
-    Draining,
 }
 
 impl ErrorCode {
@@ -122,7 +119,6 @@ impl ErrorCode {
             ErrorCode::Idle => 9,
             ErrorCode::Shutdown => 10,
             ErrorCode::Proto => 11,
-            ErrorCode::Draining => 12,
         }
     }
 
@@ -139,7 +135,7 @@ impl ErrorCode {
             9 => ErrorCode::Idle,
             10 => ErrorCode::Shutdown,
             11 => ErrorCode::Proto,
-            12 => ErrorCode::Draining,
+            // 12, the retired draining refusal, is unknown and not reused.
             _ => return None,
         })
     }
@@ -159,7 +155,6 @@ impl fmt::Display for ErrorCode {
             ErrorCode::Idle => "idle",
             ErrorCode::Shutdown => "shutdown",
             ErrorCode::Proto => "proto",
-            ErrorCode::Draining => "draining",
         };
         f.write_str(name)
     }
@@ -249,21 +244,17 @@ pub enum Frame {
     },
     /// Grant this process a lease on a migrated-in session: the blob
     /// from a [`Frame::LeaseRevoked`] is imported under a fresh key and
-    /// the session resumes bitwise at the bumped lease epoch.
+    /// the session resumes bitwise.
     LeaseGrant {
         /// Request id.
         id: u64,
-        /// The lease epoch the session resumes at; the orchestrator bumps
-        /// the epoch returned by the revoke so a stale source process can
-        /// never be mistaken for the owner.
-        epoch: u64,
         /// The session checkpoint blob, verbatim from the revoke.
         bytes: Vec<u8>,
     },
-    /// Cut a process image at the current tick: every shard's frame,
-    /// the control plane's driver state, and this gateway's lease epochs
-    /// and draining flag. Refused with [`ErrorCode::Busy`] while arrivals
-    /// are staged for the next tick.
+    /// Cut a process image at the current tick: the control plane's
+    /// image (every shard's frame and the driver state), byte for byte.
+    /// Refused with [`ErrorCode::Busy`] while arrivals are staged for the
+    /// next tick.
     Image {
         /// Request id.
         id: u64,
@@ -277,14 +268,6 @@ pub enum Frame {
         id: u64,
         /// The image, verbatim from an [`Frame::ImageOk`].
         bytes: Vec<u8>,
-    },
-    /// Put the process in draining mode: new joins are refused with
-    /// [`ErrorCode::Draining`] while existing sessions keep ticking, and
-    /// the reply lists every migratable (dedicated) session so the
-    /// orchestrator can move them away.
-    Drain {
-        /// Request id.
-        id: u64,
     },
     /// Clean client-initiated close.
     Goodbye {
@@ -328,8 +311,6 @@ pub enum Frame {
     LeaseRevoked {
         /// Echoed request id.
         id: u64,
-        /// The lease epoch the session held on this process.
-        epoch: u64,
         /// The session's checkpoint blob (binary codec); feed it to
         /// [`Frame::LeaseGrant`] on the target process verbatim.
         bytes: Vec<u8>,
@@ -356,14 +337,6 @@ pub enum Frame {
         tick: u64,
         /// Keys of every restored live session, ascending; the
         /// restoring connection owns them all.
-        keys: Vec<u64>,
-    },
-    /// Response to [`Frame::Drain`].
-    DrainOk {
-        /// Echoed request id.
-        id: u64,
-        /// Keys of every migratable (dedicated) session still live on
-        /// this process, sorted ascending.
         keys: Vec<u64>,
     },
     /// Response to [`Frame::Goodbye`]; the server closes afterwards.
@@ -432,10 +405,10 @@ const K_JOIN: u8 = 0x10;
 const K_JOIN_GROUP: u8 = 0x11;
 const K_LEAVE: u8 = 0x12;
 // The retired acked-stage, plain-tick, JSON-snapshot, plain-subscribe,
-// delta-snapshot, batched-subscribe and checkpoint-pull requests (0x13,
-// 0x14, 0x15, 0x16, 0x1A, 0x1C, 0x1D, 0x43), their replies (0x23, 0x25,
-// 0x26, 0x28, 0x2A, 0x2E) and the event pushes (0x30, 0x31) decode as
-// unknown kinds; the bytes are not reused.
+// delta-snapshot, batched-subscribe, drain and checkpoint-pull requests
+// (0x13, 0x14, 0x15, 0x16, 0x1A, 0x1C, 0x1D, 0x42, 0x43), their replies
+// (0x23, 0x25, 0x26, 0x28, 0x2A, 0x2D, 0x2E) and the event pushes (0x30,
+// 0x31) decode as unknown kinds; the bytes are not reused.
 const K_GOODBYE: u8 = 0x17;
 const K_STAGE_NOACK: u8 = 0x18;
 const K_TICK_SYNC: u8 = 0x19;
@@ -448,13 +421,11 @@ const K_GOODBYE_OK: u8 = 0x27;
 const K_SNAPSHOT_BIN_OK: u8 = 0x29;
 const K_LEASE_REVOKED: u8 = 0x2B;
 const K_LEASE_GRANTED: u8 = 0x2C;
-const K_DRAIN_OK: u8 = 0x2D;
 const K_ERROR: u8 = 0x3F;
 // The request block ends at 0x1F; later requests start a fresh one at
 // 0x40.
 const K_LEASE_REVOKE: u8 = 0x40;
 const K_LEASE_GRANT: u8 = 0x41;
-const K_DRAIN: u8 = 0x42;
 const K_IMAGE: u8 = 0x44;
 const K_RESTORE: u8 = 0x45;
 // The reply block ends at 0x2F; later replies start a fresh one at 0x50.
@@ -543,15 +514,10 @@ pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) {
             payload.put_u64_le(*id);
             payload.put_u64_le(*key);
         }
-        Frame::LeaseGrant { id, epoch, bytes } => {
+        Frame::LeaseGrant { id, bytes } => {
             payload.put_u8(K_LEASE_GRANT);
             payload.put_u64_le(*id);
-            payload.put_u64_le(*epoch);
             put_bytes(payload, bytes);
-        }
-        Frame::Drain { id } => {
-            payload.put_u8(K_DRAIN);
-            payload.put_u64_le(*id);
         }
         Frame::Image { id } => {
             payload.put_u8(K_IMAGE);
@@ -607,24 +573,15 @@ pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) {
             payload.put_u64_le(*id);
             put_bytes(payload, bytes);
         }
-        Frame::LeaseRevoked { id, epoch, bytes } => {
+        Frame::LeaseRevoked { id, bytes } => {
             payload.put_u8(K_LEASE_REVOKED);
             payload.put_u64_le(*id);
-            payload.put_u64_le(*epoch);
             put_bytes(payload, bytes);
         }
         Frame::LeaseGranted { id, key } => {
             payload.put_u8(K_LEASE_GRANTED);
             payload.put_u64_le(*id);
             payload.put_u64_le(*key);
-        }
-        Frame::DrainOk { id, keys } => {
-            payload.put_u8(K_DRAIN_OK);
-            payload.put_u64_le(*id);
-            payload.put_u32_le(keys.len() as u32);
-            for &key in keys {
-                payload.put_u64_le(key);
-            }
         }
         Frame::GoodbyeOk { id } => {
             payload.put_u8(K_GOODBYE_OK);
@@ -827,10 +784,8 @@ pub fn decode_payload(payload: Bytes) -> Result<Frame, ProtoError> {
         },
         K_LEASE_GRANT => Frame::LeaseGrant {
             id: r.u64()?,
-            epoch: r.u64()?,
             bytes: r.bytes()?,
         },
-        K_DRAIN => Frame::Drain { id: r.u64()? },
         K_IMAGE => Frame::Image { id: r.u64()? },
         K_RESTORE => Frame::Restore {
             id: r.u64()?,
@@ -847,16 +802,11 @@ pub fn decode_payload(payload: Bytes) -> Result<Frame, ProtoError> {
         },
         K_LEASE_REVOKED => Frame::LeaseRevoked {
             id: r.u64()?,
-            epoch: r.u64()?,
             bytes: r.bytes()?,
         },
         K_LEASE_GRANTED => Frame::LeaseGranted {
             id: r.u64()?,
             key: r.u64()?,
-        },
-        K_DRAIN_OK => Frame::DrainOk {
-            id: r.u64()?,
-            keys: r.keys()?,
         },
         K_GOODBYE => Frame::Goodbye { id: r.u64()? },
         K_JOINED => Frame::Joined {
@@ -927,7 +877,6 @@ pub fn reply_id(frame: &Frame) -> Option<u64> {
         | Frame::SnapshotBinOk { id, .. }
         | Frame::LeaseRevoked { id, .. }
         | Frame::LeaseGranted { id, .. }
-        | Frame::DrainOk { id, .. }
         | Frame::ImageOk { id, .. }
         | Frame::RestoreOk { id, .. }
         | Frame::GoodbyeOk { id } => Some(*id),
@@ -977,20 +926,13 @@ mod tests {
         roundtrip(Frame::LeaseRevoke { id: 26, key: 42 });
         roundtrip(Frame::LeaseGrant {
             id: 27,
-            epoch: 3,
             bytes: vec![1, 0, 9],
         });
-        roundtrip(Frame::Drain { id: 28 });
         roundtrip(Frame::LeaseRevoked {
             id: 26,
-            epoch: 2,
             bytes: vec![7, 7],
         });
         roundtrip(Frame::LeaseGranted { id: 27, key: 5 });
-        roundtrip(Frame::DrainOk {
-            id: 28,
-            keys: vec![1, 4, 9],
-        });
         roundtrip(Frame::Image { id: 30 });
         roundtrip(Frame::ImageOk {
             id: 30,
@@ -1022,11 +964,6 @@ mod tests {
             id: 15,
             code: ErrorCode::Busy,
             message: "queue full".into(),
-        });
-        roundtrip(Frame::Error {
-            id: 16,
-            code: ErrorCode::Draining,
-            message: "process is draining".into(),
         });
     }
 

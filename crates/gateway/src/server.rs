@@ -40,9 +40,6 @@ pub struct GatewayConfig {
     /// How many connections the evented core serves at once; one past
     /// that is refused with a typed `Busy` error.
     pub max_connections: usize,
-    /// How long a connection's write buffer may stall (peer not reading)
-    /// before the connection is dropped.
-    pub write_timeout_ms: u64,
     /// Idle harvest threshold in milliseconds; 0 disables harvesting.
     pub idle_timeout_ms: u64,
     /// How long a half-received frame may dangle — and how long a parked
@@ -62,13 +59,16 @@ impl Default for GatewayConfig {
         Self {
             addr: "127.0.0.1:0".into(),
             max_connections: 24,
-            write_timeout_ms: 2_000,
             idle_timeout_ms: 30_000,
             request_timeout_ms: 10_000,
             metrics_addr: None,
         }
     }
 }
+
+/// How long a connection's write buffer may stall (peer not reading)
+/// before the connection is dropped.
+const WRITE_TIMEOUT: Duration = Duration::from_millis(2_000);
 
 /// The longest the idle core sleeps between passes, which bounds how
 /// stale accept, idle and shutdown handling can get.
@@ -400,13 +400,8 @@ impl Conn {
     /// Writes as much buffered output as the socket accepts, refilling
     /// the buffer from a body in flight each time it drains. Returns
     /// whether any byte went out, or `None` when the connection is dead
-    /// (hard error or stalled past `write_timeout`).
-    fn flush(
-        &mut self,
-        stats: &WireStats,
-        plane: &ControlPlane,
-        write_timeout: Duration,
-    ) -> Option<bool> {
+    /// (hard error or stalled past [`WRITE_TIMEOUT`]).
+    fn flush(&mut self, stats: &WireStats, plane: &ControlPlane) -> Option<bool> {
         let mut wrote = false;
         loop {
             while self.sent < self.outbuf.len() {
@@ -419,7 +414,7 @@ impl Conn {
                     }
                     Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                         let stalled = *self.write_stalled.get_or_insert_with(Instant::now);
-                        return (stalled.elapsed() < write_timeout).then_some(wrote);
+                        return (stalled.elapsed() < WRITE_TIMEOUT).then_some(wrote);
                     }
                     Err(e) if e.kind() == ErrorKind::Interrupted => {}
                     Err(_) => return None,
@@ -493,7 +488,6 @@ impl Core {
     /// nothing happened. Exits on the stop flag, failing open connections
     /// with a typed `Shutdown` error, and returns the final snapshot.
     fn run(mut self) -> Result<GatewaySnapshot, String> {
-        let write_timeout = Duration::from_millis(self.cfg.write_timeout_ms.max(1));
         let request_timeout = Duration::from_millis(self.cfg.request_timeout_ms.max(1));
         let idle = Duration::from_millis(self.cfg.idle_timeout_ms);
         let (mut calm_passes, mut passes) = (0u32, 0u32);
@@ -514,8 +508,7 @@ impl Core {
             let mut dead: Vec<u64> = Vec::new();
             let mut next = self.conns.keys().next().copied();
             while let Some(conn_id) = next {
-                let (advance, closed) =
-                    self.conn_pass(conn_id, write_timeout, request_timeout, idle);
+                let (advance, closed) = self.conn_pass(conn_id, request_timeout, idle);
                 progressed |= advance;
                 if closed {
                     dead.push(conn_id);
@@ -556,7 +549,7 @@ impl Core {
                     message: "gateway shutting down".into(),
                 };
                 conn.queue(&self.stats, &frame);
-                let _ = conn.flush(&self.stats, self.service.plane(), write_timeout);
+                let _ = conn.flush(&self.stats, self.service.plane());
             }
             self.close_conn(conn_id);
         }
@@ -577,9 +570,7 @@ impl Core {
                     if self.conns.len() >= self.capacity() {
                         self.stats.busy_rejections.fetch_add(1, Ordering::Relaxed);
                         let mut stream = stream;
-                        let _ = stream.set_write_timeout(Some(Duration::from_millis(
-                            self.cfg.write_timeout_ms.max(1),
-                        )));
+                        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
                         let frame = Frame::Error {
                             id: PUSH_ID,
                             code: ErrorCode::Busy,
@@ -613,7 +604,6 @@ impl Core {
     fn conn_pass(
         &mut self,
         conn_id: u64,
-        write_timeout: Duration,
         request_timeout: Duration,
         idle: Duration,
     ) -> (bool, bool) {
@@ -622,7 +612,7 @@ impl Core {
             let Some(conn) = self.conns.get_mut(&conn_id) else {
                 return (progressed, false);
             };
-            match conn.flush(&self.stats, self.service.plane(), write_timeout) {
+            match conn.flush(&self.stats, self.service.plane()) {
                 None => return (true, true),
                 Some(wrote) => progressed |= wrote,
             }
@@ -788,7 +778,6 @@ impl Core {
             | Frame::SnapshotBin { .. }
             | Frame::LeaseRevoke { .. }
             | Frame::LeaseGrant { .. }
-            | Frame::Drain { .. }
             | Frame::Image { .. }
             | Frame::Restore { .. }) => {
                 if ServiceCore::mutates(&request) {

@@ -21,9 +21,7 @@ use crate::codec::SnapshotStream;
 use crate::proto::{ErrorCode, Frame, PUSH_ID};
 use crate::stats::WireStats;
 use crate::GatewaySnapshot;
-use cdba_ctrl::codec::{Dec, Enc};
 use cdba_ctrl::{ControlPlane, CtrlError, PlaneImage, ServiceConfig, ServiceSnapshot};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -74,78 +72,11 @@ pub(crate) struct ServiceCore {
     pending: Vec<(u64, f64)>,
     /// At most one count-gated tick commit may be parked at a time.
     parked: Option<ParkedTick>,
-    /// session key → lease epoch, non-zero epochs only: a join is
-    /// epoch 0 by definition; a migrated-in session resumes at whatever
-    /// epoch its [`Frame::LeaseGrant`] carried (the orchestrator bumps it
-    /// per hop).
-    leases: HashMap<u64, u64>,
-    /// Set by [`Frame::Drain`]: new joins are refused with
-    /// [`ErrorCode::Draining`] while existing sessions keep ticking.
-    draining: bool,
 }
 
 /// The bit of a [`ServiceCore::slots`] entry that says the key has an
 /// arrival staged; the rest is the owning connection.
 const STAGED: u64 = 1 << 63;
-
-/// Leads the gateway's part of a process image:
-///
-/// ```text
-/// image := "CDGI" · u8 version · u8 draining · u32 leases
-///        · leases × (u64 key · u64 epoch) · control-plane image
-/// ```
-///
-/// Leases are listed by key, ascending; the control-plane image
-/// ([`ControlPlane::cut_image`]) is the rest of the bytes.
-const IMAGE_MAGIC: [u8; 4] = *b"CDGI";
-
-/// The gateway image layout's version.
-const IMAGE_VERSION: u8 = 1;
-
-fn image_refused(field: &'static str) -> CtrlError {
-    CtrlError::InvalidImage { field }
-}
-
-/// A gateway image split into its parts.
-struct GatewayImage<'a> {
-    draining: bool,
-    /// `(key, epoch)`, ascending by key.
-    leases: Vec<(u64, u64)>,
-    /// The control-plane image behind them.
-    plane: &'a [u8],
-}
-
-fn parse_image(bytes: &[u8]) -> Result<GatewayImage<'_>, CtrlError> {
-    let mut d = Dec::new(bytes);
-    let head = (|| {
-        let magic = d.bytes(4)?;
-        let version = d.u8()?;
-        let draining = d.u8()?;
-        let n = d.len(16)?;
-        let mut leases = Vec::with_capacity(n);
-        for _ in 0..n {
-            leases.push((d.u64()?, d.u64()?));
-        }
-        Ok::<_, cdba_ctrl::codec::CodecError>((magic, version, draining, leases))
-    })();
-    let (magic, version, draining, leases) = head.map_err(|_| image_refused("image.gateway"))?;
-    if magic != IMAGE_MAGIC {
-        return Err(image_refused("image.magic"));
-    }
-    if version != IMAGE_VERSION {
-        return Err(image_refused("image.version"));
-    }
-    // Keys ascending, each once; a join's epoch 0 is never listed.
-    let ordered = leases.windows(2).all(|p| p[0].0 < p[1].0);
-    if draining > 1 || !ordered || leases.iter().any(|&(_, epoch)| epoch == 0) {
-        return Err(image_refused("image.gateway"));
-    }
-    Ok(GatewayImage {
-        draining: draining == 1,
-        leases,
-        plane: &bytes[bytes.len() - d.remaining()..],
-    })
-}
 
 fn ctrl_error(id: u64, e: &CtrlError) -> Frame {
     Frame::Error {
@@ -163,8 +94,6 @@ impl ServiceCore {
             slots: Vec::new(),
             pending: Vec::new(),
             parked: None,
-            leases: HashMap::new(),
-            draining: false,
         }
     }
 
@@ -207,10 +136,7 @@ impl ServiceCore {
                 return;
             }
             Frame::LeaseRevoke { id, key } => Some(self.lease_revoke(conn, id, key)),
-            Frame::LeaseGrant { id, epoch, bytes } => {
-                Some(self.lease_grant(conn, id, epoch, &bytes))
-            }
-            Frame::Drain { id } => Some(self.drain(id)),
+            Frame::LeaseGrant { id, bytes } => Some(self.lease_grant(conn, id, &bytes)),
             Frame::Image { id } => Some(self.image(id)),
             Frame::Restore { id, bytes } => Some(self.restore(conn, id, &bytes)),
             other => {
@@ -224,18 +150,7 @@ impl ServiceCore {
         }
     }
 
-    fn draining_error(id: u64) -> Frame {
-        Frame::Error {
-            id,
-            code: ErrorCode::Draining,
-            message: "process is draining; new sessions are refused".into(),
-        }
-    }
-
     fn join(&mut self, conn: u64, id: u64, tenant: &str) -> Frame {
-        if self.draining {
-            return Self::draining_error(id);
-        }
         match self.plane.admit(tenant) {
             Ok(key) => {
                 self.own(key, conn);
@@ -246,9 +161,6 @@ impl ServiceCore {
     }
 
     fn join_group(&mut self, conn: u64, id: u64, tenant: &str, size: u32) -> Frame {
-        if self.draining {
-            return Self::draining_error(id);
-        }
         match self.plane.admit_group(tenant, size as usize) {
             Ok(members) => {
                 for &key in &members {
@@ -262,8 +174,8 @@ impl ServiceCore {
 
     /// Revokes `key`'s lease: quiesce, capture the checkpoint blob,
     /// remove the session (its envelope is released), and hand the blob
-    /// plus the lease epoch back to the caller. First half of a live
-    /// migration; a failed export leaves the session untouched.
+    /// back to the caller. First half of a live migration; a failed
+    /// export leaves the session untouched.
     fn lease_revoke(&mut self, conn: u64, id: u64, key: u64) -> Frame {
         let owner = self.slot(key) & !STAGED;
         if owner != 0 && owner != conn {
@@ -271,36 +183,28 @@ impl ServiceCore {
         }
         match self.plane.export_session(key) {
             Ok(bytes) => {
-                let epoch = self.leases.get(&key).copied().unwrap_or(0);
                 self.forget_session(key);
-                Frame::LeaseRevoked { id, epoch, bytes }
+                Frame::LeaseRevoked { id, bytes }
             }
             Err(e) => ctrl_error(id, &e),
         }
     }
 
     /// Grants this process a lease on a migrated-in session: the blob is
-    /// imported under a fresh key owned by the granting connection, at
-    /// the epoch the orchestrator chose. Deliberately *not* refused while
-    /// draining — returning a lease to its source after a failed hop must
-    /// always succeed, or the session (and its budget) would be lost.
-    fn lease_grant(&mut self, conn: u64, id: u64, epoch: u64, bytes: &[u8]) -> Frame {
+    /// imported under a fresh key owned by the granting connection.
+    fn lease_grant(&mut self, conn: u64, id: u64, bytes: &[u8]) -> Frame {
         match self.plane.import_session(bytes) {
             Ok(key) => {
                 self.own(key, conn);
-                if epoch != 0 {
-                    self.leases.insert(key, epoch);
-                }
                 Frame::LeaseGranted { id, key }
             }
             Err(e) => ctrl_error(id, &e),
         }
     }
 
-    /// Cuts a process image: this gateway's lease epochs and draining
-    /// flag, then the control plane's image, cut onto the end of the same
-    /// buffer. Only at a tick boundary: a staged arrival or a parked
-    /// commit belongs to no image.
+    /// Cuts a process image, which is the control plane's image as
+    /// [`ControlPlane::cut_image`] writes it. Only at a tick boundary: a
+    /// staged arrival or a parked commit belongs to no image.
     fn image(&mut self, id: u64) -> Frame {
         if !self.pending.is_empty() || self.parked.is_some() {
             return Frame::Error {
@@ -310,38 +214,24 @@ impl ServiceCore {
                     .into(),
             };
         }
-        let mut leases: Vec<(u64, u64)> = self.leases.iter().map(|(&k, &e)| (k, e)).collect();
-        leases.sort_unstable();
-        let mut bytes = Vec::with_capacity(10 + 16 * leases.len());
-        bytes.extend_from_slice(&IMAGE_MAGIC);
-        let mut e = Enc::new(&mut bytes);
-        e.u8(IMAGE_VERSION);
-        e.u8(u8::from(self.draining));
-        e.len(leases.len());
-        for (key, epoch) in leases {
-            e.u64(key);
-            e.u64(epoch);
-        }
+        let mut bytes = Vec::new();
         match self.plane.cut_image(&mut bytes) {
             Ok(()) => Frame::ImageOk { id, bytes },
             Err(e) => ctrl_error(id, &e),
         }
     }
 
-    /// Restores a fresh gateway — no session owned, no lease, not
-    /// draining, nothing staged — and its fresh plane from an image; the
-    /// restoring connection owns every restored session. Every check,
-    /// the leases naming restored sessions included, runs before the
-    /// plane changes.
+    /// Restores a fresh gateway — no session owned, nothing staged — and
+    /// its fresh plane from an image; the restoring connection owns every
+    /// restored session. Every check runs before the plane changes.
     fn restore(&mut self, conn: u64, id: u64, bytes: &[u8]) -> Frame {
-        let fresh = !self.draining
-            && self.leases.is_empty()
-            && self.pending.is_empty()
-            && self.slots.iter().all(|&slot| slot == 0);
+        let fresh = self.pending.is_empty() && self.slots.iter().all(|&slot| slot == 0);
         let restored = if fresh {
             self.restore_image(conn, bytes)
         } else {
-            Err(image_refused("image.fresh"))
+            Err(CtrlError::InvalidImage {
+                field: "image.fresh",
+            })
         };
         match restored {
             Ok(keys) => Frame::RestoreOk {
@@ -354,29 +244,13 @@ impl ServiceCore {
     }
 
     fn restore_image(&mut self, conn: u64, bytes: &[u8]) -> Result<Vec<u64>, CtrlError> {
-        let gateway = parse_image(bytes)?;
-        let image = PlaneImage::parse(gateway.plane)?;
-        let live = image.live_keys();
-        let leased = |(key, _): &(u64, u64)| live.binary_search(key).is_ok();
-        if !gateway.leases.iter().all(leased) {
-            return Err(image_refused("image.leases"));
-        }
+        let image = PlaneImage::parse(bytes)?;
         self.plane.restore_image(&image)?;
+        let live = image.live_keys();
         for &key in live {
             self.own(key, conn);
         }
-        self.leases = gateway.leases.into_iter().collect();
-        self.draining = gateway.draining;
         Ok(live.to_vec())
-    }
-
-    /// Enters draining mode and lists every migratable session.
-    fn drain(&mut self, id: u64) -> Frame {
-        self.draining = true;
-        Frame::DrainOk {
-            id,
-            keys: self.plane.migratable_keys(),
-        }
     }
 
     fn leave(&mut self, conn: u64, id: u64, key: u64) -> Frame {
@@ -418,7 +292,6 @@ impl ServiceCore {
     }
 
     fn forget_session(&mut self, key: u64) {
-        self.leases.remove(&key);
         let slot = self.slot(key);
         if slot & STAGED != 0 {
             self.pending.retain(|&(k, _)| k != key);
@@ -634,7 +507,6 @@ impl ServiceCore {
         for key in 0..self.slots.len() {
             if self.slots[key] & !STAGED == conn {
                 self.slots[key] = 0;
-                self.leases.remove(&(key as u64));
                 let _ = self.plane.leave(key as u64);
             }
         }
@@ -821,13 +693,13 @@ mod tests {
         replies.pop().expect("one reply")
     }
 
-    /// An image carries the gateway's own state beside the plane's: lease
-    /// epochs and the draining flag. A fresh gateway restored from it
-    /// hands every session to the restoring connection and answers every
-    /// later request as the original does; a gateway that is not fresh,
-    /// or an image cut with arrivals staged, is refused typed.
+    /// An image is the plane's image, byte for byte. A fresh gateway
+    /// restored from it hands every session, a migrated-in one included,
+    /// to the restoring connection and answers every later request as the
+    /// original does; a gateway that is not fresh, or an image cut with
+    /// arrivals staged, is refused typed.
     #[test]
-    fn an_image_carries_leases_and_draining_and_restores_onto_one_connection() {
+    fn an_image_is_the_planes_and_restores_onto_one_connection() {
         let service = ServiceConfig::builder(256.0)
             .exec(ExecMode::Inline)
             .shards(2)
@@ -861,11 +733,7 @@ mod tests {
             };
             keys.push(key);
         }
-        let grant = Frame::LeaseGrant {
-            id: 4,
-            epoch: 5,
-            bytes: blob,
-        };
+        let grant = Frame::LeaseGrant { id: 4, bytes: blob };
         let Frame::LeaseGranted { key: migrated, .. } = reply(&mut original, 2, grant) else {
             panic!("grant")
         };
@@ -891,14 +759,13 @@ mod tests {
             reply(&mut original, 2, tick),
             Frame::TickOk { tick: 1, .. }
         ));
-        assert!(matches!(
-            reply(&mut original, 1, Frame::Drain { id: 7 }),
-            Frame::DrainOk { .. }
-        ));
         let Frame::ImageOk { bytes: image, .. } = reply(&mut original, 1, Frame::Image { id: 8 })
         else {
             panic!("image")
         };
+        let mut plane_image = Vec::new();
+        original.plane.cut_image(&mut plane_image).unwrap();
+        assert_eq!(image, plane_image);
 
         let mut restored = core();
         let restore = Frame::Restore {
@@ -934,23 +801,17 @@ mod tests {
             let reply = reply(core, conns[1], tick(10, vec![(migrated, 4.0)]));
             assert!(matches!(reply, Frame::TickOk { tick: 2, .. }), "{reply:?}");
         }
-        // Both refuse a join (draining) and revoke the migrated session
-        // at the epoch it was granted at; the retired key's metrics stay.
+        // Both admit the same next key and revoke the migrated session;
+        // the retired key's metrics stay.
         for (core, conn) in [(&mut original, 2), (&mut restored, 7)] {
             let join = Frame::Join {
                 id: 11,
                 tenant: "initech".into(),
             };
-            let refused = reply(core, conn, join);
+            let joined = reply(core, conn, join);
             assert!(
-                matches!(
-                    refused,
-                    Frame::Error {
-                        code: ErrorCode::Draining,
-                        ..
-                    }
-                ),
-                "{refused:?}"
+                matches!(joined, Frame::Joined { key, .. } if key == migrated + 1),
+                "{joined:?}"
             );
             let revoked = reply(
                 core,
@@ -960,10 +821,7 @@ mod tests {
                     key: migrated,
                 },
             );
-            assert!(
-                matches!(revoked, Frame::LeaseRevoked { epoch: 5, .. }),
-                "{revoked:?}"
-            );
+            assert!(matches!(revoked, Frame::LeaseRevoked { .. }), "{revoked:?}");
         }
         assert_eq!(
             original.plane.snapshot().unwrap().invariant_view(),
@@ -992,7 +850,7 @@ mod tests {
         };
         assert!(message.contains("process image refused"), "{message}");
         assert_eq!(fresh.plane.ticks(), 0);
-        assert!(fresh.slots.iter().all(|&slot| slot == 0) && !fresh.draining);
+        assert!(fresh.slots.iter().all(|&slot| slot == 0));
     }
 
     /// `image` with the first written cell of its `total_arrived` column
@@ -1068,7 +926,7 @@ mod tests {
                 "{bad}: {message}"
             );
             assert_eq!(fresh.plane.ticks(), 0);
-            assert!(fresh.slots.iter().all(|&slot| slot == 0) && !fresh.draining);
+            assert!(fresh.slots.iter().all(|&slot| slot == 0));
             let restore = Frame::Restore {
                 id: 5,
                 bytes: image.clone(),
