@@ -4,9 +4,14 @@
 //! "session scope": sessions it joins are owned by this connection and
 //! are drained automatically if the connection drops. Requests are
 //! strictly sequential: send, then block for the matching reply.
+//!
+//! Replies come through the frame reader the server's connections use
+//! too (`proto`'s `FrameReader`): a small reply costs one `read`, and a
+//! snapshot body is decoded as it arrives — off the bytes the reader
+//! already holds, then off the socket — never held whole.
 
 use crate::codec;
-use crate::proto::{self, ErrorCode, Frame, ProtoError, MAX_FRAME, PUSH_ID};
+use crate::proto::{self, ErrorCode, Frame, FrameReader, Next, PUSH_ID};
 use crate::GatewaySnapshot;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -68,32 +73,17 @@ impl std::fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
-/// Internal read outcome; folded into [`ClientError`] at the API edge.
-#[derive(Debug)]
-enum ReadError {
-    /// The gateway closed the connection.
-    Closed,
-    /// The socket read timeout expired.
-    Timeout {
-        /// Whether part of the frame had already arrived (a desynced
-        /// stream, not a quiet one).
-        any_read: bool,
-    },
-    /// Any other socket failure.
-    Other(String),
-}
-
-impl From<ReadError> for ClientError {
-    fn from(e: ReadError) -> Self {
-        match e {
-            ReadError::Closed => ClientError::Io("connection closed by gateway".into()),
-            ReadError::Timeout { any_read: true } => {
-                ClientError::Io("read timed out mid-frame".into())
-            }
-            ReadError::Timeout { any_read: false } => ClientError::Io("read timed out".into()),
-            ReadError::Other(msg) => ClientError::Io(format!("read: {msg}")),
+/// A failed read as a [`ClientError`]; `mid_frame`: part of a frame had
+/// already arrived (a desynced stream, not a quiet one).
+fn read_failed(e: std::io::Error, mid_frame: bool) -> ClientError {
+    ClientError::Io(match e.kind() {
+        ErrorKind::UnexpectedEof => "connection closed by gateway".into(),
+        ErrorKind::WouldBlock | ErrorKind::TimedOut if mid_frame => {
+            "read timed out mid-frame".into()
         }
-    }
+        ErrorKind::WouldBlock | ErrorKind::TimedOut => "read timed out".into(),
+        _ => format!("read: {e}"),
+    })
 }
 
 /// The last field of an outgoing frame, borrowed from the caller instead
@@ -111,9 +101,7 @@ pub struct Client {
     next_id: u64,
     /// The outgoing frame's wire bytes, reused across requests.
     wbuf: Vec<u8>,
-    /// The body of the last [`Frame::SnapshotBinOk`] read, decoded as it
-    /// arrived; the frame itself is handed on with its blob empty.
-    polled: Option<Result<GatewaySnapshot, cdba_ctrl::codec::CodecError>>,
+    reader: FrameReader,
 }
 
 impl Client {
@@ -161,14 +149,14 @@ impl Client {
             stream,
             next_id: 1,
             wbuf: Vec::new(),
-            polled: None,
+            reader: FrameReader::new(),
         };
         let hello = Frame::Hello {
             magic: proto::MAGIC,
             version: proto::VERSION,
         };
         client.write(&hello, None)?;
-        match client.read_frame()? {
+        match client.read_frame(false)? {
             Frame::HelloOk { .. } => Ok(client),
             Frame::Error { code, message, .. } => Err(ClientError::Server { code, message }),
             other => Err(ClientError::Protocol(format!(
@@ -199,67 +187,26 @@ impl Client {
             .map_err(|e| ClientError::Io(format!("write: {e}")))
     }
 
-    /// Reads exactly one frame, blocking up to the read timeout. A
-    /// [`Frame::SnapshotBinOk`] is not read whole: once its head is in,
-    /// the body is decoded as it arrives, into [`Self::polled`].
-    fn read_frame(&mut self) -> Result<Frame, ClientError> {
-        let mut head = [0u8; 4];
-        self.read_exact(&mut head)?;
-        let declared = u32::from_le_bytes(head) as usize;
-        if declared > MAX_FRAME {
-            return Err(ClientError::Protocol(
-                ProtoError::Oversized {
-                    declared: declared as u64,
+    /// Reads the next frame, blocking up to the read timeout; with
+    /// `head`, a frame whose payload ends in a blob comes with the blob
+    /// empty, left for [`FrameReader::blob`].
+    fn read_frame(&mut self, head: bool) -> Result<Frame, ClientError> {
+        loop {
+            let next = if head {
+                self.reader.next_head(&mut self.stream)
+            } else {
+                self.reader.next(&mut self.stream)
+            };
+            return match next {
+                Next::Frame(frame) => Ok(frame),
+                // The next read blocks until more arrives.
+                Next::Drained => continue,
+                Next::Bad(e) => Err(ClientError::Protocol(e.to_string())),
+                Next::Closed | Next::ClosedMidFrame => {
+                    Err(read_failed(ErrorKind::UnexpectedEof.into(), true))
                 }
-                .to_string(),
-            ));
-        }
-        let mut body = Vec::new();
-        while body.len() < declared {
-            match proto::read_body_step(&mut self.stream, &mut body, declared) {
-                Ok(0) => return Err(ReadError::Closed.into()),
-                Ok(_) => {}
-                Err(e) => match Self::read_error(e, true) {
-                    Some(e) => return Err(e.into()),
-                    None => continue,
-                },
-            }
-            if let Some((id, blob_len)) = proto::snapshot_bin_ok_head(&body, declared) {
-                let read = &body[proto::SNAPSHOT_BIN_OK_HEAD..];
-                let decoded = codec::read_gateway_snapshot(&mut read.chain(&self.stream), blob_len)
-                    .map_err(|e| Self::read_error(e, true).unwrap_or(ReadError::Closed))?;
-                self.polled = Some(decoded);
-                let bytes = Vec::new();
-                return Ok(Frame::SnapshotBinOk { id, bytes });
-            }
-        }
-        proto::decode_payload(bytes::Bytes::from(body))
-            .map_err(|e| ClientError::Protocol(e.to_string()))
-    }
-
-    fn read_exact(&mut self, buf: &mut [u8]) -> Result<(), ReadError> {
-        let mut filled = 0;
-        while filled < buf.len() {
-            match self.stream.read(&mut buf[filled..]) {
-                Ok(0) => return Err(ReadError::Closed),
-                Ok(n) => filled += n,
-                Err(e) => {
-                    if let Some(e) = Self::read_error(e, filled > 0) {
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Classifies a failed socket read; `None` means retry (interrupted).
-    fn read_error(e: std::io::Error, any_read: bool) -> Option<ReadError> {
-        match e.kind() {
-            ErrorKind::Interrupted => None,
-            ErrorKind::UnexpectedEof => Some(ReadError::Closed),
-            ErrorKind::WouldBlock | ErrorKind::TimedOut => Some(ReadError::Timeout { any_read }),
-            _ => Some(ReadError::Other(e.to_string())),
+                Next::Failed(e) => Err(read_failed(e, self.reader.mid_frame())),
+            };
         }
     }
 
@@ -275,10 +222,26 @@ impl Client {
         apart: Option<Apart<'_>>,
         make: impl FnOnce(u64) -> Frame,
     ) -> Result<Frame, ClientError> {
+        let id = self.send(apart, make)?;
+        self.reply(id, false)
+    }
+
+    /// Sends the request `make` builds with a fresh id; returns the id.
+    fn send(
+        &mut self,
+        apart: Option<Apart<'_>>,
+        make: impl FnOnce(u64) -> Frame,
+    ) -> Result<u64, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
         self.write(&make(id), apart)?;
-        match self.read_frame()? {
+        Ok(id)
+    }
+
+    /// Blocks for the reply to request `id` (see [`Self::read_frame`]
+    /// for `head`).
+    fn reply(&mut self, id: u64, head: bool) -> Result<Frame, ClientError> {
+        match self.read_frame(head)? {
             Frame::Error {
                 id: got,
                 code,
@@ -498,12 +461,14 @@ impl Client {
     ///
     /// [`ClientError::Codec`] when the binary body does not decode.
     pub fn snapshot_bin(&mut self) -> Result<GatewaySnapshot, ClientError> {
-        match self.request(|id| Frame::SnapshotBin { id })? {
-            Frame::SnapshotBinOk { .. } => self
-                .polled
-                .take()
-                .expect("the frame reader decodes the body of every snapshot-bin-ok")
-                .map_err(|e| ClientError::Codec(e.to_string())),
+        let id = self.send(None, |id| Frame::SnapshotBin { id })?;
+        match self.reply(id, true)? {
+            Frame::SnapshotBinOk { .. } => {
+                let (front, len) = self.reader.blob();
+                codec::read_gateway_snapshot(&mut front.chain(&self.stream), len)
+                    .map_err(|e| read_failed(e, true))?
+                    .map_err(|e| ClientError::Codec(e.to_string()))
+            }
             other => Err(ClientError::Protocol(format!(
                 "expected snapshot-bin-ok: {other:?}"
             ))),

@@ -16,14 +16,14 @@
 //! sleeps. A busy loop polls the listener on every 16th pass only.
 
 use crate::codec::SnapshotStream;
-use crate::proto::{self, ErrorCode, Frame, ProtoError, MAX_FRAME, PUSH_ID};
+use crate::proto::{self, ErrorCode, Frame, FrameReader, Next, ProtoError, PUSH_ID};
 use crate::service::{Outbox, Reply, ServiceCore};
 use crate::stats::WireStats;
 use crate::{GatewayError, GatewaySnapshot};
 use cdba_ctrl::{ControlPlane, ServiceConfig, ServiceSnapshot};
 use cdba_obs::{MetricsServer, Registry, TraceRing};
 use std::collections::BTreeMap;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -203,109 +203,6 @@ impl Drop for GatewayServer {
     }
 }
 
-/// Incremental frame reassembly over a non-blocking socket.
-struct FrameAccum {
-    head: [u8; 4],
-    head_filled: usize,
-    /// The body bytes received so far.
-    body: Vec<u8>,
-    /// When the first byte of the in-flight frame arrived.
-    started: Option<Instant>,
-}
-
-enum Step {
-    /// One whole frame decoded.
-    Frame(Frame),
-    /// The socket has no more bytes right now.
-    NoData,
-    /// Peer closed cleanly between frames.
-    Closed,
-    /// Peer closed mid-frame.
-    ClosedMidFrame,
-    /// Framing or payload error.
-    Proto(ProtoError),
-    /// Hard socket error.
-    Io,
-}
-
-impl FrameAccum {
-    fn new() -> Self {
-        Self {
-            head: [0; 4],
-            head_filled: 0,
-            body: Vec::new(),
-            started: None,
-        }
-    }
-
-    fn mid_frame(&self) -> bool {
-        self.head_filled > 0
-    }
-
-    fn reset(&mut self) {
-        self.head_filled = 0;
-        self.body = Vec::new();
-        self.started = None;
-    }
-
-    /// Reads whatever the socket has and returns the next protocol event.
-    fn step(&mut self, stream: &mut TcpStream) -> Step {
-        loop {
-            if self.head_filled < 4 {
-                let filled = self.head_filled;
-                match stream.read(&mut self.head[filled..4]) {
-                    Ok(0) => {
-                        return if self.mid_frame() {
-                            Step::ClosedMidFrame
-                        } else {
-                            Step::Closed
-                        };
-                    }
-                    Ok(n) => {
-                        if self.started.is_none() {
-                            self.started = Some(Instant::now());
-                        }
-                        self.head_filled += n;
-                        if self.head_filled < 4 {
-                            continue;
-                        }
-                        let declared = u32::from_le_bytes(self.head) as usize;
-                        if declared > MAX_FRAME {
-                            return Step::Proto(ProtoError::Oversized {
-                                declared: declared as u64,
-                            });
-                        }
-                        continue;
-                    }
-                    Err(e) => return Self::classify(e),
-                }
-            }
-            let declared = u32::from_le_bytes(self.head) as usize;
-            if self.body.len() < declared {
-                match proto::read_body_step(stream, &mut self.body, declared) {
-                    Ok(0) => return Step::ClosedMidFrame,
-                    Ok(_) => continue,
-                    Err(e) => return Self::classify(e),
-                }
-            }
-            let payload = bytes::Bytes::from(std::mem::take(&mut self.body));
-            self.reset();
-            return match proto::decode_payload(payload) {
-                Ok(frame) => Step::Frame(frame),
-                Err(e) => Step::Proto(e),
-            };
-        }
-    }
-
-    fn classify(e: std::io::Error) -> Step {
-        match e.kind() {
-            ErrorKind::WouldBlock | ErrorKind::TimedOut => Step::NoData,
-            ErrorKind::Interrupted => Step::NoData,
-            _ => Step::Io,
-        }
-    }
-}
-
 /// The write-buffer capacity a connection keeps between flushes.
 const OUTBUF_KEEP: usize = 64 * 1024;
 
@@ -317,7 +214,7 @@ const STREAM_REFILL: usize = 256 * 1024;
 /// One connection's state inside the core.
 struct Conn {
     stream: TcpStream,
-    accum: FrameAccum,
+    reader: FrameReader,
     /// Encoded frames waiting for the socket; `sent` bytes already went.
     outbuf: Vec<u8>,
     sent: usize,
@@ -339,7 +236,7 @@ impl Conn {
     fn new(stream: TcpStream) -> Self {
         Self {
             stream,
-            accum: FrameAccum::new(),
+            reader: FrameReader::new(),
             outbuf: Vec::new(),
             sent: 0,
             in_flight: None,
@@ -612,10 +509,11 @@ impl Core {
             let Some(conn) = self.conns.get_mut(&conn_id) else {
                 return (progressed, false);
             };
-            match conn.flush(&self.stats, self.service.plane()) {
+            let wrote = match conn.flush(&self.stats, self.service.plane()) {
                 None => return (true, true),
-                Some(wrote) => progressed |= wrote,
-            }
+                Some(wrote) => wrote,
+            };
+            progressed |= wrote;
             if conn.closing {
                 return (progressed, conn.flushed());
             }
@@ -624,8 +522,8 @@ impl Core {
                 // out, so a connection has one body in flight at most.
                 return (progressed, false);
             }
-            match conn.accum.step(&mut conn.stream) {
-                Step::Frame(frame) => {
+            match conn.reader.next(&mut conn.stream) {
+                Next::Frame(frame) => {
                     progressed = true;
                     self.stats.frames_in.fetch_add(1, Ordering::Relaxed);
                     conn.last_activity = Instant::now();
@@ -639,13 +537,19 @@ impl Core {
                         }
                     }
                 }
-                Step::NoData => {
-                    if conn.accum.mid_frame() {
-                        let stale = conn
-                            .accum
-                            .started
-                            .is_some_and(|t| t.elapsed() >= request_timeout);
-                        if stale {
+                Next::Failed(e)
+                    if !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+                {
+                    return (true, true)
+                }
+                // A peer that has its reply may have sent its next
+                // request since the last read: read once more before the
+                // pass serves the connections behind this one.
+                Next::Drained if wrote => continue,
+                // Nothing more to read now.
+                Next::Drained | Next::Failed(_) => {
+                    if let Some(since) = conn.reader.stalled_since() {
+                        if since.elapsed() >= request_timeout {
                             self.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
                             let frame = Frame::Error {
                                 id: PUSH_ID,
@@ -671,12 +575,12 @@ impl Core {
                     }
                     return (progressed, false);
                 }
-                Step::Closed => return (progressed, true),
-                Step::ClosedMidFrame => {
+                Next::Closed => return (progressed, true),
+                Next::ClosedMidFrame => {
                     self.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
                     return (true, true);
                 }
-                Step::Proto(e) => {
+                Next::Bad(e) => {
                     progressed = true;
                     self.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
                     match e {
@@ -706,7 +610,6 @@ impl Core {
                     }
                     continue;
                 }
-                Step::Io => return (true, true),
             }
         }
     }

@@ -1,10 +1,11 @@
-//! A length prefix is four bytes of promise. Both frame readers — the
-//! server's per-connection accumulator and the client's reply reader —
-//! used to allocate the *declared* body (up to `MAX_FRAME` = 64 MiB) the
-//! moment the header arrived, so 24 idle connections that sent nothing
-//! else could commit 1.5 GiB. The body buffer now grows with the bytes
-//! actually received; this file holds both readers to that with a
-//! byte-counting global allocator (hence its single `#[test]`).
+//! A length prefix is four bytes of promise. The frame readers — the
+//! server's per connection and the client's for replies — used to
+//! allocate the *declared* body (up to `MAX_FRAME` = 64 MiB) the moment
+//! the header arrived, so 24 idle connections that sent nothing else
+//! could commit 1.5 GiB. The body buffer now grows with the bytes
+//! actually received; this file holds the one reader to that on both
+//! sides with a byte-counting global allocator (hence its single
+//! `#[test]`).
 
 use cdba_ctrl::ServiceConfig;
 use cdba_gateway::proto::{self, Frame, MAX_FRAME};
