@@ -32,7 +32,7 @@
 //! multi-session).
 
 use cdba_analysis::cost::CostModel;
-use cdba_bench::replay::{run_replay, workload_kind, ReplaySpec, ReplayTarget};
+use cdba_bench::replay::{run_replay, workload_kind, FleetTarget, ReplaySpec};
 use cdba_core::combined::Combined;
 use cdba_core::config::{CombinedConfig, InnerMulti, MultiConfig, SingleConfig};
 use cdba_core::multi::{Continuous, Phased};
@@ -802,57 +802,6 @@ fn fleet_child_args(spec: &ReplaySpec, flags: &HashMap<String, String>) -> Vec<S
     args
 }
 
-/// Drives [`run_replay`] against a [`Fleet`], firing the scheduled drain
-/// and fault at their tick boundaries, the fault first.
-struct FleetTarget {
-    fleet: Fleet,
-    now: u64,
-    /// `(tick, proc)`: drain `proc` and live-migrate its sessions away.
-    drain: Option<(u64, usize)>,
-    /// `(tick, proc)`: kill `proc` outright; its image and journal recover it.
-    fault: Option<(u64, usize)>,
-    /// The `--metrics-addr` listener, held alive for the run.
-    _metrics: Option<MetricsServer>,
-}
-
-impl ReplayTarget for FleetTarget {
-    fn admit(&mut self, tenant: &str) -> Result<u64, String> {
-        self.fleet.admit(tenant).map_err(|e| e.to_string())
-    }
-
-    fn admit_group(&mut self, tenant: &str, size: usize) -> Result<Vec<u64>, String> {
-        self.fleet
-            .admit_group(tenant, size as u32)
-            .map_err(|e| e.to_string())
-    }
-
-    fn leave(&mut self, key: u64) -> Result<(), String> {
-        self.fleet.leave(key).map_err(|e| e.to_string())
-    }
-
-    fn tick(&mut self, arrivals: &[(u64, f64)]) -> Result<(), String> {
-        if let Some((at, proc)) = self.fault {
-            if at == self.now {
-                self.fleet.kill(proc);
-                self.fault = None;
-            }
-        }
-        if let Some((at, proc)) = self.drain {
-            if at == self.now {
-                let moved = self
-                    .fleet
-                    .drain_and_migrate(proc)
-                    .map_err(|e| e.to_string())?;
-                println!("tick {at}: drained process {proc}, migrated {moved} session(s)");
-                self.drain = None;
-            }
-        }
-        self.fleet.tick(arrivals).map_err(|e| e.to_string())?;
-        self.now += 1;
-        Ok(())
-    }
-}
-
 /// `fleet`: replay the deterministic churn workload across a
 /// multi-process fleet — ctrl-proc children behind relay children, both
 /// spawned from this very binary — with a forced drain-and-migrate
@@ -906,28 +855,34 @@ fn fleet(args: &[String]) -> CliResult {
         migration_price: 1.0,
     };
     let mut fleet = Fleet::start(cfg, Box::new(LeastLoaded)).map_err(|e| e.to_string())?;
-    let mut metrics = None;
-    if let Some(addr) = flags.get("metrics-addr") {
-        let registry = std::sync::Arc::new(Registry::new());
-        let trace = std::sync::Arc::new(TraceRing::new(4096));
-        fleet.attach_metrics(&registry);
-        fleet.attach_trace(std::sync::Arc::clone(&trace));
-        metrics = Some(
-            MetricsServer::start(addr, registry, Some(trace))
-                .map_err(|e| format!("bind metrics {addr}: {e}"))?,
-        );
-        println!(
-            "cdba-fleet metrics on http://{}/metrics",
-            metrics.as_ref().unwrap().local_addr()
-        );
-    }
-    let mut target = FleetTarget {
-        fleet,
-        now: 0,
-        drain: drain.map(|proc| (drain_at, proc)),
-        fault,
-        _metrics: metrics,
+    // The listener is held, and so served, for the whole run.
+    let _metrics = match flags.get("metrics-addr") {
+        Some(addr) => {
+            let registry = std::sync::Arc::new(Registry::new());
+            let trace = std::sync::Arc::new(TraceRing::new(4096));
+            fleet.attach_metrics(&registry);
+            fleet.attach_trace(std::sync::Arc::clone(&trace));
+            let server = MetricsServer::start(addr, registry, Some(trace))
+                .map_err(|e| format!("bind metrics {addr}: {e}"))?;
+            println!(
+                "cdba-fleet metrics on http://{}/metrics",
+                server.local_addr()
+            );
+            Some(server)
+        }
+        None => None,
     };
+    // The fault fires first, then the drain.
+    let mut target = FleetTarget::new(fleet, |fleet: &mut Fleet, now| {
+        if let Some((_, proc)) = fault.filter(|&(at, _)| at == now) {
+            fleet.kill(proc);
+        }
+        if let Some(proc) = drain.filter(|_| drain_at == now) {
+            let moved = fleet.drain_and_migrate(proc)?;
+            println!("tick {now}: drained process {proc}, migrated {moved} session(s)");
+        }
+        Ok(())
+    });
     let outcome = run_replay(&mut target, &spec)?;
     let snapshot = target.fleet.snapshot().map_err(|e| e.to_string())?;
     let fleet_summary = target.fleet.summary();

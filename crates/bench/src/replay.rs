@@ -10,6 +10,7 @@
 //! that equality structural instead of hopeful.
 
 use cdba_ctrl::{ControlPlane, ServiceConfig, ServiceConfigBuilder};
+use cdba_fleet::{Fleet, FleetError};
 use cdba_gateway::client::Client;
 use cdba_traffic::models::WorkloadKind;
 use cdba_traffic::{conditioner, MultiTrace};
@@ -218,6 +219,50 @@ impl ReplayTarget for Client {
         Client::tick(self, arrivals)
             .map(|_| ())
             .map_err(|e| e.to_string())
+    }
+}
+
+/// Replays through a [`Fleet`]. `at_tick` runs at every tick boundary,
+/// before the fleet ticks, with the tick's index: the caller's schedule
+/// of kills and drains.
+pub struct FleetTarget<S> {
+    /// The fleet replayed through.
+    pub fleet: Fleet,
+    now: u64,
+    at_tick: S,
+}
+
+impl<S: FnMut(&mut Fleet, u64) -> Result<(), FleetError>> FleetTarget<S> {
+    /// A target over `fleet` that runs `at_tick` before each tick.
+    pub fn new(fleet: Fleet, at_tick: S) -> Self {
+        Self {
+            fleet,
+            now: 0,
+            at_tick,
+        }
+    }
+}
+
+impl<S: FnMut(&mut Fleet, u64) -> Result<(), FleetError>> ReplayTarget for FleetTarget<S> {
+    fn admit(&mut self, tenant: &str) -> Result<u64, String> {
+        self.fleet.admit(tenant).map_err(|e| e.to_string())
+    }
+
+    fn admit_group(&mut self, tenant: &str, size: usize) -> Result<Vec<u64>, String> {
+        self.fleet
+            .admit_group(tenant, size as u32)
+            .map_err(|e| e.to_string())
+    }
+
+    fn leave(&mut self, key: u64) -> Result<(), String> {
+        self.fleet.leave(key).map_err(|e| e.to_string())
+    }
+
+    fn tick(&mut self, arrivals: &[(u64, f64)]) -> Result<(), String> {
+        (self.at_tick)(&mut self.fleet, self.now).map_err(|e| e.to_string())?;
+        self.fleet.tick(arrivals).map_err(|e| e.to_string())?;
+        self.now += 1;
+        Ok(())
     }
 }
 

@@ -2,7 +2,7 @@
 //! from the compiled binary (hence this file lives in `cdba-bench`,
 //! which owns the bin and gets `CARGO_BIN_EXE_cdba-cli`).
 
-use cdba_bench::replay::{run_replay, ReplaySpec, ReplayTarget};
+use cdba_bench::replay::{run_replay, FleetTarget, ReplaySpec};
 use cdba_ctrl::{ControlPlane, ExecMode};
 use cdba_fleet::{Fleet, FleetConfig, FleetError, LeastLoaded, IMAGE_EVERY, JOURNAL_OP_BYTES};
 use std::io::{BufRead, BufReader};
@@ -113,69 +113,27 @@ fn a_target_killed_before_a_migration_is_respawned_for_the_grant() {
     assert_eq!(fleet.snapshot().expect("snapshot").global.sessions, 4);
 }
 
-/// Drives the shared churn replay through a fleet, forcing one
-/// drain-and-migrate mid-run, with process kills on a schedule.
-struct FleetTarget {
+/// A replay through `fleet` that drains process 1 at tick 100, with
+/// `kill`'s process killed at the start of its tick (before that tick's
+/// drain) and, with `pull`, images pulled at once, so the pull's request
+/// finds the process gone.
+fn drained_run(
     fleet: Fleet,
-    now: u64,
-    drain_at: u64,
-    drain_proc: usize,
-    /// `(tick, proc)`: kill `proc` before that tick's drain and tick.
-    kills: Vec<(u64, usize)>,
-    /// `(tick, proc)`: after that tick, kill `proc` and pull images at
-    /// once, so the pull's request finds the process gone.
-    kill_then_pull: Option<(u64, usize)>,
-}
-
-impl FleetTarget {
-    fn new(fleet: Fleet, drain_at: u64, drain_proc: usize) -> Self {
-        FleetTarget {
-            fleet,
-            now: 0,
-            drain_at,
-            drain_proc,
-            kills: Vec::new(),
-            kill_then_pull: None,
-        }
-    }
-}
-
-impl ReplayTarget for FleetTarget {
-    fn admit(&mut self, tenant: &str) -> Result<u64, String> {
-        self.fleet.admit(tenant).map_err(|e| e.to_string())
-    }
-
-    fn admit_group(&mut self, tenant: &str, size: usize) -> Result<Vec<u64>, String> {
-        self.fleet
-            .admit_group(tenant, size as u32)
-            .map_err(|e| e.to_string())
-    }
-
-    fn leave(&mut self, key: u64) -> Result<(), String> {
-        self.fleet.leave(key).map_err(|e| e.to_string())
-    }
-
-    fn tick(&mut self, arrivals: &[(u64, f64)]) -> Result<(), String> {
-        for &(at, proc) in &self.kills {
-            if at == self.now {
-                self.fleet.kill(proc);
+    kill: Option<(u64, usize)>,
+    pull: bool,
+) -> FleetTarget<impl FnMut(&mut Fleet, u64) -> Result<(), FleetError>> {
+    FleetTarget::new(fleet, move |fleet: &mut Fleet, now| {
+        if let Some((_, proc)) = kill.filter(|&(at, _)| at == now) {
+            fleet.kill(proc);
+            if pull {
+                fleet.pull_images()?;
             }
         }
-        if self.now == self.drain_at {
-            self.fleet
-                .drain_and_migrate(self.drain_proc)
-                .map_err(|e| e.to_string())?;
+        if now == 100 {
+            fleet.drain_and_migrate(1)?;
         }
-        self.fleet.tick(arrivals).map_err(|e| e.to_string())?;
-        if let Some((at, proc)) = self.kill_then_pull {
-            if at == self.now {
-                self.fleet.kill(proc);
-                self.fleet.pull_images().map_err(|e| e.to_string())?;
-            }
-        }
-        self.now += 1;
         Ok(())
-    }
+    })
 }
 
 /// The tentpole guarantee at test scale: the fleet replay — relays,
@@ -219,7 +177,7 @@ fn fleet_replay_matches_the_in_process_invariant_view_across_a_migration() {
     let fleet = Fleet::start(cfg, Box::new(LeastLoaded)).expect("fleet starts");
     // Least-loaded puts the pooled group on process 0 and every
     // dedicated session on process 1; draining 1 forces real migrations.
-    let mut target = FleetTarget::new(fleet, 100, 1);
+    let mut target = drained_run(fleet, None, false);
     run_replay(&mut target, &spec).expect("fleet replay");
     assert!(
         target.fleet.migrations() >= 1,
@@ -386,14 +344,13 @@ fn serve_view(spec: &ReplaySpec) -> InvariantView {
     view
 }
 
-/// Replays `spec` through a 2-process fleet behind one relay, draining
-/// process 1 at tick 100, with `script`'s kills; returns the end view and
-/// the ops each respawn replayed.
-fn killed_run(spec: &ReplaySpec, script: impl FnOnce(&mut FleetTarget)) -> (InvariantView, u64) {
+/// Replays `spec` through a 2-process fleet behind one relay as
+/// [`drained_run`] schedules it; returns the end view and the ops each
+/// respawn replayed.
+fn killed_run(spec: &ReplaySpec, kill: (u64, usize), pull: bool) -> (InvariantView, u64) {
     let cfg = inline_children(2, 1, "8", "0.5");
     let fleet = Fleet::start(cfg, Box::new(LeastLoaded)).expect("fleet starts");
-    let mut target = FleetTarget::new(fleet, 100, 1);
-    script(&mut target);
+    let mut target = drained_run(fleet, Some(kill), pull);
     run_replay(&mut target, spec).expect("fleet replay");
     let summary = target.fleet.summary();
     assert!(summary.migrations >= 1, "the drain moved sessions");
@@ -416,7 +373,7 @@ fn a_kill_anywhere_around_an_image_recovers_bitwise() {
     let bound = IMAGE_EVERY + 2;
 
     // Before the first image: the whole history, admissions included.
-    let (view, replayed) = killed_run(&spec, |t| t.kills.push((30, 1)));
+    let (view, replayed) = killed_run(&spec, (30, 1), false);
     assert_eq!(view, want, "kill before the first image");
     assert!(
         replayed > 30,
@@ -424,19 +381,19 @@ fn a_kill_anywhere_around_an_image_recovers_bitwise() {
     );
 
     // Right after the image at tick 64: nothing to replay.
-    let (view, replayed) = killed_run(&spec, |t| t.kills.push((64, 1)));
+    let (view, replayed) = killed_run(&spec, (64, 1), false);
     assert_eq!(view, want, "kill right after an image");
     assert_eq!(replayed, 0);
 
     // The pull's request finds the process gone: it is restored from the
     // image at 64 plus ticks 65..=91, and asked again.
-    let (view, replayed) = killed_run(&spec, |t| t.kill_then_pull = Some((90, 1)));
+    let (view, replayed) = killed_run(&spec, (91, 1), true);
     assert_eq!(view, want, "kill as an image is pulled");
     assert!((27..=bound).contains(&replayed), "{replayed}");
 
     // At the drain: the drained source, then the migrations' target.
     for proc in [1, 0] {
-        let (view, replayed) = killed_run(&spec, |t| t.kills.push((100, proc)));
+        let (view, replayed) = killed_run(&spec, (100, proc), false);
         assert_eq!(view, want, "kill of process {proc} at a drain");
         assert!(replayed <= bound, "{replayed}");
     }
