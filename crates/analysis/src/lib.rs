@@ -12,7 +12,7 @@
 #![warn(missing_docs)]
 
 pub mod ascii_plot;
-pub mod cost;
+pub use cdba_core::cost;
 pub mod experiments;
 pub mod report;
 pub mod runner;

@@ -61,6 +61,7 @@
 pub mod bounds;
 pub mod combined;
 pub mod config;
+pub mod cost;
 pub mod multi;
 pub mod single;
 pub mod stage;

@@ -68,8 +68,8 @@
 
 use super::*;
 use crate::shard::GroupCheckpoint;
-use cdba_analysis::cost::CostModel;
 use cdba_core::config::MultiConfig;
+use cdba_core::cost::CostModel;
 use cdba_core::multi::pool::{PoolCheckpoint, SlotCheckpoint};
 use cdba_core::stage::{StageKind, StageLog, StageRecord};
 use cdba_traffic::EPS;

@@ -10,8 +10,8 @@
 
 use crate::fault::FaultPlan;
 use crate::CtrlError;
-use cdba_analysis::cost::CostModel;
 use cdba_core::config::{MultiConfig, SingleConfig};
+use cdba_core::cost::CostModel;
 
 /// How the shard executor runs. Shards are the one unit of parallelism:
 /// sessions never interact outside a pooled group, and a group lives on

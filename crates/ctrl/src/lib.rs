@@ -23,7 +23,7 @@
 //!   errors instead of panicking when recovery is disabled or exhausted.
 //!   A [`FaultPlan`] injects kills, hangs, and delays for testing.
 //! - **Signalling-cost metering** ([`meter`]): every allocation change is
-//!   charged under the §1 pricing (via [`cdba_analysis::cost`]) and each
+//!   charged under the §1 pricing (via [`cdba_core::cost`]) and each
 //!   session's delay, peak allocation, and windowed utilization are tracked
 //!   online.
 //! - **Snapshots** ([`metrics`]): serde-JSON exports whose

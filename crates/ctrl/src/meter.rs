@@ -4,7 +4,7 @@
 //! consumption (allocation × duration) and the number of allocation
 //! *changes*, each of which is a costly switch signalling operation. The
 //! [`SignallingMeter`] charges both online, per tick, against the
-//! [`CostModel`] of `cdba-analysis`, while folding the paper's three
+//! [`CostModel`] of `cdba-core`, while folding the paper's three
 //! quality measures with constant memory:
 //!
 //! * allocation changes and peak allocation — O(1) counters, the same
@@ -18,7 +18,7 @@
 //!   allocation, minimized over every complete window with non-zero
 //!   allocation (the paper's local utilization, folded online).
 
-use cdba_analysis::cost::CostModel;
+use cdba_core::cost::CostModel;
 use cdba_sim::streaming::OnlineDelayTracker;
 use cdba_sim::BitQueue;
 use cdba_traffic::EPS;

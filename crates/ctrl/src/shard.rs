@@ -43,8 +43,8 @@ use crate::fault::{FaultKind, FaultPlan};
 use crate::journal::{Entry, TickBatch};
 use crate::meter::{delay_ticks, SessionMetrics};
 use crate::slab::{KeyMap, Slab, Slots};
-use cdba_analysis::cost::CostModel;
 use cdba_core::config::{MultiConfig, SingleConfig};
+use cdba_core::cost::CostModel;
 use cdba_core::multi::pool::{PoolCheckpoint, SessionId as PoolSessionId, SessionPool};
 use cdba_core::next_power_of_two;
 use cdba_core::single::crossed;

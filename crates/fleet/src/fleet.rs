@@ -26,7 +26,6 @@
 
 use crate::placement::Placement;
 use crate::FleetError;
-use cdba_analysis::cost::CostModel;
 use cdba_ctrl::journal::{Entry, Journal, TickBatch};
 use cdba_ctrl::{ServiceSnapshot, SnapshotCounters};
 use cdba_gateway::{Client, ClientConfig, ClientError};
@@ -58,8 +57,8 @@ pub struct FleetConfig {
     /// flags, so each carries the full single-process budget and no
     /// admission decision ever depends on placement.
     pub child_args: Vec<String>,
-    /// Price of one migration hop in the §1 cost accounting (one
-    /// allocation change under [`CostModel::with_change_price`]).
+    /// Price of one migration hop in the §1 cost accounting: one
+    /// allocation change at `cdba_core::cost::CostModel`'s `per_change`.
     pub migration_price: f64,
 }
 
@@ -185,8 +184,7 @@ pub struct FleetSummary {
     pub placement: String,
     /// Completed live migrations.
     pub migrations: u64,
-    /// Migration signalling cost: `migrations × per_change` under
-    /// [`CostModel::with_change_price`]`(migration_price)`.
+    /// Migration signalling cost: `migrations × migration_price`.
     pub migration_cost: f64,
     /// Child processes respawned after a loss.
     pub respawns: u64,
@@ -944,13 +942,12 @@ impl Fleet {
     /// cost, respawns and the ops they replayed, and the live-session
     /// spread.
     pub fn summary(&self) -> FleetSummary {
-        let price = CostModel::with_change_price(self.cfg.migration_price).per_change;
         FleetSummary {
             ctrl_procs: self.procs.len(),
             gateways: self.relays.len(),
             placement: self.placement.name().to_string(),
             migrations: self.migrations,
-            migration_cost: self.migrations as f64 * price,
+            migration_cost: self.migrations as f64 * self.cfg.migration_price,
             respawns: self.procs.iter().map(|p| p.respawns).sum(),
             replayed_ops: self.replayed_ops,
             live: self.procs.iter().map(|p| p.live).collect(),

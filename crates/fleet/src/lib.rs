@@ -29,7 +29,7 @@
 //! [`IMAGE_EVERY`] ticks' worth).
 //!
 //! Migration is not free: every hop is metered through
-//! [`cdba_analysis::cost::CostModel`] as one signalling change, in the
+//! `cdba_core::cost::CostModel` as one signalling change, in the
 //! spirit of the paper's §1 accounting — the fleet reports the total in
 //! its [`FleetSummary`], keeping rebalancing an explicitly billed
 //! operation rather than a free action.
