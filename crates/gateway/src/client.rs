@@ -3,7 +3,9 @@
 //! One [`Client`] owns one TCP connection and therefore one gateway
 //! "session scope": sessions it joins are owned by this connection and
 //! are drained automatically if the connection drops. Requests are
-//! strictly sequential: send, then block for the matching reply.
+//! strictly sequential: send, then block for the matching reply; an
+//! error pushed ahead of it (a refused [`Client::stage_noack`]) is
+//! returned in its place once the reply is read.
 //!
 //! Replies come through the frame reader the server's connections use
 //! too (`proto`'s `FrameReader`): a small reply costs one `read`, and a
@@ -84,6 +86,11 @@ fn read_failed(e: std::io::Error, mid_frame: bool) -> ClientError {
         ErrorKind::WouldBlock | ErrorKind::TimedOut => "read timed out".into(),
         _ => format!("read: {e}"),
     })
+}
+
+/// A reply of the wrong kind as a [`ClientError`].
+fn unexpected(expected: &str, got: &Frame) -> ClientError {
+    ClientError::Protocol(format!("expected {expected}: {got:?}"))
 }
 
 /// The last field of an outgoing frame, borrowed from the caller instead
@@ -191,33 +198,19 @@ impl Client {
     /// `head`, a frame whose payload ends in a blob comes with the blob
     /// empty, left for [`FrameReader::blob`].
     fn read_frame(&mut self, head: bool) -> Result<Frame, ClientError> {
-        loop {
-            let next = if head {
-                self.reader.next_head(&mut self.stream)
-            } else {
-                self.reader.next(&mut self.stream)
-            };
-            return match next {
-                Next::Frame(frame) => Ok(frame),
-                // The next read blocks until more arrives.
-                Next::Drained => continue,
-                Next::Bad(e) => Err(ClientError::Protocol(e.to_string())),
-                Next::Closed | Next::ClosedMidFrame => {
-                    Err(read_failed(ErrorKind::UnexpectedEof.into(), true))
-                }
-                Next::Failed(e) => Err(read_failed(e, self.reader.mid_frame())),
-            };
+        match self.reader.next_with(&mut self.stream, head) {
+            Next::Frame(frame) => Ok(frame),
+            Next::Bad(e) => Err(ClientError::Protocol(e.to_string())),
+            Next::Closed | Next::ClosedMidFrame => {
+                Err(read_failed(ErrorKind::UnexpectedEof.into(), true))
+            }
+            Next::Failed(e) => Err(read_failed(e, self.reader.mid_frame())),
         }
     }
 
-    /// Sends a request and blocks for the reply with the matching id.
-    fn request(&mut self, make: impl FnOnce(u64) -> Frame) -> Result<Frame, ClientError> {
-        self.request_with(None, make)
-    }
-
-    /// [`Self::request`], the frame's last field given apart (see
-    /// [`Self::write`]).
-    fn request_with(
+    /// Sends a request, its last field given `apart` or not (see
+    /// [`Self::write`]), and blocks for the reply with the matching id.
+    fn request(
         &mut self,
         apart: Option<Apart<'_>>,
         make: impl FnOnce(u64) -> Frame,
@@ -239,21 +232,36 @@ impl Client {
     }
 
     /// Blocks for the reply to request `id` (see [`Self::read_frame`]
-    /// for `head`).
+    /// for `head`); an error pushed ahead of it is returned in its place,
+    /// once the reply is read, blob included.
     fn reply(&mut self, id: u64, head: bool) -> Result<Frame, ClientError> {
-        match self.read_frame(head)? {
-            Frame::Error {
-                id: got,
-                code,
-                message,
-            } if got == id || got == PUSH_ID => Err(ClientError::Server { code, message }),
-            frame => match proto::reply_id(&frame) {
-                Some(got) if got == id => Ok(frame),
-                _ => Err(ClientError::Protocol(format!(
-                    "unexpected frame awaiting reply {id}: {frame:?}"
-                ))),
-            },
-        }
+        let mut pushed = None;
+        let reply = loop {
+            match self.read_frame(head) {
+                Ok(Frame::Error {
+                    id: got,
+                    code,
+                    message,
+                }) if got == id || got == PUSH_ID => {
+                    let refused = ClientError::Server { code, message };
+                    if got == id {
+                        break Err(refused);
+                    }
+                    pushed.get_or_insert(refused);
+                }
+                Ok(frame) if proto::reply_id(&frame) == Some(id) => break Ok(frame),
+                Ok(frame) => {
+                    let unexpected = format!("unexpected frame awaiting reply {id}: {frame:?}");
+                    break Err(ClientError::Protocol(unexpected));
+                }
+                Err(e) => return Err(pushed.unwrap_or(e)),
+            }
+        };
+        let Some(push) = pushed else { return reply };
+        let (front, len) = self.reader.blob();
+        let mut blob = front.chain(&self.stream).take(len as u64);
+        std::io::copy(&mut blob, &mut std::io::sink()).map_err(|e| read_failed(e, true))?;
+        Err(push)
     }
 
     /// Admits one dedicated session for `tenant`; returns its key.
@@ -263,12 +271,12 @@ impl Client {
     /// [`ClientError::Server`] with [`ErrorCode::Ctrl`] when admission
     /// refuses the join.
     pub fn join(&mut self, tenant: &str) -> Result<u64, ClientError> {
-        match self.request_with(Some(Apart::Tenant(tenant)), |id| Frame::Join {
+        match self.request(Some(Apart::Tenant(tenant)), |id| Frame::Join {
             id,
             tenant: String::new(),
         })? {
             Frame::Joined { key, .. } => Ok(key),
-            other => Err(ClientError::Protocol(format!("expected joined: {other:?}"))),
+            other => Err(unexpected("joined", &other)),
         }
     }
 
@@ -278,15 +286,13 @@ impl Client {
     ///
     /// As [`Client::join`].
     pub fn join_group(&mut self, tenant: &str, size: u32) -> Result<Vec<u64>, ClientError> {
-        match self.request(|id| Frame::JoinGroup {
+        match self.request(None, |id| Frame::JoinGroup {
             id,
             tenant: tenant.to_string(),
             size,
         })? {
             Frame::GroupJoined { members, .. } => Ok(members),
-            other => Err(ClientError::Protocol(format!(
-                "expected group-joined: {other:?}"
-            ))),
+            other => Err(unexpected("group-joined", &other)),
         }
     }
 
@@ -296,11 +302,9 @@ impl Client {
     ///
     /// [`ErrorCode::NotOwner`] if another connection owns the session.
     pub fn leave(&mut self, key: u64) -> Result<(), ClientError> {
-        match self.request(|id| Frame::Leave { id, key })? {
+        match self.request(None, |id| Frame::Leave { id, key })? {
             Frame::LeaveOk { .. } => Ok(()),
-            other => Err(ClientError::Protocol(format!(
-                "expected leave-ok: {other:?}"
-            ))),
+            other => Err(unexpected("leave-ok", &other)),
         }
     }
 
@@ -319,11 +323,9 @@ impl Client {
     /// [`ErrorCode::NotOwner`]: crate::proto::ErrorCode::NotOwner
     /// [`ErrorCode::Ctrl`]: crate::proto::ErrorCode::Ctrl
     pub fn lease_revoke(&mut self, key: u64) -> Result<Vec<u8>, ClientError> {
-        match self.request(|id| Frame::LeaseRevoke { id, key })? {
+        match self.request(None, |id| Frame::LeaseRevoke { id, key })? {
             Frame::LeaseRevoked { bytes, .. } => Ok(bytes),
-            other => Err(ClientError::Protocol(format!(
-                "expected lease-revoked: {other:?}"
-            ))),
+            other => Err(unexpected("lease-revoked", &other)),
         }
     }
 
@@ -337,14 +339,12 @@ impl Client {
     /// [`ClientError::Server`] for malformed blobs or when admission
     /// cannot cover the session's envelope.
     pub fn lease_grant(&mut self, blob: &[u8]) -> Result<u64, ClientError> {
-        match self.request_with(Some(Apart::Blob(blob)), |id| Frame::LeaseGrant {
+        match self.request(Some(Apart::Blob(blob)), |id| Frame::LeaseGrant {
             id,
             bytes: Vec::new(),
         })? {
             Frame::LeaseGranted { key, .. } => Ok(key),
-            other => Err(ClientError::Protocol(format!(
-                "expected lease-granted: {other:?}"
-            ))),
+            other => Err(unexpected("lease-granted", &other)),
         }
     }
 
@@ -362,11 +362,9 @@ impl Client {
     /// [`ErrorCode::Busy`]: crate::proto::ErrorCode::Busy
     /// [`ErrorCode::Ctrl`]: crate::proto::ErrorCode::Ctrl
     pub fn image(&mut self) -> Result<Vec<u8>, ClientError> {
-        match self.request(|id| Frame::Image { id })? {
+        match self.request(None, |id| Frame::Image { id })? {
             Frame::ImageOk { bytes, .. } => Ok(bytes),
-            other => Err(ClientError::Protocol(format!(
-                "expected image-ok: {other:?}"
-            ))),
+            other => Err(unexpected("image-ok", &other)),
         }
     }
 
@@ -384,14 +382,12 @@ impl Client {
     ///
     /// [`ErrorCode::Ctrl`]: crate::proto::ErrorCode::Ctrl
     pub fn restore(&mut self, image: &[u8]) -> Result<(u64, Vec<u64>), ClientError> {
-        match self.request_with(Some(Apart::Blob(image)), |id| Frame::Restore {
+        match self.request(Some(Apart::Blob(image)), |id| Frame::Restore {
             id,
             bytes: Vec::new(),
         })? {
             Frame::RestoreOk { tick, keys, .. } => Ok((tick, keys)),
-            other => Err(ClientError::Protocol(format!(
-                "expected restore-ok: {other:?}"
-            ))),
+            other => Err(unexpected("restore-ok", &other)),
         }
     }
 
@@ -411,7 +407,9 @@ impl Client {
     /// Buffers arrivals for the next committed tick **without waiting for
     /// an acknowledgement**. The server sends no reply on success; a
     /// rejected batch surfaces as a [`ClientError::Server`] at this
-    /// client's next synchronous request. One write, zero reads: no round
+    /// client's next synchronous request, in place of its reply: that
+    /// request was applied as usual and its reply read and consumed, so
+    /// the request after it gets its own. One write, zero reads: no round
     /// trip per staging connection per tick.
     ///
     /// # Errors
@@ -442,15 +440,13 @@ impl Client {
         arrivals: &[(u64, f64)],
         min_staged: u32,
     ) -> Result<u64, ClientError> {
-        match self.request_with(Some(Apart::Arrivals(arrivals)), |id| Frame::TickSync {
+        match self.request(Some(Apart::Arrivals(arrivals)), |id| Frame::TickSync {
             id,
             arrivals: Vec::new(),
             min_staged,
         })? {
             Frame::TickOk { tick, .. } => Ok(tick),
-            other => Err(ClientError::Protocol(format!(
-                "expected tick-ok: {other:?}"
-            ))),
+            other => Err(unexpected("tick-ok", &other)),
         }
     }
 
@@ -469,9 +465,7 @@ impl Client {
                     .map_err(|e| read_failed(e, true))?
                     .map_err(|e| ClientError::Codec(e.to_string()))
             }
-            other => Err(ClientError::Protocol(format!(
-                "expected snapshot-bin-ok: {other:?}"
-            ))),
+            other => Err(unexpected("snapshot-bin-ok", &other)),
         }
     }
 
@@ -481,11 +475,9 @@ impl Client {
     ///
     /// Socket errors while closing; the connection is gone either way.
     pub fn goodbye(mut self) -> Result<(), ClientError> {
-        match self.request(|id| Frame::Goodbye { id })? {
+        match self.request(None, |id| Frame::Goodbye { id })? {
             Frame::GoodbyeOk { .. } => Ok(()),
-            other => Err(ClientError::Protocol(format!(
-                "expected goodbye-ok: {other:?}"
-            ))),
+            other => Err(unexpected("goodbye-ok", &other)),
         }
     }
 }

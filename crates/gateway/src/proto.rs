@@ -897,9 +897,6 @@ pub(crate) enum Next {
     /// A length prefix over [`MAX_FRAME`] (the stream is lost), or a whole
     /// payload that does not decode (the stream is still in step).
     Bad(ProtoError),
-    /// No whole frame is buffered and the last read came back short, so
-    /// no read was made; the next call reads.
-    Drained,
     /// The source ended between frames.
     Closed,
     /// The source ended inside a frame.
@@ -924,13 +921,11 @@ pub(crate) struct FrameReader {
     /// arrived, and its whole length (0: none).
     large: Vec<u8>,
     large_len: usize,
-    /// The length of the blob behind the frame [`Self::next_head`]
+    /// The length of the blob behind the frame [`Self::next_with`]
     /// returned, until [`Self::blob`] takes it.
     blob: usize,
     /// Since when the reader has waited for the rest of a partial frame.
     stalled: Option<std::time::Instant>,
-    /// The last read came back short of the room it was given.
-    drained: bool,
 }
 
 impl fmt::Debug for FrameReader {
@@ -949,7 +944,6 @@ impl FrameReader {
             large_len: 0,
             blob: 0,
             stalled: None,
-            drained: false,
         }
     }
 
@@ -964,19 +958,12 @@ impl FrameReader {
     }
 
     /// The next frame: a buffered one without a read, else what reads
-    /// bring, until one comes back short.
+    /// bring, until the source reports `WouldBlock`, its end or an error.
     pub(crate) fn next(&mut self, src: &mut impl std::io::Read) -> Next {
         self.next_with(src, false)
     }
 
-    /// [`Self::next`], except that a frame whose payload ends in a blob
-    /// comes with its blob empty, left for [`Self::blob`]: a
-    /// multi-megabyte snapshot body is decoded as it arrives.
-    pub(crate) fn next_head(&mut self, src: &mut impl std::io::Read) -> Next {
-        self.next_with(src, true)
-    }
-
-    /// The length of the blob behind the frame [`Self::next_head`]
+    /// The length of the blob behind the frame [`Self::next_with`]
     /// returned, and its bytes already buffered, now taken; the caller
     /// reads the rest off the source.
     pub(crate) fn blob(&mut self) -> (&[u8], usize) {
@@ -986,16 +973,16 @@ impl FrameReader {
         (&self.buf[from..from + n], len)
     }
 
-    fn next_with(&mut self, src: &mut impl std::io::Read, apart: bool) -> Next {
+    /// [`Self::next`]; with `apart`, a frame whose payload ends in a blob
+    /// comes with its blob empty, left for [`Self::blob`]: a
+    /// multi-megabyte snapshot body is decoded as it arrives.
+    pub(crate) fn next_with(&mut self, src: &mut impl std::io::Read, apart: bool) -> Next {
         loop {
             if let Some(next) = self.take(apart) {
                 return next;
             }
             if self.mid_frame() && self.stalled.is_none() {
                 self.stalled = Some(std::time::Instant::now());
-            }
-            if std::mem::take(&mut self.drained) {
-                return Next::Drained;
             }
             match self.fill(src) {
                 Ok(0) if self.mid_frame() => return Next::ClosedMidFrame,
@@ -1060,7 +1047,7 @@ impl FrameReader {
     /// One read: into the large frame, or into the buffer behind the bytes
     /// it holds.
     fn fill(&mut self, src: &mut impl std::io::Read) -> std::io::Result<usize> {
-        let (room, got) = if self.large_len > 0 {
+        if self.large_len > 0 {
             let at = self.large.len();
             let left = self.large_len - at;
             if self.large.capacity() == at {
@@ -1070,19 +1057,16 @@ impl FrameReader {
             self.large.resize(at + room, 0);
             let got = src.read(&mut self.large[at..]);
             self.large.truncate(at + *got.as_ref().unwrap_or(&0));
-            (room, got)
+            got
         } else {
             if self.at > 0 {
                 self.buf.copy_within(self.at..self.end, 0);
                 (self.at, self.end) = (0, self.end - self.at);
             }
-            let room = self.buf.len() - self.end;
             let got = src.read(&mut self.buf[self.end..]);
             self.end += *got.as_ref().unwrap_or(&0);
-            (room, got)
-        };
-        self.drained = got.as_ref().is_ok_and(|&n| n < room);
-        got
+            got
+        }
     }
 }
 
@@ -1202,14 +1186,12 @@ mod tests {
         }
     }
 
-    /// Every frame `src` yields, and what ended them, skipping the calls
-    /// that found none.
+    /// Every frame `src` yields, and what ended them.
     fn frames(reader: &mut FrameReader, src: &mut Script) -> (Vec<Frame>, Next) {
         let mut out = Vec::new();
         loop {
             match reader.next(src) {
                 Next::Frame(frame) => out.push(frame),
-                Next::Drained => {}
                 end => return (out, end),
             }
         }
@@ -1222,7 +1204,7 @@ mod tests {
     /// Every kind decodes, and comes back from the reader the same and in
     /// order, one per call, whether its bytes arrive in one read or a byte
     /// a read. The one read is all it takes: the call after the last frame
-    /// finds the source drained without another.
+    /// reads once more and finds the source empty.
     #[test]
     fn every_kind_round_trips() {
         let want = one_of_every_kind();
@@ -1238,8 +1220,8 @@ mod tests {
         for frame in &want {
             assert!(matches!(reader.next(&mut src), Next::Frame(f) if &f == frame));
         }
-        assert!(matches!(reader.next(&mut src), Next::Drained));
-        assert_eq!(src.reads, 1);
+        assert!(would_block(&reader.next(&mut src)));
+        assert_eq!(src.reads, 2);
 
         let (mut reader, mut src) = (
             FrameReader::new(),
@@ -1306,14 +1288,30 @@ mod tests {
             tenant: "tenant-with-a-name".into(),
         };
         let wire = encode(&frame);
-        let mut src = script([wire[..7].to_vec(), vec![], wire[7..].to_vec()], false);
-        let mut reader = FrameReader::new();
-        assert!(matches!(reader.next(&mut src), Next::Drained));
+        let chunks = [wire[..7].to_vec(), vec![], vec![], wire[7..].to_vec()];
+        let (mut reader, mut src) = (FrameReader::new(), script(chunks, false));
+        assert!(would_block(&reader.next(&mut src)));
+        assert_eq!(src.reads, 2, "the partial frame, then the empty source");
         let stalled = reader.stalled_since().expect("a partial frame");
         assert!(would_block(&reader.next(&mut src)));
         assert_eq!(reader.stalled_since(), Some(stalled));
         assert!(matches!(reader.next(&mut src), Next::Frame(f) if f == frame));
-        assert_eq!((src.reads, reader.stalled_since()), (3, None));
+        assert_eq!((src.reads, reader.stalled_since()), (4, None));
+    }
+
+    /// A frame behind a read that brought only the one before it is read
+    /// by the call after that one's, not left for a later pass.
+    #[test]
+    fn frames_in_two_reads_come_back_in_two_calls() {
+        let want = [Frame::LeaveOk { id: 1 }, Frame::TickOk { id: 2, tick: 1 }];
+        let chunks = want.iter().map(|f| encode(f).to_vec());
+        let (mut reader, mut src) = (FrameReader::new(), script(chunks, false));
+        for (reads, frame) in [(1, &want[0]), (2, &want[1])] {
+            assert!(matches!(reader.next(&mut src), Next::Frame(f) if &f == frame));
+            assert_eq!(src.reads, reads);
+        }
+        assert!(would_block(&reader.next(&mut src)));
+        assert_eq!(src.reads, 3);
     }
 
     /// A frame three buffers long is read into one allocation of its
@@ -1364,7 +1362,8 @@ mod tests {
 
     /// A join over loopback, reads counted: the request reaches the
     /// server in one read and the reply the client in one (two each when
-    /// a frame's head and body were read apart).
+    /// a frame's head and body were read apart). The server's end is
+    /// non-blocking, and its one read more finds the socket empty.
     #[test]
     fn a_join_costs_one_read_on_each_side() {
         use std::io::{Read, Write};
@@ -1384,11 +1383,17 @@ mod tests {
         let joined = encode(&Frame::Joined { id: 1, key: 7 }).to_vec();
         for (wire, mut from, to) in [(join, &client, &server), (joined, &server, &client)] {
             from.write_all(&wire).expect("write");
+            to.peek(&mut [0]).expect("the frame arrives");
+            let at_server = std::ptr::eq(to, &server);
+            to.set_nonblocking(at_server).expect("non-blocking");
             let (mut reader, mut src) = (FrameReader::new(), Counted(to, 0));
             let want = decode(&mut Bytes::from(wire)).expect("decodes");
             assert!(matches!(reader.next(&mut src), Next::Frame(f) if f == want));
-            assert!(matches!(reader.next(&mut src), Next::Drained));
             assert_eq!(src.1, 1, "reads for {want:?}");
+            if at_server {
+                assert!(would_block(&reader.next(&mut src)), "the socket is empty");
+                assert_eq!(src.1, 2);
+            }
         }
     }
 }

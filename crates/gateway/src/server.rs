@@ -248,6 +248,12 @@ impl Conn {
         }
     }
 
+    /// Queues a typed error that answers no request ([`PUSH_ID`]).
+    fn push_error(&mut self, stats: &WireStats, code: ErrorCode, message: impl Into<String>) {
+        let (id, message) = (PUSH_ID, message.into());
+        self.queue(stats, &Frame::Error { id, code, message });
+    }
+
     fn queue(&mut self, stats: &WireStats, frame: &Frame) {
         let buf = match self.in_flight {
             Some(_) => &mut self.behind,
@@ -440,12 +446,7 @@ impl Core {
         let ids: Vec<u64> = self.conns.keys().copied().collect();
         for conn_id in ids {
             if let Some(conn) = self.conns.get_mut(&conn_id) {
-                let frame = Frame::Error {
-                    id: PUSH_ID,
-                    code: ErrorCode::Shutdown,
-                    message: "gateway shutting down".into(),
-                };
-                conn.queue(&self.stats, &frame);
+                conn.push_error(&self.stats, ErrorCode::Shutdown, "gateway shutting down");
                 let _ = conn.flush(&self.stats, self.service.plane());
             }
             self.close_conn(conn_id);
@@ -496,7 +497,8 @@ impl Core {
     }
 
     /// One pass over one connection: flush pending output, then read and
-    /// dispatch every complete frame the socket holds. Returns
+    /// dispatch its frames until its socket is empty or a body is in
+    /// flight, before the pass serves the next connection. Returns
     /// `(made_progress, close_now)`.
     fn conn_pass(
         &mut self,
@@ -509,11 +511,10 @@ impl Core {
             let Some(conn) = self.conns.get_mut(&conn_id) else {
                 return (progressed, false);
             };
-            let wrote = match conn.flush(&self.stats, self.service.plane()) {
+            progressed |= match conn.flush(&self.stats, self.service.plane()) {
                 None => return (true, true),
                 Some(wrote) => wrote,
             };
-            progressed |= wrote;
             if conn.closing {
                 return (progressed, conn.flushed());
             }
@@ -542,21 +543,16 @@ impl Core {
                 {
                     return (true, true)
                 }
-                // A peer that has its reply may have sent its next
-                // request since the last read: read once more before the
-                // pass serves the connections behind this one.
-                Next::Drained if wrote => continue,
-                // Nothing more to read now.
-                Next::Drained | Next::Failed(_) => {
+                // The socket is empty.
+                Next::Failed(_) => {
                     if let Some(since) = conn.reader.stalled_since() {
                         if since.elapsed() >= request_timeout {
                             self.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
-                            let frame = Frame::Error {
-                                id: PUSH_ID,
-                                code: ErrorCode::BadFrame,
-                                message: "truncated frame: peer stalled mid-frame".into(),
-                            };
-                            conn.queue(&self.stats, &frame);
+                            conn.push_error(
+                                &self.stats,
+                                ErrorCode::BadFrame,
+                                "truncated frame: peer stalled mid-frame",
+                            );
                             conn.closing = true;
                             continue;
                         }
@@ -564,12 +560,7 @@ impl Core {
                         self.stats
                             .connections_harvested
                             .fetch_add(1, Ordering::Relaxed);
-                        let frame = Frame::Error {
-                            id: PUSH_ID,
-                            code: ErrorCode::Idle,
-                            message: "idle connection harvested".into(),
-                        };
-                        conn.queue(&self.stats, &frame);
+                        conn.push_error(&self.stats, ErrorCode::Idle, "idle connection harvested");
                         conn.closing = true;
                         continue;
                     }
@@ -588,23 +579,13 @@ impl Core {
                         // stream cannot be resynchronised: fail the
                         // connection.
                         ProtoError::Oversized { .. } => {
-                            let frame = Frame::Error {
-                                id: PUSH_ID,
-                                code: ErrorCode::Oversized,
-                                message: e.to_string(),
-                            };
-                            conn.queue(&self.stats, &frame);
+                            conn.push_error(&self.stats, ErrorCode::Oversized, e.to_string());
                             conn.closing = true;
                         }
                         // The frame boundary was intact — only the payload
                         // was garbage — so the connection stays usable.
                         other => {
-                            let frame = Frame::Error {
-                                id: PUSH_ID,
-                                code: ErrorCode::BadFrame,
-                                message: other.to_string(),
-                            };
-                            conn.queue(&self.stats, &frame);
+                            conn.push_error(&self.stats, ErrorCode::BadFrame, other.to_string());
                             conn.last_activity = Instant::now();
                         }
                     }
@@ -624,24 +605,22 @@ impl Core {
             return match frame {
                 Frame::Hello { magic, version } => {
                     if magic != proto::MAGIC {
-                        let frame = Frame::Error {
-                            id: PUSH_ID,
-                            code: ErrorCode::BadMagic,
-                            message: "handshake magic mismatch".into(),
-                        };
-                        conn.queue(&self.stats, &frame);
+                        conn.push_error(
+                            &self.stats,
+                            ErrorCode::BadMagic,
+                            "handshake magic mismatch",
+                        );
                         return After::Close;
                     }
                     if version != proto::VERSION {
-                        let frame = Frame::Error {
-                            id: PUSH_ID,
-                            code: ErrorCode::BadVersion,
-                            message: format!(
+                        conn.push_error(
+                            &self.stats,
+                            ErrorCode::BadVersion,
+                            format!(
                                 "server speaks version {}, client sent {version}",
                                 proto::VERSION
                             ),
-                        };
-                        conn.queue(&self.stats, &frame);
+                        );
                         return After::Close;
                     }
                     conn.hello_done = true;
@@ -649,12 +628,7 @@ impl Core {
                     After::Keep
                 }
                 _ => {
-                    let frame = Frame::Error {
-                        id: PUSH_ID,
-                        code: ErrorCode::Proto,
-                        message: "first frame must be hello".into(),
-                    };
-                    conn.queue(&self.stats, &frame);
+                    conn.push_error(&self.stats, ErrorCode::Proto, "first frame must be hello");
                     After::Close
                 }
             };
@@ -665,12 +639,7 @@ impl Core {
                 After::Close
             }
             Frame::Hello { .. } => {
-                let frame = Frame::Error {
-                    id: PUSH_ID,
-                    code: ErrorCode::Proto,
-                    message: "duplicate hello".into(),
-                };
-                conn.queue(&self.stats, &frame);
+                conn.push_error(&self.stats, ErrorCode::Proto, "duplicate hello");
                 After::Keep
             }
             request @ (Frame::Join { .. }

@@ -519,6 +519,37 @@ fn noack_staging_feeds_a_count_gated_commit_across_connections() {
     server.shutdown().expect("shutdown");
 }
 
+/// A refused `stage_noack` surfaces at the next request in place of its
+/// reply, and that reply is still read: every request after it gets its
+/// own.
+#[test]
+fn a_refused_noack_stage_leaves_every_later_request_its_own_reply() {
+    let server = quick_gateway(inline_config(256.0));
+    let mut client = Client::connect(server.local_addr()).expect("client");
+    let key = client.join("acme").expect("join");
+    let unknown = [(u64::MAX - 1, 1.0)];
+    client.stage_noack(&unknown).expect("one write");
+    match client.tick(&[(key, 1.0)]) {
+        Err(cdba_gateway::ClientError::Server { code, message }) => {
+            assert_eq!(code, ErrorCode::Ctrl);
+            assert!(message.contains("unknown"), "unexpected message {message}");
+        }
+        other => panic!("expected the pushed refusal, got {other:?}"),
+    }
+    let second = client.join("acme").expect("the join reads its own reply");
+    assert_ne!(second, key);
+    let tick = client.tick(&[(key, 1.0), (second, 1.0)]).expect("tick");
+    assert_eq!(tick, 2, "the tick behind the refusal committed");
+    // A refusal ahead of a snapshot: its body is read past too.
+    client.stage_noack(&unknown).expect("one write");
+    match client.snapshot_bin() {
+        Err(cdba_gateway::ClientError::Server { .. }) => {}
+        other => panic!("expected the pushed refusal, got {other:?}"),
+    }
+    assert_eq!(client.tick(&[]).expect("tick after the snapshot"), 3);
+    server.shutdown().expect("shutdown");
+}
+
 #[test]
 fn starved_tick_sync_fails_with_a_typed_timeout() {
     let cfg = GatewayConfig {
