@@ -130,7 +130,7 @@ workload flags (serve, gateway, client, fleet):
            [--pool-frac F] [--churn-every C]
 service flags (serve, gateway, fleet):
            [--shards S] [--budget B_A] [--exec inline|threaded]
-           [--checkpoint-every N] [--fault SHARD@TICK:<kill|hang:MS|delay:MS>]
+           [--checkpoint-every N] [--fault SHARD@TICK:<kill|hang:MS>]
            (`fleet` passes all but --fault to every ctrl process; its
            --fault is its own)
 

@@ -66,8 +66,6 @@ impl std::error::Error for AdmissionError {}
 struct TenantEntry {
     name: Arc<str>,
     committed: f64,
-    /// `None`: governed by the default quota.
-    quota: Option<f64>,
 }
 
 /// Tracks committed bandwidth envelopes service-wide and per tenant.
@@ -76,8 +74,8 @@ pub struct AdmissionController {
     budget: f64,
     default_quota: f64,
     committed: f64,
-    /// Tenants holding capacity or a quota override; one `Arc<str>` per
-    /// distinct tenant, shared with everything that names the tenant.
+    /// Tenants holding capacity; one `Arc<str>` per distinct tenant,
+    /// shared with everything that names the tenant.
     tenants: HashMap<Arc<str>, TenantEntry>,
     admitted: u64,
     rejected: u64,
@@ -85,7 +83,7 @@ pub struct AdmissionController {
 
 impl AdmissionController {
     /// A controller over an aggregate `budget`, with every tenant capped at
-    /// `default_quota` until [`AdmissionController::set_quota`] overrides it.
+    /// `default_quota`.
     pub fn new(budget: f64, default_quota: f64) -> Self {
         AdmissionController {
             budget,
@@ -97,28 +95,13 @@ impl AdmissionController {
         }
     }
 
-    /// Overrides one tenant's quota.
-    pub fn set_quota(&mut self, tenant: &str, quota: f64) {
-        self.intern(tenant, 0.0).quota = Some(quota);
-    }
-
     /// The entry of `tenant`, which starts being tracked — with `committed`
     /// to its name — if the controller has not seen it (or forgot it).
     fn intern(&mut self, tenant: &str, committed: f64) -> &mut TenantEntry {
         let name: Arc<str> = tenant.into();
-        self.tenants.entry(name.clone()).or_insert(TenantEntry {
-            name,
-            committed,
-            quota: None,
-        })
-    }
-
-    /// The quota governing `tenant`.
-    pub fn quota(&self, tenant: &str) -> f64 {
         self.tenants
-            .get(tenant)
-            .and_then(|entry| entry.quota)
-            .unwrap_or(self.default_quota)
+            .entry(name.clone())
+            .or_insert(TenantEntry { name, committed })
     }
 
     /// Budget still uncommitted.
@@ -173,10 +156,7 @@ impl AdmissionController {
         }
         let mut entry = self.tenants.get_mut(tenant);
         let used = entry.as_ref().map_or(0.0, |e| e.committed);
-        let quota = entry
-            .as_ref()
-            .and_then(|e| e.quota)
-            .unwrap_or(self.default_quota);
+        let quota = self.default_quota;
         if used + demand > quota + slack {
             self.rejected += 1;
             return Err(AdmissionError::QuotaExceeded {
@@ -234,7 +214,7 @@ impl AdmissionController {
         self.committed = (self.committed - demand).max(0.0);
         if let Some(entry) = self.tenants.get_mut(tenant) {
             entry.committed = (entry.committed - demand).max(0.0);
-            if entry.committed <= 0.0 && entry.quota.is_none() {
+            if entry.committed <= 0.0 {
                 self.tenants.remove(tenant);
             }
         }
@@ -268,9 +248,7 @@ mod tests {
         ));
         // Another tenant still fits under the global budget.
         assert!(c.request("b", 30.0).is_ok());
-        c.set_quota("c", 50.0);
-        assert!(c.request("c", 40.0).is_ok());
-        assert_eq!(c.committed_to("c"), 40.0);
+        assert_eq!(c.committed_to("b"), 30.0);
     }
 
     #[test]

@@ -134,6 +134,12 @@ impl<'a> Enc<'a> {
         }
     }
 
+    /// Raw bytes, with no length ahead of them: a magic, or a body whose
+    /// length was written before it.
+    pub fn bytes(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
+    }
+
     /// Collection prefix: the element count.
     pub fn len(&mut self, n: usize) {
         self.u32(u32::try_from(n).expect("collection fits a u32 count"));

@@ -51,9 +51,8 @@ pub struct ServiceConfig {
     pub cost: CostModel,
     /// Execution backend.
     pub exec: ExecMode,
-    /// Ticks between periodic shard checkpoints (threaded mode). `0`
-    /// disables checkpointing *and* the in-driver journal, so a failed
-    /// shard cannot be recovered and is marked down on its first fault.
+    /// Ticks between periodic shard checkpoints (threaded mode; ≥ 1): a
+    /// failed shard restarts from its last one.
     pub checkpoint_every: u64,
     /// How many times the supervisor restarts one shard before declaring
     /// it permanently down.
@@ -199,8 +198,7 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Sets the shard checkpoint period in ticks (`0` disables recovery).
-    /// Default 64.
+    /// Sets the shard checkpoint period in ticks (≥ 1). Default 64.
     pub fn checkpoint_every(mut self, ticks: u64) -> Self {
         self.checkpoint_every = ticks;
         self
@@ -278,6 +276,11 @@ impl ServiceConfigBuilder {
         if self.shard_timeout_ms == 0 {
             return Err(CtrlError::InvalidService(
                 "shard timeout must be at least one millisecond".into(),
+            ));
+        }
+        if self.checkpoint_every == 0 {
+            return Err(CtrlError::InvalidService(
+                "checkpoint period must be at least one tick".into(),
             ));
         }
         if self.pipeline_depth == 0 {
@@ -415,6 +418,11 @@ mod tests {
         ));
         assert!(matches!(
             ServiceConfig::builder(64.0).pipeline_depth(0).build(),
+            Err(CtrlError::InvalidService(_))
+        ));
+        // Recovery is always on: a shard restarts from its last checkpoint.
+        assert!(matches!(
+            ServiceConfig::builder(64.0).checkpoint_every(0).build(),
             Err(CtrlError::InvalidService(_))
         ));
     }

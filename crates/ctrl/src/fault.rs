@@ -25,18 +25,11 @@ pub enum FaultKind {
     /// restarts the shard from its last checkpoint.
     Kill,
     /// Stall for `millis` before applying the tick, re-checking for
-    /// cancellation afterwards. Pick a value above the configured shard
-    /// timeout to force the supervisor to declare the worker unresponsive
-    /// and restart it.
+    /// cancellation afterwards. Above the configured shard timeout, the
+    /// supervisor declares the worker unresponsive and restarts it; below
+    /// it, the worker proceeds: no restart, no metric difference.
     Hang {
         /// Stall duration in milliseconds.
-        millis: u64,
-    },
-    /// Sleep `millis` and then proceed normally. Pick a value below the
-    /// shard timeout to exercise the tolerated-slowdown path: no restart,
-    /// no metric difference.
-    Delay {
-        /// Sleep duration in milliseconds.
         millis: u64,
     },
 }
@@ -71,15 +64,6 @@ impl FaultPlan {
             kind: FaultKind::Hang { millis },
         }
     }
-
-    /// A plan that delays `shard` by `millis` at `at_tick`.
-    pub fn delay(shard: usize, at_tick: u64, millis: u64) -> Self {
-        FaultPlan {
-            shard,
-            at_tick,
-            kind: FaultKind::Delay { millis },
-        }
-    }
 }
 
 impl fmt::Display for FaultPlan {
@@ -88,13 +72,12 @@ impl fmt::Display for FaultPlan {
         match self.kind {
             FaultKind::Kill => write!(f, "kill"),
             FaultKind::Hang { millis } => write!(f, "hang:{millis}"),
-            FaultKind::Delay { millis } => write!(f, "delay:{millis}"),
         }
     }
 }
 
-/// Parses the CLI spelling `SHARD@TICK:kill`, `SHARD@TICK:hang:MILLIS`,
-/// or `SHARD@TICK:delay:MILLIS` (e.g. `1@50:kill`, `0@100:hang:5000`).
+/// Parses the CLI spelling `SHARD@TICK:kill` or `SHARD@TICK:hang:MILLIS`
+/// (e.g. `1@50:kill`, `0@100:hang:5000`).
 impl FromStr for FaultPlan {
     type Err = String;
 
@@ -120,11 +103,10 @@ impl FromStr for FaultPlan {
                     .map_err(|_| bad("milliseconds must be an unsigned integer"))?;
                 match mode {
                     "hang" => FaultKind::Hang { millis },
-                    "delay" => FaultKind::Delay { millis },
-                    _ => return Err(bad("mode must be kill, hang:MS, or delay:MS")),
+                    _ => return Err(bad("mode must be kill or hang:MS")),
                 }
             }
-            _ => return Err(bad("mode must be kill, hang:MS, or delay:MS")),
+            _ => return Err(bad("mode must be kill or hang:MS")),
         };
         Ok(FaultPlan {
             shard,
@@ -142,7 +124,6 @@ mod tests {
     fn parse_accepts_all_modes() {
         assert_eq!("1@50:kill".parse(), Ok(FaultPlan::kill(1, 50)));
         assert_eq!("0@100:hang:5000".parse(), Ok(FaultPlan::hang(0, 100, 5000)));
-        assert_eq!("3@7:delay:20".parse(), Ok(FaultPlan::delay(3, 7, 20)));
     }
 
     #[test]
@@ -156,6 +137,8 @@ mod tests {
             "1@50:hang",
             "1@50:hang:x",
             "1@50:kill:5",
+            // The retired stall below the shard timeout: a short `hang`.
+            "3@7:delay:20",
         ] {
             assert!(bad.parse::<FaultPlan>().is_err(), "{bad} should not parse");
         }
@@ -166,7 +149,7 @@ mod tests {
         for plan in [
             FaultPlan::kill(2, 9),
             FaultPlan::hang(0, 3, 750),
-            FaultPlan::delay(5, 0, 1),
+            FaultPlan::hang(5, 0, 1),
         ] {
             assert_eq!(plan.to_string().parse(), Ok(plan));
         }

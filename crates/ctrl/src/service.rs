@@ -30,7 +30,6 @@ use crate::shard::{
 use crate::CtrlError;
 use cdba_obs::{Registry, TraceEvent, TraceKind, TraceRing};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -139,7 +138,7 @@ enum Backend {
 /// The sharded multi-tenant allocation service. See the module docs.
 pub struct ControlPlane {
     cfg: ServiceConfig,
-    admission: Mutex<AdmissionController>,
+    admission: AdmissionController,
     placements: PlacementTable,
     groups: HashMap<u64, GroupInfo>,
     backend: Backend,
@@ -220,7 +219,7 @@ impl ControlPlane {
                 (Backend::Threaded { workers }, Some((msg_tx, msg_rx)))
             }
         };
-        let admission = Mutex::new(AdmissionController::new(cfg.budget, cfg.default_quota));
+        let admission = AdmissionController::new(cfg.budget, cfg.default_quota);
         let routes = vec![Vec::new(); cfg.shards];
         ControlPlane {
             cfg,
@@ -282,7 +281,7 @@ impl ControlPlane {
         let Some(m) = &self.obs else { return };
         m.live_sessions.set(self.placements.len() as f64);
         m.slab_slots.set(self.next_key as f64);
-        m.available_budget.set(self.admission.lock().available());
+        m.available_budget.set(self.admission.available());
         for (shard, sup) in self.sups.iter().enumerate() {
             if let Some(gauge) = m.shard_sessions.get(shard) {
                 gauge.set(sup.live as f64);
@@ -314,12 +313,7 @@ impl ControlPlane {
 
     /// Budget still uncommitted by admission control.
     pub fn available_budget(&self) -> f64 {
-        self.admission.lock().available()
-    }
-
-    /// Overrides one tenant's quota for future admissions.
-    pub fn set_quota(&self, tenant: &str, quota: f64) {
-        self.admission.lock().set_quota(tenant, quota);
+        self.admission.available()
     }
 
     /// Shard-worker restarts performed so far.
@@ -354,15 +348,12 @@ impl ControlPlane {
     /// the tenant's interned name — the one `Arc` the placement table,
     /// the journal entry and the shard's tenant table all share.
     fn grant(&mut self, tenant: &str, envelope: f64) -> Result<Arc<str>, CtrlError> {
-        self.admission
-            .lock()
-            .grant(tenant, envelope)
-            .map_err(|refused| {
-                if let Some(m) = &self.obs {
-                    m.rejected.inc();
-                }
-                CtrlError::Admission(refused)
-            })
+        self.admission.grant(tenant, envelope).map_err(|refused| {
+            if let Some(m) = &self.obs {
+                m.rejected.inc();
+            }
+            CtrlError::Admission(refused)
+        })
     }
 
     /// Delivers a granted join to the least-loaded healthy shard and
@@ -381,7 +372,7 @@ impl ControlPlane {
             }),
         };
         if placed.is_err() {
-            self.admission.lock().rollback(tenant, envelope);
+            self.admission.rollback(tenant, envelope);
         }
         placed
     }
@@ -505,7 +496,6 @@ impl ControlPlane {
         match group {
             None => {
                 self.admission
-                    .lock()
                     .release(&tenant, self.cfg.dedicated_envelope());
             }
             Some(group) => {
@@ -513,7 +503,7 @@ impl ControlPlane {
                     info.live -= 1;
                     if info.live == 0 {
                         let info = self.groups.remove(&group).expect("present");
-                        self.admission.lock().release(&info.tenant, info.envelope);
+                        self.admission.release(&info.tenant, info.envelope);
                     }
                 }
             }
@@ -572,7 +562,6 @@ impl ControlPlane {
         let (_, tenant, _) = self.placements.remove(key).expect("checked above");
         self.sups[shard].live -= 1;
         self.admission
-            .lock()
             .release(&tenant, self.cfg.dedicated_envelope());
         self.sync_membership_gauges();
         if self.trace.is_some() {
@@ -682,7 +671,6 @@ impl ControlPlane {
         let envelope = self.cfg.dedicated_envelope();
         let tenant = self
             .admission
-            .lock()
             .grant(tenant, envelope)
             .map_err(CtrlError::Admission)?;
         let key = self.next_key;
@@ -1092,10 +1080,7 @@ impl ControlPlane {
 
     /// The driver-side counters a snapshot carries.
     fn counters(&self) -> SnapshotCounters {
-        let (admitted, rejected) = {
-            let admission = self.admission.lock();
-            (admission.admitted(), admission.rejected())
-        };
+        let (admitted, rejected) = (self.admission.admitted(), self.admission.rejected());
         SnapshotCounters {
             ticks: self.clock,
             shards: self.cfg.shards as u64,

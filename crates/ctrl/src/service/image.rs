@@ -174,10 +174,7 @@ impl ControlPlane {
     pub fn cut_image(&mut self, out: &mut Vec<u8>) -> Result<(), CtrlError> {
         let start = out.len();
         let shards = self.cfg.shards;
-        let (admitted, rejected) = {
-            let admission = self.admission.lock();
-            (admission.admitted(), admission.rejected())
-        };
+        let (admitted, rejected) = (self.admission.admitted(), self.admission.rejected());
         out.extend_from_slice(&MAGIC);
         let mut e = Enc::new(out);
         e.u8(VERSION);
@@ -235,8 +232,8 @@ impl ControlPlane {
     /// # Errors
     ///
     /// [`CtrlError::InvalidImage`] with `image.fresh` when the plane has
-    /// ticked, issued a key or group, or counted an admission (quota
-    /// overrides are configuration, and allowed), or has a shard down;
+    /// ticked, issued a key or group, or counted an admission, or has a
+    /// shard down;
     /// `image.config` when the shard count, budget, default quota or an
     /// admission envelope differs from the image's; a frame's own
     /// `columnar.*` field when it does not apply under this plane's
@@ -246,10 +243,8 @@ impl ControlPlane {
             && self.next_key == 0
             && self.next_group == 0
             && self.sups.iter().all(|sup| sup.healthy)
-            && {
-                let admission = self.admission.lock();
-                admission.admitted() == 0 && admission.rejected() == 0
-            };
+            && self.admission.admitted() == 0
+            && self.admission.rejected() == 0;
         if !fresh {
             return Err(refused("image.fresh"));
         }
@@ -276,7 +271,7 @@ impl ControlPlane {
         // ---- mutate: nothing below can be refused ----
         self.mutated();
         {
-            let mut admission = self.admission.lock();
+            let admission = &mut self.admission;
             admission.restore_tallies(h.admitted, h.rejected);
             for (s, state) in states.iter().enumerate() {
                 for (key, tenant, leaving, group) in state.rows() {
@@ -315,17 +310,15 @@ impl ControlPlane {
                 let _ = self.retire_worker(s, Retiring::Exiting);
                 let sup = &mut self.sups[s];
                 sup.epoch += 1;
-                if self.cfg.checkpoint_every > 0 {
-                    // The recovery base until the worker's first checkpoint.
-                    let raw = image.frames[s].0;
-                    sup.retain(ShardCheckpoint {
-                        shard: s as u64,
-                        epoch: sup.epoch,
-                        events_applied: 0,
-                        sessions: u64::from(image.frames[s].1.rows),
-                        bytes: raw.to_vec(),
-                    });
-                }
+                // The recovery base until the worker's first checkpoint.
+                let raw = image.frames[s].0;
+                sup.retain(ShardCheckpoint {
+                    shard: s as u64,
+                    epoch: sup.epoch,
+                    events_applied: 0,
+                    sessions: u64::from(image.frames[s].1.rows),
+                    bytes: raw.to_vec(),
+                });
                 let fault = self.cfg.fault.filter(|plan| plan.shard == s);
                 let spawned = spawn_worker(s, sup, state, &self.cfg, fault, &msgs);
                 let Backend::Threaded { workers } = &mut self.backend else {

@@ -15,8 +15,7 @@
 //! Each incarnation of a worker gets a fresh *epoch*; messages stamped
 //! with a superseded epoch are discarded, so a hung worker that wakes up
 //! after being replaced cannot corrupt anything. Once a shard exhausts
-//! [`ServiceConfig::max_restarts`] (or recovery is disabled with
-//! `checkpoint_every = 0`), it is marked permanently down and every
+//! [`ServiceConfig::max_restarts`], it is marked permanently down and every
 //! operation touching it returns [`CtrlError::ShardDown`] — the driver
 //! never panics on a dead shard. Restart and replay totals, plus
 //! per-shard health, are surfaced in the [`ServiceSnapshot`].
@@ -45,12 +44,8 @@ const RECLAIM_POLL: Duration = Duration::from_micros(100);
 /// One live worker incarnation of a threaded shard. Joining the handle
 /// yields the state the worker ran on.
 pub(super) struct Worker {
-    /// Unbounded. With recovery enabled what is queued here is already
-    /// held by the journal, so a bound would save nothing and only stall
-    /// the driver. With `checkpoint_every = 0` nothing else holds it: the
-    /// driver's lead over a slow worker is then memory only the worker
-    /// frees — accepted for a configuration that has given up recovery,
-    /// and visible as `cdba_ctrl_shard_lag_events`.
+    /// Unbounded: what is queued here is already held by the journal, so
+    /// a bound would save nothing and only stall the driver.
     pub(super) tx: Sender<Event>,
     pub(super) handle: JoinHandle<ShardState>,
     pub(super) cancel: Arc<AtomicBool>,
@@ -114,8 +109,7 @@ pub(super) struct ShardSup {
     /// [`JOURNAL_BLOCK`] in front of a busy one; a recovery seals it
     /// without sending, having replayed it. Every sealed event reached the
     /// current worker in a segment, or the state it started from in a
-    /// replay. Empty with recovery disabled: a sealed segment then belongs
-    /// to the worker alone.
+    /// replay.
     pub(super) journal: Journal<ReplayEvent>,
     /// The worker's watermark when the driver last read it, and when it
     /// was last seen to have moved — the silence clock every wait on the
@@ -187,12 +181,8 @@ impl ShardSup {
         self.frames_seq += 1;
     }
 
-    /// Drops every sealed segment unless `keep` (recovery enabled: a
-    /// checkpoint trims them), then publishes the journal's bytes.
-    pub(super) fn settle_journal(&mut self, keep: bool) {
-        if !keep {
-            self.journal.trim_to(self.journal.sealed());
-        }
+    /// Publishes the journal's bytes; a checkpoint trims them.
+    pub(super) fn settle_journal(&mut self) {
         let bytes = self.journal.bytes();
         self.probe.journal_bytes.store(bytes, Ordering::Relaxed);
     }
@@ -315,7 +305,7 @@ impl ControlPlane {
             return; // stale: a superseded worker's parting checkpoint
         }
         sup.journal.trim_to(cp.events_applied);
-        sup.settle_journal(true);
+        sup.settle_journal();
         debug_assert_eq!(
             sup.journal.base(),
             cp.events_applied,
@@ -401,10 +391,9 @@ impl ControlPlane {
     ///
     /// # Errors
     ///
-    /// [`CtrlError::ShardDown`] when recovery is disabled
-    /// (`checkpoint_every = 0`), the restart budget is exhausted, or the
-    /// replay itself panics (a deterministic poison event); the shard is
-    /// marked permanently down in all three cases.
+    /// [`CtrlError::ShardDown`] when the restart budget is exhausted or
+    /// the replay itself panics (a deterministic poison event); the shard
+    /// is marked permanently down in both cases.
     pub(super) fn recover(
         &mut self,
         shard: usize,
@@ -423,14 +412,7 @@ impl ControlPlane {
         // dispatched to the old worker is outstanding any more.
         sup.inflight = 0;
         sup.journal.seal();
-        sup.settle_journal(self.cfg.checkpoint_every > 0);
-        if self.cfg.checkpoint_every == 0 {
-            sup.healthy = false;
-            return Err(CtrlError::ShardDown {
-                shard,
-                reason: format!("{reason} (recovery disabled: checkpoint_every = 0)"),
-            });
-        }
+        sup.settle_journal();
         if sup.restarts >= max_restarts {
             sup.healthy = false;
             return Err(CtrlError::ShardDown {
@@ -515,8 +497,7 @@ impl ControlPlane {
     /// # Errors
     ///
     /// [`CtrlError::ShardDown`] under the same conditions as a
-    /// failure-driven recovery (budget exhausted, recovery disabled, or a
-    /// poisoned replay).
+    /// failure-driven recovery (budget exhausted or a poisoned replay).
     pub fn restart_shard(&mut self, shard: usize) -> Result<(), CtrlError> {
         if shard >= self.cfg.shards {
             return Err(CtrlError::InvalidService(format!(
@@ -630,7 +611,7 @@ impl ControlPlane {
         let Some(segment) = sup.journal.seal() else {
             return Ok(());
         };
-        sup.settle_journal(self.cfg.checkpoint_every > 0);
+        sup.settle_journal();
         let epoch = sup.epoch;
         let Backend::Threaded { workers } = &self.backend else {
             unreachable!("the inline backend queues nothing")

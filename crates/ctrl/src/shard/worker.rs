@@ -158,7 +158,7 @@ impl WorkerLoop {
             if is_tick && self.fault.is_some_and(|p| self.state.ticks() >= p.at_tick) {
                 match self.fault.take().expect("checked above").kind {
                     FaultKind::Kill => panic!("injected fault: kill"),
-                    FaultKind::Hang { millis } | FaultKind::Delay { millis } => {
+                    FaultKind::Hang { millis } => {
                         std::thread::sleep(std::time::Duration::from_millis(millis));
                         // A hung worker may have been replaced while asleep;
                         // if so, leave the event unapplied — the supervisor
@@ -181,8 +181,7 @@ impl WorkerLoop {
                 shard: self.state.shard,
                 epoch: self.ctx.epoch,
             });
-            let every = self.ctx.checkpoint_every;
-            if every > 0 && self.state.ticks().is_multiple_of(every) {
+            if self.state.ticks().is_multiple_of(self.ctx.checkpoint_every) {
                 let mut bytes = self.ctx.spare.lock().take().unwrap_or_default();
                 let sessions = self.state.encode_columnar(&mut self.cp_sink, &mut bytes);
                 let _ = self.ctx.msgs.send(WorkerMsg::Checkpoint(ShardCheckpoint {

@@ -54,7 +54,8 @@ pub enum ClientError {
         /// The server's detail message.
         message: String,
     },
-    /// The server broke the protocol (bad frame, wrong reply id).
+    /// The server broke the protocol (bad frame, wrong reply id), or a
+    /// request would have (a frame over [`proto::MAX_FRAME`]).
     Protocol(String),
     /// A binary snapshot body failed to decode.
     Codec(String),
@@ -175,7 +176,8 @@ impl Client {
     /// Sends `frame`. With `apart`, `frame` is one whose payload ends in
     /// a batch or a tenant, given with that field empty: it is encoded
     /// straight from the caller's borrow, not copied into a frame to be
-    /// read once.
+    /// read once. A frame over [`proto::MAX_FRAME`], which the server would
+    /// refuse mid-stream, is not sent.
     fn write(&mut self, frame: &Frame, apart: Option<Apart<'_>>) -> Result<(), ClientError> {
         self.wbuf.clear();
         match apart {
@@ -189,6 +191,8 @@ impl Client {
             }
             None => proto::encode_into(frame, &mut self.wbuf),
         }
+        proto::check_len(self.wbuf.len() - 4)
+            .map_err(|refused| ClientError::Protocol(format!("request not sent: {refused}")))?;
         self.stream
             .write_all(&self.wbuf)
             .map_err(|e| ClientError::Io(format!("write: {e}")))

@@ -1,8 +1,10 @@
 //! The gateway wire protocol: versioned, length-prefixed binary frames.
 //!
-//! Conventions follow `cdba_traffic::codec` — a four-byte magic, a version
-//! byte, and little-endian fixed-width integers over [`bytes`] — but where
-//! the trace codec encodes one blob, this module frames a *conversation*:
+//! Frames are written and read with [`cdba_ctrl::codec`], the codec of
+//! every snapshot body, image and lease the frames carry — a four-byte
+//! magic, a version byte, and little-endian fixed-width integers — so one
+//! module bounds-checks hostile bytes however they arrive. Where a
+//! snapshot body is one value, this module frames a *conversation*:
 //!
 //! ```text
 //! frame   := u32_le payload_len · payload        (payload_len ≤ MAX_FRAME)
@@ -20,7 +22,8 @@
 //! element count + elements. Both are validated against the remaining
 //! payload before allocation, so a hostile length cannot balloon memory.
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::Bytes;
+use cdba_ctrl::codec::{CodecError, Dec, Enc};
 use std::fmt;
 
 /// The protocol magic, sent in [`Frame::Hello`].
@@ -42,9 +45,21 @@ pub const MAGIC: [u8; 4] = *b"CDBG";
 /// new ones, is the orchestrator's state alone.
 pub const VERSION: u8 = 7;
 
-/// Hard upper bound on one frame's payload, rejected before allocation:
-/// a 100k-session binary snapshot is ~14 MiB.
+/// Hard upper bound on one frame's payload, refused before allocation by a
+/// reader and before a byte is written by a sender: a 100k-session binary
+/// snapshot is ~14 MiB.
 pub const MAX_FRAME: usize = 1 << 26;
+
+/// Refuses a payload of `len` bytes, which no reader takes: over
+/// [`MAX_FRAME`].
+pub(crate) fn check_len(len: usize) -> Result<(), ProtoError> {
+    match len > MAX_FRAME {
+        true => Err(ProtoError::Oversized {
+            declared: len as u64,
+        }),
+        false => Ok(()),
+    }
+}
 
 /// The request id carried by error pushes — an unacknowledged stage's
 /// refusal, or an error raised before a request id could be parsed.
@@ -59,7 +74,7 @@ pub enum ErrorCode {
     BadVersion,
     /// A well-framed payload failed to decode (or arrived truncated).
     BadFrame,
-    /// A length prefix exceeded [`MAX_FRAME`].
+    /// A length prefix exceeded [`MAX_FRAME`], or a reply would have.
     Oversized,
     /// A bounded queue was full; retry later.
     Busy,
@@ -406,29 +421,26 @@ const K_RESTORE: u8 = 0x45;
 const K_IMAGE_OK: u8 = 0x50;
 const K_RESTORE_OK: u8 = 0x51;
 
-fn put_string(buf: &mut Vec<u8>, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn put_arrivals(buf: &mut Vec<u8>, arrivals: &[(u64, f64)]) {
-    buf.put_u32_le(arrivals.len() as u32);
-    for &(key, bits) in arrivals {
-        buf.put_u64_le(key);
-        buf.put_f64_le(bits);
+/// Codec refusals as wire errors. The wire reads no tag or version byte
+/// through the codec, so those two refusals do not arise from a frame.
+impl From<CodecError> for ProtoError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::BadUtf8 => ProtoError::BadString,
+            CodecError::Trailing(extra) => ProtoError::Trailing { extra },
+            CodecError::Eof
+            | CodecError::BadLength(_)
+            | CodecError::BadTag(_)
+            | CodecError::BadVersion(_) => ProtoError::Truncated,
+        }
     }
-}
-
-fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
-    buf.put_u32_le(bytes.len() as u32);
-    buf.put_slice(bytes);
 }
 
 /// Encodes one frame to its full wire form (length prefix + payload).
 pub fn encode(frame: &Frame) -> Bytes {
     let mut wire = Vec::new();
     encode_into(frame, &mut wire);
-    Bytes::from(wire)
+    wire.into()
 }
 
 /// Appends one frame's full wire form (length prefix + payload) to `out`
@@ -437,139 +449,142 @@ pub fn encode(frame: &Frame) -> Bytes {
 /// once the payload's length is known.
 pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) {
     let prefix = out.len();
-    out.put_u32_le(0);
-    let payload = out;
+    let mut e = Enc::new(out);
+    e.u32(0);
     match frame {
         Frame::Hello { magic, version } => {
-            payload.put_u8(K_HELLO);
-            payload.put_slice(magic);
-            payload.put_u8(*version);
+            e.u8(K_HELLO);
+            e.bytes(magic);
+            e.u8(*version);
         }
         Frame::HelloOk { version } => {
-            payload.put_u8(K_HELLO_OK);
-            payload.put_u8(*version);
+            e.u8(K_HELLO_OK);
+            e.u8(*version);
         }
         Frame::Join { id, tenant } => {
-            payload.put_u8(K_JOIN);
-            payload.put_u64_le(*id);
-            put_string(payload, tenant);
+            e.u8(K_JOIN);
+            e.u64(*id);
+            e.str(tenant);
         }
         Frame::JoinGroup { id, tenant, size } => {
-            payload.put_u8(K_JOIN_GROUP);
-            payload.put_u64_le(*id);
-            put_string(payload, tenant);
-            payload.put_u32_le(*size);
+            e.u8(K_JOIN_GROUP);
+            e.u64(*id);
+            e.str(tenant);
+            e.u32(*size);
         }
         Frame::Leave { id, key } => {
-            payload.put_u8(K_LEAVE);
-            payload.put_u64_le(*id);
-            payload.put_u64_le(*key);
+            e.u8(K_LEAVE);
+            e.u64(*id);
+            e.u64(*key);
         }
         Frame::StageNoAck { arrivals } => {
-            payload.put_u8(K_STAGE_NOACK);
-            put_arrivals(payload, arrivals);
+            e.u8(K_STAGE_NOACK);
+            encode_arrivals(&mut e, arrivals);
         }
         Frame::TickSync {
             id,
             arrivals,
             min_staged,
         } => {
-            payload.put_u8(K_TICK_SYNC);
-            payload.put_u64_le(*id);
-            payload.put_u32_le(*min_staged);
-            put_arrivals(payload, arrivals);
+            e.u8(K_TICK_SYNC);
+            e.u64(*id);
+            e.u32(*min_staged);
+            encode_arrivals(&mut e, arrivals);
         }
         Frame::SnapshotBin { id } => {
-            payload.put_u8(K_SNAPSHOT_BIN);
-            payload.put_u64_le(*id);
+            e.u8(K_SNAPSHOT_BIN);
+            e.u64(*id);
         }
         Frame::LeaseRevoke { id, key } => {
-            payload.put_u8(K_LEASE_REVOKE);
-            payload.put_u64_le(*id);
-            payload.put_u64_le(*key);
+            e.u8(K_LEASE_REVOKE);
+            e.u64(*id);
+            e.u64(*key);
         }
-        Frame::LeaseGrant { id, bytes } => {
-            payload.put_u8(K_LEASE_GRANT);
-            payload.put_u64_le(*id);
-            put_bytes(payload, bytes);
-        }
+        Frame::LeaseGrant { id, bytes } => encode_blob(&mut e, K_LEASE_GRANT, *id, bytes),
         Frame::Image { id } => {
-            payload.put_u8(K_IMAGE);
-            payload.put_u64_le(*id);
+            e.u8(K_IMAGE);
+            e.u64(*id);
         }
-        Frame::Restore { id, bytes } => {
-            payload.put_u8(K_RESTORE);
-            payload.put_u64_le(*id);
-            put_bytes(payload, bytes);
-        }
-        Frame::ImageOk { id, bytes } => {
-            payload.put_u8(K_IMAGE_OK);
-            payload.put_u64_le(*id);
-            put_bytes(payload, bytes);
-        }
+        Frame::Restore { id, bytes } => encode_blob(&mut e, K_RESTORE, *id, bytes),
+        Frame::ImageOk { id, bytes } => encode_blob(&mut e, K_IMAGE_OK, *id, bytes),
         Frame::RestoreOk { id, tick, keys } => {
-            payload.put_u8(K_RESTORE_OK);
-            payload.put_u64_le(*id);
-            payload.put_u64_le(*tick);
-            payload.put_u32_le(keys.len() as u32);
-            for &key in keys {
-                payload.put_u64_le(key);
-            }
+            e.u8(K_RESTORE_OK);
+            e.u64(*id);
+            e.u64(*tick);
+            encode_keys(&mut e, keys);
         }
         Frame::Goodbye { id } => {
-            payload.put_u8(K_GOODBYE);
-            payload.put_u64_le(*id);
+            e.u8(K_GOODBYE);
+            e.u64(*id);
         }
         Frame::Joined { id, key } => {
-            payload.put_u8(K_JOINED);
-            payload.put_u64_le(*id);
-            payload.put_u64_le(*key);
+            e.u8(K_JOINED);
+            e.u64(*id);
+            e.u64(*key);
         }
         Frame::GroupJoined { id, members } => {
-            payload.put_u8(K_GROUP_JOINED);
-            payload.put_u64_le(*id);
-            payload.put_u32_le(members.len() as u32);
-            for &key in members {
-                payload.put_u64_le(key);
-            }
+            e.u8(K_GROUP_JOINED);
+            e.u64(*id);
+            encode_keys(&mut e, members);
         }
         Frame::LeaveOk { id } => {
-            payload.put_u8(K_LEAVE_OK);
-            payload.put_u64_le(*id);
+            e.u8(K_LEAVE_OK);
+            e.u64(*id);
         }
         Frame::TickOk { id, tick } => {
-            payload.put_u8(K_TICK_OK);
-            payload.put_u64_le(*id);
-            payload.put_u64_le(*tick);
+            e.u8(K_TICK_OK);
+            e.u64(*id);
+            e.u64(*tick);
         }
-        Frame::SnapshotBinOk { id, bytes } => {
-            payload.put_u8(K_SNAPSHOT_BIN_OK);
-            payload.put_u64_le(*id);
-            put_bytes(payload, bytes);
-        }
-        Frame::LeaseRevoked { id, bytes } => {
-            payload.put_u8(K_LEASE_REVOKED);
-            payload.put_u64_le(*id);
-            put_bytes(payload, bytes);
-        }
+        Frame::SnapshotBinOk { id, bytes } => encode_blob(&mut e, K_SNAPSHOT_BIN_OK, *id, bytes),
+        Frame::LeaseRevoked { id, bytes } => encode_blob(&mut e, K_LEASE_REVOKED, *id, bytes),
         Frame::LeaseGranted { id, key } => {
-            payload.put_u8(K_LEASE_GRANTED);
-            payload.put_u64_le(*id);
-            payload.put_u64_le(*key);
+            e.u8(K_LEASE_GRANTED);
+            e.u64(*id);
+            e.u64(*key);
         }
         Frame::GoodbyeOk { id } => {
-            payload.put_u8(K_GOODBYE_OK);
-            payload.put_u64_le(*id);
+            e.u8(K_GOODBYE_OK);
+            e.u64(*id);
         }
         Frame::Error { id, code, message } => {
-            payload.put_u8(K_ERROR);
-            payload.put_u64_le(*id);
-            payload.put_u8(code.to_u8());
-            put_string(payload, message);
+            e.u8(K_ERROR);
+            e.u64(*id);
+            e.u8(code.to_u8());
+            e.str(message);
         }
     }
-    let len = (payload.len() - prefix - 4) as u32;
-    payload[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
+    patch_len(out, prefix, 0);
+}
+
+fn encode_arrivals(e: &mut Enc<'_>, arrivals: &[(u64, f64)]) {
+    e.len(arrivals.len());
+    for &(key, bits) in arrivals {
+        e.u64(key);
+        e.f64(bits);
+    }
+}
+
+fn encode_keys(e: &mut Enc<'_>, keys: &[u64]) {
+    e.len(keys.len());
+    for &key in keys {
+        e.u64(key);
+    }
+}
+
+/// A payload that is its kind, its request id and the blob it ends in.
+fn encode_blob(e: &mut Enc<'_>, kind: u8, id: u64, blob: &[u8]) {
+    e.u8(kind);
+    e.u64(id);
+    e.len(blob.len());
+    e.bytes(blob);
+}
+
+/// Writes the length of the payload behind the prefix at `prefix`: the
+/// bytes after it in `out`, and `beyond` more the caller sends behind them.
+fn patch_len(out: &mut [u8], prefix: usize, beyond: usize) {
+    let len = (out.len() - prefix - 4 + beyond) as u32;
+    out[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// [`encode_into`] for the two frames whose payload ends in arrivals
@@ -578,25 +593,24 @@ pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) {
 /// in its place straight from the caller's slice, so a client does not
 /// copy a batch into a frame only to have it read once.
 pub fn encode_arrivals_into(frame: &Frame, arrivals: &[(u64, f64)], out: &mut Vec<u8>) {
-    encode_tail_into(frame, out, |out| put_arrivals(out, arrivals));
+    encode_tail_into(frame, out, |e| encode_arrivals(e, arrivals));
 }
 
 /// The same for [`Frame::Join`], whose payload ends in the tenant: given
 /// with an empty one, `tenant` is written from the caller's `&str`.
 pub fn encode_tenant_into(frame: &Frame, tenant: &str, out: &mut Vec<u8>) {
-    encode_tail_into(frame, out, |out| put_string(out, tenant));
+    encode_tail_into(frame, out, |e| e.str(tenant));
 }
 
-/// Encodes `frame`, whose payload ends in an empty list or string, with
-/// what `put_tail` writes in that place.
-fn encode_tail_into(frame: &Frame, out: &mut Vec<u8>, put_tail: impl FnOnce(&mut Vec<u8>)) {
+/// Encodes `frame`, whose payload ends in an empty list, string or blob,
+/// with what `put_tail` writes in that place.
+fn encode_tail_into(frame: &Frame, out: &mut Vec<u8>, put_tail: impl FnOnce(&mut Enc<'_>)) {
     let prefix = out.len();
     encode_into(frame, out);
     debug_assert!(out.ends_with(&[0; 4]), "the frame ends in an empty tail");
     out.truncate(out.len() - 4); // that tail's count
-    put_tail(out);
-    let len = (out.len() - prefix - 4) as u32;
-    out[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
+    put_tail(&mut Enc::new(out));
+    patch_len(out, prefix, 0);
 }
 
 /// [`encode_into`] for a frame whose payload ends in its blob (every
@@ -606,225 +620,179 @@ fn encode_tail_into(frame: &Frame, out: &mut Vec<u8>, put_tail: impl FnOnce(&mut
 /// never has to exist in one piece on the sending side.
 pub fn encode_blob_head(frame: &Frame, blob_len: usize, out: &mut Vec<u8>) {
     let prefix = out.len();
-    encode_into(frame, out);
-    let blob = out.len();
-    out[blob - 4..blob].copy_from_slice(&(blob_len as u32).to_le_bytes());
-    let len = (blob - prefix - 4 + blob_len) as u32;
-    out[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
+    encode_tail_into(frame, out, |e| e.len(blob_len));
+    patch_len(out, prefix, blob_len);
 }
 
-struct Reader {
-    buf: Bytes,
-    /// With `Some`, a blob is left unread: its length lands here and the
-    /// frame gets an empty one.
-    blob: Option<usize>,
-}
-
-impl Reader {
-    fn need(&self, n: usize) -> Result<(), ProtoError> {
-        if self.buf.remaining() < n {
-            Err(ProtoError::Truncated)
-        } else {
-            Ok(())
-        }
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtoError> {
-        self.need(1)?;
-        Ok(self.buf.get_u8())
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtoError> {
-        self.need(4)?;
-        Ok(self.buf.get_u32_le())
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtoError> {
-        self.need(8)?;
-        Ok(self.buf.get_u64_le())
-    }
-
-    fn magic(&mut self) -> Result<[u8; 4], ProtoError> {
-        self.need(4)?;
-        let mut out = [0u8; 4];
-        self.buf.copy_to_slice(&mut out);
-        Ok(out)
-    }
-
-    fn string(&mut self) -> Result<String, ProtoError> {
-        let len = self.u32()? as usize;
-        self.need(len)?;
-        let mut raw = vec![0u8; len];
-        self.buf.copy_to_slice(&mut raw);
-        String::from_utf8(raw).map_err(|_| ProtoError::BadString)
-    }
-
-    fn arrivals(&mut self) -> Result<Vec<(u64, f64)>, ProtoError> {
-        let count = self.u32()? as usize;
-        self.need(count * 16)?;
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            let key = self.buf.get_u64_le();
-            let bits = self.buf.get_f64_le();
-            out.push((key, bits));
-        }
-        Ok(out)
-    }
-
-    fn keys(&mut self) -> Result<Vec<u64>, ProtoError> {
-        let count = self.u32()? as usize;
-        self.need(count * 8)?;
-        Ok((0..count).map(|_| self.buf.get_u64_le()).collect())
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, ProtoError> {
-        let len = self.u32()? as usize;
-        if let Some(blob) = &mut self.blob {
-            *blob = len;
-            return Ok(Vec::new());
-        }
-        self.need(len)?;
-        if len == self.buf.remaining() {
-            // The blob is the payload's tail (every snapshot and lease
-            // body is): hand the payload buffer itself on instead of
-            // copying a multi-megabyte body out of it.
-            return Ok(Vec::from(std::mem::take(&mut self.buf)));
-        }
-        let mut raw = vec![0u8; len];
-        self.buf.copy_to_slice(&mut raw);
-        Ok(raw)
-    }
-
-    fn finish(self, frame: Frame) -> Result<Frame, ProtoError> {
-        if self.buf.remaining() > 0 {
-            Err(ProtoError::Trailing {
-                extra: self.buf.remaining(),
-            })
-        } else {
-            Ok(frame)
-        }
+/// The blob a frame's payload ends in, if its kind carries one.
+fn blob_mut(frame: &mut Frame) -> Option<&mut Vec<u8>> {
+    match frame {
+        Frame::LeaseGrant { bytes, .. }
+        | Frame::Restore { bytes, .. }
+        | Frame::ImageOk { bytes, .. }
+        | Frame::SnapshotBinOk { bytes, .. }
+        | Frame::LeaseRevoked { bytes, .. } => Some(bytes),
+        _ => None,
     }
 }
 
 /// Decodes one payload (the bytes after the length prefix) into a frame.
+/// A blob the payload ends in keeps the payload's allocation when nothing
+/// else holds it, so a multi-megabyte body is not copied.
 ///
 /// # Errors
 ///
 /// [`ProtoError`] for truncated bodies, unknown kinds, invalid UTF-8,
 /// unknown error codes, or trailing bytes.
 pub fn decode_payload(payload: Bytes) -> Result<Frame, ProtoError> {
-    let mut r = Reader {
-        buf: payload,
-        blob: None,
-    };
-    let frame = decode_fields(&mut r)?;
-    r.finish(frame)
+    let (mut frame, blob) = decode_head(&mut Dec::new(&payload))?;
+    if let Some(bytes) = blob_mut(&mut frame) {
+        let tail = payload.slice(payload.len() - blob..payload.len());
+        // Then the tail alone holds the allocation, and moves out of it.
+        drop(payload);
+        *bytes = tail.into();
+    }
+    Ok(frame)
 }
 
-/// Decodes the front of a `declared`-byte payload as far as the blob it
-/// ends in (every snapshot, lease and image payload does): the frame with
-/// its blob empty, the payload bytes ahead of the blob, and the blob's
-/// length — 0 for a whole payload with no blob. `None` for a front that
-/// does not hold that much.
-fn decode_head(front: &[u8], declared: usize) -> Option<(Frame, usize, usize)> {
-    let mut r = Reader {
-        buf: Bytes::from(front),
-        blob: Some(0),
+/// Decodes a whole payload where it lies, copying out only what the frame
+/// owns.
+fn decode_slice(payload: &[u8]) -> Result<Frame, ProtoError> {
+    let mut d = Dec::new(payload);
+    let (mut frame, blob) = decode_head(&mut d)?;
+    if let Some(bytes) = blob_mut(&mut frame) {
+        *bytes = d.bytes(blob)?.to_vec();
+    }
+    Ok(frame)
+}
+
+/// Decodes a payload as far as the blob it ends in (every snapshot, lease
+/// and image payload does): the frame with its blob empty, and the blob's
+/// length — 0 for a kind with no blob — which is all `d` has left. Over
+/// the front of a payload ([`Dec::partial`]) a frame decodes, or is
+/// refused, as over the whole.
+fn decode_head(d: &mut Dec<'_>) -> Result<(Frame, usize), ProtoError> {
+    let mut frame = decode_fields(d)?;
+    let blob = match blob_mut(&mut frame) {
+        Some(_) => d.len(1)?,
+        None => 0,
     };
-    let frame = decode_fields(&mut r).ok()?;
-    let (head, blob) = (front.len() - r.buf.remaining(), r.blob?);
-    (head + blob == declared).then_some((frame, head, blob))
+    match d.remaining() - blob {
+        0 => Ok((frame, blob)),
+        extra => Err(ProtoError::Trailing { extra }),
+    }
+}
+
+/// A `u32` count, then that many `(key, bits)` pairs. A count the payload
+/// cannot hold is refused before anything is allocated.
+fn decode_arrivals(d: &mut Dec<'_>) -> Result<Vec<(u64, f64)>, CodecError> {
+    let count = d.len(16)?;
+    let mut out = Vec::with_capacity(count);
+    for _ in 0..count {
+        out.push((d.u64()?, d.f64()?));
+    }
+    Ok(out)
+}
+
+/// A `u32` count, then that many keys; refused as arrivals are.
+fn decode_keys(d: &mut Dec<'_>) -> Result<Vec<u64>, CodecError> {
+    let count = d.len(8)?;
+    let mut out = Vec::with_capacity(count);
+    for _ in 0..count {
+        out.push(d.u64()?);
+    }
+    Ok(out)
 }
 
 /// A payload's kind byte and fields, in the order [`encode_into`] wrote
-/// them.
-fn decode_fields(r: &mut Reader) -> Result<Frame, ProtoError> {
-    let kind = r.u8()?;
+/// them, short of a blob.
+fn decode_fields(d: &mut Dec<'_>) -> Result<Frame, ProtoError> {
+    let kind = d.u8()?;
     Ok(match kind {
         K_HELLO => Frame::Hello {
-            magic: r.magic()?,
-            version: r.u8()?,
+            magic: d.bytes(4)?.try_into().expect("4 bytes"),
+            version: d.u8()?,
         },
-        K_HELLO_OK => Frame::HelloOk { version: r.u8()? },
+        K_HELLO_OK => Frame::HelloOk { version: d.u8()? },
         K_JOIN => Frame::Join {
-            id: r.u64()?,
-            tenant: r.string()?,
+            id: d.u64()?,
+            tenant: d.str()?,
         },
         K_JOIN_GROUP => Frame::JoinGroup {
-            id: r.u64()?,
-            tenant: r.string()?,
-            size: r.u32()?,
+            id: d.u64()?,
+            tenant: d.str()?,
+            size: d.u32()?,
         },
         K_LEAVE => Frame::Leave {
-            id: r.u64()?,
-            key: r.u64()?,
+            id: d.u64()?,
+            key: d.u64()?,
         },
         K_STAGE_NOACK => Frame::StageNoAck {
-            arrivals: r.arrivals()?,
+            arrivals: decode_arrivals(d)?,
         },
         K_TICK_SYNC => Frame::TickSync {
-            id: r.u64()?,
-            min_staged: r.u32()?,
-            arrivals: r.arrivals()?,
+            id: d.u64()?,
+            min_staged: d.u32()?,
+            arrivals: decode_arrivals(d)?,
         },
-        K_SNAPSHOT_BIN => Frame::SnapshotBin { id: r.u64()? },
+        K_SNAPSHOT_BIN => Frame::SnapshotBin { id: d.u64()? },
         K_LEASE_REVOKE => Frame::LeaseRevoke {
-            id: r.u64()?,
-            key: r.u64()?,
+            id: d.u64()?,
+            key: d.u64()?,
         },
         K_LEASE_GRANT => Frame::LeaseGrant {
-            id: r.u64()?,
-            bytes: r.bytes()?,
+            id: d.u64()?,
+            bytes: Vec::new(),
         },
-        K_IMAGE => Frame::Image { id: r.u64()? },
+        K_IMAGE => Frame::Image { id: d.u64()? },
         K_RESTORE => Frame::Restore {
-            id: r.u64()?,
-            bytes: r.bytes()?,
+            id: d.u64()?,
+            bytes: Vec::new(),
         },
         K_IMAGE_OK => Frame::ImageOk {
-            id: r.u64()?,
-            bytes: r.bytes()?,
+            id: d.u64()?,
+            bytes: Vec::new(),
         },
         K_RESTORE_OK => Frame::RestoreOk {
-            id: r.u64()?,
-            tick: r.u64()?,
-            keys: r.keys()?,
+            id: d.u64()?,
+            tick: d.u64()?,
+            keys: decode_keys(d)?,
         },
         K_LEASE_REVOKED => Frame::LeaseRevoked {
-            id: r.u64()?,
-            bytes: r.bytes()?,
+            id: d.u64()?,
+            bytes: Vec::new(),
         },
         K_LEASE_GRANTED => Frame::LeaseGranted {
-            id: r.u64()?,
-            key: r.u64()?,
+            id: d.u64()?,
+            key: d.u64()?,
         },
-        K_GOODBYE => Frame::Goodbye { id: r.u64()? },
+        K_GOODBYE => Frame::Goodbye { id: d.u64()? },
         K_JOINED => Frame::Joined {
-            id: r.u64()?,
-            key: r.u64()?,
+            id: d.u64()?,
+            key: d.u64()?,
         },
         K_GROUP_JOINED => Frame::GroupJoined {
-            id: r.u64()?,
-            members: r.keys()?,
+            id: d.u64()?,
+            members: decode_keys(d)?,
         },
-        K_LEAVE_OK => Frame::LeaveOk { id: r.u64()? },
+        K_LEAVE_OK => Frame::LeaveOk { id: d.u64()? },
         K_TICK_OK => Frame::TickOk {
-            id: r.u64()?,
-            tick: r.u64()?,
+            id: d.u64()?,
+            tick: d.u64()?,
         },
         K_SNAPSHOT_BIN_OK => Frame::SnapshotBinOk {
-            id: r.u64()?,
-            bytes: r.bytes()?,
+            id: d.u64()?,
+            bytes: Vec::new(),
         },
-        K_GOODBYE_OK => Frame::GoodbyeOk { id: r.u64()? },
+        K_GOODBYE_OK => Frame::GoodbyeOk { id: d.u64()? },
         K_ERROR => {
-            let id = r.u64()?;
-            let raw = r.u8()?;
+            let id = d.u64()?;
+            let raw = d.u8()?;
             let code = ErrorCode::from_u8(raw).ok_or(ProtoError::BadErrorCode(raw))?;
             Frame::Error {
                 id,
                 code,
-                message: r.string()?,
+                message: d.str()?,
             }
         }
         other => return Err(ProtoError::UnknownKind(other)),
@@ -840,24 +808,18 @@ fn decode_fields(r: &mut Reader) -> Result<Frame, ProtoError> {
 /// frame, [`ProtoError::Oversized`] for a hostile length prefix, and the
 /// payload errors of [`decode_payload`].
 pub fn decode(buf: &mut Bytes) -> Result<Frame, ProtoError> {
-    if buf.remaining() < 4 {
-        return Err(ProtoError::Truncated);
-    }
-    let declared = buf.get_u32_le() as u64;
-    if declared as usize > MAX_FRAME {
-        return Err(ProtoError::Oversized { declared });
-    }
-    let len = declared as usize;
-    if buf.remaining() < len {
-        return Err(ProtoError::Truncated);
-    }
-    let payload = if buf.remaining() == len {
-        // The whole buffer is this frame: hand it on, so a blob the
-        // payload ends in is taken without a copy.
-        std::mem::take(buf)
+    let mut d = Dec::new(buf);
+    let declared = d.u32()? as usize;
+    check_len(declared)?;
+    d.bytes(declared)?; // the whole payload is here
+    let whole = 4 + declared;
+    let payload = if whole == buf.len() {
+        // Nothing else holds the buffer now, so a blob the payload ends
+        // in is taken without a copy.
+        std::mem::take(buf).slice(4..whole)
     } else {
-        let payload = buf.slice(0..len);
-        buf.advance(len);
+        let payload = buf.slice(4..whole);
+        *buf = buf.slice(whole..buf.len());
         payload
     };
     decode_payload(payload)
@@ -1002,29 +964,39 @@ impl FrameReader {
             }
             self.large_len = 0;
             self.stalled = None;
-            let frame = decode(&mut Bytes::from(std::mem::take(&mut self.large)));
-            return Some(frame.map_or_else(Next::Bad, Next::Frame));
+            let mut large = std::mem::take(&mut self.large);
+            let head = decode_head(&mut Dec::new(&large[4..]));
+            return Some(match head {
+                Ok((mut frame, blob)) => {
+                    if let Some(bytes) = blob_mut(&mut frame) {
+                        // The blob keeps the frame's own allocation.
+                        large.drain(..large.len() - blob);
+                        *bytes = large;
+                    }
+                    Next::Frame(frame)
+                }
+                Err(e) => Next::Bad(e),
+            });
         }
         let held = &self.buf[self.at..self.end];
-        let declared = u32::from_le_bytes(held.get(..4)?.try_into().expect("4 bytes")) as usize;
-        if declared > MAX_FRAME {
-            let declared = declared as u64;
-            return Some(Next::Bad(ProtoError::Oversized { declared }));
+        let declared = Dec::new(held).u32().ok()? as usize;
+        if let Err(e) = check_len(declared) {
+            return Some(Next::Bad(e));
         }
         let whole = 4 + declared;
         // As much of the frame as the buffer can hold is in it.
         let full = held.len() >= whole.min(self.buf.len());
         if apart && full {
-            if let Some((frame, head, blob)) =
-                decode_head(&held[4..whole.min(held.len())], declared)
-            {
-                self.consume(4 + head);
+            let front = &held[4..whole.min(held.len())];
+            let mut d = Dec::partial(front, declared - front.len());
+            if let Ok((frame, blob)) = decode_head(&mut d) {
+                self.consume(whole - blob);
                 self.blob = blob;
                 return Some(Next::Frame(frame));
             }
         }
         if held.len() >= whole {
-            let frame = decode(&mut Bytes::from(&held[..whole]));
+            let frame = decode_slice(&held[4..whole]);
             self.consume(whole);
             return Some(frame.map_or_else(Next::Bad, Next::Frame));
         }
@@ -1073,7 +1045,6 @@ impl FrameReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
 
     /// One frame of every kind, each a few bytes long.
     fn one_of_every_kind() -> Vec<Frame> {
@@ -1211,7 +1182,7 @@ mod tests {
         for frame in &want {
             let mut buf = encode(frame);
             assert_eq!(decode(&mut buf).as_ref(), Ok(frame));
-            assert_eq!(buf.remaining(), 0, "decode consumed the whole frame");
+            assert!(buf.is_empty(), "decode consumed the whole frame");
         }
         let wire: Vec<u8> = want.iter().flat_map(|f| encode(f).to_vec()).collect();
         assert!(wire.len() < READ_BUF);
@@ -1271,10 +1242,7 @@ mod tests {
         let declared = (MAX_FRAME + 1) as u64;
         let prefix = (declared as u32).to_le_bytes().to_vec();
         let refused = ProtoError::Oversized { declared };
-        assert_eq!(
-            decode(&mut Bytes::from(prefix.clone())),
-            Err(refused.clone())
-        );
+        assert_eq!(decode(&mut prefix.clone().into()), Err(refused.clone()));
         let mut src = script([prefix, vec![0; 64]], false);
         let next = FrameReader::new().next(&mut src);
         assert!(matches!(next, Next::Bad(e) if e == refused));
@@ -1335,10 +1303,8 @@ mod tests {
 
     #[test]
     fn unknown_kind_and_trailing_bytes_are_rejected() {
-        let mut payload = BytesMut::new();
-        payload.put_u8(0x7E);
         assert_eq!(
-            decode_payload(payload.freeze()),
+            decode_payload(vec![0x7E].into()),
             Err(ProtoError::UnknownKind(0x7E))
         );
         let mut padded = encode(&Frame::LeaveOk { id: 1 }).to_vec();
@@ -1347,17 +1313,17 @@ mod tests {
         padded[0..4].copy_from_slice(&((base - 4 + 1) as u32).to_le_bytes());
         let total = padded.len();
         padded[0..4].copy_from_slice(&((total - 4) as u32).to_le_bytes());
-        let mut buf = Bytes::from(padded);
-        assert_eq!(decode(&mut buf), Err(ProtoError::Trailing { extra: 1 }));
+        assert_eq!(
+            decode(&mut padded.into()),
+            Err(ProtoError::Trailing { extra: 1 })
+        );
     }
 
     #[test]
     fn hostile_string_length_cannot_balloon() {
-        let mut payload = BytesMut::new();
-        payload.put_u8(K_JOIN);
-        payload.put_u64_le(1);
-        payload.put_u32_le(u32::MAX); // declared string far beyond payload
-        assert_eq!(decode_payload(payload.freeze()), Err(ProtoError::Truncated));
+        // A join whose tenant is declared far beyond the payload.
+        let payload = [&[K_JOIN][..], &1u64.to_le_bytes(), &u32::MAX.to_le_bytes()].concat();
+        assert_eq!(decode_payload(payload.into()), Err(ProtoError::Truncated));
     }
 
     /// A join over loopback, reads counted: the request reaches the
@@ -1387,7 +1353,7 @@ mod tests {
             let at_server = std::ptr::eq(to, &server);
             to.set_nonblocking(at_server).expect("non-blocking");
             let (mut reader, mut src) = (FrameReader::new(), Counted(to, 0));
-            let want = decode(&mut Bytes::from(wire)).expect("decodes");
+            let want = decode(&mut wire.into()).expect("decodes");
             assert!(matches!(reader.next(&mut src), Next::Frame(f) if f == want));
             assert_eq!(src.1, 1, "reads for {want:?}");
             if at_server {

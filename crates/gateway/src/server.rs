@@ -259,8 +259,25 @@ impl Conn {
             Some(_) => &mut self.behind,
             None => &mut self.outbuf,
         };
+        let at = buf.len();
         proto::encode_into(frame, buf);
+        if let Err(refused) = proto::check_len(buf.len() - at - 4) {
+            buf.truncate(at);
+            return self.refuse(stats, proto::reply_id(frame), refused);
+        }
         stats.frames_out.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Answers request `id` with a typed `Oversized` error in place of a
+    /// reply the peer's reader would refuse mid-stream: the connection
+    /// stays in step.
+    fn refuse(&mut self, stats: &WireStats, id: Option<u64>, refused: ProtoError) {
+        let frame = Frame::Error {
+            id: id.unwrap_or(PUSH_ID),
+            code: ErrorCode::Oversized,
+            message: format!("reply not sent: {refused}"),
+        };
+        self.queue(stats, &frame);
     }
 
     /// Queues a [`Frame::SnapshotBinOk`]: its head and the first run of
@@ -279,7 +296,12 @@ impl Conn {
             id,
             bytes: Vec::new(),
         };
+        let at = self.outbuf.len();
         proto::encode_blob_head(&head, body.left(), &mut self.outbuf);
+        if let Err(refused) = proto::check_len(self.outbuf.len() - at - 4 + body.left()) {
+            self.outbuf.truncate(at);
+            return self.refuse(stats, Some(id), refused);
+        }
         stats.frames_out.fetch_add(1, Ordering::Relaxed);
         self.in_flight = Some((body, started));
         self.refill(stats, plane);
@@ -716,5 +738,42 @@ impl Core {
             self.freeze_bodies();
             self.service.conn_closed(conn_id);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A reply too large for any reader is answered with a typed
+    /// `Oversized` error, and the connection's next reply follows it.
+    #[test]
+    fn a_reply_over_max_frame_is_refused_typed_and_the_connection_kept() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (server, _) = listener.accept().expect("accept");
+        server.set_nonblocking(true).expect("non-blocking");
+        let cfg = ServiceConfig::builder(64.0).exec(cdba_ctrl::ExecMode::Inline);
+        let plane = ControlPlane::new(cfg.build().expect("valid config"));
+        let stats = WireStats::new();
+        let mut conn = Conn::new(server);
+        // Kind, request id and blob length ahead of the blob.
+        let bytes = vec![0; proto::MAX_FRAME + 1 - 13];
+        conn.queue(&stats, &Frame::ImageOk { id: 7, bytes });
+        conn.queue(&stats, &Frame::LeaveOk { id: 8 });
+        while !conn.flushed() {
+            conn.flush(&stats, &plane).expect("the connection lives");
+        }
+        let mut reader = FrameReader::new();
+        let Next::Frame(Frame::Error { id, code, .. }) = reader.next(&mut client) else {
+            panic!("expected a typed error");
+        };
+        assert_eq!((id, code), (7, ErrorCode::Oversized));
+        let next = reader.next(&mut client);
+        assert!(
+            matches!(next, Next::Frame(Frame::LeaveOk { id: 8 })),
+            "{next:?}"
+        );
+        assert_eq!(stats.frames_out.load(Ordering::Relaxed), 2);
     }
 }

@@ -532,23 +532,22 @@ fn backlog_is_slowness_not_a_hang() {
 fn slow_shard_within_timeout_is_tolerated() {
     let clean = replay(ControlPlane::new(config(None)));
     // A 30 ms stall against the default 2000 ms timeout: no restart.
-    let delayed = replay(ControlPlane::new(config(Some(FaultPlan::delay(1, 50, 30)))));
-    assert_eq!(clean, delayed, "a tolerated delay changes nothing at all");
+    let delayed = replay(ControlPlane::new(config(Some(FaultPlan::hang(1, 50, 30)))));
+    assert_eq!(clean, delayed, "a tolerated stall changes nothing at all");
     assert_eq!(delayed.restarts, 0);
 }
 
 #[test]
 fn unrecoverable_shard_degrades_to_typed_errors() {
-    // checkpoint_every = 0 disables the journal: the first failure is
-    // final. Keys 0..4 alternate shards 0,1,0,1 under least-loaded
-    // placement.
+    // No restart budget: the first failure is final. Keys 0..4 alternate
+    // shards 0,1,0,1 under least-loaded placement.
     let cfg = ServiceConfig::builder(4096.0)
         .session_b_max(B_MAX)
         .offline_delay(D_O)
         .window(2 * D_O)
         .shards(2)
         .exec(ExecMode::Threaded)
-        .checkpoint_every(0)
+        .max_restarts(0)
         .fault(FaultPlan::kill(1, 3))
         .build()
         .unwrap();
@@ -592,7 +591,7 @@ fn unrecoverable_shard_degrades_to_typed_errors() {
     let replacement = service.admit("acme").unwrap();
     let snapshot = service.snapshot().expect("degraded but serviceable");
     assert!(!snapshot.health[1].healthy);
-    assert_eq!(snapshot.restarts, 0, "recovery was disabled, not attempted");
+    assert_eq!(snapshot.restarts, 0, "no restart budget, none attempted");
     assert_eq!(snapshot.events_replayed, 0);
     let placed = snapshot
         .sessions
@@ -660,7 +659,7 @@ fn admission_rolls_back_when_no_shard_can_take_the_join() {
         .window(2 * D_O)
         .shards(1)
         .exec(ExecMode::Threaded)
-        .checkpoint_every(0)
+        .max_restarts(0)
         .fault(FaultPlan::kill(0, 2))
         .build()
         .unwrap();

@@ -7,7 +7,7 @@
 use cdba_analysis::cost::CostModel;
 use cdba_bench::replay::{run_replay, ReplaySpec};
 use cdba_ctrl::{ControlPlane, ExecMode, FaultPlan, GlobalMetrics, ServiceConfig, SessionMetrics};
-use cdba_gateway::client::Client;
+use cdba_gateway::client::{Client, ClientError};
 use cdba_gateway::proto::{self, encode, ErrorCode, Frame};
 use cdba_gateway::{GatewayConfig, GatewayServer};
 use std::io::{Read, Write};
@@ -257,6 +257,27 @@ fn oversized_length_prefix_fails_the_connection_not_the_gateway() {
     let snap = server.shutdown().expect("shutdown");
     assert_eq!(snap.service.admitted, 1, "the refused conn perturbed state");
     assert_eq!(snap.service.ticks, 1);
+}
+
+/// A request over `MAX_FRAME`, which the gateway would refuse mid-stream,
+/// is refused by the client before a byte of it is written, and the
+/// connection serves the next request.
+#[test]
+fn a_request_over_max_frame_is_not_sent_and_the_connection_serves_on() {
+    let server = quick_gateway(inline_config(256.0));
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    // Kind, request id and blob length ahead of the blob.
+    let blob = vec![0; proto::MAX_FRAME + 1 - 13];
+    let refused = client.lease_grant(&blob).expect_err("an oversized request");
+    assert!(
+        matches!(&refused, ClientError::Protocol(m) if m.contains("exceeds")),
+        "{refused:?}"
+    );
+    drop(blob);
+    let key = client.join("acme").expect("the connection serves on");
+    assert_eq!(client.tick(&[(key, 1.0)]), Ok(1));
+    let snap = server.shutdown().expect("shutdown");
+    assert_eq!((snap.wire.decode_errors, snap.service.admitted), (0, 1));
 }
 
 #[test]

@@ -379,7 +379,7 @@ fn shard_lag_shows_a_burst_behind_a_slow_worker_and_clears_at_a_sync_point() {
         .window(8)
         .exec(ExecMode::Threaded)
         .checkpoint_every(8)
-        .fault(FaultPlan::delay(0, 0, 500))
+        .fault(FaultPlan::hang(0, 0, 500))
         .build()
         .expect("valid config");
     let mut plane = ControlPlane::new(cfg);
