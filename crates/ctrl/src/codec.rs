@@ -297,6 +297,16 @@ impl<'a> Dec<'a> {
     }
 }
 
+/// `v` as an `f32` when `f64 → f32 → f64` gives back its bits, else
+/// `None`. Compared as bits, so a NaN payload, `-0.0`, a subnormal or
+/// `±∞` narrows only if it comes back exactly. The one rule behind every
+/// half-width store: journal arrivals, frame float cells, window rings.
+#[inline(always)]
+pub(crate) fn f32_exact(v: f64) -> Option<f32> {
+    let narrow = v as f32;
+    (f64::from(narrow).to_bits() == v.to_bits()).then_some(narrow)
+}
+
 // ---------------------------------------------------------------------------
 // Snapshot family (public: the gateway reuses these for its wire frames).
 // ---------------------------------------------------------------------------

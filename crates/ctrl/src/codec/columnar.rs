@@ -474,11 +474,9 @@ impl Cell for f64 {
     const KIND: u8 = K_FLOAT;
     const NARROWEST: u8 = 4;
 
-    /// 4 when the value survives `f64 → f32 → f64` with identical
-    /// bits — compared as bits, so a NaN payload, `-0.0`, a subnormal
-    /// or `+∞` narrows only if it comes back exactly — else 8.
+    /// 4 when the value is [`f32_exact`], else 8.
     fn width(self) -> u8 {
-        if f64::from(self as f32).to_bits() == self.to_bits() {
+        if f32_exact(self).is_some() {
             4
         } else {
             8

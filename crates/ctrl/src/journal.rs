@@ -8,6 +8,7 @@
 //! process image. [`Journal`] is that job, and [`TickBatch`] is how both
 //! keep a tick's arrivals.
 
+use crate::codec;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -142,8 +143,8 @@ impl TickBatch {
             let delta = key.wrapping_sub(prev) as i64;
             prev = key;
             let zigzag = ((delta << 1) ^ (delta >> 63)) as u64;
-            let narrow = bits as f32;
-            let wide = f64::from(narrow).to_bits() != bits.to_bits();
+            let narrow = codec::f32_exact(bits);
+            let wide = narrow.is_none();
             let mut byte = ((zigzag & 0x3f) as u8) << 1 | u8::from(wide);
             let mut rest = zigzag >> 6;
             while rest != 0 {
@@ -152,10 +153,9 @@ impl TickBatch {
                 rest >>= 7;
             }
             buf.push(byte);
-            if wide {
-                buf.extend_from_slice(&bits.to_le_bytes());
-            } else {
-                buf.extend_from_slice(&narrow.to_le_bytes());
+            match narrow {
+                Some(narrow) => buf.extend_from_slice(&narrow.to_le_bytes()),
+                None => buf.extend_from_slice(&bits.to_le_bytes()),
             }
         }
         TickBatch(Arc::from(buf.as_slice()))

@@ -4,6 +4,7 @@
 //! share.
 
 use super::*;
+use crate::codec;
 
 /// A lower hull's vertices, oldest first, as a slot holds them: the
 /// first [`HULL_INLINE`] inline (`head`), any past them in the slot's
@@ -192,7 +193,7 @@ pub(super) struct Columns {
     /// Meter `(arrivals, allocation)` rings, under
     /// `recent_head`/`recent_len`; the arrival halves are also the high
     /// tracker's window.
-    pub(super) recent_ring: SlotRing<(f64, f64)>,
+    pub(super) recent_ring: SlotRing,
     /// Delay-FIFO entries behind the head that the window evicted while
     /// they were still queued, oldest first; `None` while there are none
     /// (a held spill is never empty). An entry outlives the window only if
@@ -476,40 +477,138 @@ pub(super) const RING_BLOCK: usize = 4096;
 pub(super) const RING_BLOCK: usize = 8;
 
 /// Cells from one ring position of a block to the next: the block's
-/// slots and one cache line of `f64`s. At a stride of exactly
+/// slots and one cache line of cells more. At a stride of exactly
 /// `RING_BLOCK` cells a slot's `W` cells sit 32 KiB apart, all in one L1
 /// set, and landing a 100k-session frame ran 60 ms against 45.
 const RING_ROW: usize = RING_BLOCK + 8;
 
-/// One `W`-entry ring per slot, stored in zero-allocated blocks of
-/// [`RING_BLOCK`] slots. A block is *time-major inside itself*: ring
-/// position `q` of slot `i` lives at
-/// `blocks[i / RING_BLOCK][q·RING_ROW + i % RING_BLOCK]`. Sessions that
-/// joined together advance their cursors in lockstep, so a tick's ring
-/// traffic lands on one densely shared row segment per block (8 bytes per
-/// slot) instead of dragging a `W`-stride cache line per slot through the
-/// sweep — the layout exists for that access pattern. Growth appends a
-/// block; a cell, once placed, never moves.
-#[derive(Default)]
-pub(super) struct SlotRing<T> {
-    pub(super) blocks: Vec<Box<[T]>>,
+/// The high 32 bits of a `u64`.
+const HIGH: u64 = 0xffff_ffff_0000_0000;
+
+/// One ring block's `(a, b)` cells, 8 bytes each while the block is
+/// narrow: `a`'s `f32` bits low, `b`'s high. It stays narrow while every
+/// pair written into it is [`codec::f32_exact`]. Single-session
+/// allocations are powers of two; arrivals are whatever the traffic
+/// sends. The service takes any finite value of 0 or more, and only small
+/// dyadic ones (the benchmark rounds to 1/64 bit) are exact. The first
+/// pair that is not (a 0.1-bit arrival, a pooled member's `backlog / D_O`
+/// share) widens the block for good: `hi` then holds the high halves of
+/// the `f64` bits and a zero-allocated `lo` their low halves. Widening
+/// frees nothing. Freeing the narrow cells raised glibc's dynamic mmap
+/// threshold, and later mid-size allocations stayed resident in the heap
+/// (`lean-256` on unrounded arrivals peaked 0.75 MB higher). Either way a
+/// cell reads back as the `f64`s written.
+pub(super) struct RingBlock {
+    hi: Box<[u64]>,
+    lo: Option<Box<[u64]>>,
 }
 
-impl<T: Copy + Default> SlotRing<T> {
-    /// Appends blocks until `bound` slots are covered; never shrinks.
+impl RingBlock {
+    #[inline(always)]
+    fn get(&self, k: usize) -> (f64, f64) {
+        let h = self.hi[k];
+        match &self.lo {
+            None => narrow_pair(h),
+            Some(lo) => {
+                let l = lo[k];
+                let (a, b) = (h << 32 | l & !HIGH, h & HIGH | l >> 32);
+                (f64::from_bits(a), f64::from_bits(b))
+            }
+        }
+    }
+
+    /// Writes cell `k`, widening the block if the pair needs it, and
+    /// returns what the cell held.
+    #[inline(always)]
+    fn replace(&mut self, k: usize, v: (f64, f64)) -> (f64, f64) {
+        let old = self.get(k);
+        if self.lo.is_none() {
+            match codec::f32_exact(v.0).zip(codec::f32_exact(v.1)) {
+                Some((a, b)) => self.hi[k] = u64::from(a.to_bits()) | u64::from(b.to_bits()) << 32,
+                None => self.widen(),
+            }
+        }
+        if let Some(lo) = &mut self.lo {
+            set_wide(&mut self.hi[k], &mut lo[k], v);
+        }
+        old
+    }
+
+    /// Widens a narrow block in place. Only the non-zero cells are
+    /// rewritten, so a page of `lo` no cell was written to stays
+    /// untouched, as in the rest of a zero-allocated block.
+    #[cold]
+    #[inline(never)]
+    fn widen(&mut self) {
+        let mut lo = vec![0; self.hi.len()].into_boxed_slice();
+        for (h, l) in self.hi.iter_mut().zip(lo.iter_mut()) {
+            if *h != 0 {
+                set_wide(h, l, narrow_pair(*h));
+            }
+        }
+        self.lo = Some(lo);
+    }
+
+    /// Whether the block has been widened.
+    #[cfg(test)]
+    pub(super) fn is_wide(&self) -> bool {
+        self.lo.is_some()
+    }
+
+    /// Where the block's cells sit.
+    #[cfg(test)]
+    pub(super) fn addr(&self) -> usize {
+        self.hi.as_ptr() as usize
+    }
+}
+
+/// A narrow cell's pair.
+#[inline(always)]
+fn narrow_pair(h: u64) -> (f64, f64) {
+    let (a, b) = (f32::from_bits(h as u32), f32::from_bits((h >> 32) as u32));
+    (f64::from(a), f64::from(b))
+}
+
+/// Writes `(a, b)` into a wide cell's halves.
+#[inline(always)]
+fn set_wide(hi: &mut u64, lo: &mut u64, (a, b): (f64, f64)) {
+    let (a, b) = (a.to_bits(), b.to_bits());
+    *hi = a >> 32 | b & HIGH;
+    *lo = a & !HIGH | b << 32;
+}
+
+/// One `W`-entry `(arrivals, allocation)` ring per slot, stored in
+/// zero-allocated [`RingBlock`]s of [`RING_BLOCK`] slots. A block is
+/// *time-major inside itself*: ring position `q` of slot `i` is cell
+/// `q·RING_ROW + i % RING_BLOCK` of `blocks[i / RING_BLOCK]`. Sessions
+/// that joined together advance their cursors in lockstep, so a tick's
+/// ring traffic lands on one densely shared row segment per block (8
+/// bytes per slot, 16 in a wide block) instead of dragging a `W`-stride
+/// cache line per slot through the sweep — the layout exists for that
+/// access pattern. Growth appends a block; a cell, once placed, never
+/// moves.
+#[derive(Default)]
+pub(super) struct SlotRing {
+    pub(super) blocks: Vec<RingBlock>,
+}
+
+impl SlotRing {
+    /// Appends narrow blocks until `bound` slots are covered; never
+    /// shrinks.
     pub(super) fn grow_to(&mut self, bound: usize, w: usize) {
         while self.blocks.len() * RING_BLOCK < bound {
-            self.blocks
-                .push(vec![T::default(); RING_ROW * w].into_boxed_slice());
+            let hi = vec![0; RING_ROW * w].into_boxed_slice();
+            self.blocks.push(RingBlock { hi, lo: None });
         }
     }
 
     /// Lands `entries` (at most `w`) as slot `i`'s ring, oldest at
     /// position 0 — the form a restore leaves a ring in, head 0.
-    pub(super) fn land(&mut self, i: usize, entries: impl IntoIterator<Item = T>) {
+    pub(super) fn land(&mut self, i: usize, entries: impl IntoIterator<Item = (f64, f64)>) {
         let (block, at) = (&mut self.blocks[i / RING_BLOCK], i % RING_BLOCK);
-        let cells = block[at..].iter_mut().step_by(RING_ROW);
-        cells.zip(entries).for_each(|(cell, v)| *cell = v);
+        for (q, v) in entries.into_iter().enumerate() {
+            block.replace(q * RING_ROW + at, v);
+        }
     }
 
     /// Slot `i`'s entries from the `from`-th oldest on, oldest first
@@ -521,19 +620,26 @@ impl<T: Copy + Default> SlotRing<T> {
         (heads, lens): (&[u32], &[u32]),
         i: usize,
         from: usize,
-    ) -> impl ExactSizeIterator<Item = T> + 'a {
+    ) -> impl ExactSizeIterator<Item = (f64, f64)> + 'a {
         let (block, at) = (&self.blocks[i / RING_BLOCK], i % RING_BLOCK);
         let head = heads[i] as usize;
         (from..lens[i] as usize).map(move |j| {
             let idx = head + j;
             let q = if idx >= w { idx - w } else { idx };
-            block[q * RING_ROW + at]
+            block.get(q * RING_ROW + at)
         })
     }
 
     /// Ring position `q` of slot `i`.
     #[inline(always)]
-    pub(super) fn cell(&mut self, q: usize, i: usize) -> &mut T {
-        &mut self.blocks[i / RING_BLOCK][q * RING_ROW + i % RING_BLOCK]
+    pub(super) fn get(&self, q: usize, i: usize) -> (f64, f64) {
+        self.blocks[i / RING_BLOCK].get(q * RING_ROW + i % RING_BLOCK)
+    }
+
+    /// Writes ring position `q` of slot `i`, re-laying its block wide if
+    /// `v` needs it, and returns what the position held.
+    #[inline(always)]
+    pub(super) fn replace(&mut self, q: usize, i: usize, v: (f64, f64)) -> (f64, f64) {
+        self.blocks[i / RING_BLOCK].replace(q * RING_ROW + i % RING_BLOCK, v)
     }
 }

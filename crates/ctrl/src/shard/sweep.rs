@@ -117,7 +117,7 @@ impl Columns {
             // share a ring cursor, so the eviction reads one dense row.
             self.high_window_sum[j] += a2;
             if self.stage_ticks[j] as usize >= p.w {
-                let (old, _) = *self.recent_ring.cell(self.recent_head[j] as usize, j);
+                let (old, _) = self.recent_ring.get(self.recent_head[j] as usize, j);
                 self.high_window_sum[j] -= old;
                 if self.high_window_sum[j] < 0.0 {
                     self.high_window_sum[j] = 0.0; // float-noise guard
@@ -356,7 +356,7 @@ impl Columns {
         let first = (self.pend_tick[j] + 1 + len as u64).saturating_sub(now) as usize;
         for p in first..len {
             let q = self.recent_head[j] as usize + p;
-            let (a, _) = *self.recent_ring.cell(if q >= w { q - w } else { q }, j);
+            let (a, _) = self.recent_ring.get(if q >= w { q - w } else { q }, j);
             if a > EPS {
                 return (now - (len - p) as u64, a);
             }
@@ -377,14 +377,14 @@ impl Columns {
             let now = self.meter_ticks[j];
             self.meter_ticks[j] += 1;
             if (self.recent_len[j] as usize) < w {
-                *self.recent_ring.cell(self.recent_len[j] as usize, j) = (arrivals, allocation);
+                let q = self.recent_len[j] as usize;
+                self.recent_ring.replace(q, j, (arrivals, allocation));
                 self.recent_len[j] += 1;
                 self.window_arrived[j] += arrivals;
                 self.window_allocated[j] += allocation;
             } else {
                 let idx2 = self.recent_head[j] as usize;
-                let cell = self.recent_ring.cell(idx2, j);
-                let (a0, b0) = std::mem::replace(cell, (arrivals, allocation));
+                let (a0, b0) = self.recent_ring.replace(idx2, j, (arrivals, allocation));
                 // The evicted cell is tick `now − W`; queued behind the
                 // head means newer than it (the FIFO is in tick order).
                 if a0 > EPS && self.pend_len[j] > 0 && self.pend_tick[j] + (w as u64) < now {

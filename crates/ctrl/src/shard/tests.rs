@@ -477,6 +477,8 @@ enum Op {
     /// `B_A` = 16 that bounds `high`, and the 84 bits left queued keep
     /// the RESET open for several ticks.
     Burst,
+    /// One tick in which only the `i`-th key issued sends, `bits`.
+    Lone(usize, f64),
 }
 
 /// [`Op`] plus the state-moving operations only [`lockstep`]
@@ -565,6 +567,12 @@ impl Script {
                     }
                 })
                 .collect(),
+            Op::Lone(i, bits) => {
+                self.tick_no += 1;
+                vec![ReplayEvent::Tick {
+                    arrivals: vec![(self.keys[i], bits)].into(),
+                }]
+            }
             Op::Burst => {
                 self.tick_no += 1;
                 let arrivals: Vec<_> = self.keys.iter().map(|&k| (k, 100.0)).collect();
@@ -908,16 +916,18 @@ fn frame_bytes(state: &ShardState) -> Vec<u8> {
 /// Where the ring's blocks sit: a block that moved, went or came shows.
 fn block_addrs(state: &ShardState) -> Vec<usize> {
     let ring = &state.cols.recent_ring;
-    ring.blocks.iter().map(|b| b.as_ptr() as usize).collect()
+    ring.blocks.iter().map(RingBlock::addr).collect()
 }
 
 /// Populations one short of a ring block, exactly one, one past it and
 /// one reaching into a third, through [`lockstep`]. The script wraps the
 /// `W` = 4 ring several times, meters a pooled group through the
-/// gather path, and reuses a retired slot. A burst holds every
-/// dedicated session in RESET for several ticks; one is leased and
-/// the shard recovered from a frame in the middle of it, and again a
-/// few ticks into the next stages, while windows are partly filled.
+/// gather path, and reuses a retired slot. Inexact arrivals widen the
+/// last dedicated slot's block, and after a capture another's, whose
+/// pair then reaches the recovery through the journal. A burst holds
+/// every dedicated session in RESET for several ticks; one is leased
+/// and the shard recovered from a frame in the middle of it, and again
+/// a few ticks into the next stages, while windows are partly filled.
 #[test]
 fn ring_block_edges_are_bitwise_invisible() {
     use LockstepOp::*;
@@ -932,12 +942,14 @@ fn ring_block_edges_are_bitwise_invisible() {
             .chain([
                 Plain(Op::JoinGroup(3)),
                 Plain(Op::Ticks(6, 3)),
+                Plain(Op::Lone(n - 4, 0.1)),
                 Plain(Op::Leave(n / 2)),
                 Plain(Op::Ticks(6, 5)),
                 Plain(Op::Burst),
                 Plain(Op::Ticks(2, 9)),
                 Migrate(0),
                 Capture,
+                Plain(Op::Lone(n / 3, f64::from_bits(1))),
                 Plain(Op::Ticks(1, 9)),
                 Recover,
                 Plain(Op::Ticks(6, 11)),
@@ -953,6 +965,71 @@ fn ring_block_edges_are_bitwise_invisible() {
         let blocks = shard.cols.bound().div_ceil(RING_BLOCK);
         assert_eq!(block_addrs(&shard).len(), blocks, "{n} slots");
     }
+}
+
+/// Which ring blocks have been re-laid wide, in block order.
+fn wide_blocks(state: &ShardState) -> Vec<bool> {
+    let ring = &state.cols.recent_ring;
+    ring.blocks.iter().map(RingBlock::is_wide).collect()
+}
+
+/// Three blocks of dedicated sessions on `f32`-exact arrivals and a
+/// pooled group of three in a fourth, whose quantum `B_O / 3` is not
+/// `f32`-exact. Mid-window, 0.1 arrives at a block's last slot, the
+/// smallest subnormal at the next block's first, and 1e300 in a block
+/// already wide: each inexact pair re-lays its own block wide and no
+/// other, a wide block stays wide once the window has moved past the
+/// pair that widened it, and a frame of the mixed shard lands the same
+/// blocks wide. The frame's bytes are pinned to what the same script
+/// wrote when every ring cell was two `f64`s. Once the window has moved
+/// on, a restore into a fresh store widens only the pooled block, and one
+/// into the recycled store keeps the blocks it had wide; both write the
+/// same frame.
+#[test]
+fn an_inexact_pair_widens_its_own_block_and_moves_no_frame_byte() {
+    let mut s = shard();
+    let mut script = Script::default();
+    let mut run = |s: &mut ShardState, op: Op| {
+        for ev in script.events(&op) {
+            s.apply(&ev);
+        }
+    };
+    for _ in 0..3 * RING_BLOCK {
+        run(&mut s, Op::JoinDedicated);
+    }
+    run(&mut s, Op::Ticks(2, 1));
+    assert_eq!(wide_blocks(&s), [false; 3]);
+    run(&mut s, Op::JoinGroup(3));
+    run(&mut s, Op::Ticks(1, 2));
+    assert_eq!(wide_blocks(&s), [false, false, false, true]);
+    run(&mut s, Op::Lone(RING_BLOCK - 1, 0.1));
+    assert_eq!(wide_blocks(&s), [true, false, false, true]);
+    run(&mut s, Op::Ticks(1, 3));
+    run(&mut s, Op::Lone(RING_BLOCK, f64::from_bits(1)));
+    run(&mut s, Op::Lone(0, 1e300));
+    let mixed = [true, true, false, true];
+    assert_eq!(wide_blocks(&s), mixed);
+    let frame = frame_bytes(&s);
+    let fnv1a = |bytes: &[u8]| {
+        let fold = |h: u64, &b: &u8| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, fold)
+    };
+    assert_eq!(
+        (frame.len(), fnv1a(&frame)),
+        (4_556, 9_786_739_155_261_644_251)
+    );
+    let landed = shard().rebuild(Some(&frame), &[]);
+    assert_eq!(wide_blocks(&landed), mixed);
+    assert_eq!(frame_bytes(&landed), frame);
+    run(&mut s, Op::Ticks(6, 4));
+    assert_eq!(wide_blocks(&s), mixed, "a wide block stays wide");
+    let frame = frame_bytes(&s);
+    let fresh = shard().rebuild(Some(&frame), &[]);
+    let recycled = s.recycle().rebuild(Some(&frame), &[]);
+    assert_eq!(wide_blocks(&fresh), [false, false, false, true]);
+    assert_eq!(wide_blocks(&recycled), mixed, "a recycled store keeps them");
+    assert_eq!(frame_bytes(&recycled), frame);
+    assert_eq!(frame_bytes(&fresh), frame);
 }
 
 /// A restore into a recycled store that holds fewer ring blocks than

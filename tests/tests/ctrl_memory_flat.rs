@@ -21,11 +21,14 @@
 //! asked for the restart or the worker was killed. Nor does growing cost
 //! one: the window ring grows by appended blocks, so 4,097 admissions
 //! never hold a byte more than they keep, bar kilobytes in flight. Nor
-//! does a session keep its window twice: a column set stays under a
-//! ceiling per dedicated session that a second window ring, or a delay
-//! FIFO that copies the window's arrivals into a deque, would cross, and
-//! a feasible dedicated session holds no heap block of its own: its lower
-//! hull sits inline while it has at most four vertices.
+//! does a session keep its window twice, or wider than its values: a
+//! column set stays under a ceiling per dedicated session that a second
+//! window ring, a delay FIFO that copies the window's arrivals into a
+//! deque, or 16-byte ring cells for values an `f32` holds would cross; a
+//! value no `f32` holds widens its ring block, by exactly the low halves
+//! of that block's cells; and a feasible dedicated session holds no heap
+//! block of its own: its lower hull sits inline while it has at most four
+//! vertices.
 //! Nor does the retained frame carry what the kernel derives, write a
 //! cell wider than it needs, or spend more than a bit on a zero cell of a
 //! mostly-zero column: it stays under a ceiling per dedicated session
@@ -165,11 +168,17 @@ fn poll_then_tick() -> [usize; 2] {
 /// What one column set of `dedicated` sessions and the pooled groups
 /// weighs: the live heap bytes and blocks of an inline plane (one shard
 /// state, no journal, no frame) holding it, a full traffic period in.
-fn column_set(dedicated: usize) -> (usize, usize) {
+/// With `inexact`, the last dedicated session is offered 0.1 bits at
+/// tick 8, a value no `f32` holds.
+fn column_set(dedicated: usize, inexact: bool) -> (usize, usize) {
     let (base, base_blocks) = (HEAP.live(), HEAP.blocks());
     let (mut plane, keys) = populated(ExecMode::Inline, dedicated, None);
     for t in 0..PAST_CHECKPOINT {
-        plane.tick(&batch(&keys, t)).expect("tick");
+        let mut arrivals = batch(&keys, t);
+        if inexact && t == 8 {
+            arrivals.last_mut().expect("a dedicated session").1 = 0.1;
+        }
+        plane.tick(&arrivals).expect("tick");
     }
     let set = (HEAP.live() - base, HEAP.blocks() - base_blocks);
     plane.shutdown();
@@ -308,28 +317,40 @@ fn heap_and_retained_frame_are_flat_in_uptime() {
     // A restart restores into the state it retires: frame-parse scratch
     // and a worker's fittings on top, never a second column set; and what
     // it keeps has stopped growing by the second restart.
-    let (set, blocks) = column_set(DEDICATED_RESTARTS);
+    let (set, blocks) = column_set(DEDICATED_RESTARTS, false);
     // One window per session: the high tracker reads its `W` arrivals
     // from the meter's ring, the meter's clock is the only one, and the
     // delay FIFO keeps only its head — the entries behind it are the
     // ring's arrivals. And one record: a session's identity is its key,
     // flags and two `u32` ids in the shard's columns and two `u32` cells
     // in the driver's table, and its lower hull keeps four vertices
-    // inline. 977 B per dedicated session measured; with a slab entry,
-    // a placement record and a per-slot hull `Vec` it was 1,167 B, and a
-    // per-slot FIFO deque (a 32 B header where the spill handle takes 8,
-    // and the capacity it keeps once the FIFO has held two entries) on
-    // top of those reached 1,281 B.
+    // inline. Every arrival here, allocation and pooled `B_O / 4` share
+    // is `f32`-exact, so the ring keeps each cell as two `f32`s: 849 B
+    // per dedicated session measured. With 16-byte ring cells it was
+    // 977 B, with a slab entry, a placement record and a per-slot hull
+    // `Vec` too 1,167 B, and a per-slot FIFO deque (a 32 B header where
+    // the spill handle takes 8, and the capacity it keeps once the FIFO
+    // has held two entries) on top of those reached 1,281 B.
     let per_session = set / DEDICATED_RESTARTS;
     assert!(
-        per_session <= 1_026,
+        per_session <= 891,
         "a dedicated session's column set weighs {per_session} B"
+    );
+    // One arrival no `f32` holds widens its ring block, and that block
+    // alone: it then weighs what every block did with 16-byte cells —
+    // `W` = 8 rows of 4,104 cells — so the set grows by one heap block,
+    // the low halves' 8 bytes a cell, and keeps the narrow cells.
+    let (wide, wide_blocks) = column_set(DEDICATED_RESTARTS, true);
+    assert_eq!(
+        (wide - set, wide_blocks),
+        (4_104 * 8 * 8, blocks + 1),
+        "a widened ring block's bytes and the set's heap blocks"
     );
     // Feasible traffic at `W` = 2·D_O queues no bit past the window and
     // keeps every hull within its four inline vertices, so neither spill
     // allocates: a dedicated session adds no heap block. (A per-slot hull
     // `Vec` made that one, and a per-slot deque two.)
-    let (_, half_blocks) = column_set(DEDICATED_RESTARTS / 2);
+    let (_, half_blocks) = column_set(DEDICATED_RESTARTS / 2, false);
     assert_eq!(
         blocks - half_blocks,
         0,

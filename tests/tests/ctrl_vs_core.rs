@@ -22,9 +22,11 @@
 //! Rows: the benchmark's bank rows without its 1/64-bit rounding (seeds
 //! 2, 6 and 11 are named regressions: their queues keep sub-`EPS` dust
 //! through idle stretches), `cdba_traffic::adversarial`'s stage forcer,
-//! and generated feasible traces; executors inline and threaded, with
-//! churn and shard restarts. Where membership is fixed, each dedicated
-//! session is also replayed through `cdba_sim::engine`.
+//! generated feasible traces, and `f32`-exact rows into which values only
+//! an `f64` holds drop (the kernel's window ring keeps `f32`s until one
+//! arrives); executors inline and threaded, with churn and shard
+//! restarts. Where membership is fixed, each dedicated session is also
+//! replayed through `cdba_sim::engine`.
 
 use cdba_bench::replay::ReplaySpec;
 use cdba_core::multi::pool::{SessionId, SessionPool};
@@ -546,6 +548,50 @@ fn a_population_past_one_ring_block_matches_the_core() {
         diff.tick(arrivals).unwrap();
     }
     diff.finish(true).unwrap();
+}
+
+/// Values only an `f64` holds, landing in ring blocks that hold `f32`s:
+/// two blocks of 4,096 dedicated sessions on `f32`-exact arrivals
+/// (multiples of 0.75), then a group of three in a third, whose quantum
+/// `B_O / 3` makes its allocations inexact from its first tick. Mid-window,
+/// 0.1 reaches the first block's last slot, the smallest subnormal the
+/// second block's first, and 1e300 (a queue that never drains, so the run
+/// skips `finish`) a slot of a block already wide. Threaded, the shard is
+/// restarted at tick 20 from the checkpoint taken at 16, after one more
+/// 0.1 the journal carries since. The window then wraps past all of them.
+fn inexact_run(exec: ExecMode) {
+    let mut diff = Diff::new(cfg(exec, 1));
+    let keys: Vec<u64> = (0..2 * 4_096).map(|_| diff.admit()).collect();
+    let group = diff.admit_group(3);
+    let odd = |t: u64| match t {
+        5 => Some((keys[4_095], 0.1)),
+        9 => Some((keys[4_096], f64::from_bits(1))),
+        13 => Some((keys[7], 1e300)),
+        18 => Some((keys[8_191], 0.1)),
+        _ => None,
+    };
+    for t in 0..40u64 {
+        if exec == ExecMode::Threaded && t == 20 {
+            diff.plane.restart_shard(0).unwrap();
+        }
+        let exact = keys
+            .iter()
+            .chain(&group)
+            .map(|&k| (k, ((k + t) % 5) as f64 * 0.75));
+        let arrivals: BTreeMap<u64, f64> = exact.chain(odd(t)).collect();
+        diff.tick(arrivals).unwrap();
+    }
+    assert!(diff.plane.restarts() > 0 || exec == ExecMode::Inline);
+}
+
+#[test]
+fn inexact_values_in_narrow_ring_blocks_inline_match_the_core() {
+    inexact_run(ExecMode::Inline);
+}
+
+#[test]
+fn inexact_values_in_narrow_ring_blocks_across_a_restart_match_the_core() {
+    inexact_run(ExecMode::Threaded);
 }
 
 /// Overload on a window shorter than `2·D_O` (`W` = 4, `D_O` = 4): a
