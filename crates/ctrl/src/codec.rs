@@ -533,7 +533,7 @@ pub fn decode_snapshot_head(d: &mut Dec<'_>) -> Result<(ServiceSnapshot, usize),
 }
 
 // ---------------------------------------------------------------------------
-// Columnar checkpoint frames (v6): schema-described struct-of-arrays.
+// Columnar checkpoint frames (v7): schema-described struct-of-arrays.
 // ---------------------------------------------------------------------------
 
 pub(crate) mod columnar;

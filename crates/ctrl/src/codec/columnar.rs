@@ -204,7 +204,7 @@ fn dec_group(d: &mut Dec<'_>) -> Result<GroupCheckpoint, CodecError> {
 /// in process images and in lease blobs, all written by the
 /// same binary that reads them, so an older version is refused
 /// (`columnar.version`), not translated.
-pub(crate) const FRAME_VERSION: u8 = 6;
+pub(crate) const FRAME_VERSION: u8 = 7;
 /// The one frame kind: every live session, full retired list, no
 /// tombstones. The decoder refuses any other kind byte.
 pub(crate) const KIND_GENESIS: u8 = 0;
@@ -239,25 +239,25 @@ pub(crate) const C_FLAGS: usize = 2;
 /// First of the 16 float scalar columns of the kernel's `Columns`
 /// (schema order).
 pub(crate) const C_F64: usize = 3;
-/// First of the 5 `Columns` counter columns (schema order:
-/// stage ticks, meter ticks, changes, max delay, stages completed).
+/// First of the 4 `Columns` counter columns (schema order:
+/// stage ticks, meter ticks, changes, stages completed).
 pub(crate) const C_U64: usize = 19;
-pub(crate) const C_HULL_LEN: usize = 24;
+pub(crate) const C_HULL_LEN: usize = 23;
 /// The low hull's vertices `(x, P[x])`, one column per half.
-pub(crate) const C_HULL_X: usize = 25;
-pub(crate) const C_HULL_Y: usize = 26;
-pub(crate) const C_RECENT_LEN: usize = 27;
-pub(crate) const C_RECENT: usize = 28;
-pub(crate) const C_RUNS_LEN: usize = 29;
+pub(crate) const C_HULL_X: usize = 24;
+pub(crate) const C_HULL_Y: usize = 25;
+pub(crate) const C_RECENT_LEN: usize = 26;
+pub(crate) const C_RECENT: usize = 27;
+pub(crate) const C_RUNS_LEN: usize = 28;
 /// The allocation runs `(ticks, value)`, one column per half.
-pub(crate) const C_RUNS_TICKS: usize = 30;
-pub(crate) const C_RUNS_VALUE: usize = 31;
-pub(crate) const C_PEND_LEN: usize = 32;
+pub(crate) const C_RUNS_TICKS: usize = 29;
+pub(crate) const C_RUNS_VALUE: usize = 30;
+pub(crate) const C_PEND_LEN: usize = 31;
 /// The delay FIFO's head and spill `(tick, bits)`, one column per
 /// half; the tick travels as its age on the row's clock.
-pub(crate) const C_PEND_AGE: usize = 33;
-pub(crate) const C_PEND_BITS: usize = 34;
-pub(crate) const NCOLS: usize = 35;
+pub(crate) const C_PEND_AGE: usize = 32;
+pub(crate) const C_PEND_BITS: usize = 33;
+pub(crate) const NCOLS: usize = 34;
 
 /// The canonical schema: `(name, kind)` per column index.
 pub(crate) const SPECS: [(&str, u8); NCOLS] = [
@@ -283,7 +283,6 @@ pub(crate) const SPECS: [(&str, u8); NCOLS] = [
     ("stage_ticks", K_UNSIGNED),
     ("meter_ticks", K_UNSIGNED),
     ("changes", K_UNSIGNED),
-    ("max_delay", K_UNSIGNED),
     ("stages_completed", K_UNSIGNED),
     ("hull_len", K_UNSIGNED),
     ("hull_x", K_FLOAT),

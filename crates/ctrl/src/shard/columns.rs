@@ -5,6 +5,8 @@
 
 use super::*;
 use crate::codec;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::BuildHasherDefault;
 
 /// A lower hull's vertices, oldest first, as a slot holds them: the
 /// first [`HULL_INLINE`] inline (`head`), any past them in the slot's
@@ -166,12 +168,11 @@ pub(super) struct Columns {
     pub(super) pend_bits: Vec<f64>,
     /// Delay FIFO occupancy, counting the inline head. Only the head is
     /// ever partly served, so the entries behind it are arrivals as they
-    /// came: the `pend_spill` entries, then every window arrival
-    /// `> EPS` newer than the head ([`Columns::pending`]).
+    /// came: the `pend_spills` entries, then every window arrival
+    /// `> EPS` newer than the head.
     pub(super) pend_len: Vec<u32>,
-    /// Maximum whole-tick FIFO delay observed.
-    pub(super) max_delay: Vec<u64>,
-    /// Maximum exact (fractional) FIFO delay observed.
+    /// Maximum exact (fractional) FIFO delay observed; the whole-tick
+    /// delay a snapshot reports is its ceiling ([`delay_ticks`]).
     pub(super) max_delay_exact: Vec<f64>,
     // -- utilization-window phase --
     /// Ticks metered: the session's one clock. The delay tracker and the
@@ -195,12 +196,12 @@ pub(super) struct Columns {
     /// tracker's window.
     pub(super) recent_ring: SlotRing,
     /// Delay-FIFO entries behind the head that the window evicted while
-    /// they were still queued, oldest first; `None` while there are none
-    /// (a held spill is never empty). An entry outlives the window only if
-    /// its delay exceeds `W`, and the paper bounds every delay by
-    /// `2·D_O ≤ W` on feasible traffic, so this column allocates only
-    /// under overload or a window shorter than `2·D_O`.
-    pub(super) pend_spill: Vec<Spill>,
+    /// they were still queued, oldest first, by slot; a slot has an entry
+    /// here only while it holds some. An entry outlives the window only
+    /// if its delay exceeds `W`, and the paper bounds every delay by
+    /// `2·D_O ≤ W` on feasible traffic, so this table fills only under
+    /// overload or a window shorter than `2·D_O`.
+    pub(super) pend_spills: BySlot<VecDeque<(u64, f64)>>,
     // -- identity, by id --
     /// Owning tenant: an id into the shard's [`Tenants`].
     pub(super) tenant: Vec<u32>,
@@ -213,20 +214,45 @@ pub(super) struct Columns {
     /// Low tracker: the hull's first [`HULL_INLINE`] vertices
     /// `(x, P[x])`, oldest first; unread past `hull_len`.
     pub(super) hull_pts: Vec<[(f64, f64); HULL_INLINE]>,
-    /// Low tracker: the hull's vertices past the inline ones. Made when
-    /// the hull first outgrows [`HULL_INLINE`] and kept, emptied, while
-    /// it shrinks back, until the hull empties (a RESET, a vacated slot):
-    /// a hull that swings across the capacity tick after tick would
-    /// otherwise allocate and free a spill on every swing.
-    pub(super) hull_spill: Vec<HullSpill>,
-    /// Emptied spills [`Columns::recycle`] kept, lowest slot last, for
-    /// the frame apply or restore that follows to land long hulls in
-    /// instead of allocating them afresh; whatever it leaves is dropped.
-    pub(super) hull_free: Vec<SpillBox>,
+    /// Low tracker: the hull's vertices past the inline ones, by slot,
+    /// read only while `hull_len` exceeds [`HULL_INLINE`]. Made when the
+    /// hull first outgrows its inline vertices and kept while it shrinks
+    /// back, until the hull empties (a RESET, a vacated slot): a hull that
+    /// swings across the capacity tick after tick would otherwise
+    /// allocate and free a spill on every swing.
+    pub(super) hull_spills: BySlot<Vec<(f64, f64)>>,
+    /// Emptied spills [`Columns::recycle`] kept, for the frame apply or
+    /// restore that follows to land long hulls in instead of allocating
+    /// them afresh; whatever it leaves is dropped.
+    pub(super) hull_free: Vec<Vec<(f64, f64)>>,
 }
 
-/// One slot's cold delay-FIFO spill: 8 bytes while empty.
-type Spill = Option<Box<VecDeque<(u64, f64)>>>;
+/// State only a few slots ever hold, keyed by slot: a column of handles
+/// would cost every slot 8 bytes. The hasher is fixed, so two stores
+/// with one history hold their entries alike.
+pub(super) type BySlot<T> = HashMap<u32, T, BuildHasherDefault<DefaultHasher>>;
+
+/// Drops slot `i`'s entry from `table`, and the table's buckets with its
+/// last entry: a burst of spills (every hull of a cohort past its inline
+/// vertices at once) would otherwise keep its bucket array for good.
+/// The tables' lookups sit in cold functions: inlined into the sweep's
+/// passes, their hashing slowed every slot's step, not just a spilled
+/// one's.
+#[inline(always)]
+fn drop_entry<T>(table: &mut BySlot<T>, i: usize) {
+    if !table.is_empty() {
+        drop_held(table, i);
+    }
+}
+
+/// [`drop_entry`] on a table that holds entries.
+#[cold]
+#[inline(never)]
+fn drop_held<T>(table: &mut BySlot<T>, i: usize) {
+    if table.remove(&(i as u32)).is_some() && table.is_empty() {
+        table.shrink_to_fit();
+    }
+}
 
 /// Lower-hull vertices a slot keeps inline. A hull gains one vertex per
 /// stage tick and loses every vertex the next one makes non-convex; on
@@ -234,33 +260,24 @@ type Spill = Option<Box<VecDeque<(u64, f64)>>>;
 /// 138–528) 98.8–99.0 % of the hulls hold at most 4 and none more than 6.
 pub(super) const HULL_INLINE: usize = 4;
 
-/// One slot's cold hull spill: 8 bytes until the hull first outgrows its
-/// inline vertices.
-type HullSpill = Option<SpillBox>;
-
-/// A hull spill's vertices, boxed so that a slot without one holds only
-/// the 8-byte handle.
-type SpillBox = Box<Vec<(f64, f64)>>;
-
 /// An empty hull spill: one [`Columns::recycle`] kept, if any is left,
 /// else a new one.
-fn free_spill(free: &mut Vec<SpillBox>) -> SpillBox {
+fn free_spill(free: &mut Vec<Vec<(f64, f64)>>) -> Vec<(f64, f64)> {
     match free.pop() {
         Some(mut spill) => {
             spill.clear();
             spill
         }
-        None => Box::new(Vec::with_capacity(HULL_INLINE)),
+        None => Vec::with_capacity(HULL_INLINE),
     }
 }
 
-/// Walks every fixed-width column of a [`Columns`] — the scalars, the
-/// inline hull and the spill handles — with its vacant-slot value (zeros,
-/// with the grace `+∞` and none-yet `NaN` sentinels armed, and no
-/// spill): `$body` runs once per column with `$col` bound to the column
-/// and `$vacant` to that value. The one list behind growing, resetting and recycling, so the
-/// three cannot disagree (`touched` is a work list, not a column, and is
-/// not here). The order is the order `grow_to` allocates in, which is
+/// Walks every fixed-width column of a [`Columns`] — the scalars and the
+/// inline hull — with its vacant-slot value (zeros, with the grace `+∞`
+/// and none-yet `NaN` sentinels armed): `$body` runs once per column
+/// with `$col` bound to the column and `$vacant` to that value. The one
+/// list behind growing, resetting and recycling, so the three cannot
+/// disagree (`touched` is a work list, not a column, and is not here). The order is the order `grow_to` allocates in, which is
 /// heap layout and shows in peak RSS: append, do not reorder.
 macro_rules! scalar_columns {
     ($cols:expr, |$col:ident, $vacant:ident| $body:expr) => {
@@ -271,11 +288,10 @@ macro_rules! scalar_columns {
             shadow_backlog 0.0, current_alloc 0.0, changes 0,
             peak_alloc 0.0, total_arrived 0.0, total_served 0.0,
             total_allocated 0.0, pend_tick 0, pend_bits 0.0, pend_len 0,
-            max_delay 0, max_delay_exact 0.0, meter_ticks 0,
+            max_delay_exact 0.0, meter_ticks 0,
             window_arrived 0.0, window_allocated 0.0, recent_head 0,
-            recent_len 0, min_util f64::NAN, pend_spill Spill::None,
-            tenant 0, group 0, hull_len 0, hull_pts [(0.0, 0.0); HULL_INLINE],
-            hull_spill HullSpill::None)
+            recent_len 0, min_util f64::NAN,
+            tenant 0, group 0, hull_len 0, hull_pts [(0.0, 0.0); HULL_INLINE])
     };
     (@each $cols:expr, $col:ident, $vacant:ident, $body:expr; $($field:ident $value:expr),+) => {
         $({
@@ -300,13 +316,14 @@ impl Columns {
     /// Empties the store, keeping allocations only: every fixed-width
     /// column goes to length 0, so [`Columns::grow_to`] re-arms each slot
     /// exactly as it does in a fresh store; the rings keep their blocks (a
-    /// ring cell is only read under a cursor that was written first), and
-    /// the hull spills move to `hull_free`, emptied when drawn.
-    /// Nothing that was *in* a column survives, so a store torn mid-event
-    /// is worth exactly as much as a fresh one.
+    /// ring cell is only read under a cursor that was written first), the
+    /// FIFO spills go, and the hull spills move to `hull_free`, emptied
+    /// when drawn. Nothing that was *in* a column survives, so a store
+    /// torn mid-event is worth exactly as much as a fresh one.
     pub(super) fn recycle(&mut self) {
         self.hull_free
-            .extend(self.hull_spill.drain(..).rev().flatten());
+            .extend(self.hull_spills.drain().map(|(_, spill)| spill));
+        self.pend_spills.clear();
         scalar_columns!(self, |col, _vacant| col.clear());
         self.touched.clear();
     }
@@ -319,29 +336,45 @@ impl Columns {
 
     /// Slot `i`'s lower hull, oldest vertex first.
     pub(super) fn hull(&self, i: usize) -> HullView<'_> {
-        let n = (self.hull_len[i] as usize).min(HULL_INLINE);
+        let n = self.hull_len[i] as usize;
+        let tail = match n.checked_sub(HULL_INLINE) {
+            Some(spilled @ 1..) => self.hull_tail(i, spilled),
+            _ => &[],
+        };
         HullView {
-            head: &self.hull_pts[i][..n],
-            tail: self.hull_spill[i].as_deref().map_or(&[], Vec::as_slice),
+            head: &self.hull_pts[i][..n.min(HULL_INLINE)],
+            tail,
         }
+    }
+
+    /// Slot `i`'s `spilled` hull vertices past the inline ones.
+    #[cold]
+    #[inline(never)]
+    fn hull_tail(&self, i: usize, spilled: usize) -> &[(f64, f64)] {
+        &self.hull_spills[&(i as u32)][..spilled]
+    }
+
+    /// Pushes `p` past slot `i`'s inline hull vertices, at index `n`.
+    #[cold]
+    #[inline(never)]
+    fn push_spilled(&mut self, i: usize, n: usize, p: (f64, f64)) {
+        let free = &mut self.hull_free;
+        let spill = self.hull_spills.entry(i as u32);
+        let spill = spill.or_insert_with(|| free_spill(free));
+        spill.truncate(n - HULL_INLINE);
+        spill.push(p);
     }
 
     /// Pushes `p` onto slot `i`'s lower hull ([`hull_keep`]): at index
     /// `n` inline, or past the inline vertices into the spill, made on
-    /// first need and kept (see `hull_spill`).
+    /// first need and kept (see `hull_spills`).
     pub(super) fn hull_push(&mut self, i: usize, p: (f64, f64)) {
         let n = hull_keep(self.hull(i), p);
         self.hull_len[i] = n as u32 + 1;
-        let spill = &mut self.hull_spill[i];
         if n < HULL_INLINE {
             self.hull_pts[i][n] = p;
-            if let Some(spill) = spill {
-                spill.clear();
-            }
         } else {
-            let spill = spill.get_or_insert_with(|| free_spill(&mut self.hull_free));
-            spill.truncate(n - HULL_INLINE);
-            spill.push(p);
+            self.push_spilled(i, n, p);
         }
     }
 
@@ -356,22 +389,56 @@ impl Columns {
         let mut vertices = vertices;
         let cells = self.hull_pts[i].iter_mut();
         cells.zip(vertices.by_ref()).for_each(|(cell, v)| *cell = v);
-        self.hull_spill[i] = (n > HULL_INLINE).then(|| {
+        if n > HULL_INLINE {
             let mut spill = free_spill(&mut self.hull_free);
             spill.extend(vertices);
-            spill
-        });
+            self.hull_spills.insert(i as u32, spill);
+        }
     }
 
     /// Empties slot `i`'s lower hull.
     pub(super) fn clear_hull(&mut self, i: usize) {
         self.hull_len[i] = 0;
-        self.hull_spill[i] = None;
+        drop_entry(&mut self.hull_spills, i);
     }
 
-    /// Resets every scalar column of slot `i` to the vacant-slot state.
+    /// Drops slot `i`'s delay-FIFO spill, if it holds one.
+    pub(super) fn clear_pend_spill(&mut self, i: usize) {
+        drop_entry(&mut self.pend_spills, i);
+    }
+
+    /// Slot `i`'s delay-FIFO spill, if it holds one.
+    #[inline(always)]
+    pub(super) fn pend_spill(&mut self, i: usize) -> Option<&mut VecDeque<(u64, f64)>> {
+        if self.pend_spills.is_empty() {
+            return None;
+        }
+        self.held_spill(i)
+    }
+
+    /// [`Columns::pend_spill`] on a table that holds entries.
+    #[cold]
+    #[inline(never)]
+    fn held_spill(&mut self, i: usize) -> Option<&mut VecDeque<(u64, f64)>> {
+        self.pend_spills.get_mut(&(i as u32))
+    }
+
+    /// Queues `entry`, evicted from slot `i`'s window, on its FIFO spill.
+    #[cold]
+    #[inline(never)]
+    pub(super) fn spill_pending(&mut self, i: usize, entry: (u64, f64)) {
+        self.pend_spills
+            .entry(i as u32)
+            .or_default()
+            .push_back(entry);
+    }
+
+    /// Resets slot `i` to the vacant-slot state: every scalar column, and
+    /// no spill.
     pub(super) fn reset_scalars(&mut self, i: usize) {
         scalar_columns!(self, |col, vacant| col[i] = vacant);
+        self.clear_hull(i);
+        self.clear_pend_spill(i);
     }
 
     /// Initializes slot `i` for a fresh session `key` (meter state as
@@ -418,14 +485,19 @@ impl Columns {
         while let Some(entry) = pending.next_if(|&(t, _)| t < start) {
             spill.push_back(entry);
         }
-        self.pend_spill[i] = (!spill.is_empty()).then(|| Box::new(spill));
+        if !spill.is_empty() {
+            self.pend_spills.insert(i as u32, spill);
+        }
     }
 
     /// The delay-FIFO entries slot `i` holds apart from its window, oldest
     /// first: the head, then the spill.
     pub(super) fn fifo_held(&self, i: usize) -> impl Iterator<Item = (u64, f64)> + '_ {
         let head = (self.pend_len[i] > 0).then(|| (self.pend_tick[i], self.pend_bits[i]));
-        let spill = self.pend_spill[i].iter().flat_map(|s| s.iter().copied());
+        let spill = (!self.pend_spills.is_empty())
+            .then(|| self.pend_spills.get(&(i as u32)))
+            .flatten();
+        let spill = spill.into_iter().flat_map(|s| s.iter().copied());
         head.into_iter().chain(spill)
     }
 
@@ -482,99 +554,195 @@ pub(super) const RING_BLOCK: usize = 8;
 /// set, and landing a 100k-session frame ran 60 ms against 45.
 const RING_ROW: usize = RING_BLOCK + 8;
 
-/// The high 32 bits of a `u64`.
-const HIGH: u64 = 0xffff_ffff_0000_0000;
+/// The bits of an `f64`'s mantissa.
+const MANTISSA: u64 = (1 << 52) - 1;
 
-/// One ring block's `(a, b)` cells, 8 bytes each while the block is
-/// narrow: `a`'s `f32` bits low, `b`'s high. It stays narrow while every
-/// pair written into it is [`codec::f32_exact`]. Single-session
-/// allocations are powers of two; arrivals are whatever the traffic
-/// sends. The service takes any finite value of 0 or more, and only small
-/// dyadic ones (the benchmark rounds to 1/64 bit) are exact. The first
-/// pair that is not (a 0.1-bit arrival, a pooled member's `backlog / D_O`
-/// share) widens the block for good: `hi` then holds the high halves of
-/// the `f64` bits and a zero-allocated `lo` their low halves. Widening
-/// frees nothing. Freeing the narrow cells raised glibc's dynamic mmap
-/// threshold, and later mid-size allocations stayed resident in the heap
-/// (`lean-256` on unrounded arrivals peaked 0.75 MB higher). Either way a
-/// cell reads back as the `f64`s written.
-pub(super) struct RingBlock {
-    hi: Box<[u64]>,
-    lo: Option<Box<[u64]>>,
+/// What each one-byte allocation code stands for: 0 is `0.0`, and `c` in
+/// `1..=255` is `2^(c − 128)`. Theorem 6's allocator hands a dedicated
+/// session nothing else: 0, or the smallest power of two at or above
+/// `low(t)`, capped at `B_A`, itself a power of two (a configuration with
+/// any other `B_A` is refused).
+static CODES: [f64; 256] = {
+    let mut values = [0.0; 256];
+    let mut c = 1;
+    while c < 256 {
+        values[c] = f64::from_bits((c as u64 + 895) << 52);
+        c += 1;
+    }
+    values
+};
+
+/// The code that reads back as `v`'s bits, if there is one: for a
+/// positive power of two, its biased exponent less 895 (a set sign bit
+/// puts it out of range).
+#[inline(always)]
+fn code(v: f64) -> Option<u8> {
+    let bits = v.to_bits();
+    let exp = bits >> 52;
+    if bits & MANTISSA == 0 && (896..=1150).contains(&exp) {
+        Some((exp - 895) as u8)
+    } else {
+        (bits == 0).then_some(0)
+    }
 }
 
-impl RingBlock {
+/// One half of a ring block's cells as floats, 4 bytes a cell while
+/// narrow: an `f32`'s bits. It stays narrow while every value written is
+/// [`codec::f32_exact`]; the first that is not widens it for good: `hi`
+/// then holds the high halves of the `f64` bits and a zero-allocated
+/// `lo` their low halves. Widening frees nothing: freeing the narrow
+/// cells raised glibc's dynamic mmap threshold, and later mid-size
+/// allocations stayed resident in the heap (`lean-256` on unrounded
+/// arrivals peaked 0.75 MB higher).
+struct Floats {
+    hi: Box<[u32]>,
+    lo: Option<Box<[u32]>>,
+}
+
+impl Floats {
+    fn zeroed(cells: usize) -> Self {
+        Floats {
+            hi: vec![0; cells].into_boxed_slice(),
+            lo: None,
+        }
+    }
+
     #[inline(always)]
-    fn get(&self, k: usize) -> (f64, f64) {
+    fn get(&self, k: usize) -> f64 {
         let h = self.hi[k];
         match &self.lo {
-            None => narrow_pair(h),
-            Some(lo) => {
-                let l = lo[k];
-                let (a, b) = (h << 32 | l & !HIGH, h & HIGH | l >> 32);
-                (f64::from_bits(a), f64::from_bits(b))
-            }
+            None => f64::from(f32::from_bits(h)),
+            Some(lo) => f64::from_bits(u64::from(h) << 32 | u64::from(lo[k])),
         }
     }
 
-    /// Writes cell `k`, widening the block if the pair needs it, and
-    /// returns what the cell held.
+    /// Writes cell `k`, widening the half if `v` needs it.
     #[inline(always)]
-    fn replace(&mut self, k: usize, v: (f64, f64)) -> (f64, f64) {
-        let old = self.get(k);
+    fn set(&mut self, k: usize, v: f64) {
         if self.lo.is_none() {
-            match codec::f32_exact(v.0).zip(codec::f32_exact(v.1)) {
-                Some((a, b)) => self.hi[k] = u64::from(a.to_bits()) | u64::from(b.to_bits()) << 32,
-                None => self.widen(),
+            if let Some(narrow) = codec::f32_exact(v) {
+                self.hi[k] = narrow.to_bits();
+                return;
             }
+            self.widen();
         }
         if let Some(lo) = &mut self.lo {
-            set_wide(&mut self.hi[k], &mut lo[k], v);
+            let bits = v.to_bits();
+            (self.hi[k], lo[k]) = ((bits >> 32) as u32, bits as u32);
         }
-        old
     }
 
-    /// Widens a narrow block in place. Only the non-zero cells are
+    /// Widens a narrow half in place. Only the non-zero cells are
     /// rewritten, so a page of `lo` no cell was written to stays
-    /// untouched, as in the rest of a zero-allocated block.
+    /// untouched, as in the rest of a zero-allocated half.
     #[cold]
     #[inline(never)]
     fn widen(&mut self) {
         let mut lo = vec![0; self.hi.len()].into_boxed_slice();
         for (h, l) in self.hi.iter_mut().zip(lo.iter_mut()) {
             if *h != 0 {
-                set_wide(h, l, narrow_pair(*h));
+                let bits = f64::from(f32::from_bits(*h)).to_bits();
+                (*h, *l) = ((bits >> 32) as u32, bits as u32);
             }
         }
         self.lo = Some(lo);
     }
 
-    /// Whether the block has been widened.
+    /// Bytes a cell.
     #[cfg(test)]
-    pub(super) fn is_wide(&self) -> bool {
-        self.lo.is_some()
+    fn cell_bytes(&self) -> usize {
+        if self.lo.is_some() {
+            8
+        } else {
+            4
+        }
+    }
+}
+
+/// A ring block's allocation half: a one-byte code a cell ([`CODES`])
+/// while every allocation written has one — a dedicated session's
+/// always do — else floats. The first allocation no code holds (a
+/// pooled member's share) turns the half into [`Floats`] for good and
+/// frees the codes: at `W` ≤ 31 they are a heap chunk below glibc's
+/// 128 KiB mmap threshold, so freeing them leaves that threshold alone.
+enum Allocs {
+    Coded(Box<[u8]>),
+    Floats(Floats),
+}
+
+/// One ring block's `(arrivals, allocation)` cells, each half widening
+/// on its own: arrivals from `f32` to `f64`, allocations from a code to
+/// `f32` to `f64`. Either way a cell reads back as the `f64`s written.
+pub(super) struct RingBlock {
+    arrivals: Floats,
+    allocs: Allocs,
+}
+
+impl RingBlock {
+    fn zeroed(cells: usize) -> Self {
+        RingBlock {
+            arrivals: Floats::zeroed(cells),
+            allocs: Allocs::Coded(vec![0; cells].into_boxed_slice()),
+        }
     }
 
-    /// Where the block's cells sit.
+    #[inline(always)]
+    fn alloc(&self, k: usize) -> f64 {
+        match &self.allocs {
+            Allocs::Coded(c) => CODES[usize::from(c[k])],
+            Allocs::Floats(f) => f.get(k),
+        }
+    }
+
+    /// Writes cell `k`, widening either half if the pair needs it, and
+    /// returns what the cell held.
+    #[inline(always)]
+    fn replace(&mut self, k: usize, (a, b): (f64, f64)) -> (f64, f64) {
+        let old = (self.arrivals.get(k), self.alloc(k));
+        self.arrivals.set(k, a);
+        if let Allocs::Coded(c) = &mut self.allocs {
+            if let Some(code) = code(b) {
+                c[k] = code;
+                return old;
+            }
+            self.uncode();
+        }
+        if let Allocs::Floats(f) = &mut self.allocs {
+            f.set(k, b);
+        }
+        old
+    }
+
+    /// Turns a coded allocation half into floats, writing only the
+    /// non-zero cells (see [`Floats::widen`]).
+    #[cold]
+    #[inline(never)]
+    fn uncode(&mut self) {
+        if let Allocs::Coded(c) = &self.allocs {
+            let mut floats = Floats::zeroed(c.len());
+            for (k, &code) in c.iter().enumerate().filter(|&(_, &code)| code != 0) {
+                floats.set(k, CODES[usize::from(code)]);
+            }
+            self.allocs = Allocs::Floats(floats);
+        }
+    }
+
+    /// Bytes a cell of each half: arrivals 4 or 8, allocations 1, 4
+    /// or 8.
+    #[cfg(test)]
+    pub(super) fn cell_bytes(&self) -> (usize, usize) {
+        let allocs = match &self.allocs {
+            Allocs::Coded(_) => 1,
+            Allocs::Floats(f) => f.cell_bytes(),
+        };
+        (self.arrivals.cell_bytes(), allocs)
+    }
+
+    /// Where the block's arrival cells sit.
     #[cfg(test)]
     pub(super) fn addr(&self) -> usize {
-        self.hi.as_ptr() as usize
+        self.arrivals.hi.as_ptr() as usize
     }
-}
-
-/// A narrow cell's pair.
-#[inline(always)]
-fn narrow_pair(h: u64) -> (f64, f64) {
-    let (a, b) = (f32::from_bits(h as u32), f32::from_bits((h >> 32) as u32));
-    (f64::from(a), f64::from(b))
-}
-
-/// Writes `(a, b)` into a wide cell's halves.
-#[inline(always)]
-fn set_wide(hi: &mut u64, lo: &mut u64, (a, b): (f64, f64)) {
-    let (a, b) = (a.to_bits(), b.to_bits());
-    *hi = a >> 32 | b & HIGH;
-    *lo = a & !HIGH | b << 32;
 }
 
 /// One `W`-entry `(arrivals, allocation)` ring per slot, stored in
@@ -582,23 +750,22 @@ fn set_wide(hi: &mut u64, lo: &mut u64, (a, b): (f64, f64)) {
 /// *time-major inside itself*: ring position `q` of slot `i` is cell
 /// `q·RING_ROW + i % RING_BLOCK` of `blocks[i / RING_BLOCK]`. Sessions
 /// that joined together advance their cursors in lockstep, so a tick's
-/// ring traffic lands on one densely shared row segment per block (8
-/// bytes per slot, 16 in a wide block) instead of dragging a `W`-stride
-/// cache line per slot through the sweep — the layout exists for that
-/// access pattern. Growth appends a block; a cell, once placed, never
-/// moves.
+/// ring traffic lands on one densely shared row segment per block and
+/// half (5 bytes per slot while narrow and coded) instead of dragging a
+/// `W`-stride cache line per slot through the sweep — the layout exists
+/// for that access pattern. Growth appends a block; a cell, once placed,
+/// never moves.
 #[derive(Default)]
 pub(super) struct SlotRing {
     pub(super) blocks: Vec<RingBlock>,
 }
 
 impl SlotRing {
-    /// Appends narrow blocks until `bound` slots are covered; never
-    /// shrinks.
+    /// Appends narrow, coded blocks until `bound` slots are covered;
+    /// never shrinks.
     pub(super) fn grow_to(&mut self, bound: usize, w: usize) {
         while self.blocks.len() * RING_BLOCK < bound {
-            let hi = vec![0; RING_ROW * w].into_boxed_slice();
-            self.blocks.push(RingBlock { hi, lo: None });
+            self.blocks.push(RingBlock::zeroed(RING_ROW * w));
         }
     }
 
@@ -611,35 +778,57 @@ impl SlotRing {
         }
     }
 
-    /// Slot `i`'s entries from the `from`-th oldest on, oldest first
-    /// (they sit [`RING_ROW`] apart, so there is no contiguous run to
-    /// borrow).
-    pub(super) fn run<'a>(
+    /// Slot `i`'s cells as `read` reads them, oldest first (they sit
+    /// [`RING_ROW`] apart, so there is no contiguous run to borrow).
+    fn cells<'a, T>(
         &'a self,
         w: usize,
         (heads, lens): (&[u32], &[u32]),
         i: usize,
-        from: usize,
-    ) -> impl ExactSizeIterator<Item = (f64, f64)> + 'a {
+        read: impl Fn(&'a RingBlock, usize) -> T + 'a,
+    ) -> impl ExactSizeIterator<Item = T> + 'a {
         let (block, at) = (&self.blocks[i / RING_BLOCK], i % RING_BLOCK);
         let head = heads[i] as usize;
-        (from..lens[i] as usize).map(move |j| {
+        (0..lens[i] as usize).map(move |j| {
             let idx = head + j;
             let q = if idx >= w { idx - w } else { idx };
-            block.get(q * RING_ROW + at)
+            read(block, q * RING_ROW + at)
         })
     }
 
-    /// Ring position `q` of slot `i`.
-    #[inline(always)]
-    pub(super) fn get(&self, q: usize, i: usize) -> (f64, f64) {
-        self.blocks[i / RING_BLOCK].get(q * RING_ROW + i % RING_BLOCK)
+    /// Slot `i`'s arrivals, oldest first.
+    pub(super) fn arrivals<'a>(
+        &'a self,
+        w: usize,
+        cursors: (&[u32], &[u32]),
+        i: usize,
+    ) -> impl ExactSizeIterator<Item = f64> + 'a {
+        self.cells(w, cursors, i, |block, k| block.arrivals.get(k))
     }
 
-    /// Writes ring position `q` of slot `i`, re-laying its block wide if
-    /// `v` needs it, and returns what the position held.
+    /// Slot `i`'s allocations, oldest first.
+    pub(super) fn allocs<'a>(
+        &'a self,
+        w: usize,
+        cursors: (&[u32], &[u32]),
+        i: usize,
+    ) -> impl ExactSizeIterator<Item = f64> + 'a {
+        self.cells(w, cursors, i, |block, k| block.alloc(k))
+    }
+
+    /// The arrival at ring position `q` of slot `i`.
+    #[inline(always)]
+    pub(super) fn arrival(&self, q: usize, i: usize) -> f64 {
+        self.blocks[i / RING_BLOCK]
+            .arrivals
+            .get(q * RING_ROW + i % RING_BLOCK)
+    }
+
+    /// Writes ring position `q` of slot `i`, widening a half of its block
+    /// if `v` needs it, and returns what the position held.
     #[inline(always)]
     pub(super) fn replace(&mut self, q: usize, i: usize, v: (f64, f64)) -> (f64, f64) {
-        self.blocks[i / RING_BLOCK].replace(q * RING_ROW + i % RING_BLOCK, v)
+        let k = q * RING_ROW + i % RING_BLOCK;
+        self.blocks[i / RING_BLOCK].replace(k, v)
     }
 }

@@ -156,7 +156,7 @@ fn validate_frame<'f>(
         f64s: (0..16)
             .map(|j| f.fixed(C_F64 + j))
             .collect::<Result<_, _>>()?,
-        u64s: (0..5)
+        u64s: (0..4)
             .map(|j| f.fixed(C_U64 + j))
             .collect::<Result<_, _>>()?,
         hull_len: f.fixed(C_HULL_LEN)?,
@@ -339,8 +339,7 @@ impl Columns {
         let clock = u64_at(c.u64s[1], r);
         self.meter_ticks[i] = clock;
         self.changes[i] = u64_at(c.u64s[2], r);
-        self.max_delay[i] = u64_at(c.u64s[3], r);
-        self.stages_completed[i] = u64_at(c.u64s[4], r);
+        self.stages_completed[i] = u64_at(c.u64s[3], r);
         // The ring lands at head = 0, exactly how the encoder read it,
         // its allocation runs expanded in place.
         let arrivals = (at.recent..at.recent + recent_n).map(|j| f64_at(c.recent, j));
@@ -594,12 +593,11 @@ impl columnar::ColumnSource for ShardState {
     fn columns(&self, rows: &columnar::Rows<'_>, f: &mut impl columnar::ColumnWriter) {
         use columnar::*;
         let cols = &self.cols;
-        let w = self.window;
-        let ring = |i: usize| {
-            let cursors = (&cols.recent_head[..], &cols.recent_len[..]);
-            cols.recent_ring.run(w, cursors, i, 0)
-        };
-        let allocs = move |i: usize| ring(i).map(|(_, b)| b);
+        let (w, ring) = (self.window, &cols.recent_ring);
+        let cursors = (&cols.recent_head[..], &cols.recent_len[..]);
+        // The arrivals and the allocations are the ring block's two
+        // halves, so each column reads its own half alone.
+        let allocs = move |i: usize| ring.allocs(w, cursors, i);
         let slots = || rows.slots.iter().map(|&i| i as usize);
         f.col(C_KEY, at_slots(&cols.keys, rows.slots));
         f.col(C_TENANT, rows.tenants.iter().copied());
@@ -625,11 +623,10 @@ impl columnar::ColumnSource for ShardState {
         for (j, src) in f64_cols.into_iter().enumerate() {
             f.col(C_F64 + j, at_slots(src, rows.slots));
         }
-        let u64_cols: [&[u64]; 5] = [
+        let u64_cols: [&[u64]; 4] = [
             &cols.stage_ticks,
             &cols.meter_ticks,
             &cols.changes,
-            &cols.max_delay,
             &cols.stages_completed,
         ];
         for (j, src) in u64_cols.into_iter().enumerate() {
@@ -640,7 +637,7 @@ impl columnar::ColumnSource for ShardState {
         f.col(C_HULL_X, hull().map(|p| p.0));
         f.col(C_HULL_Y, hull().map(|p| p.1));
         f.col(C_RECENT_LEN, at_slots(&cols.recent_len, rows.slots));
-        f.col(C_RECENT, slots().flat_map(|i| ring(i).map(|(a, _)| a)));
+        f.col(C_RECENT, slots().flat_map(|i| ring.arrivals(w, cursors, i)));
         let all_runs = move || slots().flat_map(move |i| runs(allocs(i)));
         f.col(C_RUNS_LEN, slots().map(|i| runs(allocs(i)).count() as u64));
         f.col(C_RUNS_TICKS, all_runs().map(|r| r.0));

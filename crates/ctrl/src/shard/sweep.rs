@@ -117,7 +117,7 @@ impl Columns {
             // share a ring cursor, so the eviction reads one dense row.
             self.high_window_sum[j] += a2;
             if self.stage_ticks[j] as usize >= p.w {
-                let (old, _) = self.recent_ring.get(self.recent_head[j] as usize, j);
+                let old = self.recent_ring.arrival(self.recent_head[j] as usize, j);
                 self.high_window_sum[j] -= old;
                 if self.high_window_sum[j] < 0.0 {
                     self.high_window_sum[j] = 0.0; // float-noise guard
@@ -308,7 +308,6 @@ impl Columns {
                 self.pend_bits[j] -= take;
                 left -= take;
                 if self.pend_bits[j] <= EPS {
-                    self.max_delay[j] = self.max_delay[j].max(now - self.pend_tick[j]);
                     // The entry completes after the fraction of this
                     // tick's service consumed so far (see
                     // `OnlineDelayTracker`).
@@ -326,14 +325,13 @@ impl Columns {
             // A still-pending head already implies at least this much
             // delay.
             if self.pend_len[j] > 0 {
-                self.max_delay[j] = self.max_delay[j].max(now - self.pend_tick[j]);
                 self.max_delay_exact[j] =
                     self.max_delay_exact[j].max((now - self.pend_tick[j]) as f64);
                 // An emptied link queue leaves only rounding residue
                 // behind (`OnlineDelayTracker::link_drained`).
                 if self.shadow_backlog[j] <= EPS {
                     self.pend_len[j] = 0;
-                    self.pend_spill[j] = None;
+                    self.clear_pend_spill(j);
                 }
             }
         }
@@ -345,10 +343,10 @@ impl Columns {
     /// else this tick's `arrivals`, not yet in the ring. The window holds
     /// ticks `now − recent_len ..` at positions `0 ..` from its head.
     fn next_pending(&mut self, j: usize, now: u64, arrivals: f64, w: usize) -> (u64, f64) {
-        if let Some(spill) = &mut self.pend_spill[j] {
+        if let Some(spill) = self.pend_spill(j) {
             let next = spill.pop_front().expect("a held spill is not empty");
             if spill.is_empty() {
-                self.pend_spill[j] = None;
+                self.clear_pend_spill(j);
             }
             return next;
         }
@@ -356,7 +354,7 @@ impl Columns {
         let first = (self.pend_tick[j] + 1 + len as u64).saturating_sub(now) as usize;
         for p in first..len {
             let q = self.recent_head[j] as usize + p;
-            let (a, _) = self.recent_ring.get(if q >= w { q - w } else { q }, j);
+            let a = self.recent_ring.arrival(if q >= w { q - w } else { q }, j);
             if a > EPS {
                 return (now - (len - p) as u64, a);
             }
@@ -388,8 +386,7 @@ impl Columns {
                 // The evicted cell is tick `now − W`; queued behind the
                 // head means newer than it (the FIFO is in tick order).
                 if a0 > EPS && self.pend_len[j] > 0 && self.pend_tick[j] + (w as u64) < now {
-                    let spill = self.pend_spill[j].get_or_insert_with(Default::default);
-                    spill.push_back((now - w as u64, a0));
+                    self.spill_pending(j, (now - w as u64, a0));
                 }
                 self.recent_head[j] = if idx2 + 1 == w { 0 } else { (idx2 + 1) as u32 };
                 self.window_arrived[j] += arrivals;

@@ -967,24 +967,74 @@ fn ring_block_edges_are_bitwise_invisible() {
     }
 }
 
-/// Which ring blocks have been re-laid wide, in block order.
-fn wide_blocks(state: &ShardState) -> Vec<bool> {
+/// Each ring block's bytes a cell, `(arrivals, allocations)`, in block
+/// order.
+fn block_cells(state: &ShardState) -> Vec<(usize, usize)> {
     let ring = &state.cols.recent_ring;
-    ring.blocks.iter().map(RingBlock::is_wide).collect()
+    ring.blocks.iter().map(RingBlock::cell_bytes).collect()
+}
+
+/// Every state a ring block's two halves can be in, each reached by
+/// writing one `(arrival, allocation)` cell next to a cell of `(1, 16)`:
+/// its bytes a cell, against what the pair layout spent on the same
+/// cells — 8 while both values of every cell were `f32`-exact, 16 once
+/// one was not. No state costs more. A code holds 0 and every power of
+/// two from `2^-127` to `2^127`, and nothing else (`-0.0`, `2^-128`):
+/// the first value it cannot hold turns the codes into floats. Every
+/// value reads back bit for bit.
+#[test]
+fn every_ring_block_state_costs_at_most_the_pair_layout() {
+    let exact = |v: f64| crate::codec::f32_exact(v).is_some();
+    let cases = [
+        ((1.5, 4.0), (4, 1)),
+        ((1.5, 0.0), (4, 1)),
+        ((1.5, 2f64.powi(-127)), (4, 1)),
+        ((1.5, 2f64.powi(127)), (4, 1)),
+        ((1.5, 3.0), (4, 4)),
+        ((1.5, -0.0), (4, 4)),
+        ((1.5, 2f64.powi(-128)), (4, 4)),
+        ((1.5, 0.1), (4, 8)),
+        ((1.5, 2f64.powi(128)), (4, 8)),
+        ((0.1, 4.0), (8, 1)),
+        ((0.1, 3.0), (8, 4)),
+        ((0.1, 0.1), (8, 8)),
+    ];
+    for ((a, b), cells) in cases {
+        let mut ring = SlotRing::default();
+        ring.grow_to(2, 4);
+        ring.replace(0, 0, (1.0, 16.0));
+        ring.replace(1, 1, (a, b));
+        assert_eq!(ring.blocks[0].cell_bytes(), cells, "cell ({a}, {b})");
+        let pair = if exact(a) && exact(b) { 8 } else { 16 };
+        assert!(cells.0 + cells.1 <= pair, "cell ({a}, {b})");
+        let (heads, lens) = ([0, 0], [2, 2]);
+        let read = |i: usize| {
+            let arrivals = ring.arrivals(4, (&heads, &lens), i);
+            let allocs = ring.allocs(4, (&heads, &lens), i);
+            let bits = arrivals
+                .zip(allocs)
+                .map(|(a, b)| (a.to_bits(), b.to_bits()));
+            bits.collect::<Vec<_>>()
+        };
+        assert_eq!(read(0)[0], (1f64.to_bits(), 16f64.to_bits()));
+        assert_eq!(read(1)[1], (a.to_bits(), b.to_bits()));
+    }
 }
 
 /// Three blocks of dedicated sessions on `f32`-exact arrivals and a
 /// pooled group of three in a fourth, whose quantum `B_O / 3` is not
 /// `f32`-exact. Mid-window, 0.1 arrives at a block's last slot, the
 /// smallest subnormal at the next block's first, and 1e300 in a block
-/// already wide: each inexact pair re-lays its own block wide and no
-/// other, a wide block stays wide once the window has moved past the
-/// pair that widened it, and a frame of the mixed shard lands the same
-/// blocks wide. The frame's bytes are pinned to what the same script
-/// wrote when every ring cell was two `f64`s. Once the window has moved
-/// on, a restore into a fresh store widens only the pooled block, and one
-/// into the recycled store keeps the blocks it had wide; both write the
-/// same frame.
+/// already wide: each inexact arrival widens its own block's arrivals
+/// and no other half, the pooled share widens its block's allocations
+/// and nothing else, a wide half stays wide once the window has moved
+/// past the value that widened it, and a frame of the mixed shard lands
+/// the same halves wide. The frame's bytes are pinned to what the same
+/// script wrote when every ring cell was two `f64`s, less the whole-tick
+/// `max_delay` column frame v7 dropped. Once the window has moved on, a
+/// restore into a fresh store widens only the pooled block's
+/// allocations, and one into the recycled store keeps the halves it had
+/// wide; both write the same frame.
 #[test]
 fn an_inexact_pair_widens_its_own_block_and_moves_no_frame_byte() {
     let mut s = shard();
@@ -998,36 +1048,40 @@ fn an_inexact_pair_widens_its_own_block_and_moves_no_frame_byte() {
         run(&mut s, Op::JoinDedicated);
     }
     run(&mut s, Op::Ticks(2, 1));
-    assert_eq!(wide_blocks(&s), [false; 3]);
+    const NARROW: (usize, usize) = (4, 1);
+    assert_eq!(block_cells(&s), [NARROW; 3]);
     run(&mut s, Op::JoinGroup(3));
     run(&mut s, Op::Ticks(1, 2));
-    assert_eq!(wide_blocks(&s), [false, false, false, true]);
+    let pooled = (4, 8);
+    assert_eq!(block_cells(&s), [NARROW, NARROW, NARROW, pooled]);
     run(&mut s, Op::Lone(RING_BLOCK - 1, 0.1));
-    assert_eq!(wide_blocks(&s), [true, false, false, true]);
+    assert_eq!(block_cells(&s), [(8, 1), NARROW, NARROW, pooled]);
     run(&mut s, Op::Ticks(1, 3));
     run(&mut s, Op::Lone(RING_BLOCK, f64::from_bits(1)));
     run(&mut s, Op::Lone(0, 1e300));
-    let mixed = [true, true, false, true];
-    assert_eq!(wide_blocks(&s), mixed);
+    let mixed = [(8, 1), (8, 1), NARROW, pooled];
+    assert_eq!(block_cells(&s), mixed);
     let frame = frame_bytes(&s);
     let fnv1a = |bytes: &[u8]| {
         let fold = |h: u64, &b: &u8| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
         bytes.iter().fold(0xcbf2_9ce4_8422_2325, fold)
     };
+    // Frame v6 wrote 4,556 bytes: the same less the `max_delay` column's
+    // schema entry (23 bytes) and its one byte for each of 27 rows.
     assert_eq!(
         (frame.len(), fnv1a(&frame)),
-        (4_556, 9_786_739_155_261_644_251)
+        (4_556 - 23 - 27, 4_377_987_555_057_910_556)
     );
     let landed = shard().rebuild(Some(&frame), &[]);
-    assert_eq!(wide_blocks(&landed), mixed);
+    assert_eq!(block_cells(&landed), mixed);
     assert_eq!(frame_bytes(&landed), frame);
     run(&mut s, Op::Ticks(6, 4));
-    assert_eq!(wide_blocks(&s), mixed, "a wide block stays wide");
+    assert_eq!(block_cells(&s), mixed, "a wide half stays wide");
     let frame = frame_bytes(&s);
     let fresh = shard().rebuild(Some(&frame), &[]);
     let recycled = s.recycle().rebuild(Some(&frame), &[]);
-    assert_eq!(wide_blocks(&fresh), [false, false, false, true]);
-    assert_eq!(wide_blocks(&recycled), mixed, "a recycled store keeps them");
+    assert_eq!(block_cells(&fresh), [NARROW, NARROW, NARROW, pooled]);
+    assert_eq!(block_cells(&recycled), mixed, "a recycled store keeps them");
     assert_eq!(frame_bytes(&recycled), frame);
     assert_eq!(frame_bytes(&fresh), frame);
 }
@@ -1163,14 +1217,7 @@ fn fifo_entries_older_than_the_window_spill_and_stay_bitwise() {
         }
     }));
     // Entries held in spills, over all slots.
-    let spilled = |s: &ShardState| {
-        s.cols
-            .pend_spill
-            .iter()
-            .flatten()
-            .map(|p| p.len())
-            .sum::<usize>()
-    };
+    let spilled = |s: &ShardState| s.cols.pend_spills.values().map(|p| p.len()).sum::<usize>();
     let mut mirror: Option<ShardState> = None;
     for ev in &events {
         soa.apply(ev);
@@ -1198,14 +1245,14 @@ fn fifo_entries_older_than_the_window_spill_and_stay_bitwise() {
     let max_delay = report(&soa).live.iter().map(|m| m.max_delay).max();
     assert!(max_delay > Some(cfg.w as u64), "delay {max_delay:?}");
     assert!(
-        soa.cols.pend_spill.iter().all(Option::is_none),
+        soa.cols.pend_spills.is_empty(),
         "a drained FIFO holds no spill"
     );
 }
 
 /// Slots holding a hull spill.
 fn hull_spills(s: &ShardState) -> usize {
-    s.cols.hull_spill.iter().flatten().count()
+    s.cols.hull_spills.len()
 }
 
 /// A frame of `s`, landed in a fresh shard: the landed shard and both
@@ -1228,7 +1275,7 @@ fn land_frame(s: &ShardState) -> (ShardState, Vec<u8>, Vec<u8>) {
 /// curve is strictly convex and every tick adds a hull vertex: the
 /// hull outgrows its [`HULL_INLINE`] inline vertices and spills the
 /// rest. A silent tick then makes the newest point pop all but the
-/// first vertex, and the shrunken hull keeps its spill, emptied; it
+/// first vertex, and the shrunken hull keeps its spill, unread; it
 /// climbs again, and a burst fires the certificate, so a RESET
 /// empties the hull and drops the spill; flat traffic after it keeps
 /// two vertices, as it does session 1's throughout. A pooled pair
@@ -1287,8 +1334,10 @@ fn hulls_past_the_inline_capacity_spill_and_stay_bitwise() {
         if now > 0 {
             let n = soa.cols.hull(0).len();
             assert_eq!(soa.cols.hull_len[0] as usize, n);
-            let spill = soa.cols.hull_spill[0].as_ref().expect("slot 0 spills");
-            assert_eq!(spill.len(), n.saturating_sub(HULL_INLINE));
+            let spill = soa.cols.hull_spills.get(&0).expect("slot 0 spills");
+            if n > HULL_INLINE {
+                assert_eq!(spill.len(), n - HULL_INLINE);
+            }
             shrank_in_spill |= n <= HULL_INLINE;
             if n > HULL_INLINE && spilled < 2 {
                 let (landed, frame, again) = land_frame(&soa);

@@ -5,14 +5,17 @@
 //! with a pooled group, and a one-row migration frame. A genesis is the
 //! one frame kind.
 //!
-//! The digests were last re-pinned when frame v6 wrote each column whose
+//! The digests were last re-pinned when frame v7 dropped the whole-tick
+//! `max_delay` column, which nothing read: a snapshot's delay is the
+//! ceiling of `max_delay_exact`. Frame v6 had written each column whose
 //! zero cells outweigh a bitmap as that bitmap plus its non-zero cells.
-//! The v5 lengths are kept beside the new pins, and every frame is held
-//! to the length identity between the two layouts, computed from the
-//! frame's own contents — so the sparse bodies are provably the only
-//! thing that moved. (Frame v5 had narrowed v4's cells and dropped the
-//! FIFO's window-covered tail the same way, and its v4 lengths are held
-//! here too.)
+//! The v5 lengths are kept beside the pins, and every frame is held to
+//! the length identity between the layouts, computed from the frame's
+//! own contents and the dropped column's dense v5 bytes — so the sparse
+//! bodies and the dropped column are provably the only things that
+//! moved. (Frame v5 had narrowed v4's cells and dropped the FIFO's
+//! window-covered tail the same way, and its v4 lengths are held here
+//! too.)
 
 use cdba_bench::replay::ReplaySpec;
 use cdba_ctrl::{
@@ -23,18 +26,26 @@ use cdba_integration::{
     with_columns, Cells,
 };
 
-/// The length the v5 encoder gave the frame `v6` now encodes. v5 wrote
-/// every column dense, `count × width` bytes; v6 writes a column sparse
-/// when a bitmap of one bit per cell plus its non-zero cells is smaller.
-/// The schema entries, header, tenant table and tail sections are the
-/// same bytes.
-fn v5_len(v6: &[u8]) -> usize {
-    assert_eq!(v6[0], 6, "frame version");
-    let sparse = frame_columns(v6).into_iter().filter(|c| c.sparse);
-    v6.len() + sparse.map(|c| c.count * c.width - c.body).sum::<usize>()
+/// Rows in a frame: the cells of its `key` column.
+fn rows(frame: &[u8]) -> usize {
+    frame_column(frame, "key").len()
 }
 
-/// The length the v4 encoder gave the frame `v6` now encodes. v4 wrote
+/// The length the v5 encoder gave the frame `v7` now encodes. v5 wrote
+/// every column dense, `count × width` bytes; v6 wrote a column sparse
+/// when a bitmap of one bit per cell plus its non-zero cells is smaller.
+/// v5 also wrote a `max_delay` column, which v7 dropped: a 14-byte schema
+/// entry around its 9-byte name and one byte a row (no delay here
+/// reaches 256 ticks). The other schema entries, header, tenant table
+/// and tail sections are the same bytes.
+fn v5_len(v7: &[u8]) -> usize {
+    assert_eq!(v7[0], 7, "frame version");
+    let sparse = frame_columns(v7).into_iter().filter(|c| c.sparse);
+    let max_delay = 14 + 9 + rows(v7);
+    v7.len() + sparse.map(|c| c.count * c.width - c.body).sum::<usize>() + max_delay
+}
+
+/// The length the v4 encoder gave the frame `v7` now encodes. v4 wrote
 /// every cell at full width: `tenant`, `flags` and the `*_len` columns
 /// in 4 bytes, every other cell in 8 (a pair in 16, which v5 splits into
 /// two columns of 8-byte halves). It also wrote the whole delay FIFO, one
@@ -42,9 +53,10 @@ fn v5_len(v6: &[u8]) -> usize {
 /// the spill only. A v4 schema entry was 17 bytes around its name
 /// (a 4-byte width) and v5's is 14 (a 1-byte width); v4 had 32 entries
 /// and v5 has 35, the three pair names (18 bytes) becoming six (61).
-fn v4_len(v6: &[u8]) -> usize {
-    let (mut narrowed, mut held) = (0, 0);
-    for c in frame_columns(v6) {
+fn v4_len(v7: &[u8]) -> usize {
+    // `max_delay`, which v7 dropped, in 8 bytes a row where v5 took 1.
+    let (mut narrowed, mut held) = (7 * rows(v7), 0);
+    for c in frame_columns(v7) {
         let v4_width = match c.name.as_str() {
             "tenant" | "flags" => 4,
             name if name.ends_with("_len") => 4,
@@ -55,9 +67,9 @@ fn v4_len(v6: &[u8]) -> usize {
             held = c.count;
         }
     }
-    let queued: u64 = column_u64s(v6, "pend_len").iter().sum();
+    let queued: u64 = column_u64s(v7, "pend_len").iter().sum();
     let schema = (32 * 17 + 18) - (35 * 14 + 61);
-    v5_len(v6) + narrowed + 16 * (queued as usize - held) + schema
+    v5_len(v7) + narrowed + 16 * (queued as usize - held) + schema
 }
 
 fn builder() -> ServiceConfigBuilder {
@@ -110,9 +122,10 @@ fn probe_frames_match_the_pinned_encoder_bytes() {
     );
     assert_eq!(v5_len(&genesis), 8238, "genesis vs the v5 layout");
     assert_eq!(v4_len(&genesis), 18755, "genesis vs the v4 schema");
+    // Frame v6: (7482, 7519993975074719591).
     assert_eq!(
         (genesis.len(), fnv1a(&genesis)),
-        (7482, 7519993975074719591),
+        (7409, 16587273105149257674),
         "genesis"
     );
 }
@@ -134,9 +147,10 @@ fn worker_genesis_and_migration_frames_match_the_pinned_encoder_bytes() {
     let genesis = image_frames(&image)[0];
     assert_eq!(v5_len(genesis), 2901, "worker genesis vs the v5 layout");
     assert_eq!(v4_len(genesis), 4412, "worker genesis vs the v4 schema");
+    // Frame v6: (2709, 10067079759653757795).
     assert_eq!(
         (genesis.len(), fnv1a(genesis)),
-        (2709, 10067079759653757795),
+        (2677, 12105952609826957931),
         "worker genesis at tick 16"
     );
 
@@ -146,9 +160,10 @@ fn worker_genesis_and_migration_frames_match_the_pinned_encoder_bytes() {
     assert_eq!(blob.capacity(), blob.len());
     assert_eq!(v5_len(&blob), 1114, "migration frame vs the v5 layout");
     assert_eq!(v4_len(&blob), 1339, "migration frame vs the v4 schema");
+    // Frame v6: (1101, 4267875291682518673).
     assert_eq!(
         (blob.len(), fnv1a(&blob)),
-        (1101, 4267875291682518673),
+        (1077, 17904449102471257860),
         "migration frame"
     );
     service.shutdown();
@@ -188,9 +203,11 @@ fn a_row_at_w_16_costs_its_pinned_bytes() {
     }
     let steady = src.export_session(key).unwrap();
     assert_eq!(frame_column(&steady, "alloc_runs_len"), [1]);
+    // Frame v6 wrote 1,114 and 164: the `max_delay` column's 23-byte
+    // schema entry and one-byte cell more.
     assert_eq!(
         (steady.len(), row_bytes(&steady)),
-        (1114, 164),
+        (1090, 163),
         "single-run row"
     );
 
@@ -209,7 +226,7 @@ fn a_row_at_w_16_costs_its_pinned_bytes() {
     assert_eq!(worst, churned, "the imported history re-exports as it came");
     assert_eq!(
         (worst.len(), row_bytes(&worst)),
-        (1189, 239),
+        (1165, 238),
         "a change every tick"
     );
     assert_eq!(row_bytes(&worst) - row_bytes(&steady), 15 * 5);
@@ -224,7 +241,7 @@ fn a_row_at_w_16_costs_its_pinned_bytes() {
 /// every float column whose cells the dyadic traffic keeps `f32`-exact,
 /// narrows, and every column whose zero cells outweigh a bitmap — `recent`
 /// most of all, the idle ticks of the window — is written sparse: a row
-/// weighs at most 105 bytes (95 measured), where frame v5 wrote about 178
+/// weighs at most 105 bytes (94 measured; 95 at frame v6), where frame v5 wrote about 178
 /// and v4 about 408. (Keys below 65,536 take two bytes here, a 100k
 /// population's four.) The frame goes through a mirror and back to the
 /// same bytes: one state, one encoding.
@@ -289,12 +306,12 @@ fn a_bench_shaped_frame_weighs_under_105_bytes_a_row() {
         "the retained bytes"
     );
     let per_row = |len: usize| len / SESSIONS;
-    let (v6, v5, v4) = (
+    let (v7, v5, v4) = (
         per_row(frame.len()),
         per_row(v5_len(&frame)),
         per_row(v4_len(&frame)),
     );
-    assert!(v6 <= 105, "{v6} B a row");
+    assert!(v7 <= 105, "{v7} B a row");
     assert!((170..=200).contains(&v5), "frame v5 wrote {v5} B a row");
     assert!((400..=460).contains(&v4), "frame v4 wrote {v4} B a row");
     for narrow in ["recent", "alloc_runs_value", "hull_y", "current_alloc"] {

@@ -165,18 +165,35 @@ fn poll_then_tick() -> [usize; 2] {
     [unpolled, polled]
 }
 
+/// One arrival [`column_set`] makes in place of its traffic's: `bits`
+/// at tick `tick`, to the first pooled member or the last dedicated
+/// session.
+#[derive(Clone, Copy)]
+struct Poke {
+    tick: u64,
+    pooled: bool,
+    bits: f64,
+}
+
 /// What one column set of `dedicated` sessions and the pooled groups
 /// weighs: the live heap bytes and blocks of an inline plane (one shard
 /// state, no journal, no frame) holding it, a full traffic period in.
-/// With `inexact`, the last dedicated session is offered 0.1 bits at
-/// tick 8, a value no `f32` holds.
-fn column_set(dedicated: usize, inexact: bool) -> (usize, usize) {
+/// The pooled members are offered their quantum `B_O / 4` = 2 bits while
+/// active, so every share the pool hands out is that power of two, and
+/// `poke` changes one arrival.
+fn column_set(dedicated: usize, poke: Option<Poke>) -> (usize, usize) {
     let (base, base_blocks) = (HEAP.live(), HEAP.blocks());
     let (mut plane, keys) = populated(ExecMode::Inline, dedicated, None);
     for t in 0..PAST_CHECKPOINT {
         let mut arrivals = batch(&keys, t);
-        if inexact && t == 8 {
-            arrivals.last_mut().expect("a dedicated session").1 = 0.1;
+        for (k, bits) in &mut arrivals {
+            if *k < (GROUPS * 4) as u64 {
+                *bits = bits.min(2.0);
+            }
+        }
+        if let Some(poke) = poke.filter(|p| p.tick == t) {
+            let at = if poke.pooled { 0 } else { arrivals.len() - 1 };
+            arrivals[at].1 = poke.bits;
         }
         plane.tick(&arrivals).expect("tick");
     }
@@ -317,40 +334,57 @@ fn heap_and_retained_frame_are_flat_in_uptime() {
     // A restart restores into the state it retires: frame-parse scratch
     // and a worker's fittings on top, never a second column set; and what
     // it keeps has stopped growing by the second restart.
-    let (set, blocks) = column_set(DEDICATED_RESTARTS, false);
+    let (set, blocks) = column_set(DEDICATED_RESTARTS, None);
     // One window per session: the high tracker reads its `W` arrivals
     // from the meter's ring, the meter's clock is the only one, and the
     // delay FIFO keeps only its head — the entries behind it are the
     // ring's arrivals. And one record: a session's identity is its key,
     // flags and two `u32` ids in the shard's columns and two `u32` cells
     // in the driver's table, and its lower hull keeps four vertices
-    // inline. Every arrival here, allocation and pooled `B_O / 4` share
-    // is `f32`-exact, so the ring keeps each cell as two `f32`s: 849 B
-    // per dedicated session measured. With 16-byte ring cells it was
+    // inline, its rare hull and FIFO spills in tables by slot. Every
+    // arrival here is `f32`-exact and every allocation a power of two, so
+    // the ring keeps each cell as an `f32` and a one-byte code: 754 B per
+    // dedicated session measured. With two `f32`s a cell, a whole-tick
+    // delay column and two spill handles a slot it was 849 B (on pooled
+    // traffic whose shares were `f32`-exact), with 16-byte ring cells
     // 977 B, with a slab entry, a placement record and a per-slot hull
     // `Vec` too 1,167 B, and a per-slot FIFO deque (a 32 B header where
     // the spill handle takes 8, and the capacity it keeps once the FIFO
     // has held two entries) on top of those reached 1,281 B.
     let per_session = set / DEDICATED_RESTARTS;
     assert!(
-        per_session <= 891,
+        per_session <= 791,
         "a dedicated session's column set weighs {per_session} B"
     );
-    // One arrival no `f32` holds widens its ring block, and that block
-    // alone: it then weighs what every block did with 16-byte cells —
-    // `W` = 8 rows of 4,104 cells — so the set grows by one heap block,
-    // the low halves' 8 bytes a cell, and keeps the narrow cells.
-    let (wide, wide_blocks) = column_set(DEDICATED_RESTARTS, true);
-    assert_eq!(
-        (wide - set, wide_blocks),
-        (4_104 * 8 * 8, blocks + 1),
-        "a widened ring block's bytes and the set's heap blocks"
-    );
+    // Each half of the ring block — `W` = 8 rows of 4,104 cells — widens
+    // on its own, in one step of the block's cells and in place, so a
+    // half's bytes never move. One arrival no `f32` holds widens the
+    // arrivals to `f64`: one more heap block, their low halves' 4 bytes a
+    // cell. A pooled share that is `f32`-exact but no power of two (a
+    // 30-bit burst lifts the member's regular share to 4 and its overflow
+    // to 7) turns the allocation codes into `f32`s: 4 bytes a cell where
+    // the code took 1, no more heap blocks, as the codes are freed. A
+    // share no `f32` holds turns them into `f64`s: 8 bytes a cell and one
+    // more block. A 2^28-bit burst makes one: its overflow share, near
+    // 2^26, plus the regular 4 needs more bits than an `f32` has. It comes
+    // on the period's last active tick, so no arrival queues behind it
+    // long enough to spill.
+    let widened = |tick, pooled, bits| {
+        let (wide, wide_blocks) = column_set(DEDICATED_RESTARTS, Some(Poke { tick, pooled, bits }));
+        (wide - set, wide_blocks - blocks)
+    };
+    const CELLS: usize = 4_104 * 8;
+    let arrival = widened(8, false, 0.1);
+    assert_eq!(arrival, (CELLS * 4, 1), "an inexact arrival");
+    let share = widened(8, true, 30.0);
+    assert_eq!(share, (CELLS * 3, 0), "an f32 share");
+    let share = widened(15, true, 268_435_456.0);
+    assert_eq!(share, (CELLS * 7, 1), "a share no f32 holds");
     // Feasible traffic at `W` = 2·D_O queues no bit past the window and
     // keeps every hull within its four inline vertices, so neither spill
     // allocates: a dedicated session adds no heap block. (A per-slot hull
     // `Vec` made that one, and a per-slot deque two.)
-    let (_, half_blocks) = column_set(DEDICATED_RESTARTS / 2, false);
+    let (_, half_blocks) = column_set(DEDICATED_RESTARTS / 2, None);
     assert_eq!(
         blocks - half_blocks,
         0,

@@ -24,8 +24,10 @@
 //! through idle stretches), `cdba_traffic::adversarial`'s stage forcer,
 //! generated feasible traces, and `f32`-exact rows into which values only
 //! an `f64` holds drop (the kernel's window ring keeps `f32`s until one
-//! arrives); executors inline and threaded, with churn and shard
-//! restarts. Where membership is fixed, each dedicated session is also
+//! arrives), and rows whose allocations take every power of two up to
+//! `B_A` (the ring keeps a dedicated allocation as a one-byte code until
+//! a pooled share no code holds arrives); executors inline and threaded,
+//! with churn and shard restarts. Where membership is fixed, each dedicated session is also
 //! replayed through `cdba_sim::engine`.
 
 use cdba_bench::replay::ReplaySpec;
@@ -592,6 +594,75 @@ fn inexact_values_in_narrow_ring_blocks_inline_match_the_core() {
 #[test]
 fn inexact_values_in_narrow_ring_blocks_across_a_restart_match_the_core() {
     inexact_run(ExecMode::Threaded);
+}
+
+/// Every allocation code a dedicated session can take, first in a ring
+/// block that keeps them as codes, then in one whose codes a pooled share
+/// has turned into floats. Three dedicated sessions replay a stage forcer
+/// at `B_A` = 32, staggered: each climb takes the allocation through 2,
+/// 4, 8 and 16 to 32, and the silence after it forces a RESET, which
+/// allocates `B_A`. A fourth trickles a quarter bit a tick (an
+/// allocation of 1). At tick 60, past the first climbs, a group of three
+/// joins, whose quantum `B_O / 3` no `f32` holds. Threaded, every 40th
+/// tick restarts the shard from the checkpoint taken every 16 and the
+/// journal since: at tick 39 into coded blocks, later into blocks the
+/// group's rows turn into floats as they land.
+fn every_code_run(exec: ExecMode) {
+    let (b_max, d_o, w) = (32.0, 4, 16);
+    let forcer = stage_forcer(StageForcerParams::new(b_max, d_o, w, 3)).unwrap();
+    let forcer = forcer.arrivals();
+    let cfg = ServiceConfig::builder(1e9)
+        .session_b_max(b_max)
+        .group_b_o(8.0)
+        .offline_delay(d_o)
+        .window(w)
+        .exec(exec)
+        .shards(1)
+        .checkpoint_every(16)
+        .max_restarts(u32::MAX)
+        .build()
+        .unwrap();
+    let mut diff = Diff::new(cfg);
+    let forced: Vec<u64> = (0..3).map(|_| diff.admit()).collect();
+    let trickle = diff.admit();
+    let mut group = Vec::new();
+    let len = forcer.len() + 40;
+    for t in 0..len {
+        if t == 60 {
+            group = diff.admit_group(3);
+        }
+        if exec == ExecMode::Threaded && t % 40 == 39 {
+            diff.plane.restart_shard(0).unwrap();
+        }
+        let row = |lag: usize| t.checked_sub(lag).and_then(|t| forcer.get(t)).copied();
+        let forced = forced.iter().zip([0, 7, 19]).map(|(&k, lag)| (k, row(lag)));
+        let arrivals = forced.map(|(k, bits)| (k, bits.unwrap_or(0.0)));
+        let pooled = group.iter().map(|&k| (k, (t % 3) as f64));
+        diff.tick(arrivals.chain([(trickle, 0.25)]).chain(pooled))
+            .unwrap();
+    }
+    diff.finish(false).unwrap();
+    assert!(diff.plane.restarts() > 0 || exec == ExecMode::Inline);
+    let mut seen: Vec<f64> = diff
+        .core
+        .sessions
+        .values()
+        .filter(|s| s.alg.is_some())
+        .flat_map(|s| s.allocs.iter().copied())
+        .collect();
+    seen.sort_by(f64::total_cmp);
+    seen.dedup();
+    assert_eq!(seen, [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]);
+}
+
+#[test]
+fn every_allocation_code_inline_matches_the_core() {
+    every_code_run(ExecMode::Inline);
+}
+
+#[test]
+fn every_allocation_code_across_restarts_matches_the_core() {
+    every_code_run(ExecMode::Threaded);
 }
 
 /// Overload on a window shorter than `2·D_O` (`W` = 4, `D_O` = 4): a
