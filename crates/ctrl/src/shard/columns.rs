@@ -753,8 +753,8 @@ impl RingBlock {
 /// ring traffic lands on one densely shared row segment per block and
 /// half (5 bytes per slot while narrow and coded) instead of dragging a
 /// `W`-stride cache line per slot through the sweep — the layout exists
-/// for that access pattern. Growth appends a block; a cell, once placed,
-/// never moves.
+/// for that access pattern. Growth appends a block and moves no cell;
+/// only turning a block's codes into floats re-lays that half.
 #[derive(Default)]
 pub(super) struct SlotRing {
     pub(super) blocks: Vec<RingBlock>,
