@@ -201,7 +201,7 @@ pub(super) struct Columns {
     /// if its delay exceeds `W`, and the paper bounds every delay by
     /// `2·D_O ≤ W` on feasible traffic, so this table fills only under
     /// overload or a window shorter than `2·D_O`.
-    pub(super) pend_spills: BySlot<VecDeque<(u64, f64)>>,
+    pub(super) pend_spills: SlotTable<VecDeque<(u64, f64)>>,
     // -- identity, by id --
     /// Owning tenant: an id into the shard's [`Tenants`].
     pub(super) tenant: Vec<u32>,
@@ -220,7 +220,7 @@ pub(super) struct Columns {
     /// back, until the hull empties (a RESET, a vacated slot): a hull that
     /// swings across the capacity tick after tick would otherwise
     /// allocate and free a spill on every swing.
-    pub(super) hull_spills: BySlot<Vec<(f64, f64)>>,
+    pub(super) hull_spills: SlotTable<Vec<(f64, f64)>>,
     /// Emptied spills [`Columns::recycle`] kept, for the frame apply or
     /// restore that follows to land long hulls in instead of allocating
     /// them afresh; whatever it leaves is dropped.
@@ -228,29 +228,89 @@ pub(super) struct Columns {
 }
 
 /// State only a few slots ever hold, keyed by slot: a column of handles
-/// would cost every slot 8 bytes. The hasher is fixed, so two stores
-/// with one history hold their entries alike.
-pub(super) type BySlot<T> = HashMap<u32, T, BuildHasherDefault<DefaultHasher>>;
+/// would cost every slot 8 bytes. A lookup in an empty table (every
+/// slot's, on the benchmark's traffic) is one length test; the hashing
+/// sits in cold functions, as inlined into the sweep's passes it slowed
+/// every slot's step, not just a spilled one's. The hasher is fixed, so
+/// two stores with one history hold their entries alike.
+pub(super) struct SlotTable<T>(HashMap<u32, T, BuildHasherDefault<DefaultHasher>>);
 
-/// Drops slot `i`'s entry from `table`, and the table's buckets with its
-/// last entry: a burst of spills (every hull of a cohort past its inline
-/// vertices at once) would otherwise keep its bucket array for good.
-/// The tables' lookups sit in cold functions: inlined into the sweep's
-/// passes, their hashing slowed every slot's step, not just a spilled
-/// one's.
-#[inline(always)]
-fn drop_entry<T>(table: &mut BySlot<T>, i: usize) {
-    if !table.is_empty() {
-        drop_held(table, i);
+impl<T> Default for SlotTable<T> {
+    fn default() -> Self {
+        Self(HashMap::default())
     }
 }
 
-/// [`drop_entry`] on a table that holds entries.
-#[cold]
-#[inline(never)]
-fn drop_held<T>(table: &mut BySlot<T>, i: usize) {
-    if table.remove(&(i as u32)).is_some() && table.is_empty() {
-        table.shrink_to_fit();
+impl<T> SlotTable<T> {
+    /// Slot `i`'s entry, if it holds one.
+    #[inline(always)]
+    pub(super) fn get(&self, i: usize) -> Option<&T> {
+        if self.0.is_empty() {
+            return None;
+        }
+        self.find(i)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn find(&self, i: usize) -> Option<&T> {
+        self.0.get(&(i as u32))
+    }
+
+    /// Slot `i`'s entry, if it holds one, to change.
+    #[inline(always)]
+    pub(super) fn get_mut(&mut self, i: usize) -> Option<&mut T> {
+        if self.0.is_empty() {
+            return None;
+        }
+        self.find_mut(i)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn find_mut(&mut self, i: usize) -> Option<&mut T> {
+        self.0.get_mut(&(i as u32))
+    }
+
+    /// Drops slot `i`'s entry, and the table's buckets with its last
+    /// entry: a burst of spills (every hull of a cohort past its inline
+    /// vertices at once) would otherwise keep its bucket array for good.
+    #[inline(always)]
+    pub(super) fn remove(&mut self, i: usize) {
+        if !self.0.is_empty() {
+            self.drop_held(i);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn drop_held(&mut self, i: usize) {
+        if self.0.remove(&(i as u32)).is_some() && self.0.is_empty() {
+            self.0.shrink_to_fit();
+        }
+    }
+
+    /// Slot `i`'s entry, made by `make` if it holds none.
+    #[cold]
+    #[inline(never)]
+    pub(super) fn get_or_insert_with(&mut self, i: usize, make: impl FnOnce() -> T) -> &mut T {
+        self.0.entry(i as u32).or_insert_with(make)
+    }
+
+    /// Gives slot `i` the entry `entry`.
+    pub(super) fn insert(&mut self, i: usize, entry: T) {
+        self.0.insert(i as u32, entry);
+    }
+
+    /// Empties the table, yielding its entries.
+    pub(super) fn drain(&mut self) -> impl Iterator<Item = T> + '_ {
+        self.0.drain().map(|(_, entry)| entry)
+    }
+
+    /// Every entry, in no set order.
+    #[cfg(test)]
+    pub(super) fn values(&self) -> impl Iterator<Item = &T> {
+        self.0.values()
     }
 }
 
@@ -321,9 +381,8 @@ impl Columns {
     /// when drawn. Nothing that was *in* a column survives, so a store
     /// torn mid-event is worth exactly as much as a fresh one.
     pub(super) fn recycle(&mut self) {
-        self.hull_free
-            .extend(self.hull_spills.drain().map(|(_, spill)| spill));
-        self.pend_spills.clear();
+        self.hull_free.extend(self.hull_spills.drain());
+        self.pend_spills.drain().for_each(drop); // keeps the buckets
         scalar_columns!(self, |col, _vacant| col.clear());
         self.touched.clear();
     }
@@ -338,31 +397,13 @@ impl Columns {
     pub(super) fn hull(&self, i: usize) -> HullView<'_> {
         let n = self.hull_len[i] as usize;
         let tail = match n.checked_sub(HULL_INLINE) {
-            Some(spilled @ 1..) => self.hull_tail(i, spilled),
+            Some(spilled @ 1..) => &self.hull_spills.get(i).expect("a spilled hull")[..spilled],
             _ => &[],
         };
         HullView {
             head: &self.hull_pts[i][..n.min(HULL_INLINE)],
             tail,
         }
-    }
-
-    /// Slot `i`'s `spilled` hull vertices past the inline ones.
-    #[cold]
-    #[inline(never)]
-    fn hull_tail(&self, i: usize, spilled: usize) -> &[(f64, f64)] {
-        &self.hull_spills[&(i as u32)][..spilled]
-    }
-
-    /// Pushes `p` past slot `i`'s inline hull vertices, at index `n`.
-    #[cold]
-    #[inline(never)]
-    fn push_spilled(&mut self, i: usize, n: usize, p: (f64, f64)) {
-        let free = &mut self.hull_free;
-        let spill = self.hull_spills.entry(i as u32);
-        let spill = spill.or_insert_with(|| free_spill(free));
-        spill.truncate(n - HULL_INLINE);
-        spill.push(p);
     }
 
     /// Pushes `p` onto slot `i`'s lower hull ([`hull_keep`]): at index
@@ -374,7 +415,10 @@ impl Columns {
         if n < HULL_INLINE {
             self.hull_pts[i][n] = p;
         } else {
-            self.push_spilled(i, n, p);
+            let free = &mut self.hull_free;
+            let spill = self.hull_spills.get_or_insert_with(i, || free_spill(free));
+            spill.truncate(n - HULL_INLINE);
+            spill.push(p);
         }
     }
 
@@ -392,45 +436,14 @@ impl Columns {
         if n > HULL_INLINE {
             let mut spill = free_spill(&mut self.hull_free);
             spill.extend(vertices);
-            self.hull_spills.insert(i as u32, spill);
+            self.hull_spills.insert(i, spill);
         }
     }
 
     /// Empties slot `i`'s lower hull.
     pub(super) fn clear_hull(&mut self, i: usize) {
         self.hull_len[i] = 0;
-        drop_entry(&mut self.hull_spills, i);
-    }
-
-    /// Drops slot `i`'s delay-FIFO spill, if it holds one.
-    pub(super) fn clear_pend_spill(&mut self, i: usize) {
-        drop_entry(&mut self.pend_spills, i);
-    }
-
-    /// Slot `i`'s delay-FIFO spill, if it holds one.
-    #[inline(always)]
-    pub(super) fn pend_spill(&mut self, i: usize) -> Option<&mut VecDeque<(u64, f64)>> {
-        if self.pend_spills.is_empty() {
-            return None;
-        }
-        self.held_spill(i)
-    }
-
-    /// [`Columns::pend_spill`] on a table that holds entries.
-    #[cold]
-    #[inline(never)]
-    fn held_spill(&mut self, i: usize) -> Option<&mut VecDeque<(u64, f64)>> {
-        self.pend_spills.get_mut(&(i as u32))
-    }
-
-    /// Queues `entry`, evicted from slot `i`'s window, on its FIFO spill.
-    #[cold]
-    #[inline(never)]
-    pub(super) fn spill_pending(&mut self, i: usize, entry: (u64, f64)) {
-        self.pend_spills
-            .entry(i as u32)
-            .or_default()
-            .push_back(entry);
+        self.hull_spills.remove(i);
     }
 
     /// Resets slot `i` to the vacant-slot state: every scalar column, and
@@ -438,7 +451,7 @@ impl Columns {
     pub(super) fn reset_scalars(&mut self, i: usize) {
         scalar_columns!(self, |col, vacant| col[i] = vacant);
         self.clear_hull(i);
-        self.clear_pend_spill(i);
+        self.pend_spills.remove(i);
     }
 
     /// Initializes slot `i` for a fresh session `key` (meter state as
@@ -486,7 +499,7 @@ impl Columns {
             spill.push_back(entry);
         }
         if !spill.is_empty() {
-            self.pend_spills.insert(i as u32, spill);
+            self.pend_spills.insert(i, spill);
         }
     }
 
@@ -494,10 +507,7 @@ impl Columns {
     /// first: the head, then the spill.
     pub(super) fn fifo_held(&self, i: usize) -> impl Iterator<Item = (u64, f64)> + '_ {
         let head = (self.pend_len[i] > 0).then(|| (self.pend_tick[i], self.pend_bits[i]));
-        let spill = (!self.pend_spills.is_empty())
-            .then(|| self.pend_spills.get(&(i as u32)))
-            .flatten();
-        let spill = spill.into_iter().flat_map(|s| s.iter().copied());
+        let spill = self.pend_spills.get(i).into_iter().flatten().copied();
         head.into_iter().chain(spill)
     }
 

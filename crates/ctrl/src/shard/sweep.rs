@@ -331,7 +331,7 @@ impl Columns {
                 // behind (`OnlineDelayTracker::link_drained`).
                 if self.shadow_backlog[j] <= EPS {
                     self.pend_len[j] = 0;
-                    self.clear_pend_spill(j);
+                    self.pend_spills.remove(j);
                 }
             }
         }
@@ -343,10 +343,10 @@ impl Columns {
     /// else this tick's `arrivals`, not yet in the ring. The window holds
     /// ticks `now − recent_len ..` at positions `0 ..` from its head.
     fn next_pending(&mut self, j: usize, now: u64, arrivals: f64, w: usize) -> (u64, f64) {
-        if let Some(spill) = self.pend_spill(j) {
+        if let Some(spill) = self.pend_spills.get_mut(j) {
             let next = spill.pop_front().expect("a held spill is not empty");
             if spill.is_empty() {
-                self.clear_pend_spill(j);
+                self.pend_spills.remove(j);
             }
             return next;
         }
@@ -386,7 +386,8 @@ impl Columns {
                 // The evicted cell is tick `now − W`; queued behind the
                 // head means newer than it (the FIFO is in tick order).
                 if a0 > EPS && self.pend_len[j] > 0 && self.pend_tick[j] + (w as u64) < now {
-                    self.spill_pending(j, (now - w as u64, a0));
+                    let spill = self.pend_spills.get_or_insert_with(j, VecDeque::new);
+                    spill.push_back((now - w as u64, a0));
                 }
                 self.recent_head[j] = if idx2 + 1 == w { 0 } else { (idx2 + 1) as u32 };
                 self.window_arrived[j] += arrivals;

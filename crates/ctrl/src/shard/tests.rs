@@ -1245,14 +1245,14 @@ fn fifo_entries_older_than_the_window_spill_and_stay_bitwise() {
     let max_delay = report(&soa).live.iter().map(|m| m.max_delay).max();
     assert!(max_delay > Some(cfg.w as u64), "delay {max_delay:?}");
     assert!(
-        soa.cols.pend_spills.is_empty(),
+        soa.cols.pend_spills.values().next().is_none(),
         "a drained FIFO holds no spill"
     );
 }
 
 /// Slots holding a hull spill.
 fn hull_spills(s: &ShardState) -> usize {
-    s.cols.hull_spills.len()
+    s.cols.hull_spills.values().count()
 }
 
 /// A frame of `s`, landed in a fresh shard: the landed shard and both
@@ -1334,7 +1334,7 @@ fn hulls_past_the_inline_capacity_spill_and_stay_bitwise() {
         if now > 0 {
             let n = soa.cols.hull(0).len();
             assert_eq!(soa.cols.hull_len[0] as usize, n);
-            let spill = soa.cols.hull_spills.get(&0).expect("slot 0 spills");
+            let spill = soa.cols.hull_spills.get(0).expect("slot 0 spills");
             if n > HULL_INLINE {
                 assert_eq!(spill.len(), n - HULL_INLINE);
             }

@@ -178,17 +178,20 @@ struct Poke {
 /// What one column set of `dedicated` sessions and the pooled groups
 /// weighs: the live heap bytes and blocks of an inline plane (one shard
 /// state, no journal, no frame) holding it, a full traffic period in.
-/// The pooled members are offered their quantum `B_O / 4` = 2 bits while
-/// active, so every share the pool hands out is that power of two, and
-/// `poke` changes one arrival.
-fn column_set(dedicated: usize, poke: Option<Poke>) -> (usize, usize) {
+/// With `coded`, the pooled members are offered their quantum
+/// `B_O / 4` = 2 bits while active instead of [`batch`]'s 3, so every
+/// share the pool hands out is that power of two and the ring keeps every
+/// allocation as a one-byte code. `poke` changes one arrival.
+fn column_set(dedicated: usize, coded: bool, poke: Option<Poke>) -> (usize, usize) {
     let (base, base_blocks) = (HEAP.live(), HEAP.blocks());
     let (mut plane, keys) = populated(ExecMode::Inline, dedicated, None);
     for t in 0..PAST_CHECKPOINT {
         let mut arrivals = batch(&keys, t);
-        for (k, bits) in &mut arrivals {
-            if *k < (GROUPS * 4) as u64 {
-                *bits = bits.min(2.0);
+        if coded {
+            for (k, bits) in &mut arrivals {
+                if *k < (GROUPS * 4) as u64 {
+                    *bits = bits.min(2.0);
+                }
             }
         }
         if let Some(poke) = poke.filter(|p| p.tick == t) {
@@ -334,7 +337,7 @@ fn heap_and_retained_frame_are_flat_in_uptime() {
     // A restart restores into the state it retires: frame-parse scratch
     // and a worker's fittings on top, never a second column set; and what
     // it keeps has stopped growing by the second restart.
-    let (set, blocks) = column_set(DEDICATED_RESTARTS, None);
+    let (set, blocks) = column_set(DEDICATED_RESTARTS, false, None);
     // One window per session: the high tracker reads its `W` arrivals
     // from the meter's ring, the meter's clock is the only one, and the
     // delay FIFO keeps only its head — the entries behind it are the
@@ -342,49 +345,63 @@ fn heap_and_retained_frame_are_flat_in_uptime() {
     // flags and two `u32` ids in the shard's columns and two `u32` cells
     // in the driver's table, and its lower hull keeps four vertices
     // inline, its rare hull and FIFO spills in tables by slot. Every
-    // arrival here is `f32`-exact and every allocation a power of two, so
-    // the ring keeps each cell as an `f32` and a one-byte code: 754 B per
-    // dedicated session measured. With two `f32`s a cell, a whole-tick
-    // delay column and two spill handles a slot it was 849 B (on pooled
-    // traffic whose shares were `f32`-exact), with 16-byte ring cells
-    // 977 B, with a slab entry, a placement record and a per-slot hull
-    // `Vec` too 1,167 B, and a per-slot FIFO deque (a 32 B header where
-    // the spill handle takes 8, and the capacity it keeps once the FIFO
-    // has held two entries) on top of those reached 1,281 B.
+    // arrival here is `f32`-exact, so the ring keeps each arrival as an
+    // `f32`; the pooled members' overload shares are `f32`s too, no power
+    // of two, so the one ring block (all 2,112 slots) keeps its
+    // allocations as `f32`s: 801 B per dedicated session measured (753
+    // with every allocation a one-byte code). With two `f32`s a cell, a
+    // whole-tick delay column and two spill handles a slot it was 849 B,
+    // with 16-byte ring cells 977 B, with a slab entry, a placement
+    // record and a per-slot hull `Vec` too 1,167 B, and a per-slot FIFO
+    // deque (a 32 B header where the spill handle takes 8, and the
+    // capacity it keeps once the FIFO has held two entries) on top of
+    // those reached 1,281 B.
     let per_session = set / DEDICATED_RESTARTS;
     assert!(
-        per_session <= 791,
+        per_session <= 841,
         "a dedicated session's column set weighs {per_session} B"
     );
     // Each half of the ring block — `W` = 8 rows of 4,104 cells — widens
     // on its own, in one step of the block's cells and in place, so a
     // half's bytes never move. One arrival no `f32` holds widens the
     // arrivals to `f64`: one more heap block, their low halves' 4 bytes a
-    // cell. A pooled share that is `f32`-exact but no power of two (a
-    // 30-bit burst lifts the member's regular share to 4 and its overflow
-    // to 7) turns the allocation codes into `f32`s: 4 bytes a cell where
-    // the code took 1, no more heap blocks, as the codes are freed. A
-    // share no `f32` holds turns them into `f64`s: 8 bytes a cell and one
-    // more block. A 2^28-bit burst makes one: its overflow share, near
-    // 2^26, plus the regular 4 needs more bits than an `f32` has. It comes
-    // on the period's last active tick, so no arrival queues behind it
-    // long enough to spill.
-    let widened = |tick, pooled, bits| {
-        let (wide, wide_blocks) = column_set(DEDICATED_RESTARTS, Some(Poke { tick, pooled, bits }));
+    // cell. The allocations' steps are measured from a set whose pooled
+    // members stay within their quantum, so every allocation is a code.
+    // A pooled share that is `f32`-exact but no power of two (a 30-bit
+    // burst lifts the member's regular share to 4 and its overflow to 7)
+    // turns the codes into `f32`s: 4 bytes a cell where the code took 1,
+    // no more heap blocks, as the codes are freed. A share no `f32` holds
+    // turns them into `f64`s: 8 bytes a cell and one more block, or from
+    // the overloaded set's `f32`s the low halves' 4 bytes a cell. A
+    // 2^28-bit burst makes one: its overflow share, near 2^26, plus the
+    // regular 4 needs more bits than an `f32` has. It comes on the
+    // period's last active tick, so no arrival queues behind it long
+    // enough to spill.
+    const CELLS: usize = 4_104 * 8;
+    let (coded_set, coded_blocks) = column_set(DEDICATED_RESTARTS, true, None);
+    let widened = |coded, tick, pooled, bits| {
+        let poke = Some(Poke { tick, pooled, bits });
+        let (wide, wide_blocks) = column_set(DEDICATED_RESTARTS, coded, poke);
+        let (set, blocks) = if coded {
+            (coded_set, coded_blocks)
+        } else {
+            (set, blocks)
+        };
         (wide - set, wide_blocks - blocks)
     };
-    const CELLS: usize = 4_104 * 8;
-    let arrival = widened(8, false, 0.1);
+    let arrival = widened(false, 8, false, 0.1);
     assert_eq!(arrival, (CELLS * 4, 1), "an inexact arrival");
-    let share = widened(8, true, 30.0);
-    assert_eq!(share, (CELLS * 3, 0), "an f32 share");
-    let share = widened(15, true, 268_435_456.0);
-    assert_eq!(share, (CELLS * 7, 1), "a share no f32 holds");
+    let share = widened(true, 8, true, 30.0);
+    assert_eq!(share, (CELLS * 3, 0), "an f32 share over codes");
+    let share = widened(true, 15, true, 268_435_456.0);
+    assert_eq!(share, (CELLS * 7, 1), "a share no f32 holds, over codes");
+    let share = widened(false, 15, true, 268_435_456.0);
+    assert_eq!(share, (CELLS * 4, 1), "a share no f32 holds, over f32s");
     // Feasible traffic at `W` = 2·D_O queues no bit past the window and
     // keeps every hull within its four inline vertices, so neither spill
     // allocates: a dedicated session adds no heap block. (A per-slot hull
     // `Vec` made that one, and a per-slot deque two.)
-    let (_, half_blocks) = column_set(DEDICATED_RESTARTS / 2, None);
+    let (_, half_blocks) = column_set(DEDICATED_RESTARTS / 2, false, None);
     assert_eq!(
         blocks - half_blocks,
         0,
