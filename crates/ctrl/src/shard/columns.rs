@@ -214,17 +214,19 @@ pub(super) struct Columns {
     /// Low tracker: the hull's first [`HULL_INLINE`] vertices
     /// `(x, P[x])`, oldest first; unread past `hull_len`.
     pub(super) hull_pts: Vec<[(f64, f64); HULL_INLINE]>,
-    /// Low tracker: the hull's vertices past the inline ones, by slot,
-    /// read only while `hull_len` exceeds [`HULL_INLINE`]. Made when the
-    /// hull first outgrows its inline vertices and kept while it shrinks
-    /// back, until the hull empties (a RESET, a vacated slot): a hull that
-    /// swings across the capacity tick after tick would otherwise
-    /// allocate and free a spill on every swing.
-    pub(super) hull_spills: SlotTable<Vec<(f64, f64)>>,
-    /// Emptied spills [`Columns::recycle`] kept, for the frame apply or
-    /// restore that follows to land long hulls in instead of allocating
-    /// them afresh; whatever it leaves is dropped.
-    pub(super) hull_free: Vec<Vec<(f64, f64)>>,
+    /// Low tracker: the hull's vertices past the inline ones. Made when
+    /// the hull first outgrows [`HULL_INLINE`] and kept, emptied, while
+    /// it shrinks back, until the hull empties (a RESET, a vacated slot):
+    /// a hull that swings across the capacity tick after tick would
+    /// otherwise allocate and free a spill on every swing. A handle per
+    /// slot, not a table by slot: on traffic whose hulls outgrow their
+    /// inline vertices every session can hold one, and hashing its slot
+    /// on every hull read more than doubled the inline tick.
+    pub(super) hull_spill: Vec<HullSpill>,
+    /// Emptied spills [`Columns::recycle`] kept, lowest slot last, for
+    /// the frame apply or restore that follows to land long hulls in
+    /// instead of allocating them afresh; whatever it leaves is dropped.
+    pub(super) hull_free: Vec<SpillBox>,
 }
 
 /// State only a few slots ever hold, keyed by slot: a column of handles
@@ -273,8 +275,8 @@ impl<T> SlotTable<T> {
     }
 
     /// Drops slot `i`'s entry, and the table's buckets with its last
-    /// entry: a burst of spills (every hull of a cohort past its inline
-    /// vertices at once) would otherwise keep its bucket array for good.
+    /// entry: a burst of spills (an overloaded cohort) would otherwise
+    /// keep its bucket array for good.
     #[inline(always)]
     pub(super) fn remove(&mut self, i: usize) {
         if !self.0.is_empty() {
@@ -302,9 +304,9 @@ impl<T> SlotTable<T> {
         self.0.insert(i as u32, entry);
     }
 
-    /// Empties the table, yielding its entries.
-    pub(super) fn drain(&mut self) -> impl Iterator<Item = T> + '_ {
-        self.0.drain().map(|(_, entry)| entry)
+    /// Drops every entry, keeping the buckets.
+    pub(super) fn clear(&mut self) {
+        self.0.clear();
     }
 
     /// Every entry, in no set order.
@@ -320,24 +322,33 @@ impl<T> SlotTable<T> {
 /// 138–528) 98.8–99.0 % of the hulls hold at most 4 and none more than 6.
 pub(super) const HULL_INLINE: usize = 4;
 
+/// One slot's cold hull spill: 8 bytes until the hull first outgrows its
+/// inline vertices.
+type HullSpill = Option<SpillBox>;
+
+/// A hull spill's vertices, boxed so that a slot without one holds only
+/// the 8-byte handle.
+type SpillBox = Box<Vec<(f64, f64)>>;
+
 /// An empty hull spill: one [`Columns::recycle`] kept, if any is left,
 /// else a new one.
-fn free_spill(free: &mut Vec<Vec<(f64, f64)>>) -> Vec<(f64, f64)> {
+fn free_spill(free: &mut Vec<SpillBox>) -> SpillBox {
     match free.pop() {
         Some(mut spill) => {
             spill.clear();
             spill
         }
-        None => Vec::with_capacity(HULL_INLINE),
+        None => Box::new(Vec::with_capacity(HULL_INLINE)),
     }
 }
 
-/// Walks every fixed-width column of a [`Columns`] — the scalars and the
-/// inline hull — with its vacant-slot value (zeros, with the grace `+∞`
-/// and none-yet `NaN` sentinels armed): `$body` runs once per column
-/// with `$col` bound to the column and `$vacant` to that value. The one
-/// list behind growing, resetting and recycling, so the three cannot
-/// disagree (`touched` is a work list, not a column, and is not here). The order is the order `grow_to` allocates in, which is
+/// Walks every fixed-width column of a [`Columns`] — the scalars, the
+/// inline hull and the hull spill handles — with its vacant-slot value
+/// (zeros, with the grace `+∞` and none-yet `NaN` sentinels armed, and no
+/// spill): `$body` runs once per column with `$col` bound to the column
+/// and `$vacant` to that value. The one list behind growing, resetting and recycling, so the
+/// three cannot disagree (`touched` is a work list, not a column, and is
+/// not here). The order is the order `grow_to` allocates in, which is
 /// heap layout and shows in peak RSS: append, do not reorder.
 macro_rules! scalar_columns {
     ($cols:expr, |$col:ident, $vacant:ident| $body:expr) => {
@@ -351,7 +362,8 @@ macro_rules! scalar_columns {
             max_delay_exact 0.0, meter_ticks 0,
             window_arrived 0.0, window_allocated 0.0, recent_head 0,
             recent_len 0, min_util f64::NAN,
-            tenant 0, group 0, hull_len 0, hull_pts [(0.0, 0.0); HULL_INLINE])
+            tenant 0, group 0, hull_len 0, hull_pts [(0.0, 0.0); HULL_INLINE],
+            hull_spill HullSpill::None)
     };
     (@each $cols:expr, $col:ident, $vacant:ident, $body:expr; $($field:ident $value:expr),+) => {
         $({
@@ -381,8 +393,9 @@ impl Columns {
     /// when drawn. Nothing that was *in* a column survives, so a store
     /// torn mid-event is worth exactly as much as a fresh one.
     pub(super) fn recycle(&mut self) {
-        self.hull_free.extend(self.hull_spills.drain());
-        self.pend_spills.drain().for_each(drop); // keeps the buckets
+        self.hull_free
+            .extend(self.hull_spill.drain(..).rev().flatten());
+        self.pend_spills.clear();
         scalar_columns!(self, |col, _vacant| col.clear());
         self.touched.clear();
     }
@@ -395,28 +408,27 @@ impl Columns {
 
     /// Slot `i`'s lower hull, oldest vertex first.
     pub(super) fn hull(&self, i: usize) -> HullView<'_> {
-        let n = self.hull_len[i] as usize;
-        let tail = match n.checked_sub(HULL_INLINE) {
-            Some(spilled @ 1..) => &self.hull_spills.get(i).expect("a spilled hull")[..spilled],
-            _ => &[],
-        };
+        let n = (self.hull_len[i] as usize).min(HULL_INLINE);
         HullView {
-            head: &self.hull_pts[i][..n.min(HULL_INLINE)],
-            tail,
+            head: &self.hull_pts[i][..n],
+            tail: self.hull_spill[i].as_deref().map_or(&[], Vec::as_slice),
         }
     }
 
     /// Pushes `p` onto slot `i`'s lower hull ([`hull_keep`]): at index
     /// `n` inline, or past the inline vertices into the spill, made on
-    /// first need and kept (see `hull_spills`).
+    /// first need and kept (see `hull_spill`).
     pub(super) fn hull_push(&mut self, i: usize, p: (f64, f64)) {
         let n = hull_keep(self.hull(i), p);
         self.hull_len[i] = n as u32 + 1;
+        let spill = &mut self.hull_spill[i];
         if n < HULL_INLINE {
             self.hull_pts[i][n] = p;
+            if let Some(spill) = spill {
+                spill.clear();
+            }
         } else {
-            let free = &mut self.hull_free;
-            let spill = self.hull_spills.get_or_insert_with(i, || free_spill(free));
+            let spill = spill.get_or_insert_with(|| free_spill(&mut self.hull_free));
             spill.truncate(n - HULL_INLINE);
             spill.push(p);
         }
@@ -433,24 +445,23 @@ impl Columns {
         let mut vertices = vertices;
         let cells = self.hull_pts[i].iter_mut();
         cells.zip(vertices.by_ref()).for_each(|(cell, v)| *cell = v);
-        if n > HULL_INLINE {
+        self.hull_spill[i] = (n > HULL_INLINE).then(|| {
             let mut spill = free_spill(&mut self.hull_free);
             spill.extend(vertices);
-            self.hull_spills.insert(i, spill);
-        }
+            spill
+        });
     }
 
     /// Empties slot `i`'s lower hull.
     pub(super) fn clear_hull(&mut self, i: usize) {
         self.hull_len[i] = 0;
-        self.hull_spills.remove(i);
+        self.hull_spill[i] = None;
     }
 
     /// Resets slot `i` to the vacant-slot state: every scalar column, and
     /// no spill.
     pub(super) fn reset_scalars(&mut self, i: usize) {
         scalar_columns!(self, |col, vacant| col[i] = vacant);
-        self.clear_hull(i);
         self.pend_spills.remove(i);
     }
 

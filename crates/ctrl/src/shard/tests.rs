@@ -1252,7 +1252,7 @@ fn fifo_entries_older_than_the_window_spill_and_stay_bitwise() {
 
 /// Slots holding a hull spill.
 fn hull_spills(s: &ShardState) -> usize {
-    s.cols.hull_spills.values().count()
+    s.cols.hull_spill.iter().flatten().count()
 }
 
 /// A frame of `s`, landed in a fresh shard: the landed shard and both
@@ -1275,7 +1275,7 @@ fn land_frame(s: &ShardState) -> (ShardState, Vec<u8>, Vec<u8>) {
 /// curve is strictly convex and every tick adds a hull vertex: the
 /// hull outgrows its [`HULL_INLINE`] inline vertices and spills the
 /// rest. A silent tick then makes the newest point pop all but the
-/// first vertex, and the shrunken hull keeps its spill, unread; it
+/// first vertex, and the shrunken hull keeps its spill, emptied; it
 /// climbs again, and a burst fires the certificate, so a RESET
 /// empties the hull and drops the spill; flat traffic after it keeps
 /// two vertices, as it does session 1's throughout. A pooled pair
@@ -1334,10 +1334,8 @@ fn hulls_past_the_inline_capacity_spill_and_stay_bitwise() {
         if now > 0 {
             let n = soa.cols.hull(0).len();
             assert_eq!(soa.cols.hull_len[0] as usize, n);
-            let spill = soa.cols.hull_spills.get(0).expect("slot 0 spills");
-            if n > HULL_INLINE {
-                assert_eq!(spill.len(), n - HULL_INLINE);
-            }
+            let spill = soa.cols.hull_spill[0].as_ref().expect("slot 0 spills");
+            assert_eq!(spill.len(), n.saturating_sub(HULL_INLINE));
             shrank_in_spill |= n <= HULL_INLINE;
             if n > HULL_INLINE && spilled < 2 {
                 let (landed, frame, again) = land_frame(&soa);

@@ -344,18 +344,18 @@ fn heap_and_retained_frame_are_flat_in_uptime() {
     // ring's arrivals. And one record: a session's identity is its key,
     // flags and two `u32` ids in the shard's columns and two `u32` cells
     // in the driver's table, and its lower hull keeps four vertices
-    // inline, its rare hull and FIFO spills in tables by slot. Every
-    // arrival here is `f32`-exact, so the ring keeps each arrival as an
-    // `f32`; the pooled members' overload shares are `f32`s too, no power
-    // of two, so the one ring block (all 2,112 slots) keeps its
-    // allocations as `f32`s: 801 B per dedicated session measured (753
-    // with every allocation a one-byte code). With two `f32`s a cell, a
-    // whole-tick delay column and two spill handles a slot it was 849 B,
-    // with 16-byte ring cells 977 B, with a slab entry, a placement
-    // record and a per-slot hull `Vec` too 1,167 B, and a per-slot FIFO
-    // deque (a 32 B header where the spill handle takes 8, and the
-    // capacity it keeps once the FIFO has held two entries) on top of
-    // those reached 1,281 B.
+    // inline, the rest behind an 8-byte spill handle, its rare FIFO
+    // spill in a table by slot. Every arrival here is `f32`-exact, so the
+    // ring keeps each arrival as an `f32`; the pooled members' overload
+    // shares are `f32`s too, no power of two, so the one ring block (all
+    // 2,112 slots) keeps its allocations as `f32`s: 817 B per dedicated
+    // session measured (769 with every allocation a one-byte code). With
+    // two `f32`s a cell, a whole-tick delay column and a FIFO spill
+    // handle a slot it was 849 B, with 16-byte ring cells 977 B, with a
+    // slab entry, a placement record and a per-slot hull `Vec` too
+    // 1,167 B, and a per-slot FIFO deque (a 32 B header where the spill
+    // handle took 8, and the capacity it keeps once the FIFO has held two
+    // entries) on top of those reached 1,281 B.
     let per_session = set / DEDICATED_RESTARTS;
     assert!(
         per_session <= 841,
