@@ -24,7 +24,7 @@ pub enum ExecMode {
     /// (sessions never interact across shards), so this mode exists to make
     /// that claim cheap to check and to debug without thread interleaving.
     Inline,
-    /// One worker thread per shard, fed over bounded channels.
+    /// One worker thread per shard, fed over an unbounded event queue.
     Threaded,
 }
 

@@ -10,8 +10,8 @@
 //!   aggregate budget and the tenant's quota. This is what makes the
 //!   paper's "the link can always grant the allocation" assumption true.
 //! - **Sharded execution** ([`service`], `shard`): sessions are placed
-//!   on the least-loaded healthy worker shard (threads fed by bounded
-//!   channels, or an inline single-threaded fallback) and driven
+//!   on the least-loaded healthy worker shard (threads fed by unbounded
+//!   event queues, or an inline single-threaded fallback) and driven
 //!   tick-batched through the existing machines — [`SingleSession`]
 //!   allocators for dedicated sessions, one [`SessionPool`] per pooled
 //!   group.
@@ -20,8 +20,8 @@
 //!   failed shard from its last periodic checkpoint plus a bounded
 //!   journal replay, surfaces `restarts` / `events_replayed` / per-shard
 //!   health in the snapshot, and degrades to typed [`CtrlError::ShardDown`]
-//!   errors instead of panicking when recovery is disabled or exhausted.
-//!   A [`FaultPlan`] injects kills, hangs, and delays for testing.
+//!   errors instead of panicking when recovery is exhausted.
+//!   A [`FaultPlan`] injects kills and hangs for testing.
 //! - **Signalling-cost metering** ([`meter`]): every allocation change is
 //!   charged under the §1 pricing (via [`cdba_core::cost`]) and each
 //!   session's delay, peak allocation, and windowed utilization are tracked
@@ -95,7 +95,7 @@ pub enum CtrlError {
     /// A service-level parameter or request was invalid.
     InvalidService(String),
     /// A shard worker failed and could not be recovered (its restart
-    /// budget is exhausted, or recovery is disabled).
+    /// budget is exhausted).
     ShardDown {
         /// The failed shard.
         shard: usize,

@@ -3,8 +3,8 @@
 //! Two façades over the crate-private shard machinery:
 //!
 //! * [`CheckpointMirror`] — a passive replica of one shard, fed the same
-//!   columnar frames the driver retains (over the wire, from a file, or
-//!   straight from a bench harness). Every frame carries the whole shard
+//!   columnar frames the driver retains, handed over in memory (by a
+//!   bench harness or a test). Every frame carries the whole shard
 //!   and replaces whatever the mirror held. Frames land in the mirror's
 //!   preallocated slab columns — after the first frame at a given
 //!   population, a warm re-apply performs no per-session heap allocation.
@@ -265,7 +265,7 @@ mod tests {
     /// the column re-encoded as the writer lays it out.
     fn poisoned(frame: &[u8], col: usize, cell: usize, value: u64) -> Vec<u8> {
         let parsed = columnar::parse(frame).unwrap();
-        let c = parsed.col(col).unwrap();
+        let c = parsed.col(col);
         let mut cells: Vec<u64> = (0..c.count as usize)
             .map(|i| columnar::u64_at(c, i))
             .collect();
@@ -293,19 +293,20 @@ mod tests {
     /// `mask`, every length left as written.
     fn flipped(frame: &[u8], col: usize, at: usize, mask: u8) -> Vec<u8> {
         let parsed = columnar::parse(frame).unwrap();
-        let bitmap = parsed.col(col).unwrap().sparse.as_ref().unwrap().bitmap;
+        let bitmap = parsed.col(col).sparse.as_ref().unwrap().bitmap;
         let at = bitmap.as_ptr() as usize - frame.as_ptr() as usize + at;
         let mut evil = frame.to_vec();
         evil[at] ^= mask;
         evil
     }
 
-    /// A sparse column's body is its bitmap plus one cell per set bit,
-    /// and nothing else: a bit set past the column's cell count, or a
-    /// bitmap whose set bits disagree with the cells written after it (one
-    /// set bit cleared, one clear bit set), is refused as `columnar.sparse`
-    /// before anything is written — by a mirror, a recovering shard and a
-    /// lease import alike.
+    /// A sparse column's body is its bitmap plus one cell per set bit: a
+    /// bit set past the column's cell count is refused as
+    /// `columnar.sparse`, and a flipped bit inside it (one set bit
+    /// cleared, one clear bit set) makes the column one cell shorter or
+    /// longer, so the columns after it are misread and refused typed.
+    /// Either is refused before anything is written — by a mirror, a
+    /// recovering shard and a lease import alike.
     #[test]
     fn malformed_sparse_bodies_are_refused_typed() {
         use columnar::{C_F64, C_RECENT};
@@ -335,35 +336,39 @@ mod tests {
         // bitmap bytes, the last one's bits 4..8 past the count.
         const B_ON: usize = C_F64 + 9;
         let parsed = columnar::parse(&frame).unwrap();
-        let (b_on, recent) = (parsed.col(B_ON).unwrap(), parsed.col(C_RECENT).unwrap());
+        let (b_on, recent) = (parsed.col(B_ON), parsed.col(C_RECENT));
         assert_eq!((b_on.count, recent.count), (5, 20));
         let bits = b_on.sparse.as_ref().expect("b_on is written sparse").bitmap[0];
         assert_eq!(bits, 0b0_0111, "the dedicated rows' cells are written");
         assert!(recent.sparse.is_some(), "recent is written sparse");
+        let sparse = Some("columnar.sparse");
         let cases = [
-            flipped(&frame, B_ON, 0, 0x80),
-            flipped(&frame, B_ON, 0, 0x20),
-            flipped(&frame, B_ON, 0, 0x01),
-            flipped(&frame, B_ON, 0, 0x08),
-            flipped(&frame, C_RECENT, 2, 0x10),
-            flipped(&frame, C_RECENT, 1, 0x08),
+            (flipped(&frame, B_ON, 0, 0x80), sparse),
+            (flipped(&frame, B_ON, 0, 0x20), sparse),
+            (flipped(&frame, B_ON, 0, 0x01), None),
+            (flipped(&frame, B_ON, 0, 0x08), None),
+            (flipped(&frame, C_RECENT, 2, 0x10), sparse),
+            (flipped(&frame, C_RECENT, 1, 0x08), None),
         ];
         let mut mirror = CheckpointMirror::new(&cfg);
         mirror.apply(&frame).unwrap();
         let held = frame_of(&mirror.state);
-        for evil in &cases {
+        // The field `want` names, or any `columnar.*` one for `None`.
+        let typed = |field: &str, want: Option<&str>| {
+            want.map_or(field.starts_with("columnar."), |want| field == want)
+        };
+        for (evil, want) in &cases {
             let err = mirror.apply(evil).unwrap_err();
-            assert_eq!(
-                err,
-                CtrlError::InvalidCheckpoint {
-                    field: "columnar.sparse"
-                }
+            assert!(
+                matches!(err, CtrlError::InvalidCheckpoint { field } if typed(field, *want)),
+                "{want:?}: {err}"
             );
             assert_eq!(frame_of(&mirror.state), held, "the mirror was written");
             let mut recovering = ShardState::new(0, &cfg).recycle();
-            let parsed = columnar::parse(evil)
-                .map(|f| recovering.apply_frame(&f, &mut ApplyScratch::default()));
-            assert_eq!(parsed.err(), Some("columnar.sparse"));
+            let field = columnar::parse(evil)
+                .and_then(|f| recovering.apply_frame(&f, &mut ApplyScratch::default()))
+                .unwrap_err();
+            assert!(typed(field, *want), "{want:?}: {field}");
             assert_eq!(recovering.live_sessions(), 0, "recovery was written");
         }
         mirror
@@ -379,18 +384,17 @@ mod tests {
         let blob = plane.export_session(key).unwrap();
         let parsed = columnar::parse(&blob).unwrap();
         let zero = |j: usize| {
-            let c = parsed.col(j).unwrap();
+            let c = parsed.col(j);
             c.sparse.as_ref().is_some_and(|p| p.bitmap == [0])
         };
         let col = (0..columnar::NCOLS).find(|&j| zero(j));
         let col = col.expect("a lease writes a zero float cell as one clear bit");
         let budget = plane.available_budget();
-        for mask in [0x02, 0x01] {
-            assert_eq!(
-                plane.import_session(&flipped(&blob, col, 0, mask)),
-                Err(CtrlError::InvalidCheckpoint {
-                    field: "columnar.sparse"
-                })
+        for (mask, want) in [(0x02, sparse), (0x01, None)] {
+            let err = plane.import_session(&flipped(&blob, col, 0, mask));
+            assert!(
+                matches!(err, Err(CtrlError::InvalidCheckpoint { field }) if typed(field, want)),
+                "{want:?}: {err:?}"
             );
             assert_eq!(
                 (plane.live_sessions(), plane.available_budget()),
@@ -480,7 +484,7 @@ mod tests {
         live.encode_columnar(&mut columnar::ColumnSink::default(), &mut frame);
         let clock = {
             let parsed = columnar::parse(&frame).unwrap();
-            columnar::u64_at(parsed.col(C_U64 + 1).unwrap(), 0)
+            columnar::u64_at(parsed.col(C_U64 + 1), 0)
         };
         let refusal = |state: &mut ShardState, bytes: &[u8]| {
             let parsed = columnar::parse(bytes)?;
@@ -542,7 +546,7 @@ mod tests {
             plane.tick(&[(key, 1.0)]).unwrap();
         }
         let blob = plane.export_session(key).unwrap();
-        let window = columnar::parse(&blob).unwrap().col(C_RECENT).unwrap().count;
+        let window = columnar::parse(&blob).unwrap().col(C_RECENT).count;
         assert_eq!(window, 4, "the lease carries a full window");
         let budget = plane.available_budget();
         let mut v5 = blob.clone();

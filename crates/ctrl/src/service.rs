@@ -31,6 +31,7 @@ use crate::CtrlError;
 use cdba_obs::{Registry, TraceEvent, TraceKind, TraceRing};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -575,68 +576,23 @@ impl ControlPlane {
         Ok(blob)
     }
 
-    /// Captures `key`'s lease from its shard. Read-only (like the
-    /// snapshot path): not journaled, and the reply synchronizes the
-    /// shard. A shard that goes silent is restarted and retried once,
-    /// exactly like [`ControlPlane::collect_sessions`]; a second miss marks
-    /// it permanently down.
+    /// Captures `key`'s lease from its shard: read-only (like the
+    /// snapshot path), not journaled, and the reply synchronizes the
+    /// shard. Threaded, it is a [`Collect::Lease`] of that one shard, so a
+    /// silent shard is restarted and asked again once and a second miss
+    /// marks it down. `None` when the shard holds no such dedicated
+    /// session.
     fn capture_session(&mut self, shard: usize, key: u64) -> Result<Option<Vec<u8>>, CtrlError> {
         if let Backend::Inline(states) = &mut self.backend {
             let sink = &mut crate::codec::columnar::ColumnSink::default();
             return Ok(states[shard].lease(key, sink));
         }
-        for round in 0..2u32 {
-            self.flush(shard, true)?;
-            let epoch = self.sups[shard].epoch;
-            let (reply, rx) = bounded(1);
-            let sent = {
-                let Backend::Threaded { workers } = &self.backend else {
-                    unreachable!("inline handled above")
-                };
-                let worker = workers[shard].as_ref().expect("healthy shard has a worker");
-                worker.tx.send(Event::ExportSession { key, reply })
-            };
-            let (how, failure) = match sent {
-                Ok(()) => loop {
-                    let remaining = self.patience(shard, Instant::now());
-                    match rx.recv_timeout(remaining) {
-                        Ok(cp) => {
-                            // The reply proves every previously dispatched
-                            // event was applied (the queue is FIFO).
-                            self.sups[shard].inflight = 0;
-                            return Ok(cp);
-                        }
-                        // Look again: a backlog ahead of the request may
-                        // be shrinking.
-                        Err(RecvTimeoutError::Timeout) if !remaining.is_zero() => {}
-                        Err(_) => {
-                            break (
-                                Retiring::Silent,
-                                "session export stalled past the shard timeout",
-                            )
-                        }
-                    }
-                },
-                Err(_) => (
-                    Retiring::Exiting,
-                    "worker terminated without a failure report",
-                ),
-            };
-            self.drain_worker_msgs();
-            if self.sups[shard].epoch == epoch {
-                if round == 0 {
-                    let _ = self.recover(shard, how, failure.into());
-                } else {
-                    self.mutated();
-                    self.retire_worker(shard, Retiring::Silent);
-                    let sup = &mut self.sups[shard];
-                    sup.healthy = false;
-                    sup.inflight = 0;
-                    sup.last_failure = Some("session export failed twice despite recovery".into());
-                }
-            }
-        }
-        Err(self.down_error(shard))
+        let mut lease = None;
+        self.collect(shard..shard + 1, Collect::Lease { key }, |_, report| {
+            lease = Some(report.frame);
+        });
+        let lease = lease.ok_or_else(|| self.down_error(shard))?;
+        Ok((!lease.is_empty()).then_some(lease))
     }
 
     /// Admits a migrated-in dedicated session from a blob produced by
@@ -908,39 +864,48 @@ impl ControlPlane {
         let (mut table, mut stages) = (Vec::new(), 0);
         let mut answer: Vec<Option<(u64, usize)>> = vec![None; shards];
         let mut done = vec![false; shards];
-        self.collect(Collect::Metrics { per_report }, |shard, mut report| {
-            if answer[shard].is_none_or(|(epoch, _)| epoch != report.epoch) {
-                if answer[shard].is_some() {
-                    table.retain(|m: &SessionMetrics| m.shard != shard as u64);
+        self.collect(
+            0..shards,
+            Collect::Metrics { per_report },
+            |shard, mut report| {
+                if answer[shard].is_none_or(|(epoch, _)| epoch != report.epoch) {
+                    if answer[shard].is_some() {
+                        table.retain(|m: &SessionMetrics| m.shard != shard as u64);
+                    }
+                    answer[shard] = Some((report.epoch, report.rows));
+                    if table.capacity() == 0 && report.last {
+                        table = std::mem::take(&mut report.live);
+                    }
+                    let announced: usize = answer.iter().flatten().map(|&(_, rows)| rows).sum();
+                    table.reserve_exact(announced.saturating_sub(table.len()));
                 }
-                answer[shard] = Some((report.epoch, report.rows));
-                if table.capacity() == 0 && report.last {
-                    table = std::mem::take(&mut report.live);
+                table.append(&mut report.live);
+                if report.last {
+                    table.extend(report.retired.iter().cloned());
+                    stages += report.stages_completed;
+                    done[shard] = true;
                 }
-                let announced: usize = answer.iter().flatten().map(|&(_, rows)| rows).sum();
-                table.reserve_exact(announced.saturating_sub(table.len()));
-            }
-            table.append(&mut report.live);
-            if report.last {
-                table.extend(report.retired.iter().cloned());
-                stages += report.stages_completed;
-                done[shard] = true;
-            }
-        });
+            },
+        );
         if (0..shards).any(|s| answer[s].is_some() && !done[s]) {
             table.retain(|m| done.get(m.shard as usize).copied().unwrap_or(true));
         }
         (table, stages)
     }
 
-    /// The threaded fan-out/fan-in behind snapshots and images: one
-    /// `Collect` for `what` is broadcast to every healthy shard, and
-    /// `take` gets each shard's report as it lands, for as long as some
-    /// awaited shard is not silent ([`ControlPlane::patience`]). A shard
+    /// The threaded fan-out/fan-in behind snapshots, images and leases:
+    /// one `Collect` for `what` is broadcast to every healthy shard of
+    /// `shards`, and `take` gets each shard's report as it lands, for as
+    /// long as some awaited shard is not silent ([`ControlPlane::patience`]). A shard
     /// silent for the shard timeout is restarted and retried once; a
     /// second miss marks it permanently down, and it is the one shard
     /// `take` never hears from.
-    fn collect(&mut self, what: Collect, mut take: impl FnMut(usize, ShardReport)) {
+    fn collect(
+        &mut self,
+        shards: Range<usize>,
+        what: Collect,
+        mut take: impl FnMut(usize, ShardReport),
+    ) {
         let mut collected = vec![false; self.cfg.shards];
         for round in 0..2 {
             // Fan-out: broadcast Collect to every healthy uncollected
@@ -948,7 +913,7 @@ impl ControlPlane {
             // reports wait for the driver instead of piling up.
             let (reply, rx) = bounded(self.cfg.shards);
             let mut pending: Vec<(usize, u64)> = Vec::new();
-            for shard in 0..self.cfg.shards {
+            for shard in shards.clone() {
                 // The flush fails exactly when the shard is (now) down.
                 if collected[shard] || self.flush(shard, true).is_err() {
                     continue;
@@ -1009,7 +974,10 @@ impl ControlPlane {
                 }
             }
             // A shard restarted during this round has not reported yet.
-            if (0..self.cfg.shards).all(|s| collected[s] || !self.sups[s].healthy) {
+            if shards
+                .clone()
+                .all(|s| collected[s] || !self.sups[s].healthy)
+            {
                 break;
             }
         }

@@ -108,10 +108,7 @@ impl<'a> PlaneImage<'a> {
             if frame.ticks != header.clock {
                 return Err(refused("image.clock"));
             }
-            let (key_c, flags_c) = (
-                frame.fixed(C_KEY).map_err(refused)?,
-                frame.fixed(C_FLAGS).map_err(refused)?,
-            );
+            let (key_c, flags_c) = (frame.col(C_KEY), frame.col(C_FLAGS));
             for r in 0..frame.rows as usize {
                 let key = columnar::u64_at(key_c, r);
                 if key >= header.next_key {
@@ -204,8 +201,8 @@ impl ControlPlane {
             appended = shards;
         } else {
             let mut early: Vec<Option<Vec<u8>>> = vec![None; shards];
-            self.collect(Collect::Image, |s, report| {
-                early[s] = Some(report.image);
+            self.collect(0..shards, Collect::Image, |s, report| {
+                early[s] = Some(report.frame);
                 while let Some(frame) = early.get_mut(appended).and_then(Option::take) {
                     out.reserve_exact(4 + frame.len());
                     out.extend_from_slice(&(frame.len() as u32).to_le_bytes());

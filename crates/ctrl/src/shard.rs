@@ -75,22 +75,13 @@ pub(crate) enum Event {
     /// driver's journal, shared with it rather than copied. A lone event
     /// is a batch of one; there is no other way in for a [`ReplayEvent`].
     Batch(Segment),
-    /// Report all metrics (live and retired sessions) back, or the
-    /// shard's state as one frame for a process image.
+    /// Report all metrics (live and retired sessions) back, the shard's
+    /// state as one frame for a process image, or one session's lease.
     Collect {
         /// Where to send the report.
         reply: crossbeam::channel::Sender<ShardReport>,
         /// What the report carries.
         what: Collect,
-    },
-    /// Write one session's lease (read-only, like [`Event::Collect`]) for
-    /// a live migration: [`ShardState::lease`]. `None` if the key is not
-    /// live on this shard or the session is pooled.
-    ExportSession {
-        /// The session to capture.
-        key: u64,
-        /// Where to send the lease.
-        reply: crossbeam::channel::Sender<Option<Vec<u8>>>,
     },
     /// Stop the worker loop.
     Shutdown,
@@ -130,9 +121,13 @@ pub(crate) enum Collect {
     /// `per_report` rows a report up to the [`ShardReport::last`], then
     /// [`ShardReport::retired`].
     Metrics { per_report: usize },
-    /// The whole shard as one columnar frame in [`ShardReport::image`],
+    /// The whole shard as one columnar frame in [`ShardReport::frame`],
     /// written into a fresh buffer — never the retained frame's spare.
     Image,
+    /// Session `key`'s lease for a live migration ([`ShardState::lease`])
+    /// in [`ShardReport::frame`]: empty if the key is not live on this
+    /// shard or the session is pooled.
+    Lease { key: u64 },
 }
 
 /// One shard's answer to [`Event::Collect`], or one report of a metrics
@@ -161,13 +156,14 @@ pub(crate) struct ShardReport {
     /// Stages completed on this shard so far, by dedicated sessions and
     /// pooled groups, live and retired — each certifies ≥ 1 offline change.
     pub stages_completed: u64,
-    /// The shard's frame for a [`Collect::Image`] request (the metric
-    /// fields then stay empty); empty for [`Collect::Metrics`].
-    pub image: Vec<u8>,
+    /// The frame a [`Collect::Image`] or [`Collect::Lease`] asked for
+    /// (the metric fields then stay empty); empty for
+    /// [`Collect::Metrics`].
+    pub frame: Vec<u8>,
 }
 
 /// A control event that mutates shard state — everything but the
-/// read-only `Collect`/`ExportSession`. The driver journals each one and
+/// read-only `Collect`. The driver journals each one and
 /// delivers the journal segment it lands in as an [`Event::Batch`]; the
 /// inline backend and the recovery replay apply it directly
 /// ([`ShardState::apply`]).
@@ -823,7 +819,7 @@ impl ShardState {
                 rows,
                 last,
                 stages_completed: if last { self.stages_completed() } else { 0 },
-                image: Vec::new(),
+                frame: Vec::new(),
             };
             if !send(report) || last {
                 return;

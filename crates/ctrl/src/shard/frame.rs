@@ -4,7 +4,7 @@
 //! that lands a validated row, and the shard's frame and lease writers.
 
 use super::*;
-use crate::codec::columnar::{RawColumn, RawFrame};
+use crate::codec::columnar::RawFrame;
 
 /// Reusable scratch for [`ShardState::apply_frame`], so a mirror
 /// re-applying frame after frame allocates the key tables once.
@@ -16,29 +16,6 @@ pub(crate) struct ApplyScratch {
     members: Vec<u32>,
     /// The shard's tenant id of each entry of the frame's string table.
     tenant_ids: Vec<u32>,
-}
-
-/// A validated frame's canonical columns, resolved once by
-/// [`validate_frame`].
-struct FrameColumns<'f> {
-    key: &'f RawColumn<'f>,
-    tenant: &'f RawColumn<'f>,
-    flags: &'f RawColumn<'f>,
-    /// The float scalars, in schema order from [`columnar::C_F64`].
-    f64s: Vec<&'f RawColumn<'f>>,
-    /// The counters, in schema order from [`columnar::C_U64`].
-    u64s: Vec<&'f RawColumn<'f>>,
-    hull_len: &'f RawColumn<'f>,
-    hull_x: &'f RawColumn<'f>,
-    hull_y: &'f RawColumn<'f>,
-    recent_len: &'f RawColumn<'f>,
-    recent: &'f RawColumn<'f>,
-    runs_len: &'f RawColumn<'f>,
-    runs_ticks: &'f RawColumn<'f>,
-    runs_value: &'f RawColumn<'f>,
-    pend_len: &'f RawColumn<'f>,
-    pend_age: &'f RawColumn<'f>,
-    pend_bits: &'f RawColumn<'f>,
 }
 
 /// Where a frame row's runs start in the ragged columns; the row writer
@@ -113,25 +90,26 @@ const DOMAINS: [(usize, Domain, &str); 21] = {
 /// mirror's frame, a lease on import — run in full before any of it
 /// lands. The frame must run `single` at `cost` (the kernel keeps one
 /// shard-wide parameter block, so a row under other rules would silently
-/// change them); carry every canonical column at its count; hold rows the
-/// kernel could hold (in range keys and tenants, known flags, a ring no
+/// change them); carry ragged bodies that the rows' run lengths add up
+/// to; hold rows the kernel could hold (in range keys and tenants, known flags, a ring no
 /// longer than `W` or its clock, an open stage no older than its clock
 /// whose high window the ring covers, allocation runs that tile the
 /// ring, a delay FIFO that agrees with its window, no key twice, group
 /// members that are the frame's pooled rows, each once); and hold every
 /// float cell in its column's [`DOMAINS`] — what the kernel would
-/// otherwise compute with. Returns the frame's columns, resolved.
+/// otherwise compute with. [`columnar::parse`] has checked the columns'
+/// counts.
 ///
 /// # Errors
 ///
 /// The first offending `columnar.*` field, for
 /// `CtrlError::InvalidCheckpoint`.
-fn validate_frame<'f>(
-    f: &'f RawFrame<'f>,
+fn validate_frame(
+    f: &RawFrame<'_>,
     single: &SingleConfig,
     cost: CostModel,
     scratch: &mut ApplyScratch,
-) -> Result<FrameColumns<'f>, &'static str> {
+) -> Result<(), &'static str> {
     use columnar::*;
     let w = single.w;
     if f.w as usize != w {
@@ -146,46 +124,21 @@ fn validate_frame<'f>(
         return Err("columnar.cfg");
     }
     let rows = f.rows as usize;
-    let (hull_x, hull_y) = f.pair(C_HULL_X, C_HULL_Y)?;
-    let (runs_ticks, runs_value) = f.pair(C_RUNS_TICKS, C_RUNS_VALUE)?;
-    let (pend_age, pend_bits) = f.pair(C_PEND_AGE, C_PEND_BITS)?;
-    let c = FrameColumns {
-        key: f.fixed(C_KEY)?,
-        tenant: f.fixed(C_TENANT)?,
-        flags: f.fixed(C_FLAGS)?,
-        f64s: (0..16)
-            .map(|j| f.fixed(C_F64 + j))
-            .collect::<Result<_, _>>()?,
-        u64s: (0..4)
-            .map(|j| f.fixed(C_U64 + j))
-            .collect::<Result<_, _>>()?,
-        hull_len: f.fixed(C_HULL_LEN)?,
-        hull_x,
-        hull_y,
-        recent_len: f.fixed(C_RECENT_LEN)?,
-        recent: f.col(C_RECENT)?,
-        runs_len: f.fixed(C_RUNS_LEN)?,
-        runs_ticks,
-        runs_value,
-        pend_len: f.fixed(C_PEND_LEN)?,
-        pend_age,
-        pend_bits,
-    };
     // Ragged bodies must account for exactly the sum of the per-row
     // run lengths — a mismatched cursor would smear rows together.
     // (The FIFO's cells are counted row by row below.)
     for (len_c, body_c) in [
-        (c.hull_len, c.hull_x),
-        (c.recent_len, c.recent),
-        (c.runs_len, c.runs_ticks),
+        (C_HULL_LEN, C_HULL_X),
+        (C_RECENT_LEN, C_RECENT),
+        (C_RUNS_LEN, C_RUNS_TICKS),
     ] {
-        let total = (0..rows).try_fold(0u64, |sum, r| sum.checked_add(u64_at(len_c, r)));
-        if total != Some(u64::from(body_c.count)) {
+        let total = (0..rows).try_fold(0u64, |sum, r| sum.checked_add(u64_at(f.col(len_c), r)));
+        if total != Some(u64::from(f.col(body_c).count)) {
             return Err("columnar.ragged");
         }
     }
     const KNOWN: u64 = (F_LIVE | F_DEDICATED | F_LEAVING | F_STAGE_OPEN) as u64;
-    let dedicated = |r: usize| u64_at(c.flags, r) & u64::from(F_DEDICATED) != 0;
+    let dedicated = |r: usize| u64_at(f.col(C_FLAGS), r) & u64::from(F_DEDICATED) != 0;
     scratch.keys.clear();
     let mut pooled_rows = 0usize;
     let mut at = RowAt::default();
@@ -193,21 +146,21 @@ fn validate_frame<'f>(
         // The key index is direct-mapped — one table slot per key up
         // to the maximum — so an astronomical key in a hostile frame
         // would translate straight into an astronomical allocation.
-        if u64_at(c.key, r) >= MAX_FRAME_KEY {
+        if u64_at(f.col(C_KEY), r) >= MAX_FRAME_KEY {
             return Err("columnar.key");
         }
-        let recent_n = u64_at(c.recent_len, r) as usize;
-        let clock = u64_at(c.u64s[1], r);
+        let recent_n = u64_at(f.col(C_RECENT_LEN), r) as usize;
+        let clock = u64_at(f.col(C_U64 + 1), r);
         if recent_n > w || recent_n as u64 > clock {
             return Err("columnar.ring");
         }
         // Only the FIFO's head and spill travel: the entries behind
         // the head that the window covers are its arrivals.
-        let recent = (at.recent..at.recent + recent_n).map(|j| f64_at(c.recent, j));
-        let pend_n = u64_at(c.pend_len, r);
-        at.pend += fifo_cells(c.pend_age, at.pend, pend_n, clock, recent)?;
+        let recent = (at.recent..at.recent + recent_n).map(|j| f64_at(f.col(C_RECENT), j));
+        let pend_n = u64_at(f.col(C_PEND_LEN), r);
+        at.pend += fifo_cells(f.col(C_PEND_AGE), at.pend, pend_n, clock, recent)?;
         at.recent += recent_n;
-        let flags = u64_at(c.flags, r);
+        let flags = u64_at(f.col(C_FLAGS), r);
         if flags & !KNOWN != 0 || flags & u64::from(F_LIVE) == 0 {
             return Err("columnar.flags");
         }
@@ -215,28 +168,28 @@ fn validate_frame<'f>(
         if !dedicated(r) && open {
             return Err("columnar.flags");
         }
-        if u64_at(c.tenant, r) >= f.strings.len() as u64 {
+        if u64_at(f.col(C_TENANT), r) >= f.strings.len() as u64 {
             return Err("columnar.tenant");
         }
         // An open stage started at the meter's clock less its ticks,
         // and its high window is the ring's newest `min(ticks, W)`
         // arrivals: both must exist.
-        let stage = u64_at(c.u64s[0], r);
+        let stage = u64_at(f.col(C_U64), r);
         if open && (stage > clock || stage.min(w as u64) > recent_n as u64) {
             return Err("columnar.stage");
         }
-        let runs_n = u64_at(c.runs_len, r) as usize;
+        let runs_n = u64_at(f.col(C_RUNS_LEN), r) as usize;
         check_runs(
-            c.runs_ticks,
-            c.runs_value,
+            f.col(C_RUNS_TICKS),
+            f.col(C_RUNS_VALUE),
             at.runs..at.runs + runs_n,
             recent_n,
         )?;
         at.runs += runs_n;
         pooled_rows += usize::from(!dedicated(r));
-        scratch.keys.push((u64_at(c.key, r), r as u32));
+        scratch.keys.push((u64_at(f.col(C_KEY), r), r as u32));
     }
-    if at.pend != c.pend_age.count as usize {
+    if at.pend != f.col(C_PEND_AGE).count as usize {
         return Err("columnar.pend");
     }
     scratch.keys.sort_unstable();
@@ -277,11 +230,11 @@ fn validate_frame<'f>(
     }
     // Value domains, a column at a time over its written cells.
     for (col, domain, field) in DOMAINS {
-        if !float_cells(f.col(col)?).all(|v| domain.holds(v)) {
+        if !float_cells(f.col(col)).all(|v| domain.holds(v)) {
             return Err(field);
         }
     }
-    Ok(c)
+    Ok(())
 }
 
 /// Checks that a frame is a lease — one dedicated row, no group section,
@@ -292,19 +245,18 @@ fn validate_frame<'f>(
 ///
 /// `columnar.migration` for any other shape, else the validator's field.
 pub(crate) fn validate_lease<'f>(
-    f: &'f RawFrame<'f>,
+    f: &RawFrame<'f>,
     single: &SingleConfig,
     cost: CostModel,
 ) -> Result<&'f str, &'static str> {
-    let dedicated = || {
-        let flags = f.fixed(columnar::C_FLAGS)?;
-        Ok::<_, &'static str>(columnar::u64_at(flags, 0) & u64::from(F_DEDICATED) != 0)
-    };
-    if f.rows != 1 || !f.groups.is_empty() || !f.retired.is_empty() || !dedicated()? {
+    use columnar::{u64_at, C_FLAGS, C_TENANT};
+    // A one-row frame's fixed columns hold one cell each.
+    let dedicated = || u64_at(f.col(C_FLAGS), 0) & u64::from(F_DEDICATED) != 0;
+    if f.rows != 1 || !f.groups.is_empty() || !f.retired.is_empty() || !dedicated() {
         return Err("columnar.migration");
     }
-    let c = validate_frame(f, single, cost, &mut ApplyScratch::default())?;
-    Ok(f.strings[columnar::u64_at(c.tenant, 0) as usize])
+    validate_frame(f, single, cost, &mut ApplyScratch::default())?;
+    Ok(f.strings[u64_at(f.col(C_TENANT), 0) as usize])
 }
 
 impl Columns {
@@ -314,15 +266,15 @@ impl Columns {
     /// carry stays at its vacant value (arrived 0, ring head 0, the FIFO
     /// head 0/0.0 when there is none), and so do the trackers of a row
     /// with no open stage.
-    fn land_row(&mut self, i: usize, c: &FrameColumns<'_>, r: usize, at: &mut RowAt) {
-        use columnar::{f64_at, u64_at};
-        let flags = u64_at(c.flags, r) as u32;
-        let hull_n = u64_at(c.hull_len, r) as usize;
-        let recent_n = u64_at(c.recent_len, r) as usize;
-        let runs_n = u64_at(c.runs_len, r) as usize;
-        let pend_n = u64_at(c.pend_len, r);
-        let f64s = |j: usize| f64_at(c.f64s[j], r);
-        self.keys[i] = u64_at(c.key, r);
+    fn land_row(&mut self, i: usize, f: &RawFrame<'_>, r: usize, at: &mut RowAt) {
+        use columnar::*;
+        let flags = u64_at(f.col(C_FLAGS), r) as u32;
+        let hull_n = u64_at(f.col(C_HULL_LEN), r) as usize;
+        let recent_n = u64_at(f.col(C_RECENT_LEN), r) as usize;
+        let runs_n = u64_at(f.col(C_RUNS_LEN), r) as usize;
+        let pend_n = u64_at(f.col(C_PEND_LEN), r);
+        let f64s = |j: usize| f64_at(f.col(C_F64 + j), r);
+        self.keys[i] = u64_at(f.col(C_KEY), r);
         self.flags[i] = flags;
         self.shadow_backlog[i] = f64s(0);
         self.current_alloc[i] = f64s(1);
@@ -336,31 +288,32 @@ impl Columns {
         self.b_on[i] = f64s(9);
         self.min_util[i] = f64s(14);
         self.max_delay_exact[i] = f64s(15);
-        let clock = u64_at(c.u64s[1], r);
+        let clock = u64_at(f.col(C_U64 + 1), r);
         self.meter_ticks[i] = clock;
-        self.changes[i] = u64_at(c.u64s[2], r);
-        self.stages_completed[i] = u64_at(c.u64s[3], r);
+        self.changes[i] = u64_at(f.col(C_U64 + 2), r);
+        self.stages_completed[i] = u64_at(f.col(C_U64 + 3), r);
         // The ring lands at head = 0, exactly how the encoder read it,
         // its allocation runs expanded in place.
-        let arrivals = (at.recent..at.recent + recent_n).map(|j| f64_at(c.recent, j));
+        let arrivals = (at.recent..at.recent + recent_n).map(|j| f64_at(f.col(C_RECENT), j));
         let runs = at.runs..at.runs + runs_n;
-        let allocs = columnar::expand_runs(c.runs_ticks, c.runs_value, runs);
+        let allocs = expand_runs(f.col(C_RUNS_TICKS), f.col(C_RUNS_VALUE), runs);
         self.recent_ring.land(i, arrivals.clone().zip(allocs));
         self.recent_len[i] = recent_n as u32;
         if flags & F_STAGE_OPEN != 0 {
-            self.stage_ticks[i] = u64_at(c.u64s[0], r);
+            self.stage_ticks[i] = u64_at(f.col(C_U64), r);
             self.low_total[i] = f64s(10);
             self.low_low[i] = f64s(11);
             self.high_window_sum[i] = f64s(12);
             self.high_min_window_sum[i] = f64s(13);
             let vertices = at.hull..at.hull + hull_n;
-            let vertices = vertices.map(|j| (f64_at(c.hull_x, j), f64_at(c.hull_y, j)));
+            let vertices =
+                vertices.map(|j| (f64_at(f.col(C_HULL_X), j), f64_at(f.col(C_HULL_Y), j)));
             self.land_hull(i, hull_n, vertices);
         }
-        let held = columnar::fifo_cells(c.pend_age, at.pend, pend_n, clock, arrivals)
+        let held = fifo_cells(f.col(C_PEND_AGE), at.pend, pend_n, clock, arrivals)
             .expect("validated: the FIFO agrees with its window");
         let cells = at.pend..at.pend + held;
-        let entries = columnar::fifo_held(c.pend_age, c.pend_bits, cells, clock);
+        let entries = fifo_held(f.col(C_PEND_AGE), f.col(C_PEND_BITS), cells, clock);
         self.land_pending(i, pend_n as u32, entries);
         at.hull += hull_n;
         at.recent += recent_n;
@@ -462,7 +415,7 @@ impl ShardState {
         f: &columnar::RawFrame<'_>,
         scratch: &mut ApplyScratch,
     ) -> Result<(), &'static str> {
-        let c = validate_frame(f, &self.single_cfg, self.cost, scratch)?;
+        validate_frame(f, &self.single_cfg, self.cost, scratch)?;
         // ---- mutate: infallible from here on ----
         // Row `r` lands in slot `r` of emptied columns.
         let rows = f.rows as usize;
@@ -482,10 +435,11 @@ impl ShardState {
         }
         let mut at = RowAt::default();
         for r in 0..rows {
-            self.cols.land_row(r, &c, r, &mut at);
+            self.cols.land_row(r, f, r, &mut at);
             self.index.insert(self.cols.keys[r], r as u32);
             // A frame index, validated below the string table's length.
-            self.cols.tenant[r] = scratch.tenant_ids[columnar::u64_at(c.tenant, r) as usize];
+            let tenant = columnar::u64_at(f.col(columnar::C_TENANT), r);
+            self.cols.tenant[r] = scratch.tenant_ids[tenant as usize];
         }
         // Groups, every member validated to be a pooled row.
         for g in &f.groups {
@@ -543,22 +497,33 @@ impl ShardState {
     pub(super) fn import(&mut self, key: u64, tenant: &Arc<str>, lease: &[u8]) {
         let f = columnar::parse(lease).expect("a journaled lease parses");
         let mut scratch = ApplyScratch::default();
-        let c = validate_frame(&f, &self.single_cfg, self.cost, &mut scratch)
+        validate_frame(&f, &self.single_cfg, self.cost, &mut scratch)
             .expect("a journaled lease validates");
         let (i, vacant) = self.take_slot(key);
         if !vacant {
             self.cols.reset_scalars(i);
         }
-        self.cols.land_row(i, &c, 0, &mut RowAt::default());
+        self.cols.land_row(i, &f, 0, &mut RowAt::default());
         self.cols.keys[i] = key;
         self.cols.tenant[i] = self.tenants.intern(tenant);
     }
 
-    /// The shard as an image report: its frame, written into a fresh
-    /// buffer through `sink`, and no metrics.
-    pub(crate) fn image_report(&self, sink: &mut columnar::ColumnSink) -> ShardReport {
-        let mut image = Vec::new();
-        self.encode_columnar(sink, &mut image);
+    /// The report of a [`Collect::Image`] (the shard's frame) or a
+    /// [`Collect::Lease`] (the session's lease, empty when there is none),
+    /// written into a fresh buffer through `sink`, and no metrics.
+    pub(crate) fn frame_report(
+        &self,
+        what: Collect,
+        sink: &mut columnar::ColumnSink,
+    ) -> ShardReport {
+        let frame = match what {
+            Collect::Lease { key } => self.lease(key, sink).unwrap_or_default(),
+            _ => {
+                let mut frame = Vec::new();
+                self.encode_columnar(sink, &mut frame);
+                frame
+            }
+        };
         ShardReport {
             shard: self.shard,
             epoch: self.epoch,
@@ -567,7 +532,7 @@ impl ShardState {
             rows: 0,
             last: true,
             stages_completed: 0,
-            image,
+            frame,
         }
     }
 

@@ -1066,11 +1066,12 @@ fn an_inexact_pair_widens_its_own_block_and_moves_no_frame_byte() {
         let fold = |h: u64, &b: &u8| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
         bytes.iter().fold(0xcbf2_9ce4_8422_2325, fold)
     };
-    // Frame v6 wrote 4,556 bytes: the same less the `max_delay` column's
-    // schema entry (23 bytes) and its one byte for each of 27 rows.
+    // Frame v7 wrote 4,506 bytes (FNV 4,377,987,555,057,910,556): the
+    // same plus the 672 bytes of names, kinds, body lengths, kind byte,
+    // column count and tombstone count that v8 dropped.
     assert_eq!(
         (frame.len(), fnv1a(&frame)),
-        (4_556 - 23 - 27, 4_377_987_555_057_910_556)
+        (4_506 - 672, 9_900_669_837_084_242_185)
     );
     let landed = shard().rebuild(Some(&frame), &[]);
     assert_eq!(block_cells(&landed), mixed);

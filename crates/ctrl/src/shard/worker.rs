@@ -134,14 +134,10 @@ impl WorkerLoop {
                         self.state
                             .report(per_report, |report| reply.send(report).is_ok());
                     }
-                    Collect::Image => {
-                        let _ = reply.send(self.state.image_report(&mut self.cp_sink));
+                    Collect::Image | Collect::Lease { .. } => {
+                        let _ = reply.send(self.state.frame_report(what, &mut self.cp_sink));
                     }
                 }
-                return true;
-            }
-            Event::ExportSession { key, reply } => {
-                let _ = reply.send(self.state.lease(key, &mut self.cp_sink));
                 return true;
             }
             Event::Shutdown => return false,

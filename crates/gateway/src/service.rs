@@ -854,26 +854,39 @@ mod tests {
     }
 
     /// `image` with the first written cell of its `total_arrived` column
-    /// overwritten by `bad`, in place. The column's schema entry is its
-    /// length-prefixed name, kind, width (the high bit flags a sparse
-    /// body, which leads with its bitmap), cell count and body length.
+    /// overwritten by `bad`, in place. The image's one frame follows the
+    /// 81-byte image header and its length; the frame's columns follow its
+    /// 65-byte header and tenant table, in schema order (`total_arrived`
+    /// is the seventh), each a width byte (the high bit flags a sparse
+    /// body, which leads with its bitmap), a cell count and its body.
     fn poisoned(image: &[u8], bad: f64) -> Vec<u8> {
-        let name = b"total_arrived";
-        let mut entry = (name.len() as u32).to_le_bytes().to_vec();
-        entry.extend_from_slice(name);
-        let mut out = image.to_vec();
-        let at = out
-            .windows(entry.len())
-            .position(|w| w == entry)
-            .expect("the column");
-        let at = at + entry.len();
-        let width = out[at + 1];
-        let count = u32::from_le_bytes(out[at + 2..at + 6].try_into().unwrap()) as usize;
-        let mut cell = at + 10;
-        if width & 0x80 != 0 {
-            cell += count.div_ceil(8);
+        let u32_at = |at: usize| u32::from_le_bytes(image[at..at + 4].try_into().unwrap());
+        let mut at = 81 + 4 + 65;
+        let tenants = u32_at(at);
+        at += 4;
+        for _ in 0..tenants {
+            at += 4 + u32_at(at) as usize;
         }
-        match width & 0x7f {
+        // Column `at`'s width, whether it is sparse, its count, and where
+        // its written cells start and end.
+        let column = |at: usize| {
+            let (width, sparse) = (usize::from(image[at] & 0x7f), image[at] & 0x80 != 0);
+            let count = u32_at(at + 1) as usize;
+            let bitmap = if sparse { count.div_ceil(8) } else { 0 };
+            let written = if sparse {
+                let bits = &image[at + 5..at + 5 + bitmap];
+                bits.iter().map(|b| b.count_ones() as usize).sum()
+            } else {
+                count
+            };
+            (width, at + 5 + bitmap, at + 5 + bitmap + written * width)
+        };
+        for _ in 0..6 {
+            at = column(at).2;
+        }
+        let (width, cell, _) = column(at);
+        let mut out = image.to_vec();
+        match width {
             4 => out[cell..cell + 4].copy_from_slice(&(bad as f32).to_le_bytes()),
             _ => out[cell..cell + 8].copy_from_slice(&bad.to_le_bytes()),
         }

@@ -101,10 +101,10 @@ unsafe impl GlobalAlloc for LiveBytesAlloc {
 }
 
 /// One column of a columnar checkpoint frame: its name, cell kind,
-/// width and layout, its cell count, and where its schema entry starts and
+/// width and layout, its cell count, and where its width byte starts and
 /// its body lies.
-struct Span<'a> {
-    name: &'a [u8],
+struct Span {
+    name: &'static str,
     kind: u8,
     width: usize,
     sparse: bool,
@@ -113,38 +113,85 @@ struct Span<'a> {
     body: std::ops::Range<usize>,
 }
 
-/// Cell kind byte of an unsigned column (a float column's is 1).
+/// Cell kind of an unsigned column, and of a float one.
 const K_UNSIGNED: u8 = 0;
+const K_FLOAT: u8 = 1;
 /// The width byte's high bit: a sparse column, its body a presence bitmap
 /// of one bit per cell, then the cells that are not all-zero bits.
 const SPARSE: u8 = 0x80;
 
+/// The columns of a frame, `(name, cell kind)`, in the order they are
+/// written: the frame names none of them.
+const COLUMNS: [(&str, u8); 34] = [
+    ("key", K_UNSIGNED),
+    ("tenant", K_UNSIGNED),
+    ("flags", K_UNSIGNED),
+    ("shadow_backlog", K_FLOAT),
+    ("current_alloc", K_FLOAT),
+    ("peak_alloc", K_FLOAT),
+    ("total_arrived", K_FLOAT),
+    ("total_served", K_FLOAT),
+    ("total_allocated", K_FLOAT),
+    ("window_arrived", K_FLOAT),
+    ("window_allocated", K_FLOAT),
+    ("backlog", K_FLOAT),
+    ("b_on", K_FLOAT),
+    ("low_total", K_FLOAT),
+    ("low_low", K_FLOAT),
+    ("high_window_sum", K_FLOAT),
+    ("high_min_window_sum", K_FLOAT),
+    ("min_util", K_FLOAT),
+    ("max_delay_exact", K_FLOAT),
+    ("stage_ticks", K_UNSIGNED),
+    ("meter_ticks", K_UNSIGNED),
+    ("changes", K_UNSIGNED),
+    ("stages_completed", K_UNSIGNED),
+    ("hull_len", K_UNSIGNED),
+    ("hull_x", K_FLOAT),
+    ("hull_y", K_FLOAT),
+    ("recent_len", K_UNSIGNED),
+    ("recent", K_FLOAT),
+    ("alloc_runs_len", K_UNSIGNED),
+    ("alloc_runs_ticks", K_UNSIGNED),
+    ("alloc_runs_value", K_FLOAT),
+    ("pend_len", K_UNSIGNED),
+    ("pend_age", K_UNSIGNED),
+    ("pend_bits", K_FLOAT),
+];
+
 /// Walks a columnar checkpoint frame's documented layout — the fixed
-/// header, the tenant table, then the self-describing columns — and
-/// returns where the columns start, each column, and where they end.
-fn spans(frame: &[u8]) -> (usize, Vec<Span<'_>>, usize) {
+/// header, the tenant table, then the columns in [`COLUMNS`] order, each
+/// a width byte, a `u32` cell count and its body — and returns where the
+/// columns start, each column, and where they end.
+fn spans(frame: &[u8]) -> (usize, Vec<Span>, usize) {
     let u32_at = |at: usize| u32::from_le_bytes(frame[at..at + 4].try_into().unwrap()) as usize;
-    let mut at = string_table(frame).1.end;
-    let columns = u32_at(at);
-    at += 4;
-    let start = at;
-    let mut spans = Vec::with_capacity(columns);
-    for _ in 0..columns {
-        let len = u32_at(at);
-        let name = &frame[at + 4..at + 4 + len];
-        let (kind, width) = (frame[at + 4 + len], frame[at + 4 + len + 1]);
-        let body_at = at + 4 + len + 1 + 1 + 4 + 4; // name, kind, width, count, length
-        let body = body_at..body_at + u32_at(body_at - 4);
+    let start = string_table(frame).1.end;
+    let mut at = start;
+    let mut spans = Vec::with_capacity(COLUMNS.len());
+    for (name, kind) in COLUMNS {
+        let (width, count) = (usize::from(frame[at] & !SPARSE), u32_at(at + 1));
+        let sparse = frame[at] & SPARSE != 0;
+        let body_at = at + 1 + 4;
+        let len = if sparse {
+            let bitmap = count.div_ceil(8);
+            let present: u32 = frame[body_at..body_at + bitmap]
+                .iter()
+                .map(|b| b.count_ones())
+                .sum();
+            bitmap + present as usize * width
+        } else {
+            count * width
+        };
         spans.push(Span {
             name,
             kind,
-            width: usize::from(width & !SPARSE),
-            sparse: width & SPARSE != 0,
-            count: u32_at(body_at - 8),
+            width,
+            sparse,
+            count,
             entry: at,
-            body: body.clone(),
+            body: body_at..body_at + len,
         });
-        at = body.end;
+        at = body_at + len;
     }
     (start, spans, at)
 }
@@ -153,9 +200,9 @@ fn spans(frame: &[u8]) -> (usize, Vec<Span<'_>>, usize) {
 /// byte range of the table (its count included).
 fn string_table(frame: &[u8]) -> (Vec<&str>, std::ops::Range<usize>) {
     let u32_at = |at: usize| u32::from_le_bytes(frame[at..at + 4].try_into().unwrap()) as usize;
-    // Version, kind, clock, rows, W, two prices, B_max, D_O, U_O and the
+    // Version, clock, rows, W, two prices, B_max, D_O, U_O and the
     // retired stage count.
-    let start = 66;
+    let start = 65;
     let mut at = start + 4;
     let mut names = Vec::with_capacity(u32_at(start));
     for _ in 0..u32_at(start) {
@@ -203,17 +250,17 @@ pub fn with_strings(frame: &[u8], names: &[&str]) -> Vec<u8> {
     out
 }
 
-fn span<'s, 'f>(spans: &'s [Span<'f>], name: &str) -> &'s Span<'f> {
+fn span<'s>(spans: &'s [Span], name: &str) -> &'s Span {
     spans
         .iter()
-        .find(|s| s.name == name.as_bytes())
+        .find(|s| s.name == name)
         .unwrap_or_else(|| panic!("the frame has no column `{name}`"))
 }
 
-/// One column of a columnar checkpoint frame, as its schema entry
-/// describes it.
+/// One column of a columnar checkpoint frame, as its width byte and
+/// count describe it.
 pub struct Column {
-    pub name: String,
+    pub name: &'static str,
     /// Bytes per written cell.
     pub width: usize,
     /// Written as a presence bitmap, then only the non-zero cells.
@@ -227,8 +274,8 @@ pub struct Column {
 /// Every column of a columnar checkpoint frame, in frame order.
 pub fn frame_columns(frame: &[u8]) -> Vec<Column> {
     let spans = spans(frame).1;
-    let column = |s: &Span<'_>| Column {
-        name: String::from_utf8(s.name.to_vec()).unwrap(),
+    let column = |s: &Span| Column {
+        name: s.name,
         width: s.width,
         sparse: s.sparse,
         count: s.count,
@@ -292,7 +339,7 @@ pub enum Cells<'a> {
 }
 
 /// `frame` re-laid with the named columns' cells replaced, their widths,
-/// layouts, cell counts and body lengths following, as the frame writer
+/// layouts and cell counts following, as the frame writer
 /// lays a column out: each at the narrowest width that holds all of its
 /// cells, and sparse — a bitmap of one bit per cell, then the cells whose
 /// bits are not all zero — exactly when that body is the smaller one. A
@@ -301,8 +348,7 @@ pub fn with_columns(frame: &[u8], cols: &[(&str, Cells<'_>)]) -> Vec<u8> {
     let (start, spans, end) = spans(frame);
     let mut out = frame[..start].to_vec();
     for s in &spans {
-        let head = &frame[s.entry..s.body.start - 9]; // through the kind byte
-        let Some((_, cells)) = cols.iter().find(|(name, _)| name.as_bytes() == s.name) else {
+        let Some((_, cells)) = cols.iter().find(|(name, _)| *name == s.name) else {
             out.extend_from_slice(&frame[s.entry..s.body.end]);
             continue;
         };
@@ -319,7 +365,7 @@ pub fn with_columns(frame: &[u8], cols: &[(&str, Cells<'_>)]) -> Vec<u8> {
                 (width, cells.collect())
             }
             Cells::Float(cells) => {
-                assert_ne!(s.kind, K_UNSIGNED, "a float column");
+                assert_eq!(s.kind, K_FLOAT, "a float column");
                 let exact = |c: &f64| f64::from(*c as f32).to_bits() == c.to_bits();
                 if cells.iter().all(exact) {
                     let cells = cells.iter().map(|&c| (c as f32).to_le_bytes().to_vec());
@@ -345,10 +391,8 @@ pub fn with_columns(frame: &[u8], cols: &[(&str, Cells<'_>)]) -> Vec<u8> {
         } else {
             cells.concat()
         };
-        out.extend_from_slice(head);
         out.push(width as u8 | if sparse { SPARSE } else { 0 });
         out.extend_from_slice(&(cells.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
         out.extend_from_slice(&body);
     }
     out.extend_from_slice(&frame[end..]);

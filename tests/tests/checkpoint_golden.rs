@@ -5,17 +5,18 @@
 //! with a pooled group, and a one-row migration frame. A genesis is the
 //! one frame kind.
 //!
-//! The digests were last re-pinned when frame v7 dropped the whole-tick
-//! `max_delay` column, which nothing read: a snapshot's delay is the
-//! ceiling of `max_delay_exact`. Frame v6 had written each column whose
+//! The digests were last re-pinned when frame v8 made the schema
+//! positional: it dropped each column's name, cell kind and body length,
+//! the frame kind byte, the column count and the tombstone count, which
+//! no reader used — exactly 672 bytes a frame. The v7 lengths are kept
+//! beside the pins, and so are the v5 ones: frame v7 had dropped the
+//! whole-tick `max_delay` column, and v6 had written each column whose
 //! zero cells outweigh a bitmap as that bitmap plus its non-zero cells.
-//! The v5 lengths are kept beside the pins, and every frame is held to
-//! the length identity between the layouts, computed from the frame's
-//! own contents and the dropped column's dense v5 bytes — so the sparse
-//! bodies and the dropped column are provably the only things that
-//! moved. (Frame v5 had narrowed v4's cells and dropped the FIFO's
-//! window-covered tail the same way, and its v4 lengths are held here
-//! too.)
+//! Every frame is held to the length identities between the layouts,
+//! computed from the frame's own contents and the dropped bytes — so
+//! those are provably the only things that moved. (Frame v5 had narrowed
+//! v4's cells and dropped the FIFO's window-covered tail the same way,
+//! and its v4 lengths are held here too.)
 
 use cdba_bench::replay::ReplaySpec;
 use cdba_ctrl::{
@@ -31,21 +32,29 @@ fn rows(frame: &[u8]) -> usize {
     frame_column(frame, "key").len()
 }
 
-/// The length the v5 encoder gave the frame `v7` now encodes. v5 wrote
+/// The length the v7 encoder gave the frame `v8` now encodes: v7 also
+/// wrote each of the 34 columns' name (357 bytes in all) behind a 4-byte
+/// length, a kind byte and a 4-byte body length, a frame kind byte, a
+/// 4-byte column count and a 4-byte tombstone count.
+fn v7_len(v8: &[u8]) -> usize {
+    assert_eq!(v8[0], 8, "frame version");
+    v8.len() + 357 + 34 * (4 + 1 + 4) + 1 + 4 + 4
+}
+
+/// The length the v5 encoder gave the frame `v8` now encodes. v5 wrote
 /// every column dense, `count × width` bytes; v6 wrote a column sparse
 /// when a bitmap of one bit per cell plus its non-zero cells is smaller.
 /// v5 also wrote a `max_delay` column, which v7 dropped: a 14-byte schema
 /// entry around its 9-byte name and one byte a row (no delay here
 /// reaches 256 ticks). The other schema entries, header, tenant table
-/// and tail sections are the same bytes.
-fn v5_len(v7: &[u8]) -> usize {
-    assert_eq!(v7[0], 7, "frame version");
-    let sparse = frame_columns(v7).into_iter().filter(|c| c.sparse);
-    let max_delay = 14 + 9 + rows(v7);
-    v7.len() + sparse.map(|c| c.count * c.width - c.body).sum::<usize>() + max_delay
+/// and tail sections are the v7 bytes.
+fn v5_len(v8: &[u8]) -> usize {
+    let sparse = frame_columns(v8).into_iter().filter(|c| c.sparse);
+    let max_delay = 14 + 9 + rows(v8);
+    v7_len(v8) + sparse.map(|c| c.count * c.width - c.body).sum::<usize>() + max_delay
 }
 
-/// The length the v4 encoder gave the frame `v7` now encodes. v4 wrote
+/// The length the v4 encoder gave the frame `v8` now encodes. v4 wrote
 /// every cell at full width: `tenant`, `flags` and the `*_len` columns
 /// in 4 bytes, every other cell in 8 (a pair in 16, which v5 splits into
 /// two columns of 8-byte halves). It also wrote the whole delay FIFO, one
@@ -53,11 +62,11 @@ fn v5_len(v7: &[u8]) -> usize {
 /// the spill only. A v4 schema entry was 17 bytes around its name
 /// (a 4-byte width) and v5's is 14 (a 1-byte width); v4 had 32 entries
 /// and v5 has 35, the three pair names (18 bytes) becoming six (61).
-fn v4_len(v7: &[u8]) -> usize {
+fn v4_len(v8: &[u8]) -> usize {
     // `max_delay`, which v7 dropped, in 8 bytes a row where v5 took 1.
-    let (mut narrowed, mut held) = (7 * rows(v7), 0);
-    for c in frame_columns(v7) {
-        let v4_width = match c.name.as_str() {
+    let (mut narrowed, mut held) = (7 * rows(v8), 0);
+    for c in frame_columns(v8) {
+        let v4_width = match c.name {
             "tenant" | "flags" => 4,
             name if name.ends_with("_len") => 4,
             _ => 8,
@@ -67,9 +76,9 @@ fn v4_len(v7: &[u8]) -> usize {
             held = c.count;
         }
     }
-    let queued: u64 = column_u64s(v7, "pend_len").iter().sum();
+    let queued: u64 = column_u64s(v8, "pend_len").iter().sum();
     let schema = (32 * 17 + 18) - (35 * 14 + 61);
-    v5_len(v7) + narrowed + 16 * (queued as usize - held) + schema
+    v5_len(v8) + narrowed + 16 * (queued as usize - held) + schema
 }
 
 fn builder() -> ServiceConfigBuilder {
@@ -120,12 +129,13 @@ fn probe_frames_match_the_pinned_encoder_bytes() {
         genesis.len(),
         "a fresh output buffer is allocated once, at the exact frame length"
     );
+    assert_eq!(v7_len(&genesis), 7409, "genesis vs the v7 schema");
     assert_eq!(v5_len(&genesis), 8238, "genesis vs the v5 layout");
     assert_eq!(v4_len(&genesis), 18755, "genesis vs the v4 schema");
-    // Frame v6: (7482, 7519993975074719591).
+    // Frame v7: (7409, 16587273105149257674); v6: (7482, 7519993975074719591).
     assert_eq!(
         (genesis.len(), fnv1a(&genesis)),
-        (7409, 16587273105149257674),
+        (6737, 7283747006421108144),
         "genesis"
     );
 }
@@ -145,12 +155,13 @@ fn worker_genesis_and_migration_frames_match_the_pinned_encoder_bytes() {
     service.cut_image(&mut image).unwrap();
     service.shutdown();
     let genesis = image_frames(&image)[0];
+    assert_eq!(v7_len(genesis), 2677, "worker genesis vs the v7 schema");
     assert_eq!(v5_len(genesis), 2901, "worker genesis vs the v5 layout");
     assert_eq!(v4_len(genesis), 4412, "worker genesis vs the v4 schema");
-    // Frame v6: (2709, 10067079759653757795).
+    // Frame v7: (2677, 12105952609826957931); v6: (2709, 10067079759653757795).
     assert_eq!(
         (genesis.len(), fnv1a(genesis)),
-        (2677, 12105952609826957931),
+        (2005, 11439390808094796318),
         "worker genesis at tick 16"
     );
 
@@ -158,19 +169,20 @@ fn worker_genesis_and_migration_frames_match_the_pinned_encoder_bytes() {
     let live = drive(&mut service, 20);
     let blob = service.export_session(live[2]).unwrap();
     assert_eq!(blob.capacity(), blob.len());
+    assert_eq!(v7_len(&blob), 1077, "migration frame vs the v7 schema");
     assert_eq!(v5_len(&blob), 1114, "migration frame vs the v5 layout");
     assert_eq!(v4_len(&blob), 1339, "migration frame vs the v4 schema");
-    // Frame v6: (1101, 4267875291682518673).
+    // Frame v7: (1077, 17904449102471257860); v6: (1101, 4267875291682518673).
     assert_eq!(
         (blob.len(), fnv1a(&blob)),
-        (1077, 17904449102471257860),
+        (405, 8296679685242150608),
         "migration frame"
     );
     service.shutdown();
 }
 
 /// Bytes of a one-row frame's column bodies: the row itself, without the
-/// header, schema and tenant table every frame pays once.
+/// header, column heads and tenant table every frame pays once.
 fn row_bytes(frame: &[u8]) -> usize {
     frame_columns(frame).iter().map(|c| c.body).sum()
 }
@@ -203,11 +215,13 @@ fn a_row_at_w_16_costs_its_pinned_bytes() {
     }
     let steady = src.export_session(key).unwrap();
     assert_eq!(frame_column(&steady, "alloc_runs_len"), [1]);
-    // Frame v6 wrote 1,114 and 164: the `max_delay` column's 23-byte
-    // schema entry and one-byte cell more.
+    // Frame v7 wrote 1,090 and 163: 672 bytes of names, kinds, body
+    // lengths, kind byte, column and tombstone counts more. v6 wrote 1,114
+    // and 164: the `max_delay` column's 23-byte schema entry and one-byte
+    // cell more again.
     assert_eq!(
         (steady.len(), row_bytes(&steady)),
-        (1090, 163),
+        (418, 163),
         "single-run row"
     );
 
@@ -226,11 +240,13 @@ fn a_row_at_w_16_costs_its_pinned_bytes() {
     assert_eq!(worst, churned, "the imported history re-exports as it came");
     assert_eq!(
         (worst.len(), row_bytes(&worst)),
-        (1165, 238),
+        (493, 238),
         "a change every tick"
     );
     assert_eq!(row_bytes(&worst) - row_bytes(&steady), 15 * 5);
-    // Frame v5 wrote them as 1,120 and 1,195 bytes, v4 as 1,369 and 1,609.
+    // Frame v7 wrote them as 1,090 and 1,165 bytes, v5 as 1,120 and 1,195,
+    // v4 as 1,369 and 1,609.
+    assert_eq!((v7_len(&steady), v7_len(&worst)), (1090, 1165));
     assert_eq!((v5_len(&steady), v5_len(&worst)), (1120, 1195));
     assert_eq!((v4_len(&steady), v4_len(&worst)), (1369, 1609));
 }

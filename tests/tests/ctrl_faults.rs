@@ -296,6 +296,46 @@ fn hung_shard_is_detected_and_replaced() {
     service.shutdown();
 }
 
+/// A lease is collected like a snapshot. A worker that goes silent under
+/// the export, hung past the shard timeout or killed on the last tick
+/// before it, is restarted and asked again. The lease it writes is then
+/// byte for byte the fault-free plane's.
+#[test]
+fn an_export_that_finds_its_worker_silent_restarts_it_and_leases_the_same_bytes() {
+    const LAST: u64 = 29;
+    let lease = |fault: Option<FaultPlan>| {
+        let mut builder = ServiceConfig::builder(4096.0)
+            .session_b_max(B_MAX)
+            .offline_delay(D_O)
+            .window(2 * D_O)
+            .shards(1)
+            .exec(ExecMode::Threaded)
+            .checkpoint_every(8)
+            .shard_timeout_ms(200);
+        if let Some(plan) = fault {
+            builder = builder.fault(plan);
+        }
+        let mut plane = ControlPlane::new(builder.build().unwrap());
+        let keys = [plane.admit("acme").unwrap(), plane.admit("globex").unwrap()];
+        for t in 0..=LAST {
+            plane
+                .tick(&[(keys[0], (t % 3) as f64), (keys[1], 1.0)])
+                .unwrap();
+        }
+        let lease = plane.export_session(keys[0]).expect("the export recovers");
+        let restarts = plane.snapshot().unwrap().restarts;
+        plane.shutdown();
+        (lease, restarts)
+    };
+    let (clean, restarts) = lease(None);
+    assert_eq!(restarts, 0);
+    for fault in [FaultPlan::hang(0, LAST, 2_000), FaultPlan::kill(0, LAST)] {
+        let (lease, restarts) = lease(Some(fault));
+        assert_eq!(restarts, 1, "{fault}");
+        assert!(lease == clean, "{fault}: the lease differs");
+    }
+}
+
 /// A threaded shard holds dispatched events back in an outbox until a
 /// sync point. This script leaves one non-empty when the disturbance
 /// lands — five admits and a leave after tick `LAST`, fewer than a batch,

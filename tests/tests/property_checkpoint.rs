@@ -12,8 +12,8 @@ use cdba_ctrl::{
     CheckpointMirror, CheckpointProbe, ControlPlane, CtrlError, ExecMode, ServiceConfig,
 };
 use cdba_integration::{
-    column_f64s, column_sparse, column_u64s, column_width, frame_strings, group_members,
-    image_frames, with_columns, with_strings, Cells,
+    column_f64s, column_sparse, column_u64s, column_width, frame_column, frame_strings,
+    group_members, image_frames, with_columns, with_strings, Cells,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -557,27 +557,22 @@ fn a_tenant_named_twice_in_the_string_table_keeps_every_row_its_name() {
 
 /// The named hostile mutations from the schema's threat model, each built
 /// from a valid frame and each required to fail with its own typed field:
-/// a truncated header, a frame kind other than genesis, a row-count that
-/// disagrees with the column bodies, an unknown cell kind, a width its
-/// kind does not allow, a column named twice, the same key on two rows,
-/// and a tombstone (a genesis lists none).
+/// a truncated header, a row-count that disagrees with the column bodies,
+/// a width its kind does not allow, and the same key on two rows.
 #[test]
 fn named_schema_attacks_map_to_typed_fields() {
-    // Header layout: version u8, kind u8, ticks u64, rows u32 — the rows
-    // field lives at bytes 10..14. Each column descriptor is a u32 name
-    // length, the name, then the kind and width bytes.
+    // Header layout: version u8, ticks u64, rows u32 — the rows field
+    // lives at bytes 9..13. Each column is a width byte and a u32 cell
+    // count ahead of its body.
     let (mut mirror, frame) = primed();
-    let desc = |name: &str| {
-        let mut desc = (name.len() as u32).to_le_bytes().to_vec();
-        desc.extend_from_slice(name.as_bytes());
-        let at = frame.windows(desc.len()).position(|w| w == desc);
-        at.expect("the column descriptor is in the frame") + desc.len()
+    let width_at = |name: &str| {
+        let body = frame_column(&frame, name).as_ptr() as usize;
+        body - frame.as_ptr() as usize - 1 - 4
     };
-    let kind_at = desc("key");
+    let key_at = width_at("key");
     assert!(!column_sparse(&frame, "key"), "the keys are written dense");
-    let width = usize::from(frame[kind_at + 1]);
-    // name + kind u8 + width u8 + count u32 + body-length u32.
-    let body_at = kind_at + 1 + 1 + 4 + 4;
+    let width = usize::from(frame[key_at]);
+    let body_at = key_at + 1 + 4;
 
     let mut cases: Vec<(&str, Vec<u8>, &str)> = Vec::new();
     cases.push((
@@ -586,16 +581,10 @@ fn named_schema_attacks_map_to_typed_fields() {
         "columnar.truncated",
     ));
     let mut evil = frame.clone();
-    evil[1] = 1; // the kind byte
-    cases.push(("a frame kind other than genesis", evil, "columnar.type"));
-    let mut evil = frame.clone();
-    let rows = u32::from_le_bytes(evil[10..14].try_into().unwrap());
+    let rows = u32::from_le_bytes(evil[9..13].try_into().unwrap());
     assert!(rows >= 2, "the poisoning below needs at least two rows");
-    evil[10..14].copy_from_slice(&(rows + 1).to_le_bytes());
+    evil[9..13].copy_from_slice(&(rows + 1).to_le_bytes());
     cases.push(("row-count mismatch", evil, "columnar.count"));
-    let mut evil = frame.clone();
-    evil[kind_at] = 0x2A; // no such cell kind
-    cases.push(("unknown cell kind", evil, "columnar.type"));
     for (column, illegal) in [
         ("key", 3),
         ("key", 16),
@@ -603,25 +592,13 @@ fn named_schema_attacks_map_to_typed_fields() {
         ("recent", 0x82),
     ] {
         let mut evil = frame.clone();
-        evil[desc(column) + 1] = illegal;
+        evil[width_at(column)] = illegal;
         cases.push(("a width its kind does not allow", evil, "columnar.width"));
     }
-    let mut evil = frame.clone();
-    let at = desc("hull_y") - 1;
-    evil[at] = b'x'; // a second `hull_x`
-    cases.push(("a column named twice", evil, "columnar.duplicate"));
     let mut evil = frame.clone();
     let first_key = evil[body_at..body_at + width].to_vec();
     evil[body_at + width..body_at + 2 * width].copy_from_slice(&first_key);
     cases.push(("one key on two rows", evil, "columnar.keys"));
-    // The tail: no groups, the tombstone count, nothing retired.
-    let tail = frame.len() - 12;
-    assert_eq!(frame[tail..], [0; 12], "a probe frame with an empty tail");
-    let mut evil = frame[..tail + 4].to_vec();
-    evil.extend_from_slice(&1u32.to_le_bytes());
-    evil.extend_from_slice(&0u64.to_le_bytes());
-    evil.extend_from_slice(&0u32.to_le_bytes());
-    cases.push(("a tombstone", evil, "columnar.count"));
 
     for (what, evil, want) in cases {
         let field = assert_rejected_untouched(&mut mirror, &frame, &evil)
