@@ -302,11 +302,12 @@ mod tests {
 
     /// A sparse column's body is its bitmap plus one cell per set bit: a
     /// bit set past the column's cell count is refused as
-    /// `columnar.sparse`, and a flipped bit inside it (one set bit
-    /// cleared, one clear bit set) makes the column one cell shorter or
-    /// longer, so the columns after it are misread and refused typed.
-    /// Either is refused before anything is written — by a mirror, a
-    /// recovering shard and a lease import alike.
+    /// `columnar.sparse`. A flipped bit inside it (one set bit cleared,
+    /// one clear bit set) makes the column one cell shorter or longer,
+    /// so the next column's width byte is read from a cell's bytes;
+    /// these frames all fail there, as `columnar.width`. Either is
+    /// refused before anything is written — by a mirror, a recovering
+    /// shard and a lease import alike.
     #[test]
     fn malformed_sparse_bodies_are_refused_typed() {
         use columnar::{C_F64, C_RECENT};
@@ -341,34 +342,27 @@ mod tests {
         let bits = b_on.sparse.as_ref().expect("b_on is written sparse").bitmap[0];
         assert_eq!(bits, 0b0_0111, "the dedicated rows' cells are written");
         assert!(recent.sparse.is_some(), "recent is written sparse");
-        let sparse = Some("columnar.sparse");
+        let (sparse, width) = ("columnar.sparse", "columnar.width");
         let cases = [
             (flipped(&frame, B_ON, 0, 0x80), sparse),
             (flipped(&frame, B_ON, 0, 0x20), sparse),
-            (flipped(&frame, B_ON, 0, 0x01), None),
-            (flipped(&frame, B_ON, 0, 0x08), None),
+            (flipped(&frame, B_ON, 0, 0x01), width),
+            (flipped(&frame, B_ON, 0, 0x08), width),
             (flipped(&frame, C_RECENT, 2, 0x10), sparse),
-            (flipped(&frame, C_RECENT, 1, 0x08), None),
+            (flipped(&frame, C_RECENT, 1, 0x08), width),
         ];
         let mut mirror = CheckpointMirror::new(&cfg);
         mirror.apply(&frame).unwrap();
         let held = frame_of(&mirror.state);
-        // The field `want` names, or any `columnar.*` one for `None`.
-        let typed = |field: &str, want: Option<&str>| {
-            want.map_or(field.starts_with("columnar."), |want| field == want)
-        };
-        for (evil, want) in &cases {
+        for &(ref evil, want) in &cases {
             let err = mirror.apply(evil).unwrap_err();
-            assert!(
-                matches!(err, CtrlError::InvalidCheckpoint { field } if typed(field, *want)),
-                "{want:?}: {err}"
-            );
+            assert_eq!(err, CtrlError::InvalidCheckpoint { field: want });
             assert_eq!(frame_of(&mirror.state), held, "the mirror was written");
             let mut recovering = ShardState::new(0, &cfg).recycle();
             let field = columnar::parse(evil)
                 .and_then(|f| recovering.apply_frame(&f, &mut ApplyScratch::default()))
                 .unwrap_err();
-            assert!(typed(field, *want), "{want:?}: {field}");
+            assert_eq!(field, want);
             assert_eq!(recovering.live_sessions(), 0, "recovery was written");
         }
         mirror
@@ -390,11 +384,10 @@ mod tests {
         let col = (0..columnar::NCOLS).find(|&j| zero(j));
         let col = col.expect("a lease writes a zero float cell as one clear bit");
         let budget = plane.available_budget();
-        for (mask, want) in [(0x02, sparse), (0x01, None)] {
-            let err = plane.import_session(&flipped(&blob, col, 0, mask));
-            assert!(
-                matches!(err, Err(CtrlError::InvalidCheckpoint { field }) if typed(field, want)),
-                "{want:?}: {err:?}"
+        for (mask, want) in [(0x02, sparse), (0x01, width)] {
+            assert_eq!(
+                plane.import_session(&flipped(&blob, col, 0, mask)),
+                Err(CtrlError::InvalidCheckpoint { field: want })
             );
             assert_eq!(
                 (plane.live_sessions(), plane.available_budget()),
@@ -557,10 +550,7 @@ mod tests {
             .chain([(v5, "columnar.version")]);
         for (evil, want) in leases {
             let err = plane.import_session(&evil).unwrap_err();
-            assert!(
-                matches!(err, CtrlError::InvalidCheckpoint { field } if field == want),
-                "{want}: {err}"
-            );
+            assert_eq!(err, CtrlError::InvalidCheckpoint { field: want });
             assert_eq!(
                 (plane.live_sessions(), plane.available_budget()),
                 (0, budget)

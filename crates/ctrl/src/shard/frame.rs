@@ -508,22 +508,10 @@ impl ShardState {
         self.cols.tenant[i] = self.tenants.intern(tenant);
     }
 
-    /// The report of a [`Collect::Image`] (the shard's frame) or a
-    /// [`Collect::Lease`] (the session's lease, empty when there is none),
-    /// written into a fresh buffer through `sink`, and no metrics.
-    pub(crate) fn frame_report(
-        &self,
-        what: Collect,
-        sink: &mut columnar::ColumnSink,
-    ) -> ShardReport {
-        let frame = match what {
-            Collect::Lease { key } => self.lease(key, sink).unwrap_or_default(),
-            _ => {
-                let mut frame = Vec::new();
-                self.encode_columnar(sink, &mut frame);
-                frame
-            }
-        };
+    /// The report of a [`Collect::Image`] or a [`Collect::Lease`]: the
+    /// `frame` it asked for (empty for a lease with no live session), and
+    /// no metrics.
+    pub(crate) fn frame_report(&self, frame: Vec<u8>) -> ShardReport {
         ShardReport {
             shard: self.shard,
             epoch: self.epoch,

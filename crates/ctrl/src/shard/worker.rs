@@ -134,8 +134,14 @@ impl WorkerLoop {
                         self.state
                             .report(per_report, |report| reply.send(report).is_ok());
                     }
-                    Collect::Image | Collect::Lease { .. } => {
-                        let _ = reply.send(self.state.frame_report(what, &mut self.cp_sink));
+                    Collect::Image => {
+                        let mut frame = Vec::new();
+                        self.state.encode_columnar(&mut self.cp_sink, &mut frame);
+                        let _ = reply.send(self.state.frame_report(frame));
+                    }
+                    Collect::Lease { key } => {
+                        let lease = self.state.lease(key, &mut self.cp_sink);
+                        let _ = reply.send(self.state.frame_report(lease.unwrap_or_default()));
                     }
                 }
                 return true;

@@ -533,6 +533,7 @@ impl ServiceCore {
 mod tests {
     use super::*;
     use cdba_ctrl::ExecMode;
+    use cdba_integration::{frame_column, frame_columns, image_frames};
     use cdba_obs::{TraceKind, TraceRing};
     use std::time::Duration;
 
@@ -853,40 +854,22 @@ mod tests {
         assert!(fresh.slots.iter().all(|&slot| slot == 0));
     }
 
-    /// `image` with the first written cell of its `total_arrived` column
-    /// overwritten by `bad`, in place. The image's one frame follows the
-    /// 81-byte image header and its length; the frame's columns follow its
-    /// 65-byte header and tenant table, in schema order (`total_arrived`
-    /// is the seventh), each a width byte (the high bit flags a sparse
-    /// body, which leads with its bitmap), a cell count and its body.
+    /// `image` with the first written cell of its one frame's
+    /// `total_arrived` column overwritten by `bad`, in place.
     fn poisoned(image: &[u8], bad: f64) -> Vec<u8> {
-        let u32_at = |at: usize| u32::from_le_bytes(image[at..at + 4].try_into().unwrap());
-        let mut at = 81 + 4 + 65;
-        let tenants = u32_at(at);
-        at += 4;
-        for _ in 0..tenants {
-            at += 4 + u32_at(at) as usize;
-        }
-        // Column `at`'s width, whether it is sparse, its count, and where
-        // its written cells start and end.
-        let column = |at: usize| {
-            let (width, sparse) = (usize::from(image[at] & 0x7f), image[at] & 0x80 != 0);
-            let count = u32_at(at + 1) as usize;
-            let bitmap = if sparse { count.div_ceil(8) } else { 0 };
-            let written = if sparse {
-                let bits = &image[at + 5..at + 5 + bitmap];
-                bits.iter().map(|b| b.count_ones() as usize).sum()
-            } else {
-                count
-            };
-            (width, at + 5 + bitmap, at + 5 + bitmap + written * width)
+        const NAME: &str = "total_arrived";
+        let frame = image_frames(image)[0];
+        let columns = frame_columns(frame);
+        let column = columns.iter().find(|c| c.name == NAME).unwrap();
+        // A sparse body leads with its bitmap, one bit per cell.
+        let bitmap = if column.sparse {
+            column.count.div_ceil(8)
+        } else {
+            0
         };
-        for _ in 0..6 {
-            at = column(at).2;
-        }
-        let (width, cell, _) = column(at);
+        let cell = frame_column(frame, NAME).as_ptr() as usize - image.as_ptr() as usize + bitmap;
         let mut out = image.to_vec();
-        match width {
+        match column.width {
             4 => out[cell..cell + 4].copy_from_slice(&(bad as f32).to_le_bytes()),
             _ => out[cell..cell + 8].copy_from_slice(&bad.to_le_bytes()),
         }

@@ -2,8 +2,7 @@
 //!
 //! For a fixed join/leave/tick script every frame must come out
 //! byte-for-byte as pinned: a probe's genesis, a worker-emitted genesis
-//! with a pooled group, and a one-row migration frame. A genesis is the
-//! one frame kind.
+//! with a pooled group, and a one-row migration frame.
 //!
 //! The digests were last re-pinned when frame v8 made the schema
 //! positional: it dropped each column's name, cell kind and body length,

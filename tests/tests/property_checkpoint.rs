@@ -558,7 +558,9 @@ fn a_tenant_named_twice_in_the_string_table_keeps_every_row_its_name() {
 /// The named hostile mutations from the schema's threat model, each built
 /// from a valid frame and each required to fail with its own typed field:
 /// a truncated header, a row-count that disagrees with the column bodies,
-/// a width its kind does not allow, and the same key on two rows.
+/// a later fixed column one cell too long, a split pair whose halves
+/// disagree in count, a width its kind does not allow, and the same key
+/// on two rows.
 #[test]
 fn named_schema_attacks_map_to_typed_fields() {
     // Header layout: version u8, ticks u64, rows u32 — the rows field
@@ -585,6 +587,14 @@ fn named_schema_attacks_map_to_typed_fields() {
     assert!(rows >= 2, "the poisoning below needs at least two rows");
     evil[9..13].copy_from_slice(&(rows + 1).to_le_bytes());
     cases.push(("row-count mismatch", evil, "columnar.count"));
+    let mut evil = frame.clone();
+    let count_at = width_at("stages_completed") + 1;
+    evil[count_at..count_at + 4].copy_from_slice(&(rows + 1).to_le_bytes());
+    cases.push(("a later fixed column's count", evil, "columnar.count"));
+    let hull_y = column_f64s(&frame, "hull_y");
+    assert!(!hull_y.is_empty(), "the frame holds a hull vertex");
+    let evil = with_columns(&frame, &[("hull_y", Cells::Float(&hull_y[1..]))]);
+    cases.push(("a pair's halves of two counts", evil, "columnar.ragged"));
     for (column, illegal) in [
         ("key", 3),
         ("key", 16),
